@@ -45,8 +45,8 @@ same codec the simulator uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+import struct
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import (
@@ -110,9 +110,22 @@ MAX_PAYLOAD_BYTES = 0xFFFF
 SEQ_NONE = 0
 
 
-@dataclass(frozen=True)
-class Preamble:
-    """Decoded overlay preamble of one live datagram."""
+#: The fixed preamble's wire layout: magic, version, kind, seq,
+#: segCount, payloadLen.
+_PREAMBLE = struct.Struct(">2sBBIBH")
+
+_SEQ = struct.Struct(">I")
+
+_TRACE_ID = struct.Struct(">Q")
+
+
+class Preamble(NamedTuple):
+    """Decoded overlay preamble of one live datagram.
+
+    Decoded **once** per datagram, by the receiving endpoint, and handed
+    on with the frame's view (ARCHITECTURE §14) — a tuple because the
+    record is built for every datagram the overlay receives.
+    """
 
     kind: int
     seq: int
@@ -156,45 +169,42 @@ def encode_preamble(
     return out
 
 
-def decode_preamble(datagram: bytes) -> Preamble:
-    """Parse the overlay preamble; total over arbitrary bytes."""
+def decode_preamble(datagram) -> Preamble:
+    """Parse the overlay preamble; total over arbitrary bytes.
+
+    ``datagram`` may be ``bytes``, ``bytearray`` or a ``memoryview``
+    bounding a ring slot.  ``tests/live/test_preamble_differential.py``
+    holds the field-by-field reference this is fuzzed against.
+    """
     if len(datagram) < PREAMBLE_BYTES:
         raise ViperDecodeError(
             f"datagram of {len(datagram)} bytes is shorter than the "
             f"{PREAMBLE_BYTES}-byte preamble"
         )
-    if datagram[0:2] != MAGIC:
+    magic, version, wire_kind, seq, seg_count, payload_len = (
+        _PREAMBLE.unpack_from(datagram)
+    )
+    if magic != MAGIC:
         raise ViperDecodeError("bad live-frame magic")
-    if datagram[2] != VERSION:
-        raise ViperDecodeError(f"unsupported live-frame version {datagram[2]}")
-    wire_kind = datagram[3]
-    traced = bool(wire_kind & FLAG_TRACED)
+    if version != VERSION:
+        raise ViperDecodeError(f"unsupported live-frame version {version}")
     kind = wire_kind & ~FLAG_TRACED
-    if kind not in (FRAME_DATA, FRAME_ACK):
+    if kind > FRAME_ACK:
         raise ViperDecodeError(f"unknown live-frame kind {kind}")
-    seg_count = datagram[8]
     if seg_count > MAX_SEGMENTS:
         raise ViperDecodeError(
             f"segment count {seg_count} exceeds VIPER's {MAX_SEGMENTS}"
         )
-    trace_id = 0
-    if traced:
-        if kind != FRAME_DATA:
-            raise ViperDecodeError("traced flag on a non-data frame")
-        if len(datagram) < PREAMBLE_BYTES + TRACE_ID_BYTES:
-            raise ViperDecodeError("traced frame shorter than its trace id")
-        trace_id = int.from_bytes(
-            datagram[PREAMBLE_BYTES:PREAMBLE_BYTES + TRACE_ID_BYTES], "big"
-        )
-        if trace_id == 0:
-            raise ViperDecodeError("traced flag with zero trace id")
-    return Preamble(
-        kind=kind,
-        seq=int.from_bytes(datagram[4:8], "big"),
-        seg_count=seg_count,
-        payload_len=int.from_bytes(datagram[9:11], "big"),
-        trace_id=trace_id,
-    )
+    if wire_kind == kind:
+        return Preamble(kind, seq, seg_count, payload_len, 0)
+    if kind != FRAME_DATA:
+        raise ViperDecodeError("traced flag on a non-data frame")
+    if len(datagram) < PREAMBLE_BYTES + TRACE_ID_BYTES:
+        raise ViperDecodeError("traced frame shorter than its trace id")
+    (trace_id,) = _TRACE_ID.unpack_from(datagram, PREAMBLE_BYTES)
+    if trace_id == 0:
+        raise ViperDecodeError("traced flag with zero trace id")
+    return Preamble(kind, seq, seg_count, payload_len, trace_id)
 
 
 def encode_ack(seq: int) -> bytes:
@@ -271,8 +281,14 @@ def encode_live_frame(
     return bytes(out)
 
 
-def decode_live_frame(datagram: bytes) -> Tuple[Preamble, SirpentPacket, bytes]:
+def decode_live_frame(
+    datagram: bytes, preamble: Optional[Preamble] = None,
+) -> Tuple[Preamble, SirpentPacket, bytes]:
     """Parse one live datagram into ``(preamble, packet, payload_bytes)``.
+
+    ``preamble`` is the record the receiving endpoint already decoded
+    from this datagram (the batch contract carries it); None decodes it
+    here.
 
     Unlike the simulator's edge decoder — which locates the payload by a
     heuristic backwards trailer walk — the explicit ``segCount`` and
@@ -281,7 +297,8 @@ def decode_live_frame(datagram: bytes) -> Tuple[Preamble, SirpentPacket, bytes]:
     Total over arbitrary bytes: malformed input raises
     :class:`~repro.viper.errors.ViperDecodeError`.
     """
-    preamble = decode_preamble(datagram)
+    if preamble is None:
+        preamble = decode_preamble(datagram)
     if preamble.kind != FRAME_DATA:
         raise ViperDecodeError("not a data frame")
     segments: List[HeaderSegment] = []
@@ -445,25 +462,16 @@ def encode_preamble_into(
         raise ValueError(f"segment count {seg_count} outside 0..{MAX_SEGMENTS}")
     if not 0 <= payload_len <= MAX_PAYLOAD_BYTES:
         raise ValueError(f"payload length {payload_len} outside 16 bits")
-    buffer[offset] = 0x56      # 'V'
-    buffer[offset + 1] = 0x4C  # 'L'
-    buffer[offset + 2] = VERSION
-    buffer[offset + 3] = FRAME_DATA | (FLAG_TRACED if trace_id else 0)
-    buffer[offset + 4] = (seq >> 24) & 0xFF
-    buffer[offset + 5] = (seq >> 16) & 0xFF
-    buffer[offset + 6] = (seq >> 8) & 0xFF
-    buffer[offset + 7] = seq & 0xFF
-    buffer[offset + 8] = seg_count
-    buffer[offset + 9] = (payload_len >> 8) & 0xFF
-    buffer[offset + 10] = payload_len & 0xFF
+    _PREAMBLE.pack_into(
+        buffer, offset, MAGIC, VERSION,
+        FRAME_DATA | FLAG_TRACED if trace_id else FRAME_DATA,
+        seq, seg_count, payload_len,
+    )
     if not trace_id:
         return PREAMBLE_BYTES
     if not 0 < trace_id <= 0xFFFFFFFFFFFFFFFF:
         raise ValueError(f"trace id {trace_id} outside 64 bits")
-    at = offset + PREAMBLE_BYTES
-    for shift in (56, 48, 40, 32, 24, 16, 8, 0):
-        buffer[at] = (trace_id >> shift) & 0xFF
-        at += 1
+    _TRACE_ID.pack_into(buffer, offset + PREAMBLE_BYTES, trace_id)
     return PREAMBLE_BYTES + TRACE_ID_BYTES
 
 
@@ -471,11 +479,7 @@ def restamp_seq_into(buffer, offset: int, seq: int) -> None:
     """In-place twin of :func:`restamp_seq` for slot-backed frames."""
     if not 0 <= seq <= 0xFFFFFFFF:
         raise ValueError(f"sequence {seq} outside 32 bits")
-    at = offset + SEQ_OFFSET
-    buffer[at] = (seq >> 24) & 0xFF
-    buffer[at + 1] = (seq >> 16) & 0xFF
-    buffer[at + 2] = (seq >> 8) & 0xFF
-    buffer[at + 3] = seq & 0xFF
+    _SEQ.pack_into(buffer, offset + SEQ_OFFSET, seq)
 
 
 def return_tail_of(return_segment: HeaderSegment) -> bytes:

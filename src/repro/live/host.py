@@ -28,8 +28,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.live.frames import decode_live_frame, encode_live_frame
-from repro.live.link import Address, Impairments, LiveEndpoint, ReliabilityConfig
+from repro.live.frames import Preamble, decode_live_frame, encode_live_frame
+from repro.live.link import (
+    Address,
+    BatchEntry,
+    Impairments,
+    LiveEndpoint,
+    ReliabilityConfig,
+)
 from repro.live.metrics import EndpointMetrics
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
@@ -38,7 +44,7 @@ from repro.transport.flowcontrol import DeliveryMask, split_into_group
 from repro.transport.rebind import RouteManager
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket, build_return_route
-from repro.viper.wire import HeaderSegment, LOCAL_PORT, PacketView
+from repro.viper.wire import HeaderSegment, LOCAL_PORT
 
 
 class WallClock:
@@ -195,9 +201,18 @@ class LiveHost:
         preamble option; a non-zero value continues an existing trace
         (the reply path); 0 forces "untraced".
         """
-        segments = [s.copy(priority=priority, dib=dib) for s in route.segments]
+        # The packet shares the route's segment objects wherever they
+        # already carry this send's priority/DIB (every segment of a
+        # default-priority send or reply): nothing downstream mutates a
+        # segment, and a copy re-validates it field by field.
+        segments = [
+            s if s.priority == priority and s.dib == dib
+            else s.copy(priority=priority, dib=dib)
+            for s in route.segments
+        ]
         alternates = [
-            [s.copy(priority=priority) for s in block]
+            [s if s.priority == priority else s.copy(priority=priority)
+             for s in block]
             for block in getattr(route, "alternates", [])
         ]
         packet = SirpentPacket(
@@ -236,12 +251,11 @@ class LiveHost:
         priority: int = 0,
     ) -> SirpentPacket:
         """Send back along a delivered frame's reversed trailer route."""
+        # ``send`` stamps the priority on every segment it frames.
         segments = [
-            s.copy(priority=priority) for s in delivered.return_segments
+            *delivered.return_segments,
+            HeaderSegment(port=reply_socket, priority=priority, rpf=True),
         ]
-        segments.append(
-            HeaderSegment(port=reply_socket, priority=priority, rpf=True)
-        )
         route = LiveRoute(
             destination="(return)",
             segments=segments,
@@ -254,16 +268,23 @@ class LiveHost:
 
     # -- receiving ---------------------------------------------------------
 
-    def _on_batch(self, batch: List[Tuple[PacketView, Address]]) -> None:
+    def _on_batch(self, batch: List[BatchEntry]) -> None:
         """Consume one endpoint wakeup's worth of ring-slot views."""
-        for view, source in batch:
+        for view, source, preamble in batch:
             datagram = view.tobytes()
             view.release()
-            self._on_frame(datagram, source)
+            self._on_frame(datagram, source, preamble)
 
-    def _on_frame(self, datagram: bytes, source: Address) -> None:
+    def _on_frame(
+        self, datagram: bytes, source: Address,
+        preamble: Optional[Preamble] = None,
+    ) -> None:
+        """Deliver one frame; ``preamble`` is the endpoint's decode of it
+        (None on the per-frame fallback, which decodes here)."""
         try:
-            _preamble, packet, payload = decode_live_frame(datagram)
+            _preamble, packet, payload = decode_live_frame(
+                datagram, preamble
+            )
         except ViperDecodeError:
             self.metrics.drop("undecodable")
             return

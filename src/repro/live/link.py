@@ -21,7 +21,9 @@ callbacks.  The endpoint provides:
   dead (:attr:`on_peer_dead`) — this is what makes a killed router
   *observable* instead of a silent black hole.  A reliable view's ring
   slot stays **pinned** in the retry table until the ack (or the final
-  abandonment) releases it,
+  abandonment) releases it.  All of an endpoint's ack deadlines share
+  **one** loop timer (a deadline heap, see :meth:`LiveEndpoint.
+  _arm_retry`): a frame acked in time never touches the event loop,
 * **coalesced sends** — :meth:`send_parts` gathers one datagram from
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
   bytes as the fallback); a full socket buffer queues the frame and
@@ -33,7 +35,8 @@ callbacks.  The endpoint provides:
   fault seams off the zero-allocation path without changing them.
 
 The endpoint knows nothing about routing; routers and hosts subscribe
-via :attr:`on_batch` (views) or :attr:`on_frame` (bytes).
+via :attr:`on_batch` (views, each with the preamble this endpoint
+already decoded) or :attr:`on_frame` (bytes).
 
 **View ownership**: a batch consumer owns every slot in the batch and
 must release each view (or hand it to :meth:`send_view`, which then
@@ -43,6 +46,7 @@ owns it) exactly once — see ARCHITECTURE §14.
 from __future__ import annotations
 
 import asyncio
+import heapq
 import itertools
 import random
 import socket
@@ -54,9 +58,9 @@ from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
     PREAMBLE_BYTES,
+    Preamble,
     SEQ_BYTES,
     SEQ_NONE,
-    SEQ_OFFSET,
     decode_preamble,
     encode_ack,
     restamp_seq,
@@ -75,8 +79,14 @@ RX_BATCH = 32
 
 #: Linux reports datagram truncation in ``recvmsg`` flags; on platforms
 #: without the flag oversize datagrams are silently truncated (and then
-#: dropped as undecodable when the length fields disagree).
-_MSG_TRUNC = getattr(socket, "MSG_TRUNC", 0)
+#: dropped as undecodable when the length fields disagree).  A plain
+#: ``int``: the drain loop tests it against every datagram's flags, and
+#: ``int & socket.MsgFlag`` dispatches into ``enum``.
+_MSG_TRUNC = int(getattr(socket, "MSG_TRUNC", 0))
+
+#: One delivered frame: the ring-slot view, the peer it came from, and
+#: the preamble the endpoint decoded from it.
+BatchEntry = Tuple[PacketView, Address, Preamble]
 
 
 @dataclass
@@ -107,8 +117,7 @@ class ReliabilityConfig:
     than 1 (so gaps strictly increase) and never the same twice (so two
     endpoints that lost frames at the same instant do not retry in
     lockstep; the partition-then-heal retry storm is the failure mode
-    this kills).  ``backoff_factor=1.0`` restores the legacy fixed
-    interval.
+    this kills).
 
     The **retry budget** is a sliding-window cap: within any
     ``retry_budget_window_s`` window the endpoint may issue at most
@@ -122,7 +131,7 @@ class ReliabilityConfig:
     max_retries: int = 3
     #: Remembered sequence numbers per peer, for duplicate suppression.
     dedup_window: int = 1024
-    #: Multiplicative retry-gap growth (1.0 = legacy fixed interval).
+    #: Multiplicative retry-gap growth (> 1).
     backoff_factor: float = 2.0
     #: Ceiling on any single retry gap (seconds).
     backoff_max_s: float = 2.0
@@ -251,11 +260,12 @@ class LiveEndpoint:
         self._sock: Optional[socket.socket] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.address: Optional[Address] = None
-        #: Batched delivery callback: ``on_batch([(view, source), ...])``.
-        #: The consumer owns (and must release) every view's slot.
-        self.on_batch: Optional[
-            Callable[[List[Tuple[PacketView, Address]]], None]
-        ] = None
+        #: Batched delivery callback:
+        #: ``on_batch([(view, source, preamble), ...])`` — ``preamble`` is
+        #: the frame's decoded :class:`~repro.live.frames.Preamble`, so
+        #: no consumer decodes it a second time.  The consumer owns (and
+        #: must release) every view's slot.
+        self.on_batch: Optional[Callable[[List[BatchEntry]], None]] = None
         #: Per-frame fallback callback: ``on_frame(datagram, source)``
         #: (materialises each datagram; used when ``on_batch`` is unset).
         self.on_frame: Optional[Callable[[bytes, Address], None]] = None
@@ -270,7 +280,13 @@ class LiveEndpoint:
         self.fault_hook: Optional[Callable[[Address], Any]] = None
         self._seq = itertools.count(1)
         self._pending: Dict[int, _PendingFrame] = {}
-        self._retry_timers: Dict[int, asyncio.TimerHandle] = {}
+        #: ``(deadline, seq)`` ack deadlines, earliest first.  An ack
+        #: only removes the frame from ``_pending``; its heap entry is
+        #: purged when it surfaces (see :meth:`_on_retry_timer`).
+        self._retry_heap: List[Tuple[float, int]] = []
+        #: The endpoint's one retry timer, armed for ``_retry_heap[0]``'s
+        #: deadline; None exactly when the heap is empty.
+        self._retry_timer: Optional[asyncio.TimerHandle] = None
         self._seen: Dict[Address, Tuple[Set[int], Deque[int]]] = {}
         #: Frames deferred by a momentarily full socket buffer.
         self._tx_backlog: Deque[Tuple[bytes, Address]] = deque()
@@ -299,7 +315,7 @@ class LiveEndpoint:
         if self.closed:
             self.closed = False
             self._pending.clear()
-            self._retry_timers.clear()
+            self._retry_heap.clear()
             self._seen.clear()
             self._seq = itertools.count(
                 self._backoff_rng.randrange(1, 1 << (8 * SEQ_BYTES - 2))
@@ -321,9 +337,8 @@ class LiveEndpoint:
     def close(self) -> None:
         """Close the socket, cancel retries, unpin every pending slot."""
         self.closed = True
-        for timer in self._retry_timers.values():
-            timer.cancel()
-        self._retry_timers.clear()
+        self._retry_heap.clear()
+        self._sync_retry_timer()
         for entry in self._pending.values():
             if entry.slot is not None:
                 self.ring.release(entry.slot)
@@ -363,12 +378,7 @@ class LiveEndpoint:
         if reliable:
             seq = next(self._seq)
             datagram = restamp_seq(datagram, seq)
-            self._pending[seq] = _PendingFrame(
-                datagram, None, addr, self.reliability.max_retries,
-                self.reliability.ack_timeout_s,
-            )
-            self._budget.note_send(self._now())
-            self._arm_retry(seq, self.reliability.ack_timeout_s)
+            self._await_ack(seq, datagram, None, addr)
         self.metrics.record_out(len(datagram))
         self._impaired_send(datagram, addr)
         return seq
@@ -393,12 +403,7 @@ class LiveEndpoint:
         if reliable:
             seq = next(self._seq)
             restamp_seq_into(view.buffer, view.start, seq)
-            self._pending[seq] = _PendingFrame(
-                view.mem, view.slot, addr, self.reliability.max_retries,
-                self.reliability.ack_timeout_s,
-            )
-            self._budget.note_send(self._now())
-            self._arm_retry(seq, self.reliability.ack_timeout_s)
+            self._await_ack(seq, view.mem, view.slot, addr)
         self.metrics.record_out(len(view))
         if self.fault_hook is not None or self.impairments.any():
             self._impaired_send(view.tobytes(), addr)
@@ -511,20 +516,80 @@ class LiveEndpoint:
 
     # -- per-hop reliability -----------------------------------------------
 
-    def _arm_retry(self, seq: int, delay_s: float) -> None:
-        if self._loop is None:
-            return
-        self._retry_timers[seq] = self._loop.call_later(
-            delay_s, self._on_ack_timeout, seq
+    def _await_ack(self, seq: int, data, slot, addr: Address) -> None:
+        """Enter a just-stamped reliable frame into the retry table."""
+        timeout_s = self.reliability.ack_timeout_s
+        self._pending[seq] = _PendingFrame(
+            data, slot, addr, self.reliability.max_retries, timeout_s,
         )
+        now = self._now()
+        self._budget.note_send(now)
+        self._arm_retry(seq, now + timeout_s)
+
+    def _arm_retry(self, seq: int, deadline: float) -> None:
+        """Schedule ``seq``'s ack timeout for loop time ``deadline``.
+
+        One heap push; the loop is only touched when this deadline
+        becomes the earliest.  First deadlines are ``now + ack_timeout``
+        and so arrive in order: on a healthy link the timer is re-armed
+        once per ack timeout, not once per frame.
+        """
+        heapq.heappush(self._retry_heap, (deadline, seq))
+        self._sync_retry_timer()
+
+    def _sync_retry_timer(self) -> None:
+        """Restore the invariant: timer deadline == ``_retry_heap[0]``.
+
+        Also when a push made a *new* earliest entry — a retry re-armed
+        with a long backoff gap must not leave the timer sleeping past a
+        younger frame's first deadline.
+        """
+        heap = self._retry_heap
+        timer = self._retry_timer
+        if heap:
+            deadline = heap[0][0]
+            if timer is not None:
+                if timer.when() == deadline:
+                    return
+                timer.cancel()
+            self._retry_timer = self._loop.call_at(
+                deadline, self._on_retry_timer
+            )
+        elif timer is not None:
+            timer.cancel()
+            self._retry_timer = None
+
+    def _on_retry_timer(self) -> None:
+        """The timer fired: time out every due frame, purge acked heads.
+
+        An entry whose frame has left ``_pending`` was acked (or
+        abandoned); it is dropped here without firing
+        :meth:`_on_ack_timeout`, and so is every acked entry behind it up
+        to the first live one — the timer's next sleep then ends at a
+        deadline that still matters.
+        """
+        # Everything up to the deadline this timer was armed for is due
+        # (the loop may fire a hair before its own clock says so).
+        due = max(self._retry_timer.when(), self._now())
+        self._retry_timer = None
+        heap = self._retry_heap
+        pending = self._pending
+        timed_out = []
+        while heap:
+            deadline, seq = heap[0]
+            if seq in pending:
+                if deadline > due:
+                    break
+                timed_out.append(seq)
+            heapq.heappop(heap)
+        for seq in timed_out:
+            self._on_ack_timeout(seq)
+        self._sync_retry_timer()
 
     def _next_gap(self, gap_s: float) -> float:
         """Exponential backoff with jitter: strictly growing, never twice
         the same — see :class:`ReliabilityConfig`."""
-        factor = self.reliability.backoff_factor
-        if factor <= 1.0:
-            return gap_s  # legacy fixed-interval retries
-        growth = 1.0 + (factor - 1.0) * (
+        growth = 1.0 + (self.reliability.backoff_factor - 1.0) * (
             0.5 + 0.5 * self._backoff_rng.random()
         )
         return min(self.reliability.backoff_max_s, gap_s * growth)
@@ -541,7 +606,6 @@ class LiveEndpoint:
             self.on_peer_dead(entry.addr)
 
     def _on_ack_timeout(self, seq: int) -> None:
-        self._retry_timers.pop(seq, None)
         entry = self._pending.get(seq)
         if entry is None:
             return
@@ -563,13 +627,10 @@ class LiveEndpoint:
         if self.on_retry is not None:
             self.on_retry(entry.addr, seq, entry.gap_s)
         self._impaired_send(entry.data, entry.addr)
-        self._arm_retry(seq, entry.gap_s)
+        self._arm_retry(seq, self._now() + entry.gap_s)
 
     def _on_ack(self, seq: int) -> None:
         self.metrics.acks_in += 1
-        timer = self._retry_timers.pop(seq, None)
-        if timer is not None:
-            timer.cancel()
         entry = self._pending.pop(seq, None)
         if entry is not None and entry.slot is not None:
             self.ring.release(entry.slot)
@@ -594,10 +655,7 @@ class LiveEndpoint:
     def _send_ack(self, seq: int, addr: Address) -> None:
         """Ack from the preallocated scratch frame (restamped in place)."""
         buf = self._ack_scratch
-        buf[SEQ_OFFSET] = (seq >> 24) & 0xFF
-        buf[SEQ_OFFSET + 1] = (seq >> 16) & 0xFF
-        buf[SEQ_OFFSET + 2] = (seq >> 8) & 0xFF
-        buf[SEQ_OFFSET + 3] = seq & 0xFF
+        restamp_seq_into(buf, 0, seq)
         self._raw_send(buf, addr)
 
     def _on_readable(self) -> None:
@@ -613,7 +671,7 @@ class LiveEndpoint:
             return
         ring = self.ring
         buffers = self._recv_buffers
-        batch: List[Tuple[PacketView, Address]] = []
+        batch: List[BatchEntry] = []
         for _ in range(self.rx_batch):
             slot = ring.acquire()
             buffers[0] = slot.view
@@ -657,7 +715,7 @@ class LiveEndpoint:
                     self.metrics.drop("duplicate")
                     continue
             self.metrics.record_in(nbytes)
-            batch.append((PacketView.of_slot(slot, nbytes), addr))
+            batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
         if not batch:
             return
         self.rx_batches += 1
@@ -665,12 +723,12 @@ class LiveEndpoint:
         if self.on_batch is not None:
             self.on_batch(batch)
         elif self.on_frame is not None:
-            for view, source in batch:
+            for view, source, _preamble in batch:
                 datagram = view.tobytes()
                 view.release()
                 self.on_frame(datagram, source)
         else:
-            for view, _source in batch:
+            for view, _source, _preamble in batch:
                 view.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.dataplane import (
     Action,
@@ -42,9 +42,7 @@ from repro.dataplane import (
     apply_drop,
 )
 from repro.live.frames import (
-    FRAME_DATA,
     Preamble,
-    decode_preamble,
     hop_move_into,
     leading_alt_block,
     peek_leading_segment,
@@ -53,7 +51,13 @@ from repro.live.frames import (
     slick_reroute_slow,
     strip_and_append,
 )
-from repro.live.link import Address, Impairments, LiveEndpoint, ReliabilityConfig
+from repro.live.link import (
+    Address,
+    BatchEntry,
+    Impairments,
+    LiveEndpoint,
+    ReliabilityConfig,
+)
 from repro.live.metrics import EndpointMetrics
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
@@ -86,6 +90,16 @@ class LiveRouterConfig:
     flow_cache_ttl_ms: int = 10_000
 
 
+# Every live port has one of two profiles.  UDP hops carry no Ethernet
+# portInfo and never truncate (the datagram either fits the socket or
+# was refused at encode time), hence mtu=0 (unlimited).  ``up`` is the
+# router's link-health view: ack-timeout peer death marks it down, any
+# inbound frame marks it back up — the signal the pipeline's slick
+# reroute stage keys on.
+_PORT_UP = PortProfile(kind="udp", mtu=0, up=True)
+_PORT_DOWN = PortProfile(kind="udp", mtu=0, up=False)
+
+
 class _LivePortMap(PortMap):
     """The pipeline's view of the router's UDP peer table."""
 
@@ -93,17 +107,9 @@ class _LivePortMap(PortMap):
         self._router = router
 
     def profile(self, port_id: int) -> Optional[PortProfile]:
-        if port_id in self._router.ports:
-            # UDP hops carry no Ethernet portInfo and never truncate
-            # (the datagram either fits the socket or was refused at
-            # encode time), hence mtu=0 (unlimited).  ``up`` is the
-            # router's link-health view: ack-timeout peer death marks
-            # it down, any inbound frame marks it back up — the signal
-            # the pipeline's slick reroute stage keys on.
-            return PortProfile(
-                kind="udp", mtu=0,
-                up=port_id not in self._router.dead_ports,
-            )
+        router = self._router
+        if port_id in router.ports:
+            return _PORT_DOWN if port_id in router.dead_ports else _PORT_UP
         return None
 
     def ids(self) -> Iterable[int]:
@@ -111,13 +117,20 @@ class _LivePortMap(PortMap):
 
 
 class _LiveEffectSink(EffectSink):
-    """Counter + trace applicator for one frame on the live router."""
+    """Counter + trace applicator of one live router.
 
-    __slots__ = ("_router", "_trace_id")
+    One per router, restamped per frame (:meth:`LiveRouter._sink_for`):
+    ``trace_id`` is the current frame's trace id when it carries one
+    *and* a tracer is installed, else 0 — the one tracing guard.  The
+    driver tests it before a ``trace_event`` call that takes fields, so
+    an untraced frame does not build the kwargs either.
+    """
 
-    def __init__(self, router: "LiveRouter", trace_id: int) -> None:
+    __slots__ = ("_router", "trace_id")
+
+    def __init__(self, router: "LiveRouter") -> None:
         self._router = router
-        self._trace_id = trace_id
+        self.trace_id = 0
 
     def bump(self, name: str, n: int = 1) -> None:
         router = self._router
@@ -129,17 +142,17 @@ class _LiveEffectSink(EffectSink):
             )
 
     def trace_event(self, event: str, **fields: Any) -> None:
-        router = self._router
-        if self._trace_id and router.tracer.enabled:
+        if self.trace_id:
+            router = self._router
             router.tracer.event(
-                self._trace_id, time.monotonic(), router.name, event, **fields
+                self.trace_id, time.monotonic(), router.name, event, **fields
             )
 
     def trace_drop(self, reason: str, **fields: Any) -> None:
-        router = self._router
-        if self._trace_id and router.tracer.enabled:
+        if self.trace_id:
+            router = self._router
             router.tracer.drop(
-                self._trace_id, time.monotonic(), router.name, reason, **fields
+                self.trace_id, time.monotonic(), router.name, reason, **fields
             )
 
 
@@ -201,6 +214,7 @@ class LiveRouter:
         #: (restamped per frame on the batch path, like ``_hop``).
         self._frame_mem = None
         self._frame_header_len = 0
+        self._sink = _LiveEffectSink(self)
         #: VIPER port id -> peer UDP address.
         self.ports: Dict[int, Address] = {}
         #: Peer UDP address -> the VIPER port frames from it arrive on.
@@ -380,19 +394,30 @@ class LiveRouter:
 
     # -- the zero-allocation batch path ------------------------------------
 
-    def _on_batch(self, batch: List[Tuple[PacketView, Address]]) -> None:
+    def _sink_for(self, trace_id: int) -> _LiveEffectSink:
+        """The router's effect sink, restamped for one frame."""
+        sink = self._sink
+        sink.trace_id = trace_id if trace_id and self.tracer.enabled else 0
+        return sink
+
+    def _on_batch(self, batch: List[BatchEntry]) -> None:
         """Forward one endpoint wakeup's worth of frames, in place.
 
         Each frame arrives as a :class:`~repro.viper.wire.PacketView`
-        over a ring slot this router now owns; every path below either
-        releases the slot or hands it to
+        over a ring slot this router now owns, with the preamble the
+        endpoint decoded from it; every path below either releases the
+        slot or hands it to
         :meth:`~repro.live.link.LiveEndpoint.send_view` (which then owns
-        it) — exactly once.
+        it) — exactly once.  The flow-cache clock is read once per
+        batch: a wakeup's frames arrived together.
         """
-        for view, source in batch:
-            self._forward_view(view, source)
+        self._hop.now_ms = self._now_ms()
+        for view, source, preamble in batch:
+            self._forward_view(view, source, preamble)
 
-    def _forward_view(self, view: PacketView, source: Address) -> None:
+    def _forward_view(
+        self, view: PacketView, source: Address, preamble: Preamble,
+    ) -> None:
         """One frame through decide-then-apply without leaving its slot.
 
         The strip/reverse/append move happens *inside* the ring slot
@@ -406,20 +431,20 @@ class LiveRouter:
         seam, not a behavioural one.
         """
         mem = view.mem
+        header_len = preamble.header_len
         try:
-            preamble = decode_preamble(mem)
-            if preamble.kind != FRAME_DATA or preamble.seg_count == 0:
+            if preamble.seg_count == 0:
                 raise ViperDecodeError("no leading segment")
-            segment = parse_segment_view(mem, preamble.header_len)
+            segment = parse_segment_view(mem, header_len)
         except ViperDecodeError:
             # Line noise / malformed frame: drop and count, never crash.
             view.release()
             apply_drop(
-                _LiveEffectSink(self, 0),
+                self._sink_for(0),
                 Decision(Action.DROP, reason="undecodable"),
             )
             return
-        sink = _LiveEffectSink(self, preamble.trace_id)
+        sink = self._sink_for(preamble.trace_id)
         in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
         if self.dead_ports:
             self._revive_port(in_port)
@@ -428,9 +453,8 @@ class LiveRouter:
         hop.seg_count = preamble.seg_count
         hop.wire_size = preamble.payload_len
         hop.in_port = in_port
-        hop.now_ms = self._now_ms()
         self._frame_mem = mem
-        self._frame_header_len = preamble.header_len
+        self._frame_header_len = header_len
         decision = self.pipeline.decide(hop)
         if decision.action is Action.DROP:
             view.release()
@@ -454,9 +478,11 @@ class LiveRouter:
             view.release()
             apply_drop(sink, Decision(Action.DROP, reason="unknown_peer"))
             return
-        sink.trace_event(
-            "switch_decision", in_port=in_port, out_port=decision.out_port,
-        )
+        if sink.trace_id:
+            sink.trace_event(
+                "switch_decision",
+                in_port=in_port, out_port=decision.out_port,
+            )
         tail = decision.return_tail
         if tail is None:
             # Cold decision (or rebuilt return hop): encode the tail once.
@@ -519,9 +545,10 @@ class LiveRouter:
         self, sink: _LiveEffectSink, in_port: int, decision: Decision,
     ) -> None:
         self.metrics.slick_reroutes += 1
-        sink.trace_event(
-            "slick_reroute", in_port=in_port, out_port=decision.out_port,
-        )
+        if sink.trace_id:
+            sink.trace_event(
+                "slick_reroute", in_port=in_port, out_port=decision.out_port,
+            )
         if self.recorder.enabled:
             self.recorder.record(
                 "slick_reroute", node=self.name,
@@ -532,11 +559,12 @@ class LiveRouter:
         self, sink: _LiveEffectSink, in_port: int, decision: Decision,
     ) -> None:
         self.metrics.forwarded += 1
-        sink.trace_event(
-            "strip_reverse_append",
-            out_port=decision.out_port,
-            segments_left=decision.segments_left,
-        )
+        if sink.trace_id:
+            sink.trace_event(
+                "strip_reverse_append",
+                out_port=decision.out_port,
+                segments_left=decision.segments_left,
+            )
         if self.recorder.enabled:
             self.recorder.record(
                 "frame_forwarded", node=self.name,
@@ -553,11 +581,11 @@ class LiveRouter:
             # No preamble decoded, so no trace id — the sink still keeps
             # the counter and the (no-op) trace in one applicator.
             apply_drop(
-                _LiveEffectSink(self, 0),
+                self._sink_for(0),
                 Decision(Action.DROP, reason="undecodable"),
             )
             return
-        sink = _LiveEffectSink(self, preamble.trace_id)
+        sink = self._sink_for(preamble.trace_id)
         in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
         if self.dead_ports:
             self._revive_port(in_port)

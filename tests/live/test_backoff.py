@@ -55,14 +55,6 @@ def test_retry_gaps_capped_at_backoff_max():
     assert all(g <= endpoint.reliability.backoff_max_s for g in gaps)
 
 
-def test_backoff_factor_one_restores_fixed_interval():
-    endpoint = LiveEndpoint(
-        "legacy", reliability=ReliabilityConfig(backoff_factor=1.0)
-    )
-    gaps = gaps_from(endpoint, n=5)
-    assert set(gaps) == {endpoint.reliability.ack_timeout_s}
-
-
 def test_two_endpoints_walk_different_jitter_schedules():
     """Desynchronization is the point: endpoints must not share a
     retry schedule even when their frames die at the same instant."""

@@ -30,6 +30,7 @@ from repro.directory.service import DirectoryService, RouteQuery
 from repro.live import LiveOverlay
 from repro.live.frames import (
     decode_live_frame,
+    decode_preamble,
     encode_live_frame,
     leading_alt_block,
     return_tail_of,
@@ -325,7 +326,9 @@ class TestLiveRouterFailover:
         ring = BufferRing(slots=4)
         for _ in range(3):  # cold install + two warm cache passes
             view = _slot_view(ring, self.FRAME)
-            fast._on_batch([(view, self.SOURCE)])
+            fast._on_batch(
+                [(view, self.SOURCE, decode_preamble(view.mem))]
+            )
             oracle._on_frame(self.FRAME, self.SOURCE)
         assert fast_sent == oracle_sent
         assert len(fast_sent) == 3

@@ -14,8 +14,10 @@ import random
 
 import pytest
 
+from repro.live import frames, router as router_module
 from repro.live.frames import (
     decode_live_frame,
+    decode_preamble,
     encode_live_frame,
     hop_move_into,
     restamp_seq,
@@ -185,6 +187,12 @@ def _slot_view(ring, datagram):
     return PacketView.of_slot(slot, len(datagram))
 
 
+def _batch_of(view, source):
+    """What ``LiveEndpoint._on_readable`` hands ``on_batch`` for one
+    frame: the view, its source, and the preamble decoded from it."""
+    return [(view, source, decode_preamble(view.mem))]
+
+
 class TestHopMoveInPlace:
     """hop_move_into is byte-exact against both materialising paths."""
 
@@ -309,7 +317,7 @@ class TestBatchedForwardingDifferential:
         for datagram in datagrams:
             view = _slot_view(ring, datagram)
             views.append(view)
-            fast._on_batch([(view, self.SOURCE)])
+            fast._on_batch(_batch_of(view, self.SOURCE))
             oracle._on_frame(datagram, self.SOURCE)
         return fast, oracle, fast_sent, oracle_sent, ring, views
 
@@ -356,7 +364,9 @@ class TestBatchedForwardingDifferential:
         assert fast_sent == oracle_sent
 
     def test_drops_agree_and_release_slots(self):
-        undecodable = b"\x00\x01garbage"
+        # A sound preamble promising a segment the datagram does not
+        # hold (a bad preamble never leaves the endpoint).
+        undecodable = frame([HeaderSegment(port=2)])[:12]
         unknown_peer = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
         no_route = frame([HeaderSegment(port=99), HeaderSegment(port=0)])
         fast, fast_sent = _capture_router("fast")
@@ -371,7 +381,7 @@ class TestBatchedForwardingDifferential:
         for datagram, source in cases:
             view = _slot_view(ring, datagram)
             views.append(view)
-            fast._on_batch([(view, source)])
+            fast._on_batch(_batch_of(view, source))
             oracle._on_frame(datagram, source)
         assert fast_sent == oracle_sent == []
         for reason in ("undecodable", "unknown_peer", "no_route"):
@@ -388,3 +398,36 @@ class TestBatchedForwardingDifferential:
         fast, _, _, _, ring, views = self._feed([datagram] * 6)
         assert ring.available() == 8
         assert all(not view.alive() for view in views)
+
+    def test_batch_path_never_decodes_the_preamble_again(self, monkeypatch):
+        """One decode per datagram: the endpoint's.  Forward (cold, warm,
+        traced), local delivery and a drop all run off the preamble the
+        batch entry carries."""
+        fast, fast_sent = _capture_router("fast")
+        delivered = []
+        fast.local_handler = lambda datagram, source: delivered.append(datagram)
+        forward = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
+        datagrams = [
+            forward, forward,
+            frame([HeaderSegment(port=2), HeaderSegment(port=0)],
+                  trace_id=0xFEED_0001),
+            frame([HeaderSegment(port=0)]),
+            frame([HeaderSegment(port=99), HeaderSegment(port=0)]),
+        ]
+        ring = BufferRing(slots=8)
+        batch = []
+        for datagram in datagrams:
+            batch += _batch_of(_slot_view(ring, datagram), self.SOURCE)
+        calls = []
+        monkeypatch.setattr(
+            frames, "decode_preamble",
+            lambda datagram: calls.append(1) or decode_preamble(datagram),
+        )
+        fast._on_batch(batch)
+        assert calls == []
+        # ...nor does the router module hold a private reference to it.
+        assert not hasattr(router_module, "decode_preamble")
+        assert len(fast_sent) == 3
+        assert len(delivered) == 1
+        assert fast.metrics.drops.get("no_route") == 1
+        assert ring.available() == 8
