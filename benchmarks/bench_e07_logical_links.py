@@ -16,7 +16,7 @@ selection; (c) flow-hash selection (ordered per flow).
 from __future__ import annotations
 
 from repro.core.host import SirpentHost
-from repro.core.logical import SelectionPolicy
+from repro.dataplane.logical import SelectionPolicy
 from repro.core.router import SirpentRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator

@@ -15,7 +15,7 @@ bytes on all wires, and the delivery delay spread.
 from __future__ import annotations
 
 from repro.core.host import SirpentHost
-from repro.core.multicast import (
+from repro.dataplane.multicast import (
     BROADCAST_PORT,
     MulticastAgent,
     TreeBranch,

@@ -1,20 +1,20 @@
-"""F2 — the dataplane fast paths: flow cache and zero-copy hop move.
+"""F2 — the dataplane fast paths: flow cache and in-place hop move.
 
-Three claims about the refactored per-hop machinery:
+Three claims about the per-hop machinery:
 
 * **Flow cache (§2.2)** — "routers cache tokens and flow information as
   soft state": a warm flow-cache decision must be at least 2x faster
   than the cold first-packet decision (HMAC token verification +
   resolution + install).
-* **Zero-copy hop move** — the live router's strip/reverse/append on
-  raw bytes (arithmetic strip boundary + one memoryview copy of the
-  untouched middle) must beat the structural decode -> advance ->
-  re-encode path it is tested byte-exact against.
-* **Allocation discipline (PR 8)** — the in-place hop move on a
-  buffer-ring slot (:func:`repro.live.frames.hop_move_into`) must
-  allocate an order of magnitude fewer bytes per packet than the
-  structural path: tracemalloc's peak-growth around a single op is the
-  counter, because transient per-packet garbage is exactly what peaks.
+* **In-place hop move** — the live router's strip/reverse/append
+  inside a buffer-ring slot (:func:`repro.live.frames.hop_move_into`:
+  arithmetic strip boundary, preamble rewritten before the surviving
+  bytes, memoized return tail appended) must beat the structural decode
+  -> advance -> re-encode round trip it is byte-exact against.
+* **Allocation discipline (PR 8)** — the in-place move must allocate
+  several times fewer bytes per packet than the structural path:
+  tracemalloc's peak-growth around a single op is the counter, because
+  transient per-packet garbage is exactly what peaks.
 
 Speedups are shape checks on ratios, not absolute numbers: wall-clock
 noise moves the microseconds, not who wins.
@@ -34,12 +34,11 @@ from repro.dataplane import (
     PortProfile,
 )
 from repro.live.frames import (
+    decode_live_frame,
     decode_preamble,
     encode_live_frame,
     hop_move_into,
     return_tail_of,
-    strip_and_append,
-    strip_and_append_slow,
 )
 from repro.tokens.cache import TokenCache
 from repro.tokens.capability import TokenMint
@@ -139,15 +138,14 @@ def bench_f02_dataplane(benchmark):
 
     datagram = _build_datagram()
     return_segment = HeaderSegment(port=7, token=b"R" * 32)
-    slow_us = _per_op_us(
-        lambda: strip_and_append_slow(datagram, return_segment), STRIPS
-    )
-    fast_us = _per_op_us(
-        lambda: strip_and_append(datagram, return_segment), STRIPS
-    )
-    strip_speedup = slow_us / fast_us
-    assert strip_and_append(datagram, return_segment) == \
-        strip_and_append_slow(datagram, return_segment)
+
+    def structural_move() -> bytes:
+        # The same hop through the object layer: every byte round-trips.
+        _preamble, packet, payload = decode_live_frame(datagram)
+        packet.advance(return_segment)
+        return encode_live_frame(packet, payload)
+
+    slow_us = _per_op_us(structural_move, STRIPS)
 
     # In-place hop move on a buffer-ring slot (the PR 8 fastpath).  The
     # move consumes the slot, so each op first restores the overwritten
@@ -170,15 +168,10 @@ def bench_f02_dataplane(benchmark):
     inplace_us = _per_op_us(inplace_move, STRIPS)
     inplace_speedup = slow_us / inplace_us
     inplace_move()
-    assert view.tobytes() == strip_and_append(datagram, return_segment)
+    assert view.tobytes() == structural_move()
 
     # Allocation churn per hop move (tracemalloc peak growth).
-    slow_alloc = _alloc_per_op(
-        lambda: strip_and_append_slow(datagram, return_segment)
-    )
-    fast_alloc = _alloc_per_op(
-        lambda: strip_and_append(datagram, return_segment)
-    )
+    slow_alloc = _alloc_per_op(structural_move)
     inplace_alloc = _alloc_per_op(inplace_move)
 
     hit_rate = pipeline.flow_cache.stats.hit_rate()
@@ -188,13 +181,11 @@ def bench_f02_dataplane(benchmark):
          f"{decision_speedup:.1f}x", ""),
         ("live hop move, structural codec", f"{slow_us:.2f}", "1.0x",
          slow_alloc),
-        ("live hop move, zero-copy bytes", f"{fast_us:.2f}",
-         f"{strip_speedup:.1f}x", fast_alloc),
         ("live hop move, in-place ring slot", f"{inplace_us:.2f}",
          f"{inplace_speedup:.1f}x", inplace_alloc),
     ]
     table = format_table(
-        "F2  dataplane fast paths — flow cache and zero-copy hop move",
+        "F2  dataplane fast paths — flow cache and in-place hop move",
         ["path", "us/op", "speedup", "alloc B/op"],
         rows,
     )
@@ -202,37 +193,29 @@ def bench_f02_dataplane(benchmark):
         f"\nFlow-cache hit rate over the run: {hit_rate:.3f}.  Warm\n"
         "decisions skip HMAC verification, logical resolution and\n"
         "portInfo decoding (§2.2 'cached version of the token ... in\n"
-        "real time'); the zero-copy move finds the strip boundary\n"
-        "arithmetically and copies the untouched middle bytes exactly\n"
-        "once; the in-place move rewrites the packet inside its ring\n"
-        "slot and appends the memoized return tail — no output frame\n"
-        "is ever constructed (alloc B/op = tracemalloc peak growth)."
+        "real time'); the in-place move finds the strip boundary\n"
+        "arithmetically, rewrites the preamble inside the ring slot\n"
+        "and appends the memoized return tail — no output frame is\n"
+        "ever constructed (alloc B/op = tracemalloc peak growth)."
     )
     publish("f02_dataplane", table + note, data={
         "title": "F2 dataplane fast paths",
         "metrics": {
             "warm_decision_us": round(warm_us, 3),
             "decision_speedup": round(decision_speedup, 2),
-            "strip_fast_us": round(fast_us, 3),
             "strip_inplace_us": round(inplace_us, 3),
-            "strip_speedup": round(strip_speedup, 2),
             "alloc_bytes_structural": slow_alloc,
-            "alloc_bytes_zero_copy": fast_alloc,
             "alloc_bytes_inplace": inplace_alloc,
         },
-        "higher_is_better": ["decision_speedup", "strip_speedup"],
+        "higher_is_better": ["decision_speedup"],
         "lower_is_better": [
-            "warm_decision_us", "strip_fast_us", "strip_inplace_us",
-            "alloc_bytes_structural", "alloc_bytes_zero_copy",
-            "alloc_bytes_inplace",
+            "warm_decision_us", "strip_inplace_us",
+            "alloc_bytes_structural", "alloc_bytes_inplace",
         ],
     })
 
     assert decision_speedup >= 2.0, (
         f"warm flow-cache decision only {decision_speedup:.2f}x cold"
-    )
-    assert strip_speedup >= 2.0, (
-        f"zero-copy hop move only {strip_speedup:.2f}x structural"
     )
     assert inplace_speedup >= 2.0, (
         f"in-place hop move only {inplace_speedup:.2f}x structural"

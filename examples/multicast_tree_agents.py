@@ -17,7 +17,7 @@ Run:  python examples/multicast_tree_agents.py
 """
 
 from repro.core.host import SirpentHost
-from repro.core.multicast import (
+from repro.dataplane.multicast import (
     MulticastAgent,
     TREE_PORT,
     TreeBranch,

@@ -10,8 +10,6 @@ multicast and truncation-instead-of-fragmentation.
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import FlowLimiter, RateControlManager, RateSignal
 from repro.core.host import DeliveredPacket, SirpentHost
-from repro.core.logical import LogicalPortMap, SelectionPolicy
-from repro.core.multicast import MulticastAgent, TreeBranch, decode_tree_info, encode_tree_info
 from repro.core.queues import OutputPort, SubmitResult
 from repro.core.router import RouterConfig, SirpentRouter
 from repro.core.tunnel import (
@@ -20,6 +18,8 @@ from repro.core.tunnel import (
     attach_cvc_tunnel,
     attach_tunnel,
 )
+from repro.dataplane.logical import LogicalPortMap, SelectionPolicy
+from repro.dataplane.multicast import MulticastAgent, TreeBranch, decode_tree_info, encode_tree_info
 
 __all__ = [
     "BlockedPolicy",

@@ -36,8 +36,6 @@ from typing import Any, Callable, Dict, Iterable, Optional, Set
 
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import ControlPlane, RateControlManager
-from repro.core.logical import LogicalPortMap
-from repro.core.multicast import GroupPortMap
 from repro.core.queues import OutputPort, SubmitResult
 from repro.core.truncation import truncate_to_mtu
 from repro.dataplane import (
@@ -52,6 +50,8 @@ from repro.dataplane import (
     PortProfile,
     apply_drop,
 )
+from repro.dataplane.logical import LogicalPortMap
+from repro.dataplane.multicast import GroupPortMap
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
 from repro.net.node import Attachment, Node

@@ -23,8 +23,6 @@ from repro.live.frames import (
     Preamble,
     decode_live_frame,
     encode_live_frame,
-    peek_leading_segment,
-    strip_and_append,
 )
 from repro.live.host import (
     LiveDelivered,
@@ -68,7 +66,5 @@ __all__ = [
     "as_live_route",
     "decode_live_frame",
     "encode_live_frame",
-    "peek_leading_segment",
     "render_metrics",
-    "strip_and_append",
 ]

@@ -4,15 +4,8 @@
 a route to a destination and receives stacked VIPER segments plus the
 route's advertised parameters.  In the live overlay that query is a
 real network round trip — a TCP connection carrying one JSON object per
-line in each direction.  Two protocol versions share the listener:
-
-**v1** (legacy, PR 1) — implicit version, read-mostly::
-
-    -> {"id": "q-1-ab12cd34", "method": "routes",
-        "params": {"client": "client", "destination": "server", "k": 2}}
-    <- {"id": "q-1-ab12cd34", "result": {"routes": [...]}}
-
-**v2** (this protocol) — explicit ``v``, typed responses, writes::
+line in each direction, each with an explicit protocol version ``v``
+(there is one: 2), typed responses, and writes::
 
     -> {"v": 2, "id": "c1-17", "method": "register_host",
         "params": {"name": "venus.cs.stanford.edu", "node": "venus"}}
@@ -21,14 +14,15 @@ line in each direction.  Two protocol versions share the listener:
     -> {"v": 2, "id": "c1-17", "method": "register_host", ...}   (retry)
     <- (the *byte-identical* cached line — never re-executed)
 
-A frame carrying ``"v"`` is dispatched through the typed
+Every frame is dispatched through the typed
 :mod:`repro.directory.cluster.protocol` objects: requests parse or fail
 with a *named* error code, write commands are deduplicated by request
 id (replayed retries get the cached canonical bytes back), and each
 connection serves its in-flight commands **concurrently** — one slow
-route computation no longer convoys the queries behind it.  A frame
-without ``"v"`` takes the untouched v1 path, so old clients
-interoperate with a v2 server byte-for-byte.
+route computation does not convoy the queries behind it.  A frame
+without ``"v"`` (or naming any other version) is refused with the typed
+``version_unsupported`` failure; a frame that is not a JSON object with
+``bad_request``.
 
 Every request carries an ``X-Request-ID``-style correlation id; the
 server echoes it verbatim so responses can be matched (and traced)
@@ -154,8 +148,8 @@ def route_from_json(obj: Dict[str, object]) -> LiveRoute:
 class DirectoryError(Exception):
     """An error response from the live directory (or a protocol fault).
 
-    v2 failures carry their typed ``code`` and ``retryable`` flag;
-    v1-era errors leave the defaults (empty code, not retryable).
+    Server failures carry their typed ``code`` and ``retryable`` flag;
+    local faults (connection loss, timeouts) leave ``code`` empty.
     """
 
     def __init__(
@@ -197,7 +191,6 @@ class LiveDirectoryServer:
         self.address: Optional[Address] = None
         self.queries_served = 0
         self.errors = 0
-        self.v1_frames = 0
         self.v2_frames = 0
         self.dedup_hits = 0
         #: Connections torn down mid-conversation (reset / half-read
@@ -298,45 +291,16 @@ class LiveDirectoryServer:
             request = json.loads(line.decode(ENCODING))
         except ValueError as exc:
             self.errors += 1
-            return (
-                json.dumps({"id": None, "error": str(exc)}) + "\n"
-            ).encode(ENCODING)
-        if isinstance(request, dict) and "v" in request:
-            self.v2_frames += 1
-            return await self._handle_v2(request)
-        self.v1_frames += 1
-        return (
-            json.dumps(await self._handle_v1(request)) + "\n"
-        ).encode(ENCODING)
+            return CommandResponse.failure("", CommandError.make(
+                "bad_request", f"undecodable request line: {exc}",
+            )).encode()
+        self.v2_frames += 1
+        return await self._handle_v2(request)
 
-    # -- the v1 path (byte-compatible with PR 1 clients) -------------------
+    # -- the typed, deduplicated, concurrent command path ------------------
 
-    async def _handle_v1(self, request: object) -> Dict[str, object]:
-        request_id: object = None
-        try:
-            if not isinstance(request, dict):
-                raise ValueError("request is not a JSON object")
-            request_id = request.get("id")
-            method = request.get("method")
-            params = request.get("params") or {}
-            if not isinstance(params, dict):
-                raise ValueError("params is not a JSON object")
-            if method == "ping":
-                return {"id": request_id, "result": {"pong": True}}
-            if method == "routes":
-                return {
-                    "id": request_id,
-                    "result": await self._serve_routes(params),
-                }
-            raise ValueError(f"unknown method {method!r}")
-        except (ValueError, KeyError, TypeError, ViperDecodeError) as exc:
-            self.errors += 1
-            return {"id": request_id, "error": str(exc)}
-
-    # -- the v2 path (typed, deduplicated, concurrent) ---------------------
-
-    async def _handle_v2(self, obj: Dict[str, object]) -> bytes:
-        request_id = obj.get("id")
+    async def _handle_v2(self, obj: object) -> bytes:
+        request_id = obj.get("id") if isinstance(obj, dict) else None
         request_id = request_id if isinstance(request_id, str) else ""
         try:
             request = CommandRequest.parse(obj)
@@ -544,11 +508,9 @@ class LiveDirectoryClient:
     ``q-<n>-<random hex>`` so traces of interleaved clients stay
     unambiguous, in the spirit of ``X-Request-ID`` headers.
 
-    The client speaks protocol **v2** by default (explicit ``v`` field,
-    typed errors, write commands whose retries reuse the original
-    request id so the server's dedup cache answers them); constructing
-    with ``protocol_version=1`` reproduces a legacy PR 1 client
-    byte-for-byte, which is how the interop tests pin v1 compatibility.
+    The client speaks protocol **v2** (explicit ``v`` field, typed
+    errors, write commands whose retries reuse the original request id
+    so the server's dedup cache answers them).
 
     Connection loss is a *first-class* event, not a hang: when the
     directory drops the TCP connection (EOF or reset), every pending
@@ -564,12 +526,10 @@ class LiveDirectoryClient:
         name: str = "client",
         reconnect_base_s: float = 0.05,
         reconnect_max_s: float = 2.0,
-        protocol_version: int = PROTOCOL_V2,
     ) -> None:
         self.name = name
         self.reconnect_base_s = reconnect_base_s
         self.reconnect_max_s = reconnect_max_s
-        self.protocol_version = protocol_version
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
@@ -702,13 +662,10 @@ class LiveDirectoryClient:
     ) -> str:
         obj: Dict[str, object] = {
             "id": request_id, "method": method, "params": params,
+            "v": PROTOCOL_V2,
         }
-        if self.protocol_version >= PROTOCOL_V2:
-            obj["v"] = self.protocol_version
-            # Trace context is a v2-only field: a v1 frame never grows
-            # keys, which is what keeps the legacy path byte-pinned.
-            if trace:
-                obj["trace"] = dict(trace)
+        if trace:
+            obj["trace"] = dict(trace)
         return json.dumps(obj)
 
     async def _request(
@@ -785,26 +742,20 @@ class LiveDirectoryClient:
         future = self._pending.get(str(response.get("id")))
         if future is None or future.done():
             return
-        if response.get("v") == PROTOCOL_V2 and "status" in response:
-            try:
-                typed = CommandResponse.parse(response)
-            except ProtocolError as exc:
-                future.set_exception(DirectoryError(str(exc)))
-                return
-            if typed.ok:
-                future.set_result(typed.result_dict)
-            else:
-                error = typed.error
-                assert error is not None
-                future.set_exception(DirectoryError(
-                    f"[{error.code}] {error.message}",
-                    code=error.code, retryable=error.retryable,
-                ))
+        try:
+            typed = CommandResponse.parse(response)
+        except ProtocolError as exc:
+            future.set_exception(DirectoryError(str(exc)))
             return
-        if "error" in response:
-            future.set_exception(DirectoryError(str(response["error"])))
+        if typed.ok:
+            future.set_result(typed.result_dict)
         else:
-            future.set_result(response.get("result") or {})
+            error = typed.error
+            assert error is not None
+            future.set_exception(DirectoryError(
+                f"[{error.code}] {error.message}",
+                code=error.code, retryable=error.retryable,
+            ))
 
     # -- read operations ---------------------------------------------------
 
@@ -840,7 +791,7 @@ class LiveDirectoryClient:
             raise DirectoryError("malformed routes response")
         return [route_from_json(obj) for obj in raw_routes]
 
-    # -- write operations (v2, idempotent retries) -------------------------
+    # -- write operations (idempotent retries) -----------------------------
 
     async def _write(
         self,
@@ -858,11 +809,6 @@ class LiveDirectoryClient:
         Retries also reuse the trace context, so the whole saga is one
         trace record.
         """
-        if self.protocol_version < PROTOCOL_V2:
-            raise DirectoryError(
-                f"{method} needs protocol v2 "
-                f"(client speaks v{self.protocol_version})"
-            )
         request_id = self._next_id()
         last: Optional[DirectoryError] = None
         for attempt in range(max(1, attempts)):
@@ -922,7 +868,4 @@ class LiveDirectoryClient:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<LiveDirectoryClient {self.name!r} "
-            f"v{self.protocol_version}>"
-        )
+        return f"<LiveDirectoryClient {self.name!r}>"

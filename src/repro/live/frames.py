@@ -30,7 +30,7 @@ by the *existing* codec in :mod:`repro.viper.wire` and
 when the high bit of ``kind`` is set (:data:`FLAG_TRACED`), an 8-byte
 big-endian trace id follows the fixed preamble and the VIPER body
 starts at byte 19 instead of 11.  Routers copy the id through on every
-hop (:func:`strip_and_append` preserves it), so one 64-bit transport
+hop (:func:`hop_move_into` preserves it), so one 64-bit transport
 identifier names the transaction at every node it crosses — the live
 analogue of the sim's ``SirpentPacket.trace_id`` metadata.  A traced
 flag with a zero id, or on an ACK frame, is a decode error; untraced
@@ -41,6 +41,11 @@ routers rewrite it on every hop (decrementing ``segCount``), exactly as
 a link layer would re-frame.  Everything after it is untouched VIPER
 bytes, which is what lets the live router strip/reverse/append with the
 same codec the simulator uses.
+
+There is **one** per-hop transform and it works in place on a ring-slot
+view: :func:`hop_move_into` (and :func:`slick_reroute_into` for the
+Slick-Packets splice).  The structural reference they are fuzzed
+against lives with its tests, in ``tests/live/oracle.py``.
 """
 
 from __future__ import annotations
@@ -335,23 +340,7 @@ def decode_live_frame(
     return preamble, packet, payload_bytes
 
 
-# -- router fast path --------------------------------------------------------
-
-
-def peek_leading_segment(datagram: bytes) -> Tuple[Preamble, HeaderSegment]:
-    """Decode only what a cut-through router needs: preamble + first segment.
-
-    This is the live analogue of the paper's observation that the fixed
-    fields lead so the switching decision can start before the rest of
-    the packet arrives — the router never parses payload or trailer.
-    """
-    preamble = decode_preamble(datagram)
-    if preamble.kind != FRAME_DATA:
-        raise ViperDecodeError("not a data frame")
-    if preamble.seg_count == 0:
-        raise ViperDecodeError("no header segments remain")
-    segment, _ = decode_segment(datagram, preamble.header_len)
-    return preamble, segment
+# -- the router's hop move (in place, on buffer-ring views) -------------------
 
 
 def _flag_slick_at(buffer, offset: int) -> bool:
@@ -385,65 +374,6 @@ def leading_alt_block(
         return block
     except ViperDecodeError:
         return None
-
-
-def strip_and_append(
-    datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
-) -> bytes:
-    """The router's core move, on raw bytes.
-
-    Strip the leading header segment, append the reversed return hop
-    (plus its 2-byte back-length) to the trailer, decrement the
-    preamble's segment count and restamp the hop sequence.  Payload and
-    the other segments are copied through untouched — byte-for-byte the
-    same strip/reverse/append the simulator's router performs
-    structurally.
-
-    **Zero-copy fast path**: the strip boundary comes from
-    :func:`repro.viper.wire.segment_span` (arithmetic, no segment object)
-    and the untouched middle — remaining segments ++ payload ++ trailer —
-    is a :class:`memoryview` slice that ``join`` copies exactly once
-    into the output frame.  Nothing between the stripped segment and the
-    appended trailer element is ever decoded or re-encoded;
-    :func:`strip_and_append_slow` is the structural reference this is
-    tested byte-exact against.
-    """
-    preamble = decode_preamble(datagram)
-    if preamble.kind != FRAME_DATA or preamble.seg_count == 0:
-        raise ViperDecodeError("cannot forward: no leading segment")
-    next_offset = segment_span(datagram, preamble.header_len)
-    encoded_return = encode_segment(return_segment)
-    if len(encoded_return) >= TRUNCATION_SENTINEL:
-        raise ValueError("return segment too large to frame in the trailer")
-    new_preamble = encode_preamble(
-        FRAME_DATA, seq, preamble.seg_count - 1, preamble.payload_len,
-        trace_id=preamble.trace_id,
-    )
-    back_length = len(encoded_return).to_bytes(TRAILER_LENGTH_BYTES, "big")
-    if _flag_slick_at(datagram, preamble.header_len):
-        # A slick leading segment takes its (leading) alternate block
-        # with it: copy the surviving segments, skip the block, copy the
-        # rest — still no decode of anything forwarded.
-        header_end = next_offset
-        for _ in range(preamble.seg_count - 1):
-            header_end = segment_span(datagram, header_end)
-        block_end = alt_block_span(datagram, header_end)
-        return b"".join((
-            new_preamble,
-            memoryview(datagram)[next_offset:header_end],
-            memoryview(datagram)[block_end:],
-            encoded_return,
-            back_length,
-        ))
-    return b"".join((
-        new_preamble,
-        memoryview(datagram)[next_offset:],
-        encoded_return,
-        back_length,
-    ))
-
-
-# -- in-place fast path (buffer-ring views) ----------------------------------
 
 
 def encode_preamble_into(
@@ -495,6 +425,19 @@ def return_tail_of(return_segment: HeaderSegment) -> bytes:
     return encoded + len(encoded).to_bytes(TRAILER_LENGTH_BYTES, "big")
 
 
+def _slide_to_head(buffer, start: int, end: int) -> int:
+    """Move ``buffer[start:end]`` to the head of its slot; returns the new end.
+
+    The short-tail-room step of the hop move: the strip has just vacated
+    ``[0:start)``, so when the return tail does not fit behind ``end``
+    the surviving frame slides there (one overlapping copy) and the tail
+    lands behind it.
+    """
+    size = end - start
+    buffer[:size] = buffer[start:end]
+    return size
+
+
 def hop_move_into(
     view, tail: bytes, preamble: Preamble = None, next_rel: int = None,
     seq: int = SEQ_NONE,
@@ -505,17 +448,17 @@ def hop_move_into(
     preamble directly before the surviving bytes — the packet *moves
     forward inside its slot* instead of being copied — and appends the
     memoized return tail (see :func:`return_tail_of`) into the slot's
-    tail-room.  Byte-exact with :func:`strip_and_append` /
-    :func:`strip_and_append_slow`; the differential fuzz suite pins
-    this.
+    tail-room; when that is too short the stripped frame first slides to
+    the head of the slot.  This is the only implementation in ``src/``;
+    ``tests/live/oracle.py`` holds the structural reference the
+    differential fuzz suite pins it against.
 
     ``preamble``/``next_rel`` (the leading segment's end, relative to
     the view start) skip re-validation when the caller already parsed
-    them.  Returns False — view untouched — when the tail-room cannot
-    hold ``tail``, in which case the caller materialises.
+    them.  Returns False — view untouched — only when the *outgoing*
+    frame is larger than the slot: a frame every peer's endpoint would
+    drop as ``oversize``, so the caller drops it with that reason.
     """
-    if view.end + len(tail) > len(view.buffer):
-        return False
     mem = view.mem
     if preamble is None:
         preamble = decode_preamble(mem)
@@ -524,6 +467,8 @@ def hop_move_into(
     if next_rel is None:
         next_rel = segment_span(mem, preamble.header_len)
     header_len = preamble.header_len
+    buffer = view.buffer
+    end = view.end
     if _flag_slick_at(mem, header_len):
         # The stripped segment takes its alternate block with it: the
         # surviving segments slide right over the block (one overlapping
@@ -532,31 +477,28 @@ def hop_move_into(
         for _ in range(preamble.seg_count - 1):
             header_end = segment_span(mem, header_end)
         block_end = alt_block_span(mem, header_end)
-        buffer = view.buffer
         keep = header_end - next_rel
         dest = view.start + block_end - keep
+        new_start = dest - header_len
+        if end - new_start + len(tail) > len(buffer):
+            return False
         if keep:
             buffer[dest:dest + keep] = bytes(
                 mem[next_rel:header_end]
             )
-        new_start = dest - header_len
-        encode_preamble_into(
-            buffer, new_start, seq, preamble.seg_count - 1,
-            preamble.payload_len, trace_id=preamble.trace_id,
-        )
-        view.start = new_start
-        end = view.end
-        buffer[end:end + len(tail)] = tail
-        view.end = end + len(tail)
-        return True
-    new_start = view.start + next_rel - header_len
+    else:
+        new_start = view.start + next_rel - header_len
+        if end - new_start + len(tail) > len(buffer):
+            return False
     encode_preamble_into(
-        view.buffer, new_start, seq, preamble.seg_count - 1,
+        buffer, new_start, seq, preamble.seg_count - 1,
         preamble.payload_len, trace_id=preamble.trace_id,
     )
+    if end + len(tail) > len(buffer):
+        end = _slide_to_head(buffer, new_start, end)
+        new_start = 0
     view.start = new_start
-    end = view.end
-    view.buffer[end:end + len(tail)] = tail
+    buffer[end:end + len(tail)] = tail
     view.end = end + len(tail)
     return True
 
@@ -573,14 +515,14 @@ def slick_reroute_into(
     forwarded right now) and the rest of the block becomes the new
     route.  The surviving alternate segments already sit contiguous in
     the buffer, so the splice is one overlapping move plus a preamble
-    rewrite, exactly like the normal hop move.
+    rewrite, exactly like the normal hop move — including the slide to
+    the slot's head when the tail-room is short.
 
-    Returns False — view untouched — when the tail-room cannot hold
-    ``tail``; raises :class:`~repro.viper.errors.ViperDecodeError` when
-    the frame carries no alternate block to splice.
+    Returns False — view untouched — only when the outgoing frame is
+    larger than the slot (see :func:`hop_move_into`); raises
+    :class:`~repro.viper.errors.ViperDecodeError` when the frame carries
+    no alternate block to splice.
     """
-    if view.end + len(tail) > len(view.buffer):
-        return False
     mem = view.mem
     if preamble is None:
         preamble = decode_preamble(mem)
@@ -609,67 +551,21 @@ def slick_reroute_into(
     # slide it right against the payload, over the remaining blocks.
     keep = block_end - alt_first_end
     buffer = view.buffer
+    end = view.end
     dest = view.start + blocks_end - keep
+    new_start = dest - header_len
+    if end - new_start + len(tail) > len(buffer):
+        return False
     if keep:
         buffer[dest:dest + keep] = bytes(mem[alt_first_end:block_end])
-    new_start = dest - header_len
     encode_preamble_into(
         buffer, new_start, seq, alt_count - 1,
         preamble.payload_len, trace_id=preamble.trace_id,
     )
+    if end + len(tail) > len(buffer):
+        end = _slide_to_head(buffer, new_start, end)
+        new_start = 0
     view.start = new_start
-    end = view.end
     buffer[end:end + len(tail)] = tail
     view.end = end + len(tail)
     return True
-
-
-def strip_and_append_slow(
-    datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
-) -> bytes:
-    """Reference strip/reverse/append through the structural codec.
-
-    Decodes the whole frame into a :class:`SirpentPacket`, performs
-    :meth:`~repro.viper.packet.SirpentPacket.advance`, and re-encodes —
-    every byte round-trips through the object layer.  Semantically
-    identical to :func:`strip_and_append`; it exists so a test can
-    assert the zero-copy fast path is byte-exact against it on any
-    decodable frame.
-    """
-    preamble, packet, payload_bytes = decode_live_frame(datagram)
-    if preamble.seg_count == 0:
-        raise ViperDecodeError("cannot forward: no leading segment")
-    packet.advance(return_segment)
-    encoded_return = encode_segment(return_segment)
-    if len(encoded_return) >= TRUNCATION_SENTINEL:
-        raise ValueError("return segment too large to frame in the trailer")
-    return encode_live_frame(
-        packet, payload_bytes, seq=seq, trace_id=preamble.trace_id
-    )
-
-
-def slick_reroute_slow(
-    datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
-) -> bytes:
-    """Reference slick reroute through the structural codec.
-
-    The materialising twin of :func:`slick_reroute_into`: decodes the
-    whole frame, replaces the route with the leading alternate block
-    (:meth:`~repro.viper.packet.SirpentPacket.apply_slick_reroute`),
-    takes the block's first hop and re-encodes.  The live router falls
-    back to it when a ring slot has no tail-room; the differential
-    tests assert the in-place move is byte-exact against it.
-    """
-    preamble, packet, payload_bytes = decode_live_frame(datagram)
-    if preamble.seg_count == 0:
-        raise ViperDecodeError("cannot forward: no leading segment")
-    if not packet.segments[0].slick or not packet.alternates:
-        raise ViperDecodeError("cannot reroute: leading segment is not slick")
-    packet.apply_slick_reroute(packet.alternates[0])
-    packet.advance(return_segment)
-    encoded_return = encode_segment(return_segment)
-    if len(encoded_return) >= TRUNCATION_SENTINEL:
-        raise ValueError("return segment too large to frame in the trailer")
-    return encode_live_frame(
-        packet, payload_bytes, seq=seq, trace_id=preamble.trace_id
-    )

@@ -126,10 +126,9 @@ class LiveHost:
         # One wakeup, many frames: the endpoint hands whole batches of
         # ring-slot views.  A host is where packets leave the overlay —
         # reception decodes the full frame into a SirpentPacket anyway —
-        # so each view is materialised once, its slot released straight
-        # away (before any handler runs), and the per-frame path reused.
+        # so each view is materialised once and its slot released straight
+        # away (before any handler runs).
         self.endpoint.on_batch = self._on_batch
-        self.endpoint.on_frame = self._on_frame
         self.reliable_hops = reliable_hops
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}
@@ -200,6 +199,11 @@ class LiveHost:
         this frame — the id then rides the wire in the traced-frame
         preamble option; a non-zero value continues an existing trace
         (the reply path); 0 forces "untraced".
+
+        Raises :class:`ValueError` for a frame larger than a ring slot:
+        every receiving endpoint drops such a datagram as ``oversize``
+        *before* acking it, so sending it would only burn the hop's
+        retries and get a healthy neighbour declared dead.
         """
         # The packet shares the route's segment objects wherever they
         # already carry this send's priority/DIB (every segment of a
@@ -237,10 +241,13 @@ class LiveHost:
             raise KeyError(
                 f"{self.name}: no live attachment on port {route.first_hop_port}"
             )
-        self.endpoint.send(
-            encode_live_frame(packet, payload), peer,
-            reliable=self.reliable_hops,
-        )
+        frame = encode_live_frame(packet, payload)
+        if len(frame) > self.endpoint.ring.slot_bytes:
+            raise ValueError(
+                f"frame of {len(frame)} bytes exceeds the overlay's "
+                f"{self.endpoint.ring.slot_bytes}-byte slot"
+            )
+        self.endpoint.send(frame, peer, reliable=self.reliable_hops)
         return packet
 
     def send_return(
@@ -276,11 +283,9 @@ class LiveHost:
             self._on_frame(datagram, source, preamble)
 
     def _on_frame(
-        self, datagram: bytes, source: Address,
-        preamble: Optional[Preamble] = None,
+        self, datagram: bytes, source: Address, preamble: Preamble,
     ) -> None:
-        """Deliver one frame; ``preamble`` is the endpoint's decode of it
-        (None on the per-frame fallback, which decodes here)."""
+        """Deliver one frame; ``preamble`` is the endpoint's decode of it."""
         try:
             _preamble, packet, payload = decode_live_frame(
                 datagram, preamble

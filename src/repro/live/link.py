@@ -12,8 +12,7 @@ callbacks.  The endpoint provides:
   :class:`~repro.viper.ring.BufferRing` slots and hands the whole
   batch of :class:`~repro.viper.wire.PacketView` s to :attr:`on_batch`
   in one call, so the per-datagram cost of the event loop is amortised
-  N ways and no ``bytes`` object is built for the datagram
-  (:attr:`on_frame` remains as the materialising per-frame fallback),
+  N ways and no ``bytes`` object is built for the datagram,
 * **per-hop reliability** — frames sent with :meth:`LiveEndpoint.send`
   / :meth:`~LiveEndpoint.send_view` under ``reliable=True`` carry a
   hop sequence number; the receiving endpoint acks it immediately and
@@ -35,8 +34,8 @@ callbacks.  The endpoint provides:
   fault seams off the zero-allocation path without changing them.
 
 The endpoint knows nothing about routing; routers and hosts subscribe
-via :attr:`on_batch` (views, each with the preamble this endpoint
-already decoded) or :attr:`on_frame` (bytes).
+via :attr:`on_batch` — the one consumer callback — and receive views,
+each with the preamble this endpoint already decoded.
 
 **View ownership**: a batch consumer owns every slot in the batch and
 must release each view (or hand it to :meth:`send_view`, which then
@@ -266,9 +265,6 @@ class LiveEndpoint:
         #: no consumer decodes it a second time.  The consumer owns (and
         #: must release) every view's slot.
         self.on_batch: Optional[Callable[[List[BatchEntry]], None]] = None
-        #: Per-frame fallback callback: ``on_frame(datagram, source)``
-        #: (materialises each datagram; used when ``on_batch`` is unset).
-        self.on_frame: Optional[Callable[[bytes, Address], None]] = None
         #: Called once per reliable frame abandoned after all retries.
         self.on_peer_dead: Optional[Callable[[Address], None]] = None
         #: Called on every retransmission: ``on_retry(addr, seq, gap_s)``
@@ -368,8 +364,7 @@ class LiveEndpoint:
         With ``reliable=True`` the frame is restamped with a fresh
         nonzero sequence number, acked by the receiving endpoint and
         retried on timeout; the caller's preamble must carry seq 0 (use
-        :func:`repro.live.frames.strip_and_append` /
-        :func:`~repro.live.frames.encode_live_frame` with their default
+        :func:`~repro.live.frames.encode_live_frame` with its default
         ``seq``) — this method owns the sequence space.
         """
         if self.closed or self._sock is None:
@@ -722,11 +717,6 @@ class LiveEndpoint:
         self.rx_datagrams += len(batch)
         if self.on_batch is not None:
             self.on_batch(batch)
-        elif self.on_frame is not None:
-            for view, source, _preamble in batch:
-                datagram = view.tobytes()
-                view.release()
-                self.on_frame(datagram, source)
         else:
             for view, _source, _preamble in batch:
                 view.release()

@@ -1,20 +1,25 @@
 """A Sirpent router as a live asyncio UDP daemon — the overlay's driver.
 
-:class:`LiveRouter` receives VIPER frames on a real socket, decodes the
-*leading* header segment with the existing codec
-(:func:`repro.live.frames.peek_leading_segment`), runs the **same**
-sans-IO :class:`repro.dataplane.ForwardingPipeline` as the simulator's
+:class:`LiveRouter` receives VIPER frames on a real socket as batches of
+ring-slot views, parses the *leading* header segment in place
+(:func:`repro.viper.wire.parse_segment_view`), runs the **same** sans-IO
+:class:`repro.dataplane.ForwardingPipeline` as the simulator's
 :class:`~repro.core.router.SirpentRouter` — token-cache admission, the
-§2.2 flow cache, strip/reverse/append planning — and forwards the
-rewritten bytes out the named port, which in the overlay is a UDP peer
-address.  Port 0 delivers locally, exactly as §5 reserves it.
+§2.2 flow cache, strip/reverse/append planning — and forwards the frame
+out the named port, which in the overlay is a UDP peer address.  Port 0
+delivers locally, exactly as §5 reserves it.
+
+A frame crosses the router one way only: ``_on_batch`` →
+``_forward_view`` → :func:`~repro.live.frames.hop_move_into` (or
+:func:`~repro.live.frames.slick_reroute_into`) →
+:meth:`~repro.live.link.LiveEndpoint.send_view`.  The frame never leaves
+its slot and there is no materialising twin.
 
 Sim↔live decision parity is *structural*: both routers call the one
 pipeline, so the parity tests assert plumbing, not a duplicated
-algorithm.  :meth:`LiveRouter.decide` remains as the thin entry tests
-use to probe a single decision.
+algorithm.
 
-Unsupported in the live overlay (v1): multicast fan-out/tree ports and
+Unsupported in the live overlay: multicast fan-out/tree ports and
 logical-port splicing — the pipeline is built with
 ``Capabilities(multicast=False)`` and an empty logical map, so frames
 naming them are dropped and counted, never crash the daemon.
@@ -45,11 +50,8 @@ from repro.live.frames import (
     Preamble,
     hop_move_into,
     leading_alt_block,
-    peek_leading_segment,
     return_tail_of,
     slick_reroute_into,
-    slick_reroute_slow,
-    strip_and_append,
 )
 from repro.live.link import (
     Address,
@@ -198,11 +200,8 @@ class LiveRouter:
             name, metrics=self.metrics,
             impairments=impairments, reliability=reliability,
         )
-        # Fast path: whole batches of ring-slot views per loop wakeup.
-        # ``_on_frame`` stays wired as the materialising fallback (and as
-        # the differential oracle the fuzz suite forwards through).
+        # Whole batches of ring-slot views per loop wakeup.
         self.endpoint.on_batch = self._on_batch
-        self.endpoint.on_frame = self._on_frame
         #: Reusable hop-decision input — one mutable record the batch
         #: path restamps per frame instead of allocating per packet.
         self._hop = HopInput(
@@ -337,62 +336,27 @@ class LiveRouter:
 
     # -- decide (pipeline) then apply (driver) -----------------------------
 
-    def decide(
-        self,
-        preamble: Preamble,
-        segment: HeaderSegment,
-        in_port: int = UNKNOWN_IN_PORT,
-        alternate: Optional[Callable[[], Optional[List[HeaderSegment]]]] = None,
-    ) -> Decision:
-        """One switching decision through the shared sans-IO pipeline.
+    def _reverse_hop_portinfo(self) -> bytes:
+        """`reverse_portinfo` thunk for the reusable HopInput.
 
-        ``in_port`` is the VIPER port the frame arrived on;
-        :data:`~repro.dataplane.UNKNOWN_IN_PORT` (tests probing a bare
-        decision, frames from unwired peers) still yields the full
-        verdict but no return segment and no flow-cache install.
-        ``alternate`` supplies the frame's leading Slick-Packets block
-        to the reroute stage (None = the frame carries none).
-        """
-        return self.pipeline.decide(HopInput(
-            segment=segment,
-            seg_count=preamble.seg_count,
-            # Charged size: the payload length the preamble declares
-            # (the sim charges the full structural wire size).
-            wire_size=preamble.payload_len,
-            in_port=in_port,
-            now_ms=self._now_ms(),
-            reverse_portinfo=lambda: self._reverse_portinfo(segment),
-            alternate=alternate if alternate is not None else lambda: None,
-        ))
-
-    @staticmethod
-    def _reverse_portinfo(segment: HeaderSegment) -> bytes:
-        """Reverse the hop's network-specific bytes for the return route.
-
-        An Ethernet-shaped portInfo is reversed (src/dst swap); a
+        Reverses the hop's network-specific bytes for the return route:
+        an Ethernet-shaped portInfo is reversed (src/dst swap); a
         point-to-point/UDP hop's is empty — the same link-layer rule the
         sim driver applies to its arrival transmission.
         """
-        if len(segment.portinfo) == ETHERNET_INFO_BYTES:
+        portinfo = self._hop.segment.portinfo
+        if len(portinfo) == ETHERNET_INFO_BYTES:
             try:
-                return EthernetInfo.from_bytes(
-                    segment.portinfo
-                ).reversed().to_bytes()
+                return EthernetInfo.from_bytes(portinfo).reversed().to_bytes()
             except ViperDecodeError:  # pragma: no cover - length-checked
                 return b""
         return b""
 
-    def _reverse_hop_portinfo(self) -> bytes:
-        """`reverse_portinfo` thunk for the reusable batch-path HopInput."""
-        return self._reverse_portinfo(self._hop.segment)
-
     def _leading_alternate(self) -> Optional[List[HeaderSegment]]:
-        """`alternate` thunk for the reusable batch-path HopInput."""
+        """`alternate` thunk for the reusable HopInput."""
         return leading_alt_block(
             self._frame_mem, self._frame_header_len, self._hop.seg_count
         )
-
-    # -- the zero-allocation batch path ------------------------------------
 
     def _sink_for(self, trace_id: int) -> _LiveEffectSink:
         """The router's effect sink, restamped for one frame."""
@@ -424,11 +388,12 @@ class LiveRouter:
         (:func:`~repro.live.frames.hop_move_into`): the preamble is
         rewritten just before the surviving segments and the memoized
         return tail (``Decision.return_tail``, encoded once at
-        flow-cache install) lands in the slot's tail-room.  Only a slot
-        with no tail-room left falls back to the materialising
-        :func:`~repro.live.frames.strip_and_append` — byte-exact by the
-        differential fuzz suite, so the fallback is a performance
-        seam, not a behavioural one.
+        flow-cache install) lands in the slot's tail-room, the frame
+        sliding to the slot's head first when that is short.  The move
+        refuses only a frame whose *outgoing* size exceeds the slot —
+        one the next endpoint would drop as ``oversize`` unacked — so it
+        is dropped here, with that reason, instead of being retried
+        into a false ``on_peer_dead``.
         """
         mem = view.mem
         header_len = preamble.header_len
@@ -475,6 +440,10 @@ class LiveRouter:
             return
         # FORWARD (FANOUT cannot happen: multicast=False drops earlier).
         if in_port == UNKNOWN_IN_PORT:
+            # A frame from an unwired peer cannot get a correct return
+            # hop; refusing it mirrors Sirpent's "routes only work when
+            # every hop is reversible".  The decision above still ran
+            # the token cache.
             view.release()
             apply_drop(sink, Decision(Action.DROP, reason="unknown_peer"))
             return
@@ -492,54 +461,29 @@ class LiveRouter:
                 view.release()
                 apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
                 return
-        dest = self.ports[decision.out_port]
-        if decision.slick_reroute:
-            self._count_slick_reroute(sink, in_port, decision)
-            try:
-                moved = slick_reroute_into(view, tail, preamble)
-            except ViperDecodeError:
-                # The bytes contradict the decision (no slick block
-                # where the thunk just decoded one): corrupt frame.
-                view.release()
-                apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                return
-            if moved:
-                self._count_forward(sink, in_port, decision)
-                self.endpoint.send_view(
-                    view, dest, reliable=self.config.reliable_hops,
-                )
-                return
-            # No tail-room (or a stale view): materialise this frame.
-            datagram = view.tobytes()
-            view.release()
-            try:
-                forwarded = slick_reroute_slow(
-                    datagram, decision.return_segment
-                )
-            except (ViperDecodeError, ValueError):
-                apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                return
-            self._count_forward(sink, in_port, decision)
-            self.endpoint.send(
-                forwarded, dest, reliable=self.config.reliable_hops
-            )
-            return
-        if hop_move_into(view, tail, preamble, next_rel=segment.end):
-            self._count_forward(sink, in_port, decision)
-            self.endpoint.send_view(
-                view, dest, reliable=self.config.reliable_hops,
-            )
-            return
-        # No tail-room left in the slot: materialise this one frame.
-        datagram = view.tobytes()
-        view.release()
         try:
-            forwarded = strip_and_append(datagram, decision.return_segment)
-        except (ViperDecodeError, ValueError):
+            if decision.slick_reroute:
+                self._count_slick_reroute(sink, in_port, decision)
+                moved = slick_reroute_into(view, tail, preamble)
+            else:
+                moved = hop_move_into(
+                    view, tail, preamble, next_rel=segment.end
+                )
+        except ViperDecodeError:
+            # The bytes contradict the decision (a slick flag with no
+            # well-formed block behind the route): corrupt frame.
+            view.release()
             apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
             return
+        if not moved:
+            view.release()
+            apply_drop(sink, Decision(Action.DROP, reason="oversize"))
+            return
         self._count_forward(sink, in_port, decision)
-        self.endpoint.send(forwarded, dest, reliable=self.config.reliable_hops)
+        self.endpoint.send_view(
+            view, self.ports[decision.out_port],
+            reliable=self.config.reliable_hops,
+        )
 
     def _count_slick_reroute(
         self, sink: _LiveEffectSink, in_port: int, decision: Decision,
@@ -570,79 +514,6 @@ class LiveRouter:
                 "frame_forwarded", node=self.name,
                 in_port=in_port, out_port=decision.out_port,
             )
-
-    # -- the materialising fallback path -----------------------------------
-
-    def _on_frame(self, datagram: bytes, source: Address) -> None:
-        try:
-            preamble, segment = peek_leading_segment(datagram)
-        except ViperDecodeError:
-            # Line noise / malformed frame: drop and count, never crash.
-            # No preamble decoded, so no trace id — the sink still keeps
-            # the counter and the (no-op) trace in one applicator.
-            apply_drop(
-                self._sink_for(0),
-                Decision(Action.DROP, reason="undecodable"),
-            )
-            return
-        sink = self._sink_for(preamble.trace_id)
-        in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
-        if self.dead_ports:
-            self._revive_port(in_port)
-        decision = self.decide(
-            preamble, segment, in_port=in_port,
-            alternate=lambda: leading_alt_block(
-                datagram, preamble.header_len, preamble.seg_count
-            ),
-        )
-        if decision.action is Action.DROP:
-            apply_drop(sink, decision)
-            return
-        if decision.action is Action.DELIVER_LOCAL:
-            self.metrics.delivered_local += 1
-            sink.trace_event("deliver_local")
-            if self.recorder.enabled:
-                self.recorder.record("frame_delivered", node=self.name)
-            if self.local_handler is not None:
-                self.local_handler(datagram, source)
-            return
-        # FORWARD (FANOUT cannot happen: multicast=False drops earlier).
-        if in_port == UNKNOWN_IN_PORT:
-            # A frame from an unwired peer cannot get a correct return
-            # hop; refusing it mirrors Sirpent's "routes only work when
-            # every hop is reversible".  The decision above still ran
-            # the token cache, matching the pre-refactor drop order.
-            apply_drop(sink, Decision(Action.DROP, reason="unknown_peer"))
-            return
-        sink.trace_event(
-            "switch_decision", in_port=in_port, out_port=decision.out_port,
-        )
-        try:
-            if decision.slick_reroute:
-                self._count_slick_reroute(sink, in_port, decision)
-                forwarded = slick_reroute_slow(
-                    datagram, decision.return_segment
-                )
-            else:
-                forwarded = strip_and_append(datagram, decision.return_segment)
-        except (ViperDecodeError, ValueError):
-            apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-            return
-        self.metrics.forwarded += 1
-        sink.trace_event(
-            "strip_reverse_append",
-            out_port=decision.out_port,
-            segments_left=decision.segments_left,
-        )
-        if self.recorder.enabled:
-            self.recorder.record(
-                "frame_forwarded", node=self.name,
-                in_port=in_port, out_port=decision.out_port,
-            )
-        self.endpoint.send(
-            forwarded, self.ports[decision.out_port],
-            reliable=self.config.reliable_hops,
-        )
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started_at) * 1000)

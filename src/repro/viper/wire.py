@@ -480,11 +480,8 @@ class PacketView:
         return len(self.buffer) - self.end
 
     def append(self, data) -> bool:  # sirlint: hot
-        """Append ``data`` into the tail-room; False when it cannot fit.
-
-        On False the view is untouched — the caller falls back to the
-        materialising slow path.
-        """
+        """Append ``data`` into the tail-room; False — view untouched —
+        when it cannot fit."""
         n = len(data)
         end = self.end
         if end + n > len(self.buffer):

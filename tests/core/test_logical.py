@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.logical import LogicalPortMap, SelectionPolicy
+from repro.dataplane.logical import LogicalPortMap, SelectionPolicy
 from repro.viper.portinfo import LogicalInfo
 from repro.viper.wire import HeaderSegment
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.multicast import (
+from repro.dataplane.multicast import (
     BROADCAST_PORT,
     GROUP_PORT_BASE,
     GroupPortMap,

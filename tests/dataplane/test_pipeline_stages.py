@@ -13,8 +13,8 @@ they meet.  These tests pin the interactions the ISSUE calls out:
 
 import pytest
 
-from repro.core.logical import LogicalPortMap, SelectionPolicy
-from repro.core.multicast import GroupPortMap, TREE_PORT, TreeBranch, encode_tree_info
+from repro.dataplane.logical import LogicalPortMap, SelectionPolicy
+from repro.dataplane.multicast import GroupPortMap, TREE_PORT, TreeBranch, encode_tree_info
 from repro.dataplane import (
     Action,
     Capabilities,

@@ -18,8 +18,8 @@ timeout.  These tests pin the stage-3b semantics:
 
 import pytest
 
-from repro.core.logical import LogicalPortMap
-from repro.core.multicast import GroupPortMap
+from repro.dataplane.logical import LogicalPortMap
+from repro.dataplane.multicast import GroupPortMap
 from repro.dataplane import (
     Action,
     Capabilities,

@@ -2,7 +2,7 @@
 
 
 from repro.core.host import SirpentHost
-from repro.core.logical import SelectionPolicy
+from repro.dataplane.logical import SelectionPolicy
 from repro.core.router import SirpentRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator

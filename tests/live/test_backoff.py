@@ -133,7 +133,9 @@ def test_real_retransmissions_follow_the_jittered_schedule():
         await sender.open()
         # A bound-but-silent peer: frames vanish, acks never come.
         silent = LiveEndpoint("silent")
-        silent.on_frame = lambda data, addr: None
+        silent.on_batch = lambda batch: [
+            view.release() for view, _addr, _preamble in batch
+        ]
         silent.fault_hook = None
         addr = await silent.open()
         silent.close()  # closed socket = black hole

@@ -2,8 +2,8 @@
 
 The acceptance criteria exercised here:
 
-* a **v1** client (no ``v`` field) interoperates with a v2 server —
-  same frames, same response shapes as PR 1;
+* there is one wire protocol: a frame without ``v`` (or that is not a
+  JSON object at all) is refused *by name* and the server keeps serving;
 * a replayed v2 write returns the **byte-identical** cached response
   and is never re-executed;
 * in-flight commands on one connection complete concurrently — a slow
@@ -80,63 +80,41 @@ async def _raw_exchange(address, lines):
     return out
 
 
-# -- v1 interop ------------------------------------------------------------
+# -- one protocol: everything else is refused by name ------------------------
 
-def test_v1_client_interoperates_with_v2_server():
-    async def scenario():
-        server = LiveDirectoryServer(lambda client, query: [_route()])
-        address = await server.start()
-        client = LiveDirectoryClient("legacy", protocol_version=1)
-        await client.connect(address)
-        assert await client.ping()
-        routes = await client.routes("server.region.net", k=1)
-        client.close()
-        server.stop()
-        return routes, server.v1_frames, server.v2_frames
-
-    routes, v1_frames, v2_frames = asyncio.run(scenario())
-    assert len(routes) == 1
-    assert routes[0].destination == "server.region.net"
-    assert v1_frames == 2 and v2_frames == 0
-
-
-def test_v1_response_shape_is_untouched():
-    """A v-less frame gets a PR 1 response: ``result``, no ``v``, no
-    ``status`` — pinned at the byte level so old parsers keep working."""
-
-    async def scenario():
-        server = LiveDirectoryServer(lambda client, query: [])
-        address = await server.start()
-        (line,) = await _raw_exchange(address, [
-            '{"id": "q-1", "method": "ping", "params": {}}\n',
-        ])
-        server.stop()
-        return json.loads(line.decode())
-
-    response = asyncio.run(scenario())
-    assert response == {"id": "q-1", "result": {"pong": True}}
-
-
-def test_v1_writes_are_unknown_methods():
-    """Writes arrived with v2; a v1 frame asking for one gets the v1
-    error shape, not a crash or a silent execution."""
-
+@pytest.mark.parametrize("line, code", [
+    # No "v": what a PR 1 (v1) client sent.  Reads and writes alike.
+    ('{"id": "q-1", "method": "ping", "params": {}}', "version_unsupported"),
+    ('{"id": "q-1", "method": "register_host", '
+     '"params": {"name": "h.region.net", "node": "n"}}',
+     "version_unsupported"),
+    ('[1, 2, 3]', "bad_request"),          # JSON, but not an object
+    ('{"v": 2, "id": "q-1", "meth', "bad_request"),   # not JSON at all
+])
+def test_foreign_frame_is_refused_by_name_and_server_keeps_serving(line, code):
     async def scenario():
         backend = _Backend()
         server = LiveDirectoryServer(
             lambda client, query: [], backend=backend
         )
         address = await server.start()
-        (line,) = await _raw_exchange(address, [
-            '{"id": "q-1", "method": "register_host", '
-            '"params": {"name": "h.region.net", "node": "n"}}\n',
+        refused, served = await _raw_exchange(address, [
+            line + "\n",
+            '{"v": 2, "id": "q-2", "method": "ping", "params": {}}\n',
         ])
         server.stop()
-        return json.loads(line.decode()), backend.executions
+        return (
+            json.loads(refused.decode()), json.loads(served.decode()),
+            backend.executions, server.errors,
+        )
 
-    response, executions = asyncio.run(scenario())
-    assert "error" in response
-    assert executions == 0
+    refused, served, executions, errors = asyncio.run(scenario())
+    assert refused["v"] == 2 and refused["status"] == "failure"
+    assert refused["error"]["code"] == code
+    assert executions == 0 and errors == 1
+    # Same connection, next line: served normally.
+    assert served["status"] == "success"
+    assert served["result"] == {"pong": True}
 
 
 # -- v2 typed protocol -----------------------------------------------------
@@ -148,7 +126,7 @@ def test_v2_client_round_trips_typed_success():
             lambda client, query: [_route()], backend=backend
         )
         address = await server.start()
-        client = LiveDirectoryClient("modern")  # v2 by default
+        client = LiveDirectoryClient("modern")
         await client.connect(address)
         result = await client.register_host("h.region.net", "node-a")
         routes = await client.routes("server.region.net")

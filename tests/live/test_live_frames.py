@@ -1,9 +1,9 @@
 """The live overlay's byte framing, without any sockets.
 
 The live datagram must carry the *byte-exact* VIPER packet behind its
-preamble, survive the router's strip/reverse/append performed on raw
-bytes, and reject malformed input with a single exception type — the
-same totality contract the wire codec's fuzz suite enforces.
+preamble, survive the router's strip/reverse/append performed in place
+on those bytes, and reject malformed input with a single exception type
+— the same totality contract the wire codec's fuzz suite enforces.
 """
 
 import pytest
@@ -18,12 +18,14 @@ from repro.live.frames import (
     encode_ack,
     encode_live_frame,
     encode_preamble,
-    peek_leading_segment,
-    strip_and_append,
+    hop_move_into,
+    return_tail_of,
 )
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket, TrailerElement, build_return_route
-from repro.viper.wire import HeaderSegment
+from repro.viper.ring import BufferRing
+from repro.viper.wire import HeaderSegment, parse_segment_view
+from tests.live.oracle import hop_in_place, slot_view
 
 
 def _packet(payload: bytes) -> SirpentPacket:
@@ -70,21 +72,24 @@ def test_live_frame_roundtrip():
     ]
 
 
-def test_peek_matches_full_decode():
+def test_leading_segment_view_matches_full_decode():
+    """What the router reads to decide — the segment right behind the
+    preamble — is the first segment of the full decode."""
     payload = b"x" * 64
     packet = _packet(payload)
     datagram = encode_live_frame(packet, payload)
-    preamble, leading = peek_leading_segment(datagram)
-    assert leading == packet.segments[0]
+    preamble = decode_preamble(datagram)
+    leading = parse_segment_view(datagram, preamble.header_len)
+    assert leading.copy() == packet.segments[0]
     assert preamble.payload_len == len(payload)
 
 
-def test_strip_and_append_is_the_router_move():
+def test_hop_move_is_the_router_move():
     payload = b"payload-bytes"
     packet = _packet(payload)
     datagram = encode_live_frame(packet, payload)
     return_hop = HeaderSegment(port=4, priority=3, rpf=True)
-    forwarded = strip_and_append(datagram, return_hop)
+    forwarded = hop_in_place(datagram, return_hop)
     preamble, decoded, decoded_payload = decode_live_frame(forwarded)
     # One segment consumed, payload untouched, return hop appended last.
     assert preamble.seg_count == 2
@@ -95,11 +100,11 @@ def test_strip_and_append_is_the_router_move():
     assert build_return_route(decoded)[0].port == 4
 
 
-def test_strip_and_append_restamps_sequence():
+def test_hop_move_restamps_sequence():
     payload = b"p"
     packet = _packet(payload)
     datagram = encode_live_frame(packet, payload, seq=77)
-    forwarded = strip_and_append(datagram, HeaderSegment(port=4), seq=SEQ_NONE)
+    forwarded = hop_in_place(datagram, HeaderSegment(port=4), seq=SEQ_NONE)
     assert decode_preamble(forwarded).seq == SEQ_NONE
 
 
@@ -127,6 +132,8 @@ def test_exhausted_frame_cannot_be_forwarded():
         segments=[HeaderSegment(port=1)], payload_size=1, payload=payload,
     )
     datagram = encode_live_frame(packet, payload)
-    stripped = strip_and_append(datagram, HeaderSegment(port=2))
+    stripped = hop_in_place(datagram, HeaderSegment(port=2))
+    view = slot_view(BufferRing(slots=1), stripped)
     with pytest.raises(ViperDecodeError):
-        strip_and_append(stripped, HeaderSegment(port=3))
+        hop_move_into(view, return_tail_of(HeaderSegment(port=3)))
+    view.release()

@@ -77,7 +77,13 @@ def test_udp_socketpair_roundtrip():
         sender = LiveEndpoint("a")
         receiver = LiveEndpoint("b")
         received = []
-        receiver.on_frame = lambda data, addr: received.append(data)
+
+        def on_batch(batch):
+            for view, _addr, _preamble in batch:
+                received.append(view.tobytes())
+                view.release()
+
+        receiver.on_batch = on_batch
         await sender.open()
         addr = await receiver.open()
         payload = b"over a real socket"
@@ -107,7 +113,9 @@ def test_reliable_send_acks_and_dead_peer():
         sender = LiveEndpoint("a")
         sender.reliability.ack_timeout_s = 0.02
         receiver = LiveEndpoint("b")
-        receiver.on_frame = lambda data, addr: None
+        receiver.on_batch = lambda batch: [
+            view.release() for view, _addr, _preamble in batch
+        ]
         await sender.open()
         addr = await receiver.open()
         payload = b"x"
@@ -124,6 +132,81 @@ def test_reliable_send_acks_and_dead_peer():
         assert sender.metrics.retries >= 1
         assert sender.metrics.dropped("peer_dead") == 1
         sender.close()
+
+    asyncio.run(scenario())
+
+
+def test_endpoint_drops_an_oversize_datagram_unacked():
+    """A datagram larger than a ring slot is truncated by the kernel
+    (``MSG_TRUNC``): counted ``oversize``, never delivered, never acked;
+    one of exactly the slot size is an ordinary frame."""
+
+    async def scenario():
+        sender = LiveEndpoint("a")
+        receiver = LiveEndpoint("b")
+        received = []
+
+        def on_batch(batch):
+            for view, _addr, _preamble in batch:
+                received.append(len(view))
+                view.release()
+
+        receiver.on_batch = on_batch
+        await sender.open()
+        addr = await receiver.open()
+        slot_bytes = receiver.ring.slot_bytes
+
+        def frame_of(size):
+            # 11-byte preamble + one 4-byte segment + payload.
+            payload = b"x" * (size - 15)
+            frame = encode_live_frame(SirpentPacket(
+                segments=[HeaderSegment(port=0)],
+                payload_size=len(payload), payload=payload,
+            ), payload)
+            assert len(frame) == size
+            return frame
+
+        sender.send(frame_of(slot_bytes + 1), addr, reliable=True)
+        await _eventually(lambda: receiver.metrics.dropped("oversize") == 1)
+        assert received == [] and receiver.metrics.acks_out == 0
+        sender.send(frame_of(slot_bytes), addr, reliable=True)
+        await _eventually(lambda: sender.metrics.acks_in == 1)
+        assert received == [slot_bytes]
+        assert receiver.ring.available() == len(receiver.ring)
+        sender.close()
+        receiver.close()
+
+    asyncio.run(scenario())
+
+
+def test_host_refuses_a_frame_no_endpoint_would_accept():
+    """Regression: a 4,200-byte payload used to leave the host, be dropped
+    ``oversize`` (unacked) by the first router on every retry, and end in
+    ``on_peer_dead`` for a router that was up the whole time."""
+
+    async def scenario():
+        overlay = LiveOverlay(_line_topology())
+        await overlay.start()
+        try:
+            client, server = overlay.hosts["client"], overlay.hosts["server"]
+            client.endpoint.reliability.ack_timeout_s = 0.01
+            dead, delivered = [], []
+            client.endpoint.on_peer_dead = dead.append
+            server.bind(5, delivered.append)
+            route = overlay.routes("client", "server", dest_socket=5)[0]
+            with pytest.raises(ValueError, match="exceeds the overlay"):
+                client.send(route, b"x" * 4200)
+            assert client.metrics.frames_out == 0
+            # The largest payload that fits crosses both routers.
+            client.send(route, b"y" * 4000)
+            await _eventually(lambda: delivered)
+            assert delivered[0].payload == b"y" * 4000
+            await asyncio.sleep(0.1)  # > every retry the old bug burned
+            assert dead == []
+            assert overlay.routers["r1"].metrics.total_drops() == 0
+        finally:
+            overlay.stop()
+        await asyncio.sleep(0.01)
 
     asyncio.run(scenario())
 

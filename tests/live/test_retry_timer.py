@@ -87,7 +87,13 @@ def test_acked_heads_are_purged_without_a_timeout_and_idle_holds_no_timer():
         sender = LiveEndpoint("acked", reliability=reliability)
         receiver = LiveEndpoint("acker")
         received = []
-        receiver.on_frame = lambda datagram, addr: received.append(datagram)
+
+        def on_batch(batch):
+            for view, _addr, _preamble in batch:
+                received.append(view.tobytes())
+                view.release()
+
+        receiver.on_batch = on_batch
         timeouts = []
         on_ack_timeout = sender._on_ack_timeout
         sender._on_ack_timeout = lambda seq: (

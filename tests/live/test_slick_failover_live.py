@@ -4,14 +4,15 @@ Three layers, matching the zero-copy fastpath suite's discipline:
 
 * **byte differential** — the in-place reroute
   (:func:`~repro.live.frames.slick_reroute_into`) is byte-exact against
-  the materialising reference (:func:`~repro.live.frames.
-  slick_reroute_slow`) over every slick frame shape, including fuzzed
-  ones, and :func:`~repro.live.frames.leading_alt_block` is *total*
-  over hostile bytes;
+  the structural oracle (``tests/live/oracle.py``'s
+  ``slick_reroute_slow``) over every slick frame shape, including
+  fuzzed ones and slots with short tail-room, and
+  :func:`~repro.live.frames.leading_alt_block` is *total* over hostile
+  bytes;
 * **driver e2e** — a LiveRouter whose egress peer stopped acking
   forwards slick frames out the in-band alternate (counting
-  ``slick_reroutes``), drops exhausted ones cleanly, and the batch and
-  frame paths agree byte-for-byte;
+  ``slick_reroutes``), drops exhausted ones cleanly, and ``_on_batch``
+  agrees with the oracle byte-for-byte;
 * **sim ↔ live parity** — the same diamond topology with the same dead
   link reroutes identically on both substrates: same delivered
   payload, same reversed return route, same reroute/forward counters.
@@ -30,21 +31,28 @@ from repro.directory.service import DirectoryService, RouteQuery
 from repro.live import LiveOverlay
 from repro.live.frames import (
     decode_live_frame,
-    decode_preamble,
     encode_live_frame,
+    hop_move_into,
     leading_alt_block,
     return_tail_of,
     slick_reroute_into,
-    slick_reroute_slow,
 )
 from repro.live.host import LiveRoute
-from repro.live.router import LiveRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket
 from repro.viper.ring import BufferRing
-from repro.viper.wire import HeaderSegment, PacketView
+from repro.viper.wire import HeaderSegment
+from tests.live.oracle import (
+    batch_of,
+    capture_router,
+    expected_outcome,
+    slick_reroute_slow,
+    slot_view,
+    strip_and_append_slow,
+    sweep_tail_room,
+)
 
 
 def slick_frame(
@@ -115,12 +123,6 @@ RETURN_SEGMENTS = {
 }
 
 
-def _slot_view(ring, datagram):
-    slot = ring.acquire()
-    slot.buffer[: len(datagram)] = datagram
-    return PacketView.of_slot(slot, len(datagram))
-
-
 class TestRerouteByteExactness:
     """slick_reroute_into == slick_reroute_slow on every decodable shape."""
 
@@ -130,7 +132,7 @@ class TestRerouteByteExactness:
         datagram = SLICK_SHAPES[shape]
         return_segment = RETURN_SEGMENTS[ret]
         ring = BufferRing(slots=2)
-        view = _slot_view(ring, datagram)
+        view = slot_view(ring, datagram)
         assert slick_reroute_into(view, return_tail_of(return_segment))
         moved = view.tobytes()
         view.release()
@@ -173,18 +175,43 @@ class TestRerouteByteExactness:
         with pytest.raises(ViperDecodeError):
             slick_reroute_slow(datagram, HeaderSegment(port=7))
         ring = BufferRing(slots=1)
-        view = _slot_view(ring, datagram)
+        view = slot_view(ring, datagram)
         with pytest.raises(ViperDecodeError):
             slick_reroute_into(view, return_tail_of(HeaderSegment(port=7)))
         view.release()
 
-    def test_no_tailroom_returns_false_and_leaves_view_untouched(self):
-        datagram = SLICK_SHAPES["plain"]
-        ring = BufferRing(slots=1, slot_bytes=len(datagram) + 2)
-        view = _slot_view(ring, datagram)
-        tail = return_tail_of(HeaderSegment(port=7, token=b"R" * 32))
-        assert not slick_reroute_into(view, tail)
-        assert view.tobytes() == datagram
+    @pytest.mark.parametrize("shape", sorted(SLICK_SHAPES))
+    @pytest.mark.parametrize("in_place, oracle", [
+        (slick_reroute_into, slick_reroute_slow),
+        # Healthy egress: the ordinary strip, which takes the leading
+        # segment's alternate block with it.
+        (hop_move_into, strip_and_append_slow),
+    ])
+    def test_short_tail_room_slides_to_the_slot_head(
+        self, shape, in_place, oracle
+    ):
+        """Tail-room from none to exactly enough: both moves equal the
+        oracle whenever the output fits the slot (they drop a block, so
+        it usually does) and refuse, view untouched, when it cannot."""
+        sweep_tail_room(
+            in_place, oracle, SLICK_SHAPES[shape], RETURN_SEGMENTS["tokened"]
+        )
+
+    def test_output_larger_than_the_slot_is_refused_untouched(self):
+        """A one-segment alternate and a fat return hop: the rerouted
+        frame outgrows the slot, so False and not a byte moved."""
+        datagram = slick_frame(
+            [HeaderSegment(port=2, slick=True)], [[HeaderSegment(port=3)]],
+        )
+        return_segment = HeaderSegment(port=7, token=b"R" * 64)
+        assert len(slick_reroute_slow(datagram, return_segment)) > len(datagram)
+        ring = BufferRing(slots=1, slot_bytes=len(datagram))
+        view = slot_view(ring, datagram)
+        before = bytes(view.buffer)
+        assert not slick_reroute_into(view, return_tail_of(return_segment))
+        assert (view.start, view.end, bytes(view.buffer)) == (
+            0, len(datagram), before
+        )
         view.release()
 
     def test_fuzz_random_slick_frames_stay_byte_exact(self):
@@ -224,7 +251,7 @@ class TestRerouteByteExactness:
                 port=rng.randrange(1, 256), token=blob((0, 16)),
             )
             ring = BufferRing(slots=1)
-            view = _slot_view(ring, datagram)
+            view = slot_view(ring, datagram)
             assert slick_reroute_into(view, return_tail_of(ret)), trial
             moved = view.tobytes()
             view.release()
@@ -272,30 +299,8 @@ class TestLeadingAltBlockTotality:
             assert block is None or isinstance(block, list)
 
 
-def _capture_router(name):
-    """A LiveRouter whose endpoint transmits into a list, not a socket."""
-    router = LiveRouter(name)
-    sent = []
-
-    def send_view(view, addr, reliable=False):
-        sent.append((view.tobytes(), addr))
-        view.release()
-        return 0
-
-    def send(datagram, addr, reliable=False):
-        sent.append((bytes(datagram), addr))
-        return 0
-
-    router.endpoint.send_view = send_view
-    router.endpoint.send = send
-    router.connect_port(1, ("127.0.0.1", 9001))
-    router.connect_port(2, ("127.0.0.1", 9002))
-    router.connect_port(3, ("127.0.0.1", 9003))
-    return router, sent
-
-
 class TestLiveRouterFailover:
-    """Driver-level e2e: dead peer -> in-band reroute, both frame paths."""
+    """Driver-level e2e: dead peer -> in-band reroute through ``_on_batch``."""
 
     SOURCE = ("127.0.0.1", 9001)
     FRAME = slick_frame(
@@ -303,11 +308,21 @@ class TestLiveRouterFailover:
         [[HeaderSegment(port=3), HeaderSegment(port=0)]],
     )
 
+    def _router(self, name="r", dead=()):
+        router, sent = capture_router(name, ports=(1, 2, 3))
+        for port in dead:
+            router._on_peer_dead(("127.0.0.1", 9000 + port))
+        return router, sent
+
+    def _arrive(self, router):
+        view = slot_view(router.endpoint.ring, self.FRAME)
+        router._on_batch(batch_of(view, self.SOURCE))
+        assert not view.alive()
+
     def test_dead_peer_reroutes_out_the_alternate(self):
-        router, sent = _capture_router("r")
-        router._on_peer_dead(("127.0.0.1", 9002))
+        router, sent = self._router(dead=(2,))
         assert router.dead_ports == {2}
-        router._on_frame(self.FRAME, self.SOURCE)
+        self._arrive(router)
         assert router.metrics.slick_reroutes == 1
         assert router.metrics.forwarded == 1
         assert len(sent) == 1
@@ -318,35 +333,30 @@ class TestLiveRouterFailover:
         assert packet.alternates == []
         assert payload == b"hello world"
 
-    def test_batch_and_frame_paths_agree_byte_for_byte(self):
-        fast, fast_sent = _capture_router("fast")
-        oracle, oracle_sent = _capture_router("oracle")
-        for router in (fast, oracle):
-            router._on_peer_dead(("127.0.0.1", 9002))
-        ring = BufferRing(slots=4)
+    def test_batch_path_agrees_with_the_oracle_byte_for_byte(self):
+        fast, fast_sent = self._router("fast", dead=(2,))
+        oracle, _ = self._router("oracle", dead=(2,))
         for _ in range(3):  # cold install + two warm cache passes
-            view = _slot_view(ring, self.FRAME)
-            fast._on_batch(
-                [(view, self.SOURCE, decode_preamble(view.mem))]
-            )
-            oracle._on_frame(self.FRAME, self.SOURCE)
+            self._arrive(fast)
+        oracle_sent, oracle_drops = expected_outcome(
+            oracle, [(self.FRAME, self.SOURCE)] * 3
+        )
         assert fast_sent == oracle_sent
         assert len(fast_sent) == 3
-        assert fast.metrics.slick_reroutes == oracle.metrics.slick_reroutes
-        assert ring.available() == 4
+        assert fast.metrics.drops == oracle_drops == {}
+        assert fast.metrics.slick_reroutes == 3
+        assert fast.endpoint.ring.available() == len(fast.endpoint.ring)
 
     def test_exhausted_alternate_drops_cleanly(self):
-        router, sent = _capture_router("r")
-        router._on_peer_dead(("127.0.0.1", 9002))
-        router._on_peer_dead(("127.0.0.1", 9003))  # the alternate too
-        router._on_frame(self.FRAME, self.SOURCE)
+        router, sent = self._router(dead=(2, 3))  # the alternate too
+        self._arrive(router)
         assert sent == []
         assert router.metrics.dropped("slick_fallback_exhausted") == 1
         assert router.metrics.slick_reroutes == 0
 
     def test_healthy_egress_never_reroutes(self):
-        router, sent = _capture_router("r")
-        router._on_frame(self.FRAME, self.SOURCE)
+        router, sent = self._router()
+        self._arrive(router)
         assert router.metrics.slick_reroutes == 0
         assert len(sent) == 1
         assert sent[0][1] == ("127.0.0.1", 9002)

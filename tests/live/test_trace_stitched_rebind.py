@@ -6,12 +6,10 @@ protocol; the live server stitches its command span in, forwards the
 context to the cluster backend; the cluster records its routing
 decision; the owning shard's leader and follower record their log
 appends.  One trace id, one record, one tree spanning host → directory
-→ cluster → both replicas — and the v1 path stays byte-pinned (no
-``trace`` key ever leaves a v1 client).
+→ cluster → both replicas.
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -124,14 +122,3 @@ def test_traced_retry_replays_dedup_into_same_trace():
     assert names.count("dedup_replay") == 1
     assert names.count("leader_commit") == 1
     assert names.count("follower_apply") == 1
-
-
-def test_v1_frames_never_carry_trace():
-    client = LiveDirectoryClient("legacy", protocol_version=1)
-    line = client._frame(
-        "routes", {"client": "legacy", "destination": "d", "k": 1},
-        "q-1-zz", trace={"id": 7, "parent": "legacy"},
-    )
-    obj = json.loads(line)
-    assert "trace" not in obj
-    assert "v" not in obj

@@ -1,13 +1,16 @@
-"""The zero-copy hop fast path is byte-exact against the slow codec.
+"""The in-place hop move is byte-exact against the structural oracle.
 
-``strip_and_append`` finds the strip boundary arithmetically
-(:func:`repro.viper.wire.segment_span`) and memoryview-slices the
-untouched middle bytes straight into the output frame; the bytes it
-forwards are never decoded.  ``strip_and_append_slow`` round-trips the
-whole frame through :class:`SirpentPacket` instead.  The acceptance
-criterion is that the two are indistinguishable on the wire — for
-every decodable frame shape, over multiple hops, including the traced
-debug option and the 255 length-escape.
+``hop_move_into`` finds the strip boundary arithmetically
+(:func:`repro.viper.wire.segment_span`), rewrites the preamble directly
+before the surviving bytes and appends the return tail inside the ring
+slot; the bytes it forwards are never decoded.  The oracle
+(``tests/live/oracle.py``) round-trips the whole frame through
+:class:`SirpentPacket` instead.  The acceptance criterion is that the
+two are indistinguishable on the wire — for every decodable frame
+shape, over multiple hops, including the traced debug option, the 255
+length-escape, and slots whose tail-room is too short for the tail —
+and that ``LiveRouter._on_batch``, the one way a frame crosses a live
+router, reproduces the oracle's fate for every frame.
 """
 
 import random
@@ -23,19 +26,24 @@ from repro.live.frames import (
     restamp_seq,
     restamp_seq_into,
     return_tail_of,
-    strip_and_append,
-    strip_and_append_slow,
 )
-from repro.live.router import LiveRouter
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket, TrailerElement
 from repro.viper.ring import BufferRing
 from repro.viper.wire import (
     HeaderSegment,
-    PacketView,
     decode_segment,
     encode_segment,
     segment_span,
+)
+from tests.live.oracle import (
+    batch_of,
+    capture_router,
+    expected_outcome,
+    hop_in_place,
+    slot_view,
+    strip_and_append_slow,
+    sweep_tail_room,
 )
 
 
@@ -87,51 +95,123 @@ RETURN_SEGMENTS = {
 }
 
 
-class TestByteExactness:
+class TestHopMoveInPlace:
+    """hop_move_into is byte-exact against the structural oracle."""
+
     @pytest.mark.parametrize("shape", sorted(FRAME_SHAPES))
     @pytest.mark.parametrize("ret", sorted(RETURN_SEGMENTS))
-    def test_fast_path_equals_slow_path(self, shape, ret):
-        datagram = FRAME_SHAPES[shape]
-        return_segment = RETURN_SEGMENTS[ret]
-        fast = strip_and_append(datagram, return_segment, seq=42)
-        slow = strip_and_append_slow(datagram, return_segment, seq=42)
-        assert fast == slow
+    def test_in_place_move_equals_the_oracle(self, shape, ret):
+        hop_in_place(FRAME_SHAPES[shape], RETURN_SEGMENTS[ret], seq=42)
+
+    @pytest.mark.parametrize("shape", sorted(FRAME_SHAPES))
+    def test_short_tail_room_slides_to_the_slot_head(self, shape):
+        """Tail-room from none to exactly enough: whenever the outgoing
+        frame fits the slot the move succeeds and equals the oracle;
+        when it cannot fit, False and the view is untouched."""
+        fitted, _refused = sweep_tail_room(
+            hop_move_into, strip_and_append_slow,
+            FRAME_SHAPES[shape], RETURN_SEGMENTS["tokened"],
+        )
+        assert fitted >= 2  # so at least one slot made the frame slide
 
     def test_exactness_holds_across_multiple_hops(self):
         datagram = FRAME_SHAPES["tokened"]
-        fast = slow = datagram
+        ring = BufferRing(slots=1)
+        view = slot_view(ring, datagram)
+        shadow = datagram
         for hop_port in (7, 8):
             ret = HeaderSegment(port=hop_port, token=b"R" * 16)
-            fast = strip_and_append(fast, ret, seq=hop_port)
-            slow = strip_and_append_slow(slow, ret, seq=hop_port)
-            assert fast == slow
+            assert hop_move_into(view, return_tail_of(ret), seq=hop_port)
+            shadow = strip_and_append_slow(shadow, ret, seq=hop_port)
+            assert view.tobytes() == shadow
         # And the result still decodes into a coherent packet.
-        _, packet, payload = decode_live_frame(fast)
+        _, packet, payload = decode_live_frame(view.tobytes())
+        view.release()
         assert [s.port for s in packet.segments] == [0]
         assert payload == b"hello world"
         assert [e.segment.port for e in packet.trailer] == [7, 8]
 
     def test_traced_frames_keep_their_trace_id(self):
-        forwarded = strip_and_append(
-            FRAME_SHAPES["traced"], HeaderSegment(port=7)
-        )
+        forwarded = hop_in_place(FRAME_SHAPES["traced"], HeaderSegment(port=7))
         preamble, _, _ = decode_live_frame(forwarded)
         assert preamble.trace_id == 0xDEADBEEF_CAFE_0001
 
-    def test_middle_bytes_are_copied_verbatim(self):
+    def test_middle_bytes_are_forwarded_verbatim(self):
         """The forwarded frame contains the original middle region as-is."""
         datagram = FRAME_SHAPES["tokened"]
         first_len = len(encode_segment(
             HeaderSegment(port=1, token=b"T" * 32, priority=5)
         ))
         middle = datagram[11 + first_len:]
-        forwarded = strip_and_append(datagram, HeaderSegment(port=7))
-        assert middle in forwarded
+        assert middle in hop_in_place(datagram, HeaderSegment(port=7))
 
-    def test_no_leading_segment_refused(self):
+    def test_fuzz_multi_hop_in_one_slot(self):
+        """Random frames advance hop after hop inside one slot."""
+        rng = random.Random(0xF457)
+
+        def blob(choices):
+            n = rng.choice(choices)
+            return bytes(rng.randrange(256) for _ in range(n))
+
+        for trial in range(120):
+            hops = rng.randrange(1, 5)
+            segments = [
+                HeaderSegment(
+                    port=rng.randrange(1, 256),
+                    priority=rng.randrange(16),
+                    vnt=rng.random() < 0.2,
+                    dib=rng.random() < 0.2,
+                    rpf=rng.random() < 0.2,
+                    token=blob((0, 0, 8, 32, 300)),
+                    portinfo=blob((0, 0, 14, 260)),
+                )
+                for _ in range(hops)
+            ] + [HeaderSegment(port=0)]
+            datagram = frame(
+                segments,
+                payload=blob((0, 1, 64, 500)),
+                trace_id=rng.getrandbits(64) if rng.random() < 0.3 else 0,
+            )
+            # Half the trials run in a slot with a few bytes of
+            # tail-room, so most hops take the slide-to-head step.
+            slot_bytes = (
+                len(datagram) + rng.randrange(40) if trial % 2 else 4096
+            )
+            ring = BufferRing(slots=1, slot_bytes=slot_bytes)
+            view = slot_view(ring, datagram)
+            shadow = datagram
+            for hop in range(hops):
+                ret = HeaderSegment(
+                    port=rng.randrange(1, 256), token=blob((0, 16)),
+                    portinfo=blob((0, 14)),
+                )
+                tail = return_tail_of(ret)
+                expected = strip_and_append_slow(shadow, ret)
+                if len(expected) > slot_bytes:
+                    before = (view.start, view.end, bytes(view.buffer))
+                    assert not hop_move_into(view, tail)
+                    assert before == (view.start, view.end, bytes(view.buffer))
+                    break
+                assert hop_move_into(view, tail)
+                shadow = expected
+                assert view.tobytes() == shadow
+            view.release()
+
+    def test_restamp_into_matches_restamp(self):
+        datagram = FRAME_SHAPES["traced"]
+        ring = BufferRing(slots=1)
+        view = slot_view(ring, datagram)
+        restamp_seq_into(view.buffer, view.start, 0xDEAD)
+        assert view.tobytes() == restamp_seq(datagram, 0xDEAD)
+        view.release()
+
+    def test_refuses_frames_with_no_leading_segment(self):
         empty_route = frame([])
+        ring = BufferRing(slots=1)
+        view = slot_view(ring, empty_route)
         with pytest.raises(ViperDecodeError):
-            strip_and_append(empty_route, HeaderSegment(port=7))
+            hop_move_into(view, return_tail_of(HeaderSegment(port=7)))
+        view.release()
         with pytest.raises(ViperDecodeError):
             strip_and_append_slow(empty_route, HeaderSegment(port=7))
 
@@ -181,150 +261,41 @@ class TestSegmentSpan:
             segment_span(b"\x00" * 8, -1)
 
 
-def _slot_view(ring, datagram):
-    slot = ring.acquire()
-    slot.buffer[: len(datagram)] = datagram
-    return PacketView.of_slot(slot, len(datagram))
-
-
-def _batch_of(view, source):
-    """What ``LiveEndpoint._on_readable`` hands ``on_batch`` for one
-    frame: the view, its source, and the preamble decoded from it."""
-    return [(view, source, decode_preamble(view.mem))]
-
-
-class TestHopMoveInPlace:
-    """hop_move_into is byte-exact against both materialising paths."""
-
-    @pytest.mark.parametrize("shape", sorted(FRAME_SHAPES))
-    @pytest.mark.parametrize("ret", sorted(RETURN_SEGMENTS))
-    def test_in_place_move_equals_both_slow_paths(self, shape, ret):
-        datagram = FRAME_SHAPES[shape]
-        return_segment = RETURN_SEGMENTS[ret]
-        ring = BufferRing(slots=2)
-        view = _slot_view(ring, datagram)
-        assert hop_move_into(view, return_tail_of(return_segment))
-        moved = view.tobytes()
-        view.release()
-        assert moved == strip_and_append(datagram, return_segment)
-        assert moved == strip_and_append_slow(datagram, return_segment)
-
-    def test_fuzz_multi_hop_in_one_slot(self):
-        """Random frames advance hop after hop inside one slot."""
-        rng = random.Random(0xF457)
-
-        def blob(choices):
-            n = rng.choice(choices)
-            return bytes(rng.randrange(256) for _ in range(n))
-
-        for trial in range(120):
-            hops = rng.randrange(1, 5)
-            segments = [
-                HeaderSegment(
-                    port=rng.randrange(1, 256),
-                    priority=rng.randrange(16),
-                    vnt=rng.random() < 0.2,
-                    dib=rng.random() < 0.2,
-                    rpf=rng.random() < 0.2,
-                    token=blob((0, 0, 8, 32, 300)),
-                    portinfo=blob((0, 0, 14, 260)),
-                )
-                for _ in range(hops)
-            ] + [HeaderSegment(port=0)]
-            datagram = frame(
-                segments,
-                payload=blob((0, 1, 64, 500)),
-                trace_id=rng.getrandbits(64) if rng.random() < 0.3 else 0,
-            )
-            ring = BufferRing(slots=1)
-            view = _slot_view(ring, datagram)
-            shadow = datagram
-            for hop in range(hops):
-                ret = HeaderSegment(
-                    port=rng.randrange(1, 256), token=blob((0, 16)),
-                    portinfo=blob((0, 14)),
-                )
-                tail = return_tail_of(ret)
-                assert hop_move_into(view, tail)
-                shadow = strip_and_append(shadow, ret)
-                assert view.tobytes() == shadow
-            view.release()
-
-    def test_restamp_into_matches_restamp(self):
-        datagram = FRAME_SHAPES["traced"]
-        ring = BufferRing(slots=1)
-        view = _slot_view(ring, datagram)
-        restamp_seq_into(view.buffer, view.start, 0xDEAD)
-        assert view.tobytes() == restamp_seq(datagram, 0xDEAD)
-        view.release()
-
-    def test_no_tailroom_returns_false_and_leaves_view_untouched(self):
-        datagram = FRAME_SHAPES["plain"]
-        ring = BufferRing(slots=1, slot_bytes=len(datagram) + 2)
-        view = _slot_view(ring, datagram)
-        tail = return_tail_of(HeaderSegment(port=7, token=b"R" * 32))
-        assert not hop_move_into(view, tail)
-        assert view.tobytes() == datagram
-        view.release()
-
-    def test_refuses_frames_with_no_leading_segment(self):
-        ring = BufferRing(slots=1)
-        view = _slot_view(ring, frame([]))
-        with pytest.raises(ViperDecodeError):
-            hop_move_into(view, return_tail_of(HeaderSegment(port=7)))
-        view.release()
-
-
-def _capture_router(name):
-    """A LiveRouter whose endpoint transmits into a list, not a socket."""
-    router = LiveRouter(name)
-    sent = []
-
-    def send_view(view, addr, reliable=False):
-        sent.append((view.tobytes(), addr))
-        view.release()
-        return 0
-
-    def send(datagram, addr, reliable=False):
-        sent.append((bytes(datagram), addr))
-        return 0
-
-    router.endpoint.send_view = send_view
-    router.endpoint.send = send
-    router.connect_port(1, ("127.0.0.1", 9001))
-    router.connect_port(2, ("127.0.0.1", 9002))
-    return router, sent
-
-
 class TestBatchedForwardingDifferential:
-    """The batched view path forwards the same bytes as the bytes path.
+    """``LiveRouter._on_batch`` reproduces the oracle's fate per frame.
 
-    ``LiveRouter._on_batch`` (ring slots, in-place hop move, memoized
-    return tails) against ``LiveRouter._on_frame`` (the materialising
-    oracle) on two identically configured routers: every forwarded
-    datagram, destination, and drop counter must agree — including
-    warm flow-cache passes where the fast path appends a memoized
-    ``Decision.return_tail`` it never re-encoded.
+    The batched view path (ring slots, in-place hop move, memoized
+    return tails) against ``forward_structurally`` over an identically
+    configured router: every forwarded datagram, destination, and drop
+    counter must agree — including warm flow-cache passes where the
+    router appends a memoized ``Decision.return_tail`` it never
+    re-encoded.
     """
 
     SOURCE = ("127.0.0.1", 9001)
 
-    def _feed(self, datagrams):
-        fast, fast_sent = _capture_router("fast")
-        oracle, oracle_sent = _capture_router("oracle")
-        ring = BufferRing(slots=8)
+    def _feed(self, datagrams, slot_bytes=4096):
+        fast, fast_sent = capture_router("fast", slot_bytes=slot_bytes)
+        oracle, _ = capture_router("oracle", slot_bytes=slot_bytes)
         views = []
         for datagram in datagrams:
-            view = _slot_view(ring, datagram)
+            view = slot_view(fast.endpoint.ring, datagram)
             views.append(view)
-            fast._on_batch(_batch_of(view, self.SOURCE))
-            oracle._on_frame(datagram, self.SOURCE)
-        return fast, oracle, fast_sent, oracle_sent, ring, views
+            fast._on_batch(batch_of(view, self.SOURCE))
+        oracle_sent, oracle_drops = expected_outcome(
+            oracle, [(datagram, self.SOURCE) for datagram in datagrams]
+        )
+        assert fast_sent == oracle_sent
+        assert fast.metrics.drops == oracle_drops
+        assert fast.metrics.forwarded == len(oracle_sent)
+        # Every slot came back to the ring; no escaped view is alive.
+        assert fast.endpoint.ring.available() == len(fast.endpoint.ring)
+        assert all(not view.alive() for view in views)
+        return fast, fast_sent
 
-    def test_fuzz_forwarded_bytes_identical(self):
-        rng = random.Random(0xBA7C4)
+    def _fuzz_frames(self, rng, count):
         datagrams = []
-        for trial in range(150):
+        for trial in range(count):
             route = [HeaderSegment(
                 port=2,
                 priority=rng.randrange(16),
@@ -346,11 +317,30 @@ class TestBatchedForwardingDifferential:
                 ),
                 trace_id=rng.getrandbits(64) if rng.random() < 0.2 else 0,
             ))
-        fast, oracle, fast_sent, oracle_sent, _, _ = self._feed(datagrams)
-        assert fast_sent == oracle_sent
-        assert len(fast_sent) == len(datagrams)
+        return datagrams
+
+    def test_fuzz_forwarded_bytes_identical(self):
+        datagrams = self._fuzz_frames(random.Random(0xBA7C4), 150)
+        # Each flow twice: a cold install, then a warm flow-cache pass.
+        fast, fast_sent = self._feed(datagrams + datagrams)
+        assert len(fast_sent) == 2 * len(datagrams)
         assert all(addr == ("127.0.0.1", 9002) for _, addr in fast_sent)
-        assert fast.metrics.forwarded == oracle.metrics.forwarded
+        assert fast.flow_cache.stats.hits >= len(datagrams)
+
+    def test_fuzz_short_tail_room_slots(self):
+        """The same differential in slots the frames barely fit: every
+        forward here grows the frame by two bytes, so most slide to the
+        slot head, and a frame within two bytes of the slot size is
+        dropped ``oversize`` by router and oracle alike."""
+        datagrams = self._fuzz_frames(random.Random(0x5107), 150)
+        slot_bytes = sorted(len(d) for d in datagrams)[100]
+        # What the endpoint would deliver: longer datagrams never leave it.
+        datagrams = [d for d in datagrams if len(d) <= slot_bytes]
+        fast, fast_sent = self._feed(datagrams + datagrams, slot_bytes)
+        oversize = sum(len(d) + 2 > slot_bytes for d in datagrams)
+        assert oversize >= 1
+        assert fast.metrics.drops == {"oversize": 2 * oversize}
+        assert len(fast_sent) == 2 * (len(datagrams) - oversize) > 100
 
     def test_warm_flow_reuses_memoized_tail_byte_exactly(self):
         # The same flow three times: pass 1 is the cold install, passes
@@ -359,9 +349,9 @@ class TestBatchedForwardingDifferential:
             [HeaderSegment(port=2, portinfo=bytes(range(14))),
              HeaderSegment(port=0)],
         )
-        fast, oracle, fast_sent, oracle_sent, _, _ = self._feed([datagram] * 3)
+        fast, fast_sent = self._feed([datagram] * 3)
         assert fast.flow_cache.stats.hits == 2
-        assert fast_sent == oracle_sent
+        assert len(fast_sent) == 3
 
     def test_drops_agree_and_release_slots(self):
         # A sound preamble promising a segment the datagram does not
@@ -369,41 +359,79 @@ class TestBatchedForwardingDifferential:
         undecodable = frame([HeaderSegment(port=2)])[:12]
         unknown_peer = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
         no_route = frame([HeaderSegment(port=99), HeaderSegment(port=0)])
-        fast, fast_sent = _capture_router("fast")
-        oracle, oracle_sent = _capture_router("oracle")
-        ring = BufferRing(slots=4)
+        fast, fast_sent = capture_router("fast")
+        oracle, _ = capture_router("oracle")
         cases = [
             (undecodable, self.SOURCE),
             (unknown_peer, ("10.9.9.9", 1)),  # unwired peer
             (no_route, self.SOURCE),
         ]
+        ring = fast.endpoint.ring
         views = []
         for datagram, source in cases:
-            view = _slot_view(ring, datagram)
+            view = slot_view(ring, datagram)
             views.append(view)
-            fast._on_batch(_batch_of(view, source))
-            oracle._on_frame(datagram, source)
-        assert fast_sent == oracle_sent == []
-        for reason in ("undecodable", "unknown_peer", "no_route"):
-            assert fast.metrics.drops.get(reason) == oracle.metrics.drops.get(
-                reason
-            ), reason
+            fast._on_batch(batch_of(view, source))
+        assert fast_sent == []
+        assert expected_outcome(oracle, cases) == ([], fast.metrics.drops)
+        assert fast.metrics.drops == {
+            "undecodable": 1, "unknown_peer": 1, "no_route": 1,
+        }
         # Every slot came back to the ring; no escaped view is alive.
-        assert ring.available() == 4
+        assert ring.available() == len(ring)
         assert all(not view.alive() for view in views)
 
-    def test_every_batch_slot_is_recycled(self):
-        """No view escapes its ring slot alive through the batch path."""
+    def test_oversize_output_is_dropped_at_the_emitting_router(self):
+        """A frame that fits its slot but whose *outgoing* size does not:
+        dropped ``oversize`` here — not sent on to be truncated, dropped
+        unacked and retried into a false ``on_peer_dead``."""
         datagram = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
-        fast, _, _, _, ring, views = self._feed([datagram] * 6)
-        assert ring.available() == 8
-        assert all(not view.alive() for view in views)
+        # The 4-byte leading segment goes, a 6-byte return tail comes.
+        fast, fast_sent = capture_router("fast", slot_bytes=len(datagram) + 1)
+        ring = fast.endpoint.ring
+        view = slot_view(ring, datagram)
+        fast._on_batch(batch_of(view, self.SOURCE))
+        assert fast_sent == []
+        assert fast.metrics.drops == {"oversize": 1}
+        assert fast.metrics.forwarded == 0
+        assert ring.available() == len(ring) and not view.alive()
+        # Two bytes of tail-room are enough: same frame, forwarded.
+        fits, fits_sent = capture_router("fits", slot_bytes=len(datagram) + 2)
+        fits._on_batch(batch_of(
+            slot_view(fits.endpoint.ring, datagram), self.SOURCE
+        ))
+        assert [len(sent) for sent, _ in fits_sent] == [len(datagram) + 2]
+
+    def test_corrupt_slick_block_is_dropped_not_raised(self):
+        """A slick-flagged leading segment with a malformed alternate
+        block behind the route: the strip must span the block, cannot,
+        and the frame is dropped ``undecodable`` — the batch goes on."""
+        packet = SirpentPacket(
+            segments=[HeaderSegment(port=2, slick=True), HeaderSegment(port=0)],
+            payload_size=3, payload=b"abc",
+            alternates=[[HeaderSegment(port=1), HeaderSegment(port=0)]],
+        )
+        corrupt = bytearray(encode_live_frame(packet, b"abc"))
+        block_at = 11
+        for _ in range(2):
+            block_at = segment_span(corrupt, block_at)
+        corrupt[block_at] = 200  # the block now claims 200 segments
+        healthy = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
+        fast, fast_sent = capture_router("fast")
+        ring = fast.endpoint.ring
+        fast._on_batch(
+            batch_of(slot_view(ring, bytes(corrupt)), self.SOURCE)
+            + batch_of(slot_view(ring, healthy), self.SOURCE)
+        )
+        assert fast.metrics.drops == {"undecodable": 1}
+        assert len(fast_sent) == 1
+        assert ring.available() == len(ring)
 
     def test_batch_path_never_decodes_the_preamble_again(self, monkeypatch):
         """One decode per datagram: the endpoint's.  Forward (cold, warm,
         traced), local delivery and a drop all run off the preamble the
         batch entry carries."""
-        fast, fast_sent = _capture_router("fast")
+        fast, fast_sent = capture_router("fast")
         delivered = []
         fast.local_handler = lambda datagram, source: delivered.append(datagram)
         forward = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
@@ -414,10 +442,10 @@ class TestBatchedForwardingDifferential:
             frame([HeaderSegment(port=0)]),
             frame([HeaderSegment(port=99), HeaderSegment(port=0)]),
         ]
-        ring = BufferRing(slots=8)
+        ring = fast.endpoint.ring
         batch = []
         for datagram in datagrams:
-            batch += _batch_of(_slot_view(ring, datagram), self.SOURCE)
+            batch += batch_of(slot_view(ring, datagram), self.SOURCE)
         calls = []
         monkeypatch.setattr(
             frames, "decode_preamble",
@@ -430,4 +458,17 @@ class TestBatchedForwardingDifferential:
         assert len(fast_sent) == 3
         assert len(delivered) == 1
         assert fast.metrics.drops.get("no_route") == 1
-        assert ring.available() == 8
+        assert ring.available() == len(ring)
+
+
+def test_one_forwarding_path_and_no_twin_in_src():
+    """Structural: the in-place view move is the only transform in
+    ``src/repro/live`` and ``_on_batch`` the only way into it."""
+    for module in (router_module, frames):
+        for name in dir(module):
+            assert "_slow" not in name, name
+            assert not name.startswith("strip_and_append"), name
+            assert name != "peek_leading_segment"
+    assert not hasattr(router_module.LiveRouter, "_on_frame")
+    assert not hasattr(router_module.LiveRouter, "decide")
+    assert not hasattr(capture_router("r")[0].endpoint, "on_frame")

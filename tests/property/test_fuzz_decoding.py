@@ -4,7 +4,7 @@ DecodeError or produce a structure that re-encodes consistently."""
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.ip.header import IPV4_HEADER_BYTES, IpHeader
-from repro.core.multicast import decode_tree_info
+from repro.dataplane.multicast import decode_tree_info
 from repro.viper.errors import DecodeError
 from repro.viper.packet import decode_trailer
 from repro.viper.portinfo import CompressedEthernetInfo, EthernetInfo
