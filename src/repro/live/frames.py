@@ -16,6 +16,10 @@ by the *existing* codec in :mod:`repro.viper.wire` and
     +--------+--------+--------+
 
 * ``kind`` — :data:`FRAME_DATA` or :data:`FRAME_ACK` (per-hop ack).
+  An ack acknowledges ``seq`` plus the ``payloadLen / 4`` further
+  32-bit sequence numbers that follow its preamble, carries no segments
+  and is exactly ``11 + payloadLen`` bytes (:func:`encode_ack`,
+  :func:`ack_seqs`); alone, it is the bare preamble.
 * ``hop sequence`` — per-hop reliability cookie; 0 means "fire and
   forget", anything else is acked by the receiving endpoint and retried
   by the sender (:mod:`repro.live.link`).
@@ -46,14 +50,22 @@ There is **one** per-hop transform and it works in place on a ring-slot
 view: :func:`hop_move_into` (and :func:`slick_reroute_into` for the
 Slick-Packets splice).  The structural reference they are fuzzed
 against lives with its tests, in ``tests/live/oracle.py``.
+
+The hosts' two edges work on byte spans too: :func:`encode_route_header`
+(a route's header, encoded once per route), :func:`frame_with_header`,
+:func:`frame_spans` (an arriving frame validated by offsets) and
+:func:`return_route_header` (the reply's route copied from the trailer
+spans).  :func:`encode_live_frame` / :func:`decode_live_frame` stay the
+public structural codec — and the oracle those four are fuzzed against
+in ``tests/live/test_host_span_differential.py``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.viper.errors import ViperDecodeError
+from repro.viper.errors import SegmentLimitError, ViperDecodeError
 from repro.viper.packet import (
     SirpentPacket,
     TRAILER_LENGTH_BYTES,
@@ -61,8 +73,9 @@ from repro.viper.packet import (
     TRUNCATION_SENTINEL,
     TrailerElement,
     decode_trailer,
+    trailer_spans,
 )
-from repro.viper.flags import FLAG_SLICK
+from repro.viper.flags import FLAG_SLICK, FLAG_VNT
 from repro.viper.wire import (
     ALT_COUNT_BYTES,
     FIXED_SEGMENT_BYTES,
@@ -73,6 +86,7 @@ from repro.viper.wire import (
     decode_alt_blocks,
     decode_segment,
     encode_alt_blocks,
+    encode_route,
     encode_segment,
     segment_span,
     slick_count,
@@ -122,6 +136,14 @@ _PREAMBLE = struct.Struct(">2sBBIBH")
 _SEQ = struct.Struct(">I")
 
 _TRACE_ID = struct.Struct(">Q")
+
+#: Where a segment's port octet sits (Figure 1: the two length octets
+#: come first).
+_PORT_OFFSET = 2
+
+#: The slick and VNT flags as they sit in a segment's flags byte.
+_SLICK_BIT = FLAG_SLICK << 4
+_VNT_BIT = FLAG_VNT << 4
 
 
 class Preamble(NamedTuple):
@@ -212,9 +234,46 @@ def decode_preamble(datagram) -> Preamble:
     return Preamble(kind, seq, seg_count, payload_len, trace_id)
 
 
-def encode_ack(seq: int) -> bytes:
-    """A per-hop acknowledgement frame for ``seq``."""
-    return encode_preamble(FRAME_ACK, seq, 0, 0)
+def encode_ack(seq: int, further: Sequence[int] = ()) -> bytes:
+    """A per-hop acknowledgement frame for ``seq`` and ``further``.
+
+    ``seq`` rides the preamble — a lone ack is the bare 11 bytes — and
+    each further number follows it as 32 big-endian bits, announced by
+    ``payloadLen = 4 * len(further)``.  Every number must have been
+    received from the one peer the ack is sent to.
+    """
+    try:
+        return _PREAMBLE.pack(
+            MAGIC, VERSION, FRAME_ACK, seq, 0, SEQ_BYTES * len(further)
+        ) + b"".join(map(_SEQ.pack, further))
+    except struct.error as error:
+        raise ValueError(f"ack does not fit the wire format: {error}") from None
+
+
+def ack_seqs(datagram, preamble: Preamble) -> Tuple[int, ...]:
+    """Every hop sequence number the ack frame ``datagram`` names.
+
+    ``preamble`` is its decoded preamble.  An ack is exactly its
+    preamble plus ``payloadLen`` bytes of whole sequence numbers and
+    carries no segments; anything else raises
+    :class:`~repro.viper.errors.ViperDecodeError` and must release
+    nothing.
+    """
+    payload_len = preamble.payload_len
+    if (
+        preamble.seg_count
+        or payload_len % SEQ_BYTES
+        or len(datagram) != PREAMBLE_BYTES + payload_len
+    ):
+        raise ViperDecodeError(
+            f"malformed hop ack: {len(datagram)} bytes, segCount "
+            f"{preamble.seg_count}, payloadLen {payload_len}"
+        )
+    if not payload_len:
+        return (preamble.seq,)
+    return (preamble.seq, *struct.unpack_from(
+        f">{payload_len // SEQ_BYTES}I", datagram, PREAMBLE_BYTES
+    ))
 
 
 def restamp_seq(datagram: bytes, seq: int) -> bytes:
@@ -338,6 +397,163 @@ def decode_live_frame(
         alternates=alternates,
     )
     return preamble, packet, payload_bytes
+
+
+# -- the host's edges, on byte spans -------------------------------------------
+#
+# A host frames and opens every packet it exchanges, so its two edges
+# work on spans like the router's hop move does: a route's header bytes
+# are encoded once (per route, not per frame) and an arriving frame is
+# validated by offset arithmetic, building only what a handler reads.
+# Each function below is the byte-level twin of a structural path
+# through :func:`encode_live_frame` / :func:`decode_live_frame`, and
+# ``tests/live/test_host_span_differential.py`` fuzzes it against that
+# path as the oracle.
+
+
+def encode_route_header(
+    segments: Sequence[HeaderSegment],
+    alternates: Sequence[Sequence[HeaderSegment]],
+    priority: int = 0,
+    dib: bool = False,
+) -> Tuple[bytes, int]:
+    """``(header bytes, segCount)`` of a frame sent along a route.
+
+    The stacked segments (every one stamped with the send's
+    ``priority`` and ``dib``) followed by the alternate blocks (stamped
+    with ``priority``): exactly the bytes :func:`encode_live_frame`
+    puts between the preamble and the payload, from the same encoders,
+    raising what it raises — :class:`ValueError` for a bad priority or
+    a slick segment without its block,
+    :class:`~repro.viper.errors.SegmentLimitError` past 48 segments.
+    A pure function of its arguments, so a route computes it once.
+    """
+    if len(alternates) != slick_count(segments):
+        raise ValueError(
+            f"{slick_count(segments)} slick segment(s) but "
+            f"{len(alternates)} alternate block(s); the wire form "
+            "needs exactly one block per slick segment"
+        )
+    # A segment already carrying the stamp is encoded as it is; a copy
+    # re-validates the segment field by field.
+    header = encode_route([
+        s if s.priority == priority and s.dib == dib
+        else s.copy(priority=priority, dib=dib)
+        for s in segments
+    ]) + encode_alt_blocks([
+        [s if s.priority == priority else s.copy(priority=priority)
+         for s in block]
+        for block in alternates
+    ])
+    return header, len(segments)
+
+
+def return_route_header(
+    datagram: bytes,
+    spans: Sequence[Tuple[int, int]],
+    reply_socket: int,
+    priority: int = 0,
+    dib: bool = False,
+) -> Tuple[bytes, int]:
+    """``(header bytes, segCount)`` of a reply to a delivered frame.
+
+    ``spans`` are ``datagram``'s trailer segments in return-route order
+    (:func:`~repro.viper.packet.trailer_spans`).  The receiver's §2
+    move as a byte move: each reversed segment is copied as it arrived
+    with RPF set and the reply's ``priority``/``dib`` stamped in its
+    flags byte, and the replying socket's segment closes the route —
+    byte for byte what ``build_return_route`` → :func:`encode_live_frame`
+    emits, with the same errors (a slick trailer segment has no block
+    to travel with; a 49th segment does not fit VIPER).
+    """
+    # The replying socket's segment closes the route; the flags byte the
+    # shared encoder gives it is the stamp of every segment before it.
+    closing = encode_segment(
+        HeaderSegment(port=reply_socket, priority=priority, dib=dib, rpf=True)
+    )
+    stamp = closing[FIXED_SEGMENT_BYTES - 1]
+    if len(spans) >= MAX_SEGMENTS:
+        raise SegmentLimitError(
+            f"{len(spans) + 1} segments exceed VIPER's {MAX_SEGMENTS}"
+        )
+    out = bytearray()
+    for start, end in spans:
+        flags_at = len(out) + FIXED_SEGMENT_BYTES - 1
+        out += datagram[start:end]
+        flags = out[flags_at]
+        if flags & _SLICK_BIT:
+            raise ValueError(
+                "slick segment in the return route but no alternate "
+                "block; the wire form needs exactly one block per slick "
+                "segment"
+            )
+        out[flags_at] = (flags & _VNT_BIT) | stamp
+    out += closing
+    return bytes(out), len(spans) + 1
+
+
+def frame_with_header(
+    header: bytes, seg_count: int, payload: bytes, trace_id: int = 0
+) -> bytes:
+    """One unsequenced data frame around an already encoded route header.
+
+    ``preamble ++ header ++ payload``; ``header``/``seg_count`` come
+    from :func:`encode_route_header` or :func:`return_route_header`,
+    which validated them.  Raises :class:`ValueError` for a payload
+    past the 16-bit length field.
+    """
+    return b"".join((
+        encode_preamble(
+            FRAME_DATA, SEQ_NONE, seg_count, len(payload), trace_id=trace_id
+        ),
+        header,
+        payload,
+    ))
+
+
+def frame_spans(
+    datagram: bytes, preamble: Preamble
+) -> Tuple[Optional[int], int, int, List[Tuple[int, int]]]:
+    """Open a data frame by offsets: ``(leading port, payload start,
+    payload end, trailer spans)``.
+
+    The leading port — the receiving host's socket — is None when no
+    segment is left.
+
+    The span twin of :func:`decode_live_frame`: every segment, every
+    slick segment's alternate block, the payload bound and a trailer
+    that frames completely are checked exactly as there — the two
+    accept the same datagrams and raise
+    :class:`~repro.viper.errors.ViperDecodeError` on the same ones —
+    but nothing is built beyond the trailer's spans, which come in
+    return-route order (:func:`~repro.viper.packet.trailer_spans`).
+    """
+    if preamble.kind != FRAME_DATA:
+        raise ViperDecodeError("not a data frame")
+    offset = preamble.header_len
+    port_at = offset + _PORT_OFFSET
+    blocks = 0
+    for _ in range(preamble.seg_count):
+        flags_at = offset + FIXED_SEGMENT_BYTES - 1
+        offset = segment_span(datagram, offset)
+        if datagram[flags_at] & _SLICK_BIT:
+            blocks += 1
+    for _ in range(blocks):
+        offset = alt_block_span(datagram, offset)
+    payload_end = offset + preamble.payload_len
+    if payload_end > len(datagram):
+        raise ViperDecodeError(
+            f"payload of {preamble.payload_len} bytes overruns the "
+            f"{len(datagram)}-byte datagram"
+        )
+    spans, boundary = trailer_spans(datagram, payload_end)
+    if boundary != payload_end:
+        raise ViperDecodeError(
+            f"trailer region does not frame: {boundary - payload_end} "
+            "undecodable leading bytes"
+        )
+    port = datagram[port_at] if preamble.seg_count else None
+    return port, offset, payload_end, spans
 
 
 # -- the router's hop move (in place, on buffer-ring views) -------------------

@@ -1,12 +1,25 @@
 """The live Sirpent host: send/receive over real UDP, plus transactions.
 
-:class:`LiveHost` is the overlay's end system.  Sending builds a VIPER
-frame for a source route and clocks the bytes out of a real socket;
-receiving demultiplexes on the final header segment's port (§2.2's
-intra-host addressing) and reconstructs the **return route from the
-live trailer** with the same
+:class:`LiveHost` is the overlay's end system.  Sending frames a payload
+for a source route and clocks the bytes out of a real socket; receiving
+demultiplexes on the final header segment's port (§2.2's intra-host
+addressing) and replies along the **return route in the live trailer**
+— the Sirpent signature move, now over actual datagrams.
+
+Both edges work on **byte spans** (ARCHITECTURE §14).  A route is
+encoded by its source once and then only forwarded:
+:meth:`LiveRoute.wire_header` memoises its header bytes and ``send``
+frames ``preamble ++ header ++ payload``.  An arriving frame is
+validated whole by :func:`~repro.live.frames.frame_spans` but decoded
+not at all; :class:`LiveDelivered` hands up the payload slice and keeps
+the datagram, so its ``packet`` and ``return_segments`` — the same
 :func:`~repro.viper.packet.build_return_route` the simulator's host
-uses — the Sirpent signature move, now over actual datagrams.
+uses — are built only if a handler asks.  ``send_return`` is the
+paper's receiver, which "copies each segment into a separate return
+address area in reverse order" (§2): a byte move from the trailer's
+spans (:func:`~repro.live.frames.return_route_header`).  The structural
+``encode_live_frame``/``decode_live_frame`` are the codec those are
+fuzzed against, never a second path.
 
 :class:`LiveTransactor` layers VMTP-style request/response transactions
 on top, reusing the sim transport's packet-group machinery
@@ -26,9 +39,17 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.live.frames import Preamble, decode_live_frame, encode_live_frame
+from repro.live.frames import (
+    Preamble,
+    decode_live_frame,
+    encode_route_header,
+    frame_spans,
+    frame_with_header,
+    return_route_header,
+)
 from repro.live.link import (
     Address,
     BatchEntry,
@@ -67,10 +88,20 @@ class LiveRoute:
     is the advertised round-trip estimate the rebinding logic compares
     measurements against (§3's "the client can determine the roundtrip
     time ... rather than discovering these parameters over time").
+
+    A route is encoded by its source once and from then on only
+    forwarded: :meth:`wire_header` memoises the header bytes per
+    (priority, DIB).  ``segments`` and ``alternates`` are **frozen to
+    tuples at construction**, and the memo remembers which two tuples
+    it was built from: a route whose ``segments`` or ``alternates`` has
+    been rebound since is frozen again and encoded afresh, so no edit
+    of the route can be served a stale header.  (A
+    :class:`HeaderSegment` is a value here as everywhere in the stack:
+    nothing mutates one in place.)
     """
 
     destination: str
-    segments: List[HeaderSegment]
+    segments: Tuple[HeaderSegment, ...]
     first_hop_port: int
     base_rtt_s: float = 1e-3
     hop_count: int = 0
@@ -81,7 +112,13 @@ class LiveRoute:
     rtt_floor_applied: bool = False
     #: Slick-Packets backup blocks, one per slick-flagged segment in
     #: route order (ARCHITECTURE §16); empty on non-slick routes.
-    alternates: List[List[HeaderSegment]] = field(default_factory=list)
+    alternates: Tuple[Tuple[HeaderSegment, ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        self.segments = tuple(self.segments)
+        self.alternates = tuple(tuple(block) for block in self.alternates)
+        #: What the memo was encoded from, and the memo.
+        self._headers = (self.segments, self.alternates, {})
 
     def expected_rtt(self, payload_size: int = 0, reply_size: int = 0) -> float:
         """Advertised base RTT (payload sizes are second-order on loopback)."""
@@ -91,20 +128,78 @@ class LiveRoute:
         """The sequence of VIPER out-ports — a route's identity."""
         return tuple(s.port for s in self.segments)
 
+    def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
+        """``(header bytes, segCount)`` of a frame sent along this route
+        (:func:`~repro.live.frames.encode_route_header`), encoded on
+        first use; an encoding error is raised on every call."""
+        segments, alternates, headers = self._headers
+        if segments is not self.segments or alternates is not self.alternates:
+            self.__post_init__()
+            segments, alternates, headers = self._headers
+        header = headers.get((priority, dib))
+        if header is None:
+            header = headers[priority, dib] = encode_route_header(
+                segments, alternates, priority, dib
+            )
+        return header
+
 
 @dataclass
 class LiveDelivered:
-    """What the live host hands up on reception (cf. ``DeliveredPacket``)."""
+    """What the live host hands up on reception (cf. ``DeliveredPacket``).
 
-    packet: SirpentPacket
+    The frame was validated on byte spans; ``datagram`` is retained so
+    the structural views — :attr:`packet`, :attr:`return_segments` —
+    are decoded only if a handler asks (a transaction client never
+    does), and a reply's route is written from ``trailer_spans``.
+    """
+
+    #: The whole arrived datagram and the endpoint's decode of its preamble.
+    datagram: bytes
+    preamble: Preamble
     payload: bytes
     socket: int
     arrived_at: float
-    #: Return route recovered from the live trailer, in send order.
-    return_segments: List[HeaderSegment]
+    #: ``(start, end)`` of each trailer segment in ``datagram``, in
+    #: return-route order (:func:`~repro.viper.packet.trailer_spans`).
+    trailer_spans: List[Tuple[int, int]]
     #: Live port the frame arrived on (= first hop of the return route).
     arrival_port: int
     source: Address
+
+    @property
+    def trace_id(self) -> int:
+        """The arrived frame's 64-bit trace id; 0 = untraced."""
+        return self.preamble.trace_id
+
+    @cached_property
+    def packet(self) -> SirpentPacket:
+        """The frame as the structural codec decodes it."""
+        return decode_live_frame(self.datagram, self.preamble)[1]
+
+    @cached_property
+    def return_segments(self) -> List[HeaderSegment]:
+        """Return route recovered from the live trailer, in send order."""
+        return build_return_route(self.packet)
+
+
+class _ReturnRoute:
+    """The reversed trailer route of one delivered frame, in the shape
+    :meth:`LiveHost.send` takes a route: its first hop and its header."""
+
+    __slots__ = ("delivered", "reply_socket", "first_hop_port")
+
+    def __init__(self, delivered: LiveDelivered, reply_socket: int) -> None:
+        self.delivered = delivered
+        self.reply_socket = reply_socket
+        self.first_hop_port = delivered.arrival_port
+
+    def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
+        delivered = self.delivered
+        return return_route_header(
+            delivered.datagram, delivered.trailer_spans, self.reply_socket,
+            priority, dib,
+        )
 
 
 class LiveHost:
@@ -124,16 +219,18 @@ class LiveHost:
             impairments=impairments, reliability=reliability,
         )
         # One wakeup, many frames: the endpoint hands whole batches of
-        # ring-slot views.  A host is where packets leave the overlay —
-        # reception decodes the full frame into a SirpentPacket anyway —
-        # so each view is materialised once and its slot released straight
-        # away (before any handler runs).
+        # ring-slot views.  A host is where packets leave the overlay, and
+        # a handler may keep what it is handed, so each frame is copied
+        # out of its slot once and the slot released before the frame is
+        # even opened.
         self.endpoint.on_batch = self._on_batch
         self.reliable_hops = reliable_hops
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}
         self.sockets: Dict[int, Callable[[LiveDelivered], None]] = {}
-        #: Seed-stable id source for the packets this host frames.
+        #: Per-host id source, independent of every other host's.  ``send``
+        #: frames bytes, not a ``SirpentPacket``, so it draws no id per
+        #: frame; callers that build packets for this host still can.
         self.packet_ids = PacketIdAllocator()
         #: Hop tracer (repro.obs); NULL_TRACER = tracing disabled.
         #: Timestamps are ``time.monotonic()`` seconds.
@@ -192,8 +289,13 @@ class LiveHost:
         priority: int = 0,
         dib: bool = False,
         trace_id: Optional[int] = None,
-    ) -> SirpentPacket:
-        """Frame ``payload`` for ``route`` and transmit it.
+    ) -> int:
+        """Frame ``payload`` for ``route`` and transmit it; returns the
+        trace id the frame carries (0 = untraced).
+
+        The frame is ``preamble ++ route.wire_header(priority, dib) ++
+        payload``: the route's bytes are encoded once per route, not
+        per frame.
 
         ``trace_id``: None asks the installed tracer to (maybe) sample
         this frame — the id then rides the wire in the traced-frame
@@ -205,34 +307,13 @@ class LiveHost:
         *before* acking it, so sending it would only burn the hop's
         retries and get a healthy neighbour declared dead.
         """
-        # The packet shares the route's segment objects wherever they
-        # already carry this send's priority/DIB (every segment of a
-        # default-priority send or reply): nothing downstream mutates a
-        # segment, and a copy re-validates it field by field.
-        segments = [
-            s if s.priority == priority and s.dib == dib
-            else s.copy(priority=priority, dib=dib)
-            for s in route.segments
-        ]
-        alternates = [
-            [s if s.priority == priority else s.copy(priority=priority)
-             for s in block]
-            for block in getattr(route, "alternates", [])
-        ]
-        packet = SirpentPacket(
-            segments=segments,
-            payload_size=len(payload),
-            payload=payload,
-            packet_id=self.packet_ids.allocate(),
-            created_at=time.monotonic(),
-            source=self.name,
-            alternates=alternates,
-        )
+        header, seg_count = route.wire_header(priority, dib)
+        wire_trace_id = 0
         if self.tracer.enabled:
             if trace_id is None:
-                packet.trace_id = self.tracer.begin(self.name, time.monotonic())
+                wire_trace_id = self.tracer.begin(self.name, time.monotonic())
             elif trace_id:
-                packet.trace_id = trace_id
+                wire_trace_id = trace_id
                 self.tracer.event(
                     trace_id, time.monotonic(), self.name, "send_return",
                 )
@@ -241,14 +322,14 @@ class LiveHost:
             raise KeyError(
                 f"{self.name}: no live attachment on port {route.first_hop_port}"
             )
-        frame = encode_live_frame(packet, payload)
+        frame = frame_with_header(header, seg_count, payload, wire_trace_id)
         if len(frame) > self.endpoint.ring.slot_bytes:
             raise ValueError(
                 f"frame of {len(frame)} bytes exceeds the overlay's "
                 f"{self.endpoint.ring.slot_bytes}-byte slot"
             )
         self.endpoint.send(frame, peer, reliable=self.reliable_hops)
-        return packet
+        return wire_trace_id
 
     def send_return(
         self,
@@ -256,21 +337,16 @@ class LiveHost:
         payload: bytes,
         reply_socket: int = LOCAL_PORT,
         priority: int = 0,
-    ) -> SirpentPacket:
-        """Send back along a delivered frame's reversed trailer route."""
-        # ``send`` stamps the priority on every segment it frames.
-        segments = [
-            *delivered.return_segments,
-            HeaderSegment(port=reply_socket, priority=priority, rpf=True),
-        ]
-        route = LiveRoute(
-            destination="(return)",
-            segments=segments,
-            first_hop_port=delivered.arrival_port,
-        )
+    ) -> int:
+        """Send back along a delivered frame's reversed trailer route.
+
+        The route is written from the trailer spans of the retained
+        datagram (:func:`~repro.live.frames.return_route_header`) and
+        the frame leaves through :meth:`send` like any other.
+        """
         return self.send(
-            route, payload, priority=priority,
-            trace_id=delivered.packet.trace_id,
+            _ReturnRoute(delivered, reply_socket), payload,
+            priority=priority, trace_id=delivered.trace_id,
         )
 
     # -- receiving ---------------------------------------------------------
@@ -285,21 +361,27 @@ class LiveHost:
     def _on_frame(
         self, datagram: bytes, source: Address, preamble: Preamble,
     ) -> None:
-        """Deliver one frame; ``preamble`` is the endpoint's decode of it."""
+        """Deliver one frame; ``preamble`` is the endpoint's decode of it.
+
+        The frame is opened by :func:`~repro.live.frames.frame_spans` —
+        validated whole, decoded not at all: the handler gets the
+        payload slice and a :class:`LiveDelivered` that decodes the rest
+        on demand.
+        """
         try:
-            _preamble, packet, payload = decode_live_frame(
+            socket, payload_start, payload_end, trailer_spans = frame_spans(
                 datagram, preamble
             )
         except ViperDecodeError:
             self.metrics.drop("undecodable")
             return
-        traced = packet.trace_id and self.tracer.enabled
-        if not packet.segments:
+        trace_id = preamble.trace_id
+        traced = trace_id and self.tracer.enabled
+        if socket is None:
             self.metrics.drop("route_exhausted")
             if traced:
                 self.tracer.drop(
-                    packet.trace_id, time.monotonic(), self.name,
-                    "route_exhausted",
+                    trace_id, time.monotonic(), self.name, "route_exhausted",
                 )
             if self.recorder.enabled:
                 self.recorder.record(
@@ -307,13 +389,12 @@ class LiveHost:
                     reason="route_exhausted",
                 )
             return
-        socket = packet.segments[0].port
         handler = self.sockets.get(socket)
         if handler is None:
             self.metrics.drop("no_socket")
             if traced:
                 self.tracer.drop(
-                    packet.trace_id, time.monotonic(), self.name,
+                    trace_id, time.monotonic(), self.name,
                     "no_socket", socket=socket,
                 )
             if self.recorder.enabled:
@@ -321,24 +402,23 @@ class LiveHost:
                     "frame_dropped", node=self.name, reason="no_socket",
                 )
             return
-        arrival_port = self.addr_port.get(source, 0)
         self.metrics.delivered_local += 1
         if traced:
             self.tracer.deliver(
-                packet.trace_id, time.monotonic(), self.name,
-                socket=socket,
+                trace_id, time.monotonic(), self.name, socket=socket,
             )
         if self.recorder.enabled:
             self.recorder.record(
                 "frame_delivered", node=self.name, socket=socket,
             )
         handler(LiveDelivered(
-            packet=packet,
-            payload=payload,
+            datagram=datagram,
+            preamble=preamble,
+            payload=datagram[payload_start:payload_end],
             socket=socket,
             arrived_at=time.monotonic(),
-            return_segments=build_return_route(packet),
-            arrival_port=arrival_port,
+            trailer_spans=trailer_spans,
+            arrival_port=self.addr_port.get(source, 0),
             source=source,
         ))
 
@@ -364,6 +444,12 @@ _MASK = struct.Struct(">I")
 _client_ids = itertools.count(1)
 
 
+def _resolve(waiter: "asyncio.Future[bool]", value: bool) -> None:
+    """Resolve a transaction attempt unless it already was."""
+    if not waiter.done():
+        waiter.set_result(value)
+
+
 @dataclass
 class LiveTransactionResult:
     """Outcome of one live request/response transaction."""
@@ -387,7 +473,11 @@ class _ClientTx:
     payload: bytes
     mask: Optional[DeliveryMask] = None
     parts: Dict[int, bytes] = field(default_factory=dict)
-    done: Optional[asyncio.Event] = None
+    #: The whole response group has arrived.
+    complete: bool = False
+    #: The attempt in progress: resolved True by the last response
+    #: member, False by the attempt's timeout.
+    waiter: Optional["asyncio.Future[bool]"] = None
     retries: int = 0
     retries_this_route: int = 0
     route_switches: int = 0
@@ -428,6 +518,12 @@ class LiveTransactor:
     route and returns the reassembled response (the client side).
     Responses travel the **reversed trailer route** of the request —
     the server never queries the directory.
+
+    A PDU the transactor discards is counted on the host's metrics like
+    any dropped frame: ``short_pdu``, ``unknown_pdu``, ``bad_group``,
+    ``no_handler``, ``duplicate_member`` (a member already held) and
+    ``stale_pdu`` (a response or STATUS for a transaction that is over —
+    the replay a timeout asked for, overtaken by the original).
     """
 
     def __init__(
@@ -483,11 +579,9 @@ class LiveTransactor:
         sizes = split_into_group(
             max(1, len(payload)), self.config.max_member_payload
         )
-        tx = _ClientTx(
-            txid=txid, sizes=sizes, payload=payload,
-            done=asyncio.Event(),
-        )
+        tx = _ClientTx(txid=txid, sizes=sizes, payload=payload)
         self._client_txs[txid] = tx
+        loop = asyncio.get_running_loop()
         started = time.monotonic()
         if self._tx_started is not None:
             self._tx_started.add()
@@ -505,9 +599,15 @@ class LiveTransactor:
                 timeout = max(
                     self.config.base_timeout_s, 4.0 * route.expected_rtt()
                 )
+                # One future and one timer per attempt: the last response
+                # member or the timeout resolves it, whichever is first.
+                tx.waiter = loop.create_future()
+                timer = loop.call_later(timeout, _resolve, tx.waiter, False)
                 try:
-                    await asyncio.wait_for(tx.done.wait(), timeout)
-                except asyncio.TimeoutError:
+                    await tx.waiter
+                finally:
+                    timer.cancel()
+                if not tx.complete:
                     tx.retries += 1
                     tx.retries_this_route += 1
                     if self._tx_retries is not None:
@@ -580,7 +680,7 @@ class LiveTransactor:
     def _resend_missing(self, tx: _ClientTx, server_bits: int) -> None:
         """Re-send only the request members a STATUS says are missing."""
         route = tx.route
-        if route is None or tx.done is None or tx.done.is_set():
+        if route is None or tx.complete:
             return
         offset = 0
         for index, size in enumerate(tx.sizes):
@@ -647,7 +747,8 @@ class LiveTransactor:
             assembly = _ServerAssembly(mask=DeliveryMask(count))
             self._assemblies[key] = assembly
         if assembly.mask.has(member):
-            return  # duplicate member
+            self.host.metrics.drop("duplicate_member")
+            return
         assembly.mask.mark(member)
         assembly.parts[member] = chunk
         assembly.reply_socket = reply_socket
@@ -720,6 +821,7 @@ class LiveTransactor:
         loop to come around again."""
         tx = self._client_txs.get(txid)
         if tx is None or len(chunk) < _MASK.size:
+            self.host.metrics.drop("stale_pdu")
             return
         self._resend_missing(tx, _MASK.unpack_from(chunk)[0])
 
@@ -737,7 +839,11 @@ class LiveTransactor:
         self, txid: int, member: int, count: int, chunk: bytes
     ) -> None:
         tx = self._client_txs.get(txid)
-        if tx is None or tx.done is None or tx.done.is_set():
+        if tx is None or tx.complete:
+            # A replay that lost the race with the original: counted like
+            # every frame a node discards, so a window that carried the
+            # tail of an earlier timeout does not read as a clean one.
+            self.host.metrics.drop("stale_pdu")
             return
         if not 1 <= count <= DeliveryMask.MAX_MEMBERS or member >= count:
             self.host.metrics.drop("bad_group")
@@ -745,11 +851,14 @@ class LiveTransactor:
         if tx.mask is None:
             tx.mask = DeliveryMask(count)
         if tx.mask.has(member):
+            self.host.metrics.drop("duplicate_member")
             return
         tx.mask.mark(member)
         tx.parts[member] = chunk
         if tx.mask.complete:
-            tx.done.set()
+            tx.complete = True
+            if tx.waiter is not None:
+                _resolve(tx.waiter, True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,10 +15,17 @@ callbacks.  The endpoint provides:
   N ways and no ``bytes`` object is built for the datagram,
 * **per-hop reliability** — frames sent with :meth:`LiveEndpoint.send`
   / :meth:`~LiveEndpoint.send_view` under ``reliable=True`` carry a
-  hop sequence number; the receiving endpoint acks it immediately and
-  the sender retries on an ack timeout, finally declaring the peer
-  dead (:attr:`on_peer_dead`) — this is what makes a killed router
-  *observable* instead of a silent black hole.  A reliable view's ring
+  hop sequence number; the receiving endpoint acks it and the sender
+  retries on an ack timeout, finally declaring the peer dead
+  (:attr:`on_peer_dead`) — this is what makes a killed router
+  *observable* instead of a silent black hole.  Acks are **one datagram
+  per peer per wakeup**: the drain collects the numbers it owes and
+  sends each peer a single ack naming all of them
+  (:func:`~repro.live.frames.encode_ack`) when it ends, before the
+  consumer runs — no timer, nothing but the drained batch decides.  An
+  arriving ack must frame exactly (else ``undecodable``) and releases
+  only frames that were sent to the address it came from (else
+  ``stray_ack``): sequence numbers are per sender.  A reliable view's ring
   slot stays **pinned** in the retry table until the ack (or the final
   abandonment) releases it.  All of an endpoint's ack deadlines share
   **one** loop timer (a deadline heap, see :meth:`LiveEndpoint.
@@ -56,10 +63,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
+    MAX_PAYLOAD_BYTES,
     PREAMBLE_BYTES,
     Preamble,
     SEQ_BYTES,
     SEQ_NONE,
+    ack_seqs,
     decode_preamble,
     encode_ack,
     restamp_seq,
@@ -287,8 +296,6 @@ class LiveEndpoint:
         #: Frames deferred by a momentarily full socket buffer.
         self._tx_backlog: Deque[Tuple[bytes, Address]] = deque()
         self._writer_armed = False
-        #: Reusable ack frame — the seq field is restamped per ack.
-        self._ack_scratch = bytearray(encode_ack(0))
         #: Reusable single-buffer list for ``recvmsg_into``.
         self._recv_buffers: List[Any] = [None]
         #: Drain-loop accounting (wakeup amortisation, for the bench).
@@ -624,10 +631,23 @@ class LiveEndpoint:
         self._impaired_send(entry.data, entry.addr)
         self._arm_retry(seq, self._now() + entry.gap_s)
 
-    def _on_ack(self, seq: int) -> None:
-        self.metrics.acks_in += 1
-        entry = self._pending.pop(seq, None)
-        if entry is not None and entry.slot is not None:
+    def _on_ack(self, seq: int, addr: Address) -> None:
+        """Peer ``addr`` acknowledged ``seq``: stop retrying that frame.
+
+        Only the peer a frame was sent to can acknowledge it.  Sequence
+        numbers are per sender, so another neighbour (or an ack from
+        before a reopen drew a new random base) can carry a colliding
+        number; honouring it would unpin a frame still in flight and
+        cancel the retries that recover it.
+        """
+        entry = self._pending.get(seq)
+        if entry is None:
+            return  # acked already (a retry crossed its ack)
+        if entry.addr != addr:
+            self.metrics.drop("stray_ack")
+            return
+        del self._pending[seq]
+        if entry.slot is not None:
             self.ring.release(entry.slot)
 
     def _is_duplicate(self, addr: Address, seq: int) -> bool:
@@ -647,12 +667,6 @@ class LiveEndpoint:
 
     # -- receive -----------------------------------------------------------
 
-    def _send_ack(self, seq: int, addr: Address) -> None:
-        """Ack from the preallocated scratch frame (restamped in place)."""
-        buf = self._ack_scratch
-        restamp_seq_into(buf, 0, seq)
-        self._raw_send(buf, addr)
-
     def _on_readable(self) -> None:
         """Drain loop: one wakeup, up to ``rx_batch`` datagrams.
 
@@ -660,6 +674,13 @@ class LiveEndpoint:
         receive-side allocation); acks and invalid frames are handled
         inline; surviving data frames are delivered as one batch of
         views whose slots the consumer now owns.
+
+        The reliable frames drained are acknowledged with **one ack
+        datagram per peer**, sent when the drain ends and before the
+        consumer runs — a function of the drained batch alone (no timer,
+        no clock).  A peer owed more numbers than fit one ring slot
+        (never, at the default sizes: 32 numbers are 135 bytes) gets
+        them in as many acks as it takes.
         """
         sock = self._sock
         if sock is None or self.closed:
@@ -667,6 +688,8 @@ class LiveEndpoint:
         ring = self.ring
         buffers = self._recv_buffers
         batch: List[BatchEntry] = []
+        #: Hop sequence numbers to acknowledge, per peer, in arrival order.
+        acks: Dict[Address, List[int]] = {}
         for _ in range(self.rx_batch):
             slot = ring.acquire()
             buffers[0] = slot.view
@@ -687,30 +710,49 @@ class LiveEndpoint:
                 ring.release(slot)
                 self.metrics.drop("oversize")
                 continue
+            datagram = slot.view[:nbytes]
             try:
-                preamble = decode_preamble(slot.view[:nbytes])
+                preamble = decode_preamble(datagram)
+                if preamble.kind == FRAME_ACK:
+                    acked = ack_seqs(datagram, preamble)
             except ViperDecodeError:
                 ring.release(slot)
                 self.metrics.drop("undecodable")
                 continue
             if preamble.kind == FRAME_ACK:
                 ring.release(slot)
-                self._on_ack(preamble.seq)
+                self.metrics.acks_in += 1
+                for seq in acked:
+                    self._on_ack(seq, addr)
                 continue
             if preamble.kind != FRAME_DATA:  # pragma: no cover - decoder guards
                 ring.release(slot)
                 self.metrics.drop("undecodable")
                 continue
             if preamble.seq != SEQ_NONE:
-                # Ack first (even duplicates — their ack may have been lost).
-                self.metrics.acks_out += 1
-                self._send_ack(preamble.seq, addr)
+                # Acked even when a duplicate — its ack may have been lost.
+                owed = acks.get(addr)
+                if owed is None:
+                    acks[addr] = [preamble.seq]
+                else:
+                    owed.append(preamble.seq)
                 if self._is_duplicate(addr, preamble.seq):
                     ring.release(slot)
                     self.metrics.drop("duplicate")
                     continue
             self.metrics.record_in(nbytes)
             batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
+        # An ack must fit a slot of the peer's ring (sized like ours) and
+        # the 16-bit payloadLen, whatever ``rx_batch`` is.
+        per_ack = 1 + min(
+            ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
+        ) // SEQ_BYTES
+        for addr, owed in acks.items():
+            for at in range(0, len(owed), per_ack):
+                self.metrics.acks_out += 1
+                self._raw_send(
+                    encode_ack(owed[at], owed[at + 1:at + per_ack]), addr
+                )
         if not batch:
             return
         self.rx_batches += 1

@@ -30,6 +30,7 @@ from repro.viper.wire import (
     decode_segment,
     encode_alt_blocks,
     encode_segment,
+    segment_span,
     slick_count,
 )
 
@@ -320,6 +321,43 @@ def decode_trailer(
         cursor = start
     elements.reverse()
     return elements, cursor
+
+
+def trailer_spans(  # sirlint: hot
+    buffer, floor: int = 0, end: Optional[int] = None
+) -> Tuple[List[Tuple[int, int]], int]:
+    """Span twin of :func:`decode_trailer`: where each element sits.
+
+    Walks ``buffer[floor:end]`` backwards with exactly the checks of
+    ``decode_trailer(buffer[floor:end])`` — a back-length must frame one
+    whole valid segment — but builds no segment.  Returns the
+    ``(start, end)`` of every reversed segment **in walk order** (last
+    appended first, which is the order of the return route; truncation
+    marks have no span) and the offset where the walk stopped: ``floor``
+    exactly when the whole region frames.
+    """
+    if end is None:
+        end = len(buffer)
+    spans = []  # sirlint: disable=SIR008 -- the result: int pairs, no segments
+    cursor = end
+    while cursor - floor >= TRAILER_LENGTH_BYTES:
+        segment_end = cursor - TRAILER_LENGTH_BYTES
+        length = (buffer[segment_end] << 8) | buffer[segment_end + 1]
+        if length == TRUNCATION_SENTINEL:
+            cursor = segment_end
+            continue
+        start = segment_end - length
+        if length < 4 or start < floor:
+            break
+        try:
+            consumed = segment_span(buffer, start)
+        except DecodeError:
+            break
+        if consumed != segment_end:
+            break
+        spans.append((start, segment_end))
+        cursor = start
+    return spans, cursor
 
 
 def decode_packet(

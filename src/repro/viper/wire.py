@@ -479,17 +479,6 @@ class PacketView:
     def tailroom(self) -> int:
         return len(self.buffer) - self.end
 
-    def append(self, data) -> bool:  # sirlint: hot
-        """Append ``data`` into the tail-room; False — view untouched —
-        when it cannot fit."""
-        n = len(data)
-        end = self.end
-        if end + n > len(self.buffer):
-            return False
-        self.buffer[end:end + n] = data
-        self.end = end + n
-        return True
-
     def write_at(self, offset: int, data) -> None:
         """Overwrite bytes at ``offset`` (relative to ``start``) in place."""
         at = self.start + offset

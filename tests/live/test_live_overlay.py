@@ -306,3 +306,40 @@ def test_transactor_survives_router_kill():
         await asyncio.sleep(0.05)
 
     asyncio.run(scenario())
+
+
+def test_late_replay_is_counted_not_silently_ignored():
+    """A request that reaches the server again after it was answered is
+    replayed; the replay finds no transaction waiting at the client and
+    is dropped ``stale_pdu`` — visible in the host's drop counters."""
+    from repro.live.host import _KIND_REQUEST, _TX_HEADER
+
+    async def scenario():
+        overlay = LiveOverlay(_line_topology())
+        await overlay.start()
+        try:
+            client = overlay.hosts["client"]
+            client_tx = LiveTransactor(client)
+            server_tx = LiveTransactor(overlay.hosts["server"])
+            server_tx.serve(lambda payload: b"echo:" + payload)
+            routes = overlay.routes(
+                "client", "server", k=1,
+                dest_socket=client_tx.config.socket, with_tokens=True,
+            )
+            manager = RouteManager(WallClock(), routes)
+            result = await client_tx.transact(manager, b"once")
+            assert result.ok and result.retries == 0
+            assert client.metrics.total_drops() == 0
+            # Transaction 1's only request member, a second time.
+            again = _TX_HEADER.pack(
+                _KIND_REQUEST, 0, client_tx.client_id, 1, 0, 1,
+                client_tx.config.socket, 0,
+            ) + b"once"
+            client.send(manager.current(), again)
+            await _eventually(lambda: client.metrics.dropped("stale_pdu") == 1)
+            assert client.metrics.total_drops() == 1
+        finally:
+            overlay.stop()
+        await asyncio.sleep(0.01)
+
+    asyncio.run(scenario())

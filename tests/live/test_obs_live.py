@@ -58,7 +58,7 @@ async def _http_get(address, target):
 
 
 async def _traced_ping_pong(overlay):
-    """One traced request/reply pair; returns the request packet."""
+    """One traced request/reply pair; returns the request's trace id."""
     client, server = overlay.hosts["client"], overlay.hosts["server"]
     replies = []
     client.bind(6, replies.append)
@@ -66,10 +66,11 @@ async def _traced_ping_pong(overlay):
         5, lambda d: server.send_return(d, b"pong", reply_socket=6)
     )
     route = overlay.routes("client", "server", dest_socket=5)[0]
-    packet = client.send(route, b"ping")
+    trace_id = client.send(route, b"ping")
     await _eventually(lambda: replies)
-    assert replies[0].packet.trace_id == packet.trace_id
-    return packet
+    assert replies[0].trace_id == trace_id
+    assert replies[0].packet.trace_id == trace_id
+    return trace_id
 
 
 def test_traced_transaction_end_to_end():
@@ -81,9 +82,9 @@ def test_traced_transaction_end_to_end():
         overlay = LiveOverlay(_line_topology(), tracer=tracer)
         await overlay.start()
         try:
-            packet = await _traced_ping_pong(overlay)
-            assert packet.trace_id != 0
-            record = tracer.record(packet.trace_id)
+            trace_id = await _traced_ping_pong(overlay)
+            assert trace_id != 0
+            record = tracer.record(trace_id)
             assert record is not None
             assert record.status == "delivered"
             names = [e.name for e in record.events]
@@ -155,15 +156,13 @@ def test_trace_endpoint_serves_span_json():
         overlay = LiveOverlay(_line_topology(), tracer=tracer, obs_port=0)
         await overlay.start()
         try:
-            packet = await _traced_ping_pong(overlay)
+            trace_id = await _traced_ping_pong(overlay)
             status, _, body = await _http_get(overlay.obs_address, "/trace")
             assert status == "HTTP/1.0 200 OK"
             index = json.loads(body)
-            assert packet.trace_id in [
-                t["trace_id"] for t in index["traces"]
-            ]
+            assert trace_id in [t["trace_id"] for t in index["traces"]]
             status, _, body = await _http_get(
-                overlay.obs_address, f"/trace?id={packet.trace_id:#x}"
+                overlay.obs_address, f"/trace?id={trace_id:#x}"
             )
             assert status == "HTTP/1.0 200 OK"
             doc = json.loads(body)
@@ -202,9 +201,10 @@ def test_untraced_overlay_pays_nothing():
             delivered = []
             server.bind(5, delivered.append)
             route = overlay.routes("client", "server", dest_socket=5)[0]
-            packet = client.send(route, b"ping")
+            trace_id = client.send(route, b"ping")
             await _eventually(lambda: delivered)
-            assert packet.trace_id == 0
+            assert trace_id == 0
+            assert delivered[0].trace_id == 0
             assert delivered[0].packet.trace_id == 0
         finally:
             overlay.stop()

@@ -102,36 +102,22 @@ class TestSegmentViewParity:
 
 
 class TestPacketViewEdits:
-    def test_append_and_write_at_match_bytes_edits(self):
+    def test_write_at_matches_bytes_edits(self):
         rng = random.Random(7)
         ring = BufferRing(slots=2, slot_bytes=256)
         for _ in range(50):
-            payload = bytes(rng.randrange(256) for _ in range(rng.randrange(100)))
+            payload = bytes(
+                rng.randrange(256) for _ in range(rng.randrange(3, 100))
+            )
             slot = ring.acquire()
             slot.buffer[: len(payload)] = payload
             view = PacketView.of_slot(slot, len(payload))
             shadow = bytearray(payload)
-
-            extra = bytes(rng.randrange(256) for _ in range(rng.randrange(40)))
-            assert view.append(extra)
-            shadow += extra
-            if len(shadow) >= 4:
-                at = rng.randrange(len(shadow) - 3)
-                view.write_at(at, b"\x01\x02\x03")
-                shadow[at:at + 3] = b"\x01\x02\x03"
+            at = rng.randrange(len(shadow) - 2)
+            view.write_at(at, b"\x01\x02\x03")
+            shadow[at:at + 3] = b"\x01\x02\x03"
             assert view.tobytes() == bytes(shadow)
             view.release()
-
-    def test_append_refuses_without_tailroom_and_leaves_view_untouched(self):
-        ring = BufferRing(slots=1, slot_bytes=16)
-        slot = ring.acquire()
-        view = PacketView.of_slot(slot, 10)
-        before = view.tobytes()
-        assert not view.append(b"x" * 7)  # 10 + 7 > 16
-        assert (view.start, view.end) == (0, 10)
-        assert view.tobytes() == before
-        assert view.append(b"x" * 6)
-        assert view.end == 16
 
     def test_write_at_bounds_checked(self):
         ring = BufferRing(slots=1, slot_bytes=32)

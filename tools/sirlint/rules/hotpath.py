@@ -47,7 +47,9 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
         "parse_segment_view",
         "of_slot",
         "mem",
-        "append",
+    ),
+    "repro.viper.packet": (
+        "trailer_spans",
     ),
     "repro.dataplane.flowcache": (
         "flow_key",
