@@ -29,6 +29,7 @@ Components:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.topology import Topology
@@ -320,23 +321,25 @@ class RateControlManager:
         next_node: str,
         next_port: Optional[int],
         size: int,
-        forward: Callable[[], None],
+        forward: Callable[..., None],
+        *args: Any,
     ) -> bool:
         """Apply any matching flow limit; returns True if forwarded now.
 
         The match is on the packet's *future* path: it is about to go to
         ``next_node`` and take ``next_port`` there — exactly the queue a
-        RateSignal named.
+        RateSignal named.  ``forward(*args)`` runs now, or when the
+        limiter releases the packet.
         """
         if not self.enabled or next_port is None:
-            forward()
+            forward(*args)
             return True
         limiter = self.limits.get((next_node, next_port))
         if limiter is None or limiter.try_consume(size):
-            forward()
+            forward(*args)
             return True
         prev = _previous_hop(packet, self.node_name)
-        limiter.hold(size, forward, prev_hop=prev)
+        limiter.hold(size, partial(forward, *args), prev_hop=prev)
         if limiter.backlog >= self.cascade_backlog:
             self._cascade(limiter)
         return False

@@ -135,12 +135,12 @@ class SirpentHost(Node):
         this packet; a non-zero value continues an existing trace (the
         reply path); 0 forces "untraced".
         """
-        segments = [
-            s.copy(priority=priority, dib=dib) for s in route.segments
-        ]
+        # The packet owns its lists; the segments in them are the
+        # route's own wherever they already carry this type of service.
+        segments = [s.stamped(priority, dib) for s in route.segments]
         alternates = [
-            [s.copy(priority=priority) for s in block]
-            for block in getattr(route, "alternates", [])
+            [s.stamped(priority) for s in block]
+            for block in getattr(route, "alternates", ())
         ]
         packet = SirpentPacket(
             segments=segments,
@@ -189,7 +189,7 @@ class SirpentHost(Node):
         sender — the transport knows which of its endpoints should get
         the reply.
         """
-        segments = [s.copy(priority=priority) for s in delivered.return_segments]
+        segments = [s.stamped(priority) for s in delivered.return_segments]
         segments.append(HeaderSegment(port=reply_socket, priority=priority, rpf=True))
         route = _AdHocRoute(
             segments=segments,

@@ -22,7 +22,7 @@ from repro.net.addresses import MacAddress
 from repro.net.node import Attachment
 from repro.obs.trace import NULL_TRACER
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Counter, Histogram, RateMeter, TimeWeighted
+from repro.sim.monitor import Counter, Histogram, TimeWeighted
 from repro.viper.flags import effective_priority, is_preemptive, outranks
 
 
@@ -91,14 +91,15 @@ class OutputPort:
         self._seq = 0
         self.queued_bytes = 0
         self.on_transmit_start: Optional[Callable[[_QueuedPacket], None]] = None
+        #: The packet :meth:`submit` sent straight out of the idle port,
+        #: for as long as that transmission lasts — the stream a
+        #: cut-through router aborts when its inbound half dies (§2.1).
+        self.streaming: Any = None
         #: Hop tracer (repro.obs): NULL_TRACER unless installed by the
         #: owning node — every use is guarded by ``tracer.enabled``.
         self.tracer = NULL_TRACER
         # -- statistics the benchmarks consume --
         self.queue_length = TimeWeighted(name=f"{self.name}.qlen", start=sim.now)
-        self.queue_bytes_tw = TimeWeighted(name=f"{self.name}.qbytes", start=sim.now)
-        self.arrivals = RateMeter(window=10e-3, name=f"{self.name}.arrivals")
-        self.departures = RateMeter(window=10e-3, name=f"{self.name}.departures")
         self.drops = Counter(f"{self.name}.drops")
         self.preemptions = Counter(f"{self.name}.preemptions")
         self.sent = Counter(f"{self.name}.sent")
@@ -108,7 +109,7 @@ class OutputPort:
 
     # -- submission -------------------------------------------------------
 
-    def submit(
+    def submit(  # sirlint: hot
         self,
         packet: Any,
         size: int,
@@ -118,7 +119,6 @@ class OutputPort:
         dib: bool = False,
     ) -> SubmitResult:
         """Route a packet out this port, queueing or preempting as needed."""
-        self.arrivals.add(self.sim.now, 1.0)
         entry = _QueuedPacket(
             packet, size, header_bytes, dst_mac, priority,
             submitted_at=self.sim.now,
@@ -126,6 +126,7 @@ class OutputPort:
 
         if not self.attachment.busy:
             self._transmit(entry)
+            self.streaming = packet
             return SubmitResult.SENT
 
         # Port busy: preemptive priorities abort the current transmission
@@ -165,7 +166,6 @@ class OutputPort:
         )
         self.queued_bytes += entry.size
         self.queue_length.update(self.sim.now, len(self._heap))
-        self.queue_bytes_tw.update(self.sim.now, self.queued_bytes)
         if self.tracer.enabled:
             trace_id = getattr(entry.packet, "trace_id", 0)
             if trace_id:
@@ -192,7 +192,7 @@ class OutputPort:
 
     # -- transmission -------------------------------------------------------
 
-    def _transmit(self, entry: _QueuedPacket) -> None:
+    def _transmit(self, entry: _QueuedPacket) -> None:  # sirlint: hot
         self.wait_time.add(self.sim.now - entry.submitted_at)
         if self.on_transmit_start is not None:
             self.on_transmit_start(entry)
@@ -217,7 +217,6 @@ class OutputPort:
             on_abort=self._on_aborted,
         )
         self.sent.add()
-        self.departures.add(self.sim.now, 1.0)
 
     def _traced_on_done(self, trace_id: int) -> Callable[[], None]:
         """An ``on_done`` that stamps ``tx_complete`` before freeing."""
@@ -230,20 +229,17 @@ class OutputPort:
         return done
 
     def _on_port_free(self) -> None:
-        self._start_next()
-
-    def _on_aborted(self, packet: Any) -> None:
-        # The preempting packet's _transmit call follows immediately; the
-        # aborted packet is lost here (its transport retransmits).
-        pass
-
-    def _start_next(self) -> None:
+        self.streaming = None
         while self._heap and not self.attachment.busy:
             _neg, _seq, entry = heapq.heappop(self._heap)
             self.queued_bytes -= entry.size
             self.queue_length.update(self.sim.now, len(self._heap))
-            self.queue_bytes_tw.update(self.sim.now, self.queued_bytes)
             self._transmit(entry)
+
+    def _on_aborted(self, packet: Any) -> None:
+        # The preempting packet's _transmit call follows immediately; the
+        # aborted packet is lost here (its transport retransmits).
+        self.streaming = None
 
     # -- introspection -----------------------------------------------------
 

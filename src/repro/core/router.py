@@ -32,11 +32,11 @@ the ``on_packet`` event instead, plus a per-packet processing charge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import ControlPlane, RateControlManager
-from repro.core.queues import OutputPort, SubmitResult
+from repro.core.queues import OutputPort
 from repro.core.truncation import truncate_to_mtu
 from repro.dataplane import (
     Action,
@@ -47,7 +47,6 @@ from repro.dataplane import (
     ForwardingPipeline,
     HopInput,
     PortMap,
-    PortProfile,
     apply_drop,
 )
 from repro.dataplane.logical import LogicalPortMap
@@ -62,7 +61,7 @@ from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
 from repro.viper.packet import SirpentPacket
 from repro.viper.portinfo import EthernetInfo
-from repro.viper.wire import LOCAL_PORT
+from repro.viper.wire import LOCAL_PORT, HeaderSegment
 
 
 @dataclass
@@ -120,16 +119,10 @@ class _SimPortMap(PortMap):
     def __init__(self, router: "SirpentRouter") -> None:
         self._router = router
 
-    def profile(self, port_id: int) -> Optional[PortProfile]:
-        attachment = self._router.ports.get(port_id)
-        if attachment is None:
-            return None
-        return PortProfile(
-            kind=attachment.kind,
-            mtu=attachment.mtu,
-            rate_bps=attachment.rate_bps,
-            up=attachment.up,
-        )
+    def profile(self, port_id: int) -> Optional[Attachment]:
+        # An attachment answers kind / mtu / rate_bps / up itself, live
+        # — everything a PortProfile is — so a hop builds none.
+        return self._router.ports.get(port_id)
 
     def ids(self) -> Iterable[int]:
         return sorted(self._router.ports)
@@ -166,19 +159,53 @@ class _SimEffectSink(EffectSink):
         )
         counter.add(n)
 
-    def trace_event(self, event: str, **fields: Any) -> None:
-        router, packet = self._router, self._packet
-        if packet.trace_id and router.tracer.enabled:
-            router.tracer.event(
-                packet.trace_id, router.sim.now, router.name, event, **fields
-            )
-
     def trace_drop(self, reason: str, **fields: Any) -> None:
         router, packet = self._router, self._packet
         if packet.trace_id and router.tracer.enabled:
             router.tracer.drop(
                 packet.trace_id, router.sim.now, router.name, reason, **fields
             )
+
+
+class _SimHop(HopInput):
+    """One arrival as the pipeline reads it: the lazy fields are methods
+    over the arrival's own objects (a hop builds no thunk), ``wire_size``
+    is the size the delivering transmission carried."""
+
+    def __init__(
+        self, packet: SirpentPacket, inport: Attachment, tx: Transmission,
+        size: int, now_ms: int,
+    ) -> None:
+        segments = packet.segments
+        self.segment = segments[0] if segments else None
+        self.seg_count = len(segments)
+        self.wire_size = size
+        self.in_port = inport.port_id
+        self.now_ms = now_ms
+        self._packet = packet
+        self._inport = inport
+        self._tx = tx
+
+    def reverse_portinfo(self) -> bytes:
+        """Reverse the arrival network header (Ethernet src/dst swap, §2).
+
+        ethertype 0 placeholder: the sender of the return route fills in
+        the Sirpent type; sizes are identical either way.
+        """
+        tx = self._tx
+        if (
+            self._inport.kind == "ethernet"
+            and tx.src_mac is not None
+            and tx.dst_mac is not None
+        ):
+            return EthernetInfo(
+                dst=tx.src_mac, src=tx.dst_mac, ethertype=0
+            ).to_bytes()
+        return b""
+
+    def alternate(self) -> Optional[List[HeaderSegment]]:
+        alternates = self._packet.alternates
+        return list(alternates[0]) if alternates else None
 
 
 class SirpentRouter(Node):
@@ -233,7 +260,6 @@ class SirpentRouter(Node):
             # flow decisions may point straight at one — flush them.
             self.congestion.on_rebind = self.pipeline.on_congestion_rebind
         self._header_handled: Set[int] = set()
-        self._forwarding_out: Dict[int, Attachment] = {}
         #: Hop tracer (repro.obs); NULL_TRACER = tracing disabled.
         self.tracer = NULL_TRACER
 
@@ -297,8 +323,7 @@ class SirpentRouter(Node):
                 packet.trace_id, self.sim.now, self.name,
                 "cut_through_start", in_port=inport.port_id,
             )
-        self._process(packet, inport, tx, arrival_time=self.sim.now,
-                      extra_process_delay=0.0)
+        self._process(packet, inport, tx, tx.size, self.sim.now, 0.0)
 
     def on_packet(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
         if not isinstance(packet, SirpentPacket):
@@ -322,9 +347,8 @@ class SirpentRouter(Node):
                 "store_forward_start", in_port=inport.port_id,
             )
         self._process(
-            packet, inport, tx,
-            arrival_time=self.sim.now,
-            extra_process_delay=self.config.store_forward_process_delay,
+            packet, inport, tx, tx.size, self.sim.now,
+            self.config.store_forward_process_delay,
         )
 
     def on_abort(self, packet: Any, inport: Attachment) -> None:
@@ -332,58 +356,31 @@ class SirpentRouter(Node):
         if not isinstance(packet, SirpentPacket):
             return
         self._header_handled.discard(packet.packet_id)
-        attachment = self._forwarding_out.pop(packet.packet_id, None)
-        if attachment is not None and attachment.current_packet() is packet:
-            attachment.abort_current()
+        for outport in self.output_ports.values():
+            if outport.streaming is packet:
+                if outport.attachment.current_packet() is packet:
+                    outport.attachment.abort_current()
+                return
 
     # -- decide (pipeline) then apply (driver) ----------------------------
 
-    def _hop_input(
-        self, packet: SirpentPacket, inport: Attachment, tx: Transmission
-    ) -> HopInput:
-        return HopInput(
-            segment=packet.segments[0] if packet.segments else None,
-            seg_count=len(packet.segments),
-            wire_size=packet.wire_size(),
-            in_port=inport.port_id,
-            now_ms=int(self.sim.now * 1000),
-            reverse_portinfo=lambda: self._reverse_portinfo(inport, tx),
-            trailer_len=len(packet.trailer),
-            alternate=lambda: (
-                list(packet.alternates[0]) if packet.alternates else None
-            ),
-        )
-
-    @staticmethod
-    def _reverse_portinfo(inport: Attachment, tx: Transmission) -> bytes:
-        """Reverse the arrival network header (Ethernet src/dst swap, §2).
-
-        ethertype 0 placeholder: the sender of the return route fills in
-        the Sirpent type; sizes are identical either way.
-        """
-        if (
-            inport.kind == "ethernet"
-            and tx.src_mac is not None
-            and tx.dst_mac is not None
-        ):
-            return EthernetInfo(
-                dst=tx.src_mac, src=tx.dst_mac, ethertype=0
-            ).to_bytes()
-        return b""
-
-    def _process(
+    def _process(  # sirlint: hot
         self,
         packet: SirpentPacket,
         inport: Attachment,
         tx: Transmission,
+        size: int,
         arrival_time: float,
         extra_process_delay: float,
     ) -> None:
+        """One hop of a packet that arrived ``size`` bytes long."""
         packet.hop_log.append(self.name)
-        decision = self.pipeline.decide(self._hop_input(packet, inport, tx))
+        decision = self.pipeline.decide(
+            _SimHop(packet, inport, tx, size, int(self.sim.now * 1000))
+        )
         self._apply(decision, packet, inport, tx, arrival_time, extra_process_delay)
 
-    def _apply(
+    def _apply(  # sirlint: hot
         self,
         decision: Decision,
         packet: SirpentPacket,
@@ -412,7 +409,7 @@ class SirpentRouter(Node):
             # in-band alternate replaces the *entire* remaining route
             # and every other alternate block is discarded with it;
             # the normal strip below then takes its first hop.
-            packet.apply_slick_reroute([decision.effective])
+            packet.apply_slick_reroute((decision.effective,))
             self.stats.slick_reroutes.add()
             if packet.trace_id and self.tracer.enabled:
                 self.tracer.event(
@@ -428,18 +425,19 @@ class SirpentRouter(Node):
                 trailer_len=len(packet.trailer),
             )
         if decision.splice_tail:
-            packet.segments[0:0] = list(decision.splice_tail)
+            packet.segments[0:0] = decision.splice_tail
         if decision.truncate_to:
             truncate_to_mtu(packet, decision.truncate_to)
             self.stats.truncated.add()
         delay = (
             self.config.decision_delay + decision.token_delay + extra_process_delay
         )
+        # The size the packet leaves with: counted once, carried from here.
         self.sim.after(
             delay,
             self._forward,
-            packet, decision.out_port, decision.effective, decision.dst_mac,
-            arrival_time,
+            packet, packet.wire_size(), decision.out_port, decision.effective,
+            decision.dst_mac, arrival_time,
         )
 
     def _fan_out(
@@ -454,11 +452,9 @@ class SirpentRouter(Node):
         """Multicast: clone per branch, re-enter the pipeline per clone
         (token checks per branch segment)."""
         for branch in decision.branches:
-            segments = (
-                list(branch)
-                if decision.fanout_replaces_route
-                else list(branch) + [s.copy() for s in packet.segments[1:]]
-            )
+            segments = list(branch)
+            if not decision.fanout_replaces_route:
+                segments += packet.segments[1:]
             clone = SirpentPacket(
                 segments=segments,
                 payload_size=packet.payload_size,
@@ -472,49 +468,51 @@ class SirpentRouter(Node):
                 trace_id=packet.trace_id,
             )
             self.stats.multicast_copies.add()
-            self._process(clone, inport, tx, arrival_time, extra_process_delay)
+            self._process(
+                clone, inport, tx, clone.wire_size(),
+                arrival_time, extra_process_delay,
+            )
 
-    def _forward(
+    def _forward(  # sirlint: hot
         self,
         packet: SirpentPacket,
+        size: int,
         port: int,
-        segment,
+        segment: HeaderSegment,
         dst_mac: Optional[MacAddress],
         arrival_time: float,
     ) -> None:
         outport = self.output_ports[port]
-        next_node = self.ports[port].peer_name_for(dst_mac)
-        next_port = packet.segments[0].port if packet.segments else None
+        if self.congestion is None:
+            self._submit(packet, size, outport, segment, dst_mac, arrival_time)
+            return
+        self.congestion.admit_or_hold(
+            packet,
+            self.ports[port].peer_name_for(dst_mac),
+            packet.segments[0].port if packet.segments else None,
+            size,
+            self._submit, packet, size, outport, segment, dst_mac, arrival_time,
+        )
 
-        def submit() -> None:
-            self.stats.router_delay.add(self.sim.now - arrival_time)
-            self.stats.forwarded.add()
-            result = outport.submit(
-                packet,
-                packet.wire_size(),
-                packet.decision_prefix_bytes(),
-                dst_mac=dst_mac,
-                priority=segment.priority,
-                dib=segment.dib,
-            )
-            if result is SubmitResult.SENT:
-                # Track the live cut-through stream so an inbound abort
-                # can ripple downstream; the record self-expires once
-                # the outbound transmission is over.
-                rate = outport.attachment.rate_bps
-                if rate > 0:
-                    self._forwarding_out[packet.packet_id] = outport.attachment
-                    self.sim.after(
-                        packet.wire_size() * 8.0 / rate + 1e-9,
-                        self._forwarding_out.pop, packet.packet_id, None,
-                    )
-
-        if self.congestion is not None:
-            self.congestion.admit_or_hold(
-                packet, next_node, next_port, packet.wire_size(), submit
-            )
-        else:
-            submit()
+    def _submit(
+        self,
+        packet: SirpentPacket,
+        size: int,
+        outport: OutputPort,
+        segment: HeaderSegment,
+        dst_mac: Optional[MacAddress],
+        arrival_time: float,
+    ) -> None:
+        self.stats.router_delay.add(self.sim.now - arrival_time)
+        self.stats.forwarded.add()
+        outport.submit(
+            packet,
+            size,
+            packet.decision_prefix_bytes(),
+            dst_mac=dst_mac,
+            priority=segment.priority,
+            dib=segment.dib,
+        )
 
     # -- local delivery -----------------------------------------------------------
 

@@ -126,9 +126,7 @@ class IpTunnelAttachment(Attachment):
         if not isinstance(inner, SirpentPacket):
             return
         self.decapsulated += 1
-        tx = Transmission(
-            inner, ip_packet.payload_size, self.ip_host.sim.now, 0, None, None,
-        )
+        tx = Transmission(inner, ip_packet.payload_size, 0, None, None)
         self.node.on_packet(inner, self, tx)
 
 
@@ -274,7 +272,7 @@ class CvcTunnelAttachment(Attachment):
         if not isinstance(payload, SirpentPacket):
             return
         self.decapsulated += 1
-        tx = Transmission(payload, size, self.cvc_host.sim.now, 0, None, None)
+        tx = Transmission(payload, size, 0, None, None)
         self.node.on_packet(payload, self, tx)
 
 

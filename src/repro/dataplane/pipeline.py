@@ -139,7 +139,6 @@ class HopInput:
     in_port: int = UNKNOWN_IN_PORT
     now_ms: int = 0
     reverse_portinfo: Callable[[], bytes] = staticmethod(lambda: b"")
-    trailer_len: int = 0
     #: Thunk producing the leading alternate block — the Slick-Packets
     #: backup route carried in-band for this hop (ARCHITECTURE §16) —
     #: or None when the packet carries none or the block fails to

@@ -164,7 +164,7 @@ class EthernetSegment:
         self._current = frame
         self.utilization.busy(self.sim.now)
         tx = Transmission(
-            frame.packet, frame.size, self.sim.now, frame.priority,
+            frame.packet, frame.size, frame.priority,
             frame.on_done, frame.on_abort,
         )
         tx.src_mac = frame.src.mac

@@ -39,12 +39,10 @@ class Transmission:
     __slots__ = (
         "packet",
         "size",
-        "start_time",
         "priority",
         "header_event",
         "complete_event",
         "free_event",
-        "aborted",
         "on_done",
         "on_abort",
         "src_mac",
@@ -55,19 +53,16 @@ class Transmission:
         self,
         packet: Any,
         size: int,
-        start_time: float,
         priority: int,
         on_done: Optional[Callable[[], None]],
         on_abort: Optional[Callable[[Any], None]],
     ) -> None:
         self.packet = packet
         self.size = size
-        self.start_time = start_time
         self.priority = priority
         self.header_event: Optional[EventHandle] = None
         self.complete_event: Optional[EventHandle] = None
         self.free_event: Optional[EventHandle] = None
-        self.aborted = False
         self.on_done = on_done
         self.on_abort = on_abort
         # Frame addressing, set by Ethernet segments (None on p2p wires);
@@ -145,7 +140,7 @@ class Channel:
 
     # -- transmission ------------------------------------------------------
 
-    def transmit(
+    def transmit(  # sirlint: hot
         self,
         packet: Any,
         size: int,
@@ -170,42 +165,44 @@ class Channel:
             raise ValueError("packet size must be positive")
         header_bytes = min(header_bytes, size)
 
-        tx = Transmission(packet, size, self.sim.now, priority, on_done, on_abort)
+        sim = self.sim
+        now = sim.now
+        tx = Transmission(packet, size, priority, on_done, on_abort)
         self.current = tx
-        self.utilization.busy(self.sim.now)
+        self.utilization.busy(now)
 
         fate = self.chaos() if self.chaos is not None else None
         if self.up and (fate is None or not fate.drop):
             extra = fate.extra_delay_s if fate is not None else 0.0
-            header_at = (
-                self.sim.now + self.transmission_time(header_bytes)
-                + self.propagation_delay + extra
-            )
             complete_at = (
-                self.sim.now + self.transmission_time(size)
+                now + self.transmission_time(size)
                 + self.propagation_delay + extra
             )
             delivered = packet
             if self.corruption_rate > 0 and self.rng is not None:
                 if self.rng.random() < self.corruption_rate:
-                    delivered = self._corrupt(packet)
+                    delivered = self._corrupt(packet, self.rng)
             if fate is not None and fate.corrupt_seed is not None:
-                corrupt = getattr(delivered, "corrupted_copy", None)
-                if corrupt is not None:
-                    delivered = corrupt(random.Random(fate.corrupt_seed))
-            tx.header_event = self.sim.at(header_at, self._deliver_header, delivered, tx)
-            tx.complete_event = self.sim.at(complete_at, self._deliver_complete, delivered, tx)
+                delivered = self._corrupt(
+                    delivered, random.Random(fate.corrupt_seed)
+                )
+            if self.dst_attachment.wants_header:
+                tx.header_event = sim.at(
+                    now + self.transmission_time(header_bytes)
+                    + self.propagation_delay + extra,
+                    self._deliver_header, delivered, tx,
+                )
+            tx.complete_event = sim.at(complete_at, self._deliver_complete, delivered, tx)
             if fate is not None and fate.duplicate:
                 # A duplicated datagram arrives one transmission time
                 # behind the original, store-and-forward style.  It must
                 # be an independent object: the first traversal mutates
                 # its header (strip/reverse/append).
-                self.sim.at(
+                sim.at(
                     complete_at + self.transmission_time(size),
                     self._deliver_complete, copy.deepcopy(delivered), tx,
                 )
-        free_at = self.sim.now + self.transmission_time(size)
-        tx.free_event = self.sim.at(free_at, self._free, tx)
+        tx.free_event = sim.at(now + self.transmission_time(size), self._free, tx)
         return tx
 
     def abort(self, notify_receiver: bool = True) -> None:
@@ -213,7 +210,6 @@ class Channel:
         tx = self.current
         if tx is None:
             return
-        tx.aborted = True
         for event in (tx.header_event, tx.complete_event, tx.free_event):
             if event is not None:
                 event.cancel()
@@ -232,12 +228,11 @@ class Channel:
 
     # -- internal ----------------------------------------------------------
 
-    def _corrupt(self, packet: Any) -> Any:
+    @staticmethod
+    def _corrupt(packet: Any, rng: random.Random) -> Any:
         """Return a corrupted rendition of the packet if it supports it."""
         corrupt = getattr(packet, "corrupted_copy", None)
-        if corrupt is None:
-            return packet
-        return corrupt(self.rng)
+        return packet if corrupt is None else corrupt(rng)
 
     def _deliver_header(self, packet: Any, tx: Transmission) -> None:
         if self.dst_attachment is not None:

@@ -1,16 +1,16 @@
 """Deterministic discrete-event scheduler.
 
-The :class:`Simulator` keeps a binary heap of ``(time, sequence, handle)``
-entries.  The sequence number makes simultaneous events fire in the order
-they were scheduled, which keeps every run bit-for-bit reproducible — a
-property the benchmarks rely on when they compare Sirpent against the IP
-and CVC baselines on identical arrival sequences.
+The :class:`Simulator` keeps a binary heap of ``[time, sequence, fn,
+args]`` entries.  The sequence number makes simultaneous events fire in
+the order they were scheduled, which keeps every run bit-for-bit
+reproducible — a property the benchmarks rely on when they compare
+Sirpent against the IP and CVC baselines on identical arrival sequences.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 from repro.sim.ids import PacketIdAllocator
 
@@ -19,30 +19,38 @@ class SimulationError(Exception):
     """Raised for scheduling misuse (e.g. scheduling into the past)."""
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled callback.
+class EventHandle(list):
+    """A scheduled callback: the heap entry ``[time, seq, fn, args]``
+    itself, handed back as the cancellable reference.  ``seq`` is
+    unique, so ordering never compares ``fn``.
 
-    Cancellation is lazy: the heap entry stays in place and is discarded
-    when popped.  That makes :meth:`Simulator.cancel` O(1), which matters
-    because preemptive routers cancel packet-completion events frequently.
+    Cancellation is lazy: ``cancel`` clears ``fn`` and the entry is
+    discarded when popped — O(1), which matters because preemptive
+    routers cancel packet-completion events frequently.  A cancelled or
+    fired entry drops ``args``: a far-off timer does not pin its packet,
+    and a transmission and its delivery events (each holds the other)
+    are freed by reference count, not by the collector.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Mark the event so it will be skipped when its time arrives."""
-        self.cancelled = True
+        """Mark the event so it is skipped when its time arrives."""
+        self[2] = None
+        self[3] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<EventHandle t={self.time:.9f} {name} {state}>"
+        name = getattr(self[2], "__qualname__", repr(self[2]))
+        return f"<EventHandle t={self[0]:.9f} {name} {state}>"
 
 
 class Simulator:
@@ -60,9 +68,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._heap: List[EventHandle] = []
         self._seq: int = 0
-        self._running: bool = False
         self.events_executed: int = 0
         #: Seed-stable id source for every packet this engine creates
         #: (hosts, router clones, baselines) — ids are a function of
@@ -75,43 +82,42 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def at(  # sirlint: hot
+        self, time: float, fn: Callable[..., Any], *args: Any
+    ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulation ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        handle = EventHandle(time, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, handle))
-        return handle
+        self._seq = seq = self._seq + 1
+        entry = EventHandle((time, seq, fn, args))
+        heappush(self._heap, entry)
+        return entry
 
-    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def after(  # sirlint: hot
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> EventHandle:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + delay, fn, *args)
-
-    @staticmethod
-    def cancel(handle: EventHandle) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
-        handle.cancel()
+        self._seq = seq = self._seq + 1
+        entry = EventHandle((self.now + delay, seq, fn, args))
+        heappush(self._heap, entry)
+        return entry
 
     # -- execution -------------------------------------------------------
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle."""
-        while self._heap:
-            time, _seq, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.now = time
-            self.events_executed += 1
-            handle.fn(*handle.args)
-            return True
-        return False
+        if self.peek_time() is None:
+            return False
+        self.run(max_events=1)
+        return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(  # sirlint: hot
+        self, until: Optional[float] = None, max_events: Optional[int] = None
+    ) -> None:
         """Run until the event heap drains, ``until`` is reached, or
         ``max_events`` have executed.
 
@@ -119,37 +125,42 @@ class Simulator:
         even if the last event fired earlier, so post-run measurements
         (utilization, time-weighted means) cover the full interval.
         """
-        executed = 0
-        self._running = True
-        try:
-            while self._heap:
-                time, _seq, handle = self._heap[0]
-                if handle.cancelled:
-                    heapq.heappop(self._heap)
-                    continue
-                if until is not None and time > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    return
-                heapq.heappop(self._heap)
-                self.now = time
-                self.events_executed += 1
-                executed += 1
-                handle.fn(*handle.args)
-        finally:
-            self._running = False
+        heap = self._heap
+        horizon = float("inf") if until is None else until
+        limit = (
+            float("inf") if max_events is None
+            else self.events_executed + max_events
+        )
+        while heap:
+            entry = heap[0]
+            fn = entry[2]
+            if fn is None:
+                heappop(heap)
+                continue
+            time = entry[0]
+            if time > horizon:
+                break
+            if self.events_executed >= limit:
+                return
+            heappop(heap)
+            self.now = time
+            self.events_executed += 1
+            args = entry[3]
+            entry[3] = ()
+            fn(*args)
         if until is not None and self.now < until:
             self.now = until
 
     def pending(self) -> int:
         """Number of scheduled-and-not-cancelled events (O(n))."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when idle."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now:.9f} pending={len(self._heap)}>"

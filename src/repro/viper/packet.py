@@ -13,6 +13,20 @@ reverse order") — :func:`build_return_route`.
 The simulator carries packets *structurally*: sizes come from the wire
 codec so timing is byte-exact, but we only serialize at the edges (and
 in the codec tests), never per hop.
+
+**Sizes are carried.**  A :class:`HeaderSegment` fixes its encoded size
+at construction (``wire_bytes``).  The simulator's drivers take a hop's
+arrival size from the ``Transmission`` that delivered the packet and
+call :meth:`SirpentPacket.wire_size` once per hop, after the transform,
+for the size it leaves with; ``wire_size()`` recounts from the parts,
+so it is right whatever edited the lists.
+
+**Segments are shared, lists are not.**  A route, the packets sent on
+it, a flow-cache entry and a trailer may hold the *same* segment
+object; a packet owns only its ``segments`` / ``alternates`` /
+``trailer`` lists.  Hence the one aliasing rule: never mutate a
+``HeaderSegment`` in place — every route edit here replaces list
+entries, and :meth:`HeaderSegment.stamped` / ``copy`` build new ones.
 """
 
 from __future__ import annotations
@@ -49,6 +63,8 @@ TRAILER_LENGTH_BYTES = 2
 class _TruncationMark:
     """Singleton marker a router appends when it truncated the packet."""
 
+    wire_bytes = TRUNCATION_MARK_BYTES
+
     def wire_size(self) -> int:
         return TRUNCATION_MARK_BYTES
 
@@ -64,9 +80,14 @@ class TrailerElement:
     """One reversed header segment living in the trailer."""
 
     segment: HeaderSegment
+    #: The segment plus its 2-byte back-length.
+    wire_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.wire_bytes = self.segment.wire_bytes + TRAILER_LENGTH_BYTES
 
     def wire_size(self) -> int:
-        return self.segment.wire_size() + TRAILER_LENGTH_BYTES
+        return self.wire_bytes
 
 
 #: Fallback id source for bare construction (unit tests, clones).
@@ -119,17 +140,19 @@ class SirpentPacket:
     # -- sizes ---------------------------------------------------------------
 
     def header_size(self) -> int:
-        return sum(s.wire_size() for s in self.segments)
+        return sum(s.wire_bytes for s in self.segments)
 
     def alt_size(self) -> int:
         """Wire bytes of the appended alternate blocks (0 when none)."""
+        if not self.alternates:
+            return 0
         return sum(
-            ALT_COUNT_BYTES + sum(s.wire_size() for s in block)
+            ALT_COUNT_BYTES + sum(s.wire_bytes for s in block)
             for block in self.alternates
         )
 
     def trailer_size(self) -> int:
-        return sum(e.wire_size() for e in self.trailer)
+        return sum(e.wire_bytes for e in self.trailer)
 
     def wire_size(self) -> int:
         return (
@@ -147,7 +170,7 @@ class SirpentPacket:
         """
         if not self.segments:
             return self.wire_size()
-        return self.segments[0].wire_size()
+        return self.segments[0].wire_bytes
 
     # -- routing algebra ----------------------------------------------------
 
@@ -209,7 +232,7 @@ class SirpentPacket:
         transport layer is responsible for detecting either (§4.1).
         """
         clone = SirpentPacket(
-            segments=[s.copy() for s in self.segments],
+            segments=list(self.segments),
             payload_size=self.payload_size,
             payload=self.payload,
             trailer=list(self.trailer),

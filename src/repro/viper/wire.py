@@ -25,7 +25,7 @@ bytes have arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.viper.errors import DecodeError, SegmentLimitError
@@ -65,6 +65,9 @@ class HeaderSegment:
     ``token`` and ``portinfo`` are raw octet strings; their
     interpretation (HMAC capability, Ethernet header, logical-hop label)
     belongs to the layer that knows the port's type.
+
+    A segment is a value — routes and packets share it and its size is
+    computed once: change one with :meth:`copy`, never by assignment.
     """
 
     port: int
@@ -77,14 +80,26 @@ class HeaderSegment:
     #: Slick-Packets failover: an alternate-route block for this hop is
     #: appended after the primary route (ARCHITECTURE §16).
     slick: bool = False
+    #: Exact encoded size, ``len(encode_segment(self))``.
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= MAX_PORT:
             raise ValueError(f"port {self.port} outside 0..{MAX_PORT}")
         validate_priority(self.priority)
+        self.wire_bytes = segment_wire_size(len(self.token), len(self.portinfo))
 
     def wire_size(self) -> int:
-        return segment_wire_size(len(self.token), len(self.portinfo))
+        return self.wire_bytes
+
+    def stamped(self, priority: int, dib: Optional[bool] = None) -> "HeaderSegment":
+        """This hop carrying ``priority`` (and ``dib`` unless None) —
+        the segment itself when it already does."""
+        if self.priority == priority and (dib is None or self.dib == dib):
+            return self
+        return self.copy(
+            priority=priority, dib=self.dib if dib is None else dib
+        )
 
     def copy(self, **overrides) -> "HeaderSegment":
         values = dict(

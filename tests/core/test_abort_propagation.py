@@ -6,6 +6,8 @@ ripple down the chain — the truncated tail never arrives, so every
 downstream hop's copy dies too.
 """
 
+import gc
+import weakref
 
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
@@ -44,6 +46,15 @@ def build_chain(n_routers=2, rate=1e6):
     return sim, src, dst, routers, src_port, ports
 
 
+def assert_nothing_survives(sim, packet_refs):
+    """No per-packet tracking state outlives its transmission: the
+    engine has nothing left to do, and nothing in the network still
+    holds a packet the test itself let go of."""
+    gc.collect()
+    assert sim.pending() == 0
+    assert [ref() for ref in packet_refs] == [None] * len(packet_refs)
+
+
 def test_preemption_aborts_the_whole_cut_through_chain():
     sim, src, dst, routers, src_port, ports = build_chain()
     got = []
@@ -54,15 +65,15 @@ def test_preemption_aborts_the_whole_cut_through_chain():
     )
     # 5000B at 1 Mb/s = 40 ms on the wire; r1 starts cutting through at
     # ~0.1 ms.  Preempt at 10 ms: every downstream copy must die.
-    src.send(route, b"victim", 5000, priority=0)
+    victim = weakref.ref(src.send(route, b"victim", 5000, priority=0))
     sim.at(10e-3, lambda: src.send(route, b"urgent", 200,
                                    priority=PRIORITY_PREEMPT_HIGH))
     sim.run(until=1.0)
     payloads = [d.payload for d in got]
     assert payloads == [b"urgent"]
-    # Nothing stale remains in the routers' cut-through tracking.
-    for router in routers:
-        assert router._forwarding_out == {}
+    # Nothing stale remains of the aborted cut-through chain.
+    got.clear()
+    assert_nothing_survives(sim, [victim])
 
 
 def test_abort_does_not_disturb_unrelated_traffic():
@@ -88,8 +99,30 @@ def test_router_forwarding_records_cleaned_on_normal_delivery():
     route = StaticRoute(
         [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port
     )
-    for _ in range(3):
-        src.send(route, b"x", 500)
+    sent = [weakref.ref(src.send(route, b"x", 500)) for _ in range(3)]
     sim.run(until=1.0)
-    # The cut-through tracking map must not leak.
-    assert routers[0]._forwarding_out == {}
+    # The cut-through tracking must not leak.
+    assert_nothing_survives(sim, sent)
+
+
+def test_abort_after_the_outbound_transmission_ended_aborts_nothing():
+    """The tail-abort of a packet the router finished sending long ago
+    must not touch whatever the port is streaming by then."""
+    sim, src, dst, routers, src_port, ports = build_chain(n_routers=1)
+    got = []
+    dst.bind(0, got.append)
+    route = StaticRoute(
+        [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port
+    )
+    first = src.send(route, b"first", 500)
+    sim.run(until=50e-3)
+    assert [d.payload for d in got] == [b"first"]
+    # 5000B at 1 Mb/s = 40 ms: 10 ms in, r1 is cutting "second" through.
+    src.send(route, b"second", 5000)
+    sim.run(until=sim.now + 10e-3)
+    upstream = next(
+        a for a in routers[0].ports.values() if a.peer_name == "src"
+    )
+    upstream.receive_abort(first)
+    sim.run(until=1.0)
+    assert [d.payload for d in got] == [b"first", b"second"]

@@ -138,3 +138,164 @@ def test_determinism_across_runs():
         return order
 
     assert run_once() == run_once()
+
+
+# -- the contract a rewrite of the engine must keep ---------------------------
+
+
+def test_same_time_events_keep_scheduling_order_across_at_and_after():
+    sim = Simulator()
+    fired = []
+
+    def at_two():
+        # now == 2.0: absolute and relative scheduling land on the same
+        # instant and must interleave exactly as they were issued.
+        sim.at(3.0, fired.append, "at-1")
+        sim.after(1.0, fired.append, "after-2")
+        sim.at(3.0, fired.append, "at-3")
+        sim.after(1.0, fired.append, "after-4")
+
+    sim.at(3.0, fired.append, "early-at")
+    sim.at(2.0, at_two)
+    sim.run()
+    assert fired == ["early-at", "at-1", "after-2", "at-3", "after-4"]
+
+
+def test_handle_reports_its_time_and_state():
+    sim = Simulator()
+    sim.at(1.0, lambda: None)
+    sim.run()
+    by_at = sim.at(4.0, lambda: None)
+    by_after = sim.after(2.5, lambda: None)
+    assert by_at.time == 4.0
+    assert by_after.time == 3.5
+    assert not by_at.cancelled
+    by_at.cancel()
+    assert by_at.cancelled and not by_after.cancelled
+
+
+def test_cancelled_event_neither_runs_nor_counts():
+    sim = Simulator()
+    fired = []
+    doomed = sim.at(1.0, fired.append, "doomed")
+    sim.at(1.0, fired.append, "kept")
+    doomed.cancel()
+    doomed.cancel()
+    sim.run()
+    assert fired == ["kept"]
+    assert sim.events_executed == 1
+    # Cancelling after the fact is as harmless as cancelling twice.
+    doomed.cancel()
+    sim.run()
+    assert sim.events_executed == 1
+
+
+def test_an_event_can_cancel_a_later_one_at_the_same_instant():
+    sim = Simulator()
+    fired = []
+    handles = {}
+    sim.at(1.0, lambda: handles["b"].cancel())
+    handles["b"] = sim.at(1.0, fired.append, "b")
+    sim.at(1.0, fired.append, "c")
+    sim.run()
+    assert fired == ["c"]
+    assert sim.events_executed == 2
+
+
+def test_run_until_leaves_the_clock_at_until():
+    sim = Simulator()
+    sim.run(until=2.0)  # nothing scheduled at all
+    assert sim.now == 2.0
+    fired = []
+    sim.at(3.0, fired.append, "on the horizon")
+    sim.at(3.0 + 1e-9, fired.append, "just past it")
+    sim.run(until=3.0)
+    assert fired == ["on the horizon"]
+    assert sim.now == 3.0
+    sim.run(until=3.0)  # running to where we already are is a no-op
+    assert sim.now == 3.0 and sim.events_executed == 1
+
+
+def test_run_max_events_stops_exactly_there():
+    sim = Simulator()
+    fired = []
+    for i in range(6):
+        sim.at(float(i + 1), fired.append, i)
+    skipped = sim.at(2.5, fired.append, "cancelled")
+    skipped.cancel()
+    sim.run(max_events=2)
+    assert fired == [0, 1]
+    assert sim.now == 2.0 and sim.events_executed == 2
+    # A second budget counts from here, and cancelled entries are free.
+    sim.run(max_events=3)
+    assert fired == [0, 1, 2, 3, 4]
+    assert sim.now == 5.0 and sim.events_executed == 5
+    # The budget binds before the horizon does: the clock stays put.
+    sim.run(until=100.0, max_events=0)
+    assert sim.now == 5.0
+    sim.run(until=100.0, max_events=5)
+    assert fired == [0, 1, 2, 3, 4, 5]
+    assert sim.now == 100.0
+
+
+def test_misuse_still_raises_mid_run():
+    sim = Simulator()
+    errors = []
+
+    def misuse():
+        for schedule in (
+            lambda: sim.at(sim.now - 1e-9, lambda: None),
+            lambda: sim.after(-1e-9, lambda: None),
+        ):
+            try:
+                schedule()
+            except SimulationError as error:
+                errors.append(error)
+        # The boundary itself is legal: "now" is not the past.
+        sim.at(sim.now, errors.append, "at now")
+        sim.after(0.0, errors.append, "after zero")
+
+    sim.at(5.0, misuse)
+    sim.run()
+    assert len(errors) == 4
+    assert isinstance(errors[0], SimulationError)
+    assert isinstance(errors[1], SimulationError)
+    assert errors[2:] == ["at now", "after zero"]
+
+
+def test_peek_time_and_pending_skip_cancelled_entries():
+    sim = Simulator()
+    handles = [sim.at(float(t), lambda: None) for t in (1, 1, 2, 3)]
+    assert sim.pending() == 4 and sim.peek_time() == 1.0
+    handles[0].cancel()
+    assert sim.pending() == 3 and sim.peek_time() == 1.0
+    handles[1].cancel()
+    handles[2].cancel()
+    assert sim.pending() == 1 and sim.peek_time() == 3.0
+    handles[3].cancel()
+    assert sim.pending() == 0 and sim.peek_time() is None
+    assert sim.step() is False
+    sim.run()
+    assert sim.events_executed == 0 and sim.now == 0.0
+
+
+def test_fired_and_cancelled_events_let_go_of_their_arguments():
+    """A handle kept by its owner (a transmission keeps its delivery
+    events, a transport its timers) must not keep the payload alive."""
+    import weakref
+
+    class Payload:
+        pass
+
+    sim = Simulator()
+    fired, cancelled = Payload(), Payload()
+    refs = [weakref.ref(fired), weakref.ref(cancelled)]
+    kept = [
+        sim.at(1.0, lambda payload: None, fired),
+        sim.at(50.0, lambda payload: None, cancelled),
+    ]
+    del fired, cancelled
+    kept[1].cancel()
+    sim.run(until=2.0)
+    assert [ref() for ref in refs] == [None, None]
+    assert not kept[0].cancelled and kept[1].cancelled

@@ -15,8 +15,11 @@ time, so it is enforced statically:
 * the table :data:`REQUIRED_HOT` pins the functions PR 8 measured —
   removing a marker does not silence the rule, it *is* a finding.
 
-Only :mod:`repro.dataplane` and :mod:`repro.viper` are in scope (the
-sans-IO layers both drivers share).  Slow-path oracles — the
+In scope are :mod:`repro.dataplane` and :mod:`repro.viper` (the sans-IO
+layers both drivers share) and the simulator's frame-hop loop in
+:mod:`repro.sim`, :mod:`repro.core` and :mod:`repro.net` (engine
+scheduling, the router driver's process/apply/forward, the output
+port, the channel).  Slow-path oracles — the
 materialising codec, ``tobytes()`` escape hatches, multicast expansion
 — stay unmarked and free to allocate; a genuinely-justified allocation
 in a hot function carries an inline ``# sirlint: disable=SIR008``.
@@ -34,6 +37,11 @@ from sirlint.rules.base import Rule
 HOT_PACKAGES: Tuple[str, ...] = (
     "repro.dataplane",
     "repro.viper",
+    # The simulator's frame-hop loop (PR 16): engine, router driver,
+    # output port, channel.
+    "repro.sim",
+    "repro.core",
+    "repro.net",
 )
 
 #: The def-line marker naming a function as fast-path.
@@ -58,6 +66,25 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     "repro.dataplane.pipeline": (
         "_decide_cached",
     ),
+    # One simulated frame-hop runs through exactly these; a per-hop
+    # lambda, closure or container here is paid ~50 times a transaction.
+    "repro.sim.engine": (
+        "at",
+        "after",
+        "run",
+    ),
+    "repro.core.router": (
+        "_process",
+        "_apply",
+        "_forward",
+    ),
+    "repro.core.queues": (
+        "submit",
+        "_transmit",
+    ),
+    "repro.net.link": (
+        "transmit",
+    ),
 }
 
 #: Allocating constructors a hot function must not call.
@@ -79,6 +106,22 @@ def in_scope(name: str) -> bool:
         name == package or name.startswith(package + ".")
         for package in HOT_PACKAGES
     )
+
+
+def _annotation_nodes(func: ast.AST) -> Set[ast.AST]:
+    """Every node inside a type annotation of ``func``.
+
+    ``Callable[[], None]`` holds a list literal in the AST but builds
+    nothing per call: parameter annotations are evaluated at ``def``
+    time at most, a local's never.
+    """
+    roots = [
+        node.annotation for node in ast.walk(func)
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation
+    ]
+    if func.returns is not None:
+        roots.append(func.returns)
+    return {inner for root in roots for inner in ast.walk(root)}
 
 
 def _is_bytes_literal(node: ast.AST) -> bool:
@@ -133,8 +176,9 @@ class HotPathAllocationRule(Rule):
         self, module: ModuleInfo, func: ast.AST
     ) -> Iterable[Finding]:
         name = func.name
+        annotations = _annotation_nodes(func)
         for node in ast.walk(func):
-            if node is func:
+            if node is func or node in annotations:
                 continue
             if isinstance(node, ast.Call):
                 callee = dotted_name(node.func)
