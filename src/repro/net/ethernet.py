@@ -108,9 +108,12 @@ class EthernetSegment:
     # -- failure injection --------------------------------------------------
 
     def fail(self) -> None:
+        """Take the segment down; stations that already hold the header
+        of the frame cut short get ``on_abort`` (see ``Channel.fail``)."""
         self.up = False
-        if self._current is not None:
-            self._cancel_current(notify=False)
+        frame = self._current
+        if frame is not None:
+            self._cancel_current(notify=frame.events[0].time <= self.sim.now)
         self._backlog.clear()
 
     def restore(self) -> None:

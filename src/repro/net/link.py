@@ -130,10 +130,19 @@ class Channel:
     # -- failure injection -------------------------------------------------
 
     def fail(self) -> None:
-        """Take the channel down; in-flight traffic is lost silently."""
+        """Take the channel down, cutting short a frame caught mid-flight.
+
+        A frame whose header never arrived is lost silently; a receiver
+        that already has the header (and may be cutting it through) gets
+        ``on_abort``, exactly as if the sender had been preempted.
+        """
+        tx = self.current
+        if tx is not None:
+            header = tx.header_event
+            self.abort(
+                notify_receiver=header is not None and header.time <= self.sim.now
+            )
         self.up = False
-        if self.current is not None:
-            self.abort(notify_receiver=False)
 
     def restore(self) -> None:
         self.up = True

@@ -126,3 +126,51 @@ def test_abort_after_the_outbound_transmission_ended_aborts_nothing():
     upstream.receive_abort(first)
     sim.run(until=1.0)
     assert [d.payload for d in got] == [b"first", b"second"]
+
+
+def test_link_failure_mid_frame_aborts_the_chain_downstream():
+    """A frame cut in half by a link failure must not be delivered whole:
+    r2 already cut its header through when r1's outbound link died, so
+    the abort has to reach it (and ripple on) just as a preemption's does."""
+    sim, src, dst, routers, src_port, ports = build_chain()
+    got = []
+    dst.bind(0, got.append)
+    route = StaticRoute(
+        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port,
+    )
+    victim = weakref.ref(src.send(route, b"victim", 5000))
+    r1_to_r2 = routers[0].ports[ports[0]].tx_channel
+    sim.at(10e-3, r1_to_r2.fail)
+    sim.at(60e-3, r1_to_r2.restore)
+    sim.at(100e-3, lambda: src.send(route, b"later", 300))
+    sim.run(until=1.0)
+    assert [d.payload for d in got] == [b"later"]
+    assert r1_to_r2.packets_aborted.count == 1
+    # r2 aborted its own half-sent copy instead of clocking it all out.
+    assert routers[1].ports[ports[1]].tx_channel.packets_aborted.count == 1
+    got.clear()
+    assert_nothing_survives(sim, [victim])
+    # Every frame r2 started cutting through was also finished or aborted.
+    assert routers[1]._header_handled == set()
+
+
+def test_link_failure_before_the_header_lands_is_silent():
+    """r2 has seen nothing of the frame yet: nothing to abort there."""
+    sim, src, dst, routers, src_port, ports = build_chain()
+    aborts = []
+    routers[1].on_abort = lambda packet, inport: aborts.append(packet)
+    r1_to_r2 = routers[0].ports[ports[0]].tx_channel
+    route = StaticRoute(
+        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port,
+    )
+    src.send(route, b"victim", 5000)
+    # A 4-byte header is 32 us of wire at 1 Mb/s: r1 has it (and starts
+    # sending) at ~32 us + propagation, r2 another 32 us + propagation on.
+    header_at_r1 = 32e-6 + r1_to_r2.propagation_delay
+    sim.at(header_at_r1 + 10e-6, r1_to_r2.fail)
+    sim.run(until=1.0)
+    assert r1_to_r2.packets_aborted.count == 1
+    assert aborts == []
+    assert routers[1].stats.cut_through_forwards.count == 0

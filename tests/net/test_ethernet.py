@@ -132,6 +132,32 @@ def test_failed_segment_drops_everything():
     assert n1.packets == []
 
 
+def test_failure_mid_frame_tells_stations_that_have_the_header():
+    sim = Simulator()
+    segment, stations = make_segment(sim, rate=10e6, prop=5e-6)
+    (_, a0), (n1, a1), (n2, _) = stations
+    aborted_at_sender = []
+    # 1250 B = 1 ms on the wire; the 125 B header lands at 105 us.
+    segment.transmit(a0, a1.mac, "pkt", 1250, 125,
+                     on_abort=aborted_at_sender.append)
+    sim.after(500e-6, segment.fail)
+    sim.run()
+    assert len(n1.headers) == 1 and n1.packets == []
+    assert n1.aborts == [(pytest.approx(505e-6), "pkt")]
+    assert n2.aborts == []
+    assert aborted_at_sender == ["pkt"]
+
+
+def test_failure_before_the_header_lands_is_silent():
+    sim = Simulator()
+    segment, stations = make_segment(sim, rate=10e6, prop=5e-6)
+    (_, a0), (n1, a1), _ = stations
+    segment.transmit(a0, a1.mac, "pkt", 1250, 125)
+    sim.after(50e-6, segment.fail)
+    sim.run()
+    assert n1.headers == [] and n1.packets == [] and n1.aborts == []
+
+
 def test_duplicate_mac_rejected():
     sim = Simulator()
     segment, stations = make_segment(sim)

@@ -113,6 +113,34 @@ def test_failed_channel_swallows_traffic():
     assert receiver.headers == []
 
 
+def test_failure_mid_frame_tells_a_receiver_that_has_the_header():
+    """Header at 0.8 ms + 1 ms propagation; the link dies at 3 ms with
+    the tail still unsent: the receiver must learn its frame is dead."""
+    sim = Simulator()
+    channel, receiver = make_channel(sim, rate=1e6, prop=1e-3)
+    aborted_at_sender = []
+    channel.transmit("pkt", 1000, 100, on_abort=aborted_at_sender.append)
+    sim.after(3e-3, channel.fail)
+    sim.run()
+    assert [packet for _, packet in receiver.headers] == ["pkt"]
+    assert receiver.packets == []
+    assert receiver.aborts == [(pytest.approx(4e-3), "pkt")]
+    assert aborted_at_sender == ["pkt"]
+    assert not channel.up and not channel.busy
+
+
+def test_failure_before_the_header_lands_is_silent():
+    sim = Simulator()
+    channel, receiver = make_channel(sim, rate=1e6, prop=1e-3)
+    aborted_at_sender = []
+    channel.transmit("pkt", 1000, 100, on_abort=aborted_at_sender.append)
+    sim.after(1.5e-3, channel.fail)  # header is due at 1.8 ms
+    sim.run()
+    assert receiver.headers == [] and receiver.packets == []
+    assert receiver.aborts == []
+    assert aborted_at_sender == ["pkt"]
+
+
 def test_restore_after_failure():
     sim = Simulator()
     channel, receiver = make_channel(sim)
