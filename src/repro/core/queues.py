@@ -252,8 +252,5 @@ class OutputPort:
         their source routes to find upstream feeders, §2.2)."""
         return [entry.packet for _n, _s, entry in self._heap]
 
-    def mean_queue_length(self) -> float:
-        return self.queue_length.mean(self.sim.now)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OutputPort {self.name!r} depth={self.queue_depth}>"

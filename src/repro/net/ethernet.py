@@ -113,7 +113,8 @@ class EthernetSegment:
         self.up = False
         frame = self._current
         if frame is not None:
-            self._cancel_current(notify=frame.events[0].time <= self.sim.now)
+            header_event = frame.events[0]
+            self._cancel_current(notify=header_event.time <= self.sim.now)
         self._backlog.clear()
 
     def restore(self) -> None:

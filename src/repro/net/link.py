@@ -130,12 +130,9 @@ class Channel:
     # -- failure injection -------------------------------------------------
 
     def fail(self) -> None:
-        """Take the channel down, cutting short a frame caught mid-flight.
-
-        A frame whose header never arrived is lost silently; a receiver
-        that already has the header (and may be cutting it through) gets
-        ``on_abort``, exactly as if the sender had been preempted.
-        """
+        """Take the channel down.  A frame caught mid-flight is lost —
+        silently if its header never arrived; a receiver that has the
+        header (and may be cutting it through) gets ``on_abort``."""
         tx = self.current
         if tx is not None:
             header = tx.header_event

@@ -65,9 +65,6 @@ class _TruncationMark:
 
     wire_bytes = TRUNCATION_MARK_BYTES
 
-    def wire_size(self) -> int:
-        return TRUNCATION_MARK_BYTES
-
     def __repr__(self) -> str:
         return "TRUNCATION_MARK"
 
@@ -85,9 +82,6 @@ class TrailerElement:
 
     def __post_init__(self) -> None:
         self.wire_bytes = self.segment.wire_bytes + TRAILER_LENGTH_BYTES
-
-    def wire_size(self) -> int:
-        return self.wire_bytes
 
 
 #: Fallback id source for bare construction (unit tests, clones).

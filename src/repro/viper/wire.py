@@ -95,11 +95,11 @@ class HeaderSegment:
     def stamped(self, priority: int, dib: Optional[bool] = None) -> "HeaderSegment":
         """This hop carrying ``priority`` (and ``dib`` unless None) —
         the segment itself when it already does."""
-        if self.priority == priority and (dib is None or self.dib == dib):
+        if dib is None:
+            dib = self.dib
+        if self.priority == priority and self.dib == dib:
             return self
-        return self.copy(
-            priority=priority, dib=self.dib if dib is None else dib
-        )
+        return self.copy(priority=priority, dib=dib)
 
     def copy(self, **overrides) -> "HeaderSegment":
         values = dict(
