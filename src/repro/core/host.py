@@ -137,19 +137,17 @@ class SirpentHost(Node):
         """
         # The packet owns its lists; the segments in them are the
         # route's own wherever they already carry this type of service.
-        segments = [s.stamped(priority, dib) for s in route.segments]
-        alternates = [
-            [s.stamped(priority) for s in block]
-            for block in getattr(route, "alternates", ())
-        ]
         packet = SirpentPacket(
-            segments=segments,
+            segments=[s.stamped(priority, dib) for s in route.segments],
             payload_size=payload_size,
             payload=payload,
             packet_id=self.sim.new_packet_id(),
             created_at=self.sim.now,
             source=self.name,
-            alternates=alternates,
+            alternates=[
+                [s.stamped(priority) for s in block]
+                for block in getattr(route, "alternates", ())
+            ],
         )
         if self.tracer.enabled:
             if trace_id is None:

@@ -125,8 +125,8 @@ class OutputPort:
         )
 
         if not self.attachment.busy:
-            self._transmit(entry)
             self.streaming = packet
+            self._transmit(entry)
             return SubmitResult.SENT
 
         # Port busy: preemptive priorities abort the current transmission
@@ -237,8 +237,8 @@ class OutputPort:
             self._transmit(entry)
 
     def _on_aborted(self, packet: Any) -> None:
-        # The preempting packet's _transmit call follows immediately; the
-        # aborted packet is lost here (its transport retransmits).
+        # Preempted (the preempting packet's _transmit follows at once) or
+        # cut short by a dead medium: lost here, its transport retransmits.
         self.streaming = None
 
     # -- introspection -----------------------------------------------------

@@ -45,7 +45,6 @@ from repro.dataplane import (
     EffectSink,
     FlowCache,
     ForwardingPipeline,
-    HopInput,
     PortMap,
     apply_drop,
 )
@@ -121,7 +120,7 @@ class _SimPortMap(PortMap):
 
     def profile(self, port_id: int) -> Optional[Attachment]:
         # An attachment answers kind / mtu / rate_bps / up itself, live
-        # — everything a PortProfile is — so a hop builds none.
+        # — the whole ``PortMap.profile`` surface — so a hop builds none.
         return self._router.ports.get(port_id)
 
     def ids(self) -> Iterable[int]:
@@ -167,10 +166,16 @@ class _SimEffectSink(EffectSink):
             )
 
 
-class _SimHop(HopInput):
-    """One arrival as the pipeline reads it: the lazy fields are methods
-    over the arrival's own objects (a hop builds no thunk), ``wire_size``
-    is the size the delivering transmission carried."""
+class _SimHop:
+    """One arrival as the pipeline reads it (the ``HopInput`` surface):
+    the lazy fields are methods over the arrival's own objects (a hop
+    builds no thunk), ``wire_size`` is the size the delivering
+    transmission carried."""
+
+    __slots__ = (
+        "segment", "seg_count", "wire_size", "in_port", "now_ms",
+        "_packet", "_inport", "_tx",
+    )
 
     def __init__(
         self, packet: SirpentPacket, inport: Attachment, tx: Transmission,
@@ -323,7 +328,7 @@ class SirpentRouter(Node):
                 packet.trace_id, self.sim.now, self.name,
                 "cut_through_start", in_port=inport.port_id,
             )
-        self._process(packet, inport, tx, tx.size, self.sim.now, 0.0)
+        self._process(packet, inport, tx, tx.size, 0.0)
 
     def on_packet(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
         if not isinstance(packet, SirpentPacket):
@@ -347,8 +352,7 @@ class SirpentRouter(Node):
                 "store_forward_start", in_port=inport.port_id,
             )
         self._process(
-            packet, inport, tx, tx.size, self.sim.now,
-            self.config.store_forward_process_delay,
+            packet, inport, tx, tx.size, self.config.store_forward_process_delay
         )
 
     def on_abort(self, packet: Any, inport: Attachment) -> None:
@@ -370,15 +374,14 @@ class SirpentRouter(Node):
         inport: Attachment,
         tx: Transmission,
         size: int,
-        arrival_time: float,
         extra_process_delay: float,
     ) -> None:
-        """One hop of a packet that arrived ``size`` bytes long."""
+        """One hop of a packet that arrived, now, ``size`` bytes long."""
         packet.hop_log.append(self.name)
         decision = self.pipeline.decide(
             _SimHop(packet, inport, tx, size, int(self.sim.now * 1000))
         )
-        self._apply(decision, packet, inport, tx, arrival_time, extra_process_delay)
+        self._apply(decision, packet, inport, tx, extra_process_delay)
 
     def _apply(  # sirlint: hot
         self,
@@ -386,7 +389,6 @@ class SirpentRouter(Node):
         packet: SirpentPacket,
         inport: Attachment,
         tx: Transmission,
-        arrival_time: float,
         extra_process_delay: float,
     ) -> None:
         if decision.action is Action.DROP:
@@ -396,9 +398,7 @@ class SirpentRouter(Node):
             self._deliver_local(packet, inport, append_hop=False)
             return
         if decision.action is Action.FANOUT:
-            self._fan_out(
-                decision, packet, inport, tx, arrival_time, extra_process_delay
-            )
+            self._fan_out(decision, packet, inport, tx, extra_process_delay)
             return
 
         # FORWARD: strip the segment, append the return hop (§2), splice
@@ -437,7 +437,7 @@ class SirpentRouter(Node):
             delay,
             self._forward,
             packet, packet.wire_size(), decision.out_port, decision.effective,
-            decision.dst_mac, arrival_time,
+            decision.dst_mac, self.sim.now,
         )
 
     def _fan_out(
@@ -446,7 +446,6 @@ class SirpentRouter(Node):
         packet: SirpentPacket,
         inport: Attachment,
         tx: Transmission,
-        arrival_time: float,
         extra_process_delay: float,
     ) -> None:
         """Multicast: clone per branch, re-enter the pipeline per clone
@@ -468,19 +467,11 @@ class SirpentRouter(Node):
                 trace_id=packet.trace_id,
             )
             self.stats.multicast_copies.add()
-            self._process(
-                clone, inport, tx, clone.wire_size(),
-                arrival_time, extra_process_delay,
-            )
+            self._process(clone, inport, tx, clone.wire_size(), extra_process_delay)
 
     def _forward(  # sirlint: hot
-        self,
-        packet: SirpentPacket,
-        size: int,
-        port: int,
-        segment: HeaderSegment,
-        dst_mac: Optional[MacAddress],
-        arrival_time: float,
+        self, packet: SirpentPacket, size: int, port: int,
+        segment: HeaderSegment, dst_mac: Optional[MacAddress], arrival_time: float,
     ) -> None:
         outport = self.output_ports[port]
         if self.congestion is None:
@@ -495,23 +486,14 @@ class SirpentRouter(Node):
         )
 
     def _submit(
-        self,
-        packet: SirpentPacket,
-        size: int,
-        outport: OutputPort,
-        segment: HeaderSegment,
-        dst_mac: Optional[MacAddress],
-        arrival_time: float,
+        self, packet: SirpentPacket, size: int, outport: OutputPort,
+        segment: HeaderSegment, dst_mac: Optional[MacAddress], arrival_time: float,
     ) -> None:
         self.stats.router_delay.add(self.sim.now - arrival_time)
         self.stats.forwarded.add()
         outport.submit(
-            packet,
-            size,
-            packet.decision_prefix_bytes(),
-            dst_mac=dst_mac,
-            priority=segment.priority,
-            dib=segment.dib,
+            packet, size, packet.decision_prefix_bytes(),
+            dst_mac=dst_mac, priority=segment.priority, dib=segment.dib,
         )
 
     # -- local delivery -----------------------------------------------------------
@@ -529,6 +511,3 @@ class SirpentRouter(Node):
             )
         if self.local_handler is not None:
             self.local_handler(packet, inport)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SirpentRouter {self.name!r} ports={sorted(self.ports)}>"

@@ -55,7 +55,8 @@ UNKNOWN_IN_PORT = -1
 
 @dataclass(frozen=True)
 class PortProfile:
-    """What the pipeline may know about one egress port, sans IO."""
+    """What the pipeline may know about one egress port, sans IO — a
+    ready-made value for drivers with no port object of their own."""
 
     kind: str = "p2p"       # "ethernet" | "p2p" | "udp"
     mtu: int = 0            # 0 = unlimited (no truncation on this hop)
@@ -66,13 +67,16 @@ class PortProfile:
 class PortMap:
     """Driver-supplied port table abstraction.
 
-    ``profile`` returns None for nonexistent ports; ``ids`` lists the
+    ``profile`` returns None for nonexistent ports, else any object the
+    pipeline can read ``kind`` / ``mtu`` / ``rate_bps`` / ``up`` from —
+    a :class:`PortProfile` value or the driver's own live port object;
+    that is the whole surface, and it is read-only.  ``ids`` lists the
     physical port ids (broadcast membership); ``load_view`` exposes the
     driver's per-port load objects for the logical map's least-loaded
     selection (may be empty when the driver has no queues).
     """
 
-    def profile(self, port_id: int) -> Optional[PortProfile]:
+    def profile(self, port_id: int) -> Optional[Any]:
         raise NotImplementedError
 
     def ids(self) -> Iterable[int]:
@@ -118,6 +122,12 @@ class Capabilities:
 @dataclass
 class HopInput:
     """Everything the per-hop decision may read — no packet object.
+
+    The contract is the surface, not the class: the pipeline reads
+    ``segment``, ``seg_count``, ``wire_size``, ``in_port``, ``now_ms``
+    and calls ``reverse_portinfo()`` / ``alternate()`` lazily, nothing
+    else, so a driver may pass any object that answers those seven
+    (the sim's ``_SimHop`` implements the two thunks as methods).
 
     ``wire_size`` is the size charged against the token (the sim
     charges the full wire size; the live overlay charges the payload
@@ -565,7 +575,7 @@ class ForwardingPipeline:
         return_segment: Optional[HeaderSegment],
         return_tail: Optional[bytes],
         post_size_delta: int,
-        profile: PortProfile,
+        profile: Any,
     ) -> Decision:
         """Warm-path tail for transit-spliced flows.
 
@@ -619,7 +629,7 @@ class ForwardingPipeline:
         dst_mac: Optional[Any],
         spliced: Optional[List[HeaderSegment]],
         return_token: bytes,
-        profile: PortProfile,
+        profile: Any,
         token_delay: float,
         flow_cache_hit: bool = False,
     ) -> Decision:

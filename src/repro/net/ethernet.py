@@ -17,39 +17,27 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, UtilizationTracker
 
 
-class _PendingFrame:
-    """A frame waiting for, or occupying, the shared medium."""
+class _PendingFrame(Transmission):
+    """A frame waiting for, or occupying, the shared medium — the very
+    ``Transmission`` its receivers are handed."""
 
-    __slots__ = (
-        "src", "dst_mac", "packet", "size", "header_bytes",
-        "priority", "on_done", "on_abort", "events", "tx",
-    )
+    __slots__ = ("src", "header_bytes")
 
     def __init__(
-        self,
-        src: Any,
-        dst_mac: MacAddress,
-        packet: Any,
-        size: int,
-        header_bytes: int,
-        priority: int,
+        self, src: Any, dst_mac: MacAddress, packet: Any, size: int,
+        header_bytes: int, priority: int,
         on_done: Optional[Callable[[], None]],
         on_abort: Optional[Callable[[Any], None]],
     ) -> None:
+        super().__init__(packet, size, priority, on_done, on_abort)
         self.src = src
-        self.dst_mac = dst_mac
-        self.packet = packet
-        self.size = size
         self.header_bytes = header_bytes
-        self.priority = priority
-        self.on_done = on_done
-        self.on_abort = on_abort
-        self.events: List[EventHandle] = []
-        self.tx: Optional[Transmission] = None
+        self.src_mac = src.mac
+        self.dst_mac = dst_mac
 
 
 class EthernetSegment:
@@ -113,9 +101,10 @@ class EthernetSegment:
         self.up = False
         frame = self._current
         if frame is not None:
-            header_event = frame.events[0]
-            self._cancel_current(notify=header_event.time <= self.sim.now)
-        self._backlog.clear()
+            self._cancel_current(notify=frame.header_event.time <= self.sim.now)
+        backlog, self._backlog = self._backlog, []
+        for frame in backlog:
+            self._abort_sender(frame)
 
     def restore(self) -> None:
         self.up = True
@@ -141,12 +130,12 @@ class EthernetSegment:
         on_abort: Optional[Callable[[Any], None]] = None,
     ) -> None:
         """Queue a frame; it starts when the medium frees up (FIFO)."""
-        if not self.up:
-            return  # frames into a dead segment vanish
         frame = _PendingFrame(
             src, dst_mac, packet, size, header_bytes, priority, on_done, on_abort
         )
-        if self._current is None:
+        if not self.up:
+            self._abort_sender(frame)  # a frame into a dead segment vanishes
+        elif self._current is None:
             self._start(frame)
         else:
             self._backlog.append(frame)
@@ -166,28 +155,18 @@ class EthernetSegment:
 
     def _start(self, frame: _PendingFrame) -> None:
         self._current = frame
-        self.utilization.busy(self.sim.now)
-        tx = Transmission(
-            frame.packet, frame.size, frame.priority,
-            frame.on_done, frame.on_abort,
+        now = self.sim.now
+        self.utilization.busy(now)
+        clocked = self.transmission_time(frame.size)
+        frame.header_event = self.sim.at(
+            now + self.transmission_time(min(frame.header_bytes, frame.size))
+            + self.propagation_delay,
+            self._deliver_header, frame,
         )
-        tx.src_mac = frame.src.mac
-        tx.dst_mac = frame.dst_mac
-        frame.tx = tx
-        header_at = (
-            self.sim.now
-            + self.transmission_time(min(frame.header_bytes, frame.size))
-            + self.propagation_delay
+        frame.complete_event = self.sim.at(
+            now + clocked + self.propagation_delay, self._deliver_complete, frame
         )
-        complete_at = (
-            self.sim.now + self.transmission_time(frame.size) + self.propagation_delay
-        )
-        free_at = self.sim.now + self.transmission_time(frame.size)
-        frame.events = [
-            self.sim.at(header_at, self._deliver_header, frame),
-            self.sim.at(complete_at, self._deliver_complete, frame),
-            self.sim.at(free_at, self._free, frame),
-        ]
+        frame.free_event = self.sim.at(now + clocked, self._free, frame)
 
     def _receivers(self, frame: _PendingFrame) -> List[Any]:
         if frame.dst_mac.is_broadcast:
@@ -197,11 +176,11 @@ class EthernetSegment:
 
     def _deliver_header(self, frame: _PendingFrame) -> None:
         for station in self._receivers(frame):
-            station.receive_header(frame.packet, frame.tx)
+            station.receive_header(frame.packet, frame)
 
     def _deliver_complete(self, frame: _PendingFrame) -> None:
         for station in self._receivers(frame):
-            station.receive_packet(frame.packet, frame.tx)
+            station.receive_packet(frame.packet, frame)
 
     def _free(self, frame: _PendingFrame) -> None:
         self.frames_sent.add()
@@ -218,9 +197,7 @@ class EthernetSegment:
 
     def _cancel_current(self, notify: bool) -> None:
         frame = self._current
-        if frame is None:
-            return
-        for event in frame.events:
+        for event in (frame.header_event, frame.complete_event, frame.free_event):
             event.cancel()
         self._current = None
         self.utilization.idle(self.sim.now)
@@ -229,8 +206,14 @@ class EthernetSegment:
                 self.sim.after(
                     self.propagation_delay, station.receive_abort, frame.packet
                 )
-            if frame.on_abort is not None:
-                frame.on_abort(frame.packet)
+        self._abort_sender(frame)
+
+    @staticmethod
+    def _abort_sender(frame: _PendingFrame) -> None:
+        """Tell the sender its frame will not complete — whether or not
+        any receiver hears of it, as ``Channel.abort`` does."""
+        if frame.on_abort is not None:
+            frame.on_abort(frame.packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

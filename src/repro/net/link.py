@@ -37,23 +37,12 @@ class Transmission:
     """Book-keeping for one in-flight packet on a channel."""
 
     __slots__ = (
-        "packet",
-        "size",
-        "priority",
-        "header_event",
-        "complete_event",
-        "free_event",
-        "on_done",
-        "on_abort",
-        "src_mac",
-        "dst_mac",
+        "packet", "size", "priority", "on_done", "on_abort",
+        "header_event", "complete_event", "free_event", "src_mac", "dst_mac",
     )
 
     def __init__(
-        self,
-        packet: Any,
-        size: int,
-        priority: int,
+        self, packet: Any, size: int, priority: int,
         on_done: Optional[Callable[[], None]],
         on_abort: Optional[Callable[[Any], None]],
     ) -> None:
@@ -192,13 +181,13 @@ class Channel:
                 delivered = self._corrupt(
                     delivered, random.Random(fate.corrupt_seed)
                 )
-            if self.dst_attachment.wants_header:
-                tx.header_event = sim.at(
-                    now + self.transmission_time(header_bytes)
-                    + self.propagation_delay + extra,
-                    self._deliver_header, delivered, tx,
-                )
-            tx.complete_event = sim.at(complete_at, self._deliver_complete, delivered, tx)
+            receiver = self.dst_attachment
+            tx.header_event = sim.at(
+                now + self.transmission_time(header_bytes)
+                + self.propagation_delay + extra,
+                receiver.receive_header, delivered, tx,
+            )
+            tx.complete_event = sim.at(complete_at, receiver.receive_packet, delivered, tx)
             if fate is not None and fate.duplicate:
                 # A duplicated datagram arrives one transmission time
                 # behind the original, store-and-forward style.  It must
@@ -206,7 +195,7 @@ class Channel:
                 # its header (strip/reverse/append).
                 sim.at(
                     complete_at + self.transmission_time(size),
-                    self._deliver_complete, copy.deepcopy(delivered), tx,
+                    receiver.receive_packet, copy.deepcopy(delivered), tx,
                 )
         tx.free_event = sim.at(now + self.transmission_time(size), self._free, tx)
         return tx
@@ -239,14 +228,6 @@ class Channel:
         """Return a corrupted rendition of the packet if it supports it."""
         corrupt = getattr(packet, "corrupted_copy", None)
         return packet if corrupt is None else corrupt(rng)
-
-    def _deliver_header(self, packet: Any, tx: Transmission) -> None:
-        if self.dst_attachment is not None:
-            self.dst_attachment.receive_header(packet, tx)
-
-    def _deliver_complete(self, packet: Any, tx: Transmission) -> None:
-        if self.dst_attachment is not None:
-            self.dst_attachment.receive_packet(packet, tx)
 
     def _free(self, tx: Transmission) -> None:
         self.packets_sent.add()

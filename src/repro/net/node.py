@@ -89,9 +89,6 @@ class Attachment:
     def __init__(self, node: Node, port_id: int) -> None:
         self.node = node
         self.port_id = port_id
-        #: False on a store-and-forward node (one keeping the base no-op
-        #: ``on_header``): a channel schedules it no header event.
-        self.wants_header = type(node).on_header is not Node.on_header
 
     # -- transmit side -------------------------------------------------
 

@@ -13,7 +13,7 @@ queueing, backpressure reaction time), and a small engine is easy to trust.
 """
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.monitor import Counter, Gauge, Histogram, TimeWeighted
+from repro.sim.monitor import Counter, Gauge, Histogram, RateMeter, TimeWeighted
 from repro.sim.process import Process, Signal
 from repro.sim.rng import RngStreams
 
@@ -23,6 +23,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Process",
+    "RateMeter",
     "RngStreams",
     "Signal",
     "Simulator",

@@ -30,9 +30,17 @@ class EventHandle(list):
     fired entry drops ``args``: a far-off timer does not pin its packet,
     and a transmission and its delivery events (each holds the other)
     are freed by reference count, not by the collector.
+
+    Treat a handle as opaque: the list mutators are not API.  It
+    hashes by ``(time, seq)``; ``==`` stays ``list``'s (entries differ
+    by ``seq``) — overriding it would route the heap's ``<`` through
+    Python-level dispatch at twice the cost.
     """
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash((self[0], self[1]))
 
     @property
     def time(self) -> float:

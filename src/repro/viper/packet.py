@@ -15,11 +15,10 @@ codec so timing is byte-exact, but we only serialize at the edges (and
 in the codec tests), never per hop.
 
 **Sizes are carried.**  A :class:`HeaderSegment` fixes its encoded size
-at construction (``wire_bytes``).  The simulator's drivers take a hop's
+at construction (``wire_bytes``); the simulator's drivers take a hop's
 arrival size from the ``Transmission`` that delivered the packet and
-call :meth:`SirpentPacket.wire_size` once per hop, after the transform,
-for the size it leaves with; ``wire_size()`` recounts from the parts,
-so it is right whatever edited the lists.
+recount (:meth:`SirpentPacket.wire_size`, from the parts — right
+whatever edited the lists) once per hop, after the transform.
 
 **Segments are shared, lists are not.**  A route, the packets sent on
 it, a flow-cache entry and a trailer may hold the *same* segment

@@ -9,11 +9,14 @@ downstream hop's copy dies too.
 import gc
 import weakref
 
+import pytest
+
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.flags import PRIORITY_PREEMPT_HIGH
+from repro.viper.portinfo import EthernetInfo
 from repro.viper.wire import HeaderSegment
 
 
@@ -174,3 +177,56 @@ def test_link_failure_before_the_header_lands_is_silent():
     assert r1_to_r2.packets_aborted.count == 1
     assert aborts == []
     assert routers[1].stats.cut_through_forwards.count == 0
+
+
+def build_ethernet_hop():
+    """src --p2p-- r1 ==ethernet== dst: r1 cuts through onto the segment."""
+    sim = Simulator()
+    topo = Topology(sim)
+    src = topo.add_node(SirpentHost(sim, "src"))
+    dst = topo.add_node(SirpentHost(sim, "dst"))
+    r1 = topo.add_node(SirpentRouter(
+        sim, "r1", config=RouterConfig(congestion_enabled=False),
+    ))
+    segment = topo.add_ethernet("eth", rate_bps=1e6)
+    _, src_port, _ = topo.connect(src, r1, rate_bps=1e6)
+    r1_tap = topo.attach_to_ethernet(r1, segment)
+    dst_tap = topo.attach_to_ethernet(dst, segment)
+    route = StaticRoute(
+        [
+            HeaderSegment(
+                port=r1_tap.port_id,
+                portinfo=EthernetInfo(
+                    dst=dst_tap.mac, src=r1_tap.mac, ethertype=0
+                ).to_bytes(),
+            ),
+            HeaderSegment(port=0),
+        ],
+        src_port,
+    )
+    return sim, src, dst, r1, segment, route
+
+
+@pytest.mark.parametrize("fail_at", [
+    pytest.param(0.0, id="sent-into-the-dead-segment"),
+    pytest.param(170e-6, id="before-the-header-lands"),
+    pytest.param(10e-3, id="mid-frame"),
+])
+def test_ethernet_failure_leaves_no_packet_behind(fail_at):
+    """However a segment failure loses a cut-through frame, r1's record
+    of it goes with it, just as after a completed transmission — no
+    later send on the port is needed to displace it."""
+    sim, src, dst, r1, segment, route = build_ethernet_hop()
+    got = []
+    dst.bind(0, got.append)
+    # 5000 B at 1 Mb/s = 40 ms per medium.  r1 starts the frame onto the
+    # segment 154.5 us after src starts it; dst has the 4-byte header
+    # that is left 37 us later.
+    sim.at(fail_at, segment.fail)
+    lost = weakref.ref(src.send(route, b"lost", 5000))
+    sim.run(until=1.0)
+    assert got == []
+    assert r1.stats.cut_through_forwards.count == 1
+    assert_nothing_survives(sim, [lost])
+    assert r1._header_handled == set()
+    assert [port.streaming for port in r1.output_ports.values()] == [None, None]

@@ -232,3 +232,42 @@ def test_hop_log_records_path():
     sim.run(until=1.0)
     assert got[0].packet.hop_log == ["r1", "r2", "r3"]
     assert got[0].packet.hops_taken == 3
+
+
+def test_sim_adapters_answer_the_whole_pipeline_driver_surface():
+    """The pipeline's driver contract is a surface, not a class (see the
+    ``HopInput`` and ``PortMap`` docstrings): the sim hands it its own
+    live objects, which must answer every field the declared types do."""
+    import dataclasses
+
+    from repro.core.router import _SimHop
+    from repro.dataplane import HopInput, PortProfile
+    from repro.net.link import Transmission
+
+    sim = Simulator()
+    topo = Topology(sim)
+    router = topo.add_node(SirpentRouter(sim, "r"))
+    host = topo.add_node(SirpentHost(sim, "h"))
+    _, p2p_port, _ = topo.connect(router, host)
+    tap = topo.attach_to_ethernet(router, topo.add_ethernet("eth"))
+
+    ports = router.pipeline.ports
+    assert ports.profile(99) is None
+    for port_id, kind in ((p2p_port, "p2p"), (tap.port_id, "ethernet")):
+        profile = ports.profile(port_id)
+        for field in dataclasses.fields(PortProfile):
+            assert hasattr(profile, field.name), (kind, field.name)
+        assert profile.kind == kind and profile.up is True
+
+    packet = SirpentPacket(
+        segments=[HeaderSegment(port=p2p_port), HeaderSegment(port=0)],
+        payload_size=10,
+    )
+    tx = Transmission(packet, packet.wire_size(), 0, None, None)
+    hop = _SimHop(packet, tap, tx, tx.size, 7)
+    for field in dataclasses.fields(HopInput):
+        assert hasattr(hop, field.name), field.name
+    assert (hop.segment, hop.seg_count, hop.wire_size, hop.in_port, hop.now_ms) == (
+        packet.segments[0], 2, tx.size, tap.port_id, 7
+    )
+    assert hop.reverse_portinfo() == b"" and hop.alternate() is None

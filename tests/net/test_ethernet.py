@@ -148,14 +148,34 @@ def test_failure_mid_frame_tells_stations_that_have_the_header():
     assert aborted_at_sender == ["pkt"]
 
 
-def test_failure_before_the_header_lands_is_silent():
+def test_failure_before_the_header_lands_is_silent_downstream_only():
+    """No receiver hears of the frame; its sender still learns it died
+    (as on a ``Channel``), and so does the sender of a backlogged one."""
     sim = Simulator()
     segment, stations = make_segment(sim, rate=10e6, prop=5e-6)
-    (_, a0), (n1, a1), _ = stations
-    segment.transmit(a0, a1.mac, "pkt", 1250, 125)
+    (_, a0), (n1, a1), (_, a2) = stations
+    aborted_at_sender = []
+    segment.transmit(a0, a1.mac, "pkt", 1250, 125,
+                     on_abort=aborted_at_sender.append)
+    segment.transmit(a2, a1.mac, "waiting", 1250, 125,
+                     on_abort=aborted_at_sender.append)
     sim.after(50e-6, segment.fail)
     sim.run()
     assert n1.headers == [] and n1.packets == [] and n1.aborts == []
+    assert aborted_at_sender == ["pkt", "waiting"]
+
+
+def test_frame_into_a_dead_segment_aborts_at_its_sender():
+    sim = Simulator()
+    segment, stations = make_segment(sim)
+    (_, a0), (n1, a1), _ = stations
+    done, aborted = [], []
+    segment.fail()
+    segment.transmit(a0, a1.mac, "pkt", 500, 50,
+                     on_done=lambda: done.append("pkt"), on_abort=aborted.append)
+    sim.run()
+    assert n1.packets == [] and done == [] and aborted == ["pkt"]
+    assert not segment.busy
 
 
 def test_duplicate_mac_rejected():

@@ -299,3 +299,16 @@ def test_fired_and_cancelled_events_let_go_of_their_arguments():
     sim.run(until=2.0)
     assert [ref() for ref in refs] == [None, None]
     assert not kept[0].cancelled and kept[1].cancelled
+
+
+def test_handles_work_as_set_members_and_dict_keys():
+    """Owners index their timers by handle; a handle stays findable after
+    it fires or is cancelled (its hash does not depend on ``fn``/``args``)."""
+    sim = Simulator()
+    first = sim.after(1.0, lambda: None)
+    second = sim.after(1.0, lambda: None)
+    owners = {first: "a", second: "b"}
+    assert first != second and len({first, second}) == 2
+    second.cancel()
+    sim.run()
+    assert owners[first] == "a" and owners[second] == "b"

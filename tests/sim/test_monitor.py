@@ -7,6 +7,7 @@ import pytest
 from repro.sim.monitor import (
     Counter,
     Histogram,
+    RateMeter,
     TimeWeighted,
     UtilizationTracker,
 )
@@ -116,6 +117,43 @@ class TestTimeWeighted:
         assert tw.mean(5.0) == 7.0  # no time elapsed: no 0/0
         tw2 = TimeWeighted(initial=2.0, start=1.0)
         assert tw2.mean(0.5) == 2.0  # now before start is also safe
+
+
+class TestRateMeter:
+    def test_rate_over_window(self):
+        meter = RateMeter(window=1.0)
+        for t in (0.1, 0.2, 0.3, 0.4):
+            meter.add(t, 10.0)
+        assert meter.rate(0.5) == pytest.approx(40.0)
+
+    def test_old_entries_expire(self):
+        meter = RateMeter(window=1.0)
+        meter.add(0.0, 100.0)
+        assert meter.rate(2.0) == 0.0
+
+    def test_window_validation(self):
+        with pytest.raises(ValueError):
+            RateMeter(window=0.0)
+
+    def test_expiry_is_exact_at_the_window_edge(self):
+        meter = RateMeter(window=1.0)
+        meter.add(0.0, 10.0)
+        meter.add(1.0, 10.0)
+        # At t=1.0 the cutoff is 0.0; the entry AT the cutoff survives
+        # (strict < comparison), so both contribute.
+        assert meter.rate(1.0) == pytest.approx(20.0)
+        # Just past the edge the old entry is gone, exactly once.
+        assert meter.rate(1.0 + 1e-9) == pytest.approx(10.0)
+        assert meter._total == pytest.approx(10.0)
+
+    def test_expiry_removes_many_without_error_accumulation(self):
+        meter = RateMeter(window=500.0)
+        for i in range(1000):
+            meter.add(float(i), 1.0)
+        # Cutoff at 999-500=499; strict < keeps t in [499, 999] = 501.
+        assert meter.rate(999.0) == pytest.approx(501 / 500.0)
+        assert len(meter._events) == 501
+        assert meter._total == pytest.approx(501.0)
 
 
 class TestUtilizationTracker:
