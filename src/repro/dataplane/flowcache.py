@@ -6,13 +6,18 @@ verification, logical-port resolution, portInfo decode); every repeat
 packet of the same flow should be a single dictionary hit.  This module
 memoizes exactly that:
 
-    (token, in-port, segment port, priority, rpf, portInfo)
+    (token, in-port, segment port, priority, rpf, portInfo, slick)
         -> admitted verdict + resolved physical port + dst MAC
            + transit splice tail + reverse-authorized token
 
-The portInfo bytes are part of the key because the destination MAC (and
-the trunk flow hint) ride in them — two "flows" that differ only in
-portInfo are different flows on an Ethernet egress.
+The key covers every field of the leading segment the decision reads.
+The portInfo bytes are part of it because the destination MAC (and the
+trunk flow hint) ride in them — two "flows" that differ only in
+portInfo are different flows on an Ethernet egress.  The slick flag is
+part of it because only a slick packet may take (and memoize) a local
+reroute: a packet without the flag must never be handed one from the
+cache.  It comes last, so ``invalidate_port`` / ``invalidate_token``
+keep their key positions.
 
 Being soft state, entries evaporate:
 
@@ -41,15 +46,15 @@ from typing import Any, List, Optional, Tuple
 from repro.viper.wire import HeaderSegment
 
 #: Lookup key of one flow (see module docstring).
-FlowKey = Tuple[bytes, int, int, int, bool, bytes]
+FlowKey = Tuple[bytes, int, int, int, bool, bytes, bool]
 
 
 def flow_key(  # sirlint: hot
     token: bytes, in_port: int, port: int, priority: int,
-    rpf: bool, portinfo: bytes,
+    rpf: bool, portinfo: bytes, slick: bool,
 ) -> FlowKey:
     """Build the cache key for one hop's leading segment."""
-    return (token, in_port, port, priority, rpf, portinfo)
+    return (token, in_port, port, priority, rpf, portinfo, slick)
 
 
 @dataclass

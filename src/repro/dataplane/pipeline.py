@@ -16,8 +16,8 @@ simulated links, timing, packet mutation and effect application.
 
 On top sits the paper's §2.2 soft state: a per-port
 :class:`~repro.dataplane.flowcache.FlowCache` memoizing
-(token, in-port, port, priority, portInfo) -> verdict + resolved
-physical port + dst MAC, so repeat packets of a flow skip token
+(token, in-port, port, priority, rpf, portInfo, slick) -> verdict +
+resolved physical port + dst MAC, so repeat packets of a flow skip token
 verification and logical resolution entirely.
 """
 
@@ -233,7 +233,7 @@ class ForwardingPipeline:
         # Stage 2a: flow-cache fast path (§2.2 soft state).
         key = flow_key(
             segment.token, hop.in_port, port, segment.priority,
-            segment.rpf, segment.portinfo,
+            segment.rpf, segment.portinfo, segment.slick,
         )
         cached = self.flow_cache.lookup(key, hop.now_ms)
         if cached is not None:

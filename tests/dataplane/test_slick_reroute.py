@@ -264,6 +264,34 @@ class TestWarmRerouteMemoization:
         assert second.segments_left == len(alternate) - 1
         assert flow_cache.stats.hits == 1
 
+    def test_memoized_reroute_is_never_served_to_a_non_slick_packet(self):
+        """Warm == cold: the slick flag is part of the flow key.
+
+        Regression: the key used to omit it, so after a slick packet's
+        reroute was memoized a NON-slick packet with the same token /
+        ports / priority / portInfo was handed ``slick_reroute=True``
+        from the cache — a splice of an alternate it does not carry.
+        Cold, ``TestNonSlickUnchanged`` pins that it forwards onto the
+        port it names; warm must agree.
+        """
+        pipeline, _, flow_cache = self.build()
+        alternate = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
+        rerouted = pipeline.decide(
+            hop(HeaderSegment(port=DEAD, slick=True), alternate)
+        )
+        assert rerouted.slick_reroute and len(flow_cache) == 1
+        plain = pipeline.decide(hop(HeaderSegment(port=DEAD)))
+        assert plain.action is Action.FORWARD
+        assert plain.out_port == DEAD
+        assert not plain.slick_reroute
+        assert not plain.flow_cache_hit
+        # ... and the slick flow still takes its memoized alternate.
+        again = pipeline.decide(
+            hop(HeaderSegment(port=DEAD, slick=True), alternate)
+        )
+        assert again.flow_cache_hit and again.slick_reroute
+        assert again.out_port == ALT
+
     def test_unknown_arrival_port_never_memoizes_the_reroute(self):
         pipeline, _, flow_cache = self.build()
         decision = pipeline.decide(

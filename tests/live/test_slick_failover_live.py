@@ -347,6 +347,34 @@ class TestLiveRouterFailover:
         assert fast.metrics.slick_reroutes == 3
         assert fast.endpoint.ring.available() == len(fast.endpoint.ring)
 
+    def test_non_slick_frame_after_a_memoized_reroute_is_forwarded(self):
+        """Regression: the flow key omitted the slick flag, so a plain
+        frame naming the same dead port was handed the memoized reroute,
+        ``slick_reroute_into`` refused its bytes and the frame was
+        dropped ``undecodable``.  Cold it forwards onto the port it
+        names; warm it must too.
+
+        The plain frame arrives in the same batch as two slick ones of
+        the otherwise identical flow.  The batch's run memo is immune by
+        construction: it compares the whole leading segment, flags byte
+        included, so the plain frame takes a full decision of its own.
+        """
+        plain = slick_frame([HeaderSegment(port=2), HeaderSegment(port=0)], [])
+        router, sent = self._router(dead=(2,))
+        self._arrive(router)  # memoizes the reroute
+        ring = router.endpoint.ring
+        router._on_batch([
+            entry for datagram in (self.FRAME, self.FRAME, plain)
+            for entry in batch_of(slot_view(ring, datagram), self.SOURCE)
+        ])
+        assert router.metrics.drops == {}
+        assert [dest for _, dest in sent] == [
+            ("127.0.0.1", 9003), ("127.0.0.1", 9003), ("127.0.0.1", 9003),
+            ("127.0.0.1", 9002),
+        ]
+        assert router.metrics.slick_reroutes == 3
+        assert ring.available() == len(ring)
+
     def test_exhausted_alternate_drops_cleanly(self):
         router, sent = self._router(dead=(2, 3))  # the alternate too
         self._arrive(router)
