@@ -19,14 +19,11 @@ class UsageRecord:
     packets: int = 0
     bytes: int = 0
     by_priority: Dict[int, int] = field(default_factory=dict)
-    reverse_packets: int = 0
 
-    def charge(self, size: int, priority: int, reverse: bool = False) -> None:
+    def charge(self, size: int, priority: int) -> None:
         self.packets += 1
         self.bytes += size
         self.by_priority[priority] = self.by_priority.get(priority, 0) + 1
-        if reverse:
-            self.reverse_packets += 1
 
 
 class AccountLedger:
@@ -49,14 +46,12 @@ class AccountLedger:
         self.price_per_byte = price_per_byte
         self.records: Dict[int, UsageRecord] = {}
 
-    def charge(
-        self, account: int, size: int, priority: int, reverse: bool = False
-    ) -> None:
+    def charge(self, account: int, size: int, priority: int) -> None:
         record = self.records.get(account)
         if record is None:
             record = UsageRecord()
             self.records[account] = record
-        record.charge(size, priority, reverse=reverse)
+        record.charge(size, priority)
 
     def usage(self, account: int) -> UsageRecord:
         return self.records.get(account, UsageRecord())

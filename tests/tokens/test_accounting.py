@@ -31,13 +31,6 @@ def test_per_priority_breakdown():
     assert record.by_priority == {0: 3, 7: 1}
 
 
-def test_reverse_charges_tracked():
-    ledger = AccountLedger()
-    ledger.charge(1, 10, priority=0, reverse=True)
-    ledger.charge(1, 10, priority=0, reverse=False)
-    assert ledger.usage(1).reverse_packets == 1
-
-
 def test_high_priority_costs_more():
     """§5: 'use of high priorities may be limited by simply charging
     more for higher priority packets'."""
