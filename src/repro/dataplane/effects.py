@@ -91,6 +91,13 @@ class Decision:
     #: remaining route with ``effective`` + ``splice_tail`` and discard
     #: every alternate block, instead of performing the normal strip.
     slick_reroute: bool = False
+    #: The flow-cache entry that supplied a *repeatable* decision, else
+    #: None.  Only the plain warm forward carries it — flow-cache hit,
+    #: memoized ``return_tail``, no splice, no reroute, no truncation —
+    #: and it is what :meth:`~repro.dataplane.pipeline.
+    #: ForwardingPipeline.decide_same` needs to give the next packet of
+    #: the same flow this same decision without deciding again.
+    flow_entry: Optional[Any] = None
 
 
 class EffectSink:

@@ -356,6 +356,55 @@ class ForwardingPipeline:
                 ), hop.now_ms)
         return decision
 
+    def decide_same(  # sirlint: hot
+        self, previous: Decision, wire_size: int
+    ) -> Optional[Decision]:
+        """The per-packet stage alone: ``previous`` again, for the next packet.
+
+        A warm decision splits into what the *flow* fixes (egress, return
+        hop and its encoded tail — everything :meth:`decide` derives from
+        the leading segment, the arrival port and the cached entry) and
+        what a *packet* changes: its size, charged against the token's
+        byte budget and the ledger and tested against the egress MTU, and
+        one more hit on the flow's counters.  This runs only the second
+        half.
+
+        The caller vouches that this hop's every other input — leading
+        segment, ``seg_count``, ``in_port``, ``now_ms``, both thunks —
+        equals the one ``previous`` was decided from, and that nothing
+        but this pipeline touched the router's soft state since (the
+        live driver: the previous frame of the same rx batch).  Then the
+        flow-cache lookup a full :meth:`decide` would start with is a
+        hit on the same entry, already most recently used and no older
+        on the unchanged clock, and the result is ``previous`` itself,
+        returned after exactly the effects :meth:`decide` would have
+        had.
+
+        None means "run the full :meth:`decide`", and nothing was
+        charged or counted: ``previous`` is not repeatable (it carries
+        no ``flow_entry`` — eligibility is decided where the decision is
+        made, not by the driver), the egress went away, this packet
+        would be truncated, or the token's budget cannot cover it — the
+        full path then produces the authoritative truncation or reject
+        and the invalidation that goes with it.
+        """
+        cached = previous.flow_entry
+        if cached is None:
+            return None
+        profile = self.ports.profile(cached.out_port)
+        if profile is None or not profile.up:
+            return None
+        if profile.mtu and wire_size + cached.post_size_delta > profile.mtu:
+            return None
+        if cached.token_entry is not None:
+            if not self.token_cache.account_flow_hit(
+                cached.token_entry, wire_size, previous.effective.priority
+            ):
+                return None
+        cached.hits += 1
+        self.flow_cache.stats.hits += 1
+        return previous
+
     # -- stage helpers -----------------------------------------------------
 
     def _expand_tree(self, segment: HeaderSegment) -> Decision:
@@ -566,6 +615,12 @@ class ForwardingPipeline:
             truncate_to=truncate_to,
             segments_left=hop.seg_count - 1,
             flow_cache_hit=True,
+            # Repeatable (see decide_same) only as the flow memoized it:
+            # the return hop not rebuilt, the packet forwarded whole.
+            flow_entry=(
+                cached if return_tail is not None and not truncate_to
+                else None
+            ),
         )
 
     def _cached_spliced_decision(

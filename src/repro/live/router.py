@@ -10,10 +10,13 @@ out the named port, which in the overlay is a UDP peer address.  Port 0
 delivers locally, exactly as §5 reserves it.
 
 A frame crosses the router one way only: ``_on_batch`` →
-``_forward_view`` → :func:`~repro.live.frames.hop_move_into` (or
+:func:`~repro.live.frames.hop_move_into` (or
 :func:`~repro.live.frames.slick_reroute_into`) →
 :meth:`~repro.live.link.LiveEndpoint.send_view`.  The frame never leaves
-its slot and there is no materialising twin.
+its slot and there is no materialising twin.  ``_on_batch`` asks the
+pipeline for a full decision once per *run* of same-route frames in the
+batch and for the per-packet stage alone on the rest of the run; the
+frame-at-a-time reference is this same router fed one-frame batches.
 
 Sim↔live decision parity is *structural*: both routers call the one
 pipeline, so the parity tests assert plumbing, not a duplicated
@@ -47,7 +50,7 @@ from repro.dataplane import (
     apply_drop,
 )
 from repro.live.frames import (
-    Preamble,
+    PREAMBLE_BYTES,
     hop_move_into,
     leading_alt_block,
     return_tail_of,
@@ -121,11 +124,12 @@ class _LivePortMap(PortMap):
 class _LiveEffectSink(EffectSink):
     """Counter + trace applicator of one live router.
 
-    One per router, restamped per frame (:meth:`LiveRouter._sink_for`):
-    ``trace_id`` is the current frame's trace id when it carries one
-    *and* a tracer is installed, else 0 — the one tracing guard.  The
-    driver tests it before a ``trace_event`` call that takes fields, so
-    an untraced frame does not build the kwargs either.
+    One per router, restamped per decided frame
+    (:meth:`LiveRouter._on_batch`): ``trace_id`` is the current frame's
+    trace id when it carries one *and* a tracer is installed, else 0 —
+    the one tracing guard.  The driver tests it before a ``trace_event``
+    call that takes fields, so an untraced frame does not build the
+    kwargs either.
     """
 
     __slots__ = ("_router", "trace_id")
@@ -358,13 +362,7 @@ class LiveRouter:
             self._frame_mem, self._frame_header_len, self._hop.seg_count
         )
 
-    def _sink_for(self, trace_id: int) -> _LiveEffectSink:
-        """The router's effect sink, restamped for one frame."""
-        sink = self._sink
-        sink.trace_id = trace_id if trace_id and self.tracer.enabled else 0
-        return sink
-
-    def _on_batch(self, batch: List[BatchEntry]) -> None:
+    def _on_batch(self, batch: List[BatchEntry]) -> None:  # sirlint: hot
         """Forward one endpoint wakeup's worth of frames, in place.
 
         Each frame arrives as a :class:`~repro.viper.wire.PacketView`
@@ -374,17 +372,24 @@ class LiveRouter:
         :meth:`~repro.live.link.LiveEndpoint.send_view` (which then owns
         it) — exactly once.  The flow-cache clock is read once per
         batch: a wakeup's frames arrived together.
-        """
-        self._hop.now_ms = self._now_ms()
-        for view, source, preamble in batch:
-            self._forward_view(view, source, preamble)
 
-    def _forward_view(
-        self, view: PacketView, source: Address, preamble: Preamble,
-    ) -> None:
-        """One frame through decide-then-apply without leaving its slot.
+        **Decide once per run.**  A hop's decision is a function of the
+        leading segment, the arrival port and the clock (§2), and a
+        packet group (§4) arrives as back-to-back frames that agree on
+        all three.  So the loop remembers the previous frame — only
+        that one, only in locals, only when the pipeline marked its
+        decision repeatable — and a following *untraced* frame from the
+        same peer with the same ``seg_count`` and byte-identical leading
+        segment re-runs just the pipeline's per-packet stage
+        (:meth:`~repro.dataplane.pipeline.ForwardingPipeline.
+        decide_same`: token budget and ledger, hit counts) before the
+        one move below.  Any other frame — a different or shorter one
+        fails the byte compare — takes the full decision and meets the
+        drops it always met, so counters, ledger, LRU order and recorder
+        events are those of forwarding the frames one by one, and a
+        one-frame batch builds no run state at all.
 
-        The strip/reverse/append move happens *inside* the ring slot
+        The move happens *inside* the ring slot
         (:func:`~repro.live.frames.hop_move_into`): the preamble is
         rewritten just before the surviving segments and the memoized
         return tail (``Decision.return_tail``, encoded once at
@@ -395,95 +400,142 @@ class LiveRouter:
         is dropped here, with that reason, instead of being retried
         into a false ``on_peer_dead``.
         """
-        mem = view.mem
-        header_len = preamble.header_len
-        try:
-            if preamble.seg_count == 0:
-                raise ViperDecodeError("no leading segment")
-            segment = parse_segment_view(mem, header_len)
-        except ViperDecodeError:
-            # Line noise / malformed frame: drop and count, never crash.
-            view.release()
-            apply_drop(
-                self._sink_for(0),
-                Decision(Action.DROP, reason="undecodable"),
-            )
-            return
-        sink = self._sink_for(preamble.trace_id)
-        in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
-        if self.dead_ports:
-            self._revive_port(in_port)
         hop = self._hop
-        hop.segment = segment
-        hop.seg_count = preamble.seg_count
-        hop.wire_size = preamble.payload_len
-        hop.in_port = in_port
-        self._frame_mem = mem
-        self._frame_header_len = header_len
-        decision = self.pipeline.decide(hop)
-        if decision.action is Action.DROP:
-            view.release()
-            apply_drop(sink, decision)
-            return
-        if decision.action is Action.DELIVER_LOCAL:
-            self.metrics.delivered_local += 1
-            sink.trace_event("deliver_local")
-            if self.recorder.enabled:
-                self.recorder.record("frame_delivered", node=self.name)
-            if self.local_handler is not None:
-                # Local delivery leaves the overlay: materialise here.
-                datagram = view.tobytes()
-                view.release()
-                self.local_handler(datagram, source)
+        hop.now_ms = self._now_ms()
+        sink = self._sink
+        runs = len(batch) > 1
+        # The run memo: the previous frame's decision (None = that frame
+        # started no run) and what the next frame must equal to share it.
+        run_decision = None
+        run_source = run_lead = None
+        run_seg_count = run_end = run_in_port = 0
+        for view, source, preamble in batch:
+            mem = view.mem
+            decision = None
+            if (
+                run_decision is not None
+                and not preamble.trace_id
+                and preamble.seg_count == run_seg_count
+                and source == run_source
+                and mem[PREAMBLE_BYTES:run_end] == run_lead
+            ):
+                decision = self.pipeline.decide_same(
+                    run_decision, preamble.payload_len
+                )
+            if decision is not None:
+                next_rel = run_end
+                in_port = run_in_port
             else:
-                view.release()
-            return
-        # FORWARD (FANOUT cannot happen: multicast=False drops earlier).
-        if in_port == UNKNOWN_IN_PORT:
-            # A frame from an unwired peer cannot get a correct return
-            # hop; refusing it mirrors Sirpent's "routes only work when
-            # every hop is reversible".  The decision above still ran
-            # the token cache.
-            view.release()
-            apply_drop(sink, Decision(Action.DROP, reason="unknown_peer"))
-            return
-        if sink.trace_id:
-            sink.trace_event(
-                "switch_decision",
-                in_port=in_port, out_port=decision.out_port,
-            )
-        tail = decision.return_tail
-        if tail is None:
-            # Cold decision (or rebuilt return hop): encode the tail once.
+                run_decision = None
+                header_len = preamble.header_len
+                try:
+                    if preamble.seg_count == 0:
+                        raise ViperDecodeError("no leading segment")
+                    segment = parse_segment_view(mem, header_len)
+                except ViperDecodeError:
+                    # Line noise / malformed frame: drop and count,
+                    # never crash.
+                    view.release()
+                    sink.trace_id = 0
+                    apply_drop(
+                        sink, Decision(Action.DROP, reason="undecodable")
+                    )
+                    continue
+                trace_id = preamble.trace_id
+                sink.trace_id = (
+                    trace_id if trace_id and self.tracer.enabled else 0
+                )
+                in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
+                if self.dead_ports:
+                    self._revive_port(in_port)
+                hop.segment = segment
+                hop.seg_count = preamble.seg_count
+                hop.wire_size = preamble.payload_len
+                hop.in_port = in_port
+                self._frame_mem = mem
+                self._frame_header_len = header_len
+                decision = self.pipeline.decide(hop)
+                if decision.action is Action.DROP:
+                    view.release()
+                    apply_drop(sink, decision)
+                    continue
+                if decision.action is Action.DELIVER_LOCAL:
+                    self._deliver_local(view, source)
+                    continue
+                # FORWARD (FANOUT cannot happen: multicast=False drops
+                # earlier).
+                if in_port == UNKNOWN_IN_PORT:
+                    # A frame from an unwired peer cannot get a correct
+                    # return hop; refusing it mirrors Sirpent's "routes
+                    # only work when every hop is reversible".  The
+                    # decision above still ran the token cache.
+                    view.release()
+                    apply_drop(
+                        sink, Decision(Action.DROP, reason="unknown_peer")
+                    )
+                    continue
+                if sink.trace_id:
+                    sink.trace_event(
+                        "switch_decision",
+                        in_port=in_port, out_port=decision.out_port,
+                    )
+                next_rel = segment.end
+                if runs and decision.flow_entry is not None and not trace_id:
+                    # A run may start here: the next frame shares this
+                    # decision if it equals this one where it matters.
+                    run_decision = decision
+                    run_source = source
+                    run_seg_count = preamble.seg_count
+                    run_end = next_rel
+                    run_lead = bytes(mem[PREAMBLE_BYTES:next_rel])  # sirlint: disable=SIR008 -- once per run head, not per frame: the move below overwrites the slot's copy of the leading segment
+                    run_in_port = in_port
+            tail = decision.return_tail
+            if tail is None:
+                # Cold decision (or rebuilt return hop; never a repeated
+                # one): encode the tail once.
+                try:
+                    tail = return_tail_of(decision.return_segment)
+                except ValueError:
+                    view.release()
+                    apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
+                    continue
             try:
-                tail = return_tail_of(decision.return_segment)
-            except ValueError:
+                if decision.slick_reroute:
+                    self._count_slick_reroute(sink, in_port, decision)
+                    moved = slick_reroute_into(view, tail, preamble)
+                else:
+                    moved = hop_move_into(
+                        view, tail, preamble, next_rel=next_rel
+                    )
+            except ViperDecodeError:
+                # The bytes contradict the decision (a slick flag with no
+                # well-formed block behind the route): corrupt frame.
                 view.release()
                 apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                return
-        try:
-            if decision.slick_reroute:
-                self._count_slick_reroute(sink, in_port, decision)
-                moved = slick_reroute_into(view, tail, preamble)
-            else:
-                moved = hop_move_into(
-                    view, tail, preamble, next_rel=segment.end
-                )
-        except ViperDecodeError:
-            # The bytes contradict the decision (a slick flag with no
-            # well-formed block behind the route): corrupt frame.
+                continue
+            if not moved:
+                view.release()
+                apply_drop(sink, Decision(Action.DROP, reason="oversize"))
+                continue
+            self._count_forward(sink, in_port, decision)
+            self.endpoint.send_view(
+                view, self.ports[decision.out_port],
+                reliable=self.config.reliable_hops,
+            )
+
+    def _deliver_local(self, view: PacketView, source: Address) -> None:
+        """Port 0 (§5): the frame leaves the overlay here."""
+        self.metrics.delivered_local += 1
+        self._sink.trace_event("deliver_local")
+        if self.recorder.enabled:
+            self.recorder.record("frame_delivered", node=self.name)
+        if self.local_handler is not None:
+            # Local delivery leaves the overlay: materialise here.
+            datagram = view.tobytes()
             view.release()
-            apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-            return
-        if not moved:
+            self.local_handler(datagram, source)
+        else:
             view.release()
-            apply_drop(sink, Decision(Action.DROP, reason="oversize"))
-            return
-        self._count_forward(sink, in_port, decision)
-        self.endpoint.send_view(
-            view, self.ports[decision.out_port],
-            reliable=self.config.reliable_hops,
-        )
 
     def _count_slick_reroute(
         self, sink: _LiveEffectSink, in_port: int, decision: Decision,

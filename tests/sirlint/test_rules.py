@@ -16,6 +16,17 @@ def rules_fired(findings):
     return sorted({f.rule for f in findings})
 
 
+def live_router(source):
+    """Findings for ``source`` as ``repro.live.router``, less SIR008's
+    pin on that module name (a fixture is not the batch loop)."""
+    return [
+        f for f in analyze(
+            source, "repro.live.router", path="src/repro/live/router.py"
+        )
+        if f.symbol != "hot-marker:_on_batch"
+    ]
+
+
 # -- SIR001: sans-IO purity --------------------------------------------------
 
 
@@ -415,14 +426,12 @@ def test_sir005_inline_suppression():
 
 
 def test_sir006_fires_on_adhoc_drop_call():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def on_frame(self, frame):
                 self.metrics.drop("undecodable")
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert rules_fired(findings) == ["SIR006"]
 
@@ -471,14 +480,12 @@ def test_sir006_not_applied_outside_router_modules():
 
 
 def test_sir006_inline_suppression():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def on_frame(self, frame):
                 self.metrics.drop("undecodable")  # sirlint: disable=SIR006 -- fixture: sanctioned second applicator
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert findings == []
 
@@ -487,41 +494,35 @@ def test_sir006_inline_suppression():
 
 
 def test_sir007_fires_on_dynamic_event_name():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def restart(self, kind):
                 self.recorder.record(kind, node=self.name)
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert rules_fired(findings) == ["SIR007"]
     assert any("static string" in f.message for f in findings)
 
 
 def test_sir007_fires_on_interpolated_event_name():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def restart(self):
                 self.recorder.record(f"restarted_{self.name}")
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert rules_fired(findings) == ["SIR007"]
 
 
 def test_sir007_fires_on_non_snake_case_event_name():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def restart(self):
                 self.recorder.record("RouterRestarted", node=self.name)
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert rules_fired(findings) == ["SIR007"]
     assert any("snake_case" in f.message for f in findings)
@@ -548,7 +549,7 @@ def test_sir007_fires_on_ring_access_and_direct_event():
 
 
 def test_sir007_silent_on_static_snake_case_names():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def restart(self):
@@ -557,9 +558,7 @@ def test_sir007_silent_on_static_snake_case_names():
 
         def drive(injector, now):
             injector.record("shard_promoted", now, shard="shard-0")
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert findings == []
 
@@ -592,14 +591,12 @@ def test_sir007_ring_access_allowed_inside_recorder_module():
 
 
 def test_sir007_inline_suppression():
-    findings = analyze(
+    findings = live_router(
         """
         class Router:
             def restart(self, kind):
                 self.recorder.record(kind)  # sirlint: disable=SIR007 -- fixture: duplicate event is intended
-        """,
-        "repro.live.router",
-        path="src/repro/live/router.py",
+        """
     )
     assert findings == []
 
@@ -670,8 +667,8 @@ def test_sir008_out_of_scope_packages_ignored():
         def drain(self):  # sirlint: hot
             return [bytes(b"x")]
         """,
-        "repro.live.fixture",
-        path="src/repro/live/fixture.py",
+        "repro.transport.fixture",
+        path="src/repro/transport/fixture.py",
     )
     assert "SIR008" not in rules_fired(findings)
 
@@ -746,6 +743,80 @@ def test_sir008_silent_on_the_lean_sim_frame_hop():
         """,
         "repro.sim.engine",
         path="src/repro/sim/engine.py",
+    )
+    assert "SIR008" not in rules_fired(findings)
+
+
+def test_sir008_fires_in_the_live_batch_loop():
+    """``LiveRouter._on_batch`` runs once per frame-hop: a copy or a
+    container per frame is a finding, and so is dropping its marker or
+    that of the pipeline's per-packet stage."""
+    findings = analyze(
+        """
+        class LiveRouter:
+            def _on_batch(self, batch):  # sirlint: hot
+                for view, source, preamble in batch:
+                    lead = bytes(view.mem[11:15])
+                    self.seen.append({"source": source, "lead": lead})
+        """,
+        "repro.live.router",
+        path="src/repro/live/router.py",
+    )
+    assert sorted(f.symbol for f in findings if f.rule == "SIR008") == [
+        "_on_batch:call:bytes", "_on_batch:dict-literal",
+    ]
+    unmarked = analyze(
+        """
+        class LiveRouter:
+            def _on_batch(self, batch):
+                return [view.tobytes() for view, _, _ in batch]
+        """,
+        "repro.live.router",
+        path="src/repro/live/router.py",
+    )
+    assert [f.symbol for f in unmarked if f.rule == "SIR008"] == [
+        "hot-marker:_on_batch"
+    ]
+    pipeline = analyze(
+        """
+        def _decide_cached(self, hop, key, cached):  # sirlint: hot
+            return cached
+
+        def decide_same(self, previous, wire_size):
+            return previous
+        """,
+        "repro.dataplane.pipeline",
+        path="src/repro/dataplane/pipeline.py",
+    )
+    assert [f.symbol for f in pipeline if f.rule == "SIR008"] == [
+        "hot-marker:decide_same"
+    ]
+
+
+def test_sir008_silent_on_the_run_forwarding_batch_loop():
+    """Locals, tuple unpacking, a memoryview slice compared with the run
+    head's bytes — and the one reasoned copy a run head makes."""
+    findings = analyze(
+        """
+        class LiveRouter:
+            def _on_batch(self, batch):  # sirlint: hot
+                run_decision = run_lead = None
+                run_end = 0
+                for view, source, preamble in batch:
+                    mem = view.mem
+                    decision = None
+                    if run_decision is not None and mem[11:run_end] == run_lead:
+                        decision = self.pipeline.decide_same(
+                            run_decision, preamble.payload_len
+                        )
+                    if decision is None:
+                        decision = self.pipeline.decide(self._hop)
+                        run_decision, run_end = decision, self._hop.segment.end
+                        run_lead = bytes(mem[11:run_end])  # sirlint: disable=SIR008 -- fixture: once per run head, not per frame
+                    self.endpoint.send_view(view, self.ports[decision.out_port])
+        """,
+        "repro.live.router",
+        path="src/repro/live/router.py",
     )
     assert "SIR008" not in rules_fired(findings)
 

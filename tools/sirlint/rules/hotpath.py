@@ -16,10 +16,11 @@ time, so it is enforced statically:
   removing a marker does not silence the rule, it *is* a finding.
 
 In scope are :mod:`repro.dataplane` and :mod:`repro.viper` (the sans-IO
-layers both drivers share) and the simulator's frame-hop loop in
+layers both drivers share), the simulator's frame-hop loop in
 :mod:`repro.sim`, :mod:`repro.core` and :mod:`repro.net` (engine
 scheduling, the router driver's process/apply/forward, the output
-port, the channel).  Slow-path oracles — the
+port, the channel) and the live router's batch loop in
+:mod:`repro.live`.  Slow-path oracles — the
 materialising codec, ``tobytes()`` escape hatches, multicast expansion
 — stay unmarked and free to allocate; a genuinely-justified allocation
 in a hot function carries an inline ``# sirlint: disable=SIR008``.
@@ -42,6 +43,8 @@ HOT_PACKAGES: Tuple[str, ...] = (
     "repro.sim",
     "repro.core",
     "repro.net",
+    # The live router's batch loop (PR 17): runs once per frame-hop.
+    "repro.live",
 )
 
 #: The def-line marker naming a function as fast-path.
@@ -65,6 +68,11 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.dataplane.pipeline": (
         "_decide_cached",
+        # The per-packet stage: all a repeated frame of a run pays.
+        "decide_same",
+    ),
+    "repro.live.router": (
+        "_on_batch",
     ),
     # One simulated frame-hop runs through exactly these; a per-hop
     # lambda, closure or container here is paid ~50 times a transaction.
