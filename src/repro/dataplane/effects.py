@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.dataplane.flowcache import FlowEntry
 from repro.viper.wire import HeaderSegment
 
 
@@ -97,7 +98,7 @@ class Decision:
     #: and it is what :meth:`~repro.dataplane.pipeline.
     #: ForwardingPipeline.decide_same` needs to give the next packet of
     #: the same flow this same decision without deciding again.
-    flow_entry: Optional[Any] = None
+    flow_entry: Optional[FlowEntry] = None
 
 
 class EffectSink:

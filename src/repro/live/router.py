@@ -405,24 +405,22 @@ class LiveRouter:
         sink = self._sink
         runs = len(batch) > 1
         # The run memo: the previous frame's decision (None = that frame
-        # started no run) and what the next frame must equal to share it.
+        # started no run) and, set with it, what the next frame must
+        # equal to share it: run_source, run_seg_count, run_lead (the
+        # leading segment's bytes), run_end (its end) and run_in_port.
         run_decision = None
-        run_source = run_lead = None
-        run_seg_count = run_end = run_in_port = 0
         for view, source, preamble in batch:
             mem = view.mem
-            decision = None
             if (
                 run_decision is not None
                 and not preamble.trace_id
                 and preamble.seg_count == run_seg_count
                 and source == run_source
                 and mem[PREAMBLE_BYTES:run_end] == run_lead
-            ):
-                decision = self.pipeline.decide_same(
+                and (decision := self.pipeline.decide_same(
                     run_decision, preamble.payload_len
-                )
-            if decision is not None:
+                )) is not None
+            ):
                 next_rel = run_end
                 in_port = run_in_port
             else:

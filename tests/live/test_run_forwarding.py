@@ -30,9 +30,8 @@ from repro.live.frames import decode_preamble, encode_live_frame
 from repro.live.router import LiveRouter
 from repro.obs.recorder import FlightRecorder
 from repro.viper.packet import SirpentPacket
-from repro.viper.ring import BufferRing
-from repro.viper.wire import HeaderSegment, encode_segment
-from tests.live.oracle import slot_view
+from repro.viper.wire import HeaderSegment, encode_segment, segment_span
+from tests.live.oracle import capture_router, slot_view
 
 SLOT_BYTES = 512
 
@@ -65,8 +64,9 @@ class Bench:
     """One socket-free router and everything a frame can do to it."""
 
     def __init__(self):
-        router = LiveRouter("r")
-        router.endpoint.ring = BufferRing(slots=8, slot_bytes=SLOT_BYTES)
+        router, _ = capture_router(
+            "r", ports=(1, 2, LIVE, DEAD, ALT), slot_bytes=SLOT_BYTES
+        )
         self.router = router
         self.now_ms = 0
         router._now_ms = lambda: self.now_ms
@@ -95,18 +95,12 @@ class Bench:
             view.release()
             return 0
 
-        def send(datagram, addr, reliable=False):
-            raise AssertionError("a router forwards views, never bytes")
-
         router.endpoint.send_view = send_view
-        router.endpoint.send = send
         router.local_handler = lambda datagram, source: self.fates.append(
             ("deliver", datagram, source)
         )
         router.set_recorder(FlightRecorder(clock=lambda: 0.0))
         router.set_tracer(RecordingTracer())
-        for port in (1, 2, LIVE, DEAD, ALT):
-            router.connect_port(port, ("127.0.0.1", 9000 + port))
         router._on_peer_dead(PEER_DEAD)
 
     def feed(self, arrivals, cuts=()):
@@ -204,8 +198,7 @@ def block_offset(datagram):
     preamble = decode_preamble(datagram)
     offset = preamble.header_len
     for _ in range(preamble.seg_count):
-        # A test frame's segments are short: no length escapes.
-        offset += 4 + datagram[offset] + datagram[offset + 1]
+        offset = segment_span(datagram, offset)
     return offset
 
 
