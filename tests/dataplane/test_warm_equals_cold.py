@@ -1,0 +1,415 @@
+"""Warm ≡ cold: the flow cache changes nothing but speed.
+
+The per-hop decision is a pure function of the leading segment, the
+arrival and the router's state (§2); the §2.2 flow cache memoises it.
+So a pipeline with a :class:`FlowCache` and one with the cache disabled
+— the cold oracle: every packet pays the full decision — fed the same
+``HopInput`` sequence must make the same decisions and leave the same
+token-cache counters, per-token packet / byte counts and ledger charges,
+modulo the two fields that *say* the cache answered (``flow_cache_hit``,
+``return_tail``).
+
+The generated cases (hypothesis, derandomised: a red run reproduces from
+the log) interleave a few flows that collide on purpose — the same
+port / token / portInfo under every flag-nibble (VNT / DIB / RPF /
+slick) and priority — over plain, Ethernet, MTU-limited, dying and
+unwired ports, flow-hash and least-loaded trunks, a transit splice and
+the multicast ports; tokenless, valid, reverse-ok, expiring,
+budget-limited, priority-limited, wrong-port and never-valid tokens
+under each :class:`CachePolicy`; unknown arrival ports; re-framed
+arrivals; sizes either side of the MTU; a small cache with a short TTL so
+LRU eviction and expiry happen mid-sequence; and egress ports dying and
+coming back between packets.  The directed case walks every flag nibble ×
+priority × token kind through one pair of pipelines.
+
+This is the test that would have caught the flow key omitting the slick
+flag (``d499d96``): deleting ``slick`` from the key makes
+``test_every_flag_nibble_and_priority`` fail on the first non-slick twin
+of a rerouted slick flow (checked once by hand, at ``adb6ee9``).
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.dataplane import (
+    BROADCAST_PORT,
+    FlowCache,
+    ForwardingPipeline,
+    GroupPortMap,
+    HopInput,
+    LogicalPortMap,
+    MappingPortMap,
+    SelectionPolicy,
+    TREE_PORT,
+    TreeBranch,
+    UNKNOWN_IN_PORT,
+    encode_tree_info,
+)
+from repro.net.addresses import MacAddress
+from repro.tokens.cache import CachePolicy, TokenCache
+from repro.tokens.capability import TokenMint
+from repro.viper.portinfo import (
+    CompressedEthernetInfo,
+    EthernetInfo,
+    LogicalInfo,
+)
+from repro.viper.wire import HeaderSegment
+
+PLAIN, NARROW, ETHER, DIES, ALT, MEMBER_A, MEMBER_B = 1, 2, 3, 4, 5, 6, 7
+UNWIRED = 9
+FLOW_HASH, LEAST_LOADED, TRANSIT = 20, 21, 22
+GROUP = 241
+MTU = 120
+
+PORTS = (
+    PLAIN, PLAIN, NARROW, ETHER, DIES, DIES, ALT, UNWIRED, 0,
+    FLOW_HASH, LEAST_LOADED, TRANSIT, GROUP, BROADCAST_PORT, TREE_PORT,
+)
+#: Ports a step may kill and revive (trunk members included, so a
+#: flow-hash trunk's memoised member can die under it).
+MORTAL = (DIES, DIES, ALT, MEMBER_A, NARROW)
+
+MAC_A, MAC_B, MAC_C = (MacAddress(0x020000000000 + n) for n in (1, 2, 3))
+PORTINFOS = (
+    b"",
+    b"",
+    EthernetInfo(dst=MAC_A, src=MAC_B).to_bytes(),
+    CompressedEthernetInfo(dst=MAC_C).to_bytes(),
+    LogicalInfo(label=7, flow_hint=0).to_bytes(),
+    LogicalInfo(label=7, flow_hint=1).to_bytes(),
+    b"\x01\x02\x03",
+    encode_tree_info([TreeBranch([HeaderSegment(port=PLAIN)])]),
+)
+#: What the arrival frame says the return hop's portInfo is (the sim
+#: reverses the arrival MACs; a re-framed upstream changes it mid-flow).
+ARRIVALS = (
+    b"",
+    EthernetInfo(dst=MAC_B, src=MAC_A, ethertype=0).to_bytes(),
+    EthernetInfo(dst=MAC_C, src=MAC_A, ethertype=0).to_bytes(),
+)
+TOKEN_KINDS = (
+    "none", "none", "valid", "reverse_ok", "expiring", "budget",
+    "low_priority", "wrong_port", "never_valid",
+)
+SECRET = b"secret:warm-equals-cold"
+
+
+def token_of(kind, port):
+    mint = TokenMint(SECRET, issuer="r")
+    if kind == "none":
+        return b""
+    if kind == "never_valid":
+        return bytes([port]) * 28
+    claims = {
+        "valid": dict(account=1),
+        "reverse_ok": dict(account=2, reverse_ok=True),
+        "expiring": dict(account=3, expiry_ms=60),
+        "budget": dict(account=4, byte_limit=700),
+        "low_priority": dict(account=5, max_priority=2),
+        "wrong_port": dict(account=6),
+    }[kind]
+    return mint.mint(port=port ^ 1 if kind == "wrong_port" else port, **claims)
+
+
+def segment_of(port, token_kind, portinfo, flags, priority):
+    return HeaderSegment(
+        port=port, priority=priority,
+        vnt=bool(flags & 8), dib=bool(flags & 4), rpf=bool(flags & 2),
+        slick=bool(flags & 1),
+        token=token_of(token_kind, port), portinfo=portinfo,
+    )
+
+
+ALTERNATES = (
+    None,
+    (HeaderSegment(port=ALT), HeaderSegment(port=0)),
+    (HeaderSegment(port=PLAIN), HeaderSegment(port=ALT), HeaderSegment(port=0)),
+    (HeaderSegment(port=ALT, token=token_of("reverse_ok", ALT)),),
+    (HeaderSegment(port=ETHER, portinfo=PORTINFOS[2]), HeaderSegment(port=0)),
+    (HeaderSegment(port=TRANSIT),),   # logical: unusable
+)
+
+
+class Port:
+    """A live port object: the ``PortMap.profile`` surface and the load
+    surface least-loaded selection reads, in one."""
+
+    rate_bps = 0.0
+    busy = False
+
+    def __init__(self, kind="p2p", mtu=0, queue_depth=0):
+        self.kind = kind
+        self.mtu = mtu
+        self.up = True
+        self.queue_depth = queue_depth
+
+    @property
+    def attachment(self):
+        return self
+
+
+class World:
+    """One pipeline and everything a packet can change in it."""
+
+    def __init__(self, policy, flow_cache):
+        self.ports = {
+            PLAIN: Port(), NARROW: Port(mtu=MTU), ETHER: Port("ethernet"),
+            DIES: Port(), ALT: Port(),
+            MEMBER_A: Port(queue_depth=1), MEMBER_B: Port(queue_depth=2),
+        }
+        logical = LogicalPortMap()
+        logical.add_trunk(
+            FLOW_HASH, [MEMBER_A, MEMBER_B], SelectionPolicy.FLOW_HASH
+        )
+        logical.add_trunk(
+            LEAST_LOADED, [MEMBER_A, MEMBER_B], SelectionPolicy.LEAST_LOADED
+        )
+        logical.add_transit(
+            TRANSIT, [HeaderSegment(port=NARROW), HeaderSegment(port=PLAIN)]
+        )
+        groups = GroupPortMap()
+        groups.add_group(GROUP, [PLAIN, ALT])
+        self.token_cache = TokenCache(
+            TokenMint(SECRET, issuer="r"), policy=policy
+        )
+        self.pipeline = ForwardingPipeline(
+            "r", token_cache=self.token_cache,
+            ports=MappingPortMap(self.ports, load_view=self.ports),
+            logical=logical, groups=groups, flow_cache=flow_cache,
+        )
+
+    def decide(self, segment, alternate, in_port, wire_size, now_ms, arrival):
+        return self.pipeline.decide(HopInput(
+            segment=segment, seg_count=3, wire_size=wire_size,
+            in_port=in_port, now_ms=now_ms,
+            reverse_portinfo=lambda: arrival,
+            alternate=lambda: list(alternate) if alternate else None,
+        ))
+
+    def token_state(self):
+        cache = self.token_cache
+        return (
+            cache.hits, cache.misses, cache.invalid_seen,
+            {
+                token: (entry.valid, entry.packets, entry.bytes)
+                for token, entry in cache._entries.items()
+            },
+            cache.ledger.records,
+        )
+
+
+def fields_of(segment):
+    if segment is None:
+        return None
+    return (
+        segment.port, segment.priority, segment.vnt, segment.dib,
+        segment.rpf, segment.slick, segment.token, segment.portinfo,
+    )
+
+
+def outcome(decision):
+    """Everything a driver applies — not who answered."""
+    return dict(
+        action=decision.action,
+        reason=decision.reason,
+        drop_fields=decision.drop_fields,
+        out_port=decision.out_port,
+        effective=fields_of(decision.effective),
+        return_segment=decision.return_segment,
+        splice_tail=decision.splice_tail,
+        truncate_to=decision.truncate_to,
+        dst_mac=decision.dst_mac,
+        token_delay=decision.token_delay,
+        slick_reroute=decision.slick_reroute,
+        branches=decision.branches,
+        fanout_replaces_route=decision.fanout_replaces_route,
+    )
+
+
+def assert_warm_equals_cold(policy, script, capacity=3, ttl_ms=100, seen=None):
+    """Feed ``script`` to a caching and a cold pipeline in lockstep.
+
+    A step is ``("hop", segment, alternate, in_port, wire_size, dt_ms,
+    arrival)``, ``("kill", port)`` or ``("revive", port)``.  ``seen``
+    collects what the caching pipeline did, for the coverage test.
+    Returns the caching pipeline's flow-cache counters.
+    """
+    warm = World(policy, FlowCache(capacity=capacity, ttl_ms=ttl_ms))
+    cold = World(policy, FlowCache(enabled=False))
+    now_ms = 0
+    for at, step in enumerate(script):
+        if step[0] != "hop":
+            for world in (warm, cold):
+                world.ports[step[1]].up = step[0] == "revive"
+            continue
+        _, segment, alternate, in_port, wire_size, dt_ms, arrival = step
+        now_ms += dt_ms
+        got, expected = (
+            world.decide(segment, alternate, in_port, wire_size, now_ms, arrival)
+            for world in (warm, cold)
+        )
+        assert not expected.flow_cache_hit
+        for part, value in outcome(expected).items():
+            assert outcome(got)[part] == value, (at, part, step)
+        assert warm.token_state() == cold.token_state(), (at, step)
+        if seen is not None:
+            seen.update(sightings(got))
+    return warm.pipeline.flow_cache.stats
+
+
+def sightings(decision):
+    yield decision.reason or decision.action.value
+    if decision.slick_reroute:
+        yield "reroute"
+    if decision.flow_cache_hit:
+        yield "hit"
+        if decision.truncate_to:
+            yield "hit+truncated"
+        if decision.splice_tail:
+            yield "hit+splice"
+        if decision.return_segment is not None and decision.return_tail is None:
+            yield "hit+rebuilt"
+
+
+# Until the two fixes later in this PR the generators keep off two places
+# where the parent's warm path is *not* its cold path:
+#
+# * a memoised slick reroute skips the primary segment's token admission
+#   and is keyed on the leading segment alone, so slick flows stay
+#   tokenless, share one alternate per script, and the port they dodge
+#   does not come back (``REROUTES_ARE_MEMOISED``);
+# * an optimistically admitted first packet installs the flow even when
+#   its token names another port or a lower priority, so those token
+#   kinds sit out under ``CachePolicy.OPTIMISTIC``
+#   (``OPTIMISTIC_INSTALLS_UNCHECKED``).
+#
+# One restriction is by design and stays: a flow-hash trunk member that
+# died does not come back — the flow stays on the surviving member until
+# its entry expires (ordered delivery), where a cold decision would move
+# it back at once.
+REROUTES_ARE_MEMOISED = True
+OPTIMISTIC_INSTALLS_UNCHECKED = True
+
+
+def token_kinds_under(policy):
+    if OPTIMISTIC_INSTALLS_UNCHECKED and policy is CachePolicy.OPTIMISTIC:
+        return tuple(
+            kind for kind in TOKEN_KINDS
+            if kind not in ("low_priority", "wrong_port")
+        )
+    return TOKEN_KINDS
+
+
+# -- every flag nibble × priority × token kind, directed ----------------------
+
+
+@pytest.mark.parametrize("policy", list(CachePolicy))
+@pytest.mark.parametrize("port", [PLAIN, DIES, TRANSIT, FLOW_HASH])
+def test_every_flag_nibble_and_priority(policy, port):
+    """All 16 × 16 leading-byte variants of one flow, each packet sent
+    twice (cold, then warm), two passes, every slick variant followed at
+    once by its non-slick twin — its memo is still there to trip on;
+    ``DIES`` is down, so its slick variants take a reroute."""
+    script = [("kill", DIES)]
+    for token_kind in ("none", "reverse_ok", "low_priority"):
+        if token_kind not in token_kinds_under(policy):
+            continue
+        for _ in range(2):
+            for priority in range(16):
+                for flags in sorted(range(16), key=lambda f: (f >> 1, not f & 1)):
+                    slick = flags & 1
+                    tokenless = slick and REROUTES_ARE_MEMOISED
+                    script += [(
+                        "hop",
+                        segment_of(
+                            port, "none" if tokenless else token_kind,
+                            b"", flags, priority,
+                        ),
+                        ALTERNATES[1] if slick else None,
+                        7, 100, 0, ARRIVALS[0],
+                    )] * 2
+    stats = assert_warm_equals_cold(policy, script, capacity=1024, ttl_ms=0)
+    assert stats.hits > len(script) // 4
+
+
+# -- generated interleavings ---------------------------------------------------
+
+
+@st.composite
+def scripts(draw, policy):
+    pool = draw(st.lists(st.tuples(
+        st.sampled_from(PORTS), st.sampled_from(token_kinds_under(policy)),
+        st.sampled_from(PORTINFOS), st.sampled_from(ALTERNATES),
+    ), min_size=1, max_size=3))
+    flows = []
+    for which, flags, priority in draw(st.lists(st.tuples(
+        st.integers(0, 2), st.integers(0, 15),
+        st.sampled_from((0, 0, 1, 5, 9, 15)),
+    ), min_size=1, max_size=6)):
+        port, token_kind, portinfo, alternate = pool[which % len(pool)]
+        if REROUTES_ARE_MEMOISED:
+            alternate = pool[0][3]
+            if flags & 1:
+                token_kind = "none"
+        flows.append((
+            segment_of(port, token_kind, portinfo, flags, priority),
+            alternate if flags & 1 else None,
+        ))
+    hop = st.tuples(
+        st.just("hop"),
+        st.integers(0, len(flows) - 1),
+        st.sampled_from((7, 7, 7, 8, UNKNOWN_IN_PORT)),
+        st.sampled_from((0, 64, 100, 100, MTU - 3, MTU + 40, 400)),
+        st.sampled_from((0, 0, 0, 1, 30, 70, 250)),
+        st.sampled_from((0, 0, 0, 1, 2)),
+    )
+    mutation = st.tuples(
+        st.sampled_from(("kill", "kill", "revive")), st.sampled_from(MORTAL)
+    )
+    script = []
+    for step in draw(st.lists(
+        st.one_of(hop, hop, hop, hop, hop, hop, mutation),
+        min_size=1, max_size=60,
+    )):
+        if step[0] == "hop":
+            _, flow, in_port, wire_size, dt_ms, arrival = step
+            step = ("hop", *flows[flow], in_port, wire_size, dt_ms,
+                    ARRIVALS[arrival])
+        elif step[0] == "revive" and (
+            step[1] == MEMBER_A or step[1] == DIES and REROUTES_ARE_MEMOISED
+        ):
+            continue
+        script.append(step)
+    return script
+
+
+@pytest.mark.parametrize("policy", list(CachePolicy))
+@settings(max_examples=300, deadline=None, derandomize=True, print_blob=True)
+@given(data=st.data())
+def test_generated_sequences(policy, data):
+    assert_warm_equals_cold(policy, data.draw(scripts(policy)))
+
+
+def test_the_generator_reaches_what_it_claims():
+    """The mix warms up, evicts, expires, reroutes, truncates, rebuilds
+    return hops and meets every drop it names — or the differential
+    above compares nothing."""
+    seen, totals = set(), []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(script=scripts(CachePolicy.BLOCKING))
+    def collect(script):
+        totals.append(assert_warm_equals_cold(
+            CachePolicy.BLOCKING, script, seen=seen
+        ))
+
+    collect()
+    assert sum(stats.evictions for stats in totals)
+    assert sum(stats.expirations for stats in totals)
+    assert sum(stats.invalidations for stats in totals)
+    for fate in (
+        "forward", "local", "fanout", "hit", "hit+truncated", "hit+splice",
+        "hit+rebuilt", "reroute", "no_route", "token_reject", "bad_portinfo",
+        "slick_fallback_exhausted",
+    ):
+        assert fate in seen, (fate, sorted(seen))
