@@ -71,8 +71,6 @@ class RouterConfig:
     (significantly less than a microsecond)"; ``store_forward_process_delay``
     models the per-packet software cost a conventional router pays
     (reception already accounted separately by the link model).
-    ``flow_cache*`` size the §2.2 soft-state flow cache (capacity in
-    flows, TTL in now_ms milliseconds; ``flow_cache=False`` disables it).
     """
 
     cut_through: bool = True
@@ -86,9 +84,6 @@ class RouterConfig:
     require_tokens: bool = False
     token_verify_cost: float = 200e-6
     congestion_enabled: bool = True
-    flow_cache: bool = True
-    flow_cache_capacity: int = 1024
-    flow_cache_ttl_ms: int = 10_000
 
 
 @dataclass
@@ -169,11 +164,12 @@ class _SimEffectSink(EffectSink):
 class _SimHop:
     """One arrival as the pipeline reads it (the ``HopInput`` surface):
     the lazy fields are methods over the arrival's own objects (a hop
-    builds no thunk), ``wire_size`` is the size the delivering
-    transmission carried."""
+    builds no thunk), ``lead`` is the route-shared segment's own cached
+    encoding (a hop encodes nothing), ``wire_size`` is the size the
+    delivering transmission carried."""
 
     __slots__ = (
-        "segment", "seg_count", "wire_size", "in_port", "now_ms",
+        "lead", "segment", "seg_count", "wire_size", "in_port", "now_ms",
         "_packet", "_inport", "_tx",
     )
 
@@ -182,7 +178,8 @@ class _SimHop:
         size: int, now_ms: int,
     ) -> None:
         segments = packet.segments
-        self.segment = segments[0] if segments else None
+        self.segment = segment = segments[0] if segments else None
+        self.lead = segment.wire if segments else None
         self.seg_count = len(segments)
         self.wire_size = size
         self.in_port = inport.port_id
@@ -239,11 +236,7 @@ class SirpentRouter(Node):
         )
         self.logical = LogicalPortMap(rng=rng)
         self.groups = GroupPortMap()
-        self.flow_cache = FlowCache(
-            capacity=self.config.flow_cache_capacity,
-            ttl_ms=self.config.flow_cache_ttl_ms,
-            enabled=self.config.flow_cache,
-        )
+        self.flow_cache = FlowCache()
         self.pipeline = ForwardingPipeline(
             name,
             token_cache=self.token_cache,

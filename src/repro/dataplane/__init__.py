@@ -11,8 +11,6 @@ from repro.dataplane.flowcache import (
     FlowCache,
     FlowCacheStats,
     FlowEntry,
-    FlowKey,
-    flow_key,
 )
 from repro.dataplane.logical import (
     LogicalPortMap,
@@ -50,7 +48,6 @@ __all__ = [
     "FlowCache",
     "FlowCacheStats",
     "FlowEntry",
-    "FlowKey",
     "ForwardingPipeline",
     "GROUP_PORT_BASE",
     "GroupPortMap",
@@ -69,6 +66,5 @@ __all__ = [
     "apply_drop",
     "decode_tree_info",
     "encode_tree_info",
-    "flow_key",
     "resolve_dst_mac",
 ]

@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.dataplane.flowcache import FlowEntry
 from repro.viper.wire import HeaderSegment
 
 
@@ -41,7 +40,9 @@ class Decision:
 
     A decision is *descriptive*: nothing has happened yet.  The driver
     applies it — strips/splices/truncates the packet (sim) or rewrites
-    the frame bytes (live), transmits, and feeds the effect sink.
+    the frame bytes (live), transmits, and feeds the effect sink.  It is
+    also *shared*: the flow cache hands the same object to every packet
+    of a warm flow, so a driver reads a decision and never writes to it.
 
     Fields by action:
 
@@ -82,8 +83,6 @@ class Decision:
     #: remaining route; False (group/broadcast) = each branch replaces
     #: only the leading segment and the rest of the route is kept.
     fanout_replaces_route: bool = False
-    #: Remaining segments after the strip (for the trace event).
-    segments_left: int = 0
     #: True when the per-port flow cache supplied the decision (§2.2
     #: soft state): token verification and logical resolution skipped.
     flow_cache_hit: bool = False
@@ -92,13 +91,6 @@ class Decision:
     #: remaining route with ``effective`` + ``splice_tail`` and discard
     #: every alternate block, instead of performing the normal strip.
     slick_reroute: bool = False
-    #: The flow-cache entry that supplied a *repeatable* decision, else
-    #: None.  Only the plain warm forward carries it — flow-cache hit,
-    #: memoized ``return_tail``, no splice, no reroute, no truncation —
-    #: and it is what :meth:`~repro.dataplane.pipeline.
-    #: ForwardingPipeline.decide_same` needs to give the next packet of
-    #: the same flow this same decision without deciding again.
-    flow_entry: Optional[FlowEntry] = None
 
 
 class EffectSink:

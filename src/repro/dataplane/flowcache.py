@@ -3,21 +3,23 @@
 "Routers cache tokens and flow information as *soft state*" — the
 first packet of a flow pays the full per-hop decision (token HMAC
 verification, logical-port resolution, portInfo decode); every repeat
-packet of the same flow should be a single dictionary hit.  This module
+packet of the same flow should be a single lookup.  This module
 memoizes exactly that:
 
-    (token, in-port, segment port, priority, rpf, portInfo, slick)
-        -> admitted verdict + resolved physical port + dst MAC
-           + transit splice tail + reverse-authorized token
+    (arrival port, leading segment's wire bytes)
+        -> the decision to repeat + the token entry it keeps charging
 
-The key covers every field of the leading segment the decision reads.
-The portInfo bytes are part of it because the destination MAC (and the
-trunk flow hint) ride in them — two "flows" that differ only in
-portInfo are different flows on an Ethernet egress.  The slick flag is
-part of it because only a slick packet may take (and memoize) a local
-reroute: a packet without the flag must never be handed one from the
-cache.  It comes last, so ``invalidate_port`` / ``invalidate_token``
-keep their key positions.
+The key is the *encoding*, not a choice of parsed fields: every bit of
+the leading segment the decision could read — port, flags nibble,
+priority, token, portInfo — is in it by construction, so no field can be
+left out of it, and a repeat packet is recognised without being parsed.
+What the decision reads from *outside* those bytes is listed, with its
+handling, in :class:`~repro.dataplane.pipeline.HopInput`.
+
+Packets of a flow arrive back to back (a §4 packet group), so the cache
+remembers the entry it answered with last and tries it first: one
+compare against the arriving bytes — no copy, no hash, no LRU move (the
+entry already is the most recent).
 
 Being soft state, entries evaporate:
 
@@ -41,63 +43,38 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.viper.wire import HeaderSegment
-
-#: Lookup key of one flow (see module docstring).
-FlowKey = Tuple[bytes, int, int, int, bool, bytes, bool]
-
-
-def flow_key(  # sirlint: hot
-    token: bytes, in_port: int, port: int, priority: int,
-    rpf: bool, portinfo: bytes, slick: bool,
-) -> FlowKey:
-    """Build the cache key for one hop's leading segment."""
-    return (token, in_port, port, priority, rpf, portinfo, slick)
+from repro.dataplane.effects import Decision
 
 
 @dataclass
 class FlowEntry:
     """One memoized per-hop decision."""
 
+    #: What the entry answers to: the arrival port and the leading
+    #: segment's encoding (a copy — never a view of a packet buffer).
+    in_port: int
+    lead: bytes
+    #: The port and token that encoding names, for invalidation.
+    port: int
+    token: bytes
+    #: The physical egress (``decision.out_port``).
     out_port: int
-    dst_mac: Optional[Any]
-    #: Transit expansion (already resolved): ``splice[0]`` is the hop
-    #: being taken now, ``splice[1:]`` get inserted after the strip.
-    splice: Optional[List[HeaderSegment]]
-    #: Extra post-strip header bytes the splice tail adds (for the
-    #: sans-IO truncation computation).
-    splice_extra_bytes: int
-    #: Token to stamp on the return segment (b"" unless reverse_ok).
-    return_token: bytes
+    #: The warm decision, handed to every packet the entry answers that
+    #: leaves whole and with the memoized return hop.
+    decision: Decision
     #: The token cache's entry backing this flow (None for tokenless
     #: flows) — byte-budget accounting still flows through it.
     token_entry: Optional[Any]
+    #: Post-hop wire-size change of the strip/reverse/append move
+    #: (splice tail + trailer element − stripped segment), so the warm
+    #: truncation check is one add + compare.
+    post_size_delta: int
     #: Absolute expiry in the driver's now_ms clock (TTL and/or token
     #: expiry, whichever is sooner); 0 = no expiry.
     expires_at_ms: int = 0
     hits: int = 0
-    #: Memoized return hop: every field the return segment reads —
-    #: arrival port, priority, reverse token, portInfo — is pinned by
-    #: the flow key, so repeat packets reuse the object instead of
-    #: re-constructing it (segments are immutable by convention; the
-    #: receiver's ``build_return_route`` copies).
-    return_segment: Optional[HeaderSegment] = None
-    #: The return hop's *wire span* (encoded segment ++ 2-byte
-    #: back-length), encoded once at install — the warm path hands it
-    #: to the driver (``Decision.return_tail``) for a zero-encode
-    #: in-place append.
-    return_tail: Optional[bytes] = None
-    #: Post-hop wire-size change of the strip/reverse/append move
-    #: (splice tail + trailer element − stripped segment), so the warm
-    #: truncation check is one add + compare.
-    post_size_delta: int = 0
-    #: True when this entry memoizes a Slick-Packets local reroute
-    #: (ARCHITECTURE §16): ``splice`` is the *entire* replacement route
-    #: and the driver discards every alternate block instead of doing
-    #: the normal strip.
-    slick_reroute: bool = False
 
 
 @dataclass
@@ -118,7 +95,7 @@ class FlowCacheStats:
 
 @dataclass
 class FlowCache:
-    """TTL + LRU map from :func:`flow_key` to :class:`FlowEntry`."""
+    """TTL + LRU map from (arrival port, leading bytes) to :class:`FlowEntry`."""
 
     capacity: int = 1024
     ttl_ms: int = 10_000
@@ -126,32 +103,41 @@ class FlowCache:
     stats: FlowCacheStats = field(default_factory=FlowCacheStats)
 
     def __post_init__(self) -> None:
-        self._entries: "OrderedDict[FlowKey, FlowEntry]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[int, bytes], FlowEntry]" = OrderedDict()
+        #: The entry answered with (or installed) last, while it is
+        #: still in ``_entries`` — where it is the most recently used.
+        self._last: Optional[FlowEntry] = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     # -- the fast path -----------------------------------------------------
 
-    def lookup(self, key: FlowKey, now_ms: int) -> Optional[FlowEntry]:  # sirlint: hot
-        """Return the live entry for ``key``, expiring it if stale."""
-        if not self.enabled:
-            return None
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
+    def lookup(self, in_port: int, lead, now_ms: int) -> Optional[FlowEntry]:  # sirlint: hot
+        """The live entry for a packet that arrived on ``in_port`` with
+        leading-segment bytes ``lead`` (any bytes-like, exactly the
+        segment), expiring it if stale."""
+        entry = self._last
+        if entry is None or entry.in_port != in_port or lead != entry.lead:
+            if not self.enabled:
+                return None
+            key = (in_port, bytes(lead))  # sirlint: disable=SIR008 -- the one key copy, off the last-entry path: a dict needs a hashable key and ``lead`` may be a view of a ring slot
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._last = entry
         if entry.expires_at_ms and now_ms > entry.expires_at_ms:
-            del self._entries[key]
+            self._drop((entry,))
             self.stats.expirations += 1
             self.stats.misses += 1
             return None
-        self._entries.move_to_end(key)
         entry.hits += 1
         self.stats.hits += 1
         return entry
 
-    def install(self, key: FlowKey, entry: FlowEntry, now_ms: int) -> None:
+    def install(self, entry: FlowEntry, now_ms: int) -> None:
         """Memoize a decision; evicts LRU entries past capacity."""
         if not self.enabled:
             return
@@ -161,41 +147,50 @@ class FlowCache:
                 min(entry.expires_at_ms, ttl_expiry)
                 if entry.expires_at_ms else ttl_expiry
             )
+        key = (entry.in_port, entry.lead)
         self._entries[key] = entry
         self._entries.move_to_end(key)
         self.stats.installs += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+        self._last = self._entries.get(key)
 
     # -- invalidation ------------------------------------------------------
+
+    def _drop(self, stale) -> int:
+        """Forget the ``stale`` entries — and the last-answer shortcut,
+        which must never outlive the entry it points at."""
+        for entry in stale:
+            del self._entries[(entry.in_port, entry.lead)]
+        self._last = None
+        return len(stale)
 
     def flush(self) -> int:
         """Drop everything (topology change, congestion rebind, restart)."""
         n = len(self._entries)
         self._entries.clear()
+        self._last = None
         self.stats.invalidations += n
         return n
 
     def invalidate_port(self, port_id: int) -> int:
         """Drop entries that name ``port_id`` as ingress, egress or key."""
-        stale = [
-            key for key, entry in self._entries.items()
-            if key[1] == port_id or key[2] == port_id
+        dropped = self._drop([
+            entry for entry in self._entries.values()
+            if entry.in_port == port_id or entry.port == port_id
             or entry.out_port == port_id
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
+        ])
+        self.stats.invalidations += dropped
+        return dropped
 
     def invalidate_token(self, token: bytes) -> int:
         """Drop entries admitted under ``token`` (revocation/expiry)."""
-        stale = [key for key in self._entries if key[0] == token]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
+        dropped = self._drop([
+            entry for entry in self._entries.values() if entry.token == token
+        ])
+        self.stats.invalidations += dropped
+        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,21 +16,23 @@ simulated links, timing, packet mutation and effect application.
 
 On top sits the paper's §2.2 soft state: a per-port
 :class:`~repro.dataplane.flowcache.FlowCache` memoizing
-(token, in-port, port, priority, rpf, portInfo, slick) -> verdict +
-resolved physical port + dst MAC, so repeat packets of a flow skip token
-verification and logical resolution entirely.
+(arrival port, leading segment's bytes) -> the decision, so repeat
+packets of a flow skip the parse, token verification and logical
+resolution entirely and pay only the per-packet stage (the warm arm of
+:meth:`ForwardingPipeline.decide`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.dataplane.effects import Action, Decision
-from repro.dataplane.flowcache import FlowCache, FlowEntry, flow_key
+from repro.dataplane.flowcache import FlowCache, FlowEntry
 from repro.dataplane.logical import LogicalPortMap
 from repro.dataplane.multicast import (
     BROADCAST_PORT,
+    GROUP_PORT_BASE,
     GroupPortMap,
     TREE_PORT,
     decode_tree_info,
@@ -44,7 +46,7 @@ from repro.viper.portinfo import (
     EthernetInfo,
     ETHERNET_INFO_BYTES,
 )
-from repro.viper.wire import LOCAL_PORT, HeaderSegment, encode_segment
+from repro.viper.wire import LOCAL_PORT, PORT_OFFSET, HeaderSegment
 
 #: ``HopInput.in_port`` value meaning "arrival port unknown" — the
 #: return segment cannot be built and the flow is never cached (the
@@ -124,10 +126,40 @@ class HopInput:
     """Everything the per-hop decision may read — no packet object.
 
     The contract is the surface, not the class: the pipeline reads
-    ``segment``, ``seg_count``, ``wire_size``, ``in_port``, ``now_ms``
-    and calls ``reverse_portinfo()`` / ``alternate()`` lazily, nothing
-    else, so a driver may pass any object that answers those seven
-    (the sim's ``_SimHop`` implements the two thunks as methods).
+    ``lead``, ``segment``, ``seg_count``, ``wire_size``, ``in_port``,
+    ``now_ms`` and calls ``reverse_portinfo()`` / ``alternate()``
+    lazily, nothing else, so a driver may pass any object that answers
+    those eight (the sim's ``_SimHop`` and the live router's
+    ``_LiveHop`` implement the lazy ones as methods).
+
+    ``lead`` is the leading segment's encoding — any bytes-like, exactly
+    the segment — and with ``in_port`` it is the flow-cache key.
+    ``segment`` is the same segment parsed (a structural
+    :class:`HeaderSegment` or a zero-copy
+    :class:`~repro.viper.wire.SegmentView`); the pipeline touches it only
+    when the cache did not answer, so a driver holding bytes may parse on
+    demand.  The decision is a function of that key — plus, from outside
+    it, exactly these, each with the handling that keeps a memoized
+    decision equal to a fresh one:
+
+    ==================  ==================================================
+    ``seg_count``       0 drops before the cache is consulted; otherwise
+                        not read (a driver that traces the remaining
+                        route length knows it)
+    ``wire_size``       per packet: charged to the token's budget and the
+                        ledger, tested against the egress MTU
+    ``now_ms``          per packet: TTL and token expiry at lookup
+    arrival frame       ``reverse_portinfo()`` — the sim reverses the
+                        arrival MACs — is compared per packet with the
+                        memoized return hop, which is rebuilt on a change
+    alternate block     ``alternate()`` feeds only a slick reroute
+    egress state        ``PortMap.profile(out_port)`` is read per packet:
+                        a dead or vanished egress purges the entry
+    token state         the token-cache entry is charged per packet; a
+                        token-cache flush flushes the flow cache
+    port-type maps      logical / group membership is configuration:
+                        whoever edits it calls ``on_topology_change()``
+    ==================  ==================================================
 
     ``wire_size`` is the size charged against the token (the sim
     charges the full wire size; the live overlay charges the payload
@@ -135,12 +167,6 @@ class HopInput:
     the link-reversed network-specific bytes for the return hop — how
     they are derived (swapping the arrival frame's MACs, reversing the
     segment's own Ethernet portInfo) is link knowledge the driver owns.
-
-    ``segment`` may be a structural :class:`HeaderSegment` (sim) or a
-    zero-copy :class:`~repro.viper.wire.SegmentView` over a buffer-ring
-    slot (live fast path) — the pipeline reads only the duck-typed
-    surface the two share, and materialises ``token``/``portinfo``
-    bytes exactly where the flow-cache key needs hashable values.
     """
 
     segment: HeaderSegment
@@ -157,6 +183,10 @@ class HopInput:
     alternate: Callable[[], Optional[List[HeaderSegment]]] = staticmethod(
         lambda: None
     )
+
+    @property
+    def lead(self) -> bytes:
+        return self.segment.wire
 
 
 class ForwardingPipeline:
@@ -213,33 +243,81 @@ class ForwardingPipeline:
 
     # -- the stages --------------------------------------------------------
 
-    def decide(self, hop: HopInput) -> Decision:
-        """Run the full per-hop pipeline for one packet view."""
+    def decide(self, hop: HopInput) -> Decision:  # sirlint: hot
+        """Run the per-hop pipeline for one packet view.
+
+        Stages 0–2a, which every packet pays.  For a packet of a known
+        flow stage 2a is all there is — the *per-packet stage*: a warm
+        decision splits into what the flow fixes (egress, return hop
+        and its encoded tail, splice: the memoized
+        :attr:`FlowEntry.decision`, built once at install) and what a
+        packet changes (its size, charged against the token's byte
+        budget and the ledger and tested against the egress MTU; the
+        arrival frame its return hop reverses), and a packet that leaves
+        whole with the memoized return hop is handed the memoized
+        decision itself, nothing parsed and nothing constructed.
+        Everything else falls through to :meth:`_decide_cold`.
+        """
         # Stage 0: route exhaustion / local delivery (port 0, §5).
         if hop.seg_count == 0:
             return Decision(Action.DROP, reason="route_exhausted")
-        segment = hop.segment
-        port = segment.port
+        lead = hop.lead
+        port = lead[PORT_OFFSET]
         if port == LOCAL_PORT:
             return Decision(Action.DELIVER_LOCAL)
 
         # Stage 1: multicast expansion — before token checks, so each
         # copy is admitted against the port it actually takes (§2).
-        if port == TREE_PORT:
-            return self._expand_tree(segment)
-        if port == BROADCAST_PORT or self.groups.is_group(port):
-            return self._expand_group(hop, port)
+        # Every multicast port sits at or above GROUP_PORT_BASE.
+        if port >= GROUP_PORT_BASE:
+            if port == TREE_PORT:
+                return self._expand_tree(hop.segment)
+            if port == BROADCAST_PORT or self.groups.is_group(port):
+                return self._expand_group(hop, port)
 
         # Stage 2a: flow-cache fast path (§2.2 soft state).
-        key = flow_key(
-            segment.token, hop.in_port, port, segment.priority,
-            segment.rpf, segment.portinfo, segment.slick,
-        )
-        cached = self.flow_cache.lookup(key, hop.now_ms)
-        if cached is not None:
-            decision = self._decide_cached(hop, key, cached)
-            if decision is not None:
-                return decision
+        cached = self.flow_cache.lookup(hop.in_port, lead, hop.now_ms)
+        if cached is None:
+            return self._decide_cold(hop, port)
+        profile = self.ports.profile(cached.out_port)
+        if profile is None or not profile.up:
+            # Egress vanished or died under the entry (topology change
+            # or link failure raced the invalidation): purge, and take
+            # the slow path, where a slick packet gets its reroute.
+            self.flow_cache.invalidate_port(cached.out_port)
+            return self._decide_cold(hop, port)
+        decision = cached.decision
+        if cached.token_entry is not None:
+            if not self.token_cache.account_flow_hit(
+                cached.token_entry, hop.wire_size, decision.effective.priority
+            ):
+                # The byte budget cannot cover this packet: the full
+                # admission produces the authoritative reject.
+                self.flow_cache.invalidate_token(cached.token)
+                return self._decide_cold(hop, port)
+        post_size = hop.wire_size + cached.post_size_delta
+        return_segment = decision.return_segment
+        if return_segment is not None:
+            reverse_info = hop.reverse_portinfo()
+            if reverse_info != return_segment.portinfo:
+                # The upstream link re-framed (new arrival MACs) under
+                # the cached flow: rebuild this packet's return hop
+                # (the driver re-encodes — the memoized span is stale).
+                rebuilt = return_segment.copy(portinfo=reverse_info)
+                post_size += rebuilt.wire_size() - return_segment.wire_size()
+                decision = replace(
+                    decision, return_segment=rebuilt, return_tail=None
+                )
+        # Slick reroutes replace the whole remaining route and skip
+        # truncation (see _slick_reroute).
+        if profile.mtu and post_size > profile.mtu and not decision.slick_reroute:
+            return replace(decision, truncate_to=profile.mtu)
+        return decision
+
+    def _decide_cold(self, hop: HopInput, port: int) -> Decision:
+        """Stages 2b–6: the full decision for a packet the flow cache
+        did not answer, memoized on the way out when it may be."""
+        segment = hop.segment
 
         # Stage 2b: token admission (§2.2).
         verdict, token_delay = self.token_cache.admit(
@@ -274,7 +352,7 @@ class ForwardingPipeline:
             # only when no usable alternate remains does the packet
             # fall back to the end-to-end path (drop here, quarantine/
             # rebind recovers).
-            rerouted = self._slick_reroute(hop, key, resolved_port)
+            rerouted = self._slick_reroute(hop, resolved_port)
             if rerouted is not None:
                 return rerouted
             return Decision(
@@ -304,106 +382,10 @@ class ForwardingPipeline:
             return_token, profile, token_delay,
         )
 
-        # Stage 6: install the flow (deterministic resolutions only;
-        # never for unknown arrival ports, unverified/invalid tokens,
-        # or tokens already past expiry).
-        if (
-            hop.in_port != UNKNOWN_IN_PORT
-            and self.logical.deterministic(port)
-        ):
-            entry = self.token_cache.entry(segment.token) if segment.token else None
-            expiry = 0
-            if entry is not None:
-                if not entry.valid or entry.claims is None:
-                    entry = None  # optimistic first packet: never cache
-                else:
-                    expiry = entry.claims.expiry_ms
-                    if entry.claims.expired(hop.now_ms):
-                        entry = None
-            if entry is not None or not segment.token:
-                splice_extra = (
-                    sum(s.wire_size() for s in spliced[1:])
-                    if spliced else 0
-                )
-                post_delta = splice_extra - segment.wire_size()
-                return_tail = None
-                if decision.return_segment is not None:
-                    post_delta += (
-                        decision.return_segment.wire_size()
-                        + TRAILER_LENGTH_BYTES
-                    )
-                    # Encode the return hop's wire span exactly once per
-                    # flow; every warm packet appends these bytes verbatim
-                    # (frames too large for the 2-byte back-length cannot
-                    # be memoized — the driver's own encode rejects them).
-                    encoded_return = encode_segment(decision.return_segment)
-                    if len(encoded_return) < TRUNCATION_SENTINEL:
-                        return_tail = encoded_return + len(
-                            encoded_return
-                        ).to_bytes(TRAILER_LENGTH_BYTES, "big")
-                decision.return_tail = return_tail
-                self.flow_cache.install(key, FlowEntry(
-                    out_port=resolved_port,
-                    dst_mac=dst_mac,
-                    splice=spliced,
-                    splice_extra_bytes=splice_extra,
-                    return_token=return_token,
-                    token_entry=entry,
-                    expires_at_ms=expiry,
-                    return_segment=decision.return_segment,
-                    return_tail=return_tail,
-                    post_size_delta=post_delta,
-                ), hop.now_ms)
+        # Stage 6: install the flow (deterministic resolutions only).
+        if self.logical.deterministic(port):
+            self._memoise(hop, segment.token, decision)
         return decision
-
-    def decide_same(  # sirlint: hot
-        self, previous: Decision, wire_size: int
-    ) -> Optional[Decision]:
-        """The per-packet stage alone: ``previous`` again, for the next packet.
-
-        A warm decision splits into what the *flow* fixes (egress, return
-        hop and its encoded tail — everything :meth:`decide` derives from
-        the leading segment, the arrival port and the cached entry) and
-        what a *packet* changes: its size, charged against the token's
-        byte budget and the ledger and tested against the egress MTU, and
-        one more hit on the flow's counters.  This runs only the second
-        half.
-
-        The caller vouches that this hop's every other input — leading
-        segment, ``seg_count``, ``in_port``, ``now_ms``, both thunks —
-        equals the one ``previous`` was decided from, and that nothing
-        but this pipeline touched the router's soft state since (the
-        live driver: the previous frame of the same rx batch).  Then the
-        flow-cache lookup a full :meth:`decide` would start with is a
-        hit on the same entry, already most recently used and no older
-        on the unchanged clock, and the result is ``previous`` itself,
-        returned after exactly the effects :meth:`decide` would have
-        had.
-
-        None means "run the full :meth:`decide`", and nothing was
-        charged or counted: ``previous`` is not repeatable (it carries
-        no ``flow_entry`` — eligibility is decided where the decision is
-        made, not by the driver), the egress went away, this packet
-        would be truncated, or the token's budget cannot cover it — the
-        full path then produces the authoritative truncation or reject
-        and the invalidation that goes with it.
-        """
-        cached = previous.flow_entry
-        if cached is None:
-            return None
-        profile = self.ports.profile(cached.out_port)
-        if profile is None or not profile.up:
-            return None
-        if profile.mtu and wire_size + cached.post_size_delta > profile.mtu:
-            return None
-        if cached.token_entry is not None:
-            if not self.token_cache.account_flow_hit(
-                cached.token_entry, wire_size, previous.effective.priority
-            ):
-                return None
-        cached.hits += 1
-        self.flow_cache.stats.hits += 1
-        return previous
 
     # -- stage helpers -----------------------------------------------------
 
@@ -441,7 +423,7 @@ class ForwardingPipeline:
         return Decision(Action.FANOUT, branches=branches)
 
     def _slick_reroute(
-        self, hop: HopInput, key: Any, dead_port: int
+        self, hop: HopInput, dead_port: int
     ) -> Optional[Decision]:
         """Splice the packet's in-band alternate over the dead egress.
 
@@ -508,172 +490,69 @@ class ForwardingPipeline:
             splice_tail=splice_tail,
             dst_mac=dst_mac,
             token_delay=token_delay,
-            segments_left=len(alternate) - 1,
             slick_reroute=True,
         )
         # Memoize under the ORIGINAL flow key: warm packets of the
         # rerouted flow take the alternate straight from stage 2a
         # without ever probing the dead egress again.
-        if hop.in_port != UNKNOWN_IN_PORT:
-            entry = self.token_cache.entry(alt0.token) if alt0.token else None
-            expiry = 0
-            if entry is not None:
-                if not entry.valid or entry.claims is None:
-                    entry = None  # optimistic first packet: never cache
-                else:
-                    expiry = entry.claims.expiry_ms
-                    if entry.claims.expired(hop.now_ms):
-                        entry = None
-            if entry is not None or not alt0.token:
-                splice_extra = sum(s.wire_size() for s in alternate[1:])
-                return_tail = None
-                post_delta = splice_extra - segment.wire_size()
-                if return_segment is not None:
-                    post_delta += (
-                        return_segment.wire_size() + TRAILER_LENGTH_BYTES
-                    )
-                    encoded_return = encode_segment(return_segment)
-                    if len(encoded_return) < TRUNCATION_SENTINEL:
-                        return_tail = encoded_return + len(
-                            encoded_return
-                        ).to_bytes(TRAILER_LENGTH_BYTES, "big")
-                decision.return_tail = return_tail
-                self.flow_cache.install(key, FlowEntry(
-                    out_port=alt0.port,
-                    dst_mac=dst_mac,
-                    splice=list(alternate),
-                    splice_extra_bytes=splice_extra,
-                    return_token=return_token,
-                    token_entry=entry,
-                    expires_at_ms=expiry,
-                    return_segment=return_segment,
-                    return_tail=return_tail,
-                    post_size_delta=post_delta,
-                    slick_reroute=True,
-                ), hop.now_ms)
+        self._memoise(hop, alt0.token, decision)
         return decision
 
-    def _decide_cached(  # sirlint: hot
-        self, hop: HopInput, key: Any, cached: FlowEntry
-    ) -> Optional[Decision]:
-        """Fast path: the flow is known — admit, account, forward.
-
-        Returns None (falling back to the slow path) when the byte
-        budget is exhausted: the full admission then produces the
-        authoritative reject and the stale entry is dropped.
+    def _memoise(self, hop: HopInput, token: bytes, decision: Decision) -> None:
+        """Install the FORWARD ``decision`` just made for ``hop`` — never
+        for unknown arrival ports, unverified/invalid tokens (``token``
+        is the one it was admitted under) or tokens already past expiry.
         """
-        segment = hop.segment
-        profile = self.ports.profile(cached.out_port)
-        if profile is None or not profile.up:
-            # Egress vanished or died under the entry (topology change
-            # or link failure raced the invalidation): fall back to
-            # the slow path, where a slick packet gets its reroute.
-            self.flow_cache.invalidate_port(cached.out_port)
-            return None
-        if cached.token_entry is not None:
-            if not self.token_cache.account_flow_hit(
-                cached.token_entry, hop.wire_size, segment.priority
+        if hop.in_port == UNKNOWN_IN_PORT:
+            return
+        token_entry, expiry = None, 0
+        if token:
+            token_entry = self.token_cache.entry(token)
+            if (
+                token_entry is None or not token_entry.valid
+                or token_entry.claims is None  # optimistic first packet
+                or token_entry.claims.expired(hop.now_ms)
             ):
-                self.flow_cache.invalidate_token(segment.token)
-                return None
-        # Everything below reuses work memoized at install time: the
-        # return segment, its encoded wire span, the splice tail sizes
-        # and the post-hop size delta are all pinned by the flow key,
-        # so the warm path does no segment construction, no wire-size
-        # arithmetic and no per-packet container allocation (sirlint
-        # SIR008 polices this function).
-        return_segment = cached.return_segment
-        return_tail = cached.return_tail
-        post_size_delta = cached.post_size_delta
-        if return_segment is not None:
-            reverse_info = hop.reverse_portinfo()
-            if reverse_info != return_segment.portinfo:
-                # The upstream link re-framed (new arrival MACs) under
-                # the cached flow: rebuild this packet's return hop
-                # (the driver re-encodes — the memoized span is stale).
-                rebuilt = return_segment.copy(portinfo=reverse_info)
-                post_size_delta += (
-                    rebuilt.wire_size() - return_segment.wire_size()
-                )
-                return_segment = rebuilt
-                return_tail = None
-        if cached.splice is not None:
-            return self._cached_spliced_decision(
-                hop, cached, return_segment, return_tail, post_size_delta,
-                profile,
-            )
-        truncate_to = 0
-        if profile.mtu and hop.wire_size + post_size_delta > profile.mtu:
-            truncate_to = profile.mtu
-        return Decision(
-            Action.FORWARD,
-            out_port=cached.out_port,
-            effective=segment,
-            return_segment=return_segment,
-            return_tail=return_tail,
-            dst_mac=cached.dst_mac,
-            truncate_to=truncate_to,
-            segments_left=hop.seg_count - 1,
-            flow_cache_hit=True,
-            # Repeatable (see decide_same) only as the flow memoized it:
-            # the return hop not rebuilt, the packet forwarded whole.
-            flow_entry=(
-                cached if return_tail is not None and not truncate_to
-                else None
-            ),
-        )
-
-    def _cached_spliced_decision(
-        self,
-        hop: HopInput,
-        cached: FlowEntry,
-        return_segment: Optional[HeaderSegment],
-        return_tail: Optional[bytes],
-        post_size_delta: int,
-        profile: Any,
-    ) -> Decision:
-        """Warm-path tail for transit-spliced flows.
-
-        Splice copies re-stamp the packet's priority per copy, so this
-        arm allocates per packet by design — it is split out of
-        :meth:`_decide_cached` to keep the plain-forward warm path
-        under the SIR008 allocation discipline.
-        """
+                return
+            expiry = token_entry.claims.expiry_ms
         segment = hop.segment
-        effective = cached.splice[0].copy(
-            priority=segment.priority, dib=segment.dib
+        post_delta = (
+            sum(s.wire_size() for s in decision.splice_tail)
+            - segment.wire_size()
         )
-        splice_tail = [
-            s.copy(priority=segment.priority)
-            for s in cached.splice[1:]
-        ]
-        # Slick reroutes replace the whole remaining route and skip
-        # truncation (see _slick_reroute); transit splices keep the
-        # normal post-hop size check.
-        truncate_to = 0
-        if (
-            not cached.slick_reroute
-            and profile.mtu
-            and hop.wire_size + post_size_delta > profile.mtu
-        ):
-            truncate_to = profile.mtu
-        segments_left = (
-            len(cached.splice) - 1 if cached.slick_reroute
-            else hop.seg_count - 1
-        )
-        return Decision(
-            Action.FORWARD,
-            out_port=cached.out_port,
-            effective=effective,
-            return_segment=return_segment,
-            return_tail=return_tail,
-            splice_tail=splice_tail,
-            dst_mac=cached.dst_mac,
-            truncate_to=truncate_to,
-            segments_left=segments_left,
-            flow_cache_hit=True,
-            slick_reroute=cached.slick_reroute,
-        )
+        return_segment = decision.return_segment
+        if return_segment is not None:
+            post_delta += return_segment.wire_size() + TRAILER_LENGTH_BYTES
+            # Encode the return hop's wire span exactly once per flow;
+            # every warm packet appends these bytes verbatim (frames too
+            # large for the 2-byte back-length cannot be memoized — the
+            # driver's own encode rejects them).
+            encoded_return = return_segment.wire
+            if len(encoded_return) < TRUNCATION_SENTINEL:
+                decision.return_tail = encoded_return + len(
+                    encoded_return
+                ).to_bytes(TRAILER_LENGTH_BYTES, "big")
+        self.flow_cache.install(FlowEntry(
+            in_port=hop.in_port,
+            lead=bytes(hop.lead),
+            port=segment.port,
+            token=segment.token,
+            out_port=decision.out_port,
+            # What every later packet of the flow is told: this decision,
+            # minus what was this packet's alone; ``effective`` copied
+            # out of the packet buffer a segment view may live in.
+            decision=replace(
+                decision,
+                effective=(
+                    segment.copy() if decision.effective is segment
+                    else decision.effective
+                ),
+                truncate_to=0, token_delay=0.0, flow_cache_hit=True,
+            ),
+            token_entry=token_entry,
+            post_size_delta=post_delta,
+            expires_at_ms=expiry,
+        ), hop.now_ms)
 
     def _forward_decision(
         self,
@@ -686,7 +565,6 @@ class ForwardingPipeline:
         return_token: bytes,
         profile: Any,
         token_delay: float,
-        flow_cache_hit: bool = False,
     ) -> Decision:
         """Assemble the FORWARD decision: return hop, splice, truncation."""
         return_segment = None
@@ -724,8 +602,6 @@ class ForwardingPipeline:
             dst_mac=dst_mac,
             truncate_to=truncate_to,
             token_delay=token_delay,
-            segments_left=hop.seg_count - 1,
-            flow_cache_hit=flow_cache_hit,
         )
 
     def _reverse_token(self, segment: HeaderSegment) -> bytes:

@@ -1,8 +1,8 @@
 """A Sirpent router as a live asyncio UDP daemon — the overlay's driver.
 
 :class:`LiveRouter` receives VIPER frames on a real socket as batches of
-ring-slot views, parses the *leading* header segment in place
-(:func:`repro.viper.wire.parse_segment_view`), runs the **same** sans-IO
+ring-slot views, finds the *leading* header segment in place
+(:func:`repro.viper.wire.segment_span`), runs the **same** sans-IO
 :class:`repro.dataplane.ForwardingPipeline` as the simulator's
 :class:`~repro.core.router.SirpentRouter` — token-cache admission, the
 §2.2 flow cache, strip/reverse/append planning — and forwards the frame
@@ -13,10 +13,9 @@ A frame crosses the router one way only: ``_on_batch`` →
 :func:`~repro.live.frames.hop_move_into` (or
 :func:`~repro.live.frames.slick_reroute_into`) →
 :meth:`~repro.live.link.LiveEndpoint.send_view`.  The frame never leaves
-its slot and there is no materialising twin.  ``_on_batch`` asks the
-pipeline for a full decision once per *run* of same-route frames in the
-batch and for the per-packet stage alone on the rest of the run; the
-frame-at-a-time reference is this same router fed one-frame batches.
+its slot and there is no materialising twin.  ``_on_batch`` hands the
+pipeline each frame's leading-segment *bytes*; the segment is parsed
+only when the §2.2 flow cache does not answer for them.
 
 Sim↔live decision parity is *structural*: both routers call the one
 pipeline, so the parity tests assert plumbing, not a duplicated
@@ -43,14 +42,12 @@ from repro.dataplane import (
     EffectSink,
     FlowCache,
     ForwardingPipeline,
-    HopInput,
     PortMap,
     PortProfile,
     UNKNOWN_IN_PORT,
     apply_drop,
 )
 from repro.live.frames import (
-    PREAMBLE_BYTES,
     hop_move_into,
     leading_alt_block,
     return_tail_of,
@@ -70,7 +67,13 @@ from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
 from repro.viper.errors import ViperDecodeError
 from repro.viper.portinfo import ETHERNET_INFO_BYTES, EthernetInfo
-from repro.viper.wire import HeaderSegment, PacketView, parse_segment_view
+from repro.viper.wire import (
+    HeaderSegment,
+    PacketView,
+    SegmentView,
+    parse_segment_view,
+    segment_span,
+)
 
 __all__ = [
     "Action",
@@ -89,10 +92,6 @@ class LiveRouterConfig:
     #: Per-hop forwarding uses ack/retry when True (dead peers become
     #: detectable instead of silent loss).
     reliable_hops: bool = True
-    #: §2.2 soft-state flow cache (False disables it).
-    flow_cache: bool = True
-    flow_cache_capacity: int = 1024
-    flow_cache_ttl_ms: int = 10_000
 
 
 # Every live port has one of two profiles.  UDP hops carry no Ethernet
@@ -162,6 +161,51 @@ class _LiveEffectSink(EffectSink):
             )
 
 
+class _LiveHop:
+    """One arrival as the pipeline reads it (the ``HopInput`` surface).
+
+    One per router, restamped per frame (:meth:`LiveRouter._on_batch`):
+    ``lead`` is the leading segment's bytes, still in the ring slot
+    ``mem`` views; ``segment`` parses them when first asked — which a
+    frame the flow cache answers never does.
+    """
+
+    __slots__ = (
+        "lead", "seg_count", "wire_size", "in_port", "now_ms",
+        "mem", "header_len", "parsed",
+    )
+
+    def __init__(self) -> None:
+        self.now_ms = 0
+        self.parsed = None
+
+    @property
+    def segment(self) -> SegmentView:
+        segment = self.parsed
+        if segment is None:
+            segment = self.parsed = parse_segment_view(self.mem, self.header_len)
+        return segment
+
+    def reverse_portinfo(self) -> bytes:
+        """Reverse the hop's network-specific bytes for the return route:
+        an Ethernet-shaped portInfo is reversed (src/dst swap); a
+        point-to-point/UDP hop's is empty — the same link-layer rule the
+        sim driver applies to its arrival transmission.  The segment
+        leads with its portInfo length, so the common answer needs no
+        parse."""
+        if self.lead[0] != ETHERNET_INFO_BYTES:
+            return b""
+        try:
+            return EthernetInfo.from_bytes(
+                self.segment.portinfo
+            ).reversed().to_bytes()
+        except ViperDecodeError:  # pragma: no cover - length-checked
+            return b""
+
+    def alternate(self) -> Optional[List[HeaderSegment]]:
+        return leading_alt_block(self.mem, self.header_len, self.seg_count)
+
+
 class LiveRouter:
     """One Sirpent switching node running over a real UDP socket."""
 
@@ -182,23 +226,7 @@ class LiveRouter:
             mint_secret if mint_secret is not None else f"secret:{name}".encode(),
             issuer=name,
         )
-        self.token_cache = TokenCache(
-            self.mint,
-            policy=self.config.token_policy,
-            require_tokens=self.config.require_tokens,
-        )
-        self.flow_cache = FlowCache(
-            capacity=self.config.flow_cache_capacity,
-            ttl_ms=self.config.flow_cache_ttl_ms,
-            enabled=self.config.flow_cache,
-        )
-        self.pipeline = ForwardingPipeline(
-            name,
-            token_cache=self.token_cache,
-            ports=_LivePortMap(self),
-            flow_cache=self.flow_cache,
-            capabilities=Capabilities(multicast=False),
-        )
+        self._build_soft_state()
         self.metrics = EndpointMetrics(name)
         self.endpoint = LiveEndpoint(
             name, metrics=self.metrics,
@@ -208,15 +236,7 @@ class LiveRouter:
         self.endpoint.on_batch = self._on_batch
         #: Reusable hop-decision input — one mutable record the batch
         #: path restamps per frame instead of allocating per packet.
-        self._hop = HopInput(
-            segment=None, seg_count=0, wire_size=0,
-            reverse_portinfo=self._reverse_hop_portinfo,
-            alternate=self._leading_alternate,
-        )
-        #: Frame the reusable HopInput's ``alternate`` thunk reads
-        #: (restamped per frame on the batch path, like ``_hop``).
-        self._frame_mem = None
-        self._frame_header_len = 0
+        self._hop = _LiveHop()
         self._sink = _LiveEffectSink(self)
         #: VIPER port id -> peer UDP address.
         self.ports: Dict[int, Address] = {}
@@ -263,23 +283,7 @@ class LiveRouter:
         :meth:`~repro.live.link.LiveEndpoint.open`'s reopen path.
         """
         port = self.address[1] if self.address is not None else 0
-        self.token_cache = TokenCache(
-            self.mint,
-            policy=self.config.token_policy,
-            require_tokens=self.config.require_tokens,
-        )
-        self.flow_cache = FlowCache(
-            capacity=self.config.flow_cache_capacity,
-            ttl_ms=self.config.flow_cache_ttl_ms,
-            enabled=self.config.flow_cache,
-        )
-        self.pipeline = ForwardingPipeline(
-            self.name,
-            token_cache=self.token_cache,
-            ports=_LivePortMap(self),
-            flow_cache=self.flow_cache,
-            capabilities=Capabilities(multicast=False),
-        )
+        self._build_soft_state()
         self.dead_ports.clear()
         self._started_at = time.monotonic()
         address = await self.endpoint.open(host, port)
@@ -289,6 +293,23 @@ class LiveRouter:
                 port=address[1] if address else 0,
             )
         return address
+
+    def _build_soft_state(self) -> None:
+        """Everything §2.2 lets a router forget, built empty: the token
+        cache, the flow cache, and the pipeline over them."""
+        self.token_cache = TokenCache(
+            self.mint,
+            policy=self.config.token_policy,
+            require_tokens=self.config.require_tokens,
+        )
+        self.flow_cache = FlowCache()
+        self.pipeline = ForwardingPipeline(
+            self.name,
+            token_cache=self.token_cache,
+            ports=_LivePortMap(self),
+            flow_cache=self.flow_cache,
+            capabilities=Capabilities(multicast=False),
+        )
 
     def set_tracer(self, tracer) -> None:
         """Install a :class:`repro.obs.trace.Tracer` on this router."""
@@ -340,28 +361,6 @@ class LiveRouter:
 
     # -- decide (pipeline) then apply (driver) -----------------------------
 
-    def _reverse_hop_portinfo(self) -> bytes:
-        """`reverse_portinfo` thunk for the reusable HopInput.
-
-        Reverses the hop's network-specific bytes for the return route:
-        an Ethernet-shaped portInfo is reversed (src/dst swap); a
-        point-to-point/UDP hop's is empty — the same link-layer rule the
-        sim driver applies to its arrival transmission.
-        """
-        portinfo = self._hop.segment.portinfo
-        if len(portinfo) == ETHERNET_INFO_BYTES:
-            try:
-                return EthernetInfo.from_bytes(portinfo).reversed().to_bytes()
-            except ViperDecodeError:  # pragma: no cover - length-checked
-                return b""
-        return b""
-
-    def _leading_alternate(self) -> Optional[List[HeaderSegment]]:
-        """`alternate` thunk for the reusable HopInput."""
-        return leading_alt_block(
-            self._frame_mem, self._frame_header_len, self._hop.seg_count
-        )
-
     def _on_batch(self, batch: List[BatchEntry]) -> None:  # sirlint: hot
         """Forward one endpoint wakeup's worth of frames, in place.
 
@@ -373,21 +372,12 @@ class LiveRouter:
         it) — exactly once.  The flow-cache clock is read once per
         batch: a wakeup's frames arrived together.
 
-        **Decide once per run.**  A hop's decision is a function of the
-        leading segment, the arrival port and the clock (§2), and a
-        packet group (§4) arrives as back-to-back frames that agree on
-        all three.  So the loop remembers the previous frame — only
-        that one, only in locals, only when the pipeline marked its
-        decision repeatable — and a following *untraced* frame from the
-        same peer with the same ``seg_count`` and byte-identical leading
-        segment re-runs just the pipeline's per-packet stage
-        (:meth:`~repro.dataplane.pipeline.ForwardingPipeline.
-        decide_same`: token budget and ledger, hit counts) before the
-        one move below.  Any other frame — a different or shorter one
-        fails the byte compare — takes the full decision and meets the
-        drops it always met, so counters, ledger, LRU order and recorder
-        events are those of forwarding the frames one by one, and a
-        one-frame batch builds no run state at all.
+        A frame is *found*, not parsed: the leading segment's span is
+        checked against the frame (which is all the validation a
+        segment has) and its bytes go to the pipeline, whose flow cache
+        answers a frame that repeats the previous one — the rest of a
+        §4 packet group — by comparing them.  Only a frame the cache
+        does not know is parsed (:attr:`_LiveHop.segment`).
 
         The move happens *inside* the ring slot
         (:func:`~repro.live.frames.hop_move_into`): the preamble is
@@ -403,94 +393,67 @@ class LiveRouter:
         hop = self._hop
         hop.now_ms = self._now_ms()
         sink = self._sink
-        runs = len(batch) > 1
-        # The run memo: the previous frame's decision (None = that frame
-        # started no run) and, set with it, what the next frame must
-        # equal to share it: run_source, run_seg_count, run_lead (the
-        # leading segment's bytes), run_end (its end) and run_in_port.
-        run_decision = None
+        addr_port = self.addr_port
+        dead_ports = self.dead_ports
         for view, source, preamble in batch:
             mem = view.mem
-            if (
-                run_decision is not None
-                and not preamble.trace_id
-                and preamble.seg_count == run_seg_count
-                and source == run_source
-                and mem[PREAMBLE_BYTES:run_end] == run_lead
-                and (decision := self.pipeline.decide_same(
-                    run_decision, preamble.payload_len
-                )) is not None
-            ):
-                next_rel = run_end
-                in_port = run_in_port
-            else:
-                run_decision = None
-                header_len = preamble.header_len
-                try:
-                    if preamble.seg_count == 0:
-                        raise ViperDecodeError("no leading segment")
-                    segment = parse_segment_view(mem, header_len)
-                except ViperDecodeError:
-                    # Line noise / malformed frame: drop and count,
-                    # never crash.
-                    view.release()
-                    sink.trace_id = 0
-                    apply_drop(
-                        sink, Decision(Action.DROP, reason="undecodable")
-                    )
-                    continue
-                trace_id = preamble.trace_id
-                sink.trace_id = (
-                    trace_id if trace_id and self.tracer.enabled else 0
+            header_len = preamble.header_len
+            try:
+                if preamble.seg_count == 0:
+                    raise ViperDecodeError("no leading segment")
+                next_rel = segment_span(mem, header_len)
+            except ViperDecodeError:
+                # Line noise / malformed frame: drop and count,
+                # never crash.
+                view.release()
+                sink.trace_id = 0
+                apply_drop(
+                    sink, Decision(Action.DROP, reason="undecodable")
                 )
-                in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
-                if self.dead_ports:
-                    self._revive_port(in_port)
-                hop.segment = segment
-                hop.seg_count = preamble.seg_count
-                hop.wire_size = preamble.payload_len
-                hop.in_port = in_port
-                self._frame_mem = mem
-                self._frame_header_len = header_len
-                decision = self.pipeline.decide(hop)
-                if decision.action is Action.DROP:
-                    view.release()
-                    apply_drop(sink, decision)
-                    continue
-                if decision.action is Action.DELIVER_LOCAL:
-                    self._deliver_local(view, source)
-                    continue
-                # FORWARD (FANOUT cannot happen: multicast=False drops
-                # earlier).
-                if in_port == UNKNOWN_IN_PORT:
-                    # A frame from an unwired peer cannot get a correct
-                    # return hop; refusing it mirrors Sirpent's "routes
-                    # only work when every hop is reversible".  The
-                    # decision above still ran the token cache.
-                    view.release()
-                    apply_drop(
-                        sink, Decision(Action.DROP, reason="unknown_peer")
-                    )
-                    continue
-                if sink.trace_id:
-                    sink.trace_event(
-                        "switch_decision",
-                        in_port=in_port, out_port=decision.out_port,
-                    )
-                next_rel = segment.end
-                if runs and decision.flow_entry is not None and not trace_id:
-                    # A run may start here: the next frame shares this
-                    # decision if it equals this one where it matters.
-                    run_decision = decision
-                    run_source = source
-                    run_seg_count = preamble.seg_count
-                    run_end = next_rel
-                    run_lead = bytes(mem[PREAMBLE_BYTES:next_rel])  # sirlint: disable=SIR008 -- once per run head, not per frame: the move below overwrites the slot's copy of the leading segment
-                    run_in_port = in_port
+                continue
+            trace_id = preamble.trace_id
+            sink.trace_id = (
+                trace_id if trace_id and self.tracer.enabled else 0
+            )
+            in_port = addr_port.get(source, UNKNOWN_IN_PORT)
+            if dead_ports:
+                self._revive_port(in_port)
+            hop.lead = mem[header_len:next_rel]
+            hop.seg_count = preamble.seg_count
+            hop.wire_size = preamble.payload_len
+            hop.in_port = in_port
+            hop.mem = mem
+            hop.header_len = header_len
+            hop.parsed = None
+            decision = self.pipeline.decide(hop)
+            if decision.action is Action.DROP:
+                view.release()
+                apply_drop(sink, decision)
+                continue
+            if decision.action is Action.DELIVER_LOCAL:
+                self._deliver_local(view, source)
+                continue
+            # FORWARD (FANOUT cannot happen: multicast=False drops
+            # earlier).
+            if in_port == UNKNOWN_IN_PORT:
+                # A frame from an unwired peer cannot get a correct
+                # return hop; refusing it mirrors Sirpent's "routes
+                # only work when every hop is reversible".  The
+                # decision above still ran the token cache.
+                view.release()
+                apply_drop(
+                    sink, Decision(Action.DROP, reason="unknown_peer")
+                )
+                continue
+            if sink.trace_id:
+                sink.trace_event(
+                    "switch_decision",
+                    in_port=in_port, out_port=decision.out_port,
+                )
             tail = decision.return_tail
             if tail is None:
-                # Cold decision (or rebuilt return hop; never a repeated
-                # one): encode the tail once.
+                # Cold decision (or rebuilt return hop): encode the tail
+                # once.
                 try:
                     tail = return_tail_of(decision.return_segment)
                 except ValueError:
@@ -515,7 +478,7 @@ class LiveRouter:
                 view.release()
                 apply_drop(sink, Decision(Action.DROP, reason="oversize"))
                 continue
-            self._count_forward(sink, in_port, decision)
+            self._count_forward(sink, in_port, decision, preamble.seg_count)
             self.endpoint.send_view(
                 view, self.ports[decision.out_port],
                 reliable=self.config.reliable_hops,
@@ -551,13 +514,18 @@ class LiveRouter:
 
     def _count_forward(
         self, sink: _LiveEffectSink, in_port: int, decision: Decision,
+        seg_count: int,
     ) -> None:
         self.metrics.forwarded += 1
         if sink.trace_id:
             sink.trace_event(
                 "strip_reverse_append",
                 out_port=decision.out_port,
-                segments_left=decision.segments_left,
+                # A reroute leaves its alternate's tail, a strip the rest.
+                segments_left=(
+                    len(decision.splice_tail) if decision.slick_reroute
+                    else seg_count - 1
+                ),
             )
         if self.recorder.enabled:
             self.recorder.record(

@@ -45,6 +45,10 @@ LENGTH_ESCAPE = 255
 #: Bytes of the inline 32-bit extended length.
 EXTENDED_LENGTH_BYTES = 4
 
+#: Where the port octet sits in an encoded segment: it leads the
+#: variable fields so the switching decision can start on it (§2.1).
+PORT_OFFSET = 2
+
 #: VIPER reserves port 0 to mean "local" (§5).
 LOCAL_PORT = 0
 
@@ -66,8 +70,9 @@ class HeaderSegment:
     interpretation (HMAC capability, Ethernet header, logical-hop label)
     belongs to the layer that knows the port's type.
 
-    A segment is a value — routes and packets share it and its size is
-    computed once: change one with :meth:`copy`, never by assignment.
+    A segment is a value — routes and packets share it, and its size
+    and its encoding are computed once: change one with :meth:`copy`,
+    never by assignment.
     """
 
     port: int
@@ -82,6 +87,9 @@ class HeaderSegment:
     slick: bool = False
     #: Exact encoded size, ``len(encode_segment(self))``.
     wire_bytes: int = field(init=False, repr=False, compare=False)
+    _wire: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= MAX_PORT:
@@ -91,6 +99,16 @@ class HeaderSegment:
 
     def wire_size(self) -> int:
         return self.wire_bytes
+
+    @property
+    def wire(self) -> bytes:
+        """The Figure-1 encoding, built on first use and kept: a route's
+        segments are encoded once however many packets share them (the
+        flow cache is keyed on these bytes)."""
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = encode_segment(self)
+        return wire
 
     def stamped(self, priority: int, dib: Optional[bool] = None) -> "HeaderSegment":
         """This hop carrying ``priority`` (and ``dib`` unless None) —
@@ -278,6 +296,15 @@ def segment_span(buffer: bytes, offset: int = 0) -> int:
             f"reserved flag bit set in flags byte {flag_byte:#04x}"
         )
     offset += FIXED_SEGMENT_BYTES
+    if portinfo_len != LENGTH_ESCAPE and token_len != LENGTH_ESCAPE:
+        # No length escape (every segment the overlay mints): the span
+        # is arithmetic, and fitting the buffer is all there is to check.
+        end = offset + token_len + portinfo_len
+        if end > len(buffer):
+            raise DecodeError(
+                f"truncated segment: need {end} bytes, buffer has {len(buffer)}"
+            )
+        return end
     offset = _field_span(buffer, offset, token_len, "portToken")
     return _field_span(buffer, offset, portinfo_len, "portInfo")
 

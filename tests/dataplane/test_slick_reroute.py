@@ -93,10 +93,9 @@ class TestLocalReroute:
         assert decision.out_port == ALT
         assert decision.effective.port == ALT
         assert [s.port for s in decision.splice_tail] == [0]
-        # The alternate REPLACES the remaining route: segments_left is
-        # the alternate's length minus the hop taken now, not the
-        # original route's.
-        assert decision.segments_left == len(alternate) - 1
+        # The alternate REPLACES the remaining route: what is left is
+        # the alternate minus the hop taken now, not the original route.
+        assert len(decision.splice_tail) == len(alternate) - 1
 
     def test_missing_profile_counts_as_dead(self):
         pipeline, _ = make_pipeline({ALT: PortProfile()})
@@ -261,7 +260,6 @@ class TestWarmRerouteMemoization:
         assert second.out_port == ALT
         assert second.effective.port == ALT
         assert [s.port for s in second.splice_tail] == [0]
-        assert second.segments_left == len(alternate) - 1
         assert flow_cache.stats.hits == 1
 
     def test_memoized_reroute_is_never_served_to_a_non_slick_packet(self):

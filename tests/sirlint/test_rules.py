@@ -676,17 +676,17 @@ def test_sir008_out_of_scope_packages_ignored():
 def test_sir008_required_marker_cannot_be_dropped():
     findings = analyze(
         """
-        def flow_key(token, in_port, port, priority, rpf, portinfo):
-            return (token, in_port, port, priority, rpf, portinfo)
+        def lookup(self, in_port, lead, now_ms):
+            return self._entries.get((in_port, lead))
 
-        def lookup(self, key, now_ms):  # sirlint: hot
-            return self._entries.get(key)
+        def install(self, entry, now_ms):  # sirlint: hot
+            self._entries[(entry.in_port, entry.lead)] = entry
         """,
         "repro.dataplane.flowcache",
         path="src/repro/dataplane/flowcache.py",
     )
     assert [f.symbol for f in findings if f.rule == "SIR008"] == [
-        "hot-marker:flow_key"
+        "hot-marker:lookup"
     ]
 
 
@@ -750,7 +750,8 @@ def test_sir008_silent_on_the_lean_sim_frame_hop():
 def test_sir008_fires_in_the_live_batch_loop():
     """``LiveRouter._on_batch`` runs once per frame-hop: a copy or a
     container per frame is a finding, and so is dropping its marker or
-    that of the pipeline's per-packet stage."""
+    that of the pipeline's ``decide`` (whose warm arm is the per-packet
+    stage)."""
     findings = analyze(
         """
         class LiveRouter:
@@ -779,44 +780,52 @@ def test_sir008_fires_in_the_live_batch_loop():
     ]
     pipeline = analyze(
         """
-        def _decide_cached(self, hop, key, cached):  # sirlint: hot
-            return cached
+        def decide(self, hop):
+            cached = self.flow_cache.lookup(hop.in_port, hop.lead, hop.now_ms)
+            return cached.decision if cached else self._decide_cold(hop)
 
-        def decide_same(self, previous, wire_size):
-            return previous
+        def _decide_cold(self, hop):  # sirlint: hot
+            return Decision(Action.DROP, drop_fields={"port": hop.lead[2]})
         """,
         "repro.dataplane.pipeline",
         path="src/repro/dataplane/pipeline.py",
     )
-    assert [f.symbol for f in pipeline if f.rule == "SIR008"] == [
-        "hot-marker:decide_same"
+    assert sorted(f.symbol for f in pipeline if f.rule == "SIR008") == [
+        "_decide_cold:dict-literal", "hot-marker:decide",
     ]
 
 
-def test_sir008_silent_on_the_run_forwarding_batch_loop():
-    """Locals, tuple unpacking, a memoryview slice compared with the run
-    head's bytes — and the one reasoned copy a run head makes."""
+def test_sir008_silent_on_the_batch_loop_and_the_one_key_copy():
+    """Locals, tuple unpacking and a memoryview slice handed to the
+    pipeline in the driver; in the flow cache a compare against the last
+    entry's bytes — and the one reasoned copy, on the dict path only."""
     findings = analyze(
         """
         class LiveRouter:
             def _on_batch(self, batch):  # sirlint: hot
-                run_decision = run_lead = None
-                run_end = 0
+                hop = self._hop
                 for view, source, preamble in batch:
                     mem = view.mem
-                    decision = None
-                    if run_decision is not None and mem[11:run_end] == run_lead:
-                        decision = self.pipeline.decide_same(
-                            run_decision, preamble.payload_len
-                        )
-                    if decision is None:
-                        decision = self.pipeline.decide(self._hop)
-                        run_decision, run_end = decision, self._hop.segment.end
-                        run_lead = bytes(mem[11:run_end])  # sirlint: disable=SIR008 -- fixture: once per run head, not per frame
+                    next_rel = segment_span(mem, preamble.header_len)
+                    hop.lead = mem[preamble.header_len:next_rel]
+                    decision = self.pipeline.decide(hop)
                     self.endpoint.send_view(view, self.ports[decision.out_port])
         """,
         "repro.live.router",
         path="src/repro/live/router.py",
+    )
+    assert "SIR008" not in rules_fired(findings)
+    findings = analyze(
+        """
+        def lookup(self, in_port, lead, now_ms):  # sirlint: hot
+            entry = self._last
+            if entry is None or entry.in_port != in_port or lead != entry.lead:
+                key = (in_port, bytes(lead))  # sirlint: disable=SIR008 -- fixture: off the last-entry path, a dict needs a hashable key
+                entry = self._entries.get(key)
+            return entry
+        """,
+        "repro.dataplane.flowcache",
+        path="src/repro/dataplane/flowcache.py",
     )
     assert "SIR008" not in rules_fired(findings)
 

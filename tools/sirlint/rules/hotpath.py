@@ -63,13 +63,13 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
         "trailer_spans",
     ),
     "repro.dataplane.flowcache": (
-        "flow_key",
+        # Last-entry compare, then the dict: all a known flow's packet
+        # pays to be recognised.
         "lookup",
     ),
     "repro.dataplane.pipeline": (
-        "_decide_cached",
-        # The per-packet stage: all a repeated frame of a run pays.
-        "decide_same",
+        # Stages 0-2a; its warm arm is the per-packet stage.
+        "decide",
     ),
     "repro.live.router": (
         "_on_batch",
