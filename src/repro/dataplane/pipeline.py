@@ -152,7 +152,8 @@ class HopInput:
     arrival frame       ``reverse_portinfo()`` — the sim reverses the
                         arrival MACs — is compared per packet with the
                         memoized return hop, which is rebuilt on a change
-    alternate block     ``alternate()`` feeds only a slick reroute
+    alternate block     ``alternate()`` feeds only a slick reroute, which
+                        is decided per packet and never memoized
     egress state        ``PortMap.profile(out_port)`` is read per packet:
                         a dead or vanished egress purges the entry
     token state         the token-cache entry is charged per packet; a
@@ -308,9 +309,7 @@ class ForwardingPipeline:
                 decision = replace(
                     decision, return_segment=rebuilt, return_tail=None
                 )
-        # Slick reroutes replace the whole remaining route and skip
-        # truncation (see _slick_reroute).
-        if profile.mtu and post_size > profile.mtu and not decision.slick_reroute:
+        if profile.mtu and post_size > profile.mtu:
             return replace(decision, truncate_to=profile.mtu)
         return decision
 
@@ -352,7 +351,7 @@ class ForwardingPipeline:
             # only when no usable alternate remains does the packet
             # fall back to the end-to-end path (drop here, quarantine/
             # rebind recovers).
-            rerouted = self._slick_reroute(hop, resolved_port)
+            rerouted = self._slick_reroute(hop)
             if rerouted is not None:
                 return rerouted
             return Decision(
@@ -384,7 +383,7 @@ class ForwardingPipeline:
 
         # Stage 6: install the flow (deterministic resolutions only).
         if self.logical.deterministic(port):
-            self._memoise(hop, segment.token, decision)
+            self._memoise(hop, decision)
         return decision
 
     # -- stage helpers -----------------------------------------------------
@@ -422,9 +421,7 @@ class ForwardingPipeline:
         ]
         return Decision(Action.FANOUT, branches=branches)
 
-    def _slick_reroute(
-        self, hop: HopInput, dead_port: int
-    ) -> Optional[Decision]:
+    def _slick_reroute(self, hop: HopInput) -> Optional[Decision]:
         """Splice the packet's in-band alternate over the dead egress.
 
         Returns the reroute FORWARD decision, or None when the
@@ -432,12 +429,16 @@ class ForwardingPipeline:
         a local/logical/multicast port, its egress is also dead, or
         its token is rejected) — the caller then drops with
         ``slick_fallback_exhausted`` and end-to-end recovery takes
-        over.  Any memoized state steering this flow into the dead
-        egress — including the stale pre-failover return tail — is
-        invalidated first, so a warm reroute can never serve it.
+        over.
+
+        A reroute is decided per packet and never memoized: it reads
+        the packet's alternate block, which the flow-cache key does not
+        cover, and it must stop the moment the egress is back.  The
+        flow cache holds nothing steering this flow into the dead
+        egress either — the warm arm purged the entry (stale
+        pre-failover return tail included) on the way here.
         """
         segment = hop.segment
-        self.flow_cache.invalidate_port(dead_port)
         alternate = hop.alternate()
         if not alternate:
             return None
@@ -482,7 +483,7 @@ class ForwardingPipeline:
         # the discarded alternate blocks, and cutting a packet that is
         # actively dodging a failure trades delivery for a cap one hop
         # later can still apply.
-        decision = Decision(
+        return Decision(
             Action.FORWARD,
             out_port=alt0.port,
             effective=effective,
@@ -492,30 +493,29 @@ class ForwardingPipeline:
             token_delay=token_delay,
             slick_reroute=True,
         )
-        # Memoize under the ORIGINAL flow key: warm packets of the
-        # rerouted flow take the alternate straight from stage 2a
-        # without ever probing the dead egress again.
-        self._memoise(hop, alt0.token, decision)
-        return decision
 
-    def _memoise(self, hop: HopInput, token: bytes, decision: Decision) -> None:
+    def _memoise(self, hop: HopInput, decision: Decision) -> None:
         """Install the FORWARD ``decision`` just made for ``hop`` — never
-        for unknown arrival ports, unverified/invalid tokens (``token``
-        is the one it was admitted under) or tokens already past expiry.
+        for unknown arrival ports, nor under a token whose cached claims
+        would not admit the next packet: unverified or invalid, already
+        past expiry, or (an optimistic first packet is let through
+        before its claims are read) naming another port or priority.
         """
         if hop.in_port == UNKNOWN_IN_PORT:
             return
+        segment = hop.segment
         token_entry, expiry = None, 0
-        if token:
-            token_entry = self.token_cache.entry(token)
+        if segment.token:
+            token_entry = self.token_cache.entry(segment.token)
             if (
-                token_entry is None or not token_entry.valid
-                or token_entry.claims is None  # optimistic first packet
+                token_entry is None
+                or not self.token_cache.authorizes(
+                    token_entry, segment.port, segment.priority, segment.rpf
+                )
                 or token_entry.claims.expired(hop.now_ms)
             ):
                 return
             expiry = token_entry.claims.expiry_ms
-        segment = hop.segment
         post_delta = (
             sum(s.wire_size() for s in decision.splice_tail)
             - segment.wire_size()

@@ -159,19 +159,27 @@ class TokenCache:
         self, entry: TokenCacheEntry, token: bytes, port: int,
         priority: int, size: int, rpf: bool = False,
     ) -> Verdict:
-        if not entry.valid or entry.claims is None:
-            return Verdict.REJECT
-        claims = entry.claims
-        reverse_authorized = rpf and claims.reverse_ok
-        if not claims.authorizes_port(port) and not reverse_authorized:
-            return Verdict.REJECT
-        if not claims.authorizes_priority(priority):
+        if not self.authorizes(entry, port, priority, rpf):
             return Verdict.REJECT
         budget = entry.remaining_budget()
         if budget is not None and size > budget:
             return Verdict.REJECT
         self._account(entry, token, size, priority)
         return Verdict.FORWARD
+
+    @staticmethod
+    def authorizes(
+        entry: TokenCacheEntry, port: int, priority: int, rpf: bool = False
+    ) -> bool:
+        """Whether the cached claims admit a packet for ``port`` at
+        ``priority`` — all of admission but the byte budget, i.e. the
+        part a flow's every packet shares."""
+        claims = entry.claims
+        if not entry.valid or claims is None:
+            return False
+        if not claims.authorizes_port(port) and not (rpf and claims.reverse_ok):
+            return False
+        return claims.authorizes_priority(priority)
 
     def _account(
         self, entry: TokenCacheEntry, token: bytes, size: int, priority: int

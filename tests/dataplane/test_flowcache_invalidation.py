@@ -91,6 +91,40 @@ class TestWarmPath:
         assert token_cache.hits >= 2  # bench_e09's hit-rate contract
 
 
+class TestOnlyAnAuthorizedFlowIsInstalled:
+    """Regression: an optimistic first packet is let through before its
+    token's claims are read; the flow it installed then kept admitting
+    packets the token cache rejects — until the entry's TTL."""
+
+    def flow(self, mint, **claims):
+        return HeaderSegment(
+            port=1, priority=5, token=mint.mint(account=9, **claims)
+        )
+
+    def test_a_token_for_another_port(self):
+        pipeline, mint, _, flow_cache = make_pipeline()
+        seg = self.flow(mint, port=2)
+        assert pipeline.decide(hop(seg)).action is Action.FORWARD  # optimism
+        assert len(flow_cache) == 0
+        second = pipeline.decide(hop(seg))
+        assert (second.action, second.reason) == (Action.DROP, "token_reject")
+
+    def test_a_token_for_a_lower_priority(self):
+        pipeline, mint, _, flow_cache = make_pipeline()
+        seg = self.flow(mint, port=1, max_priority=2)
+        assert pipeline.decide(hop(seg)).action is Action.FORWARD  # optimism
+        assert len(flow_cache) == 0
+        second = pipeline.decide(hop(seg))
+        assert (second.action, second.reason) == (Action.DROP, "token_reject")
+
+    def test_a_reverse_ok_token_on_the_return_path_is(self):
+        pipeline, mint, _, flow_cache = make_pipeline()
+        token = mint.mint(port=2, account=9, reverse_ok=True)
+        seg = HeaderSegment(port=1, rpf=True, token=token)
+        pipeline.decide(hop(seg))
+        assert pipeline.decide(hop(seg)).flow_cache_hit
+
+
 class TestExpiry:
     def test_ttl_expires_an_idle_flow(self):
         pipeline, mint, _, flow_cache = make_pipeline(ttl_ms=1_000)

@@ -233,64 +233,103 @@ class TestNonSlickUnchanged:
         assert decision.reason == "no_route"
 
 
-class TestWarmRerouteMemoization:
-    """The reroute installs under the ORIGINAL flow key (stage 6)."""
+class TestARerouteIsDecidedPerPacket:
+    """A reroute reads the packet's alternate block, which the flow-cache
+    key (arrival port, leading-segment bytes) does not cover, and must
+    stop when the egress is back — so it is never memoized."""
 
-    def build(self):
+    def build(self, profiles=None):
         flow_cache = FlowCache(capacity=8, ttl_ms=10_000)
         pipeline, mint = make_pipeline(
-            {DEAD: PortProfile(up=False), ALT: PortProfile()},
+            profiles or {DEAD: PortProfile(up=False), ALT: PortProfile()},
             flow_cache=flow_cache,
         )
         return pipeline, mint, flow_cache
 
-    def test_second_packet_takes_the_alternate_from_cache(self):
+    def test_second_packet_takes_its_alternate_cold_again(self):
         pipeline, _, flow_cache = self.build()
         alternate = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
-        first = pipeline.decide(
-            hop(HeaderSegment(port=DEAD, slick=True), alternate)
-        )
-        assert first.slick_reroute and not first.flow_cache_hit
-        second = pipeline.decide(
-            hop(HeaderSegment(port=DEAD, slick=True), alternate)
-        )
-        assert second.action is Action.FORWARD
-        assert second.flow_cache_hit
-        assert second.slick_reroute
-        assert second.out_port == ALT
-        assert second.effective.port == ALT
-        assert [s.port for s in second.splice_tail] == [0]
-        assert flow_cache.stats.hits == 1
+        for _ in range(2):
+            decision = pipeline.decide(
+                hop(HeaderSegment(port=DEAD, slick=True), alternate)
+            )
+            assert decision.action is Action.FORWARD
+            assert decision.slick_reroute and not decision.flow_cache_hit
+            assert decision.out_port == ALT
+            assert decision.effective.port == ALT
+            assert [s.port for s in decision.splice_tail] == [0]
+        assert len(flow_cache) == 0
+        assert flow_cache.stats.hits == 0
 
-    def test_memoized_reroute_is_never_served_to_a_non_slick_packet(self):
-        """Warm == cold: the slick flag is part of the flow key.
+    def test_two_packets_one_leading_segment_two_alternates(self):
+        """Regression: the reroute was memoized under the leading segment
+        alone, so the second packet — same slick segment, same arrival,
+        another alternate block — was answered ``out_port=2,
+        splice_tail=[5, 0], flow_cache_hit=True``: the sim delivered it
+        down the first packet's backup route, the live router sent its
+        own spliced route out of the first packet's port."""
+        pipeline, _, _ = self.build({
+            1: PortProfile(up=False), 2: PortProfile(), 3: PortProfile(),
+        })
+        leading = HeaderSegment(port=1, slick=True)
+        first = pipeline.decide(hop(
+            leading, [HeaderSegment(port=p) for p in (2, 5, 0)]
+        ))
+        second = pipeline.decide(hop(
+            leading, [HeaderSegment(port=p) for p in (3, 6, 0)]
+        ))
+        assert (first.out_port, [s.port for s in first.splice_tail]) == (
+            2, [5, 0]
+        )
+        assert (second.out_port, [s.port for s in second.splice_tail]) == (
+            3, [6, 0]
+        )
+        assert not second.flow_cache_hit
 
-        Regression: the key used to omit it, so after a slick packet's
-        reroute was memoized a NON-slick packet with the same token /
-        ports / priority / portInfo was handed ``slick_reroute=True``
-        from the cache — a splice of an alternate it does not carry.
-        Cold, ``TestNonSlickUnchanged`` pins that it forwards onto the
-        port it names; warm must agree.
-        """
-        pipeline, _, flow_cache = self.build()
+    def test_a_reroute_is_never_served_to_a_non_slick_packet(self):
+        """Warm == cold for the twin one flag bit away: cold,
+        ``TestNonSlickUnchanged`` pins that it forwards onto the port it
+        names; after a slick packet's reroute it must still."""
+        pipeline, _, _ = self.build()
         alternate = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
         rerouted = pipeline.decide(
             hop(HeaderSegment(port=DEAD, slick=True), alternate)
         )
-        assert rerouted.slick_reroute and len(flow_cache) == 1
+        assert rerouted.slick_reroute
         plain = pipeline.decide(hop(HeaderSegment(port=DEAD)))
         assert plain.action is Action.FORWARD
         assert plain.out_port == DEAD
         assert not plain.slick_reroute
         assert not plain.flow_cache_hit
-        # ... and the slick flow still takes its memoized alternate.
-        again = pipeline.decide(
-            hop(HeaderSegment(port=DEAD, slick=True), alternate)
-        )
-        assert again.flow_cache_hit and again.slick_reroute
-        assert again.out_port == ALT
 
-    def test_unknown_arrival_port_never_memoizes_the_reroute(self):
+    def test_the_flow_returns_to_its_egress_when_it_is_back(self):
+        pipeline, _, flow_cache = self.build()
+        segment = HeaderSegment(port=DEAD, slick=True)
+        alternate = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
+        assert pipeline.decide(hop(segment, alternate)).out_port == ALT
+        pipeline.ports.profiles[DEAD] = PortProfile()
+        back = pipeline.decide(hop(segment, alternate))
+        assert (back.out_port, back.slick_reroute) == (DEAD, False)
+        assert pipeline.decide(hop(segment, alternate)).flow_cache_hit
+
+    def test_every_rerouted_packet_is_admitted_under_its_own_token(self):
+        """Regression: a memoized reroute charged the alternate's token
+        only, so a flow kept flowing past its primary token's budget."""
+        pipeline, mint, _ = self.build()
+        token = mint.mint(port=DEAD, account=7, byte_limit=250)
+        segment = HeaderSegment(port=DEAD, slick=True, token=token)
+        alternate = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
+        fates = [
+            pipeline.decide(hop(segment, alternate, wire_size=100))
+            for _ in range(3)
+        ]
+        assert [fate.action for fate in fates] == [
+            Action.FORWARD, Action.FORWARD, Action.DROP
+        ]
+        assert fates[2].reason == "token_reject"
+        assert pipeline.token_cache.ledger.usage(7).bytes == 200
+
+    def test_unknown_arrival_port_builds_no_return_hop(self):
         pipeline, _, flow_cache = self.build()
         decision = pipeline.decide(
             hop(HeaderSegment(port=DEAD, slick=True),
@@ -302,13 +341,13 @@ class TestWarmRerouteMemoization:
 
 
 class TestStaleReturnTailRegression:
-    """A warm reroute must never serve pre-failover memoized state.
+    """A reroute must never serve pre-failover memoized state.
 
     Regression for the satellite-3 hazard: a flow cached while the
     primary egress was healthy memoizes the return tail (with the
     reverse-authorized token) for the OLD path.  When the egress dies
-    mid-flow, stage 3b must invalidate that entry before installing the
-    reroute — otherwise warm packets keep the stale return route.
+    mid-flow that entry must go before the packet is rerouted —
+    otherwise rerouted packets keep the stale return route.
     """
 
     def test_failover_invalidates_and_replaces_the_warm_entry(self):
@@ -344,10 +383,10 @@ class TestStaleReturnTailRegression:
         assert rerouted.return_tail != stale_tail
         assert flow_cache.stats.invalidations >= 1
 
-        # Warm packets after failover serve the reroute entry, never
-        # the stale one.
+        # Packets after failover are rerouted afresh, never served the
+        # stale entry.
         after = pipeline.decide(hop(segment, alternate))
-        assert after.flow_cache_hit
+        assert not after.flow_cache_hit
         assert after.slick_reroute
         assert after.out_port == ALT
         assert after.return_tail != stale_tail
@@ -355,7 +394,7 @@ class TestStaleReturnTailRegression:
 
     def test_cached_entry_racing_the_death_falls_to_slow_path_reroute(self):
         # The port dies BETWEEN install and the next packet without any
-        # invalidation callback firing: _decide_cached must detect the
+        # invalidation callback firing: the warm arm must detect the
         # dead egress, purge, and let stage 3b reroute the same packet.
         profiles = {DEAD: PortProfile(), ALT: PortProfile()}
         flow_cache = FlowCache(capacity=8, ttl_ms=10_000)

@@ -62,8 +62,9 @@ GROUP = 241
 MTU = 120
 
 PORTS = (
-    PLAIN, PLAIN, NARROW, ETHER, DIES, DIES, ALT, UNWIRED, 0,
-    FLOW_HASH, LEAST_LOADED, TRANSIT, GROUP, BROADCAST_PORT, TREE_PORT,
+    PLAIN, PLAIN, PLAIN, NARROW, NARROW, ETHER, DIES, DIES, ALT,
+    FLOW_HASH, TRANSIT, TRANSIT, LEAST_LOADED,
+    UNWIRED, 0, GROUP, BROADCAST_PORT, TREE_PORT,
 )
 #: Ports a step may kill and revive (trunk members included, so a
 #: flow-hash trunk's memoised member can die under it).
@@ -88,7 +89,7 @@ ARRIVALS = (
     EthernetInfo(dst=MAC_C, src=MAC_A, ethertype=0).to_bytes(),
 )
 TOKEN_KINDS = (
-    "none", "none", "valid", "reverse_ok", "expiring", "budget",
+    "none", "none", "valid", "valid", "reverse_ok", "expiring", "budget",
     "low_priority", "wrong_port", "never_valid",
 )
 SECRET = b"secret:warm-equals-cold"
@@ -226,7 +227,7 @@ def outcome(decision):
     )
 
 
-def assert_warm_equals_cold(policy, script, capacity=3, ttl_ms=100, seen=None):
+def assert_warm_equals_cold(policy, script, capacity=2, ttl_ms=100, seen=None):
     """Feed ``script`` to a caching and a cold pipeline in lockstep.
 
     A step is ``("hop", segment, alternate, in_port, wire_size, dt_ms,
@@ -271,33 +272,10 @@ def sightings(decision):
             yield "hit+rebuilt"
 
 
-# Until the two fixes later in this PR the generators keep off two places
-# where the parent's warm path is *not* its cold path:
-#
-# * a memoised slick reroute skips the primary segment's token admission
-#   and is keyed on the leading segment alone, so slick flows stay
-#   tokenless, share one alternate per script, and the port they dodge
-#   does not come back (``REROUTES_ARE_MEMOISED``);
-# * an optimistically admitted first packet installs the flow even when
-#   its token names another port or a lower priority, so those token
-#   kinds sit out under ``CachePolicy.OPTIMISTIC``
-#   (``OPTIMISTIC_INSTALLS_UNCHECKED``).
-#
-# One restriction is by design and stays: a flow-hash trunk member that
-# died does not come back — the flow stays on the surviving member until
-# its entry expires (ordered delivery), where a cold decision would move
-# it back at once.
-REROUTES_ARE_MEMOISED = True
-OPTIMISTIC_INSTALLS_UNCHECKED = True
-
-
-def token_kinds_under(policy):
-    if OPTIMISTIC_INSTALLS_UNCHECKED and policy is CachePolicy.OPTIMISTIC:
-        return tuple(
-            kind for kind in TOKEN_KINDS
-            if kind not in ("low_priority", "wrong_port")
-        )
-    return TOKEN_KINDS
+# One thing the generators keep off, by design: a flow-hash trunk member
+# that died does not come back.  The flow stays on the surviving member
+# until its entry expires (ordered delivery), where a cold decision would
+# move it back at once.
 
 
 # -- every flag nibble × priority × token kind, directed ----------------------
@@ -309,48 +287,38 @@ def test_every_flag_nibble_and_priority(policy, port):
     """All 16 × 16 leading-byte variants of one flow, each packet sent
     twice (cold, then warm), two passes, every slick variant followed at
     once by its non-slick twin — its memo is still there to trip on;
-    ``DIES`` is down, so its slick variants take a reroute."""
+    ``DIES`` is down, so its slick variants take a reroute each time."""
     script = [("kill", DIES)]
     for token_kind in ("none", "reverse_ok", "low_priority"):
-        if token_kind not in token_kinds_under(policy):
-            continue
         for _ in range(2):
             for priority in range(16):
                 for flags in sorted(range(16), key=lambda f: (f >> 1, not f & 1)):
-                    slick = flags & 1
-                    tokenless = slick and REROUTES_ARE_MEMOISED
                     script += [(
                         "hop",
-                        segment_of(
-                            port, "none" if tokenless else token_kind,
-                            b"", flags, priority,
-                        ),
-                        ALTERNATES[1] if slick else None,
+                        segment_of(port, token_kind, b"", flags, priority),
+                        ALTERNATES[1] if flags & 1 else None,
                         7, 100, 0, ARRIVALS[0],
                     )] * 2
     stats = assert_warm_equals_cold(policy, script, capacity=1024, ttl_ms=0)
-    assert stats.hits > len(script) // 4
+    # A flow into the dead port is purged by its own first hit.
+    assert stats.hits > len(script) // (8 if port == DIES else 4)
 
 
 # -- generated interleavings ---------------------------------------------------
 
 
 @st.composite
-def scripts(draw, policy):
+def scripts(draw):
     pool = draw(st.lists(st.tuples(
-        st.sampled_from(PORTS), st.sampled_from(token_kinds_under(policy)),
+        st.sampled_from(PORTS), st.sampled_from(TOKEN_KINDS),
         st.sampled_from(PORTINFOS), st.sampled_from(ALTERNATES),
     ), min_size=1, max_size=3))
     flows = []
     for which, flags, priority in draw(st.lists(st.tuples(
         st.integers(0, 2), st.integers(0, 15),
         st.sampled_from((0, 0, 1, 5, 9, 15)),
-    ), min_size=1, max_size=6)):
+    ), min_size=1, max_size=4)):
         port, token_kind, portinfo, alternate = pool[which % len(pool)]
-        if REROUTES_ARE_MEMOISED:
-            alternate = pool[0][3]
-            if flags & 1:
-                token_kind = "none"
         flows.append((
             segment_of(port, token_kind, portinfo, flags, priority),
             alternate if flags & 1 else None,
@@ -358,9 +326,9 @@ def scripts(draw, policy):
     hop = st.tuples(
         st.just("hop"),
         st.integers(0, len(flows) - 1),
-        st.sampled_from((7, 7, 7, 8, UNKNOWN_IN_PORT)),
+        st.sampled_from((7, 7, 7, 7, 7, 8, UNKNOWN_IN_PORT)),
         st.sampled_from((0, 64, 100, 100, MTU - 3, MTU + 40, 400)),
-        st.sampled_from((0, 0, 0, 1, 30, 70, 250)),
+        st.sampled_from((0, 0, 0, 0, 0, 1, 30, 250)),
         st.sampled_from((0, 0, 0, 1, 2)),
     )
     mutation = st.tuples(
@@ -369,15 +337,13 @@ def scripts(draw, policy):
     script = []
     for step in draw(st.lists(
         st.one_of(hop, hop, hop, hop, hop, hop, mutation),
-        min_size=1, max_size=60,
+        min_size=12, max_size=60,
     )):
         if step[0] == "hop":
             _, flow, in_port, wire_size, dt_ms, arrival = step
             step = ("hop", *flows[flow], in_port, wire_size, dt_ms,
                     ARRIVALS[arrival])
-        elif step[0] == "revive" and (
-            step[1] == MEMBER_A or step[1] == DIES and REROUTES_ARE_MEMOISED
-        ):
+        elif step == ("revive", MEMBER_A):
             continue
         script.append(step)
     return script
@@ -385,9 +351,9 @@ def scripts(draw, policy):
 
 @pytest.mark.parametrize("policy", list(CachePolicy))
 @settings(max_examples=300, deadline=None, derandomize=True, print_blob=True)
-@given(data=st.data())
-def test_generated_sequences(policy, data):
-    assert_warm_equals_cold(policy, data.draw(scripts(policy)))
+@given(script=scripts())
+def test_generated_sequences(policy, script):
+    assert_warm_equals_cold(policy, script)
 
 
 def test_the_generator_reaches_what_it_claims():
@@ -397,10 +363,10 @@ def test_the_generator_reaches_what_it_claims():
     seen, totals = set(), []
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(script=scripts(CachePolicy.BLOCKING))
+    @given(script=scripts())
     def collect(script):
         totals.append(assert_warm_equals_cold(
-            CachePolicy.BLOCKING, script, seen=seen
+            CachePolicy.OPTIMISTIC, script, seen=seen
         ))
 
     collect()

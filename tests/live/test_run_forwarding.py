@@ -177,11 +177,11 @@ def assert_batch_equals_frames(script, rng=None):
 
 
 def frame(leading, rest=(HeaderSegment(port=0),), payload=b"p" * 64,
-          trace_id=0, seq=1, fill=False):
+          trace_id=0, seq=1, fill=False, alternate=ALTERNATE):
     """One live data frame; ``fill`` pads the payload so the frame is
     exactly one ring slot long (its outgoing form then is not)."""
     segments = [leading, *rest]
-    alternates = [list(ALTERNATE) for s in segments if s.slick]
+    alternates = [list(alternate) for s in segments if s.slick]
 
     def encode(body):
         packet = SirpentPacket(
@@ -388,7 +388,7 @@ class TestDirectedRuns:
         # is refused by the move; the flow goes on behind it.
         assert cache_counts(whole) == (5, 1)
 
-    def test_a_reroute_is_never_repeated(self):
+    def test_every_frame_of_a_rerouted_flow_is_rerouted_afresh(self):
         datagram = frame(HeaderSegment(port=DEAD, slick=True))
         whole, _ = assert_batch_equals_frames(
             [(0, [(datagram, PEER_A)] * 5)]
@@ -396,6 +396,25 @@ class TestDirectedRuns:
         assert kinds(whole.fates) == ["F"] * 5
         assert {fate[2] for fate in whole.fates} == {("127.0.0.1", 9000 + ALT)}
         assert whole.router.metrics.slick_reroutes == 5
+        assert cache_counts(whole) == (0, 5)
+        assert len(whole.router.flow_cache) == 0
+
+    def test_two_frames_one_leading_segment_two_alternates(self):
+        """Regression: both frames of one batch share the slick leading
+        segment and the arrival port; each must leave on its *own*
+        alternate's port.  The reroute used to be memoized under the
+        leading segment alone, and the second frame's own spliced route
+        went out of the first frame's port."""
+        leading = HeaderSegment(port=DEAD, slick=True)
+        via_alt = frame(leading)
+        via_live = frame(
+            leading, alternate=[HeaderSegment(port=LIVE), HeaderSegment(port=0)]
+        )
+        arrivals = [(via_alt, PEER_A), (via_live, PEER_A)] * 2
+        whole, _ = assert_batch_equals_frames([(0, arrivals)])
+        assert [fate[2][1] - 9000 for fate in whole.fates] == [
+            ALT, LIVE, ALT, LIVE,
+        ]
 
     def test_an_outgoing_oversize_frame_mid_run(self):
         leading = HeaderSegment(port=LIVE)  # 4 B stripped, 6 B appended
@@ -444,10 +463,12 @@ class TestDirectedRuns:
         ] * 4
         whole, _ = assert_batch_equals_frames([(0, arrivals)])
         assert whole.router.dead_ports == set()
-        # Rerouted until the peer is heard from; the memoized reroute
-        # keeps serving the flow until its entry goes (it names ALT).
+        # Rerouted until the peer is heard from, and not a frame longer.
         assert kinds(whole.fates) == ["F"] * 8
-        assert whole.router.metrics.slick_reroutes == 7
+        assert [fate[2][1] - 9000 for fate in whole.fates] == (
+            [ALT] * 3 + [LIVE] + [DEAD] * 4
+        )
+        assert whole.router.metrics.slick_reroutes == 3
 
     def test_the_clock_moves_between_batches_not_inside_one(self):
         token = token_for(expiry_ms=25)
@@ -652,4 +673,4 @@ def test_generated_batches_equal_their_frames(chunk):
     # comparison to bite.
     assert frames - seen["undecodable"] <= reference_decides <= frames
     assert decides == reference_decides
-    assert hits > 0.3 * frames, (hits, frames)
+    assert hits > 0.2 * frames, (hits, frames)
