@@ -36,8 +36,8 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter
 
-#: Flow key: the congested router and output port the limit protects.
-FlowKey = Tuple[str, int]
+#: What a limit protects: the congested router and its output port.
+LimitKey = Tuple[str, int]
 
 
 @dataclass
@@ -111,7 +111,7 @@ class FlowLimiter:
     def __init__(
         self,
         sim: Simulator,
-        key: FlowKey,
+        key: LimitKey,
         rate_bps: float,
         burst_bytes: int,
         expiry: float,
@@ -227,7 +227,7 @@ class RateControlManager:
         self.ramp_factor = ramp_factor
         self.cascade_backlog = cascade_backlog
         self.enabled = enabled
-        self.limits: Dict[FlowKey, FlowLimiter] = {}
+        self.limits: Dict[LimitKey, FlowLimiter] = {}
         self._ports: Dict[int, Any] = {}  # port_id -> OutputPort
         self.signals_sent = Counter(f"{node_name}.signals_sent")
         self.signals_received = Counter(f"{node_name}.signals_received")
@@ -289,7 +289,7 @@ class RateControlManager:
         if not isinstance(message, RateSignal):
             return
         self.signals_received.add()
-        key: FlowKey = (message.congested_node, message.port_id)
+        key: LimitKey = (message.congested_node, message.port_id)
         expiry = self.sim.now + message.hold_time
         limiter = self.limits.get(key)
         if limiter is None:
@@ -303,7 +303,7 @@ class RateControlManager:
 
     def _ramp_stale_limits(self) -> None:
         """Stale limits ramp up and eventually evaporate (soft state)."""
-        dead: List[FlowKey] = []
+        dead: List[LimitKey] = []
         for key, limiter in self.limits.items():
             if self.sim.now > limiter.expiry and not limiter.held:
                 limiter.ramp_up(self.ramp_factor)

@@ -59,8 +59,6 @@ class FlowEntry:
     #: The port and token that encoding names, for invalidation.
     port: int
     token: bytes
-    #: The physical egress (``decision.out_port``).
-    out_port: int
     #: The warm decision, handed to every packet the entry answers that
     #: leaves whole and with the memoized return hop.
     decision: Decision
@@ -179,7 +177,7 @@ class FlowCache:
         dropped = self._drop([
             entry for entry in self._entries.values()
             if entry.in_port == port_id or entry.port == port_id
-            or entry.out_port == port_id
+            or entry.decision.out_port == port_id
         ])
         self.stats.invalidations += dropped
         return dropped

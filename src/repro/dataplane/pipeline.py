@@ -158,8 +158,10 @@ class HopInput:
                         a dead or vanished egress purges the entry
     token state         the token-cache entry is charged per packet; a
                         token-cache flush flushes the flow cache
-    port-type maps      logical / group membership is configuration:
-                        whoever edits it calls ``on_topology_change()``
+    port maps           group membership is read per packet, before the
+                        cache; the logical map is configuration, read at
+                        install — editing it under live flows calls for
+                        ``on_topology_change()``
     ==================  ==================================================
 
     ``wire_size`` is the size charged against the token (the sim
@@ -280,14 +282,14 @@ class ForwardingPipeline:
         cached = self.flow_cache.lookup(hop.in_port, lead, hop.now_ms)
         if cached is None:
             return self._decide_cold(hop, port)
-        profile = self.ports.profile(cached.out_port)
+        decision = cached.decision
+        profile = self.ports.profile(decision.out_port)
         if profile is None or not profile.up:
             # Egress vanished or died under the entry (topology change
             # or link failure raced the invalidation): purge, and take
             # the slow path, where a slick packet gets its reroute.
-            self.flow_cache.invalidate_port(cached.out_port)
+            self.flow_cache.invalidate_port(decision.out_port)
             return self._decide_cold(hop, port)
-        decision = cached.decision
         if cached.token_entry is not None:
             if not self.token_cache.account_flow_hit(
                 cached.token_entry, hop.wire_size, decision.effective.priority
@@ -296,7 +298,7 @@ class ForwardingPipeline:
                 # admission produces the authoritative reject.
                 self.flow_cache.invalidate_token(cached.token)
                 return self._decide_cold(hop, port)
-        post_size = hop.wire_size + cached.post_size_delta
+        size_delta = cached.post_size_delta
         return_segment = decision.return_segment
         if return_segment is not None:
             reverse_info = hop.reverse_portinfo()
@@ -305,11 +307,11 @@ class ForwardingPipeline:
                 # the cached flow: rebuild this packet's return hop
                 # (the driver re-encodes — the memoized span is stale).
                 rebuilt = return_segment.copy(portinfo=reverse_info)
-                post_size += rebuilt.wire_size() - return_segment.wire_size()
+                size_delta += rebuilt.wire_size() - return_segment.wire_size()
                 decision = replace(
                     decision, return_segment=rebuilt, return_tail=None
                 )
-        if profile.mtu and post_size > profile.mtu:
+        if profile.mtu and hop.wire_size + size_delta > profile.mtu:
             return replace(decision, truncate_to=profile.mtu)
         return decision
 
@@ -537,16 +539,11 @@ class ForwardingPipeline:
             lead=bytes(hop.lead),
             port=segment.port,
             token=segment.token,
-            out_port=decision.out_port,
             # What every later packet of the flow is told: this decision,
             # minus what was this packet's alone; ``effective`` copied
             # out of the packet buffer a segment view may live in.
             decision=replace(
-                decision,
-                effective=(
-                    segment.copy() if decision.effective is segment
-                    else decision.effective
-                ),
+                decision, effective=decision.effective.copy(),
                 truncate_to=0, token_delay=0.0, flow_cache_hit=True,
             ),
             token_entry=token_entry,

@@ -632,7 +632,7 @@ def return_tail_of(return_segment: HeaderSegment) -> bytes:
     """The trailer tail the hop move appends, encoded once.
 
     ``encoded return segment ++ 2-byte back-length`` — the span the
-    flow cache memoizes (:attr:`repro.dataplane.flowcache.FlowEntry.
+    flow cache memoizes (:attr:`repro.dataplane.effects.Decision.
     return_tail`) so the warm path appends bytes it never re-encodes.
     """
     encoded = encode_segment(return_segment)

@@ -172,18 +172,21 @@ class _LiveHop:
 
     __slots__ = (
         "lead", "seg_count", "wire_size", "in_port", "now_ms",
-        "mem", "header_len", "parsed",
+        "mem", "header_len", "_parsed",
     )
 
     def __init__(self) -> None:
         self.now_ms = 0
-        self.parsed = None
+        self._parsed = None
 
     @property
     def segment(self) -> SegmentView:
-        segment = self.parsed
-        if segment is None:
-            segment = self.parsed = parse_segment_view(self.mem, self.header_len)
+        # Parsed once per frame: every frame brings its own ``mem``.
+        segment = self._parsed
+        if segment is None or segment.buffer is not self.mem:
+            segment = self._parsed = parse_segment_view(
+                self.mem, self.header_len
+            )
         return segment
 
     def reverse_portinfo(self) -> bytes:
@@ -424,7 +427,6 @@ class LiveRouter:
             hop.in_port = in_port
             hop.mem = mem
             hop.header_len = header_len
-            hop.parsed = None
             decision = self.pipeline.decide(hop)
             if decision.action is Action.DROP:
                 view.release()

@@ -127,7 +127,7 @@ class Bench:
             "flow_stats": router.flow_cache.stats,
             # An OrderedDict lists in LRU order.
             "flows": [
-                (key, entry.hits, entry.out_port, entry.decision.slick_reroute,
+                (key, entry.hits, entry.decision.out_port,
                  entry.expires_at_ms)
                 for key, entry in router.flow_cache._entries.items()
             ],

@@ -347,21 +347,21 @@ class TestLiveRouterFailover:
         assert fast.metrics.slick_reroutes == 3
         assert fast.endpoint.ring.available() == len(fast.endpoint.ring)
 
-    def test_non_slick_frame_after_a_memoized_reroute_is_forwarded(self):
+    def test_non_slick_frame_after_a_reroute_is_forwarded(self):
         """Regression: the flow key omitted the slick flag, so a plain
         frame naming the same dead port was handed the memoized reroute,
         ``slick_reroute_into`` refused its bytes and the frame was
         dropped ``undecodable``.  Cold it forwards onto the port it
-        names; warm it must too.
+        names; after a slick frame's reroute it must too.
 
         The plain frame arrives in the same batch as two slick ones of
-        the otherwise identical flow.  The batch's run memo is immune by
-        construction: it compares the whole leading segment, flags byte
-        included, so the plain frame takes a full decision of its own.
+        the otherwise identical flow.  The flow cache is keyed on the
+        whole leading segment, flags byte included (and holds no
+        reroute), so the plain frame takes a decision of its own.
         """
         plain = slick_frame([HeaderSegment(port=2), HeaderSegment(port=0)], [])
         router, sent = self._router(dead=(2,))
-        self._arrive(router)  # memoizes the reroute
+        self._arrive(router)  # rerouted
         ring = router.endpoint.ring
         router._on_batch([
             entry for datagram in (self.FRAME, self.FRAME, plain)

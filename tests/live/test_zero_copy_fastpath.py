@@ -344,7 +344,7 @@ class TestBatchedForwardingDifferential:
 
     def test_warm_flow_reuses_memoized_tail_byte_exactly(self):
         # The same flow three times: pass 1 is the cold install, passes
-        # 2-3 append FlowEntry.return_tail without re-encoding.
+        # 2-3 append the memoized Decision.return_tail without re-encoding.
         datagram = frame(
             [HeaderSegment(port=2, portinfo=bytes(range(14))),
              HeaderSegment(port=0)],
