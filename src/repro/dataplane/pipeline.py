@@ -518,10 +518,9 @@ class ForwardingPipeline:
             ):
                 return
             expiry = token_entry.claims.expiry_ms
-        post_delta = (
-            sum(s.wire_size() for s in decision.splice_tail)
-            - segment.wire_size()
-        )
+        post_delta = -segment.wire_size()
+        for spliced in decision.splice_tail:
+            post_delta += spliced.wire_size()
         return_segment = decision.return_segment
         if return_segment is not None:
             post_delta += return_segment.wire_size() + TRAILER_LENGTH_BYTES
@@ -540,11 +539,18 @@ class ForwardingPipeline:
             port=segment.port,
             token=segment.token,
             # What every later packet of the flow is told: this decision,
-            # minus what was this packet's alone; ``effective`` copied
-            # out of the packet buffer a segment view may live in.
-            decision=replace(
-                decision, effective=decision.effective.copy(),
-                truncate_to=0, token_delay=0.0, flow_cache_hit=True,
+            # minus what was this packet's alone (its truncation, its
+            # wait for the token check); ``effective`` taken out of the
+            # packet buffer a segment view lives in.
+            decision=Decision(
+                Action.FORWARD,
+                out_port=decision.out_port,
+                effective=decision.effective.to_segment(),
+                return_segment=return_segment,
+                return_tail=decision.return_tail,
+                splice_tail=decision.splice_tail,
+                dst_mac=decision.dst_mac,
+                flow_cache_hit=True,
             ),
             token_entry=token_entry,
             post_size_delta=post_delta,
