@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.viper.wire import HeaderSegment
 
@@ -74,11 +74,11 @@ class Decision:
     #: (None on cold decisions and when the return hop was rebuilt for
     #: fresh arrival portInfo; the driver then encodes once itself).
     return_tail: Optional[bytes] = None
-    splice_tail: List[HeaderSegment] = field(default_factory=list)
+    splice_tail: Sequence[HeaderSegment] = ()
     dst_mac: Optional[Any] = None
     truncate_to: int = 0
     token_delay: float = 0.0
-    branches: List[List[HeaderSegment]] = field(default_factory=list)
+    branches: Sequence[List[HeaderSegment]] = ()
     #: True (tree multicast) = each branch is the clone's *entire*
     #: remaining route; False (group/broadcast) = each branch replaces
     #: only the leading segment and the rest of the route is kept.

@@ -135,10 +135,10 @@ class HopInput:
     ``lead`` is the leading segment's encoding — any bytes-like, exactly
     the segment — and with ``in_port`` it is the flow-cache key.
     ``segment`` is the same segment parsed (a structural
-    :class:`HeaderSegment` or a zero-copy
-    :class:`~repro.viper.wire.SegmentView`); the pipeline touches it only
-    when the cache did not answer, so a driver holding bytes may parse on
-    demand.  The decision is a function of that key — plus, from outside
+    :class:`HeaderSegment` or a :class:`~repro.viper.wire.SegmentView`
+    over bytes that will not change — the flow cache keeps it); the
+    pipeline touches it only when the cache did not answer, so a driver
+    holding bytes may parse on demand.  The decision is a function of that key — plus, from outside
     it, exactly these, each with the handling that keeps a memoized
     decision equal to a fresh one:
 
@@ -540,12 +540,11 @@ class ForwardingPipeline:
             token=segment.token,
             # What every later packet of the flow is told: this decision,
             # minus what was this packet's alone (its truncation, its
-            # wait for the token check); ``effective`` taken out of the
-            # packet buffer a segment view lives in.
+            # wait for the token check).
             decision=Decision(
                 Action.FORWARD,
                 out_port=decision.out_port,
-                effective=decision.effective.to_segment(),
+                effective=decision.effective,
                 return_segment=return_segment,
                 return_tail=decision.return_tail,
                 splice_tail=decision.splice_tail,
@@ -580,7 +579,7 @@ class ForwardingPipeline:
             )
         splice_tail = (
             [s.copy(priority=segment.priority) for s in spliced[1:]]
-            if spliced and len(spliced) > 1 else []
+            if spliced and len(spliced) > 1 else ()
         )
         # Stage 5: truncation instead of fragmentation (§2) — the
         # post-hop wire size replaces the stripped segment with the

@@ -167,27 +167,27 @@ class _LiveHop:
     One per router, restamped per frame (:meth:`LiveRouter._on_batch`):
     ``lead`` is the leading segment's bytes, still in the ring slot
     ``mem`` views; ``segment`` parses them when first asked — which a
-    frame the flow cache answers never does.
+    frame the flow cache answers never does — from a private copy, so
+    the pipeline may keep the view it is handed (the flow cache does)
+    after the slot has moved on.
     """
 
     __slots__ = (
         "lead", "seg_count", "wire_size", "in_port", "now_ms",
-        "mem", "header_len", "_parsed",
+        "mem", "header_len", "_parsed", "_parsed_from",
     )
 
     def __init__(self) -> None:
         self.now_ms = 0
-        self._parsed = None
+        self._parsed = self._parsed_from = None
 
     @property
     def segment(self) -> SegmentView:
-        # Parsed once per frame: every frame brings its own ``mem``.
-        segment = self._parsed
-        if segment is None or segment.buffer is not self.mem:
-            segment = self._parsed = parse_segment_view(
-                self.mem, self.header_len
-            )
-        return segment
+        # Parsed once per frame: every frame brings its own ``lead``.
+        if self._parsed_from is not self.lead:
+            self._parsed_from = self.lead
+            self._parsed = parse_segment_view(bytes(self.lead))
+        return self._parsed
 
     def reverse_portinfo(self) -> bytes:
         """Reverse the hop's network-specific bytes for the return route:

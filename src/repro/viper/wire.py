@@ -110,10 +110,6 @@ class HeaderSegment:
             wire = self._wire = encode_segment(self)
         return wire
 
-    def to_segment(self) -> "HeaderSegment":
-        """Itself — what :meth:`SegmentView.to_segment` materialises."""
-        return self
-
     def stamped(self, priority: int, dib: Optional[bool] = None) -> "HeaderSegment":
         """This hop carrying ``priority`` (and ``dib`` unless None) —
         the segment itself when it already does."""
