@@ -1,6 +1,6 @@
-"""The structural reference the live hop move is tested against.
+"""The references the live overlay's fast paths are tested against.
 
-``src/repro/live`` has exactly one per-hop transform — the in-place
+**The hop move.**  ``src/repro/live`` has exactly one per-hop transform — the in-place
 :func:`~repro.live.frames.hop_move_into` /
 :func:`~repro.live.frames.slick_reroute_into`, reached only through
 ``LiveRouter._on_batch``.  This module is its differential oracle: the
@@ -8,19 +8,34 @@ same strip/reverse/append done the slow way, by decoding the whole frame
 into a :class:`~repro.viper.packet.SirpentPacket`, applying the
 simulator's own packet algebra and re-encoding.  It shares no code with
 the in-place path beyond the whole-frame codec.
+
+**The drain.**  :func:`drain_reference` is ``LiveEndpoint._on_readable``
+as it stood at ``2ad7013`` — a slot acquired and released per datagram,
+the acks owed kept in a dict per peer, every ack built by
+:func:`~repro.live.frames.encode_ack` — run on a live endpoint's own
+state.  ``tests/live/test_drain_differential.py`` holds the endpoint's
+drain to it, wakeup by wakeup.
 """
 
 from collections import Counter
 
 from repro.dataplane import Action, HopInput, UNKNOWN_IN_PORT
 from repro.live.frames import (
+    FRAME_ACK,
+    FRAME_DATA,
+    MAX_PAYLOAD_BYTES,
+    PREAMBLE_BYTES,
+    SEQ_BYTES,
     SEQ_NONE,
+    ack_seqs,
     decode_live_frame,
     decode_preamble,
+    encode_ack,
     encode_live_frame,
     hop_move_into,
     return_tail_of,
 )
+from repro.live.link import _MSG_TRUNC
 from repro.live.router import LiveRouter
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import TRUNCATION_SENTINEL
@@ -213,3 +228,91 @@ def capture_router(name, ports=(1, 2), slot_bytes=DEFAULT_SLOT_BYTES):
     for port in ports:
         router.connect_port(port, ("127.0.0.1", 9000 + port))
     return router, sent
+
+
+def drain_reference(self) -> None:
+    """One rx wakeup of the :class:`~repro.live.link.LiveEndpoint`
+    ``self``, the reference way: up to ``rx_batch`` datagrams, each into
+    a slot acquired for it (and released again unless it is delivered);
+    one ack per peer heard, sent when the drain ends and before the
+    consumer runs."""
+    sock = self._sock
+    if sock is None or self.closed:
+        return
+    ring = self.ring
+    buffers = self._recv_buffers
+    batch = []
+    #: Hop sequence numbers to acknowledge, per peer, in arrival order.
+    acks = {}
+    for _ in range(self.rx_batch):
+        slot = ring.acquire()
+        buffers[0] = slot.view
+        try:
+            nbytes, _anc, flags, addr = sock.recvmsg_into(buffers)
+        except (BlockingIOError, InterruptedError):
+            ring.release(slot)
+            break
+        except OSError:
+            ring.release(slot)
+            self.metrics.drop("socket_error")
+            break
+        finally:
+            buffers[0] = None
+        if flags & _MSG_TRUNC:
+            # Bigger than a slot: not a valid overlay frame (slots
+            # exceed the VIPER MTU plus all framing headroom).
+            ring.release(slot)
+            self.metrics.drop("oversize")
+            continue
+        datagram = slot.view[:nbytes]
+        try:
+            preamble = decode_preamble(datagram)
+            if preamble.kind == FRAME_ACK:
+                acked = ack_seqs(datagram, preamble)
+        except ViperDecodeError:
+            ring.release(slot)
+            self.metrics.drop("undecodable")
+            continue
+        if preamble.kind == FRAME_ACK:
+            ring.release(slot)
+            self.metrics.acks_in += 1
+            for seq in acked:
+                self._on_ack(seq, addr)
+            continue
+        if preamble.kind != FRAME_DATA:  # pragma: no cover - decoder guards
+            ring.release(slot)
+            self.metrics.drop("undecodable")
+            continue
+        if preamble.seq != SEQ_NONE:
+            # Acked even when a duplicate — its ack may have been lost.
+            owed = acks.get(addr)
+            if owed is None:
+                acks[addr] = [preamble.seq]
+            else:
+                owed.append(preamble.seq)
+            if self._is_duplicate(addr, preamble.seq):
+                ring.release(slot)
+                self.metrics.drop("duplicate")
+                continue
+        self.metrics.record_in(nbytes)
+        batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
+    # An ack must fit a slot of the peer's ring (sized like ours) and
+    # the 16-bit payloadLen, whatever ``rx_batch`` is.
+    per_ack = 1 + min(
+        ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
+    ) // SEQ_BYTES
+    for addr, owed in acks.items():
+        for at in range(0, len(owed), per_ack):
+            self.metrics.acks_out += 1
+            self._raw_send(
+                encode_ack(owed[at], owed[at + 1:at + per_ack]), addr
+            )
+    if not batch:
+        return
+    self.rx_batches += 1
+    self.rx_datagrams += len(batch)
+    if self.on_batch is not None:
+        self.on_batch(batch)
+    else:
+        for view, _source, _preamble in batch:
+            view.release()

@@ -1,0 +1,489 @@
+"""The endpoint's rx drain against the reference drain, wakeup by wakeup.
+
+``LiveEndpoint._on_readable`` runs once per loop wakeup on every live
+node; ``tests/live/oracle.py::drain_reference`` is the same wakeup done
+the plain way.  Two socket-free endpoints — a scripted object stands in
+for the UDP socket and hands out the datagrams of a generated script —
+take identical steps, one drained by its own method and one by the
+reference, and must agree after every step on everything an observer can
+see: the batches handed to the consumer (bytes, source, ``Preamble``),
+every datagram sent (acks and forwards: bytes, address, order), every
+counter and drop reason, the retry table and which of its slots came
+back, the dedup windows, the wakeup accounting, and the ring's books.
+
+Ring conservation is stated so that it holds whoever drains: slots
+acquired and not yet released are exactly those a batch consumer still
+holds, those pinned in the retry table, and the (at most one) receive
+slot the endpoint itself keeps between wakeups.
+"""
+
+import asyncio
+import dataclasses
+import socket
+from collections import deque
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.live import link
+from repro.live.frames import (
+    FLAG_TRACED,
+    FRAME_ACK,
+    FRAME_DATA,
+    decode_preamble,
+    encode_ack,
+    encode_preamble,
+)
+from repro.live.link import LiveEndpoint, ReliabilityConfig
+from repro.viper.ring import BufferRing
+from repro.viper.wire import MAX_SEGMENTS
+from tests.live.oracle import drain_reference, slot_view
+
+PEERS = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
+
+MSG_TRUNC = int(getattr(socket, "MSG_TRUNC", 0))
+
+#: Script markers: the next ``recvmsg_into`` raises instead of returning.
+SOCKET_ERROR = "socket-error"
+INTERRUPTED = "interrupted"
+
+
+class ScriptedSocket:
+    """What the endpoint needs of a UDP socket, fed from a queue.
+
+    ``recvmsg_into`` hands out the queued ``(bytes, addr)`` pairs — a
+    datagram longer than the buffer is cut to it and flagged
+    ``MSG_TRUNC``, as the kernel does — and raises ``BlockingIOError``
+    once the queue is empty.  ``sendto`` records.
+    """
+
+    def __init__(self):
+        self.queue = deque()
+        self.sent = []
+        self.handed_out = 0
+        self.truncated = 0
+
+    def fileno(self):
+        return -1
+
+    def close(self):
+        pass
+
+    def recvmsg_into(self, buffers):
+        if not self.queue:
+            raise BlockingIOError
+        item = self.queue.popleft()
+        if item == SOCKET_ERROR:
+            raise OSError("scripted")
+        if item == INTERRUPTED:
+            raise InterruptedError
+        datagram, (host, port) = item
+        (buffer,) = buffers
+        nbytes = min(len(datagram), len(buffer))
+        buffer[:nbytes] = datagram[:nbytes]
+        self.handed_out += 1
+        flags = MSG_TRUNC if len(datagram) > nbytes else 0
+        self.truncated += bool(flags)
+        # The kernel builds a new address tuple for every datagram.
+        return nbytes, [], flags, (host, port)
+
+    def sendto(self, datagram, addr):
+        self.sent.append((bytes(datagram), addr))
+
+
+class Side:
+    """One endpoint under the script, drained by ``drain``."""
+
+    def __init__(self, drain, config):
+        self.config = config
+        self.loop = asyncio.new_event_loop()
+        endpoint = self.endpoint = LiveEndpoint(
+            "under-test",
+            reliability=ReliabilityConfig(
+                ack_timeout_s=60.0, dedup_window=config["dedup_window"],
+            ),
+            ring=BufferRing(
+                slots=config["slots"], slot_bytes=config["slot_bytes"]
+            ),
+            rx_batch=config["rx_batch"],
+        )
+        self.sock = ScriptedSocket()
+        endpoint._sock = self.sock
+        endpoint._loop = self.loop
+        self.drain = drain
+        #: Every batch delivered: [(bytes, source, Preamble), ...].
+        self.batches = []
+        #: Views a holding consumer still owns.
+        self.held = []
+        #: seq -> slot of every frame ever pinned in the retry table.
+        self.pinned = {}
+        consumer = config["consumer"]
+        if consumer != "none":
+            endpoint.on_batch = getattr(self, "_" + consumer)
+
+    # -- consumers -------------------------------------------------------
+
+    def _record(self, batch):
+        self.batches.append([
+            (view.tobytes(), source, preamble)
+            for view, source, preamble in batch
+        ])
+
+    def _release(self, batch):
+        self._record(batch)
+        for view, _source, _preamble in batch:
+            view.release()
+
+    def _hold(self, batch):
+        self._record(batch)
+        self.held.extend(view for view, _source, _preamble in batch)
+
+    def _forward(self, batch):
+        """What a router does with a frame: on to the next peer, with a
+        hop sequence number of its own when the frame came with one."""
+        self._record(batch)
+        for view, source, preamble in batch:
+            onward = PEERS[(PEERS.index(source) + 1) % self.config["peers"]]
+            self.endpoint.send_view(view, onward, reliable=bool(preamble.seq))
+        self._note_pinned()
+
+    # -- steps -----------------------------------------------------------
+
+    def _note_pinned(self):
+        for seq, entry in self.endpoint._pending.items():
+            if entry.slot is not None:
+                self.pinned[seq] = entry.slot
+
+    def send(self, peer, via_view, body):
+        frame = encode_preamble(FRAME_DATA, 0, 0, len(body)) + body
+        if via_view:
+            view = slot_view(self.endpoint.ring, frame)
+            self.endpoint.send_view(view, PEERS[peer], reliable=True)
+        else:
+            self.endpoint.send(frame, PEERS[peer], reliable=True)
+        self._note_pinned()
+
+    def wakeup(self, arrivals):
+        self.sock.queue.extend(arrivals)
+        self.drain(self.endpoint)
+
+    def finish(self):
+        for view in self.held:
+            view.release()
+        self.held = []
+        self.endpoint.close()
+        self.loop.close()
+
+    # -- what an observer can see ------------------------------------------
+
+    def observed(self):
+        endpoint = self.endpoint
+        return {
+            "batches": self.batches,
+            "sent": self.sock.sent,
+            "metrics": dataclasses.asdict(endpoint.metrics),
+            "pending": {
+                seq: (bytes(entry.data), entry.addr, entry.retries_left,
+                      entry.slot is not None)
+                for seq, entry in endpoint._pending.items()
+            },
+            "pinned_slot_released": {
+                seq: slot.free for seq, slot in self.pinned.items()
+            },
+            "held_alive": [view.alive() for view in self.held],
+            "seen": {
+                addr: (sorted(values), list(order))
+                for addr, (values, order) in endpoint._seen.items()
+            },
+            "rx_batches": endpoint.rx_batches,
+            "rx_datagrams": endpoint.rx_datagrams,
+            "left_in_socket": len(self.sock.queue),
+        }
+
+    def check_books(self):
+        """Ring conservation and the one-timer invariant."""
+        endpoint = self.endpoint
+        stats = endpoint.ring.stats
+        pinned = sum(
+            1 for entry in endpoint._pending.values() if entry.slot is not None
+        )
+        rx_slot = getattr(endpoint, "_rx_slot", None)
+        assert stats.acquires - stats.releases == (
+            len(self.held) + pinned + (rx_slot is not None)
+        )
+        assert all(view.alive() for view in self.held)
+        assert rx_slot is None or not rx_slot.free
+        if endpoint._retry_heap:
+            assert endpoint._retry_timer.when() == endpoint._retry_heap[0][0]
+            assert not endpoint._retry_timer.cancelled()
+        else:
+            assert endpoint._retry_timer is None
+
+
+def run_case(config, steps):
+    """Both sides through ``steps``; equal after each, books balanced."""
+    decodes = []
+
+    def counting_decode(datagram):
+        decodes.append(1)
+        return decode_preamble(datagram)
+
+    subject = Side(LiveEndpoint._on_readable, config)
+    reference = Side(drain_reference, config)
+    try:
+        # The reference decodes through its own import: only the
+        # endpoint's calls are counted.
+        with mock.patch.object(link, "decode_preamble", counting_decode):
+            steps = list(steps)
+            while steps or subject.sock.queue:
+                # What a burst longer than ``rx_batch`` leaves in the
+                # socket is drained by wakeups of its own; every script
+                # ends on a wakeup that finds nothing.
+                step = steps.pop(0) if steps else ("wakeup", [])
+                for side in (subject, reference):
+                    if step[0] == "send":
+                        side.send(*step[1:])
+                    else:
+                        side.wakeup(step[1])
+                    side.check_books()
+                assert subject.observed() == reference.observed()
+            for side in (subject, reference):
+                side.wakeup([])
+                side.check_books()
+            assert subject.observed() == reference.observed()
+        # Exactly one preamble decode per datagram that fit a slot.
+        assert len(decodes) == subject.sock.handed_out - subject.sock.truncated
+    finally:
+        subject.finish()
+        reference.finish()
+    for side in (subject, reference):
+        stats = side.endpoint.ring.stats
+        assert stats.acquires == stats.releases
+        assert getattr(side.endpoint, "_rx_slot", None) is None
+    return subject
+
+
+# -- the generated script -----------------------------------------------------
+
+
+def data_frame(seq, body=b"body", seg_count=0, trace_id=0):
+    return encode_preamble(FRAME_DATA, seq, seg_count, len(body), trace_id) + body
+
+
+def preamble_bytes(magic=b"VL", version=1, kind=FRAME_DATA, seq=0,
+                   seg_count=0, payload_len=0):
+    """An 11-byte preamble with any field out of range."""
+    return (
+        magic + bytes((version, kind)) + seq.to_bytes(4, "big")
+        + bytes((seg_count,)) + payload_len.to_bytes(2, "big")
+    )
+
+
+#: Small numbers collide: duplicates, acks that find a pending frame (the
+#: endpoint's own sequence space starts at 1) and acks that find none.
+hop_seqs = st.one_of(st.integers(1, 12), st.integers(1, 0xFFFFFFFF))
+
+data_frames = st.builds(
+    data_frame,
+    seq=st.one_of(st.just(0), hop_seqs),
+    body=st.binary(max_size=24),
+    seg_count=st.integers(0, 3),
+    trace_id=st.one_of(st.just(0), st.integers(1, (1 << 64) - 1)),
+)
+
+acks = st.builds(
+    encode_ack, hop_seqs, st.lists(hop_seqs, max_size=5),
+)
+
+malformed = st.one_of(
+    st.binary(max_size=30),
+    st.binary(max_size=10),                          # shorter than a preamble
+    st.builds(preamble_bytes, magic=st.sampled_from([b"VX", b"LV", b"\0\0"])),
+    st.builds(preamble_bytes, version=st.sampled_from([0, 2, 255])),
+    st.builds(preamble_bytes, kind=st.sampled_from([2, 3, 0x7F, 0x82])),
+    st.builds(preamble_bytes, seg_count=st.integers(MAX_SEGMENTS + 1, 255)),
+    # The traced option belongs to data frames.
+    st.builds(
+        lambda seq: preamble_bytes(kind=FRAME_ACK | FLAG_TRACED, seq=seq)
+        + bytes(7) + b"\x01",
+        hop_seqs,
+    ),
+    # Traced data frames without (all of) a trace id.
+    st.builds(
+        lambda seq, tail: preamble_bytes(kind=FRAME_DATA | FLAG_TRACED, seq=seq)
+        + tail,
+        hop_seqs, st.sampled_from([b"", bytes(3), bytes(8)]),
+    ),
+    # Acks that do not frame exactly.
+    st.builds(lambda seq: encode_ack(seq) + bytes(4), hop_seqs),
+    st.builds(
+        lambda seq: preamble_bytes(kind=FRAME_ACK, seq=seq, payload_len=3)
+        + bytes(3),
+        hop_seqs,
+    ),
+    st.builds(
+        lambda seq: preamble_bytes(kind=FRAME_ACK, seq=seq, payload_len=8)
+        + bytes(4),
+        hop_seqs,
+    ),
+    st.builds(
+        lambda seq: preamble_bytes(kind=FRAME_ACK, seq=seq, seg_count=1),
+        hop_seqs,
+    ),
+)
+
+
+@st.composite
+def cases(draw):
+    config = {
+        "peers": draw(st.integers(1, 3)),
+        "rx_batch": draw(st.sampled_from([1, 3, 32])),
+        "dedup_window": draw(st.sampled_from([2, 4, 1024])),
+        # 19 bytes hold an ack of three numbers; 40 make most data
+        # frames oversize; 4096 is the default.
+        "slot_bytes": draw(st.sampled_from([19, 40, 4096])),
+        "slots": draw(st.sampled_from([2, 8])),
+        "consumer": draw(st.sampled_from(["none", "release", "hold", "forward"])),
+    }
+    peer = st.integers(0, config["peers"] - 1)
+    oversize = st.builds(
+        lambda seq, extra: data_frame(seq, bytes(config["slot_bytes"] + extra)),
+        st.one_of(st.just(0), hop_seqs), st.integers(0, 3),
+    )
+    datagram = st.one_of(
+        data_frames, data_frames, data_frames, acks, acks, malformed, oversize,
+    )
+    arrival = st.one_of(
+        st.tuples(datagram, peer.map(PEERS.__getitem__)),
+        st.tuples(datagram, peer.map(PEERS.__getitem__)),
+        st.tuples(datagram, peer.map(PEERS.__getitem__)),
+        st.tuples(datagram, peer.map(PEERS.__getitem__)),
+        st.sampled_from([SOCKET_ERROR, INTERRUPTED]),
+    )
+    step = st.one_of(
+        st.tuples(st.just("wakeup"), st.lists(arrival, max_size=8)),
+        st.tuples(st.just("wakeup"), st.lists(arrival, max_size=8)),
+        st.tuples(st.just("send"), peer, st.booleans(), st.binary(max_size=8)),
+    )
+    return config, draw(st.lists(step, min_size=1, max_size=8))
+
+
+@settings(max_examples=600, deadline=None)
+@given(cases())
+def test_drain_equals_reference_on_generated_wakeups(case):
+    config, steps = case
+    run_case(config, steps)
+
+
+# -- named scripts: each arm at least once, whatever the generator draws ------------
+
+A, B, C = PEERS
+DEFAULTS = {
+    "peers": 3, "rx_batch": 32, "dedup_window": 1024, "slot_bytes": 4096,
+    "slots": 8, "consumer": "release",
+}
+
+
+def scripted(**overrides):
+    return dict(DEFAULTS, **overrides)
+
+
+NAMED = {
+    "one reliable frame, the bare ack": (
+        scripted(), [("wakeup", [(data_frame(7), A)])],
+    ),
+    "one peer, several numbers, duplicates acked again": (
+        scripted(),
+        [("wakeup", [(data_frame(s), A) for s in (1, 2, 2, 3, 1)]),
+         ("wakeup", [(data_frame(2), A)])],
+    ),
+    "three peers interleaved, unsequenced frames between": (
+        scripted(),
+        [("wakeup", [
+            (data_frame(1), A), (data_frame(0), B), (data_frame(1), B),
+            (data_frame(2), A), (data_frame(9), C), (data_frame(2), B),
+            (data_frame(0), A),
+        ])],
+    ),
+    "an ack owes more numbers than fit the peer's slot": (
+        scripted(slot_bytes=19, slots=16),
+        [("wakeup", [(data_frame(s, b""), A) for s in range(1, 8)]
+          + [(data_frame(s, b""), B) for s in range(1, 5)])],
+    ),
+    "duplicate beyond the dedup window is delivered again": (
+        scripted(dedup_window=2),
+        [("wakeup", [(data_frame(s), A) for s in (1, 2, 3, 1, 3)])],
+    ),
+    "burst longer than rx_batch spills into the next wakeups": (
+        scripted(rx_batch=3),
+        [("wakeup", [(data_frame(s), PEERS[s % 2]) for s in range(1, 11)])],
+    ),
+    "acks: lone, coalesced, stray, unknown, between data": (
+        scripted(consumer="hold"),
+        [("send", 0, True, b"a"), ("send", 1, False, b"b"),
+         ("send", 0, True, b"c"), ("send", 2, True, b"d"),
+         ("wakeup", [
+             (encode_ack(2), A),            # B's frame acked by A: stray
+             (data_frame(5), A),
+             (encode_ack(1, [3, 77]), A),   # two of A's and an unknown
+             (encode_ack(4), C),
+             (data_frame(6), A),
+             (encode_ack(2), B),
+         ])],
+    ),
+    "socket error ends the drain, the rest waits": (
+        scripted(),
+        [("wakeup", [(data_frame(1), A), SOCKET_ERROR, (data_frame(2), A)])],
+    ),
+    "interrupted receive ends the drain like an empty socket": (
+        scripted(),
+        [("wakeup", [(data_frame(1), A), INTERRUPTED, (data_frame(2), B)])],
+    ),
+    "oversize and undecodable between frames, nothing acked for them": (
+        scripted(slot_bytes=40),
+        [("wakeup", [
+            (data_frame(1, bytes(40)), A), (b"noise", A), (data_frame(2), A),
+            (preamble_bytes(kind=FRAME_ACK | FLAG_TRACED, seq=2) + bytes(8), A),
+            (data_frame(3, bytes(29)), B), (b"", B),
+        ])],
+    ),
+    "no consumer: the endpoint releases the batch itself": (
+        scripted(consumer="none"),
+        [("wakeup", [(data_frame(1), A), (data_frame(0), B)])],
+    ),
+    "a forwarding consumer pins slots the next acks release": (
+        scripted(consumer="forward", peers=2, slots=2),
+        [("wakeup", [(data_frame(10), A), (data_frame(0), A),
+                     (data_frame(11), A)]),
+         ("wakeup", [(encode_ack(1), B), (encode_ack(2), A)]),
+         ("wakeup", [(encode_ack(2), B), (data_frame(12, trace_id=99), B)])],
+    ),
+    "a wakeup with nothing to read": (scripted(), [("wakeup", [])]),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_drain_equals_reference_on_named_script(name):
+    config, steps = NAMED[name]
+    run_case(config, steps)
+
+
+def test_the_named_scripts_reach_what_they_name():
+    """The harness itself: the scripted socket truncates, spills and
+    raises the way the scripts assume."""
+    side = run_case(*NAMED["burst longer than rx_batch spills into the next wakeups"])
+    assert side.endpoint.rx_batches == 4
+    assert [len(batch) for batch in side.batches] == [3, 3, 3, 1]
+    side = run_case(*NAMED["oversize and undecodable between frames, nothing acked for them"])
+    assert side.endpoint.metrics.drops == {"oversize": 1, "undecodable": 3}
+    assert [ack for ack, _addr in side.sock.sent] == [encode_ack(2), encode_ack(3)]
+    side = run_case(*NAMED["socket error ends the drain, the rest waits"])
+    assert side.endpoint.metrics.drops == {"socket_error": 1}
+    assert side.endpoint.rx_batches == 2
+    side = run_case(*NAMED["acks: lone, coalesced, stray, unknown, between data"])
+    assert side.endpoint.metrics.drops == {"stray_ack": 1}
+    assert side.endpoint.metrics.acks_in == 4
+    assert side.sock.sent[-1] == (encode_ack(5, [6]), A)
+    side = run_case(*NAMED["an ack owes more numbers than fit the peer's slot"])
+    assert [len(ack) for ack, _addr in side.sock.sent] == [19, 19, 11, 19, 11]
