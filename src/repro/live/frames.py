@@ -128,6 +128,9 @@ MAX_PAYLOAD_BYTES = 0xFFFF
 #: ``seq`` value meaning "unreliable, do not ack".
 SEQ_NONE = 0
 
+#: The largest hop sequence number; the number after it is 1.
+SEQ_MAX = (1 << (8 * SEQ_BYTES)) - 1
+
 
 #: The fixed preamble's wire layout: magic, version, kind, seq,
 #: segCount, payloadLen.
@@ -243,6 +246,8 @@ def encode_ack(seq: int, further: Sequence[int] = ()) -> bytes:
     received from the one peer the ack is sent to.
     """
     try:
+        if not further:
+            return _PREAMBLE.pack(MAGIC, VERSION, FRAME_ACK, seq, 0, 0)
         return _PREAMBLE.pack(
             MAGIC, VERSION, FRAME_ACK, seq, 0, SEQ_BYTES * len(further)
         ) + b"".join(map(_SEQ.pack, further))
@@ -283,7 +288,7 @@ def restamp_seq(datagram: bytes, seq: int) -> bytes:
     number; only this module knows where that field lives, so the link
     layer calls here instead of slicing the preamble by hand.
     """
-    if not 0 <= seq <= (1 << (8 * SEQ_BYTES)) - 1:
+    if not 0 <= seq <= SEQ_MAX:
         raise ValueError(f"sequence {seq} outside 32 bits")
     if len(datagram) < PREAMBLE_BYTES:
         raise ViperDecodeError("datagram shorter than the preamble")

@@ -29,7 +29,7 @@ callbacks.  The endpoint provides:
   slot stays **pinned** in the retry table until the ack (or the final
   abandonment) releases it.  All of an endpoint's ack deadlines share
   **one** loop timer (a deadline heap, see :meth:`LiveEndpoint.
-  _arm_retry`): a frame acked in time never touches the event loop,
+  _await_ack`): a frame acked in time never touches the event loop,
 * **coalesced sends** — :meth:`send_parts` gathers one datagram from
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
   bytes as the fallback); a full socket buffer queues the frame and
@@ -46,14 +46,14 @@ each with the preamble this endpoint already decoded.
 
 **View ownership**: a batch consumer owns every slot in the batch and
 must release each view (or hand it to :meth:`send_view`, which then
-owns it) exactly once — see ARCHITECTURE §14.
+owns it) exactly once; the endpoint itself keeps at most one slot, the
+one it receives into, between wakeups — see ARCHITECTURE §14.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
-import itertools
 import random
 import socket
 from collections import deque
@@ -67,6 +67,7 @@ from repro.live.frames import (
     PREAMBLE_BYTES,
     Preamble,
     SEQ_BYTES,
+    SEQ_MAX,
     SEQ_NONE,
     ack_seqs,
     decode_preamble,
@@ -76,7 +77,7 @@ from repro.live.frames import (
 )
 from repro.live.metrics import EndpointMetrics
 from repro.viper.errors import ViperDecodeError
-from repro.viper.ring import BufferRing
+from repro.viper.ring import BufferRing, RingSlot
 from repro.viper.wire import PacketView
 
 #: A UDP peer address.
@@ -283,7 +284,8 @@ class LiveEndpoint:
         #: returns a per-datagram fault decision or None.  Duck-typed so
         #: the live layer stays independent of the chaos package.
         self.fault_hook: Optional[Callable[[Address], Any]] = None
-        self._seq = itertools.count(1)
+        #: The next hop sequence number: 1 … ``SEQ_MAX``, then 1 again.
+        self._seq = 1
         self._pending: Dict[int, _PendingFrame] = {}
         #: ``(deadline, seq)`` ack deadlines, earliest first.  An ack
         #: only removes the frame from ``_pending``; its heap entry is
@@ -296,7 +298,9 @@ class LiveEndpoint:
         #: Frames deferred by a momentarily full socket buffer.
         self._tx_backlog: Deque[Tuple[bytes, Address]] = deque()
         self._writer_armed = False
-        #: Reusable single-buffer list for ``recvmsg_into``.
+        #: The slot the next datagram lands in, kept across wakeups (None
+        #: until the first, and once closed); ``recvmsg_into``'s buffer list.
+        self._rx_slot: Optional[RingSlot] = None
         self._recv_buffers: List[Any] = [None]
         #: Drain-loop accounting (wakeup amortisation, for the bench).
         self.rx_batches = 0
@@ -320,9 +324,7 @@ class LiveEndpoint:
             self._pending.clear()
             self._retry_heap.clear()
             self._seen.clear()
-            self._seq = itertools.count(
-                self._backoff_rng.randrange(1, 1 << (8 * SEQ_BYTES - 2))
-            )
+            self._seq = self._backoff_rng.randrange(1, 1 << (8 * SEQ_BYTES - 2))
         self._loop = asyncio.get_running_loop()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.setblocking(False)
@@ -338,8 +340,11 @@ class LiveEndpoint:
         return self.address
 
     def close(self) -> None:
-        """Close the socket, cancel retries, unpin every pending slot."""
+        """Close the socket, cancel retries, give back every slot held."""
         self.closed = True
+        slot, self._rx_slot = self._rx_slot, None
+        if slot is not None:
+            slot.ring.release(slot)
         self._retry_heap.clear()
         self._sync_retry_timer()
         for entry in self._pending.values():
@@ -378,14 +383,18 @@ class LiveEndpoint:
             return SEQ_NONE
         seq = SEQ_NONE
         if reliable:
-            seq = next(self._seq)
+            seq = self._seq
+            self._seq = seq + 1 if seq < SEQ_MAX else 1
             datagram = restamp_seq(datagram, seq)
             self._await_ack(seq, datagram, None, addr)
         self.metrics.record_out(len(datagram))
-        self._impaired_send(datagram, addr)
+        if self.fault_hook is not None or self.impairments.any():
+            self._impaired_send(datagram, addr)
+        else:
+            self._raw_send(datagram, addr)
         return seq
 
-    def send_view(self, view: PacketView, addr: Address,
+    def send_view(self, view: PacketView, addr: Address,  # sirlint: hot
                   reliable: bool = False) -> int:
         """Transmit a slot-backed frame without materialising it.
 
@@ -396,21 +405,34 @@ class LiveEndpoint:
         releases it.  The sequence restamp happens in place in the
         slot.  Chaos/impairment seams materialise one copy for the
         faulted transmission — they hold frames past this call — while
-        the pinned slot keeps the pristine original.
+        the pinned slot keeps the pristine original (the impairments are
+        read on every send: they may be switched on at any time).
         """
-        if self.closed or self._sock is None:
+        sock = self._sock
+        if self.closed or sock is None:
             view.release()
             return SEQ_NONE
+        mem = view.mem
         seq = SEQ_NONE
         if reliable:
-            seq = next(self._seq)
+            seq = self._seq
+            self._seq = seq + 1 if seq < SEQ_MAX else 1
             restamp_seq_into(view.buffer, view.start, seq)
-            self._await_ack(seq, view.mem, view.slot, addr)
-        self.metrics.record_out(len(view))
-        if self.fault_hook is not None or self.impairments.any():
-            self._impaired_send(view.tobytes(), addr)
+            self._await_ack(seq, mem, view.slot, addr)
+        self.metrics.record_out(len(mem))
+        imp = self.impairments
+        if (
+            self.fault_hook is not None or imp.loss_rate > 0.0 or imp.delay_s > 0.0
+            or imp.jitter_s > 0.0 or imp.reorder_rate > 0.0
+        ):
+            self._impaired_send(mem, addr)
         else:
-            self._raw_send(view.mem, addr)
+            try:
+                sock.sendto(mem, addr)
+            except (BlockingIOError, InterruptedError):
+                self._queue_tx(mem, addr)
+            except OSError:
+                self.metrics.drop("socket_error")
         if not reliable:
             view.release()
         return seq
@@ -484,13 +506,13 @@ class LiveEndpoint:
         try:
             self._sock.sendto(datagram, addr)
         except (BlockingIOError, InterruptedError):
-            self._queue_tx(bytes(datagram), addr)
+            self._queue_tx(datagram, addr)
         except OSError:
             self.metrics.drop("socket_error")
 
-    def _queue_tx(self, datagram: bytes, addr: Address) -> None:
-        """Defer a frame a full socket buffer refused; flush on writable."""
-        self._tx_backlog.append((datagram, addr))
+    def _queue_tx(self, datagram, addr: Address) -> None:
+        """Defer a copy of a frame a full socket buffer refused; flush on writable."""
+        self._tx_backlog.append((bytes(datagram), addr))
         if (
             not self._writer_armed
             and self._loop is not None
@@ -518,26 +540,21 @@ class LiveEndpoint:
 
     # -- per-hop reliability -----------------------------------------------
 
-    def _await_ack(self, seq: int, data, slot, addr: Address) -> None:
-        """Enter a just-stamped reliable frame into the retry table."""
+    def _await_ack(self, seq: int, data, slot, addr: Address) -> None:  # sirlint: hot
+        """Enter a just-stamped reliable frame into the retry table.  First
+        deadlines (``now + ack_timeout``) arrive in order, behind the head the
+        timer sleeps to: the loop is touched once per timeout, not per frame."""
         timeout_s = self.reliability.ack_timeout_s
         self._pending[seq] = _PendingFrame(
             data, slot, addr, self.reliability.max_retries, timeout_s,
         )
-        now = self._now()
+        now = self._loop.time()
         self._budget.note_send(now)
-        self._arm_retry(seq, now + timeout_s)
-
-    def _arm_retry(self, seq: int, deadline: float) -> None:
-        """Schedule ``seq``'s ack timeout for loop time ``deadline``.
-
-        One heap push; the loop is only touched when this deadline
-        becomes the earliest.  First deadlines are ``now + ack_timeout``
-        and so arrive in order: on a healthy link the timer is re-armed
-        once per ack timeout, not once per frame.
-        """
+        deadline = now + timeout_s
         heapq.heappush(self._retry_heap, (deadline, seq))
-        self._sync_retry_timer()
+        timer = self._retry_timer
+        if timer is None or deadline < timer.when():
+            self._sync_retry_timer()
 
     def _sync_retry_timer(self) -> None:
         """Restore the invariant: timer deadline == ``_retry_heap[0]``.
@@ -629,9 +646,10 @@ class LiveEndpoint:
         if self.on_retry is not None:
             self.on_retry(entry.addr, seq, entry.gap_s)
         self._impaired_send(entry.data, entry.addr)
-        self._arm_retry(seq, self._now() + entry.gap_s)
+        heapq.heappush(self._retry_heap, (self._now() + entry.gap_s, seq))
+        self._sync_retry_timer()
 
-    def _on_ack(self, seq: int, addr: Address) -> None:
+    def _on_ack(self, seq: int, addr: Address) -> None:  # sirlint: hot
         """Peer ``addr`` acknowledged ``seq``: stop retrying that frame.
 
         Only the peer a frame was sent to can acknowledge it.  Sequence
@@ -667,13 +685,15 @@ class LiveEndpoint:
 
     # -- receive -----------------------------------------------------------
 
-    def _on_readable(self) -> None:
+    def _on_readable(self) -> None:  # sirlint: hot
         """Drain loop: one wakeup, up to ``rx_batch`` datagrams.
 
         Each datagram lands in a ring slot via ``recvmsg_into`` (no
         receive-side allocation); acks and invalid frames are handled
         inline; surviving data frames are delivered as one batch of
-        views whose slots the consumer now owns.
+        views whose slots the consumer now owns.  Only a delivered frame
+        takes a slot from the ring: an ack, a duplicate, a drop and the
+        empty read that ends the drain leave the receive slot for the next.
 
         The reliable frames drained are acknowledged with **one ack
         datagram per peer**, sent when the drain ends and before the
@@ -686,73 +706,67 @@ class LiveEndpoint:
         if sock is None or self.closed:
             return
         ring = self.ring
+        metrics = self.metrics
         buffers = self._recv_buffers
-        batch: List[BatchEntry] = []
-        #: Hop sequence numbers to acknowledge, per peer, in arrival order.
-        acks: Dict[Address, List[int]] = {}
-        for _ in range(self.rx_batch):
+        batch, owed = [], []  # sirlint: disable=SIR008 -- the wakeup's products: the batch the consumer takes away and the numbers its one ack names
+        # ``owed`` is for ``ack_peer``, the peer heard last; ``acks`` files
+        # the lists per peer once a second one is heard (:meth:`_owed_to`).
+        ack_peer = acks = None
+        slot = self._rx_slot
+        if slot is None:
             slot = ring.acquire()
             buffers[0] = slot.view
+        for _ in range(self.rx_batch):
             try:
                 nbytes, _anc, flags, addr = sock.recvmsg_into(buffers)
             except (BlockingIOError, InterruptedError):
-                ring.release(slot)
                 break
             except OSError:
-                ring.release(slot)
-                self.metrics.drop("socket_error")
+                metrics.drop("socket_error")
                 break
-            finally:
-                buffers[0] = None
             if flags & _MSG_TRUNC:
                 # Bigger than a slot: not a valid overlay frame (slots
                 # exceed the VIPER MTU plus all framing headroom).
-                ring.release(slot)
-                self.metrics.drop("oversize")
+                metrics.drop("oversize")
                 continue
             datagram = slot.view[:nbytes]
             try:
                 preamble = decode_preamble(datagram)
-                if preamble.kind == FRAME_ACK:
+                kind = preamble.kind
+                if kind == FRAME_ACK:
                     acked = ack_seqs(datagram, preamble)
             except ViperDecodeError:
-                ring.release(slot)
-                self.metrics.drop("undecodable")
+                metrics.drop("undecodable")
                 continue
-            if preamble.kind == FRAME_ACK:
-                ring.release(slot)
-                self.metrics.acks_in += 1
+            if kind == FRAME_ACK:
+                metrics.acks_in += 1
                 for seq in acked:
                     self._on_ack(seq, addr)
                 continue
-            if preamble.kind != FRAME_DATA:  # pragma: no cover - decoder guards
-                ring.release(slot)
-                self.metrics.drop("undecodable")
+            if kind != FRAME_DATA:  # pragma: no cover - decoder guards
+                metrics.drop("undecodable")
                 continue
-            if preamble.seq != SEQ_NONE:
+            seq = preamble.seq
+            if seq != SEQ_NONE:
                 # Acked even when a duplicate — its ack may have been lost.
-                owed = acks.get(addr)
-                if owed is None:
-                    acks[addr] = [preamble.seq]
-                else:
-                    owed.append(preamble.seq)
-                if self._is_duplicate(addr, preamble.seq):
-                    ring.release(slot)
-                    self.metrics.drop("duplicate")
+                if addr != ack_peer:
+                    if ack_peer is not None:
+                        acks, owed = self._owed_to(acks, ack_peer, owed, addr)
+                    ack_peer = addr
+                owed.append(seq)
+                if self._is_duplicate(addr, seq):
+                    metrics.drop("duplicate")
                     continue
-            self.metrics.record_in(nbytes)
+            metrics.record_in(nbytes)
             batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
-        # An ack must fit a slot of the peer's ring (sized like ours) and
-        # the 16-bit payloadLen, whatever ``rx_batch`` is.
-        per_ack = 1 + min(
-            ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
-        ) // SEQ_BYTES
-        for addr, owed in acks.items():
-            for at in range(0, len(owed), per_ack):
-                self.metrics.acks_out += 1
-                self._raw_send(
-                    encode_ack(owed[at], owed[at + 1:at + per_ack]), addr
-                )
+            slot = ring.acquire()
+            buffers[0] = slot.view
+        self._rx_slot = slot  # sirlint: disable=SIR009 -- the endpoint's own receive slot: at most one between wakeups, close() gives it back (ARCHITECTURE §14)
+        if acks is not None or len(owed) > 1:
+            self._send_acks(acks, ack_peer, owed)
+        elif owed:
+            metrics.acks_out += 1
+            self._raw_send(encode_ack(owed[0]), ack_peer)
         if not batch:
             return
         self.rx_batches += 1
@@ -762,6 +776,27 @@ class LiveEndpoint:
         else:
             for view, _source, _preamble in batch:
                 view.release()
+
+    def _owed_to(self, acks, ack_peer: Address, owed: List[int], addr: Address):
+        """Another peer than ``ack_peer`` is heard: file ``owed`` under
+        it, return ``(acks, the numbers owed to addr so far)``."""
+        if acks is None:
+            acks = {ack_peer: owed}
+        return acks, acks.setdefault(addr, [])
+
+    def _send_acks(self, acks, ack_peer: Address, owed: List[int]) -> None:
+        """One ack per peer in the order first heard (``acks`` is None when
+        only ``ack_peer`` was), naming all it is owed.  An ack must fit a slot
+        of the peer's ring (sized like ours) and the 16-bit payloadLen."""
+        per_ack = 1 + min(
+            self.ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
+        ) // SEQ_BYTES
+        for addr, owed in (acks or {ack_peer: owed}).items():
+            for at in range(0, len(owed), per_ack):
+                self.metrics.acks_out += 1
+                self._raw_send(
+                    encode_ack(owed[at], owed[at + 1:at + per_ack]), addr
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LiveEndpoint {self.name!r} at {self.address}>"

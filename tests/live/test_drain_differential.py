@@ -116,7 +116,8 @@ class Side:
         self.batches = []
         #: Views a holding consumer still owns.
         self.held = []
-        #: seq -> slot of every frame ever pinned in the retry table.
+        #: seq -> (slot, its generation then) of every frame ever pinned
+        #: in the retry table; a release bumps the generation.
         self.pinned = {}
         consumer = config["consumer"]
         if consumer != "none":
@@ -152,8 +153,8 @@ class Side:
 
     def _note_pinned(self):
         for seq, entry in self.endpoint._pending.items():
-            if entry.slot is not None:
-                self.pinned[seq] = entry.slot
+            if entry.slot is not None and seq not in self.pinned:
+                self.pinned[seq] = (entry.slot, entry.slot.generation)
 
     def send(self, peer, via_view, body):
         frame = encode_preamble(FRAME_DATA, 0, 0, len(body)) + body
@@ -189,7 +190,8 @@ class Side:
                 for seq, entry in endpoint._pending.items()
             },
             "pinned_slot_released": {
-                seq: slot.free for seq, slot in self.pinned.items()
+                seq: slot.generation > pinned_at
+                for seq, (slot, pinned_at) in self.pinned.items()
             },
             "held_alive": [view.alive() for view in self.held],
             "seen": {

@@ -19,11 +19,12 @@ from repro.live import (
     WallClock,
     encode_live_frame,
 )
+from repro.live.frames import encode_ack
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.transport.rebind import RouteManager
 from repro.viper.packet import SirpentPacket
-from repro.viper.wire import HeaderSegment
+from repro.viper.wire import HeaderSegment, PacketView
 
 pytestmark = pytest.mark.live
 
@@ -136,6 +137,56 @@ def test_reliable_send_acks_and_dead_peer():
     asyncio.run(scenario())
 
 
+def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
+    """Regression: the hop sequence counter was unbounded, so the 2**32-th
+    reliable send raised ``ValueError`` out of ``send`` / ``send_view``
+    (inside a router's batch loop: the rest of the batch lost, its slots
+    leaked) and a number wrapped to 0 would have read as ``SEQ_NONE``.
+    After 0xFFFFFFFF comes 1."""
+
+    async def scenario():
+        sender = LiveEndpoint("a")
+        receiver = LiveEndpoint("b")
+        delivered = []
+
+        def on_batch(batch):
+            for view, _addr, preamble in batch:
+                delivered.append((preamble.seq, view.tobytes()[-2:]))
+                view.release()
+
+        receiver.on_batch = on_batch
+        await sender.open()
+        addr = await receiver.open()
+        # Whatever holds the sequence space, start it two short of the top.
+        sender._seq = type(sender._seq)(0xFFFFFFFE)
+        sent = []
+        for payload in (b"m0", b"m1", b"m2", b"m3"):
+            frame = encode_live_frame(SirpentPacket(
+                segments=[HeaderSegment(port=0)],
+                payload_size=len(payload), payload=payload,
+            ), payload)
+            if payload in (b"m0", b"m3"):
+                sent.append(sender.send(frame, addr, reliable=True))
+            else:
+                slot = sender.ring.acquire()
+                slot.buffer[:len(frame)] = frame
+                sent.append(sender.send_view(
+                    PacketView.of_slot(slot, len(frame)), addr, reliable=True
+                ))
+        assert sent == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2]
+        await _eventually(lambda: not sender._pending)
+        await _eventually(lambda: len(delivered) == 4)
+        assert delivered == [
+            (0xFFFFFFFE, b"m0"), (0xFFFFFFFF, b"m1"), (1, b"m2"), (2, b"m3"),
+        ]
+        assert sender.metrics.retries == 0
+        assert receiver.metrics.dropped("duplicate") == 0
+        sender.close()
+        receiver.close()
+
+    asyncio.run(scenario())
+
+
 def test_endpoint_drops_an_oversize_datagram_unacked():
     """A datagram larger than a ring slot is truncated by the kernel
     (``MSG_TRUNC``): counted ``oversize``, never delivered, never acked;
@@ -172,9 +223,63 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
         sender.send(frame_of(slot_bytes), addr, reliable=True)
         await _eventually(lambda: sender.metrics.acks_in == 1)
         assert received == [slot_bytes]
-        assert receiver.ring.available() == len(receiver.ring)
+        # Conservation: nothing is delivered-and-unreleased or pinned, so
+        # the only slot out of the ring is the one the endpoint receives
+        # into (ARCHITECTURE §14) — and close() gives that one back.
+        ring = receiver.ring
+        assert ring.stats.acquires - ring.stats.releases == 1
+        assert receiver._rx_slot is not None and not receiver._rx_slot.free
         sender.close()
         receiver.close()
+        assert ring.available() == len(ring) and receiver._rx_slot is None
+
+    asyncio.run(scenario())
+
+
+def test_endpoint_owns_one_receive_slot_between_wakeups():
+    """The drain keeps the slot it receives into: noise, an ack and the
+    empty read that ends a wakeup take nothing from the ring; ``close()``
+    gives the slot back and a reopened endpoint starts without one."""
+
+    async def scenario():
+        sender = LiveEndpoint("a")
+        receiver = LiveEndpoint("b")
+        received = []
+
+        def on_batch(batch):
+            for view, _addr, _preamble in batch:
+                received.append(len(view))
+                view.release()
+
+        receiver.on_batch = on_batch
+        await sender.open()
+        addr = await receiver.open()
+        ring, stats = receiver.ring, receiver.ring.stats
+        assert receiver._rx_slot is None and ring.available() == len(ring)
+        frame = encode_live_frame(SirpentPacket(
+            segments=[HeaderSegment(port=0)], payload_size=1, payload=b"x",
+        ), b"x")
+        sender.send(frame, addr)
+        await _eventually(lambda: received == [len(frame)])
+        # One slot went to the consumer and came back; one is kept.
+        assert (stats.acquires, stats.releases) == (2, 1)
+        kept = receiver._rx_slot
+        sender.send(b"line noise", addr)
+        sender.send(encode_ack(77), addr)
+        await _eventually(lambda: receiver.metrics.acks_in == 1)
+        assert receiver.metrics.dropped("undecodable") == 1
+        assert (stats.acquires, stats.releases) == (2, 1)
+        assert receiver._rx_slot is kept and not kept.free
+        receiver.close()
+        assert receiver._rx_slot is None and ring.available() == len(ring)
+        addr = await receiver.open()
+        assert receiver._rx_slot is None and ring.available() == len(ring)
+        sender.send(frame, addr)
+        await _eventually(lambda: len(received) == 2)
+        assert stats.acquires - stats.releases == 1
+        sender.close()
+        receiver.close()
+        assert stats.acquires == stats.releases
 
     asyncio.run(scenario())
 
