@@ -795,6 +795,83 @@ def test_sir008_fires_in_the_live_batch_loop():
     ]
 
 
+def test_sir008_fires_in_the_link_layer_drain():
+    """``LiveEndpoint._on_readable`` runs once per frame at batch fill 1:
+    a dict of acks per wakeup, a copy per datagram or a list per send is
+    a finding, and so is dropping any of the four pinned markers."""
+    findings = analyze(
+        """
+        class LiveEndpoint:
+            def _on_readable(self):  # sirlint: hot
+                batch = []
+                acks = {}
+                for _ in range(self.rx_batch):
+                    nbytes, _anc, flags, addr = self._sock.recvmsg_into(self._buffers)
+                    acks.setdefault(addr, []).append(bytes(self._slot.view[4:8]))
+
+            def send_view(self, view, addr, reliable=False):  # sirlint: hot
+                self._sock.sendto(view.mem, addr)
+
+            def _await_ack(self, seq, data, slot, addr):
+                self._pending[seq] = [data, slot, addr]
+
+            def _on_ack(self, seq, addr):  # sirlint: hot
+                del self._pending[seq]
+        """,
+        "repro.live.link",
+        path="src/repro/live/link.py",
+    )
+    assert sorted(f.symbol for f in findings if f.rule == "SIR008") == [
+        "_on_readable:call:bytes", "_on_readable:dict-literal",
+        "_on_readable:list-literal", "_on_readable:list-literal",
+        "hot-marker:_await_ack",
+    ]
+
+
+def test_sir008_silent_on_the_drain_with_its_one_reasoned_container():
+    """The batch is the wakeup's product and carries the reasoned disable;
+    the multi-peer ack arm allocates in an unmarked helper."""
+    findings = analyze(
+        """
+        class LiveEndpoint:
+            def _on_readable(self):  # sirlint: hot
+                batch, owed = [], []  # sirlint: disable=SIR008 -- fixture: the wakeup's products
+                ack_peer = acks = None
+                slot = self._rx_slot
+                for _ in range(self.rx_batch):
+                    nbytes, _anc, flags, addr = self._sock.recvmsg_into(self._buffers)
+                    preamble = decode_preamble(slot.view[:nbytes])
+                    if addr != ack_peer:
+                        if ack_peer is not None:
+                            acks, owed = self._owed_to(acks, ack_peer, owed, addr)
+                        ack_peer = addr
+                    owed.append(preamble.seq)
+                    batch.append((slot, addr, preamble))
+                if acks is not None or len(owed) > 1:
+                    self._send_acks(acks, ack_peer, owed)
+
+            def _owed_to(self, acks, ack_peer, owed, addr):
+                if acks is None:
+                    acks = {ack_peer: owed}
+                return acks, acks.setdefault(addr, [])
+
+            def send_view(self, view, addr, reliable=False):  # sirlint: hot
+                mem = view.mem
+                self._sock.sendto(mem, addr)
+
+            def _await_ack(self, seq, data, slot, addr):  # sirlint: hot
+                self._pending[seq] = _PendingFrame(data, slot, addr)
+                heapq.heappush(self._retry_heap, (self._loop.time(), seq))
+
+            def _on_ack(self, seq, addr):  # sirlint: hot
+                del self._pending[seq]
+        """,
+        "repro.live.link",
+        path="src/repro/live/link.py",
+    )
+    assert "SIR008" not in rules_fired(findings)
+
+
 def test_sir008_silent_on_the_batch_loop_and_the_one_key_copy():
     """Locals, tuple unpacking and a memoryview slice handed to the
     pipeline in the driver; in the flow cache a compare against the last

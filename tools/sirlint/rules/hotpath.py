@@ -19,8 +19,8 @@ In scope are :mod:`repro.dataplane` and :mod:`repro.viper` (the sans-IO
 layers both drivers share), the simulator's frame-hop loop in
 :mod:`repro.sim`, :mod:`repro.core` and :mod:`repro.net` (engine
 scheduling, the router driver's process/apply/forward, the output
-port, the channel) and the live router's batch loop in
-:mod:`repro.live`.  Slow-path oracles — the
+port, the channel) and, in :mod:`repro.live`, the router's batch loop
+and the endpoint's drain / send / retry-table entry under it.  Slow-path oracles — the
 materialising codec, ``tobytes()`` escape hatches, multicast expansion
 — stay unmarked and free to allocate; a genuinely-justified allocation
 in a hot function carries an inline ``# sirlint: disable=SIR008``.
@@ -43,7 +43,8 @@ HOT_PACKAGES: Tuple[str, ...] = (
     "repro.sim",
     "repro.core",
     "repro.net",
-    # The live router's batch loop (PR 17): runs once per frame-hop.
+    # The live router's batch loop (PR 17) and the link layer's drain
+    # and send (PR 23): run once per frame-hop.
     "repro.live",
 )
 
@@ -73,6 +74,16 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.live.router": (
         "_on_batch",
+    ),
+    # The link layer under it (PR 23): one wakeup per frame at batch
+    # fill 1, one send and one retry-table entry per frame-hop, one
+    # ``_on_ack`` per hop ack.  The multi-peer ack arm is an unmarked
+    # helper; the wakeup's batch is the one reasoned container.
+    "repro.live.link": (
+        "_on_readable",
+        "send_view",
+        "_await_ack",
+        "_on_ack",
     ),
     # One simulated frame-hop runs through exactly these; a per-hop
     # lambda, closure or container here is paid ~50 times a transaction.
