@@ -791,11 +791,11 @@ class LiveEndpoint:
         per_ack = 1 + min(
             self.ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
         ) // SEQ_BYTES
-        for addr, owed in (acks or {ack_peer: owed}).items():
-            for at in range(0, len(owed), per_ack):
+        for addr, seqs in (acks or {ack_peer: owed}).items():
+            for at in range(0, len(seqs), per_ack):
                 self.metrics.acks_out += 1
                 self._raw_send(
-                    encode_ack(owed[at], owed[at + 1:at + per_ack]), addr
+                    encode_ack(seqs[at], seqs[at + 1:at + per_ack]), addr
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
