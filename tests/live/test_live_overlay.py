@@ -24,7 +24,8 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.transport.rebind import RouteManager
 from repro.viper.packet import SirpentPacket
-from repro.viper.wire import HeaderSegment, PacketView
+from repro.viper.wire import HeaderSegment
+from tests.live.oracle import slot_view
 
 pytestmark = pytest.mark.live
 
@@ -168,10 +169,8 @@ def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
             if payload in (b"m0", b"m3"):
                 sent.append(sender.send(frame, addr, reliable=True))
             else:
-                slot = sender.ring.acquire()
-                slot.buffer[:len(frame)] = frame
                 sent.append(sender.send_view(
-                    PacketView.of_slot(slot, len(frame)), addr, reliable=True
+                    slot_view(sender.ring, frame), addr, reliable=True
                 ))
         assert sent == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2]
         await _eventually(lambda: not sender._pending)
