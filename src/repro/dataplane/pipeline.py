@@ -321,7 +321,7 @@ class ForwardingPipeline:
         segment = hop.segment
 
         # Stage 2b: token admission (§2.2).
-        verdict, token_delay = self.token_cache.admit(
+        verdict, token_delay, token_entry = self.token_cache.admit(
             segment.token, port, segment.priority, hop.wire_size,
             now_ms=hop.now_ms, rpf=segment.rpf,
         )
@@ -377,16 +377,69 @@ class ForwardingPipeline:
                 Action.DROP, reason="bad_portinfo",
                 drop_fields={"port": resolved_port},
             )
-        return_token = self._reverse_token(segment)
-        decision = self._forward_decision(
-            hop, segment, resolved_port, effective, dst_mac, spliced,
-            return_token, profile, token_delay,
+        return_segment = self._return_hop(
+            hop, segment.priority, segment.token, token_entry
+        )
+        splice_tail = (
+            [s.copy(priority=segment.priority) for s in spliced[1:]]
+            if spliced and len(spliced) > 1 else ()
+        )
+        # Post-hop wire-size change of the move: the stripped segment
+        # gives way to the splice tail plus the new trailer element.
+        size_delta = -segment.wire_size()
+        for transit in splice_tail:
+            size_delta += transit.wire_bytes
+        if return_segment is not None:
+            size_delta += return_segment.wire_bytes + TRAILER_LENGTH_BYTES
+        flow = dict(
+            out_port=resolved_port, effective=effective,
+            return_segment=return_segment, splice_tail=splice_tail,
+            dst_mac=dst_mac,
         )
 
-        # Stage 6: install the flow (deterministic resolutions only).
-        if self.logical.deterministic(port):
-            self._memoise(hop, decision)
-        return decision
+        # Stage 6: install the flow — deterministic resolutions only,
+        # never for an unknown arrival port, nor under a token whose
+        # cached claims would not admit the next packet (an optimistic
+        # first packet is let through before its claims are read:
+        # invalid, expired, or naming another port or priority).
+        if (
+            hop.in_port != UNKNOWN_IN_PORT
+            and self.logical.deterministic(port)
+            and (token_entry is None or self.token_cache.authorizes(
+                token_entry, port, segment.priority, segment.rpf
+            ))
+        ):
+            if return_segment is not None:
+                # The return hop's wire span, encoded exactly once per
+                # flow; every packet of it appends these bytes verbatim
+                # (a span too large for the 2-byte back-length is not
+                # memoized — the driver's own encode rejects it).
+                encoded = return_segment.wire
+                if len(encoded) < TRUNCATION_SENTINEL:
+                    flow["return_tail"] = encoded + len(encoded).to_bytes(
+                        TRAILER_LENGTH_BYTES, "big"
+                    )
+            self.flow_cache.install(FlowEntry(
+                in_port=hop.in_port,
+                lead=bytes(hop.lead),
+                port=port,
+                token=segment.token,
+                # What every later packet of the flow is told.
+                decision=Decision(Action.FORWARD, flow_cache_hit=True, **flow),
+                token_entry=token_entry,
+                post_size_delta=size_delta,
+                expires_at_ms=token_entry.expiry_ms if token_entry else 0,
+            ), hop.now_ms)
+
+        # Stage 5: truncation instead of fragmentation (§2), and the
+        # token check's wait — this packet's alone.
+        truncate_to = 0
+        if profile.mtu and hop.wire_size + size_delta > profile.mtu:
+            truncate_to = profile.mtu
+        return Decision(
+            Action.FORWARD, truncate_to=truncate_to, token_delay=token_delay,
+            **flow,
+        )
 
     # -- stage helpers -----------------------------------------------------
 
@@ -458,7 +511,7 @@ class ForwardingPipeline:
         profile = self.ports.profile(alt0.port)
         if profile is None or not profile.up:
             return None
-        verdict, token_delay = self.token_cache.admit(
+        verdict, token_delay, token_entry = self.token_cache.admit(
             alt0.token, alt0.port, segment.priority, hop.wire_size,
             now_ms=hop.now_ms, rpf=segment.rpf,
         )
@@ -468,15 +521,6 @@ class ForwardingPipeline:
         dst_mac = resolve_dst_mac(effective, profile.kind)
         if profile.kind == "ethernet" and dst_mac is None:
             return None
-        return_token = self._reverse_token(alt0)
-        return_segment = None
-        if hop.in_port != UNKNOWN_IN_PORT:
-            return_segment = HeaderSegment(
-                port=hop.in_port,
-                priority=segment.priority,
-                token=return_token,
-                portinfo=hop.reverse_portinfo(),
-            )
         splice_tail = [
             s.copy(priority=segment.priority) for s in alternate[1:]
         ]
@@ -489,133 +533,32 @@ class ForwardingPipeline:
             Action.FORWARD,
             out_port=alt0.port,
             effective=effective,
-            return_segment=return_segment,
+            return_segment=self._return_hop(
+                hop, segment.priority, alt0.token, token_entry
+            ),
             splice_tail=splice_tail,
             dst_mac=dst_mac,
             token_delay=token_delay,
             slick_reroute=True,
         )
 
-    def _memoise(self, hop: HopInput, decision: Decision) -> None:
-        """Install the FORWARD ``decision`` just made for ``hop`` — never
-        for unknown arrival ports, nor under a token whose cached claims
-        would not admit the next packet: unverified or invalid, already
-        past expiry, or (an optimistic first packet is let through
-        before its claims are read) naming another port or priority.
-        """
+    def _return_hop(
+        self, hop: HopInput, priority: int, token: bytes, token_entry: Any,
+    ) -> Optional[HeaderSegment]:
+        """The reversed hop for the trailer (None when the arrival port
+        is unknown).  The forward ``token`` rides it only when its
+        claims say so ("the token can be used for the return route as
+        well", §2.2)."""
         if hop.in_port == UNKNOWN_IN_PORT:
-            return
-        segment = hop.segment
-        token_entry, expiry = None, 0
-        if segment.token:
-            token_entry = self.token_cache.entry(segment.token)
-            if (
-                token_entry is None
-                or not self.token_cache.authorizes(
-                    token_entry, segment.port, segment.priority, segment.rpf
-                )
-                or token_entry.claims.expired(hop.now_ms)
-            ):
-                return
-            expiry = token_entry.claims.expiry_ms
-        post_delta = -segment.wire_size()
-        for spliced in decision.splice_tail:
-            post_delta += spliced.wire_size()
-        return_segment = decision.return_segment
-        if return_segment is not None:
-            post_delta += return_segment.wire_size() + TRAILER_LENGTH_BYTES
-            # Encode the return hop's wire span exactly once per flow;
-            # every warm packet appends these bytes verbatim (frames too
-            # large for the 2-byte back-length cannot be memoized — the
-            # driver's own encode rejects them).
-            encoded_return = return_segment.wire
-            if len(encoded_return) < TRUNCATION_SENTINEL:
-                decision.return_tail = encoded_return + len(
-                    encoded_return
-                ).to_bytes(TRAILER_LENGTH_BYTES, "big")
-        self.flow_cache.install(FlowEntry(
-            in_port=hop.in_port,
-            lead=bytes(hop.lead),
-            port=segment.port,
-            token=segment.token,
-            # What every later packet of the flow is told: this decision,
-            # minus what was this packet's alone (its truncation, its
-            # wait for the token check).
-            decision=Decision(
-                Action.FORWARD,
-                out_port=decision.out_port,
-                effective=decision.effective,
-                return_segment=return_segment,
-                return_tail=decision.return_tail,
-                splice_tail=decision.splice_tail,
-                dst_mac=decision.dst_mac,
-                flow_cache_hit=True,
-            ),
-            token_entry=token_entry,
-            post_size_delta=post_delta,
-            expires_at_ms=expiry,
-        ), hop.now_ms)
-
-    def _forward_decision(
-        self,
-        hop: HopInput,
-        segment: HeaderSegment,
-        out_port: int,
-        effective: HeaderSegment,
-        dst_mac: Optional[Any],
-        spliced: Optional[List[HeaderSegment]],
-        return_token: bytes,
-        profile: Any,
-        token_delay: float,
-    ) -> Decision:
-        """Assemble the FORWARD decision: return hop, splice, truncation."""
-        return_segment = None
-        if hop.in_port != UNKNOWN_IN_PORT:
-            return_segment = HeaderSegment(
-                port=hop.in_port,
-                priority=segment.priority,
-                token=return_token,
-                portinfo=hop.reverse_portinfo(),
-            )
-        splice_tail = (
-            [s.copy(priority=segment.priority) for s in spliced[1:]]
-            if spliced and len(spliced) > 1 else ()
+            return None
+        if token_entry is None or not (
+            token_entry.valid and token_entry.reverse_ok
+        ):
+            token = b""
+        return HeaderSegment(
+            port=hop.in_port, priority=priority, token=token,
+            portinfo=hop.reverse_portinfo(),
         )
-        # Stage 5: truncation instead of fragmentation (§2) — the
-        # post-hop wire size replaces the stripped segment with the
-        # splice tail plus the new trailer element.
-        truncate_to = 0
-        if profile.mtu:
-            post_size = (
-                hop.wire_size
-                - segment.wire_size()
-                + sum(s.wire_size() for s in splice_tail)
-            )
-            if return_segment is not None:
-                post_size += return_segment.wire_size() + TRAILER_LENGTH_BYTES
-            if post_size > profile.mtu:
-                truncate_to = profile.mtu
-        return Decision(
-            Action.FORWARD,
-            out_port=out_port,
-            effective=effective,
-            return_segment=return_segment,
-            splice_tail=splice_tail,
-            dst_mac=dst_mac,
-            truncate_to=truncate_to,
-            token_delay=token_delay,
-        )
-
-    def _reverse_token(self, segment: HeaderSegment) -> bytes:
-        """The token rides the return hop only when its claims say so
-        ("the token can be used for the return route as well", §2.2)."""
-        if not segment.token:
-            return b""
-        entry = self.token_cache.entry(segment.token)
-        if entry is not None and entry.valid and entry.claims is not None:
-            if entry.claims.reverse_ok:
-                return segment.token
-        return b""
 
     # -- invalidation hooks (drivers call these) ---------------------------
 

@@ -24,11 +24,11 @@ verifications the cache switches itself to blocking authentication.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.tokens.accounting import AccountLedger
 from repro.tokens.capability import (
+    ClaimChecks,
     InvalidTokenError,
     TokenClaims,
     TokenMint,
@@ -52,20 +52,47 @@ class Verdict(enum.Enum):
     REJECT = "reject"         # token known-invalid or policy says drop
 
 
-@dataclass
-class TokenCacheEntry:
-    """Cached verification result for one token value."""
+#: Stands in for the claims of a token that failed verification.
+_NO_CLAIMS = TokenClaims(port=0, max_priority=0, account=0)
 
-    claims: Optional[TokenClaims]
-    valid: bool
-    verified: bool = False          # full (slow) check completed
-    packets: int = 0
-    bytes: int = 0
+
+class TokenCacheEntry(ClaimChecks):
+    """Cached verification result for one token value.
+
+    The claims the slow check read are kept flat beside what has been
+    charged under them: a token is one object, holding nothing the
+    cyclic collector would follow, however many a router has seen.
+    """
+
+    __slots__ = (
+        "valid", "verified", "packets", "bytes",
+        "port", "max_priority", "account", "byte_limit", "reverse_ok",
+        "expiry_ms",
+    )
+
+    def __init__(
+        self, claims: Optional[TokenClaims], valid: bool,
+        verified: bool = False,
+    ) -> None:
+        #: There are claims and nothing known against them (the slow
+        #: check passed; the token has not been seen past its expiry).
+        self.valid = valid and claims is not None
+        self.verified = verified    # full (slow) check completed
+        self.packets = 0
+        self.bytes = 0
+        if claims is None:
+            claims = _NO_CLAIMS
+        self.port = claims.port
+        self.max_priority = claims.max_priority
+        self.account = claims.account
+        self.byte_limit = claims.byte_limit
+        self.reverse_ok = claims.reverse_ok
+        self.expiry_ms = claims.expiry_ms
 
     def remaining_budget(self) -> Optional[int]:
-        if self.claims is None or self.claims.byte_limit == UNLIMITED:
+        if not self.valid or self.byte_limit == UNLIMITED:
             return None
-        return max(0, self.claims.byte_limit - self.bytes)
+        return max(0, self.byte_limit - self.bytes)
 
 
 class TokenCache:
@@ -104,12 +131,16 @@ class TokenCache:
         size: int,
         now_ms: int = 0,
         rpf: bool = False,
-    ) -> Tuple[Verdict, float]:
-        """Real-time decision for one packet; returns (verdict, extra_delay).
+    ) -> Tuple[Verdict, float, Optional[TokenCacheEntry]]:
+        """Real-time decision for one packet; returns ``(verdict,
+        extra_delay, entry)``.
 
         ``extra_delay`` is the verification latency the packet itself
         must absorb — zero on a cache hit or under optimistic admission,
         ``verify_cost`` when the policy blocks on the slow check.
+        ``entry`` is the cache entry the verdict was read from — found
+        or just made; None for a packet without a token — so a caller
+        installing a flow under it need not look the token up again.
         ``rpf`` marks a reverse-path packet: a reverse-authorized token
         ("the token can be used for the return route as well", §2.2)
         then authorizes the return port even though it names the forward
@@ -117,16 +148,14 @@ class TokenCache:
         """
         if not token:
             if self.require_tokens:
-                return Verdict.REJECT, 0.0
-            return Verdict.FORWARD, 0.0
+                return Verdict.REJECT, 0.0, None
+            return Verdict.FORWARD, 0.0, None
 
         entry = self._entries.get(token)
         if entry is not None:
             self.hits += 1
-            return (
-                self._admit_cached(entry, token, port, priority, size, rpf),
-                0.0,
-            )
+            verdict = self._admit_cached(entry, port, priority, size, now_ms, rpf)
+            return verdict, 0.0, entry
 
         self.misses += 1
         effective_policy = self.policy
@@ -138,33 +167,35 @@ class TokenCache:
             # optimistic (paper's footnote 7).
             effective_policy = CachePolicy.BLOCKING
 
+        # Every policy installs the entry from the slow check, so later
+        # packets (a dropped source's retry too) are answered from cache.
+        entry = self._verify_and_install(token, now_ms)
         if effective_policy is CachePolicy.OPTIMISTIC:
-            # Admit now; install the entry from the slow check so later
-            # packets are authorized (or rejected) from cache.
-            self._verify_and_install(token, now_ms)
-            entry = self._entries[token]
+            # Admit now, whatever the check said.
             if entry.valid:
-                self._account(entry, token, size, priority)
-            return Verdict.FORWARD, 0.0
+                self._account(entry, size, priority)
+            return Verdict.FORWARD, 0.0, entry
         if effective_policy is CachePolicy.BLOCKING:
-            self._verify_and_install(token, now_ms)
-            entry = self._entries[token]
-            verdict = self._admit_cached(entry, token, port, priority, size, rpf)
-            return verdict, self.verify_cost
-        # DROP: still install the entry so the source's retry is cheap.
-        self._verify_and_install(token, now_ms)
-        return Verdict.REJECT, 0.0
+            verdict = self._admit_cached(entry, port, priority, size, now_ms, rpf)
+            return verdict, self.verify_cost, entry
+        return Verdict.REJECT, 0.0, entry
 
     def _admit_cached(
-        self, entry: TokenCacheEntry, token: bytes, port: int,
-        priority: int, size: int, rpf: bool = False,
+        self, entry: TokenCacheEntry, port: int, priority: int, size: int,
+        now_ms: int, rpf: bool,
     ) -> Verdict:
+        if entry.expired(now_ms):
+            # The claims are cached, so reading their expiry needs no
+            # re-verification.  The entry stays, as the slow check would
+            # leave it now — invalid: deleting it would hand the token's
+            # next packet to the optimistic policy.
+            entry.valid = False
         if not self.authorizes(entry, port, priority, rpf):
             return Verdict.REJECT
         budget = entry.remaining_budget()
         if budget is not None and size > budget:
             return Verdict.REJECT
-        self._account(entry, token, size, priority)
+        self._account(entry, size, priority)
         return Verdict.FORWARD
 
     @staticmethod
@@ -172,22 +203,19 @@ class TokenCache:
         entry: TokenCacheEntry, port: int, priority: int, rpf: bool = False
     ) -> bool:
         """Whether the cached claims admit a packet for ``port`` at
-        ``priority`` — all of admission but the byte budget, i.e. the
-        part a flow's every packet shares."""
-        claims = entry.claims
-        if not entry.valid or claims is None:
+        ``priority`` — all of admission but the clock and the byte
+        budget, i.e. the part a flow's every packet shares."""
+        if not entry.valid:
             return False
-        if not claims.authorizes_port(port) and not (rpf and claims.reverse_ok):
+        if not entry.authorizes_port(port) and not (rpf and entry.reverse_ok):
             return False
-        return claims.authorizes_priority(priority)
+        return entry.authorizes_priority(priority)
 
-    def _account(
-        self, entry: TokenCacheEntry, token: bytes, size: int, priority: int
-    ) -> None:
+    def _account(self, entry: TokenCacheEntry, size: int, priority: int) -> None:
+        """Charge one packet admitted under a valid ``entry``."""
         entry.packets += 1
         entry.bytes += size
-        if entry.claims is not None:
-            self.ledger.charge(entry.claims.account, size, priority)
+        self.ledger.charge(entry.account, size, priority)
 
     def account_flow_hit(
         self, entry: TokenCacheEntry, size: int, priority: int
@@ -202,18 +230,18 @@ class TokenCache:
         ledger, counts the packet, and records a cache hit so the
         token-cache hit rate reflects flow-cache-served packets too.
         """
-        if not entry.valid or entry.claims is None:
+        if not entry.valid:
             return False
         budget = entry.remaining_budget()
         if budget is not None and size > budget:
             return False
         self.hits += 1
-        self._account(entry, b"", size, priority)
+        self._account(entry, size, priority)
         return True
 
     # -- the slow path -----------------------------------------------------------
 
-    def _verify_and_install(self, token: bytes, now_ms: int) -> None:
+    def _verify_and_install(self, token: bytes, now_ms: int) -> TokenCacheEntry:
         try:
             claims = self.mint.verify(token, now_ms=now_ms)
             entry = TokenCacheEntry(claims=claims, valid=True, verified=True)
@@ -221,6 +249,7 @@ class TokenCache:
             self.invalid_seen += 1
             entry = TokenCacheEntry(claims=None, valid=False, verified=True)
         self._entries[token] = entry
+        return entry
 
     # -- management ---------------------------------------------------------------
 

@@ -42,16 +42,12 @@ class InvalidTokenError(Exception):
     """The token failed verification (bad seal, expired, or malformed)."""
 
 
-@dataclass(frozen=True)
-class TokenClaims:
-    """The decoded authorization a token conveys."""
+class ClaimChecks:
+    """What a token's claims authorize, asked of anything that carries
+    the claim fields: :class:`TokenClaims`, and the token cache's entry,
+    which keeps them flat beside its counters."""
 
-    port: int
-    max_priority: int
-    account: int
-    byte_limit: int = UNLIMITED
-    reverse_ok: bool = False
-    expiry_ms: int = 0  # 0 = never expires
+    __slots__ = ()
 
     def authorizes_port(self, port: int) -> bool:
         return self.port == WILDCARD_PORT or self.port == port
@@ -68,6 +64,18 @@ class TokenClaims:
 
     def expired(self, now_ms: int) -> bool:
         return self.expiry_ms != 0 and now_ms > self.expiry_ms
+
+
+@dataclass(frozen=True)
+class TokenClaims(ClaimChecks):
+    """The decoded authorization a token conveys."""
+
+    port: int
+    max_priority: int
+    account: int
+    byte_limit: int = UNLIMITED
+    reverse_ok: bool = False
+    expiry_ms: int = 0  # 0 = never expires
 
 
 class TokenMint:

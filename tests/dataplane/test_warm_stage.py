@@ -237,7 +237,12 @@ def test_the_shortcut_checks_the_clock(what, ttl_ms, later):
     warm(pipeline, segment)
     assert pipeline.decide(hop(segment, now_ms=later - 1)).flow_cache_hit
     stale = pipeline.decide(hop(segment, now_ms=later))
-    assert stale.action is Action.FORWARD and not stale.flow_cache_hit
+    # Past the TTL the flow is decided afresh; past the token's expiry
+    # the cached claims say so too, and the packet is refused.
+    assert not stale.flow_cache_hit
+    assert (stale.action, stale.reason) == (
+        (Action.FORWARD, "") if what == "ttl" else (Action.DROP, "token_reject")
+    )
     assert pipeline.flow_cache.stats.expirations == 1
     # An expired token installs no flow; an expired TTL starts a new one.
     assert len(pipeline.flow_cache) == (1 if what == "ttl" else 0)

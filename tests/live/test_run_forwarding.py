@@ -477,7 +477,10 @@ class TestDirectedRuns:
             (now, [(datagram, PEER_A)] * 4) for now in (0, 20, 30, 20_000)
         ]
         whole, _ = assert_batch_equals_frames(script)
-        assert kinds(whole.fates) == ["F"] * 16  # cached claims: no re-verify
+        # Cached claims need no re-verify to be read: past the token's
+        # expiry every frame is refused, however stale the cache entry.
+        assert kinds(whole.fates) == ["F"] * 8 + ["token_reject"] * 8
+        assert whole.router.token_cache.misses == 1
         assert whole.router.flow_cache.stats.expirations == 1
 
 
