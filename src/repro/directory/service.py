@@ -25,6 +25,7 @@ from repro.directory.pathfind import (
     PathObjective,
     dijkstra,
     k_shortest_paths,
+    path_weight,
 )
 from repro.directory.regions import RegionServer
 from repro.directory.routes import Route
@@ -104,6 +105,9 @@ class DirectoryService:
         self._edge_snapshot: Optional[List[Edge]] = None
         self._loads: Dict[str, float] = {}     # link name -> utilization
         self._subscriptions: List[_Subscription] = []
+        #: Paths already found, and the edge list they were found in:
+        #: (client, providers, objective, k) -> paths, best first.
+        self._path_memo: Tuple[List[Edge], Dict[tuple, List[List[Edge]]]] = ([], {})
         self.queries_served = 0
         self.tokens_issued = 0
         if refresh_interval is not None:
@@ -255,27 +259,40 @@ class DirectoryService:
         if not providers:
             return []
         edges = self.current_edges()
-        paths = []
+        memo_edges, memo = self._path_memo
+        if edges != memo_edges:
+            # A link failed or came back, a refresh, a load report: the
+            # question is no longer the one the memo answers.
+            memo = {}
+            self._path_memo = (edges, memo)
+        key = (client_node, tuple(providers), query.objective, query.k)
+        paths = memo.get(key)
+        if paths is None:
+            paths = memo[key] = self._find_paths(edges, client_node, providers, query)
+        return [self._path_to_route(p, query) for p in paths]
+
+    @staticmethod
+    def _find_paths(
+        edges: List[Edge], client_node: str, providers: List[str],
+        query: RouteQuery,
+    ) -> List[List[Edge]]:
         if len(providers) == 1 and query.k > 1:
             # One host: alternates are k disjoint-ish paths to it.
-            paths = [
+            return [
                 p for p in k_shortest_paths(
                     edges, client_node, providers[0], query.k, query.objective
                 ) if p
             ]
-        else:
-            # A replicated service: one best path per instance, ranked
-            # by the objective, truncated to k.  (A provider co-located
-            # with the client needs no network route and is skipped.)
-            for provider in providers:
-                path = dijkstra(edges, client_node, provider, query.objective)
-                if path:
-                    paths.append(path)
-            from repro.directory.pathfind import path_weight
-
-            paths.sort(key=lambda p: path_weight(p, query.objective))
-            paths = paths[:max(1, query.k)]
-        return [self._path_to_route(p, query) for p in paths]
+        # A replicated service: one best path per instance, ranked
+        # by the objective, truncated to k.  (A provider co-located
+        # with the client needs no network route and is skipped.)
+        paths = []
+        for provider in providers:
+            path = dijkstra(edges, client_node, provider, query.objective)
+            if path:
+                paths.append(path)
+        paths.sort(key=lambda p: path_weight(p, query.objective))
+        return paths[:max(1, query.k)]
 
     def query_latency(self, client_node: str, destination: str) -> float:
         """Simulated cost of the lookup: region resolution + server RTT.

@@ -20,9 +20,10 @@ from repro.net.node import EthernetAttachment, Node, P2PAttachment
 from repro.sim.engine import Simulator
 
 
-@dataclass
+@dataclass(frozen=True)
 class Edge:
-    """One directed hop in the topology graph.
+    """One directed hop in the topology graph — a value: the directory
+    remembers paths against the edges they were found in.
 
     ``dst_mac`` is set when the hop crosses an Ethernet segment — the
     directory copies it into the VIPER ``portInfo`` for that hop, exactly
