@@ -65,7 +65,7 @@ from repro.directory.service import BindingConflictError, RouteQuery
 from repro.live.host import LiveRoute
 from repro.live.link import Address
 from repro.viper.errors import ViperDecodeError
-from repro.viper.wire import HeaderSegment, decode_segment, encode_segment
+from repro.viper.wire import HeaderSegment, decode_segment
 
 #: Newline-delimited JSON: one object per line, UTF-8.
 ENCODING = "utf-8"
@@ -80,35 +80,44 @@ RTT_PROBE_BYTES = 64
 DEDUP_CAPACITY = 4096
 
 
-def route_to_json(route: Route) -> Dict[str, object]:
-    """Serialize one directory Route into its wire (JSON) form.
+def live_route_fields(route: Route) -> Dict[str, object]:
+    """What a :class:`LiveRoute` takes from a directory Route besides
+    its segments — the one statement of those rules, whichever door the
+    route leaves by (:func:`route_to_json`, ``as_live_route``).
 
     ``base_rtt_s`` is the *operating* estimate — floored to
     :data:`DEFAULT_BASE_RTT_S` when the model predicts zero, because
-    downstream rebinding logic divides by it.  The flooring is no
-    longer silent: ``measured_rtt_s`` always carries the model's real
-    prediction and ``rtt_floor_applied`` says which one ``base_rtt_s``
-    is, so clients can tell measured from floored.
+    downstream rebinding logic divides by it — and
+    ``rtt_floor_applied`` says which of the two it is.
     """
     measured = route.expected_rtt(RTT_PROBE_BYTES)
     floored = measured <= 0.0
-    obj: Dict[str, object] = {
+    return {
         "destination": route.destination,
-        "segments": [encode_segment(s).hex() for s in route.segments],
         "first_hop_port": route.first_hop_port,
         "base_rtt_s": DEFAULT_BASE_RTT_S if floored else measured,
-        "measured_rtt_s": measured,
         "rtt_floor_applied": floored,
         "hop_count": route.hop_count,
         "mtu": route.mtu,
     }
+
+
+def route_to_json(route: Route) -> Dict[str, object]:
+    """Serialize one directory Route into its wire (JSON) form:
+    :func:`live_route_fields`, the segments as hex of their encoding,
+    and ``measured_rtt_s`` — the model's real prediction, always, so a
+    client can tell measured from floored.
+    """
+    obj = live_route_fields(route)
+    obj["segments"] = [s.wire.hex() for s in route.segments]
+    obj["measured_rtt_s"] = route.expected_rtt(RTT_PROBE_BYTES)
     # Slick-Packets backup blocks ride only when present, so a
     # non-slick route's JSON line stays byte-identical to pre-slick
     # servers (old clients never see the key).
     alternates = getattr(route, "alternates", [])
     if alternates:
         obj["alternates"] = [
-            [encode_segment(s).hex() for s in block] for block in alternates
+            [s.wire.hex() for s in block] for block in alternates
         ]
     return obj
 

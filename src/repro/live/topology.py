@@ -27,11 +27,7 @@ from typing import Dict, List, Optional
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.directory.service import DirectoryService, RouteQuery
-from repro.live.directory import (
-    LiveDirectoryServer,
-    route_from_json,
-    route_to_json,
-)
+from repro.live.directory import LiveDirectoryServer, live_route_fields
 from repro.live.host import LiveHost, LiveRoute
 from repro.live.link import Address, Impairments, ReliabilityConfig
 from repro.live.metrics import EndpointMetrics, render_metrics
@@ -47,10 +43,16 @@ from repro.obs.slo import SloEngine
 def as_live_route(route) -> LiveRoute:
     """Convert a directory :class:`~repro.directory.routes.Route`.
 
-    Round-trips through the JSON wire form so in-process conversions
-    and TCP-fetched routes are constructed identically.
+    The in-process door: the route's own segments under
+    :func:`~repro.live.directory.live_route_fields`, field for field
+    what ``route_from_json(route_to_json(route))`` — the TCP door —
+    constructs.
     """
-    return route_from_json(route_to_json(route))
+    return LiveRoute(
+        segments=route.segments,
+        alternates=getattr(route, "alternates", ()),
+        **live_route_fields(route),
+    )
 
 
 class LiveOverlay:

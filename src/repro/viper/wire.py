@@ -229,6 +229,7 @@ def decode_segment(buffer: bytes, offset: int = 0) -> Tuple[HeaderSegment, int]:
             f"reserved flag bit set in flags byte {flag_byte:#04x}"
         )
     vnt, dib, rpf, slick, priority = unpack_flags_priority(flag_byte)
+    start = offset
     offset += FIXED_SEGMENT_BYTES
     token, offset = _decode_field(buffer, offset, token_len, "portToken")
     portinfo, offset = _decode_field(buffer, offset, portinfo_len, "portInfo")
@@ -239,6 +240,9 @@ def decode_segment(buffer: bytes, offset: int = 0) -> Tuple[HeaderSegment, int]:
         )
     except ValueError as error:  # pragma: no cover - defensive totality
         raise DecodeError(f"invalid segment fields: {error}") from error
+    # The decoder is canonical — accepted bytes re-encode to themselves
+    # — so the bytes consumed are the segment's encoding: kept.
+    segment._wire = bytes(buffer[start:offset])
     return segment, offset
 
 
@@ -543,7 +547,7 @@ def encode_route(segments) -> bytes:
             f"route of {len(segments)} segments exceeds VIPER's "
             f"{MAX_SEGMENTS}-segment maximum"
         )
-    return b"".join(encode_segment(s) for s in segments)
+    return b"".join([s.wire for s in segments])
 
 
 def decode_route(buffer: bytes, count: int, offset: int = 0):
@@ -598,11 +602,7 @@ def encode_alt_block(segments) -> bytes:
                 "alternate segments may not themselves be slick "
                 "(the failover DAG is depth-1)"
             )
-    out = bytearray()
-    out.append(len(segments))
-    for segment in segments:
-        out += encode_segment(segment)
-    return bytes(out)
+    return bytes((len(segments),)) + b"".join([s.wire for s in segments])
 
 
 def decode_alt_block(buffer, offset: int = 0):
