@@ -161,17 +161,16 @@ def _encode_field(data: bytes) -> bytes:
 
 def encode_segment(segment: HeaderSegment) -> bytes:
     """Serialize a header segment per Figure 1."""
-    out = bytearray()
-    out.append(_encode_length(len(segment.portinfo)))
-    out.append(_encode_length(len(segment.token)))
-    out.append(segment.port)
-    out.append(pack_flags_priority(
-        segment.vnt, segment.dib, segment.rpf, segment.priority,
-        slick=segment.slick,
+    token, portinfo = segment.token, segment.portinfo
+    fixed = bytes((
+        _encode_length(len(portinfo)), _encode_length(len(token)),
+        segment.port,
+        pack_flags_priority(
+            segment.vnt, segment.dib, segment.rpf, segment.priority,
+            slick=segment.slick,
+        ),
     ))
-    out += _encode_field(segment.token)
-    out += _encode_field(segment.portinfo)
-    return bytes(out)
+    return fixed + _encode_field(token) + _encode_field(portinfo)
 
 
 def _decode_field(
