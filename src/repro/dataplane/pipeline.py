@@ -388,9 +388,15 @@ class ForwardingPipeline:
         # gives way to the splice tail plus the new trailer element.
         size_delta = -segment.wire_size()
         for transit in splice_tail:
-            size_delta += transit.wire_bytes
+            size_delta += transit.wire_size()
         if return_segment is not None:
-            size_delta += return_segment.wire_bytes + TRAILER_LENGTH_BYTES
+            size_delta += return_segment.wire_size() + TRAILER_LENGTH_BYTES
+        # Stage 5: truncation instead of fragmentation (§2).
+        truncate_to = 0
+        if profile.mtu and hop.wire_size + size_delta > profile.mtu:
+            truncate_to = profile.mtu
+        # What the flow fixes; this packet's truncation and its wait for
+        # the token check are its own.
         flow = dict(
             out_port=resolved_port, effective=effective,
             return_segment=return_segment, splice_tail=splice_tail,
@@ -424,18 +430,11 @@ class ForwardingPipeline:
                 lead=bytes(hop.lead),
                 port=port,
                 token=segment.token,
-                # What every later packet of the flow is told.
                 decision=Decision(Action.FORWARD, flow_cache_hit=True, **flow),
                 token_entry=token_entry,
                 post_size_delta=size_delta,
                 expires_at_ms=token_entry.expiry_ms if token_entry else 0,
             ), hop.now_ms)
-
-        # Stage 5: truncation instead of fragmentation (§2), and the
-        # token check's wait — this packet's alone.
-        truncate_to = 0
-        if profile.mtu and hop.wire_size + size_delta > profile.mtu:
-            truncate_to = profile.mtu
         return Decision(
             Action.FORWARD, truncate_to=truncate_to, token_delay=token_delay,
             **flow,
