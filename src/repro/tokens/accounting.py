@@ -29,12 +29,12 @@ class UsageRecord:
 class AccountLedger:
     """All accounts charged at one router.
 
-    The books are three columns of integers — packets and bytes per
-    account, packets per (account, priority) — so an account seen for
-    the first time adds dict slots and no object of its own: a router
-    charging a million accounts keeps nothing for the cyclic collector
-    to visit.  :meth:`usage` and :attr:`records` hand out
-    :class:`UsageRecord` *views*, built when asked.
+    The books are two columns of integers — bytes per account, packets
+    per (account, priority) — so an account seen for the first time adds
+    dict slots and no object of its own: a router charging a million
+    accounts keeps nothing for the cyclic collector to visit.
+    :meth:`usage` and :attr:`records` hand out :class:`UsageRecord`
+    *views*, built when asked.
 
     Pricing is deliberately simple: a per-byte price with a per-priority
     multiplier, matching the paper's observation that "use of high
@@ -51,36 +51,34 @@ class AccountLedger:
     def __init__(self, router: str = "", price_per_byte: float = 1e-9) -> None:
         self.router = router
         self.price_per_byte = price_per_byte
-        self._packets: Dict[int, int] = {}
         self._bytes: Dict[int, int] = {}
         #: ``account << 4 | priority`` (a 4-bit wire priority) -> packets.
-        self._by_priority: Dict[int, int] = {}
+        self._packets: Dict[int, int] = {}
 
     def charge(self, account: int, size: int, priority: int) -> None:
-        packets = self._packets
-        packets[account] = packets.get(account, 0) + 1
         charged = self._bytes
         charged[account] = charged.get(account, 0) + size
-        by_priority = self._by_priority
+        packets = self._packets
         key = account << 4 | priority
-        by_priority[key] = by_priority.get(key, 0) + 1
+        packets[key] = packets.get(key, 0) + 1
 
     def usage(self, account: int) -> UsageRecord:
         base = account << 4
-        by_priority = self._by_priority
+        packets = self._packets
+        by_priority = {
+            key - base: packets[key]
+            for key in range(base, base + 16) if key in packets
+        }
         return UsageRecord(
-            packets=self._packets.get(account, 0),
+            packets=sum(by_priority.values()),
             bytes=self._bytes.get(account, 0),
-            by_priority={
-                key - base: by_priority[key]
-                for key in range(base, base + 16) if key in by_priority
-            },
+            by_priority=by_priority,
         )
 
     @property
     def records(self) -> Dict[int, UsageRecord]:
         """Every charged account's usage, as views."""
-        return {account: self.usage(account) for account in self._packets}
+        return {account: self.usage(account) for account in self._bytes}
 
     def bill(self, account: int) -> float:
         """Monetary charge for an account under the default price table."""
@@ -94,10 +92,10 @@ class AccountLedger:
         return cost
 
     def accounts(self) -> List[int]:
-        return sorted(self._packets)
+        return sorted(self._bytes)
 
     def total_bytes(self) -> int:
         return sum(self._bytes.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<AccountLedger {self.router!r} accounts={len(self._packets)}>"
+        return f"<AccountLedger {self.router!r} accounts={len(self._bytes)}>"
