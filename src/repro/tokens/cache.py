@@ -65,19 +65,15 @@ class TokenCacheEntry(ClaimChecks):
     """
 
     __slots__ = (
-        "valid", "verified", "packets", "bytes",
+        "valid", "packets", "bytes",
         "port", "max_priority", "account", "byte_limit", "reverse_ok",
         "expiry_ms",
     )
 
-    def __init__(
-        self, claims: Optional[TokenClaims], valid: bool,
-        verified: bool = False,
-    ) -> None:
+    def __init__(self, claims: Optional[TokenClaims], valid: bool) -> None:
         #: There are claims and nothing known against them (the slow
         #: check passed; the token has not been seen past its expiry).
         self.valid = valid and claims is not None
-        self.verified = verified    # full (slow) check completed
         self.packets = 0
         self.bytes = 0
         if claims is None:
@@ -244,10 +240,10 @@ class TokenCache:
     def _verify_and_install(self, token: bytes, now_ms: int) -> TokenCacheEntry:
         try:
             claims = self.mint.verify(token, now_ms=now_ms)
-            entry = TokenCacheEntry(claims=claims, valid=True, verified=True)
+            entry = TokenCacheEntry(claims, valid=True)
         except InvalidTokenError:
             self.invalid_seen += 1
-            entry = TokenCacheEntry(claims=None, valid=False, verified=True)
+            entry = TokenCacheEntry(None, valid=False)
         self._entries[token] = entry
         return entry
 

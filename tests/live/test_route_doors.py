@@ -96,9 +96,9 @@ def test_both_doors_build_the_same_live_route(route, priority, dib):
     for name in FIELDS:
         here, there = getattr(in_process, name), getattr(over_tcp, name)
         assert here == there and type(here) is type(there), name
-    assert in_process.rtt_floor_applied == (
-        route.expected_rtt(64) <= 0.0
-    ) == (in_process.base_rtt_s == DEFAULT_BASE_RTT_S and not route.hop_count)
+    measured = route.expected_rtt(64)
+    assert in_process.rtt_floor_applied == (measured <= 0.0)
+    assert in_process.base_rtt_s == (measured or DEFAULT_BASE_RTT_S)
     # Same header on the wire, for the stamp drawn and for the plain one…
     for stamp in ((priority, dib), (0, False)):
         assert in_process.wire_header(*stamp) == over_tcp.wire_header(*stamp)
