@@ -48,7 +48,7 @@ from repro.live.frames import (
 )
 from repro.tokens.cache import TokenCache
 from repro.tokens.capability import TokenMint
-from repro.viper.packet import SirpentPacket
+from repro.viper.packet import SirpentPacket, TrailerElement
 from repro.viper.ring import BufferRing
 from repro.viper.wire import HeaderSegment, PacketView, segment_span
 
@@ -175,7 +175,8 @@ def bench_f02_dataplane(benchmark):
     def structural_move() -> bytes:
         # The same hop through the object layer: every byte round-trips.
         _preamble, packet, payload = decode_live_frame(datagram)
-        packet.advance(return_segment)
+        packet.segments.pop(0)
+        packet.trailer.append(TrailerElement(return_segment))
         return encode_live_frame(packet, payload)
 
     slow_us = _per_op_us(structural_move, STRIPS)

@@ -10,6 +10,7 @@ multicast and truncation-instead-of-fragmentation.
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import FlowLimiter, RateControlManager, RateSignal
 from repro.core.host import DeliveredPacket, SirpentHost
+from repro.core.packet import FramePacket
 from repro.core.queues import OutputPort, SubmitResult
 from repro.core.router import RouterConfig, SirpentRouter
 from repro.core.tunnel import (
@@ -26,6 +27,7 @@ __all__ = [
     "DeliveredPacket",
     "CvcTunnelAttachment",
     "FlowLimiter",
+    "FramePacket",
     "IpTunnelAttachment",
     "LogicalPortMap",
     "attach_cvc_tunnel",

@@ -6,43 +6,52 @@ intra-host ports — the paper's unification of inter-host and intra-host
 addressing: "a Sirpent header segment can be used to designate the port
 within a host to which to address the packet" (§2.2).
 
-On reception the host:
+Both edges work on the frame's bytes, as the live host's do
+(:mod:`repro.live.frames`).  Sending frames the route's segments — each
+one's cached encoding — ahead of the payload.  On reception the host
+opens the frame by offsets:
 
-* demultiplexes on the final segment's port (0 = the default endpoint),
-* derives the *return route* from the packet trailer
-  (:func:`repro.viper.packet.build_return_route`) plus the reversed
-  arrival frame header for the first physical hop back, and
-* hands the transport a :class:`DeliveredPacket` carrying both.
+* it demultiplexes on the final segment's port (0 = the default
+  endpoint),
+* finds where the payload ends — the trailer behind it is the *return
+  route*, whose reversed segments a reply's header is copied from
+  (:func:`~repro.live.frames.return_route_header`), with the reversed
+  arrival frame header for the first physical hop back — and
+* hands the transport a :class:`DeliveredPacket`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.congestion import ControlPlane, RateSignal
+from repro.core.packet import FramePacket
 from repro.core.queues import OutputPort
+from repro.live.frames import (
+    decode_preamble, encode_route_header, frame_spans, return_route_header, truncation_marked,
+)
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
 from repro.net.node import Attachment, Node
 from repro.obs.trace import NULL_TRACER
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, Histogram
-from repro.viper.packet import SirpentPacket, build_return_route
-from repro.viper.wire import HeaderSegment, LOCAL_PORT
+from repro.viper.wire import LOCAL_PORT
 
 
 @dataclass
 class DeliveredPacket:
     """What the host hands up to the transport layer."""
 
-    packet: SirpentPacket
+    packet: FramePacket
     payload: Any
     payload_size: int
     socket: int
     arrived_at: float
-    #: Router-level return route recovered from the trailer, in send order.
-    return_segments: List[HeaderSegment]
+    #: ``(start, end)`` of each trailer segment in the frame
+    #: (``packet.view.mem``), in return-route order.
+    trailer_spans: List[Tuple[int, int]]
     #: MAC for the first physical hop of the return route (None on p2p).
     return_first_hop_mac: Optional[MacAddress]
     #: Host port the packet arrived on (= first hop of the return route).
@@ -121,33 +130,66 @@ class SirpentHost(Node):
         host_port: Optional[int] = None,
         first_hop_mac: Optional[MacAddress] = None,
         trace_id: Optional[int] = None,
-    ) -> SirpentPacket:
-        """Build a VIPER packet for ``route`` and clock it out.
+    ) -> FramePacket:
+        """Frame a VIPER packet for ``route`` and clock it out.
 
         ``route`` duck-types the directory's Route: ``segments`` (one
-        per router plus the destination's final segment),
-        ``first_hop_port`` (which of our ports to use) and
-        ``first_hop_mac`` (who to frame it to, None on p2p).  The
-        priority is stamped into every segment — the type of service
-        travels with each hop's header (§2).
+        per router plus the destination's final segment), optional
+        ``alternates`` (slick blocks), ``first_hop_port`` (which of our
+        ports to use) and ``first_hop_mac`` (who to frame it to, None on
+        p2p).  The priority is stamped into every segment — the type of
+        service travels with each hop's header (§2).
 
         ``trace_id``: None asks the installed tracer to (maybe) sample
         this packet; a non-zero value continues an existing trace (the
         reply path); 0 forces "untraced".
         """
-        # The packet owns its lists; the segments in them are the
-        # route's own wherever they already carry this type of service.
-        packet = SirpentPacket(
-            segments=[s.stamped(priority, dib) for s in route.segments],
-            payload_size=payload_size,
+        header, seg_count = encode_route_header(
+            route.segments, getattr(route, "alternates", ()), priority, dib
+        )
+        return self._send_frame(
+            header, seg_count, payload, payload_size, priority, dib,
+            host_port if host_port is not None else route.first_hop_port,
+            first_hop_mac if first_hop_mac is not None else route.first_hop_mac,
+            trace_id,
+        )
+
+    def send_return(
+        self,
+        delivered: DeliveredPacket,
+        payload: Any,
+        payload_size: int,
+        reply_socket: int = LOCAL_PORT,
+        priority: int = 0,
+    ) -> FramePacket:
+        """Send back along a delivered packet's reversed trailer route.
+
+        ``reply_socket`` becomes the final segment's port at the original
+        sender — the transport knows which of its endpoints should get
+        the reply.  The reply's header is copied from the trailer's
+        spans, each segment stamped with RPF and ``priority`` (§2).
+        """
+        header, seg_count = return_route_header(
+            delivered.packet.view.mem, delivered.trailer_spans,
+            reply_socket, priority,
+        )
+        return self._send_frame(
+            header, seg_count, payload, payload_size, priority, False,
+            delivered.arrival_port, delivered.return_first_hop_mac,
+            delivered.packet.trace_id,
+        )
+
+    def _send_frame(
+        self, header: bytes, seg_count: int, payload: Any, payload_size: int,
+        priority: int, dib: bool, port_id: int, mac: Optional[MacAddress],
+        trace_id: Optional[int],
+    ) -> FramePacket:
+        packet = FramePacket(
+            seg_count, payload_size, header, filler=payload_size,
             payload=payload,
             packet_id=self.sim.new_packet_id(),
             created_at=self.sim.now,
             source=self.name,
-            alternates=[
-                [s.stamped(priority) for s in block]
-                for block in getattr(route, "alternates", ())
-            ],
         )
         if self.tracer.enabled:
             if trace_id is None:
@@ -157,8 +199,6 @@ class SirpentHost(Node):
                 self.tracer.event(
                     trace_id, self.sim.now, self.name, "send_return",
                 )
-        port_id = host_port if host_port is not None else route.first_hop_port
-        mac = first_hop_mac if first_hop_mac is not None else route.first_hop_mac
         outport = self.output_ports.get(port_id)
         if outport is None:
             raise KeyError(f"{self.name}: no attachment on port {port_id}")
@@ -173,51 +213,27 @@ class SirpentHost(Node):
         )
         return packet
 
-    def send_return(
-        self,
-        delivered: DeliveredPacket,
-        payload: Any,
-        payload_size: int,
-        reply_socket: int = LOCAL_PORT,
-        priority: int = 0,
-    ) -> SirpentPacket:
-        """Send back along a delivered packet's reversed trailer route.
-
-        ``reply_socket`` becomes the final segment's port at the original
-        sender — the transport knows which of its endpoints should get
-        the reply.
-        """
-        segments = [s.stamped(priority) for s in delivered.return_segments]
-        segments.append(HeaderSegment(port=reply_socket, priority=priority, rpf=True))
-        route = _AdHocRoute(
-            segments=segments,
-            first_hop_port=delivered.arrival_port,
-            first_hop_mac=delivered.return_first_hop_mac,
-        )
-        return self.send(
-            route, payload, payload_size, priority=priority,
-            trace_id=delivered.packet.trace_id,
-        )
-
     # -- receiving --------------------------------------------------------------
 
     def on_packet(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
-        if not isinstance(packet, SirpentPacket):
+        if not isinstance(packet, FramePacket):
             return
-        if not packet.segments:
+        socket = packet.leading_port()
+        if socket is None:
             self.undeliverable.add()
             if packet.trace_id and self.tracer.enabled:
                 self.tracer.drop(
                     packet.trace_id, self.sim.now, self.name, "undeliverable",
                 )
             return
-        final = packet.segments[0]
-        socket = final.port
+        mem = packet.view.mem
+        _, _, payload_end, spans = frame_spans(mem, decode_preamble(mem))
+        truncated = truncation_marked(len(mem), payload_end, spans)
         handler = self.sockets.get(socket)
         self.received.add()
         if packet.corrupted:
             self.received_corrupted.add()
-        if packet.truncated:
+        if truncated:
             self.received_truncated.add()
         self.delivery_delay.add(self.sim.now - packet.created_at)
         if packet.trace_id and self.tracer.enabled:
@@ -235,10 +251,10 @@ class SirpentHost(Node):
             payload_size=packet.payload_size,
             socket=socket,
             arrived_at=self.sim.now,
-            return_segments=build_return_route(packet),
+            trailer_spans=spans,
             return_first_hop_mac=return_first_hop_mac,
             arrival_port=inport.port_id,
-            truncated=packet.truncated,
+            truncated=truncated,
             corrupted=packet.corrupted,
         )
         handler(delivered)
@@ -247,12 +263,3 @@ class SirpentHost(Node):
         if isinstance(message, RateSignal):
             for handler in self.rate_signal_handlers:
                 handler(message)
-
-
-@dataclass
-class _AdHocRoute:
-    """Minimal route object for return-path sends."""
-
-    segments: List[HeaderSegment]
-    first_hop_port: int
-    first_hop_mac: Optional[MacAddress]

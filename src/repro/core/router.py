@@ -22,7 +22,10 @@ strip/reverse/append planning, truncation, multicast expansion, the
 live UDP overlay.  This class is the simulator-side **driver**: it owns
 attachments, output queues, simulated timing, the congestion manager
 and the tracer, and it *applies* the pipeline's
-:class:`~repro.dataplane.Decision` to the structural packet.
+:class:`~repro.dataplane.Decision` to the packet's frame bytes with the
+live overlay's own moves (:func:`~repro.live.frames.forward_into`,
+:func:`~repro.live.frames.truncate_into`) — one hop transform for both
+substrates.
 
 Store-and-forward operation (for rate-mismatched hops, or to model an
 IP-era software router on the same hardware) uses the same pipeline from
@@ -36,8 +39,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import ControlPlane, RateControlManager
+from repro.core.packet import HEADER, PAYLOAD_LEN_AT, SEG_COUNT_AT, FramePacket
 from repro.core.queues import OutputPort
-from repro.core.truncation import truncate_to_mtu
 from repro.dataplane import (
     Action,
     Capabilities,
@@ -50,6 +53,9 @@ from repro.dataplane import (
 )
 from repro.dataplane.logical import LogicalPortMap
 from repro.dataplane.multicast import GroupPortMap
+from repro.live.frames import (
+    FRAME_DATA, SEQ_NONE, forward_into, leading_alt_block, payload_offset, truncate_into,
+)
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
 from repro.net.node import Attachment, Node
@@ -58,9 +64,8 @@ from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, Histogram
 from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
-from repro.viper.packet import SirpentPacket
 from repro.viper.portinfo import EthernetInfo
-from repro.viper.wire import LOCAL_PORT, HeaderSegment
+from repro.viper.wire import LOCAL_PORT, HeaderSegment, parse_segment_view, segment_span
 
 
 @dataclass
@@ -143,7 +148,7 @@ class _SimEffectSink(EffectSink):
 
     __slots__ = ("_router", "_packet")
 
-    def __init__(self, router: "SirpentRouter", packet: SirpentPacket) -> None:
+    def __init__(self, router: "SirpentRouter", packet: FramePacket) -> None:
         self._router = router
         self._packet = packet
 
@@ -162,31 +167,54 @@ class _SimEffectSink(EffectSink):
 
 
 class _SimHop:
-    """One arrival as the pipeline reads it (the ``HopInput`` surface):
-    the lazy fields are methods over the arrival's own objects (a hop
-    builds no thunk), ``lead`` is the route-shared segment's own cached
-    encoding (a hop encodes nothing), ``wire_size`` is the size the
-    delivering transmission carried."""
+    """One arrival as the pipeline reads it (the ``HopInput`` surface),
+    found in the packet's frame the way the live router finds it:
+    ``lead`` is the leading segment's bytes, ``segment`` parses them
+    when first asked — which a frame the flow cache answers never does
+    — and ``wire_size`` is the size the delivering transmission
+    carried.
+
+    The hop is also the frame's preamble as the move reads it (the
+    :class:`~repro.live.frames.Preamble` surface): a sim frame is built
+    by a host, never received off a socket, and always carries the
+    untraced data preamble, so only its counts are read from the bytes.
+    """
+
+    kind = FRAME_DATA
+    seq = SEQ_NONE
+    trace_id = 0
+    header_len = HEADER
 
     __slots__ = (
-        "lead", "segment", "seg_count", "wire_size", "in_port", "now_ms",
-        "_packet", "_inport", "_tx",
+        "lead", "seg_count", "payload_len", "wire_size", "in_port",
+        "now_ms", "next_rel", "_packet", "_inport", "_tx", "_parsed",
     )
 
     def __init__(
-        self, packet: SirpentPacket, inport: Attachment, tx: Transmission,
+        self, packet: FramePacket, inport: Attachment, tx: Transmission,
         size: int, now_ms: int,
     ) -> None:
-        segments = packet.segments
-        self.segment = segment = segments[0] if segments else None
-        self.lead = segment.wire if segments else None
-        self.seg_count = len(segments)
+        view = packet.view
+        buffer, start = view.buffer, view.start
+        self.seg_count = buffer[start + SEG_COUNT_AT]
+        self.payload_len = buffer[start + PAYLOAD_LEN_AT] << 8 | buffer[start + PAYLOAD_LEN_AT + 1]
+        next_at = segment_span(buffer, start + HEADER)
+        self.next_rel = next_at - start
+        self.lead = buffer[start + HEADER:next_at]
+        self._packet = packet
         self.wire_size = size
         self.in_port = inport.port_id
         self.now_ms = now_ms
-        self._packet = packet
         self._inport = inport
         self._tx = tx
+        self._parsed = None
+
+    @property
+    def segment(self):
+        # Of an immutable copy: the flow cache may keep what it is handed.
+        if self._parsed is None:
+            self._parsed = parse_segment_view(bytes(self.lead))
+        return self._parsed
 
     def reverse_portinfo(self) -> bytes:
         """Reverse the arrival network header (Ethernet src/dst swap, §2).
@@ -206,8 +234,7 @@ class _SimHop:
         return b""
 
     def alternate(self) -> Optional[List[HeaderSegment]]:
-        alternates = self._packet.alternates
-        return list(alternates[0]) if alternates else None
+        return leading_alt_block(self._packet.view.mem, HEADER, self.seg_count)
 
 
 class SirpentRouter(Node):
@@ -247,7 +274,7 @@ class SirpentRouter(Node):
             capabilities=Capabilities(multicast=True),
         )
         self.stats = RouterStats()
-        self.local_handler: Optional[Callable[[SirpentPacket, Attachment], None]] = None
+        self.local_handler: Optional[Callable[[FramePacket, Attachment], None]] = None
         self.output_ports: Dict[int, OutputPort] = {}
         self.congestion: Optional[RateControlManager] = None
         if control_plane is not None:
@@ -292,24 +319,25 @@ class SirpentRouter(Node):
     def _stamp_feed_forward(outport: OutputPort) -> Callable[[Any], None]:
         def stamp(entry: Any) -> None:
             packet = entry.packet
-            if isinstance(packet, SirpentPacket):
+            if isinstance(packet, FramePacket):
                 packet.feed_forward_load = outport.queue_depth
         return stamp
 
     # -- receive hooks -------------------------------------------------------
 
     def on_header(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
-        if not isinstance(packet, SirpentPacket):
+        if not isinstance(packet, FramePacket):
             return
         if not self.config.cut_through:
             return
-        if not packet.segments:
+        port = packet.leading_port()
+        if port is None:
             return  # handled (and counted) at completion
-        if packet.current_segment.port == LOCAL_PORT:
+        if port == LOCAL_PORT:
             return  # local delivery needs the full packet
         # Cut-through needs matching rates ("only applicable when the
         # input link and the output link are the same data rates").
-        outport_id = self.pipeline.peek_physical_port(packet.current_segment)
+        outport_id = self.pipeline.peek_physical_port(port)
         if outport_id is not None:
             attachment = self.ports.get(outport_id)
             if attachment is None or attachment.rate_bps != inport.rate_bps:
@@ -324,18 +352,19 @@ class SirpentRouter(Node):
         self._process(packet, inport, tx, tx.size, 0.0)
 
     def on_packet(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
-        if not isinstance(packet, SirpentPacket):
+        if not isinstance(packet, FramePacket):
             return
         if packet.packet_id in self._header_handled:
             self._header_handled.discard(packet.packet_id)
             return
-        if not packet.segments:
+        port = packet.leading_port()
+        if port is None:
             apply_drop(
                 _SimEffectSink(self, packet),
                 Decision(Action.DROP, reason="route_exhausted"),
             )
             return
-        if packet.current_segment.port == LOCAL_PORT:
+        if port == LOCAL_PORT:
             self._deliver_local(packet, inport)
             return
         self.stats.store_forwards.add()
@@ -350,7 +379,7 @@ class SirpentRouter(Node):
 
     def on_abort(self, packet: Any, inport: Attachment) -> None:
         """Upstream preemption mid-cut-through: propagate the abort."""
-        if not isinstance(packet, SirpentPacket):
+        if not isinstance(packet, FramePacket):
             return
         self._header_handled.discard(packet.packet_id)
         for outport in self.output_ports.values():
@@ -363,7 +392,7 @@ class SirpentRouter(Node):
 
     def _process(  # sirlint: hot
         self,
-        packet: SirpentPacket,
+        packet: FramePacket,
         inport: Attachment,
         tx: Transmission,
         size: int,
@@ -371,56 +400,52 @@ class SirpentRouter(Node):
     ) -> None:
         """One hop of a packet that arrived, now, ``size`` bytes long."""
         packet.hop_log.append(self.name)
-        decision = self.pipeline.decide(
-            _SimHop(packet, inport, tx, size, int(self.sim.now * 1000))
-        )
-        self._apply(decision, packet, inport, tx, extra_process_delay)
+        hop = _SimHop(packet, inport, tx, size, int(self.sim.now * 1000))
+        self._apply(self.pipeline.decide(hop), packet, hop, extra_process_delay)
 
     def _apply(  # sirlint: hot
         self,
         decision: Decision,
-        packet: SirpentPacket,
-        inport: Attachment,
-        tx: Transmission,
+        packet: FramePacket,
+        hop: _SimHop,
         extra_process_delay: float,
     ) -> None:
         if decision.action is Action.DROP:
             apply_drop(_SimEffectSink(self, packet), decision)
             return
         if decision.action is Action.DELIVER_LOCAL:
-            self._deliver_local(packet, inport, append_hop=False)
+            self._deliver_local(packet, hop._inport, append_hop=False)
             return
         if decision.action is Action.FANOUT:
-            self._fan_out(decision, packet, inport, tx, extra_process_delay)
+            self._fan_out(decision, packet, hop, extra_process_delay)
             return
 
-        # FORWARD: strip the segment, append the return hop (§2), splice
-        # any transit tail, truncate to the egress MTU — then transmit
-        # after the decision/verification/processing delay.
+        # FORWARD: the live router's move on the frame — strip the
+        # segment, append the return hop (§2), splice any transit tail
+        # or the slick alternate — then truncate to the egress MTU and
+        # transmit after the decision/verification/processing delay.
+        while not forward_into(packet.view, decision, hop, hop.next_rel):
+            packet.grow()
+        packet.hops_taken += 1
+        tracing = packet.trace_id and self.tracer.enabled
         if decision.slick_reroute:
             # Slick-Packets local reroute (ARCHITECTURE §16): the
-            # in-band alternate replaces the *entire* remaining route
-            # and every other alternate block is discarded with it;
-            # the normal strip below then takes its first hop.
-            packet.apply_slick_reroute((decision.effective,))
+            # in-band alternate replaced the *entire* remaining route.
             self.stats.slick_reroutes.add()
-            if packet.trace_id and self.tracer.enabled:
+            if tracing:
                 self.tracer.event(
                     packet.trace_id, self.sim.now, self.name,
                     "slick_reroute", out_port=decision.out_port,
                 )
-        packet.advance(decision.return_segment)
-        if packet.trace_id and self.tracer.enabled:
+        if tracing:
             self.tracer.event(
                 packet.trace_id, self.sim.now, self.name,
                 "strip_reverse_append", out_port=decision.out_port,
-                segments_left=len(packet.segments),
-                trailer_len=len(packet.trailer),
+                segments_left=packet.seg_count,
             )
-        if decision.splice_tail:
-            packet.segments[0:0] = decision.splice_tail
         if decision.truncate_to:
-            truncate_to_mtu(packet, decision.truncate_to)
+            while not truncate_into(packet.view, decision.truncate_to):
+                packet.grow()
             self.stats.truncated.add()
         delay = (
             self.config.decision_delay + decision.token_delay + extra_process_delay
@@ -436,22 +461,26 @@ class SirpentRouter(Node):
     def _fan_out(
         self,
         decision: Decision,
-        packet: SirpentPacket,
-        inport: Attachment,
-        tx: Transmission,
+        packet: FramePacket,
+        hop: _SimHop,
         extra_process_delay: float,
     ) -> None:
-        """Multicast: clone per branch, re-enter the pipeline per clone
-        (token checks per branch segment)."""
+        """Multicast: re-frame a clone per branch and run each through
+        the pipeline again (token checks per branch segment).  A branch
+        replaces the leading segment, or — tree multicast — the whole
+        route and its alternate blocks."""
+        mem = packet.view.mem
+        if decision.fanout_replaces_route:
+            rest = mem[payload_offset(mem, hop):]
+            kept = 0
+        else:
+            rest = mem[hop.next_rel:]
+            kept = hop.seg_count - 1
         for branch in decision.branches:
-            segments = list(branch)
-            if not decision.fanout_replaces_route:
-                segments += packet.segments[1:]
-            clone = SirpentPacket(
-                segments=segments,
-                payload_size=packet.payload_size,
+            clone = FramePacket(
+                len(branch) + kept, hop.payload_len,
+                b"".join([s.wire for s in branch]) + rest,
                 payload=packet.payload,
-                trailer=list(packet.trailer),
                 packet_id=self.sim.new_packet_id(),
                 created_at=packet.created_at,
                 source=packet.source,
@@ -460,10 +489,10 @@ class SirpentRouter(Node):
                 trace_id=packet.trace_id,
             )
             self.stats.multicast_copies.add()
-            self._process(clone, inport, tx, clone.wire_size(), extra_process_delay)
+            self._process(clone, hop._inport, hop._tx, clone.wire_size(), extra_process_delay)
 
     def _forward(  # sirlint: hot
-        self, packet: SirpentPacket, size: int, port: int,
+        self, packet: FramePacket, size: int, port: int,
         segment: HeaderSegment, dst_mac: Optional[MacAddress], arrival_time: float,
     ) -> None:
         outport = self.output_ports[port]
@@ -473,13 +502,13 @@ class SirpentRouter(Node):
         self.congestion.admit_or_hold(
             packet,
             self.ports[port].peer_name_for(dst_mac),
-            packet.segments[0].port if packet.segments else None,
+            packet.leading_port(),
             size,
             self._submit, packet, size, outport, segment, dst_mac, arrival_time,
         )
 
     def _submit(
-        self, packet: SirpentPacket, size: int, outport: OutputPort,
+        self, packet: FramePacket, size: int, outport: OutputPort,
         segment: HeaderSegment, dst_mac: Optional[MacAddress], arrival_time: float,
     ) -> None:
         self.stats.router_delay.add(self.sim.now - arrival_time)
@@ -492,7 +521,7 @@ class SirpentRouter(Node):
     # -- local delivery -----------------------------------------------------------
 
     def _deliver_local(
-        self, packet: SirpentPacket, inport: Attachment, append_hop: bool = True
+        self, packet: FramePacket, inport: Attachment, append_hop: bool = True
     ) -> None:
         self.stats.delivered_local.add()
         if append_hop:

@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
 from repro.net.node import Attachment, Node
-from repro.viper.packet import SirpentPacket
+from repro.core.packet import FramePacket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     # Imported lazily: repro.baselines.ip.host itself imports
@@ -123,7 +123,7 @@ class IpTunnelAttachment(Attachment):
     def _on_ip_delivery(self, ip_packet: IpPacket) -> None:
         """Demultiplex an arriving datagram back to the Sirpent module."""
         inner = ip_packet.payload
-        if not isinstance(inner, SirpentPacket):
+        if not isinstance(inner, FramePacket):
             return
         self.decapsulated += 1
         tx = Transmission(inner, ip_packet.payload_size, 0, None, None)
@@ -269,7 +269,7 @@ class CvcTunnelAttachment(Attachment):
     # -- receive side ---------------------------------------------------------
 
     def _on_circuit_data(self, circuit: Any, payload: Any, size: int) -> None:
-        if not isinstance(payload, SirpentPacket):
+        if not isinstance(payload, FramePacket):
             return
         self.decapsulated += 1
         tx = Transmission(payload, size, 0, None, None)

@@ -5,8 +5,8 @@ never touches a socket, a simulated link, a tracer or a stats object.
 It returns a :class:`Decision` — what to do with one hop — and the
 *drivers* (the simulator's :class:`~repro.core.router.SirpentRouter`
 and the live overlay's :class:`~repro.live.router.LiveRouter`) apply
-it: mutate the structural packet or rewrite the datagram bytes, bump
-their counters, emit their trace events.
+it: move the frame's bytes (the same moves in both), bump their
+counters, emit their trace events.
 
 Counters and traces are applied through an :class:`EffectSink`, a tiny
 per-driver adapter.  :func:`apply_drop` is the single shared drop

@@ -12,7 +12,8 @@ that algorithm exactly once, with **no IO**: it consumes a
 :class:`HopInput` (a view of the leading segment plus sizes, the
 arrival port and the clock) and produces a
 :class:`~repro.dataplane.effects.Decision`.  The drivers own sockets,
-simulated links, timing, packet mutation and effect application.
+simulated links, timing and effect application; both apply a decision
+to the frame's bytes with the one move in :mod:`repro.live.frames`.
 
 On top sits the paper's §2.2 soft state: a per-port
 :class:`~repro.dataplane.flowcache.FlowCache` memoizing
@@ -46,13 +47,19 @@ from repro.viper.portinfo import (
     EthernetInfo,
     ETHERNET_INFO_BYTES,
 )
-from repro.viper.wire import LOCAL_PORT, PORT_OFFSET, HeaderSegment
+from repro.viper.flags import FLAG_SLICK
+from repro.viper.wire import (
+    ALT_COUNT_BYTES, FIXED_SEGMENT_BYTES, LOCAL_PORT, PORT_OFFSET, HeaderSegment,
+)
 
 #: ``HopInput.in_port`` value meaning "arrival port unknown" — the
 #: return segment cannot be built and the flow is never cached (the
 #: live driver uses this for frames from unwired peers, which it
 #: refuses after the decision, preserving drop-reason precedence).
 UNKNOWN_IN_PORT = -1
+
+#: Where a segment's flags byte sits, and its slick bit there.
+_FLAGS_OFFSET, _SLICK_BIT = FIXED_SEGMENT_BYTES - 1, FLAG_SLICK << 4
 
 
 @dataclass(frozen=True)
@@ -228,14 +235,14 @@ class ForwardingPipeline:
 
     # -- cut-through peek --------------------------------------------------
 
-    def peek_physical_port(self, segment: HeaderSegment) -> Optional[int]:
-        """Resolve the segment's port to a physical id, no side effects.
+    def peek_physical_port(self, port: int) -> Optional[int]:
+        """Resolve a leading segment's ``port`` to a physical id, no
+        side effects.
 
         None when the port needs process-time work (local delivery,
         logical resolution, multicast expansion) — the cut-through
         driver then falls back to store-and-forward.
         """
-        port = segment.port
         if port == LOCAL_PORT:
             return None
         if self.logical.is_logical(port):
@@ -311,7 +318,8 @@ class ForwardingPipeline:
                 decision = replace(
                     decision, return_segment=rebuilt, return_tail=None
                 )
-        if profile.mtu and hop.wire_size + size_delta > profile.mtu:
+        size = hop.wire_size + size_delta
+        if profile.mtu and size > profile.mtu and size - _stripped_block(hop) > profile.mtu:
             return replace(decision, truncate_to=profile.mtu)
         return decision
 
@@ -385,7 +393,10 @@ class ForwardingPipeline:
             if spliced and len(spliced) > 1 else ()
         )
         # Post-hop wire-size change of the move: the stripped segment
-        # gives way to the splice tail plus the new trailer element.
+        # gives way to the splice tail plus the new trailer element.  A
+        # slick segment also takes its alternate block with it; that
+        # block is the packet's own, not the flow's, so it is sized per
+        # packet and left out of the memoized delta.
         size_delta = -segment.wire_size()
         for transit in splice_tail:
             size_delta += transit.wire_size()
@@ -393,7 +404,8 @@ class ForwardingPipeline:
             size_delta += return_segment.wire_size() + TRAILER_LENGTH_BYTES
         # Stage 5: truncation instead of fragmentation (§2).
         truncate_to = 0
-        if profile.mtu and hop.wire_size + size_delta > profile.mtu:
+        size = hop.wire_size + size_delta
+        if profile.mtu and size > profile.mtu and size - _stripped_block(hop) > profile.mtu:
             truncate_to = profile.mtu
         # What the flow fixes; this packet's truncation and its wait for
         # the token check are its own.
@@ -575,6 +587,13 @@ class ForwardingPipeline:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ForwardingPipeline {self.name!r} cache={self.flow_cache!r}>"
+
+
+def _stripped_block(hop: HopInput) -> int:
+    """Wire bytes of the alternate block the strip removes with a slick
+    leading segment (ARCHITECTURE §16); 0 for any other segment."""
+    block = hop.alternate() if hop.lead[_FLAGS_OFFSET] & _SLICK_BIT else None
+    return ALT_COUNT_BYTES + sum(s.wire_size() for s in block) if block else 0
 
 
 def resolve_dst_mac(segment: HeaderSegment, port_kind: str) -> Optional[Any]:

@@ -181,13 +181,6 @@ class ClusterClient:
         self._cache[name] = (dict(result), now)
         return result
 
-    def invalidate(self, name: Optional[str] = None) -> None:
-        """Drop one cached name, or the whole cache."""
-        if name is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(name, None)
-
     @property
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses

@@ -13,8 +13,9 @@ bytes — the strongest possible "we did not re-execute" witness.
 Versioning contract:
 
 * ``v`` is an integer; this module speaks ``PROTOCOL_V2``.
-* A frame *without* ``v`` is a legacy v1 frame — the live server keeps
-  answering those in the v1 shape, so old clients interoperate.
+* A frame *without* ``v`` is read as v1 (:data:`PROTOCOL_V1`), which is
+  no longer spoken: :meth:`CommandRequest.parse` raises
+  :class:`VersionError` for it like for any other version.
 * A frame with an unsupported ``v`` gets a ``version_unsupported``
   error naming both versions, never a silent misparse.
 

@@ -230,11 +230,6 @@ class ReplicatedShard:
 
     # -- failure & recovery ------------------------------------------------
 
-    def kill_replica(self, replica_id: str) -> ShardReplica:
-        replica = self.replica(replica_id)
-        replica.alive = False
-        return replica
-
     def kill_leader(self) -> Optional[str]:
         """Crash the current leader; returns its replica id (or None)."""
         leader = self.leader

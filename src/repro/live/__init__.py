@@ -11,60 +11,36 @@ over newline-delimited JSON TCP (:mod:`repro.live.directory`), and
 ordinary :class:`repro.net.topology.Topology` description.
 """
 
-from repro.live.directory import (
-    DirectoryError,
-    LiveDirectoryClient,
-    LiveDirectoryServer,
-)
-from repro.live.frames import (
-    FLAG_TRACED,
-    FRAME_ACK,
-    FRAME_DATA,
-    Preamble,
-    decode_live_frame,
-    encode_live_frame,
-)
-from repro.live.host import (
-    LiveDelivered,
-    LiveHost,
-    LiveRoute,
-    LiveTransactionResult,
-    LiveTransactor,
-    TransactorConfig,
-    WallClock,
-)
-from repro.live.link import Address, Impairments, LiveEndpoint, ReliabilityConfig
-from repro.live.metrics import EndpointMetrics, render_metrics
-from repro.live.router import Action, Decision, LiveRouter, LiveRouterConfig
-from repro.live.topology import LiveOverlay, as_live_route
+import importlib
 
-__all__ = [
-    "Action",
-    "Address",
-    "Decision",
-    "DirectoryError",
-    "EndpointMetrics",
-    "FLAG_TRACED",
-    "FRAME_ACK",
-    "FRAME_DATA",
-    "Impairments",
-    "LiveDelivered",
-    "LiveDirectoryClient",
-    "LiveDirectoryServer",
-    "LiveEndpoint",
-    "LiveHost",
-    "LiveOverlay",
-    "LiveRoute",
-    "LiveRouter",
-    "LiveRouterConfig",
-    "LiveTransactionResult",
-    "LiveTransactor",
-    "Preamble",
-    "ReliabilityConfig",
-    "TransactorConfig",
-    "WallClock",
-    "as_live_route",
-    "decode_live_frame",
-    "encode_live_frame",
-    "render_metrics",
-]
+#: Each submodule and the public names it defines.  The package imports
+#: a submodule only when one of its names is first asked for, so
+#: :mod:`repro.live.frames` — the frame codec the simulator forwards
+#: with too — loads without the daemons, which import the simulator's
+#: transport in turn.
+_EXPORTS = (
+    ("directory", ("DirectoryError", "LiveDirectoryClient",
+                   "LiveDirectoryServer")),
+    ("frames", ("FLAG_TRACED", "FRAME_ACK", "FRAME_DATA", "Preamble",
+                "decode_live_frame", "encode_live_frame")),
+    ("host", ("LiveDelivered", "LiveHost", "LiveRoute",
+              "LiveTransactionResult", "LiveTransactor", "TransactorConfig",
+              "WallClock")),
+    ("link", ("Address", "Impairments", "LiveEndpoint", "ReliabilityConfig")),
+    ("metrics", ("EndpointMetrics", "render_metrics")),
+    ("router", ("Action", "Decision", "LiveRouter", "LiveRouterConfig")),
+    ("topology", ("LiveOverlay", "as_live_route")),
+)
+
+__all__ = sorted(name for _module, names in _EXPORTS for name in names)
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS:
+        if name in names:
+            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,7 +1,8 @@
 """Framing for VIPER packets carried in real UDP datagrams.
 
-On the sim's links a packet travels *structurally*; on a real socket it
-must be bytes.  A live datagram is the byte-exact VIPER packet body
+A packet is the same bytes on a real socket and on the simulator's
+links (:class:`repro.core.packet.FramePacket`).  A live datagram is the
+byte-exact VIPER packet body
 (stacked header segments ++ payload ++ return-route trailer, produced
 by the *existing* codec in :mod:`repro.viper.wire` and
 :mod:`repro.viper.packet`) behind an 11-byte overlay preamble::
@@ -36,20 +37,22 @@ big-endian trace id follows the fixed preamble and the VIPER body
 starts at byte 19 instead of 11.  Routers copy the id through on every
 hop (:func:`hop_move_into` preserves it), so one 64-bit transport
 identifier names the transaction at every node it crosses — the live
-analogue of the sim's ``SirpentPacket.trace_id`` metadata.  A traced
+analogue of the sim's ``FramePacket.trace_id`` metadata.  A traced
 flag with a zero id, or on an ACK frame, is a decode error; untraced
 frames are byte-identical to the pre-tracing wire format.
 
 The preamble is per-UDP-hop overlay plumbing, *not* part of VIPER:
 routers rewrite it on every hop (decrementing ``segCount``), exactly as
 a link layer would re-frame.  Everything after it is untouched VIPER
-bytes, which is what lets the live router strip/reverse/append with the
-same codec the simulator uses.
+bytes.
 
-There is **one** per-hop transform and it works in place on a ring-slot
-view: :func:`hop_move_into` (and :func:`slick_reroute_into` for the
-Slick-Packets splice).  The structural reference they are fuzzed
-against lives with its tests, in ``tests/live/oracle.py``.
+There is **one** per-hop transform and it works in place on a frame's
+view — a ring slot's in the overlay, a packet's own buffer in the
+simulator: :func:`forward_into` applies a decision with
+:func:`hop_move_into` (or :func:`slick_reroute_into` for the
+Slick-Packets splice), and :func:`truncate_into` is the one truncation.
+The structural reference they are fuzzed against lives with its tests,
+in ``tests/live/oracle.py``.
 
 The hosts' two edges work on byte spans too: :func:`encode_route_header`
 (a route's header, encoded once per route), :func:`frame_with_header`,
@@ -75,7 +78,7 @@ from repro.viper.packet import (
     decode_trailer,
     trailer_spans,
 )
-from repro.viper.flags import FLAG_SLICK, FLAG_VNT
+from repro.viper.flags import FLAG_DIB, FLAG_SLICK, FLAG_VNT, validate_priority
 from repro.viper.wire import (
     ALT_COUNT_BYTES,
     FIXED_SEGMENT_BYTES,
@@ -144,9 +147,13 @@ _TRACE_ID = struct.Struct(">Q")
 #: come first).
 _PORT_OFFSET = 2
 
-#: The slick and VNT flags as they sit in a segment's flags byte.
+#: The trailer's truncation mark as it sits on the wire.
+_TRUNCATION_MARK = TRUNCATION_SENTINEL.to_bytes(TRAILER_LENGTH_BYTES, "big")
+
+#: The slick, VNT and DIB flags as they sit in a segment's flags byte.
 _SLICK_BIT = FLAG_SLICK << 4
 _VNT_BIT = FLAG_VNT << 4
+_DIB_BIT = FLAG_DIB << 4
 
 
 class Preamble(NamedTuple):
@@ -439,18 +446,20 @@ def encode_route_header(
             f"{len(alternates)} alternate block(s); the wire form "
             "needs exactly one block per slick segment"
         )
-    # A segment already carrying the stamp is encoded as it is; a copy
-    # re-validates the segment field by field.
-    header = encode_route([
-        s if s.priority == priority and s.dib == dib
-        else s.copy(priority=priority, dib=dib)
-        for s in segments
-    ]) + encode_alt_blocks([
-        [s if s.priority == priority else s.copy(priority=priority)
-         for s in block]
-        for block in alternates
-    ])
-    return header, len(segments)
+    # The segments' cached encodings, each flags byte stamped in place:
+    # priority and DIB on the route, priority on its alternates.
+    stamp = validate_priority(priority) | (_DIB_BIT if dib else 0)
+    header = bytearray(encode_route(segments) + encode_alt_blocks(alternates))
+    at = FIXED_SEGMENT_BYTES - 1
+    for s in segments:
+        header[at] = header[at] & ~(_DIB_BIT | 0xF) | stamp
+        at += s.wire_bytes
+    for block in alternates:
+        at += ALT_COUNT_BYTES
+        for s in block:
+            header[at] = header[at] & 0xF0 | priority
+            at += s.wire_bytes
+    return bytes(header), len(segments)
 
 
 def return_route_header(
@@ -535,16 +544,7 @@ def frame_spans(
     """
     if preamble.kind != FRAME_DATA:
         raise ViperDecodeError("not a data frame")
-    offset = preamble.header_len
-    port_at = offset + _PORT_OFFSET
-    blocks = 0
-    for _ in range(preamble.seg_count):
-        flags_at = offset + FIXED_SEGMENT_BYTES - 1
-        offset = segment_span(datagram, offset)
-        if datagram[flags_at] & _SLICK_BIT:
-            blocks += 1
-    for _ in range(blocks):
-        offset = alt_block_span(datagram, offset)
+    offset = payload_offset(datagram, preamble)
     payload_end = offset + preamble.payload_len
     if payload_end > len(datagram):
         raise ViperDecodeError(
@@ -557,22 +557,31 @@ def frame_spans(
             f"trailer region does not frame: {boundary - payload_end} "
             "undecodable leading bytes"
         )
-    port = datagram[port_at] if preamble.seg_count else None
+    port = (
+        datagram[preamble.header_len + _PORT_OFFSET]
+        if preamble.seg_count else None
+    )
     return port, offset, payload_end, spans
 
 
+def payload_offset(buffer, preamble: Preamble) -> int:
+    """Where the payload of the data frame ``buffer`` starts: past every
+    segment and every slick segment's alternate block, each span checked
+    as :func:`decode_live_frame` checks it (raising
+    :class:`~repro.viper.errors.ViperDecodeError` on the same bytes)."""
+    offset = preamble.header_len
+    blocks = 0
+    for _ in range(preamble.seg_count):
+        flags_at = offset + FIXED_SEGMENT_BYTES - 1
+        offset = segment_span(buffer, offset)
+        if buffer[flags_at] & _SLICK_BIT:
+            blocks += 1
+    for _ in range(blocks):
+        offset = alt_block_span(buffer, offset)
+    return offset
+
+
 # -- the router's hop move (in place, on buffer-ring views) -------------------
-
-
-def _flag_slick_at(buffer, offset: int) -> bool:
-    """Whether the segment starting at ``offset`` carries the slick flag.
-
-    One byte read off the Figure-1 flags field; callers have already
-    validated the segment's span (or are about to, which raises first).
-    """
-    return bool(
-        (buffer[offset + FIXED_SEGMENT_BYTES - 1] >> 4) & FLAG_SLICK
-    )
 
 
 def leading_alt_block(
@@ -585,13 +594,16 @@ def leading_alt_block(
     treats every failure as "no usable alternate", because a router
     forwarding attacker-controllable bytes must never throw mid-hop.
     The block sits after the *last* primary segment, so the walk spans
-    the whole remaining route first.
+    the whole remaining route first.  It is decoded from a copy: its
+    tokens are looked up in the token cache, and a view of the frame's
+    writable buffer cannot be hashed.
     """
     try:
         offset = header_len
         for _ in range(seg_count):
             offset = segment_span(buffer, offset)
-        block, _ = decode_alt_block(buffer, offset)
+        end = alt_block_span(buffer, offset)
+        block, _ = decode_alt_block(bytes(buffer[offset:end]))
         return block
     except ViperDecodeError:
         return None
@@ -646,81 +658,92 @@ def return_tail_of(return_segment: HeaderSegment) -> bytes:
     return encoded + len(encoded).to_bytes(TRAILER_LENGTH_BYTES, "big")
 
 
-def _slide_to_head(buffer, start: int, end: int) -> int:
-    """Move ``buffer[start:end]`` to the head of its slot; returns the new end.
+def _land(
+    view, survivors: int, preamble: Preamble, header_len: int,
+    seg_count: int, tail: bytes, seq: int, lead: bytes = b"",
+) -> None:
+    """The last step of every move: the frame becomes ``preamble ++ lead
+    ++ buffer[survivors:view.end] ++ tail``.
 
-    The short-tail-room step of the hop move: the strip has just vacated
-    ``[0:start)``, so when the return tail does not fit behind ``end``
-    the surviving frame slides there (one overlapping copy) and the tail
-    lands behind it.
+    The rewritten preamble (and ``lead``, segments a splice puts first)
+    land directly before the surviving bytes, which stay where they are;
+    only when that leaves no head-room or the tail-room is short do the
+    survivors first slide to the head of the buffer (one overlapping
+    copy).  The caller has checked that the outgoing frame fits.
     """
-    size = end - start
-    buffer[:size] = buffer[start:end]
-    return size
+    buffer = view.buffer
+    end = view.end
+    new_start = survivors - len(lead) - header_len
+    if new_start < 0 or end + len(tail) > len(buffer):
+        at = header_len + len(lead)
+        buffer[at:at + end - survivors] = buffer[survivors:end]
+        new_start, end = 0, at + end - survivors
+    encode_preamble_into(
+        buffer, new_start, seq, seg_count, preamble.payload_len,
+        trace_id=preamble.trace_id,
+    )
+    if lead:
+        at = new_start + header_len
+        buffer[at:at + len(lead)] = lead
+    buffer[end:end + len(tail)] = tail
+    view.start = new_start
+    view.end = end + len(tail)
 
 
 def hop_move_into(
     view, tail: bytes, preamble: Preamble = None, next_rel: int = None,
-    seq: int = SEQ_NONE,
+    seq: int = SEQ_NONE, splice: Sequence[HeaderSegment] = (),
 ) -> bool:
-    """The router's core move, **in place** on a buffer-ring view.
+    """The router's core move, **in place** on a frame's view.
 
     Strips the leading header segment by rewriting the (decremented)
     preamble directly before the surviving bytes — the packet *moves
-    forward inside its slot* instead of being copied — and appends the
-    memoized return tail (see :func:`return_tail_of`) into the slot's
+    forward inside its buffer* instead of being copied — and appends the
+    memoized return tail (see :func:`return_tail_of`) into the
     tail-room; when that is too short the stripped frame first slides to
-    the head of the slot.  This is the only implementation in ``src/``;
-    ``tests/live/oracle.py`` holds the structural reference the
-    differential fuzz suite pins it against.
+    the head of the buffer.  ``splice`` — the transit segments a logical
+    port (§2.2) resolves to beyond its first hop — is written right
+    after the new preamble, ahead of the surviving route.  This is the
+    only implementation in ``src/``, for the live overlay's ring slots
+    and the simulator's packets alike; ``tests/live/oracle.py`` holds
+    the structural reference the differential suites pin it against.
 
     ``preamble``/``next_rel`` (the leading segment's end, relative to
     the view start) skip re-validation when the caller already parsed
     them.  Returns False — view untouched — only when the *outgoing*
-    frame is larger than the slot: a frame every peer's endpoint would
+    frame is larger than the buffer: a frame every peer's endpoint would
     drop as ``oversize``, so the caller drops it with that reason.
     """
-    mem = view.mem
     if preamble is None:
-        preamble = decode_preamble(mem)
+        preamble = decode_preamble(view.mem)
     if preamble.kind != FRAME_DATA or preamble.seg_count == 0:
         raise ViperDecodeError("cannot forward: no leading segment")
-    if next_rel is None:
-        next_rel = segment_span(mem, preamble.header_len)
     header_len = preamble.header_len
-    buffer = view.buffer
-    end = view.end
-    if _flag_slick_at(mem, header_len):
+    if next_rel is None:
+        next_rel = segment_span(view.mem, header_len)
+    lead = b"".join([s.wire for s in splice]) if splice else b""
+    room = len(view.buffer) - header_len - len(lead) - len(tail)
+    if view.buffer[view.start + header_len + FIXED_SEGMENT_BYTES - 1] & _SLICK_BIT:
         # The stripped segment takes its alternate block with it: the
         # surviving segments slide right over the block (one overlapping
-        # move inside the slot) so the packet stays contiguous.
+        # move inside the buffer) so the packet stays contiguous.
+        mem = view.mem
         header_end = next_rel
         for _ in range(preamble.seg_count - 1):
             header_end = segment_span(mem, header_end)
         block_end = alt_block_span(mem, header_end)
         keep = header_end - next_rel
-        dest = view.start + block_end - keep
-        new_start = dest - header_len
-        if end - new_start + len(tail) > len(buffer):
+        survivors = view.start + block_end - keep
+        if view.end - survivors > room:
             return False
         if keep:
-            buffer[dest:dest + keep] = bytes(
-                mem[next_rel:header_end]
-            )
+            view.buffer[survivors:survivors + keep] = bytes(mem[next_rel:header_end])
     else:
-        new_start = view.start + next_rel - header_len
-        if end - new_start + len(tail) > len(buffer):
+        survivors = view.start + next_rel
+        if view.end - survivors > room:
             return False
-    encode_preamble_into(
-        buffer, new_start, seq, preamble.seg_count - 1,
-        preamble.payload_len, trace_id=preamble.trace_id,
-    )
-    if end + len(tail) > len(buffer):
-        end = _slide_to_head(buffer, new_start, end)
-        new_start = 0
-    view.start = new_start
-    buffer[end:end + len(tail)] = tail
-    view.end = end + len(tail)
+    seg_count = preamble.seg_count - 1 + len(splice)
+    _land(view, survivors, preamble, header_len, seg_count, tail, seq, lead)
     return True
 
 
@@ -737,10 +760,10 @@ def slick_reroute_into(
     route.  The surviving alternate segments already sit contiguous in
     the buffer, so the splice is one overlapping move plus a preamble
     rewrite, exactly like the normal hop move — including the slide to
-    the slot's head when the tail-room is short.
+    the buffer's head when the tail-room is short.
 
     Returns False — view untouched — only when the outgoing frame is
-    larger than the slot (see :func:`hop_move_into`); raises
+    larger than the buffer (see :func:`hop_move_into`); raises
     :class:`~repro.viper.errors.ViperDecodeError` when the frame carries
     no alternate block to splice.
     """
@@ -750,7 +773,7 @@ def slick_reroute_into(
     if preamble.kind != FRAME_DATA or preamble.seg_count == 0:
         raise ViperDecodeError("cannot forward: no leading segment")
     header_len = preamble.header_len
-    if not _flag_slick_at(mem, header_len):
+    if not mem[header_len + FIXED_SEGMENT_BYTES - 1] & _SLICK_BIT:
         raise ViperDecodeError(
             "cannot reroute: leading segment is not slick"
         )
@@ -759,7 +782,7 @@ def slick_reroute_into(
     header_end = header_len
     blocks = 0
     for _ in range(preamble.seg_count):
-        if _flag_slick_at(mem, header_end):
+        if mem[header_end + FIXED_SEGMENT_BYTES - 1] & _SLICK_BIT:
             blocks += 1
         header_end = segment_span(mem, header_end)
     block_end = alt_block_span(mem, header_end)  # validates the block
@@ -771,22 +794,83 @@ def slick_reroute_into(
     # Keep the block's tail (everything after its first segment) and
     # slide it right against the payload, over the remaining blocks.
     keep = block_end - alt_first_end
-    buffer = view.buffer
-    end = view.end
-    dest = view.start + blocks_end - keep
-    new_start = dest - header_len
-    if end - new_start + len(tail) > len(buffer):
+    survivors = view.start + blocks_end - keep
+    if view.end - survivors + header_len + len(tail) > len(view.buffer):
         return False
     if keep:
-        buffer[dest:dest + keep] = bytes(mem[alt_first_end:block_end])
-    encode_preamble_into(
-        buffer, new_start, seq, alt_count - 1,
-        preamble.payload_len, trace_id=preamble.trace_id,
+        view.buffer[survivors:survivors + keep] = bytes(mem[alt_first_end:block_end])
+    _land(view, survivors, preamble, header_len, alt_count - 1, tail, seq)
+    return True
+
+
+def forward_into(
+    view, decision, preamble: Preamble, next_rel: int, seq: int = SEQ_NONE,
+) -> bool:
+    """Apply a FORWARD :class:`~repro.dataplane.Decision` to a frame, in
+    place — the one hop transform both routers run.
+
+    The return tail is the decision's memoized one, encoded here when
+    the decision carries none (a cold flow, a rebuilt return hop); a
+    slick reroute splices the alternate (:func:`slick_reroute_into`),
+    anything else is the strip with the decision's splice tail
+    (:func:`hop_move_into`).  Returns False — view untouched — when the
+    outgoing frame is larger than the buffer.
+    """
+    tail = decision.return_tail
+    if tail is None:
+        tail = return_tail_of(decision.return_segment)
+    if decision.slick_reroute:
+        return slick_reroute_into(view, tail, preamble, seq)
+    return hop_move_into(view, tail, preamble, next_rel, seq, decision.splice_tail)
+
+
+def truncation_marked(frame_len: int, payload_end: int, spans) -> bool:
+    """Whether a frame's trailer carries the truncation mark: bytes
+    behind ``payload_end`` that its reversed segments' ``spans`` (from
+    :func:`frame_spans`, back-lengths included) do not cover."""
+    covered = sum(end - start + TRAILER_LENGTH_BYTES for start, end in spans)
+    return frame_len - payload_end > covered
+
+
+def truncate_into(view, mtu: int) -> bool:
+    """Truncation instead of fragmentation (§2), **in place**.
+
+    Cuts the payload so the frame's VIPER body — everything after the
+    preamble — fits ``mtu`` with the truncation mark appended to the
+    trailer ("a special segment ... which is not a legal Sirpent header
+    segment"); a frame marked at an earlier hop gets no second mark.
+    The trailer slides left over the cut bytes and the preamble's
+    ``payloadLen`` is rewritten.  The packet is sized by its bytes —
+    segments, alternate blocks and trailer alike.
+
+    Raises :class:`ValueError` when even an empty payload cannot fit —
+    the routing service's MTU attribute exists precisely so sources
+    never build such packets (§3).  Returns False — view untouched —
+    only when the marked frame is larger than the buffer.
+    """
+    mem = view.mem
+    preamble = decode_preamble(mem)
+    _, _, payload_end, spans = frame_spans(mem, preamble)
+    mark = b"" if truncation_marked(len(mem), payload_end, spans) else (
+        _TRUNCATION_MARK
     )
-    if end + len(tail) > len(buffer):
-        end = _slide_to_head(buffer, new_start, end)
-        new_start = 0
-    view.start = new_start
-    buffer[end:end + len(tail)] = tail
-    view.end = end + len(tail)
+    payload_len = preamble.payload_len
+    overhead = len(mem) - preamble.header_len - payload_len + len(mark)
+    if overhead > mtu:
+        raise ValueError(
+            f"packet overhead {overhead}B exceeds MTU {mtu}B — the source "
+            "route should never have crossed this hop"
+        )
+    cut = max(0, payload_len + overhead - mtu)
+    if len(mem) - cut + len(mark) > len(view.buffer):
+        return False
+    if cut:
+        at = view.start + payload_end
+        view.buffer[at - cut:view.end - cut] = view.buffer[at:view.end]
+        view.end -= cut
+    _land(
+        view, view.start + preamble.header_len,
+        preamble._replace(payload_len=payload_len - cut),
+        preamble.header_len, preamble.seg_count, mark, preamble.seq,
+    )
     return True

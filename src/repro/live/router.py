@@ -10,8 +10,8 @@ out the named port, which in the overlay is a UDP peer address.  Port 0
 delivers locally, exactly as §5 reserves it.
 
 A frame crosses the router one way only: ``_on_batch`` →
-:func:`~repro.live.frames.hop_move_into` (or
-:func:`~repro.live.frames.slick_reroute_into`) →
+:func:`~repro.live.frames.forward_into` (the hop move or the slick
+splice, the same call the simulator's router makes) →
 :meth:`~repro.live.link.LiveEndpoint.send_view`.  The frame never leaves
 its slot and there is no materialising twin.  ``_on_batch`` hands the
 pipeline each frame's leading-segment *bytes*; the segment is parsed
@@ -47,12 +47,7 @@ from repro.dataplane import (
     UNKNOWN_IN_PORT,
     apply_drop,
 )
-from repro.live.frames import (
-    hop_move_into,
-    leading_alt_block,
-    return_tail_of,
-    slick_reroute_into,
-)
+from repro.live.frames import forward_into, leading_alt_block
 from repro.live.link import (
     Address,
     BatchEntry,
@@ -383,7 +378,7 @@ class LiveRouter:
         does not know is parsed (:attr:`_LiveHop.segment`).
 
         The move happens *inside* the ring slot
-        (:func:`~repro.live.frames.hop_move_into`): the preamble is
+        (:func:`~repro.live.frames.forward_into`): the preamble is
         rewritten just before the surviving segments and the memoized
         return tail (``Decision.return_tail``, encoded once at
         flow-cache install) lands in the slot's tail-room, the frame
@@ -452,27 +447,12 @@ class LiveRouter:
                     "switch_decision",
                     in_port=in_port, out_port=decision.out_port,
                 )
-            tail = decision.return_tail
-            if tail is None:
-                # Cold decision (or rebuilt return hop): encode the tail
-                # once.
-                try:
-                    tail = return_tail_of(decision.return_segment)
-                except ValueError:
-                    view.release()
-                    apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                    continue
             try:
-                if decision.slick_reroute:
-                    self._count_slick_reroute(sink, in_port, decision)
-                    moved = slick_reroute_into(view, tail, preamble)
-                else:
-                    moved = hop_move_into(
-                        view, tail, preamble, next_rel=next_rel
-                    )
-            except ViperDecodeError:
+                moved = forward_into(view, decision, preamble, next_rel)
+            except (ValueError, ViperDecodeError):
                 # The bytes contradict the decision (a slick flag with no
-                # well-formed block behind the route): corrupt frame.
+                # well-formed block behind the route, a return hop too
+                # large to frame): corrupt frame.
                 view.release()
                 apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
                 continue
@@ -480,6 +460,8 @@ class LiveRouter:
                 view.release()
                 apply_drop(sink, Decision(Action.DROP, reason="oversize"))
                 continue
+            if decision.slick_reroute:
+                self._count_slick_reroute(sink, in_port, decision)
             self._count_forward(sink, in_port, decision, preamble.seg_count)
             self.endpoint.send_view(
                 view, self.ports[decision.out_port],

@@ -29,16 +29,6 @@ from repro.viper.wire import HeaderSegment
 
 
 @dataclass
-class ExternalPort:
-    """One externally visible attachment point of the fabric."""
-
-    index: int
-    leaf: SirpentRouter
-    #: Free port id on the leaf where the caller should connect.
-    leaf_port_hint: int = 0
-
-
-@dataclass
 class Fabric:
     """A tree of stage routers acting as one high-fan-out switch."""
 

@@ -43,10 +43,6 @@ class Edge:
     cost: float = 1.0
     secure: bool = True
 
-    @property
-    def transmission_delay_per_byte(self) -> float:
-        return 8.0 / self.rate_bps
-
 
 class Topology:
     """A container wiring nodes together and recording the graph."""

@@ -18,7 +18,7 @@ compare line by line.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro.obs.registry import MetricsRegistry, Sample, _label_pairs
 
@@ -69,26 +69,6 @@ def endpoint_metrics_samples(metrics) -> Iterator[Sample]:
         yield Sample(key, labels, float(value))
 
 
-def register_router_stats(
-    registry: MetricsRegistry, stats, node: str
-) -> None:
-    """Adopt one router's stats into ``registry`` under ``node=...``."""
-    registry.register_collector(lambda: router_stats_samples(stats, node))
-
-
 def register_endpoint_metrics(registry: MetricsRegistry, metrics) -> None:
     """Adopt one live endpoint's counters into ``registry`` (pull-time)."""
     registry.register_collector(lambda: endpoint_metrics_samples(metrics))
-
-
-def collector_of(
-    sources: Iterable[Callable[[], Iterator[Sample]]]
-) -> Callable[[], Iterator[Sample]]:
-    """Merge several sample sources into one collector callback."""
-    frozen = list(sources)
-
-    def collect() -> Iterator[Sample]:
-        for source in frozen:
-            yield from source()
-
-    return collect

@@ -252,11 +252,6 @@ class SloEngine:
             spec.name: deque(maxlen=max_points) for spec in self.specs
         }
 
-    def add_spec(self, spec: SloSpec) -> None:
-        """Register one more objective."""
-        self.specs.append(spec)
-        self._history[spec.name] = deque(maxlen=self.max_points)
-
     # -- measurement -------------------------------------------------------
 
     def _latency_counts(self, spec: SloSpec) -> Tuple[float, float]:

@@ -7,10 +7,9 @@ run the suite in a different order and every id moved.  Ids now come
 from a :class:`PacketIdAllocator` owned by the engine that creates the
 packet (one per :class:`~repro.sim.engine.Simulator`, one per live
 host), so a run's ids are a pure function of that run's own traffic.
-
-A module-global *default* allocator still backs bare
-``SirpentPacket(...)`` construction (unit tests, corruption clones) —
-those ids only need to be unique within a process, not reproducible.
+The baselines' bare packet construction (unit tests) still draws from
+a module-global default allocator — those ids only need to be unique
+within a process, not reproducible.
 """
 
 from __future__ import annotations

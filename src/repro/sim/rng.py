@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, List, Sequence, TypeVar
+from typing import Dict, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -86,14 +86,3 @@ def poisson_times(
         if t >= horizon:
             return
         yield t
-
-
-def sample_discrete_cdf(
-    rng: random.Random, values: List[float], cdf: List[float]
-) -> float:
-    """Inverse-CDF sample from a discrete distribution."""
-    u = rng.random()
-    for value, cumulative in zip(values, cdf):
-        if u <= cumulative:
-            return value
-    return values[-1]

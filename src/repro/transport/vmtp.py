@@ -212,9 +212,6 @@ class VmtpTransport:
         self._entities[entity] = handler
         return entity
 
-    def entity_known(self, entity: EntityId) -> bool:
-        return entity in self._entities
-
     def adopt_entity(self, entity: EntityId, handler: Optional[Handler]) -> None:
         """Take over an entity that migrated from another host (§4.1).
 

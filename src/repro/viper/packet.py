@@ -10,22 +10,22 @@ receiver reconstructs the return route by walking the trailer backwards
 (§2: "copies each segment into a separate return address area in
 reverse order") — :func:`build_return_route`.
 
-The simulator carries packets *structurally*: sizes come from the wire
-codec so timing is byte-exact, but we only serialize at the edges (and
-in the codec tests), never per hop.
+This module is the *structural* codec: :class:`SirpentPacket` holds the
+parts as objects, :func:`encode_packet` / :func:`decode_packet` turn
+them into bytes and back, and :func:`build_return_route` reads a
+decoded trailer.  Nothing forwards a ``SirpentPacket`` any more: both
+substrates carry each packet as its encoded live frame and move it hop
+by hop with the one in-place transform in :mod:`repro.live.frames` —
+the simulator's :class:`repro.core.packet.FramePacket` is that frame
+plus simulation metadata.  The structural hop algebra (strip, slick
+splice, truncation, corruption) lives with the tests, as the reference
+those byte moves are checked against (``tests/live/oracle.py``).
 
-**Sizes are carried.**  A :class:`HeaderSegment` fixes its encoded size
-at construction (``wire_bytes``); the simulator's drivers take a hop's
-arrival size from the ``Transmission`` that delivered the packet and
-recount (:meth:`SirpentPacket.wire_size`, from the parts — right
-whatever edited the lists) once per hop, after the transform.
-
-**Segments are shared, lists are not.**  A route, the packets sent on
-it, a flow-cache entry and a trailer may hold the *same* segment
+**Segments are shared, lists are not.**  A route, the packets built
+on it, a flow-cache entry and a trailer may hold the *same* segment
 object; a packet owns only its ``segments`` / ``alternates`` /
 ``trailer`` lists.  Hence the one aliasing rule: never mutate a
-``HeaderSegment`` in place — every route edit here replaces list
-entries, and :meth:`HeaderSegment.stamped` / ``copy`` build new ones.
+``HeaderSegment`` in place — :meth:`HeaderSegment.copy` builds a new one.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, Union
 
-from repro.sim.ids import PacketIdAllocator
 from repro.viper.errors import DecodeError, SegmentLimitError
 from repro.viper.wire import (
-    ALT_COUNT_BYTES,
     MAX_SEGMENTS,
     HeaderSegment,
     decode_alt_blocks,
@@ -62,8 +60,6 @@ TRAILER_LENGTH_BYTES = 2
 class _TruncationMark:
     """Singleton marker a router appends when it truncated the packet."""
 
-    wire_bytes = TRUNCATION_MARK_BYTES
-
     def __repr__(self) -> str:
         return "TRUNCATION_MARK"
 
@@ -76,46 +72,23 @@ class TrailerElement:
     """One reversed header segment living in the trailer."""
 
     segment: HeaderSegment
-    #: The segment plus its 2-byte back-length.
-    wire_bytes: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.wire_bytes = self.segment.wire_bytes + TRAILER_LENGTH_BYTES
-
-
-#: Fallback id source for bare construction (unit tests, clones).
-#: Engine-owned packets pass ``packet_id=`` explicitly from their
-#: simulator's/overlay's own allocator so ids are seed-stable.
-_DEFAULT_IDS = PacketIdAllocator()
 
 
 @dataclass
 class SirpentPacket:
-    """A Sirpent/VIPER packet as carried by the simulator.
+    """A Sirpent/VIPER packet as structures: the codec's view of one.
 
     ``payload`` is opaque to the internetwork (a transport PDU object or
-    bytes); only ``payload_size`` affects timing.  Simulation metadata
-    (identity, timestamps, the hop log) lives here too because the
-    benchmarks need per-packet delay decompositions.
+    bytes); only ``payload_size`` is on the wire.
     """
 
     segments: List[HeaderSegment]
     payload_size: int
     payload: Any = None
     trailer: List[Union[TrailerElement, _TruncationMark]] = field(default_factory=list)
-    # -- simulation metadata (not on the wire) --
-    packet_id: int = field(default_factory=_DEFAULT_IDS.allocate)
-    created_at: float = 0.0
-    source: str = ""
-    corrupted: bool = False
-    hops_taken: int = 0
-    hop_log: List[str] = field(default_factory=list)
-    #: "Feed forward" load hint (§2.2): number of packets queued behind
-    #: this one at its previous router, stamped at transmit start.
-    feed_forward_load: int = 0
     #: Observability: 64-bit trace id when this packet was sampled by a
-    #: :class:`repro.obs.trace.Tracer`, else 0 ("untraced") — the
-    #: one-int guard every instrumented hot path tests first.
+    #: :class:`repro.obs.trace.Tracer`, else 0 ("untraced"); a live
+    #: frame carries it in its preamble.
     trace_id: int = 0
     #: Slick-Packets failover (ARCHITECTURE §16): one alternate-route
     #: block per slick-flagged segment, in route order, carried on the
@@ -130,123 +103,13 @@ class SirpentPacket:
                 f"{len(self.segments)} segments exceed VIPER's {MAX_SEGMENTS}"
             )
 
-    # -- sizes ---------------------------------------------------------------
-
-    def header_size(self) -> int:
-        return sum(s.wire_bytes for s in self.segments)
-
-    def alt_size(self) -> int:
-        """Wire bytes of the appended alternate blocks (0 when none)."""
-        if not self.alternates:
-            return 0
-        return sum(
-            ALT_COUNT_BYTES + sum(s.wire_bytes for s in block)
-            for block in self.alternates
-        )
-
-    def trailer_size(self) -> int:
-        return sum(e.wire_bytes for e in self.trailer)
-
     def wire_size(self) -> int:
-        return (
-            self.header_size() + self.alt_size() + self.payload_size
-            + self.trailer_size()
-        )
-
-    def decision_prefix_bytes(self) -> int:
-        """Bytes a router must receive before it can switch the packet.
-
-        The whole first segment: the out-going stream begins with the
-        *second* segment, whose first byte arrives right after the first
-        segment ends, and the stripped segment is held in the loopback
-        register meanwhile (§2.1).
-        """
-        if not self.segments:
-            return self.wire_size()
-        return self.segments[0].wire_bytes
-
-    # -- routing algebra ----------------------------------------------------
-
-    @property
-    def current_segment(self) -> HeaderSegment:
-        if not self.segments:
-            raise IndexError("packet has no remaining header segments")
-        return self.segments[0]
+        """Bytes on the wire: the length of :func:`encode_packet`."""
+        return len(encode_packet(self))
 
     @property
     def truncated(self) -> bool:
         return any(e is TRUNCATION_MARK for e in self.trailer)
-
-    def advance(self, return_segment: HeaderSegment) -> HeaderSegment:
-        """Strip the leading segment, appending its reverse to the trailer.
-
-        Returns the stripped segment.  This is the router's core move.
-        A slick leading segment takes its (leading) alternate block with
-        it — an un-taken alternate is dead weight past its hop.
-        """
-        stripped = self.segments.pop(0)
-        if stripped.slick and self.alternates:
-            self.alternates.pop(0)
-        self.trailer.append(TrailerElement(return_segment))
-        self.hops_taken += 1
-        return stripped
-
-    def apply_slick_reroute(self, alternate: List[HeaderSegment]) -> None:
-        """Replace the remaining route with an alternate block's segments.
-
-        The Slick-Packets local-reroute move: every remaining primary
-        segment and every remaining alternate block is discarded — the
-        alternate is a complete replacement tail, and the failover DAG
-        is depth-1 so the spliced route carries no blocks of its own.
-        """
-        self.segments[:] = list(alternate)
-        self.alternates = []
-
-    def mark_truncated(self, keep_bytes: int) -> None:
-        """Record that the payload was cut to ``keep_bytes`` mid-flight."""
-        if keep_bytes < 0:
-            raise ValueError("keep_bytes must be non-negative")
-        self.payload_size = min(self.payload_size, keep_bytes)
-        if not self.truncated:
-            self.trailer.append(TRUNCATION_MARK)
-
-    def trailer_segments(self) -> List[HeaderSegment]:
-        """The reversed segments accumulated so far, in arrival order."""
-        return [e.segment for e in self.trailer if isinstance(e, TrailerElement)]
-
-    # -- corruption (no header checksum, §4.1) --------------------------------
-
-    def corrupted_copy(self, rng) -> "SirpentPacket":
-        """A bit-error rendition of this packet.
-
-        Sirpent carries no header checksum, so corruption is *delivered*
-        rather than dropped: half the time we flip the leading port field
-        (possible misrouting), otherwise we poison the payload.  The
-        transport layer is responsible for detecting either (§4.1).
-        """
-        clone = SirpentPacket(
-            segments=list(self.segments),
-            payload_size=self.payload_size,
-            payload=self.payload,
-            trailer=list(self.trailer),
-            created_at=self.created_at,
-            source=self.source,
-            hops_taken=self.hops_taken,
-            hop_log=list(self.hop_log),
-            trace_id=self.trace_id,
-            alternates=[list(block) for block in self.alternates],
-        )
-        clone.corrupted = True
-        if clone.segments and rng.random() < 0.5:
-            clone.segments[0] = clone.segments[0].copy(port=rng.randrange(0, 256))
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SirpentPacket #{self.packet_id} segs={len(self.segments)} "
-            f"payload={self.payload_size}B trailer={len(self.trailer)} "
-            f"hops={self.hops_taken}>"
-        )
 
 
 def build_return_route(packet: SirpentPacket) -> List[HeaderSegment]:

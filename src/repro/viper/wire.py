@@ -110,15 +110,6 @@ class HeaderSegment:
             wire = self._wire = encode_segment(self)
         return wire
 
-    def stamped(self, priority: int, dib: Optional[bool] = None) -> "HeaderSegment":
-        """This hop carrying ``priority`` (and ``dib`` unless None) —
-        the segment itself when it already does."""
-        if dib is None:
-            dib = self.dib
-        if self.priority == priority and self.dib == dib:
-            return self
-        return self.copy(priority=priority, dib=dib)
-
     def copy(self, **overrides) -> "HeaderSegment":
         values = dict(
             port=self.port, priority=self.priority, vnt=self.vnt,
@@ -520,9 +511,6 @@ class PacketView:
 
     def headroom(self) -> int:
         return self.start
-
-    def tailroom(self) -> int:
-        return len(self.buffer) - self.end
 
     def write_at(self, offset: int, data) -> None:
         """Overwrite bytes at ``offset`` (relative to ``start``) in place."""

@@ -7,6 +7,7 @@ from repro.core.router import SirpentRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
+from tests.live.oracle import return_route, structural
 
 
 class StaticRoute:
@@ -72,8 +73,8 @@ def test_priority_stamped_on_all_segments():
     ), b"urgent", 100, priority=6)
     sim.run(until=1.0)
     # The final segment still carries the priority at delivery.
-    assert got[0].packet.segments[0].priority == 6
-    assert got[0].return_segments[0].priority == 6
+    assert structural(got[0].packet).segments[0].priority == 6
+    assert return_route(got[0])[0].priority == 6
 
 
 def test_send_return_reaches_reply_socket():

@@ -8,6 +8,7 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.packet import SirpentPacket
 from repro.viper.wire import HeaderSegment
+from tests.live.oracle import return_route, sim_packet, structural
 
 
 def build_line(n_routers=1, config=None, rate=10e6, prop=10e-6, mtu=1500):
@@ -59,12 +60,13 @@ def test_forwarding_strips_segment_and_builds_trailer():
     assert len(got) == 1
     delivered = got[0]
     # Both routers consumed their segment; only the final one remains.
-    assert len(delivered.packet.segments) == 1
-    assert len(delivered.packet.trailer) == 2
+    packet = structural(delivered.packet)
+    assert len(packet.segments) == 1
+    assert len(packet.trailer) == 2
     # The return route walks back through both routers in reverse; on a
     # line each router's inbound port toward the source is port 1.
-    assert len(delivered.return_segments) == 2
-    assert all(s.rpf for s in delivered.return_segments)
+    assert len(return_route(delivered)) == 2
+    assert all(s.rpf for s in return_route(delivered))
 
 
 def test_cut_through_beats_store_and_forward():
@@ -133,7 +135,7 @@ def test_no_route_dropped():
 def test_route_exhausted_counted():
     sim, _t, src, routers, _d, src_port, fwd = build_line(1)
     empty = StaticRoute([], src_port)
-    packet = SirpentPacket(segments=[], payload_size=50)
+    packet = sim_packet(SirpentPacket(segments=[], payload_size=50))
     src.output_ports[src_port].submit(packet, 50, 50)
     sim.run(until=1.0)
     assert routers[0].stats.route_exhausted.count == 1
@@ -180,7 +182,7 @@ def test_reverse_authorized_token_survives_into_trailer():
     dst.bind(0, got.append)
     src.send(route_through(fwd, src_port, token=token), b"x", 100)
     sim.run(until=1.0)
-    assert got[0].return_segments[0].token == token
+    assert return_route(got[0])[0].token == token
 
 
 def test_non_reverse_token_stripped_from_trailer():
@@ -190,7 +192,7 @@ def test_non_reverse_token_stripped_from_trailer():
     dst.bind(0, got.append)
     src.send(route_through(fwd, src_port, token=token), b"x", 100)
     sim.run(until=1.0)
-    assert got[0].return_segments[0].token == b""
+    assert return_route(got[0])[0].token == b""
 
 
 def test_mtu_truncation_on_forward():
@@ -259,15 +261,16 @@ def test_sim_adapters_answer_the_whole_pipeline_driver_surface():
             assert hasattr(profile, field.name), (kind, field.name)
         assert profile.kind == kind and profile.up is True
 
-    packet = SirpentPacket(
+    packet = sim_packet(SirpentPacket(
         segments=[HeaderSegment(port=p2p_port), HeaderSegment(port=0)],
         payload_size=10,
-    )
+    ))
     tx = Transmission(packet, packet.wire_size(), 0, None, None)
     hop = _SimHop(packet, tap, tx, tx.size, 7)
     for field in dataclasses.fields(HopInput):
         assert hasattr(hop, field.name), field.name
-    assert (hop.segment, hop.seg_count, hop.wire_size, hop.in_port, hop.now_ms) == (
-        packet.segments[0], 2, tx.size, tap.port_id, 7
-    )
+    assert (
+        bytes(hop.lead), hop.segment.port, hop.seg_count, hop.wire_size,
+        hop.in_port, hop.now_ms,
+    ) == (HeaderSegment(port=p2p_port).wire, p2p_port, 2, tx.size, tap.port_id, 7)
     assert hop.reverse_portinfo() == b"" and hop.alternate() is None

@@ -30,9 +30,16 @@ from repro.dataplane import (
     PortProfile,
     UNKNOWN_IN_PORT,
 )
+from repro.live.frames import (
+    PREAMBLE_BYTES,
+    decode_preamble,
+    encode_live_frame,
+    forward_into,
+)
 from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
-from repro.viper.wire import HeaderSegment
+from repro.viper.packet import SirpentPacket
+from repro.viper.wire import HeaderSegment, PacketView, segment_span
 
 DEAD = 1      # the primary egress, down in most tests
 ALT = 3       # the alternate egress
@@ -407,3 +414,50 @@ class TestStaleReturnTailRegression:
         assert decision.action is Action.FORWARD
         assert decision.slick_reroute
         assert decision.out_port == ALT
+
+
+class TestTheStrippedBlockLeavesWithItsSegment:
+    """Regression: the post-hop size a slick segment's strip leaves is
+    less by its alternate block, which the MTU test left out — so a
+    packet that fits the egress exactly was marked for truncation."""
+
+    SEGMENTS = [
+        HeaderSegment(port=ALT, slick=True),
+        HeaderSegment(port=5, token=b"t" * 8),
+        HeaderSegment(port=0),
+    ]
+    BLOCK = [HeaderSegment(port=4), HeaderSegment(port=6), HeaderSegment(port=0)]
+
+    def post_hop_size(self):
+        """The frame's VIPER body after the hop, moved by the bytes."""
+        pipeline, _ = make_pipeline({ALT: PortProfile()})
+        packet = SirpentPacket(
+            segments=list(self.SEGMENTS), payload_size=900,
+            alternates=[list(self.BLOCK)],
+        )
+        datagram = encode_live_frame(packet, bytes(900))
+        decision = pipeline.decide(self.hop(len(datagram) - PREAMBLE_BYTES))
+        view = PacketView(bytearray(2 * len(datagram)), 0, len(datagram))
+        view.buffer[:len(datagram)] = datagram
+        assert forward_into(
+            view, decision, decode_preamble(datagram),
+            segment_span(datagram, PREAMBLE_BYTES),
+        )
+        return len(datagram) - PREAMBLE_BYTES, len(view) - PREAMBLE_BYTES
+
+    def hop(self, wire_size):
+        return hop(self.SEGMENTS[0], alternate=self.BLOCK, wire_size=wire_size)
+
+    @pytest.mark.parametrize("slack, truncated", [(0, False), (-1, True)])
+    def test_cold_and_warm_size_the_block_out(self, slack, truncated):
+        arriving, leaving = self.post_hop_size()
+        assert leaving < arriving  # the block outweighs the return hop
+        pipeline, _ = make_pipeline(
+            {ALT: PortProfile(mtu=leaving + slack)}, flow_cache=FlowCache()
+        )
+        cold = pipeline.decide(self.hop(arriving))
+        warm = pipeline.decide(self.hop(arriving))
+        assert not cold.flow_cache_hit and warm.flow_cache_hit
+        for decision in (cold, warm):
+            assert decision.action is Action.FORWARD
+            assert bool(decision.truncate_to) is truncated

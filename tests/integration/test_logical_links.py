@@ -7,6 +7,7 @@ from repro.core.router import SirpentRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
+from tests.live.oracle import return_route
 
 
 class StaticRoute:
@@ -137,4 +138,4 @@ def test_transit_expansion_splices_route():
     assert len(got) == 1
     assert got[0].packet.hop_log == ["entry", "middle", "exit"]
     # Shorter header on the source side, full return route on arrival.
-    assert len(got[0].return_segments) == 3
+    assert len(return_route(got[0])) == 3

@@ -1,13 +1,16 @@
-"""The references the live overlay's fast paths are tested against.
+"""The references the frame fast paths are tested against.
 
-**The hop move.**  ``src/repro/live`` has exactly one per-hop transform — the in-place
-:func:`~repro.live.frames.hop_move_into` /
-:func:`~repro.live.frames.slick_reroute_into`, reached only through
-``LiveRouter._on_batch``.  This module is its differential oracle: the
-same strip/reverse/append done the slow way, by decoding the whole frame
-into a :class:`~repro.viper.packet.SirpentPacket`, applying the
-simulator's own packet algebra and re-encoding.  It shares no code with
-the in-place path beyond the whole-frame codec.
+**The hop move.**  ``src/`` has exactly one per-hop transform — the
+in-place :func:`~repro.live.frames.hop_move_into` /
+:func:`~repro.live.frames.slick_reroute_into` /
+:func:`~repro.live.frames.truncate_into`, reached through
+``LiveRouter._on_batch`` and ``SirpentRouter._apply``.  This module is
+its differential oracle: the structural packet algebra (:func:`advance`,
+:func:`apply_slick_reroute`, :func:`mark_truncated`,
+:func:`truncate_structurally`, :func:`corrupted_copy`) on a
+:class:`~repro.viper.packet.SirpentPacket`, and the same moves done the
+slow way — decode the whole frame, apply the algebra, re-encode.  It
+shares no code with the in-place path beyond the whole-frame codec.
 
 **The drain.**  :func:`drain_reference` is ``LiveEndpoint._on_readable``
 as it stood at ``2ad7013`` — a slot acquired and released per datagram,
@@ -19,6 +22,7 @@ drain to it, wakeup by wakeup.
 
 from collections import Counter
 
+from repro.core.packet import FramePacket
 from repro.dataplane import Action, HopInput, UNKNOWN_IN_PORT
 from repro.live.frames import (
     FRAME_ACK,
@@ -38,10 +42,112 @@ from repro.live.frames import (
 from repro.live.link import _MSG_TRUNC
 from repro.live.router import LiveRouter
 from repro.viper.errors import ViperDecodeError
-from repro.viper.packet import TRUNCATION_SENTINEL
+from repro.viper.packet import (
+    TRUNCATION_MARK,
+    TRUNCATION_MARK_BYTES,
+    TRUNCATION_SENTINEL,
+    SirpentPacket,
+    TrailerElement,
+    build_return_route,
+    encode_packet,
+)
 from repro.viper.portinfo import ETHERNET_INFO_BYTES, EthernetInfo
 from repro.viper.ring import BufferRing, DEFAULT_SLOT_BYTES
 from repro.viper.wire import HeaderSegment, PacketView, encode_segment
+
+
+# -- the structural packet algebra ---------------------------------------------
+
+
+def advance(packet, return_segment):
+    """Strip the leading segment, appending its reverse to the trailer.
+
+    Returns the stripped segment.  A slick leading segment takes its
+    (leading) alternate block with it — an un-taken alternate is dead
+    weight past its hop.
+    """
+    stripped = packet.segments.pop(0)
+    if stripped.slick and packet.alternates:
+        packet.alternates.pop(0)
+    packet.trailer.append(TrailerElement(return_segment))
+    return stripped
+
+
+def apply_slick_reroute(packet, alternate):
+    """Replace the remaining route with an alternate block's segments.
+
+    Every remaining primary segment and every remaining alternate block
+    is discarded — the alternate is a complete replacement tail, and the
+    failover DAG is depth-1 so the spliced route carries no blocks.
+    """
+    packet.segments[:] = list(alternate)
+    packet.alternates = []
+
+
+def mark_truncated(packet, keep_bytes):
+    """Record that the payload was cut to ``keep_bytes`` mid-flight."""
+    if keep_bytes < 0:
+        raise ValueError("keep_bytes must be non-negative")
+    packet.payload_size = min(packet.payload_size, keep_bytes)
+    if not packet.truncated:
+        packet.trailer.append(TRUNCATION_MARK)
+
+
+def truncate_structurally(packet, mtu):
+    """Cut the payload so the whole packet — segments, alternate blocks,
+    trailer and the mark — fits ``mtu``; returns the bytes removed."""
+    overhead = packet.wire_size() - packet.payload_size
+    budget = mtu - overhead - (0 if packet.truncated else TRUNCATION_MARK_BYTES)
+    if budget < 0:
+        raise ValueError(f"packet overhead {overhead}B exceeds MTU {mtu}B")
+    before = packet.payload_size
+    mark_truncated(packet, budget)
+    return before - packet.payload_size
+
+
+def trailer_segments(packet):
+    """The reversed segments accumulated so far, in arrival order."""
+    return [e.segment for e in packet.trailer if isinstance(e, TrailerElement)]
+
+
+def corrupted_copy(packet, rng):
+    """The structural rendition of a bit error: a flagged clone whose
+    leading port, half the time, takes a random value."""
+    clone = SirpentPacket(
+        segments=list(packet.segments),
+        payload_size=packet.payload_size,
+        payload=packet.payload,
+        trailer=list(packet.trailer),
+        trace_id=packet.trace_id,
+        alternates=[list(block) for block in packet.alternates],
+    )
+    clone.corrupted = True
+    if clone.segments and rng.random() < 0.5:
+        clone.segments[0] = clone.segments[0].copy(port=rng.randrange(0, 256))
+    return clone
+
+
+def sim_packet(packet, **metadata):
+    """The simulator's :class:`FramePacket` carrying ``packet``'s bytes
+    (its payload as zero filler), ``metadata`` passed through."""
+    return FramePacket(
+        len(packet.segments), packet.payload_size, encode_packet(packet),
+        **metadata,
+    )
+
+
+def structural(packet):
+    """The :class:`SirpentPacket` a simulator frame encodes."""
+    return decode_live_frame(packet.view.tobytes())[1]
+
+
+def return_route(delivered):
+    """The return route a simulator delivery's trailer encodes, in send
+    order with RPF set (§2) — read structurally."""
+    return build_return_route(structural(delivered.packet))
+
+
+# -- the hop move, the slow way --------------------------------------------------
 
 
 def strip_and_append_slow(
@@ -50,13 +156,13 @@ def strip_and_append_slow(
     """Reference strip/reverse/append through the structural codec.
 
     Decodes the whole frame into a :class:`SirpentPacket`, performs
-    :meth:`~repro.viper.packet.SirpentPacket.advance`, and re-encodes —
-    every byte round-trips through the object layer.
+    :func:`advance`, and re-encodes — every byte round-trips through the
+    object layer.
     """
     preamble, packet, payload_bytes = decode_live_frame(datagram)
     if preamble.seg_count == 0:
         raise ViperDecodeError("cannot forward: no leading segment")
-    packet.advance(return_segment)
+    advance(packet, return_segment)
     encoded_return = encode_segment(return_segment)
     if len(encoded_return) >= TRUNCATION_SENTINEL:
         raise ValueError("return segment too large to frame in the trailer")
@@ -72,7 +178,7 @@ def slick_reroute_slow(
 
     Decodes the whole frame, replaces the route with the leading
     alternate block
-    (:meth:`~repro.viper.packet.SirpentPacket.apply_slick_reroute`),
+    (:func:`apply_slick_reroute`),
     takes the block's first hop and re-encodes.
     """
     preamble, packet, payload_bytes = decode_live_frame(datagram)
@@ -80,8 +186,8 @@ def slick_reroute_slow(
         raise ViperDecodeError("cannot forward: no leading segment")
     if not packet.segments[0].slick or not packet.alternates:
         raise ViperDecodeError("cannot reroute: leading segment is not slick")
-    packet.apply_slick_reroute(packet.alternates[0])
-    packet.advance(return_segment)
+    apply_slick_reroute(packet, packet.alternates[0])
+    advance(packet, return_segment)
     encoded_return = encode_segment(return_segment)
     if len(encoded_return) >= TRUNCATION_SENTINEL:
         raise ValueError("return segment too large to frame in the trailer")
@@ -132,45 +238,129 @@ def sweep_tail_room(in_place, oracle, datagram: bytes,
     return fitted, refused
 
 
-def forward_structurally(router, datagram: bytes, source):
-    """The fate ``router`` owes ``datagram`` from ``source``, structurally.
+def move_structurally(packet, decision):
+    """A FORWARD decision applied to a decoded packet: the slick splice
+    (:func:`apply_slick_reroute`, the block's first hop taken) or the
+    strip with the decision's splice tail, then truncation."""
+    if decision.slick_reroute:
+        apply_slick_reroute(packet, packet.alternates[0])
+        advance(packet, decision.return_segment)
+    else:
+        advance(packet, decision.return_segment)
+        packet.segments[0:0] = decision.splice_tail
+    if decision.truncate_to:
+        truncate_structurally(packet, decision.truncate_to)
 
-    Returns ``("drop", reason)``, ``("deliver", datagram)`` or
-    ``("forward", forwarded_bytes, peer_address)``.  The decision comes
-    from ``router``'s own pipeline (its flow cache warms and its
-    ``dead_ports`` count), fed a fresh :class:`HopInput` built from the
-    fully decoded packet; the transform is the slow one above.
+
+def structural_fates(pipeline, datagram, in_port, now_ms, reverse_portinfo,
+                     wire_size):
+    """The fates a router deciding with ``pipeline`` owes ``datagram``,
+    structurally: one per copy — a multicast hop re-decides each clone.
+
+    Each fate is ``("drop", reason)``, ``("deliver", datagram)`` or
+    ``("forward", forwarded_bytes, out_port)``.  The decision is the
+    pipeline's own (its flow cache warms, its token cache charges), fed
+    a fresh :class:`HopInput` built from the fully decoded packet; the
+    transform is the structural algebra above.  The driver's two
+    link-layer rules are arguments: ``reverse_portinfo(segment)``, the
+    arrival's reversed network header, and ``wire_size(preamble,
+    packet)``, the size it hands the pipeline.  Raises
+    :class:`ValueError` where the router would: a truncation the
+    egress MTU cannot hold even without payload.
     """
     try:
-        preamble, packet, _payload = decode_live_frame(datagram)
+        preamble, packet, payload = decode_live_frame(datagram)
         segment = packet.segments[0]
     except (ViperDecodeError, IndexError):
-        return ("drop", "undecodable")
-    portinfo = segment.portinfo
-    in_port = router.addr_port.get(source, UNKNOWN_IN_PORT)
-    decision = router.pipeline.decide(HopInput(
+        return [("drop", "undecodable")]
+    decision = pipeline.decide(HopInput(
         segment=segment,
         seg_count=preamble.seg_count,
-        wire_size=preamble.payload_len,
+        wire_size=wire_size(preamble, packet),
         in_port=in_port,
-        now_ms=router._now_ms(),
-        reverse_portinfo=lambda: (
-            EthernetInfo.from_bytes(portinfo).reversed().to_bytes()
-            if len(portinfo) == ETHERNET_INFO_BYTES else b""
-        ),
+        now_ms=now_ms,
+        reverse_portinfo=lambda: reverse_portinfo(segment),
         alternate=lambda: packet.alternates[0] if segment.slick else None,
     ))
     if decision.action is Action.DROP:
-        return ("drop", decision.reason)
+        return [("drop", decision.reason)]
     if decision.action is Action.DELIVER_LOCAL:
-        return ("deliver", datagram)
+        return [("deliver", datagram)]
+    if decision.action is Action.FANOUT:
+        fates = []
+        for branch in decision.branches:
+            whole = decision.fanout_replaces_route
+            clone = SirpentPacket(
+                segments=list(branch) + ([] if whole else packet.segments[1:]),
+                payload_size=packet.payload_size,
+                trailer=list(packet.trailer),
+                alternates=[] if whole else packet.alternates,
+            )
+            fates += structural_fates(
+                pipeline, encode_live_frame(clone, payload), in_port, now_ms,
+                reverse_portinfo, wire_size,
+            )
+        return fates
     if in_port == UNKNOWN_IN_PORT:
-        return ("drop", "unknown_peer")
-    move = slick_reroute_slow if decision.slick_reroute else strip_and_append_slow
-    forwarded = move(datagram, decision.return_segment)
-    if len(forwarded) > router.endpoint.ring.slot_bytes:
+        return [("drop", "unknown_peer")]
+    if len(encode_segment(decision.return_segment)) >= TRUNCATION_SENTINEL:
+        return [("drop", "undecodable")]
+    move_structurally(packet, decision)
+    forwarded = encode_live_frame(
+        packet, payload[:packet.payload_size], trace_id=preamble.trace_id
+    )
+    return [("forward", forwarded, decision.out_port)]
+
+
+def _reverse_leading_portinfo(segment):
+    """The live router's link-layer rule: an Ethernet-shaped portInfo on
+    the leading segment is reversed, any other is empty."""
+    if len(segment.portinfo) != ETHERNET_INFO_BYTES:
+        return b""
+    return EthernetInfo.from_bytes(segment.portinfo).reversed().to_bytes()
+
+
+def forward_structurally(router, datagram: bytes, source):
+    """The fate live ``router`` owes ``datagram`` from ``source``,
+    structurally: :func:`structural_fates` with the live link rules.
+
+    Returns ``("drop", reason)``, ``("deliver", datagram)`` or
+    ``("forward", forwarded_bytes, peer_address)``.
+    """
+    (fate,) = structural_fates(
+        router.pipeline, datagram,
+        router.addr_port.get(source, UNKNOWN_IN_PORT), router._now_ms(),
+        _reverse_leading_portinfo,
+        lambda preamble, _packet: preamble.payload_len,
+    )
+    if fate[0] != "forward":
+        return fate
+    if len(fate[1]) > router.endpoint.ring.slot_bytes:
         return ("drop", "oversize")
-    return ("forward", forwarded, router.ports[decision.out_port])
+    return ("forward", fate[1], router.ports[fate[2]])
+
+
+def hop_structurally(router, datagram: bytes, inport, tx):
+    """The fates simulator ``router`` owes ``datagram`` arriving on
+    ``inport`` by ``tx``: :func:`structural_fates` with the sim's link
+    rules — the return hop reverses the arrival frame's MACs, and the
+    pipeline is handed the VIPER body's size."""
+    def reverse_portinfo(_segment):
+        if (
+            inport.kind == "ethernet"
+            and tx.src_mac is not None
+            and tx.dst_mac is not None
+        ):
+            return EthernetInfo(
+                dst=tx.src_mac, src=tx.dst_mac, ethertype=0
+            ).to_bytes()
+        return b""
+
+    return structural_fates(
+        router.pipeline, datagram, inport.port_id,
+        int(router.sim.now * 1000), reverse_portinfo,
+        lambda _preamble, packet: packet.wire_size(),
+    )
 
 
 def expected_outcome(router, arrivals):

@@ -21,6 +21,7 @@ from repro.live import LiveOverlay, LiveRoute
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
+from tests.live.oracle import return_route
 
 pytestmark = pytest.mark.live
 
@@ -70,7 +71,7 @@ def _run_sim(world: _World, route, payload: bytes) -> _Outcome:
 
     def on_delivered(delivered):
         outcome.delivered_payloads.append(delivered.payload)
-        outcome.return_ports = [s.port for s in delivered.return_segments]
+        outcome.return_ports = [s.port for s in return_route(delivered)]
 
     server.bind(route.segments[-1].port, on_delivered)
     world.topology.node("client").send(route, payload, len(payload))

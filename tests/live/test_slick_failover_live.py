@@ -48,6 +48,7 @@ from tests.live.oracle import (
     batch_of,
     capture_router,
     expected_outcome,
+    return_route,
     slick_reroute_slow,
     slot_view,
     strip_and_append_slow,
@@ -441,7 +442,7 @@ def _run_sim_failover(payload):
     def on_delivered(delivered):
         outcome["delivered"].append(delivered.payload)
         outcome["return_ports"] = [
-            s.port for s in delivered.return_segments
+            s.port for s in return_route(delivered)
         ]
 
     topo.node("server").bind(route.segments[-1].port, on_delivered)
@@ -516,3 +517,23 @@ def test_parity_slick_failover_reroutes_identically():
     assert live_outcome["return_ports"] == sim_outcome["return_ports"]
     assert live_outcome["slick_reroutes"] == sim_outcome["slick_reroutes"]
     assert live_outcome["mid_forwarded"] == sim_outcome["mid_forwarded"]
+
+
+def test_a_tokened_alternate_reroutes():
+    """Regression: the alternate block was decoded as views of the ring
+    slot, so the token cache's lookup of its token raised ``ValueError``
+    (a writable memoryview is unhashable) and the batch died mid-hop."""
+    router, sent = capture_router("r", ports=(1, 2, 3))
+    router.dead_ports.add(1)
+    alternate = [
+        HeaderSegment(port=2, token=router.mint.mint(port=2, account=1)),
+        HeaderSegment(port=0),
+    ]
+    datagram = slick_frame(
+        [HeaderSegment(port=1, slick=True), HeaderSegment(port=0)],
+        [alternate],
+    )
+    source = router.ports[3]
+    router._on_batch(batch_of(slot_view(router.endpoint.ring, datagram), source))
+    assert [address for _bytes, address in sent] == [router.ports[2]]
+    assert router.metrics.slick_reroutes == 1

@@ -13,6 +13,9 @@ and that ``LiveRouter._on_batch``, the one way a frame crosses a live
 router, reproduces the oracle's fate for every frame.
 """
 
+import importlib
+import importlib.util
+import inspect
 import random
 
 import pytest
@@ -463,7 +466,9 @@ class TestBatchedForwardingDifferential:
 
 def test_one_forwarding_path_and_no_twin_in_src():
     """Structural: the in-place view move is the only transform in
-    ``src/repro/live`` and ``_on_batch`` the only way into it."""
+    ``src/`` — ``_on_batch`` the live way into it, ``SirpentRouter`` the
+    simulator's — and the structural packet algebra lives in the tests
+    only."""
     for module in (router_module, frames):
         for name in dir(module):
             assert "_slow" not in name, name
@@ -472,3 +477,12 @@ def test_one_forwarding_path_and_no_twin_in_src():
     assert not hasattr(router_module.LiveRouter, "_on_frame")
     assert not hasattr(router_module.LiveRouter, "decide")
     assert not hasattr(capture_router("r")[0].endpoint, "on_frame")
+    # The simulator's forwarding modules never see a structural packet.
+    for name in ("router", "host", "queues", "congestion"):
+        module = importlib.import_module(f"repro.core.{name}")
+        assert "SirpentPacket" not in vars(module), name
+        assert "SirpentPacket" not in inspect.getsource(module), name
+    assert importlib.util.find_spec("repro.core.truncation") is None
+    for name in ("advance", "apply_slick_reroute", "mark_truncated",
+                 "corrupted_copy", "trailer_segments"):
+        assert not hasattr(SirpentPacket, name), name

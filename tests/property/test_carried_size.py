@@ -1,13 +1,16 @@
 """The size a frame carries is the size it encodes to — always.
 
-The simulator never serialises per hop: a :class:`HeaderSegment` fixes
-its ``wire_bytes`` at construction, the router counts a packet once
-after its transform, and that number rides the ``Transmission`` to the
-next hop's decision.  These tests pin the arithmetic to the codec:
-through every mutation the sim performs on a packet, and on every
-frame a simulated channel clocks out, the carried size equals
-``len(encode_packet(packet))``.  They also pin the aliasing rule that
-makes sharing segments between a route and its packets safe.
+The simulator carries every packet as its frame's bytes
+(:class:`~repro.core.packet.FramePacket`) and moves them with the live
+overlay's in-place moves, so a packet's size is ``len()`` of its frame
+less the preamble, and that number rides the ``Transmission`` to the
+next hop's decision.  These tests pin it to the structural codec:
+through every move the sim makes on a frame, the frame is byte for byte
+``encode_packet`` of the structural reference the same algebra
+(``tests/live/oracle.py``) builds; and on every frame a simulated
+channel clocks out, the carried size equals ``len(encode_packet(...))``
+of the packet the frame decodes to.  They also pin that forwarding a
+packet leaves its route's segments untouched.
 """
 
 import random
@@ -18,11 +21,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos.soak import chaos_scenario
 from repro.core.host import SirpentHost
+from repro.core.packet import HEADER, FramePacket
 from repro.core.router import RouterConfig, SirpentRouter
-from repro.core.truncation import truncate_to_mtu
 from repro.dataplane.multicast import TREE_PORT, TreeBranch, encode_tree_info
 from repro.directory import RouteQuery
 from repro.directory.routes import slickify_route
+from repro.live.frames import (
+    encode_route_header,
+    hop_move_into,
+    return_tail_of,
+    slick_reroute_into,
+    truncate_into,
+)
 from repro.net.ethernet import EthernetSegment
 from repro.net.link import Channel
 from repro.net.topology import Topology
@@ -30,10 +40,18 @@ from repro.scenarios import build_sirpent_campus, build_sirpent_random
 from repro.sim.engine import Simulator
 from repro.transport import RouteManager, TransportConfig
 from repro.viper.packet import SirpentPacket, encode_packet
-from repro.viper.wire import HeaderSegment, encode_segment
+from repro.viper.wire import HeaderSegment, encode_alt_blocks, encode_segment
 from repro.workloads.apps import TransactionApp
+from tests.live.oracle import (
+    advance,
+    apply_slick_reroute,
+    corrupted_copy,
+    sim_packet,
+    structural,
+    truncate_structurally,
+)
 
-# -- every mutation, one step at a time ---------------------------------------
+# -- every move, one step at a time -------------------------------------------
 
 #: Field lengths on both sides of the one-octet length escape (255).
 field_bytes = st.one_of(
@@ -76,32 +94,37 @@ def packets(draw):
 
 
 STEPS = (
-    "advance", "slick_reroute", "splice", "mark_truncated",
-    "truncate_to_mtu", "corrupted_copy", "multicast_clone", "restamp",
+    "advance", "slick_reroute", "splice", "truncate", "corrupted_copy",
+    "multicast_clone",
 )
 
 
-def carried(packet):
-    """The size the sim's drivers carry for ``packet``: one count after
-    the transform, over sizes every part fixed when it was built."""
-    for part in (
-        packet.segments,
-        [s for block in packet.alternates for s in block],
-        packet.trailer_segments(),
-    ):
-        for segment in part:
-            assert segment.wire_bytes == len(encode_segment(segment))
-    return packet.wire_size()
+def carried(frame, reference):
+    """The size the sim carries for ``frame``, checked against the
+    encoding of the structural ``reference``, byte for byte."""
+    body = frame.view.tobytes()[HEADER:]
+    assert body == encode_packet(reference)
+    assert (frame.seg_count, frame.payload_size) == (
+        len(reference.segments), reference.payload_size
+    )
+    return frame.wire_size()
 
 
-def fan_out_clone(packet, branch):
-    """The clone a group-multicast hop builds (``SirpentRouter._fan_out``)."""
-    return SirpentPacket(
-        segments=list(branch) + packet.segments[1:],
-        payload_size=packet.payload_size,
-        payload=packet.payload,
-        trailer=list(packet.trailer),
-        hops_taken=packet.hops_taken,
+def fan_out_clone(frame, reference, branch):
+    """The clone a group-multicast hop re-frames
+    (``SirpentRouter._fan_out``), and its structural twin."""
+    first = encode_segment(reference.segments[0])
+    clone = FramePacket(
+        len(branch) + frame.seg_count - 1, frame.payload_size,
+        b"".join(s.wire for s in branch) + frame.view.tobytes()[
+            HEADER + len(first):
+        ],
+    )
+    return clone, SirpentPacket(
+        segments=list(branch) + reference.segments[1:],
+        payload_size=reference.payload_size,
+        trailer=list(reference.trailer),
+        alternates=reference.alternates,
     )
 
 
@@ -118,55 +141,71 @@ def fan_out_clone(packet, branch):
     ),
 )
 @settings(max_examples=150, deadline=None)
-def test_every_mutation_keeps_the_carried_size_exact(packet, steps):
-    assert carried(packet) == len(encode_packet(packet))
+def test_every_mutation_keeps_the_carried_size_exact(reference, steps):
+    frame = sim_packet(reference)
+    assert carried(frame, reference) == len(encode_packet(reference))
     for step, segment, tail, number in steps:
-        if step == "advance":
-            if not packet.segments:
+        view = frame.view
+        if step in ("advance", "splice"):
+            if not reference.segments:
                 continue
-            packet.advance(segment)
+            splice = tail if step == "splice" else ()
+            while not hop_move_into(
+                view, return_tail_of(segment), splice=splice
+            ):
+                frame.grow()
+                view = frame.view
+            advance(reference, segment)
+            reference.segments[0:0] = splice
         elif step == "slick_reroute":
             # The router's move on a dead slick egress: the alternate
-            # replaces the route, its first hop is taken, the rest spliced.
-            if not (packet.segments and packet.segments[0].slick):
+            # replaces the route and its first hop is taken.
+            if not (reference.segments and reference.segments[0].slick):
                 continue
-            alternate = packet.alternates[0]
-            packet.apply_slick_reroute((alternate[0],))
-            packet.advance(segment)
-            packet.segments[0:0] = alternate[1:]
-        elif step == "splice":
-            packet.segments[0:0] = tail
-        elif step == "mark_truncated":
-            packet.mark_truncated(number % 5000)
-        elif step == "truncate_to_mtu":
-            overhead = carried(packet) - packet.payload_size
-            truncate_to_mtu(packet, overhead + 2 + number % 1500)
+            while not slick_reroute_into(view, return_tail_of(segment)):
+                frame.grow()
+                view = frame.view
+            apply_slick_reroute(reference, reference.alternates[0])
+            advance(reference, segment)
+        elif step == "truncate":
+            overhead = carried(frame, reference) - reference.payload_size
+            mtu = overhead + 2 + number % 1500
+            while not truncate_into(view, mtu):
+                frame.grow()
+                view = frame.view
+            truncate_structurally(reference, mtu)
         elif step == "corrupted_copy":
-            before = carried(packet)
-            packet = packet.corrupted_copy(random.Random(number))
-            assert carried(packet) == before
+            before = carried(frame, reference)
+            frame = frame.corrupted_copy(random.Random(number))
+            reference = corrupted_copy(reference, random.Random(number))
+            assert carried(frame, reference) == before
         elif step == "multicast_clone":
-            if not packet.segments or packet.alternates:
-                continue  # multicast routes carry no slick blocks
-            packet = fan_out_clone(packet, [segment.copy(slick=False)])
-        elif step == "restamp":
-            packet.segments[:] = [
-                s.stamped(number % 16, bool(number & 16))
-                for s in packet.segments
-            ]
-        assert carried(packet) == len(encode_packet(packet)), step
+            if not reference.segments or reference.segments[0].slick:
+                continue  # a multicast segment carries no slick block
+            frame, reference = fan_out_clone(
+                frame, reference, [segment.copy(slick=False)]
+            )
+        assert carried(frame, reference) == len(encode_packet(reference)), step
 
 
-@given(plain_segments, st.integers(0, 15), st.booleans())
-def test_stamping_shares_only_what_is_already_right(segment, priority, dib):
-    stamped = segment.stamped(priority, dib)
-    assert (stamped.priority, stamped.dib) == (priority, dib)
-    assert stamped == segment.copy(priority=priority, dib=dib)
-    assert (stamped is segment) == (
-        segment.priority == priority and segment.dib == dib
+@given(
+    st.lists(segment_strategy(slick=st.booleans()), min_size=1, max_size=12),
+    st.integers(0, 15),
+    st.booleans(),
+)
+def test_a_route_header_carries_the_type_of_service(segments, priority, dib):
+    """A host stamps its priority (and DIB) into every segment, and the
+    priority into every alternate (§2)."""
+    alternates = [[HeaderSegment(port=9)] for s in segments if s.slick]
+    header, seg_count = encode_route_header(
+        segments, alternates, priority, dib
     )
-    keep_dib = segment.stamped(priority)
-    assert keep_dib == segment.copy(priority=priority)
+    assert seg_count == len(segments)
+    assert header == b"".join(
+        encode_segment(s.copy(priority=priority, dib=dib)) for s in segments
+    ) + encode_alt_blocks(
+        [[s.copy(priority=priority) for s in block] for block in alternates]
+    )
 
 
 # -- every frame a channel clocks out ------------------------------------------
@@ -178,8 +217,9 @@ def check_every_frame(monkeypatch):
     seen = []
 
     def check(packet, size):
-        if isinstance(packet, SirpentPacket):
-            assert size == len(encode_packet(packet)), packet
+        if isinstance(packet, FramePacket):
+            assert size == packet.wire_size()
+            assert size == len(encode_packet(structural(packet)))
             seen.append(size)
 
     channel_transmit = Channel.transmit
@@ -344,8 +384,8 @@ def fields(segment):
 
 def test_a_forwarded_and_reversed_packet_leaves_its_route_untouched():
     """Two packets on one route: the first goes all the way there and its
-    reply all the way back while the second waits, sharing the route's
-    segment objects with both."""
+    reply all the way back while the second waits.  Each packet owns its
+    frame's bytes; the route's segments are only read."""
     scenario = build_sirpent_random(
         n_routers=5, n_hosts=2, extra_edges=1,
         router_config=RouterConfig(require_tokens=True), seed=2,
@@ -364,35 +404,31 @@ def test_a_forwarded_and_reversed_packet_leaves_its_route_untouched():
 
     first = src.send(route, b"ping", 1200)
     second = src.send(route, b"ping", 1200)
-    # Each packet owns its list and shares the route's segments.
-    assert first.segments is not route.segments is not second.segments
-    assert first.segments is not second.segments
-    second_segments = list(second.segments)
-    assert all(a is b for a, b in zip(second_segments, route.segments))
-    assert all(a is b for a, b in zip(first.segments, route.segments))
+    assert first.view.buffer is not second.view.buffer
+    sent = second.view.tobytes()
 
     # Run until the first reply is home; the second request is behind it.
     while not replies:
         assert sim.step()
-    assert first.hops_taken == len(before) - 1 and not first.segments[1:]
+    assert first.hops_taken == len(before) - 1 and first.seg_count == 1
     reply = replies[0].packet
     assert reply.hops_taken == len(before) - 1
+    assert structural(reply).segments[0].port == 0
 
     assert route.segments is segments_list
     assert [fields(s) for s in route.segments] == before
-    assert [fields(s) for s in second_segments] == before
     sim.run(until=sim.now + 0.1)
     assert len(replies) == 2
     assert [fields(s) for s in route.segments] == before
-    assert [fields(s) for s in second_segments] == before
+    assert second.view.tobytes() != sent  # forwarded: its own bytes moved
 
 
 def test_a_corrupted_copy_does_not_touch_the_original():
     segments = [HeaderSegment(port=3, token=b"t" * 8), HeaderSegment(port=0)]
-    packet = SirpentPacket(segments=list(segments), payload_size=10)
-    before = [fields(s) for s in segments]
+    packet = sim_packet(SirpentPacket(segments=segments, payload_size=10))
+    before = packet.view.tobytes()
     for seed in range(20):
         clone = packet.corrupted_copy(random.Random(seed))
-        assert clone.segments is not packet.segments
-        assert clone.segments[1] is packet.segments[1]
-    assert [fields(s) for s in packet.segments] == before
+        assert clone.view.buffer is not packet.view.buffer
+        assert clone.view.tobytes()[HEADER + 4:] == before[HEADER + 4:]
+    assert packet.view.tobytes() == before

@@ -16,6 +16,7 @@ from repro.viper.packet import (
     encode_packet,
 )
 from repro.viper.wire import HeaderSegment, decode_segment, encode_segment
+from tests.live.oracle import advance
 
 segments = st.builds(
     HeaderSegment,
@@ -105,7 +106,7 @@ def test_return_route_reversal(forward_ports, return_ports)  :
         payload_size=10,
     )
     for rp in return_ports[:n]:
-        packet.advance(HeaderSegment(port=rp))
+        advance(packet, HeaderSegment(port=rp))
     route = build_return_route(packet)
     assert [s.port for s in route] == list(reversed(return_ports[:n]))
     assert all(s.rpf for s in route)

