@@ -18,7 +18,8 @@ Components:
   limit exceeds the link rate and evaporates.
 * :class:`RateControlManager` — per-router logic: detect congestion on
   output ports, identify upstream feeders from the source routes of the
-  backlog, send signals, receive signals, cascade.
+  backlog, send signals, receive signals, cascade.  Detection samples
+  the queues on a fixed grid, and only while a sample can fire.
 * :class:`ControlPlane` — delivers signals between routers with the
   propagation delay of the connecting link.  The paper does not specify
   a wire encoding for these messages; modelling them as out-of-band
@@ -236,24 +237,48 @@ class RateControlManager:
         #: cached route may steer straight into the congested queue.
         self.on_rebind: Optional[Callable[[], None]] = None
         control_plane.register(node_name, self._on_control_message)
-        if enabled:
-            sim.after(check_interval, self._periodic_check)
+        #: The sampling grid, ``check_interval`` apart from construction
+        #: on.  A sample fires only with a watched queue at the watermark
+        #: or a limit held; without either the grid sleeps until
+        #: :meth:`_wake`, ``_due`` being the instant after the last sample.
+        self._due = sim.now + check_interval
+        self._asleep = True
 
     # -- wiring ---------------------------------------------------------------
 
     def watch_port(self, port_id: int, output_port: Any) -> None:
         self._ports[port_id] = output_port
+        output_port.watermark = self.queue_high_watermark
+        output_port.on_watermark = self._wake
+        if output_port.queue_depth >= self.queue_high_watermark:
+            self._wake()
 
     # -- detection ---------------------------------------------------------------
 
-    def _periodic_check(self) -> None:
-        if not self.enabled:
+    def _wake(self) -> None:
+        """Resume sampling at the grid's next instant after now — for a
+        queue reaching the watermark, a port watched at it, or a signal."""
+        if not self._asleep or not self.enabled:
             return
+        self._asleep = False
+        due, now = self._due, self.sim.now
+        while due <= now:
+            due += self.check_interval
+        self._due = due
+        self.sim.at(due, self._periodic_check)
+
+    def _periodic_check(self) -> None:
+        congested = False
         for port_id, port in self._ports.items():
             if port.queue_depth >= self.queue_high_watermark:
+                congested = True
                 self._signal_feeders(port_id, port)
         self._ramp_stale_limits()
-        self.sim.after(self.check_interval, self._periodic_check)
+        self._due = due = self._due + self.check_interval
+        if congested or self.limits:
+            self.sim.at(due, self._periodic_check)
+        else:
+            self._asleep = True
 
     def _signal_feeders(self, port_id: int, port: Any) -> None:
         """Tell every upstream feeder of this queue to slow down.
@@ -288,6 +313,7 @@ class RateControlManager:
     def _on_control_message(self, src: str, message: Any) -> None:
         if not isinstance(message, RateSignal):
             return
+        self._wake()
         self.signals_received.add()
         key: LimitKey = (message.congested_node, message.port_id)
         expiry = self.sim.now + message.hold_time

@@ -46,7 +46,8 @@ class FramePacket:
 
     __slots__ = (
         "view", "payload", "packet_id", "created_at", "source", "hops_taken",
-        "hop_log", "trace_id", "corrupted", "feed_forward_load", "__weakref__",
+        "hop_log", "trace_id", "corrupted", "feed_forward_load", "lead_bytes",
+        "__weakref__",
     )
 
     def __init__(
@@ -71,6 +72,9 @@ class FramePacket:
         #: "Feed forward" load hint (§2.2): packets queued behind this
         #: one at its previous router, stamped at transmit start.
         self.feed_forward_load = 0
+        #: The leading segment's length, once found (None: not yet);
+        #: whatever moves, truncates or copies the frame resets it.
+        self.lead_bytes: Optional[int] = None
 
     @property
     def seg_count(self) -> int:
@@ -103,7 +107,10 @@ class FramePacket:
         first = view.start + HEADER
         if not view.buffer[view.start + SEG_COUNT_AT]:
             return view.end - first
-        return segment_span(view.buffer, first) - first
+        lead = self.lead_bytes
+        if lead is None:
+            lead = self.lead_bytes = segment_span(view.buffer, first) - first
+        return lead
 
     def grow(self) -> None:
         """Double the buffer, the frame at its head: for a move the
@@ -119,6 +126,7 @@ class FramePacket:
         clone.view = PacketView(bytearray(view.buffer), view.start, view.end)
         clone.payload = payload
         clone.hop_log = list(self.hop_log)
+        clone.lead_bytes = None
         return clone
 
     def __deepcopy__(self, memo) -> "FramePacket":

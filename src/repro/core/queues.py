@@ -91,6 +91,10 @@ class OutputPort:
         self._seq = 0
         self.queued_bytes = 0
         self.on_transmit_start: Optional[Callable[[_QueuedPacket], None]] = None
+        #: ``on_watermark()`` runs when an enqueue brings the queue to
+        #: ``watermark`` packets (0: never) — congestion sampling wakes.
+        self.watermark = 0
+        self.on_watermark: Optional[Callable[[], None]] = None
         #: The packet :meth:`submit` sent straight out of the idle port,
         #: for as long as that transmission lasts — the stream a
         #: cut-through router aborts when its inbound half dies (§2.1).
@@ -166,6 +170,8 @@ class OutputPort:
         )
         self.queued_bytes += entry.size
         self.queue_length.update(self.sim.now, len(self._heap))
+        if len(self._heap) == self.watermark:
+            self.on_watermark()
         if self.tracer.enabled:
             trace_id = getattr(entry.packet, "trace_id", 0)
             if trace_id:

@@ -35,7 +35,7 @@ the ``on_packet`` event instead, plus a per-packet processing charge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import ControlPlane, RateControlManager
@@ -65,7 +65,7 @@ from repro.sim.monitor import Counter, Histogram
 from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
 from repro.viper.portinfo import EthernetInfo
-from repro.viper.wire import LOCAL_PORT, HeaderSegment, parse_segment_view, segment_span
+from repro.viper.wire import LOCAL_PORT, HeaderSegment, parse_segment_view
 
 
 @dataclass
@@ -198,7 +198,8 @@ class _SimHop:
         buffer, start = view.buffer, view.start
         self.seg_count = buffer[start + SEG_COUNT_AT]
         self.payload_len = buffer[start + PAYLOAD_LEN_AT] << 8 | buffer[start + PAYLOAD_LEN_AT + 1]
-        next_at = segment_span(buffer, start + HEADER)
+        # Found when the previous hop sent the frame, not again here.
+        next_at = start + HEADER + packet.decision_prefix_bytes()
         self.next_rel = next_at - start
         self.lead = buffer[start + HEADER:next_at]
         self._packet = packet
@@ -284,7 +285,6 @@ class SirpentRouter(Node):
             # Congestion rebinds route packets around hot queues; cached
             # flow decisions may point straight at one — flush them.
             self.congestion.on_rebind = self.pipeline.on_congestion_rebind
-        self._header_handled: Set[int] = set()
         #: Hop tracer (repro.obs); NULL_TRACER = tracing disabled.
         self.tracer = NULL_TRACER
 
@@ -342,7 +342,7 @@ class SirpentRouter(Node):
             attachment = self.ports.get(outport_id)
             if attachment is None or attachment.rate_bps != inport.rate_bps:
                 return  # fall back to store-and-forward at completion
-        self._header_handled.add(packet.packet_id)
+        tx.taken_by(inport)  # the completion is no moment for us
         self.stats.cut_through_forwards.add()
         if packet.trace_id and self.tracer.enabled:
             self.tracer.event(
@@ -353,9 +353,6 @@ class SirpentRouter(Node):
 
     def on_packet(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
         if not isinstance(packet, FramePacket):
-            return
-        if packet.packet_id in self._header_handled:
-            self._header_handled.discard(packet.packet_id)
             return
         port = packet.leading_port()
         if port is None:
@@ -381,7 +378,6 @@ class SirpentRouter(Node):
         """Upstream preemption mid-cut-through: propagate the abort."""
         if not isinstance(packet, FramePacket):
             return
-        self._header_handled.discard(packet.packet_id)
         for outport in self.output_ports.values():
             if outport.streaming is packet:
                 if outport.attachment.current_packet() is packet:
@@ -447,6 +443,7 @@ class SirpentRouter(Node):
             while not truncate_into(packet.view, decision.truncate_to):
                 packet.grow()
             self.stats.truncated.add()
+        packet.lead_bytes = None  # a new leading segment
         delay = (
             self.config.decision_delay + decision.token_delay + extra_process_delay
         )
@@ -496,7 +493,7 @@ class SirpentRouter(Node):
         segment: HeaderSegment, dst_mac: Optional[MacAddress], arrival_time: float,
     ) -> None:
         outport = self.output_ports[port]
-        if self.congestion is None:
+        if self.congestion is None or not self.congestion.limits:
             self._submit(packet, size, outport, segment, dst_mac, arrival_time)
             return
         self.congestion.admit_or_hold(

@@ -8,12 +8,13 @@ deterministic FIFO arbitration among contending stations (no collisions
 
 Timing mirrors :class:`repro.net.link.Channel`: receivers get a header
 event followed by a completion event, so cut-through routers attached to
-an Ethernet behave just as they do on point-to-point wires.
+an Ethernet behave just as they do on point-to-point wires — and, as
+there, a moment no station acts on is not scheduled or not dispatched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
@@ -25,7 +26,7 @@ class _PendingFrame(Transmission):
     """A frame waiting for, or occupying, the shared medium — the very
     ``Transmission`` its receivers are handed."""
 
-    __slots__ = ("src", "header_bytes")
+    __slots__ = ("src", "header_bytes", "takers")
 
     def __init__(
         self, src: Any, dst_mac: MacAddress, packet: Any, size: int,
@@ -38,6 +39,12 @@ class _PendingFrame(Transmission):
         self.header_bytes = header_bytes
         self.src_mac = src.mac
         self.dst_mac = dst_mac
+        #: Stations that took the frame at its header: the completion
+        #: skips them (and reaches the other stations of a broadcast).
+        self.takers: Tuple[Any, ...] = ()
+
+    def taken_by(self, receiver: Any) -> None:
+        self.takers += (receiver,)
 
 
 class EthernetSegment:
@@ -101,7 +108,7 @@ class EthernetSegment:
         self.up = False
         frame = self._current
         if frame is not None:
-            self._cancel_current(notify=frame.header_event.time <= self.sim.now)
+            self._cancel_current(notify=frame.header_at <= self.sim.now)
         backlog, self._backlog = self._backlog, []
         for frame in backlog:
             self._abort_sender(frame)
@@ -114,9 +121,6 @@ class EthernetSegment:
     @property
     def busy(self) -> bool:
         return self._current is not None or bool(self._backlog)
-
-    def transmission_time(self, size: int) -> float:
-        return size * 8.0 / self.rate_bps
 
     def transmit(
         self,
@@ -157,12 +161,15 @@ class EthernetSegment:
         self._current = frame
         now = self.sim.now
         self.utilization.busy(now)
-        clocked = self.transmission_time(frame.size)
-        frame.header_event = self.sim.at(
-            now + self.transmission_time(min(frame.header_bytes, frame.size))
-            + self.propagation_delay,
-            self._deliver_header, frame,
+        clocked = frame.size * 8.0 / self.rate_bps
+        frame.header_at = (
+            now + min(frame.header_bytes, frame.size) * 8.0 / self.rate_bps
+            + self.propagation_delay
         )
+        if any(station.hears_headers for station in self._receivers(frame)):
+            frame.header_event = self.sim.at(
+                frame.header_at, self._deliver_header, frame
+            )
         frame.complete_event = self.sim.at(
             now + clocked + self.propagation_delay, self._deliver_complete, frame
         )
@@ -176,11 +183,13 @@ class EthernetSegment:
 
     def _deliver_header(self, frame: _PendingFrame) -> None:
         for station in self._receivers(frame):
-            station.receive_header(frame.packet, frame)
+            if station.hears_headers:
+                station.receive_header(frame.packet, frame)
 
     def _deliver_complete(self, frame: _PendingFrame) -> None:
         for station in self._receivers(frame):
-            station.receive_packet(frame.packet, frame)
+            if station not in frame.takers:
+                station.receive_packet(frame.packet, frame)
 
     def _free(self, frame: _PendingFrame) -> None:
         self.frames_sent.add()
@@ -198,7 +207,8 @@ class EthernetSegment:
     def _cancel_current(self, notify: bool) -> None:
         frame = self._current
         for event in (frame.header_event, frame.complete_event, frame.free_event):
-            event.cancel()
+            if event is not None:
+                event.cancel()
         self._current = None
         self.utilization.idle(self.sim.now)
         if notify:

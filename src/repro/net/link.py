@@ -11,6 +11,12 @@ the simulation cares about:
 * ``t0 + size/R'`` — the channel becomes free at the sender.
 * ``t0 + size/R' + P`` — the last bit lands; ``on_packet`` runs.
 
+A moment no node acts on is not scheduled: a node class that leaves
+``Node.on_header`` alone (a host, a baseline) gets no header event, and
+a router that cut the frame through at its header cancels the
+completion (:meth:`Transmission.taken_by`).  ``header_at`` is kept
+either way: a failure after it still tells the receiver.
+
 Preemption (§2.1, priorities 6-7 of VIPER) aborts an in-flight
 transmission: the pending receiver events are cancelled and the receiver
 gets ``on_abort`` when the truncated tail arrives.
@@ -29,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.net.node import Attachment
 
 
+_NEVER = float("inf")
+
+
 class ChannelBusyError(Exception):
     """Raised when a transmission is started on a busy channel."""
 
@@ -37,7 +46,7 @@ class Transmission:
     """Book-keeping for one in-flight packet on a channel."""
 
     __slots__ = (
-        "packet", "size", "priority", "on_done", "on_abort",
+        "packet", "size", "priority", "on_done", "on_abort", "header_at",
         "header_event", "complete_event", "free_event", "src_mac", "dst_mac",
     )
 
@@ -49,6 +58,8 @@ class Transmission:
         self.packet = packet
         self.size = size
         self.priority = priority
+        #: When the receiver has the header; never, for a lost frame.
+        self.header_at = _NEVER
         self.header_event: Optional[EventHandle] = None
         self.complete_event: Optional[EventHandle] = None
         self.free_event: Optional[EventHandle] = None
@@ -58,6 +69,11 @@ class Transmission:
         # receivers use it to build the return hop (§2 header reversal).
         self.src_mac = None
         self.dst_mac = None
+
+    def taken_by(self, receiver: "Attachment") -> None:
+        """``receiver`` forwarded the frame from its header (§2.1): the
+        frame's completion is no moment for it, so it is not dispatched."""
+        self.complete_event.cancel()
 
 
 class Channel:
@@ -106,12 +122,6 @@ class Channel:
         self.packets_aborted = Counter(f"{name}.aborted")
         self.utilization = UtilizationTracker(name=f"{name}.util")
 
-    # -- capacity helpers -------------------------------------------------
-
-    def transmission_time(self, size: int) -> float:
-        """Seconds to clock ``size`` bytes onto the wire."""
-        return size * 8.0 / self.rate_bps
-
     @property
     def busy(self) -> bool:
         return self.current is not None
@@ -124,10 +134,7 @@ class Channel:
         header (and may be cutting it through) gets ``on_abort``."""
         tx = self.current
         if tx is not None:
-            header = tx.header_event
-            self.abort(
-                notify_receiver=header is not None and header.time <= self.sim.now
-            )
+            self.abort(notify_receiver=tx.header_at <= self.sim.now)
         self.up = False
 
     def restore(self) -> None:
@@ -165,14 +172,12 @@ class Channel:
         tx = Transmission(packet, size, priority, on_done, on_abort)
         self.current = tx
         self.utilization.busy(now)
+        clocked = size * 8.0 / self.rate_bps
 
         fate = self.chaos() if self.chaos is not None else None
         if self.up and (fate is None or not fate.drop):
             extra = fate.extra_delay_s if fate is not None else 0.0
-            complete_at = (
-                now + self.transmission_time(size)
-                + self.propagation_delay + extra
-            )
+            complete_at = now + clocked + self.propagation_delay + extra
             delivered = packet
             if self.corruption_rate > 0 and self.rng is not None:
                 if self.rng.random() < self.corruption_rate:
@@ -182,11 +187,14 @@ class Channel:
                     delivered, random.Random(fate.corrupt_seed)
                 )
             receiver = self.dst_attachment
-            tx.header_event = sim.at(
-                now + self.transmission_time(header_bytes)
-                + self.propagation_delay + extra,
-                receiver.receive_header, delivered, tx,
+            tx.header_at = (
+                now + header_bytes * 8.0 / self.rate_bps
+                + self.propagation_delay + extra
             )
+            if receiver.hears_headers:
+                tx.header_event = sim.at(
+                    tx.header_at, receiver.receive_header, delivered, tx
+                )
             tx.complete_event = sim.at(complete_at, receiver.receive_packet, delivered, tx)
             if fate is not None and fate.duplicate:
                 # A duplicated datagram arrives one transmission time
@@ -194,10 +202,10 @@ class Channel:
                 # be an independent object: the first traversal mutates
                 # its header (strip/reverse/append).
                 sim.at(
-                    complete_at + self.transmission_time(size),
+                    complete_at + clocked,
                     receiver.receive_packet, copy.deepcopy(delivered), tx,
                 )
-        tx.free_event = sim.at(now + self.transmission_time(size), self._free, tx)
+        tx.free_event = sim.at(now + clocked, self._free, tx)
         return tx
 
     def abort(self, notify_receiver: bool = True) -> None:

@@ -9,7 +9,8 @@ or a tap on a shared Ethernet segment.
 The attachment is the receive demultiplexing point: incoming header /
 completion / abort events are forwarded to the owning node's
 ``on_header`` / ``on_packet`` / ``on_abort`` hooks with the attachment
-identifying the input port.
+identifying the input port.  Only a node class that overrides
+``on_header`` is sent header events.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class Node:
     """Base class for every network element.
 
     Subclasses override the three receive hooks.  The default behaviour
-    ignores header events (store-and-forward) and drops packets, which is
-    convenient for test stubs.
+    ignores header events (store-and-forward: the media then schedule
+    none) and drops packets, which is convenient for test stubs.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -89,6 +90,9 @@ class Attachment:
     def __init__(self, node: Node, port_id: int) -> None:
         self.node = node
         self.port_id = port_id
+        #: Whether the node acts on a header's arrival at all: a medium
+        #: schedules no header event for a node that does not.
+        self.hears_headers = type(node).on_header is not Node.on_header
 
     # -- transmit side -------------------------------------------------
 
@@ -169,7 +173,7 @@ class P2PAttachment(Attachment):
 
     @property
     def busy(self) -> bool:
-        return self.tx_channel.busy
+        return self.tx_channel.current is not None
 
     @property
     def rate_bps(self) -> float:

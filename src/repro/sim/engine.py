@@ -135,29 +135,42 @@ class Simulator:
         """
         heap = self._heap
         horizon = float("inf") if until is None else until
-        limit = (
-            float("inf") if max_events is None
-            else self.events_executed + max_events
-        )
-        while heap:
-            entry = heap[0]
-            fn = entry[2]
-            if fn is None:
-                heappop(heap)
-                continue
-            time = entry[0]
-            if time > horizon:
-                break
-            if self.events_executed >= limit:
-                return
-            heappop(heap)
-            self.now = time
-            self.events_executed += 1
-            args = entry[3]
-            entry[3] = ()
-            fn(*args)
+        if max_events is None:
+            while heap:
+                entry = heappop(heap)
+                fn = entry[2]
+                if fn is None:
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    heappush(heap, entry)  # same (time, seq): same place
+                    break
+                self.now = time
+                self.events_executed += 1
+                args = entry[3]
+                entry[3] = ()
+                fn(*args)
+        elif self._run_counted(horizon, max_events):
+            return
         if until is not None and self.now < until:
             self.now = until
+
+    def _run_counted(self, horizon: float, budget: int) -> bool:
+        """:meth:`run`'s loop under an event budget; True when the
+        budget ran out before the events up to ``horizon`` did."""
+        while True:
+            time = self.peek_time()
+            if time is None or time > horizon:
+                return False
+            if budget <= 0:
+                return True
+            budget -= 1
+            entry = heappop(self._heap)
+            self.now = time
+            self.events_executed += 1
+            fn, args = entry[2], entry[3]
+            entry[3] = ()
+            fn(*args)
 
     def pending(self) -> int:
         """Number of scheduled-and-not-cancelled events (O(n))."""
@@ -172,93 +185,3 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now:.9f} pending={len(self._heap)}>"
-
-
-class FluidFlow:
-    """Vectorized ("fluid") advancement of one steady packet flow.
-
-    A warm flow is the degenerate case of discrete-event simulation:
-    every packet of the flow takes the *same* memoized decision (the
-    §2.2 flow-cache hit), so simulating each packet as its own heap
-    event buys nothing but heap churn.  Fluid mode collapses the flow:
-    **one event advances up to ``batch`` packets**, calling ``decide``
-    once and handing the driver's ``advance`` callback the decision
-    plus the packet count — the driver multiplies its effects
-    (counters, byte totals, queue occupancy) by ``n`` instead of
-    looping.
-
-    Timing is exact, not approximate: an event firing at ``t`` stands
-    for packets at ``t, t+interval, ..., t+(n-1)*interval`` and the
-    next event fires at ``t + n*interval`` — so the event *times*,
-    the per-packet spacing, and the finish time are bit-identical to
-    ``batch=1`` (which is plain per-packet discrete-event execution);
-    only the number of heap events changes.  The parity test pins
-    this.
-
-    ``decide`` is invoked per *event*; when the underlying flow cache
-    invalidates (topology change, TTL), the next event simply takes
-    the cold path once and the flow re-warms — fluid mode never caches
-    anything itself.
-    """
-
-    __slots__ = (
-        "sim", "decide", "advance", "interval", "batch",
-        "remaining", "advanced", "events", "finished_at", "_handle",
-    )
-
-    def __init__(
-        self,
-        sim: Simulator,
-        decide: Callable[[], Any],
-        advance: Callable[[Any, int, float], None],
-        packets: int,
-        interval: float,
-        batch: int = 64,
-    ) -> None:
-        if packets <= 0:
-            raise SimulationError(f"fluid flow needs packets > 0, got {packets}")
-        if interval < 0:
-            raise SimulationError(f"negative packet interval {interval}")
-        if batch <= 0:
-            raise SimulationError(f"fluid batch must be positive, got {batch}")
-        self.sim = sim
-        self.decide = decide
-        #: ``advance(decision, n, first_time)`` — apply one decision to
-        #: ``n`` packets whose first departure is at ``first_time``.
-        self.advance = advance
-        self.interval = interval
-        self.batch = batch
-        self.remaining = packets
-        self.advanced = 0
-        self.events = 0
-        self.finished_at: Optional[float] = None
-        self._handle: Optional[EventHandle] = None
-
-    def start(self, at: Optional[float] = None) -> "FluidFlow":
-        """Schedule the first event (default: now); returns self."""
-        self._handle = self.sim.at(
-            self.sim.now if at is None else at, self._fire
-        )
-        return self
-
-    def stop(self) -> None:
-        """Cancel the flow (remaining packets never advance)."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        n = self.batch if self.batch < self.remaining else self.remaining
-        decision = self.decide()
-        self.advance(decision, n, self.sim.now)
-        self.advanced += n
-        self.remaining -= n
-        self.events += 1
-        if self.remaining:
-            self._handle = self.sim.at(
-                self.sim.now + n * self.interval, self._fire
-            )
-        else:
-            # The batch's last packet departed (n-1) intervals in.
-            self.finished_at = self.sim.now + (n - 1) * self.interval
-            self._handle = None

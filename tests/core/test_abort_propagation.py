@@ -58,6 +58,16 @@ def assert_nothing_survives(sim, packet_refs):
     assert [ref() for ref in packet_refs] == [None] * len(packet_refs)
 
 
+def assert_no_packet_state(router):
+    """Nothing per packet is left in the router: no stream still in
+    flight, and no record keyed by packet (a frame cut through at its
+    header has its completion cancelled, not remembered)."""
+    assert [port.streaming for port in router.output_ports.values()] == [
+        None
+    ] * len(router.output_ports)
+    assert [name for name, value in vars(router).items() if isinstance(value, set)] == []
+
+
 def test_preemption_aborts_the_whole_cut_through_chain():
     sim, src, dst, routers, src_port, ports = build_chain()
     got = []
@@ -155,7 +165,7 @@ def test_link_failure_mid_frame_aborts_the_chain_downstream():
     got.clear()
     assert_nothing_survives(sim, [victim])
     # Every frame r2 started cutting through was also finished or aborted.
-    assert routers[1]._header_handled == set()
+    assert_no_packet_state(routers[1])
 
 
 def test_link_failure_before_the_header_lands_is_silent():
@@ -228,5 +238,4 @@ def test_ethernet_failure_leaves_no_packet_behind(fail_at):
     assert got == []
     assert r1.stats.cut_through_forwards.count == 1
     assert_nothing_survives(sim, [lost])
-    assert r1._header_handled == set()
-    assert [port.streaming for port in r1.output_ports.values()] == [None, None]
+    assert_no_packet_state(r1)
