@@ -50,7 +50,7 @@ from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.chaos.sim_interp import SimFaultInterpreter
 from repro.chaos.soak import chaos_scenario
 from repro.directory.routes import slickify_route
-from repro.live.host import LiveTransactor, TransactorConfig, WallClock
+from repro.live.host import LiveTransactor, WallClock
 from repro.live.link import ReliabilityConfig
 from repro.live.topology import LiveOverlay
 from repro.transport.rebind import RouteManager
@@ -240,7 +240,7 @@ async def _drive_live(plan: FaultPlan, slick: bool) -> dict:
             return b"ok:" + request[:16]
 
         server_tx.serve(handler)
-        client_tx = LiveTransactor(src, TransactorConfig(base_timeout_s=0.05))
+        client_tx = LiveTransactor(src)
         routes = overlay.routes(
             "src", "dst", k=2, dest_socket=client_tx.config.socket,
         )

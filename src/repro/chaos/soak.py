@@ -30,7 +30,7 @@ from repro.chaos.plan import FaultPlan
 from repro.chaos.sim_interp import SimFaultInterpreter
 from repro.directory.routes import Route
 from repro.live.directory import DirectoryError, LiveDirectoryClient
-from repro.live.host import LiveTransactor, TransactorConfig, WallClock
+from repro.live.host import LiveTransactor, WallClock
 from repro.live.topology import LiveOverlay
 from repro.obs.recorder import FlightRecorder
 from repro.scenarios import build_sirpent_parallel
@@ -203,7 +203,7 @@ async def _drive_live(
             return b"ok:" + request[:16]
 
         server_tx.serve(handler)
-        client_tx = LiveTransactor(src, TransactorConfig(base_timeout_s=0.05))
+        client_tx = LiveTransactor(src)
 
         routes = overlay.routes(
             "src", "dst", k=2, dest_socket=client_tx.config.socket,

@@ -23,9 +23,8 @@ _EXPORTS = (
                    "LiveDirectoryServer")),
     ("frames", ("FLAG_TRACED", "FRAME_ACK", "FRAME_DATA", "Preamble",
                 "decode_live_frame", "encode_live_frame")),
-    ("host", ("LiveDelivered", "LiveHost", "LiveRoute",
-              "LiveTransactionResult", "LiveTransactor", "TransactorConfig",
-              "WallClock")),
+    ("host", ("LIVE_TRANSPORT", "LiveDelivered", "LiveHost", "LiveRoute",
+              "LiveTransactionResult", "LiveTransactor", "WallClock")),
     ("link", ("Address", "Impairments", "LiveEndpoint", "ReliabilityConfig")),
     ("metrics", ("EndpointMetrics", "render_metrics")),
     ("router", ("Action", "Decision", "LiveRouter", "LiveRouterConfig")),

@@ -416,8 +416,6 @@ def test_late_replay_is_counted_not_silently_ignored():
     """A request that reaches the server again after it was answered is
     replayed; the replay finds no transaction waiting at the client and
     is dropped ``stale_pdu`` — visible in the host's drop counters."""
-    from repro.live.host import _KIND_REQUEST, _TX_HEADER
-
     async def scenario():
         overlay = LiveOverlay(_line_topology())
         await overlay.start()
@@ -431,15 +429,16 @@ def test_late_replay_is_counted_not_silently_ignored():
                 dest_socket=client_tx.config.socket, with_tokens=True,
             )
             manager = RouteManager(WallClock(), routes)
+            sent = []
+            send = client.send
+            client.send = lambda route, payload, **kwargs: (
+                sent.append(payload) or send(route, payload, **kwargs)
+            )
             result = await client_tx.transact(manager, b"once")
             assert result.ok and result.retries == 0
             assert client.metrics.total_drops() == 0
             # Transaction 1's only request member, a second time.
-            again = _TX_HEADER.pack(
-                _KIND_REQUEST, 0, client_tx.client_id, 1, 0, 1,
-                client_tx.config.socket, 0,
-            ) + b"once"
-            client.send(manager.current(), again)
+            client.send(manager.current(), sent[0])
             await _eventually(lambda: client.metrics.dropped("stale_pdu") == 1)
             assert client.metrics.total_drops() == 1
         finally:

@@ -8,13 +8,14 @@ caches, and (c) carries traffic again without any client-side rewiring.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.live import LiveOverlay, LiveTransactor, WallClock
-from repro.live.host import TransactorConfig
+from repro.live.host import LIVE_TRANSPORT
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.tokens.cache import TokenCacheEntry
@@ -89,7 +90,7 @@ def test_transactions_resume_after_router_restart():
             server_tx = LiveTransactor(server)
             server_tx.serve(lambda request: b"pong:" + request)
             client_tx = LiveTransactor(
-                client, TransactorConfig(base_timeout_s=0.1)
+                client, replace(LIVE_TRANSPORT, base_timeout=0.1)
             )
             routes = overlay.routes(
                 "client", "server", k=1,

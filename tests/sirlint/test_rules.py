@@ -105,6 +105,30 @@ def test_sir001_inline_suppression():
     assert findings == []
 
 
+def test_sir001_silent_on_the_transaction_machine():
+    findings = analyze(
+        """
+        from repro.transport.flowcontrol import DeliveryMask
+        from repro.transport.ids import EntityId
+        from repro.transport.timestamps import TimestampPolicy
+        """,
+        "repro.transport.machine",
+    )
+    assert findings == []
+
+
+def test_sir001_fires_on_the_transaction_machine_reaching_for_a_loop():
+    findings = analyze(
+        """
+        import asyncio
+        from repro.sim.engine import Simulator
+        """,
+        "repro.transport.machine",
+    )
+    assert rules_fired(findings) == ["SIR001"]
+    assert len(findings) == 2
+
+
 # -- SIR002: no module-global mutable state ----------------------------------
 
 

@@ -37,10 +37,15 @@ PURE_PACKAGES: Tuple[str, ...] = (
 #: Leaf modules outside those packages that the pure set is allowed to
 #: import because they are themselves pure (and this rule checks them
 #: too): MacAddress/ethertype constants and the seed-stable packet-id
-#: allocator PR 3 introduced.
+#: allocator PR 3 introduced; and the transaction machine both
+#: transports drive, with the three transport modules it imports.
 PURE_LEAF_MODULES: Tuple[str, ...] = (
     "repro.net.addresses",
     "repro.sim.ids",
+    "repro.transport.machine",
+    "repro.transport.flowcontrol",
+    "repro.transport.ids",
+    "repro.transport.timestamps",
 )
 
 #: Effectful stdlib modules a pure module must not touch.  Wall-clock
