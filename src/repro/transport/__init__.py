@@ -21,10 +21,10 @@ from repro.transport.ids import EntityId, EntityIdAllocator
 from repro.transport.playout import PlayoutBuffer
 from repro.transport.rebind import RouteManager
 from repro.transport.timestamps import HostClock, TimestampPolicy, encode_timestamp_ms, timestamp_age_ms
+from repro.transport.stats import TransportStats
 from repro.transport.vmtp import (
     TransactionResult,
     TransportConfig,
-    TransportStats,
     VmtpPdu,
     VmtpTransport,
 )
