@@ -20,7 +20,7 @@ from repro.baselines.cvc.host import (
     CvcTransactionClient,
     CvcTransactionResult,
 )
-from repro.baselines.cvc.switch import CvcSwitch, CvcSwitchConfig, compute_static_routes
+from repro.baselines.cvc.switch import CvcSwitch, compute_static_routes
 
 __all__ = [
     "Circuit",
@@ -30,7 +30,6 @@ __all__ = [
     "CvcPacket",
     "CvcServer",
     "CvcSwitch",
-    "CvcSwitchConfig",
     "CvcTransactionClient",
     "CvcTransactionResult",
     "compute_static_routes",

@@ -24,6 +24,18 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter
 
+#: Per-hop processing of a SETUP/CONFIRM/RELEASE frame — admission,
+#: table update, signalling parse.
+SETUP_PROCESS_DELAY = 500e-6
+#: Per-hop processing of a DATA frame: label-swap lookup.
+DATA_PROCESS_DELAY = 20e-6
+#: Circuit table capacity.
+MAX_CIRCUITS = 1024
+#: Fraction of a port's rate that may be reserved.
+RESERVABLE_FRACTION = 0.9
+#: Each output port's buffer.
+BUFFER_BYTES = 64 * 1024
+
 
 def compute_static_routes(
     topology: Topology, node_name: str
@@ -45,21 +57,6 @@ def compute_static_routes(
 
 
 @dataclass
-class CvcSwitchConfig:
-    """Processing-cost, table-capacity and reservation parameters."""
-    #: Per-hop processing of a SETUP/CONFIRM/RELEASE frame — admission,
-    #: table update, signalling parse.
-    setup_process_delay: float = 500e-6
-    #: Per-hop processing of a DATA frame: label-swap lookup.
-    data_process_delay: float = 20e-6
-    #: Circuit table capacity.
-    max_circuits: int = 1024
-    #: Fraction of a port's rate that may be reserved.
-    reservable_fraction: float = 0.9
-    buffer_bytes: int = 64 * 1024
-
-
-@dataclass
 class _VcEntry:
     out_port: int
     out_vci: int
@@ -70,14 +67,8 @@ class _VcEntry:
 class CvcSwitch(Node):
     """A label-swapping circuit switch."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        config: Optional[CvcSwitchConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
-        self.config = config if config is not None else CvcSwitchConfig()
         #: (in_port, in_vci) -> entry; both directions are installed.
         self.vc_map: Dict[Tuple[int, int], _VcEntry] = {}
         self.reserved_per_port: Dict[int, float] = {}
@@ -93,7 +84,7 @@ class CvcSwitch(Node):
         super().attach(port_id, attachment)
         self.output_ports[port_id] = OutputPort(
             self.sim, attachment,
-            buffer_bytes=self.config.buffer_bytes,
+            buffer_bytes=BUFFER_BYTES,
             blocked_policy=BlockedPolicy.QUEUE,
         )
 
@@ -106,9 +97,8 @@ class CvcSwitch(Node):
         if not isinstance(packet, CvcPacket):
             return
         delay = (
-            self.config.data_process_delay
-            if packet.kind is CvcKind.DATA
-            else self.config.setup_process_delay
+            DATA_PROCESS_DELAY if packet.kind is CvcKind.DATA
+            else SETUP_PROCESS_DELAY
         )
         self.sim.after(delay, self._process, packet, inport)
 
@@ -144,7 +134,7 @@ class CvcSwitch(Node):
         self._emit(refusal, inport.port_id, None)
 
     def _on_setup(self, packet: CvcPacket, inport: Attachment) -> None:
-        if len(self.vc_map) // 2 >= self.config.max_circuits:
+        if len(self.vc_map) // 2 >= MAX_CIRCUITS:
             self._refuse(packet, inport, "circuit table full")
             return
         hop = self.static_routes.get(packet.dst_node)
@@ -156,7 +146,7 @@ class CvcSwitch(Node):
         if out_attachment is None or not out_attachment.up:
             self._refuse(packet, inport, "link down")
             return
-        reservable = out_attachment.rate_bps * self.config.reservable_fraction
+        reservable = out_attachment.rate_bps * RESERVABLE_FRACTION
         reserved = self.reserved_per_port.get(out_port, 0.0)
         if packet.requested_bps > 0 and reserved + packet.requested_bps > reservable:
             self._refuse(packet, inport, "bandwidth unavailable")

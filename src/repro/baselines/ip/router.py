@@ -24,18 +24,17 @@ from repro.net.node import Attachment, Node
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, Histogram
 
+#: Per-packet software cost: route lookup + TTL + checksum update.
+PROCESS_DELAY = 50e-6
+#: Each output port's buffer.
+BUFFER_BYTES = 64 * 1024
+
 
 @dataclass
 class IpRouterConfig:
-    """Processing-cost and buffering parameters."""
+    """The link-state routing's hello interval."""
 
-    #: Per-packet software cost: route lookup + TTL + checksum update.
-    process_delay: float = 50e-6
-    buffer_bytes: int = 64 * 1024
     hello_interval: float = 10e-3
-    dead_multiplier: int = 3
-    spf_delay: float = 5e-3
-    verify_checksums: bool = True
 
 
 @dataclass
@@ -71,8 +70,6 @@ class IpRouter(Node):
         self.routing = LinkStateRouting(
             sim, name, control_plane, allocator,
             hello_interval=self.config.hello_interval,
-            dead_multiplier=self.config.dead_multiplier,
-            spf_delay=self.config.spf_delay,
         )
         control_plane.register(name, self._on_control_message)
         self.local_handler: Optional[Callable[[IpPacket, Attachment], None]] = None
@@ -84,7 +81,7 @@ class IpRouter(Node):
         super().attach(port_id, attachment)
         self.output_ports[port_id] = OutputPort(
             self.sim, attachment,
-            buffer_bytes=self.config.buffer_bytes,
+            buffer_bytes=BUFFER_BYTES,
             blocked_policy=BlockedPolicy.QUEUE,
         )
 
@@ -94,15 +91,13 @@ class IpRouter(Node):
         if not isinstance(packet, IpPacket):
             return
         arrival = self.sim.now
-        self.sim.after(
-            self.config.process_delay, self._process, packet, arrival
-        )
+        self.sim.after(PROCESS_DELAY, self._process, packet, arrival)
 
     def _process(self, packet: IpPacket, arrival: float) -> None:
         packet.hop_log.append(self.name)
         packet.hops_taken += 1
         header = packet.header
-        if self.config.verify_checksums and not header.checksum_ok():
+        if not header.checksum_ok():
             self.stats.dropped_checksum.add()
             return
         if header.dst == self.address:

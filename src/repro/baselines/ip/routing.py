@@ -6,10 +6,10 @@ shortest-path trees when link-state advertisements flood through.  The
 timing model is honest end to end:
 
 * hellos every ``hello_interval``; a neighbor is declared dead after
-  ``dead_multiplier`` missed hellos — that is the failure *detection*
+  ``DEAD_MULTIPLIER`` missed hellos — that is the failure *detection*
   time,
 * LSAs flood hop by hop over the control plane (real link latencies),
-* SPF runs ``spf_delay`` after the database changes — the *computation*
+* SPF runs ``SPF_DELAY`` after the database changes — the *computation*
   time.
 
 Detection + flooding + SPF is the convergence latency experiment E6
@@ -27,6 +27,11 @@ from repro.net.addresses import MacAddress
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter
+
+#: Missed hellos after which a neighbor is declared dead.
+DEAD_MULTIPLIER = 3
+#: SPF runs this long after the link-state database changes.
+SPF_DELAY = 5e-3
 
 
 @dataclass(frozen=True)
@@ -69,16 +74,13 @@ class LinkStateRouting:
         control_plane: ControlPlane,
         allocator: IpAddressAllocator,
         hello_interval: float = 10e-3,
-        dead_multiplier: int = 3,
-        spf_delay: float = 5e-3,
     ) -> None:
         self.sim = sim
         self.router_name = router_name
         self.control_plane = control_plane
         self.allocator = allocator
         self.hello_interval = hello_interval
-        self.dead_interval = hello_interval * dead_multiplier
-        self.spf_delay = spf_delay
+        self.dead_interval = hello_interval * DEAD_MULTIPLIER
         self.neighbors: Dict[str, _Neighbor] = {}       # router neighbors
         self.host_links: Dict[str, LsaLink] = {}        # attached stub hosts
         self.lsdb: Dict[str, Lsa] = {}
@@ -169,7 +171,7 @@ class LinkStateRouting:
     def _schedule_spf(self) -> None:
         if not self._spf_pending:
             self._spf_pending = True
-            self.sim.after(self.spf_delay, self._run_spf)
+            self.sim.after(SPF_DELAY, self._run_spf)
 
     def _run_spf(self) -> None:
         self._spf_pending = False

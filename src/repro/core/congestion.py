@@ -40,6 +40,21 @@ from repro.sim.monitor import Counter
 #: What a limit protects: the congested router and its output port.
 LimitKey = Tuple[str, int]
 
+#: Detection samples the watched queues this far apart.
+CHECK_INTERVAL = 1e-3
+#: A queue this deep is congested.
+QUEUE_HIGH_WATERMARK = 8
+#: The feeders of a congested queue share this fraction of its rate.
+TARGET_UTILIZATION = 0.9
+#: How long a rate signal's limit holds before it starts ramping up.
+HOLD_TIME = 20e-3
+#: A flow limiter's token-bucket depth.
+BURST_BYTES = 8 * 1500
+#: A stale limit's rate multiplies by this each sample.
+RAMP_FACTOR = 2.0
+#: Held packets behind one limiter that push the limit upstream.
+CASCADE_BACKLOG = 8
+
 
 @dataclass
 class RateSignal:
@@ -208,25 +223,11 @@ class RateControlManager:
         sim: Simulator,
         node_name: str,
         control_plane: ControlPlane,
-        check_interval: float = 1e-3,
-        queue_high_watermark: int = 8,
-        target_utilization: float = 0.9,
-        hold_time: float = 20e-3,
-        burst_bytes: int = 8 * 1500,
-        ramp_factor: float = 2.0,
-        cascade_backlog: int = 8,
         enabled: bool = True,
     ) -> None:
         self.sim = sim
         self.node_name = node_name
         self.control_plane = control_plane
-        self.check_interval = check_interval
-        self.queue_high_watermark = queue_high_watermark
-        self.target_utilization = target_utilization
-        self.hold_time = hold_time
-        self.burst_bytes = burst_bytes
-        self.ramp_factor = ramp_factor
-        self.cascade_backlog = cascade_backlog
         self.enabled = enabled
         self.limits: Dict[LimitKey, FlowLimiter] = {}
         self._ports: Dict[int, Any] = {}  # port_id -> OutputPort
@@ -237,20 +238,20 @@ class RateControlManager:
         #: cached route may steer straight into the congested queue.
         self.on_rebind: Optional[Callable[[], None]] = None
         control_plane.register(node_name, self._on_control_message)
-        #: The sampling grid, ``check_interval`` apart from construction
+        #: The sampling grid, ``CHECK_INTERVAL`` apart from construction
         #: on.  A sample fires only with a watched queue at the watermark
         #: or a limit held; without either the grid sleeps until
         #: :meth:`_wake`, ``_due`` being the instant after the last sample.
-        self._due = sim.now + check_interval
+        self._due = sim.now + CHECK_INTERVAL
         self._asleep = True
 
     # -- wiring ---------------------------------------------------------------
 
     def watch_port(self, port_id: int, output_port: Any) -> None:
         self._ports[port_id] = output_port
-        output_port.watermark = self.queue_high_watermark
+        output_port.watermark = QUEUE_HIGH_WATERMARK
         output_port.on_watermark = self._wake
-        if output_port.queue_depth >= self.queue_high_watermark:
+        if output_port.queue_depth >= QUEUE_HIGH_WATERMARK:
             self._wake()
 
     # -- detection ---------------------------------------------------------------
@@ -263,18 +264,18 @@ class RateControlManager:
         self._asleep = False
         due, now = self._due, self.sim.now
         while due <= now:
-            due += self.check_interval
+            due += CHECK_INTERVAL
         self._due = due
         self.sim.at(due, self._periodic_check)
 
     def _periodic_check(self) -> None:
         congested = False
         for port_id, port in self._ports.items():
-            if port.queue_depth >= self.queue_high_watermark:
+            if port.queue_depth >= QUEUE_HIGH_WATERMARK:
                 congested = True
                 self._signal_feeders(port_id, port)
         self._ramp_stale_limits()
-        self._due = due = self._due + self.check_interval
+        self._due = due = self._due + CHECK_INTERVAL
         if congested or self.limits:
             self.sim.at(due, self._periodic_check)
         else:
@@ -296,12 +297,12 @@ class RateControlManager:
         if not feeders:
             return
         service_rate = port.attachment.rate_bps
-        advised = service_rate * self.target_utilization / len(feeders)
+        advised = service_rate * TARGET_UTILIZATION / len(feeders)
         signal = RateSignal(
             congested_node=self.node_name,
             port_id=port_id,
             advised_rate_bps=advised,
-            hold_time=self.hold_time,
+            hold_time=HOLD_TIME,
             origin=self.node_name,
         )
         for feeder in feeders:
@@ -320,7 +321,7 @@ class RateControlManager:
         limiter = self.limits.get(key)
         if limiter is None:
             self.limits[key] = FlowLimiter(
-                self.sim, key, message.advised_rate_bps, self.burst_bytes, expiry
+                self.sim, key, message.advised_rate_bps, BURST_BYTES, expiry
             )
         else:
             limiter.refresh(message.advised_rate_bps, expiry)
@@ -332,8 +333,8 @@ class RateControlManager:
         dead: List[LimitKey] = []
         for key, limiter in self.limits.items():
             if self.sim.now > limiter.expiry and not limiter.held:
-                limiter.ramp_up(self.ramp_factor)
-                limiter.expiry = self.sim.now + self.hold_time
+                limiter.ramp_up(RAMP_FACTOR)
+                limiter.expiry = self.sim.now + HOLD_TIME
                 if limiter.rate_bps > 10e9:
                     dead.append(key)
         for key in dead:
@@ -366,7 +367,7 @@ class RateControlManager:
             return True
         prev = _previous_hop(packet, self.node_name)
         limiter.hold(size, partial(forward, *args), prev_hop=prev)
-        if limiter.backlog >= self.cascade_backlog:
+        if limiter.backlog >= CASCADE_BACKLOG:
             self._cascade(limiter)
         return False
 
@@ -380,7 +381,7 @@ class RateControlManager:
             congested_node=limiter.key[0],
             port_id=limiter.key[1],
             advised_rate_bps=advised,
-            hold_time=self.hold_time,
+            hold_time=HOLD_TIME,
             origin=self.node_name,
         )
         for feeder in feeders:

@@ -64,6 +64,7 @@ from repro.directory.routes import Route
 from repro.directory.service import BindingConflictError, RouteQuery
 from repro.live.host import LiveRoute
 from repro.live.link import Address
+from repro.transport.rebind import capped_backoff
 from repro.viper.errors import ViperDecodeError
 from repro.viper.wire import HeaderSegment, decode_segment
 
@@ -78,6 +79,11 @@ RTT_PROBE_BYTES = 64
 
 #: Write responses remembered per server for idempotent replay.
 DEDUP_CAPACITY = 4096
+
+#: A failed reconnect blocks the next one for this long, doubling per
+#: further failure up to the ceiling.
+RECONNECT_BASE_S = 0.05
+RECONNECT_MAX_S = 2.0
 
 
 def live_route_fields(route: Route) -> Dict[str, object]:
@@ -185,12 +191,10 @@ class LiveDirectoryServer:
         self,
         query: Callable[[str, RouteQuery], List[Route]],
         backend: Optional[object] = None,
-        dedup_capacity: int = DEDUP_CAPACITY,
         name: str = "directory",
     ) -> None:
         self.query = query
         self.backend = backend
-        self.dedup_capacity = dedup_capacity
         self.name = name
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -375,7 +379,7 @@ class LiveDirectoryServer:
         """LRU-bound the dedup cache (drop oldest write response)."""
         self._dedup[request_id] = encoded
         self._dedup.move_to_end(request_id)
-        while len(self._dedup) > self.dedup_capacity:
+        while len(self._dedup) > DEDUP_CAPACITY:
             self._dedup.popitem(last=False)
 
     async def _dispatch_v2(self, request: CommandRequest) -> CommandResponse:
@@ -530,15 +534,8 @@ class LiveDirectoryClient:
     or a named error they can retry against their own schedule.
     """
 
-    def __init__(
-        self,
-        name: str = "client",
-        reconnect_base_s: float = 0.05,
-        reconnect_max_s: float = 2.0,
-    ) -> None:
+    def __init__(self, name: str = "client") -> None:
         self.name = name
-        self.reconnect_base_s = reconnect_base_s
-        self.reconnect_max_s = reconnect_max_s
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
@@ -651,12 +648,10 @@ class LiveDirectoryClient:
                 await self._open()
             except OSError as exc:
                 self._reconnect_attempts += 1
-                delay = min(
-                    self.reconnect_max_s,
-                    self.reconnect_base_s
-                    * 2.0 ** (self._reconnect_attempts - 1),
+                self._reconnect_blocked_until = loop.time() + capped_backoff(
+                    self._reconnect_attempts,
+                    RECONNECT_BASE_S, RECONNECT_MAX_S,
                 )
-                self._reconnect_blocked_until = loop.time() + delay
                 raise DirectoryError(
                     f"directory reconnect failed: {exc}", retryable=True,
                 ) from exc

@@ -34,11 +34,12 @@ callbacks.  The endpoint provides:
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
   bytes as the fallback); a full socket buffer queues the frame and
   flushes on writability instead of dropping,
-* **injected impairments** — deterministic, seeded loss/delay/jitter/
-  reordering applied on transmit, so the loopback overlay can rehearse
-  a lossy WAN.  Impaired (or chaos-faulted) transmissions materialise
-  the frame once — they hold it past the send call — which keeps the
-  fault seams off the zero-allocation path without changing them.
+* **injected impairments** — deterministic, seeded loss applied on
+  transmit, so the loopback overlay can rehearse a lossy WAN (chaos
+  faults add delay, duplication and corruption).  Impaired (or
+  chaos-faulted) transmissions materialise the frame once — they hold
+  it past the send call — which keeps the fault seams off the
+  zero-allocation path without changing them.
 
 The endpoint knows nothing about routing; routers and hosts subscribe
 via :attr:`on_batch` — the one consumer callback — and receive views,
@@ -100,20 +101,22 @@ BatchEntry = Tuple[PacketView, Address, Preamble]
 
 @dataclass
 class Impairments:
-    """Transmit-side network impairments, seeded for reproducibility."""
+    """Transmit-side loss, seeded for reproducibility."""
 
     loss_rate: float = 0.0
-    delay_s: float = 0.0
-    jitter_s: float = 0.0
-    reorder_rate: float = 0.0
     seed: Optional[int] = None
 
-    def any(self) -> bool:
-        """True when at least one impairment is active."""
-        return (
-            self.loss_rate > 0.0 or self.delay_s > 0.0
-            or self.jitter_s > 0.0 or self.reorder_rate > 0.0
-        )
+
+#: Multiplicative retry-gap growth (> 1); see :class:`ReliabilityConfig`.
+BACKOFF_FACTOR = 2.0
+#: Ceiling on any single retry gap (seconds).
+BACKOFF_MAX_S = 2.0
+#: Sliding window over which the retry budget is measured.
+RETRY_BUDGET_WINDOW_S = 1.0
+#: Retries always permitted per window, regardless of send volume.
+RETRY_BUDGET_FLOOR = 32
+#: Additional retries permitted per original send in the window.
+RETRY_BUDGET_RATIO = 1.0
 
 
 @dataclass
@@ -122,15 +125,15 @@ class ReliabilityConfig:
 
     Retries back off **exponentially with jitter**: each retry gap is
     the previous gap times a random factor in
-    ``[1 + (backoff_factor-1)/2, backoff_factor]`` — strictly greater
+    ``[1 + (BACKOFF_FACTOR-1)/2, BACKOFF_FACTOR]`` — strictly greater
     than 1 (so gaps strictly increase) and never the same twice (so two
     endpoints that lost frames at the same instant do not retry in
     lockstep; the partition-then-heal retry storm is the failure mode
-    this kills).
+    this kills) — up to ``BACKOFF_MAX_S``.
 
     The **retry budget** is a sliding-window cap: within any
-    ``retry_budget_window_s`` window the endpoint may issue at most
-    ``retry_budget_floor + retry_budget_ratio * sends_in_window``
+    ``RETRY_BUDGET_WINDOW_S`` window the endpoint may issue at most
+    ``RETRY_BUDGET_FLOOR + RETRY_BUDGET_RATIO * sends_in_window``
     retries; a frame whose retry would bust the budget is abandoned
     (counted ``retry_budget_exhausted`` and reported via
     ``on_peer_dead``) instead of fuelling the storm.
@@ -140,16 +143,6 @@ class ReliabilityConfig:
     max_retries: int = 3
     #: Remembered sequence numbers per peer, for duplicate suppression.
     dedup_window: int = 1024
-    #: Multiplicative retry-gap growth (> 1).
-    backoff_factor: float = 2.0
-    #: Ceiling on any single retry gap (seconds).
-    backoff_max_s: float = 2.0
-    #: Sliding window over which the retry budget is measured.
-    retry_budget_window_s: float = 1.0
-    #: Retries always permitted per window, regardless of send volume.
-    retry_budget_floor: int = 32
-    #: Additional retries permitted per original send in the window.
-    retry_budget_ratio: float = 1.0
 
 
 class RetryBudget:
@@ -258,9 +251,7 @@ class LiveEndpoint:
         #: is the point), yet each run is reproducible.
         self._backoff_rng = random.Random(f"backoff:{name}")
         self._budget = RetryBudget(
-            self.reliability.retry_budget_window_s,
-            self.reliability.retry_budget_floor,
-            self.reliability.retry_budget_ratio,
+            RETRY_BUDGET_WINDOW_S, RETRY_BUDGET_FLOOR, RETRY_BUDGET_RATIO,
         )
         #: Preallocated packet buffers; RX fills slots in place and the
         #: reliable-send path pins them until acked.
@@ -388,7 +379,7 @@ class LiveEndpoint:
             datagram = restamp_seq(datagram, seq)
             self._await_ack(seq, datagram, None, addr)
         self.metrics.record_out(len(datagram))
-        if self.fault_hook is not None or self.impairments.any():
+        if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(datagram, addr)
         else:
             self._raw_send(datagram, addr)
@@ -420,11 +411,7 @@ class LiveEndpoint:
             restamp_seq_into(view.buffer, view.start, seq)
             self._await_ack(seq, mem, view.slot, addr)
         self.metrics.record_out(len(mem))
-        imp = self.impairments
-        if (
-            self.fault_hook is not None or imp.loss_rate > 0.0 or imp.delay_s > 0.0
-            or imp.jitter_s > 0.0 or imp.reorder_rate > 0.0
-        ):
+        if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(mem, addr)
         else:
             try:
@@ -448,7 +435,10 @@ class LiveEndpoint:
         """
         if self.closed or self._sock is None:
             return SEQ_NONE
-        if reliable or self.fault_hook is not None or self.impairments.any():
+        if (
+            reliable or self.fault_hook is not None
+            or self.impairments.loss_rate > 0.0
+        ):
             return self.send(b"".join(parts), addr, reliable=reliable)
         total = 0
         for part in parts:
@@ -476,18 +466,13 @@ class LiveEndpoint:
         if fate is not None and fate.drop:
             self.metrics.drop("chaos_dropped")
             return
-        imp = self.impairments
-        if imp.loss_rate > 0.0 and self._rng.random() < imp.loss_rate:
+        loss_rate = self.impairments.loss_rate
+        if loss_rate > 0.0 and self._rng.random() < loss_rate:
             self.metrics.drop("loss_injected")
             return
-        delay = imp.delay_s
-        if imp.jitter_s > 0.0:
-            delay += self._rng.random() * imp.jitter_s
-        if imp.reorder_rate > 0.0 and self._rng.random() < imp.reorder_rate:
-            # Reordering = holding this datagram past its successors.
-            delay += imp.jitter_s + 2e-3
+        delay = 0.0
         if fate is not None:
-            delay += fate.extra_delay_s
+            delay = fate.extra_delay_s
             if fate.corrupt_seed is not None:
                 datagram = corrupt_datagram(datagram, fate.corrupt_seed)
             if fate.duplicate and self._loop is not None:
@@ -608,10 +593,10 @@ class LiveEndpoint:
     def _next_gap(self, gap_s: float) -> float:
         """Exponential backoff with jitter: strictly growing, never twice
         the same — see :class:`ReliabilityConfig`."""
-        growth = 1.0 + (self.reliability.backoff_factor - 1.0) * (
+        growth = 1.0 + (BACKOFF_FACTOR - 1.0) * (
             0.5 + 0.5 * self._backoff_rng.random()
         )
-        return min(self.reliability.backoff_max_s, gap_s * growth)
+        return min(BACKOFF_MAX_S, gap_s * growth)
 
     def _abandon_pending(self, seq: int, reason: str) -> None:
         """Give up on a reliable frame: unpin its slot, report the peer."""

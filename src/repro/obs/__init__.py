@@ -1,8 +1,8 @@
 """Unified observability layer: metrics registry, packet tracer, exporters.
 
-``repro.obs`` is shared by the simulator and the live UDP overlay so the
-two substrates expose *identical* telemetry names — a benchmark's sim
-run and its live run can be compared line by line.
+``repro.obs`` is shared by the simulator and the live UDP overlay: one
+packet tracer, one flight recorder and one set of metric primitives
+serve both substrates.
 
 Submodules
 ----------
@@ -17,8 +17,8 @@ Submodules
     zero-cost-when-disabled :data:`NULL_TRACER` default, NDJSON and
     Chrome ``trace_event`` export.
 ``adapters``
-    Pull-time bridges that expose :class:`repro.core.router.RouterStats`
-    and :class:`repro.live.metrics.EndpointMetrics` through a registry.
+    The pull-time bridge that exposes the live overlay's
+    :class:`repro.live.metrics.EndpointMetrics` through a registry.
 ``recorder``
     The always-on bounded flight recorder (:class:`FlightRecorder`)
     with NDJSON dumps, :func:`load_dump` and :func:`fault_timeline`
@@ -43,7 +43,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -60,7 +59,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
     "NULL_RECORDER",
     "NullRecorder",
     "FlightRecorder",

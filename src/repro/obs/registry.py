@@ -21,9 +21,8 @@ sim monitors re-export them) and one exposition path: a
 ``snapshot()`` flattens everything to ``{exposition_key: value}``;
 ``render_prometheus()`` emits Prometheus text exposition format
 (version 0.0.4), which is what a ``LiveOverlay``'s ``/metrics``
-endpoint serves.  Metric *names are preserved* across the sim and live
-worlds (``forwarded``, ``delivered_local``, ``drop_<reason>`` …) so
-benchmark tables compare line by line.
+endpoint serves.  Metric names are the ones the benchmark tables print
+(``frames_in``, ``drop_<reason>`` …).
 
 The primitives are deliberately as cheap as the ad-hoc ones they
 replace: a ``Counter.add`` is one integer addition, and registration is
@@ -419,12 +418,3 @@ def _metric_samples(metric) -> Iterator[Sample]:
     if exposition is not None:
         return exposition()
     return metric.samples()
-
-
-#: The process-wide default registry.
-_DEFAULT = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _DEFAULT

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.baselines.cvc import CvcHost, CvcSwitch, CvcSwitchConfig
+from repro.baselines.cvc import CvcHost, CvcSwitch
 from repro.baselines.ip import (
     IpAddressAllocator,
     IpHost,
@@ -484,7 +484,6 @@ def build_cvc_line(
     n_switches: int = 2,
     rate_bps: float = DEFAULT_RATE,
     propagation_delay: float = DEFAULT_PROP,
-    switch_config: Optional[CvcSwitchConfig] = None,
     extra_host_pairs: int = 0,
 ) -> CvcScenario:
     """The CVC twin of :func:`build_sirpent_line`."""
@@ -493,7 +492,7 @@ def build_cvc_line(
     scenario = CvcScenario(sim, topology)
     switches = []
     for index in range(n_switches):
-        switch = CvcSwitch(sim, f"s{index + 1}", config=switch_config)
+        switch = CvcSwitch(sim, f"s{index + 1}")
         topology.add_node(switch)
         scenario.switches[switch.name] = switch
         switches.append(switch)

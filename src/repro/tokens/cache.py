@@ -17,7 +17,7 @@ Three policies for a token value seen for the first time:
   are dropped anyway).
 
 The cache also implements the paper's defence against malicious floods
-of distinct invalid tokens: after ``invalid_switch_threshold`` failed
+of distinct invalid tokens: after ``INVALID_SWITCH_THRESHOLD`` failed
 verifications the cache switches itself to blocking authentication.
 """
 
@@ -34,6 +34,10 @@ from repro.tokens.capability import (
     TokenMint,
     UNLIMITED,
 )
+
+#: Failed verifications after which an optimistic cache blocks instead
+#: (the paper's footnote 7: a flood of distinct invalid tokens).
+INVALID_SWITCH_THRESHOLD = 16
 
 
 class CachePolicy(enum.Enum):
@@ -99,15 +103,12 @@ class TokenCache:
         mint: TokenMint,
         policy: CachePolicy = CachePolicy.OPTIMISTIC,
         verify_cost: float = 200e-6,
-        ledger: Optional[AccountLedger] = None,
-        invalid_switch_threshold: int = 16,
         require_tokens: bool = False,
     ) -> None:
         self.mint = mint
         self.policy = policy
         self.verify_cost = verify_cost
-        self.ledger = ledger if ledger is not None else AccountLedger(mint.issuer)
-        self.invalid_switch_threshold = invalid_switch_threshold
+        self.ledger = AccountLedger(mint.issuer)
         self.require_tokens = require_tokens
         self._entries: Dict[bytes, TokenCacheEntry] = {}
         self.invalid_seen = 0
@@ -157,7 +158,7 @@ class TokenCache:
         effective_policy = self.policy
         if (
             effective_policy is CachePolicy.OPTIMISTIC
-            and self.invalid_seen >= self.invalid_switch_threshold
+            and self.invalid_seen >= INVALID_SWITCH_THRESHOLD
         ):
             # Under attack by many distinct invalid tokens: stop being
             # optimistic (paper's footnote 7).

@@ -76,6 +76,14 @@ MAX_FRUITLESS_NAKS = 4
 #: forgotten first.
 RESPONSE_CACHE_ENTRIES = 512
 
+#: Payload bytes per packet-group member: the ~1 KB transport packet
+#: (§5), less where the route carries less.
+MAX_MEMBER_PAYLOAD = 1024
+
+#: A client's timeout is this many expected RTTs of the route (at
+#: least ``TransportConfig.base_timeout``).
+TIMEOUT_RTT_MULTIPLIER = 4.0
+
 
 class PduKind(enum.Enum):
     """VMTP PDU kinds: requests, responses and selective-retransmit NAKs.
@@ -131,10 +139,8 @@ class TransportConfig:
 
     header_bytes: int = 64         # VMTP-scale header (64-bit ids etc.)
     trailer_bytes: int = 8         # 32-bit timestamp + 32-bit checksum
-    max_member_payload: int = 1024  # ~1KB transport packet (§5)
     rate_bps: float = 10e6         # initial pacing rate
     base_timeout: float = 5e-3
-    timeout_rtt_multiplier: float = 4.0
     retries_per_route: int = 2
     max_total_retries: int = 8
     nak_delay: float = 2e-3        # server waits this long for stragglers
@@ -324,7 +330,7 @@ class TransactionMachine:
 
     def _member_budget(self, manager: Any) -> int:
         """Largest member payload the current route carries untruncated."""
-        budget = self.config.max_member_payload
+        budget = MAX_MEMBER_PAYLOAD
         route = manager.current()
         max_payload = getattr(route, "max_payload", None)
         if callable(max_payload):
@@ -370,7 +376,7 @@ class TransactionMachine:
         total = sum(tx.member_sizes)
         timeout = max(
             self.config.base_timeout,
-            route.expected_rtt(total) * self.config.timeout_rtt_multiplier,
+            route.expected_rtt(total) * TIMEOUT_RTT_MULTIPLIER,
         ) + pacing
         tx.timer = self.io.after(timeout, self._on_timeout, tx.transaction_id)
 
@@ -622,7 +628,7 @@ class TransactionMachine:
         ))
         answer = _Answer(
             reply_payload,
-            split_into_group(max(1, reply_size), self.config.max_member_payload),
+            split_into_group(max(1, reply_size), MAX_MEMBER_PAYLOAD),
             pdu.reply_socket,
         )
         self._response_cache[key] = answer

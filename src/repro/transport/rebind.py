@@ -38,6 +38,30 @@ class NoRouteError(Exception):
     """All cached routes have been exhausted."""
 
 
+#: Sustained RTT above this multiple of the route's advertised base
+#: RTT counts as degradation.
+DEGRADATION_FACTOR = 3.0
+
+#: A failed route's first quarantine cooldown; each further failure
+#: doubles it, up to the ceiling.
+QUARANTINE_BASE_S = 0.25
+QUARANTINE_MAX_S = 10.0
+
+#: Backoff after the directory answers a refresh with no routes:
+#: doubling from the base, up to the ceiling.
+REFRESH_BACKOFF_BASE_S = 0.25
+REFRESH_BACKOFF_MAX_S = 5.0
+
+
+def capped_backoff(attempt: int, base_s: float, max_s: float) -> float:
+    """``base_s`` doubled per attempt after the first, at most ``max_s``.
+
+    The exponent stops at 64: the delay has saturated long before, and
+    a streak of 1,025 failures must not overflow the float power.
+    """
+    return min(max_s, base_s * 2.0 ** min(attempt - 1, 64))
+
+
 class _RouteHealth:
     """Per-route failure record behind the quarantine policy."""
 
@@ -47,15 +71,12 @@ class _RouteHealth:
         self.failures = 0
         self.quarantined_until = 0.0
 
-    def quarantine(
-        self, now: float, base_s: float, factor: float, max_s: float
-    ) -> float:
+    def quarantine(self, now: float) -> float:
         """Record one failure; return the cooldown imposed."""
         self.failures += 1
-        # The cooldown saturates at max_s anyway; cap the exponent so a
-        # long failure streak cannot overflow the float power.
-        exponent = min(self.failures - 1, 64)
-        cooldown = min(max_s, base_s * factor ** exponent)
+        cooldown = capped_backoff(
+            self.failures, QUARANTINE_BASE_S, QUARANTINE_MAX_S
+        )
         self.quarantined_until = now + cooldown
         return cooldown
 
@@ -71,27 +92,15 @@ class RouteManager:
         self,
         sim: Simulator,
         routes: List[Route],
-        degradation_factor: float = 3.0,
         degradation_samples: int = 4,
         refresher: Optional[Callable[[], List[Route]]] = None,
-        quarantine_base_s: float = 0.25,
-        quarantine_factor: float = 2.0,
-        quarantine_max_s: float = 10.0,
-        refresh_backoff_base_s: float = 0.25,
-        refresh_backoff_max_s: float = 5.0,
     ) -> None:
         if not routes:
             raise NoRouteError("route manager needs at least one route")
         self.sim = sim
         self.routes = list(routes)
-        self.degradation_factor = degradation_factor
         self.degradation_samples = degradation_samples
         self.refresher = refresher
-        self.quarantine_base_s = quarantine_base_s
-        self.quarantine_factor = quarantine_factor
-        self.quarantine_max_s = quarantine_max_s
-        self.refresh_backoff_base_s = refresh_backoff_base_s
-        self.refresh_backoff_max_s = refresh_backoff_max_s
         self._current = 0
         self._consecutive_slow = 0
         self._health = [_RouteHealth() for _ in routes]
@@ -133,7 +142,7 @@ class RouteManager:
         """
         self.rtt_samples.add(rtt)
         base = self.current().expected_rtt(payload_size)
-        if base > 0 and rtt > base * self.degradation_factor:
+        if base > 0 and rtt > base * DEGRADATION_FACTOR:
             self._consecutive_slow += 1
             if self._consecutive_slow >= self.degradation_samples:
                 self._switch(reason="degraded")
@@ -159,10 +168,7 @@ class RouteManager:
         failed route and switch to an eligible alternate."""
         self.failures.add()
         self.quarantines.add()
-        self._health[self._current].quarantine(
-            self.sim.now, self.quarantine_base_s,
-            self.quarantine_factor, self.quarantine_max_s,
-        )
+        self._health[self._current].quarantine(self.sim.now)
         self._switch(reason="failure")
         return self.current()
 
@@ -232,12 +238,10 @@ class RouteManager:
             return
         self.refresh_empty.add()
         self._refresh_empty_streak += 1
-        backoff = min(
-            self.refresh_backoff_max_s,
-            self.refresh_backoff_base_s
-            * 2.0 ** (self._refresh_empty_streak - 1),
+        self._refresh_blocked_until = now + capped_backoff(
+            self._refresh_empty_streak,
+            REFRESH_BACKOFF_BASE_S, REFRESH_BACKOFF_MAX_S,
         )
-        self._refresh_blocked_until = now + backoff
 
     def adopt(self, routes: List[Route]) -> None:
         """Accept a pushed route advisory (§6.3)."""

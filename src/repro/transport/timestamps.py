@@ -91,10 +91,9 @@ class HostClock:
 class TimestampPolicy:
     """Receiver-side acceptance rule for packet creation timestamps."""
 
-    #: Maximum acceptable age for a steadily-running receiver.
+    #: Maximum acceptable age for a steadily-running receiver; within
+    #: that long of boot, anything older than the boot is rejected too.
     max_age_ms: int = 30_000
-    #: Extra guard after boot: reject anything older than boot.
-    respect_boot_time: bool = True
 
     def accept(self, stamp: int, clock: HostClock) -> bool:
         if stamp == TIMESTAMP_INVALID:
@@ -106,8 +105,5 @@ class TimestampPolicy:
             age = 0
         if age > self.max_age_ms:
             return False
-        if self.respect_boot_time:
-            uptime = now - clock.boot_time_ms
-            if age > uptime and uptime < self.max_age_ms:
-                return False
-        return True
+        uptime = now - clock.boot_time_ms
+        return not (age > uptime and uptime < self.max_age_ms)

@@ -7,7 +7,7 @@ package implements the Figure-1 header segment byte layout exactly
 return-route trailer algebra (:mod:`repro.viper.packet`).
 """
 
-from repro.viper.errors import DecodeError, RouteExhaustedError, ViperError
+from repro.viper.errors import DecodeError, ViperError
 from repro.viper.flags import (
     PRIORITY_BULK,
     PRIORITY_LOWEST,
@@ -49,7 +49,6 @@ __all__ = [
     "PRIORITY_NORMAL",
     "PRIORITY_PREEMPT",
     "PRIORITY_PREEMPT_HIGH",
-    "RouteExhaustedError",
     "SirpentPacket",
     "TRUNCATION_MARK",
     "TrailerElement",

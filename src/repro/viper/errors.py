@@ -18,14 +18,5 @@ class DecodeError(ViperError):
 ViperDecodeError = DecodeError
 
 
-class RouteExhaustedError(ViperError):
-    """Raised when a router receives a packet with no header segment left.
-
-    A correctly routed packet consumes its last segment exactly at its
-    destination; seeing this at a router means the source route was too
-    short or the packet was misrouted.
-    """
-
-
 class SegmentLimitError(ViperError):
     """Raised when a route exceeds VIPER's 48-segment maximum (§2.3)."""

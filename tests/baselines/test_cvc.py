@@ -4,9 +4,9 @@
 from repro.baselines.cvc import (
     CircuitState,
     CvcServer,
-    CvcSwitchConfig,
     CvcTransactionClient,
 )
+from repro.baselines.cvc import switch as cvc_switch
 from repro.scenarios import build_cvc_line
 
 
@@ -69,9 +69,9 @@ def test_release_tears_down_state():
     assert circuits[0].state is CircuitState.CLOSED
 
 
-def test_circuit_table_capacity_refuses():
-    config = CvcSwitchConfig(max_circuits=2)
-    scenario = build_cvc_line(n_switches=1, switch_config=config)
+def test_circuit_table_capacity_refuses(monkeypatch):
+    monkeypatch.setattr(cvc_switch, "MAX_CIRCUITS", 2)
+    scenario = build_cvc_line(n_switches=1)
     src = scenario.hosts["src"]
     outcomes = []
     for _ in range(4):

@@ -1,7 +1,7 @@
 """Unit tests for link-state routing and the store-and-forward IP router."""
 
 
-from repro.baselines.ip import IpRouterConfig
+from repro.baselines.ip import router as ip_router
 from repro.scenarios import build_ip_line, build_ip_parallel
 
 
@@ -77,10 +77,10 @@ def test_fragmentation_at_mtu_mismatch():
     assert scenario.routers["r1"].stats.fragments_made.count >= 2
 
 
-def test_store_and_forward_processing_delay():
+def test_store_and_forward_processing_delay(monkeypatch):
     """Each hop charges full reception plus the processing cost."""
-    config = IpRouterConfig(process_delay=1e-3)
-    scenario = build_ip_line(n_routers=2, router_config=config)
+    monkeypatch.setattr(ip_router, "PROCESS_DELAY", 1e-3)
+    scenario = build_ip_line(n_routers=2)
     scenario.converge()
     start = scenario.sim.now
     received = []

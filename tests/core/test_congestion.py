@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import congestion
 from repro.core.congestion import (
     ControlPlane,
     FlowLimiter,
@@ -150,10 +151,13 @@ class _FakePort:
 
 
 class TestRateControlManager:
-    def make(self, sim, name="rC", **kwargs):
+    @pytest.fixture(autouse=True)
+    def low_watermark(self, monkeypatch):
+        monkeypatch.setattr(congestion, "QUEUE_HIGH_WATERMARK", 2)
+
+    def make(self, sim, name="rC"):
         plane = ControlPlane(sim, None)
-        manager = RateControlManager(sim, name, plane, check_interval=1e-3,
-                                     queue_high_watermark=2, **kwargs)
+        manager = RateControlManager(sim, name, plane)
         return manager, plane
 
     def test_congestion_signals_feeders(self):
@@ -239,10 +243,11 @@ class TestRateControlManager:
         )
         assert forwarded == [1, 2]
 
-    def test_stale_limits_ramp_and_evaporate(self):
+    def test_stale_limits_ramp_and_evaporate(self, monkeypatch):
         """Soft state: expired limits push the rate up until gone."""
+        monkeypatch.setattr(congestion, "HOLD_TIME", 2e-3)
         sim = Simulator()
-        manager, plane = self.make(sim, hold_time=2e-3)
+        manager, plane = self.make(sim)
         plane.send("rX", "rC", RateSignal("rX", 3, 1e6, hold_time=2e-3))
         sim.run(until=1.5e-3)
         assert ("rX", 3) in manager.limits

@@ -12,6 +12,8 @@ import pytest
 
 from repro.live.frames import PREAMBLE_BYTES
 from repro.live.link import (
+    BACKOFF_FACTOR,
+    BACKOFF_MAX_S,
     LiveEndpoint,
     ReliabilityConfig,
     RetryBudget,
@@ -34,7 +36,7 @@ def test_retry_gaps_strictly_increase_and_never_repeat():
     makes no two consecutive growth factors identical."""
     endpoint = LiveEndpoint("jitter-probe")
     gaps = gaps_from(endpoint, n=8)
-    capped = [g for g in gaps if g < endpoint.reliability.backoff_max_s]
+    capped = [g for g in gaps if g < BACKOFF_MAX_S]
     assert len(capped) >= 3
     # Strictly increasing until the cap.
     for earlier, later in zip(capped, capped[1:]):
@@ -43,16 +45,15 @@ def test_retry_gaps_strictly_increase_and_never_repeat():
     # between consecutive gaps varies.
     ratios = [round(b / a, 12) for a, b in zip(capped, capped[1:])]
     assert len(set(ratios)) == len(ratios)
-    factor = endpoint.reliability.backoff_factor
     for ratio in ratios:
-        assert 1.0 + (factor - 1.0) / 2.0 <= ratio <= factor
+        assert 1.0 + (BACKOFF_FACTOR - 1.0) / 2.0 <= ratio <= BACKOFF_FACTOR
 
 
 def test_retry_gaps_capped_at_backoff_max():
     endpoint = LiveEndpoint("cap-probe")
     gaps = gaps_from(endpoint, n=20)
-    assert gaps[-1] == endpoint.reliability.backoff_max_s
-    assert all(g <= endpoint.reliability.backoff_max_s for g in gaps)
+    assert gaps[-1] == BACKOFF_MAX_S
+    assert all(g <= BACKOFF_MAX_S for g in gaps)
 
 
 def test_two_endpoints_walk_different_jitter_schedules():

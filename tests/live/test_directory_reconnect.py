@@ -12,6 +12,7 @@ import pytest
 
 from repro.directory.service import RouteQuery  # noqa: F401 (doc link)
 from repro.live.directory import (
+    RECONNECT_MAX_S,
     DirectoryError,
     LiveDirectoryClient,
     LiveDirectoryServer,
@@ -78,7 +79,7 @@ def test_client_reconnects_after_directory_restart():
         # Wait out the reconnect backoff, then restart on the old port.
         restarted = _server()
         await restarted.start(port=address[1])
-        await asyncio.sleep(client.reconnect_max_s)
+        await asyncio.sleep(RECONNECT_MAX_S)
         pong = await client.ping(timeout_s=1.0)
         reconnects = client.reconnects
         client.close()
@@ -113,6 +114,34 @@ def test_reconnect_attempts_are_backoff_gated():
     errors = asyncio.run(scenario())
     assert len(errors) == 3
     assert any("backing off" in message for message in errors)
+
+
+def test_a_long_failure_streak_backs_off_at_the_ceiling():
+    """The 1,025th failed reconnect in a row is a :class:`DirectoryError`
+    behind a ``RECONNECT_MAX_S`` backoff, like the 7th — the doubling
+    saturates instead of overflowing the float power
+    (``0.05 * 2.0 ** 1024`` raises ``OverflowError``)."""
+
+    async def scenario():
+        server = _server()
+        address = await server.start()
+        client = LiveDirectoryClient("persistent")
+        await client.connect(address)
+        server.stop()
+        await asyncio.sleep(0.05)
+        with pytest.raises(DirectoryError):
+            await client.ping(timeout_s=0.2)  # notices the loss
+        client._reconnect_attempts = 1024
+        client._reconnect_blocked_until = 0.0
+        loop = asyncio.get_running_loop()
+        with pytest.raises(DirectoryError, match="reconnect failed"):
+            await client.ping(timeout_s=0.2)
+        blocked_for = client._reconnect_blocked_until - loop.time()
+        client.close()
+        return blocked_for
+
+    blocked_for = asyncio.run(scenario())
+    assert RECONNECT_MAX_S - 0.5 < blocked_for <= RECONNECT_MAX_S
 
 
 def test_closed_client_refuses_requests():

@@ -17,6 +17,7 @@ import pytest
 
 from repro.directory.routes import Route
 from repro.directory.service import BindingConflictError
+from repro.live import directory as live_directory
 from repro.live.directory import (
     DirectoryError,
     LiveDirectoryClient,
@@ -245,12 +246,12 @@ def test_dedup_caches_failures_too():
     assert executions == 1
 
 
-def test_dedup_cache_is_bounded():
+def test_dedup_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(live_directory, "DEDUP_CAPACITY", 4)
+
     async def scenario():
         backend = _Backend()
-        server = LiveDirectoryServer(
-            lambda client, query: [], backend=backend, dedup_capacity=4
-        )
+        server = LiveDirectoryServer(lambda client, query: [], backend=backend)
         address = await server.start()
         frames = [
             f'{{"v": 2, "id": "w-{n}", "method": "rebind", '

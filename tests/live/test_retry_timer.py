@@ -14,7 +14,12 @@ import socket
 import pytest
 
 from repro.live.frames import FRAME_DATA, SEQ_NONE, encode_preamble
-from repro.live.link import LiveEndpoint, ReliabilityConfig
+from repro.live.link import (
+    BACKOFF_FACTOR,
+    BACKOFF_MAX_S,
+    LiveEndpoint,
+    ReliabilityConfig,
+)
 
 pytestmark = pytest.mark.live
 
@@ -195,10 +200,10 @@ def test_black_holed_frame_walks_the_per_frame_timer_schedule():
     rng = random.Random(f"backoff:{name}")
     gaps = [config.ack_timeout_s]
     for _ in range(config.max_retries):
-        growth = 1.0 + (config.backoff_factor - 1.0) * (
+        growth = 1.0 + (BACKOFF_FACTOR - 1.0) * (
             0.5 + 0.5 * rng.random()
         )
-        gaps.append(min(config.backoff_max_s, gaps[-1] * growth))
+        gaps.append(min(BACKOFF_MAX_S, gaps[-1] * growth))
 
     async def scenario():
         sender = LiveEndpoint(name, reliability=config)

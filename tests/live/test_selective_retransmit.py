@@ -19,17 +19,17 @@ from repro.live import LiveOverlay, LiveTransactor, WallClock
 from repro.live.host import LIVE_TRANSPORT, decode_pdu
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
-from repro.transport.machine import PduKind
+from repro.transport.machine import MAX_MEMBER_PAYLOAD, PduKind
 from repro.transport.rebind import RouteManager
 
 pytestmark = pytest.mark.live
 
 REQUEST, RESPONSE = PduKind.REQUEST, PduKind.RESPONSE
 
-#: 32-byte members: a 64-byte request is two, its 69-byte echo three.
-SMALL_MEMBERS = replace(
-    LIVE_TRANSPORT, base_timeout=0.08, max_member_payload=32,
-)
+CONFIG = replace(LIVE_TRANSPORT, base_timeout=0.08)
+
+#: Two full members: its echo, 5 bytes longer, is three.
+PAYLOAD = bytes(range(256)) * (2 * MAX_MEMBER_PAYLOAD // 256)
 
 
 def _line_topology():
@@ -74,16 +74,16 @@ async def _transact_with_drops(client_drops=(), server_drops=()):
         client = overlay.hosts["client"]
         server = overlay.hosts["server"]
         served = []
-        server_tx = LiveTransactor(server, SMALL_MEMBERS)
+        server_tx = LiveTransactor(server, CONFIG)
         server_tx.serve(lambda request: served.append(request) or b"echo:" + request)
-        client_tx = LiveTransactor(client, SMALL_MEMBERS)
+        client_tx = LiveTransactor(client, CONFIG)
         client_dropper = _Dropper(client, client_drops)
         server_dropper = _Dropper(server, server_drops)
         routes = overlay.routes(
             "client", "server", k=1, dest_socket=client_tx.config.socket,
         )
         manager = RouteManager(WallClock(), routes)
-        payload = bytes(range(64))
+        payload = PAYLOAD
         result = await client_tx.transact(manager, payload)
         assert result.ok
         assert result.payload == b"echo:" + payload

@@ -173,7 +173,7 @@ def test_cancelled_transact_ignores_its_late_response():
 
 
 def test_members_follow_the_routes_payload_budget():
-    """A route that carries less than ``max_member_payload`` per frame
+    """A route that carries less than ``MAX_MEMBER_PAYLOAD`` per frame
     gets smaller members; each is encoded from its own offset, so the
     server reassembles the request's exact bytes."""
     budget = 200

@@ -115,21 +115,6 @@ class TestPrometheusRendering:
 
 
 class TestAdapters:
-    def test_router_stats_names_preserved(self):
-        from repro.core.router import RouterStats
-        from repro.obs.adapters import router_stats_samples
-
-        stats = RouterStats()
-        stats.forwarded.add(4)
-        stats.dropped_no_route.add(1)
-        stats.router_delay.add(1e-6)
-        snap = {
-            s.key(): s.value for s in router_stats_samples(stats, "r1")
-        }
-        assert snap['forwarded{node="r1"}'] == 4.0
-        assert snap['drop_no_route{node="r1"}'] == 1.0
-        assert snap['router_delay_count{node="r1"}'] == 1.0
-
     def test_endpoint_metrics_names_preserved(self):
         from repro.live.metrics import EndpointMetrics
         from repro.obs.adapters import endpoint_metrics_samples

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.tokens import cache as token_cache
 from repro.tokens.cache import CachePolicy, TokenCache, Verdict
 from repro.tokens.capability import TokenMint
 
@@ -44,9 +45,10 @@ class TestOptimistic:
         second, _, _ = cache.admit(bad, 2, 0, 100)
         assert second is Verdict.REJECT  # cached as invalid
 
-    def test_flood_of_invalid_tokens_switches_to_blocking(self, mint):
+    def test_flood_of_invalid_tokens_switches_to_blocking(self, mint, monkeypatch):
         """Footnote 7: excessive invalid tokens end the optimism."""
-        cache = make_cache(mint, invalid_switch_threshold=4)
+        monkeypatch.setattr(token_cache, "INVALID_SWITCH_THRESHOLD", 4)
+        cache = make_cache(mint)
         for index in range(4):
             bad = bytearray(mint.mint(port=2, account=index))
             bad[-1] ^= 1

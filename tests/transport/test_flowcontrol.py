@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.transport import flowcontrol
 from repro.transport.flowcontrol import (
     DeliveryMask,
     RateController,
@@ -75,7 +76,7 @@ class TestRateController:
         assert rc.gap_for(2000) == pytest.approx(2e-3)
 
     def test_backpressure_halves_rate(self):
-        rc = RateController(rate_bps=8e6, decrease_factor=0.5)
+        rc = RateController(rate_bps=8e6)
         rc.on_backpressure(now=1.0)
         assert rc.rate_bps == 4e6
 
@@ -84,8 +85,9 @@ class TestRateController:
         rc.on_backpressure(now=1.0, advised_bps=1e6)
         assert rc.rate_bps == 1e6
 
-    def test_floor_enforced(self):
-        rc = RateController(rate_bps=8e6, floor_bps=1e6)
+    def test_floor_enforced(self, monkeypatch):
+        monkeypatch.setattr(flowcontrol, "FLOOR_BPS", 1e6)
+        rc = RateController(rate_bps=8e6)
         for step in range(10):
             rc.on_backpressure(now=1.0 + step)
         assert rc.rate_bps == 1e6
@@ -97,10 +99,9 @@ class TestRateController:
         assert rc.rate_bps == 4e6
         assert rc.decreases == 1
 
-    def test_recovery_climbs_back(self):
-        rc = RateController(
-            rate_bps=8e6, recovery_fraction=0.25, recovery_interval=10e-3,
-        )
+    def test_recovery_climbs_back(self, monkeypatch):
+        monkeypatch.setattr(flowcontrol, "RECOVERY_FRACTION", 0.25)
+        rc = RateController(rate_bps=8e6)
         rc.on_backpressure(now=0.0)
         assert rc.rate_bps == 4e6
         rc.maybe_recover(now=0.05)
@@ -110,7 +111,7 @@ class TestRateController:
         assert rc.rate_bps == 8e6  # capped at the ceiling
 
     def test_no_recovery_right_after_decrease(self):
-        rc = RateController(rate_bps=8e6, recovery_interval=10e-3)
+        rc = RateController(rate_bps=8e6)
         rc.on_backpressure(now=1.0)
         rc.maybe_recover(now=1.005)
         assert rc.rate_bps == 4e6

@@ -32,18 +32,22 @@ import time
 from dataclasses import fields
 
 from repro.transport.ids import EntityIdAllocator
-from repro.transport.machine import TransactionMachine, TransportConfig
+from repro.transport.machine import (
+    MAX_MEMBER_PAYLOAD,
+    TransactionMachine,
+    TransportConfig,
+)
 from repro.transport.stats import TransportStats
 from repro.transport.timestamps import HostClock
 
-MEMBER = 8
+#: Two full members each way: a request and a response above 1 KiB.
+MEMBER = MAX_MEMBER_PAYLOAD
 #: Losses, duplicates and blackholes per run.
 FAULTS = 3
 #: Longer schedules are taken for ones that never end.
 MAX_MOVES = 60
 CONFIG = TransportConfig(
-    header_bytes=0, trailer_bytes=0, max_member_payload=MEMBER,
-    rate_bps=float("inf"), base_timeout=0.05, nak_delay=0.025,
+    header_bytes=0, trailer_bytes=0, rate_bps=float("inf"), base_timeout=0.05, nak_delay=0.025,
     retries_per_route=1, max_total_retries=1,
 )
 

@@ -52,9 +52,7 @@ def test_sustained_degradation_switches():
     sim = Simulator()
     route = make_route("a")
     alt = make_route("b")
-    manager = RouteManager(
-        sim, [route, alt], degradation_factor=3.0, degradation_samples=4,
-    )
+    manager = RouteManager(sim, [route, alt], degradation_samples=4)
     base = route.expected_rtt(576)
     for _ in range(4):
         manager.report_rtt(base * 10)

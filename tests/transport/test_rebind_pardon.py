@@ -87,9 +87,7 @@ def test_pardon_resets_the_quarantine_exponent():
     """After a pardon the next failure starts the backoff from scratch."""
     clock = Clock()
     a, b = make_route("a"), make_route("b")
-    manager = RouteManager(
-        clock, [a, b], quarantine_base_s=0.25, quarantine_factor=2.0
-    )
+    manager = RouteManager(clock, [a, b])
     manager.report_failure()          # a: failure #1, cooldown 0.25 -> b
     clock.now = 0.3
     manager.report_failure()          # b dies -> back to a (eligible)
@@ -98,5 +96,5 @@ def test_pardon_resets_the_quarantine_exponent():
     assert manager.pardons.count == 1
     clock.now = 1.0
     manager.report_failure()          # a again: exponent restarted
-    # Cooldown is base * factor^0 = 0.25s, not 0.5s.
+    # Cooldown is the base, 0.25s, not its double.
     assert manager._health[0].quarantined_until == 1.25

@@ -6,7 +6,12 @@ retrying the directory forever when it keeps answering empty.
 """
 
 from repro.directory.routes import Route
-from repro.transport.rebind import RouteManager
+from repro.transport.rebind import (
+    QUARANTINE_MAX_S,
+    REFRESH_BACKOFF_MAX_S,
+    RouteManager,
+    _RouteHealth,
+)
 from repro.viper.wire import HeaderSegment
 
 
@@ -46,7 +51,7 @@ def test_failed_route_is_quarantined_not_revisited():
 def test_cooldown_expiry_makes_a_route_eligible_again():
     clock = Clock()
     a, b = make_route("a"), make_route("b")
-    manager = RouteManager(clock, [a, b], quarantine_base_s=0.25)
+    manager = RouteManager(clock, [a, b])
     manager.report_failure()  # a quarantined until 0.25 -> b
     clock.now = 0.3  # a's cooldown expired: re-probe allowed
     manager.report_failure()  # b dies -> a is eligible again
@@ -57,9 +62,7 @@ def test_cooldown_expiry_makes_a_route_eligible_again():
 def test_repeated_failures_grow_the_cooldown_exponentially():
     clock = Clock()
     a, b = make_route("a"), make_route("b")
-    manager = RouteManager(
-        clock, [a, b], quarantine_base_s=0.25, quarantine_factor=2.0,
-    )
+    manager = RouteManager(clock, [a, b])
     manager.report_failure()  # a: 1st failure, cooldown 0.25
     until_first = manager._health[0].quarantined_until
     clock.now = 0.3
@@ -104,7 +107,6 @@ def test_empty_refresh_is_counted_and_backed_off():
 
     manager = RouteManager(
         clock, [make_route("only")], refresher=refresher,
-        refresh_backoff_base_s=0.25,
     )
     manager.report_failure()  # single route -> refresh -> empty
     assert manager.refresh_empty.count == 1
@@ -130,7 +132,6 @@ def test_successful_refresh_resets_backoff_and_health():
 
     manager = RouteManager(
         clock, [make_route("stale")], refresher=refresher,
-        refresh_backoff_base_s=0.25,
     )
     manager.report_failure()  # empty answer, backoff armed
     clock.now = 0.5
@@ -152,3 +153,33 @@ def test_all_quarantined_consults_the_refresher_before_reprobing():
     manager.report_failure()  # a -> b
     manager.report_failure()  # b -> all quarantined -> refresh
     assert manager.current() is fresh[0]
+
+
+def test_a_long_empty_refresh_streak_backs_off_at_the_ceiling():
+    """The 1,025th empty answer in a row backs off like the 6th: the
+    doubling saturates at ``REFRESH_BACKOFF_MAX_S`` instead of
+    overflowing the float power (``0.25 * 2.0 ** 1024`` raises)."""
+    clock = Clock()
+    manager = RouteManager(
+        clock, [make_route("only")], refresher=lambda: [],
+    )
+    manager._refresh_empty_streak = 1024
+    manager.report_failure()  # refresh -> 1,025th empty answer
+    assert manager.refresh_empty.count == 1
+    assert manager._refresh_blocked_until == REFRESH_BACKOFF_MAX_S
+
+
+def test_a_long_failure_streak_quarantines_at_the_ceiling():
+    clock = Clock()
+    a, b = make_route("a"), make_route("b")
+    manager = RouteManager(clock, [a, b])
+    manager._health[0].failures = 2000
+    manager.report_failure()
+    assert manager._health[0].quarantined_until == QUARANTINE_MAX_S
+
+
+def test_quarantine_cooldowns_double_from_the_base():
+    health = _RouteHealth()
+    cooldowns = [health.quarantine(0.0) for _ in range(70)]
+    assert cooldowns[:6] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+    assert cooldowns[6:] == [QUARANTINE_MAX_S] * 64

@@ -92,16 +92,6 @@ class TestPolicy:
         # Packet is 6 s old, well within 30 s — but older than boot.
         assert not policy.accept(stamp, clock)
 
-    def test_boot_guard_can_be_disabled(self):
-        sim = Simulator()
-        clock = HostClock(sim)
-        policy = TimestampPolicy(max_age_ms=30_000, respect_boot_time=False)
-        stamp = clock.stamp()
-        sim.at(5.0, clock.reboot)
-        sim.at(6.0, lambda: None)
-        sim.run()
-        assert policy.accept(stamp, clock)
-
     def test_skewed_sender_within_tolerance(self):
         """Multi-second skew must not break acceptance (§4.2: 'clock
         synchronization need not be more accurate than multiple
