@@ -71,8 +71,10 @@ def parse_table(text: str) -> dict:
     """Recover ``{title, headers, rows}`` from a :func:`format_table`.
 
     Column boundaries come from the dashes separator line, so cells
-    containing spaces survive; numeric-looking cells are typed.  Text
-    that is not a table (no separator) degrades to ``{"text": ...}``.
+    containing spaces survive; numeric-looking cells are typed.  The
+    rows end at the first line that is not one (a blank line, a note),
+    so prose under a table never becomes a row.  Text that is not a
+    table (no separator) degrades to ``{"text": ...}``.
     """
     lines = text.splitlines()
     dash_index = next(
@@ -101,11 +103,19 @@ def parse_table(text: str) -> dict:
             piece = line[lo:] if n == len(spans) - 1 else line[lo:hi]
             cells.append(piece.strip())
         return cells
+    def is_row(line: str) -> bool:
+        # format_table pads every cell to its column, so a row is as
+        # long as the separator and blank between the columns.
+        return len(line) == len(separator) and all(
+            not line[hi:lo].strip()
+            for (_, hi), (lo, _) in zip(spans, spans[1:])
+        )
+
     headers = cut(header_line)
     rows = []
     for line in lines[dash_index + 1:]:
-        if not line.strip():
-            break  # blank line ends the table; what follows is prose
+        if not is_row(line):
+            break  # the table ends where its rows do; what follows is prose
         rows.append([_typed(cell) for cell in cut(line)])
     return {"title": title, "headers": headers, "rows": rows}
 

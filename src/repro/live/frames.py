@@ -66,6 +66,7 @@ in ``tests/live/test_host_span_differential.py``.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.viper.errors import SegmentLimitError, ViperDecodeError
@@ -142,6 +143,8 @@ _PREAMBLE = struct.Struct(">2sBBIBH")
 _SEQ = struct.Struct(">I")
 
 _TRACE_ID = struct.Struct(">Q")
+#: Joins a frame's parts into one mutable buffer.
+_JOIN = bytearray().join
 
 #: Where a segment's port octet sits (Figure 1: the two length octets
 #: come first).
@@ -482,9 +485,7 @@ def return_route_header(
     """
     # The replying socket's segment closes the route; the flags byte the
     # shared encoder gives it is the stamp of every segment before it.
-    closing = encode_segment(
-        HeaderSegment(port=reply_socket, priority=priority, dib=dib, rpf=True)
-    )
+    closing = _closing_segment(reply_socket, priority, dib)
     stamp = closing[FIXED_SEGMENT_BYTES - 1]
     if len(spans) >= MAX_SEGMENTS:
         raise SegmentLimitError(
@@ -506,22 +507,44 @@ def return_route_header(
     return bytes(out), len(spans) + 1
 
 
+@lru_cache(maxsize=None)
+def _closing_segment(reply_socket: int, priority: int, dib: bool) -> bytes:
+    """The replying socket's segment of a return route, encoded once per
+    (socket, priority, DIB) — at most 8,192 of them; an invalid one
+    raises on every call (a raise is never cached)."""
+    return encode_segment(
+        HeaderSegment(port=reply_socket, priority=priority, dib=dib, rpf=True)
+    )
+
+
 def frame_with_header(
     header: bytes, seg_count: int, payload: bytes, trace_id: int = 0
-) -> bytes:
+) -> bytearray:
     """One unsequenced data frame around an already encoded route header.
 
-    ``preamble ++ header ++ payload``; ``header``/``seg_count`` come
-    from :func:`encode_route_header` or :func:`return_route_header`,
-    which validated them.  Raises :class:`ValueError` for a payload
-    past the 16-bit length field.
+    ``preamble ++ header ++ payload``, in one join into a buffer the
+    link may restamp in place (:meth:`~repro.live.link.LiveEndpoint.send`
+    takes it over); ``header``/``seg_count`` come from
+    :func:`encode_route_header` or :func:`return_route_header`, which
+    validated them.  The preamble is :func:`encode_preamble`'s, packed
+    directly.  Raises :class:`ValueError` for a payload past the 16-bit
+    length field or a trace id past 64 bits.
     """
-    return b"".join((
-        encode_preamble(
-            FRAME_DATA, SEQ_NONE, seg_count, len(payload), trace_id=trace_id
+    payload_len = len(payload)
+    if payload_len > MAX_PAYLOAD_BYTES:
+        raise ValueError(f"payload length {payload_len} outside 16 bits")
+    if not trace_id:
+        return _JOIN((
+            _PREAMBLE.pack(MAGIC, VERSION, FRAME_DATA, SEQ_NONE, seg_count, payload_len),
+            header, payload,
+        ))
+    if not 0 < trace_id <= 0xFFFFFFFFFFFFFFFF:
+        raise ValueError(f"trace id {trace_id} outside 64 bits")
+    return _JOIN((
+        _PREAMBLE.pack(
+            MAGIC, VERSION, FRAME_DATA | FLAG_TRACED, SEQ_NONE, seg_count, payload_len,
         ),
-        header,
-        payload,
+        _TRACE_ID.pack(trace_id), header, payload,
     ))
 
 
@@ -557,11 +580,11 @@ def frame_spans(
             f"trailer region does not frame: {boundary - payload_end} "
             "undecodable leading bytes"
         )
-    port = (
-        datagram[preamble.header_len + _PORT_OFFSET]
-        if preamble.seg_count else None
-    )
-    return port, offset, payload_end, spans
+    if not preamble.seg_count:
+        return None, offset, payload_end, spans
+    # The leading segment's port, just past the preamble (header_len, inline).
+    lead = PREAMBLE_BYTES + TRACE_ID_BYTES if preamble.trace_id else PREAMBLE_BYTES
+    return datagram[lead + _PORT_OFFSET], offset, payload_end, spans
 
 
 def payload_offset(buffer, preamble: Preamble) -> int:

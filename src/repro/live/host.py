@@ -40,9 +40,9 @@ import math
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.live.frames import (
     Preamble,
@@ -161,17 +161,24 @@ class LiveRoute:
 class LiveDelivered:
     """What the live host hands up on reception (cf. ``DeliveredPacket``).
 
-    The frame was validated on byte spans; ``datagram`` is retained so
-    the structural views — :attr:`packet`, :attr:`return_segments` —
-    are decoded only if a handler asks (a transaction client never
-    does), and a reply's route is written from ``trailer_spans``.
+    The frame was validated on byte spans; ``datagram`` is retained and
+    everything else is read from it only if asked: ``payload`` is
+    sliced on first use (``payload_start``/``payload_end`` bound it —
+    a transactor reads the PDU in place), the structural views —
+    :attr:`packet`, :attr:`return_segments` — are decoded only if a
+    handler asks (a transaction client never does), and a reply's route
+    is written from ``trailer_spans`` once per reply socket and
+    priority (:meth:`return_route`).
     """
 
     #: The whole arrived datagram and the endpoint's decode of its preamble.
     datagram: bytes
     preamble: Preamble
-    payload: bytes
+    #: Where the payload sits in ``datagram``.
+    payload_start: int
+    payload_end: int
     socket: int
+    #: When the endpoint's wakeup that read the frame began.
     arrived_at: float
     #: ``(start, end)`` of each trailer segment in ``datagram``, in
     #: return-route order (:func:`~repro.viper.packet.trailer_spans`).
@@ -179,6 +186,15 @@ class LiveDelivered:
     #: Live port the frame arrived on (= first hop of the return route).
     arrival_port: int
     source: Address
+    #: The reply routes written so far, by reply socket.
+    _return_routes: Optional[Dict[int, "_ReturnRoute"]] = field(
+        default=None, repr=False, compare=False,
+    )
+
+    @cached_property
+    def payload(self) -> bytes:
+        """The frame's payload bytes."""
+        return self.datagram[self.payload_start:self.payload_end]
 
     @property
     def trace_id(self) -> int:
@@ -195,24 +211,53 @@ class LiveDelivered:
         """Return route recovered from the live trailer, in send order."""
         return build_return_route(self.packet)
 
+    def return_route(self, reply_socket: int) -> "_ReturnRoute":
+        """The reversed trailer route to ``reply_socket``, kept for every
+        later reply to this frame — a response group's members, a NAK."""
+        routes = self._return_routes
+        if routes is None:
+            routes = self._return_routes = {}
+        route = routes.get(reply_socket)
+        if route is None:
+            route = routes[reply_socket] = _ReturnRoute(
+                self.datagram, self.trailer_spans, reply_socket,
+                self.arrival_port,
+            )
+        return route
+
 
 class _ReturnRoute:
     """The reversed trailer route of one delivered frame, in the shape
-    :meth:`LiveHost.send` takes a route: its first hop and its header."""
+    :meth:`LiveHost.send` takes a route: its first hop and its header,
+    memoised per (priority, DIB).
 
-    __slots__ = ("delivered", "reply_socket", "first_hop_port")
+    It holds the frame's bytes and spans, never the
+    :class:`LiveDelivered` that keeps it: the memo adds no reference
+    cycle, so a delivered frame is freed by its last reference going,
+    not by the cyclic collector.
+    """
 
-    def __init__(self, delivered: LiveDelivered, reply_socket: int) -> None:
-        self.delivered = delivered
+    __slots__ = ("datagram", "spans", "reply_socket", "first_hop_port", "_headers")
+
+    def __init__(
+        self, datagram: bytes, spans: List[Tuple[int, int]],
+        reply_socket: int, first_hop_port: int,
+    ) -> None:
+        self.datagram = datagram
+        self.spans = spans
         self.reply_socket = reply_socket
-        self.first_hop_port = delivered.arrival_port
+        self.first_hop_port = first_hop_port
+        self._headers: Dict[Tuple[int, bool], Tuple[bytes, int]] = {}
 
     def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
-        delivered = self.delivered
-        return return_route_header(
-            delivered.datagram, delivered.trailer_spans, self.reply_socket,
-            priority, dib,
-        )
+        """:func:`~repro.live.frames.return_route_header`, once per
+        (priority, DIB); an encoding error is raised on every call."""
+        header = self._headers.get((priority, dib))
+        if header is None:
+            header = self._headers[priority, dib] = return_route_header(
+                self.datagram, self.spans, self.reply_socket, priority, dib,
+            )
+        return header
 
 
 class LiveHost:
@@ -354,86 +399,71 @@ class LiveHost:
         """Send back along a delivered frame's reversed trailer route.
 
         The route is written from the trailer spans of the retained
-        datagram (:func:`~repro.live.frames.return_route_header`) and
-        the frame leaves through :meth:`send` like any other.
+        datagram (:func:`~repro.live.frames.return_route_header`), once
+        per reply socket and priority (:meth:`LiveDelivered.return_route`),
+        and the frame leaves through :meth:`send` like any other.
         """
         return self.send(
-            _ReturnRoute(delivered, reply_socket), payload,
-            priority=priority, trace_id=delivered.trace_id,
+            delivered.return_route(reply_socket), payload,
+            priority=priority, trace_id=delivered.preamble.trace_id,
         )
 
     # -- receiving ---------------------------------------------------------
 
     def _on_batch(self, batch: List[BatchEntry]) -> None:
-        """Consume one endpoint wakeup's worth of ring-slot views."""
+        """Consume one endpoint wakeup's worth of ring-slot views.
+
+        Each frame is copied out of its slot, which goes straight back
+        to the ring, and opened by :func:`~repro.live.frames.frame_spans`
+        — validated whole, decoded not at all: the handler gets a
+        :class:`LiveDelivered` of offsets into the datagram that slices
+        and decodes the rest on demand.
+        """
+        arrived_at = time.monotonic()
+        sockets, metrics = self.sockets, self.metrics
         for view, source, preamble in batch:
             datagram = view.tobytes()
             view.release()
-            self._on_frame(datagram, source, preamble)
-
-    def _on_frame(
-        self, datagram: bytes, source: Address, preamble: Preamble,
-    ) -> None:
-        """Deliver one frame; ``preamble`` is the endpoint's decode of it.
-
-        The frame is opened by :func:`~repro.live.frames.frame_spans` —
-        validated whole, decoded not at all: the handler gets the
-        payload slice and a :class:`LiveDelivered` that decodes the rest
-        on demand.
-        """
-        try:
-            socket, payload_start, payload_end, trailer_spans = frame_spans(
-                datagram, preamble
-            )
-        except ViperDecodeError:
-            self.metrics.drop("undecodable")
-            return
-        trace_id = preamble.trace_id
-        traced = trace_id and self.tracer.enabled
-        if socket is None:
-            self.metrics.drop("route_exhausted")
-            if traced:
-                self.tracer.drop(
-                    trace_id, time.monotonic(), self.name, "route_exhausted",
+            try:
+                socket, payload_start, payload_end, trailer_spans = frame_spans(
+                    datagram, preamble
+                )
+            except ViperDecodeError:
+                metrics.drop("undecodable")
+                continue
+            handler = sockets.get(socket)
+            if handler is None:
+                self._undelivered(socket, preamble.trace_id)
+                continue
+            metrics.delivered_local += 1
+            if self.tracer.enabled and preamble.trace_id:
+                self.tracer.deliver(
+                    preamble.trace_id, time.monotonic(), self.name, socket=socket,
                 )
             if self.recorder.enabled:
                 self.recorder.record(
-                    "frame_dropped", node=self.name,
-                    reason="route_exhausted",
+                    "frame_delivered", node=self.name, socket=socket,
                 )
-            return
-        handler = self.sockets.get(socket)
-        if handler is None:
-            self.metrics.drop("no_socket")
-            if traced:
+            handler(LiveDelivered(
+                datagram, preamble, payload_start, payload_end, socket,
+                arrived_at, trailer_spans, self.addr_port.get(source, 0), source,
+            ))
+
+    def _undelivered(self, socket: Optional[int], trace_id: int) -> None:
+        """Count (and trace, and record) a frame no socket takes: its
+        route ended before this host (``socket`` None) or names a socket
+        nothing is bound to."""
+        reason = "route_exhausted" if socket is None else "no_socket"
+        self.metrics.drop(reason)
+        if trace_id and self.tracer.enabled:
+            if socket is None:
+                self.tracer.drop(trace_id, time.monotonic(), self.name, reason)
+            else:
                 self.tracer.drop(
-                    trace_id, time.monotonic(), self.name,
-                    "no_socket", socket=socket,
+                    trace_id, time.monotonic(), self.name, reason, socket=socket,
                 )
-            if self.recorder.enabled:
-                self.recorder.record(
-                    "frame_dropped", node=self.name, reason="no_socket",
-                )
-            return
-        self.metrics.delivered_local += 1
-        if traced:
-            self.tracer.deliver(
-                trace_id, time.monotonic(), self.name, socket=socket,
-            )
         if self.recorder.enabled:
-            self.recorder.record(
-                "frame_delivered", node=self.name, socket=socket,
-            )
-        handler(LiveDelivered(
-            datagram=datagram,
-            preamble=preamble,
-            payload=datagram[payload_start:payload_end],
-            socket=socket,
-            arrived_at=time.monotonic(),
-            trailer_spans=trailer_spans,
-            arrival_port=self.addr_port.get(source, 0),
-            source=source,
-        ))
+            self.recorder.record("frame_dropped", node=self.name, reason=reason)
 
 
 # -- VMTP transactions over the live overlay ----------------------------------
@@ -447,13 +477,16 @@ class LiveHost:
 #: models as ``trailer_bytes``.
 _PDU_HEADER = struct.Struct(">BBQQIBBBB")
 _WORD = struct.Struct(">I")
-_TRAILER_BYTES = 2 * _WORD.size
+#: The trailer: creation timestamp, CRC-32.
+_TRAILER = struct.Struct(">II")
+_TRAILER_BYTES = _TRAILER.size
 
 #: Wire codes of the PDU kinds: a kind's code is its index.
 _KINDS = (
     PduKind.REQUEST, PduKind.RESPONSE,
     PduKind.RESPONSE_NAK, PduKind.REQUEST_NAK,
 )
+_REQUEST, _RESPONSE = _KINDS[:2]
 
 #: The live transport's settings: the layout above, a 50 ms base
 #: timeout, unpaced groups (every gap 0: hop ARQ and the ring bound a
@@ -472,25 +505,62 @@ LIVE_TRANSPORT = TransportConfig(
 _incarnations = itertools.count(1)
 
 
-def encode_pdu(pdu: VmtpPdu, body: Optional[bytes] = None) -> bytearray:
+def encode_pdu(pdu: VmtpPdu, body: Optional[bytes] = None) -> bytes:
     """``pdu`` as live bytes, carrying ``body`` between its header and
     its trailer — by default the PDU's own: its member's bytes, or a
-    NAK's mask.  The PDU grows in one buffer, CRC-32 last."""
-    code = _KINDS.index(pdu.kind)
+    NAK's mask.  One join lays down everything the CRC-32 covers, and
+    one pass computes it."""
+    kind = pdu.kind
+    # Members first, by identity: an enum's hash is a Python call.
+    code = 0 if kind is _REQUEST else 1 if kind is _RESPONSE else _KINDS.index(kind)
     if body is None:
         if code <= 1:  # a member's bytes
             start = pdu.user_offset
             body = pdu.user_data[start:start + pdu.user_size]
         else:
             body = _WORD.pack(pdu.mask_bits)
-    data = bytearray(_PDU_HEADER.pack(
+    header = _PDU_HEADER.pack(
         code, 0, pdu.src_entity, pdu.dst_entity, pdu.transaction_id,
         pdu.member_index, pdu.group_count, pdu.reply_socket, 0,
-    ))
-    data += body
-    data += _WORD.pack(pdu.timestamp)
-    data += _WORD.pack(zlib.crc32(data))
-    return data
+    )
+    data = b"".join((header, body, _WORD.pack(pdu.timestamp)))
+    return data + _WORD.pack(zlib.crc32(data))
+
+
+def open_pdu(data: bytes, start: int, end: int) -> Union[VmtpPdu, str]:
+    """Check and decode the PDU in ``data[start:end]`` in one pass: the
+    checksum runs over the span, and a member's bytes are the one slice
+    handed up.
+
+    Returns the PDU, or why there is none: ``"short_pdu"`` (no room for
+    a header and a trailer), ``"checksum"`` (the CRC-32 does not match),
+    ``"unknown_pdu"`` (no such kind) or ``"malformed_nak"`` (a NAK
+    whose body is not exactly its 32-bit mask — read as any mask, it
+    would make the peer resend members nobody asked for).
+    """
+    body_at = start + _PDU_HEADER.size
+    stamp_at = end - _TRAILER_BYTES
+    if stamp_at < body_at:
+        return "short_pdu"
+    stamp, crc = _TRAILER.unpack_from(data, stamp_at)
+    if zlib.crc32(data[start:end - _WORD.size]) != crc:
+        return "checksum"
+    code, _r, src, dst, txid, member, count, reply_socket, _r2 = (
+        _PDU_HEADER.unpack_from(data, start)
+    )
+    if code <= 1:  # a member's bytes
+        return VmtpPdu(
+            _KINDS[code], txid, src, dst, member, count, stamp,
+            reply_socket, 0, stamp_at - body_at, data[body_at:stamp_at],
+        )
+    if code >= len(_KINDS):
+        return "unknown_pdu"
+    if stamp_at - body_at != _WORD.size:
+        return "malformed_nak"
+    return VmtpPdu(
+        _KINDS[code], txid, src, dst, member, count, stamp, reply_socket,
+        _WORD.unpack_from(data, body_at)[0],
+    )
 
 
 def pdu_intact(data: bytes) -> bool:
@@ -500,26 +570,10 @@ def pdu_intact(data: bytes) -> bool:
 
 
 def decode_pdu(data: bytes) -> Optional[VmtpPdu]:
-    """The PDU in ``data`` (at least a header and a trailer long), or
-    None for an unknown kind; :func:`pdu_intact` checks the checksum."""
-    code, _r, src, dst, txid, member, count, reply_socket, _r2 = (
-        _PDU_HEADER.unpack_from(data)
-    )
-    if code >= len(_KINDS):
-        return None
-    stamp_at = len(data) - _TRAILER_BYTES
-    stamp = _WORD.unpack_from(data, stamp_at)[0]
-    body = data[_PDU_HEADER.size:stamp_at]
-    if code <= 1:  # a member's bytes
-        return VmtpPdu(
-            _KINDS[code], txid, src, dst, member, count, stamp,
-            reply_socket, 0, len(body), body,
-        )
-    mask = _WORD.unpack(body)[0] if len(body) == _WORD.size else 0
-    return VmtpPdu(
-        _KINDS[code], txid, src, dst, member, count, stamp, reply_socket,
-        mask,
-    )
+    """The PDU that is all of ``data``, or None for one :func:`open_pdu`
+    refuses (short, damaged, of no kind, a malformed NAK)."""
+    pdu = open_pdu(data, 0, len(data))
+    return pdu if pdu.__class__ is VmtpPdu else None
 
 
 @dataclass
@@ -552,7 +606,7 @@ class LiveTransactor:
     ``duplicate_member`` for a member already held, ``stale_pdu`` for a
     response or NAK whose transaction is over — the replay a timeout
     asked for, overtaken by the original) or the codec's
-    (``short_pdu``, ``unknown_pdu``).  :attr:`stats` counts what the
+    (``short_pdu``, ``unknown_pdu``, ``malformed_nak``).  :attr:`stats` counts what the
     simulator's transport counts.
     """
 
@@ -613,7 +667,9 @@ class LiveTransactor:
         wildcard reaches whichever entity serves at the route's end.
         Recovery is the machine's (§4.3): the server NAKs a request
         member it misses and the client resends it alone; a timeout
-        resends the group, or NAKs the response members still missing;
+        NAKs the response members still missing or, with none of the
+        response, probes with the request's last member (a server that
+        answered replays its response, one missing members NAKs them);
         repeated timeouts rebind the route.
         """
         if self._tx_started is not None:
@@ -689,18 +745,16 @@ class LiveTransactor:
     # -- receive path ------------------------------------------------------
 
     def _on_delivered(self, delivered: LiveDelivered) -> None:
-        """Decode one arrived PDU for the machine."""
-        data = delivered.payload
-        if len(data) < _PDU_HEADER.size + _TRAILER_BYTES:
-            self.host.metrics.drop("short_pdu")
-        elif not pdu_intact(data):
+        """Check and decode one arrived PDU, in place, for the machine."""
+        pdu = open_pdu(
+            delivered.datagram, delivered.payload_start, delivered.payload_end,
+        )
+        if pdu.__class__ is VmtpPdu:
+            self.machine.on_pdu(pdu, delivered)
+        elif pdu == "checksum":
             self.machine.on_pdu(None, delivered, corrupted=True)
         else:
-            pdu = decode_pdu(data)
-            if pdu is None:
-                self.host.metrics.drop("unknown_pdu")
-            else:
-                self.machine.on_pdu(pdu, delivered)
+            self.host.metrics.drop(pdu)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -368,7 +368,9 @@ class LiveEndpoint:
         nonzero sequence number, acked by the receiving endpoint and
         retried on timeout; the caller's preamble must carry seq 0 (use
         :func:`~repro.live.frames.encode_live_frame` with its default
-        ``seq``) — this method owns the sequence space.
+        ``seq``) — this method owns the sequence space.  A ``bytearray``
+        frame (:func:`~repro.live.frames.frame_with_header` builds one)
+        is handed over: it is restamped in place and kept for retries.
         """
         if self.closed or self._sock is None:
             return SEQ_NONE
@@ -376,7 +378,10 @@ class LiveEndpoint:
         if reliable:
             seq = self._seq
             self._seq = seq + 1 if seq < SEQ_MAX else 1
-            datagram = restamp_seq(datagram, seq)
+            if datagram.__class__ is bytearray:
+                restamp_seq_into(datagram, 0, seq)
+            else:
+                datagram = restamp_seq(datagram, seq)
             self._await_ack(seq, datagram, None, addr)
         self.metrics.record_out(len(datagram))
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:

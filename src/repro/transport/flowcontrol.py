@@ -27,7 +27,9 @@ class DeliveryMask:
                 f"packet group size {count} outside 1..{self.MAX_MEMBERS}"
             )
         self.count = count
-        self.bits = bits & ((1 << count) - 1)
+        #: The bits of a complete group.
+        self.full = (1 << count) - 1
+        self.bits = bits & self.full
 
     def mark(self, index: int) -> None:
         if not 0 <= index < self.count:
@@ -39,7 +41,7 @@ class DeliveryMask:
 
     @property
     def complete(self) -> bool:
-        return self.bits == (1 << self.count) - 1
+        return self.bits == self.full
 
     def missing(self) -> List[int]:
         return [i for i in range(self.count) if not self.has(i)]
@@ -125,12 +127,10 @@ def split_into_group(total_size: int, max_member: int) -> List[int]:
         raise ValueError("total_size must be positive")
     if max_member <= 0:
         raise ValueError("max_member must be positive")
-    sizes = []
-    remaining = total_size
-    while remaining > 0:
-        take = min(max_member, remaining)
-        sizes.append(take)
-        remaining -= take
+    full, rest = divmod(total_size, max_member)
+    sizes = [max_member] * full
+    if rest:
+        sizes.append(rest)
     if len(sizes) > DeliveryMask.MAX_MEMBERS:
         raise ValueError(
             f"{total_size} bytes needs {len(sizes)} members; the group "

@@ -227,9 +227,8 @@ class _Answer(NamedTuple):
     reply_socket: int
 
 
-def _in_group(pdu: VmtpPdu) -> bool:
-    """The PDU's member index and group count describe a real group."""
-    return 0 <= pdu.member_index < pdu.group_count <= DeliveryMask.MAX_MEMBERS
+#: Largest packet group, for the inline group checks.
+_MAX_MEMBERS = DeliveryMask.MAX_MEMBERS
 
 
 class TransactionMachine:
@@ -256,6 +255,12 @@ class TransactionMachine:
         self._response_cache: "OrderedDict[Tuple[int, int], _Answer]" = (
             OrderedDict()
         )
+        #: The first client-only and the first serving entity of
+        #: ``_entities`` (None when there is none), kept by
+        #: :meth:`_entities_changed`: requests go out from the one, a
+        #: wildcard PDU is taken for the other.
+        self._client: Optional[EntityId] = None
+        self._server: Optional[EntityId] = None
 
     # -- entities -----------------------------------------------------------
 
@@ -263,33 +268,33 @@ class TransactionMachine:
         """Register a transport endpoint; with a handler it is a server."""
         entity = self.allocator.allocate(hint)
         self._entities[entity] = handler
+        self._entities_changed()
         return entity
 
     def adopt_entity(self, entity: EntityId, handler: Optional[Handler]) -> None:
         """Take over an entity that migrated from another host (§4.1)."""
         self._entities[entity] = handler
+        self._entities_changed()
 
     def drop_entity(self, entity: EntityId) -> None:
         """Release a local entity (it migrated away or terminated)."""
         self._entities.pop(entity, None)
+        self._entities_changed()
+
+    def _entities_changed(self) -> None:
+        self._client = self._server = None
+        for entity, handler in self._entities.items():
+            if handler is None:
+                if self._client is None:
+                    self._client = entity
+            elif self._server is None:
+                self._server = entity
 
     def _client_entity(self) -> EntityId:
         """The id requests are sent from (auto-created on first use)."""
-        for entity, handler in self._entities.items():
-            if handler is None:
-                return entity
-        return self.create_entity(None, hint="client")
-
-    def _wildcard_server(self, pdu: VmtpPdu) -> Optional[EntityId]:
-        """The serving entity a wildcard client-to-server PDU is for."""
-        if pdu.dst_entity != WILDCARD_ENTITY or not (
-            pdu.kind is PduKind.REQUEST or pdu.kind is PduKind.RESPONSE_NAK
-        ):
-            return None
-        for entity, handler in self._entities.items():
-            if handler is not None:
-                return entity
-        return None
+        if self._client is None:
+            return self.create_entity(None, hint="client")
+        return self._client
 
     # -- client side ----------------------------------------------------------
 
@@ -350,25 +355,38 @@ class TransactionMachine:
         if indices is None:
             indices = range(count)
         src_entity = self._client_entity()
+        # What the group fixes is computed once: the creation stamp (the
+        # clock does not move inside one launch) and the members' wire
+        # sizes and pacing gaps.
+        stamp = self.clock.stamp()
+        full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
+        group_gap = full_wire_gap[1] if count > 1 else 0.0
+        after, send = self.io.after, self._send
+        txid, dst_entity, socket = tx.transaction_id, tx.dst_entity, self.config.socket
+        payload, priority = tx.payload, tx.priority
         offset = 0.0
-        group_gap = self.rate.gap_for(
-            self._pdu_wire_size(max(sizes))
-        ) if count > 1 else 0.0
-        stamp, after, gap_for = self.clock.stamp, self.io.after, self.rate.gap_for
-        overhead = self._pdu_wire_size(0)
         for index in indices:
             member = sizes[index]
             # Every member but the last is full: this one starts at
             # index times the first member's size.
             pdu = VmtpPdu(
-                PduKind.REQUEST, tx.transaction_id, src_entity,
-                tx.dst_entity, index, count, stamp(), self.config.socket,
-                0, member, tx.payload, group_gap, index * sizes[0],
+                PduKind.REQUEST, txid, src_entity, dst_entity, index, count,
+                stamp, socket, 0, member, payload, group_gap, index * full,
             )
-            wire = overhead + member
-            after(offset, self._send, route, pdu, wire, tx.priority)
-            offset += gap_for(wire)
+            wire, gap = full_wire_gap if member == full else last_wire_gap
+            after(offset, send, route, pdu, wire, priority)
+            offset += gap
         self._arm_timer(tx, route, offset)
+
+    def _member_wires(
+        self, sizes: List[int]
+    ) -> Tuple[Tuple[int, float], Tuple[int, float]]:
+        """``(wire size, pacing gap)`` of a group's full member and of its
+        last: every member but the last is full."""
+        overhead = self._pdu_wire_size(0)
+        full, last = overhead + sizes[0], overhead + sizes[-1]
+        gap_for = self.rate.gap_for
+        return (full, gap_for(full)), (last, gap_for(last))
 
     def _arm_timer(self, tx: _ClientTransaction, route: Any, pacing: float) -> None:
         if tx.timer is not None:
@@ -492,20 +510,23 @@ class TransactionMachine:
             self.stats.truncated_rejects.add()
             self.io.discard("truncated")
             return
-        # §4.1: unique ids make misdelivery detectable.
+        # §4.1: unique ids make misdelivery detectable.  A client that
+        # does not know the server's id sends the wildcard, which only a
+        # request or a response NAK may carry.
+        kind = pdu.kind
         if pdu.dst_entity not in self._entities:
-            server = self._wildcard_server(pdu)
-            if server is None:
+            if pdu.dst_entity != WILDCARD_ENTITY or self._server is None or not (
+                kind is PduKind.REQUEST or kind is PduKind.RESPONSE_NAK
+            ):
                 self.stats.misdelivered.add()
                 self.io.discard("misdelivered")
                 return
-            pdu.dst_entity = server
+            pdu.dst_entity = self._server
         # §4.2: maximum packet lifetime from the creation timestamp.
         if not self.config.mpl.accept(pdu.timestamp, self.clock):
             self.stats.lifetime_rejects.add()
             self.io.discard("too_old")
             return
-        kind = pdu.kind
         if kind is PduKind.REQUEST:
             self._on_request(pdu, delivered)
         elif kind is PduKind.RESPONSE:
@@ -525,33 +546,44 @@ class TransactionMachine:
             self.stats.duplicate_requests.add()
             self._send_response_group(pdu, delivered, answer)
             return
-        if not _in_group(pdu):
+        index, count = pdu.member_index, pdu.group_count
+        if not 0 <= index < count <= _MAX_MEMBERS:
             self.io.discard("bad_group")
             return
-        if pdu.group_count == 1 and key not in self._assemblies:
-            # A one-member request is whole on arrival.
-            self._complete_request(
-                key, pdu, [pdu.user_data], pdu.user_size, delivered,
-            )
-            return
-        now = self.io.now
         assembly = self._assemblies.get(key)
         if assembly is None:
-            assembly = _ServerAssembly(pdu.group_count, now)
+            if count == 1:
+                # A one-member request is whole on arrival.
+                self._complete_request(
+                    key, pdu, [pdu.user_data], pdu.user_size, delivered,
+                )
+                return
+            now = self.io.now
+            assembly = _ServerAssembly(count, now)
             self._assemblies[key] = assembly
-        if assembly.mask.has(pdu.member_index):
+        else:
+            now = self.io.now
+        # The member's group bookkeeping is one operation on the mask's
+        # bits: a member outside the assembly's group, or one it holds,
+        # is refused.
+        mask = assembly.mask
+        bit = 1 << index
+        if bit > mask.full:
+            self.io.discard("bad_group")
+            return
+        if mask.bits & bit:
             self.io.discard("duplicate_member")
             return
-        assembly.observed_gap = max(
-            assembly.observed_gap, now - assembly.last_arrival
-        )
+        mask.bits |= bit
+        gap = now - assembly.last_arrival
+        if gap > assembly.observed_gap:
+            assembly.observed_gap = gap
         assembly.last_arrival = now
         assembly.fruitless_naks = 0
-        assembly.mask.mark(pdu.member_index)
-        assembly.parts[pdu.member_index] = pdu.user_data
+        assembly.parts[index] = pdu.user_data
         assembly.total_size += pdu.user_size
         assembly.delivered = delivered
-        if assembly.mask.complete:
+        if mask.bits == mask.full:
             if assembly.nak_timer is not None:
                 assembly.nak_timer.cancel()
             del self._assemblies[key]
@@ -566,11 +598,11 @@ class TransactionMachine:
         # paced in-flight members never trigger a spurious NAK.  One
         # timer per assembly: an arrival only moves the quiet moment,
         # and a timer that fires before it sleeps on to it.
-        quiet = max(
-            self.config.nak_delay,
-            2.0 * assembly.observed_gap,
-            2.0 * pdu.pacing_gap,
-        )
+        quiet = self.config.nak_delay
+        if 2.0 * assembly.observed_gap > quiet:
+            quiet = 2.0 * assembly.observed_gap
+        if 2.0 * pdu.pacing_gap > quiet:
+            quiet = 2.0 * pdu.pacing_gap
         assembly.quiet_at = now + quiet
         if assembly.nak_timer is None:
             assembly.nak_timer = self.io.after(quiet, self._server_nak, key)
@@ -648,20 +680,24 @@ class TransactionMachine:
         being answered, so the response swaps its entities."""
         sizes = answer.sizes
         count = len(sizes)
-        stamp, after, gap_for = self.clock.stamp, self.io.after, self.rate.gap_for
-        overhead = self._pdu_wire_size(0)
+        # Fixed by the group, as in :meth:`_launch_group`.
+        stamp = self.clock.stamp()
+        full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
+        after, send_return = self.io.after, self._send_return
+        txid, src_entity, dst_entity = (
+            request.transaction_id, request.dst_entity, request.src_entity,
+        )
+        reply_socket, payload = answer.reply_socket, answer.payload
         offset = 0.0
         for index in only if only is not None else range(count):
             member = sizes[index]
             pdu = VmtpPdu(
-                PduKind.RESPONSE, request.transaction_id, request.dst_entity,
-                request.src_entity, index, count, stamp(),
-                answer.reply_socket, 0, member, answer.payload, 0.0,
-                index * sizes[0],
+                PduKind.RESPONSE, txid, src_entity, dst_entity, index, count,
+                stamp, reply_socket, 0, member, payload, 0.0, index * full,
             )
-            wire = overhead + member
-            after(offset, self._send_return, delivered, pdu, wire)
-            offset += gap_for(wire)
+            wire, gap = full_wire_gap if member == full else last_wire_gap
+            after(offset, send_return, delivered, pdu, wire)
+            offset += gap
 
     def _on_response_nak(self, pdu: VmtpPdu, delivered: Any) -> None:
         """The client misses response members: replay them from the cache."""
@@ -695,21 +731,28 @@ class TransactionMachine:
             # A replay that lost the race with the original it duplicates.
             self.io.discard("stale_pdu")
             return
-        if not _in_group(pdu):
+        index, count = pdu.member_index, pdu.group_count
+        if not 0 <= index < count <= _MAX_MEMBERS:
             self.io.discard("bad_group")
             return
-        if tx.response_mask is None:
-            if pdu.group_count == 1:  # whole on arrival
+        mask = tx.response_mask
+        if mask is None:
+            if count == 1:  # whole on arrival
                 self._succeed(tx, [pdu.user_data], pdu.user_size)
                 return
-            tx.response_mask = DeliveryMask(pdu.group_count)
-        if tx.response_mask.has(pdu.member_index):
+            mask = tx.response_mask = DeliveryMask(count)
+        # One mask operation, as for a request member.
+        bit = 1 << index
+        if bit > mask.full:
+            self.io.discard("bad_group")
+            return
+        if mask.bits & bit:
             self.io.discard("duplicate_member")
             return
-        tx.response_mask.mark(pdu.member_index)
-        tx.response_parts[pdu.member_index] = pdu.user_data
+        mask.bits |= bit
+        tx.response_parts[index] = pdu.user_data
         tx.response_size += pdu.user_size
-        if tx.response_mask.complete:
+        if mask.bits == mask.full:
             parts = tx.response_parts
             self._succeed(
                 tx, [parts[i] for i in range(len(parts))], tx.response_size,

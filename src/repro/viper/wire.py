@@ -280,7 +280,8 @@ def segment_span(buffer: bytes, offset: int = 0) -> int:
     """
     if offset < 0:
         raise DecodeError(f"negative segment offset {offset}")
-    if offset + FIXED_SEGMENT_BYTES > len(buffer):
+    size = len(buffer)
+    if offset + FIXED_SEGMENT_BYTES > size:
         raise DecodeError("buffer too short for fixed segment fields")
     portinfo_len = buffer[offset]
     token_len = buffer[offset + 1]
@@ -294,9 +295,9 @@ def segment_span(buffer: bytes, offset: int = 0) -> int:
         # No length escape (every segment the overlay mints): the span
         # is arithmetic, and fitting the buffer is all there is to check.
         end = offset + token_len + portinfo_len
-        if end > len(buffer):
+        if end > size:
             raise DecodeError(
-                f"truncated segment: need {end} bytes, buffer has {len(buffer)}"
+                f"truncated segment: need {end} bytes, buffer has {size}"
             )
         return end
     offset = _field_span(buffer, offset, token_len, "portToken")

@@ -48,3 +48,43 @@ def test_each_bench_publishes_a_results_table():
         with open(os.path.join(BENCH_DIR, f"{module}.py")) as handle:
             text = handle.read()
         assert "publish(" in text, f"{module} never publishes its table"
+
+
+RESULTS_DIR = os.path.join(BENCH_DIR, "results")
+
+
+def test_parse_table_stops_at_the_first_line_that_is_not_a_row():
+    from benchmarks._common import format_table, parse_table
+
+    table = format_table("T", ["x", "label"], [[1, "a b"], [2.5, "c"]])
+    for note in ("\nPaper: a note right under the rows.", "\n\nA note after a blank."):
+        assert parse_table(table + note) == {
+            "title": "T", "headers": ["x", "label"], "rows": [[1, "a b"], [2.5, "c"]],
+        }
+
+
+def test_every_committed_table_row_has_one_typed_cell_per_header():
+    """A ``BENCH_*.json`` that holds a parsed table is exactly what the
+    parser reads from its committed ``.txt``: rows only, never the prose
+    under them, each with one cell per header and numbers as numbers."""
+    import json
+
+    from benchmarks._common import _typed, parse_table
+
+    checked = 0
+    for name in sorted(os.listdir(RESULTS_DIR)):
+        if not (name.startswith("BENCH_") and name.endswith(".json")):
+            continue
+        with open(os.path.join(RESULTS_DIR, name)) as handle:
+            committed = json.load(handle)
+        if "rows" not in committed:
+            continue  # the bench published structured data of its own
+        with open(os.path.join(RESULTS_DIR, committed["name"] + ".txt")) as handle:
+            text = handle.read()
+        assert committed == {"name": committed["name"], **parse_table(text[:-1])}, name
+        for row in committed["rows"]:
+            assert len(row) == len(committed["headers"]), (name, row)
+            for cell in row:
+                assert _typed(str(cell)) == cell, (name, cell)
+        checked += 1
+    assert checked >= 20
