@@ -36,7 +36,7 @@ from repro.dataplane import (
     FlowCache,
     ForwardingPipeline,
     HopInput,
-    MappingPortMap,
+    PortMap,
     PortProfile,
 )
 from repro.live.frames import (
@@ -97,7 +97,7 @@ def _build_pipeline():
     pipeline = ForwardingPipeline(
         "r1",
         token_cache=token_cache,
-        ports=MappingPortMap({
+        ports=PortMap({
             1: PortProfile(mtu=1500), 2: PortProfile(mtu=1500),
         }),
         flow_cache=FlowCache(capacity=FLOW_CACHE_CAPACITY, ttl_ms=1 << 40),

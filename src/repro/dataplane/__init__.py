@@ -1,9 +1,11 @@
 """Sans-IO dataplane: the per-hop forwarding algorithm, exactly once.
 
-:class:`ForwardingPipeline` decides; the drivers
+:class:`ForwardingPipeline` decides; :class:`repro.dataplane.router.
+RouterCore` reads each frame for it, owns the router's soft state and
+applies the :class:`Decision`.  The two routers
 (:class:`repro.core.router.SirpentRouter`,
-:class:`repro.live.router.LiveRouter`) supply IO and timing and apply
-:class:`Decision` effects.  See ``docs/ARCHITECTURE.md`` §9.
+:class:`repro.live.router.LiveRouter`) are adapters over that core that
+supply IO and timing.  See ``docs/ARCHITECTURE.md`` §9.
 """
 
 from repro.dataplane.effects import Action, Decision, EffectSink, apply_drop
@@ -32,7 +34,6 @@ from repro.dataplane.pipeline import (
     Capabilities,
     ForwardingPipeline,
     HopInput,
-    MappingPortMap,
     PortMap,
     PortProfile,
     UNKNOWN_IN_PORT,
@@ -53,7 +54,6 @@ __all__ = [
     "GroupPortMap",
     "HopInput",
     "LogicalPortMap",
-    "MappingPortMap",
     "MulticastAgent",
     "PortMap",
     "PortProfile",

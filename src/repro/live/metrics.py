@@ -7,9 +7,13 @@ routers/hosts add their drop reasons.  The smoke benchmark
 (``bench_l01_live_loopback``) renders these tables after the run, which
 is how we see — over real sockets — where every frame went.
 
-The counters deliberately mirror the names of
-:class:`repro.core.router.RouterStats` so the sim and live worlds can
-be compared line by line.
+The names are this module's own, not those of the simulator's
+:class:`repro.core.router.RouterStats` (``drops["no_route"]`` here is
+``dropped_no_route`` there).  A router's verdicts on both substrates
+are compared through the router core's one vocabulary instead:
+:attr:`repro.dataplane.router.RouterCore.drops`, keyed by the
+pipeline's drop reasons.  Both counter objects answer the core's
+``drop(reason)`` / ``count(event)``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ class EndpointMetrics:
     def drop(self, reason: str) -> None:
         """Count one dropped frame under ``reason``."""
         self.drops[reason] = self.drops.get(reason, 0) + 1
+
+    def count(self, event: str) -> None:
+        """Count one ``event``, a counter field's name."""
+        setattr(self, event, getattr(self, event) + 1)
 
     def dropped(self, reason: str) -> int:
         """Drops recorded under ``reason`` (0 when never seen)."""

@@ -21,10 +21,10 @@ answers warm as well as cold.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import router as router_module
 from repro.core.host import SirpentHost
 from repro.core.packet import HEADER, FramePacket
 from repro.core.router import RouterConfig, SirpentRouter
+from repro.dataplane import router as router_module
 from repro.dataplane.multicast import TREE_PORT, TreeBranch, encode_tree_info
 from repro.live.frames import decode_preamble, encode_live_frame
 from repro.net.link import Transmission

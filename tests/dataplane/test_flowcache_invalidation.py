@@ -12,7 +12,7 @@ from repro.dataplane import (
     FlowCache,
     ForwardingPipeline,
     HopInput,
-    MappingPortMap,
+    PortMap,
     PortProfile,
 )
 from repro.tokens.cache import CachePolicy, TokenCache
@@ -27,7 +27,7 @@ def make_pipeline(ttl_ms=10_000, capacity=8, profiles=None):
     pipeline = ForwardingPipeline(
         "r1",
         token_cache=token_cache,
-        ports=MappingPortMap(
+        ports=PortMap(
             profiles if profiles is not None
             else {1: PortProfile(), 2: PortProfile()}
         ),
@@ -231,8 +231,13 @@ class TestDriverWiring:
 
         sim = Simulator()
         router = SirpentRouter(sim, "r1", control_plane=ControlPlane(sim, None))
-        assert router.congestion.on_rebind == router.pipeline.on_congestion_rebind
+        # A restart rebuilds the pipeline: the hooks follow the new one.
+        router.core.forget()
         assert router.token_cache.on_flush == router.pipeline.flow_cache.flush
+        flushes = []
+        router.pipeline.on_congestion_rebind = lambda: flushes.append(1)
+        router.congestion.on_rebind()
+        assert flushes == [1]
 
     def test_live_connect_port_invalidates_rewired_flows(self):
         from repro.live.router import LiveRouter

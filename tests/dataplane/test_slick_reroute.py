@@ -26,7 +26,7 @@ from repro.dataplane import (
     FlowCache,
     ForwardingPipeline,
     HopInput,
-    MappingPortMap,
+    PortMap,
     PortProfile,
     UNKNOWN_IN_PORT,
 )
@@ -60,7 +60,7 @@ def make_pipeline(
     pipeline = ForwardingPipeline(
         "r1",
         token_cache=token_cache,
-        ports=MappingPortMap(dict(profiles)),
+        ports=PortMap(dict(profiles)),
         logical=logical,
         groups=groups,
         flow_cache=flow_cache,

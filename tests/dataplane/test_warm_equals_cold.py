@@ -38,7 +38,7 @@ from repro.dataplane import (
     GroupPortMap,
     HopInput,
     LogicalPortMap,
-    MappingPortMap,
+    PortMap,
     SelectionPolicy,
     TREE_PORT,
     TreeBranch,
@@ -175,7 +175,7 @@ class World:
         )
         self.pipeline = ForwardingPipeline(
             "r", token_cache=self.token_cache,
-            ports=MappingPortMap(self.ports, load_view=self.ports),
+            ports=PortMap(self.ports, load_view=self.ports),
             logical=logical, groups=groups, flow_cache=flow_cache,
         )
 

@@ -270,9 +270,10 @@ def structural_fates(pipeline, datagram, in_port, now_ms, reverse_portinfo,
     """
     try:
         preamble, packet, payload = decode_live_frame(datagram)
-        segment = packet.segments[0]
-    except (ViperDecodeError, IndexError):
+    except ViperDecodeError:
         return [("drop", "undecodable")]
+    # A spent route (segCount 0) is the pipeline's to drop, at stage 0.
+    segment = packet.segments[0] if packet.segments else None
     decision = pipeline.decide(HopInput(
         segment=segment,
         seg_count=preamble.seg_count,

@@ -13,9 +13,11 @@ and that ``LiveRouter._on_batch``, the one way a frame crosses a live
 router, reproduces the oracle's fate for every frame.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import pathlib
 import random
 
 import pytest
@@ -486,3 +488,73 @@ def test_one_forwarding_path_and_no_twin_in_src():
     for name in ("advance", "apply_slick_reroute", "mark_truncated",
                  "corrupted_copy", "trailer_segments"):
         assert not hasattr(SirpentPacket, name), name
+
+
+def _src_classes():
+    """Every class ``src/`` defines: ``(module path, class node)``."""
+    root = pathlib.Path(router_module.__file__).parents[2]
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                yield path.relative_to(root).as_posix(), node
+
+
+def _defines(node, name):
+    return any(
+        isinstance(stmt, ast.FunctionDef) and stmt.name == name
+        for stmt in node.body
+    )
+
+
+def test_one_router_core_and_no_router_twin_in_src():
+    """Structural: both routers are adapters over one ``RouterCore``.
+    ``src/`` has one port map (the ``profile`` surface), one
+    ``EffectSink`` implementation and one hop reader (the ``alternate``
+    surface), all the core's; neither router defines one, nor an
+    applier, a counting helper or a soft-state builder of its own."""
+    from repro.core.router import SirpentRouter
+    from repro.dataplane.router import FrameHop, RouterCore, RouterSink
+    from repro.sim.engine import Simulator
+
+    classes = list(_src_classes())
+    port_maps = [(p, c.name) for p, c in classes if _defines(c, "profile")]
+    sinks = [
+        (p, c.name) for p, c in classes
+        if any(getattr(b, "id", getattr(b, "attr", "")) == "EffectSink"
+               for b in c.bases)
+    ]
+    hop_readers = [(p, c.name) for p, c in classes if _defines(c, "alternate")]
+    assert port_maps == [("repro/dataplane/pipeline.py", "PortMap")]
+    assert sinks == [("repro/dataplane/router.py", RouterSink.__name__)]
+    assert hop_readers == [("repro/dataplane/router.py", FrameHop.__name__)]
+    twins = {"_SimHop", "_LiveHop", "_SimPortMap", "_LivePortMap",
+             "_SimEffectSink", "_LiveEffectSink", "MappingPortMap"}
+    assert not twins & {c.name for _p, c in classes}
+
+    for router_class in (SirpentRouter, router_module.LiveRouter):
+        node = next(
+            c for _p, c in classes if c.name == router_class.__name__
+        )
+        methods = {
+            stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+        }
+        assert not methods & {
+            "_apply", "_build_soft_state", "_deliver_local", "_revive_port",
+            "profile", "bump", "trace_drop", "alternate", "reverse_portinfo",
+        }, router_class
+        assert not [m for m in methods if m.startswith("_count")], router_class
+
+    sim_router = SirpentRouter(Simulator(), "r")
+    live_router = router_module.LiveRouter("r")
+    for router in (sim_router, live_router):
+        core = router.core
+        assert isinstance(core, RouterCore)
+        assert router.pipeline is core.pipeline
+        assert router.token_cache is core.token_cache
+        assert router.flow_cache is core.flow_cache
+        assert core.pipeline.ports is core.ports
+        assert isinstance(core.sink, RouterSink)
+        core.forget()  # a restart rebuilds the soft state, still the core's
+        assert router.pipeline is core.pipeline
+        assert router.token_cache is core.token_cache
+        assert router.flow_cache is core.flow_cache
