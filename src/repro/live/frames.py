@@ -117,6 +117,9 @@ SEQ_BYTES = 4
 #: Byte offset of the hop-sequence field (after magic, version, kind).
 SEQ_OFFSET = 4
 
+#: Byte offsets of the segment-count and payload-length fields.
+SEG_COUNT_OFFSET, PAYLOAD_LEN_OFFSET = 8, 9
+
 #: Size of the payload-length field.
 PAYLOAD_LEN_BYTES = 2
 

@@ -13,8 +13,9 @@ An ad-hoc ``self.metrics.drop("reason")`` / ``stats.dropped_x.add()``
 next to a bare ``return`` reintroduces the copy-pasted
 counter-vs-trace skew the effect model removed.  Calls are allowed
 only inside the effects module itself, inside ``apply_drop``, or
-inside an :class:`EffectSink` adapter (the one place a driver maps
-abstract counter names onto its stats object).
+inside an :class:`EffectSink` subclass (the router core's
+``RouterSink``, the one place a drop reason reaches the adapter's stats
+object).
 """
 
 from __future__ import annotations
