@@ -261,9 +261,10 @@ def encode_ack(seq: int, further: Sequence[int] = ()) -> bytes:
     try:
         if not further:
             return _PREAMBLE.pack(MAGIC, VERSION, FRAME_ACK, seq, 0, 0)
-        return _PREAMBLE.pack(
-            MAGIC, VERSION, FRAME_ACK, seq, 0, SEQ_BYTES * len(further)
-        ) + b"".join(map(_SEQ.pack, further))
+        return struct.pack(
+            f"{_PREAMBLE.format}{len(further)}I", MAGIC, VERSION, FRAME_ACK,
+            seq, 0, SEQ_BYTES * len(further), *further,
+        )
     except struct.error as error:
         raise ValueError(f"ack does not fit the wire format: {error}") from None
 

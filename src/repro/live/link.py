@@ -27,9 +27,12 @@ callbacks.  The endpoint provides:
   only frames that were sent to the address it came from (else
   ``stray_ack``): sequence numbers are per sender.  A reliable view's ring
   slot stays **pinned** in the retry table until the ack (or the final
-  abandonment) releases it.  All of an endpoint's ack deadlines share
-  **one** loop timer (a deadline heap, see :meth:`LiveEndpoint.
-  _await_ack`): a frame acked in time never touches the event loop,
+  abandonment) releases it.  The retry table is a dict in send order,
+  which is first-deadline order (one constant timeout), and all of an
+  endpoint's ack deadlines share **one** loop timer: a frame acked in
+  time costs one insert and one delete — no heap, no timer, no clock
+  read of its own (see :meth:`LiveEndpoint._await_ack`) — and only a
+  frame that times out gets a backoff record on a heap,
 * **coalesced sends** — :meth:`send_parts` gathers one datagram from
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
   bytes as the fallback); a full socket buffer queues the frame and
@@ -119,9 +122,14 @@ RETRY_BUDGET_FLOOR = 32
 RETRY_BUDGET_RATIO = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReliabilityConfig:
     """Per-hop ack/retry policy for reliable sends.
+
+    A frozen value, checked when built: one instance is shared by every
+    endpoint an overlay starts, and an endpoint's first deadlines are in
+    send order only while its ``ack_timeout_s`` cannot change under the
+    frames it has pending.
 
     Retries back off **exponentially with jitter**: each retry gap is
     the previous gap times a random factor in
@@ -143,6 +151,20 @@ class ReliabilityConfig:
     max_retries: int = 3
     #: Remembered sequence numbers per peer, for duplicate suppression.
     dedup_window: int = 1024
+
+    def __post_init__(self) -> None:
+        if not self.ack_timeout_s > 0:  # NaN too
+            raise ValueError(
+                f"ack_timeout_s must be > 0, not {self.ack_timeout_s}"
+            )
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be >= 0, not {self.max_retries}"
+            )
+        if self.dedup_window < 1:
+            raise ValueError(
+                f"dedup_window must be >= 1, not {self.dedup_window}"
+            )
 
 
 class RetryBudget:
@@ -208,25 +230,6 @@ def corrupt_datagram(datagram, seed: int) -> bytes:
     return bytes(corrupted)
 
 
-class _PendingFrame:
-    """One reliable frame awaiting its ack.
-
-    ``data`` is the exact wire bytes to retransmit; when ``slot`` is
-    set, ``data`` is a memoryview into that (pinned) ring slot and the
-    ack/abandonment path owns releasing it.
-    """
-
-    __slots__ = ("data", "slot", "addr", "retries_left", "gap_s")
-
-    def __init__(self, data, slot, addr: Address, retries_left: int,
-                 gap_s: float) -> None:
-        self.data = data
-        self.slot = slot
-        self.addr = addr
-        self.retries_left = retries_left
-        self.gap_s = gap_s
-
-
 class LiveEndpoint:
     """One bound UDP socket with framing, acks, retries and impairments."""
 
@@ -277,14 +280,35 @@ class LiveEndpoint:
         self.fault_hook: Optional[Callable[[Address], Any]] = None
         #: The next hop sequence number: 1 … ``SEQ_MAX``, then 1 again.
         self._seq = 1
-        self._pending: Dict[int, _PendingFrame] = {}
-        #: ``(deadline, seq)`` ack deadlines, earliest first.  An ack
-        #: only removes the frame from ``_pending``; its heap entry is
-        #: purged when it surfaces (see :meth:`_on_retry_timer`).
-        self._retry_heap: List[Tuple[float, int]] = []
-        #: The endpoint's one retry timer, armed for ``_retry_heap[0]``'s
-        #: deadline; None exactly when the heap is empty.
+        #: Every reliable frame not yet acked or abandoned, in send order:
+        #: ``seq -> (data, slot, addr, sent_at)``.  ``data`` is the exact
+        #: wire bytes to retransmit; with ``slot`` set it is a memoryview
+        #: into that pinned ring slot, which the ack or the abandonment
+        #: releases.  Every first deadline is ``sent_at + ack_timeout_s``,
+        #: so this order *is* first-deadline order: the frames that timed
+        #: out at least once are a prefix, the fresh ones the rest.
+        self._pending: Dict[
+            int, Tuple[Any, Optional[RingSlot], Address, float]
+        ] = {}
+        #: Backoff records of frames that timed out at least once:
+        #: ``(deadline, seq, gap_s, retries_left)``, earliest first.  An
+        #: ack leaves the record; it is dropped when it surfaces.
+        self._retry_heap: List[Tuple[float, int, float, int]] = []
+        #: The last instant the retry timer handled: every frame whose
+        #: first deadline is at or before it has timed out at least once.
+        self._timed_out_through = float("-inf")
+        #: The endpoint's one retry timer, armed for the earlier of the
+        #: oldest fresh frame's first deadline and ``_retry_heap[0]``.
+        #: Acks leave it: it fires, finds nothing due and re-arms (or
+        #: goes idle — None — when nothing is left to time out).
         self._retry_timer: Optional[asyncio.TimerHandle] = None
+        #: True while that timer wakes no later than the oldest fresh
+        #: frame's first deadline, so a send (whose deadline is later
+        #: still) need not look at it.
+        self._fresh_covered = False
+        #: The running drain's clock read, which the sends its consumer
+        #: makes share; None outside a drain.
+        self._wakeup_at: Optional[float] = None
         self._seen: Dict[Address, Tuple[Set[int], Deque[int]]] = {}
         #: Frames deferred by a momentarily full socket buffer.
         self._tx_backlog: Deque[Tuple[bytes, Address]] = deque()
@@ -336,12 +360,12 @@ class LiveEndpoint:
         slot, self._rx_slot = self._rx_slot, None
         if slot is not None:
             slot.ring.release(slot)
+        for _data, pinned, _addr, _sent_at in self._pending.values():
+            if pinned is not None:
+                self.ring.release(pinned)
+        self._pending.clear()
         self._retry_heap.clear()
         self._sync_retry_timer()
-        for entry in self._pending.values():
-            if entry.slot is not None:
-                self.ring.release(entry.slot)
-        self._pending.clear()
         self._tx_backlog.clear()
         sock = self._sock
         if sock is not None:
@@ -531,68 +555,84 @@ class LiveEndpoint:
     # -- per-hop reliability -----------------------------------------------
 
     def _await_ack(self, seq: int, data, slot, addr: Address) -> None:  # sirlint: hot
-        """Enter a just-stamped reliable frame into the retry table.  First
-        deadlines (``now + ack_timeout``) arrive in order, behind the head the
-        timer sleeps to: the loop is touched once per timeout, not per frame."""
-        timeout_s = self.reliability.ack_timeout_s
-        self._pending[seq] = _PendingFrame(
-            data, slot, addr, self.reliability.max_retries, timeout_s,
-        )
-        now = self._loop.time()
+        """Enter a just-stamped reliable frame into the retry table.
+
+        One dict insert: its first deadline is ``now + ack_timeout_s``,
+        no earlier than any frame's before it, so the timer — already
+        armed no later than the oldest fresh deadline — is not looked
+        at.  A send from a drain's consumer takes that wakeup's clock
+        read; only a frame that times out gets a heap entry.
+        """
+        now = self._wakeup_at
+        if now is None:
+            now = self._loop.time()
+        self._pending[seq] = (data, slot, addr, now)
         self._budget.note_send(now)
-        deadline = now + timeout_s
-        heapq.heappush(self._retry_heap, (deadline, seq))
-        timer = self._retry_timer
-        if timer is None or deadline < timer.when():
+        if not self._fresh_covered:
             self._sync_retry_timer()
 
     def _sync_retry_timer(self) -> None:
-        """Restore the invariant: timer deadline == ``_retry_heap[0]``.
+        """Arm the one timer for the earlier of the oldest fresh frame's
+        first deadline and ``_retry_heap[0]``; none when neither exists.
 
-        Also when a push made a *new* earliest entry — a retry re-armed
-        with a long backoff gap must not leave the timer sleeping past a
-        younger frame's first deadline.
+        A backoff gap can end after a younger frame's first deadline, so
+        both queues are read: the heap alone would sleep past that frame,
+        the oldest ``_pending`` entry alone past a due retry.
         """
+        deadline, _seq = next(self._fresh(), (None, None))
+        self._fresh_covered = deadline is not None
         heap = self._retry_heap
-        timer = self._retry_timer
-        if heap:
+        if heap and (deadline is None or heap[0][0] < deadline):
             deadline = heap[0][0]
-            if timer is not None:
-                if timer.when() == deadline:
-                    return
-                timer.cancel()
+        timer = self._retry_timer
+        if timer is not None:
+            if timer.when() == deadline:
+                return
+            timer.cancel()
+            self._retry_timer = None
+        if deadline is not None:
             self._retry_timer = self._loop.call_at(
                 deadline, self._on_retry_timer
             )
-        elif timer is not None:
-            timer.cancel()
-            self._retry_timer = None
+
+    def _fresh(self):
+        """``(first deadline, seq)`` of every frame that has not timed out
+        yet, oldest first: ``_pending`` past its timed-out prefix."""
+        timeout_s = self.reliability.ack_timeout_s
+        through = self._timed_out_through
+        for seq, (_data, _slot, _addr, sent_at) in self._pending.items():
+            deadline = sent_at + timeout_s
+            if deadline > through:
+                yield deadline, seq
 
     def _on_retry_timer(self) -> None:
-        """The timer fired: time out every due frame, purge acked heads.
+        """The timer fired: time out every due frame, then re-arm.
 
-        An entry whose frame has left ``_pending`` was acked (or
-        abandoned); it is dropped here without firing
-        :meth:`_on_ack_timeout`, and so is every acked entry behind it up
-        to the first live one — the timer's next sleep then ends at a
-        deadline that still matters.
+        Due are the fresh frames at the front of ``_pending`` whose first
+        deadline has come and the heap's due backoff records; a record
+        whose frame has left ``_pending`` (acked, or abandoned) is dropped
+        without a timeout.  Timeouts run in ``(deadline, seq)`` order.
         """
         # Everything up to the deadline this timer was armed for is due
         # (the loop may fire a hair before its own clock says so).
         due = max(self._retry_timer.when(), self._now())
         self._retry_timer = None
-        heap = self._retry_heap
-        pending = self._pending
+        first_try = (self.reliability.ack_timeout_s,
+                     self.reliability.max_retries)
         timed_out = []
-        while heap:
-            deadline, seq = heap[0]
-            if seq in pending:
-                if deadline > due:
-                    break
-                timed_out.append(seq)
-            heapq.heappop(heap)
-        for seq in timed_out:
-            self._on_ack_timeout(seq)
+        for deadline, seq in self._fresh():
+            if deadline > due:
+                break
+            timed_out.append((deadline, seq, *first_try))
+        self._timed_out_through = due
+        heap = self._retry_heap
+        while heap and heap[0][0] <= due:
+            record = heapq.heappop(heap)
+            if record[1] in self._pending:
+                timed_out.append(record)
+        timed_out.sort()
+        for _deadline, seq, gap_s, retries_left in timed_out:
+            self._on_ack_timeout(seq, gap_s, retries_left)
         self._sync_retry_timer()
 
     def _next_gap(self, gap_s: float) -> float:
@@ -608,17 +648,22 @@ class LiveEndpoint:
         entry = self._pending.pop(seq, None)
         if entry is None:
             return
-        if entry.slot is not None:
-            self.ring.release(entry.slot)
+        _data, slot, addr, _sent_at = entry
+        if slot is not None:
+            self.ring.release(slot)
         self.metrics.drop(reason)
         if self.on_peer_dead is not None:
-            self.on_peer_dead(entry.addr)
+            self.on_peer_dead(addr)
 
-    def _on_ack_timeout(self, seq: int) -> None:
+    def _on_ack_timeout(
+        self, seq: int, gap_s: float, retries_left: int
+    ) -> None:
+        """Frame ``seq``'s deadline passed unacked, after a gap of
+        ``gap_s`` with ``retries_left``: retry it or give it up."""
         entry = self._pending.get(seq)
         if entry is None:
             return
-        if entry.retries_left <= 0:
+        if retries_left <= 0:
             # Peer is unresponsive: give up on this frame.
             self._abandon_pending(seq, "peer_dead")
             return
@@ -629,34 +674,41 @@ class LiveEndpoint:
             # never run away from it).
             self._abandon_pending(seq, "retry_budget_exhausted")
             return
-        entry.gap_s = self._next_gap(entry.gap_s)
-        entry.retries_left -= 1
+        data, _slot, addr, _sent_at = entry
+        gap_s = self._next_gap(gap_s)
         self.metrics.retries += 1
         self._budget.note_retry(now)
         if self.on_retry is not None:
-            self.on_retry(entry.addr, seq, entry.gap_s)
-        self._impaired_send(entry.data, entry.addr)
-        heapq.heappush(self._retry_heap, (self._now() + entry.gap_s, seq))
-        self._sync_retry_timer()
+            self.on_retry(addr, seq, gap_s)
+        self._impaired_send(data, addr)
+        heapq.heappush(
+            self._retry_heap,
+            (self._now() + gap_s, seq, gap_s, retries_left - 1),
+        )
 
-    def _on_ack(self, seq: int, addr: Address) -> None:  # sirlint: hot
-        """Peer ``addr`` acknowledged ``seq``: stop retrying that frame.
+    def _on_ack(self, acked, addr: Address) -> None:  # sirlint: hot
+        """Peer ``addr`` acknowledged every number in ``acked`` (one ack
+        datagram's): stop retrying those frames.
 
-        Only the peer a frame was sent to can acknowledge it.  Sequence
-        numbers are per sender, so another neighbour (or an ack from
-        before a reopen drew a new random base) can carry a colliding
-        number; honouring it would unpin a frame still in flight and
-        cancel the retries that recover it.
+        One dict delete per number; a backoff record the frame had is
+        left to surface in the heap.  Only the peer a frame was sent to
+        can acknowledge it.  Sequence numbers are per sender, so another
+        neighbour (or an ack from before a reopen drew a new random base)
+        can carry a colliding number; honouring it would unpin a frame
+        still in flight and cancel the retries that recover it.
         """
-        entry = self._pending.get(seq)
-        if entry is None:
-            return  # acked already (a retry crossed its ack)
-        if entry.addr != addr:
-            self.metrics.drop("stray_ack")
-            return
-        del self._pending[seq]
-        if entry.slot is not None:
-            self.ring.release(entry.slot)
+        pending = self._pending
+        for seq in acked:
+            entry = pending.get(seq)
+            if entry is None:
+                continue  # acked already (a retry crossed its ack)
+            if entry[2] != addr:
+                self.metrics.drop("stray_ack")
+                continue
+            del pending[seq]
+            slot = entry[1]
+            if slot is not None:
+                self.ring.release(slot)
 
     def _is_duplicate(self, addr: Address, seq: int) -> bool:
         seen = self._seen.get(addr)
@@ -667,7 +719,7 @@ class LiveEndpoint:
         values, order = seen
         if seq in values:
             return True
-        if len(order) == order.maxlen and order.maxlen:
+        if len(order) == order.maxlen:
             values.discard(order[0])
         order.append(seq)
         values.add(seq)
@@ -730,8 +782,7 @@ class LiveEndpoint:
                 continue
             if kind == FRAME_ACK:
                 metrics.acks_in += 1
-                for seq in acked:
-                    self._on_ack(seq, addr)
+                self._on_ack(acked, addr)
                 continue
             if kind != FRAME_DATA:  # pragma: no cover - decoder guards
                 metrics.drop("undecodable")
@@ -762,7 +813,11 @@ class LiveEndpoint:
         self.rx_batches += 1
         self.rx_datagrams += len(batch)
         if self.on_batch is not None:
-            self.on_batch(batch)
+            self._wakeup_at = self._loop.time()
+            try:
+                self.on_batch(batch)
+            finally:
+                self._wakeup_at = None
         else:
             for view, _source, _preamble in batch:
                 view.release()

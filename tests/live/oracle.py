@@ -18,6 +18,10 @@ the acks owed kept in a dict per peer, every ack built by
 :func:`~repro.live.frames.encode_ack` — run on a live endpoint's own
 state.  ``tests/live/test_drain_differential.py`` holds the endpoint's
 drain to it, wakeup by wakeup.
+
+**The retry timer.**  :func:`retry_deadline` is the instant an
+endpoint's one retry timer must wake for, read off its retry table the
+plain way: every unacked frame's next deadline, the earliest of them.
 """
 
 from collections import Counter
@@ -467,8 +471,7 @@ def drain_reference(self) -> None:
         if preamble.kind == FRAME_ACK:
             ring.release(slot)
             self.metrics.acks_in += 1
-            for seq in acked:
-                self._on_ack(seq, addr)
+            self._on_ack(acked, addr)
             continue
         if preamble.kind != FRAME_DATA:  # pragma: no cover - decoder guards
             ring.release(slot)
@@ -507,3 +510,22 @@ def drain_reference(self) -> None:
     else:
         for view, _source, _preamble in batch:
             view.release()
+
+
+# -- the retry timer -----------------------------------------------------------
+
+
+def retry_deadline(endpoint):
+    """The earliest next deadline of any frame in ``endpoint``'s retry
+    table (None when it is empty): a frame that never timed out is due
+    ``ack_timeout_s`` after it was sent, one that did at its backoff
+    record's deadline."""
+    timeout_s = endpoint.reliability.ack_timeout_s
+    through = endpoint._timed_out_through
+    backoff = {seq: deadline for deadline, seq, _gap, _left
+               in endpoint._retry_heap}
+    deadlines = [
+        backoff[seq] if sent_at + timeout_s <= through else sent_at + timeout_s
+        for seq, (_data, _slot, _addr, sent_at) in endpoint._pending.items()
+    ]
+    return min(deadlines, default=None)

@@ -7,6 +7,7 @@ real retransmissions.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -66,6 +67,56 @@ def test_endpoint_jitter_schedule_is_name_stable():
     """Stable per name: a restarted endpoint replays its own schedule
     (determinism for chaos replay), yet differs from every peer."""
     assert gaps_from(LiveEndpoint("same")) == gaps_from(LiveEndpoint("same"))
+
+
+# -- the policy value --------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ack_timeout_s", 0.0),
+    ("ack_timeout_s", -0.05),
+    ("ack_timeout_s", float("nan")),
+    ("max_retries", -1),
+    ("dedup_window", 0),
+    ("dedup_window", -1),
+])
+def test_reliability_config_rejects_a_bad_value(field, value):
+    """A timeout at or before now, a negative retry count and a dedup
+    window that would keep every number (``deque(maxlen=0)``) all fail
+    where the config is built, not in the endpoint later."""
+    with pytest.raises(ValueError, match=field):
+        ReliabilityConfig(**{field: value})
+
+
+def test_reliability_config_accepts_the_edges():
+    config = ReliabilityConfig(ack_timeout_s=1e-6, max_retries=0, dedup_window=1)
+    assert (config.ack_timeout_s, config.max_retries, config.dedup_window) == (
+        1e-6, 0, 1,
+    )
+
+
+@pytest.mark.parametrize("field", [
+    field.name for field in dataclasses.fields(ReliabilityConfig)
+])
+def test_reliability_config_is_frozen(field):
+    """One instance is shared by every endpoint of an overlay: a write
+    would retime all of them, so there is none."""
+    config = ReliabilityConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, getattr(config, field))
+
+
+def test_a_dedup_window_of_one_remembers_one_number():
+    endpoint = LiveEndpoint(
+        "dedup-probe", reliability=ReliabilityConfig(dedup_window=1)
+    )
+    peer = ("127.0.0.1", 9)
+    assert not endpoint._is_duplicate(peer, 1)
+    assert endpoint._is_duplicate(peer, 1)
+    assert not endpoint._is_duplicate(peer, 2)
+    assert not endpoint._is_duplicate(peer, 1)  # 2 pushed it out
+    values, order = endpoint._seen[peer]
+    assert values == {1} and list(order) == [1]
 
 
 # -- retry budget ------------------------------------------------------------

@@ -116,6 +116,9 @@ class Side:
         #: seq -> (slot, its generation then) of every frame ever pinned
         #: in the retry table; a release bumps the generation.
         self.pinned = {}
+        #: The first reliable frame's ack deadline: the loop never runs
+        #: here, so the one retry timer stays armed for it.
+        self.first_deadline = None
         consumer = config["consumer"]
         if consumer != "none":
             endpoint.on_batch = getattr(self, "_" + consumer)
@@ -149,9 +152,13 @@ class Side:
     # -- steps -----------------------------------------------------------
 
     def _note_pinned(self):
-        for seq, entry in self.endpoint._pending.items():
-            if entry.slot is not None and seq not in self.pinned:
-                self.pinned[seq] = (entry.slot, entry.slot.generation)
+        endpoint = self.endpoint
+        if self.first_deadline is None and endpoint._pending:
+            sent_at = next(iter(endpoint._pending.values()))[3]
+            self.first_deadline = sent_at + endpoint.reliability.ack_timeout_s
+        for seq, (_data, slot, _addr, _sent_at) in endpoint._pending.items():
+            if slot is not None and seq not in self.pinned:
+                self.pinned[seq] = (slot, slot.generation)
 
     def send(self, peer, via_view, body):
         frame = encode_preamble(FRAME_DATA, 0, 0, len(body)) + body
@@ -182,9 +189,9 @@ class Side:
             "sent": self.sock.sent,
             "metrics": dataclasses.asdict(endpoint.metrics),
             "pending": {
-                seq: (bytes(entry.data), entry.addr, entry.retries_left,
-                      entry.slot is not None)
-                for seq, entry in endpoint._pending.items()
+                seq: (bytes(data), addr, slot is not None)
+                for seq, (data, slot, addr, _sent_at)
+                in endpoint._pending.items()
             },
             "pinned_slot_released": {
                 seq: slot.generation > pinned_at
@@ -205,7 +212,8 @@ class Side:
         endpoint = self.endpoint
         stats = endpoint.ring.stats
         pinned = sum(
-            1 for entry in endpoint._pending.values() if entry.slot is not None
+            1 for _data, slot, _addr, _sent_at in endpoint._pending.values()
+            if slot is not None
         )
         # getattr: the reference's side of the rule holds at a commit
         # whose endpoint keeps no receive slot at all.
@@ -215,11 +223,14 @@ class Side:
         )
         assert all(view.alive() for view in self.held)
         assert rx_slot is None or not rx_slot.free
-        if endpoint._retry_heap:
-            assert endpoint._retry_timer.when() == endpoint._retry_heap[0][0]
-            assert not endpoint._retry_timer.cancelled()
-        else:
+        # Nothing times out here: no backoff record, and the timer armed
+        # by the first reliable send is never moved (acks leave it).
+        assert endpoint._retry_heap == []
+        if self.first_deadline is None:
             assert endpoint._retry_timer is None
+        else:
+            assert endpoint._retry_timer.when() == self.first_deadline
+            assert not endpoint._retry_timer.cancelled()
 
 
 def run_case(config, steps):

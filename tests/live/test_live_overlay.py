@@ -16,6 +16,7 @@ from repro.live import (
     LiveEndpoint,
     LiveOverlay,
     LiveTransactor,
+    ReliabilityConfig,
     WallClock,
     encode_live_frame,
 )
@@ -112,8 +113,9 @@ def test_reliable_send_acks_and_dead_peer():
     """Nonzero-seq frames are acked; a dead peer is detected via retries."""
 
     async def scenario():
-        sender = LiveEndpoint("a")
-        sender.reliability.ack_timeout_s = 0.02
+        sender = LiveEndpoint(
+            "a", reliability=ReliabilityConfig(ack_timeout_s=0.02)
+        )
         receiver = LiveEndpoint("b")
         receiver.on_batch = lambda batch: [
             view.release() for view, _addr, _preamble in batch
@@ -293,7 +295,7 @@ def test_host_refuses_a_frame_no_endpoint_would_accept():
         await overlay.start()
         try:
             client, server = overlay.hosts["client"], overlay.hosts["server"]
-            client.endpoint.reliability.ack_timeout_s = 0.01
+            client.endpoint.reliability = ReliabilityConfig(ack_timeout_s=0.01)
             dead, delivered = [], []
             client.endpoint.on_peer_dead = dead.append
             server.bind(5, delivered.append)

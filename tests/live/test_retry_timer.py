@@ -1,10 +1,13 @@
 """The endpoint's one retry timer (ARCHITECTURE §14).
 
-Every reliable frame's ack deadline lives in ``LiveEndpoint._retry_heap``
-and the endpoint holds at most ONE loop timer, armed for the heap's
-earliest entry.  These pin the design's invariants — and that the
-schedule a black-holed frame walks (retry instants, ``on_peer_dead``
-instant) is still the one a timer per frame produced.
+A reliable frame's first ack deadline is its place in
+``LiveEndpoint._pending`` (send order is first-deadline order); only a
+frame that timed out has a record in ``_retry_heap``.  The endpoint
+holds at most ONE loop timer, armed for the earlier of the oldest fresh
+frame's first deadline and the heap's head.  These pin the design's
+invariants — and that the schedule a black-holed frame walks (retry
+instants, ``on_peer_dead`` instant) is still the one a timer per frame
+produced.
 """
 
 import asyncio
@@ -20,6 +23,7 @@ from repro.live.link import (
     LiveEndpoint,
     ReliabilityConfig,
 )
+from tests.live.oracle import retry_deadline
 
 pytestmark = pytest.mark.live
 
@@ -56,12 +60,14 @@ def count_retry_timers(endpoint: LiveEndpoint) -> list:
     return created
 
 
-def assert_timer_matches_heap(endpoint: LiveEndpoint) -> None:
-    """The invariant: timer deadline == heap[0]; no heap, no timer."""
-    if endpoint._retry_heap:
+def assert_timer_matches_table(endpoint: LiveEndpoint) -> None:
+    """The invariant while no ack arrives: timer deadline == min(oldest
+    fresh deadline, ``_retry_heap[0]``); no timer exactly when nothing
+    is unacked."""
+    if endpoint._pending:
         assert endpoint._retry_timer is not None
         assert not endpoint._retry_timer.cancelled()
-        assert endpoint._retry_timer.when() == endpoint._retry_heap[0][0]
+        assert endpoint._retry_timer.when() == retry_deadline(endpoint)
     else:
         assert endpoint._retry_timer is None
 
@@ -74,9 +80,9 @@ def test_one_timer_handle_whatever_is_pending():
         with BlackHole() as addr:
             for _ in range(50):
                 sender.send(FRAME, addr, reliable=True)
-                assert_timer_matches_heap(sender)
+                assert_timer_matches_table(sender)
             assert len(sender._pending) == 50
-            assert len(sender._retry_heap) == 50
+            assert sender._retry_heap == []
             # Fifty in-order deadlines armed the loop exactly once.
             assert len(created) == 1
             assert sum(not handle.cancelled() for handle in created) == 1
@@ -86,7 +92,12 @@ def test_one_timer_handle_whatever_is_pending():
     asyncio.run(scenario())
 
 
-def test_acked_heads_are_purged_without_a_timeout_and_idle_holds_no_timer():
+def test_frames_acked_in_time_touch_neither_the_heap_nor_the_loop():
+    """Fifty frames acked before their deadline: the sends create at
+    most one timer handle and ``_retry_heap`` stays empty throughout.
+    Acks leave the timer armed; it fires once, finds nothing due and
+    goes idle without a timeout."""
+
     async def scenario():
         reliability = ReliabilityConfig(ack_timeout_s=0.03)
         sender = LiveEndpoint("acked", reliability=reliability)
@@ -101,23 +112,29 @@ def test_acked_heads_are_purged_without_a_timeout_and_idle_holds_no_timer():
         receiver.on_batch = on_batch
         timeouts = []
         on_ack_timeout = sender._on_ack_timeout
-        sender._on_ack_timeout = lambda seq: (
-            timeouts.append(seq), on_ack_timeout(seq)
+        sender._on_ack_timeout = lambda seq, *backoff: (
+            timeouts.append(seq), on_ack_timeout(seq, *backoff)
         )
         await sender.open()
         addr = await receiver.open()
         created = count_retry_timers(sender)
-        for _ in range(10):
+        first = sender.send(FRAME, addr, reliable=True)
+        first_deadline = sender._pending[first][3] + reliability.ack_timeout_s
+        for _ in range(49):
             sender.send(FRAME, addr, reliable=True)
+            assert sender._retry_heap == []
+        # One handle, armed by the first send for its own deadline.
+        assert len(created) == 1 and created[0].when() == first_deadline
         for _ in range(200):
+            assert sender._retry_heap == []
             if not sender._pending:
                 break
             await asyncio.sleep(0.001)
-        assert not sender._pending and len(received) == 10
-        # Acks cost no loop work: the entries (and the timer) are still
-        # there, to be purged when the head's deadline comes round.
-        assert len(sender._retry_heap) == 10
-        assert_timer_matches_heap(sender)
+        assert not sender._pending and len(received) == 50
+        assert sender._retry_heap == []
+        timer = sender._retry_timer
+        assert timer is created[0] and timer.when() == first_deadline
+        assert not timer.cancelled()
         await asyncio.sleep(2 * reliability.ack_timeout_s)
         assert sender._retry_heap == []
         assert sender._retry_timer is None
@@ -146,8 +163,8 @@ def test_close_cancels_the_timer_and_reopen_starts_with_an_empty_heap():
             await sender.open()
             assert sender._retry_heap == [] and sender._retry_timer is None
             sender.send(FRAME, addr, reliable=True)
-            assert len(sender._retry_heap) == 1
-            assert_timer_matches_heap(sender)
+            assert len(sender._pending) == 1 and sender._retry_heap == []
+            assert_timer_matches_table(sender)
             sender.close()
 
     asyncio.run(scenario())
@@ -155,39 +172,82 @@ def test_close_cancels_the_timer_and_reopen_starts_with_an_empty_heap():
 
 def test_backed_off_retry_does_not_delay_a_younger_frames_first_deadline():
     """Regression: A times out and is re-armed with a backoff gap that
-    ends *after* B's first deadline.  The timer must wake for B — armed
-    for ``heap[0]``, not for whatever was pushed last."""
+    ends *after* B's first deadline, while A stays first in ``_pending``.
+    The timer watches both queues: B's first retry comes at B's own first
+    deadline, and A walks the schedule a timer per frame gave it — also
+    when C, sent late in A's backoff, has its first deadline after A's
+    next retry."""
+
+    name = "two-frames"
+    timeout = 0.1
 
     async def scenario():
-        timeout = 0.1
         sender = LiveEndpoint(
-            "two-frames", reliability=ReliabilityConfig(ack_timeout_s=timeout)
+            name,
+            reliability=ReliabilityConfig(ack_timeout_s=timeout, max_retries=2),
         )
         await sender.open()
         loop = asyncio.get_running_loop()
-        retried = {}
-        sender.on_retry = lambda addr, seq, gap: retried.setdefault(
-            seq, (loop.time(), gap)
+        retries = []
+        sender.on_retry = lambda addr, seq, gap: retries.append(
+            (seq, loop.time(), gap)
+        )
+        dead = []
+        sender.on_peer_dead = lambda addr: dead.append(
+            (loop.time(), set(sender._pending))
         )
         with BlackHole() as addr:
             seq_a = sender.send(FRAME, addr, reliable=True)
             await asyncio.sleep(0.6 * timeout)
             seq_b = sender.send(FRAME, addr, reliable=True)
-            deadline_b = max(sender._retry_heap)[0]
-            while seq_a not in retried:
+            sent = {seq: entry[3] for seq, entry in sender._pending.items()}
+            deadline_b = sent[seq_b] + timeout
+            assert_timer_matches_table(sender)
+            for _ in range(200):
+                if retries:
+                    break
                 await asyncio.sleep(0.002)
             # A's gap grew to >= 1.5 timeouts: its next deadline lies
             # beyond B's first one, and the timer is armed for B.
-            assert retried[seq_a][1] >= 1.5 * timeout
-            assert sender._retry_heap[0] == (deadline_b, seq_b)
-            assert_timer_matches_heap(sender)
-            while seq_b not in retried:
+            assert retries[0][0] == seq_a and retries[0][2] >= 1.5 * timeout
+            assert next(iter(sender._pending)) == seq_a
+            [(deadline_a, heap_seq, _gap, _left)] = sender._retry_heap
+            assert heap_seq == seq_a and deadline_a > deadline_b
+            assert sender._retry_timer.when() == deadline_b
+            assert_timer_matches_table(sender)
+            await asyncio.sleep(deadline_a - 0.5 * timeout - loop.time())
+            seq_c = sender.send(FRAME, addr, reliable=True)
+            sent[seq_c] = sender._pending[seq_c][3]
+            assert sender._retry_timer.when() == sender._retry_heap[0][0]
+            assert sender._retry_heap[0][0] < sent[seq_c] + timeout
+            assert_timer_matches_table(sender)
+            for _ in range(500):
+                if seq_a not in sender._pending:
+                    break
                 await asyncio.sleep(0.002)
             sender.close()
-        # Sleeping on A's entry instead would be >= 0.9 timeouts late.
-        assert retried[seq_b][0] - deadline_b < 0.45 * timeout
+        return seq_a, seq_b, sent, retries, dead
 
-    asyncio.run(scenario())
+    seq_a, seq_b, sent, retries, dead = asyncio.run(scenario())
+    assert len(sent) == 3
+    # Every announced gap is the previous one times the next seeded
+    # jitter draw, in the order the retries happened.
+    rng = random.Random(f"backoff:{name}")
+    gaps = {seq: [timeout] for seq in sent}
+    for seq, _at, gap in retries:
+        growth = 1.0 + (BACKOFF_FACTOR - 1.0) * (0.5 + 0.5 * rng.random())
+        gaps[seq].append(min(BACKOFF_MAX_S, gaps[seq][-1] * growth))
+        assert gap == gaps[seq][-1]
+    instants_b = [at for seq, at, _gap in retries if seq == seq_b]
+    # Sleeping on A's record instead would be >= 0.9 timeouts late.
+    assert -0.001 <= instants_b[0] - (sent[seq_b] + timeout) < 0.03
+    [died_a] = [at for at, left in dead if seq_a not in left]
+    instants_a = [sent[seq_a]] + [
+        at for seq, at, _gap in retries if seq == seq_a
+    ] + [died_a]
+    assert len(instants_a) == 4  # send, 2 retries, peer dead
+    for gap, earlier, later in zip(gaps[seq_a], instants_a, instants_a[1:]):
+        assert -0.001 <= (later - earlier) - gap < 0.03
 
 
 def test_black_holed_frame_walks_the_per_frame_timer_schedule():

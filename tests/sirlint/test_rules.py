@@ -899,8 +899,9 @@ def test_sir008_fires_in_the_link_layer_drain():
             def _await_ack(self, seq, data, slot, addr):
                 self._pending[seq] = [data, slot, addr]
 
-            def _on_ack(self, seq, addr):  # sirlint: hot
-                del self._pending[seq]
+            def _on_ack(self, acked, addr):  # sirlint: hot
+                for seq in acked:
+                    del self._pending[seq]
         """,
         "repro.live.link",
         path="src/repro/live/link.py",
@@ -944,11 +945,13 @@ def test_sir008_silent_on_the_drain_with_its_one_reasoned_container():
                 self._sock.sendto(mem, addr)
 
             def _await_ack(self, seq, data, slot, addr):  # sirlint: hot
-                self._pending[seq] = _PendingFrame(data, slot, addr)
-                heapq.heappush(self._retry_heap, (self._loop.time(), seq))
+                now = self._wakeup_at
+                self._pending[seq] = (data, slot, addr, now)
 
-            def _on_ack(self, seq, addr):  # sirlint: hot
-                del self._pending[seq]
+            def _on_ack(self, acked, addr):  # sirlint: hot
+                pending = self._pending
+                for seq in acked:
+                    del pending[seq]
         """,
         "repro.live.link",
         path="src/repro/live/link.py",

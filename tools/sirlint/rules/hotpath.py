@@ -81,9 +81,10 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
         "_on_batch",
     ),
     # The link layer under it (PR 23): one wakeup per frame at batch
-    # fill 1, one send and one retry-table entry per frame-hop, one
-    # ``_on_ack`` per hop ack.  The multi-peer ack arm is an unmarked
-    # helper; the wakeup's batch is the one reasoned container.
+    # fill 1, one send and one ``_pending`` insert (``_await_ack``) per
+    # frame-hop, one ``_on_ack`` per ack datagram, whatever it names.
+    # The multi-peer ack arm and the retry timer's callbacks are
+    # unmarked; the wakeup's batch is the one reasoned container.
     "repro.live.link": (
         "_on_readable",
         "send_view",
