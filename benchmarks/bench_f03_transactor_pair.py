@@ -119,7 +119,7 @@ class HostPair:
         sent, queue = self.sent[name], self.queued[peer]
         clock = time.perf_counter_ns
 
-        def send(datagram, addr, reliable=False):
+        def send(datagram, addr):
             profile = self.profile
             if profile is not None:
                 profile.disable()

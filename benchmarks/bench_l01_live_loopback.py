@@ -7,7 +7,8 @@ client, a server and four routers, each on its own loopback UDP socket
 transaction crossing three cut-through routers as byte-exact VIPER
 frames.  Midway through the run the mid-path router on the active
 route is killed outright — its socket closes — and the client must
-*survive*: per-hop ack timeouts surface the death, the transaction
+*survive*: the transaction's own timeout surfaces the death (the
+neighbours' probe ladders mark the dead port), the transaction
 layer reports the failure, and the route manager rebinds to the
 disjoint alternate route (§3's directory-supplied alternates put to
 work against a real failure, not a simulated one).

@@ -20,10 +20,11 @@ router reroute counters, and exactly-once delivery.  The claim under
 test: slick recovery is >= 10x faster than quarantine/rebind under the
 same plan on both substrates, with zero duplicate deliveries.
 
-Substrate notes.  The live overlay detects a dead egress through
-per-hop ack timeouts (:class:`~repro.live.link.ReliabilityConfig`; the
-bench runs a tight ladder so detection is milliseconds, identical in
-both arms).  The simulator has no per-hop acks: its deterministic
+Substrate notes.  The live overlay detects a dead egress through the
+link's probe ladder — unanswered probes on the traffic a port carries
+(:class:`~repro.live.link.LivenessConfig`; the bench runs a tight ladder
+so detection is milliseconds, identical in both arms).  The simulator
+has no per-hop acks: its deterministic
 equivalent of dead-peer detection is loss of carrier, so the sim driver
 mirrors the partition spec's onset/offset onto
 ``topology.fail_link``/``restore_link`` (the seam's per-packet drops
@@ -51,7 +52,7 @@ from repro.chaos.sim_interp import SimFaultInterpreter
 from repro.chaos.soak import chaos_scenario
 from repro.directory.routes import slickify_route
 from repro.live.host import LiveTransactor, WallClock
-from repro.live.link import ReliabilityConfig
+from repro.live.link import LivenessConfig
 from repro.live.topology import LiveOverlay
 from repro.transport.rebind import RouteManager
 from repro.transport.vmtp import TransportConfig
@@ -78,9 +79,10 @@ LIVE_ONSET_S = 0.4
 LIVE_FAULT_S = 0.8
 LIVE_TX_GAP_S = 2e-3
 LIVE_ISSUE_UNTIL_S = 1.0
-#: Tight per-hop ack ladder (both arms): a dead egress is *detected* in
-#: ~2+4ms; only the slick arm can also *act* on it mid-flight.
-LIVE_RELIABILITY = ReliabilityConfig(ack_timeout_s=0.002, max_retries=1)
+#: Tight probe ladder (both arms): two unanswered 2 ms probes, a few
+#: milliseconds with the send gap, *detect* a dead egress; only the
+#: slick arm can also *act* on it mid-flight.
+LIVE_LIVENESS = LivenessConfig(ack_timeout_s=0.002, max_retries=1)
 
 #: Both arms' managers switch on explicit failure only.  Loopback RTTs
 #: sit well above the directory's advertised sub-millisecond base RTT,
@@ -224,7 +226,7 @@ def _run_sim(plan: FaultPlan, slick: bool) -> dict:
 
 async def _drive_live(plan: FaultPlan, slick: bool) -> dict:
     scenario = chaos_scenario(SEED)
-    overlay = LiveOverlay(scenario.topology, reliability=LIVE_RELIABILITY)
+    overlay = LiveOverlay(scenario.topology, liveness=LIVE_LIVENESS)
     await overlay.start()
     interp = LiveFaultInterpreter(overlay, plan)
     loop = asyncio.get_running_loop()

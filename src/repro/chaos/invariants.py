@@ -5,9 +5,9 @@ A chaos soak is only evidence if something checks the wreckage.  The
 either substrate:
 
 1. **No duplicate app-level delivery** — chaos duplicates frames and
-   crashes routers mid-transaction, but the dedup machinery (per-hop
-   windows, server response caches) must keep the application handler
-   at *exactly one* execution per transaction.
+   crashes routers mid-transaction, but the transport's dedup (server
+   response caches) must keep the application handler at *exactly
+   one* execution per transaction.
 2. **No unresolved transactions** — every issued transaction either
    completed or failed with a clean, named error.  Hangs are bugs.
 3. **Retry budget** — no single transaction burned more retries than
@@ -17,11 +17,6 @@ either substrate:
    transaction lands within ``recovery_slo_s`` (§2.2/§6.3: soft state
    plus client-held alternates means recovery is *fast*, not merely
    eventual).
-5. **No synchronized retry bursts** — per-hop retries recorded in the
-   fault log must not clump: any ``burst_window_s`` bucket holding more
-   than ``burst_limit`` retries means endpoints are retrying in
-   lockstep (the failure mode exponential backoff + jitter exists to
-   kill).
 
 ``check`` returns violations instead of raising so a soak can report
 all of them at once; :meth:`InvariantChecker.assert_ok` is the
@@ -102,15 +97,8 @@ class InvariantViolationError(AssertionError):
 class InvariantChecker:
     """Checks one soak report against its plan's declared budgets."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        burst_window_s: float = 0.025,
-        burst_limit: int = 12,
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.burst_window_s = burst_window_s
-        self.burst_limit = burst_limit
 
     def check(self, report: SoakReport) -> List[Violation]:
         """All violations in ``report`` (empty list = sound run)."""
@@ -119,7 +107,6 @@ class InvariantChecker:
         out.extend(self._check_resolved(report))
         out.extend(self._check_retry_budget(report))
         out.extend(self._check_recovery(report))
-        out.extend(self._check_bursts(report))
         return out
 
     def assert_ok(self, report: SoakReport) -> None:
@@ -137,7 +124,7 @@ class InvariantChecker:
                 )
             raise InvariantViolationError(message)
 
-    # -- the five invariants ----------------------------------------------
+    # -- the four invariants ----------------------------------------------
 
     def _check_duplicates(self, report: SoakReport) -> List[Violation]:
         return [
@@ -199,23 +186,3 @@ class InvariantChecker:
                 f"(SLO {slo:.3f}s)",
             )]
         return []
-
-    def _check_bursts(self, report: SoakReport) -> List[Violation]:
-        buckets: Dict[int, int] = {}
-        for entry in report.fault_log:
-            if entry.get("event") != "retry":
-                continue
-            at = float(entry.get("at", 0.0))
-            buckets[int(at / self.burst_window_s)] = (
-                buckets.get(int(at / self.burst_window_s), 0) + 1
-            )
-        return [
-            Violation(
-                "no_retry_bursts",
-                f"{count} retries inside one {self.burst_window_s * 1e3:.0f}ms "
-                f"window starting at {bucket * self.burst_window_s:.3f}s "
-                f"(limit {self.burst_limit}) — synchronized retry storm",
-            )
-            for bucket, count in sorted(buckets.items())
-            if count > self.burst_limit
-        ]

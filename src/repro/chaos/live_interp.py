@@ -10,11 +10,11 @@ link name (``"r1->r2"``) and asks the injector for the datagram's fate.
 
 Entity faults map onto overlay machinery:
 
-* ``router_crash`` — :meth:`LiveOverlay.kill` (the socket closes; peers
-  see dead-hop ack timeouts), then
+* ``router_crash`` — :meth:`LiveOverlay.kill` (the socket closes; the
+  neighbours' probe ladders find it silent), then
   :meth:`LiveOverlay.restart_router` — same UDP port, **soft state
-  re-derived** (fresh token/flow caches, randomized hop sequence), the
-  end-to-end proof of §2.2;
+  re-derived** (fresh token/flow caches, no probe out), the end-to-end
+  proof of §2.2;
 * ``directory_outage`` — the NDJSON TCP listener stops and later
   restarts on its original port; clients ride the
   :class:`~repro.live.directory.LiveDirectoryClient` reconnect path.

@@ -10,8 +10,9 @@ one canonical :func:`chaos_plan` drive both substrates:
 * :func:`run_live_soak` — :class:`~repro.live.host.LiveTransactor`
   transactions over real UDP sockets, plan events on the asyncio clock,
   directory refresh over real TCP (so directory outages exercise the
-  client's reconnect path), every endpoint's per-hop retries recorded
-  into the fault log (so the invariant checker can see a retry storm).
+  client's reconnect path).  The links never retransmit: every retry is
+  the transport's, counted per transaction against the plan's
+  ``retry_budget``.
 
 Both return a :class:`~repro.chaos.invariants.SoakReport`; feeding the
 two reports' ``applied_ndjson`` into one ``==`` is the replay-identity
@@ -182,15 +183,6 @@ async def _drive_live(
         overlay.recorder.clock = plan_now
         injector = interp.injector
         injector.recorder = overlay.recorder
-        for name in list(overlay.routers) + list(overlay.hosts):
-            endpoint = overlay._node(name).endpoint
-
-            def on_retry(addr, seq, gap_s, _name=name) -> None:
-                injector.record(
-                    "retry", plan_now(), node=_name, gap_s=round(gap_s, 6),
-                )
-
-            endpoint.on_retry = on_retry
 
         src = overlay.hosts["src"]
         dst = overlay.hosts["dst"]

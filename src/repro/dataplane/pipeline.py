@@ -85,7 +85,7 @@ class PortMap:
     simulator's attachments, whose ``up`` follows their link).  The map
     holds the adapter's dict by reference, so wiring a port is storing
     its profile.  ``down`` is link health learned from outside the port
-    object (the live overlay's hop ARQ): the pipeline sees such a port
+    object (the live overlay's probe ladder): the pipeline sees such a port
     with ``up=False``, which is what a slick segment's in-band reroute
     keys on.  ``ids`` lists the physical port ids (broadcast
     membership); ``load_view`` exposes the adapter's per-port load

@@ -29,7 +29,8 @@ counters object its readers expect, the tracer and recorder, and the
 one link rule — how an arrival's network header reverses into the
 return hop's portInfo.  The simulator's adapter keeps simulated timing
 (cut-through, delays, output queues, aborts, multicast clones,
-congestion); the live adapter keeps sockets, batching and hop ARQ.
+congestion); the live adapter keeps sockets, batching and the link's
+probe ladder (its dead peers are this core's port-down input).
 """
 
 from __future__ import annotations

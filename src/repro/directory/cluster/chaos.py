@@ -21,8 +21,8 @@ The result is a substrate-neutral
 
 * ``delivery_counts`` come from the **final authoritative logs** — one
   log entry per request id is the exactly-once proof;
-* retries land in the injector's fault log, feeding the
-  no-synchronized-bursts invariant;
+* retries land in the injector's fault log (forensics) and count
+  against each transaction's ``retry_budget``;
 * the recovery SLO measures how fast the rebind storm settles after
   the last fault clears.
 """

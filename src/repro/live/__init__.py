@@ -25,7 +25,7 @@ _EXPORTS = (
                 "decode_live_frame", "encode_live_frame")),
     ("host", ("LIVE_TRANSPORT", "LiveDelivered", "LiveHost", "LiveRoute",
               "LiveTransactionResult", "LiveTransactor", "WallClock")),
-    ("link", ("Address", "Impairments", "LiveEndpoint", "ReliabilityConfig")),
+    ("link", ("Address", "Impairments", "LiveEndpoint", "LivenessConfig")),
     ("metrics", ("EndpointMetrics", "render_metrics")),
     ("router", ("Action", "Decision", "LiveRouter", "LiveRouterConfig")),
     ("topology", ("LiveOverlay", "as_live_route")),

@@ -21,9 +21,10 @@ by the *existing* codec in :mod:`repro.viper.wire` and
   32-bit sequence numbers that follow its preamble, carries no segments
   and is exactly ``11 + payloadLen`` bytes (:func:`encode_ack`,
   :func:`ack_seqs`); alone, it is the bare preamble.
-* ``hop sequence`` — per-hop reliability cookie; 0 means "fire and
-  forget", anything else is acked by the receiving endpoint and retried
-  by the sender (:mod:`repro.live.link`).
+* ``hop sequence`` — the link's liveness probe; 0 on most frames,
+  anything else marks the frame as its sender's probe, which the
+  receiving endpoint acks (:mod:`repro.live.link`).  Nothing is
+  retransmitted at this layer.
 * ``segCount`` — remaining header segments, so a receiver knows the
   segment/payload boundary deterministically (the role Ethernet frame
   typing plays in the paper).
@@ -132,7 +133,7 @@ TRACE_ID_BYTES = 8
 #: Largest representable payload (16-bit length field).
 MAX_PAYLOAD_BYTES = 0xFFFF
 
-#: ``seq`` value meaning "unreliable, do not ack".
+#: ``seq`` value meaning "not a probe, do not ack".
 SEQ_NONE = 0
 
 #: The largest hop sequence number; the number after it is 1.
@@ -298,9 +299,9 @@ def ack_seqs(datagram, preamble: Preamble) -> Tuple[int, ...]:
 def restamp_seq(datagram: bytes, seq: int) -> bytes:
     """Rewrite the preamble's hop-sequence cookie, copying the rest.
 
-    The per-hop retry machinery re-sends a frame under a fresh sequence
-    number; only this module knows where that field lives, so the link
-    layer calls here instead of slicing the preamble by hand.
+    The link stamps a probe's number into a frame; only this module
+    knows where that field lives, so the link layer calls here instead
+    of slicing the preamble by hand.
     """
     if not 0 <= seq <= SEQ_MAX:
         raise ValueError(f"sequence {seq} outside 32 bits")

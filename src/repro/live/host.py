@@ -57,7 +57,7 @@ from repro.live.link import (
     BatchEntry,
     Impairments,
     LiveEndpoint,
-    ReliabilityConfig,
+    LivenessConfig,
 )
 from repro.live.metrics import EndpointMetrics
 from repro.obs.recorder import NULL_RECORDER
@@ -267,14 +267,13 @@ class LiveHost:
         self,
         name: str,
         impairments: Optional[Impairments] = None,
-        reliability: Optional[ReliabilityConfig] = None,
-        reliable_hops: bool = True,
+        liveness: Optional[LivenessConfig] = None,
     ) -> None:
         self.name = name
         self.metrics = EndpointMetrics(name)
         self.endpoint = LiveEndpoint(
             name, metrics=self.metrics,
-            impairments=impairments, reliability=reliability,
+            impairments=impairments, liveness=liveness,
         )
         # One wakeup, many frames: the endpoint hands whole batches of
         # ring-slot views.  A host is where packets leave the overlay, and
@@ -282,7 +281,6 @@ class LiveHost:
         # out of its slot once and the slot released before the frame is
         # even opened.
         self.endpoint.on_batch = self._on_batch
-        self.reliable_hops = reliable_hops
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}
         self.sockets: Dict[int, Callable[[LiveDelivered], None]] = {}
@@ -362,8 +360,8 @@ class LiveHost:
 
         Raises :class:`ValueError` for a frame larger than a ring slot:
         every receiving endpoint drops such a datagram as ``oversize``
-        *before* acking it, so sending it would only burn the hop's
-        retries and get a healthy neighbour declared dead.
+        *before* acking it, so sending it would only be lost — and, as
+        a probe, count a miss against a healthy neighbour.
         """
         header, seg_count = route.wire_header(priority, dib)
         wire_trace_id = 0
@@ -386,7 +384,7 @@ class LiveHost:
                 f"frame of {len(frame)} bytes exceeds the overlay's "
                 f"{self.endpoint.ring.slot_bytes}-byte slot"
             )
-        self.endpoint.send(frame, peer, reliable=self.reliable_hops)
+        self.endpoint.send(frame, peer)
         return wire_trace_id
 
     def send_return(
@@ -489,9 +487,10 @@ _KINDS = (
 _REQUEST, _RESPONSE = _KINDS[:2]
 
 #: The live transport's settings: the layout above, a 50 ms base
-#: timeout, unpaced groups (every gap 0: hop ARQ and the ring bound a
-#: burst here, not a rate), and a NAK delay of half the base timeout,
-#: long enough that a clean run never sends one.
+#: timeout (the only loss recovery on the overlay: the links never
+#: retransmit), unpaced groups (every gap 0: the ring and the link's tx
+#: backlog bound a burst here, not a rate), and a NAK delay of half the
+#: base timeout, long enough that a clean run never sends one.
 LIVE_TRANSPORT = TransportConfig(
     header_bytes=_PDU_HEADER.size,
     trailer_bytes=_TRAILER_BYTES,

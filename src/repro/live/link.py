@@ -13,30 +13,34 @@ callbacks.  The endpoint provides:
   batch of :class:`~repro.viper.wire.PacketView` s to :attr:`on_batch`
   in one call, so the per-datagram cost of the event loop is amortised
   N ways and no ``bytes`` object is built for the datagram,
-* **per-hop reliability** — frames sent with :meth:`LiveEndpoint.send`
-  / :meth:`~LiveEndpoint.send_view` under ``reliable=True`` carry a
-  hop sequence number; the receiving endpoint acks it and the sender
-  retries on an ack timeout, finally declaring the peer dead
-  (:attr:`on_peer_dead`) — this is what makes a killed router
-  *observable* instead of a silent black hole.  Acks are **one datagram
-  per peer per wakeup**: the drain collects the numbers it owes and
-  sends each peer a single ack naming all of them
-  (:func:`~repro.live.frames.encode_ack`) when it ends, before the
-  consumer runs — no timer, nothing but the drained batch decides.  An
-  arriving ack must frame exactly (else ``undecodable``) and releases
-  only frames that were sent to the address it came from (else
-  ``stray_ack``): sequence numbers are per sender.  A reliable view's ring
-  slot stays **pinned** in the retry table until the ack (or the final
-  abandonment) releases it.  The retry table is a dict in send order,
-  which is first-deadline order (one constant timeout), and all of an
-  endpoint's ack deadlines share **one** loop timer: a frame acked in
-  time costs one insert and one delete — no heap, no timer, no clock
-  read of its own (see :meth:`LiveEndpoint._await_ack`) — and only a
-  frame that times out gets a backoff record on a heap,
+* **dead-peer detection, no retransmission** — loss recovery is the
+  transport's (§4: packet groups, selective retransmission); the hop
+  layer keeps only the signal nothing above it gives, a neighbour gone
+  silent, which in-band slick reroute keys on.  It is a **probe ladder
+  on the traffic the port already carries**: the first send to a peer
+  with no probe in flight is that peer's probe — at most one per peer
+  per ``ack_timeout_s`` — and hearing anything from the peer before the
+  probe's deadline answers it.  On request/response traffic the reply
+  does, so a healthy port sends no extra datagram.  A probe sent to a
+  peer that stayed silent through the last one carries a fresh hop
+  sequence number in its preamble (every other send stamps 0), which
+  the receiving endpoint acks from its drain — **one ack datagram per
+  peer per wakeup** naming every number it owes
+  (:func:`~repro.live.frames.encode_ack`), sent when the drain ends and
+  before the consumer runs — so a port that carries traffic one way
+  only is answered too.  ``1 + max_retries`` consecutive unanswered
+  probes, the last of them numbered, report the peer through
+  :attr:`on_peer_dead`; hearing from it resets the count, and an ack
+  naming another peer's probe counts ``stray_ack`` and changes nothing
+  (sequence numbers are per sender).  The probes sit in one dict in
+  send order, which is deadline order (one constant timeout), under
+  **one** loop timer.  A port nobody sends on is never probed and needs
+  no verdict,
 * **coalesced sends** — :meth:`send_parts` gathers one datagram from
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
-  bytes as the fallback); a full socket buffer queues the frame and
-  flushes on writability instead of dropping,
+  bytes as the fallback); a full socket buffer queues a copy of the
+  frame and flushes on writability — up to ``TX_BACKLOG_MAX`` frames,
+  past which a refused frame is dropped (``tx_backlog_full``),
 * **injected impairments** — deterministic, seeded loss applied on
   transmit, so the loopback overlay can rehearse a lossy WAN (chaos
   faults add delay, duplication and corruption).  Impaired (or
@@ -57,12 +61,11 @@ one it receives into, between wakeups — see ARCHITECTURE §14.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import random
 import socket
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.live.frames import (
     FRAME_ACK,
@@ -110,47 +113,25 @@ class Impairments:
     seed: Optional[int] = None
 
 
-#: Multiplicative retry-gap growth (> 1); see :class:`ReliabilityConfig`.
-BACKOFF_FACTOR = 2.0
-#: Ceiling on any single retry gap (seconds).
-BACKOFF_MAX_S = 2.0
-#: Sliding window over which the retry budget is measured.
-RETRY_BUDGET_WINDOW_S = 1.0
-#: Retries always permitted per window, regardless of send volume.
-RETRY_BUDGET_FLOOR = 32
-#: Additional retries permitted per original send in the window.
-RETRY_BUDGET_RATIO = 1.0
+#: Frames a full socket buffer may leave deferred at once; a frame
+#: refused past it is dropped, counted ``tx_backlog_full``.
+TX_BACKLOG_MAX = 512
 
 
 @dataclass(frozen=True)
-class ReliabilityConfig:
-    """Per-hop ack/retry policy for reliable sends.
+class LivenessConfig:
+    """The probe ladder's rungs: how long a probe waits for an answer,
+    and how many more unanswered probes a peer is allowed after the
+    first before it is reported dead — ``1 + max_retries`` in a row.
 
     A frozen value, checked when built: one instance is shared by every
-    endpoint an overlay starts, and an endpoint's first deadlines are in
+    endpoint an overlay starts, and an endpoint's probe deadlines are in
     send order only while its ``ack_timeout_s`` cannot change under the
-    frames it has pending.
-
-    Retries back off **exponentially with jitter**: each retry gap is
-    the previous gap times a random factor in
-    ``[1 + (BACKOFF_FACTOR-1)/2, BACKOFF_FACTOR]`` — strictly greater
-    than 1 (so gaps strictly increase) and never the same twice (so two
-    endpoints that lost frames at the same instant do not retry in
-    lockstep; the partition-then-heal retry storm is the failure mode
-    this kills) — up to ``BACKOFF_MAX_S``.
-
-    The **retry budget** is a sliding-window cap: within any
-    ``RETRY_BUDGET_WINDOW_S`` window the endpoint may issue at most
-    ``RETRY_BUDGET_FLOOR + RETRY_BUDGET_RATIO * sends_in_window``
-    retries; a frame whose retry would bust the budget is abandoned
-    (counted ``retry_budget_exhausted`` and reported via
-    ``on_peer_dead``) instead of fuelling the storm.
+    probes in flight.
     """
 
     ack_timeout_s: float = 0.05
     max_retries: int = 3
-    #: Remembered sequence numbers per peer, for duplicate suppression.
-    dedup_window: int = 1024
 
     def __post_init__(self) -> None:
         if not self.ack_timeout_s > 0:  # NaN too
@@ -161,54 +142,6 @@ class ReliabilityConfig:
             raise ValueError(
                 f"max_retries must be >= 0, not {self.max_retries}"
             )
-        if self.dedup_window < 1:
-            raise ValueError(
-                f"dedup_window must be >= 1, not {self.dedup_window}"
-            )
-
-
-class RetryBudget:
-    """Sliding-window retry accounting for one endpoint.
-
-    ``allow`` answers "may this endpoint retry *now*?" by comparing the
-    retries already issued inside the window against
-    ``floor + ratio * sends`` — the §6.3 storm cap: retry pressure is
-    permitted to scale with offered load but never to run away from it.
-    """
-
-    __slots__ = ("window_s", "floor", "ratio", "_sends", "_retries",
-                 "exhaustions")
-
-    def __init__(self, window_s: float, floor: int, ratio: float) -> None:
-        self.window_s = window_s
-        self.floor = floor
-        self.ratio = ratio
-        self._sends: Deque[float] = deque()
-        self._retries: Deque[float] = deque()
-        self.exhaustions = 0
-
-    def _expire(self, now: float) -> None:
-        horizon = now - self.window_s
-        while self._sends and self._sends[0] < horizon:
-            self._sends.popleft()
-        while self._retries and self._retries[0] < horizon:
-            self._retries.popleft()
-
-    def note_send(self, now: float) -> None:
-        self._expire(now)
-        self._sends.append(now)
-
-    def note_retry(self, now: float) -> None:
-        self._expire(now)
-        self._retries.append(now)
-
-    def allow(self, now: float) -> bool:
-        self._expire(now)
-        budget = self.floor + self.ratio * len(self._sends)
-        if len(self._retries) < budget:
-            return True
-        self.exhaustions += 1
-        return False
 
 
 def corrupt_datagram(datagram, seed: int) -> bytes:
@@ -231,33 +164,23 @@ def corrupt_datagram(datagram, seed: int) -> bytes:
 
 
 class LiveEndpoint:
-    """One bound UDP socket with framing, acks, retries and impairments."""
+    """One bound UDP socket with framing, a probe ladder and impairments."""
 
     def __init__(
         self,
         name: str,
         metrics: Optional[EndpointMetrics] = None,
         impairments: Optional[Impairments] = None,
-        reliability: Optional[ReliabilityConfig] = None,
+        liveness: Optional[LivenessConfig] = None,
         ring: Optional[BufferRing] = None,
         rx_batch: int = RX_BATCH,
     ) -> None:
         self.name = name
         self.metrics = metrics if metrics is not None else EndpointMetrics(name)
         self.impairments = impairments if impairments is not None else Impairments()
-        self.reliability = (
-            reliability if reliability is not None else ReliabilityConfig()
-        )
+        self.liveness = liveness if liveness is not None else LivenessConfig()
         self._rng = random.Random(self.impairments.seed)
-        #: Jitter source for retry backoff — seeded per endpoint *name*
-        #: so no two endpoints share a retry rhythm (desynchronization
-        #: is the point), yet each run is reproducible.
-        self._backoff_rng = random.Random(f"backoff:{name}")
-        self._budget = RetryBudget(
-            RETRY_BUDGET_WINDOW_S, RETRY_BUDGET_FLOOR, RETRY_BUDGET_RATIO,
-        )
-        #: Preallocated packet buffers; RX fills slots in place and the
-        #: reliable-send path pins them until acked.
+        #: Preallocated packet buffers; RX fills slots in place.
         self.ring = ring if ring is not None else BufferRing()
         self.rx_batch = rx_batch
         self._sock: Optional[socket.socket] = None
@@ -269,48 +192,31 @@ class LiveEndpoint:
         #: no consumer decodes it a second time.  The consumer owns (and
         #: must release) every view's slot.
         self.on_batch: Optional[Callable[[List[BatchEntry]], None]] = None
-        #: Called once per reliable frame abandoned after all retries.
+        #: Called with a peer's address once ``1 + max_retries``
+        #: consecutive probes to it went unanswered, the last numbered.
         self.on_peer_dead: Optional[Callable[[Address], None]] = None
-        #: Called on every retransmission: ``on_retry(addr, seq, gap_s)``
-        #: (the chaos soak logs these to detect synchronized bursts).
-        self.on_retry: Optional[Callable[[Address, int, float], None]] = None
         #: Chaos seam (:mod:`repro.chaos.seam`): ``fault_hook(addr)``
         #: returns a per-datagram fault decision or None.  Duck-typed so
         #: the live layer stays independent of the chaos package.
         self.fault_hook: Optional[Callable[[Address], Any]] = None
-        #: The next hop sequence number: 1 … ``SEQ_MAX``, then 1 again.
+        #: The next probe's hop sequence number: 1 … ``SEQ_MAX``, then 1.
         self._seq = 1
-        #: Every reliable frame not yet acked or abandoned, in send order:
-        #: ``seq -> (data, slot, addr, sent_at)``.  ``data`` is the exact
-        #: wire bytes to retransmit; with ``slot`` set it is a memoryview
-        #: into that pinned ring slot, which the ack or the abandonment
-        #: releases.  Every first deadline is ``sent_at + ack_timeout_s``,
-        #: so this order *is* first-deadline order: the frames that timed
-        #: out at least once are a prefix, the fresh ones the rest.
-        self._pending: Dict[
-            int, Tuple[Any, Optional[RingSlot], Address, float]
-        ] = {}
-        #: Backoff records of frames that timed out at least once:
-        #: ``(deadline, seq, gap_s, retries_left)``, earliest first.  An
-        #: ack leaves the record; it is dropped when it surfaces.
-        self._retry_heap: List[Tuple[float, int, float, int]] = []
-        #: The last instant the retry timer handled: every frame whose
-        #: first deadline is at or before it has timed out at least once.
-        self._timed_out_through = float("-inf")
-        #: The endpoint's one retry timer, armed for the earlier of the
-        #: oldest fresh frame's first deadline and ``_retry_heap[0]``.
-        #: Acks leave it: it fires, finds nothing due and re-arms (or
-        #: goes idle — None — when nothing is left to time out).
-        self._retry_timer: Optional[asyncio.TimerHandle] = None
-        #: True while that timer wakes no later than the oldest fresh
-        #: frame's first deadline, so a send (whose deadline is later
-        #: still) need not look at it.
-        self._fresh_covered = False
-        #: The running drain's clock read, which the sends its consumer
-        #: makes share; None outside a drain.
-        self._wakeup_at: Optional[float] = None
-        self._seen: Dict[Address, Tuple[Set[int], Deque[int]]] = {}
-        #: Frames deferred by a momentarily full socket buffer.
+        #: Every peer probed in the last ``ack_timeout_s``, in send order
+        #: — which is deadline order, one constant timeout after each:
+        #: ``addr -> (seq, sent_at)``, seq 0 unless the probe is numbered.
+        #: An entry leaves at its deadline, answered or not, so a peer
+        #: gets at most one probe per ``ack_timeout_s``.
+        self._probes: Dict[Address, Tuple[int, float]] = {}
+        #: The peers not heard from since their latest probe was sent:
+        #: ``addr -> probes to it that went unanswered in a row``.  Hearing
+        #: from a peer deletes its entry — an unheard peer's probe is
+        #: still in flight, or it was silent through the last ones.
+        self._unheard: Dict[Address, int] = {}
+        #: The endpoint's one loop timer, armed for the oldest probe's
+        #: deadline exactly while a probe entry exists (else None).
+        self._probe_timer: Optional[asyncio.TimerHandle] = None
+        #: Frames deferred by a momentarily full socket buffer (at most
+        #: ``TX_BACKLOG_MAX``).
         self._tx_backlog: Deque[Tuple[bytes, Address]] = deque()
         self._writer_armed = False
         #: The slot the next datagram lands in, kept across wakeups (None
@@ -328,18 +234,10 @@ class LiveEndpoint:
         """Bind the socket; returns the bound ``(host, port)``.
 
         Re-opening a previously closed endpoint (a crashed router
-        restarting) **re-derives** its soft state: the retry table and
-        the per-peer dedup windows are cleared, and the hop sequence
-        space restarts at a *random* initial number — peers kept their
-        dedup windows across our death, so resuming at 1 would make
-        them discard our first post-restart frames as duplicates.
+        restarting) starts with no probe out and no miss counted —
+        :meth:`close` forgot them: the ladder is soft state.
         """
-        if self.closed:
-            self.closed = False
-            self._pending.clear()
-            self._retry_heap.clear()
-            self._seen.clear()
-            self._seq = self._backoff_rng.randrange(1, 1 << (8 * SEQ_BYTES - 2))
+        self.closed = False
         self._loop = asyncio.get_running_loop()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.setblocking(False)
@@ -355,17 +253,16 @@ class LiveEndpoint:
         return self.address
 
     def close(self) -> None:
-        """Close the socket, cancel retries, give back every slot held."""
+        """Close the socket, forget the probes, give back the receive slot."""
         self.closed = True
         slot, self._rx_slot = self._rx_slot, None
         if slot is not None:
             slot.ring.release(slot)
-        for _data, pinned, _addr, _sent_at in self._pending.values():
-            if pinned is not None:
-                self.ring.release(pinned)
-        self._pending.clear()
-        self._retry_heap.clear()
-        self._sync_retry_timer()
+        self._probes.clear()
+        self._unheard.clear()
+        timer, self._probe_timer = self._probe_timer, None
+        if timer is not None:
+            timer.cancel()
         self._tx_backlog.clear()
         sock = self._sock
         if sock is not None:
@@ -385,28 +282,27 @@ class LiveEndpoint:
 
     # -- transmit ----------------------------------------------------------
 
-    def send(self, datagram: bytes, addr: Address, reliable: bool = False) -> int:
-        """Transmit one framed datagram; returns the hop sequence used.
+    def send(self, datagram, addr: Address) -> int:  # sirlint: hot
+        """Transmit one framed datagram; returns its hop sequence number.
 
-        With ``reliable=True`` the frame is restamped with a fresh
-        nonzero sequence number, acked by the receiving endpoint and
-        retried on timeout; the caller's preamble must carry seq 0 (use
-        :func:`~repro.live.frames.encode_live_frame` with its default
-        ``seq``) — this method owns the sequence space.  A ``bytearray``
-        frame (:func:`~repro.live.frames.frame_with_header` builds one)
-        is handed over: it is restamped in place and kept for retries.
+        The endpoint owns the preamble's hop-sequence field: it writes 0
+        there, or — when this send is a numbered probe (see
+        :meth:`_probe`) — a fresh number, which is returned.  A
+        ``bytearray`` frame
+        (:func:`~repro.live.frames.frame_with_header` builds one) is
+        stamped in place; a ``bytes`` frame keeps the 0 it was encoded
+        with and is copied only to carry a number, and one shorter than
+        a preamble goes out as it is, never a probe.
         """
         if self.closed or self._sock is None:
             return SEQ_NONE
         seq = SEQ_NONE
-        if reliable:
-            seq = self._seq
-            self._seq = seq + 1 if seq < SEQ_MAX else 1
-            if datagram.__class__ is bytearray:
-                restamp_seq_into(datagram, 0, seq)
-            else:
-                datagram = restamp_seq(datagram, seq)
-            self._await_ack(seq, datagram, None, addr)
+        if addr not in self._probes and len(datagram) >= PREAMBLE_BYTES:
+            seq = self._probe(addr)
+        if datagram.__class__ is bytearray:
+            restamp_seq_into(datagram, 0, seq)
+        elif seq != SEQ_NONE:
+            datagram = restamp_seq(datagram, seq)
         self.metrics.record_out(len(datagram))
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(datagram, addr)
@@ -414,31 +310,24 @@ class LiveEndpoint:
             self._raw_send(datagram, addr)
         return seq
 
-    def send_view(self, view: PacketView, addr: Address,  # sirlint: hot
-                  reliable: bool = False) -> int:
+    def send_view(self, view: PacketView, addr: Address) -> int:  # sirlint: hot
         """Transmit a slot-backed frame without materialising it.
 
-        **Ownership transfers to the endpoint**: an unreliable view's
-        slot is released right after the send syscall; a reliable
-        view's slot stays pinned in the retry table (the retransmit
-        bytes *are* the slot) until the ack or the final abandonment
-        releases it.  The sequence restamp happens in place in the
-        slot.  Chaos/impairment seams materialise one copy for the
-        faulted transmission — they hold frames past this call — while
-        the pinned slot keeps the pristine original (the impairments are
-        read on every send: they may be switched on at any time).
+        **Ownership transfers to the endpoint**: the view's slot is
+        released right after the send syscall.  The hop sequence number
+        (0, or a numbered probe's, as :meth:`send`) is stamped in place
+        in the slot.  Chaos/impairment seams materialise one copy for the
+        faulted transmission — they hold frames past this call (the
+        impairments are read on every send: they may be switched on at
+        any time).
         """
         sock = self._sock
         if self.closed or sock is None:
             view.release()
             return SEQ_NONE
+        seq = SEQ_NONE if addr in self._probes else self._probe(addr)
+        restamp_seq_into(view.buffer, view.start, seq)
         mem = view.mem
-        seq = SEQ_NONE
-        if reliable:
-            seq = self._seq
-            self._seq = seq + 1 if seq < SEQ_MAX else 1
-            restamp_seq_into(view.buffer, view.start, seq)
-            self._await_ack(seq, mem, view.slot, addr)
         self.metrics.record_out(len(mem))
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(mem, addr)
@@ -449,26 +338,27 @@ class LiveEndpoint:
                 self._queue_tx(mem, addr)
             except OSError:
                 self.metrics.drop("socket_error")
-        if not reliable:
-            view.release()
+        view.release()
         return seq
 
-    def send_parts(self, parts, addr: Address, reliable: bool = False) -> int:
+    def send_parts(self, parts, addr: Address) -> int:
         """One datagram gathered from several buffers.
 
         The kernel coalesces ``parts`` into a single datagram via
         ``sendmsg`` — no join copy on the fast path; platforms (or
         sockets) without gather IO fall back to a plain ``sendto`` of
-        the joined bytes.  Reliable or impaired sends join up front:
-        the retry table and the fault seams need one stable buffer.
+        the joined bytes.  The parts carry hop sequence 0; a send that
+        is a probe, or an impaired one, joins up front and goes through
+        :meth:`send` (a probe's number is stamped into one buffer, and
+        the fault seams need one stable buffer).
         """
         if self.closed or self._sock is None:
             return SEQ_NONE
         if (
-            reliable or self.fault_hook is not None
+            addr not in self._probes or self.fault_hook is not None
             or self.impairments.loss_rate > 0.0
         ):
-            return self.send(b"".join(parts), addr, reliable=reliable)
+            return self.send(b"".join(parts), addr)
         total = 0
         for part in parts:
             total += len(part)
@@ -482,9 +372,6 @@ class LiveEndpoint:
         except OSError:
             self.metrics.drop("socket_error")
         return SEQ_NONE
-
-    def _now(self) -> float:
-        return self._loop.time() if self._loop is not None else 0.0
 
     def _impaired_send(self, datagram, addr: Address) -> None:
         if not isinstance(datagram, bytes):
@@ -525,8 +412,16 @@ class LiveEndpoint:
             self.metrics.drop("socket_error")
 
     def _queue_tx(self, datagram, addr: Address) -> None:
-        """Defer a copy of a frame a full socket buffer refused; flush on writable."""
-        self._tx_backlog.append((bytes(datagram), addr))
+        """Defer a copy of a frame a full socket buffer refused; flush on
+        writable.  Past ``TX_BACKLOG_MAX`` deferred frames the frame is
+        dropped and counted ``tx_backlog_full`` instead: a socket that
+        stays full must not grow memory, and the transport recovers the
+        loss."""
+        backlog = self._tx_backlog
+        if len(backlog) >= TX_BACKLOG_MAX:
+            self.metrics.drop("tx_backlog_full")
+            return
+        backlog.append((bytes(datagram), addr))
         if (
             not self._writer_armed
             and self._loop is not None
@@ -552,178 +447,84 @@ class LiveEndpoint:
             self._loop.remove_writer(sock.fileno())
             self._writer_armed = False
 
-    # -- per-hop reliability -----------------------------------------------
+    # -- the probe ladder --------------------------------------------------
 
-    def _await_ack(self, seq: int, data, slot, addr: Address) -> None:  # sirlint: hot
-        """Enter a just-stamped reliable frame into the retry table.
+    def _probe(self, addr: Address) -> int:
+        """Make the frame about to leave for ``addr`` that peer's probe;
+        returns its hop sequence number: a fresh one when the peer was
+        silent through its last probe (the receiver then acks it), else
+        0 (its traffic back answers).
 
-        One dict insert: its first deadline is ``now + ack_timeout_s``,
-        no earlier than any frame's before it, so the timer — already
-        armed no later than the oldest fresh deadline — is not looked
-        at.  A send from a drain's consumer takes that wakeup's clock
-        read; only a frame that times out gets a heap entry.
+        One dict insert at the end of ``_probes``: its deadline, one
+        timeout from now, is the latest, so the timer — armed for the
+        oldest entry while any exists — is armed here only when this
+        is the only one.
         """
-        now = self._wakeup_at
-        if now is None:
-            now = self._loop.time()
-        self._pending[seq] = (data, slot, addr, now)
-        self._budget.note_send(now)
-        if not self._fresh_covered:
-            self._sync_retry_timer()
-
-    def _sync_retry_timer(self) -> None:
-        """Arm the one timer for the earlier of the oldest fresh frame's
-        first deadline and ``_retry_heap[0]``; none when neither exists.
-
-        A backoff gap can end after a younger frame's first deadline, so
-        both queues are read: the heap alone would sleep past that frame,
-        the oldest ``_pending`` entry alone past a due retry.
-        """
-        deadline, _seq = next(self._fresh(), (None, None))
-        self._fresh_covered = deadline is not None
-        heap = self._retry_heap
-        if heap and (deadline is None or heap[0][0] < deadline):
-            deadline = heap[0][0]
-        timer = self._retry_timer
-        if timer is not None:
-            if timer.when() == deadline:
-                return
-            timer.cancel()
-            self._retry_timer = None
-        if deadline is not None:
-            self._retry_timer = self._loop.call_at(
-                deadline, self._on_retry_timer
+        seq = SEQ_NONE
+        if self._unheard.setdefault(addr, 0):
+            seq = self._seq
+            self._seq = seq + 1 if seq < SEQ_MAX else 1
+        now = self._loop.time()
+        if not self._probes:
+            self._probe_timer = self._loop.call_at(
+                now + self.liveness.ack_timeout_s, self._on_probe_timer
             )
+        self._probes[addr] = (seq, now)
+        return seq
 
-    def _fresh(self):
-        """``(first deadline, seq)`` of every frame that has not timed out
-        yet, oldest first: ``_pending`` past its timed-out prefix."""
-        timeout_s = self.reliability.ack_timeout_s
-        through = self._timed_out_through
-        for seq, (_data, _slot, _addr, sent_at) in self._pending.items():
-            deadline = sent_at + timeout_s
-            if deadline > through:
-                yield deadline, seq
+    def _on_probe_timer(self) -> None:
+        """The oldest probe's deadline came: settle every probe now due,
+        oldest first, re-arm for the next, then report the peers whose
+        unanswered probe was their ``1 + max_retries``-th in a row.
 
-    def _on_retry_timer(self) -> None:
-        """The timer fired: time out every due frame, then re-arm.
-
-        Due are the fresh frames at the front of ``_pending`` whose first
-        deadline has come and the heap's due backoff records; a record
-        whose frame has left ``_pending`` (acked, or abandoned) is dropped
-        without a timeout.  Timeouts run in ``(deadline, seq)`` order.
+        A verdict needs a numbered probe — one the peer must answer
+        even if it has nothing to send back — so a peer silent past an
+        unnumbered probe is first asked with a number, whatever
+        ``max_retries`` is; after a verdict its ladder starts again.
         """
         # Everything up to the deadline this timer was armed for is due
         # (the loop may fire a hair before its own clock says so).
-        due = max(self._retry_timer.when(), self._now())
-        self._retry_timer = None
-        first_try = (self.reliability.ack_timeout_s,
-                     self.reliability.max_retries)
-        timed_out = []
-        for deadline, seq in self._fresh():
-            if deadline > due:
+        due = max(self._probe_timer.when(), self._loop.time())
+        self._probe_timer = None
+        timeout_s = self.liveness.ack_timeout_s
+        probes = self._probes
+        unheard = self._unheard
+        dead = []
+        while probes:
+            addr, (seq, sent_at) = next(iter(probes.items()))
+            if sent_at + timeout_s > due:
+                self._probe_timer = self._loop.call_at(
+                    sent_at + timeout_s, self._on_probe_timer
+                )
                 break
-            timed_out.append((deadline, seq, *first_try))
-        self._timed_out_through = due
-        heap = self._retry_heap
-        while heap and heap[0][0] <= due:
-            record = heapq.heappop(heap)
-            if record[1] in self._pending:
-                timed_out.append(record)
-        timed_out.sort()
-        for _deadline, seq, gap_s, retries_left in timed_out:
-            self._on_ack_timeout(seq, gap_s, retries_left)
-        self._sync_retry_timer()
-
-    def _next_gap(self, gap_s: float) -> float:
-        """Exponential backoff with jitter: strictly growing, never twice
-        the same — see :class:`ReliabilityConfig`."""
-        growth = 1.0 + (BACKOFF_FACTOR - 1.0) * (
-            0.5 + 0.5 * self._backoff_rng.random()
-        )
-        return min(BACKOFF_MAX_S, gap_s * growth)
-
-    def _abandon_pending(self, seq: int, reason: str) -> None:
-        """Give up on a reliable frame: unpin its slot, report the peer."""
-        entry = self._pending.pop(seq, None)
-        if entry is None:
-            return
-        _data, slot, addr, _sent_at = entry
-        if slot is not None:
-            self.ring.release(slot)
-        self.metrics.drop(reason)
-        if self.on_peer_dead is not None:
-            self.on_peer_dead(addr)
-
-    def _on_ack_timeout(
-        self, seq: int, gap_s: float, retries_left: int
-    ) -> None:
-        """Frame ``seq``'s deadline passed unacked, after a gap of
-        ``gap_s`` with ``retries_left``: retry it or give it up."""
-        entry = self._pending.get(seq)
-        if entry is None:
-            return
-        if retries_left <= 0:
-            # Peer is unresponsive: give up on this frame.
-            self._abandon_pending(seq, "peer_dead")
-            return
-        now = self._now()
-        if not self._budget.allow(now):
-            # Retrying now would join a storm: abandon the frame instead
-            # (the §6.3 cap — retry pressure may track offered load but
-            # never run away from it).
-            self._abandon_pending(seq, "retry_budget_exhausted")
-            return
-        data, _slot, addr, _sent_at = entry
-        gap_s = self._next_gap(gap_s)
-        self.metrics.retries += 1
-        self._budget.note_retry(now)
-        if self.on_retry is not None:
-            self.on_retry(addr, seq, gap_s)
-        self._impaired_send(data, addr)
-        heapq.heappush(
-            self._retry_heap,
-            (self._now() + gap_s, seq, gap_s, retries_left - 1),
-        )
+            del probes[addr]
+            missed = unheard.get(addr)
+            if missed is None:
+                continue  # heard from: answered
+            if seq != SEQ_NONE and missed >= self.liveness.max_retries:
+                del unheard[addr]
+                dead.append(addr)
+            else:
+                unheard[addr] = missed + 1
+        for addr in dead:
+            self.metrics.drop("peer_dead")
+            if self.on_peer_dead is not None:
+                self.on_peer_dead(addr)
 
     def _on_ack(self, acked, addr: Address) -> None:  # sirlint: hot
-        """Peer ``addr`` acknowledged every number in ``acked`` (one ack
-        datagram's): stop retrying those frames.
+        """Peer ``addr`` sent an ack naming ``acked``: it is alive.
 
-        One dict delete per number; a backoff record the frame had is
-        left to surface in the heap.  Only the peer a frame was sent to
-        can acknowledge it.  Sequence numbers are per sender, so another
-        neighbour (or an ack from before a reopen drew a new random base)
-        can carry a colliding number; honouring it would unpin a frame
-        still in flight and cancel the retries that recover it.
+        Like any frame from the peer, the ack answers its probe and
+        clears its unanswered count — whatever numbers it names, a late
+        one too.  An ack naming a numbered probe out to another peer is
+        ``stray_ack`` and changes nothing: sequence numbers are per
+        sender, and an ack speaks only for the address it came from.
         """
-        pending = self._pending
-        for seq in acked:
-            entry = pending.get(seq)
-            if entry is None:
-                continue  # acked already (a retry crossed its ack)
-            if entry[2] != addr:
+        for peer, (seq, _sent_at) in self._probes.items():
+            if seq and peer != addr and seq in acked:
                 self.metrics.drop("stray_ack")
-                continue
-            del pending[seq]
-            slot = entry[1]
-            if slot is not None:
-                self.ring.release(slot)
-
-    def _is_duplicate(self, addr: Address, seq: int) -> bool:
-        seen = self._seen.get(addr)
-        if seen is None:
-            window: Deque[int] = deque(maxlen=self.reliability.dedup_window)
-            seen = (set(), window)
-            self._seen[addr] = seen
-        values, order = seen
-        if seq in values:
-            return True
-        if len(order) == order.maxlen:
-            values.discard(order[0])
-        order.append(seq)
-        values.add(seq)
-        return False
+                return
+        self._unheard.pop(addr, None)
 
     # -- receive -----------------------------------------------------------
 
@@ -734,21 +535,23 @@ class LiveEndpoint:
         receive-side allocation); acks and invalid frames are handled
         inline; surviving data frames are delivered as one batch of
         views whose slots the consumer now owns.  Only a delivered frame
-        takes a slot from the ring: an ack, a duplicate, a drop and the
-        empty read that ends the drain leave the receive slot for the next.
+        takes a slot from the ring: an ack, a drop and the empty read
+        that ends the drain leave the receive slot for the next.  A data
+        frame answers its sender's probe (the peer is heard from).
 
-        The reliable frames drained are acknowledged with **one ack
-        datagram per peer**, sent when the drain ends and before the
-        consumer runs — a function of the drained batch alone (no timer,
-        no clock).  A peer owed more numbers than fit one ring slot
-        (never, at the default sizes: 32 numbers are 135 bytes) gets
-        them in as many acks as it takes.
+        The numbered probes drained are answered with **one ack datagram per
+        peer**, sent when the drain ends and before the consumer runs —
+        a function of the drained batch alone (no timer, no clock).  A
+        peer owed more numbers than fit one ring slot (never, at the
+        default sizes: 32 numbers are 135 bytes) gets them in as many
+        acks as it takes.
         """
         sock = self._sock
         if sock is None or self.closed:
             return
         ring = self.ring
         metrics = self.metrics
+        unheard = self._unheard
         buffers = self._recv_buffers
         batch, owed = [], []  # sirlint: disable=SIR008 -- the wakeup's products: the batch the consumer takes away and the numbers its one ack names
         # ``owed`` is for ``ack_peer``, the peer heard last; ``acks`` files
@@ -787,17 +590,16 @@ class LiveEndpoint:
             if kind != FRAME_DATA:  # pragma: no cover - decoder guards
                 metrics.drop("undecodable")
                 continue
+            if unheard and addr in unheard:
+                del unheard[addr]
             seq = preamble.seq
             if seq != SEQ_NONE:
-                # Acked even when a duplicate — its ack may have been lost.
+                # A numbered probe: its sender waits for the number back.
                 if addr != ack_peer:
                     if ack_peer is not None:
                         acks, owed = self._owed_to(acks, ack_peer, owed, addr)
                     ack_peer = addr
                 owed.append(seq)
-                if self._is_duplicate(addr, seq):
-                    metrics.drop("duplicate")
-                    continue
             metrics.record_in(nbytes)
             batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
             slot = ring.acquire()
@@ -813,11 +615,7 @@ class LiveEndpoint:
         self.rx_batches += 1
         self.rx_datagrams += len(batch)
         if self.on_batch is not None:
-            self._wakeup_at = self._loop.time()
-            try:
-                self.on_batch(batch)
-            finally:
-                self._wakeup_at = None
+            self.on_batch(batch)
         else:
             for view, _source, _preamble in batch:
                 view.release()

@@ -2,7 +2,7 @@
 
 Every live endpoint (router, host, directory) owns an
 :class:`EndpointMetrics` instance; the UDP machinery in
-:mod:`repro.live.link` feeds it frames/bytes/acks/retries and the
+:mod:`repro.live.link` feeds it frames/bytes/acks and the
 routers/hosts add their drop reasons.  The smoke benchmark
 (``bench_l01_live_loopback``) renders these tables after the run, which
 is how we see — over real sockets — where every frame went.
@@ -33,6 +33,8 @@ class EndpointMetrics:
     bytes_out: int = 0
     acks_in: int = 0
     acks_out: int = 0
+    #: Hop retransmissions: always 0 — the link never retransmits, the
+    #: transport recovers loss — kept for the readers that sum it.
     retries: int = 0
     forwarded: int = 0
     delivered_local: int = 0
@@ -41,7 +43,8 @@ class EndpointMetrics:
     #: ("slick_fallback_exhausted"), not a second counter here.
     slick_reroutes: int = 0
     #: Drop reasons -> counts ("undecodable", "no_route", "token_reject",
-    #: "route_exhausted", "peer_dead", "duplicate", "loss_injected", ...).
+    #: "route_exhausted", "peer_dead", "tx_backlog_full", "loss_injected",
+    #: ...).  ``peer_dead`` counts the probe ladder's verdicts.
     drops: Dict[str, int] = field(default_factory=dict)
 
     def record_in(self, nbytes: int) -> None:

@@ -15,9 +15,9 @@ A frame crosses the router one way only: ``_on_batch`` →
 :meth:`~repro.live.link.LiveEndpoint.send_view`.  The frame never leaves
 its slot and there is no materialising twin; its segment is parsed only
 when the §2.2 flow cache does not answer for its bytes.  What is the
-live router's own is sockets, batching, hop ARQ (a dead peer is the
-core's port-down input, any frame from it port-up) and the ``restart``
-rebind.
+live router's own is sockets, batching, the link's probe ladder (a
+dead peer is the core's port-down input, any frame from it port-up) and
+the ``restart`` rebind.
 
 Sim↔live decision parity is *structural*: both routers are adapters
 over one core, so the parity tests assert plumbing, not a duplicated
@@ -44,7 +44,7 @@ from repro.live.link import (
     BatchEntry,
     Impairments,
     LiveEndpoint,
-    ReliabilityConfig,
+    LivenessConfig,
 )
 from repro.live.metrics import EndpointMetrics
 from repro.tokens.cache import CachePolicy
@@ -65,17 +65,14 @@ class LiveRouterConfig:
 
     token_policy: CachePolicy = CachePolicy.OPTIMISTIC
     require_tokens: bool = False
-    #: Per-hop forwarding uses ack/retry when True (dead peers become
-    #: detectable instead of silent loss).
-    reliable_hops: bool = True
 
 
 # Every live port has one profile.  UDP hops carry no Ethernet portInfo
 # and never truncate (the datagram either fits the socket or was
 # refused at encode time), hence mtu=0 (unlimited).  Link health is the
-# core's port-down input: ack-timeout peer death marks a port down, any
-# inbound frame marks it back up — the signal the pipeline's slick
-# reroute stage keys on.
+# core's port-down input: the probe ladder's peer death marks a port
+# down, any inbound frame marks it back up — the signal the pipeline's
+# slick reroute stage keys on.
 _UDP_PORT = PortProfile(kind="udp", mtu=0)
 
 
@@ -102,8 +99,8 @@ class LiveRouter:
     mint = core_attribute("mint")
     tracer = core_attribute("sink.tracer")
     recorder = core_attribute("sink.recorder")
-    #: Link health (§2.2 soft state): ports whose peer stopped acking
-    #: (``on_peer_dead``) and has not been heard from since.
+    #: Link health (§2.2 soft state): ports whose peer stopped answering
+    #: probes (``on_peer_dead``) and has not been heard from since.
     dead_ports = core_attribute("ports.down")
 
     def __init__(
@@ -112,7 +109,7 @@ class LiveRouter:
         config: Optional[LiveRouterConfig] = None,
         mint_secret: Optional[bytes] = None,
         impairments: Optional[Impairments] = None,
-        reliability: Optional[ReliabilityConfig] = None,
+        liveness: Optional[LivenessConfig] = None,
     ) -> None:
         self.name = name
         self.config = config if config is not None else LiveRouterConfig()
@@ -133,7 +130,7 @@ class LiveRouter:
         )
         self.endpoint = LiveEndpoint(
             name, metrics=self.metrics,
-            impairments=impairments, reliability=reliability,
+            impairments=impairments, liveness=liveness,
         )
         # Whole batches of ring-slot views per loop wakeup.
         self.endpoint.on_batch = self._on_batch
@@ -166,9 +163,8 @@ class LiveRouter:
         secret, policy), throw away every cache
         (:meth:`~repro.dataplane.router.RouterCore.forget`), and come
         back up.  The endpoint re-opens on the **same UDP port** so
-        peers' wiring stays valid; its own soft state (retry table,
-        dedup windows, hop sequence space) is re-derived by
-        :meth:`~repro.live.link.LiveEndpoint.open`'s reopen path.
+        peers' wiring stays valid; its own soft state (the probe ladder)
+        went with :meth:`~repro.live.link.LiveEndpoint.close`.
         """
         port = self.address[1] if self.address is not None else 0
         self.core.forget()
@@ -199,8 +195,8 @@ class LiveRouter:
         self.pipeline.on_topology_change(port_id)
 
     def _on_peer_dead(self, addr: Address) -> None:
-        """Ack-timeout link-health signal from the endpoint (§2.2): the
-        peer's port goes down in the core."""
+        """The probe ladder's link-health signal from the endpoint
+        (§2.2): the peer's port goes down in the core."""
         port_id = self.addr_port.get(addr)
         if port_id is None or port_id in self.dead_ports:
             return
@@ -243,10 +239,7 @@ class LiveRouter:
                 view.release()
             elif decision.action is Action.FORWARD:
                 self.metrics.forwarded += 1
-                self.endpoint.send_view(
-                    view, self.ports[decision.out_port],
-                    reliable=self.config.reliable_hops,
-                )
+                self.endpoint.send_view(view, self.ports[decision.out_port])
             else:
                 # Port 0 (§5): local delivery leaves the overlay, so the
                 # frame is materialised here.

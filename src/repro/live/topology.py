@@ -29,7 +29,7 @@ from repro.core.router import SirpentRouter
 from repro.directory.service import DirectoryService, RouteQuery
 from repro.live.directory import LiveDirectoryServer, live_route_fields
 from repro.live.host import LiveHost, LiveRoute
-from repro.live.link import Address, Impairments, ReliabilityConfig
+from repro.live.link import Address, Impairments, LivenessConfig
 from repro.live.metrics import EndpointMetrics, render_metrics
 from repro.live.router import LiveRouter, LiveRouterConfig
 from repro.net.topology import Topology
@@ -62,7 +62,7 @@ class LiveOverlay:
         self,
         topology: Topology,
         impairments: Optional[Impairments] = None,
-        reliability: Optional[ReliabilityConfig] = None,
+        liveness: Optional[LivenessConfig] = None,
         host: str = "127.0.0.1",
         tracer=None,
         obs_port: Optional[int] = None,
@@ -71,7 +71,7 @@ class LiveOverlay:
     ) -> None:
         self.topology = topology
         self.impairments = impairments
-        self.reliability = reliability
+        self.liveness = liveness
         self.bind_host = host
         self.routers: Dict[str, LiveRouter] = {}
         self.hosts: Dict[str, LiveHost] = {}
@@ -120,14 +120,14 @@ class LiveOverlay:
                     ),
                     mint_secret=node.mint.secret,
                     impairments=self.impairments,
-                    reliability=self.reliability,
+                    liveness=self.liveness,
                 )
                 self.routers[name] = live  # type: ignore[assignment]
             elif isinstance(node, SirpentHost):
                 live = LiveHost(
                     name,
                     impairments=self.impairments,
-                    reliability=self.reliability,
+                    liveness=self.liveness,
                 )
                 self.hosts[name] = live  # type: ignore[assignment]
                 self.directory.register_host(name, name)
@@ -193,8 +193,9 @@ class LiveOverlay:
     def kill(self, name: str) -> None:
         """Failure injection: abruptly stop one node (socket closes).
 
-        Peers discover the death through per-hop ack timeouts — exactly
-        the observable the rebinding transport reacts to.
+        Neighbours discover the death through their links' probe ladders
+        (a dead port), the transport through its own timeouts — the
+        observables slick reroute and rebinding react to.
         """
         self._node(name).stop()
 

@@ -10,7 +10,7 @@ head- and tail-room, and the send syscall reads straight out of it.  No
 Ownership is explicit and single-holder:
 
 * ``acquire`` hands out a free slot; the caller (and whoever it hands
-  the slot to — a batch consumer, the reliable-send pending table)
+  the slot to — a batch consumer, a send that frees it after its syscall)
   must ``release`` it exactly once.
 * ``release`` bumps the slot's **generation** counter.  A
   :class:`~repro.viper.wire.PacketView` snapshots the generation at

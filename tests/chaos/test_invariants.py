@@ -99,24 +99,6 @@ def test_recovery_slo_violation_late_and_never():
     assert "no successful transaction" in never[0].detail
 
 
-def test_retry_burst_detection():
-    p = plan()
-    storm = [
-        {"event": "retry", "at": 1.0 + i * 1e-4, "node": "x"}
-        for i in range(20)
-    ]
-    violations = InvariantChecker(p, burst_limit=12).check(
-        report(p, fault_log=storm)
-    )
-    assert names(violations) == ["no_retry_bursts"]
-    spread = [
-        {"event": "retry", "at": i * 0.1, "node": "x"} for i in range(20)
-    ]
-    assert InvariantChecker(p, burst_limit=12).check(
-        report(p, fault_log=spread)
-    ) == []
-
-
 def test_assert_ok_raises_with_every_violation_listed():
     p = plan(retry_budget=1)
     bad = report(

@@ -37,10 +37,10 @@ def test_live_soak_passes_every_invariant():
     InvariantChecker(plan).assert_ok(report)
 
 
-def test_live_partition_produces_no_synchronized_retry_bursts():
-    """The acceptance criterion for jittered backoff: partition one
-    diamond path under live traffic and assert the per-hop retries in
-    the fault log never clump into a lockstep burst."""
+def test_live_partition_passes_every_invariant():
+    """Partition one diamond path under live traffic: the transport
+    alone recovers the loss (the links never retransmit), within every
+    invariant — the per-transaction retry budget included."""
     plan = FaultPlan(
         seed=17,
         specs=(
@@ -50,16 +50,5 @@ def test_live_partition_produces_no_synchronized_retry_bursts():
         name="live-partition",
     )
     report = run_live_soak(plan)
-    retries = [e for e in report.fault_log if e.get("event") == "retry"]
-    assert retries, "a partitioned path must provoke per-hop retries"
-    checker = InvariantChecker(plan)
-    violations = [
-        v for v in checker.check(report)
-        if v.invariant == "no_retry_bursts"
-    ]
-    assert violations == [], "\n".join(str(v) for v in violations)
-    # And the endpoints' recorded gaps are not identical lockstep
-    # values: jitter made every backoff schedule its own.
-    gaps = [e["gap_s"] for e in retries if "gap_s" in e]
-    if len(gaps) >= 3:
-        assert len(set(gaps)) > 1
+    assert report.ok_count > 0
+    InvariantChecker(plan).assert_ok(report)

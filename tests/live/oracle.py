@@ -13,15 +13,20 @@ slow way — decode the whole frame, apply the algebra, re-encode.  It
 shares no code with the in-place path beyond the whole-frame codec.
 
 **The drain.**  :func:`drain_reference` is ``LiveEndpoint._on_readable``
-as it stood at ``2ad7013`` — a slot acquired and released per datagram,
-the acks owed kept in a dict per peer, every ack built by
-:func:`~repro.live.frames.encode_ack` — run on a live endpoint's own
-state.  ``tests/live/test_drain_differential.py`` holds the endpoint's
-drain to it, wakeup by wakeup.
+the plain way — a slot acquired and released per datagram, the acks
+owed kept in a dict per peer, every ack built by
+:func:`~repro.live.frames.encode_ack`, a peer heard from by every data
+frame it sends — run on a live endpoint's own state.
+``tests/live/test_drain_differential.py`` holds the endpoint's drain to
+it, wakeup by wakeup.
 
-**The retry timer.**  :func:`retry_deadline` is the instant an
-endpoint's one retry timer must wake for, read off its retry table the
-plain way: every unacked frame's next deadline, the earliest of them.
+**The probe timer.**  :func:`probe_deadline` is the instant an
+endpoint's one probe timer must wake for, read off its probes the plain
+way: every probe's deadline, the earliest of them.
+
+**The virtual clock.**  :class:`FakeLoop` stands in for an endpoint's
+event loop in socket-free harnesses: its clock moves only when a test
+advances it, and each timer fires exactly at its deadline.
 """
 
 from collections import Counter
@@ -410,12 +415,12 @@ def capture_router(name, ports=(1, 2), slot_bytes=DEFAULT_SLOT_BYTES):
     router.endpoint.ring = BufferRing(slots=8, slot_bytes=slot_bytes)
     sent = []
 
-    def send_view(view, addr, reliable=False):
+    def send_view(view, addr):
         sent.append((view.tobytes(), addr))
         view.release()
         return 0
 
-    def send(datagram, addr, reliable=False):
+    def send(datagram, addr):
         raise AssertionError("a router forwards views, never bytes")
 
     router.endpoint.send_view = send_view
@@ -429,7 +434,8 @@ def drain_reference(self) -> None:
     """One rx wakeup of the :class:`~repro.live.link.LiveEndpoint`
     ``self``, the reference way: up to ``rx_batch`` datagrams, each into
     a slot acquired for it (and released again unless it is delivered);
-    one ack per peer heard, sent when the drain ends and before the
+    every data frame answers its sender's probe; one ack per peer that
+    sent numbered probes, sent when the drain ends and before the
     consumer runs."""
     sock = self._sock
     if sock is None or self.closed:
@@ -437,7 +443,7 @@ def drain_reference(self) -> None:
     ring = self.ring
     buffers = self._recv_buffers
     batch = []
-    #: Hop sequence numbers to acknowledge, per peer, in arrival order.
+    #: Numbered probes to acknowledge, per peer, in arrival order.
     acks = {}
     for _ in range(self.rx_batch):
         slot = ring.acquire()
@@ -477,17 +483,13 @@ def drain_reference(self) -> None:
             ring.release(slot)
             self.metrics.drop("undecodable")
             continue
+        self._unheard.pop(addr, None)
         if preamble.seq != SEQ_NONE:
-            # Acked even when a duplicate — its ack may have been lost.
             owed = acks.get(addr)
             if owed is None:
                 acks[addr] = [preamble.seq]
             else:
                 owed.append(preamble.seq)
-            if self._is_duplicate(addr, preamble.seq):
-                ring.release(slot)
-                self.metrics.drop("duplicate")
-                continue
         self.metrics.record_in(nbytes)
         batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
     # An ack must fit a slot of the peer's ring (sized like ours) and
@@ -512,20 +514,78 @@ def drain_reference(self) -> None:
             view.release()
 
 
-# -- the retry timer -----------------------------------------------------------
+# -- the probe timer -----------------------------------------------------------
 
 
-def retry_deadline(endpoint):
-    """The earliest next deadline of any frame in ``endpoint``'s retry
-    table (None when it is empty): a frame that never timed out is due
-    ``ack_timeout_s`` after it was sent, one that did at its backoff
-    record's deadline."""
-    timeout_s = endpoint.reliability.ack_timeout_s
-    through = endpoint._timed_out_through
-    backoff = {seq: deadline for deadline, seq, _gap, _left
-               in endpoint._retry_heap}
-    deadlines = [
-        backoff[seq] if sent_at + timeout_s <= through else sent_at + timeout_s
-        for seq, (_data, _slot, _addr, sent_at) in endpoint._pending.items()
-    ]
-    return min(deadlines, default=None)
+def probe_deadline(endpoint):
+    """The earliest deadline of any probe ``endpoint`` has out (None when
+    it has none): each is due ``ack_timeout_s`` after it was sent."""
+    timeout_s = endpoint.liveness.ack_timeout_s
+    return min(
+        (sent_at + timeout_s for _seq, sent_at in endpoint._probes.values()),
+        default=None,
+    )
+
+
+class FakeLoop:
+    """The event loop an endpoint needs — ``time``, ``call_at`` and the
+    reader/writer registrations — on a clock that moves only when told.
+    A handle fires exactly at its deadline."""
+
+    class Handle:
+        def __init__(self, when, callback):
+            self._when = when
+            self._callback = callback
+            self._cancelled = False
+
+        def when(self):
+            return self._when
+
+        def cancel(self):
+            self._cancelled = True
+
+        def cancelled(self):
+            return self._cancelled
+
+    def __init__(self, now=1000.0):
+        self.now = now
+        self.handles = []
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback):
+        handle = self.Handle(when, callback)
+        self.handles.append(handle)
+        return handle
+
+    def is_closed(self):
+        return False
+
+    def add_reader(self, fd, callback):
+        pass
+
+    def remove_reader(self, fd):
+        pass
+
+    def add_writer(self, fd, callback):
+        pass
+
+    def remove_writer(self, fd):
+        pass
+
+    def advance(self, seconds):
+        """Run every handle due by ``now + seconds``, each at its own
+        deadline, earliest (then first armed) first."""
+        target = self.now + seconds
+        for _ in range(10_000):
+            self.handles = [h for h in self.handles if not h.cancelled()]
+            due = min(self.handles, key=lambda h: h.when(), default=None)
+            if due is None or due.when() > target:
+                break
+            self.handles.remove(due)
+            self.now = max(self.now, due.when())
+            due._callback()
+        else:
+            raise AssertionError("a timer keeps re-arming for the past")
+        self.now = target

@@ -1,9 +1,10 @@
 """Per-hop acks: one datagram per peer per wakeup, matched on (peer, seq).
 
-An ack names its preamble's sequence number plus ``payloadLen / 4``
-further ones (ARCHITECTURE §7).  A lone ack is still the bare 11-byte
-preamble.  The receiving side honours an ack only when it frames exactly
-and comes from the peer the frame was sent to.
+A receiving endpoint acks every numbered probe it drains.  An ack names
+its preamble's sequence number plus ``payloadLen / 4`` further ones
+(ARCHITECTURE §7).  A lone ack is still the bare 11-byte preamble.  The
+probing side honours an ack only when it frames exactly, and one naming
+a probe out to another peer answers nothing.
 """
 
 import asyncio
@@ -20,7 +21,7 @@ from repro.live.frames import (
     encode_ack,
     encode_preamble,
 )
-from repro.live.link import LiveEndpoint, ReliabilityConfig
+from repro.live.link import LiveEndpoint, LivenessConfig
 from repro.viper.errors import ViperDecodeError
 from repro.viper.ring import BufferRing
 
@@ -106,23 +107,38 @@ def test_malformed_ack_does_not_decode(name, datagram):
 # -- the receiving side of an ack ---------------------------------------------------
 
 
+async def numbered_probes(endpoint: LiveEndpoint, *peers) -> list:
+    """Send to silent ``peers`` until a probe to each carries a number —
+    the first after one went unanswered; returns the numbers."""
+    for peer in peers:
+        endpoint.send(data_frame(0), peer.addr)
+    await until(lambda: all(
+        endpoint._unheard.get(peer.addr) == 1 for peer in peers
+    ))
+    seqs = [endpoint.send(data_frame(0), peer.addr) for peer in peers]
+    assert all(seqs)
+    return seqs
+
+
 @pytest.mark.parametrize("name,datagram", MALFORMED, ids=[m[0] for m in MALFORMED])
-def test_malformed_ack_is_dropped_and_releases_nothing(name, datagram):
+def test_malformed_ack_is_dropped_and_answers_nothing(name, datagram):
     async def scenario():
-        endpoint = LiveEndpoint("e", reliability=ReliabilityConfig(ack_timeout_s=5))
+        endpoint = LiveEndpoint(
+            "e", liveness=LivenessConfig(ack_timeout_s=0.02, max_retries=9)
+        )
         addr = await endpoint.open()
         peer = Neighbour()
         try:
-            seq = endpoint.send(data_frame(0), peer.addr, reliable=True)
-            # Re-aim the malformed ack at the frame really pending.
+            (seq,) = await numbered_probes(endpoint, peer)
+            # Re-aim the malformed ack at the probe really out.
             aimed = bytearray(datagram)
             aimed[4:8] = seq.to_bytes(4, "big")
             peer.send(bytes(aimed), addr)
             await until(lambda: endpoint.metrics.dropped("undecodable") == 1)
-            assert seq in endpoint._pending
+            assert peer.addr in endpoint._unheard
             assert endpoint.metrics.acks_in == 0
             peer.send(encode_ack(seq), addr)
-            await until(lambda: not endpoint._pending)
+            await until(lambda: peer.addr not in endpoint._unheard)
             assert endpoint.metrics.acks_in == 1
         finally:
             endpoint.close()
@@ -131,31 +147,36 @@ def test_malformed_ack_is_dropped_and_releases_nothing(name, datagram):
     asyncio.run(scenario())
 
 
-def test_ack_from_another_peer_does_not_release_the_frame():
-    """Regression: peer A acking a number pending to peer B used to pop
-    B's frame and cancel its retries — a lost frame never came back."""
+def test_ack_from_another_peer_does_not_answer_the_probe():
+    """Regression: peer A acking a number out to peer B must not count as
+    B's answer — nor as A's: it is counted ``stray_ack`` and changes
+    nothing.  Each peer's own ack answers its own probe, and nothing is
+    ever sent twice."""
 
     async def scenario():
         router = LiveEndpoint(
-            "router", reliability=ReliabilityConfig(ack_timeout_s=0.03)
+            "router",
+            liveness=LivenessConfig(ack_timeout_s=0.3, max_retries=9),
         )
         addr = await router.open()
         a, b = Neighbour(), Neighbour()
         try:
-            seq_a = router.send(data_frame(0, b"to-a"), a.addr, reliable=True)
-            seq_b = router.send(data_frame(0, b"to-b"), b.addr, reliable=True)
-            # A acks both numbers in one datagram; only its own counts.
+            seq_a, seq_b = await numbered_probes(router, a, b)
+            unheard = dict(router._unheard)
+            assert unheard == {a.addr: 1, b.addr: 1}
+            # A acks both numbers in one datagram: neither counts.
             a.send(encode_ack(seq_b, [seq_a]), addr)
-            await until(lambda: seq_a not in router._pending)
-            assert seq_b in router._pending
-            assert router.metrics.dropped("stray_ack") == 1
-            # B "lost" the frame: it is retried, and B's own ack ends it.
-            await until(lambda: router.metrics.retries >= 1)
-            copies = b.drain()
-            assert len(copies) >= 2 and set(copies) == {data_frame(seq_b, b"to-b")}
+            await until(lambda: router.metrics.dropped("stray_ack") == 1)
+            assert router._unheard == unheard
             b.send(encode_ack(seq_b), addr)
-            await until(lambda: not router._pending)
-            assert a.drain() == [data_frame(seq_a, b"to-a")]
+            await until(lambda: b.addr not in router._unheard)
+            assert a.addr in router._unheard
+            a.send(encode_ack(seq_a), addr)
+            await until(lambda: not router._unheard)
+            assert router.metrics.dropped("stray_ack") == 1
+            assert router.metrics.retries == 0
+            assert a.drain() == [data_frame(0), data_frame(seq_a)]
+            assert b.drain() == [data_frame(0), data_frame(seq_b)]
         finally:
             router.close()
             a.close()
@@ -229,7 +250,7 @@ def test_an_ack_never_outgrows_a_ring_slot():
     asyncio.run(scenario())
 
 
-def test_single_reliable_frame_is_acked_with_the_11_byte_frame():
+def test_single_numbered_probe_is_acked_with_the_11_byte_frame():
     async def scenario():
         receiver = LiveEndpoint("r")
         addr = await receiver.open()
@@ -241,54 +262,5 @@ def test_single_reliable_frame_is_acked_with_the_11_byte_frame():
         finally:
             receiver.close()
             peer.close()
-
-    asyncio.run(scenario())
-
-
-def test_lost_coalesced_ack_retries_every_frame_it_named():
-    """The one datagram acking four frames is lost: all four are retried,
-    each retry is dropped as a duplicate and acked again."""
-
-    async def scenario():
-        sender = LiveEndpoint(
-            "s", reliability=ReliabilityConfig(ack_timeout_s=0.03)
-        )
-        receiver = LiveEndpoint("r")
-        delivered = []
-
-        def on_batch(batch):
-            for view, _source, preamble in batch:
-                delivered.append(preamble.seq)
-                view.release()
-
-        receiver.on_batch = on_batch
-        raw_send = receiver._raw_send
-        lost = []
-
-        def lossy_raw_send(datagram, addr):
-            if not lost:
-                lost.append(bytes(datagram))
-                return
-            raw_send(datagram, addr)
-
-        receiver._raw_send = lossy_raw_send
-        await sender.open()
-        addr = await receiver.open()
-        try:
-            seqs = [
-                sender.send(data_frame(0, b"m%d" % i), addr, reliable=True)
-                for i in range(4)
-            ]
-            await until(lambda: not sender._pending)
-            assert ack_seqs(lost[0], decode_preamble(lost[0])) == tuple(seqs)
-            assert delivered == seqs  # each frame handed up exactly once
-            assert sender.metrics.retries == 4
-            assert receiver.metrics.dropped("duplicate") == 4
-            # The lost one, then an ack (or several) for the duplicates.
-            assert receiver.metrics.acks_out >= 2
-            assert sender.metrics.acks_in == receiver.metrics.acks_out - 1
-        finally:
-            sender.close()
-            receiver.close()
 
     asyncio.run(scenario())

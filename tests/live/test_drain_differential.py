@@ -8,16 +8,17 @@ take identical steps, one drained by its own method and one by the
 reference, and must agree after every step on everything an observer can
 see: the batches handed to the consumer (bytes, source, ``Preamble``),
 every datagram sent (acks and forwards: bytes, address, order), every
-counter and drop reason, the retry table and which of its slots came
-back, the dedup windows, the wakeup accounting, and the ring's books.
+counter and drop reason, the probe ladder (probes out, peers unheard),
+the wakeup accounting, and the ring's books.  Both sides run on a
+virtual clock (``oracle.FakeLoop``), so a script's waits let probes go
+unanswered and later ones carry numbers.
 
 Ring conservation is stated so that it holds whoever drains: slots
 acquired and not yet released are exactly those a batch consumer still
-holds, those pinned in the retry table, and the (at most one) receive
-slot the endpoint itself keeps between wakeups.
+holds and the (at most one) receive slot the endpoint itself keeps
+between wakeups.
 """
 
-import asyncio
 import dataclasses
 from collections import deque
 from unittest import mock
@@ -34,10 +35,10 @@ from repro.live.frames import (
     encode_ack,
     encode_preamble,
 )
-from repro.live.link import _MSG_TRUNC, LiveEndpoint, ReliabilityConfig
+from repro.live.link import _MSG_TRUNC, LiveEndpoint, LivenessConfig
 from repro.viper.ring import BufferRing
 from repro.viper.wire import MAX_SEGMENTS
-from tests.live.oracle import drain_reference, slot_view
+from tests.live.oracle import FakeLoop, drain_reference, probe_deadline, slot_view
 
 PEERS = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
 
@@ -94,12 +95,10 @@ class Side:
 
     def __init__(self, drain, config):
         self.config = config
-        self.loop = asyncio.new_event_loop()
+        self.loop = FakeLoop()
         endpoint = self.endpoint = LiveEndpoint(
             "under-test",
-            reliability=ReliabilityConfig(
-                ack_timeout_s=60.0, dedup_window=config["dedup_window"],
-            ),
+            liveness=LivenessConfig(ack_timeout_s=0.05, max_retries=1),
             ring=BufferRing(
                 slots=config["slots"], slot_bytes=config["slot_bytes"]
             ),
@@ -113,12 +112,9 @@ class Side:
         self.batches = []
         #: Views a holding consumer still owns.
         self.held = []
-        #: seq -> (slot, its generation then) of every frame ever pinned
-        #: in the retry table; a release bumps the generation.
-        self.pinned = {}
-        #: The first reliable frame's ack deadline: the loop never runs
-        #: here, so the one retry timer stays armed for it.
-        self.first_deadline = None
+        #: Peers declared dead, in order.
+        self.dead = []
+        endpoint.on_peer_dead = self.dead.append
         consumer = config["consumer"]
         if consumer != "none":
             endpoint.on_batch = getattr(self, "_" + consumer)
@@ -141,33 +137,25 @@ class Side:
         self.held.extend(view for view, _source, _preamble in batch)
 
     def _forward(self, batch):
-        """What a router does with a frame: on to the next peer, with a
-        hop sequence number of its own when the frame came with one."""
+        """What a router does with a frame: on to the next peer, the hop
+        sequence number its own (the view still carries the arrival's)."""
         self._record(batch)
-        for view, source, preamble in batch:
+        for view, source, _preamble in batch:
             onward = PEERS[(PEERS.index(source) + 1) % self.config["peers"]]
-            self.endpoint.send_view(view, onward, reliable=bool(preamble.seq))
-        self._note_pinned()
+            self.endpoint.send_view(view, onward)
 
     # -- steps -----------------------------------------------------------
-
-    def _note_pinned(self):
-        endpoint = self.endpoint
-        if self.first_deadline is None and endpoint._pending:
-            sent_at = next(iter(endpoint._pending.values()))[3]
-            self.first_deadline = sent_at + endpoint.reliability.ack_timeout_s
-        for seq, (_data, slot, _addr, _sent_at) in endpoint._pending.items():
-            if slot is not None and seq not in self.pinned:
-                self.pinned[seq] = (slot, slot.generation)
 
     def send(self, peer, via_view, body):
         frame = encode_preamble(FRAME_DATA, 0, 0, len(body)) + body
         if via_view:
             view = slot_view(self.endpoint.ring, frame)
-            self.endpoint.send_view(view, PEERS[peer], reliable=True)
+            self.endpoint.send_view(view, PEERS[peer])
         else:
-            self.endpoint.send(frame, PEERS[peer], reliable=True)
-        self._note_pinned()
+            self.endpoint.send(frame, PEERS[peer])
+
+    def wait(self, seconds):
+        self.loop.advance(seconds)
 
     def wakeup(self, arrivals):
         self.sock.queue.extend(arrivals)
@@ -178,7 +166,6 @@ class Side:
             view.release()
         self.held = []
         self.endpoint.close()
-        self.loop.close()
 
     # -- what an observer can see ------------------------------------------
 
@@ -188,20 +175,10 @@ class Side:
             "batches": self.batches,
             "sent": self.sock.sent,
             "metrics": dataclasses.asdict(endpoint.metrics),
-            "pending": {
-                seq: (bytes(data), addr, slot is not None)
-                for seq, (data, slot, addr, _sent_at)
-                in endpoint._pending.items()
-            },
-            "pinned_slot_released": {
-                seq: slot.generation > pinned_at
-                for seq, (slot, pinned_at) in self.pinned.items()
-            },
+            "probes": list(endpoint._probes.items()),
+            "unheard": dict(endpoint._unheard),
+            "dead": self.dead,
             "held_alive": [view.alive() for view in self.held],
-            "seen": {
-                addr: (sorted(values), list(order))
-                for addr, (values, order) in endpoint._seen.items()
-            },
             "rx_batches": endpoint.rx_batches,
             "rx_datagrams": endpoint.rx_datagrams,
             "left_in_socket": len(self.sock.queue),
@@ -211,26 +188,22 @@ class Side:
         """Ring conservation and the one-timer invariant."""
         endpoint = self.endpoint
         stats = endpoint.ring.stats
-        pinned = sum(
-            1 for _data, slot, _addr, _sent_at in endpoint._pending.values()
-            if slot is not None
-        )
         # getattr: the reference's side of the rule holds at a commit
         # whose endpoint keeps no receive slot at all.
         rx_slot = getattr(endpoint, "_rx_slot", None)
         assert stats.acquires - stats.releases == (
-            len(self.held) + pinned + (rx_slot is not None)
+            len(self.held) + (rx_slot is not None)
         )
         assert all(view.alive() for view in self.held)
         assert rx_slot is None or not rx_slot.free
-        # Nothing times out here: no backoff record, and the timer armed
-        # by the first reliable send is never moved (acks leave it).
-        assert endpoint._retry_heap == []
-        if self.first_deadline is None:
-            assert endpoint._retry_timer is None
+        # The one timer is armed for the oldest probe's deadline exactly
+        # while a probe is out.
+        timer = endpoint._probe_timer
+        if endpoint._probes:
+            assert not timer.cancelled()
+            assert timer.when() == probe_deadline(endpoint)
         else:
-            assert endpoint._retry_timer.when() == self.first_deadline
-            assert not endpoint._retry_timer.cancelled()
+            assert timer is None
 
 
 def run_case(config, steps):
@@ -257,6 +230,8 @@ def run_case(config, steps):
                 for side in (subject, reference):
                     if step[0] == "send":
                         side.send(*step[1:])
+                    elif step[0] == "wait":
+                        side.wait(step[1])
                     else:
                         side.wakeup(step[1])
                     side.check_books()
@@ -291,8 +266,8 @@ def preamble_bytes(magic=b"VL", version=1, kind=FRAME_DATA, seq=0,
     )
 
 
-#: Small numbers collide: duplicates, acks that find a pending frame (the
-#: endpoint's own sequence space starts at 1) and acks that find none.
+#: Small numbers collide: duplicates, acks that name a numbered probe out
+#: (the endpoint's own sequence space starts at 1) and acks that name none.
 hop_seqs = st.one_of(st.integers(1, 12), st.integers(1, 0xFFFFFFFF))
 
 data_frames = st.builds(
@@ -350,7 +325,6 @@ def cases(draw):
     config = {
         "peers": draw(st.integers(1, 3)),
         "rx_batch": draw(st.sampled_from([1, 3, 32])),
-        "dedup_window": draw(st.sampled_from([2, 4, 1024])),
         # 19 bytes hold an ack of three numbers; 40 make most data
         # frames oversize; 4096 is the default.
         "slot_bytes": draw(st.sampled_from([19, 40, 4096])),
@@ -376,8 +350,9 @@ def cases(draw):
         st.tuples(st.just("wakeup"), st.lists(arrival, max_size=8)),
         st.tuples(st.just("wakeup"), st.lists(arrival, max_size=8)),
         st.tuples(st.just("send"), peer, st.booleans(), st.binary(max_size=8)),
+        st.tuples(st.just("wait"), st.sampled_from([0.01, 0.05, 0.12])),
     )
-    return config, draw(st.lists(step, min_size=1, max_size=8))
+    return config, draw(st.lists(step, min_size=1, max_size=10))
 
 
 @settings(max_examples=600, deadline=None)
@@ -391,8 +366,8 @@ def test_drain_equals_reference_on_generated_wakeups(case):
 
 A, B, C = PEERS
 DEFAULTS = {
-    "peers": 3, "rx_batch": 32, "dedup_window": 1024, "slot_bytes": 4096,
-    "slots": 8, "consumer": "release",
+    "peers": 3, "rx_batch": 32, "slot_bytes": 4096, "slots": 8,
+    "consumer": "release",
 }
 
 
@@ -401,7 +376,7 @@ def scripted(**overrides):
 
 
 NAMED = {
-    "one reliable frame, the bare ack": (
+    "one numbered probe, the bare ack": (
         scripted(), [("wakeup", [(data_frame(7), A)])],
     ),
     "one peer, several numbers, duplicates acked again": (
@@ -422,8 +397,8 @@ NAMED = {
         [("wakeup", [(data_frame(s, b""), A) for s in range(1, 8)]
           + [(data_frame(s, b""), B) for s in range(1, 5)])],
     ),
-    "duplicate beyond the dedup window is delivered again": (
-        scripted(dedup_window=2),
+    "duplicates are delivered: the transport drops them": (
+        scripted(),
         [("wakeup", [(data_frame(s), A) for s in (1, 2, 3, 1, 3)])],
     ),
     "burst longer than rx_batch spills into the next wakeups": (
@@ -432,16 +407,26 @@ NAMED = {
     ),
     "acks: lone, coalesced, stray, unknown, between data": (
         scripted(consumer="hold"),
+        # Three silent peers: their second probes carry numbers 1-3.
         [("send", 0, True, b"a"), ("send", 1, False, b"b"),
-         ("send", 0, True, b"c"), ("send", 2, True, b"d"),
+         ("send", 2, True, b"c"), ("wait", 0.06),
+         ("send", 0, True, b"d"), ("send", 1, False, b"e"),
+         ("send", 2, True, b"f"),
          ("wakeup", [
-             (encode_ack(2), A),            # B's frame acked by A: stray
+             (encode_ack(2), A),            # B's probe acked by A: stray
              (data_frame(5), A),
-             (encode_ack(1, [3, 77]), A),   # two of A's and an unknown
-             (encode_ack(4), C),
+             (encode_ack(1, [77]), A),      # A's own and an unknown
+             (encode_ack(3), C),
              (data_frame(6), A),
              (encode_ack(2), B),
          ])],
+    ),
+    "a silent peer's ladder ends in a verdict": (
+        scripted(peers=2),
+        [("send", 0, True, b"a"), ("wait", 0.05), ("send", 0, False, b"b"),
+         ("send", 1, True, b"c"),
+         ("wakeup", [(encode_ack(1), B)]),      # B names A's probe: stray
+         ("wait", 0.05)],
     ),
     "socket error ends the drain, the rest waits": (
         scripted(),
@@ -463,12 +448,13 @@ NAMED = {
         scripted(consumer="none"),
         [("wakeup", [(data_frame(1), A), (data_frame(0), B)])],
     ),
-    "a forwarding consumer pins slots the next acks release": (
+    "a forwarding consumer's sends give their slots back": (
         scripted(consumer="forward", peers=2, slots=2),
         [("wakeup", [(data_frame(10), A), (data_frame(0), A),
                      (data_frame(11), A)]),
-         ("wakeup", [(encode_ack(1), B), (encode_ack(2), A)]),
-         ("wakeup", [(encode_ack(2), B), (data_frame(12, trace_id=99), B)])],
+         ("wait", 0.06),
+         ("wakeup", [(data_frame(0), A), (encode_ack(2), A)]),
+         ("wakeup", [(encode_ack(1), B), (data_frame(12, trace_id=99), B)])],
     ),
     "a wakeup with nothing to read": (scripted(), [("wakeup", [])]),
 }
@@ -496,5 +482,8 @@ def test_the_named_scripts_reach_what_they_name():
     assert side.endpoint.metrics.drops == {"stray_ack": 1}
     assert side.endpoint.metrics.acks_in == 4
     assert side.sock.sent[-1] == (encode_ack(5, [6]), A)
+    side = run_case(*NAMED["a silent peer's ladder ends in a verdict"])
+    assert side.dead == [A]
+    assert side.endpoint.metrics.drops == {"stray_ack": 1, "peer_dead": 1}
     side = run_case(*NAMED["an ack owes more numbers than fit the peer's slot"])
     assert [len(ack) for ack, _addr in side.sock.sent] == [19, 19, 11, 19, 11]

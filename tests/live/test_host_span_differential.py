@@ -219,8 +219,8 @@ def capture_host(traced: bool):
     host.connect_port(ARRIVAL_PORT, PEER)
     sent, delivered = [], []
 
-    def send(datagram, addr, reliable=False):
-        sent.append((datagram, addr, reliable))
+    def send(datagram, addr):
+        sent.append((datagram, addr))
         return 0
 
     host.endpoint.send = send
@@ -285,7 +285,7 @@ def check_reply(host, sent, got, packet, rng) -> bool:
         ))
         if isinstance(expected, bytes):
             assert result == trace_id
-            assert sent.pop() == (expected, PEER, True)
+            assert sent.pop() == (expected, PEER)
         else:
             assert result is expected
             refused = True
@@ -429,8 +429,8 @@ def test_send_emits_the_structural_frame(traced):
             payload = rng.randbytes(rng.randrange(100))
             trace_id = host.send(route, payload, priority=priority, dib=dib)
             assert bool(trace_id) == traced
-            frame, addr, reliable = sent.pop()
-            assert (addr, reliable) == (PEER, True)
+            frame, addr = sent.pop()
+            assert addr == PEER
             assert frame == reference_frame(
                 route.segments, route.alternates, payload, priority, dib,
                 trace_id,

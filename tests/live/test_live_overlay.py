@@ -16,11 +16,12 @@ from repro.live import (
     LiveEndpoint,
     LiveOverlay,
     LiveTransactor,
-    ReliabilityConfig,
+    LivenessConfig,
     WallClock,
     encode_live_frame,
 )
 from repro.live.frames import encode_ack
+from repro.live.link import Impairments
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.transport.rebind import RouteManager
@@ -52,6 +53,39 @@ def _line_topology():
     topo.connect(r1, r2)
     topo.connect(r2, server)
     return topo
+
+
+def _three_router_topology():
+    """client — r1 — r2 — r3 — server, point-to-point."""
+    sim = Simulator()
+    topo = Topology(sim)
+    nodes = [SirpentHost(sim, "client")] + [
+        SirpentRouter(sim, f"r{n}") for n in (1, 2, 3)
+    ] + [SirpentHost(sim, "server")]
+    for near, far in zip(nodes, nodes[1:]):
+        topo.connect(near, far)
+    return topo
+
+
+async def _send_every(gap_s, send, gaps):
+    """Call ``send()`` every ``gap_s`` until cancelled, recording the gaps
+    the loop really kept."""
+    loop = asyncio.get_running_loop()
+    last = loop.time()
+    while True:
+        send()
+        await asyncio.sleep(gap_s)
+        now = loop.time()
+        gaps.append(now - last)
+        last = now
+
+
+def _ladder_bound(liveness, gap_s):
+    """The latest a silent peer can be declared dead after it fell silent:
+    the probe window in progress, then ``1 + max_retries`` unanswered
+    ones, each opened by the first send after the last closed."""
+    rungs = 1 + liveness.max_retries
+    return liveness.ack_timeout_s + rungs * (liveness.ack_timeout_s + gap_s)
 
 
 def _diamond_topology():
@@ -109,32 +143,44 @@ def test_udp_socketpair_roundtrip():
     asyncio.run(scenario())
 
 
-def test_reliable_send_acks_and_dead_peer():
-    """Nonzero-seq frames are acked; a dead peer is detected via retries."""
+def test_probe_ladder_finds_a_closed_peer_dead():
+    """A peer that sends nothing back is asked with numbered probes,
+    whose acks keep it alive; once its socket closes, the ladder runs
+    out and ``on_peer_dead`` names it — once, in time, with nothing
+    retransmitted."""
 
     async def scenario():
-        sender = LiveEndpoint(
-            "a", reliability=ReliabilityConfig(ack_timeout_s=0.02)
-        )
+        liveness = LivenessConfig(ack_timeout_s=0.02, max_retries=2)
+        sender = LiveEndpoint("a", liveness=liveness)
         receiver = LiveEndpoint("b")
         receiver.on_batch = lambda batch: [
             view.release() for view, _addr, _preamble in batch
         ]
+        loop = asyncio.get_running_loop()
+        dead = []
+        sender.on_peer_dead = lambda addr: dead.append((loop.time(), addr))
         await sender.open()
         addr = await receiver.open()
         payload = b"x"
-        packet = SirpentPacket(
+        frame = encode_live_frame(SirpentPacket(
             segments=[HeaderSegment(port=0)], payload_size=1, payload=payload,
+        ), payload)
+        gaps = []
+        traffic = asyncio.ensure_future(
+            _send_every(0.005, lambda: sender.send(frame, addr), gaps)
         )
-        sender.send(encode_live_frame(packet, payload), addr, reliable=True)
-        await _eventually(lambda: sender.metrics.acks_in == 1)
-        dead = []
-        sender.on_peer_dead = dead.append
+        await asyncio.sleep(0.2)
+        # Ten windows of one-way traffic: every other probe is numbered,
+        # and its ack resets the ladder.
+        assert sender.metrics.acks_in >= 2 and dead == []
         receiver.close()
-        sender.send(encode_live_frame(packet, payload), addr, reliable=True)
+        closed_at = loop.time()
         await _eventually(lambda: dead, timeout_s=3.0)
-        assert sender.metrics.retries >= 1
+        traffic.cancel()
+        assert [peer for _at, peer in dead] == [addr]
+        assert dead[0][0] - closed_at <= _ladder_bound(liveness, max(gaps)) + 0.03
         assert sender.metrics.dropped("peer_dead") == 1
+        assert sender.metrics.retries == 0
         sender.close()
 
     asyncio.run(scenario())
@@ -142,14 +188,16 @@ def test_reliable_send_acks_and_dead_peer():
 
 def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
     """Regression: the hop sequence counter was unbounded, so the 2**32-th
-    reliable send raised ``ValueError`` out of ``send`` / ``send_view``
+    numbered send raised ``ValueError`` out of ``send`` / ``send_view``
     (inside a router's batch loop: the rest of the batch lost, its slots
     leaked) and a number wrapped to 0 would have read as ``SEQ_NONE``.
     After 0xFFFFFFFF comes 1."""
 
     async def scenario():
-        sender = LiveEndpoint("a")
-        receiver = LiveEndpoint("b")
+        sender = LiveEndpoint(
+            "a", liveness=LivenessConfig(ack_timeout_s=0.02, max_retries=9)
+        )
+        receivers = [LiveEndpoint(f"b{n}") for n in range(4)]
         delivered = []
 
         def on_batch(batch):
@@ -157,33 +205,43 @@ def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
                 delivered.append((preamble.seq, view.tobytes()[-2:]))
                 view.release()
 
-        receiver.on_batch = on_batch
         await sender.open()
-        addr = await receiver.open()
-        # Whatever holds the sequence space, start it two short of the top.
-        sender._seq = type(sender._seq)(0xFFFFFFFE)
-        sent = []
-        for payload in (b"m0", b"m1", b"m2", b"m3"):
-            frame = encode_live_frame(SirpentPacket(
+        addrs = []
+        for receiver in receivers:
+            receiver.on_batch = on_batch
+            addrs.append(await receiver.open())
+
+        def frame_of(payload):
+            return encode_live_frame(SirpentPacket(
                 segments=[HeaderSegment(port=0)],
                 payload_size=len(payload), payload=payload,
             ), payload)
+
+        # Four silent peers: the next probe to each carries a number.
+        for addr in addrs:
+            assert sender.send(frame_of(b"--"), addr) == 0
+        await _eventually(lambda: len(sender._unheard) == 4 and not sender._probes)
+        del delivered[:]
+        # Whatever holds the sequence space, start it two short of the top.
+        sender._seq = type(sender._seq)(0xFFFFFFFE)
+        sent = []
+        for payload, addr in zip((b"m0", b"m1", b"m2", b"m3"), addrs):
             if payload in (b"m0", b"m3"):
-                sent.append(sender.send(frame, addr, reliable=True))
+                sent.append(sender.send(frame_of(payload), addr))
             else:
                 sent.append(sender.send_view(
-                    slot_view(sender.ring, frame), addr, reliable=True
+                    slot_view(sender.ring, frame_of(payload)), addr
                 ))
         assert sent == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2]
-        await _eventually(lambda: not sender._pending)
+        await _eventually(lambda: sender.metrics.acks_in == 4)
         await _eventually(lambda: len(delivered) == 4)
-        assert delivered == [
-            (0xFFFFFFFE, b"m0"), (0xFFFFFFFF, b"m1"), (1, b"m2"), (2, b"m3"),
+        assert sorted(delivered) == [
+            (1, b"m2"), (2, b"m3"), (0xFFFFFFFE, b"m0"), (0xFFFFFFFF, b"m1"),
         ]
-        assert sender.metrics.retries == 0
-        assert receiver.metrics.dropped("duplicate") == 0
+        assert not sender._unheard
         sender.close()
-        receiver.close()
+        for receiver in receivers:
+            receiver.close()
 
     asyncio.run(scenario())
 
@@ -209,23 +267,24 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
         slot_bytes = receiver.ring.slot_bytes
 
         def frame_of(size):
-            # 11-byte preamble + one 4-byte segment + payload.
+            # 11-byte preamble + one 4-byte segment + payload; numbered,
+            # so the receiver acks it if it can read it.
             payload = b"x" * (size - 15)
             frame = encode_live_frame(SirpentPacket(
                 segments=[HeaderSegment(port=0)],
                 payload_size=len(payload), payload=payload,
-            ), payload)
+            ), payload, seq=7)
             assert len(frame) == size
             return frame
 
-        sender.send(frame_of(slot_bytes + 1), addr, reliable=True)
+        sender.send(frame_of(slot_bytes + 1), addr)
         await _eventually(lambda: receiver.metrics.dropped("oversize") == 1)
         assert received == [] and receiver.metrics.acks_out == 0
-        sender.send(frame_of(slot_bytes), addr, reliable=True)
+        sender.send(frame_of(slot_bytes), addr)
         await _eventually(lambda: sender.metrics.acks_in == 1)
         assert received == [slot_bytes]
-        # Conservation: nothing is delivered-and-unreleased or pinned, so
-        # the only slot out of the ring is the one the endpoint receives
+        # Conservation: nothing is delivered-and-unreleased, so the only
+        # slot out of the ring is the one the endpoint receives
         # into (ARCHITECTURE §14) — and close() gives that one back.
         ring = receiver.ring
         assert ring.stats.acquires - ring.stats.releases == 1
@@ -286,16 +345,18 @@ def test_endpoint_owns_one_receive_slot_between_wakeups():
 
 
 def test_host_refuses_a_frame_no_endpoint_would_accept():
-    """Regression: a 4,200-byte payload used to leave the host, be dropped
-    ``oversize`` (unacked) by the first router on every retry, and end in
-    ``on_peer_dead`` for a router that was up the whole time."""
+    """Regression: a 4,200-byte payload used to leave the host and be
+    dropped ``oversize`` (unacked) by the first router, which the hop
+    layer read as that router dying.  The host refuses such a frame; the
+    largest that fits crosses both routers, and a numbered probe of that
+    size is acked, so one-way traffic of it never loses the port."""
 
     async def scenario():
         overlay = LiveOverlay(_line_topology())
         await overlay.start()
         try:
             client, server = overlay.hosts["client"], overlay.hosts["server"]
-            client.endpoint.reliability = ReliabilityConfig(ack_timeout_s=0.01)
+            client.endpoint.liveness = LivenessConfig(ack_timeout_s=0.01)
             dead, delivered = [], []
             client.endpoint.on_peer_dead = dead.append
             server.bind(5, delivered.append)
@@ -303,13 +364,66 @@ def test_host_refuses_a_frame_no_endpoint_would_accept():
             with pytest.raises(ValueError, match="exceeds the overlay"):
                 client.send(route, b"x" * 4200)
             assert client.metrics.frames_out == 0
-            # The largest payload that fits crosses both routers.
-            client.send(route, b"y" * 4000)
-            await _eventually(lambda: delivered)
+            # The largest payload that fits crosses both routers, one way
+            # only, for well past the ladder (4 x 10 ms).
+            for _ in range(40):
+                client.send(route, b"y" * 4000)
+                await asyncio.sleep(0.005)
+            await _eventually(lambda: len(delivered) == 40)
             assert delivered[0].payload == b"y" * 4000
-            await asyncio.sleep(0.1)  # > every retry the old bug burned
             assert dead == []
+            assert client.metrics.acks_in >= 1
             assert overlay.routers["r1"].metrics.total_drops() == 0
+        finally:
+            overlay.stop()
+        await asyncio.sleep(0.01)
+
+    asyncio.run(scenario())
+
+
+def test_lossy_overlay_keeps_its_ports_until_a_router_stops():
+    """Three routers, 2 % loss on every endpoint, request/response
+    traffic for two seconds: the replies answer every probe window, so no
+    port is ever declared dead.  Then r2 stops, and r1's port to it goes
+    down within the ladder's bound."""
+
+    async def scenario():
+        liveness = LivenessConfig()
+        overlay = LiveOverlay(
+            _three_router_topology(),
+            impairments=Impairments(loss_rate=0.02, seed=7),
+            liveness=liveness,
+        )
+        await overlay.start()
+        loop = asyncio.get_running_loop()
+        try:
+            client, server = overlay.hosts["client"], overlay.hosts["server"]
+            r1 = overlay.routers["r1"]
+            replies = []
+            client.bind(6, replies.append)
+            server.bind(5, lambda delivered: server.send_return(
+                delivered, b"pong", reply_socket=6,
+            ))
+            route = overlay.routes("client", "server", dest_socket=5)[0]
+            down = []
+            r1.on_link_down = lambda port: down.append((loop.time(), port))
+            gaps = []
+            traffic = asyncio.ensure_future(_send_every(
+                0.002, lambda: client.send(route, b"ping"), gaps,
+            ))
+            await asyncio.sleep(2.0)
+            assert len(gaps) > 100 and len(replies) > len(gaps) // 2
+            nodes = [*overlay.routers.values(), *overlay.hosts.values()]
+            assert sum(n.metrics.dropped("loss_injected") for n in nodes) > 0
+            assert [n.name for n in nodes if n.metrics.dropped("peer_dead")] == []
+            assert down == [] and not r1.dead_ports
+            overlay.kill("r2")
+            stopped_at = loop.time()
+            await _eventually(lambda: down, timeout_s=3.0)
+            traffic.cancel()
+            (at, port), = down
+            assert overlay.routers["r1"].ports[port] == overlay.addresses["r2"]
+            assert at - stopped_at <= _ladder_bound(liveness, max(gaps)) + 0.05
         finally:
             overlay.stop()
         await asyncio.sleep(0.01)

@@ -65,7 +65,7 @@ def tracked_after(router, datagrams):
 
 def test_a_new_flow_keeps_few_objects_and_leaves_one_behind():
     router, _ = capture_router("r", ports=(1, OUT))
-    router.endpoint.send_view = lambda view, addr, reliable=False: view.release()
+    router.endpoint.send_view = lambda view, addr: view.release()
     mint, capacity = router.mint, router.flow_cache.capacity
     cache, ledger = router.token_cache, router.token_cache.ledger
     assert FLOWS < capacity

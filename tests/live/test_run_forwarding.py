@@ -92,7 +92,7 @@ class Bench:
 
         router.metrics.drop = recorded_drop
 
-        def send_view(view, addr, reliable=False):
+        def send_view(view, addr):
             self.fates.append(("forward", view.tobytes(), addr))
             view.release()
             return 0
@@ -493,9 +493,9 @@ def between_frames(bench, mutation):
     endpoint = bench.router.endpoint
     send_view = endpoint.send_view
 
-    def once(view, addr, reliable=False):
+    def once(view, addr):
         endpoint.send_view = send_view
-        send_view(view, addr, reliable)
+        send_view(view, addr)
         mutation()
 
     endpoint.send_view = once

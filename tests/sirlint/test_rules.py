@@ -881,7 +881,7 @@ def test_sir008_fires_in_the_live_batch_loop():
 
 def test_sir008_fires_in_the_link_layer_drain():
     """``LiveEndpoint._on_readable`` runs once per frame at batch fill 1:
-    a dict of acks per wakeup, a copy per datagram or a list per send is
+    a dict of acks per wakeup, a copy per datagram or a list per ack is
     a finding, and so is dropping any of the four pinned markers."""
     findings = analyze(
         """
@@ -893,29 +893,34 @@ def test_sir008_fires_in_the_link_layer_drain():
                     nbytes, _anc, flags, addr = self._sock.recvmsg_into(self._buffers)
                     acks.setdefault(addr, []).append(bytes(self._slot.view[4:8]))
 
-            def send_view(self, view, addr, reliable=False):  # sirlint: hot
+            def send(self, datagram, addr):
+                if addr not in self._probes:
+                    self._probe(addr)
+                self._raw_send(datagram, addr)
+
+            def send_view(self, view, addr):  # sirlint: hot
                 self._sock.sendto(view.mem, addr)
 
-            def _await_ack(self, seq, data, slot, addr):
-                self._pending[seq] = [data, slot, addr]
-
             def _on_ack(self, acked, addr):  # sirlint: hot
-                for seq in acked:
-                    del self._pending[seq]
+                for peer, (seq, _sent_at) in self._probes.items():
+                    if seq in [*acked]:
+                        return
         """,
         "repro.live.link",
         path="src/repro/live/link.py",
     )
     assert sorted(f.symbol for f in findings if f.rule == "SIR008") == [
+        "_on_ack:list-literal",
         "_on_readable:call:bytes", "_on_readable:dict-literal",
         "_on_readable:list-literal", "_on_readable:list-literal",
-        "hot-marker:_await_ack",
+        "hot-marker:send",
     ]
 
 
 def test_sir008_silent_on_the_drain_with_its_one_reasoned_container():
     """The batch is the wakeup's product and carries the reasoned disable;
-    the multi-peer ack arm allocates in an unmarked helper."""
+    the multi-peer ack arm and a probe's entry allocate in unmarked
+    helpers."""
     findings = analyze(
         """
         class LiveEndpoint:
@@ -940,18 +945,25 @@ def test_sir008_silent_on_the_drain_with_its_one_reasoned_container():
                     acks = {ack_peer: owed}
                 return acks, acks.setdefault(addr, [])
 
-            def send_view(self, view, addr, reliable=False):  # sirlint: hot
+            def send(self, datagram, addr):  # sirlint: hot
+                seq = 0 if addr in self._probes else self._probe(addr)
+                restamp_seq_into(datagram, 0, seq)
+                self._raw_send(datagram, addr)
+
+            def send_view(self, view, addr):  # sirlint: hot
                 mem = view.mem
                 self._sock.sendto(mem, addr)
 
-            def _await_ack(self, seq, data, slot, addr):  # sirlint: hot
-                now = self._wakeup_at
-                self._pending[seq] = (data, slot, addr, now)
+            def _probe(self, addr):
+                self._probes[addr] = (self._seq, self._loop.time())
+                return self._seq
 
             def _on_ack(self, acked, addr):  # sirlint: hot
-                pending = self._pending
-                for seq in acked:
-                    del pending[seq]
+                probes = self._probes
+                probe = probes.get(addr)
+                if probe is not None and probe[0] in acked:
+                    probes[addr] = (0, probe[1])
+                self._misses.pop(addr, None)
         """,
         "repro.live.link",
         path="src/repro/live/link.py",

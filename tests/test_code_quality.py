@@ -129,12 +129,6 @@ OPTION_CONSTRUCTORS = {
 
 #: Options no module outside tests sets, kept settable on purpose.
 KEPT_OPTIONS = {
-    "LiveRouterConfig.reliable_hops":
-        "ROADMAP item 2 settles hop ARQ against transport recovery, then "
-        "deletes the loser",
-    "ReliabilityConfig.dedup_window":
-        "the Hypothesis drain differential draws it; ROADMAP item 7 "
-        "redesigns the bound",
     "LiveEndpoint.ring":
         "the Hypothesis drain differential draws it; ROADMAP item 7 "
         "redesigns the bound",

@@ -20,7 +20,7 @@ layers both drivers share), the simulator's frame-hop loop in
 :mod:`repro.sim`, :mod:`repro.core` and :mod:`repro.net` (engine
 scheduling, the router driver's process/apply/forward, the output
 port, the channel) and, in :mod:`repro.live`, the router's batch loop
-and the endpoint's drain / send / retry-table entry under it.  Slow-path oracles — the
+and the endpoint's drain, sends and ack handling under it.  Slow-path oracles — the
 materialising codec, ``tobytes()`` escape hatches, multicast expansion
 — stay unmarked and free to allocate; a genuinely-justified allocation
 in a hot function carries an inline ``# sirlint: disable=SIR008``.
@@ -81,14 +81,16 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
         "_on_batch",
     ),
     # The link layer under it (PR 23): one wakeup per frame at batch
-    # fill 1, one send and one ``_pending`` insert (``_await_ack``) per
-    # frame-hop, one ``_on_ack`` per ack datagram, whatever it names.
-    # The multi-peer ack arm and the retry timer's callbacks are
-    # unmarked; the wakeup's batch is the one reasoned container.
+    # fill 1, one send per frame-hop (``send_view`` from a router,
+    # ``send`` from a host; each looks up the peer's probe), one
+    # ``_on_ack`` per ack datagram, whatever it names.  The multi-peer
+    # ack arm, a probe's entry and the probe timer are unmarked: they run
+    # once per peer per ack timeout.  The wakeup's batch is the one
+    # reasoned container.
     "repro.live.link": (
         "_on_readable",
+        "send",
         "send_view",
-        "_await_ack",
         "_on_ack",
     ),
     # One simulated frame-hop runs through exactly these; a per-hop

@@ -17,8 +17,8 @@ the powerset of:
 Ownership follows *move semantics*: passing a tracked value to an
 unknown call, returning it, or storing it in a container transfers
 ownership and ends tracking (``E`` is absorbing — it suppresses
-leak/use reports so correlated branches like ``send_view``'s
-reliable-pin vs unreliable-release split stay quiet).  A small borrow
+leak/use reports so correlated branches, where one arm hands the view
+on and the other releases it, stay quiet).  A small borrow
 table (``len``, ``isinstance``, the in-place codec helpers…) lists
 callees that inspect without consuming.
 
