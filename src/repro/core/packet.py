@@ -20,7 +20,7 @@ import copy
 from typing import Any, List, Optional
 
 from repro.live.frames import (
-    PAYLOAD_LEN_OFFSET, PREAMBLE_BYTES, SEG_COUNT_OFFSET, SEQ_NONE, encode_preamble_into,
+    PAYLOAD_LEN_OFFSET, PREAMBLE_BYTES, SEG_COUNT_OFFSET, encode_preamble_into,
 )
 from repro.viper.wire import PORT_OFFSET, PacketView, segment_span
 
@@ -57,7 +57,7 @@ class FramePacket:
     ) -> None:
         size = HEADER + len(body) + filler
         buffer = bytearray(size + len(body) + TAILROOM)
-        encode_preamble_into(buffer, 0, SEQ_NONE, seg_count, payload_size)
+        encode_preamble_into(buffer, 0, seg_count, payload_size)
         buffer[HEADER:HEADER + len(body)] = body
         self.view = PacketView(buffer, 0, size)  # sirlint: disable=SIR009 -- over the packet's own bytearray, no ring slot
         self.payload = payload

@@ -59,9 +59,12 @@ The hosts' two edges work on byte spans too: :func:`encode_route_header`
 (a route's header, encoded once per route), :func:`frame_with_header`,
 :func:`frame_spans` (an arriving frame validated by offsets) and
 :func:`return_route_header` (the reply's route copied from the trailer
-spans).  :func:`encode_live_frame` / :func:`decode_live_frame` stay the
-public structural codec — and the oracle those four are fuzzed against
-in ``tests/live/test_host_span_differential.py``.
+spans).  :func:`frame_spans` is an arriving frame's one validating
+walk; :func:`decode_live_frame`, the public structural decoder, is that
+walk materialised, and :func:`encode_live_frame` is the preamble plus
+:func:`~repro.viper.packet.encode_packet`'s body.  The structural pair
+is what ``tests/live/test_host_span_differential.py`` checks the span
+functions' results against.
 """
 
 from __future__ import annotations
@@ -74,10 +77,9 @@ from repro.viper.errors import SegmentLimitError, ViperDecodeError
 from repro.viper.packet import (
     SirpentPacket,
     TRAILER_LENGTH_BYTES,
-    TRUNCATION_MARK,
     TRUNCATION_SENTINEL,
-    TrailerElement,
-    decode_trailer,
+    encode_packet,
+    trailer_elements,
     trailer_spans,
 )
 from repro.viper.flags import FLAG_DIB, FLAG_SLICK, FLAG_VNT, validate_priority
@@ -89,7 +91,7 @@ from repro.viper.wire import (
     alt_block_span,
     decode_alt_block,
     decode_alt_blocks,
-    decode_segment,
+    decode_route,
     encode_alt_blocks,
     encode_route,
     encode_segment,
@@ -296,24 +298,6 @@ def ack_seqs(datagram, preamble: Preamble) -> Tuple[int, ...]:
     ))
 
 
-def restamp_seq(datagram: bytes, seq: int) -> bytes:
-    """Rewrite the preamble's hop-sequence cookie, copying the rest.
-
-    The link stamps a probe's number into a frame; only this module
-    knows where that field lives, so the link layer calls here instead
-    of slicing the preamble by hand.
-    """
-    if not 0 <= seq <= SEQ_MAX:
-        raise ValueError(f"sequence {seq} outside 32 bits")
-    if len(datagram) < PREAMBLE_BYTES:
-        raise ViperDecodeError("datagram shorter than the preamble")
-    return (
-        datagram[:SEQ_OFFSET]
-        + seq.to_bytes(SEQ_BYTES, "big")
-        + datagram[SEQ_OFFSET + SEQ_BYTES:]
-    )
-
-
 # -- whole-frame codec (endpoints) ------------------------------------------
 
 
@@ -323,16 +307,11 @@ def encode_live_frame(
 ) -> bytes:
     """Serialize a structural packet into one live datagram.
 
-    The body bytes are produced by the same per-structure encoders the
-    simulator's edge codec uses, so a live frame *is* a VIPER packet.
-    ``trace_id`` (or a non-zero ``packet.trace_id``) selects the traced
-    debug option.
+    The preamble, then the body :func:`~repro.viper.packet.encode_packet`
+    encodes — a live frame *is* a VIPER packet, raising what that
+    raises.  ``trace_id`` (or a non-zero ``packet.trace_id``) selects
+    the traced debug option.
     """
-    if len(payload_bytes) != packet.payload_size:
-        raise ValueError(
-            f"payload is {len(payload_bytes)} bytes but payload_size="
-            f"{packet.payload_size}"
-        )
     if packet.payload_size > MAX_PAYLOAD_BYTES:
         raise ValueError(
             f"payload of {packet.payload_size} bytes exceeds the live "
@@ -345,24 +324,10 @@ def encode_live_frame(
             f"{len(packet.alternates)} alternate block(s); the wire form "
             "needs exactly one block per slick segment"
         )
-    out = bytearray(
-        encode_preamble(
-            FRAME_DATA, seq, len(packet.segments), packet.payload_size,
-            trace_id=trace_id or packet.trace_id,
-        )
-    )
-    for segment in packet.segments:
-        out += encode_segment(segment)
-    out += encode_alt_blocks(packet.alternates)
-    out += payload_bytes
-    for element in packet.trailer:
-        if element is TRUNCATION_MARK:
-            out += TRUNCATION_SENTINEL.to_bytes(TRAILER_LENGTH_BYTES, "big")
-        else:
-            encoded = encode_segment(element.segment)
-            out += encoded
-            out += len(encoded).to_bytes(TRAILER_LENGTH_BYTES, "big")
-    return bytes(out)
+    return encode_preamble(
+        FRAME_DATA, seq, len(packet.segments), packet.payload_size,
+        trace_id=trace_id or packet.trace_id,
+    ) + encode_packet(packet, payload_bytes)
 
 
 def decode_live_frame(
@@ -374,40 +339,24 @@ def decode_live_frame(
     from this datagram (the batch contract carries it); None decodes it
     here.
 
-    Unlike the simulator's edge decoder — which locates the payload by a
-    heuristic backwards trailer walk — the explicit ``segCount`` and
-    ``payloadLen`` make this parse deterministic: the trailer region is
-    exactly the bytes after the payload, and it must decode completely.
-    Total over arbitrary bytes: malformed input raises
-    :class:`~repro.viper.errors.ViperDecodeError`.
+    :func:`frame_spans`' walk, materialised: unlike the simulator's
+    edge decoder — which locates the payload by a heuristic backwards
+    trailer walk — the explicit ``segCount`` and ``payloadLen`` make
+    the walk deterministic, and the trailer region after the payload
+    must frame completely.  Total over arbitrary bytes: malformed input
+    raises :class:`~repro.viper.errors.ViperDecodeError`.
     """
     if preamble is None:
         preamble = decode_preamble(datagram)
-    if preamble.kind != FRAME_DATA:
-        raise ViperDecodeError("not a data frame")
-    segments: List[HeaderSegment] = []
-    offset = preamble.header_len
-    for _ in range(preamble.seg_count):
-        segment, offset = decode_segment(datagram, offset)
-        segments.append(segment)
-    alternates, offset = decode_alt_blocks(
-        datagram, slick_count(segments), offset
+    _, offset, payload_end, spans = frame_spans(datagram, preamble)
+    segments, header_end = decode_route(
+        datagram, preamble.seg_count, preamble.header_len
     )
-    payload_end = offset + preamble.payload_len
-    if payload_end > len(datagram):
-        raise ViperDecodeError(
-            f"payload of {preamble.payload_len} bytes overruns the "
-            f"{len(datagram)}-byte datagram"
-        )
+    alternates, _ = decode_alt_blocks(
+        datagram, slick_count(segments), header_end
+    )
     payload_bytes = datagram[offset:payload_end]
-    trailer_region = datagram[payload_end:]
-    trailer: List[Union[TrailerElement, object]]
-    trailer, boundary = decode_trailer(trailer_region)
-    if boundary != 0:
-        raise ViperDecodeError(
-            f"trailer region does not frame: {boundary} undecodable "
-            "leading bytes"
-        )
+    trailer = trailer_elements(datagram, spans, payload_end, len(datagram))
     packet = SirpentPacket(
         segments=segments,
         payload_size=len(payload_bytes),
@@ -425,10 +374,10 @@ def decode_live_frame(
 # work on spans like the router's hop move does: a route's header bytes
 # are encoded once (per route, not per frame) and an arriving frame is
 # validated by offset arithmetic, building only what a handler reads.
-# Each function below is the byte-level twin of a structural path
-# through :func:`encode_live_frame` / :func:`decode_live_frame`, and
-# ``tests/live/test_host_span_differential.py`` fuzzes it against that
-# path as the oracle.
+# The encoders below produce the bytes :func:`encode_live_frame` would,
+# and ``tests/live/test_host_span_differential.py`` fuzzes them against
+# it; :func:`frame_spans` is the walk :func:`decode_live_frame` itself
+# materialises.
 
 
 def encode_route_header(
@@ -562,13 +511,13 @@ def frame_spans(
     The leading port — the receiving host's socket — is None when no
     segment is left.
 
-    The span twin of :func:`decode_live_frame`: every segment, every
-    slick segment's alternate block, the payload bound and a trailer
-    that frames completely are checked exactly as there — the two
-    accept the same datagrams and raise
-    :class:`~repro.viper.errors.ViperDecodeError` on the same ones —
-    but nothing is built beyond the trailer's spans, which come in
-    return-route order (:func:`~repro.viper.packet.trailer_spans`).
+    A data frame's one validating walk: every segment, every slick
+    segment's alternate block (:func:`payload_offset`), the payload
+    bound and a trailer that frames completely, raising
+    :class:`~repro.viper.errors.ViperDecodeError` on anything else.
+    Nothing is built beyond the trailer's spans, which come in
+    return-route order (:func:`~repro.viper.packet.trailer_spans`);
+    :func:`decode_live_frame` materialises what it accepted.
     """
     if preamble.kind != FRAME_DATA:
         raise ViperDecodeError("not a data frame")
@@ -592,11 +541,12 @@ def frame_spans(
     return datagram[lead + _PORT_OFFSET], offset, payload_end, spans
 
 
-def payload_offset(buffer, preamble: Preamble) -> int:
+def payload_offset(buffer, preamble: Preamble) -> int:  # sirlint: hot
     """Where the payload of the data frame ``buffer`` starts: past every
-    segment and every slick segment's alternate block, each span checked
-    as :func:`decode_live_frame` checks it (raising
-    :class:`~repro.viper.errors.ViperDecodeError` on the same bytes)."""
+    segment and every slick segment's alternate block, each walked by
+    :func:`~repro.viper.wire.segment_span` /
+    :func:`~repro.viper.wire.alt_block_span` (raising
+    :class:`~repro.viper.errors.ViperDecodeError` on a malformed one)."""
     offset = preamble.header_len
     blocks = 0
     for _ in range(preamble.seg_count):
@@ -638,17 +588,15 @@ def leading_alt_block(
 
 
 def encode_preamble_into(
-    buffer, offset: int, seq: int, seg_count: int, payload_len: int,
-    trace_id: int = 0,
+    buffer, offset: int, seg_count: int, payload_len: int, trace_id: int = 0,
 ) -> int:
     """Write a data-frame preamble into ``buffer`` at ``offset`` in place.
 
     The allocation-free twin of :func:`encode_preamble` for the hop
-    fast path (always ``FRAME_DATA`` — acks use a preallocated scratch
-    frame).  Returns the header length written (11, or 19 when traced).
+    fast path (always ``FRAME_DATA`` with hop sequence 0 — the link
+    stamps the sequence as it sends, :func:`restamp_seq_into`).  Returns
+    the header length written (11, or 19 when traced).
     """
-    if not 0 <= seq <= 0xFFFFFFFF:
-        raise ValueError(f"sequence {seq} outside 32 bits")
     if not 0 <= seg_count <= MAX_SEGMENTS:
         raise ValueError(f"segment count {seg_count} outside 0..{MAX_SEGMENTS}")
     if not 0 <= payload_len <= MAX_PAYLOAD_BYTES:
@@ -656,7 +604,7 @@ def encode_preamble_into(
     _PREAMBLE.pack_into(
         buffer, offset, MAGIC, VERSION,
         FRAME_DATA | FLAG_TRACED if trace_id else FRAME_DATA,
-        seq, seg_count, payload_len,
+        SEQ_NONE, seg_count, payload_len,
     )
     if not trace_id:
         return PREAMBLE_BYTES
@@ -667,7 +615,10 @@ def encode_preamble_into(
 
 
 def restamp_seq_into(buffer, offset: int, seq: int) -> None:
-    """In-place twin of :func:`restamp_seq` for slot-backed frames."""
+    """Rewrite the hop-sequence field of the frame at ``offset`` in
+    ``buffer``, in place: the link stamps a probe's number (or 0) into
+    every frame it sends, and only this module knows where the field
+    lives."""
     if not 0 <= seq <= 0xFFFFFFFF:
         raise ValueError(f"sequence {seq} outside 32 bits")
     _SEQ.pack_into(buffer, offset + SEQ_OFFSET, seq)
@@ -688,7 +639,7 @@ def return_tail_of(return_segment: HeaderSegment) -> bytes:
 
 def _land(
     view, survivors: int, preamble: Preamble, header_len: int,
-    seg_count: int, tail: bytes, seq: int, lead: bytes = b"",
+    seg_count: int, tail: bytes, lead: bytes = b"",
 ) -> None:
     """The last step of every move: the frame becomes ``preamble ++ lead
     ++ buffer[survivors:view.end] ++ tail``.
@@ -707,7 +658,7 @@ def _land(
         buffer[at:at + end - survivors] = buffer[survivors:end]
         new_start, end = 0, at + end - survivors
     encode_preamble_into(
-        buffer, new_start, seq, seg_count, preamble.payload_len,
+        buffer, new_start, seg_count, preamble.payload_len,
         trace_id=preamble.trace_id,
     )
     if lead:
@@ -720,7 +671,7 @@ def _land(
 
 def hop_move_into(
     view, tail: bytes, preamble: Preamble = None, next_rel: int = None,
-    seq: int = SEQ_NONE, splice: Sequence[HeaderSegment] = (),
+    splice: Sequence[HeaderSegment] = (),
 ) -> bool:
     """The router's core move, **in place** on a frame's view.
 
@@ -771,13 +722,11 @@ def hop_move_into(
         if view.end - survivors > room:
             return False
     seg_count = preamble.seg_count - 1 + len(splice)
-    _land(view, survivors, preamble, header_len, seg_count, tail, seq, lead)
+    _land(view, survivors, preamble, header_len, seg_count, tail, lead)
     return True
 
 
-def slick_reroute_into(
-    view, tail: bytes, preamble: Preamble = None, seq: int = SEQ_NONE,
-) -> bool:
+def slick_reroute_into(view, tail: bytes, preamble: Preamble = None) -> bool:
     """Slick local reroute **in place**: splice the alternate, take its
     first hop, append the return tail.
 
@@ -827,13 +776,11 @@ def slick_reroute_into(
         return False
     if keep:
         view.buffer[survivors:survivors + keep] = bytes(mem[alt_first_end:block_end])
-    _land(view, survivors, preamble, header_len, alt_count - 1, tail, seq)
+    _land(view, survivors, preamble, header_len, alt_count - 1, tail)
     return True
 
 
-def forward_into(
-    view, decision, preamble: Preamble, next_rel: int, seq: int = SEQ_NONE,
-) -> bool:
+def forward_into(view, decision, preamble: Preamble, next_rel: int) -> bool:
     """Apply a FORWARD :class:`~repro.dataplane.Decision` to a frame, in
     place — the one hop transform both routers run.
 
@@ -848,8 +795,8 @@ def forward_into(
     if tail is None:
         tail = return_tail_of(decision.return_segment)
     if decision.slick_reroute:
-        return slick_reroute_into(view, tail, preamble, seq)
-    return hop_move_into(view, tail, preamble, next_rel, seq, decision.splice_tail)
+        return slick_reroute_into(view, tail, preamble)
+    return hop_move_into(view, tail, preamble, next_rel, decision.splice_tail)
 
 
 def truncation_marked(frame_len: int, payload_end: int, spans) -> bool:
@@ -899,6 +846,6 @@ def truncate_into(view, mtu: int) -> bool:
     _land(
         view, view.start + preamble.header_len,
         preamble._replace(payload_len=payload_len - cut),
-        preamble.header_len, preamble.seg_count, mark, preamble.seq,
+        preamble.header_len, preamble.seg_count, mark,
     )
     return True

@@ -18,8 +18,9 @@ uses — are built only if a handler asks.  ``send_return`` is the
 paper's receiver, which "copies each segment into a separate return
 address area in reverse order" (§2): a byte move from the trailer's
 spans (:func:`~repro.live.frames.return_route_header`).  The structural
-``encode_live_frame``/``decode_live_frame`` are the codec those are
-fuzzed against, never a second path.
+``decode_live_frame`` materialises the same ``frame_spans`` walk, and
+``encode_live_frame`` is the codec the encoders are fuzzed against,
+never a second path.
 
 :class:`LiveTransactor` runs VMTP-style request/response transactions
 on top: the simulator's own

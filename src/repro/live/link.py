@@ -79,7 +79,6 @@ from repro.live.frames import (
     ack_seqs,
     decode_preamble,
     encode_ack,
-    restamp_seq,
     restamp_seq_into,
 )
 from repro.live.metrics import EndpointMetrics
@@ -161,6 +160,15 @@ def corrupt_datagram(datagram, seed: int) -> bytes:
     corrupted = bytearray(datagram)
     corrupted[index] ^= flip
     return bytes(corrupted)
+
+
+def _numbered(datagram: bytes, seq: int) -> bytearray:
+    """A copy of the ``bytes`` frame ``datagram`` carrying the probe
+    number ``seq``: made once per silent peer per ack timeout, off
+    :meth:`LiveEndpoint.send`'s per-frame path."""
+    frame = bytearray(datagram)
+    restamp_seq_into(frame, 0, seq)
+    return frame
 
 
 class LiveEndpoint:
@@ -302,7 +310,7 @@ class LiveEndpoint:
         if datagram.__class__ is bytearray:
             restamp_seq_into(datagram, 0, seq)
         elif seq != SEQ_NONE:
-            datagram = restamp_seq(datagram, seq)
+            datagram = _numbered(datagram, seq)
         self.metrics.record_out(len(datagram))
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(datagram, addr)

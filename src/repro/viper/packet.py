@@ -13,11 +13,17 @@ reverse order") — :func:`build_return_route`.
 This module is the *structural* codec: :class:`SirpentPacket` holds the
 parts as objects, :func:`encode_packet` / :func:`decode_packet` turn
 them into bytes and back, and :func:`build_return_route` reads a
-decoded trailer.  Nothing forwards a ``SirpentPacket`` any more: both
-substrates carry each packet as its encoded live frame and move it hop
-by hop with the one in-place transform in :mod:`repro.live.frames` —
-the simulator's :class:`repro.core.packet.FramePacket` is that frame
-plus simulation metadata.  The structural hop algebra (strip, slick
+decoded trailer.  The trailer has one validating walk,
+:func:`trailer_spans`, which the hosts run on every arriving frame;
+:func:`decode_trailer` is that walk materialised by
+:func:`trailer_elements`, as the segments and alternate blocks decode
+through :mod:`repro.viper.wire`'s walks.
+
+Nothing forwards a ``SirpentPacket`` any more: both substrates carry
+each packet as its encoded live frame and move it hop by hop with the
+one in-place transform in :mod:`repro.live.frames` — the simulator's
+:class:`repro.core.packet.FramePacket` is that frame plus simulation
+metadata.  The structural hop algebra (strip, slick
 splice, truncation, corruption) lives with the tests, as the reference
 those byte moves are checked against (``tests/live/oracle.py``).
 
@@ -38,6 +44,7 @@ from repro.viper.wire import (
     MAX_SEGMENTS,
     HeaderSegment,
     decode_alt_blocks,
+    decode_route,
     decode_segment,
     encode_alt_blocks,
     encode_segment,
@@ -175,45 +182,43 @@ def decode_trailer(
 
     Returns ``(elements_in_original_order, start_offset_of_trailer)``.
     The walk stops when a back-length does not frame a decodable segment
-    — that boundary is where the payload ends.
+    — that boundary is where the payload ends.  It is
+    :func:`trailer_spans`' walk, materialised by :func:`trailer_elements`.
     """
     if end is None:
         end = len(buffer)
+    spans, boundary = trailer_spans(buffer, 0, end)
+    return trailer_elements(buffer, spans, boundary, end), boundary
+
+
+def trailer_elements(
+    buffer, spans: List[Tuple[int, int]], boundary: int, end: int
+) -> List[Union[TrailerElement, _TruncationMark]]:
+    """The trailer elements of ``buffer[boundary:end]``, in original
+    order, from its walk (:func:`trailer_spans`): each span's segment,
+    and a truncation mark for every 2 bytes between spans."""
     elements: List[Union[TrailerElement, _TruncationMark]] = []
-    cursor = end
-    while cursor >= TRAILER_LENGTH_BYTES:
-        length = int.from_bytes(buffer[cursor - TRAILER_LENGTH_BYTES:cursor], "big")
-        if length == TRUNCATION_SENTINEL:
-            elements.append(TRUNCATION_MARK)
-            cursor -= TRAILER_LENGTH_BYTES
-            continue
-        start = cursor - TRAILER_LENGTH_BYTES - length
-        if length < 4 or start < 0:
-            break
-        try:
-            segment, consumed = decode_segment(buffer, start)
-        except DecodeError:
-            break
-        if consumed != cursor - TRAILER_LENGTH_BYTES:
-            break
-        elements.append(TrailerElement(segment))
-        cursor = start
-    elements.reverse()
-    return elements, cursor
+    cursor = boundary
+    for start, segment_end in reversed(spans):
+        elements += [TRUNCATION_MARK] * ((start - cursor) // TRAILER_LENGTH_BYTES)
+        elements.append(TrailerElement(decode_segment(buffer, start)[0]))
+        cursor = segment_end + TRAILER_LENGTH_BYTES
+    elements += [TRUNCATION_MARK] * ((end - cursor) // TRAILER_LENGTH_BYTES)
+    return elements
 
 
 def trailer_spans(  # sirlint: hot
     buffer, floor: int = 0, end: Optional[int] = None
 ) -> Tuple[List[Tuple[int, int]], int]:
-    """Span twin of :func:`decode_trailer`: where each element sits.
+    """The trailer's one validating walk: where each element sits.
 
-    Walks ``buffer[floor:end]`` backwards with exactly the checks of
-    ``decode_trailer(buffer[floor:end])`` — a back-length must frame one
-    whole valid segment — but builds no segment.  Returns the
-    ``(start, end)`` of every reversed segment **in walk order** (last
-    appended first, which is the order of the return route; truncation
-    marks have no span) and the offset where the walk stopped: ``floor``
-    exactly when the whole region frames.
+    Walks ``buffer[floor:end]`` backwards — a back-length must frame one
+    whole valid segment (:func:`~repro.viper.wire.segment_span`), the
+    truncation sentinel is a 2-byte mark — and builds no segment.
+    Returns the ``(start, end)`` of every reversed segment **in walk
+    order** (last appended first, which is the order of the return
+    route; truncation marks have no span) and the offset where the walk
+    stopped: ``floor`` exactly when the whole region frames.
     """
     if end is None:
         end = len(buffer)
@@ -248,11 +253,7 @@ def decode_packet(
     payload boundary comes from walking the trailer backwards, which is
     how a Sirpent receiver locates "the beginning of the trailer" (§2).
     """
-    segments = []
-    offset = 0
-    for _ in range(segment_count):
-        segment, offset = decode_segment(buffer, offset)
-        segments.append(segment)
+    segments, offset = decode_route(buffer, segment_count)
     alternates, offset = decode_alt_blocks(
         buffer, slick_count(segments), offset
     )

@@ -21,6 +21,15 @@ fixed part leads so cut-through hardware sees the variable-field
 lengths as early as possible — the paper calls this out explicitly and
 our router model charges its decision time from the moment these four
 bytes have arrived.
+
+Each structure has one validating walk, the one the forwarding path
+runs on every frame: :func:`parse_segment_view` for a segment
+(:func:`segment_span` is its object-free form, sharing the escape walk
+:func:`_field_data_span`) and :func:`alt_block_span` for an alternate
+block.  The structural decoders materialise what those walks accepted:
+:func:`decode_segment` is :func:`parse_segment_view` plus
+:meth:`SegmentView.to_segment`, :func:`decode_alt_block` is
+:func:`alt_block_span` plus a decode of the segments it bounded.
 """
 
 from __future__ import annotations
@@ -164,34 +173,6 @@ def encode_segment(segment: HeaderSegment) -> bytes:
     return fixed + _encode_field(token) + _encode_field(portinfo)
 
 
-def _decode_field(
-    buffer: bytes, offset: int, length_octet: int, what: str
-) -> Tuple[bytes, int]:
-    """Decode a variable field, handling the 255 length escape."""
-    if length_octet == LENGTH_ESCAPE:
-        if offset + EXTENDED_LENGTH_BYTES > len(buffer):
-            raise DecodeError(f"truncated extended length for {what}")
-        true_length = int.from_bytes(
-            buffer[offset:offset + EXTENDED_LENGTH_BYTES], "big"
-        )
-        if true_length < LENGTH_ESCAPE:
-            # The escape is only legal when the field genuinely needs it;
-            # accepting the short form here would make the decoder accept
-            # bytes it cannot re-encode (decode∘encode must be identity).
-            raise DecodeError(
-                f"non-canonical extended length {true_length} for {what}"
-            )
-        offset += EXTENDED_LENGTH_BYTES
-    else:
-        true_length = length_octet
-    if offset + true_length > len(buffer):
-        raise DecodeError(
-            f"truncated {what}: need {true_length} bytes at offset {offset}, "
-            f"buffer has {len(buffer)}"
-        )
-    return buffer[offset:offset + true_length], offset + true_length
-
-
 #: Mask of the defined flag bits in the flags nibble.  All four bits are
 #: now defined (VNT | DIB | RPF | SLICK); the decoder still rejects any
 #: bit outside this mask so that every accepted segment re-encodes to
@@ -199,84 +180,16 @@ def _decode_field(
 _DEFINED_FLAGS_MASK = 0x8 | 0x4 | 0x2 | 0x1
 
 
-def decode_segment(buffer: bytes, offset: int = 0) -> Tuple[HeaderSegment, int]:
-    """Parse one header segment; returns ``(segment, next_offset)``.
-
-    Total over arbitrary bytes: any malformed, truncated, reserved-bit
-    or non-canonical input raises :class:`~repro.viper.errors.DecodeError`
-    (a.k.a. ``ViperDecodeError``) — never an assertion or index error.
-    """
-    if offset < 0:
-        raise DecodeError(f"negative segment offset {offset}")
-    if offset + FIXED_SEGMENT_BYTES > len(buffer):
-        raise DecodeError("buffer too short for fixed segment fields")
-    portinfo_len = buffer[offset]
-    token_len = buffer[offset + 1]
-    port = buffer[offset + 2]
-    flag_byte = buffer[offset + 3]
-    if (flag_byte >> 4) & ~_DEFINED_FLAGS_MASK:
-        raise DecodeError(
-            f"reserved flag bit set in flags byte {flag_byte:#04x}"
-        )
-    vnt, dib, rpf, slick, priority = unpack_flags_priority(flag_byte)
-    start = offset
-    offset += FIXED_SEGMENT_BYTES
-    token, offset = _decode_field(buffer, offset, token_len, "portToken")
-    portinfo, offset = _decode_field(buffer, offset, portinfo_len, "portInfo")
-    try:
-        segment = HeaderSegment(
-            port=port, priority=priority, vnt=vnt, dib=dib, rpf=rpf,
-            token=token, portinfo=portinfo, slick=slick,
-        )
-    except ValueError as error:  # pragma: no cover - defensive totality
-        raise DecodeError(f"invalid segment fields: {error}") from error
-    # The decoder is canonical — accepted bytes re-encode to themselves
-    # — so the bytes consumed are the segment's encoding: kept.
-    segment._wire = bytes(buffer[start:offset])
-    return segment, offset
-
-
-def _field_span(
-    buffer: bytes, offset: int, length_octet: int, what: str
-) -> int:
-    """Offset just past a variable field, without materialising it.
-
-    Applies the same escape-handling, canonicality and truncation checks
-    as :func:`_decode_field` so the two can never disagree about where a
-    field ends.
-    """
-    if length_octet == LENGTH_ESCAPE:
-        if offset + EXTENDED_LENGTH_BYTES > len(buffer):
-            raise DecodeError(f"truncated extended length for {what}")
-        true_length = int.from_bytes(
-            buffer[offset:offset + EXTENDED_LENGTH_BYTES], "big"
-        )
-        if true_length < LENGTH_ESCAPE:
-            raise DecodeError(
-                f"non-canonical extended length {true_length} for {what}"
-            )
-        offset += EXTENDED_LENGTH_BYTES
-    else:
-        true_length = length_octet
-    if offset + true_length > len(buffer):
-        raise DecodeError(
-            f"truncated {what}: need {true_length} bytes at offset {offset}, "
-            f"buffer has {len(buffer)}"
-        )
-    return offset + true_length
-
-
-def segment_span(buffer: bytes, offset: int = 0) -> int:
+def segment_span(buffer, offset: int = 0) -> int:  # sirlint: hot
     """Offset just past the segment at ``offset`` — no segment object.
 
     The zero-copy hop fast path uses this to find the strip boundary
     without decoding (and later re-encoding) bytes it forwards
-    untouched.  It performs exactly the validation
-    :func:`decode_segment` performs — truncation, reserved flag bits,
-    length-escape canonicality — so ``segment_span(b, o) ==
-    decode_segment(b, o)[1]`` for every buffer one accepts, and both
-    raise :class:`~repro.viper.errors.DecodeError` on every buffer one
-    rejects.
+    untouched.  It validates what :func:`parse_segment_view` validates
+    — truncation, reserved flag bits, length-escape canonicality — and
+    its escape branch is the same field walk, :func:`_field_data_span`:
+    it raises :class:`~repro.viper.errors.DecodeError` on every buffer
+    that walk rejects and ends where it ends.
     """
     if offset < 0:
         raise DecodeError(f"negative segment offset {offset}")
@@ -300,16 +213,15 @@ def segment_span(buffer: bytes, offset: int = 0) -> int:
                 f"truncated segment: need {end} bytes, buffer has {size}"
             )
         return end
-    offset = _field_span(buffer, offset, token_len, "portToken")
-    return _field_span(buffer, offset, portinfo_len, "portInfo")
+    _, offset = _field_data_span(buffer, offset, token_len, "portToken")
+    return _field_data_span(buffer, offset, portinfo_len, "portInfo")[1]
 
 
 def _field_data_span(
     buffer, offset: int, length_octet: int, what: str
 ) -> Tuple[int, int]:
     """``(data_start, data_end)`` of a variable field, materialising
-    nothing — the lazy twin of :func:`_decode_field`, with identical
-    escape-handling, canonicality and truncation checks."""
+    nothing: the one walk of a field's 255 length escape (§5)."""
     if length_octet == LENGTH_ESCAPE:
         if offset + EXTENDED_LENGTH_BYTES > len(buffer):
             raise DecodeError(f"truncated extended length for {what}")
@@ -317,6 +229,9 @@ def _field_data_span(
             buffer[offset:offset + EXTENDED_LENGTH_BYTES], "big"
         )
         if true_length < LENGTH_ESCAPE:
+            # The escape is only legal when the field genuinely needs it;
+            # accepting the short form would make the decoder accept
+            # bytes it cannot re-encode (decode∘encode must be identity).
             raise DecodeError(
                 f"non-canonical extended length {true_length} for {what}"
             )
@@ -418,12 +333,11 @@ class SegmentView:
 def parse_segment_view(buffer, offset: int = 0) -> SegmentView:  # sirlint: hot
     """Parse one segment into a :class:`SegmentView` — no field copies.
 
-    Performs exactly the validation :func:`decode_segment` performs
-    (truncation, reserved flag bits, length-escape canonicality), so
-    ``parse_segment_view(b, o).end == decode_segment(b, o)[1]`` on every
-    accepted buffer and both raise :class:`DecodeError` on every
-    rejected one.  ``buffer`` may be ``bytes``, ``bytearray`` or a
-    ``memoryview`` bounding a ring slot.
+    The segment's one validating walk (truncation, reserved flag bits,
+    length-escape canonicality): :class:`DecodeError` on anything
+    else.  :func:`decode_segment` is this walk plus materialisation.
+    ``buffer`` may be ``bytes``, ``bytearray`` or a ``memoryview``
+    bounding a ring slot.
     """
     if offset < 0:
         raise DecodeError(f"negative segment offset {offset}")
@@ -450,6 +364,22 @@ def parse_segment_view(buffer, offset: int = 0) -> SegmentView:  # sirlint: hot
         token_start, token_end, info_start, info_end,
         slick,
     )
+
+
+def decode_segment(buffer, offset: int = 0) -> Tuple[HeaderSegment, int]:
+    """Parse one header segment; returns ``(segment, next_offset)``.
+
+    :func:`parse_segment_view`'s walk, materialised: total over
+    arbitrary bytes, any malformed, truncated, reserved-bit or
+    non-canonical input raises :class:`~repro.viper.errors.DecodeError`
+    (a.k.a. ``ViperDecodeError``) — never an assertion or index error.
+    """
+    view = parse_segment_view(buffer, offset)
+    segment = view.to_segment()
+    # The walk is canonical — accepted bytes re-encode to themselves —
+    # so the bytes consumed are the segment's encoding: kept.
+    segment._wire = bytes(buffer[offset:view.end])
+    return segment, view.end
 
 
 class PacketView:
@@ -593,44 +523,12 @@ def encode_alt_block(segments) -> bytes:
     return bytes((len(segments),)) + b"".join([s.wire for s in segments])
 
 
-def decode_alt_block(buffer, offset: int = 0):
-    """Parse one alternate block; returns ``(segments, next_offset)``.
-
-    Total over arbitrary bytes: truncated, oversized, empty or nested-
-    slick blocks raise :class:`~repro.viper.errors.DecodeError` — never
-    an assertion or index error.
-    """
-    if offset < 0:
-        raise DecodeError(f"negative alternate-block offset {offset}")
-    if offset + ALT_COUNT_BYTES > len(buffer):
-        raise DecodeError("buffer too short for alternate-block count")
-    count = buffer[offset]
-    if count == 0:
-        raise DecodeError("alternate block with zero segments")
-    if count > MAX_SEGMENTS:
-        raise DecodeError(
-            f"alternate block claims {count} segments, exceeding the "
-            f"{MAX_SEGMENTS}-segment maximum"
-        )
-    offset += ALT_COUNT_BYTES
-    segments = []
-    for _ in range(count):
-        segment, offset = decode_segment(buffer, offset)
-        if segment.slick:
-            raise DecodeError(
-                "slick flag inside an alternate block (the failover DAG "
-                "is depth-1)"
-            )
-        segments.append(segment)
-    return segments, offset
-
-
-def alt_block_span(buffer, offset: int = 0) -> int:
+def alt_block_span(buffer, offset: int = 0) -> int:  # sirlint: hot
     """Offset just past the alternate block at ``offset`` — no objects.
 
-    The arithmetic twin of :func:`decode_alt_block` for the zero-copy
-    hop fast path: identical count, truncation, and nested-slick checks,
-    so the two can never disagree about where a block ends.
+    The block's one validating walk: truncated, oversized, empty or
+    nested-slick blocks raise :class:`~repro.viper.errors.DecodeError`
+    — never an assertion or index error.
     """
     if offset < 0:
         raise DecodeError(f"negative alternate-block offset {offset}")
@@ -656,6 +554,14 @@ def alt_block_span(buffer, offset: int = 0) -> int:
             )
         offset = segment_span(buffer, offset)
     return offset
+
+
+def decode_alt_block(buffer, offset: int = 0):
+    """Parse one alternate block; returns ``(segments, next_offset)``:
+    :func:`alt_block_span`'s walk, then its segments decoded."""
+    end = alt_block_span(buffer, offset)
+    segments, _ = decode_route(buffer, buffer[offset], offset + ALT_COUNT_BYTES)
+    return segments, end
 
 
 def encode_alt_blocks(alternates) -> bytes:

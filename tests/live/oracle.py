@@ -46,6 +46,7 @@ from repro.live.frames import (
     encode_ack,
     encode_live_frame,
     hop_move_into,
+    restamp_seq_into,
     return_tail_of,
 )
 from repro.live.link import _MSG_TRUNC
@@ -209,10 +210,12 @@ def hop_in_place(
     datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
 ) -> bytes:
     """One router hop on ``datagram`` in a default-sized slot: the
-    in-place move, asserted equal to :func:`strip_and_append_slow`;
-    returns the forwarded bytes."""
+    in-place move, stamped with ``seq`` as the link stamps a sent frame,
+    asserted equal to :func:`strip_and_append_slow`; returns the
+    forwarded bytes."""
     view = slot_view(BufferRing(slots=1), datagram)
-    assert hop_move_into(view, return_tail_of(return_segment), seq=seq)
+    assert hop_move_into(view, return_tail_of(return_segment))
+    restamp_seq_into(view.buffer, view.start, seq)
     forwarded = view.tobytes()
     view.release()
     assert forwarded == strip_and_append_slow(datagram, return_segment, seq=seq)

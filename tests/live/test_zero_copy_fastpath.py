@@ -28,8 +28,6 @@ from repro.live.frames import (
     decode_preamble,
     encode_live_frame,
     hop_move_into,
-    restamp_seq,
-    restamp_seq_into,
     return_tail_of,
 )
 from repro.viper.errors import ViperDecodeError
@@ -126,8 +124,8 @@ class TestHopMoveInPlace:
         shadow = datagram
         for hop_port in (7, 8):
             ret = HeaderSegment(port=hop_port, token=b"R" * 16)
-            assert hop_move_into(view, return_tail_of(ret), seq=hop_port)
-            shadow = strip_and_append_slow(shadow, ret, seq=hop_port)
+            assert hop_move_into(view, return_tail_of(ret))
+            shadow = strip_and_append_slow(shadow, ret)
             assert view.tobytes() == shadow
         # And the result still decodes into a coherent packet.
         _, packet, payload = decode_live_frame(view.tobytes())
@@ -201,14 +199,6 @@ class TestHopMoveInPlace:
                 shadow = expected
                 assert view.tobytes() == shadow
             view.release()
-
-    def test_restamp_into_matches_restamp(self):
-        datagram = FRAME_SHAPES["traced"]
-        ring = BufferRing(slots=1)
-        view = slot_view(ring, datagram)
-        restamp_seq_into(view.buffer, view.start, 0xDEAD)
-        assert view.tobytes() == restamp_seq(datagram, 0xDEAD)
-        view.release()
 
     def test_refuses_frames_with_no_leading_segment(self):
         empty_route = frame([])
@@ -488,6 +478,40 @@ def test_one_forwarding_path_and_no_twin_in_src():
     for name in ("advance", "apply_slick_reroute", "mark_truncated",
                  "corrupted_copy", "trailer_segments"):
         assert not hasattr(SirpentPacket, name), name
+
+
+def _calls(module, function):
+    """The names ``function``, defined in ``module``, calls."""
+    tree = ast.parse(inspect.getsource(module))
+    node = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    return {
+        getattr(call.func, "id", getattr(call.func, "attr", None))
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+    }
+
+
+def test_one_walk_per_wire_structure():
+    """Structural: each wire structure is validated by one walk, the one
+    the forwarding and host paths run; its structural decoder is that
+    walk plus materialisation, and the live frame's body is the packet
+    codec's."""
+    from repro.viper import packet, wire
+
+    for name in ("_decode_field", "_field_span"):
+        assert not hasattr(wire, name), name
+    assert not hasattr(frames, "restamp_seq")
+    for module, function, walk in (
+        (wire, "decode_segment", "parse_segment_view"),
+        (wire, "segment_span", "_field_data_span"),
+        (wire, "decode_alt_block", "alt_block_span"),
+        (packet, "decode_trailer", "trailer_spans"),
+        (frames, "decode_live_frame", "frame_spans"),
+        (frames, "encode_live_frame", "encode_packet"),
+    ):
+        assert walk in _calls(module, function), (function, walk)
 
 
 def _src_classes():

@@ -27,6 +27,17 @@ def live_router(source):
     ]
 
 
+def live_frames(source):
+    """Findings for ``source`` as ``repro.live.frames``, less SIR008's
+    pin on that module name (a fixture is not the payload walk)."""
+    return [
+        f for f in analyze(
+            source, "repro.live.frames", path="src/repro/live/frames.py"
+        )
+        if f.symbol != "hot-marker:payload_offset"
+    ]
+
+
 # -- SIR001: sans-IO purity --------------------------------------------------
 
 
@@ -153,13 +164,11 @@ def test_sir001_keeps_the_frame_moves_in_the_closure():
         path="src/repro/dataplane/router.py",
     )
     assert "SIR001" not in rules_fired(core)
-    frames = analyze(
+    frames = live_frames(
         """
         import struct
         import time
-        """,
-        "repro.live.frames",
-        path="src/repro/live/frames.py",
+        """
     )
     assert rules_fired(frames) == ["SIR001"]
 
@@ -443,7 +452,7 @@ def test_sir005_fires_on_cross_file_constant_disagreement():
 
 
 def test_sir005_silent_on_disciplined_layout():
-    findings = analyze(
+    findings = live_frames(
         """
         FLAG_A = 1
         FLAG_B = 2
@@ -451,9 +460,7 @@ def test_sir005_silent_on_disciplined_layout():
 
         def encode(seq):
             return seq.to_bytes(SEQ_BYTES, "big")
-        """,
-        "repro.live.frames",
-        path="src/repro/live/frames.py",
+        """
     )
     assert findings == []
 
@@ -470,13 +477,11 @@ def test_sir005_not_applied_outside_wire_modules():
 
 
 def test_sir005_inline_suppression():
-    findings = analyze(
+    findings = live_frames(
         """
         def encode(seq):
             return seq.to_bytes(4, "big")  # sirlint: disable=SIR005 -- fixture: layout change is deliberate
-        """,
-        "repro.live.frames",
-        path="src/repro/live/frames.py",
+        """
     )
     assert findings == []
 

@@ -9,12 +9,17 @@ import random
 import pytest
 
 from repro.core.packet import FramePacket
-from repro.live.frames import encode_route_header
+from repro.live.frames import (
+    decode_live_frame,
+    encode_live_frame,
+    encode_route_header,
+)
 from repro.sim.engine import Simulator
 from repro.viper.errors import SegmentLimitError
 from repro.viper.packet import (
     SirpentPacket,
     TRUNCATION_MARK,
+    TRUNCATION_SENTINEL,
     TrailerElement,
     build_return_route,
     decode_packet,
@@ -193,3 +198,27 @@ class TestWholePacketCodec:
         elements, boundary = decode_trailer(encoded)
         assert elements == []
         assert boundary == len(encoded)
+
+    def test_oversized_trailer_element_is_a_segment_limit_error(self):
+        """A trailer element's back-length is 16 bits and 0xFFFF is the
+        truncation mark, so an element must encode to fewer bytes than
+        the sentinel — in the packet body and in a live frame alike."""
+        def packet_with(element_bytes):
+            # 4 fixed bytes + a 4-byte escaped length + the token.
+            returned = HeaderSegment(port=9, token=bytes(element_bytes - 8))
+            assert returned.wire_bytes == element_bytes
+            return SirpentPacket(
+                segments=[HeaderSegment(port=0)], payload_size=3,
+                trailer=[TrailerElement(returned)],
+            )
+
+        for too_large in (TRUNCATION_SENTINEL, TRUNCATION_SENTINEL + 1):
+            packet = packet_with(too_large)
+            with pytest.raises(SegmentLimitError):
+                encode_packet(packet, b"abc")
+            with pytest.raises(SegmentLimitError):
+                encode_live_frame(packet, b"abc")
+        largest = packet_with(TRUNCATION_SENTINEL - 1)
+        _, decoded, payload = decode_live_frame(encode_live_frame(largest, b"abc"))
+        assert payload == b"abc"
+        assert decoded.trailer == largest.trailer

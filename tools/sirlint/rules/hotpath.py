@@ -57,6 +57,10 @@ HOT_MARKER = "# sirlint: hot"
 REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     "repro.viper.wire": (
         "parse_segment_view",
+        # The sole validators of a segment and an alternate block: the
+        # structural decoders are these walks plus materialisation.
+        "segment_span",
+        "alt_block_span",
         "of_slot",
         "mem",
     ),
@@ -79,6 +83,11 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.live.router": (
         "_on_batch",
+    ),
+    # A data frame's walk past its route and alternate blocks, run by
+    # every host receive and every truncation.
+    "repro.live.frames": (
+        "payload_offset",
     ),
     # The link layer under it (PR 23): one wakeup per frame at batch
     # fill 1, one send per frame-hop (``send_view`` from a router,
