@@ -27,9 +27,12 @@ the self time of its seams, less the probe's own cost:
 * ``PDU encode+frame`` — the transactor's ``send`` / ``send_return``;
 * ``host tx`` — ``LiveHost.send`` / ``send_return`` down to the
   endpoint;
-* ``server handler`` — the application; ``transact + loop`` is what
-  no seam covers (the ``transact`` coroutine, the future, the event
-  loop's turn).
+* ``server handler`` — the application;
+* ``timer arm/cancel`` — the event loop's ``call_later`` (a
+  transaction's timeout, an assembly's NAK timer) and a timer handle's
+  ``cancel``;
+* ``future + loop`` — what no seam covers: the ``transact`` coroutine,
+  its future, the event loop's turn.
 
 The wire times itself and is taken out of every pass.  A pass
 interleaves blocks of unprobed, probed and twice-probed transactions,
@@ -43,6 +46,7 @@ wire paused.  Print-only: nothing here is a gate.
 from __future__ import annotations
 
 import asyncio
+import asyncio.events
 import cProfile
 import gc
 import time
@@ -75,8 +79,9 @@ ROWS = (
     "host rx", "PDU check+decode", "machine receive", "machine send",
     "PDU encode+frame", "host tx",
 )
-#: The rest of the pair's time: the application, and what no seam covers.
-OTHER_ROWS = ("server handler", "transact + loop")
+#: The rest of the pair's time: the application, the event loop's
+#: timers, and what no seam covers.
+OTHER_ROWS = ("server handler", "timer arm/cancel", "future + loop")
 #: The stand-in network, a seam of its own so no row holds it.
 WIRE = "wire"
 
@@ -234,8 +239,10 @@ class _Probe:
             else (lambda: delattr(owner, name))
         )
 
-    def install(self, pair: _Pair) -> None:
+    def install(self, pair: _Pair, loop: asyncio.AbstractEventLoop) -> None:
         socket = LIVE_TRANSPORT.socket
+        self._wrap(loop, "call_later", "timer arm/cancel")
+        self._wrap(asyncio.events.TimerHandle, "cancel", "timer arm/cancel")
         for host in (pair.client, pair.server):
             self._wrap(host.endpoint, "on_batch", "host rx")
             self._wrap(host.endpoint, "send", WIRE)
@@ -279,7 +286,7 @@ def _ledger(size: int) -> dict:
             for mode in modes[block % 3:] + modes[:block % 3]:
                 layers = {"bare": (), "probed": (probed,), "twice": (inner, outer)}[mode]
                 for probe in layers:
-                    probe.install(pair)
+                    probe.install(pair, loop)
                 wire_before = pair.ns
                 started = time.perf_counter_ns()
                 loop.run_until_complete(pair.run(payload, count))

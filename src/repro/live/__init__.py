@@ -24,7 +24,7 @@ _EXPORTS = (
     ("frames", ("FLAG_TRACED", "FRAME_ACK", "FRAME_DATA", "Preamble",
                 "decode_live_frame", "encode_live_frame")),
     ("host", ("LIVE_TRANSPORT", "LiveDelivered", "LiveHost", "LiveRoute",
-              "LiveTransactionResult", "LiveTransactor", "WallClock")),
+              "LiveTransactor", "WallClock")),
     ("link", ("Address", "Impairments", "LiveEndpoint", "LivenessConfig")),
     ("metrics", ("EndpointMetrics", "render_metrics")),
     ("router", ("Action", "Decision", "LiveRouter", "LiveRouterConfig")),

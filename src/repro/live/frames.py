@@ -511,14 +511,24 @@ def frame_spans(
     The leading port — the receiving host's socket — is None when no
     segment is left.
 
-    A data frame's one validating walk: every segment, every slick
-    segment's alternate block (:func:`payload_offset`), the payload
-    bound and a trailer that frames completely, raising
-    :class:`~repro.viper.errors.ViperDecodeError` on anything else.
-    Nothing is built beyond the trailer's spans, which come in
+    A data frame's one validating walk: :func:`frame_bounds` (every
+    segment, every slick segment's alternate block, the payload bound)
+    and :func:`framed_trailer` (a trailer that frames completely),
+    raising :class:`~repro.viper.errors.ViperDecodeError` on anything
+    else.  Nothing is built beyond the trailer's spans, which come in
     return-route order (:func:`~repro.viper.packet.trailer_spans`);
     :func:`decode_live_frame` materialises what it accepted.
     """
+    socket, offset, payload_end = frame_bounds(datagram, preamble)
+    return socket, offset, payload_end, framed_trailer(datagram, payload_end)
+
+
+def frame_bounds(
+    datagram: bytes, preamble: Preamble
+) -> Tuple[Optional[int], int, int]:
+    """The head of :func:`frame_spans`' walk: ``(leading port, payload
+    start, payload end)`` of a data frame whose header and payload
+    bound are valid; the trailer after ``payload end`` is not read."""
     if preamble.kind != FRAME_DATA:
         raise ViperDecodeError("not a data frame")
     offset = payload_offset(datagram, preamble)
@@ -528,17 +538,27 @@ def frame_spans(
             f"payload of {preamble.payload_len} bytes overruns the "
             f"{len(datagram)}-byte datagram"
         )
-    spans, boundary = trailer_spans(datagram, payload_end)
-    if boundary != payload_end:
-        raise ViperDecodeError(
-            f"trailer region does not frame: {boundary - payload_end} "
-            "undecodable leading bytes"
-        )
     if not preamble.seg_count:
-        return None, offset, payload_end, spans
+        return None, offset, payload_end
     # The leading segment's port, just past the preamble (header_len, inline).
     lead = PREAMBLE_BYTES + TRACE_ID_BYTES if preamble.trace_id else PREAMBLE_BYTES
-    return datagram[lead + _PORT_OFFSET], offset, payload_end, spans
+    return datagram[lead + _PORT_OFFSET], offset, payload_end
+
+
+def framed_trailer(buffer, floor: int = 0) -> List[Tuple[int, int]]:
+    """The tail of :func:`frame_spans`' walk: the spans of the trailer
+    that is all of ``buffer[floor:]``, in return-route order, or
+    :class:`~repro.viper.errors.ViperDecodeError` when it does not frame
+    completely.  The walk reads nothing before ``floor``, so the
+    trailer's own bytes (``floor`` 0) walk to the same spans less
+    ``floor``."""
+    spans, boundary = trailer_spans(buffer, floor)
+    if boundary != floor:
+        raise ViperDecodeError(
+            f"trailer region does not frame: {boundary - floor} "
+            "undecodable leading bytes"
+        )
+    return spans
 
 
 def payload_offset(buffer, preamble: Preamble) -> int:  # sirlint: hot

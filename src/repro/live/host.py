@@ -10,17 +10,20 @@ Both edges work on **byte spans** (ARCHITECTURE §14).  A route is
 encoded by its source once and then only forwarded:
 :meth:`LiveRoute.wire_header` memoises its header bytes and ``send``
 frames ``preamble ++ header ++ payload``.  An arriving frame is
-validated whole by :func:`~repro.live.frames.frame_spans` but decoded
-not at all; :class:`LiveDelivered` hands up the payload slice and keeps
-the datagram, so its ``packet`` and ``return_segments`` — the same
+validated whole by :func:`~repro.live.frames.frame_spans`' walk but
+decoded not at all, and the host walks each distinct trailer once: it
+keeps the trailers it received lately by their bytes, each with its
+spans and the reply routes written from them.  :class:`LiveDelivered`
+hands up the payload slice and keeps the datagram, so its ``packet``
+and ``return_segments`` — the same
 :func:`~repro.viper.packet.build_return_route` the simulator's host
 uses — are built only if a handler asks.  ``send_return`` is the
 paper's receiver, which "copies each segment into a separate return
 address area in reverse order" (§2): a byte move from the trailer's
-spans (:func:`~repro.live.frames.return_route_header`).  The structural
-``decode_live_frame`` materialises the same ``frame_spans`` walk, and
-``encode_live_frame`` is the codec the encoders are fuzzed against,
-never a second path.
+spans (:func:`~repro.live.frames.return_route_header`), once per
+trailer.  The structural ``decode_live_frame`` materialises the same
+``frame_spans`` walk, and ``encode_live_frame`` is the codec the
+encoders are fuzzed against, never a second path.
 
 :class:`LiveTransactor` runs VMTP-style request/response transactions
 on top: the simulator's own
@@ -41,16 +44,20 @@ import math
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.live.frames import (
+    PREAMBLE_BYTES,
+    TRACE_ID_BYTES,
     Preamble,
     decode_live_frame,
     encode_route_header,
-    frame_spans,
+    frame_bounds,
     frame_with_header,
+    framed_trailer,
     return_route_header,
 )
 from repro.live.link import (
@@ -63,7 +70,6 @@ from repro.live.link import (
 from repro.live.metrics import EndpointMetrics
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
-from repro.sim.ids import PacketIdAllocator
 from repro.transport.ids import EntityId, EntityIdAllocator
 from repro.transport.machine import (
     WILDCARD_ENTITY,
@@ -80,6 +86,16 @@ from repro.transport.timestamps import HostClock
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket, build_return_route
 from repro.viper.wire import HeaderSegment, LOCAL_PORT
+
+
+#: Distinct trailers a :class:`LiveHost` remembers, each with its spans
+#: and the reply headers written from them; past this many the oldest
+#: is forgotten (counted in ``LiveHost.trailer_evictions``) and walked
+#: again if it arrives again.  Small on purpose: every new flow adds an
+#: entry, and entries that outlive a few collections make the cyclic
+#: collector scan them (at 256, ``live_cold_flows`` spent a quarter more
+#: time collecting; at 32, what the host spent without the memo).
+TRAILER_MEMO_ENTRIES = 32
 
 
 class WallClock:
@@ -168,34 +184,36 @@ class LiveDelivered:
     a transactor reads the PDU in place), the structural views —
     :attr:`packet`, :attr:`return_segments` — are decoded only if a
     handler asks (a transaction client never does), and a reply's route
-    is written from ``trailer_spans`` once per reply socket and
-    priority (:meth:`return_route`).
+    comes from the host's memo of the frame's trailer
+    (:meth:`return_route`).
     """
 
     #: The whole arrived datagram and the endpoint's decode of its preamble.
     datagram: bytes
     preamble: Preamble
-    #: Where the payload sits in ``datagram``.
+    #: Where the payload sits in ``datagram``; the trailer follows it.
     payload_start: int
     payload_end: int
     socket: int
     #: When the endpoint's wakeup that read the frame began.
     arrived_at: float
-    #: ``(start, end)`` of each trailer segment in ``datagram``, in
-    #: return-route order (:func:`~repro.viper.packet.trailer_spans`).
-    trailer_spans: List[Tuple[int, int]]
+    #: The host's memo entry for the frame's trailer bytes.
+    trailer: "_Trailer"
     #: Live port the frame arrived on (= first hop of the return route).
     arrival_port: int
     source: Address
-    #: The reply routes written so far, by reply socket.
-    _return_routes: Optional[Dict[int, "_ReturnRoute"]] = field(
-        default=None, repr=False, compare=False,
-    )
 
     @cached_property
     def payload(self) -> bytes:
         """The frame's payload bytes."""
         return self.datagram[self.payload_start:self.payload_end]
+
+    @cached_property
+    def trailer_spans(self) -> List[Tuple[int, int]]:
+        """``(start, end)`` of each trailer segment in ``datagram``, in
+        return-route order (:func:`~repro.viper.packet.trailer_spans`)."""
+        end = self.payload_end
+        return [(start + end, stop + end) for start, stop in self.trailer.spans]
 
     @property
     def trace_id(self) -> int:
@@ -213,38 +231,58 @@ class LiveDelivered:
         return build_return_route(self.packet)
 
     def return_route(self, reply_socket: int) -> "_ReturnRoute":
-        """The reversed trailer route to ``reply_socket``, kept for every
-        later reply to this frame — a response group's members, a NAK."""
-        routes = self._return_routes
+        """The reversed trailer route to ``reply_socket``: one object for
+        every frame that arrived with the same trailer bytes on the same
+        port, kept for every later reply — a response group's members,
+        a NAK, the next transaction's response."""
+        return self.trailer.route(reply_socket, self.arrival_port)
+
+
+class _Trailer:
+    """One distinct trailer a host received, walked once
+    (:func:`~repro.live.frames.framed_trailer`): its bytes, its spans
+    relative to its first byte, and the reply routes written from them,
+    by (reply socket, arrival port).
+
+    Every object here holds bytes and spans, never a
+    :class:`LiveDelivered`: the memo adds no reference cycle, so a
+    delivered frame is freed by its last reference going, not by the
+    cyclic collector.
+    """
+
+    __slots__ = ("wire", "spans", "routes")
+
+    def __init__(self, wire: bytes, spans: List[Tuple[int, int]]) -> None:
+        self.wire = wire
+        self.spans = spans
+        #: None until the first reply: a client replies to nothing.
+        self.routes: Optional[Dict[Tuple[int, int], _ReturnRoute]] = None
+
+    def route(self, reply_socket: int, arrival_port: int) -> "_ReturnRoute":
+        """The reply route to ``reply_socket`` out of ``arrival_port``."""
+        routes = self.routes
         if routes is None:
-            routes = self._return_routes = {}
-        route = routes.get(reply_socket)
+            routes = self.routes = {}
+        route = routes.get((reply_socket, arrival_port))
         if route is None:
-            route = routes[reply_socket] = _ReturnRoute(
-                self.datagram, self.trailer_spans, reply_socket,
-                self.arrival_port,
+            route = routes[reply_socket, arrival_port] = _ReturnRoute(
+                self.wire, self.spans, reply_socket, arrival_port,
             )
         return route
 
 
 class _ReturnRoute:
-    """The reversed trailer route of one delivered frame, in the shape
-    :meth:`LiveHost.send` takes a route: its first hop and its header,
-    memoised per (priority, DIB).
-
-    It holds the frame's bytes and spans, never the
-    :class:`LiveDelivered` that keeps it: the memo adds no reference
-    cycle, so a delivered frame is freed by its last reference going,
-    not by the cyclic collector.
+    """A reversed trailer route, in the shape :meth:`LiveHost.send` takes
+    a route: its first hop and its header, memoised per (priority, DIB).
     """
 
-    __slots__ = ("datagram", "spans", "reply_socket", "first_hop_port", "_headers")
+    __slots__ = ("trailer", "spans", "reply_socket", "first_hop_port", "_headers")
 
     def __init__(
-        self, datagram: bytes, spans: List[Tuple[int, int]],
+        self, trailer: bytes, spans: List[Tuple[int, int]],
         reply_socket: int, first_hop_port: int,
     ) -> None:
-        self.datagram = datagram
+        self.trailer = trailer
         self.spans = spans
         self.reply_socket = reply_socket
         self.first_hop_port = first_hop_port
@@ -256,7 +294,7 @@ class _ReturnRoute:
         header = self._headers.get((priority, dib))
         if header is None:
             header = self._headers[priority, dib] = return_route_header(
-                self.datagram, self.spans, self.reply_socket, priority, dib,
+                self.trailer, self.spans, self.reply_socket, priority, dib,
             )
         return header
 
@@ -285,10 +323,16 @@ class LiveHost:
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}
         self.sockets: Dict[int, Callable[[LiveDelivered], None]] = {}
-        #: Per-host id source, independent of every other host's.  ``send``
-        #: frames bytes, not a ``SirpentPacket``, so it draws no id per
-        #: frame; callers that build packets for this host still can.
-        self.packet_ids = PacketIdAllocator()
+        #: Every distinct trailer received lately, by its bytes (at most
+        #: :data:`TRAILER_MEMO_ENTRIES`, the oldest forgotten first), and
+        #: how many were forgotten.
+        self._trailers: "OrderedDict[bytes, _Trailer]" = OrderedDict()
+        self.trailer_evictions = 0
+        #: What :meth:`_open` knows of the frame it opened last: its
+        #: kind, segment count, header bytes, socket and trailer.
+        self._last: Tuple[int, int, bytes, Optional[int], _Trailer] = (
+            -1, 0, b"", None, _Trailer(b"", []),
+        )
         #: Hop tracer (repro.obs); NULL_TRACER = tracing disabled.
         #: Timestamps are ``time.monotonic()`` seconds.
         self.tracer = NULL_TRACER
@@ -397,10 +441,11 @@ class LiveHost:
     ) -> int:
         """Send back along a delivered frame's reversed trailer route.
 
-        The route is written from the trailer spans of the retained
-        datagram (:func:`~repro.live.frames.return_route_header`), once
-        per reply socket and priority (:meth:`LiveDelivered.return_route`),
-        and the frame leaves through :meth:`send` like any other.
+        The route is written from the memoised trailer's bytes and spans
+        (:func:`~repro.live.frames.return_route_header`), once per
+        trailer, reply socket, arrival port and priority
+        (:meth:`LiveDelivered.return_route`), and the frame leaves
+        through :meth:`send` like any other.
         """
         return self.send(
             delivered.return_route(reply_socket), payload,
@@ -413,8 +458,11 @@ class LiveHost:
         """Consume one endpoint wakeup's worth of ring-slot views.
 
         Each frame is copied out of its slot, which goes straight back
-        to the ring, and opened by :func:`~repro.live.frames.frame_spans`
-        — validated whole, decoded not at all: the handler gets a
+        to the ring, and opened by offsets — validated whole, decoded
+        not at all: :func:`~repro.live.frames.frame_bounds` walks its
+        header and the trailer after the payload is looked up by its
+        bytes, walked (:func:`~repro.live.frames.framed_trailer`) only
+        the first time they arrive.  The handler gets a
         :class:`LiveDelivered` of offsets into the datagram that slices
         and decodes the rest on demand.
         """
@@ -424,7 +472,7 @@ class LiveHost:
             datagram = view.tobytes()
             view.release()
             try:
-                socket, payload_start, payload_end, trailer_spans = frame_spans(
+                socket, payload_start, payload_end, trailer = self._open(
                     datagram, preamble
                 )
             except ViperDecodeError:
@@ -445,8 +493,52 @@ class LiveHost:
                 )
             handler(LiveDelivered(
                 datagram, preamble, payload_start, payload_end, socket,
-                arrived_at, trailer_spans, self.addr_port.get(source, 0), source,
+                arrived_at, trailer, self.addr_port.get(source, 0), source,
             ))
+
+    def _open(
+        self, datagram: bytes, preamble: Preamble
+    ) -> Tuple[Optional[int], int, int, "_Trailer"]:
+        """``(leading port, payload start, payload end, trailer)`` of a
+        data frame — :func:`~repro.live.frames.frame_spans`' verdict,
+        raising :class:`~repro.viper.errors.ViperDecodeError` where it
+        raises, with the trailer as its memo entry.
+
+        A frame of the kind and segment count of the frame opened last,
+        carrying that frame's header and trailer bytes around exactly
+        its declared payload, is that frame walked again: the walk reads
+        nothing else.  Any other frame's
+        header is walked (:func:`~repro.live.frames.frame_bounds`) and
+        its trailer looked up by its bytes, walked
+        (:func:`~repro.live.frames.framed_trailer`) only if the memo
+        does not hold them; trailer bytes that do not frame are never
+        memoised.
+        """
+        kind, seg_count, head, socket, trailer = self._last
+        header_len = PREAMBLE_BYTES + TRACE_ID_BYTES if preamble.trace_id else PREAMBLE_BYTES
+        start = header_len + len(head)
+        end = start + preamble.payload_len
+        wire = trailer.wire
+        if (
+            preamble.kind == kind and preamble.seg_count == seg_count
+            and len(datagram) == end + len(wire)
+            and datagram[end:] == wire and datagram[header_len:start] == head
+        ):
+            return socket, start, end, trailer
+        socket, start, end = frame_bounds(datagram, preamble)
+        wire = datagram[end:]
+        trailers = self._trailers
+        trailer = trailers.get(wire)
+        if trailer is None:
+            trailer = trailers[wire] = _Trailer(wire, framed_trailer(wire))
+            if len(trailers) > TRAILER_MEMO_ENTRIES:
+                trailers.popitem(last=False)
+                self.trailer_evictions += 1
+        self._last = (
+            preamble.kind, preamble.seg_count, datagram[header_len:start],
+            socket, trailer,
+        )
+        return socket, start, end, trailer
 
     def _undelivered(self, socket: Optional[int], trace_id: int) -> None:
         """Count (and trace, and record) a frame no socket takes: its
@@ -563,31 +655,6 @@ def open_pdu(data: bytes, start: int, end: int) -> Union[VmtpPdu, str]:
     )
 
 
-def pdu_intact(data: bytes) -> bool:
-    """The CRC-32 at the end of ``data`` matches the bytes before it."""
-    end = len(data) - _WORD.size
-    return zlib.crc32(data[:end]) == _WORD.unpack_from(data, end)[0]
-
-
-def decode_pdu(data: bytes) -> Optional[VmtpPdu]:
-    """The PDU that is all of ``data``, or None for one :func:`open_pdu`
-    refuses (short, damaged, of no kind, a malformed NAK)."""
-    pdu = open_pdu(data, 0, len(data))
-    return pdu if pdu.__class__ is VmtpPdu else None
-
-
-@dataclass
-class LiveTransactionResult:
-    """Outcome of one live request/response transaction."""
-
-    ok: bool
-    rtt: float = 0.0
-    retries: int = 0
-    route_switches: int = 0
-    payload: bytes = b""
-    error: str = ""
-
-
 class LiveTransactor:
     """Request/response transactions over the live overlay: the
     :class:`~repro.transport.machine.TransactionMachine`, clocked by
@@ -659,8 +726,9 @@ class LiveTransactor:
         payload: bytes,
         priority: int = 0,
         server_entity: int = WILDCARD_ENTITY,
-    ) -> LiveTransactionResult:
-        """Issue one transaction and wait for its outcome.
+    ) -> TransactionResult:
+        """Issue one transaction and wait for its outcome: the machine's
+        result, whose ``payload`` is the response (``b""`` when it failed).
 
         ``server_entity`` names the serving entity (the server
         transactor's :attr:`entity`) when the caller knows it; the
@@ -694,18 +762,9 @@ class LiveTransactor:
             raise
         if self._tx_retries is not None and result.retries:
             self._tx_retries.add(result.retries)
-        if not result.ok:
-            return LiveTransactionResult(
-                ok=False, retries=result.retries,
-                route_switches=result.route_switches, error=result.error,
-            )
-        if self._rtt_ms is not None:
+        if result.ok and self._rtt_ms is not None:
             self._rtt_ms.add(result.rtt * 1e3)
-        return LiveTransactionResult(
-            ok=True, rtt=result.rtt, retries=result.retries,
-            route_switches=result.route_switches,
-            payload=result.response_payload,
-        )
+        return result
 
     # -- the machine's IO ----------------------------------------------------
 
@@ -750,7 +809,7 @@ class LiveTransactor:
             delivered.datagram, delivered.payload_start, delivered.payload_end,
         )
         if pdu.__class__ is VmtpPdu:
-            self.machine.on_pdu(pdu, delivered)
+            self.machine.on_pdu(pdu, delivered, False, False, delivered.arrived_at)
         elif pdu == "checksum":
             self.machine.on_pdu(None, delivered, corrupted=True)
         else:

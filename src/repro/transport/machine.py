@@ -155,7 +155,8 @@ class TransactionResult:
     rtt: float = 0.0
     retries: int = 0
     route_switches: int = 0
-    response_payload: Any = None
+    #: The response, joined by ``io.join`` (``b""`` when it failed).
+    payload: Any = b""
     response_size: int = 0
     error: str = ""
 
@@ -203,7 +204,9 @@ class _ClientTransaction:
 
 
 class _ServerAssembly:
-    def __init__(self, group_count: int, now: float) -> None:
+    def __init__(self, group_count: int, now: float, entity: EntityId) -> None:
+        #: The local entity the request is for: its NAKs come from it.
+        self.entity = entity
         self.mask = DeliveryMask(group_count)
         self.parts: Dict[int, Any] = {}
         self.total_size = 0
@@ -261,6 +264,10 @@ class TransactionMachine:
         #: wildcard PDU is taken for the other.
         self._client: Optional[EntityId] = None
         self._server: Optional[EntityId] = None
+        #: The route :meth:`_member_budget` last sized members for, and
+        #: that budget.
+        self._budget_route: Any = None
+        self._budget = MAX_MEMBER_PAYLOAD
 
     # -- entities -----------------------------------------------------------
 
@@ -315,7 +322,8 @@ class TransactionMachine:
         truncated on a correctly advertised route.
         """
         transaction_id = next(self._tx_counter)
-        member_sizes = split_into_group(size, self._member_budget(manager))
+        budget = self._member_budget(manager.current())
+        member_sizes = [size] if 0 < size <= budget else split_into_group(size, budget)
         tx = _ClientTransaction(
             transaction_id, dst_entity, payload, member_sizes,
             manager, priority, on_complete,
@@ -333,16 +341,19 @@ class TransactionMachine:
             if tx.timer is not None:
                 tx.timer.cancel()
 
-    def _member_budget(self, manager: Any) -> int:
-        """Largest member payload the current route carries untruncated."""
+    def _member_budget(self, route: Any) -> int:
+        """Largest member payload ``route`` carries untruncated: asked of
+        a route once, while it stays the one transactions go out on."""
+        if route is self._budget_route:
+            return self._budget
         budget = MAX_MEMBER_PAYLOAD
-        route = manager.current()
         max_payload = getattr(route, "max_payload", None)
         if callable(max_payload):
             wire_budget = max_payload() - self.config.header_bytes \
                 - self.config.trailer_bytes
             if wire_budget > 0:
                 budget = min(budget, wire_budget)
+        self._budget_route, self._budget = route, budget
         return budget
 
     def _launch_group(
@@ -359,8 +370,17 @@ class TransactionMachine:
         # clock does not move inside one launch) and the members' wire
         # sizes and pacing gaps.
         stamp = self.clock.stamp()
+        if count == 1:
+            # A one-member group: its member, then the timer after its gap.
+            wire = self._pdu_wire_size(sizes[0])
+            self.io.after(0.0, self._send, route, VmtpPdu(
+                PduKind.REQUEST, tx.transaction_id, src_entity, tx.dst_entity,
+                0, 1, stamp, self.config.socket, 0, sizes[0], tx.payload,
+            ), wire, tx.priority)
+            self._arm_timer(tx, route, self.rate.gap_for(wire))
+            return
         full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
-        group_gap = full_wire_gap[1] if count > 1 else 0.0
+        group_gap = full_wire_gap[1]
         after, send = self.io.after, self._send
         txid, dst_entity, socket = tx.transaction_id, tx.dst_entity, self.config.socket
         payload, priority = tx.payload, tx.priority
@@ -491,11 +511,14 @@ class TransactionMachine:
         delivered: Any,
         corrupted: bool = False,
         truncated: bool = False,
+        arrived_at: Optional[float] = None,
     ) -> None:
         """A PDU arrived; ``delivered`` is what a reply goes back along.
 
         ``pdu`` may be None only when ``corrupted`` is set: the adapter
-        could not trust the bytes enough to decode them.
+        could not trust the bytes enough to decode them.  ``arrived_at``
+        is when the adapter received it, on the clock's time source —
+        what §4.2's age check measures against; None reads the clock.
         """
         self.stats.received_pdus.add()
         # §4.1: the transport checksum catches what the missing header
@@ -523,7 +546,7 @@ class TransactionMachine:
                 return
             pdu.dst_entity = self._server
         # §4.2: maximum packet lifetime from the creation timestamp.
-        if not self.config.mpl.accept(pdu.timestamp, self.clock):
+        if not self.config.mpl.accept(pdu.timestamp, self.clock, arrived_at):
             self.stats.lifetime_rejects.add()
             self.io.discard("too_old")
             return
@@ -559,7 +582,7 @@ class TransactionMachine:
                 )
                 return
             now = self.io.now
-            assembly = _ServerAssembly(count, now)
+            assembly = _ServerAssembly(count, now, pdu.dst_entity)
             self._assemblies[key] = assembly
         else:
             now = self.io.now
@@ -636,7 +659,7 @@ class TransactionMachine:
             return
         src_entity, transaction_id = key
         pdu = VmtpPdu(
-            PduKind.REQUEST_NAK, transaction_id, self._client_entity(),
+            PduKind.REQUEST_NAK, transaction_id, assembly.entity,
             EntityId(src_entity), 0, assembly.mask.count, self.clock.stamp(),
             self.config.socket, assembly.mask.bits,
         )
@@ -658,9 +681,11 @@ class TransactionMachine:
         reply_payload, reply_size = handler(ReceivedMessage(
             pdu.src_entity, parts, total_size, pdu.transaction_id,
         ))
+        reply_size = max(1, reply_size)
         answer = _Answer(
             reply_payload,
-            split_into_group(max(1, reply_size), MAX_MEMBER_PAYLOAD),
+            [reply_size] if reply_size <= MAX_MEMBER_PAYLOAD
+            else split_into_group(reply_size, MAX_MEMBER_PAYLOAD),
             pdu.reply_socket,
         )
         self._response_cache[key] = answer
@@ -682,6 +707,14 @@ class TransactionMachine:
         count = len(sizes)
         # Fixed by the group, as in :meth:`_launch_group`.
         stamp = self.clock.stamp()
+        if count == 1:
+            # A one-member response: its member, and no gap after it.
+            self.io.after(0.0, self._send_return, delivered, VmtpPdu(
+                PduKind.RESPONSE, request.transaction_id, request.dst_entity,
+                request.src_entity, 0, 1, stamp, answer.reply_socket, 0,
+                sizes[0], answer.payload,
+            ), self._pdu_wire_size(sizes[0]))
+            return
         full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
         after, send_return = self.io.after, self._send_return
         txid, src_entity, dst_entity = (

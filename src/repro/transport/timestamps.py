@@ -18,7 +18,7 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Optional, Protocol
 
 #: The timestamp field is 32 bits of milliseconds.
 TIMESTAMP_MODULUS = 1 << 32
@@ -95,11 +95,18 @@ class TimestampPolicy:
     #: that long of boot, anything older than the boot is rejected too.
     max_age_ms: int = 30_000
 
-    def accept(self, stamp: int, clock: HostClock) -> bool:
+    def accept(
+        self, stamp: int, clock: HostClock, at: Optional[float] = None
+    ) -> bool:
+        """Whether a PDU stamped ``stamp`` is young enough, on ``clock``
+        read at ``at`` — the receiver's arrival time on the clock's time
+        source — or, when ``at`` is None, read now."""
         if stamp == TIMESTAMP_INVALID:
             return True  # reserved: "should be ignored" (boot-time queries)
+        if at is None:
+            at = clock.sim.now
         # clock.now_ms() and timestamp_age_ms, inline (once a PDU).
-        now = int(clock.epoch_ms + clock.sim.now * 1000.0 + clock.skew_ms)
+        now = int(clock.epoch_ms + at * 1000.0 + clock.skew_ms)
         age = (now - stamp) % TIMESTAMP_MODULUS
         if age > TIMESTAMP_MODULUS // 2:
             age = 0

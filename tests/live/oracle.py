@@ -24,11 +24,17 @@ it, wakeup by wakeup.
 endpoint's one probe timer must wake for, read off its probes the plain
 way: every probe's deadline, the earliest of them.
 
+**The PDU readers.**  :func:`decode_pdu` and :func:`pdu_intact` read a
+live PDU in flight — a test's view of what
+:func:`~repro.live.host.open_pdu` checks and decodes in place on the
+receive path.
+
 **The virtual clock.**  :class:`FakeLoop` stands in for an endpoint's
 event loop in socket-free harnesses: its clock moves only when a test
 advances it, and each timer fires exactly at its deadline.
 """
 
+import zlib
 from collections import Counter
 
 from repro.core.packet import FramePacket
@@ -49,8 +55,10 @@ from repro.live.frames import (
     restamp_seq_into,
     return_tail_of,
 )
+from repro.live.host import open_pdu
 from repro.live.link import _MSG_TRUNC
 from repro.live.router import LiveRouter
+from repro.transport.machine import VmtpPdu
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import (
     TRUNCATION_MARK,
@@ -64,6 +72,23 @@ from repro.viper.packet import (
 from repro.viper.portinfo import ETHERNET_INFO_BYTES, EthernetInfo
 from repro.viper.ring import BufferRing, DEFAULT_SLOT_BYTES
 from repro.viper.wire import HeaderSegment, PacketView, encode_segment
+
+
+# -- the PDU readers --------------------------------------------------------------
+
+
+def pdu_intact(data: bytes) -> bool:
+    """The CRC-32 at the end of ``data`` matches the bytes before it."""
+    end = len(data) - 4
+    return zlib.crc32(data[:end]) == int.from_bytes(data[end:end + 4], "big")
+
+
+def decode_pdu(data: bytes):
+    """The PDU that is all of ``data``, or None for one
+    :func:`~repro.live.host.open_pdu` refuses (short, damaged, of no
+    kind, a malformed NAK)."""
+    pdu = open_pdu(data, 0, len(data))
+    return pdu if pdu.__class__ is VmtpPdu else None
 
 
 # -- the structural packet algebra ---------------------------------------------

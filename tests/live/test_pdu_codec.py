@@ -2,10 +2,10 @@
 
 One codec carries every live PDU: :func:`~repro.live.host.encode_pdu`
 on the way out, :func:`~repro.live.host.open_pdu` (checksum and decode
-in one pass, in place) on the way in, :func:`~repro.live.host.decode_pdu`
-and :func:`~repro.live.host.pdu_intact` for tests that read PDUs in
-flight.  The property test sends arbitrary PDUs through
-:meth:`LiveTransactor.send` and reads them back; the NAK tests pin that
+in one pass, in place) on the way in; ``tests/live/oracle.py``'s
+``decode_pdu`` and ``pdu_intact`` read PDUs in flight.  The property
+test sends arbitrary PDUs through :meth:`LiveTransactor.send` and reads
+them back; the NAK tests pin that
 a CRC-valid NAK whose body is not its 32-bit mask is discarded and
 counted, never read as "every member missing".
 """
@@ -19,16 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.live.frames import decode_preamble, frame_spans, frame_with_header
-from repro.live.host import (
-    LIVE_TRANSPORT,
-    LiveTransactor,
-    decode_pdu,
-    encode_pdu,
-    open_pdu,
-    pdu_intact,
-)
+from repro.live.host import LIVE_TRANSPORT, LiveTransactor, encode_pdu, open_pdu
 from repro.transport.machine import MAX_MEMBER_PAYLOAD, PduKind, VmtpPdu
 from benchmarks.bench_f03_transactor_pair import HostPair
+from tests.live.oracle import decode_pdu, pdu_intact
 
 MEMBER_KINDS = (PduKind.REQUEST, PduKind.RESPONSE)
 
@@ -214,3 +208,73 @@ def test_response_nak_with_a_malformed_body_resends_nothing():
     resent, server_tx = asyncio.run(_response_nak_scenario(_mask(0b011)))
     assert [(pdu.kind, pdu.member_index) for pdu in resent] == [(PduKind.RESPONSE, 2)]
     assert server_tx.host.metrics.dropped("malformed_nak") == 0
+
+
+# -- a request NAK comes from the entity the request addressed -------------------
+
+
+def test_a_pure_servers_request_nak_comes_from_the_serving_entity():
+    """A server that is no client NAKs the member it misses from the
+    entity the request addressed (the wildcard resolved): it mints no
+    client entity for the NAK, which would then take PDUs addressed to
+    it instead of counting them misdelivered."""
+
+    async def run():
+        pair = HostPair()
+        client_tx = LiveTransactor(pair.client)
+        server_tx = LiveTransactor(pair.server)
+        server_tx.serve(lambda request: b"echo:" + request)
+        task = asyncio.ensure_future(client_tx.transact(pair.manager(), PAYLOAD + b"x"))
+        await asyncio.sleep(0)
+        queued = pair.queued["server"]
+        assert len(queued) == 3
+        view, _source, _preamble = queued.pop(1)  # the middle member is lost
+        view.release()
+        pair.pump()
+        await asyncio.sleep(2 * LIVE_TRANSPORT.nak_delay)
+        nak = decode_pdu(frame_payload(pair.sent["server"][0]))
+        pair.pump()  # the resent member completes the request
+        result = await task
+        return nak, result, client_tx, server_tx
+
+    nak, result, client_tx, server_tx = asyncio.run(run())
+    assert result.ok and result.payload == b"echo:" + PAYLOAD + b"x"
+    assert (nak.kind, nak.mask_bits) == (PduKind.REQUEST_NAK, 0b101)
+    assert nak.src_entity == server_tx.entity
+    assert nak.dst_entity == client_tx.machine._client
+    assert list(server_tx.machine._entities) == [server_tx.entity]
+
+
+# -- §4.2 measures a PDU's age at its arrival ------------------------------------
+
+
+def test_the_age_check_reads_the_arrival_time_the_host_handed_up():
+    """The transactor hands the machine the wakeup's ``arrived_at``: a
+    request handed up as if it had arrived 40 s after it was stamped is
+    too old (``max_age_ms`` is 30 s), though the clock says it is new."""
+
+    async def run():
+        pair = HostPair()
+        client_tx = LiveTransactor(pair.client)
+        server_tx = LiveTransactor(pair.server)
+        server_tx.serve(lambda request: request)
+        socket = server_tx.config.socket
+        handle = pair.server.sockets[socket]
+
+        def late(delivered):
+            delivered.arrived_at += 40.0
+            handle(delivered)
+
+        pair.server.sockets[socket] = late
+        task = asyncio.ensure_future(client_tx.transact(pair.manager(), b"late"))
+        await asyncio.sleep(0)
+        pair.pump()
+        task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await task
+        return server_tx
+
+    server_tx = asyncio.run(run())
+    assert server_tx.stats.lifetime_rejects.count == 1
+    assert server_tx.host.metrics.dropped("too_old") == 1
+    assert not server_tx.machine._response_cache

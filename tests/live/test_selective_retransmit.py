@@ -16,11 +16,12 @@ import pytest
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.live import LiveOverlay, LiveTransactor, WallClock
-from repro.live.host import LIVE_TRANSPORT, decode_pdu
+from repro.live.host import LIVE_TRANSPORT
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.transport.machine import MAX_MEMBER_PAYLOAD, PduKind
 from repro.transport.rebind import RouteManager
+from tests.live.oracle import decode_pdu
 
 pytestmark = pytest.mark.live
 

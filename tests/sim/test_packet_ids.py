@@ -3,7 +3,7 @@
 Packet ids used to come from module-global ``itertools.count`` objects,
 so the ids a run produced depended on every packet any *other* test or
 simulator had ever constructed in the process.  Each
-:class:`Simulator` (and each live host) now owns a
+:class:`Simulator` now owns a
 :class:`~repro.sim.ids.PacketIdAllocator`, making id sequences a pure
 function of the run itself.
 """
@@ -77,10 +77,3 @@ class TestPerSimulatorIsolation:
         first, second = run(), run()
         assert first == second
         assert len(first) == 5
-
-    def test_live_hosts_allocate_independently(self):
-        from repro.live.host import LiveHost
-
-        a, b = LiveHost("a"), LiveHost("b")
-        assert a.packet_ids.allocate() == 1
-        assert b.packet_ids.allocate() == 1

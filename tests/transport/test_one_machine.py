@@ -11,7 +11,7 @@ import inspect
 
 import repro.live
 import repro.live.host as live_host
-from repro.live.host import LiveHost, LiveTransactionResult, LiveTransactor
+from repro.live.host import LiveHost, LiveTransactor
 from repro.scenarios import build_sirpent_line
 from repro.transport import machine
 
@@ -54,11 +54,14 @@ def test_one_transaction_machine_and_no_twin_in_src():
         for name in PDU_HANDLERS + MACHINE_STATE:
             assert not hasattr(adapter, name), (kind, name)
     for name in ("_KIND_PROBE", "_KIND_STATUS", "_MASK", "_TX_HEADER",
-                 "TransactorConfig", "_ClientTx", "_ServerAssembly"):
+                 "TransactorConfig", "_ClientTx", "_ServerAssembly",
+                 "LiveTransactionResult"):
         assert not hasattr(live_host, name), name
-    assert "TransactorConfig" not in repro.live.__all__
-    for name in ("probes", "members_resent"):
-        assert name not in LiveTransactionResult.__dataclass_fields__, name
+    for name in ("TransactorConfig", "LiveTransactionResult"):
+        assert name not in repro.live.__all__, name
+    # One result type: the machine's, which the live transactor returns.
+    for name in ("probes", "members_resent", "response_payload"):
+        assert name not in machine.TransactionResult.__dataclass_fields__, name
 
 
 def test_the_live_adapter_does_not_import_the_simulators():

@@ -72,6 +72,21 @@ class TestPolicy:
         sim.run()
         assert not policy.accept(stamp, clock)
 
+    def test_age_is_measured_at_the_arrival_time_given(self):
+        """A receiver that holds the time a PDU arrived measures its age
+        then, not when the check runs; without one it reads the clock."""
+        sim = Simulator()
+        clock = HostClock(sim)
+        policy = TimestampPolicy(max_age_ms=30_000)
+        sim.at(1.0, lambda: None)
+        sim.run()
+        stamp = clock.stamp()
+        sim.at(40.0, lambda: None)
+        sim.run()
+        assert policy.accept(stamp, clock, 2.0)
+        assert not policy.accept(stamp, clock)
+        assert not policy.accept(stamp, clock, 40.0)
+
     def test_invalid_stamp_always_accepted(self):
         """Value 0 is reserved: 'should be ignored' (booting machines)."""
         sim = Simulator()

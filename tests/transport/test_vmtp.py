@@ -112,6 +112,30 @@ def test_route_switch_on_persistent_failure():
     assert manager.switches.count >= 1
 
 
+def test_members_are_sized_to_the_route_they_leave_on():
+    """A route's member budget is asked while it stays current and asked
+    again of the route a switch moves to: a transaction after the
+    switch is split to the new route's smaller budget."""
+    scenario = build_sirpent_parallel(n_paths=2, path_delay_step=100e-6)
+    client, _server, entity, _manager = setup_pair(scenario)
+    routes = scenario.vmtp_routes("src", "dst", k=2)
+    routes[1].mtu = routes[1].mtu - routes[1].max_payload() + 600
+    manager = RouteManager(scenario.sim, routes)
+    overhead = client.config.header_bytes + client.config.trailer_bytes
+    results = []
+    for _ in range(2):
+        client.transact(manager, entity, b"x", 1000, results.append)
+        scenario.sim.run(until=scenario.sim.now + 1.0)
+    assert client.stats.sent_pdus.count == 2  # one member each
+    manager.report_failure()
+    assert manager.current() is routes[1]
+    client.transact(manager, entity, b"x", 1000, results.append)
+    scenario.sim.run(until=scenario.sim.now + 1.0)
+    assert [result.ok for result in results] == [True] * 3
+    # 1,000 bytes at 600 - overhead per member.
+    assert client.stats.sent_pdus.count == 2 + -(-1000 // (600 - overhead))
+
+
 def test_duplicate_request_answered_from_cache():
     scenario = build_sirpent_line(n_routers=1)
     calls = []
