@@ -21,7 +21,8 @@ import importlib
 _EXPORTS = (
     ("directory", ("DirectoryError", "LiveDirectoryClient",
                    "LiveDirectoryServer")),
-    ("frames", ("FLAG_TRACED", "FRAME_ACK", "FRAME_DATA", "Preamble",
+    ("frames", ("FLAG_TRACED", "FRAME_ACK", "FRAME_DATA", "FRAME_PROBE",
+                "Preamble",
                 "decode_live_frame", "encode_live_frame")),
     ("host", ("LIVE_TRANSPORT", "LiveDelivered", "LiveHost", "LiveRoute",
               "LiveTransactor", "WallClock")),

@@ -5,26 +5,22 @@ links (:class:`repro.core.packet.FramePacket`).  A live datagram is the
 byte-exact VIPER packet body
 (stacked header segments ++ payload ++ return-route trailer, produced
 by the *existing* codec in :mod:`repro.viper.wire` and
-:mod:`repro.viper.packet`) behind an 11-byte overlay preamble::
+:mod:`repro.viper.packet`) behind a 7-byte overlay preamble::
 
      0        1        2        3
     +--------+--------+--------+--------+
     |  'V'   |  'L'   |version |  kind  |
     +--------+--------+--------+--------+
-    |           hop sequence            |
-    +--------+--------+--------+--------+
     |segCount|   payloadLen    |  ...body
     +--------+--------+--------+
 
-* ``kind`` — :data:`FRAME_DATA` or :data:`FRAME_ACK` (per-hop ack).
-  An ack acknowledges ``seq`` plus the ``payloadLen / 4`` further
-  32-bit sequence numbers that follow its preamble, carries no segments
-  and is exactly ``11 + payloadLen`` bytes (:func:`encode_ack`,
-  :func:`ack_seqs`); alone, it is the bare preamble.
-* ``hop sequence`` — the link's liveness probe; 0 on most frames,
-  anything else marks the frame as its sender's probe, which the
-  receiving endpoint acks (:mod:`repro.live.link`).  Nothing is
-  retransmitted at this layer.
+* ``kind`` — :data:`FRAME_DATA`, or one of the link's two control
+  frames: :data:`FRAME_PROBE` asks a silent neighbour "are you there?"
+  and :data:`FRAME_ACK` answers it.  A control frame carries no
+  segments and exactly one 32-bit nonce (``payloadLen`` 4), so it is
+  exactly 11 bytes (:func:`encode_probe`, :func:`encode_ack`,
+  :func:`control_nonce`); the ack echoes the probe's nonce.  Nothing is
+  retransmitted at this layer (:mod:`repro.live.link`).
 * ``segCount`` — remaining header segments, so a receiver knows the
   segment/payload boundary deterministically (the role Ethernet frame
   typing plays in the paper).
@@ -35,11 +31,11 @@ by the *existing* codec in :mod:`repro.viper.wire` and
 **Traced frames** (the debug option the observability layer rides on):
 when the high bit of ``kind`` is set (:data:`FLAG_TRACED`), an 8-byte
 big-endian trace id follows the fixed preamble and the VIPER body
-starts at byte 19 instead of 11.  Routers copy the id through on every
+starts at byte 15 instead of 7.  Routers copy the id through on every
 hop (:func:`hop_move_into` preserves it), so one 64-bit transport
 identifier names the transaction at every node it crosses — the live
 analogue of the sim's ``FramePacket.trace_id`` metadata.  A traced
-flag with a zero id, or on an ACK frame, is a decode error; untraced
+flag with a zero id, or on a control frame, is a decode error; untraced
 frames are byte-identical to the pre-tracing wire format.
 
 The preamble is per-UDP-hop overlay plumbing, *not* part of VIPER:
@@ -102,26 +98,27 @@ from repro.viper.wire import (
 #: Leading magic of every live datagram.
 MAGIC = b"VL"
 
-#: Overlay framing version.
-VERSION = 1
+#: Overlay framing version: 2 since the preamble lost its hop sequence
+#: number (a version-1 datagram is undecodable, never misread).
+VERSION = 2
 
 #: A data frame: preamble + VIPER packet body.
 FRAME_DATA = 0
 
-#: A per-hop acknowledgement: preamble only, ``seq`` names the acked frame.
+#: The answer to a probe: preamble + the probe's nonce.
 FRAME_ACK = 1
 
+#: A liveness probe to a silent peer: preamble + a nonce to echo.
+FRAME_PROBE = 2
+
 #: Size of the fixed preamble.
-PREAMBLE_BYTES = 11
+PREAMBLE_BYTES = 7
 
-#: Size of the hop-sequence field.
-SEQ_BYTES = 4
-
-#: Byte offset of the hop-sequence field (after magic, version, kind).
-SEQ_OFFSET = 4
+#: Size of a control frame's nonce, its whole payload.
+NONCE_BYTES = 4
 
 #: Byte offsets of the segment-count and payload-length fields.
-SEG_COUNT_OFFSET, PAYLOAD_LEN_OFFSET = 8, 9
+SEG_COUNT_OFFSET, PAYLOAD_LEN_OFFSET = 4, 5
 
 #: Size of the payload-length field.
 PAYLOAD_LEN_BYTES = 2
@@ -135,22 +132,17 @@ TRACE_ID_BYTES = 8
 #: Largest representable payload (16-bit length field).
 MAX_PAYLOAD_BYTES = 0xFFFF
 
-#: ``seq`` value meaning "not a probe, do not ack".
-SEQ_NONE = 0
 
-#: The largest hop sequence number; the number after it is 1.
-SEQ_MAX = (1 << (8 * SEQ_BYTES)) - 1
+#: The fixed preamble's wire layout: magic, version, kind, segCount,
+#: payloadLen.
+_PREAMBLE = struct.Struct(">2sBBBH")
 
-
-#: The fixed preamble's wire layout: magic, version, kind, seq,
-#: segCount, payloadLen.
-_PREAMBLE = struct.Struct(">2sBBIBH")
-
-_SEQ = struct.Struct(">I")
+#: A whole control frame: the preamble, then its nonce.
+_CONTROL = struct.Struct(">2sBBBHI")
 
 _TRACE_ID = struct.Struct(">Q")
-#: Joins a frame's parts into one mutable buffer.
-_JOIN = bytearray().join
+#: Joins a frame's parts into one datagram.
+_JOIN = b"".join
 
 #: Where a segment's port octet sits (Figure 1: the two length octets
 #: come first).
@@ -174,7 +166,6 @@ class Preamble(NamedTuple):
     """
 
     kind: int
-    seq: int
     seg_count: int
     payload_len: int
     #: 64-bit trace id carried by the traced-frame option; 0 = untraced.
@@ -182,18 +173,16 @@ class Preamble(NamedTuple):
 
     @property
     def header_len(self) -> int:
-        """Bytes before the VIPER body (11, or 19 when traced)."""
+        """Bytes before the VIPER body (7, or 15 when traced)."""
         return PREAMBLE_BYTES + (TRACE_ID_BYTES if self.trace_id else 0)
 
 
 def encode_preamble(
-    kind: int, seq: int, seg_count: int, payload_len: int, trace_id: int = 0
+    kind: int, seg_count: int, payload_len: int, trace_id: int = 0
 ) -> bytes:
-    """Serialize the overlay preamble (11 bytes, 19 when ``trace_id``)."""
-    if kind not in (FRAME_DATA, FRAME_ACK):
+    """Serialize the overlay preamble (7 bytes, 15 when ``trace_id``)."""
+    if kind not in (FRAME_DATA, FRAME_ACK, FRAME_PROBE):
         raise ValueError(f"unknown frame kind {kind}")
-    if not 0 <= seq <= 0xFFFFFFFF:
-        raise ValueError(f"sequence {seq} outside 32 bits")
     if not 0 <= seg_count <= MAX_SEGMENTS:
         raise ValueError(f"segment count {seg_count} outside 0..{MAX_SEGMENTS}")
     if not 0 <= payload_len <= MAX_PAYLOAD_BYTES:
@@ -205,9 +194,7 @@ def encode_preamble(
     wire_kind = kind | (FLAG_TRACED if trace_id else 0)
     out = (
         MAGIC
-        + bytes((VERSION, wire_kind))
-        + seq.to_bytes(SEQ_BYTES, "big")
-        + bytes((seg_count,))
+        + bytes((VERSION, wire_kind, seg_count))
         + payload_len.to_bytes(PAYLOAD_LEN_BYTES, "big")
     )
     if trace_id:
@@ -227,7 +214,7 @@ def decode_preamble(datagram) -> Preamble:
             f"datagram of {len(datagram)} bytes is shorter than the "
             f"{PREAMBLE_BYTES}-byte preamble"
         )
-    magic, version, wire_kind, seq, seg_count, payload_len = (
+    magic, version, wire_kind, seg_count, payload_len = (
         _PREAMBLE.unpack_from(datagram)
     )
     if magic != MAGIC:
@@ -235,14 +222,14 @@ def decode_preamble(datagram) -> Preamble:
     if version != VERSION:
         raise ViperDecodeError(f"unsupported live-frame version {version}")
     kind = wire_kind & ~FLAG_TRACED
-    if kind > FRAME_ACK:
+    if kind > FRAME_PROBE:
         raise ViperDecodeError(f"unknown live-frame kind {kind}")
     if seg_count > MAX_SEGMENTS:
         raise ViperDecodeError(
             f"segment count {seg_count} exceeds VIPER's {MAX_SEGMENTS}"
         )
     if wire_kind == kind:
-        return Preamble(kind, seq, seg_count, payload_len, 0)
+        return Preamble(kind, seg_count, payload_len, 0)
     if kind != FRAME_DATA:
         raise ViperDecodeError("traced flag on a non-data frame")
     if len(datagram) < PREAMBLE_BYTES + TRACE_ID_BYTES:
@@ -250,60 +237,51 @@ def decode_preamble(datagram) -> Preamble:
     (trace_id,) = _TRACE_ID.unpack_from(datagram, PREAMBLE_BYTES)
     if trace_id == 0:
         raise ViperDecodeError("traced flag with zero trace id")
-    return Preamble(kind, seq, seg_count, payload_len, trace_id)
+    return Preamble(kind, seg_count, payload_len, trace_id)
 
 
-def encode_ack(seq: int, further: Sequence[int] = ()) -> bytes:
-    """A per-hop acknowledgement frame for ``seq`` and ``further``.
+def encode_probe(nonce: int) -> bytes:
+    """A liveness probe carrying ``nonce``, which the peer's ack echoes."""
+    return _control(FRAME_PROBE, nonce)
 
-    ``seq`` rides the preamble — a lone ack is the bare 11 bytes — and
-    each further number follows it as 32 big-endian bits, announced by
-    ``payloadLen = 4 * len(further)``.  Every number must have been
-    received from the one peer the ack is sent to.
-    """
+
+def encode_ack(nonce: int) -> bytes:
+    """The answer to the probe that carried ``nonce``."""
+    return _control(FRAME_ACK, nonce)
+
+
+def _control(kind: int, nonce: int) -> bytes:
     try:
-        if not further:
-            return _PREAMBLE.pack(MAGIC, VERSION, FRAME_ACK, seq, 0, 0)
-        return struct.pack(
-            f"{_PREAMBLE.format}{len(further)}I", MAGIC, VERSION, FRAME_ACK,
-            seq, 0, SEQ_BYTES * len(further), *further,
-        )
-    except struct.error as error:
-        raise ValueError(f"ack does not fit the wire format: {error}") from None
+        return _CONTROL.pack(MAGIC, VERSION, kind, 0, NONCE_BYTES, nonce)
+    except struct.error:
+        raise ValueError(f"nonce {nonce} outside 32 bits") from None
 
 
-def ack_seqs(datagram, preamble: Preamble) -> Tuple[int, ...]:
-    """Every hop sequence number the ack frame ``datagram`` names.
+def control_nonce(datagram, preamble: Preamble) -> int:
+    """The nonce of the probe or ack frame ``datagram``.
 
-    ``preamble`` is its decoded preamble.  An ack is exactly its
-    preamble plus ``payloadLen`` bytes of whole sequence numbers and
-    carries no segments; anything else raises
-    :class:`~repro.viper.errors.ViperDecodeError` and must release
-    nothing.
+    ``preamble`` is its decoded preamble.  A control frame is exactly
+    its preamble plus one nonce and carries no segments; anything else
+    raises :class:`~repro.viper.errors.ViperDecodeError` and must
+    release nothing.
     """
-    payload_len = preamble.payload_len
     if (
         preamble.seg_count
-        or payload_len % SEQ_BYTES
-        or len(datagram) != PREAMBLE_BYTES + payload_len
+        or preamble.payload_len != NONCE_BYTES
+        or len(datagram) != PREAMBLE_BYTES + NONCE_BYTES
     ):
         raise ViperDecodeError(
-            f"malformed hop ack: {len(datagram)} bytes, segCount "
-            f"{preamble.seg_count}, payloadLen {payload_len}"
+            f"malformed control frame: {len(datagram)} bytes, segCount "
+            f"{preamble.seg_count}, payloadLen {preamble.payload_len}"
         )
-    if not payload_len:
-        return (preamble.seq,)
-    return (preamble.seq, *struct.unpack_from(
-        f">{payload_len // SEQ_BYTES}I", datagram, PREAMBLE_BYTES
-    ))
+    return _CONTROL.unpack_from(datagram)[5]
 
 
 # -- whole-frame codec (endpoints) ------------------------------------------
 
 
 def encode_live_frame(
-    packet: SirpentPacket, payload_bytes: bytes, seq: int = SEQ_NONE,
-    trace_id: int = 0,
+    packet: SirpentPacket, payload_bytes: bytes, trace_id: int = 0,
 ) -> bytes:
     """Serialize a structural packet into one live datagram.
 
@@ -325,7 +303,7 @@ def encode_live_frame(
             "needs exactly one block per slick segment"
         )
     return encode_preamble(
-        FRAME_DATA, seq, len(packet.segments), packet.payload_size,
+        FRAME_DATA, len(packet.segments), packet.payload_size,
         trace_id=trace_id or packet.trace_id,
     ) + encode_packet(packet, payload_bytes)
 
@@ -473,14 +451,12 @@ def _closing_segment(reply_socket: int, priority: int, dib: bool) -> bytes:
 
 def frame_with_header(
     header: bytes, seg_count: int, payload: bytes, trace_id: int = 0
-) -> bytearray:
-    """One unsequenced data frame around an already encoded route header.
+) -> bytes:
+    """One data frame around an already encoded route header.
 
-    ``preamble ++ header ++ payload``, in one join into a buffer the
-    link may restamp in place (:meth:`~repro.live.link.LiveEndpoint.send`
-    takes it over); ``header``/``seg_count`` come from
-    :func:`encode_route_header` or :func:`return_route_header`, which
-    validated them.  The preamble is :func:`encode_preamble`'s, packed
+    ``preamble ++ header ++ payload``, in one join; ``header``/``seg_count``
+    come from :func:`encode_route_header` or :func:`return_route_header`,
+    which validated them.  The preamble is :func:`encode_preamble`'s, packed
     directly.  Raises :class:`ValueError` for a payload past the 16-bit
     length field or a trace id past 64 bits.
     """
@@ -489,14 +465,14 @@ def frame_with_header(
         raise ValueError(f"payload length {payload_len} outside 16 bits")
     if not trace_id:
         return _JOIN((
-            _PREAMBLE.pack(MAGIC, VERSION, FRAME_DATA, SEQ_NONE, seg_count, payload_len),
+            _PREAMBLE.pack(MAGIC, VERSION, FRAME_DATA, seg_count, payload_len),
             header, payload,
         ))
     if not 0 < trace_id <= 0xFFFFFFFFFFFFFFFF:
         raise ValueError(f"trace id {trace_id} outside 64 bits")
     return _JOIN((
         _PREAMBLE.pack(
-            MAGIC, VERSION, FRAME_DATA | FLAG_TRACED, SEQ_NONE, seg_count, payload_len,
+            MAGIC, VERSION, FRAME_DATA | FLAG_TRACED, seg_count, payload_len,
         ),
         _TRACE_ID.pack(trace_id), header, payload,
     ))
@@ -613,9 +589,8 @@ def encode_preamble_into(
     """Write a data-frame preamble into ``buffer`` at ``offset`` in place.
 
     The allocation-free twin of :func:`encode_preamble` for the hop
-    fast path (always ``FRAME_DATA`` with hop sequence 0 — the link
-    stamps the sequence as it sends, :func:`restamp_seq_into`).  Returns
-    the header length written (11, or 19 when traced).
+    fast path (always ``FRAME_DATA``).  Returns the header length
+    written (7, or 15 when traced).
     """
     if not 0 <= seg_count <= MAX_SEGMENTS:
         raise ValueError(f"segment count {seg_count} outside 0..{MAX_SEGMENTS}")
@@ -624,7 +599,7 @@ def encode_preamble_into(
     _PREAMBLE.pack_into(
         buffer, offset, MAGIC, VERSION,
         FRAME_DATA | FLAG_TRACED if trace_id else FRAME_DATA,
-        SEQ_NONE, seg_count, payload_len,
+        seg_count, payload_len,
     )
     if not trace_id:
         return PREAMBLE_BYTES
@@ -632,16 +607,6 @@ def encode_preamble_into(
         raise ValueError(f"trace id {trace_id} outside 64 bits")
     _TRACE_ID.pack_into(buffer, offset + PREAMBLE_BYTES, trace_id)
     return PREAMBLE_BYTES + TRACE_ID_BYTES
-
-
-def restamp_seq_into(buffer, offset: int, seq: int) -> None:
-    """Rewrite the hop-sequence field of the frame at ``offset`` in
-    ``buffer``, in place: the link stamps a probe's number (or 0) into
-    every frame it sends, and only this module knows where the field
-    lives."""
-    if not 0 <= seq <= 0xFFFFFFFF:
-        raise ValueError(f"sequence {seq} outside 32 bits")
-    _SEQ.pack_into(buffer, offset + SEQ_OFFSET, seq)
 
 
 def return_tail_of(return_segment: HeaderSegment) -> bytes:

@@ -21,21 +21,22 @@ callbacks.  The endpoint provides:
   with no probe in flight is that peer's probe — at most one per peer
   per ``ack_timeout_s`` — and hearing anything from the peer before the
   probe's deadline answers it.  On request/response traffic the reply
-  does, so a healthy port sends no extra datagram.  A probe sent to a
-  peer that stayed silent through the last one carries a fresh hop
-  sequence number in its preamble (every other send stamps 0), which
-  the receiving endpoint acks from its drain — **one ack datagram per
-  peer per wakeup** naming every number it owes
-  (:func:`~repro.live.frames.encode_ack`), sent when the drain ends and
-  before the consumer runs — so a port that carries traffic one way
-  only is answered too.  ``1 + max_retries`` consecutive unanswered
-  probes, the last of them numbered, report the peer through
-  :attr:`on_peer_dead`; hearing from it resets the count, and an ack
-  naming another peer's probe counts ``stray_ack`` and changes nothing
-  (sequence numbers are per sender).  The probes sit in one dict in
-  send order, which is deadline order (one constant timeout), under
-  **one** loop timer.  A port nobody sends on is never probed and needs
-  no verdict,
+  does, so a healthy port sends no extra datagram.  When the peer
+  stayed silent through its last probe, the send also puts a
+  **probe frame** on the wire beside the data frame — 11 bytes, a fresh
+  32-bit nonce (:func:`~repro.live.frames.encode_probe`) — which the
+  receiving endpoint answers from its drain, inline, with one ack
+  echoing the nonce (:func:`~repro.live.frames.encode_ack`), so a port
+  that carries traffic one way only is answered too.  Probe and ack
+  frames take no ring slot and never reach :attr:`on_batch`, and no
+  data frame is written to: it leaves byte for byte as it was handed
+  over.  ``1 + max_retries`` consecutive unanswered probes, the last of
+  them a probe frame, report the peer through :attr:`on_peer_dead`;
+  hearing from it resets the count, and an ack echoing the nonce of a
+  probe out to another peer counts ``stray_ack`` and changes nothing
+  (nonces are per sender).  The probes sit in one dict in send order,
+  which is deadline order (one constant timeout), under **one** loop
+  timer.  A port nobody sends on is never probed and needs no verdict,
 * **coalesced sends** — :meth:`send_parts` gathers one datagram from
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
   bytes as the fallback); a full socket buffer queues a copy of the
@@ -70,16 +71,13 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
-    MAX_PAYLOAD_BYTES,
+    FRAME_PROBE,
     PREAMBLE_BYTES,
     Preamble,
-    SEQ_BYTES,
-    SEQ_MAX,
-    SEQ_NONE,
-    ack_seqs,
+    control_nonce,
     decode_preamble,
     encode_ack,
-    restamp_seq_into,
+    encode_probe,
 )
 from repro.live.metrics import EndpointMetrics
 from repro.viper.errors import ViperDecodeError
@@ -144,12 +142,14 @@ class LivenessConfig:
 
 
 def corrupt_datagram(datagram, seed: int) -> bytes:
-    """Deterministically flip one byte past the hop preamble.
+    """Deterministically flip one byte past the overlay preamble.
 
-    The preamble survives (the frame still decodes and acks normally) —
-    Sirpent carries no header checksum, so chaos corruption must be
-    *delivered* and become the transport layer's problem (§4.1), not
-    vanish as line noise.  Frames too short to have a body pass through
+    The preamble survives, so the frame still decodes — Sirpent carries
+    no header checksum, so chaos corruption must be *delivered* and
+    become the transport layer's problem (§4.1), not vanish as line
+    noise.  A probe frame's flip lands in its nonce, which the ack
+    echoes as it arrived: the ack still answers (any frame from the
+    peer does).  Frames too short to have a body pass through
     unchanged.  The flip happens in a single ``bytearray`` in place —
     one copy, not the three-slice concatenation this used to do.
     """
@@ -160,15 +160,6 @@ def corrupt_datagram(datagram, seed: int) -> bytes:
     corrupted = bytearray(datagram)
     corrupted[index] ^= flip
     return bytes(corrupted)
-
-
-def _numbered(datagram: bytes, seq: int) -> bytearray:
-    """A copy of the ``bytes`` frame ``datagram`` carrying the probe
-    number ``seq``: made once per silent peer per ack timeout, off
-    :meth:`LiveEndpoint.send`'s per-frame path."""
-    frame = bytearray(datagram)
-    restamp_seq_into(frame, 0, seq)
-    return frame
 
 
 class LiveEndpoint:
@@ -201,20 +192,22 @@ class LiveEndpoint:
         #: must release) every view's slot.
         self.on_batch: Optional[Callable[[List[BatchEntry]], None]] = None
         #: Called with a peer's address once ``1 + max_retries``
-        #: consecutive probes to it went unanswered, the last numbered.
+        #: consecutive probes to it went unanswered, the last a probe
+        #: frame.
         self.on_peer_dead: Optional[Callable[[Address], None]] = None
         #: Chaos seam (:mod:`repro.chaos.seam`): ``fault_hook(addr)``
         #: returns a per-datagram fault decision or None.  Duck-typed so
         #: the live layer stays independent of the chaos package.
         self.fault_hook: Optional[Callable[[Address], Any]] = None
-        #: The next probe's hop sequence number: 1 … ``SEQ_MAX``, then 1.
-        self._seq = 1
+        #: The last probe frame's nonce (32 bits, counting up).
+        self._nonce = 0
         #: Every peer probed in the last ``ack_timeout_s``, in send order
         #: — which is deadline order, one constant timeout after each:
-        #: ``addr -> (seq, sent_at)``, seq 0 unless the probe is numbered.
+        #: ``addr -> (nonce, sent_at)``, nonce None unless a probe frame
+        #: went out.
         #: An entry leaves at its deadline, answered or not, so a peer
         #: gets at most one probe per ``ack_timeout_s``.
-        self._probes: Dict[Address, Tuple[int, float]] = {}
+        self._probes: Dict[Address, Tuple[Optional[int], float]] = {}
         #: The peers not heard from since their latest probe was sent:
         #: ``addr -> probes to it that went unanswered in a row``.  Hearing
         #: from a peer deletes its entry — an unheard peer's probe is
@@ -290,51 +283,37 @@ class LiveEndpoint:
 
     # -- transmit ----------------------------------------------------------
 
-    def send(self, datagram, addr: Address) -> int:  # sirlint: hot
-        """Transmit one framed datagram; returns its hop sequence number.
+    def send(self, datagram, addr: Address) -> None:  # sirlint: hot
+        """Transmit one framed datagram, byte for byte as handed over.
 
-        The endpoint owns the preamble's hop-sequence field: it writes 0
-        there, or — when this send is a numbered probe (see
-        :meth:`_probe`) — a fresh number, which is returned.  A
-        ``bytearray`` frame
-        (:func:`~repro.live.frames.frame_with_header` builds one) is
-        stamped in place; a ``bytes`` frame keeps the 0 it was encoded
-        with and is copied only to carry a number, and one shorter than
-        a preamble goes out as it is, never a probe.
+        The first send to a peer with no probe out opens that peer's
+        probe (:meth:`_probe`).
         """
         if self.closed or self._sock is None:
-            return SEQ_NONE
-        seq = SEQ_NONE
-        if addr not in self._probes and len(datagram) >= PREAMBLE_BYTES:
-            seq = self._probe(addr)
-        if datagram.__class__ is bytearray:
-            restamp_seq_into(datagram, 0, seq)
-        elif seq != SEQ_NONE:
-            datagram = _numbered(datagram, seq)
+            return
+        if addr not in self._probes:
+            self._probe(addr)
         self.metrics.record_out(len(datagram))
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(datagram, addr)
         else:
             self._raw_send(datagram, addr)
-        return seq
 
-    def send_view(self, view: PacketView, addr: Address) -> int:  # sirlint: hot
+    def send_view(self, view: PacketView, addr: Address) -> None:  # sirlint: hot
         """Transmit a slot-backed frame without materialising it.
 
         **Ownership transfers to the endpoint**: the view's slot is
-        released right after the send syscall.  The hop sequence number
-        (0, or a numbered probe's, as :meth:`send`) is stamped in place
-        in the slot.  Chaos/impairment seams materialise one copy for the
-        faulted transmission — they hold frames past this call (the
-        impairments are read on every send: they may be switched on at
-        any time).
+        released right after the send syscall.  Probes as :meth:`send`.
+        Chaos/impairment seams materialise one copy for the faulted
+        transmission — they hold frames past this call (the impairments
+        are read on every send: they may be switched on at any time).
         """
         sock = self._sock
         if self.closed or sock is None:
             view.release()
-            return SEQ_NONE
-        seq = SEQ_NONE if addr in self._probes else self._probe(addr)
-        restamp_seq_into(view.buffer, view.start, seq)
+            return
+        if addr not in self._probes:
+            self._probe(addr)
         mem = view.mem
         self.metrics.record_out(len(mem))
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
@@ -347,26 +326,24 @@ class LiveEndpoint:
             except OSError:
                 self.metrics.drop("socket_error")
         view.release()
-        return seq
 
-    def send_parts(self, parts, addr: Address) -> int:
+    def send_parts(self, parts, addr: Address) -> None:
         """One datagram gathered from several buffers.
 
         The kernel coalesces ``parts`` into a single datagram via
         ``sendmsg`` — no join copy on the fast path; platforms (or
         sockets) without gather IO fall back to a plain ``sendto`` of
-        the joined bytes.  The parts carry hop sequence 0; a send that
-        is a probe, or an impaired one, joins up front and goes through
-        :meth:`send` (a probe's number is stamped into one buffer, and
-        the fault seams need one stable buffer).
+        the joined bytes.  Probes as :meth:`send`.  An impaired send
+        joins up front and goes through :meth:`send` (the fault seams
+        need one stable buffer).
         """
         if self.closed or self._sock is None:
-            return SEQ_NONE
-        if (
-            addr not in self._probes or self.fault_hook is not None
-            or self.impairments.loss_rate > 0.0
-        ):
-            return self.send(b"".join(parts), addr)
+            return
+        if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
+            self.send(b"".join(parts), addr)
+            return
+        if addr not in self._probes:
+            self._probe(addr)
         total = 0
         for part in parts:
             total += len(part)
@@ -379,9 +356,9 @@ class LiveEndpoint:
             self._raw_send(b"".join(parts), addr)
         except OSError:
             self.metrics.drop("socket_error")
-        return SEQ_NONE
 
     def _impaired_send(self, datagram, addr: Address) -> None:
+        """Transmit through the chaos and impairment seams."""
         if not isinstance(datagram, bytes):
             # Faulted/delayed transmissions outlive this call; they hold
             # a materialised copy, never a ring slot.
@@ -457,38 +434,39 @@ class LiveEndpoint:
 
     # -- the probe ladder --------------------------------------------------
 
-    def _probe(self, addr: Address) -> int:
-        """Make the frame about to leave for ``addr`` that peer's probe;
-        returns its hop sequence number: a fresh one when the peer was
-        silent through its last probe (the receiver then acks it), else
-        0 (its traffic back answers).
+    def _probe(self, addr: Address) -> None:
+        """Open ``addr``'s probe with the frame about to leave for it.
+
+        When the peer was silent through its last probe, a probe frame
+        carrying a fresh nonce goes out first, through the same seams as
+        any datagram, and the receiver acks it; otherwise the frame
+        itself is the probe, and the peer's traffic back answers it.
 
         One dict insert at the end of ``_probes``: its deadline, one
         timeout from now, is the latest, so the timer — armed for the
         oldest entry while any exists — is armed here only when this
         is the only one.
         """
-        seq = SEQ_NONE
+        nonce = None
         if self._unheard.setdefault(addr, 0):
-            seq = self._seq
-            self._seq = seq + 1 if seq < SEQ_MAX else 1
+            nonce = self._nonce = (self._nonce + 1) & 0xFFFFFFFF
+            self._impaired_send(encode_probe(nonce), addr)
         now = self._loop.time()
         if not self._probes:
             self._probe_timer = self._loop.call_at(
                 now + self.liveness.ack_timeout_s, self._on_probe_timer
             )
-        self._probes[addr] = (seq, now)
-        return seq
+        self._probes[addr] = (nonce, now)
 
     def _on_probe_timer(self) -> None:
         """The oldest probe's deadline came: settle every probe now due,
         oldest first, re-arm for the next, then report the peers whose
         unanswered probe was their ``1 + max_retries``-th in a row.
 
-        A verdict needs a numbered probe — one the peer must answer
-        even if it has nothing to send back — so a peer silent past an
-        unnumbered probe is first asked with a number, whatever
-        ``max_retries`` is; after a verdict its ladder starts again.
+        A verdict needs a probe frame — one the peer must answer even if
+        it has nothing to send back — so a peer silent past its traffic
+        alone is first sent a probe frame, whatever ``max_retries`` is;
+        after a verdict its ladder starts again.
         """
         # Everything up to the deadline this timer was armed for is due
         # (the loop may fire a hair before its own clock says so).
@@ -499,7 +477,7 @@ class LiveEndpoint:
         unheard = self._unheard
         dead = []
         while probes:
-            addr, (seq, sent_at) = next(iter(probes.items()))
+            addr, (nonce, sent_at) = next(iter(probes.items()))
             if sent_at + timeout_s > due:
                 self._probe_timer = self._loop.call_at(
                     sent_at + timeout_s, self._on_probe_timer
@@ -509,7 +487,7 @@ class LiveEndpoint:
             missed = unheard.get(addr)
             if missed is None:
                 continue  # heard from: answered
-            if seq != SEQ_NONE and missed >= self.liveness.max_retries:
+            if nonce is not None and missed >= self.liveness.max_retries:
                 del unheard[addr]
                 dead.append(addr)
             else:
@@ -519,17 +497,17 @@ class LiveEndpoint:
             if self.on_peer_dead is not None:
                 self.on_peer_dead(addr)
 
-    def _on_ack(self, acked, addr: Address) -> None:  # sirlint: hot
-        """Peer ``addr`` sent an ack naming ``acked``: it is alive.
+    def _on_ack(self, nonce: int, addr: Address) -> None:  # sirlint: hot
+        """Peer ``addr`` sent an ack echoing ``nonce``: it is alive.
 
         Like any frame from the peer, the ack answers its probe and
-        clears its unanswered count — whatever numbers it names, a late
-        one too.  An ack naming a numbered probe out to another peer is
-        ``stray_ack`` and changes nothing: sequence numbers are per
-        sender, and an ack speaks only for the address it came from.
+        clears its unanswered count — whatever nonce it echoes, a late
+        one too.  An ack echoing the nonce of a probe frame out to
+        another peer is ``stray_ack`` and changes nothing: nonces are
+        per sender, and an ack speaks only for the address it came from.
         """
-        for peer, (seq, _sent_at) in self._probes.items():
-            if seq and peer != addr and seq in acked:
+        for peer, (sent, _sent_at) in self._probes.items():
+            if sent == nonce and peer != addr:
                 self.metrics.drop("stray_ack")
                 return
         self._unheard.pop(addr, None)
@@ -540,19 +518,15 @@ class LiveEndpoint:
         """Drain loop: one wakeup, up to ``rx_batch`` datagrams.
 
         Each datagram lands in a ring slot via ``recvmsg_into`` (no
-        receive-side allocation); acks and invalid frames are handled
-        inline; surviving data frames are delivered as one batch of
-        views whose slots the consumer now owns.  Only a delivered frame
-        takes a slot from the ring: an ack, a drop and the empty read
-        that ends the drain leave the receive slot for the next.  A data
-        frame answers its sender's probe (the peer is heard from).
-
-        The numbered probes drained are answered with **one ack datagram per
-        peer**, sent when the drain ends and before the consumer runs —
-        a function of the drained batch alone (no timer, no clock).  A
-        peer owed more numbers than fit one ring slot (never, at the
-        default sizes: 32 numbers are 135 bytes) gets them in as many
-        acks as it takes.
+        receive-side allocation); probes, acks and invalid frames are
+        handled inline; surviving data frames are delivered as one batch
+        of views whose slots the consumer now owns.  Only a delivered
+        frame takes a slot from the ring: a probe, an ack, a drop and
+        the empty read that ends the drain leave the receive slot for
+        the next.  Any frame from a peer answers its probe (the peer is
+        heard from), and a probe is answered at once with one ack
+        echoing its nonce — a function of the datagram alone (no timer,
+        no clock).
         """
         sock = self._sock
         if sock is None or self.closed:
@@ -561,10 +535,7 @@ class LiveEndpoint:
         metrics = self.metrics
         unheard = self._unheard
         buffers = self._recv_buffers
-        batch, owed = [], []  # sirlint: disable=SIR008 -- the wakeup's products: the batch the consumer takes away and the numbers its one ack names
-        # ``owed`` is for ``ack_peer``, the peer heard last; ``acks`` files
-        # the lists per peer once a second one is heard (:meth:`_owed_to`).
-        ack_peer = acks = None
+        batch = []  # sirlint: disable=SIR008 -- the wakeup's product: the batch the consumer takes away
         slot = self._rx_slot
         if slot is None:
             slot = ring.acquire()
@@ -586,38 +557,27 @@ class LiveEndpoint:
             try:
                 preamble = decode_preamble(datagram)
                 kind = preamble.kind
-                if kind == FRAME_ACK:
-                    acked = ack_seqs(datagram, preamble)
+                if kind != FRAME_DATA:
+                    nonce = control_nonce(datagram, preamble)
             except ViperDecodeError:
                 metrics.drop("undecodable")
                 continue
             if kind == FRAME_ACK:
                 metrics.acks_in += 1
-                self._on_ack(acked, addr)
-                continue
-            if kind != FRAME_DATA:  # pragma: no cover - decoder guards
-                metrics.drop("undecodable")
+                self._on_ack(nonce, addr)
                 continue
             if unheard and addr in unheard:
                 del unheard[addr]
-            seq = preamble.seq
-            if seq != SEQ_NONE:
-                # A numbered probe: its sender waits for the number back.
-                if addr != ack_peer:
-                    if ack_peer is not None:
-                        acks, owed = self._owed_to(acks, ack_peer, owed, addr)
-                    ack_peer = addr
-                owed.append(seq)
+            if kind == FRAME_PROBE:
+                # Its sender waits for the nonce back.
+                metrics.acks_out += 1
+                self._raw_send(encode_ack(nonce), addr)
+                continue
             metrics.record_in(nbytes)
             batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
             slot = ring.acquire()
             buffers[0] = slot.view
         self._rx_slot = slot  # sirlint: disable=SIR009 -- the endpoint's own receive slot: at most one between wakeups, close() gives it back (ARCHITECTURE §14)
-        if acks is not None or len(owed) > 1:
-            self._send_acks(acks, ack_peer, owed)
-        elif owed:
-            metrics.acks_out += 1
-            self._raw_send(encode_ack(owed[0]), ack_peer)
         if not batch:
             return
         self.rx_batches += 1
@@ -627,27 +587,6 @@ class LiveEndpoint:
         else:
             for view, _source, _preamble in batch:
                 view.release()
-
-    def _owed_to(self, acks, ack_peer: Address, owed: List[int], addr: Address):
-        """Another peer than ``ack_peer`` is heard: file ``owed`` under
-        it, return ``(acks, the numbers owed to addr so far)``."""
-        if acks is None:
-            acks = {ack_peer: owed}
-        return acks, acks.setdefault(addr, [])
-
-    def _send_acks(self, acks, ack_peer: Address, owed: List[int]) -> None:
-        """One ack per peer in the order first heard (``acks`` is None when
-        only ``ack_peer`` was), naming all it is owed.  An ack must fit a slot
-        of the peer's ring (sized like ours) and the 16-bit payloadLen."""
-        per_ack = 1 + min(
-            self.ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
-        ) // SEQ_BYTES
-        for addr, seqs in (acks or {ack_peer: owed}).items():
-            for at in range(0, len(seqs), per_ack):
-                self.metrics.acks_out += 1
-                self._raw_send(
-                    encode_ack(seqs[at], seqs[at + 1:at + per_ack]), addr
-                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LiveEndpoint {self.name!r} at {self.address}>"

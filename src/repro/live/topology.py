@@ -203,7 +203,7 @@ class LiveOverlay:
         """Bring a killed router back on its original UDP port.
 
         The router re-derives all soft state (§2.2) — token cache, flow
-        cache, hop sequence space — while its configuration (port
+        cache, probe ladder — while its configuration (port
         wiring, mint secret) survives, so no peer needs rewiring and
         previously minted tokens verify on the reborn router.
         """

@@ -484,7 +484,6 @@ class TransactionMachine:
         self._client_txs.pop(tx.transaction_id, None)
         if result.ok:
             self.stats.transactions_ok.add()
-            self.stats.rtt.add(result.rtt)
             tx.manager.report_rtt(result.rtt, payload_size=sum(tx.member_sizes))
         else:
             self.stats.transactions_failed.add()

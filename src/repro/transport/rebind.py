@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 from repro.directory.routes import Route
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Counter, Histogram
+from repro.sim.monitor import Counter
 
 
 class NoRouteError(Exception):
@@ -111,7 +111,6 @@ class RouteManager:
         self.quarantines = Counter("route_quarantines")
         self.refresh_empty = Counter("rebind_refresh_empty")
         self.pardons = Counter("rebind_pardons")
-        self.rtt_samples = Histogram("route_rtt")
         self.last_switch_at: Optional[float] = None
         #: Flight recorder (repro.obs); NULL_RECORDER = not recording.
         self.recorder = NULL_RECORDER
@@ -140,7 +139,6 @@ class RouteManager:
         The comparison baseline is the route's *advertised* expected RTT
         (§3: the client can compute it before sending anything).
         """
-        self.rtt_samples.add(rtt)
         base = self.current().expected_rtt(payload_size)
         if base > 0 and rtt > base * DEGRADATION_FACTOR:
             self._consecutive_slow += 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.registry import Counter, Histogram
+from repro.obs.registry import Counter
 
 
 @dataclass
@@ -25,4 +25,3 @@ class TransportStats:
     duplicate_requests: Counter = field(default_factory=lambda: Counter("dup_req"))
     transactions_ok: Counter = field(default_factory=lambda: Counter("tx_ok"))
     transactions_failed: Counter = field(default_factory=lambda: Counter("tx_fail"))
-    rtt: Histogram = field(default_factory=lambda: Histogram("rtt"))

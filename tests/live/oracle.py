@@ -13,10 +13,11 @@ slow way — decode the whole frame, apply the algebra, re-encode.  It
 shares no code with the in-place path beyond the whole-frame codec.
 
 **The drain.**  :func:`drain_reference` is ``LiveEndpoint._on_readable``
-the plain way — a slot acquired and released per datagram, the acks
-owed kept in a dict per peer, every ack built by
-:func:`~repro.live.frames.encode_ack`, a peer heard from by every data
-frame it sends — run on a live endpoint's own state.
+the plain way — a slot acquired and released per datagram, a control
+frame's exact framing and nonce read field by field, every probe
+answered by an ack built by :func:`~repro.live.frames.encode_ack`, a
+peer heard from by every frame it sends but an ack, an ack's stray test
+a scan of the probes out — run on a live endpoint's own state.
 ``tests/live/test_drain_differential.py`` holds the endpoint's drain to
 it, wakeup by wakeup.
 
@@ -42,17 +43,13 @@ from repro.dataplane import Action, HopInput, UNKNOWN_IN_PORT
 from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
-    MAX_PAYLOAD_BYTES,
+    FRAME_PROBE,
     PREAMBLE_BYTES,
-    SEQ_BYTES,
-    SEQ_NONE,
-    ack_seqs,
     decode_live_frame,
     decode_preamble,
     encode_ack,
     encode_live_frame,
     hop_move_into,
-    restamp_seq_into,
     return_tail_of,
 )
 from repro.live.host import open_pdu
@@ -186,7 +183,7 @@ def return_route(delivered):
 
 
 def strip_and_append_slow(
-    datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
+    datagram: bytes, return_segment: HeaderSegment
 ) -> bytes:
     """Reference strip/reverse/append through the structural codec.
 
@@ -201,13 +198,11 @@ def strip_and_append_slow(
     encoded_return = encode_segment(return_segment)
     if len(encoded_return) >= TRUNCATION_SENTINEL:
         raise ValueError("return segment too large to frame in the trailer")
-    return encode_live_frame(
-        packet, payload_bytes, seq=seq, trace_id=preamble.trace_id
-    )
+    return encode_live_frame(packet, payload_bytes, trace_id=preamble.trace_id)
 
 
 def slick_reroute_slow(
-    datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
+    datagram: bytes, return_segment: HeaderSegment
 ) -> bytes:
     """Reference slick reroute through the structural codec.
 
@@ -226,24 +221,18 @@ def slick_reroute_slow(
     encoded_return = encode_segment(return_segment)
     if len(encoded_return) >= TRUNCATION_SENTINEL:
         raise ValueError("return segment too large to frame in the trailer")
-    return encode_live_frame(
-        packet, payload_bytes, seq=seq, trace_id=preamble.trace_id
-    )
+    return encode_live_frame(packet, payload_bytes, trace_id=preamble.trace_id)
 
 
-def hop_in_place(
-    datagram: bytes, return_segment: HeaderSegment, seq: int = SEQ_NONE
-) -> bytes:
+def hop_in_place(datagram: bytes, return_segment: HeaderSegment) -> bytes:
     """One router hop on ``datagram`` in a default-sized slot: the
-    in-place move, stamped with ``seq`` as the link stamps a sent frame,
-    asserted equal to :func:`strip_and_append_slow`; returns the
-    forwarded bytes."""
+    in-place move, asserted equal to :func:`strip_and_append_slow`;
+    returns the forwarded bytes."""
     view = slot_view(BufferRing(slots=1), datagram)
     assert hop_move_into(view, return_tail_of(return_segment))
-    restamp_seq_into(view.buffer, view.start, seq)
     forwarded = view.tobytes()
     view.release()
-    assert forwarded == strip_and_append_slow(datagram, return_segment, seq=seq)
+    assert forwarded == strip_and_append_slow(datagram, return_segment)
     return forwarded
 
 
@@ -462,17 +451,15 @@ def drain_reference(self) -> None:
     """One rx wakeup of the :class:`~repro.live.link.LiveEndpoint`
     ``self``, the reference way: up to ``rx_batch`` datagrams, each into
     a slot acquired for it (and released again unless it is delivered);
-    every data frame answers its sender's probe; one ack per peer that
-    sent numbered probes, sent when the drain ends and before the
-    consumer runs."""
+    every frame but an ack answers its sender's probe, an ack answers it
+    unless it echoes the nonce of a probe frame out to another peer, and
+    each probe is acked at once."""
     sock = self._sock
     if sock is None or self.closed:
         return
     ring = self.ring
     buffers = self._recv_buffers
     batch = []
-    #: Numbered probes to acknowledge, per peer, in arrival order.
-    acks = {}
     for _ in range(self.rx_batch):
         slot = ring.acquire()
         buffers[0] = slot.view
@@ -493,44 +480,41 @@ def drain_reference(self) -> None:
             ring.release(slot)
             self.metrics.drop("oversize")
             continue
-        datagram = slot.view[:nbytes]
+        datagram = bytes(slot.view[:nbytes])
         try:
             preamble = decode_preamble(datagram)
-            if preamble.kind == FRAME_ACK:
-                acked = ack_seqs(datagram, preamble)
         except ViperDecodeError:
+            preamble = None
+        control = preamble is not None and preamble.kind != FRAME_DATA
+        if preamble is None or control and (
+            # A probe or an ack is its preamble and one 4-byte nonce.
+            nbytes != PREAMBLE_BYTES + 4
+            or datagram[4] != 0
+            or datagram[5:7] != b"\x00\x04"
+        ):
             ring.release(slot)
             self.metrics.drop("undecodable")
             continue
+        if control:
+            ring.release(slot)
+            nonce = int.from_bytes(datagram[PREAMBLE_BYTES:], "big")
         if preamble.kind == FRAME_ACK:
-            ring.release(slot)
             self.metrics.acks_in += 1
-            self._on_ack(acked, addr)
-            continue
-        if preamble.kind != FRAME_DATA:  # pragma: no cover - decoder guards
-            ring.release(slot)
-            self.metrics.drop("undecodable")
+            if any(
+                sent == nonce and peer != addr
+                for peer, (sent, _at) in self._probes.items()
+            ):
+                self.metrics.drop("stray_ack")
+            else:
+                self._unheard.pop(addr, None)
             continue
         self._unheard.pop(addr, None)
-        if preamble.seq != SEQ_NONE:
-            owed = acks.get(addr)
-            if owed is None:
-                acks[addr] = [preamble.seq]
-            else:
-                owed.append(preamble.seq)
+        if preamble.kind == FRAME_PROBE:
+            self.metrics.acks_out += 1
+            self._raw_send(encode_ack(nonce), addr)
+            continue
         self.metrics.record_in(nbytes)
         batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
-    # An ack must fit a slot of the peer's ring (sized like ours) and
-    # the 16-bit payloadLen, whatever ``rx_batch`` is.
-    per_ack = 1 + min(
-        ring.slot_bytes - PREAMBLE_BYTES, MAX_PAYLOAD_BYTES
-    ) // SEQ_BYTES
-    for addr, owed in acks.items():
-        for at in range(0, len(owed), per_ack):
-            self.metrics.acks_out += 1
-            self._raw_send(
-                encode_ack(owed[at], owed[at + 1:at + per_ack]), addr
-            )
     if not batch:
         return
     self.rx_batches += 1
@@ -550,7 +534,7 @@ def probe_deadline(endpoint):
     it has none): each is due ``ack_timeout_s`` after it was sent."""
     timeout_s = endpoint.liveness.ack_timeout_s
     return min(
-        (sent_at + timeout_s for _seq, sent_at in endpoint._probes.values()),
+        (sent_at + timeout_s for _nonce, sent_at in endpoint._probes.values()),
         default=None,
     )
 

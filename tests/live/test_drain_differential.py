@@ -7,11 +7,11 @@ for the UDP socket and hands out the datagrams of a generated script —
 take identical steps, one drained by its own method and one by the
 reference, and must agree after every step on everything an observer can
 see: the batches handed to the consumer (bytes, source, ``Preamble``),
-every datagram sent (acks and forwards: bytes, address, order), every
-counter and drop reason, the probe ladder (probes out, peers unheard),
-the wakeup accounting, and the ring's books.  Both sides run on a
-virtual clock (``oracle.FakeLoop``), so a script's waits let probes go
-unanswered and later ones carry numbers.
+every datagram sent (probes, acks and forwards: bytes, address, order),
+every counter and drop reason, the probe ladder (probes out, peers
+unheard), the wakeup accounting, and the ring's books.  Both sides run
+on a virtual clock (``oracle.FakeLoop``), so a script's waits let
+probes go unanswered and later sends put probe frames on the wire.
 
 Ring conservation is stated so that it holds whoever drains: slots
 acquired and not yet released are exactly those a batch consumer still
@@ -31,9 +31,11 @@ from repro.live.frames import (
     FLAG_TRACED,
     FRAME_ACK,
     FRAME_DATA,
+    FRAME_PROBE,
     decode_preamble,
     encode_ack,
     encode_preamble,
+    encode_probe,
 )
 from repro.live.link import _MSG_TRUNC, LiveEndpoint, LivenessConfig
 from repro.viper.ring import BufferRing
@@ -137,8 +139,7 @@ class Side:
         self.held.extend(view for view, _source, _preamble in batch)
 
     def _forward(self, batch):
-        """What a router does with a frame: on to the next peer, the hop
-        sequence number its own (the view still carries the arrival's)."""
+        """What a router does with a frame: on to the next peer."""
         self._record(batch)
         for view, source, _preamble in batch:
             onward = PEERS[(PEERS.index(source) + 1) % self.config["peers"]]
@@ -147,7 +148,7 @@ class Side:
     # -- steps -----------------------------------------------------------
 
     def send(self, peer, via_view, body):
-        frame = encode_preamble(FRAME_DATA, 0, 0, len(body)) + body
+        frame = data_frame(body)
         if via_view:
             view = slot_view(self.endpoint.ring, frame)
             self.endpoint.send_view(view, PEERS[peer])
@@ -253,69 +254,89 @@ def run_case(config, steps):
 # -- the generated script -----------------------------------------------------
 
 
-def data_frame(seq, body=b"body", seg_count=0, trace_id=0):
-    return encode_preamble(FRAME_DATA, seq, seg_count, len(body), trace_id) + body
+def data_frame(body=b"body", seg_count=0, trace_id=0):
+    return encode_preamble(FRAME_DATA, seg_count, len(body), trace_id) + body
 
 
-def preamble_bytes(magic=b"VL", version=1, kind=FRAME_DATA, seq=0,
-                   seg_count=0, payload_len=0):
-    """An 11-byte preamble with any field out of range."""
+def preamble_bytes(magic=b"VL", version=2, kind=FRAME_DATA, seg_count=0,
+                   payload_len=0):
+    """A 7-byte preamble with any field out of range."""
     return (
-        magic + bytes((version, kind)) + seq.to_bytes(4, "big")
-        + bytes((seg_count,)) + payload_len.to_bytes(2, "big")
+        magic + bytes((version, kind, seg_count))
+        + payload_len.to_bytes(2, "big")
     )
 
 
-#: Small numbers collide: duplicates, acks that name a numbered probe out
-#: (the endpoint's own sequence space starts at 1) and acks that name none.
-hop_seqs = st.one_of(st.integers(1, 12), st.integers(1, 0xFFFFFFFF))
+def version_1(kind=FRAME_DATA, seq=0, seg_count=0, body=b""):
+    """A datagram of the retired wire: an 11-byte preamble carrying a
+    32-bit hop sequence number between kind and segCount."""
+    return (
+        b"VL" + bytes((1, kind)) + seq.to_bytes(4, "big")
+        + bytes((seg_count,)) + len(body).to_bytes(2, "big") + body
+    )
+
+
+#: Small nonces collide: duplicates, acks that echo a probe out (the
+#: endpoint's own nonces start at 1) and acks that echo none.
+nonces = st.one_of(st.integers(0, 12), st.integers(0, 0xFFFFFFFF))
 
 data_frames = st.builds(
     data_frame,
-    seq=st.one_of(st.just(0), hop_seqs),
     body=st.binary(max_size=24),
     seg_count=st.integers(0, 3),
     trace_id=st.one_of(st.just(0), st.integers(1, (1 << 64) - 1)),
 )
 
-acks = st.builds(
-    encode_ack, hop_seqs, st.lists(hop_seqs, max_size=5),
-)
+probes = st.builds(encode_probe, nonces)
+
+acks = st.builds(encode_ack, nonces)
+
+control_kinds = st.sampled_from([FRAME_ACK, FRAME_PROBE])
 
 malformed = st.one_of(
     st.binary(max_size=30),
-    st.binary(max_size=10),                          # shorter than a preamble
+    st.binary(max_size=6),                           # shorter than a preamble
     st.builds(preamble_bytes, magic=st.sampled_from([b"VX", b"LV", b"\0\0"])),
-    st.builds(preamble_bytes, version=st.sampled_from([0, 2, 255])),
-    st.builds(preamble_bytes, kind=st.sampled_from([2, 3, 0x7F, 0x82])),
+    st.builds(preamble_bytes, version=st.sampled_from([0, 1, 3, 255])),
+    st.builds(preamble_bytes, kind=st.sampled_from([3, 0x7F, 0x83])),
     st.builds(preamble_bytes, seg_count=st.integers(MAX_SEGMENTS + 1, 255)),
+    # The retired 11-byte wire, whatever it carries.
+    st.builds(
+        version_1, kind=st.sampled_from([FRAME_DATA, FRAME_ACK]),
+        seq=nonces, seg_count=st.integers(0, 3), body=st.binary(max_size=12),
+    ),
     # The traced option belongs to data frames.
     st.builds(
-        lambda seq: preamble_bytes(kind=FRAME_ACK | FLAG_TRACED, seq=seq)
-        + bytes(7) + b"\x01",
-        hop_seqs,
+        lambda kind, nonce: preamble_bytes(kind=kind | FLAG_TRACED)
+        + nonce.to_bytes(8, "big"),
+        control_kinds, st.integers(1, (1 << 64) - 1),
     ),
     # Traced data frames without (all of) a trace id.
     st.builds(
-        lambda seq, tail: preamble_bytes(kind=FRAME_DATA | FLAG_TRACED, seq=seq)
-        + tail,
-        hop_seqs, st.sampled_from([b"", bytes(3), bytes(8)]),
+        lambda tail: preamble_bytes(kind=FRAME_DATA | FLAG_TRACED) + tail,
+        st.sampled_from([b"", bytes(3), bytes(8)]),
     ),
-    # Acks that do not frame exactly.
-    st.builds(lambda seq: encode_ack(seq) + bytes(4), hop_seqs),
+    # Probes and acks that do not frame exactly.
     st.builds(
-        lambda seq: preamble_bytes(kind=FRAME_ACK, seq=seq, payload_len=3)
-        + bytes(3),
-        hop_seqs,
+        lambda kind, nonce, extra: encode_preamble(kind, 0, 4)
+        + nonce.to_bytes(4, "big") + extra,
+        control_kinds, nonces, st.binary(min_size=1, max_size=4),
     ),
     st.builds(
-        lambda seq: preamble_bytes(kind=FRAME_ACK, seq=seq, payload_len=8)
-        + bytes(4),
-        hop_seqs,
+        lambda kind, nonce, cut: (encode_preamble(kind, 0, 4)
+                                  + nonce.to_bytes(4, "big"))[:-cut],
+        control_kinds, nonces, st.integers(1, 4),
     ),
     st.builds(
-        lambda seq: preamble_bytes(kind=FRAME_ACK, seq=seq, seg_count=1),
-        hop_seqs,
+        lambda kind, length, nonce: preamble_bytes(kind=kind, payload_len=length)
+        + nonce.to_bytes(4, "big"),
+        control_kinds, st.sampled_from([0, 3, 5, 8]), nonces,
+    ),
+    st.builds(
+        lambda kind, segs, nonce: preamble_bytes(
+            kind=kind, seg_count=segs, payload_len=4,
+        ) + nonce.to_bytes(4, "big"),
+        control_kinds, st.integers(1, 3), nonces,
     ),
 )
 
@@ -325,19 +346,21 @@ def cases(draw):
     config = {
         "peers": draw(st.integers(1, 3)),
         "rx_batch": draw(st.sampled_from([1, 3, 32])),
-        # 19 bytes hold an ack of three numbers; 40 make most data
-        # frames oversize; 4096 is the default.
-        "slot_bytes": draw(st.sampled_from([19, 40, 4096])),
+        # 15 bytes hold a probe, an ack and the longest frame a send
+        # step makes, little else; 40 make most data frames oversize;
+        # 4096 is the default.
+        "slot_bytes": draw(st.sampled_from([15, 40, 4096])),
         "slots": draw(st.sampled_from([2, 8])),
         "consumer": draw(st.sampled_from(["none", "release", "hold", "forward"])),
     }
     peer = st.integers(0, config["peers"] - 1)
     oversize = st.builds(
-        lambda seq, extra: data_frame(seq, bytes(config["slot_bytes"] + extra)),
-        st.one_of(st.just(0), hop_seqs), st.integers(0, 3),
+        lambda extra: data_frame(bytes(config["slot_bytes"] + extra)),
+        st.integers(0, 3),
     )
     datagram = st.one_of(
-        data_frames, data_frames, data_frames, acks, acks, malformed, oversize,
+        data_frames, data_frames, data_frames, probes, acks, acks, malformed,
+        oversize,
     )
     arrival = st.one_of(
         st.tuples(datagram, peer.map(PEERS.__getitem__)),
@@ -376,48 +399,76 @@ def scripted(**overrides):
 
 
 NAMED = {
-    "one numbered probe, the bare ack": (
-        scripted(), [("wakeup", [(data_frame(7), A)])],
+    "one probe, one ack echoing its nonce": (
+        scripted(), [("wakeup", [(encode_probe(7), A)])],
     ),
-    "one peer, several numbers, duplicates acked again": (
+    "one peer, several probes, duplicates acked again": (
         scripted(),
-        [("wakeup", [(data_frame(s), A) for s in (1, 2, 2, 3, 1)]),
-         ("wakeup", [(data_frame(2), A)])],
+        [("wakeup", [(encode_probe(n), A) for n in (1, 2, 2, 3, 1)]),
+         ("wakeup", [(encode_probe(2), A)])],
     ),
-    "three peers interleaved, unsequenced frames between": (
+    "three peers interleaved, data frames between": (
         scripted(),
         [("wakeup", [
-            (data_frame(1), A), (data_frame(0), B), (data_frame(1), B),
-            (data_frame(2), A), (data_frame(9), C), (data_frame(2), B),
-            (data_frame(0), A),
+            (encode_probe(1), A), (data_frame(), B), (encode_probe(1), B),
+            (encode_probe(2), A), (encode_probe(9), C), (encode_probe(2), B),
+            (data_frame(), A),
         ])],
     ),
-    "an ack owes more numbers than fit the peer's slot": (
-        scripted(slot_bytes=19, slots=16),
-        [("wakeup", [(data_frame(s, b""), A) for s in range(1, 8)]
-          + [(data_frame(s, b""), B) for s in range(1, 5)])],
+    "probes and acks fit an 11-byte slot; a data frame does not": (
+        scripted(slot_bytes=11, slots=16),
+        [("wakeup", [(encode_probe(n), A) for n in range(1, 4)]
+          + [(data_frame(b""), B), (encode_ack(5), B),
+             (data_frame(b"body!"), A)])],
+    ),
+    "version-1 frames are undecodable and release nothing": (
+        scripted(consumer="hold"),
+        [("send", 0, False, b"a"), ("wait", 0.06), ("send", 0, False, b"b"),
+         ("wakeup", [
+             (version_1(), A),
+             (version_1(FRAME_DATA, 7, 1, bytes(4) + b"body"), A),
+             (version_1(FRAME_ACK, 1), A),
+             (data_frame(), B),
+             (version_1(FRAME_DATA, 0, 0, b"\x00\x04" + b"body"), B),
+         ])],
+    ),
+    "probes and acks that do not frame exactly are dropped": (
+        scripted(),
+        [("send", 0, True, b"a"), ("wait", 0.06), ("send", 0, True, b"b"),
+         ("wakeup", [
+             (encode_probe(4) + b"\x00", A),
+             (encode_ack(1)[:-1], A),
+             (preamble_bytes(kind=FRAME_PROBE, payload_len=8) + bytes(8), A),
+             (preamble_bytes(kind=FRAME_ACK, seg_count=1, payload_len=4)
+              + (1).to_bytes(4, "big"), A),
+             (encode_probe(5), B),
+         ])],
     ),
     "duplicates are delivered: the transport drops them": (
         scripted(),
-        [("wakeup", [(data_frame(s), A) for s in (1, 2, 3, 1, 3)])],
+        [("wakeup", [(data_frame(b), A) for b in (b"1", b"2", b"3", b"1", b"3")])],
     ),
     "burst longer than rx_batch spills into the next wakeups": (
         scripted(rx_batch=3),
-        [("wakeup", [(data_frame(s), PEERS[s % 2]) for s in range(1, 11)])],
+        [("wakeup", [
+            (encode_probe(n) if n % 3 else data_frame(), PEERS[n % 2])
+            for n in range(1, 11)
+        ])],
     ),
-    "acks: lone, coalesced, stray, unknown, between data": (
+    "acks: lone, stray, unknown, between data": (
         scripted(consumer="hold"),
-        # Three silent peers: their second probes carry numbers 1-3.
+        # Three silent peers: their second sends put probes 1-3 out.
         [("send", 0, True, b"a"), ("send", 1, False, b"b"),
          ("send", 2, True, b"c"), ("wait", 0.06),
          ("send", 0, True, b"d"), ("send", 1, False, b"e"),
          ("send", 2, True, b"f"),
          ("wakeup", [
              (encode_ack(2), A),            # B's probe acked by A: stray
-             (data_frame(5), A),
-             (encode_ack(1, [77]), A),      # A's own and an unknown
+             (data_frame(b"5"), A),
+             (encode_ack(1), A),            # A's own
+             (encode_ack(77), A),           # a nonce nobody has out
              (encode_ack(3), C),
-             (data_frame(6), A),
+             (data_frame(b"6"), A),
              (encode_ack(2), B),
          ])],
     ),
@@ -425,36 +476,42 @@ NAMED = {
         scripted(peers=2),
         [("send", 0, True, b"a"), ("wait", 0.05), ("send", 0, False, b"b"),
          ("send", 1, True, b"c"),
-         ("wakeup", [(encode_ack(1), B)]),      # B names A's probe: stray
+         ("wakeup", [(encode_ack(1), B)]),      # B echoes A's probe: stray
+         ("wait", 0.05)],
+    ),
+    "a probe from a silent peer answers the probe out to it": (
+        scripted(peers=2),
+        [("send", 0, True, b"a"), ("wait", 0.05), ("send", 0, False, b"b"),
+         ("wakeup", [(encode_probe(1), A)]),
          ("wait", 0.05)],
     ),
     "socket error ends the drain, the rest waits": (
         scripted(),
-        [("wakeup", [(data_frame(1), A), SOCKET_ERROR, (data_frame(2), A)])],
+        [("wakeup", [(encode_probe(1), A), SOCKET_ERROR, (encode_probe(2), A)])],
     ),
     "interrupted receive ends the drain like an empty socket": (
         scripted(),
-        [("wakeup", [(data_frame(1), A), INTERRUPTED, (data_frame(2), B)])],
+        [("wakeup", [(data_frame(), A), INTERRUPTED, (encode_probe(2), B)])],
     ),
     "oversize and undecodable between frames, nothing acked for them": (
         scripted(slot_bytes=40),
         [("wakeup", [
-            (data_frame(1, bytes(40)), A), (b"noise", A), (data_frame(2), A),
-            (preamble_bytes(kind=FRAME_ACK | FLAG_TRACED, seq=2) + bytes(8), A),
-            (data_frame(3, bytes(29)), B), (b"", B),
+            (data_frame(bytes(40)), A), (b"noise", A), (encode_probe(2), A),
+            (preamble_bytes(kind=FRAME_PROBE | FLAG_TRACED) + bytes(8), A),
+            (encode_probe(3) + bytes(29), B), (b"", B), (encode_probe(3), B),
         ])],
     ),
     "no consumer: the endpoint releases the batch itself": (
         scripted(consumer="none"),
-        [("wakeup", [(data_frame(1), A), (data_frame(0), B)])],
+        [("wakeup", [(data_frame(), A), (data_frame(), B)])],
     ),
     "a forwarding consumer's sends give their slots back": (
         scripted(consumer="forward", peers=2, slots=2),
-        [("wakeup", [(data_frame(10), A), (data_frame(0), A),
-                     (data_frame(11), A)]),
+        [("wakeup", [(data_frame(b"10"), A), (data_frame(), A),
+                     (encode_probe(11), A)]),
          ("wait", 0.06),
-         ("wakeup", [(data_frame(0), A), (encode_ack(2), A)]),
-         ("wakeup", [(encode_ack(1), B), (data_frame(12, trace_id=99), B)])],
+         ("wakeup", [(data_frame(), A), (encode_ack(2), A)]),
+         ("wakeup", [(encode_ack(1), B), (data_frame(b"12", trace_id=99), B)])],
     ),
     "a wakeup with nothing to read": (scripted(), [("wakeup", [])]),
 }
@@ -470,20 +527,39 @@ def test_the_named_scripts_reach_what_they_name():
     """The harness itself: the scripted socket truncates, spills and
     raises the way the scripts assume."""
     side = run_case(*NAMED["burst longer than rx_batch spills into the next wakeups"])
-    assert side.endpoint.rx_batches == 4
-    assert [len(batch) for batch in side.batches] == [3, 3, 3, 1]
+    assert side.endpoint.rx_batches == 3
+    assert [len(batch) for batch in side.batches] == [1, 1, 1]
+    assert side.endpoint.metrics.acks_out == 7
     side = run_case(*NAMED["oversize and undecodable between frames, nothing acked for them"])
-    assert side.endpoint.metrics.drops == {"oversize": 1, "undecodable": 3}
+    assert side.endpoint.metrics.drops == {"oversize": 1, "undecodable": 4}
     assert [ack for ack, _addr in side.sock.sent] == [encode_ack(2), encode_ack(3)]
     side = run_case(*NAMED["socket error ends the drain, the rest waits"])
     assert side.endpoint.metrics.drops == {"socket_error": 1}
-    assert side.endpoint.rx_batches == 2
-    side = run_case(*NAMED["acks: lone, coalesced, stray, unknown, between data"])
+    assert [ack for ack, _addr in side.sock.sent] == [encode_ack(1), encode_ack(2)]
+    side = run_case(*NAMED["acks: lone, stray, unknown, between data"])
     assert side.endpoint.metrics.drops == {"stray_ack": 1}
-    assert side.endpoint.metrics.acks_in == 4
-    assert side.sock.sent[-1] == (encode_ack(5, [6]), A)
+    assert side.endpoint.metrics.acks_in == 5
+    assert side.endpoint.metrics.acks_out == 0
+    # Three probe frames went out beside the second three data frames.
+    assert [frame for frame, _addr in side.sock.sent[3:]] == [
+        encode_probe(1), data_frame(b"d"), encode_probe(2), data_frame(b"e"),
+        encode_probe(3), data_frame(b"f"),
+    ]
     side = run_case(*NAMED["a silent peer's ladder ends in a verdict"])
     assert side.dead == [A]
     assert side.endpoint.metrics.drops == {"stray_ack": 1, "peer_dead": 1}
-    side = run_case(*NAMED["an ack owes more numbers than fit the peer's slot"])
-    assert [len(ack) for ack, _addr in side.sock.sent] == [19, 19, 11, 19, 11]
+    side = run_case(*NAMED["a probe from a silent peer answers the probe out to it"])
+    assert side.dead == []
+    assert side.sock.sent[-1] == (encode_ack(1), A)
+    side = run_case(*NAMED["probes and acks fit an 11-byte slot; a data frame does not"])
+    assert side.endpoint.metrics.drops == {"oversize": 1}
+    assert side.endpoint.metrics.acks_out == 3
+    assert side.batches == [[(data_frame(b""), B, decode_preamble(data_frame(b"")))]]
+    side = run_case(*NAMED["version-1 frames are undecodable and release nothing"])
+    assert side.endpoint.metrics.drops == {"undecodable": 4}
+    assert side.batches == [[(data_frame(), B, decode_preamble(data_frame()))]]
+    assert side.endpoint.metrics.acks_out == side.endpoint.metrics.acks_in == 0
+    side = run_case(*NAMED["probes and acks that do not frame exactly are dropped"])
+    assert side.endpoint.metrics.drops == {"undecodable": 4}
+    assert side.endpoint.metrics.acks_in == 0
+    assert side.sock.sent[-1] == (encode_ack(5), B)

@@ -19,7 +19,9 @@ import pytest
 
 from repro.live.frames import (
     FLAG_TRACED,
+    PAYLOAD_LEN_OFFSET,
     PREAMBLE_BYTES,
+    SEG_COUNT_OFFSET,
     TRACE_ID_BYTES,
     decode_live_frame,
     decode_preamble,
@@ -105,7 +107,7 @@ def random_packet(rng: random.Random, slick_trailer: float = 0.0):
 
 def valid_frame(rng: random.Random, slick_trailer: float = 0.0) -> bytes:
     packet, payload = random_packet(rng, slick_trailer)
-    return encode_live_frame(packet, payload, seq=rng.getrandbits(32))
+    return encode_live_frame(packet, payload)
 
 
 def _body_start(b: bytearray) -> int:
@@ -114,12 +116,14 @@ def _body_start(b: bytearray) -> int:
 
 #: Corruptions aimed at one check of the span walk each.
 def _seg_count_off(b, rng):
-    b[8] = max(0, min(MAX_SEGMENTS, b[8] + rng.choice((-1, 1, 2))))
+    at = SEG_COUNT_OFFSET
+    b[at] = max(0, min(MAX_SEGMENTS, b[at] + rng.choice((-1, 1, 2))))
 
 
 def _payload_len_off(b, rng):
-    value = int.from_bytes(b[9:11], "big") + rng.choice((-2, -1, 1, 2, 40))
-    b[9:11] = (value & 0xFFFF).to_bytes(2, "big")
+    at = slice(PAYLOAD_LEN_OFFSET, PAYLOAD_LEN_OFFSET + 2)
+    value = int.from_bytes(b[at], "big") + rng.choice((-2, -1, 1, 2, 40))
+    b[at] = (value & 0xFFFF).to_bytes(2, "big")
 
 
 def _leading_length_octet(b, rng):
@@ -300,7 +304,7 @@ def check_reply(host, sent, got, packet, rng) -> bool:
             if isinstance(expected, bytes):
                 header, seg_count = result
                 assert expected[PREAMBLE_BYTES:] == header
-                assert expected[8] == seg_count
+                assert expected[SEG_COUNT_OFFSET] == seg_count
             else:
                 assert result is expected
     return refused

@@ -11,13 +11,15 @@ import pytest
 from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
+    FRAME_PROBE,
     PREAMBLE_BYTES,
-    SEQ_NONE,
+    control_nonce,
     decode_live_frame,
     decode_preamble,
     encode_ack,
     encode_live_frame,
     encode_preamble,
+    encode_probe,
     hop_move_into,
     return_tail_of,
 )
@@ -43,20 +45,31 @@ def _packet(payload: bytes) -> SirpentPacket:
     )
 
 
-def test_preamble_roundtrip():
-    raw = encode_preamble(FRAME_DATA, 0xDEADBEEF, 5, 1234)
-    assert len(raw) == PREAMBLE_BYTES
+def test_preamble_roundtrip_golden_bytes():
+    raw = encode_preamble(FRAME_DATA, 5, 1234)
+    assert raw == bytes.fromhex("564c0200" "05" "04d2")
+    assert len(raw) == PREAMBLE_BYTES == 7
     preamble = decode_preamble(raw)
     assert preamble.kind == FRAME_DATA
-    assert preamble.seq == 0xDEADBEEF
     assert preamble.seg_count == 5
     assert preamble.payload_len == 1234
 
 
-def test_ack_frame_roundtrip():
-    preamble = decode_preamble(encode_ack(42))
-    assert preamble.kind == FRAME_ACK
-    assert preamble.seq == 42
+@pytest.mark.parametrize("kind,encode", [
+    (FRAME_PROBE, encode_probe), (FRAME_ACK, encode_ack),
+])
+def test_control_frame_roundtrip_golden_bytes(kind, encode):
+    """A probe and its ack: the preamble, no segments, one nonce."""
+    raw = encode(0x0A0B0C0D)
+    assert raw == bytes.fromhex("564c02") + bytes((kind,)) + bytes.fromhex(
+        "00" "0004" "0a0b0c0d"
+    )
+    assert raw == encode_preamble(kind, 0, 4) + bytes.fromhex("0a0b0c0d")
+    preamble = decode_preamble(raw)
+    assert preamble.kind == kind
+    assert control_nonce(raw, preamble) == 0x0A0B0C0D
+    with pytest.raises(ValueError):
+        encode(1 << 32)
 
 
 def test_live_frame_roundtrip():
@@ -100,12 +113,11 @@ def test_hop_move_is_the_router_move():
     assert build_return_route(decoded)[0].port == 4
 
 
-def test_hop_move_restamps_sequence():
+def test_hop_move_writes_the_7_byte_preamble():
     payload = b"p"
-    packet = _packet(payload)
-    datagram = encode_live_frame(packet, payload, seq=77)
-    forwarded = hop_in_place(datagram, HeaderSegment(port=4), seq=SEQ_NONE)
-    assert decode_preamble(forwarded).seq == SEQ_NONE
+    datagram = encode_live_frame(_packet(payload), payload)
+    forwarded = hop_in_place(datagram, HeaderSegment(port=4))
+    assert forwarded[:PREAMBLE_BYTES] == encode_preamble(FRAME_DATA, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -115,10 +127,11 @@ def test_hop_move_restamps_sequence():
         b"V",
         b"XX" + b"\x00" * 9,                     # bad magic
         b"VL\x09\x00" + b"\x00" * 7,             # bad version
-        b"VL\x01\x07" + b"\x00" * 7,             # unknown kind
-        encode_preamble(FRAME_DATA, 0, 2, 0),    # promises 2 segments, has 0
-        encode_preamble(FRAME_DATA, 0, 0, 50),   # payload overruns datagram
-        encode_preamble(FRAME_DATA, 0, 0, 0) + b"\x01",  # junk trailer
+        b"VL\x02\x07" + b"\x00" * 7,             # unknown kind
+        b"VL\x01\x00" + bytes(4) + b"\x00\x00\x00",  # version 1, 11 bytes
+        encode_preamble(FRAME_DATA, 2, 0),       # promises 2 segments, has 0
+        encode_preamble(FRAME_DATA, 0, 50),      # payload overruns datagram
+        encode_preamble(FRAME_DATA, 0, 0) + b"\x01",  # junk trailer
     ],
 )
 def test_decoder_is_total(mutant):

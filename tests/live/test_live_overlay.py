@@ -186,12 +186,11 @@ def test_probe_ladder_finds_a_closed_peer_dead():
     asyncio.run(scenario())
 
 
-def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
-    """Regression: the hop sequence counter was unbounded, so the 2**32-th
-    numbered send raised ``ValueError`` out of ``send`` / ``send_view``
-    (inside a router's batch loop: the rest of the batch lost, its slots
-    leaked) and a number wrapped to 0 would have read as ``SEQ_NONE``.
-    After 0xFFFFFFFF comes 1."""
+def test_probe_nonces_wrap_within_32_bits():
+    """Regression: the probe counter was once unbounded, so the 2**32-th
+    probe raised ``ValueError`` out of ``send`` / ``send_view`` (inside a router's batch loop: the rest
+    of the batch lost, its slots leaked).  After 0xFFFFFFFF comes 0, and
+    each probe frame is acked with its own nonce."""
 
     async def scenario():
         sender = LiveEndpoint(
@@ -201,8 +200,8 @@ def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
         delivered = []
 
         def on_batch(batch):
-            for view, _addr, preamble in batch:
-                delivered.append((preamble.seq, view.tobytes()[-2:]))
+            for view, _addr, _preamble in batch:
+                delivered.append(view.tobytes())
                 view.release()
 
         await sender.open()
@@ -217,28 +216,27 @@ def test_hop_sequence_numbers_wrap_to_one_skipping_zero():
                 payload_size=len(payload), payload=payload,
             ), payload)
 
-        # Four silent peers: the next probe to each carries a number.
+        # Four silent peers: the next send to each puts a probe frame out.
         for addr in addrs:
-            assert sender.send(frame_of(b"--"), addr) == 0
+            sender.send(frame_of(b"--"), addr)
         await _eventually(lambda: len(sender._unheard) == 4 and not sender._probes)
         del delivered[:]
-        # Whatever holds the sequence space, start it two short of the top.
-        sender._seq = type(sender._seq)(0xFFFFFFFE)
-        sent = []
-        for payload, addr in zip((b"m0", b"m1", b"m2", b"m3"), addrs):
-            if payload in (b"m0", b"m3"):
-                sent.append(sender.send(frame_of(payload), addr))
+        sender._nonce = 0xFFFFFFFD
+        frames = [frame_of(p) for p in (b"m0", b"m1", b"m2", b"m3")]
+        for n, (frame, addr) in enumerate(zip(frames, addrs)):
+            if n in (0, 3):
+                sender.send(frame, addr)
             else:
-                sent.append(sender.send_view(
-                    slot_view(sender.ring, frame_of(payload)), addr
-                ))
-        assert sent == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2]
+                sender.send_view(slot_view(sender.ring, frame), addr)
+        assert [sender._probes[addr][0] for addr in addrs] == [
+            0xFFFFFFFE, 0xFFFFFFFF, 0, 1,
+        ]
         await _eventually(lambda: sender.metrics.acks_in == 4)
         await _eventually(lambda: len(delivered) == 4)
-        assert sorted(delivered) == [
-            (1, b"m2"), (2, b"m3"), (0xFFFFFFFE, b"m0"), (0xFFFFFFFF, b"m1"),
-        ]
+        assert sorted(delivered) == sorted(frames)
+        assert [receiver.metrics.acks_out for receiver in receivers] == [1] * 4
         assert not sender._unheard
+        assert sender.metrics.dropped("stray_ack") == 0
         sender.close()
         for receiver in receivers:
             receiver.close()
@@ -267,13 +265,12 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
         slot_bytes = receiver.ring.slot_bytes
 
         def frame_of(size):
-            # 11-byte preamble + one 4-byte segment + payload; numbered,
-            # so the receiver acks it if it can read it.
-            payload = b"x" * (size - 15)
+            # 7-byte preamble + one 4-byte segment + payload.
+            payload = b"x" * (size - 11)
             frame = encode_live_frame(SirpentPacket(
                 segments=[HeaderSegment(port=0)],
                 payload_size=len(payload), payload=payload,
-            ), payload, seq=7)
+            ), payload)
             assert len(frame) == size
             return frame
 
@@ -281,8 +278,8 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
         await _eventually(lambda: receiver.metrics.dropped("oversize") == 1)
         assert received == [] and receiver.metrics.acks_out == 0
         sender.send(frame_of(slot_bytes), addr)
-        await _eventually(lambda: sender.metrics.acks_in == 1)
-        assert received == [slot_bytes]
+        await _eventually(lambda: received == [slot_bytes])
+        assert receiver.metrics.acks_out == 0
         # Conservation: nothing is delivered-and-unreleased, so the only
         # slot out of the ring is the one the endpoint receives
         # into (ARCHITECTURE §14) — and close() gives that one back.

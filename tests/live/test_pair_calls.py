@@ -6,10 +6,9 @@ LiveTransactor` client and server, which on a shared box moves with the
 load.  Its ``calls/tx`` row does not: cProfile's count of Python and
 built-in calls per transaction, with the stand-in wire paused, is the
 same on every run of the same code.  So the counts are held here, at or
-below what they were when the host edge's trailer memo and the
-machine's one-member path landed: a change that brings per-transaction
-work back fails this test deterministically instead of hiding in the
-benchmark's noise.  A change that removes work lowers the ceilings.
+below what they were once the transport stopped keeping a histogram of
+every RTT: a change that brings per-transaction work back fails this
+test deterministically instead of hiding in the benchmark's noise.  A change that removes work lowers the ceilings.
 """
 
 import pytest
@@ -18,8 +17,9 @@ from benchmarks.bench_f03_transactor_pair import BLOCK_TX, _calls_per_tx
 
 #: Calls per transaction, by request/response size, over the count of
 #: transactions the benchmark profiles (ten blocks).  They were 259.7
-#: and 2,056.8 before the trailer memo and the one-member path.
-CEILINGS = {64: 214.688, 16 * 1024: 1679.8}
+#: and 2,056.8 before the trailer memo and the one-member path, and
+#: 214.688 and 1,679.8 before the transport stopped keeping every RTT.
+CEILINGS = {64: 210.686, 16 * 1024: 1675.78}
 
 
 @pytest.mark.parametrize("size", sorted(CEILINGS))

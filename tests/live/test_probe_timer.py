@@ -12,14 +12,14 @@ import socket
 
 import pytest
 
-from repro.live.frames import FRAME_DATA, SEQ_NONE, encode_preamble
+from repro.live.frames import FRAME_DATA, encode_preamble
 from repro.live.link import LiveEndpoint
 from tests.live.oracle import probe_deadline
 
 pytestmark = pytest.mark.live
 
 #: A well-formed data frame.
-FRAME = encode_preamble(FRAME_DATA, SEQ_NONE, 0, 4) + b"body"
+FRAME = encode_preamble(FRAME_DATA, 0, 4) + b"body"
 
 
 class BlackHoles:

@@ -256,11 +256,11 @@ def test_a_frame_the_last_ones_bytes_do_not_describe_is_walked(monkeypatch):
     # A spent route (no segment left), then the same trailer behind one
     # segment counted into the payload: walked, its trailer is short.
     body = b"p" * 20
-    receiver.deliver(encode_preamble(FRAME_DATA, 0, 0, len(body)) + body + trailer)
+    receiver.deliver(encode_preamble(FRAME_DATA, 0, len(body)) + body + trailer)
     assert host.metrics.dropped("route_exhausted") == 1
     segment = encode_segment(HeaderSegment(port=SOCKET))
     receiver.deliver(
-        encode_preamble(FRAME_DATA, 0, 1, len(body)) + segment + body[4:] + trailer
+        encode_preamble(FRAME_DATA, 1, len(body)) + segment + body[4:] + trailer
     )
     assert host.metrics.dropped("route_exhausted") == 1
     assert host.metrics.dropped("undecodable") == 2

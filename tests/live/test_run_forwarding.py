@@ -28,7 +28,7 @@ from collections import Counter
 
 import pytest
 
-from repro.live.frames import decode_preamble, encode_live_frame
+from repro.live.frames import PREAMBLE_BYTES, decode_preamble, encode_live_frame
 from repro.live.router import LiveRouter
 from repro.obs.recorder import FlightRecorder
 from repro.viper.packet import SirpentPacket
@@ -177,7 +177,7 @@ def assert_batch_equals_frames(script, rng=None):
 
 
 def frame(leading, rest=(HeaderSegment(port=0),), payload=b"p" * 64,
-          trace_id=0, seq=1, fill=False, alternate=ALTERNATE):
+          trace_id=0, fill=False, alternate=ALTERNATE):
     """One live data frame; ``fill`` pads the payload so the frame is
     exactly one ring slot long (its outgoing form then is not)."""
     segments = [leading, *rest]
@@ -188,7 +188,7 @@ def frame(leading, rest=(HeaderSegment(port=0),), payload=b"p" * 64,
             segments=list(segments), payload_size=len(body), payload=body,
             alternates=alternates, trace_id=trace_id,
         )
-        return encode_live_frame(packet, body, seq=seq, trace_id=trace_id)
+        return encode_live_frame(packet, body, trace_id=trace_id)
 
     if fill:
         payload = b"f" * (SLOT_BYTES - len(encode(b"")))
@@ -317,7 +317,9 @@ class TestDirectedRuns:
             HeaderSegment(port=ALT), rest=(HeaderSegment(port=0),),
             trace_id=int.from_bytes(encode_segment(leading) + b"\0\0\0\1", "big"),
         )
-        assert posing[11:15] == plain[11:15]
+        assert posing[PREAMBLE_BYTES:PREAMBLE_BYTES + 4] == (
+            plain[PREAMBLE_BYTES:PREAMBLE_BYTES + 4]
+        )
         arrivals = [(plain, PEER_A)] * 3 + [(posing, PEER_A)] + [
             (plain, PEER_A)
         ] * 2
@@ -337,7 +339,9 @@ class TestDirectedRuns:
         posing = frame(
             HeaderSegment(port=ALT, token=b"tokn" + encode_segment(leading))
         )
-        assert posing[11:23] == traced[11:23]
+        assert posing[PREAMBLE_BYTES:PREAMBLE_BYTES + 12] == (
+            traced[PREAMBLE_BYTES:PREAMBLE_BYTES + 12]
+        )
         arrivals = [(traced, PEER_A)] * 2 + [(posing, PEER_A)] * 2
         whole, _ = assert_batch_equals_frames([(0, arrivals)])
         assert [fate[2][1] - 9000 for fate in whole.fates[:3]] == [
@@ -635,7 +639,6 @@ def generated_script(rng):
                 leading, rest if leading.port else (),
                 payload=b"p" * rng.choice((0, 16, 64, 64, 64, 300)),
                 trace_id=0x7000 + len(arrivals) if oddity < 0.03 else 0,
-                seq=rng.randrange(1, 1 << 32),
                 fill=0.03 <= oddity < 0.06,
             )
             if 0.06 <= oddity < 0.09:

@@ -57,7 +57,7 @@ from tests.live.oracle import (
 
 
 def slick_frame(
-    segments, alternates, payload=b"hello world", trace_id=0, seq=0
+    segments, alternates, payload=b"hello world", trace_id=0
 ):
     packet = SirpentPacket(
         segments=list(segments),
@@ -66,7 +66,7 @@ def slick_frame(
         alternates=[list(b) for b in alternates],
         trace_id=trace_id,
     )
-    return encode_live_frame(packet, payload, seq=seq, trace_id=trace_id)
+    return encode_live_frame(packet, payload, trace_id=trace_id)
 
 
 SLICK_SHAPES = {

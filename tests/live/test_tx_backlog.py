@@ -2,12 +2,12 @@
 drops, not memory."""
 
 from repro.live import link
-from repro.live.frames import FRAME_DATA, SEQ_NONE, encode_preamble
+from repro.live.frames import FRAME_DATA, encode_preamble
 from repro.live.link import TX_BACKLOG_MAX, LiveEndpoint
 from tests.live.oracle import FakeLoop, slot_view
 
 PEER = ("127.0.0.1", 9001)
-FRAME = encode_preamble(FRAME_DATA, SEQ_NONE, 0, 4) + b"body"
+FRAME = encode_preamble(FRAME_DATA, 0, 4) + b"body"
 
 
 class FullSocket:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.live import frames, router as router_module
 from repro.live.frames import (
+    PREAMBLE_BYTES,
     decode_live_frame,
     decode_preamble,
     encode_live_frame,
@@ -50,7 +51,7 @@ from tests.live.oracle import (
 )
 
 
-def frame(segments, payload=b"hello world", trailer=(), trace_id=0, seq=0):
+def frame(segments, payload=b"hello world", trailer=(), trace_id=0):
     packet = SirpentPacket(
         segments=list(segments),
         payload_size=len(payload),
@@ -58,7 +59,7 @@ def frame(segments, payload=b"hello world", trailer=(), trace_id=0, seq=0):
         trailer=list(trailer),
         trace_id=trace_id,
     )
-    return encode_live_frame(packet, payload, seq=seq, trace_id=trace_id)
+    return encode_live_frame(packet, payload, trace_id=trace_id)
 
 
 FRAME_SHAPES = {
@@ -104,7 +105,7 @@ class TestHopMoveInPlace:
     @pytest.mark.parametrize("shape", sorted(FRAME_SHAPES))
     @pytest.mark.parametrize("ret", sorted(RETURN_SEGMENTS))
     def test_in_place_move_equals_the_oracle(self, shape, ret):
-        hop_in_place(FRAME_SHAPES[shape], RETURN_SEGMENTS[ret], seq=42)
+        hop_in_place(FRAME_SHAPES[shape], RETURN_SEGMENTS[ret])
 
     @pytest.mark.parametrize("shape", sorted(FRAME_SHAPES))
     def test_short_tail_room_slides_to_the_slot_head(self, shape):
@@ -145,7 +146,7 @@ class TestHopMoveInPlace:
         first_len = len(encode_segment(
             HeaderSegment(port=1, token=b"T" * 32, priority=5)
         ))
-        middle = datagram[11 + first_len:]
+        middle = datagram[PREAMBLE_BYTES + first_len:]
         assert middle in hop_in_place(datagram, HeaderSegment(port=7))
 
     def test_fuzz_multi_hop_in_one_slot(self):
@@ -351,7 +352,7 @@ class TestBatchedForwardingDifferential:
     def test_drops_agree_and_release_slots(self):
         # A sound preamble promising a segment the datagram does not
         # hold (a bad preamble never leaves the endpoint).
-        undecodable = frame([HeaderSegment(port=2)])[:12]
+        undecodable = frame([HeaderSegment(port=2)])[:PREAMBLE_BYTES + 1]
         unknown_peer = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
         no_route = frame([HeaderSegment(port=99), HeaderSegment(port=0)])
         fast, fast_sent = capture_router("fast")
@@ -407,7 +408,7 @@ class TestBatchedForwardingDifferential:
             alternates=[[HeaderSegment(port=1), HeaderSegment(port=0)]],
         )
         corrupt = bytearray(encode_live_frame(packet, b"abc"))
-        block_at = 11
+        block_at = PREAMBLE_BYTES
         for _ in range(2):
             block_at = segment_span(corrupt, block_at)
         corrupt[block_at] = 200  # the block now claims 200 segments
@@ -502,7 +503,7 @@ def test_one_walk_per_wire_structure():
 
     for name in ("_decode_field", "_field_span"):
         assert not hasattr(wire, name), name
-    assert not hasattr(frames, "restamp_seq")
+    assert not hasattr(frames, "restamp_seq_into")
     for module, function, walk in (
         (wire, "decode_segment", "parse_segment_view"),
         (wire, "segment_span", "_field_data_span"),

@@ -886,8 +886,8 @@ def test_sir008_fires_in_the_live_batch_loop():
 
 def test_sir008_fires_in_the_link_layer_drain():
     """``LiveEndpoint._on_readable`` runs once per frame at batch fill 1:
-    a dict of acks per wakeup, a copy per datagram or a list per ack is
-    a finding, and so is dropping any of the four pinned markers."""
+    a dict per wakeup, a copy per datagram or a list per ack is a
+    finding, and so is dropping any of the four pinned markers."""
     findings = analyze(
         """
         class LiveEndpoint:
@@ -924,51 +924,51 @@ def test_sir008_fires_in_the_link_layer_drain():
 
 def test_sir008_silent_on_the_drain_with_its_one_reasoned_container():
     """The batch is the wakeup's product and carries the reasoned disable;
-    the multi-peer ack arm and a probe's entry allocate in unmarked
-    helpers."""
+    a probe is acked by a call, and a probe's entry and its probe frame
+    allocate in an unmarked helper."""
     findings = analyze(
         """
         class LiveEndpoint:
             def _on_readable(self):  # sirlint: hot
-                batch, owed = [], []  # sirlint: disable=SIR008 -- fixture: the wakeup's products
-                ack_peer = acks = None
+                batch = []  # sirlint: disable=SIR008 -- fixture: the wakeup's product
                 slot = self._rx_slot
                 for _ in range(self.rx_batch):
                     nbytes, _anc, flags, addr = self._sock.recvmsg_into(self._buffers)
-                    preamble = decode_preamble(slot.view[:nbytes])
-                    if addr != ack_peer:
-                        if ack_peer is not None:
-                            acks, owed = self._owed_to(acks, ack_peer, owed, addr)
-                        ack_peer = addr
-                    owed.append(preamble.seq)
+                    datagram = slot.view[:nbytes]
+                    preamble = decode_preamble(datagram)
+                    if preamble.kind != FRAME_DATA:
+                        nonce = control_nonce(datagram, preamble)
+                    if preamble.kind == FRAME_ACK:
+                        self._on_ack(nonce, addr)
+                        continue
+                    if preamble.kind == FRAME_PROBE:
+                        self._raw_send(encode_ack(nonce), addr)
+                        continue
                     batch.append((slot, addr, preamble))
-                if acks is not None or len(owed) > 1:
-                    self._send_acks(acks, ack_peer, owed)
-
-            def _owed_to(self, acks, ack_peer, owed, addr):
-                if acks is None:
-                    acks = {ack_peer: owed}
-                return acks, acks.setdefault(addr, [])
 
             def send(self, datagram, addr):  # sirlint: hot
-                seq = 0 if addr in self._probes else self._probe(addr)
-                restamp_seq_into(datagram, 0, seq)
+                if addr not in self._probes:
+                    self._probe(addr)
                 self._raw_send(datagram, addr)
 
             def send_view(self, view, addr):  # sirlint: hot
+                if addr not in self._probes:
+                    self._probe(addr)
                 mem = view.mem
                 self._sock.sendto(mem, addr)
 
             def _probe(self, addr):
-                self._probes[addr] = (self._seq, self._loop.time())
-                return self._seq
+                nonce = None
+                if self._unheard.setdefault(addr, 0):
+                    nonce = self._nonce = (self._nonce + 1) & 0xFFFFFFFF
+                    self._impaired_send(encode_probe(nonce), addr)
+                self._probes[addr] = (nonce, self._loop.time())
 
-            def _on_ack(self, acked, addr):  # sirlint: hot
-                probes = self._probes
-                probe = probes.get(addr)
-                if probe is not None and probe[0] in acked:
-                    probes[addr] = (0, probe[1])
-                self._misses.pop(addr, None)
+            def _on_ack(self, nonce, addr):  # sirlint: hot
+                for peer, (sent, _sent_at) in self._probes.items():
+                    if sent == nonce and peer != addr:
+                        return
+                self._unheard.pop(addr, None)
         """,
         "repro.live.link",
         path="src/repro/live/link.py",

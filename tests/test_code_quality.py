@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -56,6 +57,32 @@ def test_no_todo_markers():
                 if "TODO" in line or "FIXME" in line or "XXX" in line:
                     offenders.append(f"{path}:{lineno}")
     assert not offenders, f"leftover work markers: {offenders}"
+
+
+#: The hop-ARQ wire residue: a probe is a frame of its own and a data
+#: frame carries no hop sequence number, so none of these may return.
+HOP_ARQ_RESIDUE = (
+    "restamp_seq_into", "SEQ_NONE", "SEQ_MAX", "ack_seqs", "_owed_to",
+    "_send_acks", "_numbered",
+)
+
+
+def test_hop_arq_residue_stays_gone():
+    """The equivalent of ``grep -rnwE '<names>' src tools``: empty."""
+    pattern = re.compile(r"\b(" + "|".join(HOP_ARQ_RESIDUE) + r")\b")
+    offenders = []
+    for root in (SRC_ROOT, TOOLS_ROOT):
+        for dirpath, _dirs, files in os.walk(root):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path) as handle:
+                    for lineno, line in enumerate(handle, 1):
+                        found = pattern.search(line)
+                        if found:
+                            offenders.append(f"{path}:{lineno}: {found[0]}")
+    assert not offenders, f"hop-ARQ residue is back: {offenders}"
 
 
 def test_all_exports_resolve():

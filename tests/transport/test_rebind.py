@@ -108,9 +108,24 @@ def test_adopt_advisory_replaces_routes():
     assert manager.current() is advisory[0]
 
 
-def test_rtt_samples_recorded():
+def test_rtt_reports_keep_no_sample():
+    """A report moves the degradation count and nothing else: the
+    manager holds no per-sample record, however many come in."""
     sim = Simulator()
-    manager = RouteManager(sim, [make_route("a")])
-    manager.report_rtt(1e-3)
-    manager.report_rtt(2e-3)
-    assert manager.rtt_samples.count == 2
+    route = make_route("a")
+    manager = RouteManager(sim, [route, make_route("b")])
+    base = route.expected_rtt(576)
+    def state():
+        # Counters (and any sample record) by their counts.
+        return {
+            name: getattr(value, "count", value)
+            for name, value in vars(manager).items()
+        }
+
+    manager.report_rtt(base)
+    after_one = state()
+    for _ in range(1000):
+        manager.report_rtt(base * 1.1)
+    assert state() == after_one
+    manager.report_rtt(base * 10)
+    assert manager._consecutive_slow == 1 and manager.current() is route

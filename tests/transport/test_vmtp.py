@@ -188,10 +188,15 @@ def test_stale_packets_rejected_by_mpl():
 def test_rtt_reported_to_route_manager():
     scenario = build_sirpent_line(n_routers=2)
     client, _server, entity, manager = setup_pair(scenario)
-    client.transact(manager, entity, b"x", 100, lambda r: None)
+    reported = []
+    manager.report_rtt = lambda rtt, payload_size: reported.append(
+        (rtt, payload_size)
+    )
+    results = []
+    client.transact(manager, entity, b"x", 100, results.append)
     scenario.sim.run(until=1.0)
-    assert manager.rtt_samples.count == 1
-    assert client.stats.rtt.count == 1
+    assert reported == [(results[0].rtt, 100)]
+    assert client.stats.transactions_ok.count == 1
 
 
 def test_paced_members_are_spaced():

@@ -92,10 +92,9 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     # The link layer under it (PR 23): one wakeup per frame at batch
     # fill 1, one send per frame-hop (``send_view`` from a router,
     # ``send`` from a host; each looks up the peer's probe), one
-    # ``_on_ack`` per ack datagram, whatever it names.  The multi-peer
-    # ack arm, a probe's entry and the probe timer are unmarked: they run
-    # once per peer per ack timeout.  The wakeup's batch is the one
-    # reasoned container.
+    # ``_on_ack`` per ack datagram.  A probe's entry, its probe frame and
+    # the probe timer are unmarked: they run once per peer per ack
+    # timeout.  The wakeup's batch is the one reasoned container.
     "repro.live.link": (
         "_on_readable",
         "send",

@@ -72,7 +72,6 @@ BORROWING = {
     "decode_preamble",
     "parse_segment_view",
     "hop_move_into",
-    "restamp_seq_into",
     "encode_preamble_into",
 }
 
