@@ -90,17 +90,21 @@ class HostPair:
     """A ``client`` and a ``server`` :class:`LiveHost` joined without
     sockets or routers.
 
-    A frame either host sends is logged in ``sent[name]``, copied into a
-    slot of the peer's ring (what ``recvmsg_into`` does), moved over
-    ``hops`` router hops in place (each appending a return segment that
-    carries ``token``, so a delivered frame has a trailer to reply
-    along) and queued in ``queued[peer]``; :meth:`pump` hands the queues
+    A frame either host sends is logged in ``sent[name]`` (when
+    ``logs_sent``), copied into a slot of the peer's ring (what
+    ``recvmsg_into`` does), moved over ``hops`` router hops in place
+    (each appending a return segment that carries ``token``, so a
+    delivered frame has a trailer to reply along) and queued in
+    ``queued[peer]``; :meth:`pump` hands the queues
     to the hosts as batches until nothing is left, and :meth:`lose`
     drops what is queued.  The crossing times itself (``ns``) so a pass
     can take the stand-in network out, and pauses ``profile`` when one
     is set so the calls counted are the hosts'.  The transport tests
     drive hosts through it too.
     """
+
+    #: Whether ``sent`` keeps a copy of every frame sent.
+    logs_sent = True
 
     def __init__(self, hops: int = ROUTER_HOPS, token: bytes = TOKEN) -> None:
         self.hops = hops
@@ -121,7 +125,8 @@ class HostPair:
 
     def _sender(self, name: str, peer: str, tail: bytes) -> Callable:
         ring = self.hosts[peer].endpoint.ring
-        sent, queue = self.sent[name], self.queued[peer]
+        log = self.sent[name].append if self.logs_sent else None
+        queue = self.queued[peer]
         clock = time.perf_counter_ns
 
         def send(datagram, addr):
@@ -129,7 +134,8 @@ class HostPair:
             if profile is not None:
                 profile.disable()
             started = clock()
-            sent.append(bytes(datagram))
+            if log is not None:
+                log(bytes(datagram))
             slot = ring.acquire()
             slot.buffer[:len(datagram)] = datagram
             view = PacketView.of_slot(slot, len(datagram))
@@ -176,7 +182,10 @@ class HostPair:
 
 
 class _Pair(HostPair):
-    """A pair whose server echoes through :attr:`handler`."""
+    """A pair whose server echoes through :attr:`handler`.  It logs no
+    frame: a pass would otherwise hold every frame it sent."""
+
+    logs_sent = False
 
     def __init__(self) -> None:
         super().__init__()
@@ -294,8 +303,6 @@ def _ledger(size: int) -> dict:
                 wire[mode] += pair.ns - wire_before
                 for probe in reversed(layers):
                     probe.remove()
-                for log in pair.sent.values():
-                    log.clear()
     finally:
         loop.close()
     n = BLOCKS * count

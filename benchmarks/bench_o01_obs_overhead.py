@@ -17,7 +17,9 @@ cost relative to un-instrumented code is the guard expression itself,
 which is micro-timed and expressed as a share of the measured
 per-packet (per-transaction) budget — the <5% acceptance bar.  The
 1-in-100 and 1-in-1 columns document what turning tracing on buys you
-into.
+into.  The live overlay runs its flight recorder *on*, so the live leg
+also counts the ring events a transaction records: a clean transaction
+should take no slot of the ring, which is kept for faults.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ def _line_topology() -> Topology:
     return topo
 
 
-async def _run_live(tracer) -> float:
-    """Elapsed seconds for LIVE_TRANSACTIONS sequential transactions."""
+async def _run_live(tracer) -> tuple:
+    """Elapsed seconds for LIVE_TRANSACTIONS sequential transactions,
+    and the flight-recorder events recorded per transaction."""
     overlay = LiveOverlay(_line_topology(), tracer=tracer)
     await overlay.start()
     try:
@@ -201,11 +204,14 @@ async def _run_live(tracer) -> float:
         )
         manager = RouteManager(WallClock(), routes)
         request = b"q" * 256
+        recorded = overlay.recorder.recorded
         started = time.monotonic()
         for _ in range(LIVE_TRANSACTIONS):
             result = await client_tx.transact(manager, request)
             assert result.ok, "transaction failed during overhead run"
-        return time.monotonic() - started
+        elapsed = time.monotonic() - started
+        ring_events = overlay.recorder.recorded - recorded
+        return elapsed, ring_events / LIVE_TRANSACTIONS
     finally:
         overlay.stop()
 
@@ -219,10 +225,13 @@ def _live_leg():
     ]
     out = {}
     for label, make in configs:
-        elapsed, _ = _best_of(
+        elapsed, (_, ring_events) = _best_of(
             lambda make=make: asyncio.run(_run_live(make()))
         )
-        out[label] = {"elapsed": elapsed, "transactions": LIVE_TRANSACTIONS}
+        out[label] = {
+            "elapsed": elapsed, "transactions": LIVE_TRANSACTIONS,
+            "ring_events_per_tx": ring_events,
+        }
     return out
 
 
@@ -270,6 +279,9 @@ def bench_o01_obs_overhead(benchmark):
          f"{_overhead(live['sampled 1/100'], live_base):+.1f}% vs off"),
         ("l01 live", "full 1/1", round(live["full 1/1"]["elapsed"], 3),
          f"{_overhead(live['full 1/1'], live_base):+.1f}% vs off"),
+        ("l01 live", "recorder on (as shipped)",
+         f"{live_base['ring_events_per_tx']:.2f} events/tx",
+         "flight-recorder ring slots a transaction takes"),
         ("guards", "tracer / recorder / trace-ctx",
          f"{guard_ns:.0f} / {recorder_ns:.0f} / {trace_ctx_ns:.0f} ns",
          f"{obs_share:.3f}% of {per_packet_ns / 1e3:.0f}us/pkt"),
@@ -304,6 +316,8 @@ def bench_o01_obs_overhead(benchmark):
             "per_transaction_ns": round(per_tx_ns, 1),
             "sim_disabled_share_pct": round(sim_disabled_share, 4),
             "live_disabled_share_pct": round(live_disabled_share, 4),
+            "live_ring_events_per_tx": round(
+                live_base["ring_events_per_tx"], 3),
             "obs_total_share_pct": round(obs_share, 4),
             "sampled_sim_overhead_pct": round(
                 _overhead(sim["sampled 1/100"], sim_base), 2),

@@ -331,7 +331,6 @@ class RouterCore:
                 return None
             if action is Action.DELIVER_LOCAL:
                 sink.counters.count("delivered_local")
-                sink.record("frame_delivered")
             return decision
         if in_port == UNKNOWN_IN_PORT:
             # A frame from an unwired peer cannot get a correct return
@@ -383,10 +382,5 @@ class RouterCore:
                 "strip_reverse_append",
                 out_port=decision.out_port,
                 segments_left=view.buffer[view.start + SEG_COUNT_OFFSET],
-            )
-        if sink.recorder.enabled:
-            sink.recorder.record(
-                "frame_forwarded", node=self.name,
-                in_port=in_port, out_port=decision.out_port,
             )
         return decision

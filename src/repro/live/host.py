@@ -487,10 +487,6 @@ class LiveHost:
                 self.tracer.deliver(
                     preamble.trace_id, time.monotonic(), self.name, socket=socket,
                 )
-            if self.recorder.enabled:
-                self.recorder.record(
-                    "frame_delivered", node=self.name, socket=socket,
-                )
             handler(LiveDelivered(
                 datagram, preamble, payload_start, payload_end, socket,
                 arrived_at, trailer, self.addr_port.get(source, 0), source,

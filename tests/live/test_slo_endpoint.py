@@ -120,7 +120,7 @@ def test_dump_endpoint_serves_flight_recorder_window():
         overlay = LiveOverlay(_line_topology(), obs_port=0)
         await overlay.start()
         try:
-            overlay.recorder.record("frame_delivered", node="server")
+            overlay.recorder.record("link_down", node="server", port=1)
             overlay.recorder.record(
                 "frame_dropped", node="r1", reason="route_exhausted"
             )
@@ -135,6 +135,6 @@ def test_dump_endpoint_serves_flight_recorder_window():
     header, events = load_dump(body.decode("utf-8"))
     assert header["reason"] == "http_trigger"
     assert [e["event"] for e in events] == [
-        "frame_delivered", "frame_dropped",
+        "link_down", "frame_dropped",
     ]
     assert bad.endswith("400 Bad Request")

@@ -72,9 +72,9 @@ def test_events_window_filters_by_time():
 def test_dump_round_trips_through_load_dump(tmp_path):
     clock = _Clock()
     rec = FlightRecorder(clock=clock)
-    rec.record("frame_forwarded", node="r1", in_port=1, out_port=2)
+    rec.record("slick_reroute", node="r1", in_port=1, out_port=2)
     clock.t = 0.5
-    rec.record("frame_delivered", node="dst")
+    rec.record("link_down", node="dst")
     path = tmp_path / "dump.ndjson"
     text = rec.dump_ndjson(path=str(path), reason="unit_test")
     assert path.read_text() == text
@@ -83,7 +83,7 @@ def test_dump_round_trips_through_load_dump(tmp_path):
     assert header["events"] == 2
     assert header["recorded_total"] == 2
     assert [e["event"] for e in events] == [
-        "frame_forwarded", "frame_delivered",
+        "slick_reroute", "link_down",
     ]
     assert events[0]["in_port"] == 1 and events[0]["node"] == "r1"
     # Canonical lines: each parses alone and is key-sorted.

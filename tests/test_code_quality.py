@@ -67,10 +67,10 @@ HOP_ARQ_RESIDUE = (
 )
 
 
-def test_hop_arq_residue_stays_gone():
-    """The equivalent of ``grep -rnwE '<names>' src tools``: empty."""
-    pattern = re.compile(r"\b(" + "|".join(HOP_ARQ_RESIDUE) + r")\b")
-    offenders = []
+def _words_in_src_and_tools(names):
+    """The equivalent of ``grep -rnwE '<names>' src tools``."""
+    pattern = re.compile(r"\b(" + "|".join(names) + r")\b")
+    found = []
     for root in (SRC_ROOT, TOOLS_ROOT):
         for dirpath, _dirs, files in os.walk(root):
             for name in files:
@@ -79,10 +79,26 @@ def test_hop_arq_residue_stays_gone():
                 path = os.path.join(dirpath, name)
                 with open(path) as handle:
                     for lineno, line in enumerate(handle, 1):
-                        found = pattern.search(line)
-                        if found:
-                            offenders.append(f"{path}:{lineno}: {found[0]}")
+                        match = pattern.search(line)
+                        if match:
+                            found.append(f"{path}:{lineno}: {match[0]}")
+    return found
+
+
+def test_hop_arq_residue_stays_gone():
+    offenders = _words_in_src_and_tools(HOP_ARQ_RESIDUE)
     assert not offenders, f"hop-ARQ residue is back: {offenders}"
+
+
+#: Per-frame success events: a forwarded or delivered frame is counted
+#: (and traced when sampled), never put in the flight recorder's ring,
+#: where one per frame-hop would push every fault out of it.
+PER_FRAME_EVENTS = ("frame_forwarded", "frame_delivered")
+
+
+def test_the_flight_recorder_keeps_no_per_frame_success_event():
+    offenders = _words_in_src_and_tools(PER_FRAME_EVENTS)
+    assert not offenders, f"a per-frame ring event is back: {offenders}"
 
 
 def test_all_exports_resolve():
