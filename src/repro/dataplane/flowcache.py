@@ -19,7 +19,9 @@ handling, in :class:`~repro.dataplane.pipeline.HopInput`.
 Packets of a flow arrive back to back (a §4 packet group), so the cache
 remembers the entry it answered with last and tries it first: one
 compare against the arriving bytes — no copy, no hash, no LRU move (the
-entry already is the most recent).
+entry already is the most recent).  The router core makes that compare
+on the frame, before walking it, and hands the entry's own ``lead`` on:
+the compare here is then one of identity.
 
 Being soft state, entries evaporate:
 
@@ -104,7 +106,9 @@ class FlowCache:
         self._entries: "OrderedDict[Tuple[int, bytes], FlowEntry]" = OrderedDict()
         #: The entry answered with (or installed) last, while it is
         #: still in ``_entries`` — where it is the most recently used.
-        self._last: Optional[FlowEntry] = None
+        #: Read-only outside the cache (the router core finds a frame's
+        #: leading segment by comparing the frame with its ``lead``).
+        self.last: Optional[FlowEntry] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -115,7 +119,7 @@ class FlowCache:
         """The live entry for a packet that arrived on ``in_port`` with
         leading-segment bytes ``lead`` (any bytes-like, exactly the
         segment), expiring it if stale."""
-        entry = self._last
+        entry = self.last
         if entry is None or entry.in_port != in_port or lead != entry.lead:
             if not self.enabled:
                 return None
@@ -125,7 +129,7 @@ class FlowCache:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self._last = entry
+            self.last = entry
         if entry.expires_at_ms and now_ms > entry.expires_at_ms:
             self._drop((entry,))
             self.stats.expirations += 1
@@ -152,7 +156,7 @@ class FlowCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        self._last = self._entries.get(key)
+        self.last = self._entries.get(key)
 
     # -- invalidation ------------------------------------------------------
 
@@ -161,14 +165,14 @@ class FlowCache:
         which must never outlive the entry it points at."""
         for entry in stale:
             del self._entries[(entry.in_port, entry.lead)]
-        self._last = None
+        self.last = None
         return len(stale)
 
     def flush(self) -> int:
         """Drop everything (topology change, congestion rebind, restart)."""
         n = len(self._entries)
         self._entries.clear()
-        self._last = None
+        self.last = None
         self.stats.invalidations += n
         return n
 

@@ -164,8 +164,9 @@ class HopInput:
                         memoized return hop, which is rebuilt on a change
     alternate block     ``alternate()`` feeds only a slick reroute, which
                         is decided per packet and never memoized
-    egress state        ``PortMap.profile(out_port)`` is read per packet:
-                        a dead or vanished egress purges the entry
+    egress state        the egress's profile and ``PortMap.down`` are read
+                        per packet: a dead or vanished egress purges the
+                        entry
     token state         the token-cache entry is charged per packet; a
                         token-cache flush flushes the flow cache
     port maps           group membership is read per packet, before the
@@ -294,12 +295,15 @@ class ForwardingPipeline:
         if cached is None:
             return self._decide_cold(hop, port)
         decision = cached.decision
-        profile = self.ports.profile(decision.out_port)
-        if profile is None or not profile.up:
+        out_port = decision.out_port
+        ports = self.ports
+        # ``ports.profile(out_port)``'s answer, without its down-copy.
+        profile = ports.profiles.get(out_port)
+        if profile is None or not profile.up or out_port in ports.down:
             # Egress vanished or died under the entry (topology change
             # or link failure raced the invalidation): purge, and take
             # the slow path, where a slick packet gets its reroute.
-            self.flow_cache.invalidate_port(decision.out_port)
+            self.flow_cache.invalidate_port(out_port)
             return self._decide_cold(hop, port)
         if cached.token_entry is not None:
             if not self.token_cache.account_flow_hit(

@@ -56,6 +56,7 @@ from repro.live.frames import (
     PREAMBLE_BYTES,
     SEG_COUNT_OFFSET,
     forward_into,
+    hop_move_into,
     leading_alt_block,
     truncate_into,
 )
@@ -77,10 +78,12 @@ class FrameHop:
     in the frame's bytes.
 
     One per router, restamped per frame by :meth:`RouterCore.step`:
-    ``lead`` is a view of the leading segment's bytes in the frame
-    ``view``; ``segment`` parses them when first asked — which a frame
-    the flow cache answers never does — into a view of an immutable
-    copy, so the pipeline may keep what it is handed.  ``trace_id`` is
+    ``lead`` is the leading segment's bytes — the flow cache's own copy
+    when the frame repeats the lead the cache answered with last, else a
+    view of them in the frame ``view``; ``segment`` parses them when
+    first asked — which a frame the flow cache answers never does —
+    into a view of an immutable copy, so the pipeline may keep what it
+    is handed.  ``trace_id`` is
     the one the frame's own preamble carries (a simulated frame's trace
     id is metadata, never on the wire).
     """
@@ -101,7 +104,8 @@ class FrameHop:
 
     @property
     def segment(self) -> SegmentView:
-        # Parsed once per frame: every frame brings its own ``lead``.
+        # Memoised on the lead's identity: a walked frame's is a fresh
+        # view; a found frame's is the flow entry's immutable bytes.
         if self._parsed_from is not self.lead:
             self._parsed_from = self.lead
             self._parsed = parse_segment_view(bytes(self.lead))
@@ -277,8 +281,10 @@ class RouterCore:
         (0: not traced); ``wire_size`` the size the pipeline charges.
         ``next_rel``, when the
         adapter already knows it, is where the leading segment ends;
-        otherwise its span is checked against the frame here, which is
-        all the validation a segment has.
+        otherwise the segment is found here, which is all the
+        validation a segment has: bytes equal to the lead the flow
+        cache answered with last are that segment, anything else is
+        walked.
 
         A move the buffer has no room for calls ``grow()``, which
         returns the frame's view over a larger buffer (the simulator's
@@ -292,12 +298,24 @@ class RouterCore:
         """
         sink = self.sink
         sink.trace_id = 0
-        buffer, start, mem = view.buffer, view.start, view.mem
+        buffer, start = view.buffer, view.start
         seg_count = buffer[start + SEG_COUNT_OFFSET]
-        if not next_rel:
-            if not seg_count:
-                next_rel = header_len  # stage 0 drops it unread
+        if next_rel:
+            lead = view.mem[header_len:next_rel]
+        elif not seg_count:
+            next_rel, lead = header_len, b""  # stage 0 drops it unread
+        else:
+            # A segment's span is a function of its own bytes, and the
+            # last entry's lead was walked at install: equal bytes here
+            # are that segment, found and validated by the one compare.
+            last = self.flow_cache.last
+            lead = last.lead if last is not None else None
+            if lead is not None and buffer.startswith(
+                lead, start + header_len, view.end
+            ):
+                next_rel = header_len + len(lead)
             else:
+                mem = view.mem
                 try:
                     next_rel = segment_span(mem, header_len)
                 except ViperDecodeError:
@@ -305,10 +323,11 @@ class RouterCore:
                     # never crash.
                     apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
                     return None
+                lead = mem[header_len:next_rel]
         if traced:
             sink.stamp(traced)
         hop = self.hop
-        hop.lead = mem[header_len:next_rel]
+        hop.lead = lead
         hop.seg_count = seg_count
         at = start + PAYLOAD_LEN_OFFSET
         hop.payload_len = buffer[at] << 8 | buffer[at + 1]
@@ -344,8 +363,15 @@ class RouterCore:
             sink.trace_event(
                 "switch_decision", in_port=in_port, out_port=decision.out_port,
             )
+        # A memoised return tail and no reroute: the decision is the
+        # strip itself, moved without the general applier.
+        tail = decision.return_tail
+        plain = tail is not None and not decision.slick_reroute
         try:
-            while not forward_into(view, decision, hop, next_rel):
+            while not (
+                hop_move_into(view, tail, hop, next_rel, decision.splice_tail)
+                if plain else forward_into(view, decision, hop, next_rel)
+            ):
                 if grow is None:
                     apply_drop(sink, Decision(Action.DROP, reason="oversize"))
                     return None

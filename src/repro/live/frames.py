@@ -141,6 +141,9 @@ _PREAMBLE = struct.Struct(">2sBBBH")
 _CONTROL = struct.Struct(">2sBBBHI")
 
 _TRACE_ID = struct.Struct(">Q")
+
+#: A traced data frame's preamble: the fixed fields, then the trace id.
+_TRACED_PREAMBLE = struct.Struct(">2sBBBHQ")
 #: Joins a frame's parts into one datagram.
 _JOIN = b"".join
 
@@ -175,6 +178,11 @@ class Preamble(NamedTuple):
     def header_len(self) -> int:
         """Bytes before the VIPER body (7, or 15 when traced)."""
         return PREAMBLE_BYTES + (TRACE_ID_BYTES if self.trace_id else 0)
+
+
+#: Builds a :class:`Preamble` from its four fields, as the named tuple's
+#: own ``__new__`` does, without that Python-level call: one per datagram.
+_preamble = tuple.__new__
 
 
 def encode_preamble(
@@ -229,7 +237,7 @@ def decode_preamble(datagram) -> Preamble:
             f"segment count {seg_count} exceeds VIPER's {MAX_SEGMENTS}"
         )
     if wire_kind == kind:
-        return Preamble(kind, seg_count, payload_len, 0)
+        return _preamble(Preamble, (kind, seg_count, payload_len, 0))
     if kind != FRAME_DATA:
         raise ViperDecodeError("traced flag on a non-data frame")
     if len(datagram) < PREAMBLE_BYTES + TRACE_ID_BYTES:
@@ -237,7 +245,7 @@ def decode_preamble(datagram) -> Preamble:
     (trace_id,) = _TRACE_ID.unpack_from(datagram, PREAMBLE_BYTES)
     if trace_id == 0:
         raise ViperDecodeError("traced flag with zero trace id")
-    return Preamble(kind, seg_count, payload_len, trace_id)
+    return _preamble(Preamble, (kind, seg_count, payload_len, trace_id))
 
 
 def encode_probe(nonce: int) -> bytes:
@@ -622,9 +630,9 @@ def return_tail_of(return_segment: HeaderSegment) -> bytes:
     return encoded + len(encoded).to_bytes(TRAILER_LENGTH_BYTES, "big")
 
 
-def _land(
-    view, survivors: int, preamble: Preamble, header_len: int,
-    seg_count: int, tail: bytes, lead: bytes = b"",
+def _land(  # sirlint: hot
+    view, survivors: int, header_len: int, seg_count: int, payload_len: int,
+    trace_id: int, tail: bytes, lead: bytes = b"",
 ) -> None:
     """The last step of every move: the frame becomes ``preamble ++ lead
     ++ buffer[survivors:view.end] ++ tail``.
@@ -633,28 +641,41 @@ def _land(
     land directly before the surviving bytes, which stay where they are;
     only when that leaves no head-room or the tail-room is short do the
     survivors first slide to the head of the buffer (one overlapping
-    copy).  The caller has checked that the outgoing frame fits.
+    copy).  The caller has checked that the outgoing frame fits and
+    that ``seg_count`` is in range; the preamble is one ``pack_into``,
+    and only the trace id, which a caller may supply, is checked here.
     """
     buffer = view.buffer
     end = view.end
-    new_start = survivors - len(lead) - header_len
-    if new_start < 0 or end + len(tail) > len(buffer):
-        at = header_len + len(lead)
+    lead_len = len(lead) if lead else 0
+    tail_len = len(tail)
+    new_start = survivors - lead_len - header_len
+    if new_start < 0 or end + tail_len > len(buffer):
+        at = header_len + lead_len
         buffer[at:at + end - survivors] = buffer[survivors:end]
         new_start, end = 0, at + end - survivors
-    encode_preamble_into(
-        buffer, new_start, seg_count, preamble.payload_len,
-        trace_id=preamble.trace_id,
-    )
-    if lead:
+    tail_end = end + tail_len
+    if trace_id:
+        if not 0 < trace_id <= 0xFFFFFFFFFFFFFFFF:
+            raise ValueError(f"trace id {trace_id} outside 64 bits")
+        _TRACED_PREAMBLE.pack_into(
+            buffer, new_start, MAGIC, VERSION, FRAME_DATA | FLAG_TRACED,
+            seg_count, payload_len, trace_id,
+        )
+    else:
+        _PREAMBLE.pack_into(
+            buffer, new_start, MAGIC, VERSION, FRAME_DATA, seg_count,
+            payload_len,
+        )
+    if lead_len:
         at = new_start + header_len
-        buffer[at:at + len(lead)] = lead
-    buffer[end:end + len(tail)] = tail
+        buffer[at:at + lead_len] = lead
+    buffer[end:tail_end] = tail
     view.start = new_start
-    view.end = end + len(tail)
+    view.end = tail_end
 
 
-def hop_move_into(
+def hop_move_into(  # sirlint: hot
     view, tail: bytes, preamble: Preamble = None, next_rel: int = None,
     splice: Sequence[HeaderSegment] = (),
 ) -> bool:
@@ -677,17 +698,27 @@ def hop_move_into(
     them.  Returns False — view untouched — only when the *outgoing*
     frame is larger than the buffer: a frame every peer's endpoint would
     drop as ``oversize``, so the caller drops it with that reason.
+    Raises :class:`ValueError` when a splice would leave more segments
+    than a preamble may carry.
     """
     if preamble is None:
         preamble = decode_preamble(view.mem)
-    if preamble.kind != FRAME_DATA or preamble.seg_count == 0:
+    seg_count = preamble.seg_count
+    if preamble.kind != FRAME_DATA or seg_count == 0:
         raise ViperDecodeError("cannot forward: no leading segment")
     header_len = preamble.header_len
     if next_rel is None:
         next_rel = segment_span(view.mem, header_len)
-    lead = b"".join([s.wire for s in splice]) if splice else b""
-    room = len(view.buffer) - header_len - len(lead) - len(tail)
-    if view.buffer[view.start + header_len + FIXED_SEGMENT_BYTES - 1] & _SLICK_BIT:
+    buffer = view.buffer
+    start = view.start
+    seg_count -= 1
+    room = len(buffer) - header_len - len(tail)
+    lead = b""
+    if splice:
+        seg_count += len(splice)
+        lead = b"".join([s.wire for s in splice])  # sirlint: disable=SIR008 -- a transit splice's segments (logical port, §2.2), joined once for the one write ahead of the route; an unspliced move joins nothing
+        room -= len(lead)
+    if buffer[start + header_len + FIXED_SEGMENT_BYTES - 1] & _SLICK_BIT:
         # The stripped segment takes its alternate block with it: the
         # surviving segments slide right over the block (one overlapping
         # move inside the buffer) so the packet stays contiguous.
@@ -697,17 +728,21 @@ def hop_move_into(
             header_end = segment_span(mem, header_end)
         block_end = alt_block_span(mem, header_end)
         keep = header_end - next_rel
-        survivors = view.start + block_end - keep
+        survivors = start + block_end - keep
         if view.end - survivors > room:
             return False
         if keep:
-            view.buffer[survivors:survivors + keep] = bytes(mem[next_rel:header_end])
+            buffer[survivors:survivors + keep] = bytes(mem[next_rel:header_end])  # sirlint: disable=SIR008 -- the surviving segments slide over the stripped alternate block: an overlapping move inside one buffer, which slice assignment copies through a snapshot
     else:
-        survivors = view.start + next_rel
+        survivors = start + next_rel
         if view.end - survivors > room:
             return False
-    seg_count = preamble.seg_count - 1 + len(splice)
-    _land(view, survivors, preamble, header_len, seg_count, tail, lead)
+    if seg_count > MAX_SEGMENTS:  # a splice raised it
+        raise ValueError(f"segment count {seg_count} outside 0..{MAX_SEGMENTS}")
+    _land(
+        view, survivors, header_len, seg_count, preamble.payload_len,
+        preamble.trace_id, tail, lead,
+    )
     return True
 
 
@@ -761,13 +796,21 @@ def slick_reroute_into(view, tail: bytes, preamble: Preamble = None) -> bool:
         return False
     if keep:
         view.buffer[survivors:survivors + keep] = bytes(mem[alt_first_end:block_end])
-    _land(view, survivors, preamble, header_len, alt_count - 1, tail)
+    # The block's count is validated (at most MAX_SEGMENTS) above.
+    _land(
+        view, survivors, header_len, alt_count - 1, preamble.payload_len,
+        preamble.trace_id, tail,
+    )
     return True
 
 
-def forward_into(view, decision, preamble: Preamble, next_rel: int) -> bool:
+def forward_into(  # sirlint: hot
+    view, decision, preamble: Preamble, next_rel: int,
+) -> bool:
     """Apply a FORWARD :class:`~repro.dataplane.Decision` to a frame, in
-    place — the one hop transform both routers run.
+    place — the one hop transform both routers run (the router core
+    calls :func:`hop_move_into` itself for a decision that carries its
+    return tail and is no reroute: all this would do with it).
 
     The return tail is the decision's memoized one, encoded here when
     the decision carries none (a cold flow, a rebuilt return hop); a
@@ -829,8 +872,7 @@ def truncate_into(view, mtu: int) -> bool:
         view.buffer[at - cut:view.end - cut] = view.buffer[at:view.end]
         view.end -= cut
     _land(
-        view, view.start + preamble.header_len,
-        preamble._replace(payload_len=payload_len - cut),
-        preamble.header_len, preamble.seg_count, mark,
+        view, view.start + preamble.header_len, preamble.header_len,
+        preamble.seg_count, payload_len - cut, preamble.trace_id, mark,
     )
     return True

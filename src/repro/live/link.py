@@ -315,7 +315,9 @@ class LiveEndpoint:
         if addr not in self._probes:
             self._probe(addr)
         mem = view.mem
-        self.metrics.record_out(len(mem))
+        metrics = self.metrics
+        metrics.frames_out += 1
+        metrics.bytes_out += len(mem)
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(mem, addr)
         else:
@@ -324,7 +326,7 @@ class LiveEndpoint:
             except (BlockingIOError, InterruptedError):
                 self._queue_tx(mem, addr)
             except OSError:
-                self.metrics.drop("socket_error")
+                metrics.drop("socket_error")
         view.release()
 
     def send_parts(self, parts, addr: Address) -> None:
@@ -535,6 +537,7 @@ class LiveEndpoint:
         metrics = self.metrics
         unheard = self._unheard
         buffers = self._recv_buffers
+        bytes_in = 0
         batch = []  # sirlint: disable=SIR008 -- the wakeup's product: the batch the consumer takes away
         slot = self._rx_slot
         if slot is None:
@@ -573,15 +576,19 @@ class LiveEndpoint:
                 metrics.acks_out += 1
                 self._raw_send(encode_ack(nonce), addr)
                 continue
-            metrics.record_in(nbytes)
-            batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
+            bytes_in += nbytes
+            batch.append((PacketView(slot.buffer, 0, nbytes, slot), addr, preamble))
             slot = ring.acquire()
             buffers[0] = slot.view
         self._rx_slot = slot  # sirlint: disable=SIR009 -- the endpoint's own receive slot: at most one between wakeups, close() gives it back (ARCHITECTURE §14)
         if not batch:
             return
+        # The wakeup's data frames, counted once for all of them.
+        delivered = len(batch)
+        metrics.frames_in += delivered
+        metrics.bytes_in += bytes_in
         self.rx_batches += 1
-        self.rx_datagrams += len(batch)
+        self.rx_datagrams += delivered
         if self.on_batch is not None:
             self.on_batch(batch)
         else:

@@ -47,11 +47,6 @@ class EndpointMetrics:
     #: ...).  ``peer_dead`` counts the probe ladder's verdicts.
     drops: Dict[str, int] = field(default_factory=dict)
 
-    def record_in(self, nbytes: int) -> None:
-        """Count one received data frame of ``nbytes``."""
-        self.frames_in += 1
-        self.bytes_in += nbytes
-
     def record_out(self, nbytes: int) -> None:
         """Count one transmitted data frame of ``nbytes``."""
         self.frames_out += 1

@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.dataplane import Action, Decision, PortMap, PortProfile, UNKNOWN_IN_PORT
 from repro.dataplane.router import FrameHop, RouterCore, core_attribute
+from repro.live.frames import PREAMBLE_BYTES, TRACE_ID_BYTES
 from repro.live.link import (
     Address,
     BatchEntry,
@@ -74,6 +75,9 @@ class LiveRouterConfig:
 # down, any inbound frame marks it back up — the signal the pipeline's
 # slick reroute stage keys on.
 _UDP_PORT = PortProfile(kind="udp", mtu=0)
+
+#: A traced frame's preamble length: the fixed fields and the trace id.
+_TRACED_HEADER = PREAMBLE_BYTES + TRACE_ID_BYTES
 
 
 def _reverse_leading_portinfo(hop: FrameHop) -> bytes:
@@ -230,10 +234,11 @@ class LiveRouter:
         core = self.core
         core.hop.now_ms = self._now_ms()
         addr_port = self.addr_port
-        for view, source, preamble in batch:
+        for view, source, (_kind, _segs, payload_len, trace_id) in batch:
             decision = core.step(
-                view, preamble.header_len, preamble.trace_id,
-                addr_port.get(source, UNKNOWN_IN_PORT), preamble.payload_len,
+                # The preamble's ``header_len``, without the call.
+                view, _TRACED_HEADER if trace_id else PREAMBLE_BYTES,
+                trace_id, addr_port.get(source, UNKNOWN_IN_PORT), payload_len,
             )
             if decision is None:
                 view.release()

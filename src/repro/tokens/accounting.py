@@ -34,7 +34,10 @@ class AccountLedger:
     dict slots and no object of its own: a router charging a million
     accounts keeps nothing for the cyclic collector to visit.
     :meth:`usage` and :attr:`records` hand out :class:`UsageRecord`
-    *views*, built when asked.
+    *views*, built when asked.  Two callers write the columns:
+    :meth:`charge`, and the token cache's warm-packet charge
+    (:meth:`repro.tokens.cache.TokenCache.account_flow_hit`), which
+    makes the same two updates inline.
 
     Pricing is deliberately simple: a per-byte price with a per-priority
     multiplier, matching the paper's observation that "use of high

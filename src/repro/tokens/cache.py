@@ -226,14 +226,26 @@ class TokenCache:
         to the slow path, which will REJECT); otherwise charges the
         ledger, counts the packet, and records a cache hit so the
         token-cache hit rate reflects flow-cache-served packets too.
+
+        One call per warm packet: the budget test is
+        :meth:`TokenCacheEntry.remaining_budget`'s, the charge
+        :meth:`_account`'s and the ledger's, written out here.
         """
         if not entry.valid:
             return False
-        budget = entry.remaining_budget()
-        if budget is not None and size > budget:
+        limit = entry.byte_limit
+        if size and limit != UNLIMITED and entry.bytes + size > limit:
             return False
         self.hits += 1
-        self._account(entry, size, priority)
+        entry.packets += 1
+        entry.bytes += size
+        account = entry.account
+        ledger = self.ledger
+        charged = ledger._bytes
+        charged[account] = charged.get(account, 0) + size
+        packets = ledger._packets
+        key = account << 4 | priority
+        packets[key] = packets.get(key, 0) + 1
         return True
 
     # -- the slow path -----------------------------------------------------------

@@ -30,13 +30,15 @@ live PDU in flight — a test's view of what
 :func:`~repro.live.host.open_pdu` checks and decodes in place on the
 receive path.
 
-**The virtual clock.**  :class:`FakeLoop` stands in for an endpoint's
-event loop in socket-free harnesses: its clock moves only when a test
-advances it, and each timer fires exactly at its deadline.
+**The virtual clock and the scripted socket.**  :class:`FakeLoop`
+stands in for an endpoint's event loop in socket-free harnesses: its
+clock moves only when a test advances it, and each timer fires exactly
+at its deadline.  :class:`ScriptedSocket` stands in for its UDP socket,
+handing out queued datagrams as ``recvmsg_into`` does.
 """
 
 import zlib
-from collections import Counter
+from collections import Counter, deque
 
 from repro.core.packet import FramePacket
 from repro.dataplane import Action, HopInput, UNKNOWN_IN_PORT
@@ -513,7 +515,8 @@ def drain_reference(self) -> None:
             self.metrics.acks_out += 1
             self._raw_send(encode_ack(nonce), addr)
             continue
-        self.metrics.record_in(nbytes)
+        self.metrics.frames_in += 1
+        self.metrics.bytes_in += nbytes
         batch.append((PacketView.of_slot(slot, nbytes), addr, preamble))
     if not batch:
         return
@@ -601,3 +604,54 @@ class FakeLoop:
         else:
             raise AssertionError("a timer keeps re-arming for the past")
         self.now = target
+
+
+# -- the scripted socket -------------------------------------------------------
+
+#: Script markers: the next ``recvmsg_into`` raises instead of returning.
+SOCKET_ERROR = "socket-error"
+INTERRUPTED = "interrupted"
+
+
+class ScriptedSocket:
+    """What the endpoint needs of a UDP socket, fed from a queue.
+
+    ``recvmsg_into`` hands out the queued ``(bytes, addr)`` pairs — a
+    datagram longer than the buffer is cut to it and flagged
+    ``MSG_TRUNC``, as the kernel does — and raises ``BlockingIOError``
+    once the queue is empty.  ``sendto`` records; a harness that only
+    counts calls replaces it on the instance.
+    """
+
+    def __init__(self):
+        self.queue = deque()
+        self.sent = []
+        self.handed_out = 0
+        self.truncated = 0
+
+    def fileno(self):
+        return -1
+
+    def close(self):
+        pass
+
+    def recvmsg_into(self, buffers):
+        if not self.queue:
+            raise BlockingIOError
+        item = self.queue.popleft()
+        if item == SOCKET_ERROR:
+            raise OSError("scripted")
+        if item == INTERRUPTED:
+            raise InterruptedError
+        datagram, (host, port) = item
+        (buffer,) = buffers
+        nbytes = min(len(datagram), len(buffer))
+        buffer[:nbytes] = datagram[:nbytes]
+        self.handed_out += 1
+        flags = _MSG_TRUNC if len(datagram) > nbytes else 0
+        self.truncated += bool(flags)
+        # The kernel builds a new address tuple for every datagram.
+        return nbytes, [], flags, (host, port)
+
+    def sendto(self, datagram, addr):
+        self.sent.append((bytes(datagram), addr))

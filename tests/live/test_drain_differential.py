@@ -20,7 +20,6 @@ between wakeups.
 """
 
 import dataclasses
-from collections import deque
 from unittest import mock
 
 import pytest
@@ -37,60 +36,20 @@ from repro.live.frames import (
     encode_preamble,
     encode_probe,
 )
-from repro.live.link import _MSG_TRUNC, LiveEndpoint, LivenessConfig
+from repro.live.link import LiveEndpoint, LivenessConfig
 from repro.viper.ring import BufferRing
 from repro.viper.wire import MAX_SEGMENTS
-from tests.live.oracle import FakeLoop, drain_reference, probe_deadline, slot_view
+from tests.live.oracle import (
+    INTERRUPTED,
+    SOCKET_ERROR,
+    FakeLoop,
+    ScriptedSocket,
+    drain_reference,
+    probe_deadline,
+    slot_view,
+)
 
 PEERS = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
-
-#: Script markers: the next ``recvmsg_into`` raises instead of returning.
-SOCKET_ERROR = "socket-error"
-INTERRUPTED = "interrupted"
-
-
-class ScriptedSocket:
-    """What the endpoint needs of a UDP socket, fed from a queue.
-
-    ``recvmsg_into`` hands out the queued ``(bytes, addr)`` pairs — a
-    datagram longer than the buffer is cut to it and flagged
-    ``MSG_TRUNC``, as the kernel does — and raises ``BlockingIOError``
-    once the queue is empty.  ``sendto`` records.
-    """
-
-    def __init__(self):
-        self.queue = deque()
-        self.sent = []
-        self.handed_out = 0
-        self.truncated = 0
-
-    def fileno(self):
-        return -1
-
-    def close(self):
-        pass
-
-    def recvmsg_into(self, buffers):
-        if not self.queue:
-            raise BlockingIOError
-        item = self.queue.popleft()
-        if item == SOCKET_ERROR:
-            raise OSError("scripted")
-        if item == INTERRUPTED:
-            raise InterruptedError
-        datagram, (host, port) = item
-        (buffer,) = buffers
-        nbytes = min(len(datagram), len(buffer))
-        buffer[:nbytes] = datagram[:nbytes]
-        self.handed_out += 1
-        flags = _MSG_TRUNC if len(datagram) > nbytes else 0
-        self.truncated += bool(flags)
-        # The kernel builds a new address tuple for every datagram.
-        return nbytes, [], flags, (host, port)
-
-    def sendto(self, datagram, addr):
-        self.sent.append((bytes(datagram), addr))
-
 
 class Side:
     """One endpoint under the script, drained by ``drain``."""

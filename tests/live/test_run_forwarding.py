@@ -28,11 +28,16 @@ from collections import Counter
 
 import pytest
 
-from repro.live.frames import PREAMBLE_BYTES, decode_preamble, encode_live_frame
+from repro.live.frames import (
+    PREAMBLE_BYTES,
+    decode_preamble,
+    encode_live_frame,
+    return_tail_of,
+)
 from repro.live.router import LiveRouter
 from repro.obs.recorder import FlightRecorder
 from repro.viper.packet import SirpentPacket
-from repro.viper.wire import HeaderSegment, encode_segment, segment_span
+from repro.viper.wire import HeaderSegment, decode_segment, encode_segment, segment_span
 from tests.live.oracle import capture_router, slot_view
 
 SLOT_BYTES = 512
@@ -486,6 +491,134 @@ class TestDirectedRuns:
         assert kinds(whole.fates) == ["F"] * 8 + ["token_reject"] * 8
         assert whole.router.token_cache.misses == 1
         assert whole.router.flow_cache.stats.expirations == 1
+
+
+class TestTheLeadFoundOnce:
+    """The core finds a frame's leading segment by comparing the frame
+    with the lead the flow cache answered with last, and walks it only
+    when that compare fails.  Each frame below sits next to the
+    remembered lead without being it; it meets the fate it meets alone
+    and is decided once."""
+
+    def lead_of(self, datagram):
+        header_len = decode_preamble(datagram).header_len
+        return datagram[header_len:segment_span(datagram, header_len)]
+
+    def test_a_lead_differing_only_in_its_last_byte(self):
+        token = token_for()
+        remembered = frame(HeaderSegment(port=LIVE, token=token))
+        flipped = frame(HeaderSegment(
+            port=LIVE, token=token[:-1] + bytes((token[-1] ^ 1,)),
+        ))
+        ethernet = HeaderSegment(port=LIVE, portinfo=bytes(range(14)))
+        last_info = frame(ethernet.copy(portinfo=bytes(range(13)) + b"\xff"))
+        assert self.lead_of(flipped)[:-1] == self.lead_of(remembered)[:-1]
+        assert self.lead_of(flipped) != self.lead_of(remembered)
+        arrivals = [(remembered, PEER_A)] * 3 + [(flipped, PEER_A)] * 2 + [
+            (remembered, PEER_A), (frame(ethernet), PEER_A),
+            (last_info, PEER_A), (frame(ethernet), PEER_A),
+        ]
+        whole, _ = assert_batch_equals_frames([(0, arrivals)])
+        # The flipped token was never minted: refused once its check ran.
+        assert kinds(whole.fates) == (
+            ["F"] * 3 + ["F", "token_reject", "F", "F", "F", "F"]
+        )
+        assert whole.decides == len(arrivals)
+        # remembered: 1 miss + 3 hits; flipped: 2 misses (never
+        # installed: its claims fail); each Ethernet variant its own.
+        assert cache_counts(whole) == (4, 5)
+
+    def test_the_remembered_lead_on_another_port(self):
+        datagram = frame(HeaderSegment(port=LIVE, token=token_for()))
+        arrivals = [(datagram, PEER_A)] * 3 + [(datagram, PEER_B)] * 3 + [
+            (datagram, PEER_A), (datagram, STRANGER), (datagram, PEER_B),
+        ]
+        whole, _ = assert_batch_equals_frames([(0, arrivals)])
+        assert kinds(whole.fates) == ["F"] * 7 + ["unknown_peer", "F"]
+        assert whole.decides == len(arrivals)
+        # One entry per arrival port; the stranger's frame is never
+        # memoised, and the same bytes from it find no entry.
+        assert cache_counts(whole) == (6, 3)
+        assert len(whole.router.flow_cache) == 2
+
+    def test_a_frame_cut_inside_or_at_the_end_of_the_remembered_lead(self):
+        datagram = frame(HeaderSegment(port=LIVE, token=token_for()))
+        lead_end = decode_preamble(datagram).header_len + len(
+            self.lead_of(datagram)
+        )
+        one_short, exact = datagram[:lead_end - 1], datagram[:lead_end]
+        # The stranger's frame is refused unmoved, so a one-frame batch
+        # after it lands in its slot over all of the lead's bytes: only
+        # the frame's own end tells the cut frame from a whole one.
+        arrivals = [(datagram, PEER_A)] * 2 + [
+            (datagram, STRANGER), (one_short, PEER_A),
+            (datagram, PEER_A), (exact, PEER_A), (datagram, PEER_A),
+        ]
+        whole, _ = assert_batch_equals_frames([(0, arrivals)])
+        # One byte short of the lead is no segment; the whole lead with
+        # nothing behind it is one, and moves as the reference moves it.
+        assert kinds(whole.fates) == [
+            "F", "F", "unknown_peer", "undecodable", "F", "F", "F",
+        ]
+        assert whole.decides == len(arrivals) - 1
+        assert cache_counts(whole) == (4, 2)
+
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_a_longer_token_behind_the_remembered_leads_bytes(self, escaped):
+        """The next frame's token is the remembered one's bytes and then
+        more: its length octet differs (and under the 255 escape, its
+        32-bit length), so it is a flow of its own, stripped whole."""
+        token = bytes(range(256)) + b"t" * 44 if escaped else token_for()
+        short = HeaderSegment(port=LIVE, token=token)
+        longer = short.copy(token=token + b"more")
+        at = 8 if escaped else 4  # where the token's bytes start
+        assert encode_segment(longer)[at:at + len(token)] == token
+        arrivals = [(frame(short), PEER_A)] * 3 + [(frame(longer), PEER_A)] * 2 + [
+            (frame(short), PEER_A)
+        ]
+        whole, _ = assert_batch_equals_frames([(0, arrivals)])
+        assert whole.decides == len(arrivals)
+        # Each token is admitted on its first frame and checked then: the
+        # minted one holds, the longer (and any unminted) one does not.
+        assert kinds(whole.fates) == (
+            ["F", "token_reject", "token_reject", "F", "token_reject",
+             "token_reject"] if escaped
+            else ["F", "F", "F", "F", "token_reject", "F"]
+        )
+        assert cache_counts(whole) == ((0, 6) if escaped else (3, 3))
+        moved = len(frame(longer)) - len(whole.fates[3][1])
+        assert moved == len(encode_segment(longer)) - len(
+            return_tail_of(HeaderSegment(port=1))
+        )
+
+    def test_a_frames_parse_is_its_own(self):
+        """``FrameHop.segment`` is memoised on the identity of
+        ``hop.lead``, which is the flow cache's own bytes when a frame
+        repeats the last entry's lead: whatever object the lead is, the
+        segment the pipeline parses is the frame's own.  Checked on
+        every cold decision of the generated batches, whose flows run
+        out of budget, expire, lose their egress and reroute."""
+        parsed = 0
+        for world in range(40):
+            rng = random.Random(0x1EAD0000 + world)
+            bench = Bench()
+            hop = bench.router.core.hop
+            pipeline = bench.router.pipeline
+            cold = pipeline._decide_cold
+
+            def checked(hop_input, port, cold=cold, hop=hop):
+                nonlocal parsed
+                assert hop_input is hop
+                own = bytes(hop.view.mem[hop.header_len:hop.next_rel])
+                assert hop.segment.to_segment() == decode_segment(own)[0]
+                parsed += 1
+                return cold(hop_input, port)
+
+            pipeline._decide_cold = checked
+            for now_ms, arrivals in generated_script(rng):
+                bench.now_ms = now_ms
+                bench.feed(arrivals)
+        assert parsed > 400
 
 
 # -- the flow cache's last-answer shortcut, through the driver ----------------

@@ -120,7 +120,8 @@ class TestAdapters:
         from repro.obs.adapters import endpoint_metrics_samples
 
         metrics = EndpointMetrics("h1")
-        metrics.record_in(100)
+        metrics.frames_in += 1
+        metrics.bytes_in += 100
         metrics.drop("no_route")
         snap = {
             s.key(): s.value for s in endpoint_metrics_samples(metrics)

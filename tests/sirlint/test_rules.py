@@ -4,6 +4,7 @@ stay silent on the positive one, and honour inline suppression."""
 import textwrap
 
 from sirlint.engine import analyze_source
+from sirlint.rules.hotpath import REQUIRED_HOT
 
 
 def analyze(source, module_name, path="src/repro/fixture.py", extra=()):
@@ -27,14 +28,21 @@ def live_router(source):
     ]
 
 
+#: SIR008's pins on ``repro.live.frames``: the payload walk and the move.
+FRAMES_PINS = {
+    f"hot-marker:{name}" for name in REQUIRED_HOT["repro.live.frames"]
+}
+
+
 def live_frames(source):
     """Findings for ``source`` as ``repro.live.frames``, less SIR008's
-    pin on that module name (a fixture is not the payload walk)."""
+    pins on that module name (a fixture is not the payload walk or the
+    move)."""
     return [
         f for f in analyze(
             source, "repro.live.frames", path="src/repro/live/frames.py"
         )
-        if f.symbol != "hot-marker:payload_offset"
+        if f.symbol not in FRAMES_PINS
     ]
 
 

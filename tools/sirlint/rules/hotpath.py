@@ -85,9 +85,15 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
         "_on_batch",
     ),
     # A data frame's walk past its route and alternate blocks, run by
-    # every host receive and every truncation.
+    # every host receive and every truncation; and the move every
+    # forwarded frame takes (the router core calls ``hop_move_into``
+    # itself on a memoised decision, ``forward_into`` on any other),
+    # which ends in ``_land``'s one preamble write.
     "repro.live.frames": (
         "payload_offset",
+        "forward_into",
+        "hop_move_into",
+        "_land",
     ),
     # The link layer under it (PR 23): one wakeup per frame at batch
     # fill 1, one send per frame-hop (``send_view`` from a router,
