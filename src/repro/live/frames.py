@@ -163,9 +163,11 @@ _DIB_BIT = FLAG_DIB << 4
 class Preamble(NamedTuple):
     """Decoded overlay preamble of one live datagram.
 
-    Decoded **once** per datagram, by the receiving endpoint, and handed
-    on with the frame's view (ARCHITECTURE §14) — a tuple because the
-    record is built for every datagram the overlay receives.
+    Decoded by the receiving endpoint and handed on with the frame's
+    view (ARCHITECTURE §14) — **once per peer** while its frames repeat
+    the same preamble bytes: every untraced data frame that does shares
+    the one record, read and never written.  A tuple because the
+    record is built for every other datagram the overlay receives.
     """
 
     kind: int

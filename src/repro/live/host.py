@@ -300,7 +300,16 @@ class _ReturnRoute:
 
 
 class LiveHost:
-    """An end system speaking VIPER over a real UDP socket."""
+    """An end system speaking VIPER over a real UDP socket.
+
+    A frame it receives and hands to no socket is counted in
+    ``metrics.drops`` under one reason: ``undecodable`` (the frame does
+    not walk), ``unknown_peer`` (it came from an address no port is
+    wired to, so it has no return hop), ``route_exhausted`` (its route
+    ended before this host) or ``no_socket`` (nothing is bound to the
+    socket it names).  A transactor counts the PDUs it discards there
+    too (:class:`LiveTransactor`).
+    """
 
     def __init__(
         self,
@@ -464,13 +473,23 @@ class LiveHost:
         bytes, walked (:func:`~repro.live.frames.framed_trailer`) only
         the first time they arrive.  The handler gets a
         :class:`LiveDelivered` of offsets into the datagram that slices
-        and decodes the rest on demand.
+        and decodes the rest on demand.  A frame from an address no port
+        is wired to has no return hop: it is dropped (``unknown_peer``)
+        before it is copied, and the rest of the wakeup goes on.
         """
         arrived_at = time.monotonic()
-        sockets, metrics = self.sockets, self.metrics
+        sockets, metrics, addr_port = self.sockets, self.metrics, self.addr_port
         for view, source, preamble in batch:
-            datagram = view.tobytes()
-            view.release()
+            slot = view.slot
+            arrival_port = addr_port.get(source)
+            if arrival_port is None:
+                # No known arrival port, so no return hop: the router's
+                # reason, and the frame goes before any handler sees it.
+                slot.ring.release(slot)
+                self._undelivered("unknown_peer", None, preamble.trace_id)
+                continue
+            datagram = slot.view[view.start:view.end].tobytes()
+            slot.ring.release(slot)
             try:
                 socket, payload_start, payload_end, trailer = self._open(
                     datagram, preamble
@@ -480,7 +499,10 @@ class LiveHost:
                 continue
             handler = sockets.get(socket)
             if handler is None:
-                self._undelivered(socket, preamble.trace_id)
+                self._undelivered(
+                    "route_exhausted" if socket is None else "no_socket",
+                    socket, preamble.trace_id,
+                )
                 continue
             metrics.delivered_local += 1
             if self.tracer.enabled and preamble.trace_id:
@@ -489,7 +511,7 @@ class LiveHost:
                 )
             handler(LiveDelivered(
                 datagram, preamble, payload_start, payload_end, socket,
-                arrived_at, trailer, self.addr_port.get(source, 0), source,
+                arrived_at, trailer, arrival_port, source,
             ))
 
     def _open(
@@ -536,11 +558,13 @@ class LiveHost:
         )
         return socket, start, end, trailer
 
-    def _undelivered(self, socket: Optional[int], trace_id: int) -> None:
-        """Count (and trace, and record) a frame no socket takes: its
-        route ended before this host (``socket`` None) or names a socket
-        nothing is bound to."""
-        reason = "route_exhausted" if socket is None else "no_socket"
+    def _undelivered(
+        self, reason: str, socket: Optional[int], trace_id: int
+    ) -> None:
+        """Count (and trace, and record) a frame no socket takes under
+        ``reason``: it came from no wired peer (``unknown_peer``), its
+        route ended before this host (``route_exhausted``) or it names a
+        socket nothing is bound to (``no_socket``)."""
         self.metrics.drop(reason)
         if trace_id and self.tracer.enabled:
             if socket is None:
@@ -786,9 +810,8 @@ class LiveTransactor:
             delivered, encode_pdu(pdu), reply_socket=pdu.reply_socket,
         )
 
-    @staticmethod
-    def join(parts: List[bytes]) -> bytes:
-        return b"".join(parts)
+    #: ``io.join``: a group's payload, its members' bytes in order.
+    join = b"".join
 
     def discard(self, reason: str) -> None:
         self.host.metrics.drop(reason)

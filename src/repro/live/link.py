@@ -114,6 +114,10 @@ class Impairments:
 #: refused past it is dropped, counted ``tx_backlog_full``.
 TX_BACKLOG_MAX = 512
 
+#: Peers whose last data preamble the drain remembers; past this many,
+#: the entry made first is forgotten (and decoded again next time).
+PREAMBLE_MEMO_PEERS = 64
+
 
 @dataclass(frozen=True)
 class LivenessConfig:
@@ -224,6 +228,11 @@ class LiveEndpoint:
         #: until the first, and once closed); ``recvmsg_into``'s buffer list.
         self._rx_slot: Optional[RingSlot] = None
         self._recv_buffers: List[Any] = [None]
+        #: Per peer, the 7 raw bytes and the decoded :class:`Preamble` of
+        #: the last untraced data frame the drain decoded from it (at
+        #: most ``PREAMBLE_MEMO_PEERS`` peers): a datagram that starts
+        #: with those bytes is that preamble, and is not decoded again.
+        self._preambles: Dict[Address, Tuple[bytes, Preamble]] = {}
         #: Drain-loop accounting (wakeup amortisation, for the bench).
         self.rx_batches = 0
         self.rx_datagrams = 0
@@ -254,11 +263,13 @@ class LiveEndpoint:
         return self.address
 
     def close(self) -> None:
-        """Close the socket, forget the probes, give back the receive slot."""
+        """Close the socket, forget the probes and the peers' preambles,
+        give back the receive slot."""
         self.closed = True
         slot, self._rx_slot = self._rx_slot, None
         if slot is not None:
             slot.ring.release(slot)
+        self._preambles.clear()
         self._probes.clear()
         self._unheard.clear()
         timer, self._probe_timer = self._probe_timer, None
@@ -287,17 +298,26 @@ class LiveEndpoint:
         """Transmit one framed datagram, byte for byte as handed over.
 
         The first send to a peer with no probe out opens that peer's
-        probe (:meth:`_probe`).
+        probe (:meth:`_probe`).  Counted and sent inline, as
+        :meth:`send_view` does.
         """
-        if self.closed or self._sock is None:
+        sock = self._sock
+        if self.closed or sock is None:
             return
         if addr not in self._probes:
             self._probe(addr)
-        self.metrics.record_out(len(datagram))
+        metrics = self.metrics
+        metrics.frames_out += 1
+        metrics.bytes_out += len(datagram)
         if self.fault_hook is not None or self.impairments.loss_rate > 0.0:
             self._impaired_send(datagram, addr)
         else:
-            self._raw_send(datagram, addr)
+            try:
+                sock.sendto(datagram, addr)
+            except (BlockingIOError, InterruptedError):
+                self._queue_tx(datagram, addr)
+            except OSError:
+                metrics.drop("socket_error")
 
     def send_view(self, view: PacketView, addr: Address) -> None:  # sirlint: hot
         """Transmit a slot-backed frame without materialising it.
@@ -349,7 +369,9 @@ class LiveEndpoint:
         total = 0
         for part in parts:
             total += len(part)
-        self.metrics.record_out(total)
+        metrics = self.metrics
+        metrics.frames_out += 1
+        metrics.bytes_out += total
         try:
             self._sock.sendmsg(parts, (), 0, addr)
         except (BlockingIOError, InterruptedError):
@@ -357,7 +379,7 @@ class LiveEndpoint:
         except (AttributeError, NotImplementedError):  # pragma: no cover
             self._raw_send(b"".join(parts), addr)
         except OSError:
-            self.metrics.drop("socket_error")
+            metrics.drop("socket_error")
 
     def _impaired_send(self, datagram, addr: Address) -> None:
         """Transmit through the chaos and impairment seams."""
@@ -528,7 +550,10 @@ class LiveEndpoint:
         the next.  Any frame from a peer answers its probe (the peer is
         heard from), and a probe is answered at once with one ack
         echoing its nonce — a function of the datagram alone (no timer,
-        no clock).
+        no clock).  Each peer's preamble is decoded once: a datagram
+        that starts with the 7 bytes of the last untraced data frame
+        decoded from its peer is handed on with that frame's
+        :class:`Preamble`; anything else is decoded.
         """
         sock = self._sock
         if sock is None or self.closed:
@@ -536,6 +561,7 @@ class LiveEndpoint:
         ring = self.ring
         metrics = self.metrics
         unheard = self._unheard
+        preambles = self._preambles
         buffers = self._recv_buffers
         bytes_in = 0
         batch = []  # sirlint: disable=SIR008 -- the wakeup's product: the batch the consumer takes away
@@ -556,26 +582,37 @@ class LiveEndpoint:
                 # exceed the VIPER MTU plus all framing headroom).
                 metrics.drop("oversize")
                 continue
-            datagram = slot.view[:nbytes]
-            try:
-                preamble = decode_preamble(datagram)
-                kind = preamble.kind
-                if kind != FRAME_DATA:
-                    nonce = control_nonce(datagram, preamble)
-            except ViperDecodeError:
-                metrics.drop("undecodable")
-                continue
-            if kind == FRAME_ACK:
-                metrics.acks_in += 1
-                self._on_ack(nonce, addr)
-                continue
+            memo = preambles.get(addr)
+            if memo is not None and slot.buffer.startswith(memo[0], 0, nbytes):
+                # The peer's last data preamble again, byte for byte.
+                preamble = memo[1]
+            else:
+                datagram = slot.view[:nbytes]
+                try:
+                    preamble = decode_preamble(datagram)
+                    kind = preamble.kind
+                    if kind != FRAME_DATA:
+                        nonce = control_nonce(datagram, preamble)
+                except ViperDecodeError:
+                    metrics.drop("undecodable")
+                    continue
+                if kind == FRAME_ACK:
+                    metrics.acks_in += 1
+                    self._on_ack(nonce, addr)
+                    continue
+                if kind == FRAME_PROBE:
+                    if unheard and addr in unheard:
+                        del unheard[addr]
+                    # Its sender waits for the nonce back.
+                    metrics.acks_out += 1
+                    self._raw_send(encode_ack(nonce), addr)
+                    continue
+                if not preamble.trace_id:
+                    if memo is None and len(preambles) >= PREAMBLE_MEMO_PEERS:
+                        del preambles[next(iter(preambles))]
+                    preambles[addr] = (bytes(slot.view[:PREAMBLE_BYTES]), preamble)  # sirlint: disable=SIR008 -- the memo's own copy of a peer's 7 preamble bytes, made on a miss only: a peer's frames repeat them
             if unheard and addr in unheard:
                 del unheard[addr]
-            if kind == FRAME_PROBE:
-                # Its sender waits for the nonce back.
-                metrics.acks_out += 1
-                self._raw_send(encode_ack(nonce), addr)
-                continue
             bytes_in += nbytes
             batch.append((PacketView(slot.buffer, 0, nbytes, slot), addr, preamble))
             slot = ring.acquire()

@@ -43,14 +43,10 @@ class EndpointMetrics:
     #: ("slick_fallback_exhausted"), not a second counter here.
     slick_reroutes: int = 0
     #: Drop reasons -> counts ("undecodable", "no_route", "token_reject",
-    #: "route_exhausted", "peer_dead", "tx_backlog_full", "loss_injected",
-    #: ...).  ``peer_dead`` counts the probe ladder's verdicts.
+    #: "route_exhausted", "unknown_peer", "peer_dead", "tx_backlog_full",
+    #: "loss_injected", ...).  ``peer_dead`` counts the probe ladder's
+    #: verdicts.
     drops: Dict[str, int] = field(default_factory=dict)
-
-    def record_out(self, nbytes: int) -> None:
-        """Count one transmitted data frame of ``nbytes``."""
-        self.frames_out += 1
-        self.bytes_out += nbytes
 
     def drop(self, reason: str) -> None:
         """Count one dropped frame under ``reason``."""

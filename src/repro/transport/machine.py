@@ -196,7 +196,10 @@ class _ClientTransaction:
         self.retries = 0
         self.retries_this_route = 0
         self.route_switches = 0
-        self.timer: Any = None
+        #: When the transaction times out, and the number of the arm
+        #: that set it: a tie between deadlines goes to the earlier arm.
+        self.deadline = 0.0
+        self.armed = 0
         self.response_mask: Optional[DeliveryMask] = None
         self.response_parts: Dict[int, Any] = {}
         self.response_size = 0
@@ -230,8 +233,17 @@ class _Answer(NamedTuple):
     reply_socket: int
 
 
+#: Builds an :class:`_Answer` from its three fields, as the named
+#: tuple's own ``__new__`` does, without that Python-level call.
+_answer = tuple.__new__
+
 #: Largest packet group, for the inline group checks.
 _MAX_MEMBERS = DeliveryMask.MAX_MEMBERS
+
+
+def _deadline_order(tx: _ClientTransaction) -> Tuple[float, int]:
+    """Client transactions time out by deadline, ties in arm order."""
+    return tx.deadline, tx.armed
 
 
 class TransactionMachine:
@@ -268,6 +280,13 @@ class TransactionMachine:
         #: that budget.
         self._budget_route: Any = None
         self._budget = MAX_MEMBER_PAYLOAD
+        #: What a PDU adds to its member's bytes: header and trailer.
+        self._overhead = config.header_bytes + config.trailer_bytes
+        #: The one client timer (None while it is not armed), the
+        #: deadline it waits for, and how many deadlines were set.
+        self._timer: Any = None
+        self._timer_at = 0.0
+        self._arms = 0
 
     # -- entities -----------------------------------------------------------
 
@@ -328,18 +347,25 @@ class TransactionMachine:
             transaction_id, dst_entity, payload, member_sizes,
             manager, priority, on_complete,
         )
-        tx.started_at = self.io.now
+        # One clock read: the start, the creation stamp, the deadline.
+        now = tx.started_at = self.io.now
         self._client_txs[transaction_id] = tx
-        self._launch_group(tx, indices=None)
+        self._launch_group(tx, None, now)
         return transaction_id
 
     def abandon(self, transaction_id: int) -> None:
         """Forget a transaction whose caller stopped waiting for it."""
-        tx = self._client_txs.pop(transaction_id, None)
+        tx = self._client_txs.get(transaction_id)
         if tx is not None:
-            tx.done = True
-            if tx.timer is not None:
-                tx.timer.cancel()
+            self._forget(tx)
+
+    def _forget(self, tx: _ClientTransaction) -> None:
+        """Take ``tx`` off the books; the timer goes with the last one."""
+        tx.done = True
+        self._client_txs.pop(tx.transaction_id, None)
+        if not self._client_txs and self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _member_budget(self, route: Any) -> int:
         """Largest member payload ``route`` carries untruncated: asked of
@@ -357,9 +383,10 @@ class TransactionMachine:
         return budget
 
     def _launch_group(
-        self, tx: _ClientTransaction, indices: Optional[List[int]]
+        self, tx: _ClientTransaction, indices: Optional[List[int]], now: float,
     ) -> None:
-        """Send (or re-send) request members, paced by the rate controller."""
+        """Send (or re-send) request members, paced by the rate
+        controller; ``now`` is the clock, read by the caller."""
         route = tx.manager.current()
         sizes = tx.member_sizes
         count = len(sizes)
@@ -369,15 +396,15 @@ class TransactionMachine:
         # What the group fixes is computed once: the creation stamp (the
         # clock does not move inside one launch) and the members' wire
         # sizes and pacing gaps.
-        stamp = self.clock.stamp()
+        stamp = self.clock.stamp(now)
         if count == 1:
             # A one-member group: its member, then the timer after its gap.
-            wire = self._pdu_wire_size(sizes[0])
+            wire = self._overhead + sizes[0]
             self.io.after(0.0, self._send, route, VmtpPdu(
                 PduKind.REQUEST, tx.transaction_id, src_entity, tx.dst_entity,
                 0, 1, stamp, self.config.socket, 0, sizes[0], tx.payload,
             ), wire, tx.priority)
-            self._arm_timer(tx, route, self.rate.gap_for(wire))
+            self._arm_timer(tx, route, self.rate.gap_for(wire), now)
             return
         full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
         group_gap = full_wire_gap[1]
@@ -396,32 +423,72 @@ class TransactionMachine:
             wire, gap = full_wire_gap if member == full else last_wire_gap
             after(offset, send, route, pdu, wire, priority)
             offset += gap
-        self._arm_timer(tx, route, offset)
+        self._arm_timer(tx, route, offset, now)
 
     def _member_wires(
         self, sizes: List[int]
     ) -> Tuple[Tuple[int, float], Tuple[int, float]]:
         """``(wire size, pacing gap)`` of a group's full member and of its
         last: every member but the last is full."""
-        overhead = self._pdu_wire_size(0)
+        overhead = self._overhead
         full, last = overhead + sizes[0], overhead + sizes[-1]
         gap_for = self.rate.gap_for
         return (full, gap_for(full)), (last, gap_for(last))
 
-    def _arm_timer(self, tx: _ClientTransaction, route: Any, pacing: float) -> None:
-        if tx.timer is not None:
-            tx.timer.cancel()
-        total = sum(tx.member_sizes)
+    def _arm_timer(
+        self, tx: _ClientTransaction, route: Any, pacing: float, now: float,
+    ) -> None:
+        """Set ``tx``'s deadline, its timeout after ``now``.
+
+        The machine keeps one timer, for the earliest deadline: it is
+        re-armed here only for a deadline earlier than the one it waits
+        for — or for the only client transaction out, whose timer moves
+        with its deadline exactly as a timer per transaction did.
+        """
         timeout = max(
             self.config.base_timeout,
-            route.expected_rtt(total) * TIMEOUT_RTT_MULTIPLIER,
+            route.expected_rtt(sum(tx.member_sizes)) * TIMEOUT_RTT_MULTIPLIER,
         ) + pacing
-        tx.timer = self.io.after(timeout, self._on_timeout, tx.transaction_id)
+        deadline = tx.deadline = now + timeout
+        self._arms += 1
+        tx.armed = self._arms
+        timer = self._timer
+        if timer is not None:
+            if deadline >= self._timer_at and len(self._client_txs) > 1:
+                return
+            timer.cancel()
+        self._timer_at = deadline
+        self._timer = self.io.after(timeout, self._on_timer)
 
-    def _on_timeout(self, transaction_id: int) -> None:
-        tx = self._client_txs.get(transaction_id)
-        if tx is None or tx.done:
-            return
+    def _on_timer(self) -> None:
+        """The earliest deadline came: time out every client transaction
+        now due, in deadline order (ties: the one armed first), then arm
+        the timer for the earliest deadline left.
+
+        The spent timer stays the machine's while they time out, so a
+        new deadline re-arms it only as it would a waiting timer: a lone
+        transaction's at once, exactly as before; the others' once, here,
+        after the last.
+        """
+        now = self.io.now
+        # Everything up to the deadline the timer was armed for is due
+        # (a loop may fire a hair before its own clock says so).
+        due_at = self._timer_at if self._timer_at > now else now
+        spent = self._timer
+        due = [tx for tx in self._client_txs.values() if tx.deadline <= due_at]
+        due.sort(key=_deadline_order)
+        for tx in due:
+            if not tx.done:
+                self._on_timeout(tx, now)
+        if self._timer is spent:
+            self._timer = None
+            if self._client_txs:
+                deadline = min(self._client_txs.values(), key=_deadline_order).deadline
+                self._timer_at = deadline
+                self._timer = self.io.after(deadline - now, self._on_timer)
+
+    def _on_timeout(self, tx: _ClientTransaction, now: float) -> None:
+        transaction_id = tx.transaction_id
         tx.retries += 1
         tx.retries_this_route += 1
         self.stats.retransmissions.add()
@@ -448,17 +515,17 @@ class TransactionMachine:
         if missing_response:
             # We have a partial response: ask only for the gaps (§4.3
             # selective retransmission).
-            self._send_nak(tx)
-            self._arm_timer(tx, tx.manager.current(), 0.0)
+            self._send_nak(tx, now)
+            self._arm_timer(tx, tx.manager.current(), 0.0, now)
         else:
             # No response yet: probe with the request's last member.  A
             # server that answered replays its response from the cache;
             # one missing members NAKs them; one that never heard of the
             # transaction NAKs the rest.  A timeout that fired while the
             # response was on its way costs one member, not the group.
-            self._launch_group(tx, indices=[len(tx.member_sizes) - 1])
+            self._launch_group(tx, [len(tx.member_sizes) - 1], now)
 
-    def _send_nak(self, tx: _ClientTransaction) -> None:
+    def _send_nak(self, tx: _ClientTransaction, now: float) -> None:
         assert tx.response_mask is not None
         route = tx.manager.current()
         pdu = VmtpPdu(
@@ -468,20 +535,17 @@ class TransactionMachine:
             dst_entity=tx.dst_entity,
             member_index=0,
             group_count=tx.response_mask.count,
-            timestamp=self.clock.stamp(),
+            timestamp=self.clock.stamp(now),
             reply_socket=self.config.socket,
             mask_bits=tx.response_mask.bits,
         )
         self.stats.naks_sent.add()
-        self._send(route, pdu, self._pdu_wire_size(0), tx.priority)
+        self._send(route, pdu, self._overhead, tx.priority)
 
     def _finish(self, tx: _ClientTransaction, result: TransactionResult) -> None:
         if tx.done:
             return
-        tx.done = True
-        if tx.timer is not None:
-            tx.timer.cancel()
-        self._client_txs.pop(tx.transaction_id, None)
+        self._forget(tx)
         if result.ok:
             self.stats.transactions_ok.add()
             tx.manager.report_rtt(result.rtt, payload_size=sum(tx.member_sizes))
@@ -490,9 +554,6 @@ class TransactionMachine:
         tx.on_complete(result)
 
     # -- sending ----------------------------------------------------------------
-
-    def _pdu_wire_size(self, member_payload: int) -> int:
-        return self.config.header_bytes + member_payload + self.config.trailer_bytes
 
     def _send(self, route: Any, pdu: VmtpPdu, wire_size: int, priority: int) -> None:
         self.stats.sent_pdus.add()
@@ -663,9 +724,7 @@ class TransactionMachine:
             self.config.socket, assembly.mask.bits,
         )
         self.stats.naks_sent.add()
-        self._send_return(
-            assembly.delivered, pdu, self._pdu_wire_size(0)
-        )
+        self._send_return(assembly.delivered, pdu, self._overhead)
 
     def _complete_request(
         self, key: Tuple[int, int], pdu: VmtpPdu, parts: List[Any],
@@ -681,12 +740,12 @@ class TransactionMachine:
             pdu.src_entity, parts, total_size, pdu.transaction_id,
         ))
         reply_size = max(1, reply_size)
-        answer = _Answer(
+        answer = _answer(_Answer, (
             reply_payload,
             [reply_size] if reply_size <= MAX_MEMBER_PAYLOAD
             else split_into_group(reply_size, MAX_MEMBER_PAYLOAD),
             pdu.reply_socket,
-        )
+        ))
         self._response_cache[key] = answer
         if len(self._response_cache) > RESPONSE_CACHE_ENTRIES:
             self._response_cache.popitem(last=False)
@@ -712,7 +771,7 @@ class TransactionMachine:
                 PduKind.RESPONSE, request.transaction_id, request.dst_entity,
                 request.src_entity, 0, 1, stamp, answer.reply_socket, 0,
                 sizes[0], answer.payload,
-            ), self._pdu_wire_size(sizes[0]))
+            ), self._overhead + sizes[0])
             return
         full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
         after, send_return = self.io.after, self._send_return
@@ -755,7 +814,7 @@ class TransactionMachine:
         missing = DeliveryMask(len(tx.member_sizes), pdu.mask_bits).missing()
         if missing:
             self.stats.retransmissions.add()
-            self._launch_group(tx, indices=missing)
+            self._launch_group(tx, missing, self.io.now)
 
     def _on_response(self, pdu: VmtpPdu) -> None:
         tx = self._client_txs.get(pdu.transaction_id)

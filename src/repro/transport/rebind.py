@@ -159,7 +159,7 @@ class RouteManager:
                         route=self._current,
                         failures=health.failures,
                     )
-            health.clear()
+                health.clear()
 
     def report_failure(self) -> Route:
         """Explicit loss (retransmissions exhausted): quarantine the

@@ -75,11 +75,13 @@ class HostClock:
     def now_ms(self) -> int:
         return int(self.epoch_ms + self.sim.now * 1000.0 + self.skew_ms)
 
-    def stamp(self) -> int:
-        """:func:`encode_timestamp_ms` of :meth:`now_ms`, inline (one a PDU)."""
-        value = int(
-            self.epoch_ms + self.sim.now * 1000.0 + self.skew_ms
-        ) % TIMESTAMP_MODULUS
+    def stamp(self, at: Optional[float] = None) -> int:
+        """:func:`encode_timestamp_ms` of :meth:`now_ms`, inline (one a
+        PDU): of the clock read at ``at``, a time the caller already read
+        from the clock's time source, or, when ``at`` is None, read now."""
+        if at is None:
+            at = self.sim.now
+        value = int(self.epoch_ms + at * 1000.0 + self.skew_ms) % TIMESTAMP_MODULUS
         return value if value != TIMESTAMP_INVALID else 1
 
     def reboot(self) -> None:

@@ -9,7 +9,10 @@ reference, and must agree after every step on everything an observer can
 see: the batches handed to the consumer (bytes, source, ``Preamble``),
 every datagram sent (probes, acks and forwards: bytes, address, order),
 every counter and drop reason, the probe ladder (probes out, peers
-unheard), the wakeup accounting, and the ring's books.  Both sides run
+unheard), the wakeup accounting, and the ring's books.  The endpoint
+decodes a preamble exactly once per datagram that is not an untraced
+data frame repeating its own peer's last data preamble bytes
+(:func:`expected_decodes`); the reference decodes every one.  Both sides run
 on a virtual clock (``oracle.FakeLoop``), so a script's waits let
 probes go unanswered and later sends put probe frames on the wire.
 
@@ -31,12 +34,14 @@ from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
     FRAME_PROBE,
+    PREAMBLE_BYTES,
     decode_preamble,
     encode_ack,
     encode_preamble,
     encode_probe,
 )
 from repro.live.link import LiveEndpoint, LivenessConfig
+from repro.viper.errors import ViperDecodeError
 from repro.viper.ring import BufferRing
 from repro.viper.wire import MAX_SEGMENTS
 from tests.live.oracle import (
@@ -50,6 +55,47 @@ from tests.live.oracle import (
 )
 
 PEERS = [("127.0.0.1", 9001), ("127.0.0.1", 9002), ("127.0.0.1", 9003)]
+
+
+class LoggingSocket(ScriptedSocket):
+    """The scripted socket, keeping every datagram that fit a slot and
+    its source, in the order it was handed out."""
+
+    def __init__(self):
+        super().__init__()
+        self.fitted = []
+
+    def recvmsg_into(self, buffers):
+        nbytes, anc, flags, addr = super().recvmsg_into(buffers)
+        if not flags:
+            self.fitted.append((bytes(buffers[0][:nbytes]), addr))
+        return nbytes, anc, flags, addr
+
+
+def expected_decodes(arrivals, bound=None):
+    """Preamble decodes a drain owes ``arrivals`` (``(datagram, source)``
+    that fit a slot, in order): one for each, except an untraced data
+    frame whose first 7 bytes are those of the last untraced data frame
+    decoded from its own source — of at most ``bound`` sources, the one
+    remembered first forgotten when another comes."""
+    bound = link.PREAMBLE_MEMO_PEERS if bound is None else bound
+    memo = {}
+    decodes = 0
+    for datagram, source in arrivals:
+        head = datagram[:PREAMBLE_BYTES]
+        if len(head) == PREAMBLE_BYTES and memo.get(source) == head:
+            continue
+        decodes += 1
+        try:
+            preamble = decode_preamble(datagram)
+        except ViperDecodeError:
+            continue
+        if preamble.kind == FRAME_DATA and not preamble.trace_id:
+            if source not in memo and len(memo) >= bound:
+                del memo[next(iter(memo))]
+            memo[source] = head
+    return decodes
+
 
 class Side:
     """One endpoint under the script, drained by ``drain``."""
@@ -65,7 +111,7 @@ class Side:
             ),
             rx_batch=config["rx_batch"],
         )
-        self.sock = ScriptedSocket()
+        self.sock = LoggingSocket()
         endpoint._sock = self.sock
         endpoint._loop = self.loop
         self.drain = drain
@@ -167,7 +213,8 @@ class Side:
 
 
 def run_case(config, steps):
-    """Both sides through ``steps``; equal after each, books balanced."""
+    """Both sides through ``steps``; equal after each, books balanced.
+    Returns the subject's side, its preamble decodes in ``decodes``."""
     decodes = []
 
     def counting_decode(datagram):
@@ -198,8 +245,12 @@ def run_case(config, steps):
                 assert subject.observed() == reference.observed()
                 if last:
                     break
-        # Exactly one preamble decode per datagram that fit a slot.
-        assert len(decodes) == subject.sock.handed_out - subject.sock.truncated
+        # One preamble decode per datagram that fit a slot, but for an
+        # untraced data frame repeating its peer's last data preamble.
+        fitted = subject.sock.fitted
+        assert len(fitted) == subject.sock.handed_out - subject.sock.truncated
+        assert len(decodes) == expected_decodes(fitted)
+        subject.decodes = len(decodes)
     finally:
         subject.finish()
         reference.finish()
@@ -522,3 +573,86 @@ def test_the_named_scripts_reach_what_they_name():
     assert side.endpoint.metrics.drops == {"undecodable": 4}
     assert side.endpoint.metrics.acks_in == 0
     assert side.sock.sent[-1] == (encode_ack(5), B)
+
+
+# -- the per-peer preamble memo: what is decoded, directed -------------------------
+
+
+def decodes_of(steps, **overrides):
+    """The subject's preamble decodes over ``steps`` (each checked against
+    the reference and :func:`expected_decodes` by :func:`run_case`)."""
+    return run_case(scripted(**overrides), steps).decodes
+
+
+FRAME = data_frame(b"body")
+
+
+@pytest.mark.parametrize("index", range(PREAMBLE_BYTES))
+def test_a_datagram_differing_from_its_peers_memo_in_any_byte_is_decoded(index):
+    changed = bytearray(FRAME)
+    changed[index] ^= 0x01
+    assert decodes_of([("wakeup", [(FRAME, A), (bytes(changed), A)])]) == 2
+    # The memo still answers for the frame itself, unless the changed
+    # one was a data frame of its own and took its place.
+    try:
+        replaced = decode_preamble(bytes(changed)).kind == FRAME_DATA
+    except ViperDecodeError:
+        replaced = False
+    steps = [("wakeup", [(FRAME, A), (bytes(changed), A), (FRAME, A)])]
+    assert decodes_of(steps) == 2 + replaced
+
+
+def test_the_same_bytes_from_another_peer_are_decoded_once_for_that_peer():
+    steps = [("wakeup", [(FRAME, A), (FRAME, B), (FRAME, B), (FRAME, A)]),
+             ("wakeup", [(FRAME, C), (FRAME, A), (FRAME, B), (FRAME, C)])]
+    assert decodes_of(steps) == 3
+
+
+def test_traced_frames_probes_and_acks_are_decoded_every_time():
+    traced = data_frame(b"body", trace_id=77)
+    assert decodes_of([("wakeup", [(traced, A)] * 3)]) == 3
+    assert decodes_of([("wakeup", [(encode_probe(5), A)] * 3)]) == 3
+    assert decodes_of([("wakeup", [(encode_ack(5), A)] * 3)]) == 3
+    # None of them takes the place of the peer's data preamble.
+    between = [traced, encode_probe(6), encode_ack(6)]
+    steps = [("wakeup", [(FRAME, A)] + [(d, A) for d in between] + [(FRAME, A)])]
+    assert decodes_of(steps) == 4
+
+
+@pytest.mark.parametrize("length", range(PREAMBLE_BYTES))
+def test_a_prefix_of_the_memo_shorter_than_a_preamble_is_undecodable(length):
+    """The short datagram lands in a slot that still holds the memoised
+    frame's bytes: only a compare bounded by the datagram's length
+    tells it from that frame."""
+    other = data_frame(b"other!")
+    side = run_case(scripted(slots=2), [
+        ("wakeup", [(FRAME, A)]),   # into slot 1; slot 2 receives next
+        ("wakeup", [(other, B)]),   # into slot 2; slot 1 receives next
+        ("wakeup", [(FRAME[:length], A)]),
+    ])
+    assert side.endpoint.metrics.drops == {"undecodable": 1}
+    assert [[frame for frame, _s, _p in batch] for batch in side.batches] == [
+        [FRAME], [other],
+    ]
+    assert side.decodes == 3
+
+
+def test_the_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(link, "PREAMBLE_MEMO_PEERS", 2)
+    side = run_case(scripted(), [
+        ("wakeup", [(FRAME, A), (FRAME, B), (FRAME, C)]),  # A forgotten
+        ("wakeup", [(FRAME, C), (FRAME, A), (FRAME, A)]),  # B forgotten
+        ("wakeup", [(FRAME, B)]),
+    ])
+    assert side.decodes == 5
+    assert len(side.endpoint._preambles) <= 2
+
+
+def test_close_forgets_the_memo():
+    side = Side(LiveEndpoint._on_readable, scripted())
+    endpoint = side.endpoint
+    side.wakeup([(FRAME, A), (data_frame(b"x", trace_id=3), B)])
+    assert list(endpoint._preambles) == [A]
+    assert endpoint._preambles[A] == (FRAME[:PREAMBLE_BYTES], decode_preamble(FRAME))
+    side.finish()
+    assert endpoint._preambles == {}

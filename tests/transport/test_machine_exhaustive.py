@@ -14,8 +14,9 @@ picks its fate.  From each state every move is tried:
   though no PDU is overtaken by two timers: the network's delay is
   bounded, as §4.2's packet lifetime bounds it.
 
-States are hashed on what decides the future (timer deadlines relative
-to now, masks, the retry ladder, NAK rounds, the PDUs in flight), so
+States are hashed on what decides the future (timer and client
+transaction deadlines relative to now, masks, the retry ladder, NAK
+rounds, the PDUs in flight), so
 the depth-first search ends.  Invariants: the handler runs at most
 once; the client's completion callback runs at most once, and exactly
 once by the end; at the end no timer is armed and neither machine
@@ -158,9 +159,12 @@ def _pdu_key(side, pdu):
 
 
 def _machine_key(machine, now):
+    # A client transaction's deadline is the machine's to keep: its one
+    # timer waits for the earliest, not for each.
     transactions = tuple(sorted(
         (txid, tx.retries, tx.retries_this_route, tx.done,
-         -1 if tx.response_mask is None else tx.response_mask.bits)
+         -1 if tx.response_mask is None else tx.response_mask.bits,
+         round(tx.deadline - now, 9))
         for txid, tx in machine._client_txs.items()
     ))
     assemblies = tuple(sorted(
