@@ -331,11 +331,17 @@ def _calls_per_tx(payload: bytes, count: int) -> float:
     loop = asyncio.new_event_loop()
     try:
         loop.run_until_complete(pair.run(payload, 20))
+        # No collection inside the window: one would count the gc
+        # callbacks of whatever else the process has loaded (Hypothesis
+        # installs one), which are not the pair's work.
+        gc.collect()
+        gc.disable()
         profile = pair.profile = cProfile.Profile()
         profile.enable()
         loop.run_until_complete(pair.run(payload, count))
         profile.disable()
     finally:
+        gc.enable()
         loop.close()
     # Summed over the raw entries: pstats keys functions by file, line
     # and name, and every dataclass ``__init__`` is ``<string>:2``.

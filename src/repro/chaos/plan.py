@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Per-packet link faults (need a rate; applied on transmit).
@@ -207,22 +207,6 @@ class FaultPlan:
     def fingerprint(self) -> str:
         """SHA-256 over :meth:`to_ndjson` — the replay identity."""
         return hashlib.sha256(self.to_ndjson().encode("ascii")).hexdigest()
-
-    def scaled(self, factor: float) -> "FaultPlan":
-        """The same plan with every onset/duration scaled by ``factor``.
-
-        Lets one canonical plan drive both a long soak and a short CI
-        smoke without changing its structure (the fingerprint changes —
-        times are part of the schedule's identity).
-        """
-        if factor <= 0:
-            raise PlanError(f"scale factor must be positive, got {factor}")
-        return replace(self, specs=tuple(
-            replace(
-                s, onset_s=s.onset_s * factor, duration_s=s.duration_s * factor
-            )
-            for s in self.specs
-        ))
 
     # -- generation --------------------------------------------------------
 

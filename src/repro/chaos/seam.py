@@ -258,13 +258,6 @@ class FaultInjector:
             node = str(fields.pop("node", "chaos"))
             self.recorder.record(kind, node=node, t=at, **fields)
 
-    def fault_log_ndjson(self) -> str:
-        """The whole log, one canonical JSON object per line."""
-        return "\n".join(
-            json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            for entry in self.fault_log
-        )
-
     def applied_ndjson(self) -> str:
         """Canonical rendering of the applied schedule (plan-relative).
 

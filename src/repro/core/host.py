@@ -111,9 +111,6 @@ class SirpentHost(Node):
             raise ValueError(f"{self.name}: socket {socket} already bound")
         self.sockets[socket] = handler
 
-    def unbind(self, socket: int) -> None:
-        self.sockets.pop(socket, None)
-
     def subscribe_rate_signals(self, handler: Callable[[RateSignal], None]) -> None:
         """Transports register here to learn of network backpressure."""
         self.rate_signal_handlers.append(handler)

@@ -13,7 +13,7 @@ directory horizontal:
   with followers-first acknowledgment, most-caught-up promotion and
   replay-based rejoin;
 * :mod:`repro.directory.cluster.cluster` — the membership front:
-  routing, rebalancing through the logs, per-shard observability;
+  routing and per-shard observability;
 * :mod:`repro.directory.cluster.client` — the shard-aware client with
   idempotent retries and the TTL lookup cache;
 * :mod:`repro.directory.cluster.protocol` — the versioned (v2) command

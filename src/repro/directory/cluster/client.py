@@ -154,15 +154,6 @@ class ClusterClient:
         self._cache.pop(str(result.get("name", name)), None)
         return result
 
-    def unregister(
-        self, name: str, trace: Optional[Dict[str, object]] = None,
-    ) -> Dict[str, object]:
-        result = self.command(
-            "unregister", {"name": name}, trace=trace
-        ).result_dict
-        self._cache.pop(str(result.get("name", name)), None)
-        return result
-
     def lookup(
         self, name: str, use_cache: bool = True,
         trace: Optional[Dict[str, object]] = None,

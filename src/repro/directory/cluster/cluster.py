@@ -1,18 +1,12 @@
-"""The sharded directory cluster: ring + replica groups + rebalancing.
+"""The sharded directory cluster: ring + replica groups.
 
 :class:`DirectoryCluster` is the control-plane membership view: it owns
-the :class:`~repro.directory.cluster.ring.ConsistentHashRing`, one
-:class:`~repro.directory.cluster.replica.ReplicatedShard` per shard,
-and the rebalancing machinery that moves bindings when shards join or
-leave.  Commands route by the name's prefix key; a command landing on a
+the :class:`~repro.directory.cluster.ring.ConsistentHashRing` and one
+:class:`~repro.directory.cluster.replica.ReplicatedShard` per shard.
+Commands route by the name's prefix key; a command landing on a
 leaderless shard comes back as the retryable ``shard_unavailable``
 error, and the shard-aware client retries it through failover with the
 same request id.
-
-Rebalancing goes *through the logs*: moved bindings are re-registered
-on the new owner with deterministic ``rebalance:`` request ids and
-unregistered from the old owner, so replication and dedup hold during
-moves exactly as they do for client writes.
 
 Observability (per-shard labels on one metric family each):
 
@@ -25,7 +19,7 @@ Observability (per-shard labels on one metric family each):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.directory.cluster.protocol import (
     CommandError,
@@ -101,12 +95,6 @@ class DirectoryCluster:
         self.tracer = NULL_TRACER
         self.recorder = NULL_RECORDER
         self._clock = _zero_clock
-        self.rebalanced_names = 0
-        #: Monotone per-migration epoch: makes every rebalance command's
-        #: request id globally unique, so a name that moves again in a
-        #: later membership change never collides with its old move's
-        #: dedup entry.
-        self._rebalance_epoch = 0
         for n in range(shard_count):
             self._boot_shard(f"shard-{n}")
 
@@ -197,83 +185,6 @@ class DirectoryCluster:
 
         return decode_response(self.execute_raw(request))
 
-    # -- membership changes ------------------------------------------------
-
-    def add_shard(self, shard_id: Optional[str] = None) -> str:
-        """Grow the ring by one shard; migrate the bindings it now owns.
-
-        Returns the new shard's id.
-        """
-        if shard_id is None:
-            n = len(self.shards)
-            while f"shard-{n}" in self.shards:
-                n += 1
-            shard_id = f"shard-{n}"
-        if shard_id in self.shards:
-            raise ValueError(f"shard {shard_id!r} already exists")
-        donors = list(self.shards)
-        self._boot_shard(shard_id)
-        self._rebalance_epoch += 1
-        moved = 0
-        for donor_id in donors:
-            moved += self._migrate_off(donor_id)
-        self.rebalanced_names += moved
-        self.refresh_metrics()
-        return shard_id
-
-    def remove_shard(self, shard_id: str) -> int:
-        """Drain one shard off the ring; returns bindings migrated."""
-        if shard_id not in self.shards:
-            raise KeyError(shard_id)
-        if len(self.shards) == 1:
-            raise ValueError("cannot remove the last shard")
-        self.ring.remove(shard_id)
-        self._rebalance_epoch += 1
-        moved = self._migrate_off(shard_id, draining=True)
-        self.rebalanced_names += moved
-        del self.shards[shard_id]
-        del self._metrics[shard_id]
-        self.refresh_metrics()
-        return moved
-
-    def _migrate_off(self, donor_id: str, draining: bool = False) -> int:
-        """Move every binding the ring no longer maps to ``donor_id``.
-
-        Moves are ordinary logged commands with deterministic
-        ``rebalance:`` request ids, so they replicate and dedup like
-        any client write.
-        """
-        donor = self.shards[donor_id]
-        leader = donor.leader
-        if leader is None:
-            raise ShardUnavailableError(
-                f"cannot rebalance {donor_id}: no live leader"
-            )
-        moved = 0
-        epoch = self._rebalance_epoch
-        for name, providers in sorted(leader.store.bindings().items()):
-            new_owner = self.ring.owner(name)
-            if not draining and new_owner == donor_id:
-                continue
-            if len(providers) == 1 and name in leader.store.names:
-                method = "rebind"
-                params: Dict[str, object] = {
-                    "name": name, "node": providers[0],
-                }
-            else:
-                method = "register_service"
-                params = {"name": name, "nodes": list(providers)}
-            self.shards[new_owner].execute(CommandRequest.make(
-                method, params,
-                f"rebalance:{epoch}:{name}",
-            ))
-            donor.execute(CommandRequest.make(
-                "unregister", {"name": name},
-                f"rebalance-drop:{epoch}:{name}",
-            ))
-            moved += 1
-        return moved
-
     # -- failure & recovery (membership-monitor role) ----------------------
 
     def kill_shard_leader(self, shard_id: str) -> Optional[str]:
@@ -307,18 +218,6 @@ class DirectoryCluster:
             for request_id, n in shard.request_id_counts().items():
                 counts[request_id] = counts.get(request_id, 0) + n
         return counts
-
-    def ownership(self) -> List[Tuple[str, int]]:
-        """(shard id, bindings held) pairs, sorted by shard id."""
-        out: List[Tuple[str, int]] = []
-        for shard_id in sorted(self.shards):
-            shard = self.shards[shard_id]
-            replica = shard.leader or shard.replicas[0]
-            out.append((
-                shard_id,
-                len(replica.store.names) + len(replica.store.services),
-            ))
-        return out
 
     def refresh_metrics(self) -> None:
         for metrics in self._metrics.values():

@@ -12,15 +12,15 @@ points on a 64-bit circle (SHA-256 of ``"shard#replica-point"``), a key
 is owned by the first shard point clockwise of its hash.  Adding or
 removing a shard therefore moves only the keys in the arcs the change
 touches — ~``K/n`` of them — and **every** moved key moves to/from the
-changed shard, never between two bystanders.  The rebalancing tests
-assert exactly that.
+changed shard, never between two bystanders.  The ring's property
+tests assert exactly that.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.directory.names import HierarchicalName
 
@@ -120,23 +120,8 @@ class ConsistentHashRing:
         """The shard owning a hierarchical name (prefix-sharded)."""
         return self.owner_of_key(shard_key(name))
 
-    def ownership_counts(self, keys: List[str]) -> Dict[str, int]:
-        """How many of ``keys`` each shard owns (balance diagnostics)."""
-        counts: Dict[str, int] = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.owner_of_key(key)] += 1
-        return counts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ConsistentHashRing shards={len(self._shards)} "
             f"vnodes={self.vnodes}>"
         )
-
-
-def owner_or_none(ring: ConsistentHashRing, name: str) -> Optional[str]:
-    """:meth:`ConsistentHashRing.owner` that maps an empty ring to None."""
-    try:
-        return ring.owner(name)
-    except RingError:
-        return None

@@ -226,15 +226,7 @@ class ShardStore:
             ),
         )
 
-    # -- rebalancing support ----------------------------------------------
-
-    def bindings(self) -> Dict[str, Tuple[str, ...]]:
-        """Every binding as ``name -> providers`` (hosts: 1-tuple)."""
-        out: Dict[str, Tuple[str, ...]] = {
-            name: (node,) for name, node in self.names.items()
-        }
-        out.update(self.services)
-        return out
+    # -- recovery -----------------------------------------------------------
 
     def reset(self) -> None:
         """Forget everything (rebuild-from-log path)."""

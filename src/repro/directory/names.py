@@ -11,7 +11,7 @@ and routing domains (the paper's stanford.edu example).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 _LABEL_OK = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
 
@@ -49,16 +49,6 @@ class HierarchicalName:
             return None
         return HierarchicalName(self.labels[1:])
 
-    def region_path(self) -> List["HierarchicalName"]:
-        """Regions from the root down to the immediate parent.
-
-        ``venus.cs.stanford.edu`` → ``[edu, stanford.edu, cs.stanford.edu]``.
-        """
-        path = []
-        for start in range(len(self.labels) - 1, 0, -1):
-            path.append(HierarchicalName(self.labels[start:]))
-        return path
-
     def region(self) -> Optional["HierarchicalName"]:
         """The immediate enclosing region (None for a root label)."""
         return self.parent
@@ -66,15 +56,3 @@ class HierarchicalName:
     def is_within(self, region: "HierarchicalName") -> bool:
         n = len(region.labels)
         return len(self.labels) > n and self.labels[-n:] == region.labels
-
-    def common_region(self, other: "HierarchicalName") -> Optional["HierarchicalName"]:
-        """Deepest region containing both names, or None."""
-        depth = 0
-        for a, b in zip(reversed(self.labels), reversed(other.labels)):
-            if a != b:
-                break
-            depth += 1
-        depth = min(depth, len(self.labels) - 1, len(other.labels) - 1)
-        if depth == 0:
-            return None
-        return HierarchicalName(self.labels[len(self.labels) - depth:])

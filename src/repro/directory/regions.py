@@ -135,9 +135,6 @@ class RegionServer:
             if not descended:
                 return None
 
-    def flush_cache(self) -> None:
-        self._cache.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         region = str(self.region) if self.region else "<root>"
         return f"<RegionServer {region} hosts={len(self.hosts)} children={len(self.children)}>"

@@ -171,10 +171,6 @@ class DirectoryService:
         self._names.pop(str(parsed), None)
         return self.register_host(node_name, name)
 
-    def node_of(self, destination: str) -> Optional[str]:
-        key = str(HierarchicalName.parse(destination))
-        return self._names.get(key)
-
     def nodes_of(self, destination: str) -> List[str]:
         """All provider nodes for a name (hosts have exactly one)."""
         key = str(HierarchicalName.parse(destination))
@@ -190,10 +186,6 @@ class DirectoryService:
         self._edge_snapshot = self.topology.edges()
         if self.refresh_interval is not None:
             self.sim.after(self.refresh_interval, self._refresh)
-
-    def force_refresh(self) -> None:
-        if self._edge_snapshot is not None:
-            self._edge_snapshot = self.topology.edges()
 
     def current_edges(self) -> List[Edge]:
         edges = (
@@ -252,7 +244,7 @@ class DirectoryService:
 
         ``client_node`` is the querying host's topology node name.  Use
         :meth:`query_latency` to learn what the lookup would cost on the
-        wire, or :meth:`query_async` to model it.
+        wire.
         """
         self.queries_served += 1
         providers = self.nodes_of(query.destination)
@@ -308,16 +300,6 @@ class DirectoryService:
             if resolution is not None:
                 latency += resolution.latency
         return latency
-
-    def query_async(
-        self,
-        client_node: str,
-        query: RouteQuery,
-        callback: Callable[[List[Route]], None],
-    ) -> None:
-        """Answer after the simulated lookup latency."""
-        latency = self.query_latency(client_node, query.destination)
-        self.sim.after(latency, lambda: callback(self.query(client_node, query)))
 
     # -- path -> Route translation ------------------------------------------------------
 

@@ -34,7 +34,7 @@ routers.
 
 The server wraps any ``(client_node, RouteQuery) -> List[Route]``
 callable — in practice :meth:`repro.directory.service.DirectoryService.
-query` — plus, for v2 writes, an optional ``backend`` exposing
+query` — plus, for writes, an optional ``backend`` exposing
 ``register_host`` / ``register_service`` / ``rebind_host`` (the
 :class:`~repro.directory.service.DirectoryService` signature).
 """
@@ -117,9 +117,7 @@ def route_to_json(route: Route) -> Dict[str, object]:
     obj = live_route_fields(route)
     obj["segments"] = [s.wire.hex() for s in route.segments]
     obj["measured_rtt_s"] = route.expected_rtt(RTT_PROBE_BYTES)
-    # Slick-Packets backup blocks ride only when present, so a
-    # non-slick route's JSON line stays byte-identical to pre-slick
-    # servers (old clients never see the key).
+    # Slick-Packets backup blocks ride only when present.
     alternates = getattr(route, "alternates", [])
     if alternates:
         obj["alternates"] = [
@@ -180,10 +178,10 @@ class LiveDirectoryServer:
 
     ``query`` is any callable with the shape of
     :meth:`~repro.directory.service.DirectoryService.query`; ``backend``
-    (optional) provides the v2 write surface with the
+    (optional) provides the write surface with the
     :class:`~repro.directory.service.DirectoryService` method
     signatures.  The server is protocol plumbing and holds no routing
-    state of its own — only the bounded dedup cache of v2 write
+    state of its own — only the bounded dedup cache of write
     responses, which is what makes at-least-once client retries safe.
     """
 
@@ -199,12 +197,11 @@ class LiveDirectoryServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._tasks: Set[asyncio.Task] = set()
-        #: request id -> canonical response bytes (v2 writes only).
+        #: request id -> canonical response bytes (writes only).
         self._dedup: "OrderedDict[str, bytes]" = OrderedDict()
         self.address: Optional[Address] = None
         self.queries_served = 0
         self.errors = 0
-        self.v2_frames = 0
         self.dedup_hits = 0
         #: Connections torn down mid-conversation (reset / half-read
         #: EOF / write to a gone peer) — the failure-path fate SIR011
@@ -217,7 +214,7 @@ class LiveDirectoryServer:
         self._command_ms = None  # Histogram once attach_registry runs
 
     def set_tracer(self, tracer) -> None:
-        """Install the tracer v2 commands stitch their spans into."""
+        """Install the tracer commands stitch their spans into."""
         self.tracer = tracer
 
     def set_recorder(self, recorder) -> None:
@@ -225,7 +222,7 @@ class LiveDirectoryServer:
         self.recorder = recorder
 
     def attach_registry(self, registry) -> None:
-        """Expose v2 command service latency as ``directory_command_ms``."""
+        """Expose command service latency as ``directory_command_ms``."""
         self._command_ms = registry.histogram("directory_command_ms")
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Address:
@@ -307,12 +304,11 @@ class LiveDirectoryServer:
             return CommandResponse.failure("", CommandError.make(
                 "bad_request", f"undecodable request line: {exc}",
             )).encode()
-        self.v2_frames += 1
-        return await self._handle_v2(request)
+        return await self._handle_command(request)
 
     # -- the typed, deduplicated, concurrent command path ------------------
 
-    async def _handle_v2(self, obj: object) -> bytes:
+    async def _handle_command(self, obj: object) -> bytes:
         request_id = obj.get("id") if isinstance(obj, dict) else None
         request_id = request_id if isinstance(request_id, str) else ""
         try:
@@ -354,7 +350,7 @@ class LiveDirectoryServer:
                         request_id=request.request_id,
                     )
                 return cached
-        response = await self._dispatch_v2(request)
+        response = await self._dispatch(request)
         encoded = response.encode()
         if request.is_write:
             self._remember(request.request_id, encoded)
@@ -382,7 +378,7 @@ class LiveDirectoryServer:
         while len(self._dedup) > DEDUP_CAPACITY:
             self._dedup.popitem(last=False)
 
-    async def _dispatch_v2(self, request: CommandRequest) -> CommandResponse:
+    async def _dispatch(self, request: CommandRequest) -> CommandResponse:
         params = request.params_dict
         rid = request.request_id
         try:
@@ -476,7 +472,7 @@ class ClusterDirectoryBackend:
     to the live server's write-backend surface.
 
     This is the live NDJSON-TCP directory fronting the sharded,
-    replicated cluster: v2 writes arriving over TCP become cluster
+    replicated cluster: writes arriving over TCP become cluster
     commands (routed by ring ownership, retried through failover,
     deduplicated by request id), and — because ``accepts_trace`` is
     True — the server forwards each request's trace context, so one
@@ -521,7 +517,7 @@ class LiveDirectoryClient:
     ``q-<n>-<random hex>`` so traces of interleaved clients stay
     unambiguous, in the spirit of ``X-Request-ID`` headers.
 
-    The client speaks protocol **v2** (explicit ``v`` field, typed
+    The client speaks the one protocol (``v`` field 2, typed
     errors, write commands whose retries reuse the original request id
     so the server's dedup cache answers them).
 
@@ -557,11 +553,6 @@ class LiveDirectoryClient:
         self.write_retries = 0
         #: Response lines that were not valid protocol frames.
         self.protocol_errors = 0
-
-    @property
-    def connected(self) -> bool:
-        """True while the TCP connection is believed healthy."""
-        return self._connected
 
     async def connect(self, address: Address) -> None:
         """Open the TCP connection and start the response demultiplexer."""

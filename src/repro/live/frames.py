@@ -421,8 +421,9 @@ def return_route_header(
     move as a byte move: each reversed segment is copied as it arrived
     with RPF set and the reply's ``priority``/``dib`` stamped in its
     flags byte, and the replying socket's segment closes the route —
-    byte for byte what ``build_return_route`` → :func:`encode_live_frame`
-    emits, with the same errors (a slick trailer segment has no block
+    byte for byte what the structural reversal of the trailer (the
+    tests' ``build_return_route``) → :func:`encode_live_frame` emits,
+    with the same errors (a slick trailer segment has no block
     to travel with; a 49th segment does not fit VIPER).
     """
     # The replying socket's segment closes the route; the flags byte the

@@ -14,10 +14,7 @@ validated whole by :func:`~repro.live.frames.frame_spans`' walk but
 decoded not at all, and the host walks each distinct trailer once: it
 keeps the trailers it received lately by their bytes, each with its
 spans and the reply routes written from them.  :class:`LiveDelivered`
-hands up the payload slice and keeps the datagram, so its ``packet``
-and ``return_segments`` — the same
-:func:`~repro.viper.packet.build_return_route` the simulator's host
-uses — are built only if a handler asks.  ``send_return`` is the
+hands up the payload slice and keeps the datagram.  ``send_return`` is the
 paper's receiver, which "copies each segment into a separate return
 address area in reverse order" (§2): a byte move from the trailer's
 spans (:func:`~repro.live.frames.return_route_header`), once per
@@ -53,7 +50,6 @@ from repro.live.frames import (
     PREAMBLE_BYTES,
     TRACE_ID_BYTES,
     Preamble,
-    decode_live_frame,
     encode_route_header,
     frame_bounds,
     frame_with_header,
@@ -84,7 +80,6 @@ from repro.transport.rebind import RouteManager
 from repro.transport.stats import TransportStats
 from repro.transport.timestamps import HostClock
 from repro.viper.errors import ViperDecodeError
-from repro.viper.packet import SirpentPacket, build_return_route
 from repro.viper.wire import HeaderSegment, LOCAL_PORT
 
 
@@ -154,10 +149,6 @@ class LiveRoute:
         """Advertised base RTT (payload sizes are second-order on loopback)."""
         return self.base_rtt_s
 
-    def via(self) -> Tuple[int, ...]:
-        """The sequence of VIPER out-ports — a route's identity."""
-        return tuple(s.port for s in self.segments)
-
     def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
         """``(header bytes, segCount)`` of a frame sent along this route
         (:func:`~repro.live.frames.encode_route_header`), encoded on
@@ -181,11 +172,9 @@ class LiveDelivered:
     The frame was validated on byte spans; ``datagram`` is retained and
     everything else is read from it only if asked: ``payload`` is
     sliced on first use (``payload_start``/``payload_end`` bound it —
-    a transactor reads the PDU in place), the structural views —
-    :attr:`packet`, :attr:`return_segments` — are decoded only if a
-    handler asks (a transaction client never does), and a reply's route
-    comes from the host's memo of the frame's trailer
-    (:meth:`return_route`).
+    a transactor reads the PDU in place), and a reply's route comes
+    from the host's memo of the frame's trailer (:meth:`return_route`).
+    Nothing on the receive path decodes the frame into structures.
     """
 
     #: The whole arrived datagram and the endpoint's decode of its preamble.
@@ -208,27 +197,10 @@ class LiveDelivered:
         """The frame's payload bytes."""
         return self.datagram[self.payload_start:self.payload_end]
 
-    @cached_property
-    def trailer_spans(self) -> List[Tuple[int, int]]:
-        """``(start, end)`` of each trailer segment in ``datagram``, in
-        return-route order (:func:`~repro.viper.packet.trailer_spans`)."""
-        end = self.payload_end
-        return [(start + end, stop + end) for start, stop in self.trailer.spans]
-
     @property
     def trace_id(self) -> int:
         """The arrived frame's 64-bit trace id; 0 = untraced."""
         return self.preamble.trace_id
-
-    @cached_property
-    def packet(self) -> SirpentPacket:
-        """The frame as the structural codec decodes it."""
-        return decode_live_frame(self.datagram, self.preamble)[1]
-
-    @cached_property
-    def return_segments(self) -> List[HeaderSegment]:
-        """Return route recovered from the live trailer, in send order."""
-        return build_return_route(self.packet)
 
     def return_route(self, reply_socket: int) -> "_ReturnRoute":
         """The reversed trailer route to ``reply_socket``: one object for
@@ -385,10 +357,6 @@ class LiveHost:
         if socket in self.sockets:
             raise ValueError(f"{self.name}: socket {socket} already bound")
         self.sockets[socket] = handler
-
-    def unbind(self, socket: int) -> None:
-        """Remove a socket binding (idempotent)."""
-        self.sockets.pop(socket, None)
 
     # -- sending -----------------------------------------------------------
 

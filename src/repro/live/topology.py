@@ -67,7 +67,6 @@ class LiveOverlay:
         tracer=None,
         obs_port: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
-        slo_specs=None,
     ) -> None:
         self.topology = topology
         self.impairments = impairments
@@ -87,9 +86,8 @@ class LiveOverlay:
         #: are adopted into it as pull-time collectors at :meth:`start`.
         self.registry = MetricsRegistry()
         #: SLO burn-rate engine over this overlay's registry, serving
-        #: the obs endpoint's ``/slo`` (default objectives unless
-        #: ``slo_specs`` overrides them).
-        self.slo = SloEngine(self.registry, specs=slo_specs)
+        #: the obs endpoint's ``/slo`` (the default objectives).
+        self.slo = SloEngine(self.registry)
         #: TCP port for the ``/metrics`` + ``/trace`` HTTP endpoint
         #: (None = do not serve; 0 = pick an ephemeral port).
         self.obs_port = obs_port

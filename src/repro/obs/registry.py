@@ -159,29 +159,27 @@ class Histogram:
     when comparing against closed-form queueing results.
 
     The sorted view used by :meth:`quantile` is **cached** and
-    invalidated on :meth:`add`, so ``summary()`` — which needs three
-    quantiles plus min/max — sorts once, not four times, and repeated
-    quantile queries over a settled histogram are O(1).  ``NaN``
-    samples are excluded from the ordered view (they have no place on a
-    quantile axis) but still count toward ``count``.
+    invalidated on :meth:`add`, so the exposition's three quantiles sort
+    once, not three times, and repeated quantile queries over a settled
+    histogram are O(1).  ``NaN`` samples are excluded from the ordered
+    view (they have no place on a quantile axis) but still count toward
+    ``count``.
     """
 
     kind = "histogram"
-    __slots__ = ("name", "labels", "samples", "_sum", "_sumsq", "_sorted")
+    __slots__ = ("name", "labels", "samples", "_sum", "_sorted")
 
     def __init__(self, name: str = "", labels: Optional[Dict[str, str]] = None) -> None:
         self.name = name
         self.labels: LabelPairs = _label_pairs(labels)
         self.samples: List[float] = []
         self._sum = 0.0
-        self._sumsq = 0.0
         self._sorted: Optional[List[float]] = None
 
     def add(self, value: float) -> None:
         """Record one sample (invalidates the cached sorted view)."""
         self.samples.append(value)
         self._sum += value
-        self._sumsq += value * value
         self._sorted = None
 
     @property
@@ -193,26 +191,6 @@ class Histogram:
     def mean(self) -> float:
         """Arithmetic mean of all samples (0 when empty)."""
         return self._sum / len(self.samples) if self.samples else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0 below two samples)."""
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mean = self._sum / n
-        return max(0.0, self._sumsq / n - mean * mean) * n / (n - 1)
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        """Smallest non-NaN sample (0 when none)."""
-        ordered = self._ordered()
-        return ordered[0] if ordered else 0.0
 
     @property
     def maximum(self) -> float:
@@ -237,19 +215,6 @@ class Histogram:
             return 0.0
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
-
-    def summary(self) -> Dict[str, float]:
-        """count/mean/stdev/min/p50/p95/p99/max in one dict (one sort)."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "max": self.maximum,
-        }
 
     def samples_for_exposition(self) -> Iterator[Sample]:
         """Prometheus-summary-shaped samples: quantiles, sum, count."""
@@ -311,10 +276,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: str) -> Counter:
         """Get or create a registered :class:`Counter`."""
         return self._get_or_create(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        """Get or create a registered :class:`Gauge`."""
-        return self._get_or_create(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         """Get or create a registered :class:`Histogram`."""

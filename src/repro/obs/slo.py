@@ -51,6 +51,9 @@ PAGE_BURN = 10.0
 #: Burn rate at or above which a spec's status becomes "burn".
 WARN_BURN = 1.0
 
+#: Evaluation points an engine keeps per spec.
+MAX_POINTS = 4096
+
 _KINDS = ("latency", "ratio")
 
 
@@ -229,7 +232,7 @@ class SloEngine:
     Each :meth:`evaluate` reads the current cumulative (good, total)
     for every spec from the registry and appends an evaluation point;
     windowed burn subtracts the point just before the window start.
-    History is bounded by ``max_points`` per spec.
+    History is bounded by :data:`MAX_POINTS` per spec.
     """
 
     def __init__(
@@ -237,7 +240,6 @@ class SloEngine:
         registry: MetricsRegistry,
         specs: Optional[Sequence[SloSpec]] = None,
         clock: Optional[Callable[[], float]] = None,
-        max_points: int = 4096,
     ) -> None:
         import time
 
@@ -246,10 +248,9 @@ class SloEngine:
             default_slos() if specs is None else specs
         )
         self.clock = clock if clock is not None else time.monotonic
-        self.max_points = max_points
         #: spec name -> deque of (t, cumulative good, cumulative total)
         self._history: Dict[str, Deque[Tuple[float, float, float]]] = {
-            spec.name: deque(maxlen=max_points) for spec in self.specs
+            spec.name: deque(maxlen=MAX_POINTS) for spec in self.specs
         }
 
     # -- measurement -------------------------------------------------------

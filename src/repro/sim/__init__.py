@@ -1,8 +1,7 @@
 """Discrete-event simulation substrate for the Sirpent reproduction.
 
 This package provides the timing machinery every other subsystem is built
-on: a deterministic event scheduler (:mod:`repro.sim.engine`),
-generator-based cooperating processes (:mod:`repro.sim.process`), seeded
+on: a deterministic event scheduler (:mod:`repro.sim.engine`), seeded
 random-number streams (:mod:`repro.sim.rng`) and statistics monitors
 (:mod:`repro.sim.monitor`).
 
@@ -13,8 +12,7 @@ queueing, backpressure reaction time), and a small engine is easy to trust.
 """
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.monitor import Counter, Gauge, Histogram, RateMeter, TimeWeighted
-from repro.sim.process import Process, Signal
+from repro.sim.monitor import Counter, Gauge, Histogram, TimeWeighted
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -22,10 +20,7 @@ __all__ = [
     "EventHandle",
     "Gauge",
     "Histogram",
-    "Process",
-    "RateMeter",
     "RngStreams",
-    "Signal",
     "Simulator",
     "TimeWeighted",
 ]

@@ -11,14 +11,13 @@ The value-shaped primitives — :class:`Counter`, :class:`Gauge` and
 existing sim call site keeps its names while the live overlay, the
 router stats and the sim share one implementation (and one Prometheus
 exposition path).  The *time-aware* monitors (:class:`TimeWeighted`,
-:class:`RateMeter`, :class:`UtilizationTracker`) remain simulator
-citizens: they need a clock, which only the caller has.
+:class:`UtilizationTracker`) remain simulator citizens: they need a
+clock, which only the caller has.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.obs.registry import Counter, Gauge, Histogram
 
@@ -26,7 +25,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "RateMeter",
     "TimeWeighted",
     "UtilizationTracker",
 ]
@@ -69,46 +67,6 @@ class TimeWeighted:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TimeWeighted {self.name!r} value={self.value}>"
-
-
-class RateMeter:
-    """Sliding-window rate estimate (events or bytes per second).
-
-    Routers use this to compare arrival rate against service rate for the
-    paper's rate-based congestion control (§2.2).  The window is a deque
-    of (time, amount) pairs; old entries expire from the left as time
-    advances — each ``add`` pays O(expired), not O(remaining), because
-    ``popleft`` is O(1) where the old list-slicing compaction was O(n).
-    """
-
-    def __init__(self, window: float, name: str = "") -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.name = name
-        self._events: Deque[Tuple[float, float]] = deque()
-        self._total = 0.0
-
-    def add(self, now: float, amount: float = 1.0) -> None:
-        """Record ``amount`` at time ``now`` and expire old entries."""
-        self._events.append((now, amount))
-        self._total += amount
-        self._expire(now)
-
-    def rate(self, now: float) -> float:
-        """Amount per second over the trailing window."""
-        self._expire(now)
-        return self._total / self.window
-
-    def _expire(self, now: float) -> None:
-        cutoff = now - self.window
-        events = self._events
-        while events and events[0][0] < cutoff:
-            _time, amount = events.popleft()
-            self._total -= amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RateMeter {self.name!r} window={self.window}>"
 
 
 class UtilizationTracker:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Dict
 
 
 class RngStreams:
@@ -40,49 +38,3 @@ class RngStreams:
         rng = random.Random(int.from_bytes(digest[:8], "big"))
         self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RngStreams":
-        """Derive a child factory whose streams are disjoint from ours."""
-        digest = hashlib.sha256(
-            f"{self.master_seed}/fork:{name}".encode("utf-8")
-        ).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))
-
-
-def exponential(rng: random.Random, mean: float) -> float:
-    """Exponential variate with the given mean (Poisson interarrivals)."""
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    return rng.expovariate(1.0 / mean)
-
-
-def pareto_bounded(
-    rng: random.Random, alpha: float, low: float, high: float
-) -> float:
-    """Bounded Pareto variate — used for heavy-tailed burst lengths."""
-    if not (0 < low < high):
-        raise ValueError("need 0 < low < high")
-    u = rng.random()
-    la, ha = low ** alpha, high ** alpha
-    return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
-
-def weighted_choice(
-    rng: random.Random, items: Sequence[T], weights: Sequence[float]
-) -> T:
-    """Pick one item with the given (unnormalized) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    return rng.choices(list(items), weights=list(weights), k=1)[0]
-
-
-def poisson_times(
-    rng: random.Random, rate: float, horizon: float
-) -> Iterator[float]:
-    """Yield Poisson event times in [0, horizon) at the given rate."""
-    t = 0.0
-    while True:
-        t += rng.expovariate(rate)
-        if t >= horizon:
-            return
-        yield t

@@ -20,7 +20,7 @@ from repro.transport.flowcontrol import DeliveryMask, RateController
 from repro.transport.ids import EntityId, EntityIdAllocator
 from repro.transport.playout import PlayoutBuffer
 from repro.transport.rebind import RouteManager
-from repro.transport.timestamps import HostClock, TimestampPolicy, encode_timestamp_ms, timestamp_age_ms
+from repro.transport.timestamps import HostClock, TimestampPolicy, encode_timestamp_ms
 from repro.transport.stats import TransportStats
 from repro.transport.vmtp import (
     TransactionResult,
@@ -44,5 +44,4 @@ __all__ = [
     "VmtpPdu",
     "VmtpTransport",
     "encode_timestamp_ms",
-    "timestamp_age_ms",
 ]

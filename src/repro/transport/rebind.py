@@ -123,14 +123,6 @@ class RouteManager:
     def alternates(self) -> List[Route]:
         return [r for i, r in enumerate(self.routes) if i != self._current]
 
-    def quarantined(self) -> List[Route]:
-        """Routes currently parked behind a cooldown."""
-        now = self.sim.now
-        return [
-            r for r, h in zip(self.routes, self._health)
-            if h.quarantined_until > now
-        ]
-
     # -- feedback ------------------------------------------------------------
 
     def report_rtt(self, rtt: float, payload_size: int = 576) -> None:

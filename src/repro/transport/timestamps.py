@@ -33,18 +33,6 @@ def encode_timestamp_ms(ms: int) -> int:
     return value if value != TIMESTAMP_INVALID else 1
 
 
-def timestamp_age_ms(stamp: int, now_ms: int) -> int:
-    """Modular age of a stamp relative to ``now_ms`` (handles wrap).
-
-    Differences beyond half the modulus are treated as "from the
-    future" and reported as 0 age — clock skew, not ancient packets.
-    """
-    delta = (now_ms - stamp) % TIMESTAMP_MODULUS
-    if delta > TIMESTAMP_MODULUS // 2:
-        return 0
-    return delta
-
-
 class TimeSource(Protocol):
     """What a :class:`HostClock` reads: the simulator, or the live
     overlay's wall clock — anything with ``now`` in seconds."""
@@ -107,7 +95,9 @@ class TimestampPolicy:
             return True  # reserved: "should be ignored" (boot-time queries)
         if at is None:
             at = clock.sim.now
-        # clock.now_ms() and timestamp_age_ms, inline (once a PDU).
+        # clock.now_ms(), inline (once a PDU).  The age is modular (a
+        # stamp wraps in about a month), and a stamp more than half the
+        # modulus old is "from the future": clock skew, age 0.
         now = int(clock.epoch_ms + at * 1000.0 + clock.skew_ms)
         age = (now - stamp) % TIMESTAMP_MODULUS
         if age > TIMESTAMP_MODULUS // 2:

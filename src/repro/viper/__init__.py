@@ -22,9 +22,8 @@ from repro.viper.packet import (
     SirpentPacket,
     TRUNCATION_MARK,
     TrailerElement,
-    build_return_route,
 )
-from repro.viper.portinfo import EthernetInfo, LogicalInfo, parse_ethernet_info
+from repro.viper.portinfo import EthernetInfo, LogicalInfo
 from repro.viper.wire import (
     FIXED_SEGMENT_BYTES,
     LOCAL_PORT,
@@ -54,12 +53,10 @@ __all__ = [
     "TrailerElement",
     "VIPER_MTU",
     "ViperError",
-    "build_return_route",
     "decode_segment",
     "effective_priority",
     "encode_segment",
     "is_preemptive",
     "outranks",
-    "parse_ethernet_info",
     "segment_wire_size",
 ]

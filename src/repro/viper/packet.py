@@ -8,24 +8,23 @@ Routers strip the leading segment, reverse its network-specific part,
 and append it (plus a 2-byte element length) to the trailer.  The
 receiver reconstructs the return route by walking the trailer backwards
 (§2: "copies each segment into a separate return address area in
-reverse order") — :func:`build_return_route`.
+reverse order").
 
 This module is the *structural* codec: :class:`SirpentPacket` holds the
-parts as objects, :func:`encode_packet` / :func:`decode_packet` turn
-them into bytes and back, and :func:`build_return_route` reads a
-decoded trailer.  The trailer has one validating walk,
-:func:`trailer_spans`, which the hosts run on every arriving frame;
-:func:`decode_trailer` is that walk materialised by
-:func:`trailer_elements`, as the segments and alternate blocks decode
-through :mod:`repro.viper.wire`'s walks.
+parts as objects and :func:`encode_packet` turns them into bytes.  The
+trailer has one validating walk, :func:`trailer_spans`, which the hosts
+run on every arriving frame; :func:`trailer_elements` materialises what
+it walked, as the segments and alternate blocks decode through
+:mod:`repro.viper.wire`'s walks.
 
 Nothing forwards a ``SirpentPacket`` any more: both substrates carry
 each packet as its encoded live frame and move it hop by hop with the
 one in-place transform in :mod:`repro.live.frames` — the simulator's
 :class:`repro.core.packet.FramePacket` is that frame plus simulation
-metadata.  The structural hop algebra (strip, slick
-splice, truncation, corruption) lives with the tests, as the reference
-those byte moves are checked against (``tests/live/oracle.py``).
+metadata.  The structural hop algebra (strip, slick splice,
+truncation, corruption), the whole-packet decoder and the return-route
+reversal live with the tests, as the reference those byte moves are
+checked against (``tests/live/oracle.py``).
 
 **Segments are shared, lists are not.**  A route, the packets built
 on it, a flow-cache entry and a trailer may hold the *same* segment
@@ -43,8 +42,6 @@ from repro.viper.errors import DecodeError, SegmentLimitError
 from repro.viper.wire import (
     MAX_SEGMENTS,
     HeaderSegment,
-    decode_alt_blocks,
-    decode_route,
     decode_segment,
     encode_alt_blocks,
     encode_segment,
@@ -119,22 +116,6 @@ class SirpentPacket:
         return any(e is TRUNCATION_MARK for e in self.trailer)
 
 
-def build_return_route(packet: SirpentPacket) -> List[HeaderSegment]:
-    """Construct the return source route from a delivered packet's trailer.
-
-    §2: the receiver "copies each segment into a separate return address
-    area in reverse order".  The routers already rewrote each element so
-    it is a correct return hop; the receiver's work is purely
-    network-independent reversal.  Return segments get the RPF flag.
-    """
-    reversed_segments = []
-    for element in reversed(packet.trailer):
-        if element is TRUNCATION_MARK:
-            continue
-        reversed_segments.append(element.segment.copy(rpf=True))
-    return reversed_segments
-
-
 # -- whole-packet wire codec (used at the edges and in tests) ---------------
 
 
@@ -173,22 +154,6 @@ def encode_packet(packet: SirpentPacket, payload_bytes: Optional[bytes] = None) 
             out += encoded
             out += len(encoded).to_bytes(TRAILER_LENGTH_BYTES, "big")
     return bytes(out)
-
-
-def decode_trailer(
-    buffer: bytes, end: Optional[int] = None
-) -> Tuple[List[Union[TrailerElement, _TruncationMark]], int]:
-    """Walk the trailer backwards from ``end``.
-
-    Returns ``(elements_in_original_order, start_offset_of_trailer)``.
-    The walk stops when a back-length does not frame a decodable segment
-    — that boundary is where the payload ends.  It is
-    :func:`trailer_spans`' walk, materialised by :func:`trailer_elements`.
-    """
-    if end is None:
-        end = len(buffer)
-    spans, boundary = trailer_spans(buffer, 0, end)
-    return trailer_elements(buffer, spans, boundary, end), boundary
 
 
 def trailer_elements(
@@ -242,30 +207,3 @@ def trailer_spans(  # sirlint: hot
         spans.append((start, segment_end))
         cursor = start
     return spans, cursor
-
-
-def decode_packet(
-    buffer: bytes, segment_count: int
-) -> Tuple[SirpentPacket, bytes]:
-    """Parse a buffer holding ``segment_count`` leading segments.
-
-    Returns the structural packet plus the raw payload bytes.  The
-    payload boundary comes from walking the trailer backwards, which is
-    how a Sirpent receiver locates "the beginning of the trailer" (§2).
-    """
-    segments, offset = decode_route(buffer, segment_count)
-    alternates, offset = decode_alt_blocks(
-        buffer, slick_count(segments), offset
-    )
-    trailer, payload_end = decode_trailer(buffer, len(buffer))
-    if payload_end < offset:
-        raise DecodeError("trailer overlaps header segments")
-    payload_bytes = buffer[offset:payload_end]
-    packet = SirpentPacket(
-        segments=segments,
-        payload_size=len(payload_bytes),
-        payload=payload_bytes,
-        trailer=trailer,
-        alternates=alternates,
-    )
-    return packet, payload_bytes

@@ -70,11 +70,6 @@ class EthernetInfo:
         return EthernetInfo(dst=self.src, src=self.dst, ethertype=self.ethertype)
 
 
-def parse_ethernet_info(data: bytes) -> EthernetInfo:
-    """Parse portInfo bytes known (from the port type) to be Ethernet."""
-    return EthernetInfo.from_bytes(data)
-
-
 #: Wire size of the compressed Ethernet portInfo (destination + type).
 COMPRESSED_ETHERNET_INFO_BYTES = 8
 
@@ -115,11 +110,6 @@ class CompressedEthernetInfo:
             dst=MacAddress.from_bytes(data[0:6]),
             ethertype=int.from_bytes(data[6:8], "big"),
         )
-
-    def expanded(self, router_src: MacAddress) -> EthernetInfo:
-        """The router's fill-in: add its own source address."""
-        return EthernetInfo(dst=self.dst, src=router_src,
-                            ethertype=self.ethertype)
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,6 @@ class BufferRing:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def available(self) -> int:
-        """Free pooled slots right now."""
-        return len(self._free)
-
     def acquire(self) -> RingSlot:
         """Take a slot; never returns None — overflows allocate fresh.
 

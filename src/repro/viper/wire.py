@@ -440,19 +440,6 @@ class PacketView:
         """Materialise the packet (the slow-path escape hatch)."""
         return bytes(self._base[self.start:self.end])
 
-    def headroom(self) -> int:
-        return self.start
-
-    def write_at(self, offset: int, data) -> None:
-        """Overwrite bytes at ``offset`` (relative to ``start``) in place."""
-        at = self.start + offset
-        if at < self.start or at + len(data) > self.end:
-            raise ValueError(
-                f"write of {len(data)} bytes at relative offset {offset} "
-                f"escapes the packet [{self.start}:{self.end}]"
-            )
-        self.buffer[at:at + len(data)] = data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "unbacked" if self.slot is None else repr(self.slot)
         return f"<PacketView [{self.start}:{self.end}] over {backing}>"

@@ -1,9 +1,7 @@
 """Arrival processes driving the benchmarks.
 
 Each process repeatedly calls a user ``emit(size_bytes)`` callback at
-simulated times.  ``rate_for_utilization`` converts a target link
-utilization into a packet rate, which is how the E1/E5 sweeps hold the
-offered load at exactly the utilization the M/D/1 comparison needs.
+simulated times.
 """
 
 from __future__ import annotations
@@ -13,17 +11,6 @@ from typing import Callable, Optional
 
 from repro.sim.engine import Simulator
 from repro.workloads.sizes import PacketSizeMixture
-
-
-def rate_for_utilization(
-    utilization: float, link_rate_bps: float, mean_packet_bytes: float
-) -> float:
-    """Packets/second that load a link to ``utilization``."""
-    if not 0 < utilization < 1:
-        raise ValueError("utilization must be in (0, 1)")
-    if mean_packet_bytes <= 0:
-        raise ValueError("mean_packet_bytes must be positive")
-    return utilization * link_rate_bps / (mean_packet_bytes * 8.0)
 
 
 class PoissonArrivals:
@@ -50,7 +37,6 @@ class PoissonArrivals:
         self.sizes = sizes
         self.fixed_size = fixed_size
         self.stop_at = stop_at
-        self.generated = 0
         self.running = True
         sim.after(rng.expovariate(rate_pps), self._tick)
 
@@ -65,83 +51,8 @@ class PoissonArrivals:
             return
         if self.stop_at is not None and self.sim.now >= self.stop_at:
             return
-        self.generated += 1
         self.emit(self._next_size())
         self.sim.after(self.rng.expovariate(self.rate_pps), self._tick)
-
-    def stop(self) -> None:
-        self.running = False
-
-
-class OnOffArrivals:
-    """Bursty on/off traffic: exponential on and off periods.
-
-    During an on-period packets leave back to back at ``burst_rate_pps``
-    — the "periodic bursts of packets on a gigabit channel" the paper's
-    introduction describes.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        burst_rate_pps: float,
-        mean_on: float,
-        mean_off: float,
-        emit: Callable[[int], None],
-        rng: random.Random,
-        sizes: Optional[PacketSizeMixture] = None,
-        fixed_size: Optional[int] = None,
-        stop_at: Optional[float] = None,
-    ) -> None:
-        if burst_rate_pps <= 0 or mean_on <= 0 or mean_off <= 0:
-            raise ValueError("rates and periods must be positive")
-        if sizes is None and fixed_size is None:
-            raise ValueError("provide a size mixture or a fixed size")
-        self.sim = sim
-        self.burst_rate_pps = burst_rate_pps
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.emit = emit
-        self.rng = rng
-        self.sizes = sizes
-        self.fixed_size = fixed_size
-        self.stop_at = stop_at
-        self.generated = 0
-        self.running = True
-        self._on_until = 0.0
-        sim.after(rng.expovariate(1.0 / mean_off), self._start_burst)
-
-    def mean_rate_pps(self) -> float:
-        duty = self.mean_on / (self.mean_on + self.mean_off)
-        return self.burst_rate_pps * duty
-
-    def _next_size(self) -> int:
-        if self.fixed_size is not None:
-            return self.fixed_size
-        assert self.sizes is not None
-        return self.sizes.sample(self.rng)
-
-    def _start_burst(self) -> None:
-        if not self.running:
-            return
-        if self.stop_at is not None and self.sim.now >= self.stop_at:
-            return
-        self._on_until = self.sim.now + self.rng.expovariate(1.0 / self.mean_on)
-        self._burst_tick()
-
-    def _burst_tick(self) -> None:
-        if not self.running:
-            return
-        if self.sim.now >= self._on_until or (
-            self.stop_at is not None and self.sim.now >= self.stop_at
-        ):
-            self.sim.after(
-                self.rng.expovariate(1.0 / self.mean_off), self._start_burst
-            )
-            return
-        self.generated += 1
-        self.emit(self._next_size())
-        self.sim.after(1.0 / self.burst_rate_pps, self._burst_tick)
 
     def stop(self) -> None:
         self.running = False

@@ -84,14 +84,8 @@ def test_schedule_sorted_with_stop_before_start_on_ties():
     assert actions_at_1 == [STOP, START]
 
 
-def test_faults_end_and_scaled():
-    plan = sample_plan()
-    assert plan.faults_end_s() == 4.0
-    half = plan.scaled(0.5)
-    assert half.faults_end_s() == 2.0
-    assert half.fingerprint() != plan.fingerprint()
-    with pytest.raises(PlanError):
-        plan.scaled(0.0)
+def test_faults_end():
+    assert sample_plan().faults_end_s() == 4.0
 
 
 # -- validation --------------------------------------------------------------

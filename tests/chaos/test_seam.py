@@ -118,4 +118,3 @@ def test_record_and_registry_integration():
     assert injector.fault_log[-1] == {
         "event": "retry", "at": 1.234568, "node": "x", "gap_s": 0.05,
     }
-    assert "retry" in injector.fault_log_ndjson()

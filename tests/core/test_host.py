@@ -60,8 +60,6 @@ def test_double_bind_rejected():
     b.bind(5, lambda d: None)
     with pytest.raises(ValueError):
         b.bind(5, lambda d: None)
-    b.unbind(5)
-    b.bind(5, lambda d: None)  # rebindable after unbind
 
 
 def test_priority_stamped_on_all_segments():

@@ -159,6 +159,6 @@ def test_client_speaks_to_any_bytes_transport():
 
     client = ClusterClient(canned, max_attempts=2)
     with pytest.raises(ClusterCommandError) as err:
-        client.unregister("h.region.net")
+        client.register_host("h.region.net", "n1")
     assert err.value.code == "unavailable"
     assert err.value.attempts == 2

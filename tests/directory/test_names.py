@@ -18,34 +18,12 @@ def test_parent_chain():
     assert HierarchicalName.parse("edu").parent is None
 
 
-def test_region_path_root_first():
-    name = HierarchicalName.parse("venus.cs.stanford.edu")
-    path = [str(r) for r in name.region_path()]
-    assert path == ["edu", "stanford.edu", "cs.stanford.edu"]
-
-
 def test_is_within():
     name = HierarchicalName.parse("venus.cs.stanford.edu")
     assert name.is_within(HierarchicalName.parse("cs.stanford.edu"))
     assert name.is_within(HierarchicalName.parse("edu"))
     assert not name.is_within(HierarchicalName.parse("mit.edu"))
     assert not name.is_within(name)  # a name is not within itself
-
-
-def test_common_region():
-    a = HierarchicalName.parse("venus.cs.stanford.edu")
-    b = HierarchicalName.parse("gregorio.ee.stanford.edu")
-    c = HierarchicalName.parse("milo.lcs.mit.edu")
-    assert str(a.common_region(b)) == "stanford.edu"
-    assert str(a.common_region(c)) == "edu"
-    sibling = HierarchicalName.parse("earth.cs.stanford.edu")
-    assert str(a.common_region(sibling)) == "cs.stanford.edu"
-
-
-def test_common_region_disjoint_roots():
-    a = HierarchicalName.parse("x.alpha")
-    b = HierarchicalName.parse("y.beta")
-    assert a.common_region(b) is None
 
 
 def test_invalid_labels_rejected():

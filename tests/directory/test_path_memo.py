@@ -77,7 +77,7 @@ def script(rng, steps):
         elif roll < 0.80:
             yield "record_load", (rng.choice(LINKS), rng.choice([0.0, 0.3, 0.9]))
         elif roll < 0.88:
-            yield "force_refresh", ()
+            yield "refresh", ()
         elif roll < 0.95:
             yield "rebind_host", (rng.choice(["h2", "h3"]), "roaming.a.edu")
         else:
@@ -97,6 +97,10 @@ def test_a_memoising_directory_grants_what_a_searching_one_does(
     for op, args in script(random.Random(seed), 400):
         if op in ("fail_link", "restore_link"):
             getattr(topo, op)(*args)
+        elif op == "refresh":  # a stale directory's periodic snapshot, now
+            for directory in (memoising, searching):
+                if directory._edge_snapshot is not None:
+                    directory._edge_snapshot = topo.edges()
         elif op != "query":
             for directory in (memoising, searching):
                 getattr(directory, op)(*args)

@@ -1,9 +1,11 @@
 """Unit tests for constrained path finding (Dijkstra, widest path, Yen)."""
 
+import pytest
 
 from repro.directory.pathfind import (
     PathObjective,
     dijkstra,
+    edge_allowed,
     edge_weight,
     k_shortest_paths,
     path_weight,
@@ -124,4 +126,12 @@ def test_edge_weight_includes_serialization():
     fast = edge("a", "b", 1, rate=1e9, prop=0.0)
     assert edge_weight(slow, PathObjective.LOW_DELAY) > edge_weight(
         fast, PathObjective.LOW_DELAY
+    )
+
+
+@pytest.mark.parametrize("objective", list(PathObjective))
+def test_only_the_secure_objective_excludes_an_insecure_edge(objective):
+    assert edge_allowed(edge("a", "b", 1, secure=True), objective)
+    assert edge_allowed(edge("a", "b", 1, secure=False), objective) is (
+        objective is not PathObjective.SECURE
     )

@@ -13,6 +13,7 @@ from repro.directory.cluster.protocol import (
     RETRYABLE_CODES,
     VersionError,
     canonical_encode,
+    canonical_params,
     decode_response,
 )
 
@@ -31,6 +32,46 @@ def test_request_round_trips_through_the_wire():
     assert parsed.params_dict == {
         "name": "venus.cs.stanford.edu", "node": "venus",
     }
+
+
+def test_a_traced_request_round_trips_its_trace_context():
+    request = CommandRequest.make(
+        "lookup", {"name": "a.b"}, "t1", trace={"parent": "query", "id": 42},
+    )
+    assert request.to_json()["trace"] == {"id": 42, "parent": "query"}
+    parsed = CommandRequest.parse(json.loads(request.encode()))
+    assert parsed == request
+    assert parsed.trace_id == 42
+    assert parsed.trace_dict == {"id": 42, "parent": "query"}
+
+
+def test_an_untraced_request_carries_no_trace_key():
+    request = CommandRequest.make("lookup", {"name": "a.b"}, "t2")
+    assert "trace" not in request.to_json()
+    assert request.trace_dict == {}
+    assert request.trace_id == 0
+
+
+def test_with_trace_replaces_only_the_trace_context():
+    request = CommandRequest.make(
+        "rebind", {"name": "a.b"}, "t3", trace={"id": 1},
+    )
+    retraced = request.with_trace({"id": 2, "parent": "retry"})
+    assert retraced.trace_id == 2
+    assert (retraced.method, retraced.params, retraced.request_id) == (
+        request.method, request.params, request.request_id,
+    )
+    untraced = request.with_trace(None)
+    assert untraced.trace == ()
+    assert untraced.encode() == CommandRequest.make(
+        "rebind", {"name": "a.b"}, "t3",
+    ).encode()
+
+
+def test_canonical_params_ignore_key_order():
+    assert canonical_params({"b": 1, "a": [2, 3]}) == canonical_params(
+        {"a": [2, 3], "b": 1}
+    ) == '{"a":[2,3],"b":1}'
 
 
 def test_writes_and_reads_are_classified():

@@ -89,16 +89,6 @@ def test_unknown_name_returns_none():
     assert root.resolve(HierarchicalName.parse("host.example.org")) is None
 
 
-def test_flush_cache():
-    sim = Simulator()
-    root = build_hierarchy(sim)
-    cs = root.children["edu"].children["stanford"].children["cs"]
-    name = HierarchicalName.parse("milo.lcs.mit.edu")
-    cs.resolve(name)
-    cs.flush_cache()
-    assert not cs.resolve(name).from_cache
-
-
 def test_add_child_idempotent():
     sim = Simulator()
     root = RegionServer(sim)

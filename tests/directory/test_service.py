@@ -133,19 +133,6 @@ def test_query_latency_includes_region_walk():
     assert latency2 == pytest.approx(directory.query_rtt)
 
 
-def test_query_async_delivers_after_latency():
-    sim, _topo, directory = build_network()
-    results = []
-    directory.query_async(
-        "h1", RouteQuery("h2.lcs.mit.edu"),
-        lambda routes: results.append((sim.now, routes)),
-    )
-    sim.run(until=1.0)
-    assert results
-    at, routes = results[0]
-    assert at > 0 and routes
-
-
 def test_advisory_fires_on_route_change():
     sim, topo, directory = build_network()
     advisories = []

@@ -30,7 +30,7 @@ def test_reregistering_the_identical_binding_is_a_noop():
     first = service.register_host("venus", "venus.cs.stanford.edu")
     again = service.register_host("venus", "venus.cs.stanford.edu")
     assert str(first) == str(again)
-    assert service.node_of("venus.cs.stanford.edu") == "venus"
+    assert service.nodes_of("venus.cs.stanford.edu") == ["venus"]
 
 
 def test_conflicting_host_binding_raises_typed_error():
@@ -42,7 +42,7 @@ def test_conflicting_host_binding_raises_typed_error():
     assert err.value.bound_to == "venus"
     assert err.value.requested == "pescadero"
     # The standing binding is untouched — never last-write-wins.
-    assert service.node_of("venus.cs.stanford.edu") == "venus"
+    assert service.nodes_of("venus.cs.stanford.edu") == ["venus"]
 
 
 def test_conflict_is_a_value_error_for_legacy_callers():
@@ -70,10 +70,10 @@ def test_rebind_host_is_the_explicit_move():
     service = _service()
     service.register_host("venus", "venus.cs.stanford.edu")
     service.rebind_host("pescadero", "venus.cs.stanford.edu")
-    assert service.node_of("venus.cs.stanford.edu") == "pescadero"
+    assert service.nodes_of("venus.cs.stanford.edu") == ["pescadero"]
 
 
 def test_rebind_host_works_for_fresh_names_too():
     service = _service()
     service.rebind_host("venus", "new.cs.stanford.edu")
-    assert service.node_of("new.cs.stanford.edu") == "venus"
+    assert service.nodes_of("new.cs.stanford.edu") == ["venus"]

@@ -12,6 +12,14 @@ its differential oracle: the structural packet algebra (:func:`advance`,
 slow way — decode the whole frame, apply the algebra, re-encode.  It
 shares no code with the in-place path beyond the whole-frame codec.
 
+**The structural reads.**  :func:`decode_packet` (the inverse of
+:func:`~repro.viper.packet.encode_packet`), :func:`decode_trailer` and
+:func:`build_return_route` (§2's receiver, reversing the trailer) read
+a packet as objects; :func:`live_packet`, :func:`live_return_segments`
+and :func:`live_trailer_spans` read a live delivery's kept datagram the
+same way, which the host itself never does.  :func:`free_slots` is a
+ring's leak check.
+
 **The drain.**  :func:`drain_reference` is ``LiveEndpoint._on_readable``
 the plain way — a slot acquired and released per datagram, a control
 frame's exact framing and nonce read field by field, every probe
@@ -51,6 +59,7 @@ from repro.live.frames import (
     decode_preamble,
     encode_ack,
     encode_live_frame,
+    frame_spans,
     hop_move_into,
     return_tail_of,
 )
@@ -58,19 +67,27 @@ from repro.live.host import open_pdu
 from repro.live.link import _MSG_TRUNC
 from repro.live.router import LiveRouter
 from repro.transport.machine import VmtpPdu
-from repro.viper.errors import ViperDecodeError
+from repro.viper.errors import DecodeError, ViperDecodeError
 from repro.viper.packet import (
     TRUNCATION_MARK,
     TRUNCATION_MARK_BYTES,
     TRUNCATION_SENTINEL,
     SirpentPacket,
     TrailerElement,
-    build_return_route,
     encode_packet,
+    trailer_elements,
+    trailer_spans,
 )
 from repro.viper.portinfo import ETHERNET_INFO_BYTES, EthernetInfo
 from repro.viper.ring import BufferRing, DEFAULT_SLOT_BYTES
-from repro.viper.wire import HeaderSegment, PacketView, encode_segment
+from repro.viper.wire import (
+    HeaderSegment,
+    PacketView,
+    decode_alt_blocks,
+    decode_route,
+    encode_segment,
+    slick_count,
+)
 
 
 # -- the PDU readers --------------------------------------------------------------
@@ -179,6 +196,83 @@ def return_route(delivered):
     """The return route a simulator delivery's trailer encodes, in send
     order with RPF set (§2) — read structurally."""
     return build_return_route(structural(delivered.packet))
+
+
+def build_return_route(packet):
+    """The return source route a delivered packet's trailer encodes.
+
+    §2: the receiver "copies each segment into a separate return address
+    area in reverse order".  The routers already rewrote each element so
+    it is a correct return hop; the receiver's work is purely
+    network-independent reversal.  Return segments get the RPF flag.
+    """
+    return [
+        element.segment.copy(rpf=True)
+        for element in reversed(packet.trailer)
+        if element is not TRUNCATION_MARK
+    ]
+
+
+def decode_trailer(buffer: bytes, end=None):
+    """``(elements in original order, offset where the trailer starts)``
+    of the trailer walked backwards from ``end``: the walk stops where a
+    back-length does not frame a decodable segment, which is where the
+    payload ends.  :func:`~repro.viper.packet.trailer_spans`' walk,
+    materialised by :func:`~repro.viper.packet.trailer_elements`."""
+    if end is None:
+        end = len(buffer)
+    spans, boundary = trailer_spans(buffer, 0, end)
+    return trailer_elements(buffer, spans, boundary, end), boundary
+
+
+def decode_packet(buffer: bytes, segment_count: int):
+    """``(packet, payload bytes)`` of a buffer holding ``segment_count``
+    leading segments: :func:`~repro.viper.packet.encode_packet`'s
+    inverse.  The payload ends where the trailer, walked backwards,
+    begins — how a Sirpent receiver locates "the beginning of the
+    trailer" (§2)."""
+    segments, offset = decode_route(buffer, segment_count)
+    alternates, offset = decode_alt_blocks(
+        buffer, slick_count(segments), offset
+    )
+    trailer, payload_end = decode_trailer(buffer, len(buffer))
+    if payload_end < offset:
+        raise DecodeError("trailer overlaps header segments")
+    payload_bytes = buffer[offset:payload_end]
+    packet = SirpentPacket(
+        segments=segments,
+        payload_size=len(payload_bytes),
+        payload=payload_bytes,
+        trailer=trailer,
+        alternates=alternates,
+    )
+    return packet, payload_bytes
+
+
+# -- a live delivery, read structurally ------------------------------------------
+
+
+def live_packet(datagram: bytes, preamble):
+    """The :class:`SirpentPacket` a live delivery's datagram decodes to."""
+    return decode_live_frame(datagram, preamble)[1]
+
+
+def live_return_segments(datagram: bytes, preamble):
+    """The return route a live delivery's trailer encodes, in send order."""
+    return build_return_route(live_packet(datagram, preamble))
+
+
+def live_trailer_spans(datagram: bytes, preamble):
+    """``(start, end)`` of each trailer segment in a live delivery's
+    datagram, in return-route order — the walk the host's trailer memo
+    saves it."""
+    return frame_spans(datagram, preamble)[3]
+
+
+def free_slots(ring) -> int:
+    """Pooled slots of ``ring`` nobody holds: all of them once every
+    view taken from it has been released."""
+    return len(ring._free)
 
 
 # -- the hop move, the slow way --------------------------------------------------

@@ -36,13 +36,19 @@ from repro.viper.packet import (
     TRUNCATION_MARK,
     SirpentPacket,
     TrailerElement,
-    build_return_route,
-    decode_trailer,
     trailer_spans,
 )
 from repro.viper.ring import BufferRing
 from repro.viper.wire import MAX_SEGMENTS, HeaderSegment, decode_segment
-from tests.live.oracle import batch_of, slot_view
+from tests.live.oracle import (
+    batch_of,
+    build_return_route,
+    decode_trailer,
+    live_packet,
+    live_return_segments,
+    live_trailer_spans,
+    slot_view,
+)
 
 #: Where the frames under test arrive from / replies leave to.
 PEER = ("127.0.0.1", 9001)
@@ -261,12 +267,15 @@ def check_frame(host, sent, delivered, datagram: bytes, rng) -> str:
     assert got.socket == packet.segments[0].port
     assert got.trace_id == packet.trace_id
     assert (got.arrival_port, got.source) == (ARRIVAL_PORT, PEER)
-    # The lazy structural views are the codec's own decode.
-    assert got.packet.segments == packet.segments
-    assert got.packet.alternates == packet.alternates
-    assert got.packet.trailer == packet.trailer
-    assert got.packet.trace_id == packet.trace_id
-    assert got.return_segments == build_return_route(packet)
+    # The kept datagram decodes to the frame that was sent.
+    decoded = live_packet(got.datagram, got.preamble)
+    assert decoded.segments == packet.segments
+    assert decoded.alternates == packet.alternates
+    assert decoded.trailer == packet.trailer
+    assert decoded.trace_id == packet.trace_id
+    assert live_return_segments(got.datagram, got.preamble) == (
+        build_return_route(packet)
+    )
     if check_reply(host, sent, got, packet, rng):
         return "deliver, reply refused"
     return "deliver"
@@ -299,7 +308,8 @@ def check_reply(host, sent, got, packet, rng) -> bool:
                 packet, b"", reply_socket, priority, dib, 0
             ))
             result = outcome(lambda: return_route_header(
-                got.datagram, got.trailer_spans, reply_socket, priority, dib,
+                got.datagram, live_trailer_spans(got.datagram, got.preamble),
+                reply_socket, priority, dib,
             ))
             if isinstance(expected, bytes):
                 header, seg_count = result

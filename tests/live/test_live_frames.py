@@ -24,10 +24,10 @@ from repro.live.frames import (
     return_tail_of,
 )
 from repro.viper.errors import ViperDecodeError
-from repro.viper.packet import SirpentPacket, TrailerElement, build_return_route
+from repro.viper.packet import SirpentPacket, TrailerElement
 from repro.viper.ring import BufferRing
 from repro.viper.wire import HeaderSegment, parse_segment_view
-from tests.live.oracle import hop_in_place, slot_view
+from tests.live.oracle import build_return_route, hop_in_place, slot_view
 
 
 def _packet(payload: bytes) -> SirpentPacket:

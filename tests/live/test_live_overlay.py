@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 from repro.transport.rebind import RouteManager
 from repro.viper.packet import SirpentPacket
 from repro.viper.wire import HeaderSegment
-from tests.live.oracle import slot_view
+from tests.live.oracle import free_slots, live_return_segments, slot_view
 
 pytestmark = pytest.mark.live
 
@@ -288,7 +288,7 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
         assert receiver._rx_slot is not None and not receiver._rx_slot.free
         sender.close()
         receiver.close()
-        assert ring.available() == len(ring) and receiver._rx_slot is None
+        assert free_slots(ring) == len(ring) and receiver._rx_slot is None
 
     asyncio.run(scenario())
 
@@ -312,7 +312,7 @@ def test_endpoint_owns_one_receive_slot_between_wakeups():
         await sender.open()
         addr = await receiver.open()
         ring, stats = receiver.ring, receiver.ring.stats
-        assert receiver._rx_slot is None and ring.available() == len(ring)
+        assert receiver._rx_slot is None and free_slots(ring) == len(ring)
         frame = encode_live_frame(SirpentPacket(
             segments=[HeaderSegment(port=0)], payload_size=1, payload=b"x",
         ), b"x")
@@ -328,9 +328,9 @@ def test_endpoint_owns_one_receive_slot_between_wakeups():
         assert (stats.acquires, stats.releases) == (2, 1)
         assert receiver._rx_slot is kept and not kept.free
         receiver.close()
-        assert receiver._rx_slot is None and ring.available() == len(ring)
+        assert receiver._rx_slot is None and free_slots(ring) == len(ring)
         addr = await receiver.open()
-        assert receiver._rx_slot is None and ring.available() == len(ring)
+        assert receiver._rx_slot is None and free_slots(ring) == len(ring)
         sender.send(frame, addr)
         await _eventually(lambda: len(received) == 2)
         assert stats.acquires - stats.releases == 1
@@ -449,9 +449,11 @@ def test_two_router_e2e_return_route_works():
             await _eventually(lambda: replies)
             assert requests[0].payload == b"ping"
             # The return route the server used is the reversed hop list.
-            return_ports = [s.port for s in requests[0].return_segments]
+            request = requests[0]
+            returned = live_return_segments(request.datagram, request.preamble)
+            return_ports = [s.port for s in returned]
             assert len(return_ports) == 2  # one per router crossed
-            assert all(s.rpf for s in requests[0].return_segments)
+            assert all(s.rpf for s in returned)
             assert replies[0].payload == b"pong"
             assert replies[0].socket == 6
             # Both routers forwarded once per direction, dropped nothing.

@@ -21,7 +21,7 @@ from repro.live import LiveOverlay, LiveRoute
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
-from tests.live.oracle import return_route
+from tests.live.oracle import live_return_segments, return_route
 
 pytestmark = pytest.mark.live
 
@@ -104,7 +104,9 @@ def _run_live(world: _World, route, payload: bytes) -> _Outcome:
             def on_delivered(delivered):
                 outcome.delivered_payloads.append(delivered.payload)
                 outcome.return_ports = [
-                    s.port for s in delivered.return_segments
+                    s.port for s in live_return_segments(
+                        delivered.datagram, delivered.preamble
+                    )
                 ]
 
             overlay.hosts["server"].bind(

@@ -18,6 +18,7 @@ from repro.live import LiveOverlay
 from repro.net.topology import Topology
 from repro.obs.trace import Tracer
 from repro.sim.engine import Simulator
+from tests.live.oracle import live_packet
 
 pytestmark = pytest.mark.live
 
@@ -69,7 +70,8 @@ async def _traced_ping_pong(overlay):
     trace_id = client.send(route, b"ping")
     await _eventually(lambda: replies)
     assert replies[0].trace_id == trace_id
-    assert replies[0].packet.trace_id == trace_id
+    assert live_packet(replies[0].datagram, replies[0].preamble).trace_id \
+        == trace_id
     return trace_id
 
 
@@ -205,7 +207,9 @@ def test_untraced_overlay_pays_nothing():
             await _eventually(lambda: delivered)
             assert trace_id == 0
             assert delivered[0].trace_id == 0
-            assert delivered[0].packet.trace_id == 0
+            assert live_packet(
+                delivered[0].datagram, delivered[0].preamble
+            ).trace_id == 0
         finally:
             overlay.stop()
         await asyncio.sleep(0.01)

@@ -26,7 +26,6 @@ from repro.live.frames import (
     PREAMBLE_BYTES,
     decode_preamble,
     encode_preamble,
-    frame_spans,
     frame_with_header,
     return_route_header,
 )
@@ -34,10 +33,15 @@ from repro.live.host import TRAILER_MEMO_ENTRIES, LiveTransactor
 from repro.transport.machine import MAX_MEMBER_PAYLOAD
 from repro.viper.wire import HeaderSegment, encode_segment
 from benchmarks.bench_f03_transactor_pair import HostPair
-from tests.live.oracle import batch_of, slot_view
+from tests.live.oracle import batch_of, live_trailer_spans, slot_view
 
 SOCKET = 7
 RESPONSE = bytes(range(256)) * (16 * MAX_MEMBER_PAYLOAD // 256)
+
+
+def _spans(delivered):
+    """The trailer spans of a delivery's datagram, walked afresh."""
+    return live_trailer_spans(delivered.datagram, delivered.preamble)
 
 
 def _served_pair():
@@ -71,9 +75,9 @@ def test_every_response_member_carries_the_request_frames_reply_header():
     assert result.ok and result.payload == RESPONSE
     assert len(delivered) == 3
     request = delivered[-1]  # the member that completed the group
-    assert len(request.trailer_spans) == pair.hops
+    assert len(_spans(request)) == pair.hops
     header, seg_count = return_route_header(
-        request.datagram, request.trailer_spans, client_tx.config.socket, 0, False,
+        request.datagram, _spans(request), client_tx.config.socket, 0, False,
     )
     responses = pair.sent["server"]
     assert len(responses) == 16
@@ -107,7 +111,7 @@ def test_the_memo_is_per_frame_reply_socket_and_priority():
             for priority in (0, 3, 0, 9):
                 for dib in (False, True):
                     assert route.wire_header(priority, dib) == return_route_header(
-                        delivered.datagram, delivered.trailer_spans,
+                        delivered.datagram, _spans(delivered),
                         reply_socket, priority, dib,
                     )
     assert first.return_route(1).wire_header() != second.return_route(1).wire_header()
@@ -120,7 +124,7 @@ def test_the_memo_is_per_frame_reply_socket_and_priority():
             delivered, b"reply", reply_socket=reply_socket, priority=priority,
         )
         header, seg_count = return_route_header(
-            delivered.datagram, delivered.trailer_spans, reply_socket, priority,
+            delivered.datagram, _spans(delivered), reply_socket, priority,
         )
         assert pair.sent["server"].pop() == frame_with_header(header, seg_count, b"reply")
 
@@ -212,11 +216,12 @@ def test_a_trailer_is_walked_once_and_one_byte_off_is_walked_afresh(monkeypatch)
     assert off.trailer is not first.trailer
     assert off.return_route(1) is not first.return_route(1)
     for delivered in (first, second, off):
-        assert delivered.trailer_spans == frame_spans(
-            delivered.datagram, delivered.preamble,
-        )[3]
+        end = delivered.payload_end
+        assert [(a + end, b + end) for a, b in delivered.trailer.spans] == (
+            _spans(delivered)
+        )
         assert delivered.return_route(1).wire_header() == return_route_header(
-            delivered.datagram, delivered.trailer_spans, 1,
+            delivered.datagram, _spans(delivered), 1,
         )
     assert first.return_route(1).wire_header() != off.return_route(1).wire_header()
     assert len(receiver.host._trailers) == 2
@@ -290,7 +295,7 @@ def test_a_reply_header_is_never_served_across_sockets_ports_priorities_or_dib(m
             for priority in (0, 5):
                 for dib in (False, True):
                     assert route.wire_header(priority, dib) == return_route_header(
-                        delivered.datagram, delivered.trailer_spans,
+                        delivered.datagram, _spans(delivered),
                         reply_socket, priority, dib,
                     )
             assert route.wire_header(5) != route.wire_header(0)

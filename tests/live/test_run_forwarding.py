@@ -38,7 +38,7 @@ from repro.live.router import LiveRouter
 from repro.obs.recorder import FlightRecorder
 from repro.viper.packet import SirpentPacket
 from repro.viper.wire import HeaderSegment, decode_segment, encode_segment, segment_span
-from tests.live.oracle import capture_router, slot_view
+from tests.live.oracle import capture_router, free_slots, slot_view
 
 SLOT_BYTES = 512
 
@@ -122,7 +122,7 @@ class Bench:
                 (slot_view(ring, datagram), source, decode_preamble(datagram))
                 for datagram, source in arrivals[start:end]
             ])
-        assert ring.available() == len(ring)  # every slot came back
+        assert free_slots(ring) == len(ring)  # every slot came back
 
     def state(self):
         """Everything the issue requires to come out identical."""

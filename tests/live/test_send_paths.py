@@ -13,7 +13,7 @@ import pytest
 
 from repro.live.frames import FRAME_DATA, encode_preamble, encode_probe
 from repro.live.link import Impairments, LiveEndpoint, LivenessConfig
-from tests.live.oracle import FakeLoop, slot_view
+from tests.live.oracle import FakeLoop, free_slots, slot_view
 
 PEER = ("127.0.0.1", 9001)
 FRAME = encode_preamble(FRAME_DATA, 0, 4) + b"body"
@@ -194,7 +194,7 @@ def test_send_view_releases_its_slot_whatever_becomes_of_the_frame(outcome):
     view = slot_view(endpoint.ring, FRAME)
     endpoint.send_view(view, PEER)
     assert endpoint.ring.stats.acquires == endpoint.ring.stats.releases == 1
-    assert endpoint.ring.available() == len(endpoint.ring)
+    assert free_slots(endpoint.ring) == len(endpoint.ring)
     backlog = list(endpoint._tx_backlog)
     if outcome == "socket_full":
         assert backlog == [(FRAME, PEER)]

@@ -48,6 +48,8 @@ from tests.live.oracle import (
     batch_of,
     capture_router,
     expected_outcome,
+    free_slots,
+    live_return_segments,
     return_route,
     slick_reroute_slow,
     slot_view,
@@ -346,7 +348,7 @@ class TestLiveRouterFailover:
         assert len(fast_sent) == 3
         assert fast.metrics.drops == oracle_drops == {}
         assert fast.metrics.slick_reroutes == 3
-        assert fast.endpoint.ring.available() == len(fast.endpoint.ring)
+        assert free_slots(fast.endpoint.ring) == len(fast.endpoint.ring)
 
     def test_non_slick_frame_after_a_reroute_is_forwarded(self):
         """Regression: the flow key omitted the slick flag, so a plain
@@ -374,7 +376,7 @@ class TestLiveRouterFailover:
             ("127.0.0.1", 9002),
         ]
         assert router.metrics.slick_reroutes == 3
-        assert ring.available() == len(ring)
+        assert free_slots(ring) == len(ring)
 
     def test_exhausted_alternate_drops_cleanly(self):
         router, sent = self._router(dead=(2, 3))  # the alternate too
@@ -468,7 +470,9 @@ def _run_live_failover(payload):
             def on_delivered(delivered):
                 outcome["delivered"].append(delivered.payload)
                 outcome["return_ports"] = [
-                    s.port for s in delivered.return_segments
+                    s.port for s in live_return_segments(
+                        delivered.datagram, delivered.preamble
+                    )
                 ]
 
             overlay.hosts["server"].bind(

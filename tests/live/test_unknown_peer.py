@@ -12,7 +12,7 @@ import asyncio
 
 from benchmarks.bench_f03_transactor_pair import HostPair
 from repro.live.host import LiveTransactor
-from tests.live.oracle import slot_view
+from tests.live.oracle import free_slots, slot_view
 
 STRANGER = ("10.9.9.9", 9001)
 
@@ -41,5 +41,5 @@ def test_a_frame_from_an_unwired_peer_is_dropped_and_the_wakeup_goes_on():
     assert server.metrics.delivered_local == 1
     for host in (pair.client, pair.server):
         ring = host.endpoint.ring
-        assert ring.available() == len(ring)
+        assert free_slots(ring) == len(ring)
         assert ring.stats.acquires == ring.stats.releases

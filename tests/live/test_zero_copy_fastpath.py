@@ -44,6 +44,7 @@ from tests.live.oracle import (
     batch_of,
     capture_router,
     expected_outcome,
+    free_slots,
     hop_in_place,
     slot_view,
     strip_and_append_slow,
@@ -285,7 +286,7 @@ class TestBatchedForwardingDifferential:
         assert fast.metrics.drops == oracle_drops
         assert fast.metrics.forwarded == len(oracle_sent)
         # Every slot came back to the ring; no escaped view is alive.
-        assert fast.endpoint.ring.available() == len(fast.endpoint.ring)
+        assert free_slots(fast.endpoint.ring) == len(fast.endpoint.ring)
         assert all(not view.alive() for view in views)
         return fast, fast_sent
 
@@ -374,7 +375,7 @@ class TestBatchedForwardingDifferential:
             "undecodable": 1, "unknown_peer": 1, "no_route": 1,
         }
         # Every slot came back to the ring; no escaped view is alive.
-        assert ring.available() == len(ring)
+        assert free_slots(ring) == len(ring)
         assert all(not view.alive() for view in views)
 
     def test_oversize_output_is_dropped_at_the_emitting_router(self):
@@ -390,7 +391,7 @@ class TestBatchedForwardingDifferential:
         assert fast_sent == []
         assert fast.metrics.drops == {"oversize": 1}
         assert fast.metrics.forwarded == 0
-        assert ring.available() == len(ring) and not view.alive()
+        assert free_slots(ring) == len(ring) and not view.alive()
         # Two bytes of tail-room are enough: same frame, forwarded.
         fits, fits_sent = capture_router("fits", slot_bytes=len(datagram) + 2)
         fits._on_batch(batch_of(
@@ -421,7 +422,7 @@ class TestBatchedForwardingDifferential:
         )
         assert fast.metrics.drops == {"undecodable": 1}
         assert len(fast_sent) == 1
-        assert ring.available() == len(ring)
+        assert free_slots(ring) == len(ring)
 
     def test_batch_path_never_decodes_the_preamble_again(self, monkeypatch):
         """One decode per datagram: the endpoint's.  Forward (cold, warm,
@@ -454,7 +455,7 @@ class TestBatchedForwardingDifferential:
         assert len(fast_sent) == 3
         assert len(delivered) == 1
         assert fast.metrics.drops.get("no_route") == 1
-        assert ring.available() == len(ring)
+        assert free_slots(ring) == len(ring)
 
 
 def test_one_forwarding_path_and_no_twin_in_src():
@@ -499,7 +500,7 @@ def test_one_walk_per_wire_structure():
     the forwarding and host paths run; its structural decoder is that
     walk plus materialisation, and the live frame's body is the packet
     codec's."""
-    from repro.viper import packet, wire
+    from repro.viper import wire
 
     for name in ("_decode_field", "_field_span"):
         assert not hasattr(wire, name), name
@@ -508,7 +509,6 @@ def test_one_walk_per_wire_structure():
         (wire, "decode_segment", "parse_segment_view"),
         (wire, "segment_span", "_field_data_span"),
         (wire, "decode_alt_block", "alt_block_span"),
-        (packet, "decode_trailer", "trailer_spans"),
         (frames, "decode_live_frame", "frame_spans"),
         (frames, "encode_live_frame", "encode_packet"),
     ):

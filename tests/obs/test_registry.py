@@ -49,7 +49,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_illegal_names_rejected(self):
         registry = MetricsRegistry()
@@ -94,7 +94,9 @@ class TestPrometheusRendering:
     def test_type_lines_and_values(self):
         registry = MetricsRegistry()
         registry.counter("forwarded", node="r1").add(2)
-        registry.gauge("qdepth", node="r1").set(1.5)
+        qdepth = Gauge("qdepth")
+        qdepth.set(1.5)
+        registry.register(qdepth, node="r1")
         hist = registry.histogram("delay", node="r1")
         hist.add(0.5)
         text = registry.render_prometheus()

@@ -10,11 +10,11 @@ from repro.viper.packet import (
     TRAILER_LENGTH_BYTES,
     TRUNCATION_MARK,
     TRUNCATION_SENTINEL,
-    decode_trailer,
     trailer_spans,
 )
 from repro.viper.portinfo import CompressedEthernetInfo, EthernetInfo
 from repro.viper.wire import HeaderSegment, decode_segment, encode_segment
+from tests.live.oracle import decode_trailer
 
 
 @given(st.binary(max_size=600))

@@ -11,12 +11,10 @@ from repro.viper.flags import effective_priority, outranks
 from repro.viper.packet import (
     SirpentPacket,
     TrailerElement,
-    build_return_route,
-    decode_packet,
     encode_packet,
 )
 from repro.viper.wire import HeaderSegment, decode_segment, encode_segment
-from tests.live.oracle import advance
+from tests.live.oracle import advance, build_return_route, decode_packet
 
 segments = st.builds(
     HeaderSegment,

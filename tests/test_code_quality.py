@@ -1,6 +1,7 @@
 """Repository hygiene checks: docstrings, exports, leftovers, sirlint."""
 
 import ast
+import functools
 import json
 import os
 import re
@@ -17,11 +18,6 @@ def _python_files():
         for name in files:
             if name.endswith(".py"):
                 yield os.path.join(dirpath, name)
-
-
-def _module_name(path):
-    relative = os.path.relpath(path, os.path.join(SRC_ROOT, ".."))
-    return relative[:-3].replace(os.sep, ".").replace(".__init__", "")
 
 
 def test_every_module_has_a_docstring():
@@ -168,6 +164,7 @@ OPTION_CONSTRUCTORS = {
     "repro.live.link": ("LiveEndpoint",),
     "repro.baselines.ip.routing": ("LinkStateRouting",),
     "repro.baselines.cvc.switch": ("CvcSwitch",),
+    "repro.obs.slo": ("SloEngine",),
 }
 
 #: Options no module outside tests sets, kept settable on purpose.
@@ -180,16 +177,23 @@ KEPT_OPTIONS = {
         "redesigns the bound",
     "TransportConfig.socket": "an address, not a tuning value",
     "ClusterSoakConfig.*": "a soak harness that only tests and CI run",
+    "SloEngine.specs":
+        "the objectives under evaluation: each SLO test hands it the spec "
+        "it checks; every running engine evaluates default_slos()",
 }
 
 #: Injection seams: a test substitutes a fake through these.
 SEAM_NAMES = ("clock", "registry", "recorder", "backend", "refresher", "name")
 
 
-def _option_sources():
-    """Yield ``(module, path, tree)`` for src/, benchmarks/, examples/, tools/."""
+@functools.lru_cache(maxsize=None)
+def _option_sources(root):
+    """``(module, path, tree)`` for src/, benchmarks/, examples/, tools/
+    under ``root``; ``module`` is None outside ``src/``."""
+    sources = []
+    src = os.path.join(root, "src")
     for top in ("src", "benchmarks", "examples", "tools"):
-        for dirpath, _dirs, files in os.walk(os.path.join(REPO_ROOT, top)):
+        for dirpath, _dirs, files in os.walk(os.path.join(root, top)):
             for name in sorted(files):
                 if not name.endswith(".py"):
                     continue
@@ -197,9 +201,12 @@ def _option_sources():
                 with open(path) as handle:
                     tree = ast.parse(handle.read())
                 module = None
-                if path.startswith(SRC_ROOT + os.sep):
-                    module = _module_name(path)
-                yield module, path, tree
+                if path.startswith(src + os.sep):
+                    module = os.path.relpath(path, src)[:-3].replace(
+                        os.sep, "."
+                    ).replace(".__init__", "")
+                sources.append((module, path, tree))
+    return tuple(sources)
 
 
 def _is_dataclass(node):
@@ -371,7 +378,7 @@ def test_every_option_has_a_caller():
     be kept on purpose, with its reason, in :data:`KEPT_OPTIONS` or as
     an injection seam.  Run with ``-s`` to see the census.
     """
-    sources = list(_option_sources())
+    sources = _option_sources(REPO_ROOT)
     targets = _option_targets(sources)
     set_by = _option_setters(sources, targets)
     unset = []
@@ -400,3 +407,260 @@ def test_every_option_has_a_caller():
         f"module constant, or keep it in KEPT_OPTIONS with a reason:\n"
         + "\n".join(unset) + "\n\n" + "\n".join(census)
     )
+
+
+# -- every definition has a caller --------------------------------------------
+
+#: Definitions nothing outside tests calls, kept on purpose, by
+#: ``module.qualname``.  A reason is one of three kinds, and says which:
+#: (a) a paper formula or mechanism that a test checks against the
+#: paper, citing the §; (b) a ROADMAP item, by number, that puts it on
+#: a path; (c) a user-facing entry point the README shows in use.
+KEPT_DEFINITIONS = {
+    "repro.analysis.delay.store_forward_penalty":
+        "(a) §6.1: the store-and-forward delay cut-through removes",
+    "repro.analysis.queueing.md1_mean_sojourn":
+        "(a) §6.1: the M/D/1 time in system the paper's queueing uses",
+    "repro.analysis.queueing.mm1_mean_queue":
+        "(a) §6.1: the M/M/1 bound the M/D/1 queue is read against",
+    "repro.analysis.queueing.mm1_mean_wait":
+        "(a) §6.1: M/D/1 waits half of M/M/1; M/G/1 lies between",
+    "repro.analysis.overhead.mixture_mean_size":
+        "(a) §6.2: the average packet is about 3/8 of the maximum",
+    "repro.analysis.hostcost.HostCostModel.max_message_rate":
+        "(a) §4.3: the message rate a host CPU bounds, NAB or not",
+    "repro.tokens.accounting.AccountLedger.bill":
+        "(a) §5: high priorities are limited by charging more for them",
+    "repro.dataplane.logical.LogicalPortMap.add_transit":
+        "(a) §2.2: a logical port that denotes a multi-hop transit path",
+    "repro.core.tunnel.attach_cvc_tunnel":
+        "(a) §2.3: an X.25/X.75 circuit network as one logical hop",
+    "repro.transport.vmtp.VmtpTransport.drop_entity":
+        "(a) §4.1: an entity migrates and keeps its 64-bit id",
+    "repro.directory.monitoring.LoadMonitor":
+        "(a) §6.3: monitoring stations report link loads to the directory",
+    "repro.directory.service.DirectoryService.subscribe":
+        "(a) §6.3: the directory advises clients of better routes",
+    "repro.transport.flowcontrol.RateController.maybe_recover":
+        "(b) ROADMAP item 12 wires recovery in after item 18",
+    "repro.live.directory.ClusterDirectoryBackend":
+        "(b) ROADMAP item 17 puts the cluster behind the live directory",
+    "repro.live.link.LiveEndpoint.send_parts":
+        "(b) ROADMAP item 1: benchmarks/e2e's probes wrap it by name "
+        "until 1(b) drops that probe",
+}
+
+KEPT_REASON = re.compile(
+    r"^\(a\) .*§\d|^\(b\) ROADMAP item \d+|^\(c\) README line \d+"
+)
+
+
+def _workflow_scripts(workflows):
+    """The inline ``run:`` scripts of every workflow file, as text."""
+    if not os.path.isdir(workflows):
+        return ""
+    scripts = []
+    for name in sorted(os.listdir(workflows)):
+        if not name.endswith((".yml", ".yaml")):
+            continue
+        with open(os.path.join(workflows, name)) as handle:
+            lines = handle.read().splitlines()
+        for index, line in enumerate(lines):
+            match = re.match(r"^(\s*)(?:- )?run:\s*(.*)$", line)
+            if match is None:
+                continue
+            indent, rest = len(match[1]), match[2].strip()
+            if rest and rest[0] not in "|>":
+                scripts.append(rest)
+                continue
+            for body in lines[index + 1:]:
+                if body.strip() and len(body) - len(body.lstrip()) <= indent:
+                    break
+                scripts.append(body)
+    return "\n".join(scripts)
+
+
+def _names_used(tree):
+    """``(name, line)`` of every ``Name``, ``Attribute`` and literal
+    ``getattr`` / ``hasattr`` attribute name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            yield node.args[1].value, node.lineno
+
+
+def _public_definitions(module, tree):
+    """``(qualified name, short name, first line, last line)`` of every
+    public module-level function and class of ``module`` and every
+    public method or property of a public class; a definition's first
+    line is its first decorator's."""
+    def span(node):
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        return first, node.end_lineno
+
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds) or node.name.startswith("_"):
+            continue
+        yield (f"{module}.{node.name}", node.name) + span(node)
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, kinds[:2]) and not member.name.startswith("_"):
+                    yield (f"{module}.{node.name}.{member.name}",
+                           member.name) + span(member)
+
+
+def _uncalled_definitions(root=REPO_ROOT):
+    """``(definitions, uncalled)``: every public definition in
+    ``root``'s ``src/`` by qualified name, and those with no caller
+    outside tests (see :func:`test_every_definition_has_a_caller`)."""
+    sources = _option_sources(root)
+    spans = {}       # qualified name -> (path, short name, [(first, last)])
+    used_in_src = {}  # short name -> [(path, line)]
+    used_elsewhere = set()
+    for module, path, tree in sources:
+        if module is None:
+            used_elsewhere.update(name for name, _line in _names_used(tree))
+            continue
+        for qualified, name, first, last in _public_definitions(module, tree):
+            spans.setdefault(qualified, (path, name, []))[2].append((first, last))
+        for name, line in _names_used(tree):
+            used_in_src.setdefault(name, []).append((path, line))
+    used_elsewhere.update(re.findall(
+        r"\w+", _workflow_scripts(os.path.join(root, ".github", "workflows"))
+    ))
+    uncalled = []
+    for qualified, (path, name, bodies) in sorted(spans.items()):
+        if name in used_elsewhere or any(
+            where != path or not any(a <= line <= b for a, b in bodies)
+            for where, line in used_in_src.get(name, ())
+        ):
+            continue
+        uncalled.append(qualified)
+    return spans, uncalled
+
+
+def _definition_findings(root=REPO_ROOT, kept=None):
+    """``(uncalled, stale, census)`` against the allowlist ``kept``: the
+    uncalled definitions it does not keep, and its entries that are
+    called or gone."""
+    kept = KEPT_DEFINITIONS if kept is None else kept
+    spans, uncalled = _uncalled_definitions(root)
+    stale = sorted(
+        name for name in kept if name not in spans or name not in uncalled
+    )
+    lines = sum(b - a + 1 for name in uncalled for a, b in spans[name][2])
+    census = (
+        f"{len(spans)} public definitions: "
+        f"{len(spans) - len(uncalled)} called outside tests, "
+        f"{sum(name in kept for name in uncalled)} kept, "
+        f"{sum(name not in kept for name in uncalled)} uncalled "
+        f"({lines} lines without a caller, kept ones included)"
+    )
+    return [n for n in uncalled if n not in kept], stale, census
+
+
+def test_every_definition_has_a_caller():
+    """Code that only tests run is a fixture, not the program.
+
+    Every public module-level function and class in ``src/repro``, and
+    every public method or property of a public class, must have a
+    caller outside tests — or be kept on purpose, with its reason, in
+    :data:`KEPT_DEFINITIONS`, whose entries go stale (and fail) once
+    their definition is called or gone.  A caller is a ``Name`` or
+    ``Attribute`` of that name (or a literal ``getattr`` / ``hasattr``
+    of it) in ``src/`` outside the definition's own body, the same
+    anywhere in ``benchmarks/``, ``examples/`` or ``tools/``, or the
+    word in an inline script of a ``.github/workflows`` file.  Tests,
+    docstrings, comments and package re-exports (``__all__``, the lazy
+    export tables) are not callers.
+
+    The match is by name, not by binding: a method only tests call
+    passes if any other code uses the same name (``LiveDelivered``'s
+    ``trailer_spans`` shared a name with the trailer walk), and a word
+    in a workflow script credits every definition spelled that way.
+    Run with ``-s`` to see the census.
+    """
+    uncalled, stale, census = _definition_findings()
+    print(census)
+    bad_reasons = sorted(
+        name for name, why in KEPT_DEFINITIONS.items()
+        if not KEPT_REASON.match(why)
+    )
+    assert not bad_reasons, (
+        f"KEPT_DEFINITIONS reasons must be (a) a § the tests check, "
+        f"(b) a ROADMAP item or (c) a README line: {bad_reasons}"
+    )
+    assert not stale, (
+        f"stale KEPT_DEFINITIONS entries (now called, or gone): {stale}"
+    )
+    assert not uncalled, (
+        f"{len(uncalled)} definitions only tests call — delete each, move "
+        f"it beside the test oracle that uses it, or keep it in "
+        f"KEPT_DEFINITIONS with a reason:\n" + "\n".join(uncalled)
+        + "\n\n" + census
+    )
+
+
+def test_the_definition_guard_reports_only_tests_callers(tmp_path):
+    """A tiny repository: the guard reports exactly the definitions
+    nothing but tests (or a package's ``__all__``) names, and a kept
+    entry that is called or gone is stale."""
+    files = {
+        "src/repro/__init__.py": (
+            '__all__ = ["only_exported"]\n'
+            "from repro.mod import only_exported\n"
+        ),
+        "src/repro/mod.py": (
+            "def only_tests(): pass\n"
+            "def from_bench(): pass\n"
+            "def from_ci(): pass\n"
+            "def only_exported(): pass\n"
+            "def from_src(): pass\n"
+            "def recursive(): recursive()\n"
+            "def _private(): from_src()\n"
+        ),
+        "benchmarks/bench.py": (
+            "from repro.mod import from_bench\nfrom_bench()\n"
+        ),
+        "tests/test_mod.py": (
+            "from repro.mod import only_tests, only_exported\n"
+            "def test_it():\n    only_tests()\n    only_exported()\n"
+        ),
+        ".github/workflows/ci.yml": (
+            "jobs:\n  smoke:\n    steps:\n      - name: smoke\n"
+            "        run: |\n"
+            "          python -c 'from repro.mod import from_ci; from_ci()'\n"
+            "      - name: only_tests\n"
+        ),
+    }
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    root = str(tmp_path)
+
+    uncalled, stale, _census = _definition_findings(root, kept={})
+    assert uncalled == [
+        "repro.mod.only_exported", "repro.mod.only_tests", "repro.mod.recursive",
+    ]
+    assert stale == []
+
+    kept = {
+        "repro.mod.only_tests": "(a) §6.1: a formula",
+        "repro.mod.from_bench": "(b) ROADMAP item 1",
+        "repro.mod.gone": "(c) README line 1",
+    }
+    uncalled, stale, _census = _definition_findings(root, kept=kept)
+    assert uncalled == ["repro.mod.only_exported", "repro.mod.recursive"]
+    assert stale == ["repro.mod.from_bench", "repro.mod.gone"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.directory.routes import Route
 from repro.sim.engine import Simulator
-from repro.transport.rebind import NoRouteError, RouteManager
+from repro.transport.rebind import NoRouteError, RouteManager, capped_backoff
 from repro.viper.wire import HeaderSegment
 
 
@@ -129,3 +129,21 @@ def test_rtt_reports_keep_no_sample():
     assert state() == after_one
     manager.report_rtt(base * 10)
     assert manager._consecutive_slow == 1 and manager.current() is route
+
+
+@pytest.mark.parametrize("attempt,delay", [
+    (1, 0.25), (2, 0.5), (3, 1.0), (6, 8.0),
+])
+def test_capped_backoff_doubles_from_its_base(attempt, delay):
+    assert capped_backoff(attempt, 0.25, 10.0) == delay
+
+
+def test_capped_backoff_stops_at_its_cap():
+    assert capped_backoff(7, 0.25, 10.0) == 10.0
+    assert capped_backoff(8, 0.25, 10.0) == 10.0
+
+
+@pytest.mark.parametrize("attempt", [65, 1_025, 10**6])
+def test_capped_backoff_survives_a_long_failure_streak(attempt):
+    """The exponent stops at 64, so no streak overflows the power."""
+    assert capped_backoff(attempt, 0.25, 10.0) == 10.0

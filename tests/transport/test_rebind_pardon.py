@@ -11,6 +11,7 @@ from repro.directory.routes import Route
 from repro.obs.recorder import FlightRecorder
 from repro.transport.rebind import RouteManager
 from repro.viper.wire import HeaderSegment
+from tests.transport.test_rebind_quarantine import quarantined
 
 
 class Clock:
@@ -43,11 +44,11 @@ def test_good_rtt_after_failure_pardons_and_records():
     manager.recorder = recorder
 
     manager.report_failure()  # only route: quarantined in place
-    assert manager.quarantined() == [route]
+    assert quarantined(manager) == [route]
     manager.report_rtt(good_rtt(route))
 
     assert manager.pardons.count == 1
-    assert manager.quarantined() == []  # the cooldown was wiped
+    assert quarantined(manager) == []  # the cooldown was wiped
     pardons = [e for e in recorder.events() if e.name == "rebind_pardon"]
     assert len(pardons) == 1
     assert pardons[0].fields["failures"] == 1

@@ -8,7 +8,6 @@ from repro.transport.timestamps import (
     TIMESTAMP_MODULUS,
     TimestampPolicy,
     encode_timestamp_ms,
-    timestamp_age_ms,
 )
 
 
@@ -19,22 +18,32 @@ def test_encode_folds_into_32_bits():
     assert encode_timestamp_ms(TIMESTAMP_MODULUS + 7) == 7
 
 
+def accepted_at_age(stamp, now_ms, max_age_ms):
+    """Whether a long-running receiver whose clock reads ``now_ms``
+    accepts ``stamp`` under a ``max_age_ms`` policy."""
+    clock = HostClock(Simulator(), epoch_ms=now_ms)
+    clock.boot_time_ms = now_ms - 10 * max_age_ms  # up for a while
+    return TimestampPolicy(max_age_ms=max_age_ms).accept(stamp, clock)
+
+
 def test_age_simple():
-    assert timestamp_age_ms(1000, 1500) == 500
-    assert timestamp_age_ms(1500, 1500) == 0
+    assert accepted_at_age(1000, 1500, max_age_ms=500)
+    assert not accepted_at_age(1000, 1500, max_age_ms=499)
+    assert accepted_at_age(1500, 1500, max_age_ms=1)
 
 
 def test_age_across_wraparound():
     """Sent just before the 32-bit wrap, received just after (§4.2:
-    'wrap-around occurs in roughly one month')."""
+    'wrap-around occurs in roughly one month'): 150 ms old."""
     sent = TIMESTAMP_MODULUS - 100
-    now = 50  # wrapped
-    assert timestamp_age_ms(sent, now) == 150
+    now = TIMESTAMP_MODULUS + 50  # the stamp of this instant wrapped to 50
+    assert accepted_at_age(sent, now, max_age_ms=150)
+    assert not accepted_at_age(sent, now, max_age_ms=149)
 
 
 def test_future_stamps_read_as_age_zero():
     """Receiver clock slightly behind the sender: not an old packet."""
-    assert timestamp_age_ms(2000, 1500) == 0
+    assert accepted_at_age(2000, 1500, max_age_ms=1)
 
 
 def test_clock_advances_with_simulation():

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.net.addresses import ETHERTYPE_SIRPENT, MacAddress
+from repro.dataplane.pipeline import resolve_dst_mac
+from repro.net.addresses import MacAddress
 from repro.viper.errors import DecodeError
 from repro.viper.portinfo import (
     COMPRESSED_ETHERNET_INFO_BYTES,
     CompressedEthernetInfo,
     EthernetInfo,
 )
+from repro.viper.wire import HeaderSegment
 
 
 def macs():
@@ -34,22 +36,28 @@ def test_saves_six_bytes_per_hop():
     assert len(full) - len(compressed) == 6
 
 
-def test_expansion_fills_in_router_source():
-    """'the router would be responsible for filling in the correct
-    Ethernet source address to form a full Ethernet header'."""
-    dst, router_mac = macs()
-    compressed = CompressedEthernetInfo(dst=dst, ethertype=ETHERTYPE_SIRPENT)
-    full = compressed.expanded(router_src=router_mac)
-    assert full.dst == dst
-    assert full.src == router_mac
-    assert full.ethertype == ETHERTYPE_SIRPENT
-
-
 def test_wrong_length_rejected():
     with pytest.raises(DecodeError):
         CompressedEthernetInfo.from_bytes(b"\x00" * 7)
     with pytest.raises(DecodeError):
         CompressedEthernetInfo.from_bytes(b"\x00" * 14)
+
+
+@pytest.mark.parametrize("port_kind,portinfo,resolved", [
+    ("ethernet", CompressedEthernetInfo(dst=macs()[0]).to_bytes(), macs()[0]),
+    ("ethernet", EthernetInfo(dst=macs()[0], src=macs()[1]).to_bytes(),
+     macs()[0]),
+    ("ethernet", b"\x00" * 7, None),
+    ("p2p", CompressedEthernetInfo(dst=macs()[0]).to_bytes(), None),
+], ids=["compressed", "full", "malformed", "off-ethernet"])
+def test_the_router_reads_the_destination_of_either_form(
+    port_kind, portinfo, resolved
+):
+    """The router takes only the destination from the portInfo, so the
+    8-byte form serves as well as the 14-byte one; the attachment puts
+    its own source address on the frame."""
+    segment = HeaderSegment(port=1, portinfo=portinfo)
+    assert resolve_dst_mac(segment, port_kind) == resolved
 
 
 class TestEndToEnd:

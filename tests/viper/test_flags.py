@@ -13,6 +13,7 @@ from repro.viper.flags import (
     outranks,
     pack_flags_priority,
     unpack_flags_priority,
+    validate_priority,
 )
 
 
@@ -82,3 +83,16 @@ def test_priority_range_validated():
         pack_flags_priority(False, False, False, -1)
     with pytest.raises(ValueError):
         unpack_flags_priority(256)
+
+
+def test_validate_priority_passes_every_nibble_unchanged():
+    for priority in range(16):
+        assert validate_priority(priority) == priority
+
+
+@pytest.mark.parametrize("priority", [-1, 0x10, 0xFF])
+def test_validate_priority_refuses_what_a_nibble_cannot_hold(priority):
+    with pytest.raises(ValueError):
+        validate_priority(priority)
+    with pytest.raises(ValueError):
+        pack_flags_priority(False, False, False, priority)

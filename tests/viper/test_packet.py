@@ -21,15 +21,15 @@ from repro.viper.packet import (
     TRUNCATION_MARK,
     TRUNCATION_SENTINEL,
     TrailerElement,
-    build_return_route,
-    decode_packet,
-    decode_trailer,
     encode_packet,
 )
 from repro.viper.wire import HeaderSegment
 from tests.live.oracle import (
     advance,
+    build_return_route,
     corrupted_copy,
+    decode_packet,
+    decode_trailer,
     mark_truncated,
     trailer_segments,
 )

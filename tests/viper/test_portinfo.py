@@ -8,7 +8,6 @@ from repro.viper.portinfo import (
     ETHERNET_INFO_BYTES,
     EthernetInfo,
     LogicalInfo,
-    parse_ethernet_info,
 )
 
 
@@ -49,9 +48,9 @@ def test_reversed_swaps_addresses():
 
 def test_wrong_length_rejected():
     with pytest.raises(DecodeError):
-        parse_ethernet_info(b"\x00" * 13)
+        EthernetInfo.from_bytes(b"\x00" * 13)
     with pytest.raises(DecodeError):
-        parse_ethernet_info(b"\x00" * 15)
+        EthernetInfo.from_bytes(b"\x00" * 15)
 
 
 def test_bad_ethertype_rejected():

@@ -1,14 +1,12 @@
 """Buffer rings and zero-copy views: differential against the codec.
 
-Three contracts, all pinned differentially against the materialising
+Two contracts, both pinned differentially against the materialising
 oracle (:func:`decode_segment` / :class:`HeaderSegment`):
 
 * :func:`parse_segment_view` accepts exactly what ``decode_segment``
   accepts, rejects exactly what it rejects, and agrees on every field
   and on the strip boundary — over randomized segments including the
   255 length-escape;
-* :class:`PacketView` in-place edits (append, write_at) are equivalent
-  to the same edits on materialised bytes;
 * :class:`BufferRing` recycling is single-holder: a released slot's
   generation bump makes any escaped view detectably dead
   (``alive() is False``) before the slot can be handed out again.
@@ -28,6 +26,7 @@ from repro.viper.wire import (
     parse_segment_view,
     segment_span,
 )
+from tests.live.oracle import free_slots
 
 
 def _random_segment(rng):
@@ -101,31 +100,6 @@ class TestSegmentViewParity:
         )
 
 
-class TestPacketViewEdits:
-    def test_write_at_matches_bytes_edits(self):
-        rng = random.Random(7)
-        ring = BufferRing(slots=2, slot_bytes=256)
-        for _ in range(50):
-            payload = bytes(
-                rng.randrange(256) for _ in range(rng.randrange(3, 100))
-            )
-            slot = ring.acquire()
-            slot.buffer[: len(payload)] = payload
-            view = PacketView.of_slot(slot, len(payload))
-            shadow = bytearray(payload)
-            at = rng.randrange(len(shadow) - 2)
-            view.write_at(at, b"\x01\x02\x03")
-            shadow[at:at + 3] = b"\x01\x02\x03"
-            assert view.tobytes() == bytes(shadow)
-            view.release()
-
-    def test_write_at_bounds_checked(self):
-        ring = BufferRing(slots=1, slot_bytes=32)
-        view = PacketView.of_slot(ring.acquire(), 8)
-        with pytest.raises(ValueError):
-            view.write_at(6, b"abc")  # escapes past end
-
-
 class TestRingRecycling:
     def test_released_views_die_before_slot_reuse(self):
         """No view may escape its ring slot alive across a recycle."""
@@ -159,7 +133,7 @@ class TestRingRecycling:
         for slot in held:
             ring.release(slot)
         # Unpooled slots are not re-admitted to the free list.
-        assert ring.available() == 2
+        assert free_slots(ring) == 2
 
     def test_stats_balance(self):
         ring = BufferRing(slots=8, slot_bytes=64)
@@ -168,7 +142,7 @@ class TestRingRecycling:
             ring.release(slot)
         assert ring.stats.acquires == 6
         assert ring.stats.releases == 6
-        assert ring.available() == 8
+        assert free_slots(ring) == 8
 
     def test_slot_view_is_the_whole_buffer(self):
         slot = BufferRing(slots=1, slot_bytes=128).acquire()

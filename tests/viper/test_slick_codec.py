@@ -22,7 +22,6 @@ from repro.viper.errors import DecodeError, SegmentLimitError
 from repro.viper.packet import (
     SirpentPacket,
     TrailerElement,
-    decode_packet,
     encode_packet,
 )
 from repro.viper.wire import (
@@ -39,7 +38,7 @@ from repro.viper.wire import (
     parse_segment_view,
     slick_count,
 )
-from tests.live.oracle import advance, apply_slick_reroute
+from tests.live.oracle import advance, apply_slick_reroute, decode_packet
 
 
 def _alt(ports):

@@ -4,11 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
-from repro.workloads.arrivals import (
-    OnOffArrivals,
-    PoissonArrivals,
-    rate_for_utilization,
-)
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.sizes import PacketSizeMixture
 
 
@@ -49,20 +45,6 @@ class TestPacketSizeMixture:
             PacketSizeMixture(64, 1500, p_min=0.9, p_max=0.2)
 
 
-class TestRateForUtilization:
-    def test_formula(self):
-        # 50% of 10 Mbps with 625-byte packets = 1000 pps.
-        assert rate_for_utilization(0.5, 10e6, 625) == pytest.approx(1000.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rate_for_utilization(0.0, 1e6, 100)
-        with pytest.raises(ValueError):
-            rate_for_utilization(1.0, 1e6, 100)
-        with pytest.raises(ValueError):
-            rate_for_utilization(0.5, 1e6, 0)
-
-
 class TestPoissonArrivals:
     def test_rate_achieved(self):
         sim = Simulator()
@@ -99,42 +81,3 @@ class TestPoissonArrivals:
         rng = RngStreams(9).stream("x")
         with pytest.raises(ValueError):
             PoissonArrivals(sim, 100.0, lambda s: None, rng)
-
-
-class TestOnOffArrivals:
-    def test_mean_rate(self):
-        sim = Simulator()
-        rng = RngStreams(11).stream("onoff")
-        emitted = []
-        process = OnOffArrivals(
-            sim, burst_rate_pps=10000.0, mean_on=10e-3, mean_off=90e-3,
-            emit=emitted.append, rng=rng, fixed_size=100, stop_at=20.0,
-        )
-        assert process.mean_rate_pps() == pytest.approx(1000.0)
-        sim.run(until=20.0)
-        achieved = len(emitted) / 20.0
-        assert 700 < achieved < 1300
-
-    def test_burstiness(self):
-        """Interarrival gaps are bimodal: back-to-back or long idle."""
-        sim = Simulator()
-        rng = RngStreams(11).stream("onoff2")
-        times = []
-        OnOffArrivals(
-            sim, burst_rate_pps=10000.0, mean_on=5e-3, mean_off=50e-3,
-            emit=lambda s: times.append(sim.now), rng=rng, fixed_size=1,
-            stop_at=10.0,
-        )
-        sim.run(until=10.0)
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        in_burst = sum(1 for g in gaps if g < 0.2e-3)
-        long_idle = sum(1 for g in gaps if g > 10e-3)
-        assert in_burst > 10 and long_idle > 10
-
-    def test_validation(self):
-        sim = Simulator()
-        rng = RngStreams(1).stream("v")
-        with pytest.raises(ValueError):
-            OnOffArrivals(sim, 0, 1, 1, lambda s: None, rng, fixed_size=1)
-        with pytest.raises(ValueError):
-            OnOffArrivals(sim, 10, 1, 1, lambda s: None, rng)

@@ -21,7 +21,7 @@ path is silent.  A "fate effect" is any of:
   ``tx.retries``, ``self.reconnect_attempts``…);
 * ``return <value>`` — converting the failure into an explicit
   sentinel the caller sees (``Decision(Action.DROP, …)`` in the pure
-  dataplane, ``owner_or_none``-style totalizers everywhere).  A bare
+  dataplane, ``None`` from a totalizing lookup everywhere).  A bare
   ``return`` or falling off the end stays silent: nothing downstream
   can tell the failure happened.
 
