@@ -20,6 +20,8 @@ bearing forged tokens.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.router import RouterConfig
 from repro.scenarios import build_sirpent_line
 from repro.tokens.cache import CachePolicy
@@ -54,15 +56,11 @@ def run_policy(policy: CachePolicy):
     # A forger without the mint cannot pass: corrupt one token byte.
     bad_segments = [s.copy(token=_flip(s.token)) if s.token else s
                     for s in route.segments]
-
-    class _Forged:
-        segments = bad_segments
-        first_hop_port = route.first_hop_port
-        first_hop_mac = route.first_hop_mac
+    forged = dataclasses.replace(route, segments=bad_segments)
 
     before = len(got)
     for _ in range(4):
-        scenario.hosts["src"].send(_Forged, b"evil", PAYLOAD)
+        scenario.hosts["src"].send(forged, b"evil", PAYLOAD)
     scenario.sim.run(until=1.0)
     forged_through = len(got) - before
     rejected = sum(

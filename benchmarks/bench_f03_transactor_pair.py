@@ -17,9 +17,9 @@ instances (nothing in ``src/`` knows it is measured) and each row is
 the self time of its seams, less the probe's own cost:
 
 * ``host rx`` — the host's batch step (``endpoint.on_batch``: copy out
-  of the slot, open the frame, hand it up);
-* ``PDU check+decode`` — the transactor's bound socket handler (CRC
-  check, decode);
+  of the slot, open the frame in the host core, hand it up);
+* ``PDU check+decode`` — the transactor's handler in the host core's
+  socket table (CRC check, decode);
 * ``machine receive`` — ``TransactionMachine.on_pdu`` (§4.1/§4.2
   checks, group mask, assembly, timers);
 * ``machine send`` — ``transact``, ``_launch_group`` and
@@ -255,9 +255,10 @@ class _Probe:
         for host in (pair.client, pair.server):
             self._wrap(host.endpoint, "on_batch", "host rx")
             self._wrap(host.endpoint, "send", WIRE)
-            handler = host.sockets[socket]
-            host.sockets[socket] = self._timed(handler, "PDU check+decode")
-            self._undo.append(lambda sockets=host.sockets, h=handler: sockets.update({socket: h}))
+            sockets = host.core.sockets
+            handler = sockets[socket]
+            sockets[socket] = self._timed(handler, "PDU check+decode")
+            self._undo.append(lambda sockets=sockets, h=handler: sockets.update({socket: h}))
             self._wrap(host, "send", "host tx")
             self._wrap(host, "send_return", "host tx")
         for transactor in (pair.client_tx, pair.server_tx):

@@ -1,40 +1,33 @@
-"""The Sirpent host stack.
+"""The Sirpent host stack on the simulator.
 
 A host sends packets along routes obtained from the routing directory
 (§3) and receives packets whose final header segment names one of its
-intra-host ports — the paper's unification of inter-host and intra-host
-addressing: "a Sirpent header segment can be used to designate the port
-within a host to which to address the packet" (§2.2).
+intra-host ports — "a Sirpent header segment can be used to designate
+the port within a host to which to address the packet" (§2.2).
 
-Both edges work on the frame's bytes, as the live host's do
-(:mod:`repro.live.frames`).  Sending frames the route's segments — each
-one's cached encoding — ahead of the payload.  On reception the host
-opens the frame by offsets:
-
-* it demultiplexes on the final segment's port (0 = the default
-  endpoint),
-* finds where the payload ends — the trailer behind it is the *return
-  route*, whose reversed segments a reply's header is copied from
-  (:func:`~repro.live.frames.return_route_header`), with the reversed
-  arrival frame header for the first physical hop back — and
-* hands the transport a :class:`DeliveredPacket`.
+:class:`SirpentHost` is the simulator's adapter over the one host edge,
+:class:`~repro.dataplane.host.HostCore`, which opens, demultiplexes and
+answers every delivered frame for the live host too.  The adapter keeps
+output ports and bit timing, the ``corrupted`` flag, the arrival MAC
+(the reply's first hop on an Ethernet), the rate-signal subscription
+and the counters the tables read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.congestion import ControlPlane, RateSignal
 from repro.core.packet import FramePacket
 from repro.core.queues import OutputPort
-from repro.live.frames import (
-    decode_preamble, encode_route_header, frame_spans, return_route_header, truncation_marked,
-)
+from repro.dataplane.host import HostCore, ReturnRoute, SourceRoute, Trailer
+from repro.dataplane.router import core_attribute
+from repro.live.frames import decode_preamble
 from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
 from repro.net.node import Attachment, Node
-from repro.obs.trace import NULL_TRACER
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, Histogram
 from repro.viper.wire import LOCAL_PORT
@@ -42,16 +35,17 @@ from repro.viper.wire import LOCAL_PORT
 
 @dataclass
 class DeliveredPacket:
-    """What the host hands up to the transport layer."""
+    """What the host hands up to the transport layer: a type of its
+    own, not the live ``LiveDelivered``, because the simulator's PDU is
+    an object beside the frame (``payload``), not bytes in it."""
 
     packet: FramePacket
     payload: Any
     payload_size: int
     socket: int
     arrived_at: float
-    #: ``(start, end)`` of each trailer segment in the frame
-    #: (``packet.view.mem``), in return-route order.
-    trailer_spans: List[Tuple[int, int]]
+    #: The host core's memo entry for the frame's trailer bytes.
+    trailer: Trailer
     #: MAC for the first physical hop of the return route (None on p2p).
     return_first_hop_mac: Optional[MacAddress]
     #: Host port the packet arrived on (= first hop of the return route).
@@ -63,9 +57,23 @@ class DeliveredPacket:
     def one_way_delay(self) -> float:
         return self.arrived_at - self.packet.created_at
 
+    def return_route(self, reply_socket: int) -> ReturnRoute:
+        """The reversed trailer route to ``reply_socket``."""
+        return self.trailer.route(
+            reply_socket, self.arrival_port, self.return_first_hop_mac,
+        )
+
 
 class SirpentHost(Node):
-    """An end system speaking VIPER."""
+    """An end system speaking VIPER: the simulator's adapter over the
+    :class:`~repro.dataplane.host.HostCore`.
+
+    ``received`` counts every frame whose route reached this host (one
+    no socket takes included), ``undeliverable`` every frame the core
+    dropped (by reason in ``core.drops``)."""
+
+    bind = core_attribute("bind")
+    tracer = core_attribute("sink.tracer")
 
     def __init__(
         self,
@@ -74,7 +82,6 @@ class SirpentHost(Node):
         control_plane: Optional[ControlPlane] = None,
     ) -> None:
         super().__init__(sim, name)
-        self.sockets: Dict[int, Callable[[DeliveredPacket], None]] = {}
         self.output_ports: Dict[int, OutputPort] = {}
         self.rate_signal_handlers: List[Callable[[RateSignal], None]] = []
         self.sent = Counter(f"{name}.sent")
@@ -83,8 +90,12 @@ class SirpentHost(Node):
         self.received_truncated = Counter(f"{name}.truncated")
         self.undeliverable = Counter(f"{name}.undeliverable")
         self.delivery_delay = Histogram(f"{name}.delay")
-        #: Hop tracer (repro.obs); NULL_TRACER = tracing disabled.
-        self.tracer = NULL_TRACER
+        #: The socket table, the frame open, the trailer memo and the
+        #: drop sink, over the simulated clock.
+        self.core = HostCore(
+            name, SimpleNamespace(drop=lambda _reason: self.undeliverable.add()),
+            lambda: sim.now,
+        )
         if control_plane is not None:
             control_plane.register(name, self._on_control_message)
 
@@ -93,7 +104,7 @@ class SirpentHost(Node):
     def set_tracer(self, tracer) -> None:
         """Install a :class:`repro.obs.trace.Tracer` on this host and
         every output port (existing and future attachments)."""
-        self.tracer = tracer
+        self.core.sink.tracer = tracer
         for outport in self.output_ports.values():
             outport.tracer = tracer
 
@@ -102,14 +113,6 @@ class SirpentHost(Node):
         outport = OutputPort(self.sim, attachment)
         outport.tracer = self.tracer
         self.output_ports[port_id] = outport
-
-    def bind(self, socket: int, handler: Callable[[DeliveredPacket], None]) -> None:
-        """Register a receive handler for an intra-host port."""
-        if not 0 <= socket <= 255:
-            raise ValueError(f"socket {socket} outside 0..255")
-        if socket in self.sockets:
-            raise ValueError(f"{self.name}: socket {socket} already bound")
-        self.sockets[socket] = handler
 
     def subscribe_rate_signals(self, handler: Callable[[RateSignal], None]) -> None:
         """Transports register here to learn of network backpressure."""
@@ -124,32 +127,52 @@ class SirpentHost(Node):
         payload_size: int,
         priority: int = 0,
         dib: bool = False,
-        host_port: Optional[int] = None,
-        first_hop_mac: Optional[MacAddress] = None,
         trace_id: Optional[int] = None,
     ) -> FramePacket:
         """Frame a VIPER packet for ``route`` and clock it out.
 
-        ``route`` duck-types the directory's Route: ``segments`` (one
-        per router plus the destination's final segment), optional
-        ``alternates`` (slick blocks), ``first_hop_port`` (which of our
-        ports to use) and ``first_hop_mac`` (who to frame it to, None on
-        p2p).  The priority is stamped into every segment — the type of
-        service travels with each hop's header (§2).
+        ``route`` gives ``wire_header(priority, dib)`` (the priority
+        rides every segment, §2), ``first_hop_port`` and
+        ``first_hop_mac`` (None on p2p): a directory ``Route`` or a
+        delivery's ``ReturnRoute``.  A stand-in with ``segments`` and no
+        header of its own is framed by :meth:`SourceRoute.wire_header`.
 
         ``trace_id``: None asks the installed tracer to (maybe) sample
         this packet; a non-zero value continues an existing trace (the
         reply path); 0 forces "untraced".
         """
-        header, seg_count = encode_route_header(
-            route.segments, getattr(route, "alternates", ()), priority, dib
+        header, seg_count = getattr(
+            type(route), "wire_header", SourceRoute.wire_header
+        )(route, priority, dib)
+        packet = FramePacket(
+            seg_count, payload_size, header, filler=payload_size,
+            payload=payload,
+            packet_id=self.sim.new_packet_id(),
+            created_at=self.sim.now,
+            source=self.name,
         )
-        return self._send_frame(
-            header, seg_count, payload, payload_size, priority, dib,
-            host_port if host_port is not None else route.first_hop_port,
-            first_hop_mac if first_hop_mac is not None else route.first_hop_mac,
-            trace_id,
+        tracer = self.core.sink.tracer
+        if tracer.enabled:
+            if trace_id is None:
+                packet.trace_id = tracer.begin(self.name, self.sim.now)
+            elif trace_id:
+                packet.trace_id = trace_id
+                tracer.event(trace_id, self.sim.now, self.name, "send_return")
+        outport = self.output_ports.get(route.first_hop_port)
+        if outport is None:
+            raise KeyError(
+                f"{self.name}: no attachment on port {route.first_hop_port}"
+            )
+        self.sent.add()
+        outport.submit(
+            packet,
+            packet.wire_size(),
+            packet.decision_prefix_bytes(),
+            dst_mac=route.first_hop_mac,
+            priority=priority,
+            dib=dib,
         )
+        return packet
 
     def send_return(
         self,
@@ -159,102 +182,50 @@ class SirpentHost(Node):
         reply_socket: int = LOCAL_PORT,
         priority: int = 0,
     ) -> FramePacket:
-        """Send back along a delivered packet's reversed trailer route.
-
-        ``reply_socket`` becomes the final segment's port at the original
-        sender — the transport knows which of its endpoints should get
-        the reply.  The reply's header is copied from the trailer's
-        spans, each segment stamped with RPF and ``priority`` (§2).
-        """
-        header, seg_count = return_route_header(
-            delivered.packet.view.mem, delivered.trailer_spans,
-            reply_socket, priority,
+        """Send back along a delivered packet's reversed trailer route
+        to ``reply_socket`` at the original sender."""
+        return self.send(
+            delivered.return_route(reply_socket), payload, payload_size,
+            priority=priority, trace_id=delivered.packet.trace_id,
         )
-        return self._send_frame(
-            header, seg_count, payload, payload_size, priority, False,
-            delivered.arrival_port, delivered.return_first_hop_mac,
-            delivered.packet.trace_id,
-        )
-
-    def _send_frame(
-        self, header: bytes, seg_count: int, payload: Any, payload_size: int,
-        priority: int, dib: bool, port_id: int, mac: Optional[MacAddress],
-        trace_id: Optional[int],
-    ) -> FramePacket:
-        packet = FramePacket(
-            seg_count, payload_size, header, filler=payload_size,
-            payload=payload,
-            packet_id=self.sim.new_packet_id(),
-            created_at=self.sim.now,
-            source=self.name,
-        )
-        if self.tracer.enabled:
-            if trace_id is None:
-                packet.trace_id = self.tracer.begin(self.name, self.sim.now)
-            elif trace_id:
-                packet.trace_id = trace_id
-                self.tracer.event(
-                    trace_id, self.sim.now, self.name, "send_return",
-                )
-        outport = self.output_ports.get(port_id)
-        if outport is None:
-            raise KeyError(f"{self.name}: no attachment on port {port_id}")
-        self.sent.add()
-        outport.submit(
-            packet,
-            packet.wire_size(),
-            packet.decision_prefix_bytes(),
-            dst_mac=mac,
-            priority=priority,
-            dib=dib,
-        )
-        return packet
 
     # -- receiving --------------------------------------------------------------
 
     def on_packet(self, packet: Any, inport: Attachment, tx: Transmission) -> None:
         if not isinstance(packet, FramePacket):
             return
-        socket = packet.leading_port()
-        if socket is None:
-            self.undeliverable.add()
-            if packet.trace_id and self.tracer.enabled:
-                self.tracer.drop(
-                    packet.trace_id, self.sim.now, self.name, "undeliverable",
-                )
-            return
         mem = packet.view.mem
-        _, _, payload_end, spans = frame_spans(mem, decode_preamble(mem))
-        truncated = truncation_marked(len(mem), payload_end, spans)
-        handler = self.sockets.get(socket)
+        handler, socket, _start, _end, trailer = self.core.open(
+            mem, decode_preamble(mem), packet.trace_id,
+        )
+        if trailer is None:
+            return  # dropped before any socket: counted undeliverable
         self.received.add()
         if packet.corrupted:
             self.received_corrupted.add()
-        if truncated:
+        if trailer.truncated:
             self.received_truncated.add()
         self.delivery_delay.add(self.sim.now - packet.created_at)
-        if packet.trace_id and self.tracer.enabled:
-            self.tracer.deliver(
+        if handler is None:
+            return  # received, but no socket takes it: undeliverable
+        tracer = self.core.sink.tracer
+        if packet.trace_id and tracer.enabled:
+            tracer.deliver(
                 packet.trace_id, self.sim.now, self.name,
                 socket=socket, hops=packet.hops_taken,
             )
-        if handler is None:
-            self.undeliverable.add()
-            return
-        return_first_hop_mac = tx.src_mac if inport.kind == "ethernet" else None
-        delivered = DeliveredPacket(
+        handler(DeliveredPacket(
             packet=packet,
             payload=packet.payload,
             payload_size=packet.payload_size,
             socket=socket,
             arrived_at=self.sim.now,
-            trailer_spans=spans,
-            return_first_hop_mac=return_first_hop_mac,
+            trailer=trailer,
+            return_first_hop_mac=tx.src_mac if inport.kind == "ethernet" else None,
             arrival_port=inport.port_id,
-            truncated=truncated,
+            truncated=trailer.truncated,
             corrupted=packet.corrupted,
-        )
-        handler(delivered)
+        ))
 
     def _on_control_message(self, src: str, message: Any) -> None:
         if isinstance(message, RateSignal):

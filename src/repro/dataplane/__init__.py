@@ -5,7 +5,10 @@ RouterCore` reads each frame for it, owns the router's soft state and
 applies the :class:`Decision`.  The two routers
 (:class:`repro.core.router.SirpentRouter`,
 :class:`repro.live.router.LiveRouter`) are adapters over that core that
-supply IO and timing.  See ``docs/ARCHITECTURE.md`` §9.
+supply IO and timing, and the two hosts
+(:class:`repro.core.host.SirpentHost`, :class:`repro.live.host.LiveHost`)
+are adapters over the one host edge, :class:`repro.dataplane.host.
+HostCore`.  See ``docs/ARCHITECTURE.md`` §4 and §9.
 """
 
 from repro.dataplane.effects import Action, Decision, EffectSink, apply_drop

@@ -86,15 +86,6 @@ class ConsistentHashRing:
             points.append(position)
         self._shards[shard_id] = tuple(points)
 
-    def remove(self, shard_id: str) -> None:
-        points = self._shards.pop(shard_id, None)
-        if points is None:
-            raise RingError(f"shard {shard_id!r} not on the ring")
-        removable = set(points)
-        self._points = [p for p in self._points if p not in removable]
-        for position in points:
-            del self._owners[position]
-
     def shards(self) -> Tuple[str, ...]:
         return tuple(sorted(self._shards))
 

@@ -9,9 +9,10 @@ discovering these parameters over time."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from repro.dataplane.host import SourceRoute
 from repro.net.addresses import MacAddress
 from repro.viper.wire import ALT_COUNT_BYTES, HeaderSegment
 
@@ -42,12 +43,14 @@ def slickify_route(
 
 
 @dataclass
-class Route:
-    """A usable source route plus its advertised attributes."""
+class Route(SourceRoute):
+    """A usable source route plus its advertised attributes; its header
+    memo (``segments`` and ``alternates`` frozen) is a
+    :class:`~repro.dataplane.host.SourceRoute`'s."""
 
     destination: str
     #: One segment per router, then the destination host's final segment.
-    segments: List[HeaderSegment]
+    segments: Tuple[HeaderSegment, ...]
     #: Which of the client's ports the first physical hop uses.
     first_hop_port: int
     #: Frame address of the first hop (None on a point-to-point port).
@@ -63,25 +66,16 @@ class Route:
     issued_at: float = 0.0
     #: Slick-Packets backup blocks, one per slick-flagged segment in
     #: route order (ARCHITECTURE §16); empty on non-slick routes.
-    alternates: List[List[HeaderSegment]] = field(default_factory=list)
-    #: Copies of the two lists the header size was computed from, and it.
-    _overhead: Optional[Tuple[Any, Any, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    alternates: Tuple[Tuple[HeaderSegment, ...], ...] = ()
 
     def header_overhead(self) -> int:
         """Wire bytes a frame carries ahead of its payload: the stacked
         segments and the Slick-Packets blocks (a count byte and segments
-        each).  Computed again only once ``segments`` or ``alternates``
-        differ from what it was computed from, rebound or edited."""
-        segments, alternates = self.segments, self.alternates
-        memo = self._overhead
-        if memo is None or memo[0] != segments or memo[1] != alternates:
-            size = sum(s.wire_size() for s in segments)
-            for block in alternates:
-                size += ALT_COUNT_BYTES + sum(s.wire_size() for s in block)
-            memo = self._overhead = (segments[:], list(map(list, alternates)), size)
-        return memo[2]
+        each), the encoded header's length without encoding it."""
+        return sum(s.wire_bytes for s in self.segments) + sum(
+            ALT_COUNT_BYTES + sum(s.wire_bytes for s in block)
+            for block in self.alternates
+        )
 
     def max_payload(self) -> int:
         """Largest payload that traverses the route untruncated.

@@ -754,11 +754,6 @@ class LiveDirectoryClient:
 
     # -- read operations ---------------------------------------------------
 
-    async def ping(self, timeout_s: float = 1.0) -> bool:
-        """Round-trip liveness probe."""
-        result = await self._request("ping", {}, timeout_s)
-        return bool(result.get("pong"))
-
     async def routes(
         self,
         destination: str,

@@ -51,16 +51,15 @@ Slick-Packets splice), and :func:`truncate_into` is the one truncation.
 The structural reference they are fuzzed against lives with its tests,
 in ``tests/live/oracle.py``.
 
-The hosts' two edges work on byte spans too: :func:`encode_route_header`
-(a route's header, encoded once per route), :func:`frame_with_header`,
-:func:`frame_spans` (an arriving frame validated by offsets) and
-:func:`return_route_header` (the reply's route copied from the trailer
-spans).  :func:`frame_spans` is an arriving frame's one validating
-walk; :func:`decode_live_frame`, the public structural decoder, is that
-walk materialised, and :func:`encode_live_frame` is the preamble plus
-:func:`~repro.viper.packet.encode_packet`'s body.  The structural pair
-is what ``tests/live/test_host_span_differential.py`` checks the span
-functions' results against.
+The host edge (:mod:`repro.dataplane.host`) works on byte spans too:
+:func:`encode_route_header` (a route's header, encoded once per route),
+:func:`frame_with_header`, :func:`frame_spans`' two walks (an arriving
+frame validated by offsets) and :func:`return_route_header` (the
+reply's route copied from the trailer spans).  :func:`decode_live_frame`
+is that walk materialised and :func:`encode_live_frame` the preamble
+plus :func:`~repro.viper.packet.encode_packet`'s body: the structural
+pair ``tests/live/test_host_span_differential.py`` checks the span
+functions against.
 """
 
 from __future__ import annotations
@@ -356,16 +355,7 @@ def decode_live_frame(
     return preamble, packet, payload_bytes
 
 
-# -- the host's edges, on byte spans -------------------------------------------
-#
-# A host frames and opens every packet it exchanges, so its two edges
-# work on spans like the router's hop move does: a route's header bytes
-# are encoded once (per route, not per frame) and an arriving frame is
-# validated by offset arithmetic, building only what a handler reads.
-# The encoders below produce the bytes :func:`encode_live_frame` would,
-# and ``tests/live/test_host_span_differential.py`` fuzzes them against
-# it; :func:`frame_spans` is the walk :func:`decode_live_frame` itself
-# materialises.
+# -- the host's edges, on byte spans (repro.dataplane.host) -----------------
 
 
 def encode_route_header(

@@ -1,26 +1,16 @@
 """The live Sirpent host: send/receive over real UDP, plus transactions.
 
-:class:`LiveHost` is the overlay's end system.  Sending frames a payload
-for a source route and clocks the bytes out of a real socket; receiving
+:class:`LiveHost` is the overlay's end system: the live adapter over
+the one host edge both substrates share,
+:class:`~repro.dataplane.host.HostCore` (ARCHITECTURE §4, §14), which
 demultiplexes on the final header segment's port (§2.2's intra-host
-addressing) and replies along the **return route in the live trailer**
-— the Sirpent signature move, now over actual datagrams.
-
-Both edges work on **byte spans** (ARCHITECTURE §14).  A route is
-encoded by its source once and then only forwarded:
-:meth:`LiveRoute.wire_header` memoises its header bytes and ``send``
-frames ``preamble ++ header ++ payload``.  An arriving frame is
-validated whole by :func:`~repro.live.frames.frame_spans`' walk but
-decoded not at all, and the host walks each distinct trailer once: it
-keeps the trailers it received lately by their bytes, each with its
-spans and the reply routes written from them.  :class:`LiveDelivered`
-hands up the payload slice and keeps the datagram.  ``send_return`` is the
-paper's receiver, which "copies each segment into a separate return
-address area in reverse order" (§2): a byte move from the trailer's
-spans (:func:`~repro.live.frames.return_route_header`), once per
-trailer.  The structural ``decode_live_frame`` materialises the same
-``frame_spans`` walk, and ``encode_live_frame`` is the codec the
-encoders are fuzzed against, never a second path.
+addressing) and replies along the **return route in the live trailer**,
+each distinct header and trailer walked once.  The adapter keeps the
+endpoint, the batch loop, the slot copy-and-release and the slot-size
+check.  ``send`` frames ``preamble ++ route.wire_header() ++ payload``
+(:class:`LiveRoute` is a :class:`~repro.dataplane.host.SourceRoute`)
+and ``send_return`` is ``send`` along the delivery's
+:meth:`LiveDelivered.return_route`.
 
 :class:`LiveTransactor` runs VMTP-style request/response transactions
 on top: the simulator's own
@@ -41,21 +31,13 @@ import math
 import struct
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.live.frames import (
-    PREAMBLE_BYTES,
-    TRACE_ID_BYTES,
-    Preamble,
-    encode_route_header,
-    frame_bounds,
-    frame_with_header,
-    framed_trailer,
-    return_route_header,
-)
+from repro.dataplane.host import HostCore, ReturnRoute, SourceRoute, Trailer
+from repro.dataplane.router import core_attribute
+from repro.live.frames import Preamble, frame_with_header
 from repro.live.link import (
     Address,
     BatchEntry,
@@ -64,8 +46,6 @@ from repro.live.link import (
     LivenessConfig,
 )
 from repro.live.metrics import EndpointMetrics
-from repro.obs.recorder import NULL_RECORDER
-from repro.obs.trace import NULL_TRACER
 from repro.transport.ids import EntityId, EntityIdAllocator
 from repro.transport.machine import (
     WILDCARD_ENTITY,
@@ -79,18 +59,7 @@ from repro.transport.machine import (
 from repro.transport.rebind import RouteManager
 from repro.transport.stats import TransportStats
 from repro.transport.timestamps import HostClock
-from repro.viper.errors import ViperDecodeError
 from repro.viper.wire import HeaderSegment, LOCAL_PORT
-
-
-#: Distinct trailers a :class:`LiveHost` remembers, each with its spans
-#: and the reply headers written from them; past this many the oldest
-#: is forgotten (counted in ``LiveHost.trailer_evictions``) and walked
-#: again if it arrives again.  Small on purpose: every new flow adds an
-#: entry, and entries that outlive a few collections make the cyclic
-#: collector scan them (at 256, ``live_cold_flows`` spent a quarter more
-#: time collecting; at 32, what the host spent without the memo).
-TRAILER_MEMO_ENTRIES = 32
 
 
 class WallClock:
@@ -104,7 +73,7 @@ class WallClock:
 
 
 @dataclass
-class LiveRoute:
+class LiveRoute(SourceRoute):
     """A source route usable by a live host.
 
     ``segments`` covers every router hop plus the destination host's
@@ -113,16 +82,8 @@ class LiveRoute:
     is the advertised round-trip estimate the rebinding logic compares
     measurements against (§3's "the client can determine the roundtrip
     time ... rather than discovering these parameters over time").
-
-    A route is encoded by its source once and from then on only
-    forwarded: :meth:`wire_header` memoises the header bytes per
-    (priority, DIB).  ``segments`` and ``alternates`` are **frozen to
-    tuples at construction**, and the memo remembers which two tuples
-    it was built from: a route whose ``segments`` or ``alternates`` has
-    been rebound since is frozen again and encoded afresh, so no edit
-    of the route can be served a stale header.  (A
-    :class:`HeaderSegment` is a value here as everywhere in the stack:
-    nothing mutates one in place.)
+    ``segments`` and ``alternates`` are frozen to tuples (the header
+    memo the directory's routes share).
     """
 
     destination: str
@@ -139,42 +100,17 @@ class LiveRoute:
     #: route order (ARCHITECTURE §16); empty on non-slick routes.
     alternates: Tuple[Tuple[HeaderSegment, ...], ...] = ()
 
-    def __post_init__(self) -> None:
-        self.segments = tuple(self.segments)
-        self.alternates = tuple(tuple(block) for block in self.alternates)
-        #: What the memo was encoded from, and the memo.
-        self._headers = (self.segments, self.alternates, {})
-
     def expected_rtt(self, payload_size: int = 0, reply_size: int = 0) -> float:
         """Advertised base RTT (payload sizes are second-order on loopback)."""
         return self.base_rtt_s
 
-    def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
-        """``(header bytes, segCount)`` of a frame sent along this route
-        (:func:`~repro.live.frames.encode_route_header`), encoded on
-        first use; an encoding error is raised on every call."""
-        segments, alternates, headers = self._headers
-        if segments is not self.segments or alternates is not self.alternates:
-            self.__post_init__()
-            segments, alternates, headers = self._headers
-        header = headers.get((priority, dib))
-        if header is None:
-            header = headers[priority, dib] = encode_route_header(
-                segments, alternates, priority, dib
-            )
-        return header
-
 
 @dataclass
 class LiveDelivered:
-    """What the live host hands up on reception (cf. ``DeliveredPacket``).
-
-    The frame was validated on byte spans; ``datagram`` is retained and
-    everything else is read from it only if asked: ``payload`` is
-    sliced on first use (``payload_start``/``payload_end`` bound it —
-    a transactor reads the PDU in place), and a reply's route comes
-    from the host's memo of the frame's trailer (:meth:`return_route`).
-    Nothing on the receive path decodes the frame into structures.
+    """What the live host hands up on reception: offsets into the kept
+    ``datagram``, nothing decoded (``payload`` is sliced on first use; a
+    transactor reads the PDU in place).  A type of its own, not the
+    simulator's ``DeliveredPacket``: here the PDU is the frame's bytes.
     """
 
     #: The whole arrived datagram and the endpoint's decode of its preamble.
@@ -186,8 +122,8 @@ class LiveDelivered:
     socket: int
     #: When the endpoint's wakeup that read the frame began.
     arrived_at: float
-    #: The host's memo entry for the frame's trailer bytes.
-    trailer: "_Trailer"
+    #: The host core's memo entry for the frame's trailer bytes.
+    trailer: Trailer
     #: Live port the frame arrived on (= first hop of the return route).
     arrival_port: int
     source: Address
@@ -202,86 +138,22 @@ class LiveDelivered:
         """The arrived frame's 64-bit trace id; 0 = untraced."""
         return self.preamble.trace_id
 
-    def return_route(self, reply_socket: int) -> "_ReturnRoute":
-        """The reversed trailer route to ``reply_socket``: one object for
-        every frame that arrived with the same trailer bytes on the same
-        port, kept for every later reply — a response group's members,
-        a NAK, the next transaction's response."""
+    def return_route(self, reply_socket: int) -> ReturnRoute:
+        """The reversed trailer route to ``reply_socket``: one object per
+        trailer bytes and port, kept for every later reply."""
         return self.trailer.route(reply_socket, self.arrival_port)
 
 
-class _Trailer:
-    """One distinct trailer a host received, walked once
-    (:func:`~repro.live.frames.framed_trailer`): its bytes, its spans
-    relative to its first byte, and the reply routes written from them,
-    by (reply socket, arrival port).
-
-    Every object here holds bytes and spans, never a
-    :class:`LiveDelivered`: the memo adds no reference cycle, so a
-    delivered frame is freed by its last reference going, not by the
-    cyclic collector.
-    """
-
-    __slots__ = ("wire", "spans", "routes")
-
-    def __init__(self, wire: bytes, spans: List[Tuple[int, int]]) -> None:
-        self.wire = wire
-        self.spans = spans
-        #: None until the first reply: a client replies to nothing.
-        self.routes: Optional[Dict[Tuple[int, int], _ReturnRoute]] = None
-
-    def route(self, reply_socket: int, arrival_port: int) -> "_ReturnRoute":
-        """The reply route to ``reply_socket`` out of ``arrival_port``."""
-        routes = self.routes
-        if routes is None:
-            routes = self.routes = {}
-        route = routes.get((reply_socket, arrival_port))
-        if route is None:
-            route = routes[reply_socket, arrival_port] = _ReturnRoute(
-                self.wire, self.spans, reply_socket, arrival_port,
-            )
-        return route
-
-
-class _ReturnRoute:
-    """A reversed trailer route, in the shape :meth:`LiveHost.send` takes
-    a route: its first hop and its header, memoised per (priority, DIB).
-    """
-
-    __slots__ = ("trailer", "spans", "reply_socket", "first_hop_port", "_headers")
-
-    def __init__(
-        self, trailer: bytes, spans: List[Tuple[int, int]],
-        reply_socket: int, first_hop_port: int,
-    ) -> None:
-        self.trailer = trailer
-        self.spans = spans
-        self.reply_socket = reply_socket
-        self.first_hop_port = first_hop_port
-        self._headers: Dict[Tuple[int, bool], Tuple[bytes, int]] = {}
-
-    def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
-        """:func:`~repro.live.frames.return_route_header`, once per
-        (priority, DIB); an encoding error is raised on every call."""
-        header = self._headers.get((priority, dib))
-        if header is None:
-            header = self._headers[priority, dib] = return_route_header(
-                self.trailer, self.spans, self.reply_socket, priority, dib,
-            )
-        return header
-
-
 class LiveHost:
-    """An end system speaking VIPER over a real UDP socket.
+    """An end system speaking VIPER over a real UDP socket.  A frame it
+    hands to no socket is counted in ``metrics.drops`` under the host
+    core's reason; a transactor counts the PDUs it discards there too
+    (:class:`LiveTransactor`)."""
 
-    A frame it receives and hands to no socket is counted in
-    ``metrics.drops`` under one reason: ``undecodable`` (the frame does
-    not walk), ``unknown_peer`` (it came from an address no port is
-    wired to, so it has no return hop), ``route_exhausted`` (its route
-    ended before this host) or ``no_socket`` (nothing is bound to the
-    socket it names).  A transactor counts the PDUs it discards there
-    too (:class:`LiveTransactor`).
-    """
+    sockets = core_attribute("sockets")
+    bind = core_attribute("bind")
+    tracer = core_attribute("sink.tracer")
+    recorder = core_attribute("sink.recorder")
 
     def __init__(
         self,
@@ -303,22 +175,9 @@ class LiveHost:
         self.endpoint.on_batch = self._on_batch
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}
-        self.sockets: Dict[int, Callable[[LiveDelivered], None]] = {}
-        #: Every distinct trailer received lately, by its bytes (at most
-        #: :data:`TRAILER_MEMO_ENTRIES`, the oldest forgotten first), and
-        #: how many were forgotten.
-        self._trailers: "OrderedDict[bytes, _Trailer]" = OrderedDict()
-        self.trailer_evictions = 0
-        #: What :meth:`_open` knows of the frame it opened last: its
-        #: kind, segment count, header bytes, socket and trailer.
-        self._last: Tuple[int, int, bytes, Optional[int], _Trailer] = (
-            -1, 0, b"", None, _Trailer(b"", []),
-        )
-        #: Hop tracer (repro.obs); NULL_TRACER = tracing disabled.
-        #: Timestamps are ``time.monotonic()`` seconds.
-        self.tracer = NULL_TRACER
-        #: Flight recorder (repro.obs); NULL_RECORDER = not recording.
-        self.recorder = NULL_RECORDER
+        #: The socket table, the frame open, the trailer memo and the
+        #: drop sink; its tracer's timestamps are ``time.monotonic()``.
+        self.core = HostCore(name, self.metrics, time.monotonic)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -332,11 +191,11 @@ class LiveHost:
 
     def set_tracer(self, tracer) -> None:
         """Install a :class:`repro.obs.trace.Tracer` on this host."""
-        self.tracer = tracer
+        self.core.sink.tracer = tracer
 
     def set_recorder(self, recorder) -> None:
         """Install a :class:`repro.obs.recorder.FlightRecorder`."""
-        self.recorder = recorder
+        self.core.sink.recorder = recorder
 
     def connect_port(self, port_id: int, peer: Address) -> None:
         """Map live ``port_id`` to the UDP address of the adjacent node."""
@@ -347,16 +206,6 @@ class LiveHost:
     def address(self) -> Optional[Address]:
         """The host's bound UDP address (None before :meth:`start`)."""
         return self.endpoint.address
-
-    # -- sockets -----------------------------------------------------------
-
-    def bind(self, socket: int, handler: Callable[[LiveDelivered], None]) -> None:
-        """Register a receive handler for an intra-host port (§2.2)."""
-        if not 0 <= socket <= 255:
-            raise ValueError(f"socket {socket} outside 0..255")
-        if socket in self.sockets:
-            raise ValueError(f"{self.name}: socket {socket} already bound")
-        self.sockets[socket] = handler
 
     # -- sending -----------------------------------------------------------
 
@@ -387,12 +236,13 @@ class LiveHost:
         """
         header, seg_count = route.wire_header(priority, dib)
         wire_trace_id = 0
-        if self.tracer.enabled:
+        tracer = self.core.sink.tracer
+        if tracer.enabled:
             if trace_id is None:
-                wire_trace_id = self.tracer.begin(self.name, time.monotonic())
+                wire_trace_id = tracer.begin(self.name, time.monotonic())
             elif trace_id:
                 wire_trace_id = trace_id
-                self.tracer.event(
+                tracer.event(
                     trace_id, time.monotonic(), self.name, "send_return",
                 )
         peer = self.ports.get(route.first_hop_port)
@@ -416,14 +266,9 @@ class LiveHost:
         reply_socket: int = LOCAL_PORT,
         priority: int = 0,
     ) -> int:
-        """Send back along a delivered frame's reversed trailer route.
-
-        The route is written from the memoised trailer's bytes and spans
-        (:func:`~repro.live.frames.return_route_header`), once per
-        trailer, reply socket, arrival port and priority
-        (:meth:`LiveDelivered.return_route`), and the frame leaves
-        through :meth:`send` like any other.
-        """
+        """Send back along a delivered frame's reversed trailer route
+        (:meth:`LiveDelivered.return_route`, the host core's reply
+        route), through :meth:`send` like any other frame."""
         return self.send(
             delivered.return_route(reply_socket), payload,
             priority=priority, trace_id=delivered.preamble.trace_id,
@@ -435,18 +280,18 @@ class LiveHost:
         """Consume one endpoint wakeup's worth of ring-slot views.
 
         Each frame is copied out of its slot, which goes straight back
-        to the ring, and opened by offsets — validated whole, decoded
-        not at all: :func:`~repro.live.frames.frame_bounds` walks its
-        header and the trailer after the payload is looked up by its
-        bytes, walked (:func:`~repro.live.frames.framed_trailer`) only
-        the first time they arrive.  The handler gets a
-        :class:`LiveDelivered` of offsets into the datagram that slices
-        and decodes the rest on demand.  A frame from an address no port
-        is wired to has no return hop: it is dropped (``unknown_peer``)
-        before it is copied, and the rest of the wakeup goes on.
+        to the ring, and opened by the core
+        (:meth:`~repro.dataplane.host.HostCore.open`): validated by
+        offsets, decoded not at all, demultiplexed on its final
+        segment's port.  The handler gets a :class:`LiveDelivered` of
+        offsets into the datagram that slices and decodes the rest on
+        demand.  A frame from an address no port is wired to has no
+        return hop: it is dropped (``unknown_peer``) before it is
+        copied, and the rest of the wakeup goes on.
         """
         arrived_at = time.monotonic()
-        sockets, metrics, addr_port = self.sockets, self.metrics, self.addr_port
+        core, metrics, addr_port = self.core, self.metrics, self.addr_port
+        open_frame, tracer = core.open, core.sink.tracer
         for view, source, preamble in batch:
             slot = view.slot
             arrival_port = addr_port.get(source)
@@ -454,95 +299,24 @@ class LiveHost:
                 # No known arrival port, so no return hop: the router's
                 # reason, and the frame goes before any handler sees it.
                 slot.ring.release(slot)
-                self._undelivered("unknown_peer", None, preamble.trace_id)
+                core.discard("unknown_peer", preamble.trace_id)
                 continue
             datagram = slot.view[view.start:view.end].tobytes()
             slot.ring.release(slot)
-            try:
-                socket, payload_start, payload_end, trailer = self._open(
-                    datagram, preamble
-                )
-            except ViperDecodeError:
-                metrics.drop("undecodable")
-                continue
-            handler = sockets.get(socket)
+            handler, socket, payload_start, payload_end, trailer = open_frame(
+                datagram, preamble, preamble.trace_id,
+            )
             if handler is None:
-                self._undelivered(
-                    "route_exhausted" if socket is None else "no_socket",
-                    socket, preamble.trace_id,
-                )
                 continue
             metrics.delivered_local += 1
-            if self.tracer.enabled and preamble.trace_id:
-                self.tracer.deliver(
+            if tracer.enabled and preamble.trace_id:
+                tracer.deliver(
                     preamble.trace_id, time.monotonic(), self.name, socket=socket,
                 )
             handler(LiveDelivered(
                 datagram, preamble, payload_start, payload_end, socket,
                 arrived_at, trailer, arrival_port, source,
             ))
-
-    def _open(
-        self, datagram: bytes, preamble: Preamble
-    ) -> Tuple[Optional[int], int, int, "_Trailer"]:
-        """``(leading port, payload start, payload end, trailer)`` of a
-        data frame — :func:`~repro.live.frames.frame_spans`' verdict,
-        raising :class:`~repro.viper.errors.ViperDecodeError` where it
-        raises, with the trailer as its memo entry.
-
-        A frame of the kind and segment count of the frame opened last,
-        carrying that frame's header and trailer bytes around exactly
-        its declared payload, is that frame walked again: the walk reads
-        nothing else.  Any other frame's
-        header is walked (:func:`~repro.live.frames.frame_bounds`) and
-        its trailer looked up by its bytes, walked
-        (:func:`~repro.live.frames.framed_trailer`) only if the memo
-        does not hold them; trailer bytes that do not frame are never
-        memoised.
-        """
-        kind, seg_count, head, socket, trailer = self._last
-        header_len = PREAMBLE_BYTES + TRACE_ID_BYTES if preamble.trace_id else PREAMBLE_BYTES
-        start = header_len + len(head)
-        end = start + preamble.payload_len
-        wire = trailer.wire
-        if (
-            preamble.kind == kind and preamble.seg_count == seg_count
-            and len(datagram) == end + len(wire)
-            and datagram[end:] == wire and datagram[header_len:start] == head
-        ):
-            return socket, start, end, trailer
-        socket, start, end = frame_bounds(datagram, preamble)
-        wire = datagram[end:]
-        trailers = self._trailers
-        trailer = trailers.get(wire)
-        if trailer is None:
-            trailer = trailers[wire] = _Trailer(wire, framed_trailer(wire))
-            if len(trailers) > TRAILER_MEMO_ENTRIES:
-                trailers.popitem(last=False)
-                self.trailer_evictions += 1
-        self._last = (
-            preamble.kind, preamble.seg_count, datagram[header_len:start],
-            socket, trailer,
-        )
-        return socket, start, end, trailer
-
-    def _undelivered(
-        self, reason: str, socket: Optional[int], trace_id: int
-    ) -> None:
-        """Count (and trace, and record) a frame no socket takes under
-        ``reason``: it came from no wired peer (``unknown_peer``), its
-        route ended before this host (``route_exhausted``) or it names a
-        socket nothing is bound to (``no_socket``)."""
-        self.metrics.drop(reason)
-        if trace_id and self.tracer.enabled:
-            if socket is None:
-                self.tracer.drop(trace_id, time.monotonic(), self.name, reason)
-            else:
-                self.tracer.drop(
-                    trace_id, time.monotonic(), self.name, reason, socket=socket,
-                )
-        if self.recorder.enabled:
-            self.recorder.record("frame_dropped", node=self.name, reason=reason)
 
 
 # -- VMTP transactions over the live overlay ----------------------------------

@@ -192,12 +192,6 @@ class Histogram:
         """Arithmetic mean of all samples (0 when empty)."""
         return self._sum / len(self.samples) if self.samples else 0.0
 
-    @property
-    def maximum(self) -> float:
-        """Largest non-NaN sample (0 when none)."""
-        ordered = self._ordered()
-        return ordered[-1] if ordered else 0.0
-
     def _ordered(self) -> List[float]:
         """The cached sorted non-NaN sample list."""
         if self._sorted is None:

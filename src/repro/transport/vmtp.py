@@ -5,11 +5,12 @@ sans-IO :class:`~repro.transport.machine.TransactionMachine`, which
 holds all of §4 (transactions, packet groups with rate pacing and
 selective retransmission, misdelivery and lifetime checks, route
 rebinding), clocked by the simulator and sending through a
-:class:`~repro.core.host.SirpentHost`.  A PDU is a
-:class:`~repro.transport.machine.VmtpPdu` object riding as the frame's
-payload; its wire size is modelled as ``header_bytes`` + member +
-``trailer_bytes``.  The live overlay runs the same machine
-(:class:`repro.live.host.LiveTransactor`).
+:class:`~repro.core.host.SirpentHost`, whose host core opens every
+frame and writes every reply's route, as the live host's does.  A PDU
+is a :class:`~repro.transport.machine.VmtpPdu` object riding beside the
+frame as its payload; its wire size is modelled as ``header_bytes`` +
+member + ``trailer_bytes``.  The live overlay runs the same machine
+(:class:`repro.live.host.LiveTransactor`), its PDUs the frame's bytes.
 """
 
 from __future__ import annotations

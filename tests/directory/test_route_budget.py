@@ -2,6 +2,8 @@
 its payload — the Slick-Packets blocks too — and follows the route's
 segments when they change."""
 
+import pytest
+
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.directory.routes import Route, slickify_route
@@ -75,10 +77,17 @@ def test_a_max_payload_member_on_a_slick_route_fits_every_link(monkeypatch):
 def test_header_overhead_follows_the_segments():
     _sim, _client, _server, route = build()
     slick = route.header_overhead()
-    route.alternates[0] = route.alternates[0][:2]  # edited in place
+    # Frozen: the route's sequences cannot be edited in place...
+    with pytest.raises(TypeError):
+        route.alternates[0] = route.alternates[0][:2]
+    with pytest.raises(AttributeError):
+        route.segments.append(HeaderSegment(port=2, token=TOKEN))
+    # ...and a rebound one is frozen again and measured afresh.
+    route.alternates = [route.alternates[0][:2]]
     assert route.header_overhead() == slick - 2 * (4 + len(TOKEN)) - 4
-    route.segments = [HeaderSegment(port=1)]  # rebound
+    assert isinstance(route.alternates[0], tuple)
+    route.segments = [HeaderSegment(port=1)]
     route.alternates = []
     assert route.header_overhead() == 4
-    route.segments.append(HeaderSegment(port=2, token=TOKEN))
+    route.segments = [HeaderSegment(port=1), HeaderSegment(port=2, token=TOKEN)]
     assert route.header_overhead() == 4 + 4 + len(TOKEN)

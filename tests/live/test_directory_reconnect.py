@@ -45,7 +45,7 @@ def test_eof_fails_pending_requests_immediately():
         await client.connect((sockname[0], sockname[1]))
         loop = asyncio.get_running_loop()
         started = loop.time()
-        task = loop.create_task(client.ping(timeout_s=30.0))
+        task = loop.create_task(client.routes("peer", timeout_s=30.0))
         await received.wait()
         with pytest.raises(DirectoryError):
             await task
@@ -68,26 +68,26 @@ def test_client_reconnects_after_directory_restart():
         address = await server.start()
         client = LiveDirectoryClient("phoenix")
         await client.connect(address)
-        assert await client.ping()
+        assert await client.routes("peer") == []
 
         server.stop()  # outage: connection drops
         await asyncio.sleep(0.05)
         # During the outage requests fail fast with a named error.
         with pytest.raises(DirectoryError):
-            await client.ping(timeout_s=0.5)
+            await client.routes("peer", timeout_s=0.5)
 
         # Wait out the reconnect backoff, then restart on the old port.
         restarted = _server()
         await restarted.start(port=address[1])
         await asyncio.sleep(RECONNECT_MAX_S)
-        pong = await client.ping(timeout_s=1.0)
+        answer = await client.routes("peer", timeout_s=1.0)
         reconnects = client.reconnects
         client.close()
         restarted.stop()
-        return pong, reconnects
+        return answer, reconnects
 
-    pong, reconnects = asyncio.run(scenario())
-    assert pong
+    answer, reconnects = asyncio.run(scenario())
+    assert answer == []
     assert reconnects >= 1
 
 
@@ -105,7 +105,7 @@ def test_reconnect_attempts_are_backoff_gated():
         errors = []
         for _ in range(3):
             try:
-                await client.ping(timeout_s=0.2)
+                await client.routes("peer", timeout_s=0.2)
             except DirectoryError as exc:
                 errors.append(str(exc))
         client.close()
@@ -130,12 +130,12 @@ def test_a_long_failure_streak_backs_off_at_the_ceiling():
         server.stop()
         await asyncio.sleep(0.05)
         with pytest.raises(DirectoryError):
-            await client.ping(timeout_s=0.2)  # notices the loss
+            await client.routes("peer", timeout_s=0.2)  # notices the loss
         client._reconnect_attempts = 1024
         client._reconnect_blocked_until = 0.0
         loop = asyncio.get_running_loop()
         with pytest.raises(DirectoryError, match="reconnect failed"):
-            await client.ping(timeout_s=0.2)
+            await client.routes("peer", timeout_s=0.2)
         blocked_for = client._reconnect_blocked_until - loop.time()
         client.close()
         return blocked_for
@@ -152,7 +152,7 @@ def test_closed_client_refuses_requests():
         await client.connect(address)
         client.close()
         with pytest.raises(DirectoryError):
-            await client.ping(timeout_s=0.2)
+            await client.routes("peer", timeout_s=0.2)
         server.stop()
 
     asyncio.run(scenario())

@@ -7,7 +7,7 @@ The acceptance criteria exercised here:
 * a replayed v2 write returns the **byte-identical** cached response
   and is never re-executed;
 * in-flight commands on one connection complete concurrently — a slow
-  route computation does not convoy the pings behind it.
+  route computation does not convoy the commands behind it.
 """
 
 import asyncio
@@ -306,8 +306,8 @@ def test_measured_rtt_passes_through_unfloored():
 
 def test_slow_command_does_not_convoy_the_connection():
     """One connection, a deliberately stalled route computation, then a
-    ping: the ping must complete *while* the slow command is stalled —
-    in-flight commands are concurrent, correlated by id."""
+    fast one: the fast one must complete *while* the slow command is
+    stalled — in-flight commands are concurrent, correlated by id."""
 
     async def scenario():
         release = asyncio.Event()
@@ -324,8 +324,8 @@ def test_slow_command_does_not_convoy_the_connection():
         slow = asyncio.get_running_loop().create_task(
             client.routes("slow.region.net", timeout_s=5.0)
         )
-        # The ping overtakes the stalled routes call...
-        assert await client.ping(timeout_s=2.0)
+        # A fast read overtakes the stalled routes call...
+        assert await client.routes("fast.region.net", timeout_s=2.0)
         assert not slow.done()
         release.set()  # ...which still completes once released.
         routes = await slow

@@ -477,7 +477,6 @@ def test_directory_over_tcp_matches_in_process():
             local = overlay.routes("client", "server", k=2, with_tokens=True)
             dir_client = LiveDirectoryClient("client")
             await dir_client.connect(overlay.directory_address)
-            assert await dir_client.ping()
             over_tcp = await dir_client.routes("server", k=2, with_tokens=True)
             assert [r.segments for r in over_tcp] == [
                 r.segments for r in local

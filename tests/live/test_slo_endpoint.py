@@ -56,7 +56,7 @@ def test_slo_endpoint_reports_burn_rates(capsys):
             # Feed directory_command_ms with real served commands.
             await directory_client.connect(overlay.directory_address)
             for _ in range(3):
-                assert await directory_client.ping()
+                assert await directory_client.routes("server")
             status, body = await _http_get(overlay.obs_address, "/slo")
             assert status.endswith("200 OK")
             payload = json.loads(body)
@@ -78,7 +78,7 @@ def test_slo_endpoint_reports_burn_rates(capsys):
         "delivery_latency", "directory_command_latency",
         "rebind_recovery", "retry_budget",
     } <= set(statuses)
-    # The served pings actually landed in the latency objective.
+    # The served commands actually landed in the latency objective.
     directory = statuses["directory_command_latency"]
     assert directory["total"] >= 3
     for status in statuses.values():

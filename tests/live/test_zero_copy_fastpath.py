@@ -482,6 +482,61 @@ def test_one_forwarding_path_and_no_twin_in_src():
         assert not hasattr(SirpentPacket, name), name
 
 
+#: The walks and the reply move that only the one host edge,
+#: ``repro.dataplane.host``, runs.
+HOST_EDGE_WALKS = (
+    "frame_spans", "frame_bounds", "framed_trailer", "return_route_header",
+    "truncation_marked",
+)
+
+
+def test_one_host_edge_and_no_twin_in_src():
+    """Structural: both hosts are adapters over one ``HostCore``.
+    Neither host module runs the frame walks or the reply move itself,
+    nor holds a socket table, a trailer memo or a route-header memo of
+    its own: every ``wire_header`` in ``src/`` is the host edge's."""
+    from repro.core import host as sim_host
+    from repro.live import host as live_host
+    from repro.sim.engine import Simulator
+
+    for module in (sim_host, live_host):
+        tree = ast.parse(inspect.getsource(module))
+        used = {
+            getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+        } | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        assert not used & set(HOST_EDGE_WALKS), module.__name__
+        assigned = {
+            target.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Attribute)
+            and getattr(target.value, "id", None) == "self"
+        }
+        assert not assigned & {"sockets", "_trailers", "_last", "trailer_evictions"}, (
+            module.__name__
+        )
+    assert [
+        (path, c.name) for path, c in _src_classes() if _defines(c, "wire_header")
+    ] == [
+        ("repro/dataplane/host.py", "SourceRoute"),
+        ("repro/dataplane/host.py", "ReturnRoute"),
+    ]
+    from repro.dataplane.host import HostCore
+
+    sim, live = sim_host.SirpentHost(Simulator(), "h"), live_host.LiveHost("h")
+    for host in (sim, live):
+        assert isinstance(host.core, HostCore)
+        assert "sockets" not in vars(host)
+        assert host.bind == host.core.bind
+        host.bind(5, print)
+        assert host.core.sockets == {5: print}
+    assert live.sockets is live.core.sockets
+
+
 def _calls(module, function):
     """The names ``function``, defined in ``module``, calls."""
     tree = ast.parse(inspect.getsource(module))

@@ -62,7 +62,6 @@ class TestHistogram:
         assert hist.count == 3  # NaN still counts toward count
         assert hist.quantile(0.0) == 1.0
         assert hist.quantile(1.0) == 3.0
-        assert hist.maximum == 3.0
 
     def test_sorted_view_cached_and_invalidated(self):
         hist = Histogram()

@@ -81,6 +81,12 @@ REQUIRED_HOT: Dict[str, Tuple[str, ...]] = {
     "repro.dataplane.router": (
         "step",
     ),
+    # The one host edge both substrates' hosts open every delivered
+    # frame through: a memo miss's allocations (the trailer's and the
+    # header's bytes) are in its unmarked helpers.
+    "repro.dataplane.host": (
+        "open",
+    ),
     "repro.live.router": (
         "_on_batch",
     ),
