@@ -26,9 +26,9 @@ def run_point(decision_delay: float) -> float:
     got = []
     scenario.hosts["dst"].bind(0, got.append)
     route = scenario.routes("src", "dst")[0]
-    scenario.hosts["src"].send(route, b"x", PAYLOAD)
+    scenario.hosts["src"].send(route, bytes(PAYLOAD))
     scenario.sim.run(until=2.0)
-    return got[0].one_way_delay
+    return got[0].arrived_at - got[0].packet.created_at
 
 
 def run_store_forward() -> float:
@@ -38,9 +38,9 @@ def run_store_forward() -> float:
     got = []
     scenario.hosts["dst"].bind(0, got.append)
     route = scenario.routes("src", "dst")[0]
-    scenario.hosts["src"].send(route, b"x", PAYLOAD)
+    scenario.hosts["src"].send(route, bytes(PAYLOAD))
     scenario.sim.run(until=2.0)
-    return got[0].one_way_delay
+    return got[0].arrived_at - got[0].packet.created_at
 
 
 def run_sweep():

@@ -56,7 +56,7 @@ def run_point(utilization: float):
         )
         PoissonArrivals(
             sim, per_sender_pps,
-            emit=lambda size, h=host, r=route: h.send(r, b"x", max(1, size - 8)),
+            emit=lambda size, h=host, r=route: h.send(r, bytes(max(1, size - 8))),
             rng=rngs.stream(f"s{index}"),
             sizes=MIXTURE, stop_at=SIM_SECONDS,
         )

@@ -43,7 +43,7 @@ def run_point(playout_delay: float):
 
     def on_frame(delivered) -> None:
         network_jitter.on_delivery(delivered)
-        _tag, stamp = delivered.payload
+        stamp = int.from_bytes(delivered.payload[:4], "big")
         playout.submit(delivered, stamp)
 
     scenario.hosts["dst"].bind(0, on_frame)
@@ -54,8 +54,10 @@ def run_point(playout_delay: float):
         if sim.now >= DURATION:
             return
         frames["sent"] += 1
-        payload = ("frame", encode_timestamp_ms(clock.now_ms()))
-        scenario.hosts["src"].send(route, payload, FRAME_BYTES, priority=0)
+        stamp = encode_timestamp_ms(clock.now_ms())
+        scenario.hosts["src"].send(
+            route, stamp.to_bytes(4, "big").ljust(FRAME_BYTES, b"\0"), priority=0,
+        )
         sim.after(FRAME_INTERVAL, send_frame)
 
     sim.after(0.0, send_frame)

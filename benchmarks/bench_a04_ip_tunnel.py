@@ -74,7 +74,7 @@ def run_tunnel(cloud_routers: int):
         HeaderSegment(port=0),
     ], src_port)
     start = sim.now
-    src.send(route, b"x", PAYLOAD)
+    src.send(route, bytes(PAYLOAD))
     sim.run(until=start + 2.0)
     header = sum(s.wire_size() for s in route.segments)
     return {
@@ -91,7 +91,7 @@ def run_native(total_routers: int):
     scenario.hosts["dst"].bind(0, got.append)
     route = scenario.routes("src", "dst")[0]
     start = scenario.sim.now
-    scenario.hosts["src"].send(route, b"x", PAYLOAD)
+    scenario.hosts["src"].send(route, bytes(PAYLOAD))
     scenario.sim.run(until=start + 2.0)
     return {
         "delay": got[0].arrived_at - start,

@@ -47,9 +47,9 @@ def run_flat() -> float:
     dst.bind(0, got.append)
     src.send(_Route(
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
-    ), b"x", PAYLOAD)
+    ), bytes(PAYLOAD))
     sim.run(until=1.0)
-    return got[0].one_way_delay
+    return got[0].arrived_at - got[0].packet.created_at
 
 
 def run_fabric(n_leaves: int) -> float:
@@ -74,9 +74,9 @@ def run_fabric(n_leaves: int) -> float:
     segments = fabric.internal_segments(0, dst_leaf_port, n_leaves - 1) + [
         HeaderSegment(port=0)
     ]
-    src.send(_Route(segments, src_port), b"x", PAYLOAD)
+    src.send(_Route(segments, src_port), bytes(PAYLOAD))
     sim.run(until=1.0)
-    return got[0].one_way_delay
+    return got[0].arrived_at - got[0].packet.created_at
 
 
 def run_all():

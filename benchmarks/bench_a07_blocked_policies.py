@@ -63,7 +63,7 @@ def run_point(policy: BlockedPolicy, utilization: float):
 
         def emit(size, h=host, r=route):
             sent["n"] += 1
-            h.send(r, b"x", size - 8)
+            h.send(r, bytes(size - 8))
 
         PoissonArrivals(sim, per_sender, emit, rngs.stream(f"s{index}"),
                         fixed_size=PACKET, stop_at=SIM_SECONDS)

@@ -72,7 +72,7 @@ def run_point(utilization: float, seed: int = 1, tracer=None):
         overhead = 4 * 2  # two minimal segments
         PoissonArrivals(
             sim, per_sender_pps,
-            emit=lambda size, h=host, r=route: h.send(r, b"x", size - overhead),
+            emit=lambda size, h=host, r=route: h.send(r, bytes(size - overhead)),
             rng=rngs.stream(f"sender{index}"),
             fixed_size=wire_size, stop_at=SIM_SECONDS,
         )

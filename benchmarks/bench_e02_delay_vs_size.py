@@ -37,9 +37,9 @@ def sirpent_delay(hops: int, payload: int, cut_through: bool) -> float:
     got = []
     scenario.hosts["dst"].bind(0, got.append)
     route = scenario.routes("src", "dst")[0]
-    scenario.hosts["src"].send(route, b"x", payload)
+    scenario.hosts["src"].send(route, bytes(payload))
     scenario.sim.run(until=2.0)
-    return got[0].one_way_delay
+    return got[0].arrived_at - got[0].packet.created_at
 
 
 def ip_delay(hops: int, payload: int) -> float:

@@ -51,7 +51,7 @@ def run_point(congestion: bool, buffer_bytes: int, feedback_prop: float):
         )[0]
         PoissonArrivals(
             scenario.sim, per_sender_pps,
-            emit=lambda size, s=sender, r=route: s.send(r, b"x", size - 50),
+            emit=lambda size, s=sender, r=route: s.send(r, bytes(size - 50)),
             rng=rngs.stream(f"sender{index}"),
             fixed_size=PACKET, stop_at=SIM_SECONDS,
         )

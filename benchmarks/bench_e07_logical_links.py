@@ -82,7 +82,7 @@ def run_policy(mode: str, seed: int = 7):
         ], src_port)
         PoissonArrivals(
             sim, total_pps * weight / weight_sum,
-            emit=lambda size, r=route: src.send(r, b"x", size - 30),
+            emit=lambda size, r=route: src.send(r, bytes(size - 30)),
             rng=rngs.stream(f"flow{flow}"),
             fixed_size=PACKET, stop_at=SIM_SECONDS,
         )

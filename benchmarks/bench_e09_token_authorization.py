@@ -49,9 +49,9 @@ def run_policy(policy: CachePolicy):
     delays = []
     for index in range(6):
         scenario.sim.at(index * 20e-3,
-                        lambda: scenario.hosts["src"].send(route, b"x", PAYLOAD))
+                        lambda: scenario.hosts["src"].send(route, bytes(PAYLOAD)))
     scenario.sim.run(until=0.5)
-    delays = [d.one_way_delay for d in got]
+    delays = [d.arrived_at - d.packet.created_at for d in got]
 
     # A forger without the mint cannot pass: corrupt one token byte.
     bad_segments = [s.copy(token=_flip(s.token)) if s.token else s
@@ -60,7 +60,7 @@ def run_policy(policy: CachePolicy):
 
     before = len(got)
     for _ in range(4):
-        scenario.hosts["src"].send(forged, b"evil", PAYLOAD)
+        scenario.hosts["src"].send(forged, bytes(PAYLOAD))
     scenario.sim.run(until=1.0)
     forged_through = len(got) - before
     rejected = sum(

@@ -78,7 +78,7 @@ def run_group_port(n_leaves):
     sim, topo, hub, src, src_port, leaf_ports, inboxes = build_star(n_leaves)
     hub.groups.add_group(240, leaf_ports)
     route = _Route([HeaderSegment(port=240), HeaderSegment(port=0)], src_port)
-    src.send(route, b"mc", PAYLOAD)
+    src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
 
 
@@ -87,7 +87,7 @@ def run_broadcast(n_leaves):
     route = _Route(
         [HeaderSegment(port=BROADCAST_PORT), HeaderSegment(port=0)], src_port
     )
-    src.send(route, b"bc", PAYLOAD)
+    src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
 
 
@@ -101,7 +101,7 @@ def run_tree(n_leaves):
         [HeaderSegment(port=TREE_PORT, portinfo=encode_tree_info(branches))],
         src_port,
     )
-    src.send(route, b"tree", PAYLOAD)
+    src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
 
 
@@ -112,7 +112,7 @@ def run_agent(n_leaves):
     agent_host = topo.nodes["leaf0"]
     agent_inport = 1  # its single attachment
     agent = MulticastAgent(
-        lambda route, payload, size: agent_host.send(route, payload, size),
+        lambda route, payload: agent_host.send(route, payload),
         name="exploder",
     )
     for index, port in enumerate(leaf_ports):
@@ -122,14 +122,13 @@ def run_agent(n_leaves):
     agent_socket = 9
     agent_host.bind(
         agent_socket,
-        lambda delivered: agent.on_payload(delivered.payload,
-                                           delivered.payload_size),
+        lambda delivered: agent.on_payload(delivered.payload),
     )
     route = _Route(
         [HeaderSegment(port=leaf_ports[0]), HeaderSegment(port=agent_socket)],
         src_port,
     )
-    src.send(route, b"agent", PAYLOAD)
+    src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
 
 

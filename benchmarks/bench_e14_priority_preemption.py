@@ -52,7 +52,7 @@ def run_priority(priority: int):
 
     def on_frame(delivered):
         meter.on_delivery(delivered)
-        delays.append(delivered.one_way_delay)
+        delays.append(delivered.arrived_at - delivered.packet.created_at)
 
     scenario.hosts["dst"].bind(0, on_frame)
     # dib=False: blocked frames queue at their priority instead of being

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from repro.scenarios import build_ip_line, build_sirpent_line
 from repro.transport import TransportConfig
-from repro.transport.timestamps import TimestampPolicy
-from repro.transport.vmtp import PduKind, VmtpPdu
+from repro.transport.timestamps import TimestampPolicy, encode_timestamp_ms
+from repro.transport.codec import PduKind, VmtpPdu, encode_pdu
 from repro.viper.wire import HeaderSegment
 
 from benchmarks._common import format_table, publish
@@ -47,7 +47,7 @@ def run_router_work():
     sirpent.hosts["dst"].bind(0, lambda d: None)
     route = sirpent.routes("src", "dst")[0]
     for _ in range(N_PACKETS):
-        sirpent.hosts["src"].send(route, b"x", 200)
+        sirpent.hosts["src"].send(route, bytes(200))
     sirpent.sim.run(until=2.0)
     forwarded = sum(
         r.stats.forwarded.count for r in sirpent.routers.values()
@@ -76,12 +76,12 @@ def run_stale_acceptance():
             src_entity=client_entity, dst_entity=entity,
             member_index=0, group_count=1,
             timestamp=client.clock.stamp(),
-            reply_socket=1, user_size=16, user_data=b"aged",
+            reply_socket=1, user_size=16, user_data=b"aged".ljust(16, b"\0"),
         )
         # Hold the packet 'in the network' for `age` milliseconds.
         scenario.sim.after(
             age / 1000.0,
-            lambda p=pdu: scenario.hosts["src"].send(route, p, 88),
+            lambda p=pdu: scenario.hosts["src"].send(route, encode_pdu(p)),
         )
     scenario.sim.run(until=1.0)
     accepted_before = server.stats.received_pdus.count \
@@ -94,10 +94,10 @@ def run_stale_acceptance():
         kind=PduKind.REQUEST, transaction_id=2000,
         src_entity=client_entity, dst_entity=entity,
         member_index=0, group_count=1,
-        timestamp=server.clock.now_ms() - 50,  # 50ms before boot
-        reply_socket=1, user_size=16, user_data=b"preboot",
+        timestamp=encode_timestamp_ms(server.clock.now_ms() - 50),  # 50ms before boot
+        reply_socket=1, user_size=16, user_data=b"preboot".ljust(16, b"\0"),
     )
-    scenario.hosts["src"].send(route, fresh_but_preboot, 88)
+    scenario.hosts["src"].send(route, encode_pdu(fresh_but_preboot))
     scenario.sim.run(until=scenario.sim.now + 0.5)
     return {
         "sent": len(ages_ms) + 1,
@@ -129,7 +129,7 @@ def run_loop_bound():
         first_hop_mac = None
 
     _Loop.segments = segments
-    scenario.hosts["src"].send(_Loop, b"loop", 64)
+    scenario.hosts["src"].send(_Loop, bytes(64))
     scenario.sim.run(until=1.0)
     exhausted = sum(
         r.stats.route_exhausted.count for r in scenario.routers.values()

@@ -35,7 +35,7 @@ def main() -> None:
         route = scenario.routes(f"sender{index + 1}", f"receiver{index + 1}")[0]
         PoissonArrivals(
             sim, per_sender_pps,
-            emit=lambda size, s=sender, r=route: s.send(r, b"x", size - 50),
+            emit=lambda size, s=sender, r=route: s.send(r, bytes(size - 50)),
             rng=rngs.stream(f"s{index}"),
             fixed_size=PACKET, stop_at=LOAD_SECONDS,
         )

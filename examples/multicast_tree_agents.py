@@ -51,7 +51,7 @@ def build_region(sim, topo, hub, region):
         subscribers.append((subscriber, router_port, inbox))
 
     agent = MulticastAgent(
-        lambda route, payload, size: agent_host.send(route, payload, size),
+        lambda route, payload: agent_host.send(route, payload),
         name=f"{region}-exploder",
     )
     for _sub, router_port, _inbox in subscribers:
@@ -62,7 +62,7 @@ def build_region(sim, topo, hub, region):
     AGENT_SOCKET = 9
     agent_host.bind(
         AGENT_SOCKET,
-        lambda d: agent.on_payload(d.payload, d.payload_size),
+        lambda d: agent.on_payload(d.payload),
     )
     # The branch segments: hub -> regional router -> agent host socket.
     branch = TreeBranch([
@@ -94,7 +94,7 @@ def main() -> None:
     )
     print("sending ONE 700-byte packet with a 2-branch tree header "
           f"({tree_route.segments[0].wire_size()}B of routing)...\n")
-    source.send(tree_route, b"market data tick", 700)
+    source.send(tree_route, bytes(700))
     sim.run(until=1.0)
 
     total = 0

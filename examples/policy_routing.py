@@ -82,12 +82,12 @@ def main() -> None:
                    if any(n in str(e) for e in [route])] or ["?"]
         print(f"{label:9s} -> via propagation {route.propagation_delay * 1e3:4.1f} ms, "
               f"cost {route.cost:4.1f}, secure={route.secure}")
-        client.send(route, f"{label} packet".encode(), 400)
+        client.send(route, f"{label} packet".encode().ljust(400, bytes(1)))
     sim.run(until=0.5)
     print(f"\nserver received {len(received)} packets:")
     for delivered in received:
-        print(f"  {delivered.payload!r:24} via {delivered.packet.hop_log} "
-              f"after {delivered.one_way_delay * 1e3:.2f} ms")
+        print(f"  {delivered.payload.rstrip(bytes(1))!r:24} via {delivered.packet.hop_log} "
+              f"after {(delivered.arrived_at - delivered.packet.created_at) * 1e3:.2f} ms")
 
     print("\ncarrier ledgers (who billed which account):")
     for name, router in carriers.items():
@@ -111,8 +111,8 @@ def main() -> None:
     Forged.first_hop_port = routes[0].first_hop_port
     Forged.first_hop_mac = routes[0].first_hop_mac
     before = len(received)
-    client.send(Forged, b"forged!", 400)
-    client.send(Forged, b"forged again!", 400)  # past the optimistic window
+    client.send(Forged, bytes(400))
+    client.send(Forged, bytes(400))  # past the optimistic window
     sim.run(until=1.0)
     rejected = sum(r.stats.dropped_token.count for r in carriers.values())
     print(f"\nforged tokens: {len(received) - before} delivered past the "

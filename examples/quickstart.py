@@ -35,22 +35,22 @@ def main() -> None:
     replies = []
 
     def on_request(delivered) -> None:
-        print(f"milo got {delivered.payload!r} after "
-              f"{delivered.one_way_delay * 1e3:.2f} ms via "
+        print(f"milo got {delivered.payload.rstrip(bytes(1))!r} after "
+              f"{(delivered.arrived_at - delivered.packet.created_at) * 1e3:.2f} ms via "
               f"{delivered.packet.hop_log}")
         # The return route came for free in the packet trailer (§2).
-        milo.send_return(delivered, b"hello stanford", 256)
+        milo.send_return(delivered, b"hello stanford".ljust(256, bytes(1)))
 
     milo.bind(0, on_request)
     venus.bind(0, replies.append)
 
     # 3. Send.
-    venus.send(route, b"hello mit", 512)
+    venus.send(route, b"hello mit".ljust(512, bytes(1)))
     sim.run(until=1.0)
 
     reply = replies[0]
-    print(f"venus got {reply.payload!r} after "
-          f"{reply.one_way_delay * 1e3:.2f} ms — no directory query, "
+    print(f"venus got {reply.payload.rstrip(bytes(1))!r} after "
+          f"{(reply.arrived_at - reply.packet.created_at) * 1e3:.2f} ms — no directory query, "
           "no addresses, just the reversed source route")
 
 

@@ -37,7 +37,7 @@ def run(priority: int, label: str) -> None:
 
     def on_frame(delivered) -> None:
         network.on_delivery(delivered)
-        _tag, stamp = delivered.payload
+        stamp = int.from_bytes(delivered.payload[:4], "big")
         playout.submit(delivered, stamp)
 
     scenario.hosts["dst"].bind(0, on_frame)
@@ -45,9 +45,11 @@ def run(priority: int, label: str) -> None:
     def send_frame() -> None:
         if sim.now >= DURATION:
             return
-        payload = ("frame", encode_timestamp_ms(clock.now_ms()))
-        scenario.hosts["src"].send(route, payload, FRAME_BYTES,
-                                   priority=priority)
+        stamp = encode_timestamp_ms(clock.now_ms())
+        scenario.hosts["src"].send(
+            route, stamp.to_bytes(4, "big").ljust(FRAME_BYTES, b"\0"),
+            priority=priority,
+        )
         sim.after(FRAME_INTERVAL, send_frame)
 
     sim.after(0.0, send_frame)

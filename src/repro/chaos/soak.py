@@ -87,10 +87,13 @@ def run_sim_soak(
     scenario = chaos_scenario(seed)
     sim = scenario.sim
     interp = SimFaultInterpreter(sim, scenario.topology, plan)
-    # Flight recorder on the virtual clock: fault applications and
-    # harness events land in the ring, dumped into the report at the end.
+    # Flight recorder on the virtual clock: fault applications, harness
+    # events and the hosts' drops, retries and route switches land in
+    # the ring, dumped into the report at the end.
     recorder = FlightRecorder(clock=lambda: sim.now)
     interp.injector.recorder = recorder
+    for host in scenario.hosts.values():
+        host.set_recorder(recorder)
     interp.schedule(0.0)
 
     config = TransportConfig(base_timeout=5e-3)

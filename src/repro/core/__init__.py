@@ -9,7 +9,7 @@ multicast and truncation-instead-of-fragmentation.
 
 from repro.core.blocked import BlockedPolicy
 from repro.core.congestion import FlowLimiter, RateControlManager, RateSignal
-from repro.core.host import DeliveredPacket, SirpentHost
+from repro.core.host import SirpentHost
 from repro.core.packet import FramePacket
 from repro.core.queues import OutputPort, SubmitResult
 from repro.core.router import RouterConfig, SirpentRouter
@@ -24,7 +24,6 @@ from repro.dataplane.multicast import MulticastAgent, TreeBranch, decode_tree_in
 
 __all__ = [
     "BlockedPolicy",
-    "DeliveredPacket",
     "CvcTunnelAttachment",
     "FlowLimiter",
     "FramePacket",

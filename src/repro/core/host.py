@@ -7,61 +7,30 @@ the port within a host to which to address the packet" (§2.2).
 
 :class:`SirpentHost` is the simulator's adapter over the one host edge,
 :class:`~repro.dataplane.host.HostCore`, which opens, demultiplexes and
-answers every delivered frame for the live host too.  The adapter keeps
-output ports and bit timing, the ``corrupted`` flag, the arrival MAC
+answers every delivered frame for the live host too, and hands each one
+up as the one :class:`~repro.dataplane.host.Delivered`.  ``send`` takes
+the payload's bytes, as the live host's does; a frame carries them
+whole.  The adapter keeps output ports and bit timing, the arrival MAC
 (the reply's first hop on an Ethernet), the rate-signal subscription
 and the counters the tables read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.congestion import ControlPlane, RateSignal
 from repro.core.packet import FramePacket
 from repro.core.queues import OutputPort
-from repro.dataplane.host import HostCore, ReturnRoute, SourceRoute, Trailer
+from repro.dataplane.host import Delivered, HostCore, SourceRoute
 from repro.dataplane.router import core_attribute
 from repro.live.frames import decode_preamble
-from repro.net.addresses import MacAddress
 from repro.net.link import Transmission
 from repro.net.node import Attachment, Node
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, Histogram
 from repro.viper.wire import LOCAL_PORT
-
-
-@dataclass
-class DeliveredPacket:
-    """What the host hands up to the transport layer: a type of its
-    own, not the live ``LiveDelivered``, because the simulator's PDU is
-    an object beside the frame (``payload``), not bytes in it."""
-
-    packet: FramePacket
-    payload: Any
-    payload_size: int
-    socket: int
-    arrived_at: float
-    #: The host core's memo entry for the frame's trailer bytes.
-    trailer: Trailer
-    #: MAC for the first physical hop of the return route (None on p2p).
-    return_first_hop_mac: Optional[MacAddress]
-    #: Host port the packet arrived on (= first hop of the return route).
-    arrival_port: int
-    truncated: bool
-    corrupted: bool
-
-    @property
-    def one_way_delay(self) -> float:
-        return self.arrived_at - self.packet.created_at
-
-    def return_route(self, reply_socket: int) -> ReturnRoute:
-        """The reversed trailer route to ``reply_socket``."""
-        return self.trailer.route(
-            reply_socket, self.arrival_port, self.return_first_hop_mac,
-        )
 
 
 class SirpentHost(Node):
@@ -86,7 +55,6 @@ class SirpentHost(Node):
         self.rate_signal_handlers: List[Callable[[RateSignal], None]] = []
         self.sent = Counter(f"{name}.sent")
         self.received = Counter(f"{name}.received")
-        self.received_corrupted = Counter(f"{name}.corrupted")
         self.received_truncated = Counter(f"{name}.truncated")
         self.undeliverable = Counter(f"{name}.undeliverable")
         self.delivery_delay = Histogram(f"{name}.delay")
@@ -108,6 +76,11 @@ class SirpentHost(Node):
         for outport in self.output_ports.values():
             outport.tracer = tracer
 
+    def set_recorder(self, recorder) -> None:
+        """Install a :class:`repro.obs.recorder.FlightRecorder`: the host
+        edge's drops and its transport's retries land in it."""
+        self.core.sink.recorder = recorder
+
     def attach(self, port_id: int, attachment: Attachment) -> None:
         super().attach(port_id, attachment)
         outport = OutputPort(self.sim, attachment)
@@ -123,13 +96,13 @@ class SirpentHost(Node):
     def send(
         self,
         route: Any,
-        payload: Any,
-        payload_size: int,
+        data: bytes,
         priority: int = 0,
         dib: bool = False,
         trace_id: Optional[int] = None,
     ) -> FramePacket:
-        """Frame a VIPER packet for ``route`` and clock it out.
+        """Frame ``data`` for ``route`` and clock it out: the frame is
+        ``preamble ++ route.wire_header(priority, dib) ++ data``.
 
         ``route`` gives ``wire_header(priority, dib)`` (the priority
         rides every segment, §2), ``first_hop_port`` and
@@ -145,8 +118,7 @@ class SirpentHost(Node):
             type(route), "wire_header", SourceRoute.wire_header
         )(route, priority, dib)
         packet = FramePacket(
-            seg_count, payload_size, header, filler=payload_size,
-            payload=payload,
+            seg_count, len(data), header, data,
             packet_id=self.sim.new_packet_id(),
             created_at=self.sim.now,
             source=self.name,
@@ -176,17 +148,16 @@ class SirpentHost(Node):
 
     def send_return(
         self,
-        delivered: DeliveredPacket,
-        payload: Any,
-        payload_size: int,
+        delivered: Delivered,
+        data: bytes,
         reply_socket: int = LOCAL_PORT,
         priority: int = 0,
     ) -> FramePacket:
         """Send back along a delivered packet's reversed trailer route
         to ``reply_socket`` at the original sender."""
         return self.send(
-            delivered.return_route(reply_socket), payload, payload_size,
-            priority=priority, trace_id=delivered.packet.trace_id,
+            delivered.return_route(reply_socket), data,
+            priority=priority, trace_id=delivered.trace_id,
         )
 
     # -- receiving --------------------------------------------------------------
@@ -195,14 +166,12 @@ class SirpentHost(Node):
         if not isinstance(packet, FramePacket):
             return
         mem = packet.view.mem
-        handler, socket, _start, _end, trailer = self.core.open(
+        handler, socket, start, end, trailer = self.core.open(
             mem, decode_preamble(mem), packet.trace_id,
         )
         if trailer is None:
             return  # dropped before any socket: counted undeliverable
         self.received.add()
-        if packet.corrupted:
-            self.received_corrupted.add()
         if trailer.truncated:
             self.received_truncated.add()
         self.delivery_delay.add(self.sim.now - packet.created_at)
@@ -214,17 +183,10 @@ class SirpentHost(Node):
                 packet.trace_id, self.sim.now, self.name,
                 socket=socket, hops=packet.hops_taken,
             )
-        handler(DeliveredPacket(
-            packet=packet,
-            payload=packet.payload,
-            payload_size=packet.payload_size,
-            socket=socket,
-            arrived_at=self.sim.now,
-            trailer=trailer,
-            return_first_hop_mac=tx.src_mac if inport.kind == "ethernet" else None,
-            arrival_port=inport.port_id,
-            truncated=trailer.truncated,
-            corrupted=packet.corrupted,
+        handler(Delivered(
+            mem.tobytes(), start, end, socket, trailer, inport.port_id,
+            tx.src_mac if inport.kind == "ethernet" else None,
+            self.sim.now, packet.trace_id, packet,
         ))
 
     def _on_control_message(self, src: str, message: Any) -> None:

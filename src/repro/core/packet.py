@@ -4,9 +4,10 @@ The simulator carries every packet as the datagram the live overlay
 would put on a socket — ``preamble ++ segments ++ alternate blocks ++
 payload ++ trailer`` (:mod:`repro.live.frames`) — in a buffer the packet
 owns, and a router hop is the live router's own in-place move on those
-bytes (:func:`~repro.live.frames.forward_into`).  The payload region is
-``payload_size`` filler bytes; the transport's PDU object rides beside
-the frame.  Every size the simulator clocks is the VIPER body, ``len()``
+bytes (:func:`~repro.live.frames.forward_into`).  The payload region
+holds what the host was handed to send — a transport PDU is the
+codec's bytes (:mod:`repro.transport.codec`), checked by CRC at the
+far end.  Every size the simulator clocks is the VIPER body, ``len()``
 of the frame less its preamble — what
 :func:`~repro.viper.packet.encode_packet` gives the same packet.  A sim
 frame never carries the traced option (a sampled packet's trace id is
@@ -17,11 +18,13 @@ metadata, like its hop log), so its preamble is always
 from __future__ import annotations
 
 import copy
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.live.frames import (
-    PAYLOAD_LEN_OFFSET, PREAMBLE_BYTES, SEG_COUNT_OFFSET, encode_preamble_into,
+    PAYLOAD_LEN_OFFSET, PREAMBLE_BYTES, SEG_COUNT_OFFSET, decode_preamble,
+    encode_preamble_into, payload_offset,
 )
+from repro.viper.errors import ViperDecodeError
 from repro.viper.wire import PORT_OFFSET, PacketView, segment_span
 
 #: Where the VIPER body starts in every sim frame.
@@ -38,36 +41,36 @@ class FramePacket:
 
     The frame is the preamble, ``body`` (the segments and alternate
     blocks a host sends; a multicast clone passes the rest of a frame
-    whole) and ``filler`` zero bytes of payload.  The metadata —
-    identity, timestamps, the hop log, the §2.2 feed-forward hint,
-    corruption and trace id — is not on the wire.
+    whole) and ``data``, the payload a host sends.  The metadata —
+    identity, timestamps, the hop log, the §2.2 feed-forward hint and
+    trace id — is not on the wire.
     """
 
     __slots__ = (
-        "view", "payload", "packet_id", "created_at", "source", "hops_taken",
-        "hop_log", "trace_id", "corrupted", "feed_forward_load", "lead_bytes",
+        "view", "packet_id", "created_at", "source", "hops_taken",
+        "hop_log", "trace_id", "feed_forward_load", "lead_bytes",
         "__weakref__",
     )
 
     def __init__(
-        self, seg_count: int, payload_size: int, body: bytes, filler: int = 0,
-        payload: Any = None, packet_id: int = 0, created_at: float = 0.0,
+        self, seg_count: int, payload_size: int, body: bytes, data: bytes = b"",
+        packet_id: int = 0, created_at: float = 0.0,
         source: str = "", hops_taken: int = 0,
         hop_log: Optional[List[str]] = None, trace_id: int = 0,
     ) -> None:
-        size = HEADER + len(body) + filler
+        at = HEADER + len(body)
+        size = at + len(data)
         buffer = bytearray(size + len(body) + TAILROOM)
         encode_preamble_into(buffer, 0, seg_count, payload_size)
-        buffer[HEADER:HEADER + len(body)] = body
+        buffer[HEADER:at] = body
+        buffer[at:size] = data
         self.view = PacketView(buffer, 0, size)  # sirlint: disable=SIR009 -- over the packet's own bytearray, no ring slot
-        self.payload = payload
         self.packet_id = packet_id
         self.created_at = created_at
         self.source = source
         self.hops_taken = hops_taken
         self.hop_log = hop_log if hop_log is not None else []
         self.trace_id = trace_id
-        self.corrupted = False
         #: "Feed forward" load hint (§2.2): packets queued behind this
         #: one at its previous router, stamped at transmit start.
         self.feed_forward_load = 0
@@ -120,30 +123,34 @@ class FramePacket:
         self.view = PacketView(buffer, 0, len(view))  # sirlint: disable=SIR009 -- over the packet's own bytearray, no ring slot
         return self.view
 
-    def _copy(self, payload: Any) -> "FramePacket":
+    def __deepcopy__(self, memo) -> "FramePacket":
         clone = copy.copy(self)
         view = self.view
         clone.view = PacketView(bytearray(view.buffer), view.start, view.end)
-        clone.payload = payload
         clone.hop_log = list(self.hop_log)
         clone.lead_bytes = None
         return clone
 
-    def __deepcopy__(self, memo) -> "FramePacket":
-        return self._copy(copy.deepcopy(self.payload, memo))
-
     def corrupted_copy(self, rng) -> "FramePacket":
         """A bit-error rendition of this packet (no header checksum, §4.1).
 
-        Corruption is *delivered* rather than dropped: half the time the
-        leading port octet takes a random value (possible misrouting),
-        otherwise only the payload is poisoned.  The transport layer is
-        responsible for detecting either.
+        Corruption is *delivered* rather than dropped: the payload's
+        middle byte is inverted, and half the time the leading port
+        octet takes a random value too (possible misrouting).  The
+        transport's CRC-32 finds the first, its entity check what
+        misrouting delivers.
         """
-        clone = self._copy(self.payload)
-        clone.corrupted = True
+        clone = copy.deepcopy(self)
         clone.feed_forward_load = 0
+        view = clone.view
+        mem = view.mem
+        try:
+            preamble = decode_preamble(mem)
+            at = payload_offset(mem, preamble) + preamble.payload_len // 2
+            if preamble.payload_len and at < len(mem):
+                mem[at] ^= 0xFF
+        except ViperDecodeError:
+            pass  # a frame damaged past walking keeps its payload
         if clone.seg_count and rng.random() < 0.5:
-            view = clone.view
             view.buffer[view.start + HEADER + PORT_OFFSET] = rng.randrange(0, 256)
         return clone

@@ -340,7 +340,6 @@ class SirpentRouter(Node):
             clone = FramePacket(
                 len(branch) + kept, payload_len,
                 b"".join([s.wire for s in branch]) + rest,
-                payload=packet.payload,
                 packet_id=self.sim.new_packet_id(),
                 created_at=packet.created_at,
                 source=packet.source,

@@ -7,11 +7,12 @@ answer.  :class:`HostCore` does that job once for the simulator's
 :class:`~repro.core.host.SirpentHost` and the live
 :class:`~repro.live.host.LiveHost` alike (ARCHITECTURE §4).  It owns
 the socket table; the one frame open, which walks a header or a
-trailer only the first time its bytes arrive; the one reply route,
-:meth:`Trailer.route` → :class:`ReturnRoute`; and one drop vocabulary,
-counted, traced and recorded through the router core's sink.  A
-source's route is encoded once as well: :class:`SourceRoute`, the
-directory's ``Route`` and the live ``LiveRoute``.
+trailer only the first time its bytes arrive; the one delivered type,
+:class:`Delivered`; the one reply route, :meth:`Trailer.route` →
+:class:`ReturnRoute`; and one drop vocabulary, counted, traced and
+recorded through the router core's sink.  A source's route is encoded
+once as well: :class:`SourceRoute`, the directory's ``Route`` and the
+live ``LiveRoute``.
 """
 
 from __future__ import annotations
@@ -139,6 +140,55 @@ class Trailer:
                 self.wire, self.spans, reply_socket, arrival_port, first_hop_mac,
             )
         return route
+
+
+class Delivered:
+    """What a host hands a socket's handler: offsets into the arrived
+    frame's bytes, nothing decoded (a transport reads its PDU in place;
+    :attr:`payload` slices on demand), and what a reply needs — the
+    host core's memo entry for the frame's trailer, the arrival port
+    and, on a simulated Ethernet, the sender's MAC.  ``packet`` is the
+    simulator's :class:`~repro.core.packet.FramePacket`, for the
+    metadata it carries off the wire (hop log, creation time); None on
+    the live overlay."""
+
+    __slots__ = (
+        "frame", "payload_start", "payload_end", "socket", "trailer",
+        "arrival_port", "first_hop_mac", "arrived_at", "trace_id", "packet",
+    )
+
+    def __init__(
+        self, frame: bytes, payload_start: int, payload_end: int,
+        socket: int, trailer: Trailer, arrival_port: int,
+        first_hop_mac: Optional[MacAddress], arrived_at: float,
+        trace_id: int, packet: Any = None,
+    ) -> None:
+        self.frame = frame
+        self.payload_start = payload_start
+        self.payload_end = payload_end
+        self.socket = socket
+        self.trailer = trailer
+        #: The host port it came in on: the reply's first hop.
+        self.arrival_port = arrival_port
+        self.first_hop_mac = first_hop_mac
+        #: When the host took it, on the host's clock (a live wakeup's
+        #: start, the simulated instant).
+        self.arrived_at = arrived_at
+        #: The frame's 64-bit trace id; 0 = untraced.
+        self.trace_id = trace_id
+        self.packet = packet
+
+    @property
+    def payload(self) -> bytes:
+        """The frame's payload bytes."""
+        return self.frame[self.payload_start:self.payload_end]
+
+    def return_route(self, reply_socket: int) -> ReturnRoute:
+        """The reversed trailer route to ``reply_socket``: one object per
+        trailer bytes, port and MAC, kept for every later reply."""
+        return self.trailer.route(
+            reply_socket, self.arrival_port, self.first_hop_mac,
+        )
 
 
 #: :meth:`HostCore.open`'s answer for a frame dropped before any socket.

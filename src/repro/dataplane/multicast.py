@@ -119,13 +119,13 @@ class MulticastAgent:
 
     Bound to a host socket; each received payload is re-sent along every
     member route.  ``sender`` is the host's send function
-    ``(route, payload, payload_size) -> None`` so the agent stays
+    ``(route, payload) -> None`` so the agent stays
     decoupled from the host class.
     """
 
     def __init__(
         self,
-        sender: Callable[[object, object, int], None],
+        sender: Callable[[object, bytes], None],
         name: str = "mcast-agent",
     ) -> None:
         self.sender = sender
@@ -136,10 +136,10 @@ class MulticastAgent:
     def add_member(self, route: object) -> None:
         self.members.append(route)
 
-    def on_payload(self, payload: object, payload_size: int) -> None:
+    def on_payload(self, payload: bytes) -> None:
         """Explode one delivery to all members."""
         for route in self.members:
-            self.sender(route, payload, payload_size)
+            self.sender(route, payload)
         self.exploded += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -58,7 +58,7 @@ ERROR_CODES = frozenset({
 
 #: Command methods that mutate directory state (logged + deduplicated).
 WRITE_METHODS = frozenset({
-    "register_host", "register_service", "rebind", "unregister",
+    "register_host", "register_service", "rebind",
 })
 
 #: Read-only command methods (served from the leader's store, unlogged).

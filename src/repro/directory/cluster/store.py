@@ -91,8 +91,6 @@ class ShardStore:
                 return self._register_service(params, request_id, index)
             if method == "rebind":
                 return self._rebind(params, request_id, index)
-            if method == "unregister":
-                return self._unregister(params, request_id, index)
         except (KeyError, TypeError, ValueError) as exc:
             return CommandResponse.failure(request_id, CommandError.make(
                 "bad_request", f"{method}: {exc}",
@@ -167,18 +165,6 @@ class ShardStore:
             "name": name, "node": node,
             "moved": previous is not None and previous != node,
             "index": index,
-        })
-
-    def _unregister(
-        self, params: Dict[str, object], request_id: str, index: int
-    ) -> CommandResponse:
-        name = self._name_param(params)
-        removed = (
-            self.names.pop(name, None) is not None
-            or self.services.pop(name, None) is not None
-        )
-        return CommandResponse.success(request_id, {
-            "name": name, "removed": removed, "index": index,
         })
 
     # -- reads (unlogged, leader-served) -----------------------------------

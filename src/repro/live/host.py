@@ -10,14 +10,14 @@ endpoint, the batch loop, the slot copy-and-release and the slot-size
 check.  ``send`` frames ``preamble ++ route.wire_header() ++ payload``
 (:class:`LiveRoute` is a :class:`~repro.dataplane.host.SourceRoute`)
 and ``send_return`` is ``send`` along the delivery's
-:meth:`LiveDelivered.return_route`.
+:meth:`~repro.dataplane.host.Delivered.return_route`.
 
 :class:`LiveTransactor` runs VMTP-style request/response transactions
 on top: the simulator's own
-:class:`~repro.transport.machine.TransactionMachine`, clocked by
-asyncio, its PDUs encoded as bytes (:func:`encode_pdu`) — so §4.1's
-entity ids and checksum, §4.2's packet lifetime and §4.3's NAK recovery
-hold here by construction.  Rebinding is the
+:class:`~repro.transport.machine.TransactionMachine` and its IO
+(:class:`~repro.transport.transactor.TransactorIO`, the codec's PDUs),
+clocked by asyncio — so §4.1's entity ids and checksum, §4.2's packet
+lifetime and §4.3's NAK recovery hold here by construction.  Rebinding is the
 :class:`~repro.transport.rebind.RouteManager`'s: a timed-out route is
 reported failed and the next attempt rides the cached alternate, which
 is how a killed mid-path router is survived end to end.
@@ -28,16 +28,13 @@ from __future__ import annotations
 import asyncio
 import itertools
 import math
-import struct
 import time
-import zlib
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.dataplane.host import HostCore, ReturnRoute, SourceRoute, Trailer
+from repro.dataplane.host import Delivered, HostCore, SourceRoute
 from repro.dataplane.router import core_attribute
-from repro.live.frames import Preamble, frame_with_header
+from repro.live.frames import frame_with_header
 from repro.live.link import (
     Address,
     BatchEntry,
@@ -49,16 +46,13 @@ from repro.live.metrics import EndpointMetrics
 from repro.transport.ids import EntityId, EntityIdAllocator
 from repro.transport.machine import (
     WILDCARD_ENTITY,
-    PduKind,
     ReceivedMessage,
-    TransactionMachine,
     TransactionResult,
     TransportConfig,
-    VmtpPdu,
 )
 from repro.transport.rebind import RouteManager
-from repro.transport.stats import TransportStats
 from repro.transport.timestamps import HostClock
+from repro.transport.transactor import TransactorIO
 from repro.viper.wire import HeaderSegment, LOCAL_PORT
 
 
@@ -103,45 +97,6 @@ class LiveRoute(SourceRoute):
     def expected_rtt(self, payload_size: int = 0, reply_size: int = 0) -> float:
         """Advertised base RTT (payload sizes are second-order on loopback)."""
         return self.base_rtt_s
-
-
-@dataclass
-class LiveDelivered:
-    """What the live host hands up on reception: offsets into the kept
-    ``datagram``, nothing decoded (``payload`` is sliced on first use; a
-    transactor reads the PDU in place).  A type of its own, not the
-    simulator's ``DeliveredPacket``: here the PDU is the frame's bytes.
-    """
-
-    #: The whole arrived datagram and the endpoint's decode of its preamble.
-    datagram: bytes
-    preamble: Preamble
-    #: Where the payload sits in ``datagram``; the trailer follows it.
-    payload_start: int
-    payload_end: int
-    socket: int
-    #: When the endpoint's wakeup that read the frame began.
-    arrived_at: float
-    #: The host core's memo entry for the frame's trailer bytes.
-    trailer: Trailer
-    #: Live port the frame arrived on (= first hop of the return route).
-    arrival_port: int
-    source: Address
-
-    @cached_property
-    def payload(self) -> bytes:
-        """The frame's payload bytes."""
-        return self.datagram[self.payload_start:self.payload_end]
-
-    @property
-    def trace_id(self) -> int:
-        """The arrived frame's 64-bit trace id; 0 = untraced."""
-        return self.preamble.trace_id
-
-    def return_route(self, reply_socket: int) -> ReturnRoute:
-        """The reversed trailer route to ``reply_socket``: one object per
-        trailer bytes and port, kept for every later reply."""
-        return self.trailer.route(reply_socket, self.arrival_port)
 
 
 class LiveHost:
@@ -261,17 +216,17 @@ class LiveHost:
 
     def send_return(
         self,
-        delivered: LiveDelivered,
+        delivered: Delivered,
         payload: bytes,
         reply_socket: int = LOCAL_PORT,
         priority: int = 0,
     ) -> int:
         """Send back along a delivered frame's reversed trailer route
-        (:meth:`LiveDelivered.return_route`, the host core's reply
-        route), through :meth:`send` like any other frame."""
+        (:meth:`~repro.dataplane.host.Delivered.return_route`, the host
+        core's reply route), through :meth:`send` like any other frame."""
         return self.send(
             delivered.return_route(reply_socket), payload,
-            priority=priority, trace_id=delivered.preamble.trace_id,
+            priority=priority, trace_id=delivered.trace_id,
         )
 
     # -- receiving ---------------------------------------------------------
@@ -283,9 +238,9 @@ class LiveHost:
         to the ring, and opened by the core
         (:meth:`~repro.dataplane.host.HostCore.open`): validated by
         offsets, decoded not at all, demultiplexed on its final
-        segment's port.  The handler gets a :class:`LiveDelivered` of
-        offsets into the datagram that slices and decodes the rest on
-        demand.  A frame from an address no port is wired to has no
+        segment's port.  The handler gets a
+        :class:`~repro.dataplane.host.Delivered` of offsets into the
+        datagram that slices and decodes the rest on demand.  A frame from an address no port is wired to has no
         return hop: it is dropped (``unknown_peer``) before it is
         copied, and the rest of the wakeup goes on.
         """
@@ -313,42 +268,21 @@ class LiveHost:
                 tracer.deliver(
                     preamble.trace_id, time.monotonic(), self.name, socket=socket,
                 )
-            handler(LiveDelivered(
-                datagram, preamble, payload_start, payload_end, socket,
-                arrived_at, trailer, arrival_port, source,
+            handler(Delivered(
+                datagram, payload_start, payload_end, socket, trailer,
+                arrival_port, None, arrived_at, preamble.trace_id,
             ))
 
 
 # -- VMTP transactions over the live overlay ----------------------------------
 
 
-#: The live PDU's header: kind(1) reserved(1) src_entity(8)
-#: dst_entity(8) txid(4) member(1) count(1) reply_socket(1) reserved(1)
-#: — 26 bytes.  The body follows (a member's bytes, or a NAK's 32-bit
-#: mask), then the trailer: the 32-bit creation timestamp (§4.2) and a
-#: CRC-32 of every byte before it (§4.1) — the 8 bytes the simulator
-#: models as ``trailer_bytes``.
-_PDU_HEADER = struct.Struct(">BBQQIBBBB")
-_WORD = struct.Struct(">I")
-#: The trailer: creation timestamp, CRC-32.
-_TRAILER = struct.Struct(">II")
-_TRAILER_BYTES = _TRAILER.size
-
-#: Wire codes of the PDU kinds: a kind's code is its index.
-_KINDS = (
-    PduKind.REQUEST, PduKind.RESPONSE,
-    PduKind.RESPONSE_NAK, PduKind.REQUEST_NAK,
-)
-_REQUEST, _RESPONSE = _KINDS[:2]
-
-#: The live transport's settings: the layout above, a 50 ms base
-#: timeout (the only loss recovery on the overlay: the links never
-#: retransmit), unpaced groups (every gap 0: the ring and the link's tx
-#: backlog bound a burst here, not a rate), and a NAK delay of half the
-#: base timeout, long enough that a clean run never sends one.
+#: The live transport's settings: a 50 ms base timeout (the only loss
+#: recovery on the overlay: the links never retransmit), unpaced groups
+#: (every gap 0: the ring and the link's tx backlog bound a burst here,
+#: not a rate), and a NAK delay of half the base timeout, long enough
+#: that a clean run never sends one.
 LIVE_TRANSPORT = TransportConfig(
-    header_bytes=_PDU_HEADER.size,
-    trailer_bytes=_TRAILER_BYTES,
     rate_bps=math.inf,
     base_timeout=0.05,
     nak_delay=0.025,
@@ -359,68 +293,11 @@ LIVE_TRANSPORT = TransportConfig(
 _incarnations = itertools.count(1)
 
 
-def encode_pdu(pdu: VmtpPdu, body: Optional[bytes] = None) -> bytes:
-    """``pdu`` as live bytes, carrying ``body`` between its header and
-    its trailer — by default the PDU's own: its member's bytes, or a
-    NAK's mask.  One join lays down everything the CRC-32 covers, and
-    one pass computes it."""
-    kind = pdu.kind
-    # Members first, by identity: an enum's hash is a Python call.
-    code = 0 if kind is _REQUEST else 1 if kind is _RESPONSE else _KINDS.index(kind)
-    if body is None:
-        if code <= 1:  # a member's bytes
-            start = pdu.user_offset
-            body = pdu.user_data[start:start + pdu.user_size]
-        else:
-            body = _WORD.pack(pdu.mask_bits)
-    header = _PDU_HEADER.pack(
-        code, 0, pdu.src_entity, pdu.dst_entity, pdu.transaction_id,
-        pdu.member_index, pdu.group_count, pdu.reply_socket, 0,
-    )
-    data = b"".join((header, body, _WORD.pack(pdu.timestamp)))
-    return data + _WORD.pack(zlib.crc32(data))
-
-
-def open_pdu(data: bytes, start: int, end: int) -> Union[VmtpPdu, str]:
-    """Check and decode the PDU in ``data[start:end]`` in one pass: the
-    checksum runs over the span, and a member's bytes are the one slice
-    handed up.
-
-    Returns the PDU, or why there is none: ``"short_pdu"`` (no room for
-    a header and a trailer), ``"checksum"`` (the CRC-32 does not match),
-    ``"unknown_pdu"`` (no such kind) or ``"malformed_nak"`` (a NAK
-    whose body is not exactly its 32-bit mask — read as any mask, it
-    would make the peer resend members nobody asked for).
-    """
-    body_at = start + _PDU_HEADER.size
-    stamp_at = end - _TRAILER_BYTES
-    if stamp_at < body_at:
-        return "short_pdu"
-    stamp, crc = _TRAILER.unpack_from(data, stamp_at)
-    if zlib.crc32(data[start:end - _WORD.size]) != crc:
-        return "checksum"
-    code, _r, src, dst, txid, member, count, reply_socket, _r2 = (
-        _PDU_HEADER.unpack_from(data, start)
-    )
-    if code <= 1:  # a member's bytes
-        return VmtpPdu(
-            _KINDS[code], txid, src, dst, member, count, stamp,
-            reply_socket, 0, stamp_at - body_at, data[body_at:stamp_at],
-        )
-    if code >= len(_KINDS):
-        return "unknown_pdu"
-    if stamp_at - body_at != _WORD.size:
-        return "malformed_nak"
-    return VmtpPdu(
-        _KINDS[code], txid, src, dst, member, count, stamp, reply_socket,
-        _WORD.unpack_from(data, body_at)[0],
-    )
-
-
-class LiveTransactor:
+class LiveTransactor(TransactorIO):
     """Request/response transactions over the live overlay: the
-    :class:`~repro.transport.machine.TransactionMachine`, clocked by
-    asyncio, its PDUs encoded by :func:`encode_pdu`.
+    :class:`~repro.transport.machine.TransactionMachine` and its
+    :class:`~repro.transport.transactor.TransactorIO`, clocked by
+    asyncio.
 
     One instance per host serves both roles: ``serve`` registers a
     request handler (the server side, as :attr:`entity`), ``transact``
@@ -430,25 +307,20 @@ class LiveTransactor:
     request — the server never queries the directory.
 
     A PDU discarded here is counted on the host's metrics like any
-    dropped frame: under the machine's reason (``checksum``,
-    ``misdelivered``, ``too_old``, ``bad_group``, ``no_handler``,
-    ``duplicate_member`` for a member already held, ``stale_pdu`` for a
-    response or NAK whose transaction is over — the replay a timeout
-    asked for, overtaken by the original) or the codec's
-    (``short_pdu``, ``unknown_pdu``, ``malformed_nak``).  :attr:`stats` counts what the
+    dropped frame, under its reason (``stale_pdu`` is a response or NAK
+    whose transaction is over — the replay a timeout asked for,
+    overtaken by the original).  :attr:`stats` counts what the
     simulator's transport counts.
     """
 
     def __init__(
         self, host: LiveHost, config: Optional[TransportConfig] = None
     ) -> None:
-        self.host = host
-        self.config = config if config is not None else LIVE_TRANSPORT
-        self.stats = TransportStats()
-        self.machine = TransactionMachine(
-            self, self.config, HostClock(WallClock()),
+        super().__init__(
+            host, config if config is not None else LIVE_TRANSPORT,
+            HostClock(WallClock()),
             EntityIdAllocator(f"{host.name}#{next(_incarnations)}"),
-            self.stats,
+            host.metrics.drops,
         )
         #: The entity :meth:`serve` registered (None before): a client
         #: that knows it names it instead of the wildcard.
@@ -457,7 +329,6 @@ class LiveTransactor:
         self._rtt_ms = None
         self._tx_started = None
         self._tx_retries = None
-        host.bind(self.config.socket, self._on_delivered)
 
     def serve(self, handler: Callable[[bytes], bytes]) -> None:
         """Install the request handler: ``payload -> response payload``."""
@@ -467,9 +338,9 @@ class LiveTransactor:
             return response, len(response)
 
         if self.entity is None:
-            self.entity = self.machine.create_entity(serve_request, "server")
+            self.entity = self.create_entity(serve_request, "server")
         else:
-            self.machine.adopt_entity(self.entity, serve_request)
+            self.adopt_entity(self.entity, serve_request)
 
     def attach_registry(self, registry) -> None:
         """Expose the SLO engine's raw inputs: per-transaction RTTs
@@ -514,7 +385,7 @@ class LiveTransactor:
                 outcome.set_result(result)
 
         transaction_id = self.machine.transact(
-            manager, server_entity, payload, max(1, len(payload)),
+            manager, server_entity, payload, len(payload) or 1,
             complete, priority,
         )
         try:
@@ -528,7 +399,7 @@ class LiveTransactor:
             self._rtt_ms.add(result.rtt * 1e3)
         return result
 
-    # -- the machine's IO ----------------------------------------------------
+    # -- the machine's clock -------------------------------------------------
 
     @property
     def now(self) -> float:
@@ -541,40 +412,6 @@ class LiveTransactor:
             fn(*args)
             return None
         return asyncio.get_running_loop().call_later(delay, fn, *args)
-
-    def send(self, route: Any, pdu: VmtpPdu, wire_size: int, priority: int) -> None:
-        self.host.send(route, encode_pdu(pdu), priority=priority)
-
-    def send_return(
-        self, delivered: LiveDelivered, pdu: VmtpPdu, wire_size: int
-    ) -> None:
-        self.host.send_return(
-            delivered, encode_pdu(pdu), reply_socket=pdu.reply_socket,
-        )
-
-    #: ``io.join``: a group's payload, its members' bytes in order.
-    join = b"".join
-
-    def discard(self, reason: str) -> None:
-        self.host.metrics.drop(reason)
-
-    def record(self, event: str, **fields: Any) -> None:
-        if self.host.recorder.enabled:
-            self.host.recorder.record(event, node=self.host.name, **fields)
-
-    # -- receive path ------------------------------------------------------
-
-    def _on_delivered(self, delivered: LiveDelivered) -> None:
-        """Check and decode one arrived PDU, in place, for the machine."""
-        pdu = open_pdu(
-            delivered.datagram, delivered.payload_start, delivered.payload_end,
-        )
-        if pdu.__class__ is VmtpPdu:
-            self.machine.on_pdu(pdu, delivered, False, False, delivered.arrived_at)
-        elif pdu == "checksum":
-            self.machine.on_pdu(None, delivered, corrupted=True)
-        else:
-            self.host.metrics.drop(pdu)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

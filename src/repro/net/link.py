@@ -82,8 +82,9 @@ class Channel:
     The channel carries one packet at a time; callers (router output
     ports) queue above it.  ``corruption_rate`` injects random per-packet
     corruption for the misdelivery experiments (§4.1) — Sirpent carries no
-    header checksum, so a corrupted packet is *delivered*, flagged, and it
-    is the transport layer's problem.
+    header checksum, so a corrupted packet is *delivered*, bytes damaged
+    (the packet's ``corrupted_copy``), and it is the transport layer's
+    problem.
     """
 
     def __init__(

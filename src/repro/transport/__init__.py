@@ -22,10 +22,10 @@ from repro.transport.playout import PlayoutBuffer
 from repro.transport.rebind import RouteManager
 from repro.transport.timestamps import HostClock, TimestampPolicy, encode_timestamp_ms
 from repro.transport.stats import TransportStats
+from repro.transport.codec import VmtpPdu
 from repro.transport.vmtp import (
     TransactionResult,
     TransportConfig,
-    VmtpPdu,
     VmtpTransport,
 )
 

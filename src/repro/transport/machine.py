@@ -23,18 +23,19 @@ paper's transport obligations end to end:
   request — no directory lookup at the server, the Sirpent signature
   move.
 
-Inputs are calls: :meth:`TransactionMachine.on_pdu` (with the
-adapter's verdict on the checksum and on truncation), the timers the
-machine armed, :meth:`~TransactionMachine.transact` and the entity
-calls, and :meth:`~TransactionMachine.on_rate_signal`.  Every output
+Inputs are calls: :meth:`TransactionMachine.on_pdu` (the codec's
+verdict on an arrived PDU, :func:`~repro.transport.codec.open_pdu`, and
+the delivery it came in), the timers the machine armed,
+:meth:`~TransactionMachine.transact` and the entity calls, and
+:meth:`~TransactionMachine.on_rate_signal`.  Every output
 goes through the injected ``io`` object:
 
 * ``io.now`` — the substrate's clock, in seconds;
 * ``io.after(delay, fn, *args)`` — call ``fn(*args)`` ``delay``
   seconds from now; returns a handle with ``cancel()``;
-* ``io.send(route, pdu, wire_size, priority)`` — along a source route;
-* ``io.send_return(delivered, pdu, wire_size)`` — along the reversed
-  trailer route of a delivered PDU, to ``pdu.reply_socket``;
+* ``io.send(route, pdu, priority)`` — along a source route;
+* ``io.send_return(delivered, pdu)`` — along the reversed trailer route
+  of a delivered PDU, to ``pdu.reply_socket``;
 * ``io.join(parts)`` — a group's payload from its members' payloads,
   in member order;
 * ``io.discard(reason)`` — a PDU was dropped here, and why;
@@ -42,17 +43,19 @@ goes through the injected ``io`` object:
   flight recorder.
 
 The order of those calls is part of the contract: the simulator
-numbers its events in the order ``after`` is called.
+numbers its events in the order ``after`` is called.  Both substrates'
+adapters share everything but the clock
+(:class:`~repro.transport.transactor.TransactorIO`).
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from repro.transport.codec import OVERHEAD, PduKind, VmtpPdu
 from repro.transport.flowcontrol import (
     DeliveryMask,
     RateController,
@@ -85,60 +88,15 @@ MAX_MEMBER_PAYLOAD = 1024
 TIMEOUT_RTT_MULTIPLIER = 4.0
 
 
-class PduKind(enum.Enum):
-    """VMTP PDU kinds: requests, responses and selective-retransmit NAKs.
-
-    The two NAK directions are distinct kinds, so a host that is both a
-    client and a server never takes one meant for its other role.
-    """
-    REQUEST = "request"
-    RESPONSE = "response"
-    #: Client to server: "resend the response members missing from this mask".
-    RESPONSE_NAK = "response_nak"
-    #: Server to client: "resend the request members missing from this mask".
-    REQUEST_NAK = "request_nak"
-
-
-@dataclass
-class VmtpPdu:
-    """The transport header carried as the Sirpent payload object.
-
-    Sizes (``header_bytes`` + member payload + ``trailer_bytes``) feed
-    the simulator; fields model VMTP's: entity ids, transaction id,
-    group bookkeeping, and the creation timestamp that lives in the
-    packet *trailer* with the checksum (§4.2).
-    """
-
-    kind: PduKind
-    transaction_id: int
-    src_entity: EntityId
-    dst_entity: EntityId
-    member_index: int
-    group_count: int
-    timestamp: int
-    reply_socket: int
-    mask_bits: int = 0
-    user_size: int = 0
-    user_data: Any = None
-    #: Sender's interpacket gap for this group (VMTP's rate-based flow
-    #: control is advertised, so the receiver's gap detection can tell
-    #: "paced and in flight" from "lost").
-    pacing_gap: float = 0.0
-    #: Where this member's bytes start in ``user_data``, the logical
-    #: packet every member of a group carries whole.
-    user_offset: int = 0
-
-
 @dataclass(frozen=True)
 class TransportConfig:
-    """Size and timing parameters of the transport.
+    """Timing parameters of the transport (a PDU's sizes are the
+    codec's, :data:`~repro.transport.codec.OVERHEAD` around its member).
 
     The defaults are the simulator's; the live overlay's are
     :data:`repro.live.host.LIVE_TRANSPORT`.
     """
 
-    header_bytes: int = 64         # VMTP-scale header (64-bit ids etc.)
-    trailer_bytes: int = 8         # 32-bit timestamp + 32-bit checksum
     rate_bps: float = 10e6         # initial pacing rate
     base_timeout: float = 5e-3
     retries_per_route: int = 2
@@ -280,8 +238,6 @@ class TransactionMachine:
         #: that budget.
         self._budget_route: Any = None
         self._budget = MAX_MEMBER_PAYLOAD
-        #: What a PDU adds to its member's bytes: header and trailer.
-        self._overhead = config.header_bytes + config.trailer_bytes
         #: The one client timer (None while it is not armed), the
         #: deadline it waits for, and how many deadlines were set.
         self._timer: Any = None
@@ -343,6 +299,11 @@ class TransactionMachine:
         transaction_id = next(self._tx_counter)
         budget = self._member_budget(manager.current())
         member_sizes = [size] if 0 < size <= budget else split_into_group(size, budget)
+        # A logical packet is as long as its size says: a shorter
+        # payload is its head, zeros the rest.
+        short = size - len(payload)
+        if short > 0:
+            payload += bytes(short)
         tx = _ClientTransaction(
             transaction_id, dst_entity, payload, member_sizes,
             manager, priority, on_complete,
@@ -375,8 +336,7 @@ class TransactionMachine:
         budget = MAX_MEMBER_PAYLOAD
         max_payload = getattr(route, "max_payload", None)
         if callable(max_payload):
-            wire_budget = max_payload() - self.config.header_bytes \
-                - self.config.trailer_bytes
+            wire_budget = max_payload() - OVERHEAD
             if wire_budget > 0:
                 budget = min(budget, wire_budget)
         self._budget_route, self._budget = route, budget
@@ -394,20 +354,18 @@ class TransactionMachine:
             indices = range(count)
         src_entity = self._client_entity()
         # What the group fixes is computed once: the creation stamp (the
-        # clock does not move inside one launch) and the members' wire
-        # sizes and pacing gaps.
+        # clock does not move inside one launch) and the members' pacing
+        # gaps.
         stamp = self.clock.stamp(now)
         if count == 1:
             # A one-member group: its member, then the timer after its gap.
-            wire = self._overhead + sizes[0]
             self.io.after(0.0, self._send, route, VmtpPdu(
                 PduKind.REQUEST, tx.transaction_id, src_entity, tx.dst_entity,
                 0, 1, stamp, self.config.socket, 0, sizes[0], tx.payload,
-            ), wire, tx.priority)
-            self._arm_timer(tx, route, self.rate.gap_for(wire), now)
+            ), tx.priority)
+            self._arm_timer(tx, route, self.rate.gap_for(OVERHEAD + sizes[0]), now)
             return
-        full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
-        group_gap = full_wire_gap[1]
+        full, (group_gap, last_gap) = sizes[0], self._member_gaps(sizes)
         after, send = self.io.after, self._send
         txid, dst_entity, socket = tx.transaction_id, tx.dst_entity, self.config.socket
         payload, priority = tx.payload, tx.priority
@@ -420,20 +378,16 @@ class TransactionMachine:
                 PduKind.REQUEST, txid, src_entity, dst_entity, index, count,
                 stamp, socket, 0, member, payload, group_gap, index * full,
             )
-            wire, gap = full_wire_gap if member == full else last_wire_gap
-            after(offset, send, route, pdu, wire, priority)
-            offset += gap
+            after(offset, send, route, pdu, priority)
+            offset += group_gap if member == full else last_gap
         self._arm_timer(tx, route, offset, now)
 
-    def _member_wires(
-        self, sizes: List[int]
-    ) -> Tuple[Tuple[int, float], Tuple[int, float]]:
-        """``(wire size, pacing gap)`` of a group's full member and of its
-        last: every member but the last is full."""
-        overhead = self._overhead
-        full, last = overhead + sizes[0], overhead + sizes[-1]
+    def _member_gaps(self, sizes: List[int]) -> Tuple[float, float]:
+        """The pacing gaps of a group's full member and of its last (a
+        PDU's gap is its wire size's): every member but the last is
+        full."""
         gap_for = self.rate.gap_for
-        return (full, gap_for(full)), (last, gap_for(last))
+        return gap_for(OVERHEAD + sizes[0]), gap_for(OVERHEAD + sizes[-1])
 
     def _arm_timer(
         self, tx: _ClientTransaction, route: Any, pacing: float, now: float,
@@ -540,7 +494,7 @@ class TransactionMachine:
             mask_bits=tx.response_mask.bits,
         )
         self.stats.naks_sent.add()
-        self._send(route, pdu, self._overhead, tx.priority)
+        self._send(route, pdu, tx.priority)
 
     def _finish(self, tx: _ClientTransaction, result: TransactionResult) -> None:
         if tx.done:
@@ -555,43 +509,38 @@ class TransactionMachine:
 
     # -- sending ----------------------------------------------------------------
 
-    def _send(self, route: Any, pdu: VmtpPdu, wire_size: int, priority: int) -> None:
+    def _send(self, route: Any, pdu: VmtpPdu, priority: int) -> None:
         self.stats.sent_pdus.add()
-        self.io.send(route, pdu, wire_size, priority)
+        self.io.send(route, pdu, priority)
 
-    def _send_return(self, delivered: Any, pdu: VmtpPdu, wire_size: int) -> None:
+    def _send_return(self, delivered: Any, pdu: VmtpPdu) -> None:
         self.stats.sent_pdus.add()
-        self.io.send_return(delivered, pdu, wire_size)
+        self.io.send_return(delivered, pdu)
 
     # -- receive path --------------------------------------------------------------
 
-    def on_pdu(
-        self,
-        pdu: Optional[VmtpPdu],
-        delivered: Any,
-        corrupted: bool = False,
-        truncated: bool = False,
-        arrived_at: Optional[float] = None,
-    ) -> None:
-        """A PDU arrived; ``delivered`` is what a reply goes back along.
-
-        ``pdu`` may be None only when ``corrupted`` is set: the adapter
-        could not trust the bytes enough to decode them.  ``arrived_at``
-        is when the adapter received it, on the clock's time source —
-        what §4.2's age check measures against; None reads the clock.
+    def on_pdu(self, pdu: Union[VmtpPdu, str], delivered: Any) -> None:
+        """A PDU arrived in ``delivered``
+        (:class:`~repro.dataplane.host.Delivered`), what a reply goes back
+        along: ``pdu`` is :func:`~repro.transport.codec.open_pdu`'s
+        verdict on its bytes, the PDU or why there is none.  The
+        delivery's trailer says whether the network truncated it, and
+        its ``arrived_at`` — on the clock's time source — is what §4.2's
+        age check measures against.
         """
         self.stats.received_pdus.add()
-        # §4.1: the transport checksum catches what the missing header
-        # checksum lets through.
-        if corrupted:
-            self.stats.checksum_failures.add()
-            self.io.discard("checksum")
-            return
         # §2/§4.3: a truncated member lost its tail in the network; it
         # counts as a loss and selective retransmission recovers it.
-        if truncated:
+        if delivered.trailer.truncated:
             self.stats.truncated_rejects.add()
             self.io.discard("truncated")
+            return
+        if pdu.__class__ is str:
+            # §4.1: the transport checksum catches what the missing
+            # header checksum lets through.
+            if pdu == "checksum":
+                self.stats.checksum_failures.add()
+            self.io.discard(pdu)
             return
         # §4.1: unique ids make misdelivery detectable.  A client that
         # does not know the server's id sends the wildcard, which only a
@@ -606,7 +555,7 @@ class TransactionMachine:
                 return
             pdu.dst_entity = self._server
         # §4.2: maximum packet lifetime from the creation timestamp.
-        if not self.config.mpl.accept(pdu.timestamp, self.clock, arrived_at):
+        if not self.config.mpl.accept(pdu.timestamp, self.clock, delivered.arrived_at):
             self.stats.lifetime_rejects.add()
             self.io.discard("too_old")
             return
@@ -724,7 +673,7 @@ class TransactionMachine:
             self.config.socket, assembly.mask.bits,
         )
         self.stats.naks_sent.add()
-        self._send_return(assembly.delivered, pdu, self._overhead)
+        self._send_return(assembly.delivered, pdu)
 
     def _complete_request(
         self, key: Tuple[int, int], pdu: VmtpPdu, parts: List[Any],
@@ -739,7 +688,8 @@ class TransactionMachine:
         reply_payload, reply_size = handler(ReceivedMessage(
             pdu.src_entity, parts, total_size, pdu.transaction_id,
         ))
-        reply_size = max(1, reply_size)
+        if reply_size < 1:
+            reply_size = 1
         answer = _answer(_Answer, (
             reply_payload,
             [reply_size] if reply_size <= MAX_MEMBER_PAYLOAD
@@ -763,6 +713,13 @@ class TransactionMachine:
         being answered, so the response swaps its entities."""
         sizes = answer.sizes
         count = len(sizes)
+        # As a request's in :meth:`transact`: a shorter payload is the
+        # head of its size in zeros, here, so the cache keeps only what
+        # the handler returned.
+        payload = answer.payload
+        short = sizes[0] * (count - 1) + sizes[-1] - len(payload)
+        if short > 0:
+            payload += bytes(short)
         # Fixed by the group, as in :meth:`_launch_group`.
         stamp = self.clock.stamp()
         if count == 1:
@@ -770,15 +727,15 @@ class TransactionMachine:
             self.io.after(0.0, self._send_return, delivered, VmtpPdu(
                 PduKind.RESPONSE, request.transaction_id, request.dst_entity,
                 request.src_entity, 0, 1, stamp, answer.reply_socket, 0,
-                sizes[0], answer.payload,
-            ), self._overhead + sizes[0])
+                sizes[0], payload,
+            ))
             return
-        full, (full_wire_gap, last_wire_gap) = sizes[0], self._member_wires(sizes)
+        full, (full_gap, last_gap) = sizes[0], self._member_gaps(sizes)
         after, send_return = self.io.after, self._send_return
         txid, src_entity, dst_entity = (
             request.transaction_id, request.dst_entity, request.src_entity,
         )
-        reply_socket, payload = answer.reply_socket, answer.payload
+        reply_socket = answer.reply_socket
         offset = 0.0
         for index in only if only is not None else range(count):
             member = sizes[index]
@@ -786,9 +743,8 @@ class TransactionMachine:
                 PduKind.RESPONSE, txid, src_entity, dst_entity, index, count,
                 stamp, reply_socket, 0, member, payload, 0.0, index * full,
             )
-            wire, gap = full_wire_gap if member == full else last_wire_gap
-            after(offset, send_return, delivered, pdu, wire)
-            offset += gap
+            after(offset, send_return, delivered, pdu)
+            offset += full_gap if member == full else last_gap
 
     def _on_response_nak(self, pdu: VmtpPdu, delivered: Any) -> None:
         """The client misses response members: replay them from the cache."""

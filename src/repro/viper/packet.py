@@ -82,8 +82,8 @@ class TrailerElement:
 class SirpentPacket:
     """A Sirpent/VIPER packet as structures: the codec's view of one.
 
-    ``payload`` is opaque to the internetwork (a transport PDU object or
-    bytes); only ``payload_size`` is on the wire.
+    ``payload`` is opaque to the internetwork (its bytes, or None for
+    ``payload_size`` zeros); only ``payload_size`` is framed.
     """
 
     segments: List[HeaderSegment]

@@ -186,7 +186,7 @@ class VideoStreamApp:
             return
         self.sent.add()
         self.host.send(
-            self.route, ("frame", self.sent.count), self.frame_bytes,
+            self.route, bytes(self.frame_bytes),
             priority=self.priority, dib=self.dib,
         )
         self.sim.after(self.frame_interval, self._tick)

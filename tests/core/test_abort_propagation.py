@@ -78,11 +78,11 @@ def test_preemption_aborts_the_whole_cut_through_chain():
     )
     # 5000B at 1 Mb/s = 40 ms on the wire; r1 starts cutting through at
     # ~0.1 ms.  Preempt at 10 ms: every downstream copy must die.
-    victim = weakref.ref(src.send(route, b"victim", 5000, priority=0))
-    sim.at(10e-3, lambda: src.send(route, b"urgent", 200,
+    victim = weakref.ref(src.send(route, b"victim".ljust(5000, b"\0"), priority=0))
+    sim.at(10e-3, lambda: src.send(route, b"urgent".ljust(200, b"\0"),
                                    priority=PRIORITY_PREEMPT_HIGH))
     sim.run(until=1.0)
-    payloads = [d.payload for d in got]
+    payloads = [d.payload.rstrip(b"\0") for d in got]
     assert payloads == [b"urgent"]
     # Nothing stale remains of the aborted cut-through chain.
     got.clear()
@@ -97,13 +97,13 @@ def test_abort_does_not_disturb_unrelated_traffic():
         [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
         src_port,
     )
-    src.send(route, b"victim", 5000, priority=0)
-    sim.at(10e-3, lambda: src.send(route, b"urgent", 200,
+    src.send(route, b"victim".ljust(5000, b"\0"), priority=0)
+    sim.at(10e-3, lambda: src.send(route, b"urgent".ljust(200, b"\0"),
                                    priority=PRIORITY_PREEMPT_HIGH))
     # A later normal packet flows normally after the dust settles.
-    sim.at(100e-3, lambda: src.send(route, b"later", 300, priority=0))
+    sim.at(100e-3, lambda: src.send(route, b"later".ljust(300, b"\0"), priority=0))
     sim.run(until=1.0)
-    assert [d.payload for d in got] == [b"urgent", b"later"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"urgent", b"later"]
 
 
 def test_router_forwarding_records_cleaned_on_normal_delivery():
@@ -112,7 +112,7 @@ def test_router_forwarding_records_cleaned_on_normal_delivery():
     route = StaticRoute(
         [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port
     )
-    sent = [weakref.ref(src.send(route, b"x", 500)) for _ in range(3)]
+    sent = [weakref.ref(src.send(route, bytes(500))) for _ in range(3)]
     sim.run(until=1.0)
     # The cut-through tracking must not leak.
     assert_nothing_survives(sim, sent)
@@ -127,18 +127,18 @@ def test_abort_after_the_outbound_transmission_ended_aborts_nothing():
     route = StaticRoute(
         [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port
     )
-    first = src.send(route, b"first", 500)
+    first = src.send(route, b"first".ljust(500, b"\0"))
     sim.run(until=50e-3)
-    assert [d.payload for d in got] == [b"first"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"first"]
     # 5000B at 1 Mb/s = 40 ms: 10 ms in, r1 is cutting "second" through.
-    src.send(route, b"second", 5000)
+    src.send(route, b"second".ljust(5000, b"\0"))
     sim.run(until=sim.now + 10e-3)
     upstream = next(
         a for a in routers[0].ports.values() if a.peer_name == "src"
     )
     upstream.receive_abort(first)
     sim.run(until=1.0)
-    assert [d.payload for d in got] == [b"first", b"second"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"first", b"second"]
 
 
 def test_link_failure_mid_frame_aborts_the_chain_downstream():
@@ -152,13 +152,13 @@ def test_link_failure_mid_frame_aborts_the_chain_downstream():
         [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
         src_port,
     )
-    victim = weakref.ref(src.send(route, b"victim", 5000))
+    victim = weakref.ref(src.send(route, b"victim".ljust(5000, b"\0")))
     r1_to_r2 = routers[0].ports[ports[0]].tx_channel
     sim.at(10e-3, r1_to_r2.fail)
     sim.at(60e-3, r1_to_r2.restore)
-    sim.at(100e-3, lambda: src.send(route, b"later", 300))
+    sim.at(100e-3, lambda: src.send(route, b"later".ljust(300, b"\0")))
     sim.run(until=1.0)
-    assert [d.payload for d in got] == [b"later"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"later"]
     assert r1_to_r2.packets_aborted.count == 1
     # r2 aborted its own half-sent copy instead of clocking it all out.
     assert routers[1].ports[ports[1]].tx_channel.packets_aborted.count == 1
@@ -178,7 +178,7 @@ def test_link_failure_before_the_header_lands_is_silent():
         [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
         src_port,
     )
-    src.send(route, b"victim", 5000)
+    src.send(route, b"victim".ljust(5000, b"\0"))
     # A 4-byte header is 32 us of wire at 1 Mb/s: r1 has it (and starts
     # sending) at ~32 us + propagation, r2 another 32 us + propagation on.
     header_at_r1 = 32e-6 + r1_to_r2.propagation_delay
@@ -233,7 +233,7 @@ def test_ethernet_failure_leaves_no_packet_behind(fail_at):
     # segment 154.5 us after src starts it; dst has the 4-byte header
     # that is left 37 us later.
     sim.at(fail_at, segment.fail)
-    lost = weakref.ref(src.send(route, b"lost", 5000))
+    lost = weakref.ref(src.send(route, b"lost".ljust(5000, b"\0")))
     sim.run(until=1.0)
     assert got == []
     assert r1.stats.cut_through_forwards.count == 1

@@ -43,7 +43,7 @@ def test_queued_packets_carry_backlog_hint():
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
     )
     for _ in range(5):  # burst: egress 10x slower than ingress
-        src.send(route, b"x", 1000)
+        src.send(route, bytes(1000))
     sim.run(until=1.0)
     hints = [d.packet.feed_forward_load for d in got]
     assert len(hints) == 5
@@ -62,6 +62,6 @@ def test_unloaded_path_reports_zero():
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
     )
     for index in range(3):
-        sim.at(index * 10e-3, lambda: src.send(route, b"x", 500))
+        sim.at(index * 10e-3, lambda: src.send(route, bytes(500)))
     sim.run(until=1.0)
     assert all(d.packet.feed_forward_load == 0 for d in got)

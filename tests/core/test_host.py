@@ -36,10 +36,10 @@ def test_socket_demultiplexing():
     b.bind(7, box_seven.append)
     a.send(StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=7)], a_port
-    ), b"to-seven", 100)
+    ), b"to-seven".ljust(100, b"\0"))
     a.send(StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
-    ), b"to-default", 100)
+    ), b"to-default".ljust(100, b"\0"))
     sim.run(until=1.0)
     assert len(box_seven) == 1 and box_seven[0].socket == 7
     assert len(box_default) == 1 and box_default[0].socket == 0
@@ -49,7 +49,7 @@ def test_unbound_socket_counted_undeliverable():
     sim, a, b, _r, a_port, out_port = direct_pair()
     a.send(StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=42)], a_port
-    ), b"nowhere", 100)
+    ), b"nowhere".ljust(100, b"\0"))
     sim.run(until=1.0)
     assert b.undeliverable.count == 1
     assert b.received.count == 1  # received, just not deliverable
@@ -68,7 +68,7 @@ def test_priority_stamped_on_all_segments():
     b.bind(0, got.append)
     a.send(StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
-    ), b"urgent", 100, priority=6)
+    ), b"urgent".ljust(100, b"\0"), priority=6)
     sim.run(until=1.0)
     # The final segment still carries the priority at delivery.
     assert structural(got[0].packet).segments[0].priority == 6
@@ -83,13 +83,13 @@ def test_send_return_reaches_reply_socket():
     a.bind(9, replies_at_a.append)
     a.send(StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
-    ), b"request", 300)
+    ), b"request".ljust(300, b"\0"))
     sim.run(until=0.5)
-    b.send_return(delivered_at_b[0], b"reply", 150, reply_socket=9)
+    b.send_return(delivered_at_b[0], b"reply".ljust(150, b"\0"), reply_socket=9)
     sim.run(until=1.0)
     assert len(replies_at_a) == 1
     assert replies_at_a[0].socket == 9
-    assert replies_at_a[0].payload == b"reply"
+    assert replies_at_a[0].payload == b"reply".ljust(150, b"\0")
 
 
 def test_delivery_statistics():
@@ -98,7 +98,7 @@ def test_delivery_statistics():
     for _ in range(3):
         a.send(StaticRoute(
             [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
-        ), b"x", 100)
+        ), bytes(100))
     sim.run(until=1.0)
     assert a.sent.count == 3
     assert b.received.count == 3
@@ -109,7 +109,7 @@ def test_send_on_missing_port_raises():
     sim, a, _b, _r, _ap, out_port = direct_pair()
     with pytest.raises(KeyError):
         a.send(StaticRoute([HeaderSegment(port=0)], first_hop_port=99),
-               b"x", 10)
+               bytes(10))
 
 
 def test_ethernet_host_return_path_uses_frame_macs():
@@ -126,8 +126,8 @@ def test_ethernet_host_return_path_uses_frame_macs():
     b.bind(0, got.append)
     # Direct host-to-host on one Ethernet: a single final segment.
     a.send(StaticRoute([HeaderSegment(port=0)], att_a.port_id,
-                       first_hop_mac=att_b.mac), b"hello", 64)
+                       first_hop_mac=att_b.mac), b"hello".ljust(64, b"\0"))
     sim.run(until=1.0)
     assert len(got) == 1
-    assert got[0].return_first_hop_mac == att_a.mac
+    assert got[0].first_hop_mac == att_a.mac
     assert got[0].arrival_port == att_b.port_id

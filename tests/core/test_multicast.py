@@ -77,17 +77,17 @@ class TestTreeEncoding:
 class TestMulticastAgent:
     def test_explosion_to_all_members(self):
         sent = []
-        agent = MulticastAgent(lambda route, payload, size: sent.append(route))
+        agent = MulticastAgent(lambda route, payload: sent.append(route))
         agent.add_member("route-a")
         agent.add_member("route-b")
         agent.add_member("route-c")
-        agent.on_payload(b"data", 100)
+        agent.on_payload(b"data")
         assert sent == ["route-a", "route-b", "route-c"]
         assert agent.exploded == 1
 
     def test_no_members_is_fine(self):
         agent = MulticastAgent(lambda *a: None)
-        agent.on_payload(b"data", 10)
+        agent.on_payload(b"data")
         assert agent.exploded == 1
 
 
@@ -133,7 +133,7 @@ class TestRouterIntegration:
         route = self._route(
             [HeaderSegment(port=240), HeaderSegment(port=0)], src_port
         )
-        src.send(route, b"mc", 200)
+        src.send(route, b"mc".ljust(200, b"\0"))
         sim.run(until=1.0)
         assert all(len(box) == 1 for box in inboxes)
         assert router.stats.multicast_copies.count == 3
@@ -144,7 +144,7 @@ class TestRouterIntegration:
             [HeaderSegment(port=BROADCAST_PORT), HeaderSegment(port=0)],
             src_port,
         )
-        src.send(route, b"bc", 200)
+        src.send(route, b"bc".ljust(200, b"\0"))
         sim.run(until=1.0)
         # Delivered to the three leaves, not looped back to the source.
         assert all(len(box) == 1 for box in inboxes)
@@ -160,7 +160,7 @@ class TestRouterIntegration:
                            portinfo=encode_tree_info(branches))],
             src_port,
         )
-        src.send(route, b"tree", 200)
+        src.send(route, b"tree".ljust(200, b"\0"))
         sim.run(until=1.0)
         assert len(inboxes[0]) == 1 and len(inboxes[1]) == 1
         assert len(inboxes[2]) == 0
@@ -170,7 +170,7 @@ class TestRouterIntegration:
         route = self._route(
             [HeaderSegment(port=TREE_PORT, portinfo=b"\xff\x00")], src_port
         )
-        src.send(route, b"bad", 50)
+        src.send(route, b"bad".ljust(50, b"\0"))
         sim.run(until=1.0)
         assert router.stats.dropped_bad_portinfo.count == 1
         assert all(len(box) == 0 for box in inboxes)

@@ -30,14 +30,14 @@ def test_expired_token_rejected_at_the_router():
         first_hop_port = base.first_hop_port
         first_hop_mac = base.first_hop_mac
 
-    scenario.hosts["src"].send(Tokened, b"fresh", 100)
+    scenario.hosts["src"].send(Tokened, b"fresh".ljust(100, b"\0"))
     scenario.sim.run(until=0.2)  # clock now past 50 ms
     # Flush the cache so the router re-verifies (cached entries do not
     # re-check expiry; soft state would age out in deployment).
     router.token_cache.flush()
-    scenario.hosts["src"].send(Tokened, b"stale", 100)
+    scenario.hosts["src"].send(Tokened, b"stale".ljust(100, b"\0"))
     scenario.sim.run(until=0.5)
-    assert [d.payload for d in got] == [b"fresh"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"fresh"]
     assert router.stats.dropped_token.count >= 1
 
 
@@ -73,7 +73,7 @@ def test_byte_limited_token_cuts_off_mid_stream():
 
     for index in range(4):
         scenario.sim.at(index * 5e-3,
-                        lambda: scenario.hosts["src"].send(Tokened, b"x", 500))
+                        lambda: scenario.hosts["src"].send(Tokened, bytes(500)))
     scenario.sim.run(until=0.5)
     assert len(got) == 2
     assert router.stats.dropped_token.count == 2

@@ -128,8 +128,8 @@ def test_a_slick_packet_leaves_a_router_within_the_link_mtu(monkeypatch):
         first_hop_port = src_port
         first_hop_mac = None
 
-    src.send(SlickRoute, b"big", 1400)
+    src.send(SlickRoute, b"big".ljust(1400, b"\0"))
     sim.run(until=1.0)
-    assert len(got) == 1 and got[0].truncated
+    assert len(got) == 1 and got[0].trailer.truncated
     assert r1.stats.truncated.count == 1
     assert all(size <= mtu for size, mtu in clocked), clocked

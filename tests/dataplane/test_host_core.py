@@ -327,7 +327,7 @@ def _sim_pair():
         first_hop_port = a_port
         first_hop_mac = None
 
-    packet = a.send(Route(), b"nowhere", 100)
+    packet = a.send(Route(), b"nowhere".ljust(100, b"\0"))
     sim.run(until=1.0)
     return b, tracer, recorder, packet.trace_id
 

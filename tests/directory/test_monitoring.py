@@ -18,7 +18,7 @@ def test_monitor_reports_hot_links():
 
     def flood() -> None:
         if scenario.sim.now < 0.5:
-            host.send(route, b"x", 1200)
+            host.send(route, bytes(1200))
             scenario.sim.after(1e-3, flood)
 
     scenario.sim.after(0.0, flood)
@@ -41,7 +41,7 @@ def test_reported_load_steers_low_cost_routes():
 
     def flood() -> None:
         if scenario.sim.now < 0.5:
-            host.send(route, b"x", 1200)
+            host.send(route, bytes(1200))
             scenario.sim.after(1e-3, flood)
 
     scenario.sim.after(0.0, flood)

@@ -66,10 +66,12 @@ def test_a_max_payload_member_on_a_slick_route_fits_every_link(monkeypatch):
     sim, client, server, route = build()
     got = []
     server.bind(SOCKET, got.append)
-    client.send(route, b"member", route.max_payload())
+    client.send(route, b"member".ljust(route.max_payload(), b"\0"))
     sim.run(until=0.1)
-    assert [(d.payload, d.truncated) for d in got] == [(b"member", False)]
-    assert got[0].payload_size == route.max_payload()
+    assert [(d.payload.rstrip(b"\0"), d.trailer.truncated) for d in got] == [
+        (b"member", False)
+    ]
+    assert len(got[0].payload) == route.max_payload()
     assert [name for name, _, _ in clocked] == ["client--r1:a>b", "r1--r2:a>b", "r2--server:a>b"]
     assert all(size <= mtu for _, size, mtu in clocked), clocked
 

@@ -60,7 +60,7 @@ def test_delivery_to_the_chosen_instance():
     route = scenario.directory.query("src", RouteQuery(
         "printer.lab.edu",
     ))[0]
-    scenario.hosts["src"].send(route, b"print me", 200)
+    scenario.hosts["src"].send(route, b"print me".ljust(200, b"\0"))
     scenario.sim.run(until=1.0)
     assert len(got) == 1
 

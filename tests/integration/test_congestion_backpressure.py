@@ -24,7 +24,7 @@ def drive_dumbbell(congestion_enabled, seconds=1.0, overload=1.6, n_pairs=3):
         )[0]
         PoissonArrivals(
             scenario.sim, per_sender_pps,
-            emit=lambda size, s=sender, r=route: s.send(r, b"x", size - 50),
+            emit=lambda size, s=sender, r=route: s.send(r, bytes(size - 50)),
             rng=rngs.stream(f"sender{index}"),
             fixed_size=packet_size, stop_at=seconds,
         )

@@ -65,10 +65,10 @@ def test_first_packet_triggers_setup_then_flows():
     got = []
     dst.bind(0, got.append)
     route = route_via(tunnel_a, gwb_out, src_port)
-    src.send(route, b"one", 300)
-    src.send(route, b"two", 300)  # queued behind the pending setup
+    src.send(route, b"one".ljust(300, b"\0"))
+    src.send(route, b"two".ljust(300, b"\0"))  # queued behind the pending setup
     sim.run(until=0.3)            # before the 0.5 s idle release
-    assert [d.payload for d in got] == [b"one", b"two"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"one", b"two"]
     assert tunnel_a.setups == 1  # one circuit served both
     assert all(s.held_circuits == 1 for s in switches)
     sim.run(until=1.0)           # idle: the tunnel returns the state
@@ -82,12 +82,12 @@ def test_idle_circuit_released_and_reestablished():
     got = []
     dst.bind(0, got.append)
     route = route_via(tunnel_a, gwb_out, src_port)
-    src.send(route, b"first", 300)
+    src.send(route, b"first".ljust(300, b"\0"))
     sim.run(until=0.5)  # past the idle timeout
     assert all(s.held_circuits == 0 for s in switches)  # state returned
-    src.send(route, b"second", 300)
+    src.send(route, b"second".ljust(300, b"\0"))
     sim.run(until=1.0)
-    assert [d.payload for d in got] == [b"first", b"second"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"first", b"second"]
     assert tunnel_a.setups == 2  # re-established on demand
 
 
@@ -99,7 +99,7 @@ def test_busy_circuit_stays_open():
     dst.bind(0, got.append)
     route = route_via(tunnel_a, gwb_out, src_port)
     for index in range(6):
-        sim.at(index * 0.1, lambda: src.send(route, b"tick", 100))
+        sim.at(index * 0.1, lambda: src.send(route, b"tick".ljust(100, b"\0")))
     sim.run(until=1.5)
     assert len(got) == 6
     assert tunnel_a.setups == 1  # traffic kept it alive
@@ -110,12 +110,12 @@ def test_return_route_through_the_circuit():
     got, replies = [], []
     dst.bind(0, got.append)
     src.bind(0, replies.append)
-    src.send(route_via(tunnel_a, gwb_out, src_port), b"ping", 200)
+    src.send(route_via(tunnel_a, gwb_out, src_port), b"ping".ljust(200, b"\0"))
     sim.run(until=1.0)
     assert got
-    dst.send_return(got[0], b"pong", 100)
+    dst.send_return(got[0], b"pong".ljust(100, b"\0"))
     sim.run(until=2.0)
-    assert replies and replies[0].payload == b"pong"
+    assert replies and replies[0].payload == b"pong".ljust(100, b"\0")
     assert tunnel_b.encapsulated == 1
 
 
@@ -124,11 +124,11 @@ def test_setup_rtt_charged_to_first_packet_only():
     got = []
     dst.bind(0, got.append)
     route = route_via(tunnel_a, gwb_out, src_port)
-    src.send(route, b"cold", 300)
+    src.send(route, b"cold".ljust(300, b"\0"))
     sim.run(until=0.3)
-    src.send(route, b"warm", 300)
+    src.send(route, b"warm".ljust(300, b"\0"))
     sim.run(until=0.6)
-    cold = got[0].one_way_delay
-    warm = got[1].one_way_delay
+    cold = got[0].arrived_at - got[0].packet.created_at
+    warm = got[1].arrived_at - got[1].packet.created_at
     # The first packet absorbed the circuit setup round trip.
     assert cold > warm + 1e-3

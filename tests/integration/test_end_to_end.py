@@ -97,7 +97,7 @@ def test_secure_objective_end_to_end():
     assert secure_route.propagation_delay > fast_route.propagation_delay
     got = []
     scenario.hosts["dst"].bind(0, got.append)
-    scenario.hosts["src"].send(secure_route, b"secret", 200)
+    scenario.hosts["src"].send(secure_route, b"secret".ljust(200, b"\0"))
     scenario.sim.run(until=1.0)
     assert got[0].packet.hop_log == ["r1"]
 
@@ -127,7 +127,7 @@ def test_intra_host_addressing_unified():
         scenario.hosts["dst"].bind(socket, box.append)
     for socket in inboxes:
         route = scenario.routes("src", "dst", dest_socket=socket)[0]
-        scenario.hosts["src"].send(route, f"to-{socket}".encode(), 100)
+        scenario.hosts["src"].send(route, f"to-{socket}".encode().ljust(100, b"\0"))
     scenario.sim.run(until=1.0)
     for socket, box in inboxes.items():
         assert len(box) == 1

@@ -60,7 +60,7 @@ def test_ethernet_portinfo_reversal_on_the_worked_example():
     ))[0]
     got = []
     scenario.hosts["milo"].bind(0, got.append)
-    scenario.hosts["venus"].send(route, b"worked example", 300)
+    scenario.hosts["venus"].send(route, b"worked example".ljust(300, b"\0"))
     scenario.sim.run(until=1.0)
     delivered = got[0]
     # Return route: first return segment exits gw-mit back toward the
@@ -80,7 +80,7 @@ def test_ethernet_portinfo_reversal_on_the_worked_example():
     assert info.src == gw_mac      # from the gateway's own address
     # And the physical first hop of the reply is the arrival frame's
     # source (gw-mit's MAC on the MIT Ethernet).
-    assert delivered.return_first_hop_mac is not None
+    assert delivered.first_hop_mac is not None
 
 
 def test_broadcast_frame_reaches_all_campus_hosts():
@@ -99,6 +99,6 @@ def test_broadcast_frame_reaches_all_campus_hosts():
         first_hop_port = next(iter(scenario.hosts["venus"].ports))
         first_hop_mac = MacAddress(BROADCAST)
 
-    scenario.hosts["venus"].send(Route, b"anyone there?", 100)
+    scenario.hosts["venus"].send(Route, b"anyone there?".ljust(100, b"\0"))
     scenario.sim.run(until=1.0)
     assert len(inboxes["gregorio"]) == 1

@@ -20,7 +20,7 @@ def test_token_cache_flush_is_survivable():
     ))[0]
     for index in range(4):
         scenario.sim.at(index * 10e-3,
-                        lambda: scenario.hosts["src"].send(route, b"x", 200))
+                        lambda: scenario.hosts["src"].send(route, bytes(200)))
     # Flush both caches between the second and third packet.
     scenario.sim.at(15e-3, scenario.routers["r1"].token_cache.flush)
     scenario.sim.at(15e-3, scenario.routers["r2"].token_cache.flush)

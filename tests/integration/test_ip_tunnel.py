@@ -75,11 +75,11 @@ def test_sirpent_packet_crosses_ip_cloud():
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
     ], src_port)
-    src.send(route, b"across the internet", 600)
+    src.send(route, b"across the internet".ljust(600, b"\0"))
     sim.run(until=sim.now + 2.0)
     assert len(got) == 1
     delivered = got[0]
-    assert delivered.payload == b"across the internet"
+    assert delivered.payload == b"across the internet".ljust(600, b"\0")
     # Sirpent-visible path: just the two gateways.
     assert delivered.packet.hop_log.count("gwA") == 1
     assert delivered.packet.hop_log.count("gwB") == 1
@@ -100,15 +100,15 @@ def test_return_route_crosses_back():
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
     ], src_port)
-    src.send(route, b"ping", 200)
+    src.send(route, b"ping".ljust(200, b"\0"))
     sim.run(until=sim.now + 2.0)
     assert got
     # The trailer's return route includes gwB's tunnel port back to gwA.
     ports = [s.port for s in return_route(got[0])]
     assert tunnel_b.port_id in ports
-    dst.send_return(got[0], b"pong", 100)
+    dst.send_return(got[0], b"pong".ljust(100, b"\0"))
     sim.run(until=sim.now + 2.0)
-    assert replies and replies[0].payload == b"pong"
+    assert replies and replies[0].payload == b"pong".ljust(100, b"\0")
     assert tunnel_b.encapsulated == 1
 
 
@@ -122,11 +122,11 @@ def test_tunnel_mtu_truncates_oversized():
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
     ], src_port)
-    src.send(route, b"big", 3000)  # beyond the 1400B tunnel MTU
+    src.send(route, b"big".ljust(3000, b"\0"))  # beyond the 1400B tunnel MTU
     sim.run(until=sim.now + 2.0)
     assert len(got) == 1
-    assert got[0].truncated
-    assert got[0].payload_size < 3000
+    assert got[0].trailer.truncated
+    assert len(got[0].payload) < 3000
 
 
 def test_ip_cloud_failure_breaks_then_heals_tunnel():
@@ -142,11 +142,11 @@ def test_ip_cloud_failure_breaks_then_heals_tunnel():
         HeaderSegment(port=0),
     ], src_port)
     topo.fail_link("ipr1--ipr2")
-    src.send(route, b"lost", 100)
+    src.send(route, b"lost".ljust(100, b"\0"))
     sim.run(until=sim.now + 0.5)
     assert got == []  # the IP cloud black-holed it
     topo.restore_link("ipr1--ipr2")
     sim.run(until=sim.now + 0.5)  # hellos re-establish, SPF reroutes
-    src.send(route, b"healed", 100)
+    src.send(route, b"healed".ljust(100, b"\0"))
     sim.run(until=sim.now + 1.0)
-    assert [d.payload for d in got] == [b"healed"]
+    assert [d.payload.rstrip(b"\0") for d in got] == [b"healed"]

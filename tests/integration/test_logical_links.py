@@ -50,7 +50,7 @@ def test_trunk_spreads_load_across_members():
     got = []
     dst.bind(0, got.append)
     for index in range(40):
-        sim.at(index * 1e-4, lambda: src.send(route, b"x", 1000))
+        sim.at(index * 1e-4, lambda: src.send(route, bytes(1000)))
     sim.run(until=2.0)
     assert len(got) == 40
     per_member = [l.a_to_b.packets_sent.count for l in links]
@@ -63,7 +63,7 @@ def test_single_member_is_a_plain_link():
     sim, _t, src, dst, _ra, links, route = build_trunk(n_channels=1)
     got = []
     dst.bind(0, got.append)
-    src.send(route, b"x", 500)
+    src.send(route, bytes(500))
     sim.run(until=1.0)
     assert len(got) == 1
     assert links[0].a_to_b.packets_sent.count == 1
@@ -83,7 +83,7 @@ def test_flow_hash_keeps_flows_on_one_member():
         route.first_hop_port,
     )
     for index in range(20):
-        sim.at(index * 1e-3, lambda: src.send(flow_route, b"x", 500))
+        sim.at(index * 1e-3, lambda: src.send(flow_route, bytes(500)))
     sim.run(until=2.0)
     assert len(got) == 20
     used = [l for l in links if l.a_to_b.packets_sent.count > 0]
@@ -98,7 +98,7 @@ def test_trunk_survives_member_failure():
     dst.bind(0, got.append)
     links[0].fail()
     for index in range(12):
-        sim.at(index * 1e-3, lambda: src.send(route, b"x", 500))
+        sim.at(index * 1e-3, lambda: src.send(route, bytes(500)))
     sim.run(until=2.0)
     # The dead member is busy=False but sends vanish... least-loaded may
     # still pick it; Sirpent handles that as loss + transport retry.  At
@@ -133,7 +133,7 @@ def test_transit_expansion_splices_route():
     route = StaticRoute(
         [HeaderSegment(port=LOGICAL), HeaderSegment(port=0)], src_port
     )
-    src.send(route, b"transit", 300)
+    src.send(route, b"transit".ljust(300, b"\0"))
     sim.run(until=1.0)
     assert len(got) == 1
     assert got[0].packet.hop_log == ["entry", "middle", "exit"]

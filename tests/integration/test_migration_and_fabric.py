@@ -140,7 +140,7 @@ def test_fabric_crossing_delivers():
     segments = fabric.internal_segments(
         src_external=0, dst_leaf_port=host_links[2], dst_external=2,
     ) + [HeaderSegment(port=0)]
-    src.send(StaticRoute(segments, src_port), b"through the fabric", 400)
+    src.send(StaticRoute(segments, src_port), b"through the fabric".ljust(400, b"\0"))
     sim.run(until=1.0)
     assert len(got) == 1
     # Crossed leaf0 -> root -> leaf2.
@@ -166,9 +166,9 @@ def test_fabric_stages_cost_only_decision_delays():
     segments = fabric.internal_segments(0, host_links[1], 1) + [
         HeaderSegment(port=0)
     ]
-    src.send(StaticRoute(segments, src_port), b"x", 1000)
+    src.send(StaticRoute(segments, src_port), bytes(1000))
     sim.run(until=1.0)
-    delay = got[0].one_way_delay
+    delay = got[0].arrived_at - got[0].packet.created_at
     serialization = (1000 + 16) * 8 / 100e6  # ~81 us
     # 3 cut-through stages add ~3 decision delays + tiny pipeline, so
     # the total stays within ~25% of one serialization.
@@ -191,7 +191,7 @@ def test_cut_through_preserves_rate_gaps():
     gap = 2.5e-3
     for index in range(8):
         sim.at(index * gap,
-               lambda: scenario.hosts["src"].send(route, b"x", 700))
+               lambda: scenario.hosts["src"].send(route, bytes(700)))
     sim.run(until=1.0)
     spacings = [b - a for a, b in zip(arrivals, arrivals[1:])]
     assert all(abs(s - gap) < 1e-9 for s in spacings)

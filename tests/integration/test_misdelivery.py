@@ -49,13 +49,14 @@ def test_corrupted_packets_still_delivered_somewhere():
     route = StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
     )
+    payload = bytes(200)
     for _ in range(40):
-        src.send(route, b"x", 200)
+        src.send(route, payload)
     sim.run(until=2.0)
     delivered = len(seen_dst) + len(seen_other)
     # Some packets are misrouted to the bystander or into dead ports,
     # but corruption never makes the network *drop* them outright:
-    corrupted_seen = [d for d in seen_dst + seen_other if d.corrupted]
+    corrupted_seen = [d for d in seen_dst + seen_other if d.payload != payload]
     assert corrupted_seen, "no corrupted packet survived to any host"
     assert router.stats.dropped_no_route.count + delivered == 40
 
@@ -86,6 +87,34 @@ def test_transport_checksum_catches_corruption():
     assert results and results[0].ok
     assert t_dst.stats.checksum_failures.count >= 1
     assert all(not m.payload_parts[0] == None for m in served)
+
+
+def test_a_seeded_corruption_run_counts_checksum_discards_by_reason():
+    """The simulator's PDUs are the codec's bytes, so a bit error flips
+    a real byte and the receiving transport's CRC-32 finds it: every
+    such PDU is discarded and counted under ``checksum``, by reason as
+    the live overlay counts it.  The host's ``undeliverable`` (frames no
+    socket took, which tables read) does not move."""
+    sim, _t, src, dst, _b, _r, src_port, out_port = build_lossy_line(
+        corruption_rate=0.5, seed=7,
+    )
+    t_src = VmtpTransport(sim, src)
+    t_dst = VmtpTransport(sim, dst)
+    entity = t_dst.create_entity(lambda m: (b"ok", 32), hint="server")
+    route = StaticRoute(
+        [HeaderSegment(port=out_port), HeaderSegment(port=1)], src_port
+    )
+    manager = RouteManager(sim, [_route_obj(route)])
+    results = []
+    for index in range(20):
+        sim.at(index * 0.1, t_src.transact, manager, entity, b"q", 256, results.append)
+    sim.run(until=5.0)
+    assert len(results) == 20 and sum(r.ok for r in results) >= 15
+    for transport in (t_dst, t_src):
+        checksum = transport.stats.checksum_failures.count
+        assert checksum >= 5
+        assert transport.drops == {"checksum": checksum}
+    assert dst.undeliverable.count == 0
 
 
 def _route_obj(static):
@@ -135,8 +164,9 @@ def test_clean_link_never_corrupts():
     route = StaticRoute(
         [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
     )
+    payload = bytes(100)
     for _ in range(20):
-        src.send(route, b"x", 100)
+        src.send(route, payload)
     sim.run(until=1.0)
     assert len(got) == 20
-    assert not any(d.corrupted for d in got)
+    assert all(d.payload == payload for d in got)

@@ -141,7 +141,9 @@ def campus_ethernet() -> Dict[str, Any]:
 
 
 def chain(rates, cut_through=True):
-    """src — r1 — … — dst, one rate per link, no congestion manager."""
+    """src — r1 — … — dst, one rate per link, no congestion manager;
+    ``send(label, size, **options)`` sends ``size`` bytes from src that
+    dst records under ``label``."""
     sim = Simulator()
     topo = Topology(sim)
     src = topo.add_node(SirpentHost(sim, "src"))
@@ -162,34 +164,41 @@ def chain(rates, cut_through=True):
         [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)], src_port,
     )
     got: List[Any] = []
-    dst.bind(0, lambda d: got.append((d.payload, repr(d.arrived_at), d.truncated)))
-    return sim, topo, src, route, got
+    labels: Dict[int, Any] = {}
+
+    def send(label, size, **options):
+        labels[src.send(route, bytes(size), **options).packet_id] = label
+
+    dst.bind(0, lambda d: got.append(
+        (labels[d.packet.packet_id], repr(d.arrived_at), d.trailer.truncated)
+    ))
+    return sim, topo, send, got
 
 
 def preemption_mid_cut_through() -> Dict[str, Any]:
-    sim, topo, src, route, got = chain([1e6, 1e6, 1e6])
-    src.send(route, b"victim", 5000, priority=0)
-    sim.at(10e-3, lambda: src.send(route, b"urgent", 200, priority=PRIORITY_PREEMPT_HIGH))
-    sim.at(12e-3, lambda: src.send(route, b"queued", 700, priority=0))
-    sim.at(100e-3, lambda: src.send(route, b"later", 300, priority=0))
+    sim, topo, send, got = chain([1e6, 1e6, 1e6])
+    send(b"victim", 5000, priority=0)
+    sim.at(10e-3, lambda: send(b"urgent", 200, priority=PRIORITY_PREEMPT_HIGH))
+    sim.at(12e-3, lambda: send(b"queued", 700, priority=0))
+    sim.at(100e-3, lambda: send(b"later", 300, priority=0))
     sim.run(until=1.0)
     return summary(sim, topo, tuple(got))
 
 
 def link_failure_after_header() -> Dict[str, Any]:
-    sim, topo, src, route, got = chain([1e6, 1e6, 1e6])
+    sim, topo, send, got = chain([1e6, 1e6, 1e6])
     r1_to_r2 = topo.links["r1--r2"].a_to_b
-    src.send(route, b"victim", 5000)
+    send(b"victim", 5000)
     sim.at(10e-3, r1_to_r2.fail)
     sim.at(60e-3, r1_to_r2.restore)
-    sim.at(100e-3, lambda: src.send(route, b"later", 300))
+    sim.at(100e-3, lambda: send(b"later", 300))
     # The last wire fails once dst holds the header (a host, which
     # ignores headers), then carries one more frame.
     r2_to_dst = topo.links["r2--dst"].a_to_b
-    sim.at(200e-3, lambda: src.send(route, b"cut", 5000))
+    sim.at(200e-3, lambda: send(b"cut", 5000))
     sim.at(206e-3, r2_to_dst.fail)
     sim.at(300e-3, r2_to_dst.restore)
-    sim.at(400e-3, lambda: src.send(route, b"last", 300))
+    sim.at(400e-3, lambda: send(b"last", 300))
     sim.run(until=1.0)
     return summary(sim, topo, tuple(got))
 
@@ -200,9 +209,9 @@ def store_and_forward() -> Dict[str, Any]:
     outcomes = []
     merged = {}
     for rates, cut_through in (([10e6, 10e6, 10e6], False), ([10e6, 10e6, 4e6], True)):
-        sim, topo, src, route, got = chain(rates, cut_through=cut_through)
+        sim, topo, send, got = chain(rates, cut_through=cut_through)
         for index, size in enumerate((64, 1000, 1400, 200, 1400)):
-            sim.at(index * 0.3e-3, lambda z=size, i=index: src.send(route, i, z))
+            sim.at(index * 0.3e-3, lambda z=size, i=index: send(i, z))
         sim.run(until=0.2)
         part = summary(sim, topo, tuple(got))
         outcomes.append(part.pop("fingerprint"))

@@ -69,11 +69,15 @@ def exchange(link_down):
 
     for name, server in servers.items():
         def serve(delivered, name=name, server=server):
-            seen[name].append(delivered.payload)
+            seen[name].append(delivered.payload.rstrip(b"\0").decode())
             paths.append(delivered.packet.hop_log)
-            server.send_return(delivered, name, 16, reply_socket=SOCKET)
+            server.send_return(
+                delivered, name.encode().ljust(16, b"\0"), reply_socket=SOCKET,
+            )
         server.bind(SOCKET, serve)
-    client.bind(SOCKET, lambda delivered: replies.append(delivered.payload))
+    client.bind(SOCKET, lambda delivered: replies.append(
+        delivered.payload.rstrip(b"\0").decode()
+    ))
 
     if link_down:
         topology.fail_link("a--p")
@@ -81,7 +85,7 @@ def exchange(link_down):
         for name in ("s1", "s2"):
             sim.at(
                 1e-3 * (2 * round_no + (name == "s2")),
-                client.send, routes[name], f"to {name}", 16,
+                client.send, routes[name], f"to {name}".encode().ljust(16, b"\0"),
             )
     sim.run(until=0.1)
     return seen, replies, paths

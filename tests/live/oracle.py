@@ -16,7 +16,7 @@ shares no code with the in-place path beyond the whole-frame codec.
 :func:`~repro.viper.packet.encode_packet`), :func:`decode_trailer` and
 :func:`build_return_route` (§2's receiver, reversing the trailer) read
 a packet as objects; :func:`live_packet`, :func:`live_return_segments`
-and :func:`live_trailer_spans` read a live delivery's kept datagram the
+and :func:`live_trailer_spans` read a delivery's kept frame the
 same way, which the host itself never does.  :func:`free_slots` is a
 ring's leak check.
 
@@ -33,9 +33,9 @@ it, wakeup by wakeup.
 endpoint's one probe timer must wake for, read off its probes the plain
 way: every probe's deadline, the earliest of them.
 
-**The PDU readers.**  :func:`decode_pdu` and :func:`pdu_intact` read a
-live PDU in flight — a test's view of what
-:func:`~repro.live.host.open_pdu` checks and decodes in place on the
+**The PDU readers.**  :func:`decode_pdu`, :func:`frame_pdu` and
+:func:`pdu_intact` read a PDU in flight — a test's view of what
+:func:`~repro.transport.codec.open_pdu` checks and decodes in place on the
 receive path.
 
 **The virtual clock and the scripted socket.**  :class:`FakeLoop`
@@ -59,14 +59,14 @@ from repro.live.frames import (
     decode_preamble,
     encode_ack,
     encode_live_frame,
+    frame_bounds,
     frame_spans,
     hop_move_into,
     return_tail_of,
 )
-from repro.live.host import open_pdu
+from repro.transport.codec import VmtpPdu, open_pdu
 from repro.live.link import _MSG_TRUNC
 from repro.live.router import LiveRouter
-from repro.transport.machine import VmtpPdu
 from repro.viper.errors import DecodeError, ViperDecodeError
 from repro.viper.packet import (
     TRUNCATION_MARK,
@@ -101,10 +101,17 @@ def pdu_intact(data: bytes) -> bool:
 
 def decode_pdu(data: bytes):
     """The PDU that is all of ``data``, or None for one
-    :func:`~repro.live.host.open_pdu` refuses (short, damaged, of no
+    :func:`~repro.transport.codec.open_pdu` refuses (short, damaged, of no
     kind, a malformed NAK)."""
     pdu = open_pdu(data, 0, len(data))
     return pdu if pdu.__class__ is VmtpPdu else None
+
+
+def frame_pdu(frame: bytes):
+    """The PDU a data frame's payload carries (a live datagram or a
+    simulator frame's bytes), or None as :func:`decode_pdu` has it."""
+    _socket, start, end = frame_bounds(frame, decode_preamble(frame))
+    return decode_pdu(frame[start:end])
 
 
 # -- the structural packet algebra ---------------------------------------------
@@ -140,6 +147,8 @@ def mark_truncated(packet, keep_bytes):
     if keep_bytes < 0:
         raise ValueError("keep_bytes must be non-negative")
     packet.payload_size = min(packet.payload_size, keep_bytes)
+    if packet.payload is not None:
+        packet.payload = packet.payload[:packet.payload_size]
     if not packet.truncated:
         packet.trailer.append(TRUNCATION_MARK)
 
@@ -162,17 +171,23 @@ def trailer_segments(packet):
 
 
 def corrupted_copy(packet, rng):
-    """The structural rendition of a bit error: a flagged clone whose
-    leading port, half the time, takes a random value."""
+    """The structural rendition of a bit error: a clone whose payload
+    bytes (zeros unless ``payload`` holds them) have their middle byte
+    inverted, and whose leading port, half the time, takes a random
+    value."""
+    payload = bytearray(
+        bytes(packet.payload_size) if packet.payload is None else packet.payload
+    )
+    if payload:
+        payload[len(payload) // 2] ^= 0xFF
     clone = SirpentPacket(
         segments=list(packet.segments),
         payload_size=packet.payload_size,
-        payload=packet.payload,
+        payload=bytes(payload),
         trailer=list(packet.trailer),
         trace_id=packet.trace_id,
         alternates=[list(block) for block in packet.alternates],
     )
-    clone.corrupted = True
     if clone.segments and rng.random() < 0.5:
         clone.segments[0] = clone.segments[0].copy(port=rng.randrange(0, 256))
     return clone
@@ -252,21 +267,20 @@ def decode_packet(buffer: bytes, segment_count: int):
 # -- a live delivery, read structurally ------------------------------------------
 
 
-def live_packet(datagram: bytes, preamble):
-    """The :class:`SirpentPacket` a live delivery's datagram decodes to."""
-    return decode_live_frame(datagram, preamble)[1]
+def live_packet(frame: bytes):
+    """The :class:`SirpentPacket` a delivery's frame decodes to."""
+    return decode_live_frame(frame)[1]
 
 
-def live_return_segments(datagram: bytes, preamble):
-    """The return route a live delivery's trailer encodes, in send order."""
-    return build_return_route(live_packet(datagram, preamble))
+def live_return_segments(frame: bytes):
+    """The return route a delivery's trailer encodes, in send order."""
+    return build_return_route(live_packet(frame))
 
 
-def live_trailer_spans(datagram: bytes, preamble):
-    """``(start, end)`` of each trailer segment in a live delivery's
-    datagram, in return-route order — the walk the host's trailer memo
-    saves it."""
-    return frame_spans(datagram, preamble)[3]
+def live_trailer_spans(frame: bytes):
+    """``(start, end)`` of each trailer segment in a delivery's frame, in
+    return-route order — the walk the host's trailer memo saves it."""
+    return frame_spans(frame, decode_preamble(frame))[3]
 
 
 def free_slots(ring) -> int:

@@ -450,7 +450,7 @@ def test_two_router_e2e_return_route_works():
             assert requests[0].payload == b"ping"
             # The return route the server used is the reversed hop list.
             request = requests[0]
-            returned = live_return_segments(request.datagram, request.preamble)
+            returned = live_return_segments(request.frame)
             return_ports = [s.port for s in returned]
             assert len(return_ports) == 2  # one per router crossed
             assert all(s.rpf for s in returned)

@@ -105,7 +105,7 @@ def _run_live(world: _World, route, payload: bytes) -> _Outcome:
                 outcome.delivered_payloads.append(delivered.payload)
                 outcome.return_ports = [
                     s.port for s in live_return_segments(
-                        delivered.datagram, delivered.preamble
+                        delivered.frame
                     )
                 ]
 

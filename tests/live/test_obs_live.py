@@ -70,7 +70,7 @@ async def _traced_ping_pong(overlay):
     trace_id = client.send(route, b"ping")
     await _eventually(lambda: replies)
     assert replies[0].trace_id == trace_id
-    assert live_packet(replies[0].datagram, replies[0].preamble).trace_id \
+    assert live_packet(replies[0].frame).trace_id \
         == trace_id
     return trace_id
 
@@ -208,7 +208,7 @@ def test_untraced_overlay_pays_nothing():
             assert trace_id == 0
             assert delivered[0].trace_id == 0
             assert live_packet(
-                delivered[0].datagram, delivered[0].preamble
+                delivered[0].frame
             ).trace_id == 0
         finally:
             overlay.stop()

@@ -1,13 +1,13 @@
-"""The live PDU codec, end to end through a host's edges, no sockets.
+"""The PDU codec, end to end through a live host's edges, no sockets.
 
-One codec carries every live PDU: :func:`~repro.live.host.encode_pdu`
-on the way out, :func:`~repro.live.host.open_pdu` (checksum and decode
-in one pass, in place) on the way in; ``tests/live/oracle.py``'s
+One codec carries every PDU: :func:`~repro.transport.codec.encode_pdu`
+on the way out, :func:`~repro.transport.codec.open_pdu` (checksum and
+decode in one pass, in place) on the way in; ``tests/live/oracle.py``'s
 ``decode_pdu`` and ``pdu_intact`` read PDUs in flight.  The property
 test sends arbitrary PDUs through :meth:`LiveTransactor.send` and reads
-them back; the NAK tests pin that
-a CRC-valid NAK whose body is not its 32-bit mask is discarded and
-counted, never read as "every member missing".
+them back; the NAK tests pin that a CRC-valid NAK that carries a body
+(its mask rides the header) is discarded and counted, never read as a
+mask.
 """
 
 import asyncio
@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.live.frames import decode_preamble, frame_spans, frame_with_header
-from repro.live.host import LIVE_TRANSPORT, LiveTransactor, encode_pdu, open_pdu
-from repro.transport.machine import MAX_MEMBER_PAYLOAD, PduKind, VmtpPdu
+from repro.live.host import LIVE_TRANSPORT, LiveTransactor
+from repro.transport.codec import HEADER_BYTES, PduKind, VmtpPdu, encode_pdu, open_pdu
+from repro.transport.machine import MAX_MEMBER_PAYLOAD
 from benchmarks.bench_f03_transactor_pair import HostPair
 from tests.live.oracle import decode_pdu, pdu_intact
 
@@ -30,8 +31,12 @@ MEMBER_KINDS = (PduKind.REQUEST, PduKind.RESPONSE)
 PAYLOAD = bytes(range(256)) * (2 * MAX_MEMBER_PAYLOAD // 256)
 
 
-def _mask(bits):
-    return struct.pack(">I", bits)
+def _with_body(nak, body):
+    """``nak``'s encoding with ``body`` between its header and its
+    trailer, sealed afresh: a NAK no codec writes."""
+    data = encode_pdu(nak)
+    signed = data[:HEADER_BYTES] + body + data[HEADER_BYTES:-4]
+    return signed + struct.pack(">I", zlib.crc32(signed))
 
 
 # -- the codec, through the send path --------------------------------------------
@@ -49,14 +54,14 @@ def pdus(draw):
         group_count=draw(st.integers(0, 255)),
         timestamp=draw(st.integers(0, 2**32 - 1)),
         reply_socket=draw(st.integers(0, 255)),
+        mask_bits=draw(st.integers(0, 2**32 - 1)),
+        pacing_gap=draw(st.floats(0.0, 1.0)),
     )
     if kind in MEMBER_KINDS:
         size = draw(st.integers(0, 1024))
         offset = draw(st.integers(0, 2048))
         data = draw(st.binary(min_size=offset + size, max_size=offset + size + 16))
         fields.update(user_data=data, user_offset=offset, user_size=size)
-    else:
-        fields.update(mask_bits=draw(st.integers(0, 2**32 - 1)))
     return VmtpPdu(**fields)
 
 
@@ -66,7 +71,7 @@ def test_any_pdu_round_trips_through_the_send_path(pdu, priority):
     pair = HostPair(hops=0)
     transactor = LiveTransactor(pair.client)
     route = pair.route("server")
-    transactor.send(route, pdu, 0, priority)
+    transactor.send(route, pdu, priority)
     (frame,) = pair.sent["client"]
     # The frame is the route's header around the PDU's encoding, built
     # in one piece: nothing else went into it.
@@ -79,7 +84,7 @@ def test_any_pdu_round_trips_through_the_send_path(pdu, priority):
     assert got == decode_pdu(frame[start:end])
     for name in (
         "kind", "transaction_id", "src_entity", "dst_entity", "member_index",
-        "group_count", "timestamp", "reply_socket", "mask_bits",
+        "group_count", "timestamp", "reply_socket", "mask_bits", "pacing_gap",
     ):
         assert getattr(got, name) == getattr(pdu, name), name
     if pdu.kind in MEMBER_KINDS:
@@ -110,8 +115,8 @@ def test_what_open_pdu_refuses_is_named():
     for kind in (PduKind.REQUEST_NAK, PduKind.RESPONSE_NAK):
         nak = VmtpPdu(kind, 1, 2, 3, 0, 4, 5, 1, mask_bits=0b101)
         assert decode_pdu(encode_pdu(nak)).mask_bits == 0b101
-        for body in (b"", b"\0" * 3, b"\0" * 5, b"\xff" * 8):
-            data = encode_pdu(nak, body)
+        for body in (b"\0" * 3, b"\0" * 4, b"\0" * 5, b"\xff" * 8):
+            data = _with_body(nak, body)
             assert pdu_intact(data)
             assert open_pdu(data, 0, len(data)) == "malformed_nak"
             assert decode_pdu(data) is None
@@ -120,17 +125,18 @@ def test_what_open_pdu_refuses_is_named():
 # -- a malformed NAK is discarded, not answered with the group ------------------
 
 
-def _nak(kind, machine, transaction_id, src, dst, count):
+def _nak(kind, machine, transaction_id, src, dst, count, mask_bits):
     return VmtpPdu(
         kind, transaction_id, src, dst, 0, count, machine.clock.stamp(),
-        LIVE_TRANSPORT.socket,
+        LIVE_TRANSPORT.socket, mask_bits,
     )
 
 
-async def _request_nak_scenario(body):
+async def _request_nak_scenario(mask_bits, body):
     """The client's two request members are lost; the server (as if it
-    had heard of the transaction) NAKs it with ``body``.  Returns the
-    request members the client resent and the client's host."""
+    had heard of the transaction) NAKs it with ``mask_bits`` and
+    ``body``.  Returns the request members the client resent and the
+    client's host."""
     pair = HostPair()
     client_tx = LiveTransactor(pair.client)
     server_tx = LiveTransactor(pair.server)
@@ -143,8 +149,9 @@ async def _request_nak_scenario(body):
     nak = _nak(
         PduKind.REQUEST_NAK, server_tx.machine, transaction_id,
         server_tx.machine._client_entity(), client_tx.machine._client_entity(), 2,
+        mask_bits,
     )
-    pair.server.send(pair.route("client"), encode_pdu(nak, body))
+    pair.server.send(pair.route("client"), _with_body(nak, body))
     pair.pump()
     resent = [decode_pdu(frame_payload(frame)) for frame in pair.sent["client"][2:]]
     task.cancel()
@@ -153,10 +160,10 @@ async def _request_nak_scenario(body):
     return resent, client_tx
 
 
-async def _response_nak_scenario(body):
+async def _response_nak_scenario(mask_bits, body):
     """A transaction completes with a three-member response; the client
-    then NAKs it with ``body``.  Returns the members the server resent
-    and the server's transactor."""
+    then NAKs it with ``mask_bits`` and ``body``.  Returns the members
+    the server resent and the server's transactor."""
     pair = HostPair()
     client_tx = LiveTransactor(pair.client)
     server_tx = LiveTransactor(pair.server)
@@ -170,9 +177,9 @@ async def _response_nak_scenario(body):
     assert answered == 3
     nak = _nak(
         PduKind.RESPONSE_NAK, client_tx.machine, 1,
-        client_tx.machine._client_entity(), server_tx.entity, 3,
+        client_tx.machine._client_entity(), server_tx.entity, 3, mask_bits,
     )
-    pair.client.send(pair.route("server"), encode_pdu(nak, body))
+    pair.client.send(pair.route("server"), _with_body(nak, body))
     pair.pump()
     resent = [decode_pdu(frame_payload(frame)) for frame in pair.sent["server"][answered:]]
     return resent, server_tx
@@ -184,28 +191,28 @@ def frame_payload(frame):
 
 
 def test_request_nak_with_a_malformed_body_resends_nothing():
-    """Server to client: read as mask 0, a CRC-valid NAK with no mask
-    would make the client resend its whole request group."""
-    for body in (b"", b"\0" * 3, b"\0" * 5):
-        resent, client_tx = asyncio.run(_request_nak_scenario(body))
+    """Server to client: a CRC-valid NAK that carries a body is not one
+    this codec wrote — whatever the body means, it is not a mask."""
+    for body in (b"\0" * 3, b"\0" * 4, b"\0" * 5):
+        resent, client_tx = asyncio.run(_request_nak_scenario(0, body))
         assert resent == []
         assert client_tx.host.metrics.dropped("malformed_nak") == 1
         assert client_tx.stats.retransmissions.count == 0
-    # The control: the same NAK with a real mask gets exactly the gap.
-    resent, client_tx = asyncio.run(_request_nak_scenario(_mask(0b01)))
+    # The control: the NAK as the codec writes it gets exactly the gap.
+    resent, client_tx = asyncio.run(_request_nak_scenario(0b01, b""))
     assert [(pdu.kind, pdu.member_index) for pdu in resent] == [(PduKind.REQUEST, 1)]
     assert client_tx.host.metrics.dropped("malformed_nak") == 0
 
 
 def test_response_nak_with_a_malformed_body_resends_nothing():
-    """Client to server: read as mask 0, a CRC-valid NAK with no mask
-    would make the server replay its whole cached response."""
-    for body in (b"", b"\0" * 3, b"\0" * 5):
-        resent, server_tx = asyncio.run(_response_nak_scenario(body))
+    """Client to server: a CRC-valid NAK that carries a body is not one
+    this codec wrote — whatever the body means, it is not a mask."""
+    for body in (b"\0" * 3, b"\0" * 4, b"\0" * 5):
+        resent, server_tx = asyncio.run(_response_nak_scenario(0, body))
         assert resent == []
         assert server_tx.host.metrics.dropped("malformed_nak") == 1
         assert server_tx.stats.retransmissions.count == 0
-    resent, server_tx = asyncio.run(_response_nak_scenario(_mask(0b011)))
+    resent, server_tx = asyncio.run(_response_nak_scenario(0b011, b""))
     assert [(pdu.kind, pdu.member_index) for pdu in resent] == [(PduKind.RESPONSE, 2)]
     assert server_tx.host.metrics.dropped("malformed_nak") == 0
 

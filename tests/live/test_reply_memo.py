@@ -2,7 +2,7 @@
 
 A server answers along the reversed trailer of the request's last
 member.  The host core keeps each distinct trailer by its bytes, and
-:meth:`LiveDelivered.return_route` is the entry's route per (reply
+:meth:`~repro.dataplane.host.Delivered.return_route` is the entry's route per (reply
 socket, arrival port), whose header is written once per (priority,
 DIB), so a response group's members — and every later transaction on
 the flow — copy bytes instead of re-reversing the trailer.  The memo
@@ -34,7 +34,7 @@ RESPONSE = bytes(range(256)) * (16 * MAX_MEMBER_PAYLOAD // 256)
 
 def _spans(delivered):
     """The trailer spans of a delivery's datagram, walked afresh."""
-    return live_trailer_spans(delivered.datagram, delivered.preamble)
+    return live_trailer_spans(delivered.frame)
 
 
 def _served_pair():
@@ -70,7 +70,7 @@ def test_every_response_member_carries_the_request_frames_reply_header():
     request = delivered[-1]  # the member that completed the group
     assert len(_spans(request)) == pair.hops
     header, seg_count = return_route_header(
-        request.datagram, _spans(request), client_tx.config.socket, 0, False,
+        request.frame, _spans(request), client_tx.config.socket, 0, False,
     )
     responses = pair.sent["server"]
     assert len(responses) == 16
@@ -104,7 +104,7 @@ def test_the_memo_is_per_frame_reply_socket_and_priority():
             for priority in (0, 3, 0, 9):
                 for dib in (False, True):
                     assert route.wire_header(priority, dib) == return_route_header(
-                        delivered.datagram, _spans(delivered),
+                        delivered.frame, _spans(delivered),
                         reply_socket, priority, dib,
                     )
     assert first.return_route(1).wire_header() != second.return_route(1).wire_header()
@@ -117,7 +117,7 @@ def test_the_memo_is_per_frame_reply_socket_and_priority():
             delivered, b"reply", reply_socket=reply_socket, priority=priority,
         )
         header, seg_count = return_route_header(
-            delivered.datagram, _spans(delivered), reply_socket, priority,
+            delivered.frame, _spans(delivered), reply_socket, priority,
         )
         assert pair.sent["server"].pop() == frame_with_header(header, seg_count, b"reply")
 

@@ -471,7 +471,7 @@ def _run_live_failover(payload):
                 outcome["delivered"].append(delivered.payload)
                 outcome["return_ports"] = [
                     s.port for s in live_return_segments(
-                        delivered.datagram, delivered.preamble
+                        delivered.frame
                     )
                 ]
 

@@ -1,9 +1,11 @@
-"""§4.1 and §4.2 on the live overlay: the machine's checks, over sockets.
+"""§4.1 and §4.2 on both substrates: the machine's checks, through the
+one transactor IO (:class:`~repro.transport.transactor.TransactorIO`).
 
-Each test rewrites the first PDU of one kind on its way out of a host,
-then checks that the receiving transactor counted and dropped it, and
-that the transaction still completed — once — after the client
-retransmitted.
+Each checks test rewrites the first PDU of one kind on its way out of a
+host, then checks that the receiving transport counted and dropped it,
+and that the transaction still completed — once — after the client
+retransmitted.  Every such test runs on the simulator (unmarked, so the
+``-m "not live"`` step runs it) and on the live overlay over sockets.
 """
 
 import asyncio
@@ -13,14 +15,17 @@ import pytest
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.live import LiveOverlay, LiveTransactor, WallClock
-from repro.live.host import LIVE_TRANSPORT, encode_pdu
+from repro.live.frames import decode_preamble, truncate_into
+from repro.live.host import LIVE_TRANSPORT
 from repro.net.topology import Topology
+from repro.scenarios import build_sirpent_line
 from repro.sim.engine import Simulator
-from repro.transport.machine import PduKind
+from repro.transport.codec import HEADER_BYTES, OVERHEAD, PduKind, VmtpPdu, encode_pdu
 from repro.transport.rebind import RouteManager
+from benchmarks.bench_f03_transactor_pair import HostPair
 from tests.live.oracle import decode_pdu
 
-pytestmark = pytest.mark.live
+SUBSTRATES = ("sim", pytest.param("live", marks=pytest.mark.live))
 
 
 def _line_topology():
@@ -54,12 +59,12 @@ def _resealed(change):
     def rewrite(payload):
         pdu = decode_pdu(payload)
         change(pdu)
-        return encode_pdu(pdu, pdu.user_data)
+        return encode_pdu(pdu)
 
     return rewrite
 
 
-async def _transact(side, kind, rewrite):
+async def _live_transact(side, kind, rewrite):
     overlay = LiveOverlay(_line_topology())
     await overlay.start()
     try:
@@ -77,29 +82,66 @@ async def _transact(side, kind, rewrite):
             RouteManager(WallClock(), routes), b"payload",
             server_entity=server_tx.entity,
         )
-        assert result.ok and result.payload == b"echo:payload"
-        assert served == [b"payload"], "the handler runs once, on the right bytes"
-        assert result.retries == 1
-        return client_tx, server_tx
+        return result, served, client_tx, server_tx
     finally:
         overlay.stop()
 
 
-def test_response_for_another_client_is_dropped_as_misdelivered():
+def _sim_transact(side, kind, rewrite):
+    scenario = build_sirpent_line(n_routers=1)
+    served = []
+
+    def serve(message):
+        request = b"".join(message.payload_parts)
+        served.append(request)
+        return b"echo:" + request, len(request) + 5
+
+    server_tx = scenario.transport("dst")
+    entity = server_tx.create_entity(serve, "server")
+    client_tx = scenario.transport("src")
+    _rewrite_first(scenario.hosts["src" if side == "client" else "dst"], kind, rewrite)
+    results = []
+    client_tx.transact(
+        RouteManager(scenario.sim, scenario.vmtp_routes("src", "dst")),
+        entity, b"payload", 7, results.append,
+    )
+    scenario.sim.run(until=1.0)
+    (result,) = results
+    return result, served, client_tx, server_tx
+
+
+def _transact(substrate, side, kind, rewrite):
+    """One transaction whose first ``kind`` PDU, sent by ``side``, is
+    rewritten: it completes once, after one retry.  Returns the client's
+    and the server's transports."""
+    if substrate == "live":
+        outcome = asyncio.run(_live_transact(side, kind, rewrite))
+    else:
+        outcome = _sim_transact(side, kind, rewrite)
+    result, served, client_tx, server_tx = outcome
+    assert result.ok and result.payload == b"echo:payload"
+    assert served == [b"payload"], "the handler runs once, on the right bytes"
+    assert result.retries == 1
+    return client_tx, server_tx
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_response_for_another_client_is_dropped_as_misdelivered(substrate):
     """§4.1: a response naming an entity the client does not own is
     discarded and counted, whichever route delivered it."""
 
     def readdress(pdu):
         pdu.dst_entity ^= 1 << 40
 
-    client_tx, _server_tx = asyncio.run(
-        _transact("server", PduKind.RESPONSE, _resealed(readdress))
+    client_tx, _server_tx = _transact(
+        substrate, "server", PduKind.RESPONSE, _resealed(readdress),
     )
     assert client_tx.stats.misdelivered.count == 1
-    assert client_tx.host.metrics.dropped("misdelivered") == 1
+    assert client_tx.drops["misdelivered"] == 1
 
 
-def test_pdu_older_than_the_packet_lifetime_is_rejected():
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_pdu_older_than_the_packet_lifetime_is_rejected(substrate):
     """§4.2: a request stamped more than ``mpl.max_age_ms`` ago is
     discarded by the server and counted; the retransmission is fresh."""
 
@@ -108,27 +150,82 @@ def test_pdu_older_than_the_packet_lifetime_is_rejected():
             pdu.timestamp - LIVE_TRANSPORT.mpl.max_age_ms - 1000
         ) % (1 << 32)
 
-    _client_tx, server_tx = asyncio.run(
-        _transact("client", PduKind.REQUEST, _resealed(age))
+    _client_tx, server_tx = _transact(
+        substrate, "client", PduKind.REQUEST, _resealed(age),
     )
     assert server_tx.stats.lifetime_rejects.count == 1
+    assert server_tx.drops["too_old"] == 1
 
 
-def test_flipped_payload_byte_fails_the_checksum_and_is_recovered():
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_flipped_payload_byte_fails_the_checksum_and_is_recovered(substrate):
     """§4.1: Sirpent has no header checksum, so the transport's CRC-32
     catches a damaged member before the handler could see it."""
 
     def flip(payload):
         damaged = bytearray(payload)
-        damaged[30] ^= 0xFF  # inside the member's bytes
+        damaged[HEADER_BYTES + 2] ^= 0xFF  # inside the member's bytes
         return bytes(damaged)
 
-    _client_tx, server_tx = asyncio.run(
-        _transact("client", PduKind.REQUEST, flip)
+    _client_tx, server_tx = _transact(
+        substrate, "client", PduKind.REQUEST, flip,
     )
     assert server_tx.stats.checksum_failures.count == 1
+    assert server_tx.drops["checksum"] == 1
 
 
+# -- a truncated member is ``truncated`` on both substrates -----------------------
+
+
+def _request(transport, entity, size):
+    """A one-member request of ``size`` bytes from ``transport``'s client."""
+    return VmtpPdu(
+        PduKind.REQUEST, 1, transport.machine._client_entity(), entity, 0, 1,
+        transport.clock.stamp(), transport.config.socket, 0, size, bytes(size),
+    )
+
+
+def _assert_discarded_as_truncated(server_tx, served):
+    assert server_tx.stats.truncated_rejects.count == 1
+    assert server_tx.drops == {"truncated": 1}
+    assert server_tx.stats.checksum_failures.count == 0
+    assert served == []
+
+
+def test_a_frame_the_network_truncated_is_discarded_as_truncated_sim():
+    """§2: a router truncates a member too long for its next link and
+    marks the trailer; the server's transport reads the mark and counts
+    the member ``truncated``, not ``checksum``."""
+    scenario = build_sirpent_line(n_routers=1, mtu=600)
+    served = []
+    server_tx = scenario.transport("dst")
+    entity = server_tx.create_entity(lambda m: served.append(m) or (b"ok", 2))
+    client_tx = scenario.transport("src")
+    (route,) = scenario.vmtp_routes("src", "dst")
+    client_tx.send(route, _request(client_tx, entity, 1000), 0)
+    scenario.sim.run(until=1.0)
+    assert scenario.hosts["dst"].received_truncated.count == 1
+    _assert_discarded_as_truncated(server_tx, served)
+
+
+@pytest.mark.live
+def test_a_frame_the_network_truncated_is_discarded_as_truncated_live():
+    """The live host reads the same trailer mark: a request member cut
+    in flight by the router's own move is counted ``truncated``."""
+    pair = HostPair(hops=1)
+    served = []
+    server_tx = LiveTransactor(pair.server)
+    server_tx.serve(lambda request: served.append(request) or b"ok")
+    client_tx = LiveTransactor(pair.client)
+    client_tx.send(pair.route("server"), _request(client_tx, server_tx.entity, 1000), 0)
+    (view, source, _preamble) = pair.queued["server"].pop()
+    assert truncate_into(view, 600)
+    pair.queued["server"].append((view, source, decode_preamble(view.mem)))
+    pair.pump()
+    _assert_discarded_as_truncated(server_tx, served)
+
+
+@pytest.mark.live
 def test_cancelled_transact_ignores_its_late_response():
     """The caller gives up just as its response lands: the task's
     cancellation has already settled its future when the response
@@ -173,6 +270,7 @@ def test_cancelled_transact_ignores_its_late_response():
     assert asyncio.run(run()) == []
 
 
+@pytest.mark.live
 def test_members_follow_the_routes_payload_budget():
     """A route that carries less than ``MAX_MEMBER_PAYLOAD`` per frame
     gets smaller members; each is encoded from its own offset, so the
@@ -190,10 +288,7 @@ def test_members_follow_the_routes_payload_budget():
             routes = overlay.routes(
                 "client", "server", k=1, dest_socket=client_tx.config.socket,
             )
-            config = client_tx.config
-            routes[0].max_payload = (
-                lambda: budget + config.header_bytes + config.trailer_bytes
-            )
+            routes[0].max_payload = lambda: budget + OVERHEAD
             payload = bytes(range(256)) * 4
             result = await client_tx.transact(
                 RouteManager(WallClock(), routes), payload,

@@ -537,6 +537,52 @@ def test_one_host_edge_and_no_twin_in_src():
     assert live.sockets is live.core.sockets
 
 
+def test_one_pdu_codec_and_no_twin_in_src():
+    """Structural: one module writes and opens the PDU's bytes, the
+    host edge hands up one delivered type, and the machine's IO is one
+    class both substrates' transports extend — neither defines
+    ``join``, ``discard``, ``record``, a send or a receive decode of its
+    own, nor names the codec."""
+    from repro.live import host as live_host
+    from repro.transport import codec, vmtp
+    from repro.transport.transactor import TransactorIO
+
+    root = pathlib.Path(router_module.__file__).parents[2]
+    packers = sorted(
+        path.relative_to(root).as_posix() for path in root.rglob("*.py")
+        if any(
+            isinstance(node, ast.FunctionDef)
+            and node.name in ("encode_pdu", "open_pdu")
+            or isinstance(node, ast.Name) and node.id == "zlib"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert packers == ["repro/transport/codec.py"]
+    assert codec.HEADER_BYTES == 64 and codec.TRAILER_BYTES == 8
+    assert [
+        (path, c.name) for path, c in _src_classes() if "Delivered" in c.name
+    ] == [("repro/dataplane/host.py", "Delivered")]
+    for module, adapter in (
+        (vmtp, vmtp.VmtpTransport), (live_host, live_host.LiveTransactor),
+    ):
+        assert issubclass(adapter, TransactorIO)
+        tree = ast.parse(inspect.getsource(module))
+        (node,) = (
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == adapter.__name__
+        )
+        for name in ("join", "discard", "record", "send", "send_return",
+                     "_on_delivered"):
+            assert not _defines(node, name), (adapter.__name__, name)
+        names = {
+            getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(tree)
+        } | {
+            alias.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) for alias in n.names
+        }
+        assert not names & {"encode_pdu", "open_pdu", "on_pdu"}, module.__name__
+
+
 def _calls(module, function):
     """The names ``function``, defined in ``module``, calls."""
     tree = ast.parse(inspect.getsource(module))

@@ -70,7 +70,7 @@ class TestPerSimulatorIsolation:
             got = []
             dst.bind(0, got.append)
             for _ in range(5):
-                src.send(Route(), b"data", 200)
+                src.send(Route(), b"data".ljust(200, b"\0"))
             sim.run(until=1.0)
             return [d.packet.packet_id for d in got]
 

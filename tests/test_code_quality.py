@@ -435,7 +435,7 @@ KEPT_DEFINITIONS = {
         "(a) §2.2: a logical port that denotes a multi-hop transit path",
     "repro.core.tunnel.attach_cvc_tunnel":
         "(a) §2.3: an X.25/X.75 circuit network as one logical hop",
-    "repro.transport.vmtp.VmtpTransport.drop_entity":
+    "repro.transport.transactor.TransactorIO.drop_entity":
         "(a) §4.1: an entity migrates and keeps its 64-bit id",
     "repro.directory.monitoring.LoadMonitor":
         "(a) §6.3: monitoring stations report link loads to the directory",
@@ -586,7 +586,7 @@ def test_every_definition_has_a_caller():
     export tables) are not callers.
 
     The match is by name, not by binding: a method only tests call
-    passes if any other code uses the same name (``LiveDelivered``'s
+    passes if any other code uses the same name (the old ``LiveDelivered``'s
     ``trailer_spans`` shared a name with the trailer walk), and a word
     in a workflow script credits every definition spelled that way.
     Run with ``-s`` to see the census.

@@ -32,6 +32,7 @@ import copy
 import time
 from dataclasses import fields
 
+from repro.dataplane.host import Delivered, Trailer
 from repro.transport.ids import EntityIdAllocator
 from repro.transport.machine import (
     MAX_MEMBER_PAYLOAD,
@@ -48,9 +49,11 @@ FAULTS = 3
 #: Longer schedules are taken for ones that never end.
 MAX_MOVES = 60
 CONFIG = TransportConfig(
-    header_bytes=0, trailer_bytes=0, rate_bps=float("inf"), base_timeout=0.05, nak_delay=0.025,
+    rate_bps=float("inf"), base_timeout=0.05, nak_delay=0.025,
     retries_per_route=1, max_total_retries=1,
 )
+#: The trailer every PDU arrives under: no truncation mark.
+TRAILER = Trailer(b"")
 
 
 class _Tally:
@@ -94,7 +97,7 @@ class _Manager:
 
 MANAGER = _Manager()
 #: Objects no move changes, shared by every copy of the world.
-SHARED = (CONFIG, TALLY, MANAGER, _Manager.route)
+SHARED = (CONFIG, TALLY, MANAGER, _Manager.route, TRAILER)
 
 
 class _Timer:
@@ -132,10 +135,10 @@ class _Io:
             return None
         return self.world.arm(delay, fn, args)
 
-    def send(self, _route, pdu, _wire_size, _priority) -> None:
+    def send(self, _route, pdu, _priority) -> None:
         self.world.transmit(self.side, pdu)
 
-    def send_return(self, _delivered, pdu, _wire_size) -> None:
+    def send_return(self, _delivered, pdu) -> None:
         self.world.transmit(self.side, pdu)
 
     @staticmethod
@@ -199,7 +202,7 @@ class World:
         # so no move draws on an allocator.
         self.server._client_entity()
         self.client.transact(
-            MANAGER, entity, "request", 2 * MEMBER, self.complete,
+            MANAGER, entity, b"request", 2 * MEMBER, self.complete,
         )
 
     def unchanging(self):
@@ -217,7 +220,7 @@ class World:
 
     def serve(self, _message):
         self.handled += 1
-        return "response", 2 * MEMBER
+        return b"response", 2 * MEMBER
 
     def complete(self, result) -> None:
         self.completions.append(result.ok)
@@ -286,7 +289,9 @@ class World:
 
     def deliver(self, side, pdu) -> None:
         receiver = self.server if side == "client" else self.client
-        receiver.on_pdu(pdu, side)
+        receiver.on_pdu(pdu, Delivered(
+            b"", 0, 0, CONFIG.socket, TRAILER, 0, None, self.now, 0, side,
+        ))
 
     def key(self):
         now = self.now

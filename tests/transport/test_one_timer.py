@@ -13,6 +13,7 @@ clock's sums are exact.
 
 import math
 
+from repro.dataplane.host import Delivered, Trailer
 from repro.transport.ids import EntityIdAllocator
 from repro.transport.machine import (
     WILDCARD_ENTITY,
@@ -27,7 +28,7 @@ from repro.transport.timestamps import HostClock
 #: Every timeout is the base timeout (the test routes advertise no RTT
 #: unless told to), nothing is paced, and no retry ladder runs out.
 CONFIG = TransportConfig(
-    header_bytes=0, trailer_bytes=0, rate_bps=math.inf, base_timeout=0.25,
+    rate_bps=math.inf, base_timeout=0.25,
     retries_per_route=100, max_total_retries=100,
 )
 
@@ -75,10 +76,10 @@ class CountingIo:
             timer.fn(*timer.args)
         self.now = until
 
-    def send(self, _route, pdu, _wire_size, _priority):
+    def send(self, _route, pdu, _priority):
         self.sent.append(pdu)
 
-    def send_return(self, _delivered, pdu, _wire_size):
+    def send_return(self, _delivered, pdu):
         self.sent.append(pdu)
 
     @staticmethod
@@ -91,6 +92,11 @@ class CountingIo:
     def record(self, event, **fields):
         if event == "transaction_retry":
             self.retries.append((self.now, fields["txid"], fields["attempt"]))
+
+
+def arrival(io):
+    """A PDU's delivery now: untruncated, arrived at ``io``'s clock."""
+    return Delivered(b"", 0, 0, CONFIG.socket, Trailer(b""), 0, None, io.now, 0)
 
 
 class Route:
@@ -220,7 +226,7 @@ def test_finishing_or_abandoning_the_last_transaction_cancels_the_timer():
     manager, results = Manager(), []
     done = launch(io, machine, manager, 0.0, results)
     left = launch(io, machine, manager, 0.125, results)
-    machine.on_pdu(response(machine, done), None)
+    machine.on_pdu(response(machine, done), arrival(io))
     assert [result.payload for result in results] == [b"y"]
     # Another transaction is out: the timer stays.
     assert len(io.pending()) == 1
@@ -229,7 +235,7 @@ def test_finishing_or_abandoning_the_last_transaction_cancels_the_timer():
     # And a completion: launch one, answer it.
     last = launch(io, machine, manager, 0.25, results)
     assert len(io.pending()) == 1
-    machine.on_pdu(response(machine, last), None)
+    machine.on_pdu(response(machine, last), arrival(io))
     assert io.pending() == [] and machine._client_txs == {}
     assert len(results) == 2
     io.run_until(2.0)
@@ -252,7 +258,7 @@ def test_a_lone_transaction_arms_as_a_timer_of_its_own_did():
     machine.on_pdu(VmtpPdu(
         PduKind.REQUEST_NAK, txid, 99, machine._client, 0, 1, 0,
         CONFIG.socket, 0,
-    ), None)
+    ), arrival(io))
     arms = timer_arms(io, machine)
     assert [timer.when for timer in arms] == [0.25, 0.5, 0.75, 0.875]
     assert arms[2].cancelled and not arms[3].cancelled

@@ -124,7 +124,8 @@ def test_request_member_lost_on_every_attempt_ends_the_transaction():
     rounds stop after MAX_FRUITLESS_NAKS that bring nothing, so the
     client's timeout ladder runs: the transaction fails within its
     retries, and the server goes quiet."""
-    from repro.transport.vmtp import MAX_FRUITLESS_NAKS, VmtpPdu
+    from repro.transport.vmtp import MAX_FRUITLESS_NAKS
+    from tests.live.oracle import frame_pdu
 
     config = TransportConfig(base_timeout=20e-3, max_total_retries=3)
     scenario, client, server, entity, manager, calls = setup(config=config)
@@ -133,8 +134,8 @@ def test_request_member_lost_on_every_attempt_ends_the_transaction():
 
     def transmit(packet, size, header_bytes, **kwargs):
         tx = original(packet, size, header_bytes, **kwargs)
-        pdu = packet.payload
-        if isinstance(pdu, VmtpPdu) and pdu.member_index == 1:
+        pdu = frame_pdu(packet.view.tobytes())
+        if pdu is not None and pdu.member_index == 1:
             for event in (tx.header_event, tx.complete_event):
                 if event is not None:
                     event.cancel()

@@ -3,6 +3,7 @@
 
 from repro.scenarios import build_sirpent_line, build_sirpent_parallel
 from repro.transport import RouteManager, TransportConfig
+from repro.transport.codec import OVERHEAD
 from repro.transport.timestamps import TimestampPolicy
 
 
@@ -121,7 +122,7 @@ def test_members_are_sized_to_the_route_they_leave_on():
     routes = scenario.vmtp_routes("src", "dst", k=2)
     routes[1].mtu = routes[1].mtu - routes[1].max_payload() + 600
     manager = RouteManager(scenario.sim, routes)
-    overhead = client.config.header_bytes + client.config.trailer_bytes
+    overhead = OVERHEAD
     results = []
     for _ in range(2):
         client.transact(manager, entity, b"x", 1000, results.append)
@@ -170,16 +171,16 @@ def test_stale_packets_rejected_by_mpl():
     manager = RouteManager(scenario.sim, routes)
 
     # Build a PDU now but deliver it 200 ms later by stalling the send.
-    from repro.transport.vmtp import PduKind, VmtpPdu
+    from repro.transport.codec import PduKind, VmtpPdu, encode_pdu
 
     pdu = VmtpPdu(
         kind=PduKind.REQUEST, transaction_id=999,
         src_entity=client.create_entity(None), dst_entity=entity,
         member_index=0, group_count=1, timestamp=client.clock.stamp(),
-        reply_socket=1, user_size=10, user_data=b"old",
+        reply_socket=1, user_size=10, user_data=b"old".ljust(10, b"\0"),
     )
     scenario.sim.after(
-        0.2, lambda: scenario.hosts["src"].send(routes[0], pdu, 82)
+        0.2, lambda: scenario.hosts["src"].send(routes[0], encode_pdu(pdu))
     )
     scenario.sim.run(until=1.0)
     assert server.stats.lifetime_rejects.count == 1

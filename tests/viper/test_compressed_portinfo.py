@@ -78,8 +78,8 @@ class TestEndToEnd:
         assert compressed.header_overhead() < full.header_overhead()
         got = []
         scenario.hosts["milo"].bind(0, got.append)
-        scenario.hosts["venus"].send(compressed, b"compressed", 300)
+        scenario.hosts["venus"].send(compressed, b"compressed".ljust(300, b"\0"))
         scenario.sim.run(until=1.0)
         assert len(got) == 1
-        assert got[0].payload == b"compressed"
+        assert got[0].payload == b"compressed".ljust(300, b"\0")
         assert got[0].packet.hop_log == ["gw-stanford", "gw-mit"]

@@ -54,7 +54,7 @@ def frame_packet(ports=(1, 2, 0), payload=100, tokens=()):
         zip(ports, list(tokens) + [b""] * (len(ports) - len(tokens)))
     ]
     header, seg_count = encode_route_header(segments, (), 0, False)
-    return FramePacket(seg_count, payload, header, filler=payload)
+    return FramePacket(seg_count, payload, header, bytes(payload))
 
 
 def test_decision_prefix_is_first_segment():
@@ -121,12 +121,16 @@ def test_negative_payload_rejected():
         SirpentPacket(segments=[], payload_size=-1)
 
 
-def test_corrupted_copy_flags_and_preserves_original():
+def test_corrupted_copy_flips_a_payload_byte_and_preserves_original():
     rng = random.Random(1)
     packet = frame_packet()
     before = packet.view.tobytes()
     clone = packet.corrupted_copy(rng)
-    assert clone.corrupted and not packet.corrupted
+    after = clone.view.tobytes()
+    # The payload's middle byte is inverted; nothing else of it moves.
+    middle = len(before) - 100 + 50
+    assert after[middle] == before[middle] ^ 0xFF
+    assert after[middle + 1:] == before[middle + 1:]
     assert clone.view.buffer is not packet.view.buffer
     assert packet.view.tobytes() == before  # original untouched
     assert packet.leading_port() == 1

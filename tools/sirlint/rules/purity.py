@@ -39,13 +39,14 @@ PURE_PACKAGES: Tuple[str, ...] = (
 #: too): MacAddress/ethertype constants and the seed-stable packet-id
 #: allocator; the frame moves the router core
 #: (``repro.dataplane.router``) applies on both substrates; and the
-#: transaction machine both transports drive, with the three transport
-#: modules it imports.
+#: transaction machine both transports drive, with the four transport
+#: modules it imports (the PDU codec among them).
 PURE_LEAF_MODULES: Tuple[str, ...] = (
     "repro.net.addresses",
     "repro.sim.ids",
     "repro.live.frames",
     "repro.transport.machine",
+    "repro.transport.codec",
     "repro.transport.flowcontrol",
     "repro.transport.ids",
     "repro.transport.timestamps",
