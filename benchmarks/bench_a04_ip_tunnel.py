@@ -18,6 +18,7 @@ from repro.core.congestion import ControlPlane
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.core.tunnel import attach_tunnel
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.scenarios import build_sirpent_line
 from repro.sim.engine import Simulator
@@ -26,13 +27,6 @@ from repro.viper.wire import HeaderSegment
 from benchmarks._common import format_table, ms, publish
 
 PAYLOAD = 800
-
-
-class _Route:
-    def __init__(self, segments, first_hop_port):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = None
 
 
 def run_tunnel(cloud_routers: int):
@@ -68,11 +62,11 @@ def run_tunnel(cloud_routers: int):
 
     got = []
     dst.bind(0, got.append)
-    route = _Route([
+    route = Route("dst", [
         HeaderSegment(port=tunnel_a.port_id),
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
-    ], src_port)
+    ], src_port, None)
     start = sim.now
     src.send(route, bytes(PAYLOAD))
     sim.run(until=start + 2.0)

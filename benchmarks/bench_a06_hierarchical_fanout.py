@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.fabric import build_fabric
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -24,13 +25,6 @@ from benchmarks._common import format_table, publish, us
 
 PAYLOAD = 1000
 RATE = 100e6
-
-
-class _Route:
-    def __init__(self, segments, first_hop_port):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = None
 
 
 def run_flat() -> float:
@@ -45,8 +39,8 @@ def run_flat() -> float:
                                   propagation_delay=1e-6)
     got = []
     dst.bind(0, got.append)
-    src.send(_Route(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
+    src.send(Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port, None
     ), bytes(PAYLOAD))
     sim.run(until=1.0)
     return got[0].arrived_at - got[0].packet.created_at
@@ -74,7 +68,7 @@ def run_fabric(n_leaves: int) -> float:
     segments = fabric.internal_segments(0, dst_leaf_port, n_leaves - 1) + [
         HeaderSegment(port=0)
     ]
-    src.send(_Route(segments, src_port), bytes(PAYLOAD))
+    src.send(Route("dst", segments, src_port, None), bytes(PAYLOAD))
     sim.run(until=1.0)
     return got[0].arrived_at - got[0].packet.created_at
 

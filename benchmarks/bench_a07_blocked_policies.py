@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.core.blocked import BlockedPolicy
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -29,13 +30,6 @@ PACKET = 1000
 RATE = 10e6
 N_SENDERS = 4
 SIM_SECONDS = 2.0
-
-
-class _Route:
-    def __init__(self, segments, first_hop_port):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = None
 
 
 def run_point(policy: BlockedPolicy, utilization: float):
@@ -57,8 +51,8 @@ def run_point(policy: BlockedPolicy, utilization: float):
     for index in range(N_SENDERS):
         host = topo.add_node(SirpentHost(sim, f"s{index}"))
         _, host_port, _ = topo.connect(host, router, rate_bps=RATE)
-        route = _Route(
-            [HeaderSegment(port=out_port), HeaderSegment(port=0)], host_port
+        route = Route(
+            "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], host_port, None
         )
 
         def emit(size, h=host, r=route):

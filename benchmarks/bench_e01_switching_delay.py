@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.analysis.queueing import md1_mean_queue, md1_mean_wait
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter, RouterConfig
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -34,13 +35,6 @@ PACKET_BYTES = 1000
 RATE_BPS = 10e6
 N_SENDERS = 4
 SIM_SECONDS = 3.0
-
-
-class _Route:
-    def __init__(self, segments, first_hop_port):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = None
 
 
 def run_point(utilization: float, seed: int = 1, tracer=None):
@@ -66,8 +60,8 @@ def run_point(utilization: float, seed: int = 1, tracer=None):
     wire_size = PACKET_BYTES
     per_sender_pps = utilization * RATE_BPS / (wire_size * 8) / N_SENDERS
     for index, (host, host_port) in enumerate(senders):
-        route = _Route(
-            [HeaderSegment(port=out_port), HeaderSegment(port=0)], host_port
+        route = Route(
+            "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], host_port, None
         )
         overhead = 4 * 2  # two minimal segments
         PoissonArrivals(

@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.core.host import SirpentHost
 from repro.dataplane.logical import SelectionPolicy
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -36,13 +37,6 @@ SIM_SECONDS = 1.5
 TOTAL_LOAD = 0.8
 FLOW_WEIGHTS = [8, 4, 2, 1, 1, 1, 1, 1]
 LOGICAL_PORT = 100
-
-
-class _Route:
-    def __init__(self, segments, first_hop_port):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = None
 
 
 def run_policy(mode: str, seed: int = 7):
@@ -75,11 +69,11 @@ def run_policy(mode: str, seed: int = 7):
         else:
             hint = flow
         info = LogicalInfo(label=1, flow_hint=hint).to_bytes()
-        route = _Route([
+        route = Route("dst", [
             HeaderSegment(port=LOGICAL_PORT, portinfo=info),
             HeaderSegment(port=rb_out),
             HeaderSegment(port=0),
-        ], src_port)
+        ], src_port, None)
         PoissonArrivals(
             sim, total_pps * weight / weight_sum,
             emit=lambda size, r=route: src.send(r, bytes(size - 30)),

@@ -23,6 +23,7 @@ from repro.dataplane.multicast import (
     encode_tree_info,
 )
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
@@ -30,13 +31,6 @@ from repro.viper.wire import HeaderSegment
 from benchmarks._common import format_table, publish, us
 
 PAYLOAD = 512
-
-
-class _Route:
-    def __init__(self, segments, first_hop_port):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = None
 
 
 def build_star(n_leaves):
@@ -77,15 +71,18 @@ def _measure(sim, topo, inboxes, n_leaves):
 def run_group_port(n_leaves):
     sim, topo, hub, src, src_port, leaf_ports, inboxes = build_star(n_leaves)
     hub.groups.add_group(240, leaf_ports)
-    route = _Route([HeaderSegment(port=240), HeaderSegment(port=0)], src_port)
+    route = Route(
+        "group", [HeaderSegment(port=240), HeaderSegment(port=0)], src_port, None
+    )
     src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
 
 
 def run_broadcast(n_leaves):
     sim, topo, hub, src, src_port, _lp, inboxes = build_star(n_leaves)
-    route = _Route(
-        [HeaderSegment(port=BROADCAST_PORT), HeaderSegment(port=0)], src_port
+    route = Route(
+        "broadcast", [HeaderSegment(port=BROADCAST_PORT), HeaderSegment(port=0)],
+        src_port, None,
     )
     src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
@@ -97,9 +94,9 @@ def run_tree(n_leaves):
         TreeBranch([HeaderSegment(port=p), HeaderSegment(port=0)])
         for p in leaf_ports
     ]
-    route = _Route(
-        [HeaderSegment(port=TREE_PORT, portinfo=encode_tree_info(branches))],
-        src_port,
+    route = Route(
+        "tree", [HeaderSegment(port=TREE_PORT, portinfo=encode_tree_info(branches))],
+        src_port, None,
     )
     src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)
@@ -116,17 +113,18 @@ def run_agent(n_leaves):
         name="exploder",
     )
     for index, port in enumerate(leaf_ports):
-        agent.add_member(_Route(
-            [HeaderSegment(port=port), HeaderSegment(port=0)], agent_inport
+        agent.add_member(Route(
+            f"leaf{index}", [HeaderSegment(port=port), HeaderSegment(port=0)],
+            agent_inport, None,
         ))
     agent_socket = 9
     agent_host.bind(
         agent_socket,
         lambda delivered: agent.on_payload(delivered.payload),
     )
-    route = _Route(
-        [HeaderSegment(port=leaf_ports[0]), HeaderSegment(port=agent_socket)],
-        src_port,
+    route = Route(
+        "leaf0", [HeaderSegment(port=leaf_ports[0]), HeaderSegment(port=agent_socket)],
+        src_port, None,
     )
     src.send(route, bytes(PAYLOAD))
     return _measure(sim, topo, inboxes, n_leaves)

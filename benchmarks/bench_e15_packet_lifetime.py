@@ -20,6 +20,7 @@ run out.
 
 from __future__ import annotations
 
+from repro.directory.routes import Route
 from repro.scenarios import build_ip_line, build_sirpent_line
 from repro.transport import TransportConfig
 from repro.transport.timestamps import TimestampPolicy, encode_timestamp_ms
@@ -124,12 +125,10 @@ def run_loop_bound():
         segments.append(HeaderSegment(port=r1_to_r2))
         segments.append(HeaderSegment(port=r2_to_r1))
 
-    class _Loop:
-        first_hop_port = next(iter(scenario.hosts["src"].ports))
-        first_hop_mac = None
-
-    _Loop.segments = segments
-    scenario.hosts["src"].send(_Loop, bytes(64))
+    loop = Route(
+        "dst", segments, next(iter(scenario.hosts["src"].ports)), None,
+    )
+    scenario.hosts["src"].send(loop, bytes(64))
     scenario.sim.run(until=1.0)
     exhausted = sum(
         r.stats.route_exhausted.count for r in scenario.routers.values()

@@ -53,8 +53,9 @@ import time
 from collections import defaultdict
 from typing import Callable, Dict, List
 
+from repro.directory.routes import Route
 from repro.live.frames import decode_preamble, hop_move_into, return_tail_of
-from repro.live.host import LIVE_TRANSPORT, LiveHost, LiveRoute, LiveTransactor, WallClock
+from repro.live.host import LIVE_TRANSPORT, LiveHost, LiveTransactor, WallClock
 from repro.transport.rebind import RouteManager
 from repro.viper.wire import HeaderSegment, PacketView
 
@@ -149,14 +150,18 @@ class HostPair:
 
         return send
 
-    def route(self, destination: str, socket: int = LIVE_TRANSPORT.socket) -> LiveRoute:
+    def route(self, destination: str, socket: int = LIVE_TRANSPORT.socket) -> Route:
         """``hops`` router segments, then ``destination``'s ``socket``.
-        Its advertised RTT is one no pass comes near: no sample counts
-        as degraded, so the calls a transaction makes do not vary."""
+        Its advertised RTT, 1 s at any size (no rate, 0.5 s each way),
+        is one no pass comes near: no sample counts as degraded, so the
+        calls a transaction makes do not vary."""
         segments = tuple(
             HeaderSegment(port=2, token=self.token) for _ in range(self.hops)
         ) + (HeaderSegment(port=socket),)
-        return LiveRoute(destination, segments, first_hop_port=1, base_rtt_s=1.0)
+        return Route(
+            destination, segments, first_hop_port=1, first_hop_mac=None,
+            propagation_delay=0.5,
+        )
 
     def manager(self) -> RouteManager:
         """A route manager holding the one client-to-server route."""

@@ -24,16 +24,10 @@ from repro.dataplane.multicast import (
     encode_tree_info,
 )
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
-
-
-class Route:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def build_region(sim, topo, hub, region):
@@ -54,10 +48,11 @@ def build_region(sim, topo, hub, region):
         lambda route, payload: agent_host.send(route, payload),
         name=f"{region}-exploder",
     )
-    for _sub, router_port, _inbox in subscribers:
+    for subscriber, router_port, _inbox in subscribers:
         agent.add_member(Route(
+            subscriber.name,
             [HeaderSegment(port=router_port), HeaderSegment(port=0)],
-            agent_host_port,
+            agent_host_port, None,
         ))
     AGENT_SOCKET = 9
     agent_host.bind(
@@ -88,9 +83,10 @@ def main() -> None:
         regions[region] = (agent, subscribers)
 
     tree_route = Route(
+        "subscribers",
         [HeaderSegment(port=TREE_PORT,
                        portinfo=encode_tree_info(branches))],
-        src_port,
+        src_port, None,
     )
     print("sending ONE 700-byte packet with a 2-branch tree header "
           f"({tree_route.segments[0].wire_size()}B of routing)...\n")

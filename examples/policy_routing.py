@@ -16,6 +16,8 @@ carriers' ledgers show who got billed.  A forged token goes nowhere.
 Run:  python examples/policy_routing.py
 """
 
+from dataclasses import replace
+
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
 from repro.core.congestion import ControlPlane
@@ -104,15 +106,10 @@ def main() -> None:
         for s in routes[0].segments
     ]
 
-    class Forged:
-        pass
-
-    Forged.segments = segments
-    Forged.first_hop_port = routes[0].first_hop_port
-    Forged.first_hop_mac = routes[0].first_hop_mac
+    forged = replace(routes[0], segments=segments)
     before = len(received)
-    client.send(Forged, bytes(400))
-    client.send(Forged, bytes(400))  # past the optimistic window
+    client.send(forged, bytes(400))
+    client.send(forged, bytes(400))  # past the optimistic window
     sim.run(until=1.0)
     rejected = sum(r.stats.dropped_token.count for r in carriers.values())
     print(f"\nforged tokens: {len(received) - before} delivered past the "

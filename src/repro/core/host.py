@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.congestion import ControlPlane, RateSignal
 from repro.core.packet import FramePacket
 from repro.core.queues import OutputPort
-from repro.dataplane.host import Delivered, HostCore, SourceRoute
+from repro.dataplane.host import Delivered, HostCore
 from repro.dataplane.router import core_attribute
 from repro.live.frames import decode_preamble
 from repro.net.link import Transmission
@@ -107,16 +107,13 @@ class SirpentHost(Node):
         ``route`` gives ``wire_header(priority, dib)`` (the priority
         rides every segment, §2), ``first_hop_port`` and
         ``first_hop_mac`` (None on p2p): a directory ``Route`` or a
-        delivery's ``ReturnRoute``.  A stand-in with ``segments`` and no
-        header of its own is framed by :meth:`SourceRoute.wire_header`.
+        delivery's ``ReturnRoute``.
 
         ``trace_id``: None asks the installed tracer to (maybe) sample
         this packet; a non-zero value continues an existing trace (the
         reply path); 0 forces "untraced".
         """
-        header, seg_count = getattr(
-            type(route), "wire_header", SourceRoute.wire_header
-        )(route, priority, dib)
+        header, seg_count = route.wire_header(priority, dib)
         packet = FramePacket(
             seg_count, len(data), header, data,
             packet_id=self.sim.new_packet_id(),

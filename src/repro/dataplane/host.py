@@ -11,13 +11,14 @@ trailer only the first time its bytes arrive; the one delivered type,
 :class:`Delivered`; the one reply route, :meth:`Trailer.route` →
 :class:`ReturnRoute`; and one drop vocabulary, counted, traced and
 recorded through the router core's sink.  A source's route is encoded
-once as well: :class:`SourceRoute`, the directory's ``Route`` and the
-live ``LiveRoute``.
+once as well: :class:`SourceRoute`, the header memo of the directory's
+``Route``, the one route a source holds on either substrate.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.dataplane.effects import Action, Decision, apply_drop
@@ -34,6 +35,7 @@ from repro.live.frames import (
 )
 from repro.net.addresses import MacAddress
 from repro.viper.errors import ViperDecodeError
+from repro.viper.wire import ALT_COUNT_BYTES
 
 #: Distinct trailers a host remembers; past this many the oldest is
 #: forgotten (counted) and walked again if it arrives again.  Small on
@@ -46,32 +48,49 @@ TRAILER_MEMO_ENTRIES = 32
 HEADER_MEMO_ENTRIES = 4
 
 
-class SourceRoute:
-    """The header memo of a route a source sends along, for a dataclass
-    with ``segments`` and ``alternates``: encoded once per (priority,
-    DIB).  Both are frozen to tuples at construction and the memo
-    remembers which two tuples it was built from, so a route rebound
-    since is frozen again and encoded afresh, never served stale."""
+#: A segment's encoded length, read in C: a route is measured once.
+_WIRE_BYTES = attrgetter("wire_bytes")
 
-    def __post_init__(self) -> None:
-        self.segments = tuple(self.segments)
-        self.alternates = tuple(map(tuple, getattr(self, "alternates", ())))
-        #: What the memo was encoded from, and the memo.
-        self._headers = (self.segments, self.alternates, {})
+
+class SourceRoute:
+    """The header memo of the directory's
+    :class:`~repro.directory.routes.Route`: ``segments`` and
+    ``alternates`` frozen to tuples at construction, the header's length
+    (the route model's per-packet overhead) and the header itself,
+    encoded once per (priority, DIB).  The memo remembers which two
+    tuples it was built from, so a route rebound since is frozen again
+    and measured and encoded afresh, never served stale."""
+
+    def _freeze(self) -> None:
+        segments = self.segments = tuple(self.segments)
+        alternates = self.alternates = tuple(map(tuple, self.alternates))
+        # The stacked segments and the Slick-Packets blocks (a count byte
+        # and segments each): the encoded header's length.
+        overhead = sum(map(_WIRE_BYTES, segments))
+        for block in alternates:
+            overhead += ALT_COUNT_BYTES + sum(map(_WIRE_BYTES, block))
+        #: What the memo was built from, the headers, the header length.
+        self._headers = (segments, alternates, {}, overhead)
+
+    __post_init__ = _freeze
+
+    def header_overhead(self) -> int:
+        """Wire bytes a frame carries ahead of its payload: the header's
+        length, without encoding it."""
+        segments, alternates, _, overhead = self._headers
+        if segments is not self.segments or alternates is not self.alternates:
+            self._freeze()
+            overhead = self._headers[3]
+        return overhead
 
     def wire_header(self, priority: int = 0, dib: bool = False) -> Tuple[bytes, int]:
         """``(header bytes, segCount)`` along this route
         (:func:`~repro.live.frames.encode_route_header`); an error is
-        raised on every call.  A stand-in route object (``segments``,
-        maybe ``alternates``, no memo) is frozen on its first frame."""
-        try:
-            segments, alternates, headers = self._headers
-            fresh = segments is self.segments and alternates is self.alternates
-        except AttributeError:
-            fresh = False
-        if not fresh:
-            SourceRoute.__post_init__(self)
-            segments, alternates, headers = self._headers
+        raised on every call."""
+        segments, alternates, headers, _ = self._headers
+        if segments is not self.segments or alternates is not self.alternates:
+            self._freeze()
+            segments, alternates, headers, _ = self._headers
         header = headers.get((priority, dib))
         if header is None:
             header = headers[priority, dib] = encode_route_header(

@@ -14,6 +14,8 @@ Binding semantics match the idempotent
 contract: re-registering an identical binding is a no-op success,
 a contradictory binding is a typed ``conflict``, and ``rebind`` is the
 explicit move operation (§6.3's rebinding made a first-class command).
+A name is a host or a service, never both: every write that would make
+it the other is a ``conflict``, ``rebind`` included.
 """
 
 from __future__ import annotations
@@ -118,10 +120,7 @@ class ShardStore:
                 {"name": name, "bound_to": existing},
             ))
         if name in self.services:
-            return CommandResponse.failure(request_id, CommandError.make(
-                "conflict", f"{name} is a service name",
-                {"name": name},
-            ))
+            return self._service_conflict(request_id, name)
         created = existing is None
         self.names[name] = node
         return CommandResponse.success(request_id, {
@@ -154,11 +153,21 @@ class ShardStore:
             "index": index,
         })
 
+    @staticmethod
+    def _service_conflict(request_id: str, name: str) -> CommandResponse:
+        """A host write to a service name: a name is a host or a
+        service, never both."""
+        return CommandResponse.failure(request_id, CommandError.make(
+            "conflict", f"{name} is a service name", {"name": name},
+        ))
+
     def _rebind(
         self, params: Dict[str, object], request_id: str, index: int
     ) -> CommandResponse:
         name = self._name_param(params)
         node = str(params["node"])
+        if name in self.services:
+            return self._service_conflict(request_id, name)
         previous = self.names.get(name)
         self.names[name] = node
         return CommandResponse.success(request_id, {

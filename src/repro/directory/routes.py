@@ -14,7 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dataplane.host import SourceRoute
 from repro.net.addresses import MacAddress
-from repro.viper.wire import ALT_COUNT_BYTES, HeaderSegment
+from repro.viper.packet import TRAILER_LENGTH_BYTES
+from repro.viper.wire import HeaderSegment
+
+#: A router's per-hop decision time in the route model (§3's estimate).
+DECISION_DELAY = 0.5e-6
 
 
 def slickify_route(
@@ -68,29 +72,26 @@ class Route(SourceRoute):
     #: route order (ARCHITECTURE §16); empty on non-slick routes.
     alternates: Tuple[Tuple[HeaderSegment, ...], ...] = ()
 
-    def header_overhead(self) -> int:
-        """Wire bytes a frame carries ahead of its payload: the stacked
-        segments and the Slick-Packets blocks (a count byte and segments
-        each), the encoded header's length without encoding it."""
-        return sum(s.wire_bytes for s in self.segments) + sum(
-            ALT_COUNT_BYTES + sum(s.wire_bytes for s in block)
-            for block in self.alternates
-        )
-
     def max_payload(self) -> int:
         """Largest payload that traverses the route untruncated.
 
         Conservative: the trailer grows to mirror the header, so both
         must fit the bottleneck MTU at once (plus per-element framing).
         """
-        from repro.viper.packet import TRAILER_LENGTH_BYTES  # local: cycle
-
-        trailer_budget = self.header_overhead() + TRAILER_LENGTH_BYTES * max(
-            0, len(self.segments) - 1
+        segments, alternates, _, overhead = self._headers
+        if segments is not self.segments or alternates is not self.alternates:
+            overhead = self.header_overhead()
+        # Arithmetic, no helper call: a transactor asks once per route.
+        elements = len(self.segments) - 1
+        trailer_budget = overhead + (
+            TRAILER_LENGTH_BYTES * elements if elements > 0 else 0
         )
-        return max(0, self.mtu - self.header_overhead() - trailer_budget)
+        budget = self.mtu - overhead - trailer_budget
+        return budget if budget > 0 else 0
 
-    def expected_one_way(self, payload_size: int, decision_delay: float = 0.5e-6) -> float:
+    def expected_one_way(
+        self, payload_size: int, decision_delay: float = DECISION_DELAY,
+    ) -> float:
         """Predicted no-queueing delivery delay for a payload.
 
         Cut-through pipeline: one full transmission of the packet at the
@@ -103,9 +104,22 @@ class Route(SourceRoute):
         return transmit + self.propagation_delay + self.hop_count * decision_delay
 
     def expected_rtt(self, payload_size: int, reply_size: int = 0) -> float:
-        return self.expected_one_way(payload_size) + self.expected_one_way(
-            reply_size or payload_size
-        )
+        """:meth:`expected_one_way` there and back (the reply the
+        request's size unless given): the advertised RTT a transactor
+        times and judges this route by.  A transaction asks twice, so a
+        warm route answers with arithmetic on the memo's header length,
+        in exactly :meth:`expected_one_way`'s operation order."""
+        segments, alternates, _, overhead = self._headers
+        if segments is not self.segments or alternates is not self.alternates:
+            overhead = self.header_overhead()
+        bps = self.bottleneck_bps
+        prop = self.propagation_delay
+        hops = self.hop_count * DECISION_DELAY
+        if not bps:
+            return (prop + hops) * 2
+        there = (overhead + payload_size) * 8.0 / bps + prop + hops
+        back = (overhead + (reply_size or payload_size)) * 8.0 / bps + prop + hops
+        return there + back
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

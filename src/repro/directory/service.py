@@ -123,15 +123,20 @@ class DirectoryService:
 
         Idempotent: re-registering the same binding is a no-op; a
         conflicting binding raises :class:`BindingConflictError` (use
-        :meth:`rebind_host` for deliberate moves).
+        :meth:`rebind_host` for deliberate moves), and so does a service
+        name: a name is a host or a service, never both.
         """
         parsed = HierarchicalName.parse(name)
-        existing = self._names.get(str(parsed))
+        key = str(parsed)
+        providers = self._services.get(key)
+        if providers is not None:
+            raise BindingConflictError(key, providers, node_name)
+        existing = self._names.get(key)
         if existing is not None:
             if existing == node_name:
                 return parsed
-            raise BindingConflictError(str(parsed), existing, node_name)
-        self._names[str(parsed)] = node_name
+            raise BindingConflictError(key, existing, node_name)
+        self._names[key] = node_name
         if self.root_server is not None:
             self.root_server.register(parsed, node_name)
             region = parsed.region()
@@ -152,20 +157,24 @@ class DirectoryService:
         """
         if not node_names:
             raise ValueError("a service needs at least one provider")
-        parsed = HierarchicalName.parse(name)
-        existing = self._services.get(str(parsed))
+        key = str(HierarchicalName.parse(name))
+        host = self._names.get(key)
+        if host is not None:
+            raise BindingConflictError(key, host, list(node_names))
+        existing = self._services.get(key)
         if existing is not None:
             if existing == list(node_names):
                 return
-            raise BindingConflictError(str(parsed), existing, list(node_names))
-        self._services[str(parsed)] = list(node_names)
+            raise BindingConflictError(key, existing, list(node_names))
+        self._services[key] = list(node_names)
 
     def rebind_host(self, node_name: str, name: str) -> HierarchicalName:
         """Deliberately move a name to a (possibly new) node (§6.3).
 
         The explicit non-idempotent-write escape hatch: unlike
-        :meth:`register_host` this never conflicts — migration and
-        failover rebinds are supposed to replace the old binding.
+        :meth:`register_host` this never conflicts with a host binding —
+        migration and failover rebinds are supposed to replace the old
+        one — but a service name stays a service.
         """
         parsed = HierarchicalName.parse(name)
         self._names.pop(str(parsed), None)

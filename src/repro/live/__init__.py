@@ -24,7 +24,7 @@ _EXPORTS = (
     ("frames", ("FLAG_TRACED", "FRAME_ACK", "FRAME_DATA", "FRAME_PROBE",
                 "Preamble",
                 "decode_live_frame", "encode_live_frame")),
-    ("host", ("LIVE_TRANSPORT", "LiveHost", "LiveRoute",
+    ("host", ("LIVE_TRANSPORT", "LiveHost",
               "LiveTransactor", "WallClock")),
     ("link", ("Address", "Impairments", "LiveEndpoint", "LivenessConfig")),
     ("metrics", ("EndpointMetrics", "render_metrics")),

@@ -26,11 +26,12 @@ without ``"v"`` (or naming any other version) is refused with the typed
 
 Every request carries an ``X-Request-ID``-style correlation id; the
 server echoes it verbatim so responses can be matched (and traced)
-regardless of ordering.  Header segments travel as hex of the
-*existing* VIPER wire codec (:func:`repro.viper.wire.encode_segment`),
-so a route fetched over TCP is byte-identical to one handed out inside
-the simulator — tokens minted by the directory verify unchanged on live
-routers.
+regardless of ordering.  A route's header segments travel as hex of
+the *existing* VIPER wire codec (:func:`repro.viper.wire.encode_segment`)
+beside §3's advertised attributes, so a client over TCP holds the
+simulator's own :class:`~repro.directory.routes.Route` — tokens minted
+by the directory verify unchanged on live routers — and a ``routes``
+request carries every :class:`~repro.directory.service.RouteQuery` field.
 
 The server wraps any ``(client_node, RouteQuery) -> List[Route]``
 callable — in practice :meth:`repro.directory.service.DirectoryService.
@@ -48,6 +49,7 @@ import json
 import os
 import time
 from collections import OrderedDict
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.directory.cluster.protocol import (
@@ -60,22 +62,17 @@ from repro.directory.cluster.protocol import (
 )
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACER
+from repro.directory.pathfind import PathObjective
 from repro.directory.routes import Route
 from repro.directory.service import BindingConflictError, RouteQuery
-from repro.live.host import LiveRoute
 from repro.live.link import Address
+from repro.net.addresses import MacAddress
 from repro.transport.rebind import capped_backoff
 from repro.viper.errors import ViperDecodeError
 from repro.viper.wire import HeaderSegment, decode_segment
 
 #: Newline-delimited JSON: one object per line, UTF-8.
 ENCODING = "utf-8"
-
-#: Fallback advertised RTT when a route predicts zero (e.g. loopback).
-DEFAULT_BASE_RTT_S = 1e-3
-
-#: Reference payload size used to turn a Route's model into one number.
-RTT_PROBE_BYTES = 64
 
 #: Write responses remembered per server for idempotent replay.
 DEDUP_CAPACITY = 4096
@@ -86,42 +83,27 @@ RECONNECT_BASE_S = 0.05
 RECONNECT_MAX_S = 2.0
 
 
-def live_route_fields(route: Route) -> Dict[str, object]:
-    """What a :class:`LiveRoute` takes from a directory Route besides
-    its segments — the one statement of those rules, whichever door the
-    route leaves by (:func:`route_to_json`, ``as_live_route``).
-
-    ``base_rtt_s`` is the *operating* estimate — floored to
-    :data:`DEFAULT_BASE_RTT_S` when the model predicts zero, because
-    downstream rebinding logic divides by it — and
-    ``rtt_floor_applied`` says which of the two it is.
-    """
-    measured = route.expected_rtt(RTT_PROBE_BYTES)
-    floored = measured <= 0.0
-    return {
-        "destination": route.destination,
-        "first_hop_port": route.first_hop_port,
-        "base_rtt_s": DEFAULT_BASE_RTT_S if floored else measured,
-        "rtt_floor_applied": floored,
-        "hop_count": route.hop_count,
-        "mtu": route.mtu,
-    }
+#: A route's attributes as the TCP door carries them, each with the type
+#: it is rebuilt as: its destination, its first hop's port and §3's
+#: advertised model.  The segments, the Slick-Packets blocks (only when
+#: there are any) and the first hop's MAC (null over UDP) ride encoded.
+ROUTE_FIELDS = (
+    ("destination", str), ("first_hop_port", int), ("mtu", int),
+    ("bottleneck_bps", float), ("propagation_delay", float),
+    ("hop_count", int), ("cost", float), ("secure", bool),
+    ("issued_at", float),
+)
 
 
 def route_to_json(route: Route) -> Dict[str, object]:
-    """Serialize one directory Route into its wire (JSON) form:
-    :func:`live_route_fields`, the segments as hex of their encoding,
-    and ``measured_rtt_s`` — the model's real prediction, always, so a
-    client can tell measured from floored.
-    """
-    obj = live_route_fields(route)
+    """Serialize one directory Route into its wire (JSON) form."""
+    state, mac = vars(route), route.first_hop_mac
+    obj = {name: state[name] for name, _kind in ROUTE_FIELDS}
     obj["segments"] = [s.wire.hex() for s in route.segments]
-    obj["measured_rtt_s"] = route.expected_rtt(RTT_PROBE_BYTES)
-    # Slick-Packets backup blocks ride only when present.
-    alternates = getattr(route, "alternates", [])
-    if alternates:
+    obj["first_hop_mac"] = None if mac is None else str(mac)
+    if route.alternates:
         obj["alternates"] = [
-            [s.wire.hex() for s in block] for block in alternates
+            [s.wire.hex() for s in block] for block in route.alternates
         ]
     return obj
 
@@ -139,23 +121,35 @@ def _segments_from_hex(hexed_list) -> List[HeaderSegment]:
     return segments
 
 
-def route_from_json(obj: Dict[str, object]) -> LiveRoute:
-    """Parse one JSON route into the live host's :class:`LiveRoute`."""
-    segments = _segments_from_hex(obj["segments"])  # type: ignore[arg-type]
-    alternates = [
-        _segments_from_hex(block)
-        for block in obj.get("alternates", [])  # type: ignore[union-attr]
-    ]
-    return LiveRoute(
-        destination=str(obj["destination"]),
-        segments=segments,
-        first_hop_port=int(obj["first_hop_port"]),  # type: ignore[arg-type]
-        base_rtt_s=float(obj.get("base_rtt_s", DEFAULT_BASE_RTT_S)),  # type: ignore[arg-type]
-        hop_count=int(obj.get("hop_count", 0)),  # type: ignore[arg-type]
-        mtu=int(obj.get("mtu", 1500)),  # type: ignore[arg-type]
-        rtt_floor_applied=bool(obj.get("rtt_floor_applied", False)),
-        alternates=alternates,
+def route_from_json(obj: Dict[str, object]) -> Route:
+    """Parse one JSON route (:func:`route_to_json`) back into the
+    directory's :class:`~repro.directory.routes.Route`."""
+    mac = obj["first_hop_mac"]
+    return Route(
+        segments=_segments_from_hex(obj["segments"]),
+        first_hop_mac=None if mac is None else MacAddress.parse(str(mac)),
+        alternates=[
+            _segments_from_hex(block)
+            for block in obj.get("alternates", ())  # type: ignore[union-attr]
+        ],
+        **{name: kind(obj[name]) for name, kind in ROUTE_FIELDS},  # type: ignore[operator]
     )
+
+
+#: :class:`~repro.directory.service.RouteQuery`'s fields as the
+#: ``routes`` command carries them, each with the type it is rebuilt
+#: as; a field a request leaves out keeps ``RouteQuery``'s default.
+QUERY_FIELDS = (
+    ("destination", str),
+    ("objective", PathObjective),
+    ("k", int),
+    ("dest_socket", int),
+    ("with_tokens", bool),
+    ("reverse_ok", bool),
+    ("account", int),
+    ("priority_limit", int),
+    ("compress_ethernet", bool),
+)
 
 
 class DirectoryError(Exception):
@@ -450,13 +444,10 @@ class LiveDirectoryServer:
     async def _serve_routes(
         self, params: Dict[str, object]
     ) -> Dict[str, object]:
-        query = RouteQuery(
-            destination=str(params["destination"]),
-            k=int(params.get("k", 1)),  # type: ignore[arg-type]
-            dest_socket=int(params.get("dest_socket", 0)),  # type: ignore[arg-type]
-            with_tokens=bool(params.get("with_tokens", False)),
-            reverse_ok=bool(params.get("reverse_ok", True)),
-        )
+        query = RouteQuery(**{
+            name: kind(params[name])  # type: ignore[operator]
+            for name, kind in QUERY_FIELDS if name in params
+        })
         # ``query`` may be a plain callable or a coroutine function; an
         # awaitable result lets slow lookups yield, so the other
         # in-flight commands on this connection keep making progress.
@@ -757,25 +748,18 @@ class LiveDirectoryClient:
     async def routes(
         self,
         destination: str,
-        k: int = 1,
-        dest_socket: int = 0,
-        with_tokens: bool = False,
         timeout_s: float = 1.0,
         trace: Optional[Dict[str, object]] = None,
-    ) -> List[LiveRoute]:
-        """Fetch up to ``k`` routes to ``destination`` (§3 over TCP)."""
-        result = await self._request(
-            "routes",
-            {
-                "client": self.name,
-                "destination": destination,
-                "k": k,
-                "dest_socket": dest_socket,
-                "with_tokens": with_tokens,
-            },
-            timeout_s,
-            trace=trace,
-        )
+        **query: object,
+    ) -> List[Route]:
+        """Fetch routes to ``destination`` (§3 over TCP); ``query`` takes
+        any other :class:`~repro.directory.service.RouteQuery` field
+        (``k``, ``objective``, ``account`` …), every one of which
+        reaches the directory."""
+        params = asdict(RouteQuery(destination, **query))  # type: ignore[arg-type]
+        params["objective"] = params["objective"].value
+        params["client"] = self.name
+        result = await self._request("routes", params, timeout_s, trace=trace)
         raw_routes = result.get("routes")
         if not isinstance(raw_routes, list):
             raise DirectoryError("malformed routes response")

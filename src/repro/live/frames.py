@@ -326,11 +326,9 @@ def decode_live_frame(
     from this datagram (the batch contract carries it); None decodes it
     here.
 
-    :func:`frame_spans`' walk, materialised: unlike the simulator's
-    edge decoder — which locates the payload by a heuristic backwards
-    trailer walk — the explicit ``segCount`` and ``payloadLen`` make
-    the walk deterministic, and the trailer region after the payload
-    must frame completely.  Total over arbitrary bytes: malformed input
+    :func:`frame_spans`' walk, materialised: the explicit ``segCount``
+    and ``payloadLen`` make the walk deterministic, and the trailer
+    region after the payload must frame completely.  Total over arbitrary bytes: malformed input
     raises :class:`~repro.viper.errors.ViperDecodeError`.
     """
     if preamble is None:

@@ -8,8 +8,9 @@ addressing) and replies along the **return route in the live trailer**,
 each distinct header and trailer walked once.  The adapter keeps the
 endpoint, the batch loop, the slot copy-and-release and the slot-size
 check.  ``send`` frames ``preamble ++ route.wire_header() ++ payload``
-(:class:`LiveRoute` is a :class:`~repro.dataplane.host.SourceRoute`)
-and ``send_return`` is ``send`` along the delivery's
+along the directory's :class:`~repro.directory.routes.Route`, the one
+route a source holds on either substrate, and ``send_return`` is
+``send`` along the delivery's
 :meth:`~repro.dataplane.host.Delivered.return_route`.
 
 :class:`LiveTransactor` runs VMTP-style request/response transactions
@@ -29,10 +30,9 @@ import asyncio
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.dataplane.host import Delivered, HostCore, SourceRoute
+from repro.dataplane.host import Delivered, HostCore
 from repro.dataplane.router import core_attribute
 from repro.live.frames import frame_with_header
 from repro.live.link import (
@@ -53,7 +53,7 @@ from repro.transport.machine import (
 from repro.transport.rebind import RouteManager
 from repro.transport.timestamps import HostClock
 from repro.transport.transactor import TransactorIO
-from repro.viper.wire import HeaderSegment, LOCAL_PORT
+from repro.viper.wire import LOCAL_PORT
 
 
 class WallClock:
@@ -64,39 +64,6 @@ class WallClock:
     def now(self) -> float:
         """Monotonic wall-clock seconds."""
         return time.monotonic()
-
-
-@dataclass
-class LiveRoute(SourceRoute):
-    """A source route usable by a live host.
-
-    ``segments`` covers every router hop plus the destination host's
-    final (socket) segment; ``first_hop_port`` names which of the
-    client's live ports carries the first physical hop.  ``base_rtt_s``
-    is the advertised round-trip estimate the rebinding logic compares
-    measurements against (§3's "the client can determine the roundtrip
-    time ... rather than discovering these parameters over time").
-    ``segments`` and ``alternates`` are frozen to tuples (the header
-    memo the directory's routes share).
-    """
-
-    destination: str
-    segments: Tuple[HeaderSegment, ...]
-    first_hop_port: int
-    base_rtt_s: float = 1e-3
-    hop_count: int = 0
-    mtu: int = 1500
-    #: True when ``base_rtt_s`` is the directory's floor, not the
-    #: route model's prediction (which was zero, e.g. loopback) — lets
-    #: rebinding logic tell a measured estimate from a floored one.
-    rtt_floor_applied: bool = False
-    #: Slick-Packets backup blocks, one per slick-flagged segment in
-    #: route order (ARCHITECTURE §16); empty on non-slick routes.
-    alternates: Tuple[Tuple[HeaderSegment, ...], ...] = ()
-
-    def expected_rtt(self, payload_size: int = 0, reply_size: int = 0) -> float:
-        """Advertised base RTT (payload sizes are second-order on loopback)."""
-        return self.base_rtt_s
 
 
 class LiveHost:
@@ -166,14 +133,15 @@ class LiveHost:
 
     def send(
         self,
-        route: LiveRoute,
+        route: Any,
         payload: bytes,
         priority: int = 0,
         dib: bool = False,
         trace_id: Optional[int] = None,
     ) -> int:
-        """Frame ``payload`` for ``route`` and transmit it; returns the
-        trace id the frame carries (0 = untraced).
+        """Frame ``payload`` for ``route`` — a directory ``Route`` or a
+        delivery's ``ReturnRoute`` — and transmit it; returns the trace
+        id the frame carries (0 = untraced).
 
         The frame is ``preamble ++ route.wire_header(priority, dib) ++
         payload``: the route's bytes are encoded once per route, not

@@ -26,9 +26,10 @@ from typing import Dict, List, Optional
 
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.directory.service import DirectoryService, RouteQuery
-from repro.live.directory import LiveDirectoryServer, live_route_fields
-from repro.live.host import LiveHost, LiveRoute
+from repro.live.directory import LiveDirectoryServer
+from repro.live.host import LiveHost
 from repro.live.link import Address, Impairments, LivenessConfig
 from repro.live.metrics import EndpointMetrics, render_metrics
 from repro.live.router import LiveRouter, LiveRouterConfig
@@ -40,19 +41,12 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SloEngine
 
 
-def as_live_route(route) -> LiveRoute:
-    """Convert a directory :class:`~repro.directory.routes.Route`.
-
-    The in-process door: the route's own segments under
-    :func:`~repro.live.directory.live_route_fields`, field for field
-    what ``route_from_json(route_to_json(route))`` — the TCP door —
-    constructs.
-    """
-    return LiveRoute(
-        segments=route.segments,
-        alternates=getattr(route, "alternates", ()),
-        **live_route_fields(route),
-    )
+def as_live_route(route: Route) -> Route:
+    """The route itself: a live host sends along the directory's
+    :class:`~repro.directory.routes.Route`, as a simulated one does.
+    Kept by name for drivers written when the live host held a route
+    type of its own."""
+    return route
 
 
 class LiveOverlay:
@@ -235,16 +229,15 @@ class LiveOverlay:
         k: int = 1,
         dest_socket: int = 0,
         with_tokens: bool = False,
-    ) -> List[LiveRoute]:
+    ) -> List[Route]:
         """In-process route query (same logic the TCP endpoint serves)."""
-        found = self.directory.query(
+        return self.directory.query(
             client,
             RouteQuery(
                 destination=destination, k=k, dest_socket=dest_socket,
                 with_tokens=with_tokens,
             ),
         )
-        return [as_live_route(r) for r in found]
 
     # -- observability -----------------------------------------------------
 

@@ -333,12 +333,9 @@ class TransactionMachine:
         a route once, while it stays the one transactions go out on."""
         if route is self._budget_route:
             return self._budget
-        budget = MAX_MEMBER_PAYLOAD
-        max_payload = getattr(route, "max_payload", None)
-        if callable(max_payload):
-            wire_budget = max_payload() - OVERHEAD
-            if wire_budget > 0:
-                budget = min(budget, wire_budget)
+        budget = route.max_payload() - OVERHEAD
+        if not 0 < budget < MAX_MEMBER_PAYLOAD:
+            budget = MAX_MEMBER_PAYLOAD
         self._budget_route, self._budget = route, budget
         return budget
 

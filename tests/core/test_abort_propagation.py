@@ -13,18 +13,12 @@ import pytest
 
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.flags import PRIORITY_PREEMPT_HIGH
 from repro.viper.portinfo import EthernetInfo
 from repro.viper.wire import HeaderSegment
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def build_chain(n_routers=2, rate=1e6):
@@ -72,9 +66,9 @@ def test_preemption_aborts_the_whole_cut_through_chain():
     sim, src, dst, routers, src_port, ports = build_chain()
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
-        src_port,
+    route = Route(
+        "dst", [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port, None,
     )
     # 5000B at 1 Mb/s = 40 ms on the wire; r1 starts cutting through at
     # ~0.1 ms.  Preempt at 10 ms: every downstream copy must die.
@@ -93,9 +87,9 @@ def test_abort_does_not_disturb_unrelated_traffic():
     sim, src, dst, routers, src_port, ports = build_chain()
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
-        src_port,
+    route = Route(
+        "dst", [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port, None,
     )
     src.send(route, b"victim".ljust(5000, b"\0"), priority=0)
     sim.at(10e-3, lambda: src.send(route, b"urgent".ljust(200, b"\0"),
@@ -109,8 +103,8 @@ def test_abort_does_not_disturb_unrelated_traffic():
 def test_router_forwarding_records_cleaned_on_normal_delivery():
     sim, src, dst, routers, src_port, ports = build_chain(n_routers=1)
     dst.bind(0, lambda d: None)
-    route = StaticRoute(
-        [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port, None
     )
     sent = [weakref.ref(src.send(route, bytes(500))) for _ in range(3)]
     sim.run(until=1.0)
@@ -124,8 +118,8 @@ def test_abort_after_the_outbound_transmission_ended_aborts_nothing():
     sim, src, dst, routers, src_port, ports = build_chain(n_routers=1)
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port, None
     )
     first = src.send(route, b"first".ljust(500, b"\0"))
     sim.run(until=50e-3)
@@ -148,9 +142,9 @@ def test_link_failure_mid_frame_aborts_the_chain_downstream():
     sim, src, dst, routers, src_port, ports = build_chain()
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
-        src_port,
+    route = Route(
+        "dst", [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port, None,
     )
     victim = weakref.ref(src.send(route, b"victim".ljust(5000, b"\0")))
     r1_to_r2 = routers[0].ports[ports[0]].tx_channel
@@ -174,9 +168,9 @@ def test_link_failure_before_the_header_lands_is_silent():
     aborts = []
     routers[1].on_abort = lambda packet, inport: aborts.append(packet)
     r1_to_r2 = routers[0].ports[ports[0]].tx_channel
-    route = StaticRoute(
-        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
-        src_port,
+    route = Route(
+        "dst", [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port, None,
     )
     src.send(route, b"victim".ljust(5000, b"\0"))
     # A 4-byte header is 32 us of wire at 1 Mb/s: r1 has it (and starts
@@ -202,8 +196,8 @@ def build_ethernet_hop():
     _, src_port, _ = topo.connect(src, r1, rate_bps=1e6)
     r1_tap = topo.attach_to_ethernet(r1, segment)
     dst_tap = topo.attach_to_ethernet(dst, segment)
-    route = StaticRoute(
-        [
+    route = Route(
+        "dst", [
             HeaderSegment(
                 port=r1_tap.port_id,
                 portinfo=EthernetInfo(
@@ -212,7 +206,7 @@ def build_ethernet_hop():
             ),
             HeaderSegment(port=0),
         ],
-        src_port,
+        src_port, None,
     )
     return sim, src, dst, r1, segment, route
 

@@ -9,16 +9,10 @@ previous router."
 
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def build():
@@ -39,8 +33,8 @@ def test_queued_packets_carry_backlog_hint():
     sim, src, dst, src_port, out_port = build()
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port, None
     )
     for _ in range(5):  # burst: egress 10x slower than ingress
         src.send(route, bytes(1000))
@@ -58,8 +52,8 @@ def test_unloaded_path_reports_zero():
     sim, src, dst, src_port, out_port = build()
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port, None
     )
     for index in range(3):
         sim.at(index * 10e-3, lambda: src.send(route, bytes(500)))

@@ -4,17 +4,11 @@ import pytest
 
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
 from tests.live.oracle import return_route, structural
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def direct_pair():
@@ -34,11 +28,11 @@ def test_socket_demultiplexing():
     box_default, box_seven = [], []
     b.bind(0, box_default.append)
     b.bind(7, box_seven.append)
-    a.send(StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=7)], a_port
+    a.send(Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=7)], a_port, None
     ), b"to-seven".ljust(100, b"\0"))
-    a.send(StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
+    a.send(Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port, None
     ), b"to-default".ljust(100, b"\0"))
     sim.run(until=1.0)
     assert len(box_seven) == 1 and box_seven[0].socket == 7
@@ -47,8 +41,8 @@ def test_socket_demultiplexing():
 
 def test_unbound_socket_counted_undeliverable():
     sim, a, b, _r, a_port, out_port = direct_pair()
-    a.send(StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=42)], a_port
+    a.send(Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=42)], a_port, None
     ), b"nowhere".ljust(100, b"\0"))
     sim.run(until=1.0)
     assert b.undeliverable.count == 1
@@ -66,8 +60,8 @@ def test_priority_stamped_on_all_segments():
     sim, a, b, _r, a_port, out_port = direct_pair()
     got = []
     b.bind(0, got.append)
-    a.send(StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
+    a.send(Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port, None
     ), b"urgent".ljust(100, b"\0"), priority=6)
     sim.run(until=1.0)
     # The final segment still carries the priority at delivery.
@@ -81,8 +75,8 @@ def test_send_return_reaches_reply_socket():
     replies_at_a = []
     b.bind(0, delivered_at_b.append)
     a.bind(9, replies_at_a.append)
-    a.send(StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
+    a.send(Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port, None
     ), b"request".ljust(300, b"\0"))
     sim.run(until=0.5)
     b.send_return(delivered_at_b[0], b"reply".ljust(150, b"\0"), reply_socket=9)
@@ -96,8 +90,8 @@ def test_delivery_statistics():
     sim, a, b, _r, a_port, out_port = direct_pair()
     b.bind(0, lambda d: None)
     for _ in range(3):
-        a.send(StaticRoute(
-            [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port
+        a.send(Route(
+            "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], a_port, None
         ), bytes(100))
     sim.run(until=1.0)
     assert a.sent.count == 3
@@ -108,7 +102,7 @@ def test_delivery_statistics():
 def test_send_on_missing_port_raises():
     sim, a, _b, _r, _ap, out_port = direct_pair()
     with pytest.raises(KeyError):
-        a.send(StaticRoute([HeaderSegment(port=0)], first_hop_port=99),
+        a.send(Route("dst", [HeaderSegment(port=0)], 99, None),
                bytes(10))
 
 
@@ -125,7 +119,7 @@ def test_ethernet_host_return_path_uses_frame_macs():
     got = []
     b.bind(0, got.append)
     # Direct host-to-host on one Ethernet: a single final segment.
-    a.send(StaticRoute([HeaderSegment(port=0)], att_a.port_id,
+    a.send(Route("dst", [HeaderSegment(port=0)], att_a.port_id,
                        first_hop_mac=att_b.mac), b"hello".ljust(64, b"\0"))
     sim.run(until=1.0)
     assert len(got) == 1

@@ -12,6 +12,7 @@ from repro.dataplane.multicast import (
     decode_tree_info,
     encode_tree_info,
 )
+from repro.directory.routes import Route
 from repro.viper.errors import DecodeError
 from repro.viper.wire import HeaderSegment
 
@@ -118,14 +119,7 @@ class TestRouterIntegration:
         return sim, router, src, src_port, leaf_ports, inboxes
 
     def _route(self, segments, first_hop_port):
-        class R:
-            pass
-
-        route = R()
-        route.segments = segments
-        route.first_hop_port = first_hop_port
-        route.first_hop_mac = None
-        return route
+        return Route("leaves", segments, first_hop_port, None)
 
     def test_group_port_duplicates_packet(self):
         sim, router, src, src_port, leaf_ports, inboxes = self._star()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.packet import SirpentPacket
@@ -37,18 +38,11 @@ def build_line(n_routers=1, config=None, rate=10e6, prop=10e-6, mtu=1500):
     return sim, topo, src, routers, dst, src_port, forward_ports
 
 
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
-
-
 def route_through(forward_ports, src_port, dest_socket=0, token=b""):
     segments = [
         HeaderSegment(port=p, token=token) for p in forward_ports
     ] + [HeaderSegment(port=dest_socket)]
-    return StaticRoute(segments, src_port)
+    return Route("dst", segments, src_port, None)
 
 
 def test_forwarding_strips_segment_and_builds_trailer():
@@ -126,7 +120,7 @@ def test_rate_mismatch_falls_back_to_store_forward():
 
 def test_no_route_dropped():
     sim, _t, src, routers, dst, src_port, fwd = build_line(1)
-    bad = StaticRoute([HeaderSegment(port=99), HeaderSegment(port=0)], src_port)
+    bad = Route("dst", [HeaderSegment(port=99), HeaderSegment(port=0)], src_port, None)
     src.send(bad, bytes(100))
     sim.run(until=1.0)
     assert routers[0].stats.dropped_no_route.count == 1
@@ -134,7 +128,7 @@ def test_no_route_dropped():
 
 def test_route_exhausted_counted():
     sim, _t, src, routers, _d, src_port, fwd = build_line(1)
-    empty = StaticRoute([], src_port)
+    empty = Route("dst", [], src_port, None)
     packet = sim_packet(SirpentPacket(segments=[], payload_size=50))
     src.output_ports[src_port].submit(packet, 50, 50)
     sim.run(until=1.0)
@@ -145,7 +139,7 @@ def test_local_delivery_port_zero():
     sim, _t, src, routers, _d, src_port, fwd = build_line(1)
     received = []
     routers[0].local_handler = lambda packet, inport: received.append(packet)
-    local = StaticRoute([HeaderSegment(port=0)], src_port)
+    local = Route("dst", [HeaderSegment(port=0)], src_port, None)
     src.send(local, b"to-router".ljust(100, b"\0"))
     sim.run(until=1.0)
     assert len(received) == 1
@@ -243,7 +237,7 @@ def test_a_move_the_buffer_has_no_room_for_grows_the_frame(monkeypatch):
     got = []
     dst.bind(0, got.append)
     src.send(
-        StaticRoute([HeaderSegment(port=150), HeaderSegment(port=0)], src_port),
+        Route("dst", [HeaderSegment(port=150), HeaderSegment(port=0)], src_port, None),
         b"data".ljust(400, b"\0"),
     )
     sim.run(until=1.0)

@@ -1,5 +1,7 @@
 """Router-level token lifetime and transport-level size limits."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.router import RouterConfig
@@ -25,17 +27,16 @@ def test_expired_token_rejected_at_the_router():
     out_port = base.segments[0].port
     token = router.mint.mint(port=out_port, account=1, expiry_ms=50)
 
-    class Tokened:
-        segments = [base.segments[0].copy(token=token), base.segments[1]]
-        first_hop_port = base.first_hop_port
-        first_hop_mac = base.first_hop_mac
+    tokened = replace(
+        base, segments=[base.segments[0].copy(token=token), base.segments[1]],
+    )
 
-    scenario.hosts["src"].send(Tokened, b"fresh".ljust(100, b"\0"))
+    scenario.hosts["src"].send(tokened, b"fresh".ljust(100, b"\0"))
     scenario.sim.run(until=0.2)  # clock now past 50 ms
     # Flush the cache so the router re-verifies (cached entries do not
     # re-check expiry; soft state would age out in deployment).
     router.token_cache.flush()
-    scenario.hosts["src"].send(Tokened, b"stale".ljust(100, b"\0"))
+    scenario.hosts["src"].send(tokened, b"stale".ljust(100, b"\0"))
     scenario.sim.run(until=0.5)
     assert [d.payload.rstrip(b"\0") for d in got] == [b"fresh"]
     assert router.stats.dropped_token.count >= 1
@@ -66,14 +67,13 @@ def test_byte_limited_token_cuts_off_mid_stream():
     # Budget for roughly two 500-byte packets (plus headers).
     token = router.mint.mint(port=out_port, account=2, byte_limit=1200)
 
-    class Tokened:
-        segments = [base.segments[0].copy(token=token), base.segments[1]]
-        first_hop_port = base.first_hop_port
-        first_hop_mac = base.first_hop_mac
+    tokened = replace(
+        base, segments=[base.segments[0].copy(token=token), base.segments[1]],
+    )
 
     for index in range(4):
         scenario.sim.at(index * 5e-3,
-                        lambda: scenario.hosts["src"].send(Tokened, bytes(500)))
+                        lambda: scenario.hosts["src"].send(tokened, bytes(500)))
     scenario.sim.run(until=0.5)
     assert len(got) == 2
     assert router.stats.dropped_token.count == 2

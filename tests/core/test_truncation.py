@@ -10,6 +10,7 @@ import pytest
 from repro.core.host import SirpentHost
 from repro.core.packet import HEADER
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.live.frames import truncate_into
 from repro.net.link import Channel
 from repro.net.topology import Topology
@@ -118,17 +119,17 @@ def test_a_slick_packet_leaves_a_router_within_the_link_mtu(monkeypatch):
 
     monkeypatch.setattr(Channel, "transmit", record)
 
-    class SlickRoute:
-        segments = [
+    slick_route = Route(
+        "dst",
+        [
             HeaderSegment(port=to_r2),
             HeaderSegment(port=to_dst, slick=True),
             HeaderSegment(port=0),
-        ]
-        alternates = [[HeaderSegment(port=to_dst), HeaderSegment(port=0)]]
-        first_hop_port = src_port
-        first_hop_mac = None
-
-    src.send(SlickRoute, b"big".ljust(1400, b"\0"))
+        ],
+        src_port, None,
+        alternates=[[HeaderSegment(port=to_dst), HeaderSegment(port=0)]],
+    )
+    src.send(slick_route, b"big".ljust(1400, b"\0"))
     sim.run(until=1.0)
     assert len(got) == 1 and got[0].trailer.truncated
     assert r1.stats.truncated.count == 1

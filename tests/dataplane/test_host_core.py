@@ -22,6 +22,7 @@ from benchmarks.bench_f03_transactor_pair import HostPair
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.dataplane.host import TRAILER_MEMO_ENTRIES, HostCore
+from repro.directory.routes import Route
 from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
@@ -322,12 +323,10 @@ def _sim_pair():
     tracer = Tracer().install(a, b, router)
     recorder = b.core.sink.recorder = FlightRecorder(clock=lambda: sim.now)
 
-    class Route:
-        segments = (HeaderSegment(port=out_port), HeaderSegment(port=42))
-        first_hop_port = a_port
-        first_hop_mac = None
-
-    packet = a.send(Route(), b"nowhere".ljust(100, b"\0"))
+    route = Route(
+        "b", [HeaderSegment(port=out_port), HeaderSegment(port=42)], a_port, None,
+    )
+    packet = a.send(route, b"nowhere".ljust(100, b"\0"))
     sim.run(until=1.0)
     return b, tracer, recorder, packet.trace_id
 

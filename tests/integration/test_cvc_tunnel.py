@@ -11,16 +11,10 @@ from repro.baselines.cvc import CvcHost, CvcSwitch
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.core.tunnel import attach_cvc_tunnel
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def build(idle_timeout=0.5):
@@ -53,11 +47,11 @@ def build(idle_timeout=0.5):
 
 
 def route_via(tunnel_a, gwb_out, src_port):
-    return StaticRoute([
+    return Route("dst", [
         HeaderSegment(port=tunnel_a.port_id),
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
-    ], src_port)
+    ], src_port, None)
 
 
 def test_first_packet_triggers_setup_then_flows():

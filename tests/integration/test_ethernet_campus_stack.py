@@ -7,6 +7,7 @@ reverse the frame headers (§2's worked example).
 """
 
 
+from repro.directory.routes import Route
 from repro.scenarios import build_sirpent_campus
 from repro.transport import RouteManager, TransportConfig
 from repro.viper.portinfo import EthernetInfo
@@ -94,11 +95,10 @@ def test_broadcast_frame_reaches_all_campus_hosts():
         scenario.hosts[name].bind(0, box.append)
         inboxes[name] = box
 
-    class Route:
-        segments = [HeaderSegment(port=0)]
-        first_hop_port = next(iter(scenario.hosts["venus"].ports))
-        first_hop_mac = MacAddress(BROADCAST)
-
-    scenario.hosts["venus"].send(Route, b"anyone there?".ljust(100, b"\0"))
+    route = Route(
+        "gregorio", [HeaderSegment(port=0)],
+        next(iter(scenario.hosts["venus"].ports)), MacAddress(BROADCAST),
+    )
+    scenario.hosts["venus"].send(route, b"anyone there?".ljust(100, b"\0"))
     scenario.sim.run(until=1.0)
     assert len(inboxes["gregorio"]) == 1

@@ -6,17 +6,11 @@ from repro.core.congestion import ControlPlane
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.core.tunnel import attach_tunnel
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
 from tests.live.oracle import return_route
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def build_tunneled_internetwork(n_ip_routers=2):
@@ -70,11 +64,11 @@ def test_sirpent_packet_crosses_ip_cloud():
     dst.bind(0, got.append)
     # The source names just three hops: gwA's tunnel port, gwB's exit,
     # destination socket — the whole IP internetwork is ONE logical hop.
-    route = StaticRoute([
+    route = Route("dst", [
         HeaderSegment(port=tunnel_a.port_id),
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
-    ], src_port)
+    ], src_port, None)
     src.send(route, b"across the internet".ljust(600, b"\0"))
     sim.run(until=sim.now + 2.0)
     assert len(got) == 1
@@ -95,11 +89,11 @@ def test_return_route_crosses_back():
     got, replies = [], []
     dst.bind(0, got.append)
     src.bind(0, replies.append)
-    route = StaticRoute([
+    route = Route("dst", [
         HeaderSegment(port=tunnel_a.port_id),
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
-    ], src_port)
+    ], src_port, None)
     src.send(route, b"ping".ljust(200, b"\0"))
     sim.run(until=sim.now + 2.0)
     assert got
@@ -117,11 +111,11 @@ def test_tunnel_mtu_truncates_oversized():
      src_port, gwb_out, _ipr) = build_tunneled_internetwork()
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute([
+    route = Route("dst", [
         HeaderSegment(port=tunnel_a.port_id),
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
-    ], src_port)
+    ], src_port, None)
     src.send(route, b"big".ljust(3000, b"\0"))  # beyond the 1400B tunnel MTU
     sim.run(until=sim.now + 2.0)
     assert len(got) == 1
@@ -136,11 +130,11 @@ def test_ip_cloud_failure_breaks_then_heals_tunnel():
     )
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute([
+    route = Route("dst", [
         HeaderSegment(port=tunnel_a.port_id),
         HeaderSegment(port=gwb_out),
         HeaderSegment(port=0),
-    ], src_port)
+    ], src_port, None)
     topo.fail_link("ipr1--ipr2")
     src.send(route, b"lost".ljust(100, b"\0"))
     sim.run(until=sim.now + 0.5)

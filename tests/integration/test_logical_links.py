@@ -1,20 +1,16 @@
 """Integration: logical links balance replicated trunks (§2.2)."""
 
 
+from dataclasses import replace
+
 from repro.core.host import SirpentHost
 from repro.dataplane.logical import SelectionPolicy
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
 from tests.live.oracle import return_route
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def build_trunk(n_channels=4, policy=SelectionPolicy.LEAST_LOADED):
@@ -37,10 +33,10 @@ def build_trunk(n_channels=4, policy=SelectionPolicy.LEAST_LOADED):
     _, rb_out, _ = topo.connect(rb, dst, rate_bps=100e6)
     LOGICAL = 100
     ra.logical.add_trunk(LOGICAL, member_ports, policy=policy)
-    route = StaticRoute(
-        [HeaderSegment(port=LOGICAL), HeaderSegment(port=rb_out),
+    route = Route(
+        "dst", [HeaderSegment(port=LOGICAL), HeaderSegment(port=rb_out),
          HeaderSegment(port=0)],
-        src_port,
+        src_port, None,
     )
     return sim, topo, src, dst, ra, links, route
 
@@ -78,9 +74,8 @@ def test_flow_hash_keeps_flows_on_one_member():
     got = []
     dst.bind(0, got.append)
     hint = LogicalInfo(label=1, flow_hint=2).to_bytes()
-    flow_route = StaticRoute(
-        [route.segments[0].copy(portinfo=hint)] + route.segments[1:],
-        route.first_hop_port,
+    flow_route = replace(
+        route, segments=[route.segments[0].copy(portinfo=hint), *route.segments[1:]],
     )
     for index in range(20):
         sim.at(index * 1e-3, lambda: src.send(flow_route, bytes(500)))
@@ -130,8 +125,8 @@ def test_transit_expansion_splices_route():
     got = []
     dst.bind(0, got.append)
     # The source names only [logical hop, final]: two segments.
-    route = StaticRoute(
-        [HeaderSegment(port=LOGICAL), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=LOGICAL), HeaderSegment(port=0)], src_port, None
     )
     src.send(route, b"transit".ljust(300, b"\0"))
     sim.run(until=1.0)

@@ -3,19 +3,13 @@ cut-through gap preservation (§2.1)."""
 
 
 from repro.core.host import SirpentHost
+from repro.directory.routes import Route
 from repro.net.fabric import build_fabric
 from repro.net.topology import Topology
 from repro.scenarios import build_sirpent_line, build_sirpent_parallel
 from repro.sim.engine import Simulator
 from repro.transport import RouteManager, TransportConfig, VmtpTransport
 from repro.viper.wire import HeaderSegment
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +88,10 @@ def test_multi_homed_host_reachable_via_either_interface():
     entity = t_dst.create_entity(lambda m: (b"ok", 16), hint="dual")
 
     for out_port in (out_a, out_b):
-        route = StaticRoute(
-            [HeaderSegment(port=out_port), HeaderSegment(port=1)], src_port
-        )
-        from repro.directory.routes import Route
-
         results = []
         manager = RouteManager(sim, [Route(
-            destination="dst", segments=route.segments,
+            destination="dst",
+            segments=[HeaderSegment(port=out_port), HeaderSegment(port=1)],
             first_hop_port=src_port, first_hop_mac=None,
             bottleneck_bps=10e6, propagation_delay=20e-6, hop_count=1,
         )])
@@ -140,7 +130,10 @@ def test_fabric_crossing_delivers():
     segments = fabric.internal_segments(
         src_external=0, dst_leaf_port=host_links[2], dst_external=2,
     ) + [HeaderSegment(port=0)]
-    src.send(StaticRoute(segments, src_port), b"through the fabric".ljust(400, b"\0"))
+    src.send(
+        Route("dst", segments, src_port, None),
+        b"through the fabric".ljust(400, b"\0"),
+    )
     sim.run(until=1.0)
     assert len(got) == 1
     # Crossed leaf0 -> root -> leaf2.
@@ -166,7 +159,7 @@ def test_fabric_stages_cost_only_decision_delays():
     segments = fabric.internal_segments(0, host_links[1], 1) + [
         HeaderSegment(port=0)
     ]
-    src.send(StaticRoute(segments, src_port), bytes(1000))
+    src.send(Route("dst", segments, src_port, None), bytes(1000))
     sim.run(until=1.0)
     delay = got[0].arrived_at - got[0].packet.created_at
     serialization = (1000 + 16) * 8 / 100e6  # ~81 us

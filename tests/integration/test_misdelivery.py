@@ -9,6 +9,7 @@ the end-to-end accounting.
 
 from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -32,13 +33,6 @@ def build_lossy_line(corruption_rate=0.3, seed=5):
     return sim, topo, src, dst, bystander, router, src_port, out_port
 
 
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
-
-
 def test_corrupted_packets_still_delivered_somewhere():
     sim, _t, src, dst, bystander, router, src_port, out_port = (
         build_lossy_line(corruption_rate=1.0)
@@ -46,8 +40,8 @@ def test_corrupted_packets_still_delivered_somewhere():
     seen_dst, seen_other = [], []
     dst.bind(0, seen_dst.append)
     bystander.bind(0, seen_other.append)
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port, None
     )
     payload = bytes(200)
     for _ in range(40):
@@ -76,10 +70,7 @@ def test_transport_checksum_catches_corruption():
         return b"ok", 32
 
     entity = t_dst.create_entity(handler, hint="server")
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=1)], src_port
-    )
-    manager = RouteManager(sim, [_route_obj(route)])
+    manager = RouteManager(sim, [_transport_route(out_port, src_port)])
     results = []
     t_src.transact(manager, entity, b"payload", 128, results.append)
     sim.run(until=5.0)
@@ -101,10 +92,7 @@ def test_a_seeded_corruption_run_counts_checksum_discards_by_reason():
     t_src = VmtpTransport(sim, src)
     t_dst = VmtpTransport(sim, dst)
     entity = t_dst.create_entity(lambda m: (b"ok", 32), hint="server")
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=1)], src_port
-    )
-    manager = RouteManager(sim, [_route_obj(route)])
+    manager = RouteManager(sim, [_transport_route(out_port, src_port)])
     results = []
     for index in range(20):
         sim.at(index * 0.1, t_src.transact, manager, entity, b"q", 256, results.append)
@@ -117,14 +105,12 @@ def test_a_seeded_corruption_run_counts_checksum_discards_by_reason():
     assert dst.undeliverable.count == 0
 
 
-def _route_obj(static):
-    """Adapt a StaticRoute to what RouteManager expects (Route-like)."""
-    from repro.directory.routes import Route
-
+def _transport_route(out_port, src_port):
+    """The line's route to the server transport's socket, with its model."""
     return Route(
         destination="dst",
-        segments=static.segments,
-        first_hop_port=static.first_hop_port,
+        segments=[HeaderSegment(port=out_port), HeaderSegment(port=1)],
+        first_hop_port=src_port,
         first_hop_mac=None,
         bottleneck_bps=10e6,
         propagation_delay=20e-6,
@@ -142,10 +128,7 @@ def test_misdelivered_pdu_rejected_by_entity_check():
     t_dst = VmtpTransport(sim, dst)
     t_bystander = VmtpTransport(sim, bystander)
     entity = t_dst.create_entity(lambda m: (b"ok", 16), hint="server")
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=1)], src_port
-    )
-    manager = RouteManager(sim, [_route_obj(route)])
+    manager = RouteManager(sim, [_transport_route(out_port, src_port)])
     t_src.transact(manager, entity, b"x", 64, lambda r: None)
     sim.run(until=2.0)
     # Whatever reached the bystander was rejected, silently and safely.
@@ -161,8 +144,8 @@ def test_clean_link_never_corrupts():
     )
     got = []
     dst.bind(0, got.append)
-    route = StaticRoute(
-        [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port
+    route = Route(
+        "dst", [HeaderSegment(port=out_port), HeaderSegment(port=0)], src_port, None
     )
     payload = bytes(100)
     for _ in range(20):

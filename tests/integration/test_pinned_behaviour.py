@@ -27,6 +27,7 @@ from repro.chaos.plan import FaultPlan, FaultSpec
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
 from repro.directory import RouteQuery
+from repro.directory.routes import Route
 from repro.net.topology import Topology
 from repro.scenarios import build_sirpent_campus, build_sirpent_random
 from repro.sim.engine import Simulator
@@ -34,13 +35,6 @@ from repro.transport import RouteManager, TransportConfig
 from repro.viper.flags import PRIORITY_PREEMPT_HIGH
 from repro.viper.wire import HeaderSegment
 from tests.integration.test_congestion_backpressure import drive_dumbbell
-
-
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
 
 
 def media_digest(sim: Simulator, topology: Topology) -> str:
@@ -160,8 +154,9 @@ def chain(rates, cut_through=True):
     for a, b, rate in zip(routers, routers[1:], rates[1:]):
         ports.append(topo.connect(a, b, rate_bps=rate)[1])
     ports.append(topo.connect(routers[-1], dst, rate_bps=rates[-1])[1])
-    route = StaticRoute(
-        [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)], src_port,
+    route = Route(
+        "dst", [HeaderSegment(port=p) for p in ports] + [HeaderSegment(port=0)],
+        src_port, None,
     )
     got: List[Any] = []
     labels: Dict[int, Any] = {}

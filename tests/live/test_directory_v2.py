@@ -266,40 +266,40 @@ def test_dedup_cache_is_bounded(monkeypatch):
     assert asyncio.run(scenario()) == 4
 
 
-# -- the RTT floor, made explicit ------------------------------------------
+# -- the route model, carried whole ---------------------------------------
 
-def test_floored_rtt_is_labelled_not_silent():
-    from repro.live.directory import (
-        DEFAULT_BASE_RTT_S,
-        route_from_json,
-        route_to_json,
-    )
+def test_a_zero_model_route_crosses_unfloored():
+    """A route whose model predicts 0 s (loopback: no rate, no distance)
+    reaches a TCP client predicting 0 s, not a floor in its place; the
+    transactor's judge skips a zero baseline instead of dividing by it."""
+    from repro.live.directory import route_from_json, route_to_json
+    from repro.live.host import WallClock
+    from repro.transport.rebind import RouteManager
 
     zero = Route(
         destination="loopback.region.net",
         segments=[HeaderSegment(port=0)],
         first_hop_port=0,
         first_hop_mac=None,
-        bottleneck_bps=0.0,     # model predicts a 0s RTT (loopback)
+        bottleneck_bps=0.0,
         propagation_delay=0.0,
         hop_count=0,
     )
-    wire = route_to_json(zero)
-    assert wire["base_rtt_s"] == DEFAULT_BASE_RTT_S
-    assert wire["measured_rtt_s"] == 0.0  # the real prediction survives
-    assert wire["rtt_floor_applied"] is True
-    assert route_from_json(wire).rtt_floor_applied is True
+    parsed = route_from_json(json.loads(json.dumps(route_to_json(zero))))
+    assert parsed == zero and parsed.expected_rtt(64) == 0.0
+    manager = RouteManager(WallClock(), [parsed, _route()], degradation_samples=1)
+    manager.report_rtt(1.0, 64)
+    assert manager.current() is parsed and manager.switches.count == 0
 
 
-def test_measured_rtt_passes_through_unfloored():
+def test_the_route_model_passes_through_at_every_size():
     from repro.live.directory import route_from_json, route_to_json
 
-    wire = route_to_json(_route())
-    assert wire["rtt_floor_applied"] is False
-    assert wire["base_rtt_s"] == wire["measured_rtt_s"] > 0.0
-    parsed = route_from_json(wire)
-    assert parsed.rtt_floor_applied is False
-    assert parsed.base_rtt_s == wire["base_rtt_s"]
+    route = _route()
+    parsed = route_from_json(json.loads(json.dumps(route_to_json(route))))
+    for size in (0, 64, 1024, 16 * 1024):
+        assert parsed.expected_rtt(size) == route.expected_rtt(size) > 0.0
+    assert parsed.max_payload() == route.max_payload()
 
 
 # -- concurrent in-flight commands -----------------------------------------
@@ -335,3 +335,69 @@ def test_slow_command_does_not_convoy_the_connection():
 
     routes = asyncio.run(scenario())
     assert routes[0].destination == "slow.region.net"
+
+
+# -- every query field crosses the TCP door ---------------------------------
+
+def _diamond_directory():
+    """client - r1, then two ways on to the server: fast and dear via r2,
+    slow and cheap via r3 (so LOW_DELAY and LOW_COST part ways)."""
+    from repro.core.host import SirpentHost
+    from repro.core.router import SirpentRouter
+    from repro.directory.service import DirectoryService
+    from repro.net.topology import Topology
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    topology = Topology(sim)
+    client, server = SirpentHost(sim, "client"), SirpentHost(sim, "server")
+    r1, r2, r3 = (SirpentRouter(sim, name) for name in ("r1", "r2", "r3"))
+    topology.connect(client, r1)
+    for via, rate, cost in ((r2, 100e6, 10.0), (r3, 1e6, 1.0)):
+        topology.connect(r1, via, rate_bps=rate, cost=cost)
+        topology.connect(via, server, rate_bps=rate, cost=cost)
+    directory = DirectoryService(sim, topology)
+    directory.register_host("server", "server")
+    return directory
+
+
+def test_a_tcp_query_carries_its_objective_and_account():
+    """The ``routes`` command forwards every RouteQuery field: a LOW_COST
+    query for account 7 at priority 3 gets over TCP the path and the
+    token claims it gets in process — not the default objective's path,
+    nor tokens minted for account 0."""
+    from repro.directory.pathfind import PathObjective
+    from repro.directory.service import RouteQuery
+    from repro.tokens.capability import TokenMint
+
+    directory = _diamond_directory()
+    asked = dict(
+        objective=PathObjective.LOW_COST, account=7, priority_limit=3,
+        with_tokens=True,
+    )
+
+    async def scenario():
+        server = LiveDirectoryServer(directory.query)
+        address = await server.start()
+        client = LiveDirectoryClient("client")
+        await client.connect(address)
+        try:
+            return await client.routes("server", **asked)
+        finally:
+            client.close()
+            server.stop()
+
+    (over_tcp,) = asyncio.run(scenario())
+    (in_process,) = directory.query("client", RouteQuery("server", **asked))
+    (fastest,) = directory.query("client", RouteQuery("server", with_tokens=True))
+
+    def ports(route):
+        return [s.port for s in route.segments]
+
+    def claims(route):
+        return [TokenMint.peek(s.token) for s in route.segments if s.token]
+
+    assert ports(over_tcp) == ports(in_process) != ports(fastest)
+    assert claims(over_tcp) == claims(in_process)
+    assert {(c.account, c.max_priority) for c in claims(over_tcp)} == {(7, 3)}
+    assert over_tcp == in_process

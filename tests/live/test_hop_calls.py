@@ -22,6 +22,7 @@ change that removes work lowers the ceilings.
 """
 
 import cProfile
+import gc
 
 import pytest
 
@@ -79,12 +80,20 @@ def replay(fill, wakeups):
     for _ in range(3):
         queue.extend(arrivals)
         drain()
-    profile = cProfile.Profile()
-    profile.enable()
-    for _ in range(wakeups):
-        queue.extend(arrivals)
-        drain()
-    profile.disable()
+    # No collection inside the window: one would count the gc callbacks
+    # of whatever else the process has loaded (Hypothesis installs one),
+    # which are not the hop's work.
+    gc.collect()
+    gc.disable()
+    try:
+        profile = cProfile.Profile()
+        profile.enable()
+        for _ in range(wakeups):
+            queue.extend(arrivals)
+            drain()
+        profile.disable()
+    finally:
+        gc.enable()
     # Summed over the raw entries (pstats merges by file, line and name).
     calls = sum(entry.callcount for entry in profile.getstats())
     return calls / (fill * wakeups), router

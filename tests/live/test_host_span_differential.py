@@ -4,7 +4,7 @@
 (:func:`~repro.live.frames.frame_spans`), writes a reply's route from
 the trailer's byte spans (:func:`~repro.live.frames.return_route_header`)
 and frames a send around a header its route encoded once
-(:meth:`~repro.live.host.LiveRoute.wire_header`).  The structural codec
+(:meth:`~repro.dataplane.host.SourceRoute.wire_header`).  The structural codec
 — ``decode_live_frame``, ``build_return_route``, ``encode_live_frame``,
 the path every host frame took before — is the reference here: on valid
 frames, line noise, aimed corruptions and truncations the span path must
@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.directory.routes import Route
 from repro.live.frames import (
     FLAG_TRACED,
     PAYLOAD_LEN_OFFSET,
@@ -29,7 +30,7 @@ from repro.live.frames import (
     frame_spans,
     return_route_header,
 )
-from repro.live.host import LiveHost, LiveRoute
+from repro.live.host import LiveHost
 from repro.obs.trace import Tracer
 from repro.viper.errors import SegmentLimitError, ViperDecodeError
 from repro.viper.packet import (
@@ -417,15 +418,15 @@ def test_trailer_spans_is_decode_trailer_on_any_region():
 # -- the memoised route header ---------------------------------------------------------
 
 
-def _route(rng, slick=False) -> LiveRoute:
+def _route(rng, slick=False) -> Route:
     segments = [random_segment(rng) for _ in range(rng.randrange(1, 6))]
     alternates = []
     if slick:
         segments[0] = segments[0].copy(slick=True)
         alternates = [[random_segment(rng), random_segment(rng)]]
-    return LiveRoute(
+    return Route(
         destination="d", segments=segments, first_hop_port=ARRIVAL_PORT,
-        alternates=alternates,
+        first_hop_mac=None, alternates=alternates,
     )
 
 
@@ -487,24 +488,24 @@ def test_route_edits_cannot_be_served_a_stale_header():
 def test_send_errors_are_the_structural_ones():
     host, sent, _delivered = capture_host(False)
     host.endpoint.ring = BufferRing(slots=2, slot_bytes=4096)
-    plain = LiveRoute("d", [HeaderSegment(port=1)], ARRIVAL_PORT)
+    plain = Route("d", [HeaderSegment(port=1)], ARRIVAL_PORT, None)
     with pytest.raises(ValueError, match="exceeds the overlay's 4096-byte slot"):
         host.send(plain, b"x" * 4090)
     host.send(plain, b"x" * (4096 - PREAMBLE_BYTES - 4))  # exactly a slot
     assert len(sent.pop()[0]) == 4096
-    slick = LiveRoute("d", [HeaderSegment(port=1, slick=True)], ARRIVAL_PORT)
+    slick = Route("d", [HeaderSegment(port=1, slick=True)], ARRIVAL_PORT, None)
     for _ in range(2):  # an error is not memoised away
         with pytest.raises(ValueError, match="alternate block"):
             host.send(slick, b"x")
     with pytest.raises(ValueError, match="priority"):
         host.send(plain, b"x", priority=16)
-    long = LiveRoute(
-        "d", [HeaderSegment(port=1)] * (MAX_SEGMENTS + 1), ARRIVAL_PORT
+    long = Route(
+        "d", [HeaderSegment(port=1)] * (MAX_SEGMENTS + 1), ARRIVAL_PORT, None
     )
     with pytest.raises(SegmentLimitError):
         host.send(long, b"x")
     with pytest.raises(KeyError):
-        host.send(LiveRoute("d", [HeaderSegment(port=1)], 99), b"x")
+        host.send(Route("d", [HeaderSegment(port=1)], 99, None), b"x")
     assert not sent
 
 

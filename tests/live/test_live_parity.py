@@ -17,7 +17,7 @@ import pytest
 from repro.core.host import SirpentHost
 from repro.core.router import RouterConfig, SirpentRouter
 from repro.directory.service import DirectoryService, RouteQuery
-from repro.live import LiveOverlay, LiveRoute
+from repro.live import LiveOverlay
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.wire import HeaderSegment
@@ -85,7 +85,7 @@ def _run_sim(world: _World, route, payload: bytes) -> _Outcome:
         outcome.return_ports = [s.port for s in return_route(delivered)]
 
     server.bind(route.segments[-1].port, on_delivered)
-    world.topology.node("client").send(route, payload, len(payload))
+    world.topology.node("client").send(route, payload)
     world.sim.run(until=1.0)
     for name in ("r1", "r2"):
         router = world.topology.node(name)
@@ -112,12 +112,7 @@ def _run_live(world: _World, route, payload: bytes) -> _Outcome:
             overlay.hosts["server"].bind(
                 route.segments[-1].port, on_delivered
             )
-            live_route = LiveRoute(
-                destination="server",
-                segments=list(route.segments),
-                first_hop_port=route.first_hop_port,
-            )
-            overlay.hosts["client"].send(live_route, payload)
+            overlay.hosts["client"].send(route, payload)
             deadline = asyncio.get_running_loop().time() + 2.0
             while not outcome.delivered_payloads:
                 if asyncio.get_running_loop().time() > deadline:

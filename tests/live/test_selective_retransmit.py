@@ -19,7 +19,11 @@ from repro.live import LiveOverlay, LiveTransactor, WallClock
 from repro.live.host import LIVE_TRANSPORT
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
-from repro.transport.machine import MAX_MEMBER_PAYLOAD, PduKind
+from repro.transport.machine import (
+    MAX_MEMBER_PAYLOAD,
+    TIMEOUT_RTT_MULTIPLIER,
+    PduKind,
+)
 from repro.transport.rebind import RouteManager
 from tests.live.oracle import decode_pdu
 
@@ -140,36 +144,40 @@ def test_lost_response_member_is_replayed_without_reexecution():
 
 def test_timeout_while_the_response_is_on_its_way_costs_one_member():
     """The response to a 16-member request is slower than the client's
-    timeout.  The timeout sends one request member, not 16; the server
+    timeout (twice the timeout the route's model sets for the request's
+    size).  The timeout sends one request member, not 16; the server
     hears one duplicate of an answered transaction and replays the
     response once — 16 duplicates, each answered with the whole group,
     would put 16 x 16 response members on the path."""
-    config = replace(LIVE_TRANSPORT, base_timeout=0.06)
 
     async def run():
         overlay = LiveOverlay(_line_topology())
         await overlay.start()
         try:
             server = overlay.hosts["server"]
-            server_tx = LiveTransactor(server, config)
+            server_tx = LiveTransactor(server)
             server_tx.serve(lambda request: request)
-            client_tx = LiveTransactor(overlay.hosts["client"], config)
+            client_tx = LiveTransactor(overlay.hosts["client"])
             loop = asyncio.get_running_loop()
             send = server.send
             responses = []
-
-            def slow_responses(route, payload, **kwargs):
-                if decode_pdu(payload).kind is RESPONSE:
-                    responses.append(payload)
-                    loop.call_later(0.1, lambda: send(route, payload, **kwargs))
-                    return 0
-                return send(route, payload, **kwargs)
-
-            server.send = slow_responses
             routes = overlay.routes(
                 "client", "server", k=1, dest_socket=client_tx.config.socket,
             )
             payload = bytes(range(256)) * 64
+            delay = 2 * max(
+                LIVE_TRANSPORT.base_timeout,
+                TIMEOUT_RTT_MULTIPLIER * routes[0].expected_rtt(len(payload)),
+            )
+
+            def slow_responses(route, payload, **kwargs):
+                if decode_pdu(payload).kind is RESPONSE:
+                    responses.append(payload)
+                    loop.call_later(delay, lambda: send(route, payload, **kwargs))
+                    return 0
+                return send(route, payload, **kwargs)
+
+            server.send = slow_responses
             result = await client_tx.transact(
                 RouteManager(WallClock(), routes), payload,
             )

@@ -37,7 +37,6 @@ from repro.live.frames import (
     return_tail_of,
     slick_reroute_into,
 )
-from repro.live.host import LiveRoute
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.errors import ViperDecodeError
@@ -449,7 +448,7 @@ def _run_sim_failover(payload):
 
     topo.node("server").bind(route.segments[-1].port, on_delivered)
     topo.fail_link("r1--r2")
-    topo.node("client").send(route, payload, len(payload))
+    topo.node("client").send(route, payload)
     sim.run(until=1.0)
     outcome["slick_reroutes"] = topo.node("r1").stats.slick_reroutes.count
     outcome["mid_forwarded"] = {
@@ -480,15 +479,7 @@ def _run_live_failover(payload):
             )
             r1 = overlay.routers["r1"]
             r1._on_peer_dead(r1.ports[to_r2])  # ack-timeout link health
-            overlay.hosts["client"].send(
-                LiveRoute(
-                    destination="server",
-                    segments=list(route.segments),
-                    first_hop_port=route.first_hop_port,
-                    alternates=[list(b) for b in route.alternates],
-                ),
-                payload,
-            )
+            overlay.hosts["client"].send(route, payload)
             deadline = asyncio.get_running_loop().time() + 2.0
             while not outcome["delivered"]:
                 if asyncio.get_running_loop().time() > deadline:

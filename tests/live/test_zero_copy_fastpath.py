@@ -583,6 +583,70 @@ def test_one_pdu_codec_and_no_twin_in_src():
         assert not names & {"encode_pdu", "open_pdu", "on_pdu"}, module.__name__
 
 
+#: The modules a route passes through on its way to the wire, each of
+#: which takes a route as the route it is.
+ROUTE_TAKERS = (
+    "repro/transport/machine.py", "repro/core/host.py",
+    "repro/dataplane/host.py", "repro/live/directory.py",
+    "repro/live/topology.py",
+)
+
+
+def _first_hop_owners(tree):
+    """What in ``tree`` is given a ``first_hop_port``: each class that
+    defines one (a field, a class attribute, a slot, or on ``self`` in a
+    method) and each object outside a class that has one assigned."""
+
+    def walk(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        for target in targets:
+            if getattr(target, "id", None) == "first_hop_port" and owner:
+                yield owner
+            elif isinstance(target, ast.Attribute) and target.attr == "first_hop_port":
+                name = ast.unparse(target.value)
+                yield owner if name == "self" and owner else name
+        if isinstance(node, ast.Constant) and node.value == "first_hop_port" and owner:
+            yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, owner)
+
+    return set(walk(tree, None))
+
+
+def test_one_route_type_and_no_twin_in_src():
+    """Structural: a source holds the directory's ``Route`` on both
+    substrates, and a host replies along the ``ReturnRoute`` its trailer
+    wrote.  No other class in ``src/``, ``benchmarks/`` or
+    ``examples/`` is a route (has a first hop), and no module a route
+    passes through asks it with ``getattr`` what it is."""
+    src = pathlib.Path(router_module.__file__).parents[2]
+    repo = src.parent
+    found = [
+        (path.relative_to(repo).as_posix(), name)
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((repo / top).rglob("*.py"))
+        for name in _first_hop_owners(ast.parse(path.read_text()))
+    ]
+    assert sorted(found) == [
+        ("src/repro/dataplane/host.py", "ReturnRoute"),
+        ("src/repro/directory/routes.py", "Route"),
+    ]
+    for relative in ROUTE_TAKERS:
+        asked = [
+            ast.unparse(node)
+            for node in ast.walk(ast.parse((src / relative).read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getattr", "hasattr")
+            and "route" in ast.unparse(node.args[0]).lower()
+        ]
+        assert not asked, (relative, asked)
+
+
 def _calls(module, function):
     """The names ``function``, defined in ``module``, calls."""
     tree = ast.parse(inspect.getsource(module))

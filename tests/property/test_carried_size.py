@@ -26,6 +26,7 @@ from repro.core.router import RouterConfig, SirpentRouter
 from repro.dataplane.multicast import TREE_PORT, TreeBranch, encode_tree_info
 from repro.directory import RouteQuery
 from repro.directory.routes import slickify_route
+from repro.directory.routes import Route
 from repro.live.frames import (
     encode_route_header,
     hop_move_into,
@@ -312,13 +313,6 @@ def test_frames_of_a_slick_reroute(framed):
     assert completed > 10 and rerouted > 0
 
 
-class StaticRoute:
-    def __init__(self, segments, first_hop_port, first_hop_mac=None):
-        self.segments = segments
-        self.first_hop_port = first_hop_port
-        self.first_hop_mac = first_hop_mac
-
-
 def star(leaves=3, leaf_mtu=1500):
     sim = Simulator()
     topo = Topology(sim)
@@ -342,18 +336,18 @@ def test_frames_of_multicast_clones(payload_size, filler):
         seen = check_every_frame(patch)
         sim, hub, src, src_port, ports, inboxes = star()
         hub.groups.add_group(240, ports)
-        src.send(StaticRoute(
-            [HeaderSegment(port=240, portinfo=filler), HeaderSegment(port=0)],
-            src_port,
+        src.send(Route(
+            "dst", [HeaderSegment(port=240, portinfo=filler), HeaderSegment(port=0)],
+            src_port, None,
         ), bytes(payload_size))
         branches = [
             TreeBranch([HeaderSegment(port=p, portinfo=filler[:40]),
                         HeaderSegment(port=0)])
             for p in ports[:2]
         ]
-        src.send(StaticRoute(
-            [HeaderSegment(port=TREE_PORT, portinfo=encode_tree_info(branches))],
-            src_port,
+        src.send(Route(
+            "dst", [HeaderSegment(port=TREE_PORT, portinfo=encode_tree_info(branches))],
+            src_port, None,
         ), bytes(payload_size))
         sim.run(until=1.0)
         assert [len(box) for box in inboxes] == [2, 2, 1]
@@ -366,8 +360,8 @@ def test_frames_of_truncated_packets(payload_size):
     with pytest.MonkeyPatch.context() as patch:
         seen = check_every_frame(patch)
         sim, hub, src, src_port, ports, inboxes = star(leaves=1, leaf_mtu=576)
-        src.send(StaticRoute(
-            [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port,
+        src.send(Route(
+            "dst", [HeaderSegment(port=ports[0]), HeaderSegment(port=0)], src_port, None,
         ), bytes(payload_size))
         sim.run(until=1.0)
         (delivered,) = inboxes[0]

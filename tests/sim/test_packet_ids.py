@@ -10,6 +10,7 @@ function of the run itself.
 
 import pytest
 
+from repro.directory.routes import Route
 from repro.sim.engine import Simulator
 from repro.sim.ids import PacketIdAllocator
 
@@ -61,16 +62,14 @@ class TestPerSimulatorIsolation:
             _, fwd_port, _ = topo.connect(router, dst, rate_bps=10e6,
                                           propagation_delay=10e-6)
 
-            class Route:
-                segments = [HeaderSegment(port=fwd_port),
-                            HeaderSegment(port=0)]
-                first_hop_port = src_port
-                first_hop_mac = None
-
+            route = Route(
+                "dst", [HeaderSegment(port=fwd_port), HeaderSegment(port=0)],
+                src_port, None,
+            )
             got = []
             dst.bind(0, got.append)
             for _ in range(5):
-                src.send(Route(), b"data".ljust(200, b"\0"))
+                src.send(route, b"data".ljust(200, b"\0"))
             sim.run(until=1.0)
             return [d.packet.packet_id for d in got]
 

@@ -76,6 +76,9 @@ class _Route:
     def expected_rtt(self, _size=0) -> float:
         return 0.0
 
+    def max_payload(self) -> int:
+        return 1500  # room for a full member: members stay 1 KiB
+
 
 class _Manager:
     """One route that never changes; rebinding is the RouteManager's."""

@@ -106,6 +106,9 @@ class Route:
     def expected_rtt(self, _size=0):
         return self.rtt
 
+    def max_payload(self):
+        return 1500  # room for a full member: members stay 1 KiB
+
 
 class Manager:
     """One route at a time; ``route`` is rebound to switch."""
