@@ -5,13 +5,17 @@ Three claims about the per-hop machinery:
 * **Flow cache (§2.2)** — "routers cache tokens and flow information as
   soft state": a warm flow-cache decision must be at least 2x faster
   than the cold first-packet decision (HMAC token verification +
-  resolution + install).  Two rows price a first packet: "cold (flush
+  resolution + install).  Three rows price a first packet: "cold (flush
   each)" flushes both caches and decides the *same* flow again — one
   token, one account, tables of one entry; "new flow" decides a flow
   never seen — fresh account, token and leading bytes per decision, the
   token cache and ledger growing and the full flow cache evicting, as
-  on the ``live_cold_flows`` workload.  The gate and the speedup use
-  the first; the second is the install the end-to-end benchmark pays.
+  on the ``live_cold_flows`` workload's forward hops; "new flow, token
+  known" is that workload's reply hop — a new flow (the return hop
+  leads, RPF set) under a token the router verified on the way out.
+  The gate and the speedup use the first; the other two are the
+  installs the end-to-end benchmark pays.  Beside each decision row,
+  its Python and built-in calls per decision (cProfile, exact).
 * **In-place hop move** — the live router's strip/reverse/append
   inside a buffer-ring slot (:func:`repro.live.frames.hop_move_into`:
   arithmetic strip boundary, preamble rewritten before the surviving
@@ -28,6 +32,7 @@ noise moves the microseconds, not who wins.
 
 from __future__ import annotations
 
+import cProfile
 import time
 import tracemalloc
 
@@ -67,6 +72,17 @@ def _per_op_us(fn, n: int) -> float:
     return (time.perf_counter() - started) / n * 1e6
 
 
+def _calls_per_op(fn, n: int) -> float:
+    """Calls — Python and built-in — per ``fn()``, counted by cProfile
+    over ``n`` of them (the profiler's own ``disable`` left out)."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(n):
+        fn()
+    profile.disable()
+    return (sum(entry.callcount for entry in profile.getstats()) - 1 - n) / n
+
+
 def _alloc_per_op(fn, repeats: int = 9) -> int:
     """Median tracemalloc peak growth (bytes) across single invocations.
 
@@ -99,6 +115,7 @@ def _build_pipeline():
         token_cache=token_cache,
         ports=PortMap({
             1: PortProfile(mtu=1500), 2: PortProfile(mtu=1500),
+            7: PortProfile(mtu=1500),
         }),
         flow_cache=FlowCache(capacity=FLOW_CACHE_CAPACITY, ttl_ms=1 << 40),
     )
@@ -110,29 +127,46 @@ def _build_pipeline():
     return pipeline, token_cache, hop
 
 
-def _new_flow_us() -> float:
-    """Mean cost of deciding a flow never seen before, tables in steady
-    state: the flow cache is filled first, so every timed install evicts."""
+def _new_flows(reply: bool):
+    """Mean µs and calls of deciding a flow never seen before, tables in
+    steady state: the flow cache is filled first, so every timed install
+    evicts.  ``reply``: the flow is a reply's — it arrives on the
+    forward hop's egress, leads with its ingress, RPF set — under a token
+    the forward hop verified; else its token is new too."""
     pipeline, token_cache, _ = _build_pipeline()
-    hops = []
-    for account in range(FLOW_CACHE_CAPACITY + DECISIONS):
+    forward, replies = [], []
+    for account in range(FLOW_CACHE_CAPACITY + 2 * DECISIONS):
         token = token_cache.mint.mint(port=1, account=account, reverse_ok=True)
-        hop = HopInput(
+        forward.append(HopInput(
             segment=HeaderSegment(port=1, token=token),
             seg_count=3, wire_size=600, in_port=7,
-        )
+        ))
+        replies.append(HopInput(
+            segment=HeaderSegment(port=7, rpf=True, token=token),
+            seg_count=3, wire_size=600, in_port=1,
+        ))
+    if reply:
+        for hop in forward:  # every token verified, on the way out
+            pipeline.decide(hop)
+    hops = replies if reply else forward
+    for hop in hops:
         hop.lead  # the leading bytes arrive with the packet: not timed
-        hops.append(hop)
     for hop in hops[:FLOW_CACHE_CAPACITY]:
         pipeline.decide(hop)
+    timed = iter(hops[FLOW_CACHE_CAPACITY:FLOW_CACHE_CAPACITY + DECISIONS])
     started = time.perf_counter()
-    for hop in hops[FLOW_CACHE_CAPACITY:]:
+    for hop in timed:
         pipeline.decide(hop)
     elapsed = time.perf_counter() - started
+    profiled = iter(hops[FLOW_CACHE_CAPACITY + DECISIONS:])
+    calls = _calls_per_op(lambda: pipeline.decide(next(profiled)), DECISIONS)
     stats = pipeline.flow_cache.stats
-    assert stats.hits == 0 and stats.evictions == DECISIONS
+    assert stats.hits == 0 and stats.evictions == len(forward) * (1 + reply) - FLOW_CACHE_CAPACITY
     assert len(token_cache) == len(token_cache.ledger.accounts()) == len(hops)
-    return elapsed / DECISIONS * 1e6
+    assert all(
+        token_cache.entry(hop.segment.token).packets == 1 + reply for hop in hops
+    )
+    return elapsed / DECISIONS * 1e6, calls
 
 
 def _build_datagram() -> bytes:
@@ -149,10 +183,12 @@ def _build_datagram() -> bytes:
 def bench_f02_dataplane(benchmark):
     pipeline, token_cache, hop = _build_pipeline()
 
-    # Sanity: the flow actually forwards, cold and warm.
-    assert pipeline.decide(hop).action is Action.FORWARD
-    warm_check = pipeline.decide(hop)
-    assert warm_check.action is Action.FORWARD and warm_check.flow_cache_hit
+    # Sanity: the flow actually forwards, cold and warm — the first
+    # packet is handed the decision the cache then answers with.
+    cold_check = pipeline.decide(hop)
+    assert cold_check.action is Action.FORWARD
+    assert pipeline.decide(hop) is cold_check
+    assert pipeline.flow_cache.stats.hits == 1
 
     def cold_decision():
         # A flush drops both caches (soft state dies together), so every
@@ -165,8 +201,11 @@ def bench_f02_dataplane(benchmark):
         pipeline.decide(hop)
 
     cold_us = _per_op_us(cold_decision, DECISIONS)
-    new_flow_us = _new_flow_us()
+    cold_calls = _calls_per_op(cold_decision, DECISIONS)
+    new_flow_us, new_flow_calls = _new_flows(reply=False)
+    reply_us, reply_calls = _new_flows(reply=True)
     warm_us = benchmark(_per_op_us, warm_decision, DECISIONS)
+    warm_calls = _calls_per_op(warm_decision, DECISIONS)
     decision_speedup = cold_us / warm_us
 
     datagram = _build_datagram()
@@ -210,19 +249,22 @@ def bench_f02_dataplane(benchmark):
 
     hit_rate = pipeline.flow_cache.stats.hit_rate()
     rows = [
-        ("per-hop decision, cold (flush each)", f"{cold_us:.2f}", "1.0x", ""),
+        ("per-hop decision, cold (flush each)", f"{cold_us:.2f}", "1.0x",
+         f"{cold_calls:.0f}", ""),
         ("per-hop decision, new flow (tables growing)", f"{new_flow_us:.2f}",
-         f"{cold_us / new_flow_us:.1f}x", ""),
+         f"{cold_us / new_flow_us:.1f}x", f"{new_flow_calls:.0f}", ""),
+        ("per-hop decision, new flow, token known (reply)", f"{reply_us:.2f}",
+         f"{cold_us / reply_us:.1f}x", f"{reply_calls:.0f}", ""),
         ("per-hop decision, warm flow cache", f"{warm_us:.2f}",
-         f"{decision_speedup:.1f}x", ""),
-        ("live hop move, structural codec", f"{slow_us:.2f}", "1.0x",
+         f"{decision_speedup:.1f}x", f"{warm_calls:.0f}", ""),
+        ("live hop move, structural codec", f"{slow_us:.2f}", "1.0x", "",
          slow_alloc),
         ("live hop move, in-place ring slot", f"{inplace_us:.2f}",
-         f"{inplace_speedup:.1f}x", inplace_alloc),
+         f"{inplace_speedup:.1f}x", "", inplace_alloc),
     ]
     table = format_table(
         "F2  dataplane fast paths — flow cache and in-place hop move",
-        ["path", "us/op", "speedup", "alloc B/op"],
+        ["path", "us/op", "speedup", "calls/op", "alloc B/op"],
         rows,
     )
     note = (
@@ -240,6 +282,11 @@ def bench_f02_dataplane(benchmark):
             "warm_decision_us": round(warm_us, 3),
             "cold_decision_us": round(cold_us, 3),
             "new_flow_decision_us": round(new_flow_us, 3),
+            "reply_flow_decision_us": round(reply_us, 3),
+            "cold_decision_calls": round(cold_calls, 2),
+            "new_flow_decision_calls": round(new_flow_calls, 2),
+            "reply_flow_decision_calls": round(reply_calls, 2),
+            "warm_decision_calls": round(warm_calls, 2),
             "decision_speedup": round(decision_speedup, 2),
             "strip_inplace_us": round(inplace_us, 3),
             "alloc_bytes_structural": slow_alloc,

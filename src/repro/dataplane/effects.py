@@ -18,7 +18,7 @@ every drop site goes through it, so the drop *counter* and the trace
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.viper.wire import HeaderSegment
@@ -33,20 +33,25 @@ class Action(enum.Enum):
     FANOUT = "fanout"
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """Outcome of the forwarding pipeline for one hop.
 
     A decision is *descriptive*: nothing has happened yet.  The router
     core applies it — strips/splices/truncates the frame's bytes and
     feeds the effect sink — and its adapter transmits.  It is also
-    *shared*: the flow cache hands the same object to every packet of a
-    warm flow, so a decision is read and never written to.
+    *shared*: a flow's decision is built once, by its first packet, and
+    the flow cache hands that same object to that packet and to every
+    later one that leaves whole, so a decision is read and never
+    written to.  Whether the cache answered is the cache's to say
+    (:attr:`~repro.dataplane.flowcache.FlowCache.stats`), not the
+    decision's.
 
     Fields by action:
 
     * ``DROP`` — ``reason`` names both the drop counter and the trace
-      reason; ``drop_fields`` carries extra trace fields (``port=...``).
+      reason; ``drop_fields`` carries extra trace fields (``port=...``),
+      None when there are none.
     * ``DELIVER_LOCAL`` — nothing else.
     * ``FANOUT`` — ``branches`` holds, per copy, the segment list that
       replaces the leading segment; the sim adapter clones the packet per
@@ -63,15 +68,16 @@ class Decision:
 
     action: Action
     reason: str = ""
-    drop_fields: Dict[str, Any] = field(default_factory=dict)
+    drop_fields: Optional[Dict[str, Any]] = None
     out_port: int = -1
     effective: Optional[HeaderSegment] = None
     return_segment: Optional[HeaderSegment] = None
     #: Wire span of the return hop — ``encode_segment(return_segment)
-    #: ++ 2-byte back-length`` — memoized by the flow cache at install
-    #: time so the warm fast path appends bytes it never re-encodes
-    #: (None on cold decisions and when the return hop was rebuilt for
-    #: fresh arrival portInfo; the core then encodes once itself).
+    #: ++ 2-byte back-length`` — encoded once, when the decision is
+    #: built, so every packet of the flow appends bytes nobody
+    #: re-encodes (None when the return hop is too large to frame, and
+    #: when the warm arm rebuilt it for fresh arrival portInfo; the core
+    #: then encodes once itself).
     return_tail: Optional[bytes] = None
     splice_tail: Sequence[HeaderSegment] = ()
     dst_mac: Optional[Any] = None
@@ -82,9 +88,6 @@ class Decision:
     #: remaining route; False (group/broadcast) = each branch replaces
     #: only the leading segment and the rest of the route is kept.
     fanout_replaces_route: bool = False
-    #: True when the per-port flow cache supplied the decision (§2.2
-    #: soft state): token verification and logical resolution skipped.
-    flow_cache_hit: bool = False
     #: True when this FORWARD is a Slick-Packets local reroute
     #: (ARCHITECTURE §16): the move must replace the *entire*
     #: remaining route with ``effective`` + ``splice_tail`` and discard
@@ -115,4 +118,4 @@ class EffectSink:
 def apply_drop(sink: EffectSink, decision: Decision) -> None:
     """THE drop applicator: counter and trace reason, always in sync."""
     sink.bump(decision.reason)
-    sink.trace_drop(decision.reason, **decision.drop_fields)
+    sink.trace_drop(decision.reason, **(decision.drop_fields or {}))

@@ -17,11 +17,15 @@ What the decision reads from *outside* those bytes is listed, with its
 handling, in :class:`~repro.dataplane.pipeline.HopInput`.
 
 Packets of a flow arrive back to back (a §4 packet group), so the cache
-remembers the entry it answered with last and tries it first: one
-compare against the arriving bytes — no copy, no hash, no LRU move (the
-entry already is the most recent).  The router core makes that compare
-on the frame, before walking it, and hands the entry's own ``lead`` on:
-the compare here is then one of identity.
+remembers, per arrival port, the entry that port answered with last and
+tries it first: one compare against the arriving bytes — no copy, no
+hash.  Remembering it per port is what lets one transaction at a time
+keep the shortcut: its request and its reply cross a router in turn,
+on two arrival ports.  The router core makes that compare on the frame,
+before walking it, and hands the entry's own ``lead`` on: the compare
+here is then one of identity.  An answer from that memo moves in the
+LRU order exactly as a dict hit does — not at all when it already is
+the most recent entry, to the end otherwise.
 
 Being soft state, entries evaporate:
 
@@ -45,24 +49,26 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.dataplane.effects import Decision
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowEntry:
     """One memoized per-hop decision."""
 
     #: What the entry answers to: the arrival port and the leading
-    #: segment's encoding (a copy — never a view of a packet buffer).
+    #: segment's encoding (immutable bytes — never a view of a packet
+    #: buffer; the first packet's parse and this key share one copy).
     in_port: int
     lead: bytes
     #: The port and token that encoding names, for invalidation.
     port: int
     token: bytes
-    #: The warm decision, handed to every packet the entry answers that
-    #: leaves whole and with the memoized return hop.
+    #: The flow's decision, built by its first packet and handed to
+    #: every packet the entry answers that leaves whole and with the
+    #: memoized return hop.
     decision: Decision
     #: The token cache's entry backing this flow (None for tokenless
     #: flows) — byte-budget accounting still flows through it.
@@ -104,11 +110,15 @@ class FlowCache:
 
     def __post_init__(self) -> None:
         self._entries: "OrderedDict[Tuple[int, bytes], FlowEntry]" = OrderedDict()
-        #: The entry answered with (or installed) last, while it is
-        #: still in ``_entries`` — where it is the most recently used.
-        #: Read-only outside the cache (the router core finds a frame's
-        #: leading segment by comparing the frame with its ``lead``).
-        self.last: Optional[FlowEntry] = None
+        #: Arrival port -> the entry answered with (or installed) last
+        #: for a frame from that port, while it is still in
+        #: ``_entries``.  Read-only outside the cache (the router core
+        #: finds a frame's leading segment by comparing the frame with
+        #: its port's entry's ``lead``).
+        self.last: Dict[int, FlowEntry] = {}
+        #: The most recently used entry, when known: a memo answer that
+        #: is this entry needs no LRU move.
+        self._newest: Optional[FlowEntry] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -119,17 +129,21 @@ class FlowCache:
         """The live entry for a packet that arrived on ``in_port`` with
         leading-segment bytes ``lead`` (any bytes-like, exactly the
         segment), expiring it if stale."""
-        entry = self.last
-        if entry is None or entry.in_port != in_port or lead != entry.lead:
+        last = self.last
+        entry = last[in_port] if in_port in last else None
+        if entry is None or lead != entry.lead:
             if not self.enabled:
                 return None
-            key = (in_port, bytes(lead))  # sirlint: disable=SIR008 -- the one key copy, off the last-entry path: a dict needs a hashable key and ``lead`` may be a view of a ring slot
+            key = (in_port, bytes(lead))  # sirlint: disable=SIR008 -- a dict needs a hashable key: a copy when ``lead`` is a view of a frame (the simulator's), none when it is bytes
             entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.last = entry
+            last[in_port] = self._newest = entry
+        elif entry is not self._newest:
+            self._entries.move_to_end((in_port, entry.lead))
+            self._newest = entry
         if entry.expires_at_ms and now_ms > entry.expires_at_ms:
             self._drop((entry,))
             self.stats.expirations += 1
@@ -149,30 +163,42 @@ class FlowCache:
                 min(entry.expires_at_ms, ttl_expiry)
                 if entry.expires_at_ms else ttl_expiry
             )
+        entries = self._entries
         key = (entry.in_port, entry.lead)
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+        if key in entries:
+            del entries[key]
+        entries[key] = entry
         self.stats.installs += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self.last = self._entries.get(key)
+        if len(entries) > self.capacity:
+            last = self.last
+            while len(entries) > self.capacity:
+                _, old = entries.popitem(last=False)
+                if last.get(old.in_port) is old:
+                    del last[old.in_port]
+                self.stats.evictions += 1
+            if key not in entries:
+                return
+        self.last[entry.in_port] = self._newest = entry
 
     # -- invalidation ------------------------------------------------------
 
     def _drop(self, stale) -> int:
-        """Forget the ``stale`` entries — and the last-answer shortcut,
-        which must never outlive the entry it points at."""
+        """Forget the ``stale`` entries — and the memo of each, which
+        must never outlive the entry it points at."""
+        last = self.last
         for entry in stale:
             del self._entries[(entry.in_port, entry.lead)]
-        self.last = None
+            if last.get(entry.in_port) is entry:
+                del last[entry.in_port]
+        self._newest = None
         return len(stale)
 
     def flush(self) -> int:
         """Drop everything (topology change, congestion rebind, restart)."""
         n = len(self._entries)
         self._entries.clear()
-        self.last = None
+        self.last.clear()
+        self._newest = None
         self.stats.invalidations += n
         return n
 

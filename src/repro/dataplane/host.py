@@ -345,5 +345,5 @@ class HostCore:
         sink.stamp(traced)
         apply_drop(sink, Decision(
             Action.DROP, reason=reason,
-            drop_fields={} if socket is None else {"socket": socket},
+            drop_fields=None if socket is None else {"socket": socket},
         ))

@@ -28,7 +28,7 @@ resolution entirely and pay only the per-packet stage (the warm arm of
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dataplane.effects import Action, Decision
 from repro.dataplane.flowcache import FlowCache, FlowEntry
@@ -51,7 +51,8 @@ from repro.viper.portinfo import (
 )
 from repro.viper.flags import FLAG_SLICK
 from repro.viper.wire import (
-    ALT_COUNT_BYTES, FIXED_SEGMENT_BYTES, LOCAL_PORT, PORT_OFFSET, HeaderSegment,
+    ALT_COUNT_BYTES, FIXED_SEGMENT_BYTES, LENGTH_ESCAPE, LOCAL_PORT,
+    PORT_OFFSET, HeaderSegment, flagless_segment,
 )
 
 #: ``HopInput.in_port`` value meaning "arrival port unknown" — the
@@ -333,12 +334,21 @@ class ForwardingPipeline:
 
     def _decide_cold(self, hop: HopInput, port: int) -> Decision:
         """Stages 2b–6: the full decision for a packet the flow cache
-        did not answer, memoized on the way out when it may be."""
+        did not answer, memoized on the way out when it may be.
+
+        The flow's decision is built once.  The packet that built it is
+        handed that same object when it leaves whole and without
+        waiting for its token check — the warm arm's answer — and its
+        own copy only when it is cut or held (or, the flow not
+        installable, the object is its own anyway).
+        """
         segment = hop.segment
+        priority = segment.priority
+        token = segment.token
 
         # Stage 2b: token admission (§2.2).
         verdict, token_delay, token_entry = self.token_cache.admit(
-            segment.token, port, segment.priority, hop.wire_size,
+            token, port, priority, hop.wire_size,
             now_ms=hop.now_ms, rpf=segment.rpf,
         )
         if verdict is Verdict.REJECT:
@@ -385,19 +395,21 @@ class ForwardingPipeline:
         # Stage 4: strip/reverse/append inputs (§2) — the *driver*
         # performs the strip; the pipeline provides the pieces.
         effective = segment if spliced is None else spliced[0].copy(
-            priority=segment.priority, dib=segment.dib
+            priority=priority, dib=segment.dib
         )
-        dst_mac = resolve_dst_mac(effective, profile.kind)
-        if profile.kind == "ethernet" and dst_mac is None:
-            return Decision(
-                Action.DROP, reason="bad_portinfo",
-                drop_fields={"port": resolved_port},
-            )
-        return_segment = self._return_hop(
-            hop, segment.priority, segment.token, token_entry
+        dst_mac = None
+        if profile.kind == "ethernet":
+            dst_mac = resolve_dst_mac(effective, "ethernet")
+            if dst_mac is None:
+                return Decision(
+                    Action.DROP, reason="bad_portinfo",
+                    drop_fields={"port": resolved_port},
+                )
+        return_segment, return_tail = self._return_hop(
+            hop, priority, token, token_entry
         )
         splice_tail = (
-            [s.copy(priority=segment.priority) for s in spliced[1:]]
+            [s.copy(priority=priority) for s in spliced[1:]]
             if spliced and len(spliced) > 1 else ()
         )
         # Post-hop wire-size change of the move: the stripped segment
@@ -415,12 +427,12 @@ class ForwardingPipeline:
         size = hop.wire_size + size_delta
         if profile.mtu and size > profile.mtu and size - _stripped_block(hop) > profile.mtu:
             truncate_to = profile.mtu
-        # What the flow fixes; this packet's truncation and its wait for
-        # the token check are its own.
-        flow = dict(
-            out_port=resolved_port, effective=effective,
-            return_segment=return_segment, splice_tail=splice_tail,
-            dst_mac=dst_mac,
+        # What the flow fixes, built once; this packet's truncation and
+        # its wait for the token check are its own.
+        decision = Decision(
+            Action.FORWARD, out_port=resolved_port, effective=effective,
+            return_segment=return_segment, return_tail=return_tail,
+            splice_tail=splice_tail, dst_mac=dst_mac,
         )
 
         # Stage 6: install the flow — deterministic resolutions only,
@@ -432,33 +444,27 @@ class ForwardingPipeline:
             hop.in_port != UNKNOWN_IN_PORT
             and self.logical.deterministic(port)
             and (token_entry is None or self.token_cache.authorizes(
-                token_entry, port, segment.priority, segment.rpf
+                token_entry, port, priority, segment.rpf
             ))
         ):
-            if return_segment is not None:
-                # The return hop's wire span, encoded exactly once per
-                # flow; every packet of it appends these bytes verbatim
-                # (a span too large for the 2-byte back-length is not
-                # memoized — the driver's own encode rejects it).
-                encoded = return_segment.wire
-                if len(encoded) < TRUNCATION_SENTINEL:
-                    flow["return_tail"] = encoded + len(encoded).to_bytes(
-                        TRAILER_LENGTH_BYTES, "big"
-                    )
             self.flow_cache.install(FlowEntry(
                 in_port=hop.in_port,
+                # ``hop.segment`` parsed immutable bytes of the lead:
+                # bytes of bytes is that object, not another copy.
                 lead=bytes(hop.lead),
                 port=port,
-                token=segment.token,
-                decision=Decision(Action.FORWARD, flow_cache_hit=True, **flow),
+                token=token,
+                decision=decision,
                 token_entry=token_entry,
                 post_size_delta=size_delta,
                 expires_at_ms=token_entry.expiry_ms if token_entry else 0,
             ), hop.now_ms)
-        return Decision(
-            Action.FORWARD, truncate_to=truncate_to, token_delay=token_delay,
-            **flow,
-        )
+
+        if truncate_to or token_delay:
+            return replace(
+                decision, truncate_to=truncate_to, token_delay=token_delay
+            )
+        return decision
 
     # -- stage helpers -----------------------------------------------------
 
@@ -548,13 +554,15 @@ class ForwardingPipeline:
         # the discarded alternate blocks, and cutting a packet that is
         # actively dodging a failure trades delivery for a cap one hop
         # later can still apply.
+        return_segment, return_tail = self._return_hop(
+            hop, segment.priority, alt0.token, token_entry
+        )
         return Decision(
             Action.FORWARD,
             out_port=alt0.port,
             effective=effective,
-            return_segment=self._return_hop(
-                hop, segment.priority, alt0.token, token_entry
-            ),
+            return_segment=return_segment,
+            return_tail=return_tail,
             splice_tail=splice_tail,
             dst_mac=dst_mac,
             token_delay=token_delay,
@@ -563,21 +571,33 @@ class ForwardingPipeline:
 
     def _return_hop(
         self, hop: HopInput, priority: int, token: bytes, token_entry: Any,
-    ) -> Optional[HeaderSegment]:
-        """The reversed hop for the trailer (None when the arrival port
-        is unknown).  The forward ``token`` rides it only when its
-        claims say so ("the token can be used for the return route as
-        well", §2.2)."""
-        if hop.in_port == UNKNOWN_IN_PORT:
-            return None
+    ) -> Tuple[Optional[HeaderSegment], Optional[bytes]]:
+        """The reversed hop for the trailer and its wire span, the tail
+        the move appends (``(None, None)`` when the arrival port is
+        unknown; the tail is None when the hop is too large to frame).
+        The forward ``token`` rides it only when its claims say so ("the
+        token can be used for the return route as well", §2.2)."""
+        in_port = hop.in_port
+        if in_port == UNKNOWN_IN_PORT:
+            return None, None
         if token_entry is None or not (
             token_entry.valid and token_entry.reverse_ok
         ):
             token = b""
-        return HeaderSegment(
-            port=hop.in_port, priority=priority, token=token,
-            portinfo=hop.reverse_portinfo(),
-        )
+        portinfo = hop.reverse_portinfo()
+        if len(token) < LENGTH_ESCAPE and len(portinfo) < LENGTH_ESCAPE:
+            # Every field already checked: the port was wired as
+            # 1..255, the priority is the wire's nibble.
+            segment = flagless_segment(in_port, priority, token, portinfo)
+        else:
+            segment = HeaderSegment(
+                port=in_port, priority=priority, token=token,
+                portinfo=portinfo,
+            )
+        size = segment.wire_bytes
+        if size >= TRUNCATION_SENTINEL:
+            return segment, None  # the move's own encode rejects it
+        return segment, segment.wire + size.to_bytes(TRAILER_LENGTH_BYTES, "big")
 
     # -- invalidation hooks (drivers call these) ---------------------------
 

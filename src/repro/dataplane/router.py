@@ -79,11 +79,14 @@ class FrameHop:
 
     One per router, restamped per frame by :meth:`RouterCore.step`:
     ``lead`` is the leading segment's bytes — the flow cache's own copy
-    when the frame repeats the lead the cache answered with last, else a
-    view of them in the frame ``view``; ``segment`` parses them when
-    first asked — which a frame the flow cache answers never does —
-    into a view of an immutable copy, so the pipeline may keep what it
-    is handed.  ``trace_id`` is
+    when the frame repeats the lead its arrival port's flow answered
+    with last, else the one copy the walk made (a view into the frame
+    ``view`` when the adapter said where the lead ends); ``segment``
+    parses them when first asked — which a frame the flow cache answers
+    never does — into a view of immutable bytes (a view's copy, which
+    then is ``lead`` too), so the pipeline may keep what it is handed
+    and a new flow's key is the bytes its segment was parsed from.
+    ``trace_id`` is
     the one the frame's own preamble carries (a simulated frame's trace
     id is metadata, never on the wire).
     """
@@ -105,10 +108,11 @@ class FrameHop:
     @property
     def segment(self) -> SegmentView:
         # Memoised on the lead's identity: a walked frame's is a fresh
-        # view; a found frame's is the flow entry's immutable bytes.
+        # view, replaced here by the copy parsed; a found frame's is the
+        # flow entry's immutable bytes.
         if self._parsed_from is not self.lead:
-            self._parsed_from = self.lead
-            self._parsed = parse_segment_view(bytes(self.lead))
+            self.lead = self._parsed_from = lead = bytes(self.lead)
+            self._parsed = parse_segment_view(lead)
         return self._parsed
 
     def alternate(self) -> Optional[List[HeaderSegment]]:
@@ -306,10 +310,11 @@ class RouterCore:
             next_rel, lead = header_len, b""  # stage 0 drops it unread
         else:
             # A segment's span is a function of its own bytes, and the
-            # last entry's lead was walked at install: equal bytes here
-            # are that segment, found and validated by the one compare.
+            # lead the arrival port's flow answered with last was walked
+            # at install: equal bytes here are that segment, found and
+            # validated by the one compare.
             last = self.flow_cache.last
-            lead = last.lead if last is not None else None
+            lead = last[in_port].lead if in_port in last else None
             if lead is not None and buffer.startswith(
                 lead, start + header_len, view.end
             ):
@@ -323,7 +328,8 @@ class RouterCore:
                     # never crash.
                     apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
                     return None
-                lead = mem[header_len:next_rel]
+                lead = bytes(mem[header_len:next_rel])  # sirlint: disable=SIR008 -- a walked lead's one copy: the flow cache's key, and the bytes a new flow parses and keeps
+
         if traced:
             sink.stamp(traced)
         hop = self.hop

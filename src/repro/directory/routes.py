@@ -89,19 +89,17 @@ class Route(SourceRoute):
         budget = self.mtu - overhead - trailer_budget
         return budget if budget > 0 else 0
 
-    def expected_one_way(
-        self, payload_size: int, decision_delay: float = DECISION_DELAY,
-    ) -> float:
+    def expected_one_way(self, payload_size: int) -> float:
         """Predicted no-queueing delivery delay for a payload.
 
         Cut-through pipeline: one full transmission of the packet at the
-        bottleneck rate, plus total propagation, plus a decision delay
-        per router.  This is the estimate §3 says clients can make
-        before sending a single packet.
+        bottleneck rate, plus total propagation, plus
+        :data:`DECISION_DELAY` per router.  This is the estimate §3 says
+        clients can make before sending a single packet.
         """
         size = self.header_overhead() + payload_size
         transmit = size * 8.0 / self.bottleneck_bps if self.bottleneck_bps else 0.0
-        return transmit + self.propagation_delay + self.hop_count * decision_delay
+        return transmit + self.propagation_delay + self.hop_count * DECISION_DELAY
 
     def expected_rtt(self, payload_size: int, reply_size: int = 0) -> float:
         """:meth:`expected_one_way` there and back (the reply the

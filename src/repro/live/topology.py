@@ -222,21 +222,14 @@ class LiveOverlay:
 
     # -- routes ------------------------------------------------------------
 
-    def routes(
-        self,
-        client: str,
-        destination: str,
-        k: int = 1,
-        dest_socket: int = 0,
-        with_tokens: bool = False,
-    ) -> List[Route]:
-        """In-process route query (same logic the TCP endpoint serves)."""
+    def routes(self, client: str, destination: str, **query: object) -> List[Route]:
+        """In-process route query (same logic the TCP endpoint serves);
+        ``query`` takes any other
+        :class:`~repro.directory.service.RouteQuery` field (``k``,
+        ``objective``, ``account`` …), as
+        :meth:`~repro.live.directory.LiveDirectoryClient.routes` does."""
         return self.directory.query(
-            client,
-            RouteQuery(
-                destination=destination, k=k, dest_socket=dest_socket,
-                with_tokens=with_tokens,
-            ),
+            client, RouteQuery(destination, **query)  # type: ignore[arg-type]
         )
 
     # -- observability -----------------------------------------------------

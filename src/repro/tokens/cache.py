@@ -80,14 +80,10 @@ class TokenCacheEntry(ClaimChecks):
         self.valid = valid and claims is not None
         self.packets = 0
         self.bytes = 0
-        if claims is None:
-            claims = _NO_CLAIMS
-        self.port = claims.port
-        self.max_priority = claims.max_priority
-        self.account = claims.account
-        self.byte_limit = claims.byte_limit
-        self.reverse_ok = claims.reverse_ok
-        self.expiry_ms = claims.expiry_ms
+        (
+            self.port, self.max_priority, self.account, self.byte_limit,
+            self.reverse_ok, self.expiry_ms,
+        ) = _NO_CLAIMS if claims is None else claims
 
     def remaining_budget(self) -> Optional[int]:
         if not self.valid or self.byte_limit == UNLIMITED:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Token body + seal sizes.
 BODY_BYTES = 20
@@ -66,16 +66,19 @@ class ClaimChecks:
         return self.expiry_ms != 0 and now_ms > self.expiry_ms
 
 
-@dataclass(frozen=True)
-class TokenClaims(ClaimChecks):
-    """The decoded authorization a token conveys."""
+class TokenClaims(
+    namedtuple(
+        "TokenClaims",
+        "port max_priority account byte_limit reverse_ok expiry_ms",
+        defaults=(UNLIMITED, False, 0),  # expiry_ms 0 = never expires
+    ),
+    ClaimChecks,
+):
+    """The decoded authorization a token conveys: a tuple, so the one
+    unpack of a token's body is the claims, and the token cache's entry
+    takes them flat in one assignment."""
 
-    port: int
-    max_priority: int
-    account: int
-    byte_limit: int = UNLIMITED
-    reverse_ok: bool = False
-    expiry_ms: int = 0  # 0 = never expires
+    __slots__ = ()
 
 
 class TokenMint:
@@ -127,8 +130,9 @@ class TokenMint:
         token value; thereafter the cached claims are used.
         """
         claims = self.peek(token)
-        body, seal = token[:BODY_BYTES], token[BODY_BYTES:]
-        if not hmac.compare_digest(seal, self._seal(body)):
+        if not hmac.compare_digest(
+            token[BODY_BYTES:], self._seal(token[:BODY_BYTES])
+        ):
             raise InvalidTokenError("bad token seal")
         if claims.expired(now_ms):
             raise InvalidTokenError("token expired")
@@ -142,15 +146,11 @@ class TokenMint:
                 f"token must be {TOKEN_BYTES} bytes, got {len(token)}"
             )
         port, max_priority, flags, _r, account, limit, expiry = (
-            _BODY_STRUCT.unpack(token[:BODY_BYTES])
+            _BODY_STRUCT.unpack_from(token)
         )
         return TokenClaims(
-            port=port,
-            max_priority=max_priority,
-            account=account,
-            byte_limit=limit,
-            reverse_ok=bool(flags & _FLAG_REVERSE_OK),
-            expiry_ms=expiry,
+            port, max_priority, account, limit,
+            bool(flags & _FLAG_REVERSE_OK), expiry,
         )
 
     def _seal(self, body: bytes) -> bytes:

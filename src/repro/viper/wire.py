@@ -129,6 +129,29 @@ class HeaderSegment:
         return HeaderSegment(**values)
 
 
+def flagless_segment(
+    port: int, priority: int, token: bytes, portinfo: bytes,
+) -> HeaderSegment:
+    """``HeaderSegment(port, priority, token=token, portinfo=portinfo)``,
+    encoded, for fields the caller has already checked: ``port`` in
+    0..255, ``priority`` a 4-bit nibble, and ``token`` and ``portinfo``
+    each shorter than the length escape — a router's return hop, whose
+    port was wired as 1..255 and whose priority was read off the wire.
+    Built without the constructor's checks, and its Figure-1 encoding
+    (no flag set, no extended length) written out here."""
+    token_len, portinfo_len = len(token), len(portinfo)
+    segment = object.__new__(HeaderSegment)
+    segment.port = port
+    segment.priority = priority
+    segment.vnt = segment.dib = segment.rpf = False
+    segment.token = token
+    segment.portinfo = portinfo
+    segment.slick = False
+    segment._wire = bytes((portinfo_len, token_len, port, priority)) + token + portinfo
+    segment.wire_bytes = FIXED_SEGMENT_BYTES + token_len + portinfo_len
+    return segment
+
+
 def _field_overhead(length: int) -> int:
     """Wire bytes to carry a variable field of ``length`` octets."""
     if length < 0:
@@ -352,12 +375,25 @@ def parse_segment_view(buffer, offset: int = 0) -> SegmentView:  # sirlint: hot
             f"reserved flag bit set in flags byte {flag_byte:#04x}"
         )
     vnt, dib, rpf, slick, priority = unpack_flags_priority(flag_byte)
-    token_start, token_end = _field_data_span(
-        buffer, offset + FIXED_SEGMENT_BYTES, token_len, "portToken"
-    )
-    info_start, info_end = _field_data_span(
-        buffer, token_end, portinfo_len, "portInfo"
-    )
+    token_start = offset + FIXED_SEGMENT_BYTES
+    if portinfo_len != LENGTH_ESCAPE and token_len != LENGTH_ESCAPE:
+        # No length escape (every segment the overlay mints): the fields
+        # sit at arithmetic offsets, and fitting the buffer is all there
+        # is to check — :func:`segment_span`'s arm.
+        token_end = info_start = token_start + token_len
+        info_end = info_start + portinfo_len
+        if info_end > len(buffer):
+            raise DecodeError(
+                f"truncated segment: need {info_end} bytes, "
+                f"buffer has {len(buffer)}"
+            )
+    else:
+        token_start, token_end = _field_data_span(
+            buffer, token_start, token_len, "portToken"
+        )
+        info_start, info_end = _field_data_span(
+            buffer, token_end, portinfo_len, "portInfo"
+        )
     return SegmentView(
         buffer, offset, info_end,
         port, priority, vnt, dib, rpf,

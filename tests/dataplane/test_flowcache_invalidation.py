@@ -18,6 +18,7 @@ from repro.dataplane import (
 from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
 from repro.viper.wire import HeaderSegment
+from tests.dataplane.answers import answered, decide
 
 
 def make_pipeline(ttl_ms=10_000, capacity=8, profiles=None):
@@ -47,12 +48,14 @@ class TestWarmPath:
     def test_second_packet_of_a_flow_hits(self):
         pipeline, mint, token_cache, flow_cache = make_pipeline()
         seg = HeaderSegment(port=1, token=mint.mint(port=1, account=9))
-        cold = pipeline.decide(hop(seg, now_ms=0))
-        warm = pipeline.decide(hop(seg, now_ms=1))
+        cold, cold_answered = decide(pipeline, hop(seg, now_ms=0))
+        warm, warm_answered = decide(pipeline, hop(seg, now_ms=1))
         assert cold.action is warm.action is Action.FORWARD
-        assert not cold.flow_cache_hit
-        assert warm.flow_cache_hit
+        assert not cold_answered
+        assert warm_answered
         assert flow_cache.stats.hits == 1
+        # The first packet was handed the flow's decision itself.
+        assert warm is cold
 
     def test_flow_hit_matches_slow_path_decision(self):
         pipeline, mint, _, _ = make_pipeline()
@@ -72,8 +75,7 @@ class TestWarmPath:
         token = mint.mint(port=1, account=9, byte_limit=250)
         seg = HeaderSegment(port=1, token=token)
         assert pipeline.decide(hop(seg, wire_size=100)).action is Action.FORWARD
-        warm = pipeline.decide(hop(seg, wire_size=100))
-        assert warm.flow_cache_hit
+        assert answered(pipeline, hop(seg, wire_size=100))
         # 200/250 spent via one cold + one flow-hit packet; a third
         # 100-byte packet must overrun the budget and be rejected even
         # though the flow was cached.
@@ -122,7 +124,7 @@ class TestOnlyAnAuthorizedFlowIsInstalled:
         token = mint.mint(port=2, account=9, reverse_ok=True)
         seg = HeaderSegment(port=1, rpf=True, token=token)
         pipeline.decide(hop(seg))
-        assert pipeline.decide(hop(seg)).flow_cache_hit
+        assert answered(pipeline, hop(seg))
 
 
 class TestExpiry:
@@ -130,9 +132,8 @@ class TestExpiry:
         pipeline, mint, _, flow_cache = make_pipeline(ttl_ms=1_000)
         seg = HeaderSegment(port=1, token=mint.mint(port=1, account=9))
         pipeline.decide(hop(seg, now_ms=0))
-        assert pipeline.decide(hop(seg, now_ms=900)).flow_cache_hit
-        stale = pipeline.decide(hop(seg, now_ms=2_500))
-        assert not stale.flow_cache_hit
+        assert answered(pipeline, hop(seg, now_ms=900))
+        assert not answered(pipeline, hop(seg, now_ms=2_500))
         assert flow_cache.stats.expirations == 1
 
     def test_flow_entry_dies_no_later_than_its_token(self):
@@ -140,11 +141,10 @@ class TestExpiry:
         token = mint.mint(port=1, account=9, expiry_ms=1_000)
         seg = HeaderSegment(port=1, token=token)
         pipeline.decide(hop(seg, now_ms=0))
-        assert pipeline.decide(hop(seg, now_ms=500)).flow_cache_hit
+        assert answered(pipeline, hop(seg, now_ms=500))
         # TTL (60s) has not elapsed, but the token has expired: the
         # entry must not serve the flow any more.
-        late = pipeline.decide(hop(seg, now_ms=1_500))
-        assert not late.flow_cache_hit
+        assert not answered(pipeline, hop(seg, now_ms=1_500))
         assert flow_cache.stats.expirations == 1
 
     def test_expired_token_never_installs_a_flow(self):
@@ -165,8 +165,8 @@ class TestInvalidation:
         assert len(flow_cache) == 2
         pipeline.on_topology_change(1)
         assert len(flow_cache) == 1  # port-2 flow survives
-        assert not pipeline.decide(hop(seg1)).flow_cache_hit
-        assert pipeline.decide(hop(seg2)).flow_cache_hit
+        assert not answered(pipeline, hop(seg1))
+        assert answered(pipeline, hop(seg2))
 
     def test_full_flush_on_unscoped_topology_change(self):
         pipeline, mint, _, flow_cache = make_pipeline()
@@ -180,7 +180,7 @@ class TestInvalidation:
         assert len(flow_cache) == 1
         pipeline.on_congestion_rebind()
         assert len(flow_cache) == 0
-        assert not pipeline.decide(hop(HeaderSegment(port=1))).flow_cache_hit
+        assert not answered(pipeline, hop(HeaderSegment(port=1)))
 
     def test_token_cache_flush_takes_the_flow_cache_with_it(self):
         pipeline, mint, token_cache, flow_cache = make_pipeline()
@@ -189,8 +189,7 @@ class TestInvalidation:
         assert len(flow_cache) == 1
         token_cache.flush()  # router restart: soft state dies together
         assert len(flow_cache) == 0
-        again = pipeline.decide(hop(seg))
-        assert not again.flow_cache_hit
+        assert not answered(pipeline, hop(seg))
         assert len(token_cache) == 1  # token re-verified from scratch
 
     def test_vanished_egress_falls_back_and_invalidates(self):
@@ -217,8 +216,26 @@ class TestCapacity:
         pipeline.decide(hop(a))  # refresh a -> b is now LRU
         pipeline.decide(hop(c))  # evicts b
         assert flow_cache.stats.evictions == 1
-        assert pipeline.decide(hop(a)).flow_cache_hit
-        assert not pipeline.decide(hop(b)).flow_cache_hit
+        assert answered(pipeline, hop(a))
+        assert not answered(pipeline, hop(b))
+
+    def test_a_per_port_memo_answer_refreshes_its_lru_place(self):
+        """Each arrival port remembers the entry it answered with last;
+        an answer from that memo that is not the most recent entry moves
+        it to the end, as a dict hit does — so eviction takes the flow
+        it took when the cache remembered one entry."""
+        pipeline, mint, _, flow_cache = make_pipeline(
+            capacity=2,
+            profiles={1: PortProfile(), 2: PortProfile(), 3: PortProfile()},
+        )
+        a, b, c = (HeaderSegment(port=p) for p in (1, 2, 3))
+        pipeline.decide(hop(a, in_port=7))
+        pipeline.decide(hop(b, in_port=8))
+        assert answered(pipeline, hop(a, in_port=7))  # b was the newest
+        pipeline.decide(hop(c, in_port=9))  # evicts b, least recently used
+        assert flow_cache.stats.evictions == 1
+        assert answered(pipeline, hop(a, in_port=7))
+        assert not answered(pipeline, hop(b, in_port=8))
 
 
 class TestDriverWiring:

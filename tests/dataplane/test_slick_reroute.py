@@ -40,6 +40,7 @@ from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
 from repro.viper.packet import SirpentPacket
 from repro.viper.wire import HeaderSegment, PacketView, segment_span
+from tests.dataplane.answers import answered, decide
 
 DEAD = 1      # the primary egress, down in most tests
 ALT = 3       # the alternate egress
@@ -257,11 +258,11 @@ class TestARerouteIsDecidedPerPacket:
         pipeline, _, flow_cache = self.build()
         alternate = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
         for _ in range(2):
-            decision = pipeline.decide(
-                hop(HeaderSegment(port=DEAD, slick=True), alternate)
+            decision, cached = decide(
+                pipeline, hop(HeaderSegment(port=DEAD, slick=True), alternate)
             )
             assert decision.action is Action.FORWARD
-            assert decision.slick_reroute and not decision.flow_cache_hit
+            assert decision.slick_reroute and not cached
             assert decision.out_port == ALT
             assert decision.effective.port == ALT
             assert [s.port for s in decision.splice_tail] == [0]
@@ -272,7 +273,7 @@ class TestARerouteIsDecidedPerPacket:
         """Regression: the reroute was memoized under the leading segment
         alone, so the second packet — same slick segment, same arrival,
         another alternate block — was answered ``out_port=2,
-        splice_tail=[5, 0], flow_cache_hit=True``: the sim delivered it
+        splice_tail=[5, 0]`` from the flow cache: the sim delivered it
         down the first packet's backup route, the live router sent its
         own spliced route out of the first packet's port."""
         pipeline, _, _ = self.build({
@@ -282,7 +283,7 @@ class TestARerouteIsDecidedPerPacket:
         first = pipeline.decide(hop(
             leading, [HeaderSegment(port=p) for p in (2, 5, 0)]
         ))
-        second = pipeline.decide(hop(
+        second, cached = decide(pipeline, hop(
             leading, [HeaderSegment(port=p) for p in (3, 6, 0)]
         ))
         assert (first.out_port, [s.port for s in first.splice_tail]) == (
@@ -291,7 +292,7 @@ class TestARerouteIsDecidedPerPacket:
         assert (second.out_port, [s.port for s in second.splice_tail]) == (
             3, [6, 0]
         )
-        assert not second.flow_cache_hit
+        assert not cached
 
     def test_a_reroute_is_never_served_to_a_non_slick_packet(self):
         """Warm == cold for the twin one flag bit away: cold,
@@ -303,11 +304,11 @@ class TestARerouteIsDecidedPerPacket:
             hop(HeaderSegment(port=DEAD, slick=True), alternate)
         )
         assert rerouted.slick_reroute
-        plain = pipeline.decide(hop(HeaderSegment(port=DEAD)))
+        plain, cached = decide(pipeline, hop(HeaderSegment(port=DEAD)))
         assert plain.action is Action.FORWARD
         assert plain.out_port == DEAD
         assert not plain.slick_reroute
-        assert not plain.flow_cache_hit
+        assert not cached
 
     def test_the_flow_returns_to_its_egress_when_it_is_back(self):
         pipeline, _, flow_cache = self.build()
@@ -317,7 +318,7 @@ class TestARerouteIsDecidedPerPacket:
         pipeline.ports.profiles[DEAD] = PortProfile()
         back = pipeline.decide(hop(segment, alternate))
         assert (back.out_port, back.slick_reroute) == (DEAD, False)
-        assert pipeline.decide(hop(segment, alternate)).flow_cache_hit
+        assert answered(pipeline, hop(segment, alternate))
 
     def test_every_rerouted_packet_is_admitted_under_its_own_token(self):
         """Regression: a memoized reroute charged the alternate's token
@@ -374,8 +375,8 @@ class TestStaleReturnTailRegression:
         assert before.return_segment.token == token
         stale_tail = before.return_tail
         assert stale_tail is not None and token in stale_tail
-        warm = pipeline.decide(hop(segment, alternate))
-        assert warm.flow_cache_hit and warm.out_port == DEAD
+        warm, cached = decide(pipeline, hop(segment, alternate))
+        assert cached and warm.out_port == DEAD
 
         # The egress dies under the warm flow.
         pipeline.ports.profiles[DEAD] = PortProfile(up=False)
@@ -392,8 +393,8 @@ class TestStaleReturnTailRegression:
 
         # Packets after failover are rerouted afresh, never served the
         # stale entry.
-        after = pipeline.decide(hop(segment, alternate))
-        assert not after.flow_cache_hit
+        after, cached = decide(pipeline, hop(segment, alternate))
+        assert not cached
         assert after.slick_reroute
         assert after.out_port == ALT
         assert after.return_tail != stale_tail
@@ -455,9 +456,9 @@ class TestTheStrippedBlockLeavesWithItsSegment:
         pipeline, _ = make_pipeline(
             {ALT: PortProfile(mtu=leaving + slack)}, flow_cache=FlowCache()
         )
-        cold = pipeline.decide(self.hop(arriving))
-        warm = pipeline.decide(self.hop(arriving))
-        assert not cold.flow_cache_hit and warm.flow_cache_hit
+        cold, cold_cached = decide(pipeline, self.hop(arriving))
+        warm, warm_cached = decide(pipeline, self.hop(arriving))
+        assert not cold_cached and warm_cached
         for decision in (cold, warm):
             assert decision.action is Action.FORWARD
             assert bool(decision.truncate_to) is truncated

@@ -4,10 +4,12 @@ The per-hop decision is a pure function of the leading segment, the
 arrival and the router's state (§2); the §2.2 flow cache memoises it.
 So a pipeline with a :class:`FlowCache` and one with the cache disabled
 — the cold oracle: every packet pays the full decision — fed the same
-``HopInput`` sequence must make the same decisions and leave the same
-token-cache counters, per-token packet / byte counts and ledger charges,
-modulo the two fields that *say* the cache answered (``flow_cache_hit``,
-``return_tail``).
+``HopInput`` sequence must make the same decisions, move the same frame
+to the same bytes, and leave the same token-cache counters, per-token
+packet / byte counts and ledger charges.  Only who answered differs (the
+flow cache's own counters say it) and how the return tail was had: the
+memoized ``return_tail`` or the one the move encodes, which the moved
+bytes compare.
 
 The generated cases (hypothesis, derandomised: a red run reproduces from
 the log) interleave a few flows that collide on purpose — the same
@@ -32,6 +34,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import (
+    Action,
     BROADCAST_PORT,
     FlowCache,
     ForwardingPipeline,
@@ -45,6 +48,12 @@ from repro.dataplane import (
     UNKNOWN_IN_PORT,
     encode_tree_info,
 )
+from repro.live.frames import (
+    decode_preamble,
+    encode_live_frame,
+    forward_into,
+    truncate_into,
+)
 from repro.net.addresses import MacAddress
 from repro.tokens.cache import CachePolicy, TokenCache
 from repro.tokens.capability import TokenMint
@@ -53,7 +62,9 @@ from repro.viper.portinfo import (
     EthernetInfo,
     LogicalInfo,
 )
-from repro.viper.wire import HeaderSegment
+from repro.viper.packet import SirpentPacket
+from repro.viper.wire import HeaderSegment, PacketView, segment_span
+from tests.dataplane.answers import decide
 
 PLAIN, NARROW, ETHER, DIES, ALT, MEMBER_A, MEMBER_B = 1, 2, 3, 4, 5, 6, 7
 UNWIRED = 9
@@ -180,7 +191,8 @@ class World:
         )
 
     def decide(self, segment, alternate, in_port, wire_size, now_ms, arrival):
-        return self.pipeline.decide(HopInput(
+        """``(decision, answered)``: whether the flow cache answered."""
+        return decide(self.pipeline, HopInput(
             segment=segment, seg_count=3, wire_size=wire_size,
             in_port=in_port, now_ms=now_ms,
             reverse_portinfo=lambda: arrival,
@@ -227,6 +239,42 @@ def outcome(decision):
     )
 
 
+#: The rest of every frame's route, behind the segment under test.
+REST = (HeaderSegment(port=PLAIN, token=b"n" * 8), HeaderSegment(port=0))
+PAYLOAD = bytes(range(64))
+
+
+def moved(decision, segment, alternate, in_port):
+    """The bytes a FORWARD ``decision`` moves a frame to — the frame the
+    hop described: ``segment`` leading, its alternate block behind the
+    route when it is slick — through the one applier
+    (:func:`~repro.live.frames.forward_into`, which appends the
+    decision's memoized tail or encodes its return hop, then
+    :func:`~repro.live.frames.truncate_into`).  None when there is no
+    move to make: not a FORWARD, an unknown arrival port (dropped before
+    the move), or a slick segment without a block (no such frame)."""
+    if decision.action is not Action.FORWARD or in_port == UNKNOWN_IN_PORT:
+        return None
+    if segment.slick and not alternate:
+        return None
+    datagram = encode_live_frame(SirpentPacket(
+        segments=[segment, *REST], payload_size=len(PAYLOAD), payload=PAYLOAD,
+        alternates=[list(alternate)] if segment.slick else [],
+    ), PAYLOAD)
+    view = PacketView(bytearray(2 * len(datagram) + 256), 0, len(datagram))
+    view.buffer[:len(datagram)] = datagram
+    preamble = decode_preamble(datagram)
+    assert forward_into(
+        view, decision, preamble, segment_span(datagram, preamble.header_len)
+    )
+    if decision.truncate_to:
+        try:
+            assert truncate_into(view, decision.truncate_to)
+        except ValueError:  # not even the headers fit: both refuse alike
+            return "refused"
+    return view.tobytes()
+
+
 def assert_warm_equals_cold(policy, script, capacity=2, ttl_ms=100, seen=None):
     """Feed ``script`` to a caching and a cold pipeline in lockstep.
 
@@ -245,24 +293,27 @@ def assert_warm_equals_cold(policy, script, capacity=2, ttl_ms=100, seen=None):
             continue
         _, segment, alternate, in_port, wire_size, dt_ms, arrival = step
         now_ms += dt_ms
-        got, expected = (
+        (got, answered), (expected, oracle_answered) = (
             world.decide(segment, alternate, in_port, wire_size, now_ms, arrival)
             for world in (warm, cold)
         )
-        assert not expected.flow_cache_hit
+        assert not oracle_answered
         for part, value in outcome(expected).items():
             assert outcome(got)[part] == value, (at, part, step)
+        assert moved(got, segment, alternate, in_port) == moved(
+            expected, segment, alternate, in_port
+        ), (at, step)
         assert warm.token_state() == cold.token_state(), (at, step)
         if seen is not None:
-            seen.update(sightings(got))
+            seen.update(sightings(got, answered))
     return warm.pipeline.flow_cache.stats
 
 
-def sightings(decision):
+def sightings(decision, answered):
     yield decision.reason or decision.action.value
     if decision.slick_reroute:
         yield "reroute"
-    if decision.flow_cache_hit:
+    if answered:
         yield "hit"
         if decision.truncate_to:
             yield "hit+truncated"

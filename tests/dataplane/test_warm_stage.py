@@ -1,18 +1,19 @@
 """The per-packet stage, and the shortcut in front of it.
 
 A warm decision is what the *flow* fixes (egress, return hop, encoded
-tail — one memoized ``Decision`` per flow-cache entry) plus what a
-*packet* changes (its size: token budget, ledger, MTU test, hit counts;
-its arrival frame).  The first half of this file pins the second half of
+tail — one memoized ``Decision`` per flow-cache entry, the very object
+the flow's first packet was handed) plus what a *packet* changes (its
+size: token budget, ledger, MTU test, hit counts; its arrival frame).  The first half of this file pins the second half of
 that sentence: every packet is charged and counted, a packet that is
 refused has charged nothing, and a packet that needs a decision of its
 own — truncated, re-framed — gets one without disturbing the flow's.
 
-The flow cache tries the entry it answered with last before its dict.
-The second half pins that this shortcut never outlives the entry: after
+The flow cache tries the entry each arrival port answered with last
+before its dict.  The second half pins that this shortcut never
+outlives the entry: after
 every way an entry can go — ``flush``, ``invalidate_port`` (ingress,
 keyed and egress match), ``invalidate_token``, LRU eviction by an
-interleaved flow, TTL expiry, token expiry, a token-cache flush — the
+interleaved flow on the same or another arrival port, TTL expiry, token expiry, a token-cache flush — the
 next byte-identical packet is decided cold: the miss is counted and the
 token re-admitted.  (``tests/live/test_run_forwarding.py`` repeats this
 through ``LiveRouter._on_batch`` for the driver's own invalidations.)
@@ -25,6 +26,7 @@ import pytest
 from repro.dataplane import Action, FlowCache, PortProfile
 from repro.dataplane.logical import LogicalPortMap, SelectionPolicy
 from repro.viper.wire import HeaderSegment
+from tests.dataplane.answers import answered, decide
 from tests.dataplane.test_pipeline_stages import hop, make_pipeline
 
 MTU = 104  # a 100-byte packet leaves at 100 - 4 + 4 + 2 = 102 bytes
@@ -39,10 +41,12 @@ def build(profiles=None, logical=None, capacity=8, ttl_ms=10_000):
 
 
 def warm(pipeline, segment, **kwargs):
-    """Install the flow, then take its first answer from the cache."""
-    assert not pipeline.decide(hop(segment, **kwargs)).flow_cache_hit
-    decision = pipeline.decide(hop(segment, **kwargs))
-    assert decision.flow_cache_hit
+    """Install the flow, then take its first answer from the cache: the
+    decision the first packet was handed."""
+    first, cached = decide(pipeline, hop(segment, **kwargs))
+    assert not cached
+    decision, cached = decide(pipeline, hop(segment, **kwargs))
+    assert cached and decision is first
     return decision
 
 
@@ -63,8 +67,8 @@ class TestEveryPacketIsChargedAndCounted:
         first = warm(pipeline, segment)
         sizes = [100, 40, 40, 0, 90, 100]
         for size in sizes:
-            decision = pipeline.decide(hop(segment, wire_size=size))
-            assert decision.flow_cache_hit and not decision.truncate_to
+            decision, cached = decide(pipeline, hop(segment, wire_size=size))
+            assert cached and not decision.truncate_to
             assert (decision.out_port, decision.return_tail) == (
                 first.out_port, first.return_tail
             )
@@ -95,12 +99,13 @@ class TestAPacketOfItsOwn:
         limit = MTU + segment.wire_size() - 6
         assert limit > MTU
         whole = pipeline.decide(hop(segment, wire_size=limit))
-        cut = pipeline.decide(hop(segment, wire_size=limit + 1))
+        cut, cut_cached = decide(pipeline, hop(segment, wire_size=limit + 1))
         after = pipeline.decide(hop(segment, wire_size=limit))
         assert (whole.truncate_to, cut.truncate_to, after.truncate_to) == (
             0, MTU, 0
         )
-        assert cut.flow_cache_hit and cut.return_tail == fits.return_tail
+        assert cut_cached and cut.return_tail == fits.return_tail
+        assert whole is after is fits
         # Charged like every other packet of the flow.
         assert pipeline.token_cache.ledger.usage(7).packets == 5
 
@@ -111,8 +116,10 @@ class TestAPacketOfItsOwn:
         hops = [hop(HeaderSegment(port=2)) for _ in range(4)]
         for each, arrival in zip(hops, (b"old-mac", b"old-mac", b"new-mac", b"old-mac")):
             each.reverse_portinfo = lambda arrival=arrival: arrival
-        cold, same, rebuilt, after = (pipeline.decide(each) for each in hops)
-        assert same.flow_cache_hit and rebuilt.flow_cache_hit
+        (cold, _), (same, same_cached), (rebuilt, rebuilt_cached), (after, _) = (
+            decide(pipeline, each) for each in hops
+        )
+        assert same_cached and rebuilt_cached and same is cold
         assert same.return_tail == cold.return_tail is not None
         assert rebuilt.return_tail is None
         assert rebuilt.return_segment.portinfo == b"new-mac"
@@ -134,7 +141,7 @@ class TestARefusalHasChargedNothing:
         token = mint.mint(port=1, account=7, byte_limit=250)
         segment = HeaderSegment(port=1, token=token)
         warm(pipeline, segment)  # 200 of 250 bytes gone
-        assert pipeline.decide(hop(segment, wire_size=50)).flow_cache_hit
+        assert answered(pipeline, hop(segment, wire_size=50))
         before = charged(pipeline)
         rejected = pipeline.decide(hop(segment, wire_size=1))
         assert (rejected.action, rejected.reason) == (
@@ -153,8 +160,7 @@ class TestARefusalHasChargedNothing:
         else:
             del pipeline.ports.profiles[1]
         # The full decision purges the entry, as it always did.
-        decision = pipeline.decide(hop(HeaderSegment(port=1)))
-        assert not decision.flow_cache_hit
+        assert not answered(pipeline, hop(HeaderSegment(port=1)))
         assert pipeline.flow_cache.stats.invalidations == 1
 
 
@@ -194,18 +200,18 @@ MUTATIONS = {
 def test_the_shortcut_dies_with_the_entry(name):
     pipeline, segment, token = shortcut_world()
     warm(pipeline, segment)
-    assert pipeline.decide(hop(segment)).flow_cache_hit  # by the shortcut
+    assert answered(pipeline, hop(segment))  # by the shortcut
     misses = pipeline.flow_cache.stats.misses
     admitted = pipeline.token_cache.hits + pipeline.token_cache.misses
     MUTATIONS[name](pipeline, token)
     assert len(pipeline.flow_cache) == 0
-    again = pipeline.decide(hop(segment))
-    assert again.action is Action.FORWARD and not again.flow_cache_hit
+    again, cached = decide(pipeline, hop(segment))
+    assert again.action is Action.FORWARD and not cached
     assert pipeline.flow_cache.stats.misses == misses + 1
     # Re-admitted by the token cache (a flushed one verifies afresh).
     assert pipeline.token_cache.hits + pipeline.token_cache.misses == admitted + 1
     assert pipeline.token_cache.misses == (2 if name == "token-cache flush" else 1)
-    assert pipeline.decide(hop(segment)).flow_cache_hit
+    assert answered(pipeline, hop(segment))
 
 
 def test_an_invalidation_that_spares_the_entry_spares_the_flow():
@@ -214,18 +220,22 @@ def test_an_invalidation_that_spares_the_entry_spares_the_flow():
     bystander = HeaderSegment(port=OTHER)
     pipeline.decide(hop(bystander, in_port=8))
     assert pipeline.flow_cache.invalidate_port(OTHER) == 1
-    assert pipeline.decide(hop(segment)).flow_cache_hit
-    assert not pipeline.decide(hop(bystander, in_port=8)).flow_cache_hit
+    assert answered(pipeline, hop(segment))
+    assert not answered(pipeline, hop(bystander, in_port=8))
 
 
-def test_the_shortcut_dies_with_an_lru_eviction():
+@pytest.mark.parametrize("in_port", [7, 8])
+def test_the_shortcut_dies_with_an_lru_eviction(in_port):
+    """The evicting flow arrives on the flow's own port (its memo is
+    replaced) or on another one (its memo must go with the entry)."""
     pipeline, segment, _ = shortcut_world(capacity=1)
+    bystander = hop(HeaderSegment(port=OTHER), in_port=in_port)
     warm(pipeline, segment)
-    pipeline.decide(hop(HeaderSegment(port=OTHER)))  # evicts the flow
+    pipeline.decide(bystander)  # evicts the flow
     assert pipeline.flow_cache.stats.evictions == 1
-    assert not pipeline.decide(hop(segment)).flow_cache_hit  # …and back
-    assert pipeline.decide(hop(segment)).flow_cache_hit
-    assert not pipeline.decide(hop(HeaderSegment(port=OTHER))).flow_cache_hit
+    assert not answered(pipeline, hop(segment))  # …and back
+    assert answered(pipeline, hop(segment))
+    assert not answered(pipeline, bystander)
     assert pipeline.flow_cache.stats.evictions == 3
 
 
@@ -235,11 +245,11 @@ def test_the_shortcut_dies_with_an_lru_eviction():
 def test_the_shortcut_checks_the_clock(what, ttl_ms, later):
     pipeline, segment, _ = shortcut_world(ttl_ms=ttl_ms)
     warm(pipeline, segment)
-    assert pipeline.decide(hop(segment, now_ms=later - 1)).flow_cache_hit
-    stale = pipeline.decide(hop(segment, now_ms=later))
+    assert answered(pipeline, hop(segment, now_ms=later - 1))
+    stale, cached = decide(pipeline, hop(segment, now_ms=later))
     # Past the TTL the flow is decided afresh; past the token's expiry
     # the cached claims say so too, and the packet is refused.
-    assert not stale.flow_cache_hit
+    assert not cached
     assert (stale.action, stale.reason) == (
         (Action.FORWARD, "") if what == "ttl" else (Action.DROP, "token_reject")
     )
@@ -257,5 +267,5 @@ def test_the_shortcut_answers_only_its_own_arrival_and_bytes():
         hop(segment.copy(token=segment.token[:-1])),   # a prefix of the key
         hop(segment.copy(portinfo=b"\0")),             # the key is a prefix
     ):
-        assert not pipeline.decide(other).flow_cache_hit
-        assert pipeline.decide(hop(segment)).flow_cache_hit
+        assert not answered(pipeline, other)
+        assert answered(pipeline, hop(segment))

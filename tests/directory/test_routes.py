@@ -3,7 +3,7 @@ delay before sending a packet, and the largest payload that crosses."""
 
 import pytest
 
-from repro.directory.routes import Route, slickify_route
+from repro.directory.routes import DECISION_DELAY, Route, slickify_route
 from repro.viper.packet import TRAILER_LENGTH_BYTES
 from repro.viper.wire import HeaderSegment
 
@@ -25,14 +25,14 @@ def make_route(rate=10e6, prop=1e-3, hops=2, mtu=1500):
 def test_expected_one_way_is_one_transmission_plus_propagation_and_decisions():
     route = make_route()
     size = route.header_overhead() + 1000
-    assert route.expected_one_way(1000, decision_delay=2e-6) == pytest.approx(
-        size * 8.0 / 10e6 + 1e-3 + 2 * 2e-6
+    assert route.expected_one_way(1000) == pytest.approx(
+        size * 8.0 / 10e6 + 1e-3 + 2 * DECISION_DELAY
     )
 
 
 def test_expected_one_way_without_an_advertised_rate_is_propagation_and_decisions():
     route = make_route(rate=0.0)
-    assert route.expected_one_way(1000, decision_delay=0.0) == 1e-3
+    assert route.expected_one_way(1000) == 1e-3 + 2 * DECISION_DELAY
 
 
 def test_expected_rtt_sends_a_reply_of_the_request_size_by_default():

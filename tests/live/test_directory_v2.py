@@ -337,14 +337,15 @@ def test_slow_command_does_not_convoy_the_connection():
     assert routes[0].destination == "slow.region.net"
 
 
-# -- every query field crosses the TCP door ---------------------------------
+# -- every query field crosses both doors -------------------------------------
 
-def _diamond_directory():
+def _diamond_overlay():
     """client - r1, then two ways on to the server: fast and dear via r2,
-    slow and cheap via r3 (so LOW_DELAY and LOW_COST part ways)."""
+    slow and cheap via r3 (so LOW_DELAY and LOW_COST part ways) — as a
+    live overlay, unstarted: its directory answers in process."""
     from repro.core.host import SirpentHost
     from repro.core.router import SirpentRouter
-    from repro.directory.service import DirectoryService
+    from repro.live.topology import LiveOverlay
     from repro.net.topology import Topology
     from repro.sim.engine import Simulator
 
@@ -356,21 +357,23 @@ def _diamond_directory():
     for via, rate, cost in ((r2, 100e6, 10.0), (r3, 1e6, 1.0)):
         topology.connect(r1, via, rate_bps=rate, cost=cost)
         topology.connect(via, server, rate_bps=rate, cost=cost)
-    directory = DirectoryService(sim, topology)
-    directory.register_host("server", "server")
-    return directory
+    overlay = LiveOverlay(topology)
+    overlay.directory.register_host("server", "server")
+    return overlay
 
 
-def test_a_tcp_query_carries_its_objective_and_account():
-    """The ``routes`` command forwards every RouteQuery field: a LOW_COST
-    query for account 7 at priority 3 gets over TCP the path and the
-    token claims it gets in process — not the default objective's path,
-    nor tokens minted for account 0."""
+def test_both_doors_carry_the_objective_and_account():
+    """Every RouteQuery field reaches the directory through both doors:
+    a LOW_COST query for account 7 at priority 3 gets over TCP (the
+    ``routes`` command) and in process (``LiveOverlay.routes``) the path
+    and the token claims the directory gives it — not the default
+    objective's path, nor tokens minted for account 0."""
     from repro.directory.pathfind import PathObjective
     from repro.directory.service import RouteQuery
     from repro.tokens.capability import TokenMint
 
-    directory = _diamond_directory()
+    overlay = _diamond_overlay()
+    directory = overlay.directory
     asked = dict(
         objective=PathObjective.LOW_COST, account=7, priority_limit=3,
         with_tokens=True,
@@ -388,8 +391,9 @@ def test_a_tcp_query_carries_its_objective_and_account():
             server.stop()
 
     (over_tcp,) = asyncio.run(scenario())
-    (in_process,) = directory.query("client", RouteQuery("server", **asked))
-    (fastest,) = directory.query("client", RouteQuery("server", with_tokens=True))
+    (in_process,) = overlay.routes("client", "server", **asked)
+    (direct,) = directory.query("client", RouteQuery("server", **asked))
+    (fastest,) = overlay.routes("client", "server", with_tokens=True)
 
     def ports(route):
         return [s.port for s in route.segments]
@@ -397,7 +401,7 @@ def test_a_tcp_query_carries_its_objective_and_account():
     def claims(route):
         return [TokenMint.peek(s.token) for s in route.segments if s.token]
 
-    assert ports(over_tcp) == ports(in_process) != ports(fastest)
-    assert claims(over_tcp) == claims(in_process)
+    assert ports(over_tcp) == ports(in_process) == ports(direct) != ports(fastest)
+    assert claims(over_tcp) == claims(in_process) == claims(direct)
     assert {(c.account, c.max_priority) for c in claims(over_tcp)} == {(7, 3)}
-    assert over_tcp == in_process
+    assert over_tcp == in_process == direct

@@ -15,8 +15,12 @@ account, fails here and not in a benchmark:
 * once the flow cache has turned over, a flow leaves behind **one**
   object per new token (the token-cache entry) and **none** per new
   account.
+
+The same frames hold the work of a new flow's hop to a ceiling of calls
+(:data:`CALLS_PER_NEW_FLOW_HOP`), counted under cProfile.
 """
 
+import cProfile
 import gc
 
 from repro.live.frames import decode_preamble, encode_live_frame
@@ -30,6 +34,13 @@ FLOWS = 500
 
 #: FlowEntry, Decision, SegmentView, return HeaderSegment, TokenCacheEntry.
 PER_CACHED_FLOW = 5
+
+#: Calls (Python and built-in) per new-flow hop through ``_on_batch``,
+#: the flow cache full so that every install evicts.  Before a new
+#: flow's first packet took the flow's own decision — one ``Decision``,
+#: a return hop built and encoded once, one copy of the lead, the
+#: claims unpacked once — the same harness counted 106.
+CALLS_PER_NEW_FLOW_HOP = 85
 
 
 def frames(mint, claims):
@@ -90,3 +101,28 @@ def test_a_new_flow_keeps_few_objects_and_leaves_one_behind():
     assert len(ledger.accounts()) - accounts == FLOWS
     assert one_account - turned_over == FLOWS
     assert router.metrics.forwarded == 10 + 3 * FLOWS + capacity
+
+
+def test_a_new_flow_hop_makes_few_calls():
+    """A ceiling on the work of a new flow's hop, counted rather than
+    timed: cProfile around ``_on_batch`` alone, one fresh account (so
+    one token to verify and one flow to install) per frame."""
+    router, _ = capture_router("r", ports=(1, OUT))
+    router.endpoint.send_view = lambda view, addr: view.release()
+    capacity = router.flow_cache.capacity
+    tracked_after(router, frames(router.mint, new_accounts(1, capacity)))
+    ring, on_batch = router.endpoint.ring, router._on_batch
+    batches = [
+        [(slot_view(ring, datagram), PEER, decode_preamble(datagram))]
+        for datagram in frames(router.mint, new_accounts(10_000, 6))
+    ]
+    profile = cProfile.Profile()
+    profile.enable()
+    for batch in batches:
+        on_batch(batch)
+    profile.disable()
+    calls = sum(entry.callcount for entry in profile.getstats())
+    assert router.flow_cache.stats.evictions == len(batches)
+    assert router.metrics.forwarded == capacity + len(batches)
+    # The profiler's own ``disable`` call is one of them.
+    assert (calls - 1) / len(batches) <= CALLS_PER_NEW_FLOW_HOP

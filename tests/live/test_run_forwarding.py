@@ -495,10 +495,10 @@ class TestDirectedRuns:
 
 class TestTheLeadFoundOnce:
     """The core finds a frame's leading segment by comparing the frame
-    with the lead the flow cache answered with last, and walks it only
-    when that compare fails.  Each frame below sits next to the
-    remembered lead without being it; it meets the fate it meets alone
-    and is decided once."""
+    with the lead the flow cache answered with last for the frame's
+    arrival port, and walks it only when that compare fails.  Each frame
+    below sits next to the remembered lead without being it; it meets
+    the fate it meets alone and is decided once."""
 
     def lead_of(self, datagram):
         header_len = decode_preamble(datagram).header_len
@@ -540,6 +540,31 @@ class TestTheLeadFoundOnce:
         # memoised, and the same bytes from it find no entry.
         assert cache_counts(whole) == (6, 3)
         assert len(whole.router.flow_cache) == 2
+
+    def test_frames_alternating_between_two_ports_are_never_walked(
+        self, monkeypatch,
+    ):
+        """One transaction at a time: a request and its reply cross the
+        router in turn, on two arrival ports.  Each port remembers its
+        own flow's lead, so once both flows are warm no frame is walked;
+        with one lead remembered for the whole cache, every frame was."""
+        there = frame(HeaderSegment(port=2, token=token_for(port=2)))
+        back = frame(HeaderSegment(port=1, token=token_for(port=1)))
+        arrivals = [(there, PEER_A), (back, PEER_B)] * 6
+        whole, _ = assert_batch_equals_frames([(0, arrivals)])
+        assert kinds(whole.fates) == ["F"] * len(arrivals)
+
+        bench = Bench()
+        bench.feed(arrivals[:2])  # each flow's first frame walks and installs
+        walks = []
+        monkeypatch.setattr(
+            "repro.dataplane.router.segment_span",
+            lambda *args: walks.append(args) or segment_span(*args),
+        )
+        bench.feed(arrivals, cuts=range(1, len(arrivals)))
+        assert walks == []
+        assert cache_counts(bench) == (len(arrivals), 2)
+        assert bench.fates[2:] == whole.fates
 
     def test_a_frame_cut_inside_or_at_the_end_of_the_remembered_lead(self):
         datagram = frame(HeaderSegment(port=LIVE, token=token_for()))
@@ -621,7 +646,7 @@ class TestTheLeadFoundOnce:
         assert parsed > 400
 
 
-# -- the flow cache's last-answer shortcut, through the driver ----------------
+# -- the flow cache's per-port last-answer shortcut, through the driver -------
 
 
 def between_frames(bench, mutation):

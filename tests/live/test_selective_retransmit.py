@@ -144,11 +144,13 @@ def test_lost_response_member_is_replayed_without_reexecution():
 
 def test_timeout_while_the_response_is_on_its_way_costs_one_member():
     """The response to a 16-member request is slower than the client's
-    timeout (twice the timeout the route's model sets for the request's
-    size).  The timeout sends one request member, not 16; the server
-    hears one duplicate of an answered transaction and replays the
-    response once — 16 duplicates, each answered with the whole group,
-    would put 16 x 16 response members on the path."""
+    timeout (one and a half times the timeout the route's model sets for
+    the request's size: it lands between the first timeout and the
+    second, which a delay of twice the timeout raced).  The timeout
+    sends one request member, not 16; the server hears one duplicate of
+    an answered transaction and replays the response once — 16
+    duplicates, each answered with the whole group, would put 16 x 16
+    response members on the path."""
 
     async def run():
         overlay = LiveOverlay(_line_topology())
@@ -165,7 +167,7 @@ def test_timeout_while_the_response_is_on_its_way_costs_one_member():
                 "client", "server", k=1, dest_socket=client_tx.config.socket,
             )
             payload = bytes(range(256)) * 64
-            delay = 2 * max(
+            delay = 1.5 * max(
                 LIVE_TRANSPORT.base_timeout,
                 TIMEOUT_RTT_MULTIPLIER * routes[0].expected_rtt(len(payload)),
             )
