@@ -26,6 +26,7 @@ EXPERIMENTS = [
     ("f01", "bench_f01_viper_codec"),
     ("f02", "bench_f02_dataplane"),
     ("f03", "bench_f03_transactor_pair"),
+    ("f04", "bench_f04_sim_ledger"),
     ("e01", "bench_e01_switching_delay"),
     ("e02", "bench_e02_delay_vs_size"),
     ("e03", "bench_e03_header_overhead"),
