@@ -312,3 +312,35 @@ def test_handles_work_as_set_members_and_dict_keys():
     second.cancel()
     sim.run()
     assert owners[first] == "a" and owners[second] == "b"
+
+
+def test_a_reserved_event_pushed_late_fires_where_at_would_have_put_it():
+    sim = Simulator()
+    order = []
+    sim.at(1.0, order.append, "scheduled before")
+    reserved = sim.reserve(1.0, order.append, "reserved")
+    sim.at(1.0, order.append, "scheduled after")
+    sim.at(0.5, sim.push, reserved)  # pushed well after its number was taken
+    sim.run()
+    assert order == ["scheduled before", "reserved", "scheduled after"]
+
+
+def test_a_reserved_event_never_pushed_or_cancelled_never_fires():
+    sim = Simulator()
+    fired = []
+    sim.reserve(1.0, fired.append, "never pushed")
+    cancelled = sim.reserve(1.0, fired.append, "cancelled")
+    cancelled.cancel()
+    sim.push(cancelled)
+    sim.run()
+    assert fired == [] and sim.events_executed == 0
+
+
+def test_reserving_or_pushing_into_the_past_raises():
+    sim = Simulator()
+    late = sim.reserve(1.0, lambda: None)
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError):
+        sim.push(late)
+    with pytest.raises(SimulationError):
+        sim.reserve(1.5, lambda: None)
