@@ -32,7 +32,11 @@ goes through the injected ``io`` object:
 
 * ``io.now`` — the substrate's clock, in seconds;
 * ``io.after(delay, fn, *args)`` — call ``fn(*args)`` ``delay``
-  seconds from now; returns a handle with ``cancel()``;
+  seconds from now; for a positive delay it returns a handle with
+  ``cancel()``.  A zero delay (an unpaced member) is the adapter's: the
+  simulator schedules it as an event like any other and returns its
+  handle, the live adapter calls ``fn`` at once and returns None — so
+  the machine keeps a handle only from a positive delay;
 * ``io.send(route, pdu, priority)`` — along a source route;
 * ``io.send_return(delivered, pdu)`` — along the reversed trailer route
   of a delivered PDU, to ``pdu.reply_socket``;
