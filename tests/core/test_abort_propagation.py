@@ -130,7 +130,7 @@ def test_abort_after_the_outbound_transmission_ended_aborts_nothing():
     upstream = next(
         a for a in routers[0].ports.values() if a.peer_name == "src"
     )
-    upstream.receive_abort(first)
+    routers[0].on_abort(first, upstream)
     sim.run(until=1.0)
     assert [d.payload.rstrip(b"\0") for d in got] == [b"first", b"second"]
 
