@@ -160,6 +160,3 @@ class Reassembler:
             del self._partials[key]
             self.timed_out.add()
 
-    @property
-    def pending(self) -> int:
-        return len(self._partials)

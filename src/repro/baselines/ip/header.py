@@ -59,27 +59,6 @@ class IpHeader:
             self.src, self.dst,
         )
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "IpHeader":
-        if len(data) < IPV4_HEADER_BYTES:
-            raise ValueError("buffer too short for an IPv4 header")
-        (version_ihl, tos, total_length, identification, flags_offset,
-         ttl, protocol, checksum, src, dst) = _HEADER_STRUCT.unpack(
-            data[:IPV4_HEADER_BYTES]
-        )
-        if version_ihl >> 4 != 4:
-            raise ValueError(f"not an IPv4 header (version {version_ihl >> 4})")
-        if version_ihl & 0x0F != 5:
-            raise ValueError(
-                f"unsupported IHL {version_ihl & 0x0F} (options not modelled)"
-            )
-        return cls(
-            src=src, dst=dst, total_length=total_length,
-            identification=identification, ttl=ttl, protocol=protocol,
-            tos=tos, flags=flags_offset & 0xE000,
-            fragment_offset=flags_offset & OFFSET_MASK, checksum=checksum,
-        )
-
     def with_checksum(self) -> "IpHeader":
         """Return a copy whose checksum field is correct."""
         zeroed = replace(self, checksum=0)

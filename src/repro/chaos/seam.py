@@ -63,14 +63,6 @@ class FaultDecision:
     #: Extra latency to impose before delivery (seconds).
     extra_delay_s: float = 0.0
 
-    @property
-    def clean(self) -> bool:
-        """True when the datagram passes untouched."""
-        return (
-            not self.drop and not self.duplicate
-            and self.corrupt_seed is None and self.extra_delay_s == 0.0
-        )
-
 
 #: The no-fault decision (shared instance: the hot-path common case).
 DELIVER = FaultDecision()

@@ -21,7 +21,7 @@ import copy
 from typing import List, Optional
 
 from repro.live.frames import (
-    PAYLOAD_LEN_OFFSET, PREAMBLE_BYTES, SEG_COUNT_OFFSET, decode_preamble,
+    PREAMBLE_BYTES, SEG_COUNT_OFFSET, decode_preamble,
     encode_preamble_into, payload_offset,
 )
 from repro.viper.errors import ViperDecodeError
@@ -83,12 +83,6 @@ class FramePacket:
         view = self.view
         return view.buffer[view.start + SEG_COUNT_OFFSET]
 
-    @property
-    def payload_size(self) -> int:
-        view = self.view
-        at = view.start + PAYLOAD_LEN_OFFSET
-        return (view.buffer[at] << 8) | view.buffer[at + 1]
-
     def wire_size(self) -> int:
         """The VIPER body's bytes — the size a medium clocks."""
         view = self.view
@@ -118,9 +112,10 @@ class FramePacket:
         """Double the buffer, the frame at its head: for a move the
         buffer had no room for.  Returns the frame's new view."""
         view = self.view
+        size = view.end - view.start
         buffer = bytearray(2 * len(view.buffer))
-        buffer[:len(view)] = view.mem
-        self.view = PacketView(buffer, 0, len(view))  # sirlint: disable=SIR009 -- over the packet's own bytearray, no ring slot
+        buffer[:size] = view.mem
+        self.view = PacketView(buffer, 0, size)  # sirlint: disable=SIR009 -- over the packet's own bytearray, no ring slot
         return self.view
 
     def __deepcopy__(self, memo) -> "FramePacket":

@@ -98,21 +98,13 @@ class Decision:
 class EffectSink:
     """Applicator for drop counters and trace events.
 
-    ``bump`` counts a drop under its reason ("no_route",
-    "token_reject", ...: the pipeline's vocabulary).  The ``trace_*``
-    methods are expected to be no-ops when the packet is untraced or
-    tracing is disabled — the sink owns that guard, in exactly one
-    place.
+    A sink defines ``bump(name)``, which counts a drop under its reason
+    ("no_route", "token_reject", ...: the pipeline's vocabulary), and
+    ``trace_event(event, **fields)`` / ``trace_drop(reason, **fields)``,
+    which emit a mid-hop or a drop trace event and are no-ops when the
+    packet is untraced or tracing is disabled — the sink owns that
+    guard, in exactly one place.
     """
-
-    def bump(self, name: str) -> None:
-        raise NotImplementedError
-
-    def trace_event(self, event: str, **fields: Any) -> None:  # pragma: no cover
-        """Emit a mid-hop trace event (no-op unless traced)."""
-
-    def trace_drop(self, reason: str, **fields: Any) -> None:  # pragma: no cover
-        """Emit a drop trace event (no-op unless traced)."""
 
 
 def apply_drop(sink: EffectSink, decision: Decision) -> None:

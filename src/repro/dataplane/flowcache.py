@@ -120,9 +120,6 @@ class FlowCache:
         #: is this entry needs no LRU move.
         self._newest: Optional[FlowEntry] = None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     # -- the fast path -----------------------------------------------------
 
     def lookup(self, in_port: int, lead, now_ms: int) -> Optional[FlowEntry]:  # sirlint: hot

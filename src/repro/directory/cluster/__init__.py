@@ -50,27 +50,9 @@ from repro.directory.cluster.ring import (
 )
 from repro.directory.cluster.store import ShardStore
 
-#: Chaos exports resolve lazily (PEP 562): :mod:`.chaos` pulls in the
-#: PR 5 invariant checker, whose package reaches back through the live
-#: overlay into :mod:`repro.live.directory` — which itself imports this
-#: package's protocol module.  Deferring the import breaks that cycle.
-_CHAOS_EXPORTS = frozenset({
-    "ClusterSoakConfig", "run_cluster_soak", "shard_failover_plan",
-})
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from repro.directory.cluster import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ClusterClient",
     "ClusterCommandError",
-    "ClusterSoakConfig",
     "CommandError",
     "CommandLog",
     "CommandRequest",
@@ -92,7 +74,5 @@ __all__ = [
     "VersionError",
     "canonical_encode",
     "decode_response",
-    "run_cluster_soak",
-    "shard_failover_plan",
     "shard_key",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class LogError(ValueError):
@@ -67,12 +67,6 @@ class CommandLog:
     @property
     def last_term(self) -> int:
         return self._entries[-1].term if self._entries else 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self._entries)
 
     def append(self, entry: LogEntry) -> None:
         if entry.index != self.last_index + 1:

@@ -89,12 +89,6 @@ class ConsistentHashRing:
     def shards(self) -> Tuple[str, ...]:
         return tuple(sorted(self._shards))
 
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, shard_id: str) -> bool:
-        return shard_id in self._shards
-
     # -- lookups -----------------------------------------------------------
 
     def owner_of_key(self, key: str) -> str:

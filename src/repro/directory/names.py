@@ -39,11 +39,6 @@ class HierarchicalName:
         return ".".join(self.labels)
 
     @property
-    def leaf(self) -> str:
-        """The host/service label (leftmost)."""
-        return self.labels[0]
-
-    @property
     def parent(self) -> Optional["HierarchicalName"]:
         if len(self.labels) <= 1:
             return None

@@ -41,6 +41,3 @@ def __getattr__(name):
             return getattr(importlib.import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -124,11 +124,6 @@ class LiveHost:
         self.ports[port_id] = peer
         self.addr_port[peer] = port_id
 
-    @property
-    def address(self) -> Optional[Address]:
-        """The host's bound UDP address (None before :meth:`start`)."""
-        return self.endpoint.address
-
     # -- sending -----------------------------------------------------------
 
     def send(
@@ -293,10 +288,6 @@ class LiveTransactor(TransactorIO):
         #: The entity :meth:`serve` registered (None before): a client
         #: that knows it names it instead of the wildcard.
         self.entity: Optional[EntityId] = None
-        #: SLO feed (attach_registry): transaction RTTs + retry budget.
-        self._rtt_ms = None
-        self._tx_started = None
-        self._tx_retries = None
 
     def serve(self, handler: Callable[[bytes], bytes]) -> None:
         """Install the request handler: ``payload -> response payload``."""
@@ -309,15 +300,6 @@ class LiveTransactor(TransactorIO):
             self.entity = self.create_entity(serve_request, "server")
         else:
             self.adopt_entity(self.entity, serve_request)
-
-    def attach_registry(self, registry) -> None:
-        """Expose the SLO engine's raw inputs: per-transaction RTTs
-        (``transaction_rtt_ms``), transactions started
-        (``transactions_started``), and retries spent
-        (``transaction_retries``) — the retry-budget-headroom ratio."""
-        self._rtt_ms = registry.histogram("transaction_rtt_ms")
-        self._tx_started = registry.counter("transactions_started")
-        self._tx_retries = registry.counter("transaction_retries")
 
     # -- client side -------------------------------------------------------
 
@@ -341,8 +323,6 @@ class LiveTransactor(TransactorIO):
         answered replays its response, one missing members NAKs them);
         repeated timeouts rebind the route.
         """
-        if self._tx_started is not None:
-            self._tx_started.add()
         outcome = asyncio.get_running_loop().create_future()
 
         def complete(result: TransactionResult) -> None:
@@ -361,10 +341,6 @@ class LiveTransactor(TransactorIO):
         except asyncio.CancelledError:
             self.machine.abandon(transaction_id)
             raise
-        if self._tx_retries is not None and result.retries:
-            self._tx_retries.add(result.retries)
-        if result.ok and self._rtt_ms is not None:
-            self._rtt_ms.add(result.rtt * 1e3)
         return result
 
     # -- the machine's clock -------------------------------------------------

@@ -56,10 +56,6 @@ class EndpointMetrics:
         """Count one ``event``, a counter field's name."""
         setattr(self, event, getattr(self, event) + 1)
 
-    def dropped(self, reason: str) -> int:
-        """Drops recorded under ``reason`` (0 when never seen)."""
-        return self.drops.get(reason, 0)
-
     def total_drops(self) -> int:
         """Sum of every drop reason."""
         return sum(self.drops.values())

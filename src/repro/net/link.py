@@ -11,8 +11,8 @@ the simulation cares about:
 * ``t0 + size/R'`` — the channel becomes free at the sender.
 * ``t0 + size/R' + P`` — the last bit lands; ``on_packet`` runs.
 
-A moment no node acts on is not scheduled: a node class that leaves
-``Node.on_header`` alone (a host, a baseline) gets no header event, and
+A moment no node acts on is not scheduled: a node class that defines
+no ``on_header`` (a host, a baseline) gets no header event, and
 a frame's completion is pushed by its header event, under the number
 :meth:`~repro.sim.engine.Simulator.reserve` gave it at transmit, only
 when the receiver did not cut the frame through there
@@ -128,10 +128,6 @@ class Channel:
         self.bytes_sent = Counter(f"{name}.bytes")
         self.packets_aborted = Counter(f"{name}.aborted")
         self.utilization = UtilizationTracker(name=f"{name}.util")
-
-    @property
-    def busy(self) -> bool:
-        return self.current is not None
 
     # -- failure injection -------------------------------------------------
 
@@ -272,7 +268,7 @@ class Channel:
             tx.on_done()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "busy" if self.busy else "idle"
+        state = "busy" if self.current is not None else "idle"
         return f"<Channel {self.name!r} {self.rate_bps:.3g}bps {state}>"
 
 
@@ -302,18 +298,6 @@ class Link:
             sim, rate_bps, propagation_delay, mtu,
             name=f"{name}:b>a", corruption_rate=corruption_rate, rng=rng,
         )
-
-    @property
-    def rate_bps(self) -> float:
-        return self.a_to_b.rate_bps
-
-    @property
-    def propagation_delay(self) -> float:
-        return self.a_to_b.propagation_delay
-
-    @property
-    def mtu(self) -> int:
-        return self.a_to_b.mtu
 
     def fail(self) -> None:
         """Fail both directions (the E6 failure-recovery experiments)."""

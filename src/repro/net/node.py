@@ -9,7 +9,7 @@ or a tap on a shared Ethernet segment.
 The attachment is the receive demultiplexing point: a medium calls
 the receiving node's ``on_header`` / ``on_packet`` / ``on_abort`` hooks
 itself, with the attachment identifying the input port.  Only a node
-class that overrides ``on_header`` is sent header events.
+class that defines ``on_header`` is sent header events.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.net.addresses import MacAddress
-from repro.net.link import Channel, Transmission
+from repro.net.link import Channel
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,9 +34,11 @@ MAX_PORT = 255
 class Node:
     """Base class for every network element.
 
-    Subclasses override the three receive hooks.  The default behaviour
-    ignores header events (store-and-forward: the media then schedule
-    none) and drops packets, which is convenient for test stubs.
+    Subclasses define ``on_packet(packet, inport, tx)``, called when
+    the full packet has arrived, and may define ``on_header(packet,
+    inport, tx)``, called when its switching prefix has (a class without
+    one is store-and-forward: the media schedule it no header event).
+    An inbound transmission preempted upstream calls :meth:`on_abort`.
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -53,12 +55,6 @@ class Node:
             raise ValueError(f"{self.name}: port {port_id} already attached")
         self.ports[port_id] = attachment
 
-    def port(self, port_id: int) -> "Attachment":
-        try:
-            return self.ports[port_id]
-        except KeyError:
-            raise KeyError(f"{self.name}: no such port {port_id}") from None
-
     def free_port_id(self) -> int:
         """Lowest unused port number (topology builders use this)."""
         for candidate in range(1, MAX_PORT + 1):
@@ -67,12 +63,6 @@ class Node:
         raise RuntimeError(f"{self.name}: all {MAX_PORT} ports in use")
 
     # -- receive hooks -----------------------------------------------------
-
-    def on_header(self, packet: Any, inport: "Attachment", tx: Transmission) -> None:
-        """Called when the switching prefix of a packet has arrived."""
-
-    def on_packet(self, packet: Any, inport: "Attachment", tx: Transmission) -> None:
-        """Called when the full packet has arrived."""
 
     def on_abort(self, packet: Any, inport: "Attachment") -> None:
         """Called when an inbound transmission was preempted upstream."""
@@ -91,52 +81,16 @@ class Attachment:
         self.port_id = port_id
         #: Whether the node acts on a header's arrival at all: a medium
         #: schedules no header event for a node that does not.
-        self.hears_headers = type(node).on_header is not Node.on_header
+        self.hears_headers = getattr(type(node), "on_header", None) is not None
 
     # -- transmit side -------------------------------------------------
-
-    #: The port's line rate, bits per second.
-    rate_bps: float
-
-    @property
-    def busy(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def mtu(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def up(self) -> bool:
-        return True
-
-    def send(
-        self,
-        packet: Any,
-        size: int,
-        header_bytes: int,
-        dst_mac: Optional[MacAddress] = None,
-        priority: int = 0,
-        on_done: Optional[Callable[[], None]] = None,
-        on_abort: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def abort_current(self) -> None:
-        """Preempt whatever this port is currently transmitting."""
-        raise NotImplementedError
-
-    def current_priority(self) -> Optional[int]:
-        """Priority of the in-flight transmission, or None when idle."""
-        raise NotImplementedError
-
-    def current_packet(self) -> Optional[Any]:
-        """The packet currently being transmitted, or None when idle."""
-        raise NotImplementedError
-
-    def peer_name_for(self, dst_mac: Optional[MacAddress]) -> str:
-        """Name of the node a transmission with ``dst_mac`` would reach."""
-        raise NotImplementedError
+    #
+    # Every medium's attachment provides: ``rate_bps`` (bits per
+    # second), the properties ``busy``, ``mtu`` and ``up``, and
+    # ``send(packet, size, header_bytes, dst_mac=None, priority=0,
+    # on_done=None, on_abort=None)``, ``abort_current()``,
+    # ``current_priority()`` / ``current_packet()`` (None when idle) and
+    # ``peer_name_for(dst_mac)``.
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.node.name}:{self.port_id}>"

@@ -64,12 +64,6 @@ class Topology:
         self.nodes[node.name] = node
         return node
 
-    def node(self, name: str) -> Node:
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise KeyError(f"no such node {name!r}") from None
-
     # -- point-to-point links -------------------------------------------------
 
     def connect(
@@ -195,9 +189,6 @@ class Topology:
         for edge in self.edges():
             if edge.src == node_name:
                 yield edge
-
-    def neighbors(self, node_name: str) -> List[str]:
-        return [edge.dst for edge in self.edges_from(node_name)]
 
     # -- failure injection --------------------------------------------------------
 

@@ -8,8 +8,8 @@ Submodules
 ----------
 ``registry``
     Labeled :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-    primitives plus :class:`MetricsRegistry` with ``snapshot()`` and
-    Prometheus text exposition.  The sim monitors
+    primitives plus :class:`MetricsRegistry` with Prometheus text
+    exposition.  The sim monitors
     (:mod:`repro.sim.monitor`) re-export the value-shaped primitives
     from here.
 ``trace``

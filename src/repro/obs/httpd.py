@@ -179,7 +179,7 @@ class ObsHttpServer:
                     "node": span.node,
                     "start": span.start,
                     "end": span.end,
-                    "duration": span.duration,
+                    "duration": span.end - span.start,
                 }
                 for span in spans_of(record)
             ],

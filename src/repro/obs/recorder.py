@@ -185,9 +185,6 @@ class FlightRecorder:
 
     # -- querying ----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     def events(self, last_s: Optional[float] = None,
                now: Optional[float] = None) -> List[RecorderEvent]:
         """Ring contents in causal (append) order, optionally windowed.

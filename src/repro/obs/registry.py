@@ -18,7 +18,6 @@ sim monitors re-export them) and one exposition path: a
   overlay's plain-int ``EndpointMetrics`` are exposed without putting a
   method call on the per-frame hot path.
 
-``snapshot()`` flattens everything to ``{exposition_key: value}``;
 ``render_prometheus()`` emits Prometheus text exposition format
 (version 0.0.4), which is what a ``LiveOverlay``'s ``/metrics``
 endpoint serves.  Metric names are the ones the benchmark tables print
@@ -102,10 +101,6 @@ class Counter:
     def add(self, n: int = 1) -> None:
         """Count ``n`` more events."""
         self.count += n
-
-    def rate(self, elapsed: float) -> float:
-        """Events per second over ``elapsed`` seconds."""
-        return self.count / elapsed if elapsed > 0 else 0.0
 
     def samples(self) -> Iterator[Sample]:
         """This counter's single exposition sample."""
@@ -310,10 +305,6 @@ class MetricsRegistry:
         for collect in collectors:
             out.extend(collect())
         return out
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat ``{exposition_key: value}`` over everything registered."""
-        return {sample.key(): sample.value for sample in self.samples()}
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""

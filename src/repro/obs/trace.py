@@ -80,11 +80,6 @@ class HopSpan:
     end: float
     events: List[TraceEvent]
 
-    @property
-    def duration(self) -> float:
-        """Time the packet spent at this node."""
-        return self.end - self.start
-
 
 class NullTracer:
     """The disabled tracer: every operation is a no-op.

@@ -31,24 +31,13 @@ class EventHandle(list):
     and a transmission and its delivery events (each holds the other)
     are freed by reference count, not by the collector.
 
-    Treat a handle as opaque: the list mutators are not API.  It
-    hashes by ``(time, seq)``; ``==`` stays ``list``'s (entries differ
-    by ``seq``) — overriding it would route the heap's ``<`` through
+    Treat a handle as opaque: :meth:`cancel` is its API, the list
+    mutators are not.  ``==`` stays ``list``'s (entries differ by
+    ``seq``) — overriding it would route the heap's ``<`` through
     Python-level dispatch at twice the cost.
     """
 
     __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash((self[0], self[1]))
-
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when its time arrives."""
@@ -56,7 +45,7 @@ class EventHandle(list):
         self[3] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "cancelled" if self[2] is None else "pending"
         name = getattr(self[2], "__qualname__", repr(self[2]))
         return f"<EventHandle t={self[0]:.9f} {name} {state}>"
 
@@ -141,18 +130,8 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when idle."""
-        if self.peek_time() is None:
-            return False
-        self.run(max_events=1)
-        return True
-
-    def run(  # sirlint: hot
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> None:
-        """Run until the event heap drains, ``until`` is reached, or
-        ``max_events`` have executed.
+    def run(self, until: Optional[float] = None) -> None:  # sirlint: hot
+        """Run until the event heap drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so post-run measurements
@@ -160,57 +139,26 @@ class Simulator:
         """
         heap = self._heap
         horizon = float("inf") if until is None else until
-        if max_events is None:
-            # Counted in a local, written back when the loop ends: an
-            # event reads a count as of the run's start.
-            executed = self.events_executed
-            try:
-                while heap:
-                    entry = heappop(heap)
-                    time, _seq, fn, args = entry
-                    if fn is None:
-                        continue
-                    if time > horizon:
-                        heappush(heap, entry)  # same (time, seq): same place
-                        break
-                    self.now = time
-                    executed += 1
-                    entry[3] = ()
-                    fn(*args)
-            finally:
-                self.events_executed = executed
-        elif self._run_counted(horizon, max_events):
-            return
+        # Counted in a local, written back when the loop ends: an event
+        # reads a count as of the run's start.
+        executed = self.events_executed
+        try:
+            while heap:
+                entry = heappop(heap)
+                time, _seq, fn, args = entry
+                if fn is None:
+                    continue
+                if time > horizon:
+                    heappush(heap, entry)  # same (time, seq): same place
+                    break
+                self.now = time
+                executed += 1
+                entry[3] = ()
+                fn(*args)
+        finally:
+            self.events_executed = executed
         if until is not None and self.now < until:
             self.now = until
-
-    def _run_counted(self, horizon: float, budget: int) -> bool:
-        """:meth:`run`'s loop under an event budget; True when the
-        budget ran out before the events up to ``horizon`` did."""
-        while True:
-            time = self.peek_time()
-            if time is None or time > horizon:
-                return False
-            if budget <= 0:
-                return True
-            budget -= 1
-            entry = heappop(self._heap)
-            self.now = time
-            self.events_executed += 1
-            fn, args = entry[2], entry[3]
-            entry[3] = ()
-            fn(*args)
-
-    def pending(self) -> int:
-        """Number of scheduled-and-not-cancelled events (O(n))."""
-        return sum(1 for entry in self._heap if entry[2] is not None)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when idle."""
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heappop(heap)
-        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now:.9f} pending={len(self._heap)}>"

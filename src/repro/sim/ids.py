@@ -31,9 +31,5 @@ class PacketIdAllocator:
         self._next += 1
         return pid
 
-    def peek(self) -> int:
-        """The id the next :meth:`allocate` will return (for tests)."""
-        return self._next
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PacketIdAllocator next={self._next}>"

@@ -31,11 +31,6 @@ class DeliveryMask:
         self.full = (1 << count) - 1
         self.bits = bits & self.full
 
-    def mark(self, index: int) -> None:
-        if not 0 <= index < self.count:
-            raise IndexError(f"group member {index} outside 0..{self.count - 1}")
-        self.bits |= 1 << index
-
     def has(self, index: int) -> bool:
         return bool(self.bits & (1 << index))
 
@@ -45,9 +40,6 @@ class DeliveryMask:
 
     def missing(self) -> List[int]:
         return [i for i in range(self.count) if not self.has(i)]
-
-    def received(self) -> List[int]:
-        return [i for i in range(self.count) if self.has(i)]
 
     def __repr__(self) -> str:
         return f"<DeliveryMask {self.bits:0{self.count}b}>"

@@ -100,9 +100,3 @@ class PlayoutBuffer:
         self.stats.delivered.add()
         self.deliver(item)
 
-    def reset(self) -> None:
-        """Forget the anchor (e.g. at a talk-spurt boundary)."""
-        self._anchor_arrival = None
-        self._anchor_stamp = None
-        self._last_playout = None
-        self._last_stamp = None

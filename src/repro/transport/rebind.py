@@ -120,9 +120,6 @@ class RouteManager:
     def current(self) -> Route:
         return self.routes[self._current]
 
-    def alternates(self) -> List[Route]:
-        return [r for i, r in enumerate(self.routes) if i != self._current]
-
     # -- feedback ------------------------------------------------------------
 
     def report_rtt(self, rtt: float, payload_size: int = 576) -> None:

@@ -144,7 +144,3 @@ class LogicalInfo:
                 f"logical portInfo must be {cls.WIRE_BYTES} bytes, got {len(data)}"
             )
         return cls(label=int.from_bytes(data[0:2], "big"), flow_hint=data[2])
-
-    def reversed(self) -> "LogicalInfo":
-        """A logical hop reads the same both ways; return self."""
-        return self

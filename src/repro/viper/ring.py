@@ -14,9 +14,10 @@ Ownership is explicit and single-holder:
   must ``release`` it exactly once.
 * ``release`` bumps the slot's **generation** counter.  A
   :class:`~repro.viper.wire.PacketView` snapshots the generation at
-  creation, so a view that outlives its slot observes ``alive() ==
-  False`` instead of silently reading recycled bytes — the invariant
-  the ring-recycling test pins.
+  creation, so a view that outlives its slot is detectable (the
+  generations differ; ``tests/live/oracle.py::alive`` reads them)
+  instead of silently reading recycled bytes — the invariant the
+  ring-recycling test pins.
 * When the ring is exhausted, ``acquire`` falls back to a fresh
   unpooled slot (counted in :attr:`RingStats.exhaustions`) so the
   caller's code path stays uniform; releasing an unpooled slot simply
@@ -103,9 +104,6 @@ class BufferRing:
             RingSlot(self, i, slot_bytes) for i in range(slots)
         ]
         self._free: List[RingSlot] = list(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
 
     def acquire(self) -> RingSlot:
         """Take a slot; never returns None — overflows allocate fresh.

@@ -428,9 +428,9 @@ class PacketView:
     are absolute into ``buffer``.
 
     When backed by a :class:`~repro.viper.ring.RingSlot` the view
-    snapshots the slot's generation: :meth:`alive` turns False the
-    moment the slot is released, so an escaped view is detectable
-    instead of silently reading recycled bytes.  Ownership rule: the
+    snapshots the slot's generation, which the slot bumps the moment
+    it is released, so an escaped view is detectable instead of
+    silently reading recycled bytes.  Ownership rule: the
     holder of the view owns the slot and must :meth:`release` it (or
     hand it off) exactly once.
     """
@@ -451,21 +451,11 @@ class PacketView:
         """A view over the first ``length`` bytes of a ring slot."""
         return cls(slot.buffer, 0, length, slot=slot)
 
-    def alive(self) -> bool:
-        """True while the backing slot has not been recycled."""
-        slot = self.slot
-        return slot is None or (
-            not slot.free and slot.generation == self.generation
-        )
-
     def release(self) -> None:
         """Return the backing slot to its ring (no-op when unbacked)."""
         slot = self.slot
         if slot is not None:
             slot.ring.release(slot)
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
     @property
     def mem(self) -> memoryview:  # sirlint: hot

@@ -51,12 +51,9 @@ class TransactionApp:
         self.response_time = Histogram("transaction_rtt")
         self.completed = Counter("transactions")
         self.failed = Counter("failures")
-        self.running = True
         sim.after(rng.expovariate(1.0 / mean_think), self._issue)
 
     def _issue(self) -> None:
-        if not self.running:
-            return
         if (
             self.max_transactions is not None
             and self.completed.count + self.failed.count >= self.max_transactions
@@ -73,11 +70,7 @@ class TransactionApp:
             self.response_time.add(result.rtt)
         else:
             self.failed.add()
-        if self.running:
-            self.sim.after(self.rng.expovariate(1.0 / self.mean_think), self._issue)
-
-    def stop(self) -> None:
-        self.running = False
+        self.sim.after(self.rng.expovariate(1.0 / self.mean_think), self._issue)
 
 
 class FileTransferApp:
@@ -173,12 +166,9 @@ class VideoStreamApp:
         self.dib = dib
         self.sent = Counter("video_sent")
         self.started_at = sim.now
-        self.running = True
         sim.after(0.0, self._tick)
 
     def _tick(self) -> None:
-        if not self.running:
-            return
         if (
             self.duration is not None
             and self.sim.now - self.started_at >= self.duration
@@ -190,9 +180,6 @@ class VideoStreamApp:
             priority=self.priority, dib=self.dib,
         )
         self.sim.after(self.frame_interval, self._tick)
-
-    def stop(self) -> None:
-        self.running = False
 
 
 class JitterMeter:

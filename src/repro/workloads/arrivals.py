@@ -37,7 +37,6 @@ class PoissonArrivals:
         self.sizes = sizes
         self.fixed_size = fixed_size
         self.stop_at = stop_at
-        self.running = True
         sim.after(rng.expovariate(rate_pps), self._tick)
 
     def _next_size(self) -> int:
@@ -47,12 +46,7 @@ class PoissonArrivals:
         return self.sizes.sample(self.rng)
 
     def _tick(self) -> None:
-        if not self.running:
-            return
         if self.stop_at is not None and self.sim.now >= self.stop_at:
             return
         self.emit(self._next_size())
         self.sim.after(self.rng.expovariate(self.rate_pps), self._tick)
-
-    def stop(self) -> None:
-        self.running = False

@@ -12,7 +12,6 @@ unavailable V-System traces.
 from __future__ import annotations
 
 import random
-from typing import List
 
 
 class PacketSizeMixture:
@@ -68,9 +67,6 @@ class PacketSizeMixture:
         """Squared coefficient of variation — feeds the M/G/1 model."""
         mean = self.mean()
         return self.variance() / (mean * mean) if mean else 0.0
-
-    def samples(self, rng: random.Random, n: int) -> List[int]:
-        return [self.sample(rng) for _ in range(n)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -94,7 +94,7 @@ class TestReassembler:
         fragments = fragment_packet(make_packet(payload=2000), mtu=576)
         for fragment in fragments[:-1]:
             assert reassembler.accept(fragment) is None
-        assert reassembler.pending == 1
+        assert len(reassembler._partials) == 1
 
     def test_timeout_discards_everything(self):
         """The all-or-nothing failure §4.3 contrasts with truncation."""
@@ -104,7 +104,7 @@ class TestReassembler:
         for fragment in fragments[:-1]:
             reassembler.accept(fragment)
         sim.run(until=1.0)
-        assert reassembler.pending == 0
+        assert len(reassembler._partials) == 0
         assert reassembler.timed_out.count == 1
         # The late straggler cannot complete: a fresh partial starts.
         assert reassembler.accept(fragments[-1]) is None

@@ -89,7 +89,6 @@ def test_delay_and_duplicate_and_corrupt_decisions():
     assert decision.extra_delay_s == pytest.approx(0.004)
     assert decision.duplicate
     assert decision.corrupt_seed is not None
-    assert not decision.clean
 
 
 def test_unknown_plan_links_fail_eagerly():

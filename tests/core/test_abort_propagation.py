@@ -19,6 +19,7 @@ from repro.sim.engine import Simulator
 from repro.viper.flags import PRIORITY_PREEMPT_HIGH
 from repro.viper.portinfo import EthernetInfo
 from repro.viper.wire import HeaderSegment
+from tests.sim.oracle import pending
 
 
 def build_chain(n_routers=2, rate=1e6):
@@ -48,7 +49,7 @@ def assert_nothing_survives(sim, packet_refs):
     engine has nothing left to do, and nothing in the network still
     holds a packet the test itself let go of."""
     gc.collect()
-    assert sim.pending() == 0
+    assert pending(sim) == 0
     assert [ref() for ref in packet_refs] == [None] * len(packet_refs)
 
 

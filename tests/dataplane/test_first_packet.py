@@ -49,7 +49,7 @@ def test_a_sim_flows_first_and_second_packets(token, grows, monkeypatch):
 
     def exact(packet, *args, **kwargs):
         init(packet, *args, **kwargs)
-        packet.view = PacketView(bytearray(packet.view.mem), 0, len(packet.view))
+        packet.view = PacketView(bytearray(packet.view.mem), 0, len(packet.view.mem))
 
     monkeypatch.setattr(FramePacket, "__init__", exact)
     monkeypatch.setattr(

@@ -107,7 +107,7 @@ class TestOnlyAnAuthorizedFlowIsInstalled:
         pipeline, mint, _, flow_cache = make_pipeline()
         seg = self.flow(mint, port=2)
         assert pipeline.decide(hop(seg)).action is Action.FORWARD  # optimism
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
         second = pipeline.decide(hop(seg))
         assert (second.action, second.reason) == (Action.DROP, "token_reject")
 
@@ -115,7 +115,7 @@ class TestOnlyAnAuthorizedFlowIsInstalled:
         pipeline, mint, _, flow_cache = make_pipeline()
         seg = self.flow(mint, port=1, max_priority=2)
         assert pipeline.decide(hop(seg)).action is Action.FORWARD  # optimism
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
         second = pipeline.decide(hop(seg))
         assert (second.action, second.reason) == (Action.DROP, "token_reject")
 
@@ -152,7 +152,7 @@ class TestExpiry:
         token = mint.mint(port=1, account=9, expiry_ms=1_000)
         seg = HeaderSegment(port=1, token=token)
         pipeline.decide(hop(seg, now_ms=2_000))  # already past expiry
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
 
 
 class TestInvalidation:
@@ -162,9 +162,9 @@ class TestInvalidation:
         seg2 = HeaderSegment(port=2, token=mint.mint(port=2, account=9))
         pipeline.decide(hop(seg1))
         pipeline.decide(hop(seg2))
-        assert len(flow_cache) == 2
+        assert len(flow_cache._entries) == 2
         pipeline.on_topology_change(1)
-        assert len(flow_cache) == 1  # port-2 flow survives
+        assert len(flow_cache._entries) == 1  # port-2 flow survives
         assert not answered(pipeline, hop(seg1))
         assert answered(pipeline, hop(seg2))
 
@@ -172,23 +172,23 @@ class TestInvalidation:
         pipeline, mint, _, flow_cache = make_pipeline()
         pipeline.decide(hop(HeaderSegment(port=1)))
         pipeline.on_topology_change()
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
 
     def test_congestion_rebind_flushes_cached_routes(self):
         pipeline, mint, _, flow_cache = make_pipeline()
         pipeline.decide(hop(HeaderSegment(port=1)))
-        assert len(flow_cache) == 1
+        assert len(flow_cache._entries) == 1
         pipeline.on_congestion_rebind()
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
         assert not answered(pipeline, hop(HeaderSegment(port=1)))
 
     def test_token_cache_flush_takes_the_flow_cache_with_it(self):
         pipeline, mint, token_cache, flow_cache = make_pipeline()
         seg = HeaderSegment(port=1, token=mint.mint(port=1, account=9))
         pipeline.decide(hop(seg))
-        assert len(flow_cache) == 1
+        assert len(flow_cache._entries) == 1
         token_cache.flush()  # router restart: soft state dies together
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
         assert not answered(pipeline, hop(seg))
         assert len(token_cache) == 1  # token re-verified from scratch
 
@@ -201,7 +201,7 @@ class TestInvalidation:
         decision = pipeline.decide(hop(seg))
         assert decision.action is Action.DROP
         assert decision.reason == "no_route"
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
 
 
 class TestCapacity:
@@ -265,6 +265,6 @@ class TestDriverWiring:
         pipeline = router.pipeline
         pipeline.decide(hop(HeaderSegment(port=1), in_port=2))
         pipeline.decide(hop(HeaderSegment(port=2), in_port=1))
-        assert len(pipeline.flow_cache) == 2
+        assert len(pipeline.flow_cache._entries) == 2
         router.connect_port(1, ("127.0.0.1", 40_003))  # re-wired
-        assert len(pipeline.flow_cache) == 0  # port 1 keyed both flows
+        assert len(pipeline.flow_cache._entries) == 0  # port 1 keyed both flows

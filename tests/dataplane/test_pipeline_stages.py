@@ -208,4 +208,4 @@ class TestLateBindingNotCached:
         first = pipeline.decide(hop(HeaderSegment(port=9)))
         assert first.action is Action.FORWARD
         assert answered(pipeline, hop(HeaderSegment(port=9))) is cacheable
-        assert (len(flow_cache) > 0) is cacheable
+        assert (len(flow_cache._entries) > 0) is cacheable

@@ -266,7 +266,7 @@ class TestARerouteIsDecidedPerPacket:
             assert decision.out_port == ALT
             assert decision.effective.port == ALT
             assert [s.port for s in decision.splice_tail] == [0]
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
         assert flow_cache.stats.hits == 0
 
     def test_two_packets_one_leading_segment_two_alternates(self):
@@ -345,7 +345,7 @@ class TestARerouteIsDecidedPerPacket:
         )
         assert decision.slick_reroute
         assert decision.return_segment is None
-        assert len(flow_cache) == 0
+        assert len(flow_cache._entries) == 0
 
 
 class TestStaleReturnTailRegression:
@@ -444,7 +444,7 @@ class TestTheStrippedBlockLeavesWithItsSegment:
             view, decision, decode_preamble(datagram),
             segment_span(datagram, PREAMBLE_BYTES),
         )
-        return len(datagram) - PREAMBLE_BYTES, len(view) - PREAMBLE_BYTES
+        return len(datagram) - PREAMBLE_BYTES, len(view.mem) - PREAMBLE_BYTES
 
     def hop(self, wire_size):
         return hop(self.SEGMENTS[0], alternate=self.BLOCK, wire_size=wire_size)

@@ -148,7 +148,7 @@ class TestARefusalHasChargedNothing:
             Action.DROP, "token_reject"
         )
         assert charged(pipeline) == before
-        assert len(pipeline.flow_cache) == 0
+        assert len(pipeline.flow_cache._entries) == 0
         assert pipeline.flow_cache.stats.invalidations == 1
 
     @pytest.mark.parametrize("fate", ["down", "gone"])
@@ -204,7 +204,7 @@ def test_the_shortcut_dies_with_the_entry(name):
     misses = pipeline.flow_cache.stats.misses
     admitted = pipeline.token_cache.hits + pipeline.token_cache.misses
     MUTATIONS[name](pipeline, token)
-    assert len(pipeline.flow_cache) == 0
+    assert len(pipeline.flow_cache._entries) == 0
     again, cached = decide(pipeline, hop(segment))
     assert again.action is Action.FORWARD and not cached
     assert pipeline.flow_cache.stats.misses == misses + 1
@@ -255,7 +255,7 @@ def test_the_shortcut_checks_the_clock(what, ttl_ms, later):
     )
     assert pipeline.flow_cache.stats.expirations == 1
     # An expired token installs no flow; an expired TTL starts a new one.
-    assert len(pipeline.flow_cache) == (1 if what == "ttl" else 0)
+    assert len(pipeline.flow_cache._entries) == (1 if what == "ttl" else 0)
 
 
 def test_the_shortcut_answers_only_its_own_arrival_and_bytes():

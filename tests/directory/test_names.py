@@ -8,7 +8,7 @@ from repro.directory.names import HierarchicalName
 def test_parse_and_render():
     name = HierarchicalName.parse("Venus.CS.Stanford.EDU")
     assert str(name) == "venus.cs.stanford.edu"  # normalized
-    assert name.leaf == "venus"
+    assert name.labels[0] == "venus"
 
 
 def test_parent_chain():

@@ -85,7 +85,7 @@ def test_tokens_minted_per_router():
     router_segments = route.segments[:-1]
     assert all(s.token for s in router_segments)
     # Each token verifies against its router's own mint.
-    r1 = topo.node("r1")
+    r1 = topo.nodes["r1"]
     claims = r1.mint.verify(route.segments[0].token)
     assert claims.account == 9
     assert claims.authorizes_port(route.segments[0].port)

@@ -202,6 +202,11 @@ def sim_packet(packet, **metadata):
     )
 
 
+def payload_size(packet):
+    """The payload length a simulator frame's preamble carries."""
+    return decode_preamble(packet.view.mem).payload_len
+
+
 def structural(packet):
     """The :class:`SirpentPacket` a simulator frame encodes."""
     return decode_live_frame(packet.view.tobytes())[1]
@@ -281,6 +286,14 @@ def live_trailer_spans(frame: bytes):
     """``(start, end)`` of each trailer segment in a delivery's frame, in
     return-route order — the walk the host's trailer memo saves it."""
     return frame_spans(frame, decode_preamble(frame))[3]
+
+
+def alive(view) -> bool:
+    """True while ``view``'s backing slot has not been recycled."""
+    slot = view.slot
+    return slot is None or (
+        not slot.free and slot.generation == view.generation
+    )
 
 
 def free_slots(ring) -> int:

@@ -45,6 +45,7 @@ from repro.viper.errors import ViperDecodeError
 from repro.viper.ring import BufferRing
 from repro.viper.wire import MAX_SEGMENTS
 from tests.live.oracle import (
+    alive,
     INTERRUPTED,
     SOCKET_ERROR,
     FakeLoop,
@@ -184,7 +185,7 @@ class Side:
             "probes": list(endpoint._probes.items()),
             "unheard": dict(endpoint._unheard),
             "dead": self.dead,
-            "held_alive": [view.alive() for view in self.held],
+            "held_alive": [alive(view) for view in self.held],
             "rx_batches": endpoint.rx_batches,
             "rx_datagrams": endpoint.rx_datagrams,
             "left_in_socket": len(self.sock.queue),
@@ -200,7 +201,7 @@ class Side:
         assert stats.acquires - stats.releases == (
             len(self.held) + (rx_slot is not None)
         )
-        assert all(view.alive() for view in self.held)
+        assert all(alive(view) for view in self.held)
         assert rx_slot is None or not rx_slot.free
         # The one timer is armed for the oldest probe's deadline exactly
         # while a probe is out.

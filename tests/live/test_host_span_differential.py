@@ -42,6 +42,7 @@ from repro.viper.packet import (
 from repro.viper.ring import BufferRing
 from repro.viper.wire import MAX_SEGMENTS, HeaderSegment, decode_segment
 from tests.live.oracle import (
+    alive,
     batch_of,
     build_return_route,
     decode_trailer,
@@ -251,7 +252,7 @@ def check_frame(host, sent, delivered, datagram: bytes, rng) -> str:
     drops_before = dict(host.metrics.drops)
     view = slot_view(host.endpoint.ring, datagram)
     host._on_batch(batch_of(view, PEER))
-    assert not view.alive(), "the slot must be back in the ring"
+    assert not alive(view), "the slot must be back in the ring"
     if expected[0] == "drop":
         assert not delivered, datagram.hex()
         grown = {

@@ -136,7 +136,7 @@ def test_udp_socketpair_roundtrip():
         assert received[0] == datagram
         # Line noise on the same socket is dropped and counted, not raised.
         sender.send(b"\xde\xad\xbe\xef", addr)
-        await _eventually(lambda: receiver.metrics.dropped("undecodable") == 1)
+        await _eventually(lambda: receiver.metrics.drops.get("undecodable", 0) == 1)
         sender.close()
         receiver.close()
 
@@ -179,7 +179,7 @@ def test_probe_ladder_finds_a_closed_peer_dead():
         traffic.cancel()
         assert [peer for _at, peer in dead] == [addr]
         assert dead[0][0] - closed_at <= _ladder_bound(liveness, max(gaps)) + 0.03
-        assert sender.metrics.dropped("peer_dead") == 1
+        assert sender.metrics.drops.get("peer_dead", 0) == 1
         assert sender.metrics.retries == 0
         sender.close()
 
@@ -236,7 +236,7 @@ def test_probe_nonces_wrap_within_32_bits():
         assert sorted(delivered) == sorted(frames)
         assert [receiver.metrics.acks_out for receiver in receivers] == [1] * 4
         assert not sender._unheard
-        assert sender.metrics.dropped("stray_ack") == 0
+        assert sender.metrics.drops.get("stray_ack", 0) == 0
         sender.close()
         for receiver in receivers:
             receiver.close()
@@ -256,7 +256,7 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
 
         def on_batch(batch):
             for view, _addr, _preamble in batch:
-                received.append(len(view))
+                received.append(len(view.mem))
                 view.release()
 
         receiver.on_batch = on_batch
@@ -275,7 +275,7 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
             return frame
 
         sender.send(frame_of(slot_bytes + 1), addr)
-        await _eventually(lambda: receiver.metrics.dropped("oversize") == 1)
+        await _eventually(lambda: receiver.metrics.drops.get("oversize", 0) == 1)
         assert received == [] and receiver.metrics.acks_out == 0
         sender.send(frame_of(slot_bytes), addr)
         await _eventually(lambda: received == [slot_bytes])
@@ -288,7 +288,7 @@ def test_endpoint_drops_an_oversize_datagram_unacked():
         assert receiver._rx_slot is not None and not receiver._rx_slot.free
         sender.close()
         receiver.close()
-        assert free_slots(ring) == len(ring) and receiver._rx_slot is None
+        assert free_slots(ring) == len(ring._slots) and receiver._rx_slot is None
 
     asyncio.run(scenario())
 
@@ -305,14 +305,14 @@ def test_endpoint_owns_one_receive_slot_between_wakeups():
 
         def on_batch(batch):
             for view, _addr, _preamble in batch:
-                received.append(len(view))
+                received.append(len(view.mem))
                 view.release()
 
         receiver.on_batch = on_batch
         await sender.open()
         addr = await receiver.open()
         ring, stats = receiver.ring, receiver.ring.stats
-        assert receiver._rx_slot is None and free_slots(ring) == len(ring)
+        assert receiver._rx_slot is None and free_slots(ring) == len(ring._slots)
         frame = encode_live_frame(SirpentPacket(
             segments=[HeaderSegment(port=0)], payload_size=1, payload=b"x",
         ), b"x")
@@ -324,13 +324,13 @@ def test_endpoint_owns_one_receive_slot_between_wakeups():
         sender.send(b"line noise", addr)
         sender.send(encode_ack(77), addr)
         await _eventually(lambda: receiver.metrics.acks_in == 1)
-        assert receiver.metrics.dropped("undecodable") == 1
+        assert receiver.metrics.drops.get("undecodable", 0) == 1
         assert (stats.acquires, stats.releases) == (2, 1)
         assert receiver._rx_slot is kept and not kept.free
         receiver.close()
-        assert receiver._rx_slot is None and free_slots(ring) == len(ring)
+        assert receiver._rx_slot is None and free_slots(ring) == len(ring._slots)
         addr = await receiver.open()
-        assert receiver._rx_slot is None and free_slots(ring) == len(ring)
+        assert receiver._rx_slot is None and free_slots(ring) == len(ring._slots)
         sender.send(frame, addr)
         await _eventually(lambda: len(received) == 2)
         assert stats.acquires - stats.releases == 1
@@ -411,8 +411,8 @@ def test_lossy_overlay_keeps_its_ports_until_a_router_stops():
             await asyncio.sleep(2.0)
             assert len(gaps) > 100 and len(replies) > len(gaps) // 2
             nodes = [*overlay.routers.values(), *overlay.hosts.values()]
-            assert sum(n.metrics.dropped("loss_injected") for n in nodes) > 0
-            assert [n.name for n in nodes if n.metrics.dropped("peer_dead")] == []
+            assert sum(n.metrics.drops.get("loss_injected", 0) for n in nodes) > 0
+            assert [n.name for n in nodes if n.metrics.drops.get("peer_dead", 0)] == []
             assert down == [] and not r1.dead_ports
             overlay.kill("r2")
             stopped_at = loop.time()
@@ -553,7 +553,7 @@ def test_late_replay_is_counted_not_silently_ignored():
             assert client.metrics.total_drops() == 0
             # Transaction 1's only request member, a second time.
             client.send(manager.current(), sent[0])
-            await _eventually(lambda: client.metrics.dropped("stale_pdu") == 1)
+            await _eventually(lambda: client.metrics.drops.get("stale_pdu", 0) == 1)
             assert client.metrics.total_drops() == 1
         finally:
             overlay.stop()

@@ -78,17 +78,17 @@ def _count_drops(outcome: _Outcome, router) -> None:
 
 def _run_sim(world: _World, route, payload: bytes) -> _Outcome:
     outcome = _Outcome()
-    server = world.topology.node("server")
+    server = world.topology.nodes["server"]
 
     def on_delivered(delivered):
         outcome.delivered_payloads.append(delivered.payload)
         outcome.return_ports = [s.port for s in return_route(delivered)]
 
     server.bind(route.segments[-1].port, on_delivered)
-    world.topology.node("client").send(route, payload)
+    world.topology.nodes["client"].send(route, payload)
     world.sim.run(until=1.0)
     for name in ("r1", "r2"):
-        router = world.topology.node(name)
+        router = world.topology.nodes[name]
         outcome.forwarded.append(router.stats.forwarded.count)
         _count_drops(outcome, router)
     return outcome

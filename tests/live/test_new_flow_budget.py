@@ -88,7 +88,7 @@ def test_a_new_flow_keeps_few_objects_and_leaves_one_behind():
 
     # Past capacity every install evicts: what still grows is forever.
     full = tracked_after(router, frames(mint, new_accounts(5_000, capacity)))
-    assert len(router.flow_cache) == capacity
+    assert len(router.flow_cache._entries) == capacity
     tokens, accounts = len(cache), len(ledger.accounts())
     turned_over = tracked_after(router, frames(mint, new_accounts(9_000)))
     assert len(cache) - tokens == len(ledger.accounts()) - accounts == FLOWS

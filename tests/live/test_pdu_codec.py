@@ -196,12 +196,12 @@ def test_request_nak_with_a_malformed_body_resends_nothing():
     for body in (b"\0" * 3, b"\0" * 4, b"\0" * 5):
         resent, client_tx = asyncio.run(_request_nak_scenario(0, body))
         assert resent == []
-        assert client_tx.host.metrics.dropped("malformed_nak") == 1
+        assert client_tx.host.metrics.drops.get("malformed_nak", 0) == 1
         assert client_tx.stats.retransmissions.count == 0
     # The control: the NAK as the codec writes it gets exactly the gap.
     resent, client_tx = asyncio.run(_request_nak_scenario(0b01, b""))
     assert [(pdu.kind, pdu.member_index) for pdu in resent] == [(PduKind.REQUEST, 1)]
-    assert client_tx.host.metrics.dropped("malformed_nak") == 0
+    assert client_tx.host.metrics.drops.get("malformed_nak", 0) == 0
 
 
 def test_response_nak_with_a_malformed_body_resends_nothing():
@@ -210,11 +210,11 @@ def test_response_nak_with_a_malformed_body_resends_nothing():
     for body in (b"\0" * 3, b"\0" * 4, b"\0" * 5):
         resent, server_tx = asyncio.run(_response_nak_scenario(0, body))
         assert resent == []
-        assert server_tx.host.metrics.dropped("malformed_nak") == 1
+        assert server_tx.host.metrics.drops.get("malformed_nak", 0) == 1
         assert server_tx.stats.retransmissions.count == 0
     resent, server_tx = asyncio.run(_response_nak_scenario(0b011, b""))
     assert [(pdu.kind, pdu.member_index) for pdu in resent] == [(PduKind.RESPONSE, 2)]
-    assert server_tx.host.metrics.dropped("malformed_nak") == 0
+    assert server_tx.host.metrics.drops.get("malformed_nak", 0) == 0
 
 
 # -- a request NAK comes from the entity the request addressed -------------------
@@ -283,5 +283,5 @@ def test_the_age_check_reads_the_arrival_time_the_host_handed_up():
 
     server_tx = asyncio.run(run())
     assert server_tx.stats.lifetime_rejects.count == 1
-    assert server_tx.host.metrics.dropped("too_old") == 1
+    assert server_tx.host.metrics.drops.get("too_old", 0) == 1
     assert not server_tx.machine._response_cache

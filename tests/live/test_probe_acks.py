@@ -132,7 +132,7 @@ def test_malformed_control_frame_is_dropped_and_answers_nothing(kind, name):
         try:
             (nonce,) = await probe_frames(endpoint, peer)
             peer.send(malformed(kind, name, nonce), addr)
-            await until(lambda: endpoint.metrics.dropped("undecodable") == 1)
+            await until(lambda: endpoint.metrics.drops.get("undecodable", 0) == 1)
             assert peer.addr in endpoint._unheard
             assert endpoint.metrics.acks_in == endpoint.metrics.acks_out == 0
             peer.send(encode_ack(nonce), addr)
@@ -164,14 +164,14 @@ def test_ack_from_another_peer_does_not_answer_the_probe():
             unheard = dict(router._unheard)
             assert unheard == {a.addr: 1, b.addr: 1}
             a.send(encode_ack(nonce_b), addr)
-            await until(lambda: router.metrics.dropped("stray_ack") == 1)
+            await until(lambda: router.metrics.drops.get("stray_ack", 0) == 1)
             assert router._unheard == unheard
             b.send(encode_ack(nonce_b), addr)
             await until(lambda: b.addr not in router._unheard)
             assert a.addr in router._unheard
             a.send(encode_ack(nonce_a), addr)
             await until(lambda: not router._unheard)
-            assert router.metrics.dropped("stray_ack") == 1
+            assert router.metrics.drops.get("stray_ack", 0) == 1
             assert router.metrics.retries == 0
             assert a.drain() == [data_frame(), encode_probe(nonce_a), data_frame()]
             assert b.drain() == [data_frame(), encode_probe(nonce_b), data_frame()]

@@ -122,7 +122,7 @@ class Bench:
                 (slot_view(ring, datagram), source, decode_preamble(datagram))
                 for datagram, source in arrivals[start:end]
             ])
-        assert free_slots(ring) == len(ring)  # every slot came back
+        assert free_slots(ring) == len(ring._slots)  # every slot came back
 
     def state(self):
         """Everything the issue requires to come out identical."""
@@ -274,7 +274,7 @@ class TestDirectedRuns:
         # a/A, a/B, b/A and b/B each miss once; a change of flow or peer
         # mid-batch finds its own entry, never its predecessor's.
         assert cache_counts(whole) == (16, 4)
-        assert len(whole.router.flow_cache) == 4
+        assert len(whole.router.flow_cache._entries) == 4
 
     def test_flag_bits_on_the_same_token_are_different_flows(self):
         token = token_for(max_priority=7)
@@ -377,7 +377,7 @@ class TestDirectedRuns:
         )
         assert kinds(whole.fates) == ["F"] * 4 + ["token_reject"] * 3
         assert whole.router.flow_cache.stats.invalidations == 1
-        assert len(whole.router.flow_cache) == 0
+        assert len(whole.router.flow_cache._entries) == 0
         entry = whole.router.token_cache.entry(token)
         # The fifth frame's refusal charged nothing.
         assert (entry.packets, entry.bytes) == (4, 256)
@@ -406,7 +406,7 @@ class TestDirectedRuns:
         assert {fate[2] for fate in whole.fates} == {("127.0.0.1", 9000 + ALT)}
         assert whole.router.metrics.slick_reroutes == 5
         assert cache_counts(whole) == (0, 5)
-        assert len(whole.router.flow_cache) == 0
+        assert len(whole.router.flow_cache._entries) == 0
 
     def test_two_frames_one_leading_segment_two_alternates(self):
         """Regression: both frames of one batch share the slick leading
@@ -539,7 +539,7 @@ class TestTheLeadFoundOnce:
         # One entry per arrival port; the stranger's frame is never
         # memoised, and the same bytes from it find no entry.
         assert cache_counts(whole) == (6, 3)
-        assert len(whole.router.flow_cache) == 2
+        assert len(whole.router.flow_cache._entries) == 2
 
     def test_frames_alternating_between_two_ports_are_never_walked(
         self, monkeypatch,

@@ -194,7 +194,7 @@ def test_send_view_releases_its_slot_whatever_becomes_of_the_frame(outcome):
     view = slot_view(endpoint.ring, FRAME)
     endpoint.send_view(view, PEER)
     assert endpoint.ring.stats.acquires == endpoint.ring.stats.releases == 1
-    assert free_slots(endpoint.ring) == len(endpoint.ring)
+    assert free_slots(endpoint.ring) == len(endpoint.ring._slots)
     backlog = list(endpoint._tx_backlog)
     if outcome == "socket_full":
         assert backlog == [(FRAME, PEER)]
@@ -206,7 +206,7 @@ def test_send_view_releases_its_slot_whatever_becomes_of_the_frame(outcome):
     else:
         assert endpoint._sock.sent == []
     if outcome in ("socket_error", "loss_injected"):
-        assert endpoint.metrics.dropped(outcome) == 1
+        assert endpoint.metrics.drops.get(outcome, 0) == 1
 
 
 def test_a_probe_lost_on_the_wire_still_climbs_the_ladder():
@@ -227,7 +227,7 @@ def test_a_probe_lost_on_the_wire_still_climbs_the_ladder():
         loop.advance(0.01)
     assert endpoint._sock.sent == []
     # 20 data frames and the three probe frames of the ladder's rungs.
-    assert endpoint.metrics.dropped("loss_injected") == 23
+    assert endpoint.metrics.drops.get("loss_injected", 0) == 23
     assert [(round(at - 1000.0, 9), addr) for at, addr in dead] == [
         (4 * TIMEOUT_S, PEER),
     ]

@@ -73,11 +73,7 @@ def test_slo_endpoint_reports_burn_rates(capsys):
     payload, _url = asyncio.run(scenario())
     assert payload["type"] == "slo_report"
     statuses = {s["slo"]: s for s in payload["statuses"]}
-    assert len(statuses) >= 3
-    assert {
-        "delivery_latency", "directory_command_latency",
-        "rebind_recovery", "retry_budget",
-    } <= set(statuses)
+    assert set(statuses) == {"directory_command_latency", "rebind_recovery"}
     # The served commands actually landed in the latency objective.
     directory = statuses["directory_command_latency"]
     assert directory["total"] >= 3
@@ -105,7 +101,7 @@ def test_top_once_renders_live_endpoint(capsys):
 
     assert asyncio.run(scenario()) == 0
     out = capsys.readouterr().out
-    assert "delivery_latency" in out
+    assert "directory_command_latency" in out
     assert "status" in out
 
 

@@ -50,7 +50,7 @@ def test_the_backlog_stops_at_its_cap_and_counts_every_refused_frame():
             endpoint.send_parts([FRAME[:5], FRAME[5:]], PEER)
         assert len(endpoint._tx_backlog) == min(n + 1, TX_BACKLOG_MAX)
     assert endpoint._sock.attempts == TX_BACKLOG_MAX + extra
-    assert endpoint.metrics.dropped("tx_backlog_full") == extra
+    assert endpoint.metrics.drops.get("tx_backlog_full", 0) == extra
     assert endpoint.metrics.frames_out == TX_BACKLOG_MAX + extra
     # A writable wakeup that still finds the socket full keeps them all.
     endpoint._on_writable()
@@ -67,7 +67,7 @@ def test_the_cap_is_a_module_constant(monkeypatch):
     for _ in range(5):
         endpoint.send(FRAME, PEER)
     assert len(endpoint._tx_backlog) == 2
-    assert endpoint.metrics.dropped("tx_backlog_full") == 3
+    assert endpoint.metrics.drops.get("tx_backlog_full", 0) == 3
 
 
 class DrainingSocket(FullSocket):
@@ -103,5 +103,5 @@ def test_a_writable_socket_flushes_the_backlog_in_order():
     endpoint._sock.accept = True
     endpoint._on_writable()
     assert endpoint._sock.sent == frames[:2] + frames[3:]
-    assert endpoint.metrics.dropped("socket_error") == 1
+    assert endpoint.metrics.drops.get("socket_error", 0) == 1
     assert not endpoint._tx_backlog and not endpoint._writer_armed

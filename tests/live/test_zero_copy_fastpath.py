@@ -41,6 +41,7 @@ from repro.viper.wire import (
     segment_span,
 )
 from tests.live.oracle import (
+    alive,
     batch_of,
     capture_router,
     expected_outcome,
@@ -286,8 +287,8 @@ class TestBatchedForwardingDifferential:
         assert fast.metrics.drops == oracle_drops
         assert fast.metrics.forwarded == len(oracle_sent)
         # Every slot came back to the ring; no escaped view is alive.
-        assert free_slots(fast.endpoint.ring) == len(fast.endpoint.ring)
-        assert all(not view.alive() for view in views)
+        assert free_slots(fast.endpoint.ring) == len(fast.endpoint.ring._slots)
+        assert all(not alive(view) for view in views)
         return fast, fast_sent
 
     def _fuzz_frames(self, rng, count):
@@ -375,8 +376,8 @@ class TestBatchedForwardingDifferential:
             "undecodable": 1, "unknown_peer": 1, "no_route": 1,
         }
         # Every slot came back to the ring; no escaped view is alive.
-        assert free_slots(ring) == len(ring)
-        assert all(not view.alive() for view in views)
+        assert free_slots(ring) == len(ring._slots)
+        assert all(not alive(view) for view in views)
 
     def test_oversize_output_is_dropped_at_the_emitting_router(self):
         """A frame that fits its slot but whose *outgoing* size does not:
@@ -391,7 +392,7 @@ class TestBatchedForwardingDifferential:
         assert fast_sent == []
         assert fast.metrics.drops == {"oversize": 1}
         assert fast.metrics.forwarded == 0
-        assert free_slots(ring) == len(ring) and not view.alive()
+        assert free_slots(ring) == len(ring._slots) and not alive(view)
         # Two bytes of tail-room are enough: same frame, forwarded.
         fits, fits_sent = capture_router("fits", slot_bytes=len(datagram) + 2)
         fits._on_batch(batch_of(
@@ -422,7 +423,7 @@ class TestBatchedForwardingDifferential:
         )
         assert fast.metrics.drops == {"undecodable": 1}
         assert len(fast_sent) == 1
-        assert free_slots(ring) == len(ring)
+        assert free_slots(ring) == len(ring._slots)
 
     def test_batch_path_never_decodes_the_preamble_again(self, monkeypatch):
         """One decode per datagram: the endpoint's.  Forward (cold, warm,
@@ -455,7 +456,7 @@ class TestBatchedForwardingDifferential:
         assert len(fast_sent) == 3
         assert len(delivered) == 1
         assert fast.metrics.drops.get("no_route") == 1
-        assert free_slots(ring) == len(ring)
+        assert free_slots(ring) == len(ring._slots)
 
 
 def test_one_forwarding_path_and_no_twin_in_src():

@@ -6,6 +6,7 @@ from repro.net.addresses import BROADCAST, MacAddress
 from repro.net.ethernet import EthernetSegment
 from repro.net.node import EthernetAttachment, Node
 from repro.sim.engine import Simulator
+from tests.sim.oracle import pending
 
 
 class RecordingNode(Node):
@@ -264,4 +265,4 @@ def test_an_abort_before_or_after_the_header_leaves_no_stray_event(
     assert n1.packets == []
     assert n1.aborts == [(pytest.approx(abort_at + 5e-6), "pkt")]
     assert sim.events_executed == 2 + (1 if heard else 0)
-    assert sim.pending() == 0
+    assert pending(sim) == 0

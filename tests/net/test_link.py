@@ -10,6 +10,7 @@ import pytest
 from repro.net.link import Channel, ChannelBusyError, Link
 from repro.net.node import Node, P2PAttachment
 from repro.sim.engine import Simulator
+from tests.sim.oracle import pending
 
 
 class RecordingNode(Node):
@@ -90,7 +91,7 @@ def test_abort_cancels_delivery_and_notifies():
     # Receiver learns of the truncated tail one propagation later.
     assert receiver.aborts[0][0] == pytest.approx(3e-3)
     assert channel.packets_aborted.count == 1
-    assert not channel.busy
+    assert channel.current is None
 
 
 def test_header_may_arrive_before_abort():
@@ -126,7 +127,7 @@ def test_failure_mid_frame_tells_a_receiver_that_has_the_header():
     assert receiver.packets == []
     assert receiver.aborts == [(pytest.approx(4e-3), "pkt")]
     assert aborted_at_sender == ["pkt"]
-    assert not channel.up and not channel.busy
+    assert not channel.up and channel.current is None
 
 
 def test_failure_before_the_header_lands_is_silent():
@@ -156,7 +157,7 @@ def test_a_frame_failed_mid_flight_delivers_no_chaos_duplicate():
     sim.run()
     assert receiver.aborts == [(pytest.approx(5e-3), "pkt")]
     assert receiver.packets == []
-    assert sim.pending() == 0
+    assert pending(sim) == 0
 
 
 def test_restore_after_failure():
@@ -182,7 +183,7 @@ def test_stats_counters():
     channel, _ = make_channel(sim)
 
     def send_next():
-        if channel.packets_sent.count < 3 and not channel.busy:
+        if channel.packets_sent.count < 3 and channel.current is None:
             channel.transmit("p", 100, 10, on_done=send_next)
 
     send_next()
@@ -221,9 +222,9 @@ class TakingNode(RecordingNode):
 
 
 class DeafNode(RecordingNode):
-    """Leaves ``Node.on_header`` alone: no header event is scheduled."""
+    """Defines no ``on_header``: no header event is scheduled."""
 
-    on_header = Node.on_header
+    on_header = None
 
 
 @pytest.mark.parametrize("node_class", [RecordingNode, DeafNode])
@@ -277,4 +278,4 @@ def test_an_abort_before_or_after_the_header_leaves_no_stray_event(
     assert receiver.aborts == [(pytest.approx(abort_at + 1e-3), "pkt")]
     # The abort, the receiver's on_abort, and the header if it landed.
     assert sim.events_executed == 2 + (1 if heard else 0)
-    assert sim.pending() == 0
+    assert pending(sim) == 0

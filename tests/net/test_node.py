@@ -51,9 +51,8 @@ def test_port_lookup():
     node = Node(sim, "n")
     attachment = make_attachment(sim, node, 7)
     node.attach(7, attachment)
-    assert node.port(7) is attachment
-    with pytest.raises(KeyError):
-        node.port(8)
+    assert node.ports[7] is attachment
+    assert 8 not in node.ports
 
 
 def test_port_exhaustion():
@@ -70,6 +69,5 @@ def test_default_hooks_are_noops():
     node = Node(sim, "n")
     attachment = make_attachment(sim, node, 1)
     node.attach(1, attachment)
-    node.on_header("pkt", attachment, None)
-    node.on_packet("pkt", attachment, None)
+    assert not attachment.hears_headers  # no on_header: no header events
     node.on_abort("pkt", attachment)

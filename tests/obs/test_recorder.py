@@ -46,7 +46,7 @@ def test_ring_is_bounded_and_counts_evictions():
     rec = FlightRecorder(capacity=4, clock=_Clock())
     for n in range(10):
         rec.record("tick", node="x", n=n)
-    assert len(rec) == 4
+    assert len(rec._ring) == 4
     assert rec.recorded == 10
     assert [e.fields["n"] for e in rec.events()] == [6, 7, 8, 9]
 

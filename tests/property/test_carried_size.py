@@ -47,10 +47,12 @@ from tests.live.oracle import (
     advance,
     apply_slick_reroute,
     corrupted_copy,
+    payload_size,
     sim_packet,
     structural,
     truncate_structurally,
 )
+from tests.sim.oracle import step
 
 # -- every move, one step at a time -------------------------------------------
 
@@ -105,7 +107,7 @@ def carried(frame, reference):
     encoding of the structural ``reference``, byte for byte."""
     body = frame.view.tobytes()[HEADER:]
     assert body == encode_packet(reference, reference.payload)
-    assert (frame.seg_count, frame.payload_size) == (
+    assert (frame.seg_count, payload_size(frame)) == (
         len(reference.segments), reference.payload_size
     )
     return frame.wire_size()
@@ -116,7 +118,7 @@ def fan_out_clone(frame, reference, branch):
     (``SirpentRouter._fan_out``), and its structural twin."""
     first = encode_segment(reference.segments[0])
     clone = FramePacket(
-        len(branch) + frame.seg_count - 1, frame.payload_size,
+        len(branch) + frame.seg_count - 1, payload_size(frame),
         b"".join(s.wire for s in branch) + frame.view.tobytes()[
             HEADER + len(first):
         ],
@@ -406,7 +408,7 @@ def test_a_forwarded_and_reversed_packet_leaves_its_route_untouched():
 
     # Run until the first reply is home; the second request is behind it.
     while not replies:
-        assert sim.step()
+        assert step(sim)
     assert first.hops_taken == len(before) - 1 and first.seg_count == 1
     reply = replies[0].packet
     assert reply.hops_taken == len(before) - 1

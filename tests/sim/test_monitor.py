@@ -11,15 +11,11 @@ from repro.sim.monitor import (
 
 
 class TestCounter:
-    def test_add_and_rate(self):
+    def test_add(self):
         counter = Counter("c")
         counter.add()
         counter.add(4)
         assert counter.count == 5
-        assert counter.rate(2.5) == 2.0
-
-    def test_rate_with_zero_elapsed(self):
-        assert Counter().rate(0.0) == 0.0
 
 
 class TestHistogram:

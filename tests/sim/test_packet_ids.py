@@ -20,11 +20,6 @@ class TestAllocator:
         ids = PacketIdAllocator()
         assert [ids.allocate() for _ in range(3)] == [1, 2, 3]
 
-    def test_peek_does_not_consume(self):
-        ids = PacketIdAllocator()
-        assert ids.peek() == 1
-        assert ids.allocate() == 1
-
     def test_custom_start(self):
         assert PacketIdAllocator(start=100).allocate() == 100
 

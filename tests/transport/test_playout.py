@@ -71,20 +71,6 @@ def test_drop_late_policy():
     assert len(played) == 1
 
 
-def test_reset_starts_new_talkspurt():
-    sim = Simulator()
-    played = []
-    buffer = PlayoutBuffer(sim, lambda item: played.append(sim.now),
-                           playout_delay=10e-3)
-    feed(sim, buffer, [(0.001, 1)])
-    sim.at(0.5, buffer.reset)
-    # New spurt with a completely different timestamp base.
-    feed(sim, buffer, [(1.0, 500_000)])
-    sim.run()
-    assert len(played) == 2
-    assert played[1] == pytest.approx(1.0 + 10e-3)
-
-
 def test_buffering_delay_recorded():
     sim = Simulator()
     buffer = PlayoutBuffer(sim, lambda item: None, playout_delay=15e-3)

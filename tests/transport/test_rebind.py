@@ -103,7 +103,7 @@ def test_adopt_advisory_replaces_routes():
     advisory = [make_route("new1"), make_route("new2")]
     manager.adopt(advisory)
     assert manager.current() is advisory[0]
-    assert manager.alternates() == [advisory[1]]
+    assert manager.routes == advisory
     manager.adopt([])  # empty advisories are ignored
     assert manager.current() is advisory[0]
 

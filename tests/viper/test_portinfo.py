@@ -66,11 +66,6 @@ def test_logical_info_roundtrip():
     assert len(info.to_bytes()) == LogicalInfo.WIRE_BYTES
 
 
-def test_logical_info_reversed_is_identity():
-    info = LogicalInfo(label=7)
-    assert info.reversed() is info
-
-
 def test_logical_info_validation():
     with pytest.raises(ValueError):
         LogicalInfo(label=1 << 16).to_bytes()

@@ -26,7 +26,7 @@ from repro.viper.wire import (
     parse_segment_view,
     segment_span,
 )
-from tests.live.oracle import free_slots
+from tests.live.oracle import alive, free_slots
 
 
 def _random_segment(rng):
@@ -106,16 +106,16 @@ class TestRingRecycling:
         ring = BufferRing(slots=4, slot_bytes=64)
         slot = ring.acquire()
         view = PacketView.of_slot(slot, 16)
-        assert view.alive()
+        assert alive(view)
         view.release()
-        assert not view.alive()
+        assert not alive(view)
         # LIFO reuse hands the same slot back; the old view must still
         # read as dead even though the slot is in use again.
         again = ring.acquire()
         assert again is slot
         fresh = PacketView.of_slot(again, 16)
-        assert fresh.alive()
-        assert not view.alive()
+        assert alive(fresh)
+        assert not alive(view)
 
     def test_double_release_is_refused(self):
         ring = BufferRing(slots=2, slot_bytes=64)

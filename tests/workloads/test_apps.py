@@ -38,18 +38,6 @@ def test_transaction_app_closed_loop():
     assert app.response_time.mean > 0
 
 
-def test_transaction_app_stop():
-    scenario, client, entity, manager = setup()
-    rng = RngStreams(3).stream("app2")
-    app = TransactionApp(scenario.sim, client, manager, entity, rng,
-                         mean_think=1e-3)
-    scenario.sim.after(0.2, app.stop)
-    scenario.sim.run(until=1.0)
-    done_by_stop = app.completed.count
-    scenario.sim.run(until=2.0)
-    assert app.completed.count <= done_by_stop + 1  # at most one in flight
-
-
 def test_file_transfer_moves_all_bytes():
     scenario, client, entity, manager = setup()
     finished = []
