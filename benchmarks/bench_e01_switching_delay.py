@@ -24,6 +24,7 @@ from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter, RouterConfig
 from repro.directory.routes import Route
 from repro.net.topology import Topology
+from repro.obs.trace import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.viper.wire import HeaderSegment
@@ -37,9 +38,10 @@ N_SENDERS = 4
 SIM_SECONDS = 3.0
 
 
-def run_point(utilization: float, seed: int = 1, tracer=None):
-    """One utilization point; ``tracer`` (repro.obs) is installed on
-    every node when given — the observability overhead benchmark
+def run_point(utilization: float, seed: int = 1, trace_every: int = 0):
+    """One utilization point; with ``trace_every`` a :class:`Tracer` on
+    the simulated clock, sampling one packet in ``trace_every``, is
+    installed on every node — the observability overhead benchmark
     (``bench_o01``) re-runs this exact workload with tracing on."""
     sim = Simulator()
     topo = Topology(sim)
@@ -70,8 +72,10 @@ def run_point(utilization: float, seed: int = 1, tracer=None):
             rng=rngs.stream(f"sender{index}"),
             fixed_size=wire_size, stop_at=SIM_SECONDS,
         )
-    if tracer is not None:
-        tracer.install(router, dst, *[host for host, _ in senders])
+    if trace_every:
+        Tracer(sample_every=trace_every, clock=lambda: sim.now).install(
+            router, dst, *[host for host, _ in senders]
+        )
     sim.run(until=SIM_SECONDS)
     outport = router.output_ports[out_port]
     service_time = wire_size * 8 / RATE_BPS

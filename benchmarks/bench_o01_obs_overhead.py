@@ -2,8 +2,8 @@
 
 The tracing hooks of :mod:`repro.obs` sit on the hottest paths in the
 codebase — the sim router's forwarding loop and the live overlay's
-frame handlers — guarded by ``if packet.trace_id and tracer.enabled``
-against a :data:`~repro.obs.trace.NULL_TRACER` default.  This
+frame handlers — guarded by ``if packet.trace_id and tracer is not
+None`` against a ``None`` default.  This
 experiment prices that design on the two benchmarks whose numbers the
 rest of the suite leans on:
 
@@ -40,8 +40,7 @@ from repro.core.host import SirpentHost
 from repro.core.router import SirpentRouter
 from repro.live import LiveOverlay, LiveTransactor, WallClock
 from repro.net.topology import Topology
-from repro.obs.recorder import NULL_RECORDER
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 from repro.sim.engine import Simulator
 from repro.transport.rebind import RouteManager
 
@@ -101,14 +100,14 @@ def _guard_cost_ns(iterations: int = 1_000_000) -> float:
     """Micro-time the disabled-tracing guard, net of loop overhead.
 
     This is the *entire* per-call cost tracing adds when off: one
-    short-circuiting ``trace_id and tracer.enabled`` check against the
-    no-op tracer.
+    short-circuiting ``trace_id and tracer is not None`` check against
+    no tracer.
     """
     class _Holder:
         """Stands in for a node (``self.tracer``) and packet pair."""
 
         def __init__(self):
-            self.tracer = NULL_TRACER
+            self.tracer = None
             self.trace_id = 0
 
     holder = _Holder()
@@ -117,7 +116,7 @@ def _guard_cost_ns(iterations: int = 1_000_000) -> float:
         sink = 0
         started = time.perf_counter()
         for _ in range(iterations):
-            if packet.trace_id and node.tracer.enabled:
+            if packet.trace_id and node.tracer is not None:
                 sink += 1
         return time.perf_counter() - started
 
@@ -128,12 +127,12 @@ def _recorder_guard_cost_ns(iterations: int = 1_000_000) -> float:
     """Micro-time the disabled flight-recorder guard.
 
     Every recorder hook in the routers, hosts, directory server and
-    cluster replicas is one ``if self.recorder.enabled:`` check against
-    :data:`~repro.obs.recorder.NULL_RECORDER`; this is its unit price.
+    cluster replicas is one ``if self.recorder is not None:`` check
+    against no recorder; this is its unit price.
     """
     class _Holder:
         def __init__(self):
-            self.recorder = NULL_RECORDER
+            self.recorder = None
 
     holder = _Holder()
 
@@ -141,7 +140,7 @@ def _recorder_guard_cost_ns(iterations: int = 1_000_000) -> float:
         sink = 0
         started = time.perf_counter()
         for _ in range(iterations):
-            if node.recorder.enabled:
+            if node.recorder is not None:
                 sink += 1
         return time.perf_counter() - started
 
@@ -151,13 +150,13 @@ def _recorder_guard_cost_ns(iterations: int = 1_000_000) -> float:
 def _trace_ctx_guard_cost_ns(iterations: int = 1_000_000) -> float:
     """Micro-time the untraced v2 command-path guard.
 
-    Cross-layer propagation gates on ``if tid and self.tracer.enabled``
-    where ``tid`` comes from the (absent) request trace context — the
-    cost a plain, untraced directory command pays for the feature.
+    Cross-layer propagation gates on ``if tid and self.tracer is not
+    None`` where ``tid`` comes from the (absent) request trace context —
+    the cost a plain, untraced directory command pays for the feature.
     """
     class _Holder:
         def __init__(self):
-            self.tracer = NULL_TRACER
+            self.tracer = None
 
     holder = _Holder()
 
@@ -166,7 +165,7 @@ def _trace_ctx_guard_cost_ns(iterations: int = 1_000_000) -> float:
         sink = 0
         started = time.perf_counter()
         for _ in range(iterations):
-            if tid and node.tracer.enabled:
+            if tid and node.tracer is not None:
                 sink += 1
         return time.perf_counter() - started
 
@@ -177,16 +176,13 @@ def _trace_ctx_guard_cost_ns(iterations: int = 1_000_000) -> float:
 
 
 def _sim_leg():
-    """Best-of-N wall times for E01's rho=0.5 point, three tracer modes."""
-    configs = [
-        ("off", lambda: None),
-        ("sampled 1/100", lambda: Tracer(sample_every=100)),
-        ("full 1/1", lambda: Tracer(sample_every=1)),
-    ]
+    """Best-of-N wall times for E01's rho=0.5 point, three tracer modes
+    (the tracer, when on, stamps simulated time)."""
+    configs = [("off", 0), ("sampled 1/100", 100), ("full 1/1", 1)]
     out = {}
-    for label, make in configs:
+    for label, every in configs:
         elapsed, point = _best_of(
-            lambda make=make: run_point(0.5, tracer=make())
+            lambda every=every: run_point(0.5, trace_every=every)
         )
         out[label] = {"elapsed": elapsed, "delivered": point["delivered"]}
     return out
@@ -316,7 +312,7 @@ def bench_o01_obs_overhead(benchmark):
     )
     note = (
         f"\nDisabled tracing is the shipped default: every hook is one "
-        f"guard ({guard_ns:.0f}ns\nmeasured) against the no-op tracer, "
+        f"guard ({guard_ns:.0f}ns\nmeasured) against an absent tracer, "
         f"i.e. {sim_disabled_share:.3f}% of the sim's per-packet "
         f"budget\nand {live_disabled_share:.4f}% of a live "
         f"transaction — far under the 5% acceptance bar.\n"

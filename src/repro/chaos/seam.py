@@ -45,7 +45,6 @@ from repro.chaos.plan import (
     START,
     expand_target,
 )
-from repro.obs.recorder import NULL_RECORDER
 from repro.obs.registry import Counter, Gauge, MetricsRegistry
 
 #: Entity handler signature: ``handler(target_name, at_seconds)``.
@@ -190,11 +189,12 @@ class FaultInjector:
         self.on_shard_up: EntityHandler = None
         #: NDJSON-able record of everything that happened, in order.
         self.fault_log: List[Dict[str, object]] = []
-        #: Flight recorder mirror (install via :class:`FlightRecorder`'s
-        #: ``install`` or assign directly): every applied schedule event
-        #: and harness event also lands in the shared ring, so a flight
-        #: dump reconstructs the fault timeline next to packet fates.
-        self.recorder = NULL_RECORDER
+        #: Flight recorder mirror (None until installed via
+        #: :class:`FlightRecorder`'s ``install`` or assigned directly):
+        #: every applied schedule event and harness event also lands in
+        #: the shared ring, stamped at its plan time, so a flight dump
+        #: reconstructs the fault timeline next to packet fates.
+        self.recorder = None
         #: Schedule events actually applied (the replay identity).
         self.applied: List[FaultEvent] = []
         # chaos_* observability.
@@ -244,7 +244,7 @@ class FaultInjector:
         entry: Dict[str, object] = {"event": kind, "at": round(at, 6)}
         entry.update(fields)
         self.fault_log.append(entry)
-        if self.recorder.enabled:
+        if self.recorder is not None:
             # A caller-supplied node (e.g. a retry's endpoint) wins over
             # the harness attribution.
             node = str(fields.pop("node", "chaos"))
@@ -306,7 +306,7 @@ class FaultInjector:
         entry = dict(event.to_json())
         entry["at"] = round(at, 6)
         self.fault_log.append(entry)
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record(
                 "fault_applied", node="chaos", t=at,
                 kind=event.kind, target=event.target,

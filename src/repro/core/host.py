@@ -59,10 +59,9 @@ class SirpentHost(Node):
         self.undeliverable = Counter(f"{name}.undeliverable")
         self.delivery_delay = Histogram(f"{name}.delay")
         #: The socket table, the frame open, the trailer memo and the
-        #: drop sink, over the simulated clock.
+        #: drop sink.
         self.core = HostCore(
             name, SimpleNamespace(drop=lambda _reason: self.undeliverable.add()),
-            lambda: sim.now,
         )
         if control_plane is not None:
             control_plane.register(name, self._on_control_message)
@@ -120,12 +119,12 @@ class SirpentHost(Node):
             sim.now, self.name,
         )
         tracer = self.core.sink.tracer
-        if tracer.enabled:
+        if tracer is not None:
             if trace_id is None:
-                packet.trace_id = tracer.begin(self.name, self.sim.now)
+                packet.trace_id = tracer.begin(self.name)
             elif trace_id:
                 packet.trace_id = trace_id
-                tracer.event(trace_id, self.sim.now, self.name, "send_return")
+                tracer.event(trace_id, self.name, "send_return")
         outport = self.output_ports.get(route.first_hop_port)
         if outport is None:
             raise KeyError(
@@ -170,10 +169,9 @@ class SirpentHost(Node):
         if handler is None:
             return  # received, but no socket takes it: undeliverable
         tracer = self.core.sink.tracer
-        if packet.trace_id and tracer.enabled:
+        if packet.trace_id and tracer is not None:
             tracer.deliver(
-                packet.trace_id, self.sim.now, self.name,
-                socket=socket, hops=packet.hops_taken,
+                packet.trace_id, self.name, socket=socket, hops=packet.hops_taken,
             )
         handler(Delivered(
             mem.tobytes(), start, end, socket, trailer, inport.port_id,

@@ -20,7 +20,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.core.blocked import BlockedPolicy
 from repro.net.addresses import MacAddress
 from repro.net.node import Attachment
-from repro.obs.trace import NULL_TRACER
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter, Histogram, TimeWeighted
 from repro.viper.flags import effective_priority, is_preemptive, outranks
@@ -107,9 +106,9 @@ class OutputPort:
         #: for as long as that transmission lasts — the stream a
         #: cut-through router aborts when its inbound half dies (§2.1).
         self.streaming: Any = None
-        #: Hop tracer (repro.obs): NULL_TRACER unless installed by the
-        #: owning node — every use is guarded by ``tracer.enabled``.
-        self.tracer = NULL_TRACER
+        #: Hop tracer (repro.obs): None unless installed by the owning
+        #: node — every use is guarded by ``tracer is not None``.
+        self.tracer = None
         # -- statistics the benchmarks consume --
         self.queue_length = TimeWeighted(name=f"{self.name}.qlen", start=sim.now)
         self.drops = Counter(f"{self.name}.drops")
@@ -173,11 +172,11 @@ class OutputPort:
         self.queue_length.update(self.sim.now, depth)
         if depth == self.watermark:
             self.on_watermark()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             trace_id = getattr(entry.packet, "trace_id", 0)
             if trace_id:
                 self.tracer.event(
-                    trace_id, self.sim.now, self.attachment.node.name,
+                    trace_id, self.attachment.node.name,
                     "enqueue", port=self.attachment.port_id,
                     depth=depth, queued_bytes=self.queued_bytes,
                 )
@@ -211,11 +210,11 @@ class OutputPort:
         if self.on_transmit_start is not None:
             self.on_transmit_start(packet, len(self._heap))
         on_done: Callable[[], None] = self._on_port_free
-        if self.tracer.enabled:
+        if self.tracer is not None:
             trace_id = getattr(packet, "trace_id", 0)
             if trace_id:
                 self.tracer.event(
-                    trace_id, self.sim.now, self.attachment.node.name,
+                    trace_id, self.attachment.node.name,
                     "tx_start", port=self.attachment.port_id,
                     bytes=size,
                     waited_s=self.sim.now - submitted_at,
@@ -231,7 +230,7 @@ class OutputPort:
         """An ``on_done`` that stamps ``tx_complete`` before freeing."""
         def done() -> None:
             self.tracer.event(
-                trace_id, self.sim.now, self.attachment.node.name,
+                trace_id, self.attachment.node.name,
                 "tx_complete", port=self.attachment.port_id,
             )
             self._on_port_free()

@@ -167,7 +167,6 @@ class SirpentRouter(Node):
             ports=PortMap(self.ports, self.output_ports),
             link_rule=self._reverse_arrival,
             counters=self.stats,
-            clock=lambda: sim.now,
             rng=rng,
         )
         #: The transmission the hop in progress arrived by (None between
@@ -317,7 +316,7 @@ class SirpentRouter(Node):
         else:
             if core.sink.trace_id:
                 self.tracer.deliver(
-                    core.sink.trace_id, self.sim.now, self.name, hops=packet.hops_taken,
+                    core.sink.trace_id, self.name, hops=packet.hops_taken,
                 )
             if self.local_handler is not None:
                 self.local_handler(packet, inport)

@@ -220,13 +220,11 @@ class HostCore:
     """One Sirpent host's receive edge, with no IO: frames in
     (:meth:`open`), handlers and offsets out, every drop through
     :attr:`sink` over the adapter's ``counters`` (which answer
-    ``drop(reason)``) and ``clock``."""
+    ``drop(reason)``)."""
 
-    def __init__(
-        self, name: str, counters: Any, clock: Callable[[], float],
-    ) -> None:
+    def __init__(self, name: str, counters: Any) -> None:
         self.name = name
-        self.sink = RouterSink(name, counters, clock)
+        self.sink = RouterSink(name, counters)
         #: Drop reason -> frames dropped, the same on both substrates.
         self.drops = self.sink.drops
         self.sockets: Dict[int, Callable[[Any], None]] = {}

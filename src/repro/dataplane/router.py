@@ -24,10 +24,10 @@ exactly once, for the simulator's
   (the pipeline's drop reasons, tallied in :attr:`RouterCore.drops`),
   one trace guard and the flight recorder.
 
-An adapter supplies what is not the router's to decide: the clock, the
-counters object its readers expect, the tracer and recorder, and the
-one link rule — how an arrival's network header reverses into the
-return hop's portInfo.  The simulator's adapter keeps simulated timing
+An adapter supplies what is not the router's to decide: the counters
+object its readers expect, the tracer and recorder (each on its own
+clock), and the one link rule — how an arrival's network header
+reverses into the return hop's portInfo.  The simulator's adapter keeps simulated timing
 (cut-through, delays, output queues, aborts, multicast clones,
 congestion); the live adapter keeps sockets, batching and the link's
 probe ladder (its dead peers are this core's port-down input).
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from functools import partial
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.dataplane.effects import Action, Decision, EffectSink, apply_drop
@@ -119,11 +118,6 @@ class FrameHop:
         return leading_alt_block(self.view.mem, self.header_len, self.seg_count)
 
 
-#: The tracer and recorder a router has until the adapter installs its
-#: own: off, and every call site checks ``enabled``.
-_OFF = SimpleNamespace(enabled=False)
-
-
 class RouterSink(EffectSink):
     """The router's counters, trace and flight recorder, per frame.
 
@@ -131,28 +125,27 @@ class RouterSink(EffectSink):
     *and* a tracer is installed, else 0 — the one tracing guard
     (:meth:`stamp`).  The core tests it before a ``trace_event`` call
     that takes fields, so an untraced frame does not build the kwargs
-    either.  ``counters`` is the adapter's stats object: it answers
+    either.  ``tracer`` and ``recorder`` are None until the adapter
+    installs them; each stamps its events on its own clock.
+    ``counters`` is the adapter's stats object: it answers
     ``drop(reason)`` and ``count(event)``.
     """
 
     __slots__ = (
-        "name", "counters", "clock", "tracer", "recorder", "trace_id", "drops",
+        "name", "counters", "tracer", "recorder", "trace_id", "drops",
     )
 
-    def __init__(
-        self, name: str, counters: Any, clock: Callable[[], float],
-    ) -> None:
+    def __init__(self, name: str, counters: Any) -> None:
         self.name = name
         self.counters = counters
-        self.clock = clock
-        self.tracer = self.recorder = _OFF
+        self.tracer = self.recorder = None
         self.trace_id = 0
         #: Drop reason -> frames this router dropped for it.
         self.drops: Dict[str, int] = {}
 
     def stamp(self, trace_id: int) -> int:
         """Trace the frame ``trace_id`` names, if a tracer is on."""
-        self.trace_id = trace_id if trace_id and self.tracer.enabled else 0
+        self.trace_id = trace_id if trace_id and self.tracer is not None else 0
         return self.trace_id
 
     def bump(self, name: str) -> None:
@@ -162,18 +155,14 @@ class RouterSink(EffectSink):
 
     def trace_event(self, event: str, **fields: Any) -> None:
         if self.trace_id:
-            self.tracer.event(
-                self.trace_id, self.clock(), self.name, event, **fields
-            )
+            self.tracer.event(self.trace_id, self.name, event, **fields)
 
     def trace_drop(self, reason: str, **fields: Any) -> None:
         if self.trace_id:
-            self.tracer.drop(
-                self.trace_id, self.clock(), self.name, reason, **fields
-            )
+            self.tracer.drop(self.trace_id, self.name, reason, **fields)
 
     def record(self, event: str, **fields: Any) -> None:
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record(event, node=self.name, **fields)
 
 
@@ -185,7 +174,7 @@ class RouterCore:
     :meth:`step` returns for the adapter to carry out (transmit out
     ``out_port``, hand to the local handler, or clone per branch), and
     every count, trace event and record through :attr:`sink`, built
-    over the adapter's ``counters`` and ``clock``.
+    over the adapter's ``counters``.
     """
 
     def __init__(
@@ -199,7 +188,6 @@ class RouterCore:
         ports: PortMap,
         link_rule: Callable[[FrameHop], bytes],
         counters: Any,
-        clock: Callable[[], float],
         rng: Any = None,
     ) -> None:
         self.name = name
@@ -218,7 +206,7 @@ class RouterCore:
         self.groups = GroupPortMap()
         self.capabilities = Capabilities(multicast=multicast)
         self.hop = FrameHop(link_rule)
-        self.sink = RouterSink(name, counters, clock)
+        self.sink = RouterSink(name, counters)
         #: Drop reason -> frames dropped: the one vocabulary, the same
         #: on both substrates.
         self.drops = self.sink.drops

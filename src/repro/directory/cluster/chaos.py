@@ -117,7 +117,6 @@ def run_cluster_soak(
         recorder = FlightRecorder(clock=clock.now)
     injector.recorder = recorder
     cluster.set_recorder(recorder)
-    cluster.set_clock(clock.now)
     rebind_recovery = (
         cfg.registry.histogram("rebind_recovery_s")
         if cfg.registry is not None else None

@@ -35,13 +35,7 @@ from repro.directory.cluster.ring import (
     DEFAULT_VNODES,
     shard_key,
 )
-from repro.obs.recorder import NULL_RECORDER
 from repro.obs.registry import Counter, Gauge, MetricsRegistry
-from repro.obs.trace import NULL_TRACER
-
-
-def _zero_clock() -> float:
-    return 0.0
 
 
 class _ShardMetrics:
@@ -92,17 +86,13 @@ class DirectoryCluster:
         self.shards: Dict[str, ReplicatedShard] = {}
         self._metrics: Dict[str, _ShardMetrics] = {}
         self._registry = registry
-        self.tracer = NULL_TRACER
-        self.recorder = NULL_RECORDER
-        self._clock = _zero_clock
+        #: Observability hooks (None until installed; see repro.obs).
+        self.tracer = None
         for n in range(shard_count):
             self._boot_shard(f"shard-{n}")
 
     def _boot_shard(self, shard_id: str) -> ReplicatedShard:
         shard = ReplicatedShard(shard_id, self.replication_factor)
-        shard.tracer = self.tracer
-        shard.recorder = self.recorder
-        shard.clock = self._clock
         self.ring.add(shard_id)
         self.shards[shard_id] = shard
         metrics = _ShardMetrics(shard)
@@ -121,15 +111,8 @@ class DirectoryCluster:
 
     def set_recorder(self, recorder) -> None:
         """Install one flight recorder on every shard."""
-        self.recorder = recorder
         for shard in self.shards.values():
             shard.recorder = recorder
-
-    def set_clock(self, clock) -> None:
-        """Install the timestamp source observability events use."""
-        self._clock = clock
-        for shard in self.shards.values():
-            shard.clock = clock
 
     # -- routing -----------------------------------------------------------
 
@@ -155,12 +138,12 @@ class DirectoryCluster:
             ).encode()
         shard = self.shards[shard_id]
         tid = request.trace_id
-        if tid and self.tracer.enabled:
+        if tid and self.tracer is not None:
             # Record the routing decision under the parent we were
             # handed, then hand the shard a context parented on the
             # cluster — each layer owns exactly one level of the tree.
             self.tracer.event(
-                tid, self._clock(), "cluster", "command_route",
+                tid, "cluster", "command_route",
                 parent=request.trace_dict.get("parent", ""),
                 shard=shard_id, method=request.method,
             )

@@ -24,7 +24,7 @@ and the replay *is* the recovery proof the acceptance criteria ask for.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.directory.cluster.log import CommandLog, LogEntry
 from repro.directory.cluster.protocol import (
@@ -32,12 +32,6 @@ from repro.directory.cluster.protocol import (
     canonical_params,
 )
 from repro.directory.cluster.store import ShardStore
-from repro.obs.recorder import NULL_RECORDER
-from repro.obs.trace import NULL_TRACER
-
-
-def _zero_clock() -> float:
-    return 0.0
 
 #: Replica roles.
 LEADER = "leader"
@@ -109,11 +103,10 @@ class ReplicatedShard:
         self.failovers = 0
         self.dedup_hits = 0
         self.commands_applied = 0
-        #: Observability hooks — NULL by default, installed by the
-        #: cluster (or a test) via the tracer/recorder install pattern.
-        self.tracer = NULL_TRACER
-        self.recorder = NULL_RECORDER
-        self.clock: Callable[[], float] = _zero_clock
+        #: Observability hooks — None until the cluster (or a test)
+        #: installs them via the tracer/recorder install pattern.
+        self.tracer = None
+        self.recorder = None
         #: Trace ids that hit this shard while leaderless: the next
         #: promotion is stitched into them (trace continuity across
         #: failover).
@@ -165,13 +158,13 @@ class ReplicatedShard:
         ``shard_unavailable`` protocol error.
         """
         tid = request.trace_id
-        traced = tid and self.tracer.enabled
+        traced = tid and self.tracer is not None
         parent = request.trace_dict.get("parent", "") if traced else ""
         leader = self.leader
         if leader is None:
             if traced:
                 self.tracer.event(
-                    tid, self.clock(), self.shard_id, "shard_unavailable",
+                    tid, self.shard_id, "shard_unavailable",
                     parent=parent, term=self.term,
                 )
                 self._awaiting_traces.add(tid)
@@ -181,7 +174,7 @@ class ReplicatedShard:
         if not request.is_write:
             if traced:
                 self.tracer.event(
-                    tid, self.clock(), leader.replica_id, "leader_read",
+                    tid, leader.replica_id, "leader_read",
                     parent=parent, method=request.method,
                 )
             return leader.store.read(request).encode()
@@ -190,7 +183,7 @@ class ReplicatedShard:
             self.dedup_hits += 1
             if traced:
                 self.tracer.event(
-                    tid, self.clock(), leader.replica_id, "dedup_replay",
+                    tid, leader.replica_id, "dedup_replay",
                     parent=parent, request_id=request.request_id,
                 )
             return cached
@@ -209,7 +202,7 @@ class ReplicatedShard:
             follower.append_and_apply(entry)
             if traced:
                 self.tracer.event(
-                    tid, self.clock(), follower.replica_id,
+                    tid, follower.replica_id,
                     "follower_apply", parent=leader.replica_id,
                     index=entry.index,
                 )
@@ -217,12 +210,12 @@ class ReplicatedShard:
         self.commands_applied += 1
         if traced:
             self.tracer.event(
-                tid, self.clock(), leader.replica_id, "leader_commit",
+                tid, leader.replica_id, "leader_commit",
                 parent=parent, index=entry.index, term=self.term,
             )
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record(
-                "log_appended", node=self.shard_id, t=self.clock(),
+                "log_appended", node=self.shard_id,
                 index=entry.index, method=request.method,
                 request_id=request.request_id, term=self.term,
             )
@@ -236,9 +229,9 @@ class ReplicatedShard:
         if leader is None:
             return None
         leader.alive = False
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record(
-                "leader_killed", node=self.shard_id, t=self.clock(),
+                "leader_killed", node=self.shard_id,
                 replica=leader.replica_id, term=self.term,
             )
         return leader.replica_id
@@ -262,19 +255,18 @@ class ReplicatedShard:
         new_leader.role = LEADER
         self.term += 1
         self.failovers += 1
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record(
-                "leader_promoted", node=self.shard_id, t=self.clock(),
+                "leader_promoted", node=self.shard_id,
                 replica=new_leader.replica_id, term=self.term,
             )
         # Stitch the promotion into every trace that found this shard
         # leaderless: the client's retry will land on the new leader,
         # and the trace shows *why* the retry succeeded.
-        if self._awaiting_traces and self.tracer.enabled:
-            now = self.clock()
+        if self._awaiting_traces and self.tracer is not None:
             for tid in self._awaiting_traces:
                 self.tracer.event(
-                    tid, now, new_leader.replica_id, "leader_promoted",
+                    tid, new_leader.replica_id, "leader_promoted",
                     parent=self.shard_id, term=self.term,
                 )
         self._awaiting_traces.clear()
@@ -292,9 +284,9 @@ class ReplicatedShard:
         replayed = 0
         if leader is not None and leader is not replica:
             replayed = replica.catch_up_from(leader)
-        if self.recorder.enabled:
+        if self.recorder is not None:
             self.recorder.record(
-                "replica_restarted", node=self.shard_id, t=self.clock(),
+                "replica_restarted", node=self.shard_id,
                 replica=replica_id, replayed=replayed, term=self.term,
             )
         return replayed

@@ -60,8 +60,6 @@ from repro.directory.cluster.protocol import (
     ProtocolError,
     VersionError,
 )
-from repro.obs.recorder import NULL_RECORDER
-from repro.obs.trace import NULL_TRACER
 from repro.directory.pathfind import PathObjective
 from repro.directory.routes import Route
 from repro.directory.service import BindingConflictError, RouteQuery
@@ -201,10 +199,9 @@ class LiveDirectoryServer:
         #: EOF / write to a gone peer) — the failure-path fate SIR011
         #: requires every swallowed ConnectionError to account for.
         self.connections_dropped = 0
-        #: Observability hooks (NULL until installed; see repro.obs).
-        self.tracer = NULL_TRACER
-        self.recorder = NULL_RECORDER
-        self.clock: Callable[[], float] = time.monotonic
+        #: Observability hooks (None until installed; see repro.obs).
+        self.tracer = None
+        self.recorder = None
         self._command_ms = None  # Histogram once attach_registry runs
 
     def set_tracer(self, tracer) -> None:
@@ -318,16 +315,16 @@ class LiveDirectoryServer:
             return CommandResponse.failure(request_id, CommandError.make(
                 "bad_request", str(exc),
             )).encode()
-        started = self.clock()
+        started = time.monotonic()
         tid = request.trace_id
-        traced = tid and self.tracer.enabled
+        traced = tid and self.tracer is not None
         if traced:
             # Stitch this command into the caller's trace, then hand
             # downstream layers a context parented on *this* server —
             # each layer owns one level of the rendered tree.
             from_parent = request.trace_dict.get("parent", "")
             self.tracer.event(
-                tid, started, self.name, "command_received",
+                tid, self.name, "command_received",
                 parent=from_parent, method=request.method,
                 request_id=request.request_id,
             )
@@ -340,7 +337,7 @@ class LiveDirectoryServer:
                 self.dedup_hits += 1
                 if traced:
                     self.tracer.event(
-                        tid, self.clock(), self.name, "dedup_replay",
+                        tid, self.name, "dedup_replay",
                         request_id=request.request_id,
                     )
                 return cached
@@ -351,16 +348,15 @@ class LiveDirectoryServer:
         if not response.ok:
             self.errors += 1
         if self._command_ms is not None:
-            self._command_ms.add((self.clock() - started) * 1e3)
-        if self.recorder.enabled:
+            self._command_ms.add((time.monotonic() - started) * 1e3)
+        if self.recorder is not None:
             self.recorder.record(
-                "command_served", node=self.name, t=self.clock(),
-                method=request.method, request_id=request.request_id,
-                ok=response.ok,
+                "command_served", node=self.name, method=request.method,
+                request_id=request.request_id, ok=response.ok,
             )
         if traced:
             self.tracer.event(
-                tid, self.clock(), self.name, "command_answered",
+                tid, self.name, "command_answered",
                 status=response.status,
             )
         return encoded

@@ -98,8 +98,8 @@ class LiveHost:
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}
         #: The socket table, the frame open, the trailer memo and the
-        #: drop sink; its tracer's timestamps are ``time.monotonic()``.
-        self.core = HostCore(name, self.metrics, time.monotonic)
+        #: drop sink.
+        self.core = HostCore(name, self.metrics)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -155,14 +155,12 @@ class LiveHost:
         header, seg_count = route.wire_header(priority, dib)
         wire_trace_id = 0
         tracer = self.core.sink.tracer
-        if tracer.enabled:
+        if tracer is not None:
             if trace_id is None:
-                wire_trace_id = tracer.begin(self.name, time.monotonic())
+                wire_trace_id = tracer.begin(self.name)
             elif trace_id:
                 wire_trace_id = trace_id
-                tracer.event(
-                    trace_id, time.monotonic(), self.name, "send_return",
-                )
+                tracer.event(trace_id, self.name, "send_return")
         peer = self.ports.get(route.first_hop_port)
         if peer is None:
             raise KeyError(
@@ -227,10 +225,8 @@ class LiveHost:
             if handler is None:
                 continue
             metrics.delivered_local += 1
-            if tracer.enabled and preamble.trace_id:
-                tracer.deliver(
-                    preamble.trace_id, time.monotonic(), self.name, socket=socket,
-                )
+            if tracer is not None and preamble.trace_id:
+                tracer.deliver(preamble.trace_id, self.name, socket=socket)
             handler(Delivered(
                 datagram, payload_start, payload_end, socket, trailer,
                 arrival_port, None, arrived_at, preamble.trace_id,

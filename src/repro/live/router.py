@@ -130,7 +130,6 @@ class LiveRouter:
             ports=PortMap({}),
             link_rule=_reverse_leading_portinfo,
             counters=self.metrics,
-            clock=time.monotonic,
         )
         self.endpoint = LiveEndpoint(
             name, metrics=self.metrics,

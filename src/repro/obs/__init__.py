@@ -2,7 +2,10 @@
 
 ``repro.obs`` is shared by the simulator and the live UDP overlay: one
 packet tracer, one flight recorder and one set of metric primitives
-serve both substrates.
+serve both substrates.  A tracer and a recorder each own the clock
+that stamps their events (``time.monotonic`` live, the simulator's
+``now`` in a simulation); a component with neither installed holds
+``None`` and tests ``is not None`` before each event.
 
 Submodules
 ----------
@@ -13,16 +16,15 @@ Submodules
     (:mod:`repro.sim.monitor`) re-export the value-shaped primitives
     from here.
 ``trace``
-    Sampling per-packet hop tracer (:class:`Tracer`) with the
-    zero-cost-when-disabled :data:`NULL_TRACER` default, NDJSON and
-    Chrome ``trace_event`` export.
+    Sampling per-packet hop tracer (:class:`Tracer`) on its own clock,
+    with NDJSON and Chrome ``trace_event`` export.
 ``adapters``
     The pull-time bridge that exposes the live overlay's
     :class:`repro.live.metrics.EndpointMetrics` through a registry.
 ``recorder``
     The always-on bounded flight recorder (:class:`FlightRecorder`)
-    with NDJSON dumps, :func:`load_dump` and :func:`fault_timeline`
-    forensics, and the guarded :data:`NULL_RECORDER` default.
+    on its own clock, with NDJSON dumps, :func:`load_dump` and
+    :func:`fault_timeline` forensics.
 ``slo``
     Declarative SLOs (:class:`SloSpec`) evaluated as multi-window burn
     rates over registry histograms by :class:`SloEngine`.
@@ -44,30 +46,20 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    FlightRecorder,
-    NullRecorder,
-    fault_timeline,
-    load_dump,
-)
+from repro.obs.recorder import FlightRecorder, fault_timeline, load_dump
 from repro.obs.slo import SloEngine, SloSpec, default_slos
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_RECORDER",
-    "NullRecorder",
     "FlightRecorder",
     "fault_timeline",
     "load_dump",
     "SloEngine",
     "SloSpec",
     "default_slos",
-    "NULL_TRACER",
-    "NullTracer",
     "Tracer",
 ]

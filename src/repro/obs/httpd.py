@@ -7,13 +7,15 @@ A tiny asyncio HTTP/1.0 server — no framework, no threads — that a
 
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4) of the
   registry, scrape-ready.
-* ``GET /trace`` — JSON index of retained traces (id, source, status).
+* ``GET /trace`` — JSON index of retained traces (id, source, status);
+  404 when the server holds no tracer.
 * ``GET /trace?id=<decimal-or-0x-hex>`` — one trace's full event list
   plus its per-hop span decomposition and parent tree, as JSON.
 * ``GET /slo`` — the :class:`~repro.obs.slo.SloEngine`'s burn-rate
   report as JSON (what ``python -m repro.obs.top`` polls).
 * ``GET /dump`` — the flight recorder's NDJSON dump of the last window
-  (``?last_s=<seconds>`` overrides it) — the "explicit trigger" path.
+  (``?last_s=<seconds>`` overrides it) — the "explicit trigger" path;
+  404 when the server holds no recorder.
 
 The handler parses only the request line and discards headers; anything
 that is not a GET for a known path gets a 404/405.  It exists for
@@ -27,9 +29,8 @@ import json
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.recorder import NULL_RECORDER
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, spans_of, tree_of
+from repro.obs.trace import spans_of, tree_of
 
 
 class ObsHttpServer:
@@ -40,9 +41,9 @@ class ObsHttpServer:
         slo=None, recorder=None,
     ) -> None:
         self.registry = registry
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.slo = slo
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.recorder = recorder
         self._server: Optional[asyncio.AbstractServer] = None
         self.address: Optional[Tuple[str, int]] = None
 
@@ -106,6 +107,8 @@ class ObsHttpServer:
                 body,
             )
         if parts.path == "/trace":
+            if self.tracer is None:
+                return "404 Not Found", "text/plain", b"no tracer\n"
             return self._respond_trace(parts.query)
         if parts.path == "/slo":
             if self.slo is None:
@@ -117,6 +120,10 @@ class ObsHttpServer:
                 self.slo.report_json().encode("utf-8"),
             )
         if parts.path == "/dump":
+            if self.recorder is None:
+                return (
+                    "404 Not Found", "text/plain", b"no flight recorder\n"
+                )
             params = parse_qs(parts.query)
             last_s = None
             if params.get("last_s"):
@@ -129,10 +136,6 @@ class ObsHttpServer:
             text = self.recorder.dump_ndjson(
                 last_s=last_s, reason="http_trigger"
             )
-            if not text:
-                return (
-                    "404 Not Found", "text/plain", b"no flight recorder\n"
-                )
             return (
                 "200 OK", "application/x-ndjson", text.encode("utf-8")
             )
@@ -140,7 +143,7 @@ class ObsHttpServer:
 
     def _respond_trace(self, query: str) -> Tuple[str, str, bytes]:
         params = parse_qs(query)
-        records = getattr(self.tracer, "records", {})
+        records = self.tracer.records
         wanted = params.get("id")
         if not wanted:
             index = [

@@ -12,14 +12,14 @@ seconds when something goes wrong.
 
 **Call-site contract.**  Mirroring the tracer's discipline
 (:mod:`repro.obs.trace`), instrumented code holds a ``recorder``
-attribute that is :data:`NULL_RECORDER` by default and every hot-path
-touch is guarded::
+attribute that is ``None`` until a :class:`FlightRecorder` is
+installed, and every hot-path touch is guarded::
 
-    if self.recorder.enabled:
+    if self.recorder is not None:
         self.recorder.record("link_down", node=self.name, port=3)
 
 so a component with no recorder installed pays one attribute load plus
-one truthiness test per event site (``bench_o01`` prices this at well
+one identity test per event site (``bench_o01`` prices this at well
 under 1% of the per-packet budget).  Event **names are static
 snake_case strings** — sirlint's SIR007 enforces both the naming
 convention and that events are only emitted through this API.
@@ -27,10 +27,12 @@ convention and that events are only emitted through this API.
 **Causal order** is append order: one recorder is shared by every
 component of a deployment (the overlay installs one on all its nodes),
 so the ring's sequence numbers are a single total order consistent
-with causality inside the process.  Timestamps are caller- or
-clock-supplied floats (``time.monotonic()`` live, virtual seconds in
-the cluster soak) and ride along for window filtering and human
-reading; they never reorder events.
+with causality inside the process.  Timestamps come from the
+recorder's own ``clock`` (``time.monotonic()`` live, virtual seconds in
+the soaks); the one caller that passes ``t`` is the chaos fault
+injector (:mod:`repro.chaos.seam`), which stamps a fault at its plan
+time on that same time base.  Timestamps ride along for window
+filtering and human reading; they never reorder events.
 
 **Dumps** (:meth:`FlightRecorder.dump_ndjson`) happen on invariant
 violation (:meth:`repro.chaos.invariants.InvariantChecker.assert_ok`
@@ -97,46 +99,13 @@ class RecorderEvent:
         return f"<RecorderEvent #{self.seq} {self.node}:{self.name}@{self.t:.6f}>"
 
 
-class NullRecorder:
-    """The disabled recorder: every operation is a no-op.
-
-    ``enabled`` is False so guarded call sites skip even the method
-    call; unguarded calls still cost only a cheap early return.
-    """
-
-    enabled = False
-
-    def record(self, name: str, node: str = "", t: Optional[float] = None,
-               **fields: Any) -> None:
-        """Discard the event."""
-
-    def events(self, last_s: Optional[float] = None,
-               now: Optional[float] = None) -> List[RecorderEvent]:
-        """There are no events."""
-        return []
-
-    def dump_ndjson(self, path: Optional[str] = None,
-                    last_s: Optional[float] = None,
-                    now: Optional[float] = None,
-                    reason: str = "") -> str:
-        """There is nothing to dump."""
-        return ""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullRecorder>"
-
-
-#: The shared disabled recorder every instrumented component defaults to.
-NULL_RECORDER = NullRecorder()
-
-
 class FlightRecorder:
     """A bounded, always-on ring of structured events with NDJSON dumps.
 
     ``capacity`` bounds the ring (oldest events evicted); ``window_s``
-    is the default dump window; ``clock`` supplies timestamps when a
-    call site does not (``time.monotonic`` live, a soak's virtual clock
-    in deterministic runs).
+    is the default dump window; ``clock`` stamps every event but the
+    fault injector's (``time.monotonic`` live, a soak's virtual clock in
+    deterministic runs).
 
     The ring keeps faults and units of work (drops, ``slick_reroute``,
     link down/up, router restarts, transport retries and route switches,
@@ -146,8 +115,6 @@ class FlightRecorder:
     slot; at 2 % loss and full load (``live_lossy``, about 480 events a
     second) the default 8,192 events cover about 17 s.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -174,7 +141,8 @@ class FlightRecorder:
         """Append one event to the ring.
 
         ``name`` must be a static snake_case string (SIR007); ``t``
-        defaults to this recorder's clock.  Append order is the causal
+        defaults to this recorder's clock (only the fault injector
+        passes one: a fault's plan time).  Append order is the causal
         order of the dump.
         """
         self._seq += 1

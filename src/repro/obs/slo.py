@@ -16,10 +16,9 @@ windows** (fast + slow, per the classic multi-window multi-burn alert
 pattern) so a transient rebind storm shows up in the 10 s window while
 the 60 s window says whether it actually matters.
 
-One spec kind, ``latency``, covers every objective in the repository:
-good events are samples of a named histogram at or under
-``threshold``; the histogram's cached sorted view makes the counting a
-single :func:`bisect.bisect_right`.
+Every objective is a latency objective: good events are samples of a
+named histogram at or under ``threshold``; the histogram's cached
+sorted view makes the counting a single :func:`bisect.bisect_right`.
 
 The engine keeps a per-spec history of cumulative ``(t, good, total)``
 evaluation points so windowed burn is an O(log n) lookback subtraction
@@ -50,27 +49,24 @@ WARN_BURN = 1.0
 #: Evaluation points an engine keeps per spec.
 MAX_POINTS = 4096
 
-_KINDS = ("latency",)
-
 
 class SloSpec:
-    """One declarative objective.
+    """One declarative latency objective.
 
-    ``kind="latency"``: ``metric`` names a histogram in the registry
-    (label filters via ``labels``); an event is *good* when its sample
-    is ``<= threshold``.  ``target`` is the objective fraction in
-    (0, 1), e.g. 0.99.
+    ``metric`` names a histogram in the registry (label filters via
+    ``labels``); an event is *good* when its sample is
+    ``<= threshold``.  ``target`` is the objective fraction in (0, 1),
+    e.g. 0.99.
     """
 
     __slots__ = (
-        "name", "kind", "target", "metric", "labels", "threshold",
+        "name", "target", "metric", "labels", "threshold",
         "description", "windows_s",
     )
 
     def __init__(
         self,
         name: str,
-        kind: str,
         target: float,
         metric: str = "",
         labels: Optional[Dict[str, str]] = None,
@@ -78,14 +74,11 @@ class SloSpec:
         description: str = "",
         windows_s: Sequence[float] = DEFAULT_WINDOWS_S,
     ) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown SLO kind {kind!r} (want one of {_KINDS})")
         if not 0.0 < target < 1.0:
             raise ValueError(f"target {target} outside (0, 1)")
         if not metric:
-            raise ValueError("latency SLO needs a metric name")
+            raise ValueError("an SLO needs a metric name")
         self.name = name
-        self.kind = kind
         self.target = target
         self.metric = metric
         self.labels = dict(labels or {})
@@ -102,7 +95,6 @@ class SloSpec:
         """The spec's declarative form (schema in ARCHITECTURE §13)."""
         out: Dict[str, Any] = {
             "name": self.name,
-            "kind": self.kind,
             "target": self.target,
             "windows_s": list(self.windows_s),
         }
@@ -115,19 +107,19 @@ class SloSpec:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SloSpec {self.name!r} {self.kind} target={self.target}>"
+        return f"<SloSpec {self.name!r} target={self.target}>"
 
 
 def default_slos() -> List[SloSpec]:
     """The repository's standard objectives over existing obs metrics."""
     return [
         SloSpec(
-            "directory_command_latency", "latency", target=0.99,
+            "directory_command_latency", target=0.99,
             metric="directory_command_ms", threshold=5.0,
             description="99% of v2 directory commands answer in <= 5 ms",
         ),
         SloSpec(
-            "rebind_recovery", "latency", target=0.95,
+            "rebind_recovery", target=0.95,
             metric="rebind_recovery_s", threshold=0.5,
             description="95% of rebinds recover routing in <= 500 ms",
         ),

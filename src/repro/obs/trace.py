@@ -10,18 +10,20 @@ space (:class:`repro.transport.ids.EntityIdAllocator` — "unique
 independent of the (inter)network layer addressing", §4.1).
 
 **Call-site contract.**  Instrumented code holds a ``tracer`` attribute
-that is :data:`NULL_TRACER` by default.  Every hot-path touch is::
+that is ``None`` until a :class:`Tracer` is installed.  Every hot-path
+touch is::
 
-    if packet.trace_id and self.tracer.enabled:
-        self.tracer.event(packet.trace_id, now, self.name, "enqueue")
+    if packet.trace_id and self.tracer is not None:
+        self.tracer.event(packet.trace_id, self.name, "enqueue")
 
-— for the 99.99% case (tracing disabled, or this packet unsampled) the
-cost is one int truthiness test plus, at most, one attribute load.
+— for the 99.99% case (tracing off, or this packet unsampled) the cost
+is one int truthiness test plus, at most, one identity test.
 ``bench_o01_obs_overhead`` pins this at <5% of e01/l01 throughput.
 
-**Timestamps** are caller-supplied floats: simulation seconds in the
-sim, ``time.monotonic()`` seconds in the live overlay.  A trace never
-mixes the two (a packet lives in exactly one substrate).
+**Timestamps** come from the tracer's own ``clock``: ``time.monotonic``
+by default (the live overlay), ``lambda: sim.now`` for a tracer
+installed on simulated nodes.  No call site passes a time, so every
+event of one tracer is on one time base.
 
 **Export** goes two ways: NDJSON (one header line per trace, one line
 per event — streaming-friendly, what ``repro.obs.report`` reads) and
@@ -34,9 +36,10 @@ where each hop span renders as a slice with its phase events
 from __future__ import annotations
 
 import json
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 @dataclass
@@ -81,58 +84,21 @@ class HopSpan:
     events: List[TraceEvent]
 
 
-class NullTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    ``enabled`` is False so guarded call sites skip even the method
-    call; unguarded calls still cost only a cheap early return.
-    """
-
-    enabled = False
-
-    def begin(self, source: str, now: float) -> int:
-        """Never samples; returns trace id 0 ("untraced")."""
-        return 0
-
-    def event(self, trace_id: int, now: float, node: str, name: str,
-              **attrs: Any) -> None:
-        """Discard the event."""
-
-    def drop(self, trace_id: int, now: float, node: str, reason: str,
-             **attrs: Any) -> None:
-        """Discard the drop."""
-
-    def deliver(self, trace_id: int, now: float, node: str,
-                **attrs: Any) -> None:
-        """Discard the delivery."""
-
-    def record(self, trace_id: int) -> Optional[TraceRecord]:
-        """There are no records."""
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullTracer>"
-
-
-#: The shared disabled tracer every instrumented component defaults to.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Sampling per-packet tracer shared by sim nodes or live endpoints.
 
     ``sample_every=N`` traces one packet in N (1 = every packet).  At
     most ``max_traces`` records are retained; the oldest are evicted,
-    which bounds memory under long runs.
+    which bounds memory under long runs.  ``clock`` stamps every event:
+    ``time.monotonic`` live, ``lambda: sim.now`` in the simulator.
     """
-
-    enabled = True
 
     def __init__(
         self,
         sample_every: int = 1,
         max_traces: int = 4096,
         id_domain: str = "trace",
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
@@ -144,6 +110,7 @@ class Tracer:
 
         self.sample_every = sample_every
         self.max_traces = max_traces
+        self.clock = clock
         self._ids = EntityIdAllocator(domain=id_domain)
         self._send_count = 0
         self.records: "OrderedDict[int, TraceRecord]" = OrderedDict()
@@ -154,7 +121,7 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def begin(self, source: str, now: float) -> int:
+    def begin(self, source: str) -> int:
         """Maybe start a trace for one outbound packet.
 
         Returns the 64-bit trace id, or 0 when this packet falls outside
@@ -166,6 +133,7 @@ class Tracer:
         if (self._send_count - 1) % self.sample_every:
             return 0
         trace_id = int(self._ids.allocate(hint=source))
+        now = self.clock()
         record = TraceRecord(trace_id=trace_id, source=source, started=now)
         record.events.append(TraceEvent(now, source, "send"))
         self.records[trace_id] = record
@@ -185,19 +153,21 @@ class Tracer:
                 self.records.popitem(last=False)
         return record
 
-    def event(self, trace_id: int, now: float, node: str, name: str,
+    def event(self, trace_id: int, node: str, name: str,
               **attrs: Any) -> None:
         """Append one span event to the trace (no-op for id 0)."""
         if not trace_id:
             return
+        now = self.clock()
         record = self._record_for(trace_id, node, now)
         record.events.append(TraceEvent(now, node, name, attrs))
 
-    def drop(self, trace_id: int, now: float, node: str, reason: str,
+    def drop(self, trace_id: int, node: str, reason: str,
              **attrs: Any) -> None:
         """Terminate the trace with a drop reason at ``node``."""
         if not trace_id:
             return
+        now = self.clock()
         record = self._record_for(trace_id, node, now)
         record.events.append(
             TraceEvent(now, node, "drop", {"reason": reason, **attrs})
@@ -205,11 +175,12 @@ class Tracer:
         record.status = "dropped"
         record.drop_reason = reason
 
-    def deliver(self, trace_id: int, now: float, node: str,
+    def deliver(self, trace_id: int, node: str,
                 **attrs: Any) -> None:
         """Record final delivery at ``node`` and close the trace."""
         if not trace_id:
             return
+        now = self.clock()
         record = self._record_for(trace_id, node, now)
         record.events.append(TraceEvent(now, node, "deliver", attrs))
         record.status = "delivered"
@@ -221,7 +192,8 @@ class Tracer:
 
         Anything exposing ``set_tracer`` gets the call; anything with a
         plain ``tracer`` attribute gets it assigned.  Returns self so
-        ``Tracer().install(*topology.nodes.values())`` reads naturally.
+        ``Tracer(clock=lambda: sim.now).install(*topology.nodes.values())``
+        reads naturally.
         """
         for node in nodes:
             setter = getattr(node, "set_tracer", None)

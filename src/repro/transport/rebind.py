@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.directory.routes import Route
-from repro.obs.recorder import NULL_RECORDER
 from repro.sim.engine import Simulator
 from repro.sim.monitor import Counter
 
@@ -112,8 +111,8 @@ class RouteManager:
         self.refresh_empty = Counter("rebind_refresh_empty")
         self.pardons = Counter("rebind_pardons")
         self.last_switch_at: Optional[float] = None
-        #: Flight recorder (repro.obs); NULL_RECORDER = not recording.
-        self.recorder = NULL_RECORDER
+        #: Flight recorder (repro.obs); None = not recording.
+        self.recorder = None
 
     # -- selection ---------------------------------------------------------
 
@@ -142,7 +141,7 @@ class RouteManager:
                 # an armed quarantine backoff — is observable; routine
                 # good RTTs on a healthy route stay silent.
                 self.pardons.add()
-                if self.recorder.enabled:
+                if self.recorder is not None:
                     self.recorder.record(
                         "rebind_pardon",
                         route=self._current,

@@ -63,7 +63,6 @@ def test_dump_reconstructs_mixed_fault_timeline():
     injector.recorder = recorder
     cluster = DirectoryCluster(shard_count=1, replication_factor=2)
     cluster.set_recorder(recorder)
-    cluster.set_clock(clock.now)
 
     crashed = {}
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.chaos import InvariantChecker, chaos_plan, run_live_soak, run_sim_soak
 from repro.chaos.plan import FaultPlan, FaultSpec
+from repro.obs.recorder import load_dump
 
 pytestmark = [pytest.mark.live, pytest.mark.chaos]
 
@@ -35,6 +36,15 @@ def test_live_soak_passes_every_invariant():
     assert report.transactions
     assert report.ok_count > 0
     InvariantChecker(plan).assert_ok(report)
+    # One time base in the dump: every event, the directory server's
+    # command_served among them, is stamped in plan seconds.
+    _, events = load_dump(report.flight_dump)
+    assert "command_served" in {e["event"] for e in events}
+    off_plan = [
+        (e["event"], e["t"]) for e in events
+        if not 0.0 <= e["t"] <= report.duration_s
+    ]
+    assert not off_plan, off_plan
 
 
 def test_live_partition_passes_every_invariant():

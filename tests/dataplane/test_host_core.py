@@ -64,7 +64,7 @@ class Edge:
     trailers it walks."""
 
     def __init__(self, monkeypatch, as_frame) -> None:
-        self.core = HostCore("h", self, lambda: 0.0)
+        self.core = HostCore("h", self)
         self.as_frame = as_frame
         self.counted = []
         for socket in BOUND:
@@ -320,7 +320,7 @@ def _sim_pair():
     router = topology.add_node(SirpentRouter(sim, "r"))
     _, a_port, _ = topology.connect(a, router)
     _, out_port, _ = topology.connect(router, b)
-    tracer = Tracer().install(a, b, router)
+    tracer = Tracer(clock=lambda: sim.now).install(a, b, router)
     recorder = b.core.sink.recorder = FlightRecorder(clock=lambda: sim.now)
 
     route = Route(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.directory.cluster.client import ClusterClient
 from repro.directory.cluster.cluster import DirectoryCluster
+from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer, tree_of
 
 
@@ -31,10 +32,9 @@ def _flatten(node, depth=0):
 
 def test_traced_rebind_survives_leader_kill_as_one_trace():
     clock = _Clock()
-    tracer = Tracer()
+    tracer = Tracer(clock=clock.now)
     cluster = DirectoryCluster(shard_count=1, replication_factor=2)
     cluster.set_tracer(tracer)
-    cluster.set_clock(clock.now)
 
     client = ClusterClient(
         cluster.execute_raw, name="c1", max_attempts=4,
@@ -47,7 +47,7 @@ def test_traced_rebind_survives_leader_kill_as_one_trace():
     # finds the shard leaderless; the on_retry hook plays the part of
     # the membership monitor and promotes; the retry commits.
     cluster.kill_shard_leader("shard-0")
-    tid = tracer.begin("client-host", clock.now())
+    tid = tracer.begin("client-host")
     assert tid != 0
     result = client.rebind(
         "a.example.net", "node-2",
@@ -85,6 +85,41 @@ def test_traced_rebind_survives_leader_kill_as_one_trace():
         "shard-0": 2,
         "shard-0/r1": 3,
     }
+
+
+def test_replica_events_are_stamped_on_the_installed_clocks():
+    """The cluster keeps no clock: a shard's trace events take the
+    tracer's and its flight-recorder events the recorder's, each read
+    when the event happens."""
+    clock = _Clock()
+    tracer = Tracer(clock=clock.now)
+    recorder = FlightRecorder(clock=lambda: 1000.0 + clock.t)
+    cluster = DirectoryCluster(shard_count=1, replication_factor=2)
+    cluster.set_tracer(tracer)
+    cluster.set_recorder(recorder)
+    client = ClusterClient(cluster.execute_raw, name="c3", clock=clock.now)
+
+    clock.t = 2.5
+    tid = tracer.begin("client-host")
+    clock.t = 4.0
+    client.register_host(
+        "c.example.net", "node-1", trace={"id": tid, "parent": "client-host"},
+    )
+    clock.t = 6.0
+    cluster.kill_shard_leader("shard-0")
+    clock.t = 7.25
+    cluster.fail_over("shard-0")
+
+    stamps = {e.name: e.t for e in tracer.record(tid).events}
+    assert stamps == {
+        "send": 2.5, "command_route": 4.0, "follower_apply": 4.0,
+        "leader_commit": 4.0,
+    }
+    assert [(e.name, e.t) for e in recorder.events()] == [
+        ("log_appended", 1004.0),
+        ("leader_killed", 1006.0),
+        ("leader_promoted", 1007.25),
+    ]
 
 
 def test_untraced_commands_record_nothing():

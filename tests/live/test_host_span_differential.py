@@ -290,7 +290,7 @@ def check_reply(host, sent, got, packet, rng) -> bool:
     refused = False
     reply = rng.randbytes(rng.randrange(0, 40))
     reply_socket = rng.randrange(256)
-    trace_id = packet.trace_id if host.tracer.enabled else 0
+    trace_id = packet.trace_id if host.tracer is not None else 0
     for priority in (0, rng.randrange(1, 16)):
         expected = outcome(lambda: reference_reply(
             packet, reply, reply_socket, priority, False, trace_id

@@ -192,14 +192,17 @@ def test_trace_endpoint_serves_span_json():
 
 
 def test_untraced_overlay_pays_nothing():
-    """With no tracer installed, frames carry no trace id and the
-    NULL_TRACER answers every hook without recording."""
+    """With no tracer installed (every node's ``tracer`` is None),
+    frames carry no trace id and nothing is recorded."""
 
     async def scenario():
         overlay = LiveOverlay(_line_topology())
         await overlay.start()
         try:
             client, server = overlay.hosts["client"], overlay.hosts["server"]
+            nodes = [*overlay.hosts.values(), *overlay.routers.values()]
+            assert all(node.tracer is None for node in nodes)
+            assert overlay.directory_server.tracer is None
             delivered = []
             server.bind(5, delivered.append)
             route = overlay.routes("client", "server", dest_socket=5)[0]

@@ -53,17 +53,15 @@ ALTERNATE = [HeaderSegment(port=ALT), HeaderSegment(port=0)]
 
 
 class RecordingTracer:
-    """A hop tracer that keeps what it is told, minus the wall clock."""
-
-    enabled = True
+    """A hop tracer that keeps what it is told, and reads no clock."""
 
     def __init__(self):
         self.log = []
 
-    def event(self, trace_id, now, node, name, **attrs):
+    def event(self, trace_id, node, name, **attrs):
         self.log.append((trace_id, node, name, attrs))
 
-    def drop(self, trace_id, now, node, reason, **attrs):
+    def drop(self, trace_id, node, reason, **attrs):
         self.log.append((trace_id, node, "drop:" + reason, attrs))
 
 

@@ -52,7 +52,7 @@ def test_traced_rebind_stitches_host_directory_cluster_replicas():
         await client.connect(address)
         try:
             await client.register_host("venus.cs.stanford.edu", "venus")
-            tid = tracer.begin("h1", 0.0)
+            tid = tracer.begin("h1")
             result = await client.rebind(
                 "venus.cs.stanford.edu", "mars",
                 trace={"id": tid, "parent": "h1"},
@@ -96,7 +96,7 @@ def test_traced_retry_replays_dedup_into_same_trace():
         await client.connect(address)
         try:
             await client.register_host("a.net", "n1")
-            tid = tracer.begin("h1", 0.0)
+            tid = tracer.begin("h1")
             trace = {"id": tid, "parent": "h1"}
             # Simulate a lost response: re-send the same frame bytes.
             request_id = client._next_id()

@@ -11,13 +11,10 @@ import json
 
 import pytest
 
-from repro.obs.recorder import (
-    FlightRecorder,
-    NULL_RECORDER,
-    NullRecorder,
-    fault_timeline,
-    load_dump,
-)
+from repro.directory.cluster.replica import ReplicatedShard
+from repro.obs.httpd import ObsHttpServer
+from repro.obs.recorder import FlightRecorder, fault_timeline, load_dump
+from repro.obs.registry import MetricsRegistry
 
 
 class _Clock:
@@ -100,12 +97,15 @@ def test_load_dump_rejects_non_dumps():
         load_dump('{"type":"mystery"}')
 
 
-def test_null_recorder_is_inert():
-    assert NULL_RECORDER.enabled is False
-    NULL_RECORDER.record("anything", node="x")
-    assert NULL_RECORDER.events() == []
-    assert NULL_RECORDER.dump_ndjson() == ""
-    assert isinstance(NULL_RECORDER, NullRecorder)
+def test_off_is_none_until_installed():
+    """A component with no telemetry installed holds None, and the obs
+    endpoint answers 404 for the dump and the traces it does not hold."""
+    shard = ReplicatedShard("shard-0")
+    assert shard.tracer is None and shard.recorder is None
+    server = ObsHttpServer(MetricsRegistry())
+    for path in (b"/dump", b"/trace", b"/trace?id=1"):
+        status, _, _ = server._respond(b"GET " + path + b" HTTP/1.0\r\n")
+        assert status == "404 Not Found", path
 
 
 def test_install_uses_setter_or_attribute():
@@ -117,7 +117,7 @@ def test_install_uses_setter_or_attribute():
             self.got = recorder
 
     class WithAttr:
-        recorder = NULL_RECORDER
+        recorder = None
 
     rec = FlightRecorder(clock=_Clock())
     a, b = WithSetter(), WithAttr()

@@ -12,14 +12,14 @@ from repro.obs.trace import Tracer
 
 def _exported(tmp_path):
     """One delivered and one dropped trace round-tripped through NDJSON."""
-    tracer = Tracer()
-    tid = tracer.begin("h1", 0.0)
-    tracer.event(tid, 1e-4, "r1", "cut_through_start", in_port=1)
-    tracer.event(tid, 1.2e-4, "r1", "strip_reverse_append", out_port=2)
-    tracer.deliver(tid, 3e-4, "h2", socket=0)
-    dropped = tracer.begin("h1", 1.0)
-    tracer.event(dropped, 1.1, "r1", "switch_decision")
-    tracer.drop(dropped, 1.2, "r1", "no_route", port=9)
+    tracer = Tracer(clock=iter([0.0, 1e-4, 1.2e-4, 3e-4, 1.0, 1.1, 1.2]).__next__)
+    tid = tracer.begin("h1")
+    tracer.event(tid, "r1", "cut_through_start", in_port=1)
+    tracer.event(tid, "r1", "strip_reverse_append", out_port=2)
+    tracer.deliver(tid, "h2", socket=0)
+    dropped = tracer.begin("h1")
+    tracer.event(dropped, "r1", "switch_decision")
+    tracer.drop(dropped, "r1", "no_route", port=9)
     path = str(tmp_path / "traces.ndjson")
     tracer.export_ndjson(path)
     return path, tid, dropped
@@ -74,12 +74,10 @@ class TestRendering:
         assert render_drop_reasons([]) == "no drops recorded"
 
     def test_tree_indents_parented_layers(self, tmp_path):
-        tracer = Tracer()
-        tid = tracer.begin("h1", 0.0)
-        tracer.event(tid, 1e-4, "directory", "command_received",
-                     parent="h1")
-        tracer.event(tid, 2e-4, "cluster", "command_route",
-                     parent="directory")
+        tracer = Tracer(clock=iter([0.0, 1e-4, 2e-4]).__next__)
+        tid = tracer.begin("h1")
+        tracer.event(tid, "directory", "command_received", parent="h1")
+        tracer.event(tid, "cluster", "command_route", parent="directory")
         record = tracer.record(tid)
         text = render_tree(record)
         lines = text.splitlines()

@@ -15,7 +15,7 @@ from repro.viper.wire import HeaderSegment
 
 def _traced_line(n_routers=2, **kwargs):
     scenario = build_sirpent_line(n_routers=n_routers, **kwargs)
-    tracer = Tracer().install(
+    tracer = Tracer(clock=lambda: scenario.sim.now).install(
         *scenario.hosts.values(), *scenario.routers.values()
     )
     return scenario, tracer

@@ -32,15 +32,12 @@ class _Clock:
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SloSpec("x", "unknown", target=0.5)
+        SloSpec("x", target=1.0, metric="m")
     with pytest.raises(ValueError):
-        SloSpec("x", "latency", target=1.0, metric="m")
-    with pytest.raises(ValueError):
-        SloSpec("x", "latency", target=0.9)  # no metric
-    with pytest.raises(ValueError):
-        SloSpec("x", "ratio", target=0.9, metric="m")  # not a kind
-    spec = SloSpec("x", "latency", target=0.99, metric="m", threshold=2.0)
+        SloSpec("x", target=0.9)  # no metric
+    spec = SloSpec("x", target=0.99, metric="m", threshold=2.0)
     assert spec.error_budget == pytest.approx(0.01)
+    assert "kind" not in spec.to_json()
 
 
 def test_default_slos_cover_the_required_objectives():
@@ -74,7 +71,7 @@ def test_latency_burn_exact():
     hist = registry.histogram("transaction_rtt_ms")
     clock = _Clock()
     spec = SloSpec(
-        "delivery", "latency", target=0.99,
+        "delivery", target=0.99,
         metric="transaction_rtt_ms", threshold=2.0, windows_s=(10.0,),
     )
     engine = SloEngine(registry, specs=[spec], clock=clock)
@@ -94,7 +91,7 @@ def test_latency_matches_namespaced_metric_names():
     hist = registry.histogram("live_transaction_rtt_ms")
     hist.add(1.0)
     spec = SloSpec(
-        "delivery", "latency", target=0.99,
+        "delivery", target=0.99,
         metric="transaction_rtt_ms", threshold=2.0, windows_s=(10.0,),
     )
     engine = SloEngine(registry, specs=[spec], clock=_Clock())
@@ -107,7 +104,7 @@ def test_windowed_burn_forgets_old_badness():
     hist = registry.histogram("op_ms")
     clock = _Clock()
     spec = SloSpec(
-        "op", "latency", target=0.9, metric="op_ms", threshold=1.0,
+        "op", target=0.9, metric="op_ms", threshold=1.0,
         windows_s=(10.0,),
     )
     engine = SloEngine(registry, specs=[spec], clock=clock)
@@ -132,7 +129,7 @@ def test_page_status_at_ten_x_burn():
     registry = MetricsRegistry()
     hist = registry.histogram("op_ms")
     spec = SloSpec(
-        "op", "latency", target=0.99, metric="op_ms", threshold=1.0,
+        "op", target=0.99, metric="op_ms", threshold=1.0,
         windows_s=(10.0,),
     )
     engine = SloEngine(registry, specs=[spec], clock=_Clock())

@@ -1,27 +1,44 @@
 """Unit tests for the sampling packet tracer and its exporters."""
 
 import json
+import time
 
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, spans_of
+from repro.obs.trace import Tracer, spans_of
 
 
-class TestNullTracer:
-    def test_begin_returns_untraced(self):
-        assert NULL_TRACER.begin("src", 0.0) == 0
+def ticks(*times):
+    """A clock that reads ``times`` in order, one per stamped event."""
+    return iter(times).__next__
 
-    def test_everything_is_a_noop(self):
-        tracer = NullTracer()
-        tracer.event(1, 0.0, "n", "x")
-        tracer.drop(1, 0.0, "n", "reason")
-        tracer.deliver(1, 0.0, "n")
-        assert tracer.record(1) is None
-        assert tracer.enabled is False
+
+class TestClock:
+    def test_every_event_is_stamped_by_the_tracers_clock(self):
+        tracer = Tracer(clock=ticks(3.0, 4.5, 7.0))
+        tid = tracer.begin("h1")
+        tracer.event(tid, "r1", "strip_reverse_append")
+        tracer.deliver(tid, "h2")
+        record = tracer.record(tid)
+        assert record.started == 3.0
+        assert [e.t for e in record.events] == [3.0, 4.5, 7.0]
+
+    def test_the_default_clock_is_monotonic(self):
+        before = time.monotonic()
+        tracer = Tracer()
+        tid = tracer.begin("h1")
+        assert before <= tracer.record(tid).started <= time.monotonic()
+
+    def test_an_unsampled_send_and_id_zero_read_no_clock(self):
+        tracer = Tracer(sample_every=2, clock=ticks(0.0))
+        assert tracer.begin("h1") and not tracer.begin("h1")
+        tracer.event(0, "r1", "x")
+        tracer.drop(0, "r1", "y")
+        tracer.deliver(0, "h2")
 
 
 class TestSampling:
     def test_sample_every_one_traces_all(self):
         tracer = Tracer(sample_every=1)
-        ids = [tracer.begin("s", float(i)) for i in range(5)]
+        ids = [tracer.begin("s") for _ in range(5)]
         assert all(ids)
         assert len(set(ids)) == 5
         assert tracer.sampled == 5
@@ -29,7 +46,7 @@ class TestSampling:
 
     def test_sample_every_n_is_exact(self):
         tracer = Tracer(sample_every=10)
-        ids = [tracer.begin("s", float(i)) for i in range(100)]
+        ids = [tracer.begin("s") for _ in range(100)]
         assert sum(1 for i in ids if i) == 10
         assert ids[0] != 0  # the first send is always sampled
         assert tracer.sampled == 10
@@ -37,7 +54,7 @@ class TestSampling:
 
     def test_eviction_bounds_memory(self):
         tracer = Tracer(max_traces=3)
-        ids = [tracer.begin("s", float(i)) for i in range(5)]
+        ids = [tracer.begin("s") for _ in range(5)]
         assert len(tracer.records) == 3
         assert tracer.record(ids[0]) is None  # oldest evicted
         assert tracer.record(ids[-1]) is not None
@@ -45,10 +62,10 @@ class TestSampling:
 
 class TestRecording:
     def test_lifecycle_delivered(self):
-        tracer = Tracer()
-        tid = tracer.begin("h1", 0.0)
-        tracer.event(tid, 1.0, "r1", "strip_reverse_append", out_port=2)
-        tracer.deliver(tid, 2.0, "h2", socket=5)
+        tracer = Tracer(clock=ticks(0.0, 1.0, 2.0))
+        tid = tracer.begin("h1")
+        tracer.event(tid, "r1", "strip_reverse_append", out_port=2)
+        tracer.deliver(tid, "h2", socket=5)
         record = tracer.record(tid)
         assert record.status == "delivered"
         assert [e.name for e in record.events] == [
@@ -57,35 +74,36 @@ class TestRecording:
         assert record.total == 2.0
 
     def test_lifecycle_dropped(self):
-        tracer = Tracer()
-        tid = tracer.begin("h1", 0.0)
-        tracer.drop(tid, 1.0, "r1", "no_route", port=9)
+        tracer = Tracer(clock=ticks(0.0, 1.0))
+        tid = tracer.begin("h1")
+        tracer.drop(tid, "r1", "no_route", port=9)
         record = tracer.record(tid)
         assert record.status == "dropped"
         assert record.drop_reason == "no_route"
 
     def test_id_zero_is_discarded(self):
         tracer = Tracer(sample_every=2)
-        tracer.begin("h1", 0.0)
-        tracer.event(0, 1.0, "r1", "x")
-        tracer.drop(0, 1.0, "r1", "y")
-        tracer.deliver(0, 1.0, "h2")
+        tracer.begin("h1")
+        tracer.event(0, "r1", "x")
+        tracer.drop(0, "r1", "y")
+        tracer.deliver(0, "h2")
         assert len(tracer.records) == 1
 
     def test_unknown_id_adopted_midflight(self):
-        tracer = Tracer()
-        tracer.event(0xABC, 5.0, "r1", "strip_reverse_append")
+        tracer = Tracer(clock=ticks(5.0))
+        tracer.event(0xABC, "r1", "strip_reverse_append")
         record = tracer.record(0xABC)
         assert record is not None
         assert record.source == "r1"
+        assert record.started == 5.0
 
     def test_spans_group_consecutive_same_node_events(self):
-        tracer = Tracer()
-        tid = tracer.begin("h1", 0.0)
-        tracer.event(tid, 0.1, "h1", "tx_start")
-        tracer.event(tid, 0.5, "r1", "cut_through_start")
-        tracer.event(tid, 0.6, "r1", "strip_reverse_append")
-        tracer.deliver(tid, 1.0, "h2")
+        tracer = Tracer(clock=ticks(0.0, 0.1, 0.5, 0.6, 1.0))
+        tid = tracer.begin("h1")
+        tracer.event(tid, "h1", "tx_start")
+        tracer.event(tid, "r1", "cut_through_start")
+        tracer.event(tid, "r1", "strip_reverse_append")
+        tracer.deliver(tid, "h2")
         spans = tracer.spans(tid)
         assert [s.node for s in spans] == ["h1", "r1", "h2"]
         assert spans[1].end - spans[1].start == 0.6 - 0.5
@@ -101,7 +119,7 @@ class TestInstall:
                 self.installed = tracer
 
         class WithAttr:
-            tracer = NULL_TRACER
+            tracer = None
 
         setter, plain = WithSetter(), WithAttr()
         tracer = Tracer().install(setter, plain)
@@ -111,12 +129,12 @@ class TestInstall:
 
 class TestExport:
     def _traced(self):
-        tracer = Tracer()
-        tid = tracer.begin("h1", 0.0)
-        tracer.event(tid, 1e-4, "r1", "strip_reverse_append", out_port=2)
-        tracer.deliver(tid, 2e-4, "h2")
-        dropped = tracer.begin("h1", 1.0)
-        tracer.drop(dropped, 1.1, "r1", "token_reject")
+        tracer = Tracer(clock=ticks(0.0, 1e-4, 2e-4, 1.0, 1.1))
+        tid = tracer.begin("h1")
+        tracer.event(tid, "r1", "strip_reverse_append", out_port=2)
+        tracer.deliver(tid, "h2")
+        dropped = tracer.begin("h1")
+        tracer.drop(dropped, "r1", "token_reject")
         return tracer, tid
 
     def test_ndjson_roundtrip(self, tmp_path):

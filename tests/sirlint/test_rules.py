@@ -650,7 +650,7 @@ def test_sir007_silent_on_static_snake_case_names():
         """
         class Router:
             def restart(self):
-                if self.recorder.enabled:
+                if self.recorder is not None:
                     self.recorder.record("router_restarted", node=self.name)
 
         def drive(injector, now):
@@ -665,7 +665,7 @@ def test_sir007_exempts_delegating_record_wrappers():
         """
         class FaultInjector:
             def record(self, kind, at, **fields):
-                if self.recorder.enabled:
+                if self.recorder is not None:
                     self.recorder.record(kind, node="chaos", t=at, **fields)
         """,
         "repro.chaos.seam",

@@ -485,8 +485,6 @@ KEPT_DEFINITIONS = {
         "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
     "repro.directory.cluster.cluster:DirectoryCluster.set_tracer":
         "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
-    "repro.directory.cluster.cluster:_zero_clock":
-        "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
     "repro.directory.cluster.log:CommandLog.to_ndjson":
         "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
     "repro.directory.cluster.log:LogEntry.to_json":
@@ -496,8 +494,6 @@ KEPT_DEFINITIONS = {
     "repro.directory.cluster.protocol:CommandRequest.to_json":
         "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
     "repro.directory.cluster.protocol:CommandRequest.with_trace":
-        "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
-    "repro.directory.cluster.replica:_zero_clock":
         "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
     "repro.directory.cluster.ring:ConsistentHashRing.shards":
         "(b) ROADMAP item 17: the replicated directory, on the data path or deleted",
@@ -577,8 +573,6 @@ KEPT_DEFINITIONS = {
         "(a) §2.1: an abort upstream of a cut-through frame aborts its onward transmission",
     "repro.obs.httpd:ObsHttpServer":
         "(c) README line 573: `LiveOverlay(..., obs_port=0)` serves /metrics and /trace",
-    "repro.obs.recorder:NullRecorder":
-        "(b) ROADMAP item 9: every call site checks `enabled` first; the one telemetry seam decides whether the null recorder stays",
     "repro.obs.registry:MetricsRegistry.counter":
         "(b) ROADMAP item 24: each node's arrival and fate counts, which the registry would expose",
     "repro.obs.registry:Counter.samples":
@@ -599,8 +593,6 @@ KEPT_DEFINITIONS = {
         "(c) README line 629: `python -m repro.obs.top` renders the /slo report",
     "repro.obs.top:render_report":
         "(c) README line 629: `python -m repro.obs.top` renders the /slo report",
-    "repro.obs.trace:NullTracer":
-        "(b) ROADMAP item 9: every call site checks `enabled` first; the one telemetry seam decides whether the null tracer stays",
     "repro.obs.trace:Tracer.drop":
         "(d) a sampled frame dropped: no driver drops a traced frame",
     "repro.obs.trace:Tracer.record":
